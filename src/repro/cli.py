@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.analysis.cache import CACHE_ENV_VAR
@@ -236,6 +236,28 @@ def _add_checkpoint_arguments(group) -> None:
         help="stop after scoring N batches this run (deterministic stand-in "
         "for a mid-replay kill; pair with --checkpoint-dir, then --resume)",
     )
+
+
+#: The checkpoint instruments the ``--json`` ``checkpoints`` block reads.
+_CHECKPOINT_BYTES = "repro_stream_checkpoint_bytes_total"
+_CHECKPOINT_MAX_SAVE_BYTES = "repro_stream_checkpoint_max_save_bytes"
+
+
+def _checkpoint_summary(result, bytes_before: float) -> Dict:
+    """The ``checkpoints`` block of a stream/serve summary.
+
+    Byte figures come from the registry's checkpoint instruments: the
+    bytes counter's growth over this replay and the largest-save gauge,
+    which each checkpointer resets when it is built.
+    """
+
+    return {
+        "saved": result.checkpoints_saved,
+        "failures": result.checkpoint_failures,
+        "resumed_from_batch": result.resumed_from_batch,
+        "bytes_written": int(obs.metric_value(_CHECKPOINT_BYTES) - bytes_before),
+        "max_save_bytes": int(obs.metric_value(_CHECKPOINT_MAX_SAVE_BYTES)),
+    }
 
 
 def _checkpointer_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace):
@@ -549,6 +571,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             executor=args.executor,
         )
     driver = ReplayDriver(detector, batch_size=batch_size, refresher=refresher)
+    bytes_before = obs.metric_value(_CHECKPOINT_BYTES)
     result = driver.replay(
         bot_store,
         checkpointer=checkpointer,
@@ -601,11 +624,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         "table_source": table_source,
     }
     if checkpointer is not None:
-        summary["checkpoints"] = {
-            "saved": result.checkpoints_saved,
-            "failures": result.checkpoint_failures,
-            "resumed_from_batch": result.resumed_from_batch,
-        }
+        summary["checkpoints"] = _checkpoint_summary(result, bytes_before)
     if args.json:
         document = dict(summary)
         document["seconds"] = round(result.seconds, 3)
@@ -664,6 +683,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # device partition the sharded batch classifier would use — routing
     # is then a pure lookup and no state migration ever happens.
     router = DeviceRouter.from_table(table, args.serve_workers)
+    bytes_before = obs.metric_value(_CHECKPOINT_BYTES)
     with DetectionGateway(
         detector,
         router=router,
@@ -734,11 +754,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "health": result.health,
     }
     if checkpointer is not None:
-        summary["checkpoints"] = {
-            "saved": result.checkpoints_saved,
-            "failures": result.checkpoint_failures,
-            "resumed_from_batch": result.resumed_from_batch,
-        }
+        summary["checkpoints"] = _checkpoint_summary(result, bytes_before)
     if args.json:
         document = dict(summary)
         document["seconds"] = round(result.seconds, 3)

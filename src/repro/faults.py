@@ -53,7 +53,7 @@ FAULT_POINTS = (
     "shard_run",        # analysis.engine.map_shards worker execution
     "worker_classify",  # serve.gateway per-worker batch scoring
     "refresh_mine",     # stream.refresh mining (gateway background/sync)
-    "checkpoint_write", # stream.checkpoint snapshot writes
+    "checkpoint_write", # stream.checkpoint segment and snapshot writes
     "cache_write",      # analysis.cache columnar-archive writes
 )
 

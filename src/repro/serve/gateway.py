@@ -532,73 +532,65 @@ class DetectionGateway:
         return self._inflight is None
 
     def export_state(self) -> Dict:
-        """The gateway's full durable state, as a picklable mapping.
+        """The gateway's durable state, as live references for a checkpoint.
 
         Covers everything a resumed gateway needs to continue the stream
-        exactly: ingest vocabulary, router pins, each worker's filter
-        list + seen-state + counters, the refresher window/schedule, the
-        hot-swap history and the health report.
+        exactly, in :class:`~repro.stream.StreamCheckpointer`'s state
+        shape: ingest vocabulary, router pins, the worker classifiers
+        (filter list + seen-state + counters), the refresher
+        window/schedule, the hot-swap history, and under ``gateway`` the
+        counters, refresh backoff and health report.
         """
 
         if self._inflight is not None:
             raise RuntimeError("cannot snapshot with a background re-mine in flight")
         return {
-            "workers": self.workers,
             "ingest": self._ingestor.export_state(),
             "router": self._router.export_state(),
-            "classifiers": [
-                {
-                    "filter_list": classifier.filter_list,
-                    "temporal_state": classifier.temporal_state,
-                    "rows_scored": classifier.rows_scored,
-                    "swaps": classifier.swaps,
-                }
-                for classifier in self._classifiers
-            ],
-            "batches": self.batches,
-            "migrations": self.migrations,
-            "refreshes": [dict(entry) for entry in self.refreshes],
+            "classifiers": list(self._classifiers),
             "refresher": (
                 self._refresher.export_state() if self._refresher is not None else None
             ),
-            "refresh": {
-                "attempts": self._refresh_attempts,
-                "retry_at": self._refresh_retry_at,
-                "backoff": self._refresh_backoff,
+            "refreshes": self.refreshes,
+            "gateway": {
+                "workers": self.workers,
+                "batches": self.batches,
+                "migrations": self.migrations,
+                "refresh": {
+                    "attempts": self._refresh_attempts,
+                    "retry_at": self._refresh_retry_at,
+                    "backoff": self._refresh_backoff,
+                },
+                "health": self.health.to_dict(),
             },
-            "health": self.health.to_dict(),
         }
 
     def restore_state(self, state: Dict) -> None:
-        """Adopt a snapshot exported by :meth:`export_state`."""
+        """Adopt a state loaded by :meth:`StreamCheckpointer.load`."""
 
-        if int(state["workers"]) != self.workers:
+        gateway = state["gateway"]
+        if gateway is None or int(gateway["workers"]) != self.workers:
+            workers = None if gateway is None else gateway["workers"]
             raise ValueError(
-                f"checkpointed gateway has {state['workers']} workers; "
+                f"checkpointed gateway has {workers} workers; "
                 f"this gateway has {self.workers}"
             )
         self._ingestor.restore_state(state["ingest"])
         self._router.restore_state(state["router"])
         self._classifiers = [
-            OnlineClassifier(self._detector).restore(
-                filter_list=entry["filter_list"],
-                temporal_state=entry["temporal_state"],
-                rows_scored=entry["rows_scored"],
-                swaps=entry["swaps"],
-            )
+            OnlineClassifier(self._detector).restore(**entry)
             for entry in state["classifiers"]
         ]
-        self.batches = int(state["batches"])
-        self.migrations = int(state["migrations"])
+        self.batches = int(gateway["batches"])
+        self.migrations = int(gateway["migrations"])
         self.refreshes = [dict(entry) for entry in state["refreshes"]]
         if state.get("refresher") is not None and self._refresher is not None:
             self._refresher.restore_state(state["refresher"])
-        refresh = state.get("refresh") or {}
-        self._refresh_attempts = int(refresh.get("attempts", 0))
-        self._refresh_retry_at = refresh.get("retry_at")
-        self._refresh_backoff = int(refresh.get("backoff", REFRESH_BACKOFF_BASE_BATCHES))
-        if state.get("health") is not None:
-            self.health = GatewayHealth.from_dict(state["health"])
+        refresh = gateway["refresh"]
+        self._refresh_attempts = int(refresh["attempts"])
+        self._refresh_retry_at = refresh["retry_at"]
+        self._refresh_backoff = int(refresh["backoff"])
+        self.health = GatewayHealth.from_dict(gateway["health"])
 
     def drain(self) -> None:
         """Wait for any in-flight background mining and deploy its result.

@@ -113,11 +113,16 @@ class DeviceRouter:
     # -- checkpointing ---------------------------------------------------------
 
     def export_state(self) -> Dict:
-        """The router's pins, loads and cursor, as a picklable mapping."""
+        """The router's pins, loads and cursor.
+
+        ``pins`` is the live (kind, key) → worker dict, not a copy: it only
+        grows, in first-pin order, and a migration repins a key in place —
+        the checkpointer writes the pins past its mark plus the moved ones.
+        """
 
         return {
             "workers": self.workers,
-            "pins": dict(self._pins),
+            "pins": self._pins,
             "loads": list(self._loads),
             "keyless_cursor": self._keyless_cursor,
         }

@@ -76,7 +76,7 @@ class GatewayReplayDriver:
         closing is the caller's job (``with gateway: ...``).
 
         Checkpointing mirrors :meth:`ReplayDriver.replay`: with a
-        *checkpointer*, the gateway's full state is snapshotted at due
+        *checkpointer*, the gateway's state is saved incrementally at due
         batch boundaries (skipping boundaries where a background re-mine
         is in flight — the next boundary after the deploy captures a
         clean state); ``resume=True`` restores and continues, and
@@ -105,12 +105,13 @@ class GatewayReplayDriver:
                         "checkpoint does not match this replay "
                         "(different batch size or store)"
                     )
-                self._gateway.restore_state(state["gateway"])
-                verdicts.update(state["verdicts"])
+                self._gateway.restore_state(state)
+                verdicts = state["verdicts"]
                 start_row = int(state["cursor_rows"])
                 resumed_from = int(state["batches"])
 
         scored_this_run = 0
+        rows_this_run = 0
         started = time.perf_counter()
         for start in range(start_row, total, self.batch_size):
             if max_batches is not None and scored_this_run >= max_batches:
@@ -121,6 +122,7 @@ class GatewayReplayDriver:
             batch_seconds.append(elapsed)
             _BATCH_SECONDS.observe(elapsed, stage="total")
             scored_this_run += 1
+            rows_this_run += min(self.batch_size, total - start)
             if (
                 checkpointer is not None
                 and checkpointer.due(self._gateway.batches)
@@ -132,15 +134,15 @@ class GatewayReplayDriver:
                         "rows_total": total,
                         "cursor_rows": min(start + self.batch_size, total),
                         "batches": self._gateway.batches,
-                        "gateway": self._gateway.export_state(),
-                        "verdicts": dict(verdicts),
+                        "verdicts": verdicts,
+                        **self._gateway.export_state(),
                     }
                 )
         self._gateway.drain()
         seconds = time.perf_counter() - started
         return ServeResult(
             verdicts=verdicts,
-            rows=total,
+            rows=rows_this_run,
             batches=self._gateway.batches,
             seconds=seconds,
             batch_seconds=batch_seconds,

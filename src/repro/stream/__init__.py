@@ -17,7 +17,8 @@ arrive, in four pieces:
   through the stream in timestamp order; with a frozen filter list the
   verdicts are identical to the batch pipeline's (the subsystem's oracle);
 * :class:`~repro.stream.checkpoint.StreamCheckpointer` — periodic
-  crash-safe snapshots of the full online state, so an interrupted replay
+  incremental, crash-safe saves of the online state (append-only delta
+  segments plus one small snapshot, no pickle), so an interrupted replay
   resumes byte-identically (``docs/robustness.md``).
 
 ``repro stream`` on the command line and

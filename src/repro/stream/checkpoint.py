@@ -1,86 +1,158 @@
-"""Crash-safe checkpoint/restore for stream replays.
+"""Incremental, crash-safe checkpoint/restore for stream replays.
 
-A killed ``repro stream``/``repro serve`` process used to lose the whole
-online state — ingest vocabulary, per-visitor temporal seen-state, the
-deployed filter list and the stream cursor — and had to replay from row
-zero.  This module persists that state periodically so a restarted
-replay continues from the last snapshot and produces verdicts
-byte-identical to an uninterrupted run from that batch onward
-(``tests/test_checkpoint.py`` pins it).
+A killed ``repro stream``/``repro serve`` process would otherwise lose the
+whole online state — ingest vocabulary, per-visitor temporal seen-state,
+the deployed filter list, the emitted verdicts and the stream cursor — and
+have to replay from row zero.  This module persists that state
+periodically so a restarted replay continues from the last published save
+and produces verdicts byte-identical to an uninterrupted run
+(``tests/test_checkpoint.py`` pins it for both replay drivers).
 
-The on-disk format is a single self-validating blob::
+A checkpoint is a directory of two kinds of file:
 
-    RPCK | version (4 bytes, big-endian) | sha256(payload) | payload
+* **segments** (``segment-000000.npz``, ``segment-000001.npz``, …) — an
+  append-only sequence, one per published save, each holding only what
+  the structures that only ever grow gained since the previous save: new
+  vocabulary entries, new temporal seen-state values (as codes against
+  the vocabulary), new router pins, new rules, and the new verdicts as
+  columns (request id, rule index, temporal flags);
+* **the snapshot** (``stream_checkpoint``) — one small file, atomically
+  replaced, that lists the valid segments with their sha256 and carries
+  the bounded state: cursor and counters, the deployed filter list(s) as
+  indices into the segments' rule table, the refresher window and
+  schedule clock, the hot-swap history and the gateway's health.
 
-where the payload is a pickle of the driver's state mapping.  Every
-write is crash-safe: bytes land in a same-directory temporary file, are
-fsynced, and only then atomically replace the published
-``stream_checkpoint`` — a crash mid-write leaves the previous snapshot
-intact, never a torn file, and the checksum catches any corruption that
-slips through anyway (:class:`CheckpointError` on load).  The
-``checkpoint_write`` fault point fires between fsync and rename, which
-is how the fault matrix models a crash at the worst possible moment.
+Each segment is an ``.npz`` (numeric columns plus a JSON ``meta`` member);
+the snapshot is the same, behind a ``RPCK | version | sha256`` header.
+Loading uses ``np.load(..., allow_pickle=False)`` and ``json`` only —
+reading a checkpoint never executes code.  Version 1 checkpoints (a
+pickled state blob) are refused unread.
+
+Every file write is crash-safe: bytes land in a same-directory temporary
+file, are fsynced, atomically renamed into place and the directory is
+fsynced.  A save appends its segment first and publishes the snapshot
+last, so a crash between the two leaves an unlisted segment that loading
+ignores and the next save overwrites.  The ``checkpoint_write`` fault
+point fires on both writes, between fsync and rename.
+
+Per-save cost scales with the rows since the last save plus the bounded
+window, not with the stream position: the checkpointer keeps a
+high-water mark per growing structure and writes only what lies past it.
+A resume folds the segments in order.
 
 Checkpointing is **best-effort by design**: :meth:`StreamCheckpointer.save`
-never raises into the scoring loop.  A failed snapshot is counted and
-logged; the stream keeps scoring and the next due boundary tries again —
-losing a snapshot costs recovery granularity, never correctness.
+never raises into the scoring loop for an I/O failure.  A failed save is
+counted and logged, the high-water marks stay put, and the next due
+boundary writes the accumulated delta — losing a save costs recovery
+granularity, never correctness.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import json
 import logging
 import os
-import pickle
 import tempfile
+import time
+import zipfile
+from itertools import chain, islice
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro import faults
+import numpy as np
+
+from repro import faults, obs
+from repro.core.detector import InconsistencyVerdict
+from repro.core.rules import FilterList, InconsistencyRule
+from repro.core.temporal import TemporalFlag, TemporalStreamState
+from repro.fingerprint.attributes import Attribute
 
 logger = logging.getLogger("repro.stream")
 
-#: Leading magic bytes of a checkpoint blob.
+#: Leading magic bytes of a snapshot file.
 CHECKPOINT_MAGIC = b"RPCK"
 
-#: Current checkpoint format version (newer versions refuse to load).
-CHECKPOINT_VERSION = 1
+#: Current checkpoint format version.  Version 1 (a pickled state blob)
+#: is refused unread; newer versions refuse to load.
+CHECKPOINT_VERSION = 2
 
-#: The single published snapshot file inside a checkpoint directory
-#: (atomic replace keeps exactly one valid snapshot at all times).
+#: The published snapshot inside a checkpoint directory (atomic replace
+#: keeps exactly one valid snapshot at all times).
 CHECKPOINT_FILENAME = "stream_checkpoint"
+
+#: Segment file names, numbered by position in the segment sequence.
+SEGMENT_FILENAME = "segment-{:06d}.npz"
 
 #: Default snapshot cadence, in scored batches.
 DEFAULT_EVERY_BATCHES = 16
+
+#: Committed ceiling on the bytes one save writes (segment + snapshot)
+#: per row scored since the previous save, when the refresh window is no
+#: larger than the rows between saves.  CI's fault smoke and
+#: ``tests/test_checkpoint.py`` gate on it.
+CHECKPOINT_BYTES_PER_ROW_CEILING = 160
+
+_HEADER_SIZE = len(CHECKPOINT_MAGIC) + 4 + 32
+
+#: Temporal key kinds, in the code order segments store them.
+_KINDS = ("cookie", "ip")
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+
+_BYTES = obs.counter(
+    "repro_stream_checkpoint_bytes_total",
+    "Bytes published by stream checkpoint saves (segments + snapshots).",
+    always=True,
+)
+_LAST_SAVE_BYTES = obs.gauge(
+    "repro_stream_checkpoint_last_save_bytes",
+    "Bytes the most recent published save wrote.",
+    always=True,
+)
+_MAX_SAVE_BYTES = obs.gauge(
+    "repro_stream_checkpoint_max_save_bytes",
+    "Largest single published save of the current checkpointer, in bytes.",
+    always=True,
+)
+_SEGMENTS = obs.gauge(
+    "repro_stream_checkpoint_segments",
+    "Segments the published snapshot lists.",
+    always=True,
+)
+_AGE_BATCHES = obs.gauge(
+    "repro_stream_checkpoint_age_batches",
+    "Batches scored since the last published save.",
+    always=True,
+)
+_SAVE_SECONDS = obs.histogram(
+    "repro_stream_checkpoint_save_seconds",
+    "Wall-clock seconds per published checkpoint save.",
+    always=True,
+)
 
 
 class CheckpointError(ValueError):
     """A checkpoint could not be read, or does not match the replay."""
 
 
-def write_checkpoint(path, state: Dict, *, key: str = "") -> None:
-    """Atomically persist *state* as a checksummed checkpoint blob at *path*.
+# -- file primitives -----------------------------------------------------------
 
-    Same-directory temp file + fsync + ``os.replace`` + directory fsync:
-    after a crash at any instant, *path* is either the previous blob or
-    the new one, both intact.  *key* feeds the ``checkpoint_write`` fault
+
+def _write_atomic(path: Path, data: bytes, *, key: str) -> None:
+    """Same-directory temp + fsync + ``os.replace`` + directory fsync.
+
+    After a crash at any instant, *path* is either its previous content
+    or *data*, both intact.  *key* feeds the ``checkpoint_write`` fault
     point (fired after fsync, before the rename).
     """
 
-    path = Path(path)
-    payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-    header = (
-        CHECKPOINT_MAGIC
-        + CHECKPOINT_VERSION.to_bytes(4, "big")
-        + hashlib.sha256(payload).digest()
-    )
     fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     tmp = Path(tmp_name)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(header)
-            handle.write(payload)
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         faults.check("checkpoint_write", key, path=tmp)
@@ -95,12 +167,52 @@ def write_checkpoint(path, state: Dict, *, key: str = "") -> None:
         raise
 
 
-def read_checkpoint(path) -> Dict:
-    """Load and validate a checkpoint blob written by :func:`write_checkpoint`.
+def _pack_npz(meta: Dict, arrays: Dict[str, np.ndarray]) -> bytes:
+    """An uncompressed ``.npz`` of *arrays* plus *meta* as a JSON member."""
 
-    Raises :class:`CheckpointError` for anything untrustworthy: a
-    non-checkpoint file, a newer format, a checksum mismatch (torn or
-    tampered payload) or an unpicklable payload.
+    buffer = io.BytesIO()
+    text = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+    np.savez(buffer, meta=np.frombuffer(text, dtype=np.uint8), **arrays)
+    return buffer.getvalue()
+
+
+def _unpack_npz(payload: bytes, what: str) -> Tuple[Dict, Dict[str, np.ndarray]]:
+    """Inverse of :func:`_pack_npz`; never unpickles."""
+
+    try:
+        with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(arrays.pop("meta").tobytes().decode("utf-8"))
+    except (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"{what} is undecodable: {exc}") from exc
+    return meta, arrays
+
+
+def write_checkpoint(path, meta: Dict, arrays: Dict[str, np.ndarray], *, key: str = "") -> int:
+    """Atomically write a snapshot file; returns the bytes written.
+
+    The file is ``RPCK | version (4 bytes, big-endian) | sha256(payload)
+    | payload`` where the payload is :func:`_pack_npz` of *meta* and
+    *arrays*.
+    """
+
+    payload = _pack_npz(meta, arrays)
+    blob = (
+        CHECKPOINT_MAGIC
+        + CHECKPOINT_VERSION.to_bytes(4, "big")
+        + hashlib.sha256(payload).digest()
+        + payload
+    )
+    _write_atomic(Path(path), blob, key=key)
+    return len(blob)
+
+
+def read_checkpoint(path) -> Tuple[Dict, Dict[str, np.ndarray]]:
+    """Load and validate a snapshot written by :func:`write_checkpoint`.
+
+    Returns ``(meta, arrays)``.  Raises :class:`CheckpointError` for
+    anything untrustworthy: a non-checkpoint file, a version-1 (pickle)
+    checkpoint, a newer format, or a checksum mismatch (torn or tampered).
     """
 
     path = Path(path)
@@ -108,27 +220,167 @@ def read_checkpoint(path) -> Dict:
         blob = path.read_bytes()
     except OSError as exc:
         raise CheckpointError(f"checkpoint {path} is unreadable: {exc}") from exc
-    header_size = len(CHECKPOINT_MAGIC) + 4 + 32
-    if len(blob) < header_size or blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+    if len(blob) < _HEADER_SIZE or blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path} is not a stream checkpoint")
     version = int.from_bytes(blob[len(CHECKPOINT_MAGIC) : len(CHECKPOINT_MAGIC) + 4], "big")
+    if version < CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint {path} has format version {version} (a pickled state "
+            "blob), which this build no longer reads"
+        )
     if version > CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint {path} has format version {version}; "
             f"this build reads up to {CHECKPOINT_VERSION}"
         )
-    digest = blob[len(CHECKPOINT_MAGIC) + 4 : header_size]
-    payload = blob[header_size:]
-    if hashlib.sha256(payload).digest() != digest:
+    payload = blob[_HEADER_SIZE:]
+    if hashlib.sha256(payload).digest() != blob[len(CHECKPOINT_MAGIC) + 4 : _HEADER_SIZE]:
         raise CheckpointError(f"checkpoint {path} is corrupt (checksum mismatch)")
-    try:
-        return pickle.loads(payload)
-    except Exception as exc:
-        raise CheckpointError(f"checkpoint {path} payload is undecodable: {exc}") from exc
+    return _unpack_npz(payload, f"checkpoint {path}")
+
+
+def _pack_ints(values) -> np.ndarray:
+    """Integers >= -1, shifted by one into the smallest unsigned dtype."""
+
+    if not isinstance(values, np.ndarray):
+        values = np.asarray(values, dtype=np.int64)
+    top = int(values.max()) + 1 if values.size else 0
+    packed = np.empty(values.shape, dtype=np.min_scalar_type(top))
+    return np.add(values, 1, out=packed, casting="unsafe")
+
+
+def _unpack_ints(packed: np.ndarray, dtype=np.int64) -> np.ndarray:
+    return packed.astype(dtype) - 1
+
+
+def _rule_key(rule: InconsistencyRule) -> Tuple:
+    # Value types ride along: 1, 1.0 and True compare equal but
+    # serialise differently, and the rule table must keep them apart.
+    return (rule, type(rule.value_a), type(rule.value_b))
+
+
+class _SeenMark:
+    """High-water mark of one worker's temporal seen-state.
+
+    Holds the keys and value dicts already written, in dict order, and
+    each one's value count at that save.  Keys are only ever appended to
+    a seen-state, except that a gateway migration pops a key off its
+    source worker (and re-inserts it elsewhere as a new tuple).  A pop
+    shifts every later key down, so the object at the mark's last
+    position changes — and the mark no longer holds.
+    """
+
+    __slots__ = ("seen", "keys", "values", "lengths")
+
+    def __init__(self, seen: Dict):
+        self.seen = seen
+        self.keys: List[Tuple] = []
+        self.values: List[Dict] = []
+        self.lengths = np.empty(0, dtype=np.int64)
+
+    def delta(self, seen: Dict):
+        """``(keys, values, commit)`` for the entries new or grown since the mark.
+
+        ``commit()`` returns the mark to keep after a published save.
+        When the mark does not hold, every entry counts as new: the
+        worker's whole state is rewritten once, which folding (a set
+        union) absorbs.
+        """
+
+        known = len(self.keys)
+        if self.seen is seen and known:
+            tail = list(islice(seen, known - 1, None))
+            if tail and tail[0] is self.keys[-1]:
+                lengths = np.fromiter(map(len, self.values), dtype=np.int64, count=known)
+                grown = np.flatnonzero(lengths != self.lengths).tolist()
+                new_keys = tail[1:]
+                new_values = list(islice(seen.values(), known, None))
+
+                def commit() -> "_SeenMark":
+                    self.lengths = lengths
+                    return self.extend(new_keys, new_values)
+
+                return (
+                    [self.keys[offset] for offset in grown] + new_keys,
+                    [self.values[offset] for offset in grown] + new_values,
+                    commit,
+                )
+        keys, values = list(seen), list(seen.values())
+        return keys, values, lambda: _SeenMark(seen).extend(keys, values)
+
+    def extend(self, keys: List, values: List) -> "_SeenMark":
+        self.keys += keys
+        self.values += values
+        self.lengths = np.concatenate(
+            [self.lengths, np.fromiter(map(len, values), dtype=np.int64, count=len(values))]
+        )
+        return self
+
+
+def _encode_seen(entries, entry_values, attributes, value_indexes, key_indexes):
+    """Columns of seen-state entries, grouped by attribute.
+
+    Each entry is a ``(kind, key, attribute)`` state key with its value
+    dict; keys and values become codes against the vocabulary one kind
+    or attribute at a time, so the per-entry work stays in C-level maps.
+    """
+
+    position = {id(attribute): index for index, attribute in enumerate(attributes)}
+    count = len(entries)
+    kinds, keys, entry_attributes = (list(map(itemgetter(i), entries)) for i in range(3))
+    kind_codes = np.fromiter(map(_KIND_CODES.__getitem__, kinds), dtype=np.int64, count=count)
+    attribute_codes = np.fromiter(
+        map(position.__getitem__, map(id, entry_attributes)), dtype=np.int64, count=count
+    )
+    key_codes = np.empty(count, dtype=np.int64)
+    key_strings = np.array(keys, dtype=object)
+    for kind, index in enumerate(key_indexes):
+        rows = np.flatnonzero(kind_codes == kind)
+        key_codes[rows] = np.fromiter(
+            map(index.__getitem__, key_strings[rows]), dtype=np.int64, count=rows.size
+        )
+    order = np.argsort(attribute_codes, kind="stable")
+    value_codes = []
+    for code in np.unique(attribute_codes).tolist():
+        group = order[attribute_codes[order] == code].tolist()
+        value_codes += map(
+            value_indexes[attributes[code]].__getitem__,
+            chain.from_iterable([entry_values[offset] for offset in group]),
+        )
+    columns = {
+        "kind": kind_codes[order],
+        "key": key_codes[order],
+        "attribute": attribute_codes[order],
+        "count": np.fromiter(map(len, entry_values), dtype=np.int64, count=count)[order],
+        "values": value_codes,
+    }
+    return {f"seen_{name}": _pack_ints(column) for name, column in columns.items()}
+
+
+# -- the checkpointer ----------------------------------------------------------
 
 
 class StreamCheckpointer:
-    """Periodic snapshot writer/reader for one replay's checkpoint directory."""
+    """Periodic incremental snapshot writer/reader for one checkpoint directory.
+
+    :meth:`save` takes the replay's state as live references — nothing is
+    copied up front — with these keys:
+
+    * ``batch_size``, ``rows_total``, ``cursor_rows``, ``batches``: ints;
+    * ``ingest``: :meth:`StreamIngestor.export_state` (live vocabulary);
+    * ``classifiers``: the :class:`OnlineClassifier` workers, in order;
+    * ``refresher``: :meth:`FilterListRefresher.export_state` or ``None``;
+    * ``refreshes``: the hot-swap history (JSON-able dicts);
+    * ``verdicts``: the emitted verdicts, an insertion-ordered dict that
+      only grows;
+    * ``router`` (gateway only): :meth:`DeviceRouter.export_state`;
+    * ``gateway`` (gateway only): a JSON-able dict of gateway counters.
+
+    :meth:`load` returns the same keys with restored values: ``ingest``,
+    ``refresher`` and ``router`` in their ``restore_state`` shapes,
+    ``classifiers`` as :meth:`OnlineClassifier.restore` keyword dicts and
+    ``verdicts`` as a fresh dict.
+    """
 
     def __init__(self, directory, *, every_batches: int = DEFAULT_EVERY_BATCHES):
         if every_batches < 1:
@@ -138,44 +390,432 @@ class StreamCheckpointer:
         #: snapshots successfully published / failed attempts this run
         self.saves = 0
         self.failures = 0
+        # High-water marks: how much of each growing structure the
+        # published segments already hold.
+        self._segments: List[Dict] = []
+        self._last_good_batch = 0
+        self._vocab_marks: List[int] = []
+        self._rule_ids: Dict[Tuple, int] = {}
+        self._verdict_mark = 0
+        self._seen_marks: List[_SeenMark] = []
+        self._pin_workers = np.empty(0, dtype=np.int64)
+        for gauge in (_LAST_SAVE_BYTES, _MAX_SAVE_BYTES, _SEGMENTS, _AGE_BATCHES):
+            gauge.set(0)
 
     @property
     def path(self) -> Path:
+        """The published snapshot file."""
+
         return self.directory / CHECKPOINT_FILENAME
 
     def due(self, batches_done: int) -> bool:
-        """Whether a snapshot is due after *batches_done* scored batches."""
+        """Whether a snapshot is due after *batches_done* scored batches.
 
+        Called once per scored batch by both drivers, so it also keeps
+        the checkpoint-age gauge current.
+        """
+
+        _AGE_BATCHES.set(batches_done - self._last_good_batch)
         return batches_done > 0 and batches_done % self.every_batches == 0
 
-    def save(self, state: Dict) -> bool:
-        """Best-effort atomic snapshot; returns whether it published.
+    # -- saving ----------------------------------------------------------------
 
-        Never raises into the scoring loop: a full disk, a permission
-        error or an injected ``checkpoint_write`` fault is counted,
-        logged and retried at the next due boundary — the previously
+    def save(self, state: Dict) -> bool:
+        """Best-effort incremental snapshot; returns whether it published.
+
+        Appends one segment with everything the growing structures gained
+        since the last published save, then publishes the snapshot.  Never
+        raises into the scoring loop for an I/O failure: a full disk, a
+        permission error or an injected ``checkpoint_write`` fault is
+        counted and logged, the high-water marks stay put, and the next
+        due boundary writes the accumulated delta — the previously
         published snapshot stays valid throughout.
         """
 
+        started = time.perf_counter()
+        attempt = self.saves + self.failures
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            write_checkpoint(self.path, state, key=f"save{self.saves + self.failures}")
-        except (faults.InjectedFault, OSError, pickle.PicklingError) as exc:
+            segment_meta, segment_arrays, snapshot_meta, snapshot_arrays, commit = (
+                self._encode(state)
+            )
+            name = SEGMENT_FILENAME.format(len(self._segments))
+            segment = _pack_npz(segment_meta, segment_arrays)
+            _write_atomic(self.directory / name, segment, key=f"save{attempt}:segment")
+            snapshot_meta["segments"] = self._segments + [
+                {
+                    "name": name,
+                    "sha256": hashlib.sha256(segment).hexdigest(),
+                    "bytes": len(segment),
+                }
+            ]
+            snapshot_bytes = write_checkpoint(
+                self.path, snapshot_meta, snapshot_arrays, key=f"save{attempt}"
+            )
+        except (faults.InjectedFault, OSError) as exc:
             self.failures += 1
             logger.warning(
                 "checkpoint write failed (%s); previous snapshot stays valid", exc
             )
             return False
+        commit()
+        self._segments = snapshot_meta["segments"]
+        self._last_good_batch = int(state["batches"])
         self.saves += 1
+        written = len(segment) + snapshot_bytes
+        _BYTES.inc(written)
+        _LAST_SAVE_BYTES.set(written)
+        _MAX_SAVE_BYTES.set(max(_MAX_SAVE_BYTES.value(), written))
+        _SEGMENTS.set(len(self._segments))
+        _AGE_BATCHES.set(0)
+        _SAVE_SECONDS.observe(time.perf_counter() - started)
         return True
 
+    def _encode(self, state: Dict):
+        """The next segment and snapshot, plus a commit of the new marks.
+
+        Nothing here mutates the marks: a failed write must leave them at
+        the last published save.
+        """
+
+        ingest = state["ingest"]
+        attributes = tuple(ingest["attributes"])
+        position = {attribute: index for index, attribute in enumerate(attributes)}
+        value_indexes = ingest["indexes"]
+        key_indexes = (ingest["cookie_index"], ingest["ip_index"])
+        segment_meta: Dict = {}
+        segment_arrays: Dict[str, np.ndarray] = {}
+
+        # Vocabulary: decode-list entries past each mark.
+        vocabulary = [ingest["values"][attribute] for attribute in attributes]
+        vocabulary += [ingest["cookie_values"], ingest["ip_values"]]
+        marks = self._vocab_marks or [0] * len(vocabulary)
+        segment_meta["vocabulary"] = [
+            values[mark:] for values, mark in zip(vocabulary, marks)
+        ]
+        vocab_marks = [len(values) for values in vocabulary]
+
+        # Rules: an append-only table; verdicts and filter lists index it.
+        rule_ids = self._rule_ids
+        new_rules: Dict[Tuple, int] = {}
+
+        def rule_index(rule: InconsistencyRule) -> int:
+            key = _rule_key(rule)
+            index = rule_ids.get(key)
+            if index is None:
+                index = new_rules.setdefault(key, len(rule_ids) + len(new_rules))
+            return index
+
+        # Verdicts: the dict only grows, in emission order.
+        verdicts = state["verdicts"]
+        fresh = list(islice(verdicts.values(), self._verdict_mark, None))
+        rules = list(map(attrgetter("spatial_rule"), fresh))
+        rule_codes = {
+            rule_id: -1 if rule is None else rule_index(rule)
+            for rule_id, rule in dict(zip(map(id, rules), rules)).items()
+        }
+        segment_arrays["verdict_ids"] = _pack_ints(
+            np.fromiter(
+                islice(verdicts, self._verdict_mark, None), dtype=np.int64, count=len(fresh)
+            )
+        )
+        segment_arrays["verdict_rules"] = _pack_ints(
+            np.fromiter(
+                map(rule_codes.__getitem__, map(id, rules)), dtype=np.int64, count=len(rules)
+            )
+        )
+        flag_tuples = list(map(attrgetter("temporal_flags"), fresh))
+        flagged = np.flatnonzero(
+            np.fromiter(map(len, flag_tuples), dtype=np.int64, count=len(flag_tuples))
+        ).tolist()
+        flags = [(row, flag) for row in flagged for flag in flag_tuples[row]]
+        flag_columns = {name: [] for name in ("row", "kind", "key", "attribute", "new", "n_prev")}
+        previous: List[int] = []
+        for row, flag in flags:
+            kind = _KIND_CODES[flag.key_kind]
+            index = value_indexes[flag.attribute]
+            flag_columns["row"].append(row)
+            flag_columns["kind"].append(kind)
+            flag_columns["key"].append(key_indexes[kind][flag.key])
+            flag_columns["attribute"].append(position[flag.attribute])
+            flag_columns["new"].append(index[flag.new_value])
+            flag_columns["n_prev"].append(len(flag.previous_values))
+            previous.extend(index[value] for value in flag.previous_values)
+        for name, column in flag_columns.items():
+            segment_arrays[f"flag_{name}"] = _pack_ints(column)
+        segment_arrays["flag_prev"] = _pack_ints(previous)
+
+        # Temporal seen-state: every key that is new or grew since the
+        # last save, with its full value list (folding is a set union, so
+        # re-writing a known prefix is harmless).
+        seen_commits = []
+        entries: List[Tuple] = []
+        entry_values: List[Dict] = []
+        for worker, classifier in enumerate(state["classifiers"]):
+            seen = classifier.temporal_state.seen
+            mark = self._seen_marks[worker] if worker < len(self._seen_marks) else None
+            keys, values, commit_seen = (mark or _SeenMark(seen)).delta(seen)
+            entries += keys
+            entry_values += values
+            seen_commits.append(commit_seen)
+        segment_arrays.update(
+            _encode_seen(entries, entry_values, attributes, value_indexes, key_indexes)
+        )
+
+        # Router pins (gateway): new keys, plus pins a migration moved.
+        router = state.get("router")
+        pin_workers = self._pin_workers
+        if router is not None:
+            pins = router["pins"]
+            pin_workers = np.fromiter(pins.values(), dtype=np.int64, count=len(pins))
+            known = self._pin_workers.size
+            moved = np.flatnonzero(pin_workers[:known] != self._pin_workers)
+            new_keys = list(islice(pins, known, None))
+            segment_meta["pin_keys"] = [key for _kind, key in new_keys]
+            segment_arrays["pin_kinds"] = _pack_ints([_KIND_CODES[kind] for kind, _ in new_keys])
+            segment_arrays["pin_workers"] = _pack_ints(pin_workers[known:])
+            segment_arrays["pin_moved"] = _pack_ints(moved)
+            segment_arrays["pin_moved_workers"] = _pack_ints(pin_workers[moved])
+
+        classifiers = [
+            {
+                "filter_list": [rule_index(rule) for rule in classifier.filter_list],
+                "rows_scored": classifier.rows_scored,
+                "swaps": classifier.swaps,
+            }
+            for classifier in state["classifiers"]
+        ]
+        segment_meta["rules"] = [key[0].to_dict() for key in new_rules]
+
+        snapshot_meta = {
+            "version": CHECKPOINT_VERSION,
+            "batch_size": int(state["batch_size"]),
+            "rows_total": int(state["rows_total"]),
+            "cursor_rows": int(state["cursor_rows"]),
+            "batches": int(state["batches"]),
+            "attributes": [attribute.value for attribute in attributes],
+            "ingest": {
+                "rows_ingested": int(ingest["rows_ingested"]),
+                "batches_emitted": int(ingest["batches_emitted"]),
+            },
+            "classifiers": classifiers,
+            "refreshes": state["refreshes"],
+            "refresher": None,
+            "router": None,
+            "gateway": state.get("gateway"),
+        }
+        snapshot_arrays: Dict[str, np.ndarray] = {}
+        refresher = state.get("refresher")
+        if refresher is not None:
+            snapshot_meta["refresher"] = {
+                name: value for name, value in refresher.items() if name != "window"
+            }
+            window = refresher["window"]
+            snapshot_meta["refresher"]["window_attributes"] = [
+                attribute.value for attribute in window
+            ]
+            if window:
+                snapshot_arrays["window"] = np.column_stack(
+                    [_pack_ints(column) for column in window.values()]
+                )
+        if router is not None:
+            snapshot_meta["router"] = {
+                "workers": int(router["workers"]),
+                "loads": [int(load) for load in router["loads"]],
+                "keyless_cursor": int(router["keyless_cursor"]),
+            }
+
+        def commit() -> None:
+            self._vocab_marks = vocab_marks
+            rule_ids.update(new_rules)
+            self._verdict_mark = len(verdicts)
+            self._seen_marks = [commit_seen() for commit_seen in seen_commits]
+            self._pin_workers = pin_workers
+
+        return segment_meta, segment_arrays, snapshot_meta, snapshot_arrays, commit
+
+    # -- loading ---------------------------------------------------------------
+
     def load(self) -> Optional[Dict]:
-        """The published snapshot, or ``None`` when none exists yet.
+        """The published state, folded from its segments; ``None`` if absent.
 
         Raises :class:`CheckpointError` when a snapshot exists but cannot
-        be trusted.
+        be trusted — a torn or tampered snapshot, a listed segment that is
+        missing or fails its sha256, or a version-1 (pickle) file.  On
+        success the checkpointer adopts the loaded high-water marks, so
+        the next save appends to the same segment sequence.
         """
 
         if not self.path.exists():
             return None
-        return read_checkpoint(self.path)
+        meta, arrays = read_checkpoint(self.path)
+        try:
+            return self._fold(meta, arrays)
+        except CheckpointError:
+            raise
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint {self.path} is malformed: {exc!r}") from exc
+
+    def _fold(self, meta: Dict, arrays: Dict[str, np.ndarray]) -> Dict:
+        """Fold the listed segments into a restorable state; adopt its marks."""
+
+        attributes = tuple(Attribute(value) for value in meta["attributes"])
+        vocabulary: List[List] = [[] for _ in range(len(attributes) + 2)]
+        key_values = (vocabulary[-2], vocabulary[-1])
+        rules: List[InconsistencyRule] = []
+        verdicts: Dict[int, InconsistencyVerdict] = {}
+        seen: Dict[Tuple, Dict] = {}
+        pins: Dict[Tuple[str, str], int] = {}
+        for entry in meta["segments"]:
+            segment_meta, segment = self._read_segment(entry)
+            for values, new in zip(vocabulary, segment_meta["vocabulary"]):
+                values.extend(new)
+            rules.extend(InconsistencyRule.from_dict(rule) for rule in segment_meta["rules"])
+            self._fold_verdicts(segment, attributes, vocabulary, key_values, rules, verdicts)
+            self._fold_seen(segment, attributes, vocabulary, key_values, seen)
+            if "pin_keys" in segment_meta:
+                order = list(pins)
+                for moved, worker in zip(
+                    _unpack_ints(segment["pin_moved"]).tolist(),
+                    _unpack_ints(segment["pin_moved_workers"]).tolist(),
+                ):
+                    pins[order[moved]] = worker
+                kinds = _unpack_ints(segment["pin_kinds"]).tolist()
+                workers = _unpack_ints(segment["pin_workers"]).tolist()
+                for kind, key, worker in zip(kinds, segment_meta["pin_keys"], workers):
+                    pins[(_KINDS[kind], key)] = worker
+
+        # One TemporalStreamState per worker; a key's state lives on the
+        # worker its device key is pinned to (a single worker holds all).
+        n_workers = len(meta["classifiers"])
+        states = [TemporalStreamState() for _ in range(n_workers)]
+        for state_key, values in seen.items():
+            owner = 0 if n_workers == 1 else pins.get(state_key[:2])
+            if owner is None:
+                raise CheckpointError(f"checkpointed state key {state_key[:2]} has no router pin")
+            states[owner].seen[state_key] = values
+        filter_lists: Dict[Tuple[int, ...], FilterList] = {}
+        classifiers = []
+        for entry, temporal_state in zip(meta["classifiers"], states):
+            indices = tuple(entry["filter_list"])
+            if indices not in filter_lists:
+                filter_lists[indices] = FilterList(rules[index] for index in indices)
+            classifiers.append(
+                {
+                    "filter_list": filter_lists[indices],
+                    "temporal_state": temporal_state,
+                    "rows_scored": int(entry["rows_scored"]),
+                    "swaps": int(entry["swaps"]),
+                }
+            )
+
+        refresher = meta["refresher"]
+        if refresher is not None:
+            refresher = dict(refresher)
+            names = refresher.pop("window_attributes")
+            window = _unpack_ints(arrays["window"], np.int32) if names else None
+            refresher["window"] = {
+                Attribute(name): np.ascontiguousarray(window[:, column])
+                for column, name in enumerate(names)
+            }
+        router = meta["router"]
+        if router is not None:
+            router = dict(router, pins=pins)
+
+        # Adopt the marks of the folded state: the next save appends.
+        self._segments = list(meta["segments"])
+        self._last_good_batch = int(meta["batches"])
+        self._vocab_marks = [len(values) for values in vocabulary]
+        self._rule_ids = {}
+        for index, rule in enumerate(rules):
+            self._rule_ids.setdefault(_rule_key(rule), index)
+        self._verdict_mark = len(verdicts)
+        self._seen_marks = [
+            _SeenMark(state.seen).extend(list(state.seen), list(state.seen.values()))
+            for state in states
+        ]
+        self._pin_workers = np.fromiter(pins.values(), dtype=np.int64, count=len(pins))
+        _SEGMENTS.set(len(self._segments))
+
+        return {
+            "batch_size": int(meta["batch_size"]),
+            "rows_total": int(meta["rows_total"]),
+            "cursor_rows": int(meta["cursor_rows"]),
+            "batches": int(meta["batches"]),
+            "ingest": {
+                "attributes": attributes,
+                "values": dict(zip(attributes, vocabulary)),
+                "cookie_values": key_values[0],
+                "ip_values": key_values[1],
+                **meta["ingest"],
+            },
+            "classifiers": classifiers,
+            "refresher": refresher,
+            "refreshes": meta["refreshes"],
+            "verdicts": verdicts,
+            "router": router,
+            "gateway": meta["gateway"],
+        }
+
+    def _read_segment(self, entry: Dict) -> Tuple[Dict, Dict[str, np.ndarray]]:
+        name = entry["name"]
+        if Path(name).name != name:
+            raise CheckpointError(f"checkpoint lists a segment outside its directory: {name!r}")
+        path = self.directory / name
+        try:
+            payload = path.read_bytes()
+        except OSError as exc:
+            raise CheckpointError(f"checkpoint segment {path} is unreadable: {exc}") from exc
+        if hashlib.sha256(payload).hexdigest() != entry["sha256"]:
+            raise CheckpointError(f"checkpoint segment {path} is corrupt (checksum mismatch)")
+        return _unpack_npz(payload, f"checkpoint segment {path}")
+
+    @staticmethod
+    def _fold_verdicts(segment, attributes, vocabulary, key_values, rules, verdicts) -> None:
+        flags: Dict[int, List[TemporalFlag]] = {}
+        previous = _unpack_ints(segment["flag_prev"]).tolist()
+        cursor = 0
+        for row, kind, key, attribute, new, n_prev in zip(
+            *(
+                _unpack_ints(segment[f"flag_{name}"]).tolist()
+                for name in ("row", "kind", "key", "attribute", "new", "n_prev")
+            )
+        ):
+            values = vocabulary[attribute]
+            flags.setdefault(row, []).append(
+                TemporalFlag(
+                    key_kind=_KINDS[kind],
+                    key=key_values[kind][key],
+                    attribute=attributes[attribute],
+                    previous_values=tuple(
+                        values[code] for code in previous[cursor : cursor + n_prev]
+                    ),
+                    new_value=values[new],
+                )
+            )
+            cursor += n_prev
+        ids = _unpack_ints(segment["verdict_ids"]).tolist()
+        rule_codes = _unpack_ints(segment["verdict_rules"]).tolist()
+        for row, (request_id, rule) in enumerate(zip(ids, rule_codes)):
+            verdicts[request_id] = InconsistencyVerdict(
+                request_id=request_id,
+                spatial_rule=None if rule < 0 else rules[rule],
+                temporal_flags=tuple(flags.get(row, ())),
+            )
+
+    @staticmethod
+    def _fold_seen(segment, attributes, vocabulary, key_values, seen) -> None:
+        codes = _unpack_ints(segment["seen_values"]).tolist()
+        cursor = 0
+        for kind, key, attribute, count in zip(
+            *(
+                _unpack_ints(segment[f"seen_{name}"]).tolist()
+                for name in ("kind", "key", "attribute", "count")
+            )
+        ):
+            values = vocabulary[attribute]
+            state_key = (_KINDS[kind], key_values[kind][key], attributes[attribute])
+            entry = seen.setdefault(state_key, {})
+            for code in codes[cursor : cursor + count]:
+                entry[values[code]] = None
+            cursor += count

@@ -112,23 +112,27 @@ class StreamIngestor:
     # -- checkpointing ---------------------------------------------------------
 
     def export_state(self) -> Dict:
-        """The ingestor's durable state, as a picklable mapping.
+        """The ingestor's durable state, as live references.
 
         Only the vocabulary (decode lists, in code order) and the row
-        counters are durable.  The raw-value memo, the grouped-value
-        indexes and the column-slice session memos are pure caches derived
-        from them — :meth:`restore_state` rebuilds the indexes and lets
-        the memos refill lazily, so a restored ingestor encodes every
-        future batch exactly as the original would have.
+        counters are durable.  Nothing is copied: the lists and the
+        value → code indexes are the ingestor's own, valid until the next
+        ingest, and must be treated as read-only — the checkpointer reads
+        the entries past its high-water marks and encodes values as codes
+        through the indexes.  The raw-value memo and the column-slice
+        session memos are pure caches — :meth:`restore_state` rebuilds the
+        indexes and lets the memos refill lazily, so a restored ingestor
+        encodes every future batch exactly as the original would have.
         """
 
         return {
             "attributes": self.attributes,
-            "values": {
-                attribute: list(values) for attribute, values in self._values.items()
-            },
-            "cookie_values": list(self.cookie_values),
-            "ip_values": list(self.ip_values),
+            "values": self._values,
+            "indexes": self._indexes,
+            "cookie_values": self.cookie_values,
+            "cookie_index": self._cookie_index,
+            "ip_values": self.ip_values,
+            "ip_index": self._ip_index,
             "rows_ingested": self._rows_ingested,
             "batches_emitted": self._batches_emitted,
         }
@@ -138,7 +142,9 @@ class StreamIngestor:
 
         Decode lists are mutated in place (emitted batches hold them by
         reference) and the value → code indexes are rebuilt from code
-        order; every cache resets empty.
+        order; every cache resets empty.  Only the decode lists and
+        counters are read, so a checkpoint's folded vocabulary restores
+        as well as another ingestor's export.
         """
 
         if tuple(state["attributes"]) != self.attributes:
@@ -146,18 +152,20 @@ class StreamIngestor:
                 "checkpointed attribute set does not match this ingestor's attributes"
             )
         for attribute in self.attributes:
+            restored = list(state["values"][attribute])
             values = self._values[attribute]
             values.clear()
-            values.extend(state["values"][attribute])
+            values.extend(restored)
             index = self._indexes[attribute]
             index.clear()
             index.update({value: code for code, value in enumerate(values)})
             self._raw_codes[attribute].clear()
+        cookie_values, ip_values = list(state["cookie_values"]), list(state["ip_values"])
         self.cookie_values.clear()
-        self.cookie_values.extend(state["cookie_values"])
+        self.cookie_values.extend(cookie_values)
         self._cookie_index = {value: code for code, value in enumerate(self.cookie_values)}
         self.ip_values.clear()
-        self.ip_values.extend(state["ip_values"])
+        self.ip_values.extend(ip_values)
         self._ip_index = {value: code for code, value in enumerate(self.ip_values)}
         self._rows_ingested = int(state["rows_ingested"])
         self._batches_emitted = int(state["batches_emitted"])

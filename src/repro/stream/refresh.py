@@ -128,21 +128,24 @@ class FilterListRefresher:
     # -- checkpointing ---------------------------------------------------------
 
     def export_state(self) -> Dict:
-        """The refresher's durable state, as a picklable mapping.
+        """The refresher's durable state: the window and the schedule clock.
 
-        The retained window columns are copied (they may be views into
-        emitted batch arrays), the schedule clock travels along, and the
-        template batch is deliberately absent — it only serves to decode
-        the window against the live vocabulary, and the first
-        post-restore :meth:`observe_batch` re-establishes it before any
-        refresh can fire.
+        ``window`` maps each attribute to the retained rows' codes, oldest
+        first — one fresh concatenation, so it stays valid while later
+        batches arrive.  The template batch is deliberately absent — it
+        only serves to decode the window against the live vocabulary, and
+        the first post-restore :meth:`observe_batch` re-establishes it
+        before any refresh can fire.
         """
 
+        window = {}
+        if self._recent:
+            window = {
+                attribute: np.concatenate([part[attribute] for part in self._recent])
+                for attribute in self._recent[0]
+            }
         return {
-            "recent": [
-                {attribute: np.array(column) for attribute, column in part.items()}
-                for part in self._recent
-            ],
+            "window": window,
             "rows_in_window": self._rows_in_window,
             "batches_seen": self._batches_seen,
             "latest_ts": self._latest_ts,
@@ -150,9 +153,14 @@ class FilterListRefresher:
         }
 
     def restore_state(self, state: Dict) -> None:
-        """Adopt a window exported by :meth:`export_state`."""
+        """Adopt a window exported by :meth:`export_state`.
 
-        self._recent = [dict(part) for part in state["recent"]]
+        The window comes back as one retained part; trimming slices it
+        exactly as it would the original per-batch parts.
+        """
+
+        window = dict(state["window"])
+        self._recent = [window] if window else []
         self._rows_in_window = int(state["rows_in_window"])
         self._batches_seen = int(state["batches_seen"])
         self._latest_ts = state["latest_ts"]

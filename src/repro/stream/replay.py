@@ -100,7 +100,10 @@ class ReplayResult:
     """Everything one replay produced."""
 
     verdicts: Dict[int, InconsistencyVerdict]
+    #: rows scored by this invocation (a resumed run excludes the rows
+    #: its checkpoint already covered)
     rows: int
+    #: batches scored in the whole stream so far, resumed ones included
     batches: int
     seconds: float
     #: wall-clock seconds per scored batch (ingest + classify), in order
@@ -196,9 +199,9 @@ class ReplayDriver:
         record micro-batches.  Either path presents rows in stable
         timestamp order — the arrival order a live deployment would see.
 
-        With a *checkpointer*, the full online state (vocabulary,
-        temporal seen-state, filter list, verdicts, cursor) is snapshotted
-        crash-safely at each due batch boundary; ``resume=True`` restores
+        With a *checkpointer*, the online state (vocabulary, temporal
+        seen-state, filter list, verdicts, cursor) is saved incrementally
+        and crash-safely at each due batch boundary; ``resume=True`` restores
         the published snapshot first and continues the stream from its
         cursor — the combined run is byte-identical to an uninterrupted
         one.  *max_batches* bounds how many batches this invocation
@@ -227,22 +230,23 @@ class ReplayDriver:
                         "checkpoint does not match this replay "
                         "(different batch size or store)"
                     )
+                if len(state["classifiers"]) != 1:
+                    raise CheckpointError(
+                        "checkpoint does not match this replay "
+                        "(written by a multi-worker gateway)"
+                    )
                 ingestor.restore_state(state["ingest"])
-                classifier.restore(
-                    filter_list=state["filter_list"],
-                    temporal_state=state["temporal_state"],
-                    rows_scored=state["rows_scored"],
-                    swaps=state["swaps"],
-                )
+                classifier.restore(**state["classifiers"][0])
                 if self._refresher is not None and state.get("refresher") is not None:
                     self._refresher.restore_state(state["refresher"])
-                verdicts.update(state["verdicts"])
+                verdicts = state["verdicts"]
                 refreshes = [dict(entry) for entry in state["refreshes"]]
                 start_row = int(state["cursor_rows"])
                 batches_done = int(state["batches"])
                 resumed_from = batches_done
 
         scored_this_run = 0
+        rows_this_run = 0
         # One switch read per replay keeps the disabled path at exactly
         # the pre-telemetry cost; the enabled path adds two clock reads
         # and three histogram observes per batch (bench-gated ≤ 2%).
@@ -262,6 +266,7 @@ class ReplayDriver:
             index = batches_done
             batches_done += 1
             scored_this_run += 1
+            rows_this_run += batch.n_rows
             if telemetry_on:
                 _BATCH_SECONDS.observe(ingested - batch_started, stage="ingest")
                 _BATCH_SECONDS.observe(elapsed - (ingested - batch_started), stage="classify")
@@ -292,23 +297,20 @@ class ReplayDriver:
                         "cursor_rows": min(start + self.batch_size, total),
                         "batches": batches_done,
                         "ingest": ingestor.export_state(),
-                        "filter_list": classifier.filter_list,
-                        "temporal_state": classifier.temporal_state,
-                        "rows_scored": classifier.rows_scored,
-                        "swaps": classifier.swaps,
+                        "classifiers": [classifier],
                         "refresher": (
                             self._refresher.export_state()
                             if self._refresher is not None
                             else None
                         ),
-                        "verdicts": dict(verdicts),
-                        "refreshes": [dict(entry) for entry in refreshes],
+                        "refreshes": refreshes,
+                        "verdicts": verdicts,
                     }
                 )
         seconds = time.perf_counter() - started
         return ReplayResult(
             verdicts=verdicts,
-            rows=total,
+            rows=rows_this_run,
             batches=batches_done,
             seconds=seconds,
             batch_seconds=batch_seconds,
@@ -357,25 +359,57 @@ def verdicts_to_jsonable(verdicts: Dict[int, InconsistencyVerdict]) -> List[Dict
                 "spatial_rule": (
                     None if verdict.spatial_rule is None else verdict.spatial_rule.to_dict()
                 ),
-                "temporal_flags": [
-                    {
-                        "key_kind": flag.key_kind,
-                        "key": flag.key,
-                        "attribute": flag.attribute.value,
-                        "previous_values": list(flag.previous_values),
-                        "new_value": flag.new_value,
-                    }
-                    for flag in verdict.temporal_flags
-                ],
+                "temporal_flags": _flags_to_jsonable(verdict.temporal_flags),
             }
         )
     return document
 
 
-def verdicts_digest(verdicts: Dict[int, InconsistencyVerdict]) -> str:
-    """SHA-256 over the canonical verdict serialisation."""
+def _flags_to_jsonable(flags) -> List[Dict]:
+    return [
+        {
+            "key_kind": flag.key_kind,
+            "key": flag.key,
+            "attribute": flag.attribute.value,
+            "previous_values": list(flag.previous_values),
+            "new_value": flag.new_value,
+        }
+        for flag in flags
+    ]
 
-    payload = json.dumps(
-        verdicts_to_jsonable(verdicts), sort_keys=True, separators=(",", ":")
-    )
+
+def _canonical(document) -> str:
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
+def verdicts_digest(verdicts: Dict[int, InconsistencyVerdict]) -> str:
+    """SHA-256 over the canonical verdict serialisation.
+
+    Byte-identical to hashing ``json.dumps(verdicts_to_jsonable(verdicts),
+    sort_keys=True, separators=(",", ":"))``, but assembled from
+    fragments: each rule is serialised once (memoized by identity, while
+    *verdicts* holds it; ``None`` is ``null``), a verdict without flags
+    takes the fixed ``[]`` fragment, and only the rare flagged verdicts
+    go through ``json.dumps`` one at a time.  Sorted keys put
+    ``request_id``, ``spatial_rule`` and ``temporal_flags`` in that order.
+    """
+
+    rules: Dict[int, str] = {}
+    parts = []
+    for request_id in sorted(verdicts):
+        verdict = verdicts[request_id]
+        rule = verdict.spatial_rule
+        rule_json = rules.get(id(rule))
+        if rule_json is None:
+            rule_json = rules[id(rule)] = "null" if rule is None else _canonical(rule.to_dict())
+        flags = (
+            _canonical(_flags_to_jsonable(verdict.temporal_flags))
+            if verdict.temporal_flags
+            else "[]"
+        )
+        parts.append(
+            f'{{"request_id":{int(request_id)},"spatial_rule":{rule_json},'
+            f'"temporal_flags":{flags}}}'
+        )
+    payload = "[" + ",".join(parts) + "]"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -2,21 +2,33 @@
 
 The contract under test: a replay killed mid-stream (modelled
 deterministically by ``max_batches``) and resumed from its last published
-snapshot produces verdicts **byte-identical** to an uninterrupted run —
-for the single stream and for the parallel gateway — and the snapshot
-file itself is crash-safe (atomic replace, checksummed, torn writes
-detected on load, failed writes never clobbering the previous snapshot).
+save produces verdicts **byte-identical** to an uninterrupted run — for
+the single stream and for the parallel gateway — and the checkpoint
+directory itself is crash-safe: segments are appended before the snapshot
+that lists them is published, unlisted segments are ignored, damaged
+ones evict the checkpoint, and loading never unpickles anything.  Each
+save writes only what changed since the previous one, so its size is
+bounded by the rows it covers.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import logging
+import pickle
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro import faults
+import repro
+from repro import faults, obs
 from repro.analysis.engine import CorpusEngine
+from repro.cli import main
 from repro.core.detector import FPInconsistent
-from repro.serve import DetectionGateway, DeviceRouter, GatewayReplayDriver
+from repro.serve import DetectionGateway, DeviceRouter, GatewayReplayDriver, KeyMigration
 from repro.stream import (
     ArrivalStream,
     CheckpointError,
@@ -26,9 +38,12 @@ from repro.stream import (
     StreamIngestor,
     verdicts_digest,
 )
+from repro.stream import checkpoint as checkpoint_module
 from repro.stream.checkpoint import (
+    CHECKPOINT_BYTES_PER_ROW_CEILING,
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
+    SEGMENT_FILENAME,
     read_checkpoint,
     write_checkpoint,
 )
@@ -57,17 +72,23 @@ def fitted(corpus):
     return detector, table, verdicts
 
 
-# -- the blob format -------------------------------------------------------------
+def _segments(directory: Path):
+    return sorted(directory.glob("segment-*.npz"))
+
+
+# -- the snapshot file format ----------------------------------------------------
 
 
 def test_checkpoint_blob_roundtrips(tmp_path):
-    state = {"cursor": 7, "values": ["a", "b"], "array": np.arange(5)}
     path = tmp_path / "ck"
-    write_checkpoint(path, state)
-    loaded = read_checkpoint(path)
-    assert loaded["cursor"] == 7 and loaded["values"] == ["a", "b"]
-    assert np.array_equal(loaded["array"], np.arange(5))
-    assert path.read_bytes()[:4] == CHECKPOINT_MAGIC
+    written = write_checkpoint(path, {"cursor": 7, "values": ["a", "é"]}, {"array": np.arange(5)})
+    meta, arrays = read_checkpoint(path)
+    assert meta == {"cursor": 7, "values": ["a", "é"]}
+    assert np.array_equal(arrays["array"], np.arange(5))
+    blob = path.read_bytes()
+    assert written == len(blob)
+    assert blob[:4] == CHECKPOINT_MAGIC
+    assert int.from_bytes(blob[4:8], "big") == CHECKPOINT_VERSION == 2
     assert not list(tmp_path.glob(".*.tmp"))  # temp file consumed by the rename
 
 
@@ -82,7 +103,7 @@ def test_read_rejects_non_checkpoint_files(tmp_path):
 
 def test_read_rejects_torn_and_tampered_blobs(tmp_path):
     path = tmp_path / "ck"
-    write_checkpoint(path, {"cursor": 1})
+    write_checkpoint(path, {"cursor": 1}, {})
     blob = path.read_bytes()
 
     torn = tmp_path / "torn"
@@ -98,12 +119,24 @@ def test_read_rejects_torn_and_tampered_blobs(tmp_path):
 
 def test_read_rejects_future_format_versions(tmp_path):
     path = tmp_path / "ck"
-    write_checkpoint(path, {"cursor": 1})
+    write_checkpoint(path, {"cursor": 1}, {})
     blob = bytearray(path.read_bytes())
     blob[4:8] = (CHECKPOINT_VERSION + 1).to_bytes(4, "big")
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="format version"):
         read_checkpoint(path)
+
+
+def test_no_pickle_in_the_online_packages():
+    root = Path(repro.__file__).parent
+    sources = sorted((root / "stream").glob("*.py")) + sorted((root / "serve").glob("*.py"))
+    assert sources
+    for source in sources:
+        text = source.read_text(encoding="utf-8")
+        assert not re.search(r"^\s*(import|from)\s+pickle\b", text, re.MULTILINE), source
+        for line in text.splitlines():
+            if "np.load(" in line:
+                assert "allow_pickle=False" in line, (source, line)
 
 
 # -- the periodic checkpointer ---------------------------------------------------
@@ -117,21 +150,72 @@ def test_checkpointer_cadence_and_validation(tmp_path):
     assert checkpointer.load() is None  # nothing published yet
 
 
-def test_failed_save_keeps_the_previous_snapshot(monkeypatch, tmp_path):
-    checkpointer = StreamCheckpointer(tmp_path, every_batches=1)
-    assert checkpointer.save({"cursor": 1}) is True
+def test_failed_save_keeps_the_previous_snapshot(monkeypatch, tmp_path, corpus, fitted):
+    detector, _table, _verdicts = fitted
+    directory = tmp_path / "ck"
 
-    # Every subsequent write crashes mid-stream (truncated then raised):
-    # save() absorbs it, and the published snapshot stays the old one.
+    def run(**kwargs):
+        return ReplayDriver(detector, batch_size=256).replay(
+            corpus.bot_store,
+            checkpointer=StreamCheckpointer(directory, every_batches=1),
+            max_batches=1,
+            **kwargs,
+        )
+
+    assert run().checkpoints_saved == 1
+
+    # Every write now crashes mid-stream (truncated then raised): save()
+    # absorbs it, and the published snapshot stays the batch-1 one.
     monkeypatch.setenv(faults.FAULTS_ENV_VAR, "checkpoint_write:truncate:1")
-    assert checkpointer.save({"cursor": 2}) is False
-    assert checkpointer.saves == 1 and checkpointer.failures == 1
-    assert checkpointer.load() == {"cursor": 1}
-    assert not list(tmp_path.glob(".*.tmp"))  # the torn temp was removed
+    failed = run(resume=True)
+    assert failed.checkpoints_saved == 0 and failed.checkpoint_failures == 1
+    assert StreamCheckpointer(directory).load()["batches"] == 1
+    assert [path.name for path in _segments(directory)] == [SEGMENT_FILENAME.format(0)]
+    assert not list(directory.glob(".*.tmp"))  # the torn temp was removed
 
     monkeypatch.delenv(faults.FAULTS_ENV_VAR)
-    assert checkpointer.save({"cursor": 3}) is True
-    assert checkpointer.load() == {"cursor": 3}
+    assert run(resume=True).checkpoints_saved == 1
+    assert StreamCheckpointer(directory).load()["batches"] == 2
+    assert len(_segments(directory)) == 2
+
+
+def test_every_save_is_bounded_by_the_rows_it_covers(tmp_path, corpus, fitted):
+    detector, _table, _verdicts = fitted
+    batch_size, every = 128, 4
+    refresher = FilterListRefresher(
+        detector.miner, interval_batches=3, window_rows=batch_size * every
+    )
+    checkpointer = StreamCheckpointer(tmp_path / "ck", every_batches=every)
+    saves = []
+    original = checkpointer.save
+
+    def recording_save(state):
+        published = original(state)
+        size = obs.metric_value("repro_stream_checkpoint_last_save_bytes")
+        saves.append((published, state["cursor_rows"], size))
+        return published
+
+    checkpointer.save = recording_save
+    bytes_before = obs.metric_value("repro_stream_checkpoint_bytes_total")
+    result = ReplayDriver(detector, batch_size=batch_size, refresher=refresher).replay(
+        corpus.bot_store, checkpointer=checkpointer
+    )
+    assert len(saves) >= 3 and all(published for published, _, _ in saves)
+    previous = 0
+    for _published, cursor, size in saves:
+        assert 0 < size <= CHECKPOINT_BYTES_PER_ROW_CEILING * (cursor - previous), (cursor, size)
+        previous = cursor
+    sizes = [size for _, _, size in saves]
+    assert obs.metric_value("repro_stream_checkpoint_bytes_total") - bytes_before == sum(sizes)
+    assert obs.metric_value("repro_stream_checkpoint_max_save_bytes") == max(sizes)
+    assert obs.metric_value("repro_stream_checkpoint_segments") == len(saves)
+    # The snapshot lists every segment, and the age gauge counts the
+    # batches scored after the last save.
+    meta, _ = read_checkpoint(checkpointer.path)
+    assert [entry["name"] for entry in meta["segments"]] == [
+        path.name for path in _segments(tmp_path / "ck")
+    ]
+    assert obs.metric_value("repro_stream_checkpoint_age_batches") == result.batches % every
 
 
 # -- stream kill-and-resume ------------------------------------------------------
@@ -140,6 +224,7 @@ def test_failed_save_keeps_the_previous_snapshot(monkeypatch, tmp_path):
 def test_stream_resume_is_byte_identical(tmp_path, corpus, fitted):
     detector, _table, batch_verdicts = fitted
     full = ReplayDriver(detector, batch_size=256).replay(corpus.bot_store)
+    assert full.rows == len(batch_verdicts)
 
     directory = tmp_path / "ck"
     partial = ReplayDriver(detector, batch_size=256).replay(
@@ -148,6 +233,7 @@ def test_stream_resume_is_byte_identical(tmp_path, corpus, fitted):
         max_batches=3,
     )
     assert partial.batches == 3
+    assert partial.rows == 3 * 256  # rows this invocation scored, not the store's
     assert partial.checkpoints_saved == 1  # due at batch 2
     assert partial.resumed_from_batch is None
 
@@ -159,9 +245,38 @@ def test_stream_resume_is_byte_identical(tmp_path, corpus, fitted):
     # The snapshot was taken at batch 2, one batch before the kill: the
     # resumed run re-scores from there and converges byte-identically.
     assert resumed.resumed_from_batch == 2
+    assert resumed.rows == full.rows - 2 * 256
     assert resumed.batches == full.batches
+    assert resumed.verdicts == batch_verdicts
     assert verdicts_digest(resumed.verdicts) == verdicts_digest(full.verdicts)
     assert verdicts_digest(resumed.verdicts) == verdicts_digest(batch_verdicts)
+
+
+@pytest.mark.parametrize("kill_at", [3, 5, 8])
+def test_stream_resume_with_refresh_at_several_kill_points(tmp_path, corpus, fitted, kill_at):
+    detector, _table, _verdicts = fitted
+
+    def driver():
+        refresher = FilterListRefresher(detector.miner, interval_batches=2, window_rows=700)
+        return ReplayDriver(detector, batch_size=128, refresher=refresher)
+
+    full = driver().replay(corpus.bot_store)
+    assert len(full.refreshes) >= 3
+
+    directory = tmp_path / "ck"
+    driver().replay(
+        corpus.bot_store,
+        checkpointer=StreamCheckpointer(directory, every_batches=2),
+        max_batches=kill_at,
+    )
+    resumed = driver().replay(
+        corpus.bot_store,
+        checkpointer=StreamCheckpointer(directory, every_batches=2),
+        resume=True,
+    )
+    assert resumed.resumed_from_batch == kill_at - kill_at % 2
+    assert resumed.refreshes == full.refreshes
+    assert verdicts_digest(resumed.verdicts) == verdicts_digest(full.verdicts)
 
 
 def test_stream_resume_restores_refresher_state(tmp_path, corpus, fitted):
@@ -196,9 +311,9 @@ def test_resume_with_failing_saves_still_converges(monkeypatch, tmp_path, corpus
     detector, _table, _verdicts = fitted
     full = ReplayDriver(detector, batch_size=256).replay(corpus.bot_store)
 
-    # Every other snapshot write crashes mid-stream; losing a snapshot
-    # costs recovery granularity, never correctness.
-    monkeypatch.setenv(faults.FAULTS_ENV_VAR, "checkpoint_write:truncate:0.5")
+    # Some snapshot writes crash mid-stream; losing a save costs recovery
+    # granularity, never correctness — the next save carries its delta.
+    monkeypatch.setenv(faults.FAULTS_ENV_VAR, "checkpoint_write:truncate:0.3")
     directory = tmp_path / "ck"
     partial = ReplayDriver(detector, batch_size=256).replay(
         corpus.bot_store,
@@ -216,6 +331,47 @@ def test_resume_with_failing_saves_still_converges(monkeypatch, tmp_path, corpus
     )
     assert resumed.resumed_from_batch is not None
     assert verdicts_digest(resumed.verdicts) == verdicts_digest(full.verdicts)
+
+
+def test_unlisted_segments_are_ignored(monkeypatch, tmp_path, corpus, fitted):
+    detector, _table, batch_verdicts = fitted
+    directory = tmp_path / "ck"
+
+    # A crash between appending a segment and publishing the snapshot:
+    # the second save's segment lands, its snapshot never does.
+    real_write = checkpoint_module.write_checkpoint
+    calls = []
+
+    def crash_on_second_publish(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError("simulated crash before publish")
+        return real_write(*args, **kwargs)
+
+    monkeypatch.setattr(checkpoint_module, "write_checkpoint", crash_on_second_publish)
+    partial = ReplayDriver(detector, batch_size=256).replay(
+        corpus.bot_store,
+        checkpointer=StreamCheckpointer(directory, every_batches=2),
+        max_batches=5,
+    )
+    monkeypatch.undo()
+    assert partial.checkpoints_saved == 1 and partial.checkpoint_failures == 1
+    assert len(_segments(directory)) == 2  # segment 1 is on disk, unlisted
+
+    # A torn trailing segment is ignored just the same.
+    (directory / SEGMENT_FILENAME.format(2)).write_bytes(b"PK\x03\x04torn")
+    resumed = ReplayDriver(detector, batch_size=256).replay(
+        corpus.bot_store,
+        checkpointer=StreamCheckpointer(directory, every_batches=2),
+        resume=True,
+    )
+    assert resumed.resumed_from_batch == 2
+    assert verdicts_digest(resumed.verdicts) == verdicts_digest(batch_verdicts)
+    # The resumed run overwrote the stale segments with its own.
+    meta, _ = read_checkpoint(directory / "stream_checkpoint")
+    for entry in meta["segments"]:
+        payload = (directory / entry["name"]).read_bytes()
+        assert hashlib.sha256(payload).hexdigest() == entry["sha256"]
 
 
 def test_corrupt_snapshot_falls_back_to_a_fresh_replay(tmp_path, corpus, fitted):
@@ -236,6 +392,55 @@ def test_corrupt_snapshot_falls_back_to_a_fresh_replay(tmp_path, corpus, fitted)
         resume=True,
     )
     # Damage must not block recovery: warn, start fresh, same verdicts.
+    assert resumed.resumed_from_batch is None
+    assert verdicts_digest(resumed.verdicts) == verdicts_digest(batch_verdicts)
+
+
+def test_tampered_listed_segment_replays_fresh(caplog, tmp_path, corpus, fitted):
+    detector, _table, batch_verdicts = fitted
+    directory = tmp_path / "ck"
+    ReplayDriver(detector, batch_size=256).replay(
+        corpus.bot_store,
+        checkpointer=StreamCheckpointer(directory, every_batches=2),
+        max_batches=5,
+    )
+    segment = directory / SEGMENT_FILENAME.format(0)
+    blob = bytearray(segment.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    segment.write_bytes(bytes(blob))
+
+    with caplog.at_level(logging.WARNING, logger="repro.stream"):
+        resumed = ReplayDriver(detector, batch_size=256).replay(
+            corpus.bot_store,
+            checkpointer=StreamCheckpointer(directory, every_batches=2),
+            resume=True,
+        )
+    assert "checksum mismatch" in caplog.text
+    assert resumed.resumed_from_batch is None
+    assert verdicts_digest(resumed.verdicts) == verdicts_digest(batch_verdicts)
+
+
+def test_v1_pickle_checkpoint_is_never_unpickled(caplog, monkeypatch, tmp_path, corpus, fitted):
+    detector, _table, batch_verdicts = fitted
+    directory = tmp_path / "ck"
+    directory.mkdir()
+    payload = pickle.dumps({"batch_size": 256, "cursor_rows": 512})
+    (directory / "stream_checkpoint").write_bytes(
+        CHECKPOINT_MAGIC + (1).to_bytes(4, "big") + hashlib.sha256(payload).digest() + payload
+    )
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a checkpoint was unpickled")
+
+    monkeypatch.setattr(pickle, "loads", refuse)
+    monkeypatch.setattr(pickle, "load", refuse)
+    with caplog.at_level(logging.WARNING, logger="repro.stream"):
+        resumed = ReplayDriver(detector, batch_size=256).replay(
+            corpus.bot_store,
+            checkpointer=StreamCheckpointer(directory, every_batches=2),
+            resume=True,
+        )
+    assert "format version 1" in caplog.text
     assert resumed.resumed_from_batch is None
     assert verdicts_digest(resumed.verdicts) == verdicts_digest(batch_verdicts)
 
@@ -287,6 +492,7 @@ def test_serve_resume_is_byte_identical(tmp_path, corpus, fitted):
             max_batches=3,
         )
     assert partial.checkpoints_saved == 1
+    assert partial.rows == 3 * 256
 
     with DetectionGateway(detector, router=DeviceRouter.from_table(table, 2)) as gateway:
         resumed = GatewayReplayDriver(gateway, batch_size=256).replay(
@@ -295,8 +501,80 @@ def test_serve_resume_is_byte_identical(tmp_path, corpus, fitted):
             resume=True,
         )
     assert resumed.resumed_from_batch == 2
+    assert resumed.rows == len(batch_verdicts) - 2 * 256
     assert resumed.verdicts == batch_verdicts
     assert verdicts_digest(resumed.verdicts) == verdicts_digest(batch_verdicts)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kill_at", [3, 5, 8])
+def test_serve_dynamic_routing_resumes_at_several_kill_points(
+    tmp_path, corpus, fitted, workers, kill_at
+):
+    detector, _table, batch_verdicts = fitted
+
+    def replay(**kwargs):
+        with DetectionGateway(detector, router=DeviceRouter(workers)) as gateway:
+            return GatewayReplayDriver(gateway, batch_size=128).replay(
+                corpus.bot_store, **kwargs
+            )
+
+    full = replay()
+    directory = tmp_path / "ck"
+    replay(checkpointer=StreamCheckpointer(directory, every_batches=2), max_batches=kill_at)
+    resumed = replay(checkpointer=StreamCheckpointer(directory, every_batches=2), resume=True)
+    assert resumed.resumed_from_batch == kill_at - kill_at % 2
+    assert resumed.migrations == full.migrations
+    assert resumed.worker_rows == full.worker_rows
+    assert verdicts_digest(resumed.verdicts) == verdicts_digest(full.verdicts)
+    assert verdicts_digest(resumed.verdicts) == verdicts_digest(batch_verdicts)
+
+
+def test_migrated_state_survives_a_save_and_load(tmp_path, corpus, fitted):
+    detector, _table, _verdicts = fitted
+    arrivals = ArrivalStream(corpus.bot_store)
+    checkpointer = StreamCheckpointer(tmp_path / "ck", every_batches=1)
+    with DetectionGateway(detector, router=DeviceRouter(2)) as gateway:
+        verdicts = {}
+
+        def save(start):
+            verdicts.update(arrivals.submit(gateway, start, 256))
+            assert checkpointer.save(
+                {
+                    "batch_size": 256,
+                    "rows_total": arrivals.total,
+                    "cursor_rows": start + 256,
+                    "batches": gateway.batches,
+                    "verdicts": verdicts,
+                    **gateway.export_state(),
+                }
+            )
+
+        save(0)
+        # Move one early cookie key's state (and pin) to the other
+        # worker, the way a discovered device link would: its source
+        # worker's seen-state shrinks, so the next save cannot rely on
+        # positional high-water marks for that worker.
+        seen = gateway.classifiers[0].temporal_state.seen
+        kind, key, _attribute = next(state_key for state_key in seen if state_key[0] == "cookie")
+        gateway.router._pins[(kind, key)] = 1
+        gateway._migrate(KeyMigration(kind=kind, key=key, source=0, target=1))
+        save(256)
+
+        loaded = StreamCheckpointer(tmp_path / "ck").load()
+
+        def as_lists(temporal_state):
+            return {state_key: list(values) for state_key, values in temporal_state.seen.items()}
+
+        for live, restored in zip(gateway.classifiers, loaded["classifiers"]):
+            assert as_lists(restored["temporal_state"]) == as_lists(live.temporal_state)
+        moved = [state_key for state_key in as_lists(gateway.classifiers[1].temporal_state)
+                 if state_key[:2] == (kind, key)]
+        assert moved and not any(
+            state_key[:2] == (kind, key) for state_key in gateway.classifiers[0].temporal_state.seen
+        )
+        assert loaded["router"]["pins"] == gateway.router._pins
+        assert loaded["verdicts"] == verdicts
 
 
 # -- restorable component state --------------------------------------------------
@@ -331,3 +609,32 @@ def test_ingestor_restore_rejects_a_different_attribute_set(fitted):
         StreamIngestor(attributes=attributes[:-1]).restore_state(
             original.export_state()
         )
+
+
+# -- truthful throughput and the checkpoint block on the CLI ---------------------
+
+
+@pytest.mark.parametrize("command", ["stream", "serve"])
+def test_cli_rows_count_only_scored_rows(capsys, tmp_path, command):
+    out_path = tmp_path / "out.json"
+    code = main(
+        [
+            command,
+            "--seed", "5",
+            "--scale", "0.004",
+            "--no-cache",
+            "--batch-size", "256",
+            "--max-batches", "3",
+            "--checkpoint-dir", str(tmp_path / "ck"),
+            "--checkpoint-every", "2",
+            "--json", str(out_path),
+        ]
+    )
+    capsys.readouterr()
+    assert code == 0
+    document = json.loads(out_path.read_text())
+    assert document["batches"] == 3
+    assert document["rows"] == 768
+    checkpoints = document["checkpoints"]
+    assert checkpoints["saved"] == 1
+    assert 0 < checkpoints["max_save_bytes"] == checkpoints["bytes_written"]

@@ -12,6 +12,7 @@ of the same rows.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -19,11 +20,13 @@ import pytest
 
 from repro.analysis.engine import CorpusEngine
 from repro.core.columnar import ColumnarTable
-from repro.core.detector import FPInconsistent
+from repro.core.detector import FPInconsistent, InconsistencyVerdict
 from repro.core.pipeline import FPInconsistentPipeline
-from repro.core.rules import FilterList
+from repro.core.rules import FilterList, InconsistencyRule
 from repro.core.spatial import SpatialInconsistencyMiner
-from repro.core.temporal import TemporalInconsistencyDetector
+from repro.core.temporal import TemporalFlag, TemporalInconsistencyDetector
+from repro.fingerprint.attributes import Attribute
+from repro.fingerprint.categories import AttributeCategory
 from repro.honeysite.storage import LazyRequestStore, RecordColumnsBuilder, RequestStore
 from repro.stream import (
     FilterListRefresher,
@@ -104,6 +107,42 @@ def test_verdict_serialisation_is_canonical(fitted):
     trimmed = dict(batch_verdicts)
     trimmed.pop(next(iter(trimmed)))
     assert verdicts_digest(trimmed) != verdicts_digest(batch_verdicts)
+
+
+def _reference_digest(verdicts):
+    payload = json.dumps(verdicts_to_jsonable(verdicts), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def test_verdicts_digest_matches_the_canonical_serialisation(fitted):
+    _detector, _table, verdicts = fitted
+    assert any(verdict.temporal_flags for verdict in verdicts.values())
+    assert any(verdict.spatial_rule for verdict in verdicts.values())
+    assert verdicts_digest(verdicts) == _reference_digest(verdicts)
+    assert verdicts_digest({}) == _reference_digest({})
+
+    rule = InconsistencyRule(
+        category=AttributeCategory.LOCATION,
+        attribute_a=Attribute.TIMEZONE,
+        value_a="Amérique/Zürich",
+        attribute_b=Attribute.PLATFORM,
+        value_b=1.0,
+        support=3,
+    )
+    flag = TemporalFlag(
+        key_kind="cookie",
+        key="ключ",
+        attribute=Attribute.PLATFORM,
+        previous_values=("Win32", True),
+        new_value="Linux ✓",
+    )
+    unusual = {
+        9: InconsistencyVerdict(request_id=9, spatial_rule=rule, temporal_flags=(flag,)),
+        3: InconsistencyVerdict(request_id=3, spatial_rule=None, temporal_flags=(flag, flag)),
+        5: InconsistencyVerdict(request_id=5, spatial_rule=rule),
+        1: InconsistencyVerdict(request_id=1, spatial_rule=None),
+    }
+    assert verdicts_digest(unusual) == _reference_digest(unusual)
 
 
 # -- ingestion -------------------------------------------------------------------
