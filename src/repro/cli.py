@@ -1,12 +1,11 @@
 """The ``repro`` command line interface.
 
-Six subcommands cover the reproduction workflow end to end::
+Five subcommands cover the reproduction workflow end to end::
 
     repro corpus    build (or load from cache) a measurement corpus
     repro pipeline  build a corpus and run the FP-Inconsistent evaluation
     repro report    regenerate every paper table and figure from a corpus
     repro stream    replay a corpus through the online streaming detector
-    repro serve     replay a corpus through the parallel detection gateway
     repro bench     measure serial vs. sharded corpus-build throughput
 
 Installed as a console script by ``setup.py``; also runnable without
@@ -204,7 +203,7 @@ def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_checkpoint_arguments(group) -> None:
-    """The checkpoint/restore knobs shared by ``stream`` and ``serve``."""
+    """The ``stream`` checkpoint/restore knobs."""
 
     group.add_argument(
         "--checkpoint-dir",
@@ -244,7 +243,7 @@ _CHECKPOINT_MAX_SAVE_BYTES = "repro_stream_checkpoint_max_save_bytes"
 
 
 def _checkpoint_summary(result, bytes_before: float) -> Dict:
-    """The ``checkpoints`` block of a stream/serve summary.
+    """The ``checkpoints`` block of a stream summary.
 
     Byte figures come from the registry's checkpoint instruments: the
     bytes counter's growth over this replay and the largest-save gauge,
@@ -490,49 +489,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _mine_initial_filter_list(args: argparse.Namespace, corpus: Corpus, label: str):
-    """Mine the initial filter list exactly as the batch pipeline would.
-
-    Shared by ``stream`` and ``serve``: resolves the corpus's
-    pre-extracted bot table when it is acceptable, fits the detector
-    under a telemetry span, and prints the one-line mining report.
-    Returns ``(detector, table, table_source)``.
-    """
-
-    from repro.core.detector import FPInconsistent
-
-    workers = args.workers or default_workers() or 1
-    detector = FPInconsistent()
-    with obs.tracer().span(f"{label}.mine_filter_list", workers=workers) as span:
-        table, table_source = detector.resolve_table(
-            corpus.bot_store, corpus.columnar_tables.get("bots")
-        )
-        detector.fit_table(table, workers=workers, executor=args.executor)
-        span.set(rules=len(detector.filter_list), table=table_source)
-    print(
-        f"{label}: filter list mined in {span.duration:.2f}s "
-        f"({len(detector.filter_list)} rules, table {table_source})",
-        file=sys.stderr,
-    )
-    return detector, table, table_source
-
-
-def _print_latency_quantiles(result, label: str) -> dict:
-    """Report per-batch latency quantiles on stderr; return them in ms."""
-
-    quantiles = result.latency_quantiles_ms()
-    print(
-        f"{label}: batch latency "
-        + " ".join(
-            f"{name[:name.index('_')]}={value:.2f}ms"
-            for name, value in sorted(quantiles.items())
-        ),
-        file=sys.stderr,
-    )
-    return quantiles
-
-
 def _cmd_stream(args: argparse.Namespace) -> int:
+    from repro.core.detector import FPInconsistent
     from repro.stream import (
         DEFAULT_BATCH_SIZE,
         FilterListRefresher,
@@ -547,25 +505,46 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         parser.error(f"--batch-size must be >= 1, got {batch_size}")
     if args.refresh_every < 0:
         parser.error(f"--refresh-every cannot be negative, got {args.refresh_every}")
+    if args.refresh_days < 0:
+        parser.error(f"--refresh-days cannot be negative, got {args.refresh_days}")
+    if args.refresh_every and args.refresh_days:
+        parser.error(
+            "--refresh-every and --refresh-days are two refresh schedules; pick one"
+        )
     if args.window < 1:
         parser.error(f"--window must be >= 1, got {args.window}")
-    if args.verify_batch and args.refresh_every:
+    if args.verify_batch and (args.refresh_every or args.refresh_days):
         parser.error(
             "--verify-batch compares against the batch pipeline, which has no "
-            "refresh; drop --refresh-every (the oracle needs a frozen filter list)"
+            "refresh; drop --refresh-every/--refresh-days (the oracle needs a "
+            "frozen filter list)"
         )
     checkpointer = _checkpointer_from_args(parser, args)
 
     corpus = _build_from_args(args)
     workers = args.workers or default_workers() or 1
     bot_store = corpus.bot_store
-    detector, table, table_source = _mine_initial_filter_list(args, corpus, "stream")
+    # The initial filter list is mined exactly as the batch pipeline would,
+    # reusing the corpus's pre-extracted bot table when it is acceptable.
+    detector = FPInconsistent()
+    with obs.tracer().span("stream.mine_filter_list", workers=workers) as span:
+        table, table_source = detector.resolve_table(
+            bot_store, corpus.columnar_tables.get("bots")
+        )
+        detector.fit_table(table, workers=workers, executor=args.executor)
+        span.set(rules=len(detector.filter_list), table=table_source)
+    print(
+        f"stream: filter list mined in {span.duration:.2f}s "
+        f"({len(detector.filter_list)} rules, table {table_source})",
+        file=sys.stderr,
+    )
 
     refresher = None
-    if args.refresh_every:
+    if args.refresh_every or args.refresh_days:
         refresher = FilterListRefresher(
             detector.miner,
-            interval_batches=args.refresh_every,
+            interval_batches=args.refresh_every or None,
+            interval_days=args.refresh_days or None,
             window_rows=args.window,
             workers=workers,
             executor=args.executor,
@@ -584,7 +563,24 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         f"{batch_size}, {len(result.refreshes)} refresh(es))",
         file=sys.stderr,
     )
-    quantiles = _print_latency_quantiles(result, "stream")
+    quantiles = result.latency_quantiles_ms()
+    print(
+        "stream: batch latency "
+        + " ".join(
+            f"{name[:name.index('_')]}={value:.2f}ms"
+            for name, value in sorted(quantiles.items())
+        ),
+        file=sys.stderr,
+    )
+    health = result.health
+    if health.classify_failures or health.refresh_failures:
+        print(
+            f"stream: recovered from {health.classify_failures} classify "
+            f"failure(s) ({health.classifier_rebuilds} rebuild(s), "
+            f"{len(health.dead_letters)} dead-lettered batch(es)) and "
+            f"{health.refresh_failures} refresh failure(s)",
+            file=sys.stderr,
+        )
     if checkpointer is not None:
         resumed = (
             "fresh start"
@@ -622,6 +618,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         "refreshes": result.refreshes,
         "verdicts": result.counts(),
         "table_source": table_source,
+        "health": health.to_dict(),
     }
     if checkpointer is not None:
         summary["checkpoints"] = _checkpoint_summary(result, bytes_before)
@@ -636,136 +633,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             handle.write("\n")
         summary["saved_to"] = str(args.json)
         print(f"stream: wrote {args.json}", file=sys.stderr)
-    json.dump(summary, sys.stdout, indent=1, sort_keys=True)
-    print()
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import DetectionGateway, DeviceRouter, GatewayReplayDriver
-    from repro.stream import DEFAULT_BATCH_SIZE, FilterListRefresher, verdicts_digest
-
-    parser = args.parser
-    _validate_corpus_args(parser, args)
-    batch_size = DEFAULT_BATCH_SIZE if args.batch_size is None else args.batch_size
-    if batch_size < 1:
-        parser.error(f"--batch-size must be >= 1, got {batch_size}")
-    if args.serve_workers < 1:
-        parser.error(f"--serve-workers must be >= 1, got {args.serve_workers}")
-    if args.refresh_days < 0:
-        parser.error(f"--refresh-days cannot be negative, got {args.refresh_days}")
-    if args.window < 1:
-        parser.error(f"--window must be >= 1, got {args.window}")
-    if args.verify_batch and args.refresh_days:
-        parser.error(
-            "--verify-batch compares against the batch pipeline, which has no "
-            "refresh; drop --refresh-days (the oracle needs a frozen filter list)"
-        )
-    if args.refresh_sync and not args.refresh_days:
-        parser.error("--refresh-sync needs --refresh-days (there is nothing to schedule)")
-    checkpointer = _checkpointer_from_args(parser, args)
-
-    corpus = _build_from_args(args)
-    workers = args.workers or default_workers() or 1
-    bot_store = corpus.bot_store
-    detector, table, table_source = _mine_initial_filter_list(args, corpus, "serve")
-
-    refresher = None
-    if args.refresh_days:
-        refresher = FilterListRefresher(
-            detector.miner,
-            interval_days=args.refresh_days,
-            window_rows=args.window,
-            workers=workers,
-            executor=args.executor,
-        )
-    # Replays know the whole corpus up front, so the router pre-pins the
-    # device partition the sharded batch classifier would use — routing
-    # is then a pure lookup and no state migration ever happens.
-    router = DeviceRouter.from_table(table, args.serve_workers)
-    bytes_before = obs.metric_value(_CHECKPOINT_BYTES)
-    with DetectionGateway(
-        detector,
-        router=router,
-        refresher=refresher,
-        refresh_mode="sync" if args.refresh_sync else "background",
-    ) as gateway:
-        result = GatewayReplayDriver(gateway, batch_size=batch_size).replay(
-            bot_store,
-            checkpointer=checkpointer,
-            resume=args.resume,
-            max_batches=args.max_batches,
-        )
-    print(
-        f"serve: replayed {result.rows} rows in {result.seconds:.2f}s "
-        f"({result.rows_per_second:.0f} rows/s, {result.workers} worker(s), "
-        f"{result.batches} batch(es) of {batch_size}, "
-        f"{result.migrations} migration(s), {len(result.refreshes)} refresh(es))",
-        file=sys.stderr,
-    )
-    quantiles = _print_latency_quantiles(result, "serve")
-    health = result.health or {}
-    if health.get("total_worker_failures") or health.get("refresh_failures"):
-        print(
-            f"serve: recovered from {health.get('total_worker_failures', 0)} worker "
-            f"failure(s) ({health.get('worker_rebuilds', 0)} rebuild(s), "
-            f"{len(health.get('dead_letters', []))} dead-lettered group(s)) and "
-            f"{health.get('refresh_failures', 0)} refresh failure(s)",
-            file=sys.stderr,
-        )
-    if checkpointer is not None:
-        resumed = (
-            "fresh start"
-            if result.resumed_from_batch is None
-            else f"resumed from batch {result.resumed_from_batch}"
-        )
-        print(
-            f"serve: {resumed}, {result.checkpoints_saved} checkpoint(s) saved, "
-            f"{result.checkpoint_failures} failed",
-            file=sys.stderr,
-        )
-
-    digest = (
-        verdicts_digest(result.verdicts) if args.verify_batch or args.json else None
-    )
-    if args.verify_batch:
-        batch_verdicts = detector.classify_table(table, workers=1)
-        if digest != verdicts_digest(batch_verdicts):
-            print(
-                "serve: FAIL — gateway verdicts diverge from the batch pipeline",
-                file=sys.stderr,
-            )
-            return 1
-        print("serve: verdicts byte-identical to batch pipeline", file=sys.stderr)
-
-    summary = {
-        "rows": result.rows,
-        "batches": result.batches,
-        "batch_size": batch_size,
-        "serve_workers": result.workers,
-        "worker_rows": result.worker_rows,
-        "migrations": result.migrations,
-        "rules": len(detector.filter_list),
-        "rows_per_second": round(result.rows_per_second, 1),
-        **{name: round(value, 3) for name, value in quantiles.items()},
-        "refreshes": result.refreshes,
-        "verdicts": result.counts(),
-        "table_source": table_source,
-        "health": result.health,
-    }
-    if checkpointer is not None:
-        summary["checkpoints"] = _checkpoint_summary(result, bytes_before)
-    if args.json:
-        document = dict(summary)
-        document["seconds"] = round(result.seconds, 3)
-        document["batch_seconds"] = [round(value, 6) for value in result.batch_seconds]
-        document["verdicts_digest"] = digest
-        _attach_telemetry(document)
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        summary["saved_to"] = str(args.json)
-        print(f"serve: wrote {args.json}", file=sys.stderr)
     json.dump(summary, sys.stdout, indent=1, sort_keys=True)
     print()
     return 0
@@ -1009,6 +876,14 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 0 = frozen list)",
     )
     stream_group.add_argument(
+        "--refresh-days",
+        type=float,
+        default=0,
+        metavar="DAYS",
+        help="re-mine the filter list every N days of stream time and hot-swap "
+        "it (default 0 = frozen list; excludes --refresh-every)",
+    )
+    stream_group.add_argument(
         "--window",
         type=int,
         default=25_000,
@@ -1029,62 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_checkpoint_arguments(stream_group)
     stream_parser.set_defaults(func=_cmd_stream, parser=stream_parser)
-
-    serve_parser = subparsers.add_parser(
-        "serve", help="replay a corpus through the parallel detection gateway"
-    )
-    _add_corpus_arguments(serve_parser)
-    serve_group = serve_parser.add_argument_group("serve")
-    serve_group.add_argument(
-        "--serve-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parallel scoring workers behind the gateway (default 1); "
-        "verdicts are byte-identical for every worker count",
-    )
-    serve_group.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="ROWS",
-        help="micro-batch size of the replay (default 1024)",
-    )
-    serve_group.add_argument(
-        "--refresh-days",
-        type=float,
-        default=0,
-        metavar="DAYS",
-        help="re-mine the filter list every N days of stream time, on a "
-        "background worker off the scoring path (default 0 = frozen list)",
-    )
-    serve_group.add_argument(
-        "--window",
-        type=int,
-        default=25_000,
-        metavar="ROWS",
-        help="sliding window of ingested rows the refresher mines over (default 25000)",
-    )
-    serve_group.add_argument(
-        "--refresh-sync",
-        action="store_true",
-        help="mine refreshes inline at the due batch boundary instead of on "
-        "the background worker (the `repro stream` cadence)",
-    )
-    serve_group.add_argument(
-        "--verify-batch",
-        action="store_true",
-        help="also run the batch classification and assert the gateway "
-        "verdicts are byte-identical (requires a frozen list)",
-    )
-    serve_group.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="also write the full replay document (latencies, migrations, digest) as JSON",
-    )
-    _add_checkpoint_arguments(serve_group)
-    serve_parser.set_defaults(func=_cmd_serve, parser=serve_parser)
 
     bench_parser = subparsers.add_parser(
         "bench", help="measure serial vs. sharded corpus-build throughput"

@@ -677,11 +677,8 @@ def device_components(table: ColumnarTable) -> np.ndarray:
     shared cookies/addresses; rows with neither key become singleton
     components.  Labels are arbitrary but deterministic for a given table.
 
-    Both consumers of device-closure route through here: the sharded batch
-    classifier (:func:`partition_rows_by_device`, which packs components
-    onto a fixed number of shards) and the serving gateway's router
-    (:class:`repro.serve.DeviceRouter`, which pins each component's keys
-    to one worker).
+    The sharded batch classifier (:func:`partition_rows_by_device`, which
+    packs components onto a fixed number of shards) routes through here.
 
     The union-find runs over the table's ``int32`` cookie/address code
     columns offset into disjoint integer ranges — cookies ``[0, C)``,

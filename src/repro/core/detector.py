@@ -122,8 +122,8 @@ class FPInconsistent:
         classification, so they are shared by reference; the temporal
         detector is configuration *plus* per-device state, so the clone
         gets an empty copy.  Every concurrent consumer — classification
-        shards, the streaming :class:`~repro.stream.OnlineClassifier`, the
-        serving gateway's workers — classifies through one of these so
+        shards and the streaming :class:`~repro.stream.OnlineClassifier` —
+        classifies through one of these so
         that the fitted detector a caller hands in is never mutated and no
         temporal state leaks between streams.
         """

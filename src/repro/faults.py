@@ -1,7 +1,7 @@
 """Deterministic fault injection for the execution layer.
 
 A production detection pipeline must degrade gracefully — a crashed shard
-process, a worker exception mid-batch, a failed background re-mine or a
+process, a scoring exception mid-batch, a failed re-mine or a
 truncated archive write must never take the run down or corrupt its
 output.  The only way to trust those recovery paths is to exercise them
 systematically, so this module gives every resilient layer a **named
@@ -14,7 +14,7 @@ A plan is configured through ``REPRO_FAULTS`` as comma-separated
     REPRO_FAULTS="shard_run:raise:0.1,refresh_mine:raise:1,checkpoint_write:truncate:0.5"
 
 * **point** — one of :data:`FAULT_POINTS`; each call site documents its
-  own key scheme (shard index + attempt, batch + worker + attempt, …).
+  own key scheme (shard index + attempt, batch + attempt, …).
 * **mode** — ``raise`` (raise :class:`InjectedFault`), ``kill``
   (``os._exit`` the worker process — only honoured where the call site
   marks a kill as survivable, i.e. inside a process-pool worker;
@@ -51,8 +51,8 @@ FAULTS_SEED_ENV_VAR = "REPRO_FAULTS_SEED"
 #: call sites and key schemes).
 FAULT_POINTS = (
     "shard_run",        # analysis.engine.map_shards worker execution
-    "worker_classify",  # serve.gateway per-worker batch scoring
-    "refresh_mine",     # stream.refresh mining (gateway background/sync)
+    "worker_classify",  # stream.replay supervised batch scoring
+    "refresh_mine",     # stream.refresh filter-list re-mining
     "checkpoint_write", # stream.checkpoint segment and snapshot writes
     "cache_write",      # analysis.cache columnar-archive writes
 )

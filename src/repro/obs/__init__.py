@@ -26,7 +26,7 @@ overhead budget is measured and gated by
 
 A few counters are *always on* regardless of the switch: they back
 pre-existing public accessors (``materialized_record_count()``,
-``CorpusEngine.last_plan["faults"]``, ``GatewayHealth``) that must keep
+``CorpusEngine.last_plan["faults"]``, ``StreamHealth``) that must keep
 answering even in untraced runs.  The registry is their single source
 of truth; the old accessors remain as back-compat reads.
 

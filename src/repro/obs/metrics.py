@@ -6,7 +6,7 @@ Design rules, in the spirit of :mod:`repro.faults`:
   enabled is a single cached environment lookup; a disabled gated
   instrument returns after one method call.
 - **One source of truth.**  Pre-existing ad-hoc counters
-  (``materialized_record_count()``, shard fault stats, gateway health)
+  (``materialized_record_count()``, shard fault stats, stream health)
   are registered with ``always=True`` so they count in untraced runs
   too; their legacy accessors read back through the registry.
 - **Labels are kwargs.**  ``c.inc(2, status="hit")`` records into the

@@ -3,7 +3,7 @@
 Every other layer of the reproduction is batch-only — verdicts exist once
 a whole corpus has been assembled and mined.  This package turns the
 detection stack into a *servable* engine that scores requests as they
-arrive, in four pieces:
+arrive, in five pieces:
 
 * :class:`~repro.stream.ingest.StreamIngestor` — encodes arriving
   micro-batches (record objects or ``RecordColumns`` row slices) against a
@@ -13,9 +13,12 @@ arrive, in four pieces:
   (cross-batch :class:`~repro.core.temporal.TemporalStreamState`);
 * :class:`~repro.stream.refresh.FilterListRefresher` — periodic re-mining
   over a sliding window of ingested rows, hot-swapped at batch boundaries;
-* :class:`~repro.stream.replay.ReplayDriver` — replays any cached corpus
-  through the stream in timestamp order; with a frozen filter list the
-  verdicts are identical to the batch pipeline's (the subsystem's oracle);
+* :class:`~repro.stream.replay.ReplayDriver` — the one online engine:
+  replays any cached corpus through the stream in timestamp order, with
+  supervised scoring and refresh recorded in a
+  :class:`~repro.stream.replay.StreamHealth` report; with a frozen filter
+  list the verdicts are identical to the batch pipeline's (the
+  subsystem's oracle);
 * :class:`~repro.stream.checkpoint.StreamCheckpointer` — periodic
   incremental, crash-safe saves of the online state (append-only delta
   segments plus one small snapshot, no pickle), so an interrupted replay
@@ -32,9 +35,11 @@ from repro.stream.ingest import StreamIngestor
 from repro.stream.refresh import FilterListRefresher
 from repro.stream.replay import (
     DEFAULT_BATCH_SIZE,
+    WORKER_ATTEMPTS,
     ArrivalStream,
     ReplayDriver,
     ReplayResult,
+    StreamHealth,
     verdicts_digest,
     verdicts_to_jsonable,
 )
@@ -48,7 +53,9 @@ __all__ = [
     "ReplayDriver",
     "ReplayResult",
     "StreamCheckpointer",
+    "StreamHealth",
     "StreamIngestor",
+    "WORKER_ATTEMPTS",
     "verdicts_digest",
     "verdicts_to_jsonable",
 ]

@@ -1,12 +1,12 @@
 """Incremental, crash-safe checkpoint/restore for stream replays.
 
-A killed ``repro stream``/``repro serve`` process would otherwise lose the
-whole online state — ingest vocabulary, per-visitor temporal seen-state,
-the deployed filter list, the emitted verdicts and the stream cursor — and
-have to replay from row zero.  This module persists that state
+A killed ``repro stream`` process would otherwise lose the whole online
+state — ingest vocabulary, per-visitor temporal seen-state, the deployed
+filter list, the emitted verdicts and the stream cursor — and have to
+replay from row zero.  This module persists that state
 periodically so a restarted replay continues from the last published save
 and produces verdicts byte-identical to an uninterrupted run
-(``tests/test_checkpoint.py`` pins it for both replay drivers).
+(``tests/test_checkpoint.py`` pins it).
 
 A checkpoint is a directory of two kinds of file:
 
@@ -14,19 +14,20 @@ A checkpoint is a directory of two kinds of file:
   append-only sequence, one per published save, each holding only what
   the structures that only ever grow gained since the previous save: new
   vocabulary entries, new temporal seen-state values (as codes against
-  the vocabulary), new router pins, new rules, and the new verdicts as
-  columns (request id, rule index, temporal flags);
+  the vocabulary), new rules, and the new verdicts as columns (request
+  id, rule index, temporal flags);
 * **the snapshot** (``stream_checkpoint``) — one small file, atomically
   replaced, that lists the valid segments with their sha256 and carries
-  the bounded state: cursor and counters, the deployed filter list(s) as
+  the bounded state: cursor and counters, the deployed filter list as
   indices into the segments' rule table, the refresher window and
-  schedule clock, the hot-swap history and the gateway's health.
+  schedule clock, the hot-swap history and the replay's health report.
 
 Each segment is an ``.npz`` (numeric columns plus a JSON ``meta`` member);
 the snapshot is the same, behind a ``RPCK | version | sha256`` header.
 Loading uses ``np.load(..., allow_pickle=False)`` and ``json`` only —
-reading a checkpoint never executes code.  Version 1 checkpoints (a
-pickled state blob) are refused unread.
+reading a checkpoint never executes code.  Older versions — 1 (a pickled
+state blob) and 2 (per-worker classifiers and router pins) — are refused
+unread, so a resume replays from the start.
 
 Every file write is crash-safe: bytes land in a same-directory temporary
 file, are fsynced, atomically renamed into place and the directory is
@@ -75,9 +76,10 @@ logger = logging.getLogger("repro.stream")
 #: Leading magic bytes of a snapshot file.
 CHECKPOINT_MAGIC = b"RPCK"
 
-#: Current checkpoint format version.  Version 1 (a pickled state blob)
-#: is refused unread; newer versions refuse to load.
-CHECKPOINT_VERSION = 2
+#: Current checkpoint format version.  Older versions are refused unread
+#: (1 was a pickled state blob, 2 carried per-worker classifiers and
+#: router pins); newer versions refuse to load.
+CHECKPOINT_VERSION = 3
 
 #: The published snapshot inside a checkpoint directory (atomic replace
 #: keeps exactly one valid snapshot at all times).
@@ -211,8 +213,9 @@ def read_checkpoint(path) -> Tuple[Dict, Dict[str, np.ndarray]]:
     """Load and validate a snapshot written by :func:`write_checkpoint`.
 
     Returns ``(meta, arrays)``.  Raises :class:`CheckpointError` for
-    anything untrustworthy: a non-checkpoint file, a version-1 (pickle)
-    checkpoint, a newer format, or a checksum mismatch (torn or tampered).
+    anything untrustworthy: a non-checkpoint file, an older format (the
+    payload is never decoded), a newer format, or a checksum mismatch
+    (torn or tampered).
     """
 
     path = Path(path)
@@ -224,9 +227,10 @@ def read_checkpoint(path) -> Tuple[Dict, Dict[str, np.ndarray]]:
         raise CheckpointError(f"{path} is not a stream checkpoint")
     version = int.from_bytes(blob[len(CHECKPOINT_MAGIC) : len(CHECKPOINT_MAGIC) + 4], "big")
     if version < CHECKPOINT_VERSION:
+        layout = "a pickled state blob" if version == 1 else "an older layout"
         raise CheckpointError(
-            f"checkpoint {path} has format version {version} (a pickled state "
-            "blob), which this build no longer reads"
+            f"checkpoint {path} has format version {version} ({layout}), "
+            "which this build no longer reads"
         )
     if version > CHECKPOINT_VERSION:
         raise CheckpointError(
@@ -260,14 +264,11 @@ def _rule_key(rule: InconsistencyRule) -> Tuple:
 
 
 class _SeenMark:
-    """High-water mark of one worker's temporal seen-state.
+    """High-water mark of the classifier's temporal seen-state.
 
     Holds the keys and value dicts already written, in dict order, and
     each one's value count at that save.  Keys are only ever appended to
-    a seen-state, except that a gateway migration pops a key off its
-    source worker (and re-inserts it elsewhere as a new tuple).  A pop
-    shifts every later key down, so the object at the mark's last
-    position changes — and the mark no longer holds.
+    a seen-state, so the entries past the mark are the new keys.
     """
 
     __slots__ = ("seen", "keys", "values", "lengths")
@@ -282,29 +283,26 @@ class _SeenMark:
         """``(keys, values, commit)`` for the entries new or grown since the mark.
 
         ``commit()`` returns the mark to keep after a published save.
-        When the mark does not hold, every entry counts as new: the
-        worker's whole state is rewritten once, which folding (a set
-        union) absorbs.
+        For a seen-state the mark has not covered yet, every entry counts
+        as new.
         """
 
         known = len(self.keys)
         if self.seen is seen and known:
-            tail = list(islice(seen, known - 1, None))
-            if tail and tail[0] is self.keys[-1]:
-                lengths = np.fromiter(map(len, self.values), dtype=np.int64, count=known)
-                grown = np.flatnonzero(lengths != self.lengths).tolist()
-                new_keys = tail[1:]
-                new_values = list(islice(seen.values(), known, None))
+            lengths = np.fromiter(map(len, self.values), dtype=np.int64, count=known)
+            grown = np.flatnonzero(lengths != self.lengths).tolist()
+            new_keys = list(islice(seen, known, None))
+            new_values = list(islice(seen.values(), known, None))
 
-                def commit() -> "_SeenMark":
-                    self.lengths = lengths
-                    return self.extend(new_keys, new_values)
+            def commit() -> "_SeenMark":
+                self.lengths = lengths
+                return self.extend(new_keys, new_values)
 
-                return (
-                    [self.keys[offset] for offset in grown] + new_keys,
-                    [self.values[offset] for offset in grown] + new_values,
-                    commit,
-                )
+            return (
+                [self.keys[offset] for offset in grown] + new_keys,
+                [self.values[offset] for offset in grown] + new_values,
+                commit,
+            )
         keys, values = list(seen), list(seen.values())
         return keys, values, lambda: _SeenMark(seen).extend(keys, values)
 
@@ -368,17 +366,16 @@ class StreamCheckpointer:
 
     * ``batch_size``, ``rows_total``, ``cursor_rows``, ``batches``: ints;
     * ``ingest``: :meth:`StreamIngestor.export_state` (live vocabulary);
-    * ``classifiers``: the :class:`OnlineClassifier` workers, in order;
+    * ``classifier``: the :class:`OnlineClassifier`;
     * ``refresher``: :meth:`FilterListRefresher.export_state` or ``None``;
     * ``refreshes``: the hot-swap history (JSON-able dicts);
+    * ``health``: the JSON-able :class:`StreamHealth` report;
     * ``verdicts``: the emitted verdicts, an insertion-ordered dict that
-      only grows;
-    * ``router`` (gateway only): :meth:`DeviceRouter.export_state`;
-    * ``gateway`` (gateway only): a JSON-able dict of gateway counters.
+      only grows.
 
-    :meth:`load` returns the same keys with restored values: ``ingest``,
-    ``refresher`` and ``router`` in their ``restore_state`` shapes,
-    ``classifiers`` as :meth:`OnlineClassifier.restore` keyword dicts and
+    :meth:`load` returns the same keys with restored values: ``ingest``
+    and ``refresher`` in their ``restore_state`` shapes, ``classifier``
+    as :meth:`OnlineClassifier.restore` keyword arguments and
     ``verdicts`` as a fresh dict.
     """
 
@@ -397,8 +394,7 @@ class StreamCheckpointer:
         self._vocab_marks: List[int] = []
         self._rule_ids: Dict[Tuple, int] = {}
         self._verdict_mark = 0
-        self._seen_marks: List[_SeenMark] = []
-        self._pin_workers = np.empty(0, dtype=np.int64)
+        self._seen_mark: Optional[_SeenMark] = None
         for gauge in (_LAST_SAVE_BYTES, _MAX_SAVE_BYTES, _SEGMENTS, _AGE_BATCHES):
             gauge.set(0)
 
@@ -411,8 +407,8 @@ class StreamCheckpointer:
     def due(self, batches_done: int) -> bool:
         """Whether a snapshot is due after *batches_done* scored batches.
 
-        Called once per scored batch by both drivers, so it also keeps
-        the checkpoint-age gauge current.
+        Called once per scored batch by the driver, so it also keeps the
+        checkpoint-age gauge current.
         """
 
         _AGE_BATCHES.set(batches_done - self._last_good_batch)
@@ -548,43 +544,18 @@ class StreamCheckpointer:
         # Temporal seen-state: every key that is new or grew since the
         # last save, with its full value list (folding is a set union, so
         # re-writing a known prefix is harmless).
-        seen_commits = []
-        entries: List[Tuple] = []
-        entry_values: List[Dict] = []
-        for worker, classifier in enumerate(state["classifiers"]):
-            seen = classifier.temporal_state.seen
-            mark = self._seen_marks[worker] if worker < len(self._seen_marks) else None
-            keys, values, commit_seen = (mark or _SeenMark(seen)).delta(seen)
-            entries += keys
-            entry_values += values
-            seen_commits.append(commit_seen)
+        classifier = state["classifier"]
+        seen = classifier.temporal_state.seen
+        entries, entry_values, commit_seen = (self._seen_mark or _SeenMark(seen)).delta(seen)
         segment_arrays.update(
             _encode_seen(entries, entry_values, attributes, value_indexes, key_indexes)
         )
 
-        # Router pins (gateway): new keys, plus pins a migration moved.
-        router = state.get("router")
-        pin_workers = self._pin_workers
-        if router is not None:
-            pins = router["pins"]
-            pin_workers = np.fromiter(pins.values(), dtype=np.int64, count=len(pins))
-            known = self._pin_workers.size
-            moved = np.flatnonzero(pin_workers[:known] != self._pin_workers)
-            new_keys = list(islice(pins, known, None))
-            segment_meta["pin_keys"] = [key for _kind, key in new_keys]
-            segment_arrays["pin_kinds"] = _pack_ints([_KIND_CODES[kind] for kind, _ in new_keys])
-            segment_arrays["pin_workers"] = _pack_ints(pin_workers[known:])
-            segment_arrays["pin_moved"] = _pack_ints(moved)
-            segment_arrays["pin_moved_workers"] = _pack_ints(pin_workers[moved])
-
-        classifiers = [
-            {
-                "filter_list": [rule_index(rule) for rule in classifier.filter_list],
-                "rows_scored": classifier.rows_scored,
-                "swaps": classifier.swaps,
-            }
-            for classifier in state["classifiers"]
-        ]
+        classifier_meta = {
+            "filter_list": [rule_index(rule) for rule in classifier.filter_list],
+            "rows_scored": classifier.rows_scored,
+            "swaps": classifier.swaps,
+        }
         segment_meta["rules"] = [key[0].to_dict() for key in new_rules]
 
         snapshot_meta = {
@@ -598,11 +569,10 @@ class StreamCheckpointer:
                 "rows_ingested": int(ingest["rows_ingested"]),
                 "batches_emitted": int(ingest["batches_emitted"]),
             },
-            "classifiers": classifiers,
+            "classifier": classifier_meta,
             "refreshes": state["refreshes"],
+            "health": state["health"],
             "refresher": None,
-            "router": None,
-            "gateway": state.get("gateway"),
         }
         snapshot_arrays: Dict[str, np.ndarray] = {}
         refresher = state.get("refresher")
@@ -618,19 +588,12 @@ class StreamCheckpointer:
                 snapshot_arrays["window"] = np.column_stack(
                     [_pack_ints(column) for column in window.values()]
                 )
-        if router is not None:
-            snapshot_meta["router"] = {
-                "workers": int(router["workers"]),
-                "loads": [int(load) for load in router["loads"]],
-                "keyless_cursor": int(router["keyless_cursor"]),
-            }
 
         def commit() -> None:
             self._vocab_marks = vocab_marks
             rule_ids.update(new_rules)
             self._verdict_mark = len(verdicts)
-            self._seen_marks = [commit_seen() for commit_seen in seen_commits]
-            self._pin_workers = pin_workers
+            self._seen_mark = commit_seen()
 
         return segment_meta, segment_arrays, snapshot_meta, snapshot_arrays, commit
 
@@ -641,7 +604,7 @@ class StreamCheckpointer:
 
         Raises :class:`CheckpointError` when a snapshot exists but cannot
         be trusted — a torn or tampered snapshot, a listed segment that is
-        missing or fails its sha256, or a version-1 (pickle) file.  On
+        missing or fails its sha256, or an older format version.  On
         success the checkpointer adopts the loaded high-water marks, so
         the next save appends to the same segment sequence.
         """
@@ -664,8 +627,8 @@ class StreamCheckpointer:
         key_values = (vocabulary[-2], vocabulary[-1])
         rules: List[InconsistencyRule] = []
         verdicts: Dict[int, InconsistencyVerdict] = {}
-        seen: Dict[Tuple, Dict] = {}
-        pins: Dict[Tuple[str, str], int] = {}
+        temporal_state = TemporalStreamState()
+        seen = temporal_state.seen
         for entry in meta["segments"]:
             segment_meta, segment = self._read_segment(entry)
             for values, new in zip(vocabulary, segment_meta["vocabulary"]):
@@ -673,41 +636,14 @@ class StreamCheckpointer:
             rules.extend(InconsistencyRule.from_dict(rule) for rule in segment_meta["rules"])
             self._fold_verdicts(segment, attributes, vocabulary, key_values, rules, verdicts)
             self._fold_seen(segment, attributes, vocabulary, key_values, seen)
-            if "pin_keys" in segment_meta:
-                order = list(pins)
-                for moved, worker in zip(
-                    _unpack_ints(segment["pin_moved"]).tolist(),
-                    _unpack_ints(segment["pin_moved_workers"]).tolist(),
-                ):
-                    pins[order[moved]] = worker
-                kinds = _unpack_ints(segment["pin_kinds"]).tolist()
-                workers = _unpack_ints(segment["pin_workers"]).tolist()
-                for kind, key, worker in zip(kinds, segment_meta["pin_keys"], workers):
-                    pins[(_KINDS[kind], key)] = worker
 
-        # One TemporalStreamState per worker; a key's state lives on the
-        # worker its device key is pinned to (a single worker holds all).
-        n_workers = len(meta["classifiers"])
-        states = [TemporalStreamState() for _ in range(n_workers)]
-        for state_key, values in seen.items():
-            owner = 0 if n_workers == 1 else pins.get(state_key[:2])
-            if owner is None:
-                raise CheckpointError(f"checkpointed state key {state_key[:2]} has no router pin")
-            states[owner].seen[state_key] = values
-        filter_lists: Dict[Tuple[int, ...], FilterList] = {}
-        classifiers = []
-        for entry, temporal_state in zip(meta["classifiers"], states):
-            indices = tuple(entry["filter_list"])
-            if indices not in filter_lists:
-                filter_lists[indices] = FilterList(rules[index] for index in indices)
-            classifiers.append(
-                {
-                    "filter_list": filter_lists[indices],
-                    "temporal_state": temporal_state,
-                    "rows_scored": int(entry["rows_scored"]),
-                    "swaps": int(entry["swaps"]),
-                }
-            )
+        classifier_meta = meta["classifier"]
+        classifier = {
+            "filter_list": FilterList(rules[index] for index in classifier_meta["filter_list"]),
+            "temporal_state": temporal_state,
+            "rows_scored": int(classifier_meta["rows_scored"]),
+            "swaps": int(classifier_meta["swaps"]),
+        }
 
         refresher = meta["refresher"]
         if refresher is not None:
@@ -718,9 +654,6 @@ class StreamCheckpointer:
                 Attribute(name): np.ascontiguousarray(window[:, column])
                 for column, name in enumerate(names)
             }
-        router = meta["router"]
-        if router is not None:
-            router = dict(router, pins=pins)
 
         # Adopt the marks of the folded state: the next save appends.
         self._segments = list(meta["segments"])
@@ -730,11 +663,7 @@ class StreamCheckpointer:
         for index, rule in enumerate(rules):
             self._rule_ids.setdefault(_rule_key(rule), index)
         self._verdict_mark = len(verdicts)
-        self._seen_marks = [
-            _SeenMark(state.seen).extend(list(state.seen), list(state.seen.values()))
-            for state in states
-        ]
-        self._pin_workers = np.fromiter(pins.values(), dtype=np.int64, count=len(pins))
+        self._seen_mark = _SeenMark(seen).extend(list(seen), list(seen.values()))
         _SEGMENTS.set(len(self._segments))
 
         return {
@@ -749,12 +678,11 @@ class StreamCheckpointer:
                 "ip_values": key_values[1],
                 **meta["ingest"],
             },
-            "classifiers": classifiers,
+            "classifier": classifier,
             "refresher": refresher,
             "refreshes": meta["refreshes"],
+            "health": meta["health"],
             "verdicts": verdicts,
-            "router": router,
-            "gateway": meta["gateway"],
         }
 
     def _read_segment(self, entry: Dict) -> Tuple[Dict, Dict[str, np.ndarray]]:

@@ -108,10 +108,10 @@ class OnlineClassifier:
     ) -> "OnlineClassifier":
         """Adopt state carried over from a failed or checkpointed stream.
 
-        The gateway's supervision path rebuilds a crashed worker as a
-        fresh classifier and hands it the failed worker's deployed filter
-        list, cross-batch seen-state and counters; the checkpoint restore
-        path does the same from a snapshot.  Unlike
+        The replay driver's supervision path rebuilds a failed classifier
+        as a fresh one and hands it the failed one's deployed filter list,
+        cross-batch seen-state and counters; the checkpoint restore path
+        does the same from a snapshot.  Unlike
         :meth:`swap_filter_list` this does not count as a hot-swap — the
         restored stream continues exactly where the original stood.
         Returns ``self`` for chaining.

@@ -17,8 +17,7 @@ knob:
 * ``interval_days`` — every N days of **stream time** (batch timestamps
   are seconds since campaign start), which models filter-list staleness
   faithfully: a deployment re-mines on wall-clock cadence, not on a
-  traffic-volume-dependent batch count.  The serving gateway
-  (``repro serve --refresh-days``) uses this mode.
+  traffic-volume-dependent batch count (``repro stream --refresh-days``).
 
 Mining over window columns encoded in the stream's global vocabulary is
 equivalent to mining a fresh extraction of the same rows: co-occurrence
@@ -27,13 +26,13 @@ counts are code-numbering-independent, and
 dictionaries in window-row first-occurrence order either way
 (``tests/test_stream.py`` pins the equivalence).
 
-Synchronous callers drive the refresher with
-:meth:`FilterListRefresher.maybe_refresh` (observe → due-check → mine in
-one call, as :class:`~repro.stream.replay.ReplayDriver` does).  The
-serving gateway mines **off the scoring path** instead: it calls
-:meth:`poll_due` after each observed batch, snapshots
-:meth:`window_table`, and runs :meth:`mine` on a background worker,
-hot-swapping the result at a later batch boundary.
+The :class:`~repro.stream.replay.ReplayDriver` calls
+:meth:`FilterListRefresher.maybe_refresh` after each observed batch.  A
+re-mine that raises is rescheduled: the next attempt comes
+:data:`REFRESH_BACKOFF_BASE_BATCHES` batches later, the delay doubling
+per consecutive failure up to :data:`REFRESH_BACKOFF_CAP_BATCHES`, while
+the stream keeps scoring with the deployed list.  The retry schedule is
+part of the refresher's checkpointed state.
 """
 
 from __future__ import annotations
@@ -42,11 +41,17 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro import obs
+from repro import faults, obs
 from repro.core.columnar import ColumnarTable
 from repro.core.rules import FilterList
 from repro.core.spatial import SpatialInconsistencyMiner
 from repro.honeysite.storage import SECONDS_PER_DAY
+
+#: Failed-re-mine retry backoff, in observed batches: the first retry
+#: comes one batch later, then the delay doubles per consecutive failure
+#: up to the cap, and resets on the next successful re-mine.
+REFRESH_BACKOFF_BASE_BATCHES = 1
+REFRESH_BACKOFF_CAP_BATCHES = 64
 
 _WINDOW_ROWS = obs.gauge(
     "repro_stream_window_rows", "Rows currently retained in the refresh window."
@@ -104,6 +109,10 @@ class FilterListRefresher:
         #: stream-clock bookkeeping (``interval_days`` mode only)
         self._latest_ts: Optional[float] = None
         self._next_due_ts: Optional[float] = None
+        #: failed-re-mine retry schedule (see :meth:`maybe_refresh`)
+        self._attempts = 0
+        self._retry_at: Optional[int] = None
+        self._backoff = REFRESH_BACKOFF_BASE_BATCHES
 
     @property
     def rows_in_window(self) -> int:
@@ -128,7 +137,8 @@ class FilterListRefresher:
     # -- checkpointing ---------------------------------------------------------
 
     def export_state(self) -> Dict:
-        """The refresher's durable state: the window and the schedule clock.
+        """The refresher's durable state: the window, the schedule clock and
+        the failed-re-mine retry schedule.
 
         ``window`` maps each attribute to the retained rows' codes, oldest
         first — one fresh concatenation, so it stays valid while later
@@ -150,6 +160,9 @@ class FilterListRefresher:
             "batches_seen": self._batches_seen,
             "latest_ts": self._latest_ts,
             "next_due_ts": self._next_due_ts,
+            "attempts": self._attempts,
+            "retry_at": self._retry_at,
+            "backoff": self._backoff,
         }
 
     def restore_state(self, state: Dict) -> None:
@@ -165,6 +178,9 @@ class FilterListRefresher:
         self._batches_seen = int(state["batches_seen"])
         self._latest_ts = state["latest_ts"]
         self._next_due_ts = state["next_due_ts"]
+        self._attempts = int(state["attempts"])
+        self._retry_at = state["retry_at"]
+        self._backoff = int(state["backoff"])
         self._template = None
 
     def observe_batch(self, batch: ColumnarTable) -> None:
@@ -218,9 +234,7 @@ class FilterListRefresher:
 
         Columns are concatenations of the retained batch slices; decode
         lists are the ingestor's live vocabulary.  No request metadata —
-        mining never reads it.  The concatenated arrays are fresh copies,
-        so the snapshot stays valid while later batches keep arriving —
-        which is what lets the gateway mine it on a background worker.
+        mining never reads it.
         """
 
         if not self._recent:
@@ -254,12 +268,7 @@ class FilterListRefresher:
         return False
 
     def mine(self, table: ColumnarTable) -> FilterList:
-        """Mine a filter list over *table* with this refresher's miner knobs.
-
-        Split out from :meth:`refresh` so a caller can snapshot
-        :meth:`window_table` on the scoring path and run the expensive
-        mining elsewhere (the serving gateway's background refresh worker).
-        """
+        """Mine a filter list over *table* with this refresher's miner knobs."""
 
         with obs.tracer().span(
             "stream.refresh_mine", rows=table.n_rows, workers=self._workers
@@ -276,15 +285,32 @@ class FilterListRefresher:
         return self.mine(self.window_table())
 
     def maybe_refresh(self) -> Optional[FilterList]:
-        """A fresh list when a refresh interval just completed, else ``None``.
+        """A fresh list when a refresh is due, else ``None``.
 
         Call once per batch, after :meth:`observe_batch`; the driver swaps
-        the returned list into the classifier before the next batch.  This
-        mines synchronously, on the calling thread — the replay driver's
-        cadence.  The serving gateway uses :meth:`poll_due` +
-        :meth:`mine` instead to keep mining off the scoring path.
+        the returned list into the classifier before the next batch.  A
+        refresh is due when an interval just completed or a failed
+        re-mine's retry comes up.  :meth:`poll_due` runs every batch, even
+        while a retry is pending, so the days-mode schedule consumes its
+        triggers exactly as in a failure-free run.
+
+        A failed re-mine (the ``refresh_mine`` fault point, keyed
+        ``d<stream day>:r<attempt>``, fires first) re-raises after
+        scheduling the retry; the caller keeps its deployed list.
         """
 
-        if self.poll_due():
-            return self.refresh()
-        return None
+        due = self.poll_due()
+        if not due and (self._retry_at is None or self._batches_seen < self._retry_at):
+            return None
+        self._retry_at = None
+        key = f"d{self.stream_day}:r{self._attempts}"
+        self._attempts += 1
+        try:
+            faults.check("refresh_mine", key)
+            filter_list = self.refresh()
+        except Exception:
+            self._retry_at = self._batches_seen + self._backoff
+            self._backoff = min(self._backoff * 2, REFRESH_BACKOFF_CAP_BATCHES)
+            raise
+        self._backoff = REFRESH_BACKOFF_BASE_BATCHES
+        return filter_list

@@ -1,4 +1,4 @@
-"""Corpus replay through the streaming subsystem.
+"""Corpus replay through the streaming subsystem — the one online engine.
 
 The :class:`ReplayDriver` feeds any request store — object-backed or
 columnar/lazy — through the online pipeline in timestamp order:
@@ -14,6 +14,11 @@ verdicts identical — byte-identical once serialised — to one batch
 :meth:`FPInconsistent.classify_table` over the whole store, for any batch
 size.  That is what makes the streaming subsystem a servable engine rather
 than an approximation: going online costs nothing in detection quality.
+
+Scoring is supervised: a batch whose classification raises is retried on
+a rebuilt classifier (state carried over) up to :data:`WORKER_ATTEMPTS`
+times, then dead-lettered; a re-mine that raises keeps the deployed list.
+Every recovery action is recorded in the replay's :class:`StreamHealth`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro import obs
+from repro import faults, obs
 from repro.core.columnar import ColumnarTable
 from repro.core.detector import FPInconsistent, InconsistencyVerdict
 from repro.honeysite.storage import LazyRequestStore, RequestStore
@@ -41,26 +46,112 @@ logger = logging.getLogger("repro.stream")
 #: Default micro-batch size of the replay driver and the CLI.
 DEFAULT_BATCH_SIZE = 1024
 
+#: Classification attempts per batch.  Each failed attempt rebuilds the
+#: classifier; a batch still failing after the budget is dead-lettered
+#: (recorded in :class:`StreamHealth`, absent from the verdicts) instead
+#: of taking the stream down.
+WORKER_ATTEMPTS = 3
+
 #: Per-batch wall-clock by stage (``ingest``/``classify``/``refresh``)
-#: plus the end-to-end ``total``.  Shared with the serving gateway's
-#: replay driver, whose batches run the same stages.
+#: plus the end-to-end ``total``.
 _BATCH_SECONDS = obs.histogram(
     "repro_stream_batch_seconds",
     "Per-batch latency in seconds, by stage (ingest, classify, refresh, total).",
 )
 
+#: Registry mirrors of :class:`StreamHealth`.  The incident counters are
+#: always on — health stays answerable in untraced runs, and the registry
+#: is the cumulative source of truth across every replay in the process
+#: (the per-replay ``health`` object keeps the detail: which rows were
+#: dead-lettered, the last error).  Restoring a checkpoint does *not*
+#: re-count: only live record_* events increment.
+_CLASSIFY_FAILURES = obs.counter(
+    "repro_stream_classify_failures_total",
+    "Supervised batch classifications that raised.",
+    always=True,
+)
+_CLASSIFIER_REBUILDS = obs.counter(
+    "repro_stream_classifier_rebuilds_total",
+    "Online classifiers rebuilt after a failure.",
+    always=True,
+)
+_DEAD_LETTERS = obs.counter(
+    "repro_stream_dead_letters_total",
+    "Batches dead-lettered after exhausting the attempt budget.",
+    always=True,
+)
+_REFRESH_FAILURES = obs.counter(
+    "repro_stream_refresh_failures_total",
+    "Failed filter-list re-mines.",
+    always=True,
+)
+
+
+@dataclass
+class StreamHealth:
+    """Incident report of one replay's supervised execution.
+
+    Every recovery action leaves a trace here: failed classification
+    attempts, how many classifiers were rebuilt, which batches were
+    dead-lettered after exhausting their attempt budget (batch index and
+    request ids) and how many re-mines failed.  A clean run is all zeros —
+    the CI fault smoke asserts the *non*-zero counters under an injected
+    fault plan.
+    """
+
+    classify_failures: int = 0
+    classifier_rebuilds: int = 0
+    dead_letters: List[Dict] = field(default_factory=list)
+    refresh_failures: int = 0
+    last_error: Optional[str] = None
+
+    def record_classify_failure(self, exc: BaseException) -> None:
+        self.classify_failures += 1
+        self.last_error = f"classify: {exc}"
+        _CLASSIFY_FAILURES.inc()
+
+    def record_classifier_rebuild(self) -> None:
+        self.classifier_rebuilds += 1
+        _CLASSIFIER_REBUILDS.inc()
+
+    def record_dead_letter(self, *, batch: int, rows: List[int]) -> None:
+        self.dead_letters.append({"batch": batch, "rows": rows})
+        _DEAD_LETTERS.inc()
+
+    def record_refresh_failure(self, exc: BaseException) -> None:
+        self.refresh_failures += 1
+        self.last_error = f"refresh: {exc}"
+        _REFRESH_FAILURES.inc()
+
+    def to_dict(self) -> Dict:
+        """JSON-ready summary (the CLI and checkpoints embed it)."""
+
+        return {
+            "classify_failures": self.classify_failures,
+            "classifier_rebuilds": self.classifier_rebuilds,
+            "dead_letters": [dict(entry) for entry in self.dead_letters],
+            "refresh_failures": self.refresh_failures,
+            "last_error": self.last_error,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "StreamHealth":
+        return cls(
+            classify_failures=int(data["classify_failures"]),
+            classifier_rebuilds=int(data["classifier_rebuilds"]),
+            dead_letters=[dict(entry) for entry in data["dead_letters"]],
+            refresh_failures=int(data["refresh_failures"]),
+            last_error=data["last_error"],
+        )
+
 
 class ArrivalStream:
     """A request store viewed in arrival (stable timestamp) order.
 
-    Both replay front-ends — the single-stream :class:`ReplayDriver` and
-    the parallel gateway's :class:`~repro.serve.GatewayReplayDriver` —
-    present a store to the online pipeline the same way: rows sorted by
-    timestamp (stable, so equal timestamps keep store order), sliced into
-    micro-batches.  This helper owns that ordering once.  A
-    :class:`LazyRequestStore` is replayed straight from its record columns
-    (no record object is materialised); an object store feeds record
-    micro-batches.
+    Rows are sorted by timestamp (stable, so equal timestamps keep store
+    order) and sliced into micro-batches.  A :class:`LazyRequestStore` is
+    replayed straight from its record columns (no record object is
+    materialised); an object store feeds record micro-batches.
 
     The columns may be read-only memmaps over the cached ``.npz`` archive
     (a warm ``REPRO_CORPUS_MMAP`` hit): the argsort and every batch take
@@ -87,34 +178,33 @@ class ArrivalStream:
             return ingestor.ingest_rows(self._columns, self._order[start : start + size])
         return ingestor.ingest_records(self._records[start : start + size])
 
-    def submit(self, gateway, start: int, size: int) -> Dict[int, InconsistencyVerdict]:
-        """Feed arrival rows ``[start, start + size)`` into a gateway."""
-
-        if self._records is None:
-            return gateway.submit_rows(self._columns, self._order[start : start + size])
-        return gateway.submit_records(self._records[start : start + size])
-
 
 @dataclass
 class ReplayResult:
     """Everything one replay produced."""
 
     verdicts: Dict[int, InconsistencyVerdict]
-    #: rows scored by this invocation (a resumed run excludes the rows
-    #: its checkpoint already covered)
+    #: rows that received a verdict in this invocation (a resumed run
+    #: excludes the rows its checkpoint already covered; dead-lettered
+    #: rows are not counted)
     rows: int
     #: batches scored in the whole stream so far, resumed ones included
     batches: int
     seconds: float
     #: wall-clock seconds per scored batch (ingest + classify), in order
     batch_seconds: List[float] = field(default_factory=list)
-    #: one entry per filter-list hot-swap: {"batch", "rules"}
+    #: one entry per filter-list hot-swap: ``batch`` is the 0-based index
+    #: of the first batch scored with the new list, ``rules`` its size,
+    #: and ``stream_day`` the stream day it was mined on (day-driven
+    #: refresh only)
     refreshes: List[Dict] = field(default_factory=list)
     #: snapshots published / failed attempts (0 without a checkpointer)
     checkpoints_saved: int = 0
     checkpoint_failures: int = 0
     #: the batch index this run resumed from (``None`` for a fresh run)
     resumed_from_batch: Optional[int] = None
+    #: the supervision incident report (carried over on resume)
+    health: StreamHealth = field(default_factory=StreamHealth)
 
     @property
     def rows_per_second(self) -> float:
@@ -161,14 +251,13 @@ class ReplayResult:
 class ReplayDriver:
     """Replays a request store through the online pipeline in time order.
 
-    The single-stream replay front-end: one
-    :class:`~repro.stream.ingest.StreamIngestor` and one
+    One :class:`~repro.stream.ingest.StreamIngestor` and one
     :class:`~repro.stream.classifier.OnlineClassifier` (built fresh per
-    :meth:`replay` from the fitted *detector*, which is never mutated),
-    scoring ``batch_size``-row micro-batches in stable timestamp order.
-    An optional *refresher* re-mines the filter list synchronously at its
-    due batch boundaries and hot-swaps the result.  The parallel
-    counterpart is :class:`repro.serve.GatewayReplayDriver`.
+    :meth:`replay` from the fitted *detector*, which is never mutated)
+    score ``batch_size``-row micro-batches in stable timestamp order.
+    An optional *refresher* re-mines the filter list at its due batch
+    boundaries (every N batches or every N stream days) and hot-swaps
+    the result.
     """
 
     def __init__(
@@ -200,13 +289,13 @@ class ReplayDriver:
         timestamp order — the arrival order a live deployment would see.
 
         With a *checkpointer*, the online state (vocabulary, temporal
-        seen-state, filter list, verdicts, cursor) is saved incrementally
-        and crash-safely at each due batch boundary; ``resume=True`` restores
-        the published snapshot first and continues the stream from its
-        cursor — the combined run is byte-identical to an uninterrupted
-        one.  *max_batches* bounds how many batches this invocation
-        scores (the deterministic stand-in for a mid-replay kill in tests
-        and the CI kill-and-resume smoke).
+        seen-state, filter list, verdicts, health, cursor) is saved
+        incrementally and crash-safely at each due batch boundary;
+        ``resume=True`` restores the published snapshot first and continues
+        the stream from its cursor — the combined run is byte-identical to
+        an uninterrupted one.  *max_batches* bounds how many batches this
+        invocation scores (the deterministic stand-in for a mid-replay
+        kill in tests and the CI kill-and-resume smoke).
         """
 
         ingestor = StreamIngestor(attributes=self._detector.table_attributes())
@@ -217,6 +306,7 @@ class ReplayDriver:
         verdicts: Dict[int, InconsistencyVerdict] = {}
         batch_seconds: List[float] = []
         refreshes: List[Dict] = []
+        health = StreamHealth()
         start_row = 0
         batches_done = 0
         resumed_from: Optional[int] = None
@@ -230,17 +320,13 @@ class ReplayDriver:
                         "checkpoint does not match this replay "
                         "(different batch size or store)"
                     )
-                if len(state["classifiers"]) != 1:
-                    raise CheckpointError(
-                        "checkpoint does not match this replay "
-                        "(written by a multi-worker gateway)"
-                    )
                 ingestor.restore_state(state["ingest"])
-                classifier.restore(**state["classifiers"][0])
+                classifier.restore(**state["classifier"])
                 if self._refresher is not None and state.get("refresher") is not None:
                     self._refresher.restore_state(state["refresher"])
                 verdicts = state["verdicts"]
                 refreshes = [dict(entry) for entry in state["refreshes"]]
+                health = StreamHealth.from_dict(state["health"])
                 start_row = int(state["cursor_rows"])
                 batches_done = int(state["batches"])
                 resumed_from = batches_done
@@ -260,13 +346,15 @@ class ReplayDriver:
             batch_started = time.perf_counter()
             batch = arrivals.ingest(ingestor, start, self.batch_size)
             ingested = time.perf_counter()
-            verdicts.update(classifier.classify_batch(batch))
+            index = batches_done
+            classifier, scored = self._classify_supervised(classifier, batch, index, health)
+            if scored is not None:
+                verdicts.update(scored)
+                rows_this_run += batch.n_rows
             elapsed = time.perf_counter() - batch_started
             batch_seconds.append(elapsed)
-            index = batches_done
             batches_done += 1
             scored_this_run += 1
-            rows_this_run += batch.n_rows
             if telemetry_on:
                 _BATCH_SECONDS.observe(ingested - batch_started, stage="ingest")
                 _BATCH_SECONDS.observe(elapsed - (ingested - batch_started), stage="classify")
@@ -281,14 +369,26 @@ class ReplayDriver:
             if self._refresher is not None:
                 refresh_started = time.perf_counter() if telemetry_on else 0.0
                 self._refresher.observe_batch(batch)
-                refreshed = self._refresher.maybe_refresh()
+                try:
+                    refreshed = self._refresher.maybe_refresh()
+                except Exception as exc:
+                    # A stale list degrades coverage, never correctness:
+                    # keep scoring with the deployed one.
+                    health.record_refresh_failure(exc)
+                    logger.warning(
+                        "filter-list refresh failed (%s); keeping the deployed list", exc
+                    )
+                    refreshed = None
                 if telemetry_on:
                     _BATCH_SECONDS.observe(
                         time.perf_counter() - refresh_started, stage="refresh"
                     )
                 if refreshed is not None:
                     classifier.swap_filter_list(refreshed)
-                    refreshes.append({"batch": index, "rules": len(refreshed)})
+                    entry = {"batch": batches_done, "rules": len(refreshed)}
+                    if self._refresher.stream_day is not None:
+                        entry["stream_day"] = self._refresher.stream_day
+                    refreshes.append(entry)
             if checkpointer is not None and checkpointer.due(batches_done):
                 checkpointer.save(
                     {
@@ -297,13 +397,14 @@ class ReplayDriver:
                         "cursor_rows": min(start + self.batch_size, total),
                         "batches": batches_done,
                         "ingest": ingestor.export_state(),
-                        "classifiers": [classifier],
+                        "classifier": classifier,
                         "refresher": (
                             self._refresher.export_state()
                             if self._refresher is not None
                             else None
                         ),
                         "refreshes": refreshes,
+                        "health": health.to_dict(),
                         "verdicts": verdicts,
                     }
                 )
@@ -318,7 +419,49 @@ class ReplayDriver:
             checkpoints_saved=0 if checkpointer is None else checkpointer.saves,
             checkpoint_failures=0 if checkpointer is None else checkpointer.failures,
             resumed_from_batch=resumed_from,
+            health=health,
         )
+
+    def _classify_supervised(
+        self,
+        classifier: OnlineClassifier,
+        batch: ColumnarTable,
+        index: int,
+        health: StreamHealth,
+    ):
+        """Score batch *index*, surviving classification failures.
+
+        Returns ``(classifier, verdicts)``: the classifier to continue
+        with and the batch's verdicts (``None`` when dead-lettered).  Each failed attempt rebuilds the
+        classifier — a fresh clone of the fitted detector carrying the
+        failed one's deployed filter list, temporal seen-state and
+        counters — and re-scores the batch (an injected ``worker_classify``
+        fault, keyed ``b<batch>:a<attempt>``, fires before any state
+        mutates, so the retry is exact; a genuine mid-batch crash re-scores
+        best-effort from the carried-over state).  A batch still failing
+        after :data:`WORKER_ATTEMPTS` attempts is dead-lettered: recorded
+        in *health*, its rows left without a verdict.
+        """
+
+        for attempt in range(WORKER_ATTEMPTS):
+            try:
+                faults.check("worker_classify", f"b{index}:a{attempt}")
+                return classifier, classifier.classify_batch(batch)
+            except Exception as exc:
+                health.record_classify_failure(exc)
+                logger.warning("classifying batch %d failed (%s); rebuilding", index, exc)
+                classifier = OnlineClassifier(self._detector).restore(
+                    filter_list=classifier.filter_list,
+                    temporal_state=classifier.temporal_state,
+                    rows_scored=classifier.rows_scored,
+                    swaps=classifier.swaps,
+                )
+                health.record_classifier_rebuild()
+        health.record_dead_letter(
+            batch=index, rows=[int(rid) for rid in batch.request_ids]
+        )
+        logger.error("dead-lettered the %d rows of batch %d", batch.n_rows, index)
+        return classifier, None
 
     @staticmethod
     def _load_resume_state(checkpointer: StreamCheckpointer) -> Optional[Dict]:

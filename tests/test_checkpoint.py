@@ -2,11 +2,12 @@
 
 The contract under test: a replay killed mid-stream (modelled
 deterministically by ``max_batches``) and resumed from its last published
-save produces verdicts **byte-identical** to an uninterrupted run — for
-the single stream and for the parallel gateway — and the checkpoint
+save produces verdicts **byte-identical** to an uninterrupted run — with
+either refresh schedule, under injected faults — and the checkpoint
 directory itself is crash-safe: segments are appended before the snapshot
 that lists them is published, unlisted segments are ignored, damaged
-ones evict the checkpoint, and loading never unpickles anything.  Each
+ones evict the checkpoint, older formats are evicted unread, and loading
+never unpickles anything.  Each
 save writes only what changed since the previous one, so its size is
 bounded by the rows it covers.
 """
@@ -28,7 +29,6 @@ from repro import faults, obs
 from repro.analysis.engine import CorpusEngine
 from repro.cli import main
 from repro.core.detector import FPInconsistent
-from repro.serve import DetectionGateway, DeviceRouter, GatewayReplayDriver, KeyMigration
 from repro.stream import (
     ArrivalStream,
     CheckpointError,
@@ -88,7 +88,7 @@ def test_checkpoint_blob_roundtrips(tmp_path):
     blob = path.read_bytes()
     assert written == len(blob)
     assert blob[:4] == CHECKPOINT_MAGIC
-    assert int.from_bytes(blob[4:8], "big") == CHECKPOINT_VERSION == 2
+    assert int.from_bytes(blob[4:8], "big") == CHECKPOINT_VERSION == 3
     assert not list(tmp_path.glob(".*.tmp"))  # temp file consumed by the rename
 
 
@@ -129,7 +129,7 @@ def test_read_rejects_future_format_versions(tmp_path):
 
 def test_no_pickle_in_the_online_packages():
     root = Path(repro.__file__).parent
-    sources = sorted((root / "stream").glob("*.py")) + sorted((root / "serve").glob("*.py"))
+    sources = sorted((root / "stream").glob("*.py"))
     assert sources
     for source in sources:
         text = source.read_text(encoding="utf-8")
@@ -307,6 +307,41 @@ def test_stream_resume_restores_refresher_state(tmp_path, corpus, fitted):
     assert verdicts_digest(resumed.verdicts) == verdicts_digest(full.verdicts)
 
 
+@pytest.mark.parametrize("kill_at", [3, 5, 8])
+def test_stream_resume_with_day_refresh_at_several_kill_points(
+    monkeypatch, tmp_path, corpus, fitted, kill_at
+):
+    detector, _table, _verdicts = fitted
+    # Classification faults ride along: recovery never changes bytes, and
+    # the health report is part of the checkpointed state.
+    monkeypatch.setenv(faults.FAULTS_ENV_VAR, "worker_classify:raise:0.3")
+
+    def driver():
+        refresher = FilterListRefresher(detector.miner, interval_days=10.0, window_rows=700)
+        return ReplayDriver(detector, batch_size=128, refresher=refresher)
+
+    full = driver().replay(corpus.bot_store)
+    assert len(full.refreshes) >= 3
+    assert all("stream_day" in entry for entry in full.refreshes)
+    assert full.health.classify_failures > 0
+
+    directory = tmp_path / "ck"
+    driver().replay(
+        corpus.bot_store,
+        checkpointer=StreamCheckpointer(directory, every_batches=2),
+        max_batches=kill_at,
+    )
+    resumed = driver().replay(
+        corpus.bot_store,
+        checkpointer=StreamCheckpointer(directory, every_batches=2),
+        resume=True,
+    )
+    assert resumed.resumed_from_batch == kill_at - kill_at % 2
+    assert resumed.refreshes == full.refreshes
+    assert resumed.health == full.health
+    assert verdicts_digest(resumed.verdicts) == verdicts_digest(full.verdicts)
+
+
 def test_resume_with_failing_saves_still_converges(monkeypatch, tmp_path, corpus, fitted):
     detector, _table, _verdicts = fitted
     full = ReplayDriver(detector, batch_size=256).replay(corpus.bot_store)
@@ -445,6 +480,30 @@ def test_v1_pickle_checkpoint_is_never_unpickled(caplog, monkeypatch, tmp_path, 
     assert verdicts_digest(resumed.verdicts) == verdicts_digest(batch_verdicts)
 
 
+def test_v2_checkpoint_is_evicted_unread(caplog, monkeypatch, tmp_path, corpus, fitted):
+    detector, _table, batch_verdicts = fitted
+    directory = tmp_path / "ck"
+    directory.mkdir()
+    payload = checkpoint_module._pack_npz({"classifiers": [{}, {}], "router": {}}, {})
+    (directory / "stream_checkpoint").write_bytes(
+        CHECKPOINT_MAGIC + (2).to_bytes(4, "big") + hashlib.sha256(payload).digest() + payload
+    )
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a version-2 checkpoint was decoded")
+
+    monkeypatch.setattr(checkpoint_module, "_unpack_npz", refuse)
+    with caplog.at_level(logging.WARNING, logger="repro.stream"):
+        resumed = ReplayDriver(detector, batch_size=256).replay(
+            corpus.bot_store,
+            checkpointer=StreamCheckpointer(directory, every_batches=2),
+            resume=True,
+        )
+    assert "format version 2" in caplog.text
+    assert resumed.resumed_from_batch is None
+    assert verdicts_digest(resumed.verdicts) == verdicts_digest(batch_verdicts)
+
+
 def test_mismatched_snapshot_is_a_configuration_error(tmp_path, corpus, fitted):
     detector, _table, _verdicts = fitted
     directory = tmp_path / "ck"
@@ -471,110 +530,6 @@ def test_resume_requires_a_checkpointer(corpus, fitted):
     detector, _table, _verdicts = fitted
     with pytest.raises(ValueError, match="requires a checkpointer"):
         ReplayDriver(detector, batch_size=256).replay(corpus.bot_store, resume=True)
-    with pytest.raises(ValueError, match="requires a checkpointer"):
-        with DetectionGateway(detector, workers=2) as gateway:
-            GatewayReplayDriver(gateway, batch_size=256).replay(
-                corpus.bot_store, resume=True
-            )
-
-
-# -- gateway kill-and-resume -----------------------------------------------------
-
-
-def test_serve_resume_is_byte_identical(tmp_path, corpus, fitted):
-    detector, table, batch_verdicts = fitted
-    directory = tmp_path / "ck"
-
-    with DetectionGateway(detector, router=DeviceRouter.from_table(table, 2)) as gateway:
-        partial = GatewayReplayDriver(gateway, batch_size=256).replay(
-            corpus.bot_store,
-            checkpointer=StreamCheckpointer(directory, every_batches=2),
-            max_batches=3,
-        )
-    assert partial.checkpoints_saved == 1
-    assert partial.rows == 3 * 256
-
-    with DetectionGateway(detector, router=DeviceRouter.from_table(table, 2)) as gateway:
-        resumed = GatewayReplayDriver(gateway, batch_size=256).replay(
-            corpus.bot_store,
-            checkpointer=StreamCheckpointer(directory, every_batches=2),
-            resume=True,
-        )
-    assert resumed.resumed_from_batch == 2
-    assert resumed.rows == len(batch_verdicts) - 2 * 256
-    assert resumed.verdicts == batch_verdicts
-    assert verdicts_digest(resumed.verdicts) == verdicts_digest(batch_verdicts)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("kill_at", [3, 5, 8])
-def test_serve_dynamic_routing_resumes_at_several_kill_points(
-    tmp_path, corpus, fitted, workers, kill_at
-):
-    detector, _table, batch_verdicts = fitted
-
-    def replay(**kwargs):
-        with DetectionGateway(detector, router=DeviceRouter(workers)) as gateway:
-            return GatewayReplayDriver(gateway, batch_size=128).replay(
-                corpus.bot_store, **kwargs
-            )
-
-    full = replay()
-    directory = tmp_path / "ck"
-    replay(checkpointer=StreamCheckpointer(directory, every_batches=2), max_batches=kill_at)
-    resumed = replay(checkpointer=StreamCheckpointer(directory, every_batches=2), resume=True)
-    assert resumed.resumed_from_batch == kill_at - kill_at % 2
-    assert resumed.migrations == full.migrations
-    assert resumed.worker_rows == full.worker_rows
-    assert verdicts_digest(resumed.verdicts) == verdicts_digest(full.verdicts)
-    assert verdicts_digest(resumed.verdicts) == verdicts_digest(batch_verdicts)
-
-
-def test_migrated_state_survives_a_save_and_load(tmp_path, corpus, fitted):
-    detector, _table, _verdicts = fitted
-    arrivals = ArrivalStream(corpus.bot_store)
-    checkpointer = StreamCheckpointer(tmp_path / "ck", every_batches=1)
-    with DetectionGateway(detector, router=DeviceRouter(2)) as gateway:
-        verdicts = {}
-
-        def save(start):
-            verdicts.update(arrivals.submit(gateway, start, 256))
-            assert checkpointer.save(
-                {
-                    "batch_size": 256,
-                    "rows_total": arrivals.total,
-                    "cursor_rows": start + 256,
-                    "batches": gateway.batches,
-                    "verdicts": verdicts,
-                    **gateway.export_state(),
-                }
-            )
-
-        save(0)
-        # Move one early cookie key's state (and pin) to the other
-        # worker, the way a discovered device link would: its source
-        # worker's seen-state shrinks, so the next save cannot rely on
-        # positional high-water marks for that worker.
-        seen = gateway.classifiers[0].temporal_state.seen
-        kind, key, _attribute = next(state_key for state_key in seen if state_key[0] == "cookie")
-        gateway.router._pins[(kind, key)] = 1
-        gateway._migrate(KeyMigration(kind=kind, key=key, source=0, target=1))
-        save(256)
-
-        loaded = StreamCheckpointer(tmp_path / "ck").load()
-
-        def as_lists(temporal_state):
-            return {state_key: list(values) for state_key, values in temporal_state.seen.items()}
-
-        for live, restored in zip(gateway.classifiers, loaded["classifiers"]):
-            assert as_lists(restored["temporal_state"]) == as_lists(live.temporal_state)
-        moved = [state_key for state_key in as_lists(gateway.classifiers[1].temporal_state)
-                 if state_key[:2] == (kind, key)]
-        assert moved and not any(
-            state_key[:2] == (kind, key) for state_key in gateway.classifiers[0].temporal_state.seen
-        )
-        assert loaded["router"]["pins"] == gateway.router._pins
-        assert loaded["verdicts"] == verdicts
 
 
 # -- restorable component state --------------------------------------------------
@@ -614,7 +569,7 @@ def test_ingestor_restore_rejects_a_different_attribute_set(fitted):
 # -- truthful throughput and the checkpoint block on the CLI ---------------------
 
 
-@pytest.mark.parametrize("command", ["stream", "serve"])
+@pytest.mark.parametrize("command", ["stream"])
 def test_cli_rows_count_only_scored_rows(capsys, tmp_path, command):
     out_path = tmp_path / "out.json"
     code = main(

@@ -179,6 +179,24 @@ def test_stream_refresh_hot_swaps(capsys):
     assert all(entry["rules"] > 0 for entry in summary["refreshes"])
 
 
+def test_stream_refresh_days_logs_stream_days(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "stream",
+        "--seed", "5",
+        "--scale", "0.003",
+        "--no-cache",
+        "--batch-size", "250",
+        "--refresh-days", "20",
+        "--window", "1000",
+    )
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["refreshes"]
+    assert all("stream_day" in entry for entry in summary["refreshes"])
+    assert summary["health"]["refresh_failures"] == 0
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -195,6 +213,10 @@ def test_stream_refresh_hot_swaps(capsys):
         (("stream", "--window", "0"), "--window must be >= 1"),
         (("stream", "--verify-batch", "--refresh-every", "2"), "frozen filter list"),
         (("stream", "--workers", "0"), "--workers must be >= 1"),
+        (("stream", "--refresh-days", "-1"), "--refresh-days cannot be negative"),
+        (("stream", "--refresh-every", "2", "--refresh-days", "5"), "pick one"),
+        (("stream", "--verify-batch", "--refresh-days", "5"), "frozen filter list"),
+        (("serve",), "invalid choice"),
     ],
 )
 def test_bad_knobs_fail_fast(capsys, argv, message):

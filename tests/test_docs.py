@@ -20,8 +20,8 @@ from check_doc_links import check_file, iter_markdown_files  # noqa: E402
 
 def test_readme_exists_with_required_sections():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-    for needle in ("repro corpus", "repro pipeline", "repro stream",
-                   "repro serve", "repro bench", "REPRO_SCALE", "REPRO_WORKERS"):
+    for needle in ("repro corpus", "repro pipeline", "repro stream", "--refresh-days",
+                   "repro report", "repro bench", "REPRO_SCALE", "REPRO_WORKERS"):
         assert needle in readme, f"README.md is missing {needle!r}"
 
 
@@ -37,5 +37,5 @@ def test_no_dead_relative_links(markdown):
 
 def test_core_docs_exist():
     for name in ("architecture.md", "corpus.md", "detection.md",
-                 "streaming.md", "serving.md"):
+                 "streaming.md", "robustness.md", "observability.md"):
         assert (REPO_ROOT / "docs" / name).is_file(), f"docs/{name} missing"

@@ -8,10 +8,10 @@ Three layers are pinned here against the deterministic fault plans of
 * ``map_shards`` — bounded retries with backoff, pool rebuilds after a
   killed worker, and the in-process serial fallback for poisoned shards,
   all producing byte-identical corpora;
-* the gateway's worker supervision — failed workers rebuilt with state
-  carried over (verdicts byte-identical to a clean run for worker counts
-  {1, 2, 4}), poisoned row groups dead-lettered, failed re-mines keeping
-  the deployed filter list;
+* the stream's supervised scoring — a failed classifier rebuilt with
+  state carried over (verdicts byte-identical to a clean run), poisoned
+  batches dead-lettered, failed re-mines keeping the deployed filter list
+  and retrying with doubling backoff;
 * the corpus cache — a write torn mid-archive never publishes an entry.
 """
 
@@ -33,8 +33,14 @@ from repro.analysis.engine import (
     retry_backoff_seconds,
 )
 from repro.core.detector import FPInconsistent
-from repro.serve import DetectionGateway, DeviceRouter, GatewayReplayDriver
-from repro.stream import FilterListRefresher, verdicts_digest
+from repro.stream import (
+    WORKER_ATTEMPTS,
+    FilterListRefresher,
+    ReplayDriver,
+    StreamHealth,
+    verdicts_digest,
+)
+from repro.stream.refresh import REFRESH_BACKOFF_BASE_BATCHES, REFRESH_BACKOFF_CAP_BATCHES
 
 TINY = dict(
     seed=29,
@@ -268,80 +274,99 @@ def test_corpus_is_byte_identical_under_shard_faults(
     assert _corpus_digest(rebuilt) == baseline_digest
 
 
-# -- gateway worker supervision --------------------------------------------------
+# -- supervised stream scoring ---------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_gateway_recovers_from_worker_faults_byte_identically(
-    monkeypatch, corpus, fitted, workers
-):
-    detector, table, batch_verdicts = fitted
+def test_stream_recovers_from_classify_faults_byte_identically(monkeypatch, corpus, fitted):
+    detector, _table, batch_verdicts = fitted
     monkeypatch.setenv(faults.FAULTS_ENV_VAR, "worker_classify:raise:0.3")
-    router = DeviceRouter.from_table(table, workers)
-    with DetectionGateway(detector, router=router) as gateway:
-        result = GatewayReplayDriver(gateway, batch_size=256).replay(corpus.bot_store)
-        health = gateway.health
-    assert health.total_worker_failures > 0
+    result = ReplayDriver(detector, batch_size=256).replay(corpus.bot_store)
+    health = result.health
+    assert health.classify_failures > 0
     # An injected fault fires before any state mutates, so every failure
     # is recovered by one rebuild and nothing is dead-lettered.
-    assert health.worker_rebuilds == health.total_worker_failures
+    assert health.classifier_rebuilds == health.classify_failures
     assert not health.dead_letters
+    assert result.rows == len(corpus.bot_store)
     assert result.verdicts == batch_verdicts
-    assert result.health["total_worker_failures"] == health.total_worker_failures
 
 
 def test_poisoned_row_group_is_dead_lettered_not_fatal(monkeypatch, corpus, fitted):
-    detector, table, _verdicts = fitted
+    detector, _table, _verdicts = fitted
     monkeypatch.setenv(faults.FAULTS_ENV_VAR, "worker_classify:raise:1")
-    router = DeviceRouter.from_table(table, 2)
-    with DetectionGateway(detector, router=router) as gateway:
-        result = GatewayReplayDriver(gateway, batch_size=256).replay(corpus.bot_store)
-        health = gateway.health
-    # Every group exhausts its attempt budget: the replay still completes,
-    # and the health report accounts for every missing row.
-    assert health.dead_letters
+    result = ReplayDriver(detector, batch_size=256).replay(corpus.bot_store)
+    health = result.health
+    # Every batch exhausts its attempt budget: the replay still completes,
+    # no row counts as scored, and the health report lists every batch.
     assert result.verdicts == {}
-    assert sum(len(entry["rows"]) for entry in health.dead_letters) == result.rows
+    assert result.rows == 0 and result.rows_per_second == 0.0
+    assert [entry["batch"] for entry in health.dead_letters] == list(range(result.batches))
+    assert sum(len(entry["rows"]) for entry in health.dead_letters) == len(corpus.bot_store)
+    assert health.classify_failures == WORKER_ATTEMPTS * result.batches
     assert health.last_error is not None
 
 
-@pytest.mark.parametrize("refresh_mode", ["background", "sync"])
-def test_failed_refresh_keeps_the_deployed_list(
-    monkeypatch, corpus, fitted, refresh_mode
-):
+def test_failed_refresh_keeps_the_deployed_list(monkeypatch, corpus, fitted):
     detector, _table, _verdicts = fitted
     monkeypatch.setenv(faults.FAULTS_ENV_VAR, "refresh_mine:raise:1")
     refresher = FilterListRefresher(
         detector.miner, interval_days=20.0, window_rows=2_000
     )
-    with DetectionGateway(
-        detector, workers=2, refresher=refresher, refresh_mode=refresh_mode
-    ) as gateway:
-        faulty = GatewayReplayDriver(gateway, batch_size=256).replay(corpus.bot_store)
-        health = gateway.health
-    assert health.refresh_failures > 0
+    faulty = ReplayDriver(detector, batch_size=256, refresher=refresher).replay(
+        corpus.bot_store
+    )
+    assert faulty.health.refresh_failures > 0
     assert not faulty.refreshes  # no re-mine ever deployed
 
     monkeypatch.delenv(faults.FAULTS_ENV_VAR)
-    with DetectionGateway(detector, workers=2) as gateway:
-        frozen = GatewayReplayDriver(gateway, batch_size=256).replay(corpus.bot_store)
+    frozen = ReplayDriver(detector, batch_size=256).replay(corpus.bot_store)
     # The stream kept scoring with the fitted list throughout: identical
     # to a refresher-free run.
     assert verdicts_digest(faulty.verdicts) == verdicts_digest(frozen.verdicts)
 
 
-def test_health_report_roundtrips_through_json(monkeypatch, corpus, fitted):
-    from repro.serve import GatewayHealth
+def test_failed_refresh_retries_with_doubling_backoff(monkeypatch, corpus, fitted):
+    detector, _table, _verdicts = fitted
+    batch_size = 16
+    n_batches = -(-len(corpus.bot_store) // batch_size)
+    interval = n_batches // 2 + 1  # comes due exactly once in this replay
+    refresher = FilterListRefresher(
+        detector.miner, interval_batches=interval, window_rows=2_000
+    )
+    attempts = []
+    real_check = faults.check
 
-    detector, table, _verdicts = fitted
+    def recording_check(point, key, **kwargs):
+        if point == "refresh_mine":
+            attempts.append(refresher.batches_seen)
+        return real_check(point, key, **kwargs)
+
+    monkeypatch.setattr(faults, "check", recording_check)
+    monkeypatch.setenv(faults.FAULTS_ENV_VAR, "refresh_mine:raise:1")
+    result = ReplayDriver(detector, batch_size=batch_size, refresher=refresher).replay(
+        corpus.bot_store
+    )
+    # Every attempt fails: the first retry comes one batch after the due
+    # one, then the gap doubles (1, 2, 4, ...) up to the cap.
+    expected, at, gap = [], interval, REFRESH_BACKOFF_BASE_BATCHES
+    while at <= n_batches:
+        expected.append(at)
+        at, gap = at + gap, min(gap * 2, REFRESH_BACKOFF_CAP_BATCHES)
+    assert len(expected) >= 3
+    assert attempts == expected
+    assert result.health.refresh_failures == len(expected)
+    assert not result.refreshes
+
+
+def test_health_report_roundtrips_through_json(monkeypatch, corpus, fitted):
+    detector, _table, _verdicts = fitted
     monkeypatch.setenv(faults.FAULTS_ENV_VAR, "worker_classify:raise:0.3")
-    router = DeviceRouter.from_table(table, 2)
-    with DetectionGateway(detector, router=router) as gateway:
-        GatewayReplayDriver(gateway, batch_size=256).replay(corpus.bot_store)
-        document = json.loads(json.dumps(gateway.health.to_dict()))
-    restored = GatewayHealth.from_dict(document)
-    assert restored.total_worker_failures == document["total_worker_failures"]
-    assert restored.worker_rebuilds == document["worker_rebuilds"]
+    result = ReplayDriver(detector, batch_size=256).replay(corpus.bot_store)
+    document = json.loads(json.dumps(result.health.to_dict()))
+    restored = StreamHealth.from_dict(document)
+    assert restored == result.health
+    assert restored.classify_failures == document["classify_failures"] > 0
+    assert restored.classifier_rebuilds == document["classifier_rebuilds"]
 
 
 # -- crash-safe cache writes -----------------------------------------------------

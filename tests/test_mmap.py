@@ -4,8 +4,7 @@ The mmap contract has three legs, each pinned here: a warm cache hit maps
 the archive's code columns read-only instead of reading them into RAM, the
 mapped corpus is byte-identical to the in-RAM load through every consumer
 (record materialisation, the batch detection pipeline, the streaming
-replay, the parallel serve gateway), and the archive file itself is never
-written to.
+replay), and the archive file itself is never written to.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.analysis.cache import (
 from repro.analysis.engine import CorpusEngine, build_or_load_corpus
 from repro.core.detector import FPInconsistent
 from repro.honeysite.storage import LazyRequestStore
-from repro.serve import DetectionGateway, GatewayReplayDriver
 from repro.stream import ReplayDriver, verdicts_digest
 
 TINY = dict(
@@ -98,10 +96,9 @@ def test_pipeline_on_mmap_cache_hit_matches_in_ram(archive, monkeypatch, tmp_pat
     assert _archive_sha(directory) == saved_sha
 
 
-def test_stream_and_serve_replay_on_mmap_match_batch(archive, monkeypatch):
+def test_stream_replay_on_mmap_matches_batch(archive, monkeypatch):
     """``repro stream --verify-batch`` semantics over a mapped corpus: the
-    frozen-list replay and the 2-worker gateway replay both reproduce the
-    batch verdicts bit for bit."""
+    frozen-list replay reproduces the batch verdicts bit for bit."""
 
     directory, _corpus, saved_sha = archive
     monkeypatch.setenv(MMAP_ENV_VAR, "1")
@@ -110,9 +107,6 @@ def test_stream_and_serve_replay_on_mmap_match_batch(archive, monkeypatch):
     store = mapped.bot_store
     replay = ReplayDriver(detector, batch_size=256).replay(store)
     assert verdicts_digest(replay.verdicts) == oracle
-    with DetectionGateway(detector, workers=2) as gateway:
-        served = GatewayReplayDriver(gateway, batch_size=256).replay(store)
-    assert verdicts_digest(served.verdicts) == oracle
     assert not store.materialized, "mmap replay materialised record objects"
     assert _archive_sha(directory) == saved_sha
 

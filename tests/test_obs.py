@@ -19,8 +19,7 @@ from repro.analysis.engine import CorpusEngine
 from repro.cli import main as cli_main
 from repro.core.detector import FPInconsistent
 from repro.honeysite.storage import materialized_record_count
-from repro.serve.gateway import GatewayHealth
-from repro.stream import ReplayDriver, verdicts_digest
+from repro.stream import ReplayDriver, StreamHealth, verdicts_digest
 
 TINY = dict(
     seed=29,
@@ -325,27 +324,23 @@ def test_materialized_record_count_reads_the_registry():
     assert delta == obs.metric_value("repro_records_materialized_total") - before
 
 
-def test_gateway_health_writes_through_to_registry():
-    health = GatewayHealth()
-    failures = obs.registry().get("repro_serve_worker_failures_total")
-    rebuilds = obs.registry().get("repro_serve_worker_rebuilds_total")
-    dead = obs.registry().get("repro_serve_dead_letters_total")
-    before = (
-        failures.total(),
-        rebuilds.value(),
-        dead.value(),
-    )
-    health.record_worker_failure(1, RuntimeError("boom"))
-    health.record_worker_rebuild()
-    health.record_dead_letter(batch=3, worker=1, rows=[7, 8])
-    assert failures.total() == before[0] + 1
-    assert rebuilds.value() == before[1] + 1
-    assert dead.value() == before[2] + 1
+def test_stream_health_writes_through_to_registry():
+    health = StreamHealth()
+    failures = obs.registry().get("repro_stream_classify_failures_total")
+    rebuilds = obs.registry().get("repro_stream_classifier_rebuilds_total")
+    dead = obs.registry().get("repro_stream_dead_letters_total")
+    refresh = obs.registry().get("repro_stream_refresh_failures_total")
+    before = (failures.value(), rebuilds.value(), dead.value(), refresh.value())
+    health.record_classify_failure(RuntimeError("boom"))
+    health.record_classifier_rebuild()
+    health.record_dead_letter(batch=3, rows=[7, 8])
+    health.record_refresh_failure(RuntimeError("no window"))
+    after = (failures.value(), rebuilds.value(), dead.value(), refresh.value())
+    assert after == tuple(value + 1 for value in before)
     # Restoring a checkpointed health report must not re-count.
-    restored = GatewayHealth.from_dict(health.to_dict())
-    assert restored.to_dict() == health.to_dict()
-    assert failures.total() == before[0] + 1
-    assert rebuilds.value() == before[1] + 1
+    restored = StreamHealth.from_dict(health.to_dict())
+    assert restored == health
+    assert (failures.value(), rebuilds.value(), dead.value(), refresh.value()) == after
 
 
 def test_shard_fault_stats_mirror_into_registry():

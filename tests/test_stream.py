@@ -342,8 +342,78 @@ def test_replay_hot_swaps_at_batch_boundaries(corpus, fitted):
     assert result.refreshes
     batches = [entry["batch"] for entry in result.refreshes]
     assert batches == sorted(batches)
-    assert all((index + 1) % 2 == 0 for index in batches)
+    # Re-mined after every second observed batch, so each new list is
+    # first used at an even batch index; batch-count refreshes carry no
+    # stream day.
+    assert all(index > 0 and index % 2 == 0 for index in batches)
     assert all(entry["rules"] > 0 for entry in result.refreshes)
+    assert all("stream_day" not in entry for entry in result.refreshes)
+
+
+@pytest.mark.parametrize(
+    "schedule", [dict(interval_batches=3), dict(interval_days=15.0)], ids=["batches", "days"]
+)
+def test_refresh_log_names_the_first_batch_scored_with_the_new_list(
+    monkeypatch, corpus, fitted, schedule
+):
+    detector, _table, _verdicts = fitted
+    swaps_per_batch = []
+    real_classify = OnlineClassifier.classify_batch
+
+    def recording_classify(self, batch):
+        swaps_per_batch.append(self.swaps)
+        return real_classify(self, batch)
+
+    monkeypatch.setattr(OnlineClassifier, "classify_batch", recording_classify)
+    refresher = FilterListRefresher(detector.miner, window_rows=1_000, **schedule)
+    result = ReplayDriver(detector, batch_size=200, refresher=refresher).replay(
+        corpus.bot_store
+    )
+    assert len(result.refreshes) >= 2
+    for swaps, entry in enumerate(result.refreshes, start=1):
+        # ``batch`` is the 0-based index of the first batch the new list
+        # scored: the swap count steps up exactly there.
+        index = entry["batch"]
+        assert swaps_per_batch[index - 1] == swaps - 1
+        if index < len(swaps_per_batch):
+            assert swaps_per_batch[index] == swaps
+    if "interval_days" in schedule:
+        days = [entry["stream_day"] for entry in result.refreshes]
+        assert days == sorted(days) and days[-1] <= 90
+    else:
+        assert all("stream_day" not in entry for entry in result.refreshes)
+
+
+def test_refresher_requires_exactly_one_interval_knob():
+    with pytest.raises(ValueError, match="exactly one"):
+        FilterListRefresher(window_rows=100)
+    with pytest.raises(ValueError, match="exactly one"):
+        FilterListRefresher(interval_batches=2, interval_days=1.0, window_rows=100)
+    with pytest.raises(ValueError, match="interval_days"):
+        FilterListRefresher(interval_days=0, window_rows=100)
+
+
+def test_day_refresher_needs_timestamps(fitted):
+    _detector, table, _verdicts = fitted
+    refresher = FilterListRefresher(interval_days=1.0, window_rows=100)
+    stripped = table.with_columns({
+        attribute: table.codes_of(attribute) for attribute in table.attributes
+    })
+    with pytest.raises(ValueError, match="timestamps"):
+        refresher.observe_batch(stripped)
+
+
+def test_day_refresher_fires_on_stream_clock(corpus, fitted):
+    detector, _table, _verdicts = fitted
+    refresher = FilterListRefresher(
+        detector.miner, interval_days=20.0, window_rows=2_000
+    )
+    driver = ReplayDriver(detector, batch_size=256, refresher=refresher)
+    result = driver.replay(corpus.bot_store)
+    # A 90-day campaign crosses a 20-day cadence a few times — refreshes
+    # happen, but far fewer than once per batch.
+    assert 1 <= len(result.refreshes) < result.batches
+    assert refresher.stream_day is not None and refresher.stream_day <= 90
 
 
 def test_refresher_validates_knobs():
