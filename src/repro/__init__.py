@@ -21,7 +21,7 @@ Traffic* (IMC 2025).  The public API is organised as:
 ``repro.users``
     Real-user and privacy-technology traffic generators.
 ``repro.ml``
-    From-scratch decision tree / forest / boosting and explainability.
+    From-scratch decision tree / random forest and explainability.
 ``repro.core``
     FP-Inconsistent itself: spatial and temporal inconsistency mining,
     rule generation, combined detection and evaluation.

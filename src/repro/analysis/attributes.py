@@ -17,7 +17,7 @@ from repro.fingerprint.fingerprint import Fingerprint
 from repro.honeysite.storage import LazyRequestStore, RecordColumns, RequestStore
 from repro.ml.encoding import FingerprintEncoder
 from repro.ml.explain import FeatureImportance, gain_importance, permutation_importance, top_features
-from repro.ml.forest import GradientBoostingClassifier, RandomForestClassifier
+from repro.ml.forest import RandomForestClassifier
 from repro.ml.metrics import accuracy_score, train_test_split
 
 
@@ -29,8 +29,9 @@ class EvasionClassifierResult:
     train_accuracy: float
     test_accuracy: float
     importances: List[FeatureImportance]
-    permutation: List[FeatureImportance]
     feature_names: List[str]
+    #: held-out permutation importances; ``None`` unless requested
+    permutation: Optional[List[FeatureImportance]] = None
 
     def top_attributes(self, count: int = 5) -> List[str]:
         """The Table 2 column: most important attributes for evading the service."""
@@ -42,48 +43,42 @@ def train_evasion_classifier(
     store: RequestStore,
     detector: str,
     *,
-    model: str = "forest",
     test_fraction: float = 0.1,
     max_samples: int = 60_000,
     seed: int = 0,
     encoder: Optional[FingerprintEncoder] = None,
+    permutation: bool = False,
 ) -> EvasionClassifierResult:
-    """Train a detected-vs-evaded classifier for *detector* (Section 5.2.1).
+    """Train a detected-vs-evaded random forest for *detector* (Section 5.2.1).
 
     Parameters
     ----------
-    model:
-        ``"forest"`` (random forest, the paper's choice) or ``"boosting"``
-        (gradient boosting, XGBoost-style).
     max_samples:
-        Upper bound on the number of requests used (stratified subsample),
-        keeping training time reasonable on the full-scale corpus.
+        Upper bound on the number of requests used.  A larger store is
+        subsampled uniformly at random without replacement (one
+        ``rng.choice`` draw seeded by *seed*), not stratified by label;
+        the draw is the same on both store engines.
+    permutation:
+        Also compute held-out permutation importances (``n_features × 3``
+        extra predict passes).  Table 2 ranks by gain importance alone, so
+        this is off unless a caller asks for it.
     """
 
     if len(store) < 20:
         raise ValueError("need at least 20 requests to train a classifier")
     rng = np.random.default_rng(seed)
-    if isinstance(store, LazyRequestStore):
-        fingerprints, labels = _training_rows_from_columns(
-            store.columns, detector, max_samples, rng
-        )
-    else:
-        fingerprints, labels = _training_rows_from_records(
-            store, detector, max_samples, rng
-        )
-
     encoder = encoder if encoder is not None else FingerprintEncoder()
-    features = encoder.fit_transform(fingerprints)
+    if isinstance(store, LazyRequestStore):
+        rows, labels = _training_rows_from_columns(store.columns, detector, max_samples, rng)
+        features = encoder.fit_transform(rows)
+    else:
+        fingerprints, labels = _training_rows_from_records(store, detector, max_samples, rng)
+        features = encoder.fit_transform(fingerprints)
     train_x, test_x, train_y, test_y = train_test_split(
         features, labels, test_fraction=test_fraction, rng=rng
     )
 
-    if model == "forest":
-        classifier = RandomForestClassifier(n_estimators=15, max_depth=10, random_state=seed)
-    elif model == "boosting":
-        classifier = GradientBoostingClassifier(n_estimators=40, max_depth=5, random_state=seed)
-    else:
-        raise ValueError("model must be 'forest' or 'boosting'")
+    classifier = RandomForestClassifier(n_estimators=15, max_depth=10, random_state=seed)
     classifier.fit(train_x, train_y)
 
     feature_names = encoder.feature_names
@@ -92,10 +87,14 @@ def train_evasion_classifier(
         train_accuracy=accuracy_score(train_y, classifier.predict(train_x)),
         test_accuracy=accuracy_score(test_y, classifier.predict(test_x)),
         importances=gain_importance(classifier, feature_names),
-        permutation=permutation_importance(
-            classifier, test_x, test_y, feature_names, rng=np.random.default_rng(seed)
-        ),
         feature_names=feature_names,
+        permutation=(
+            permutation_importance(
+                classifier, test_x, test_y, feature_names, rng=np.random.default_rng(seed)
+            )
+            if permutation
+            else None
+        ),
     )
 
 
@@ -117,24 +116,18 @@ def _training_rows_from_records(
 
 def _training_rows_from_columns(
     columns: RecordColumns, detector: str, max_samples: int, rng
-) -> Tuple[List[Fingerprint], np.ndarray]:
+) -> Tuple[RecordColumns, np.ndarray]:
     """Columnar path: identical subsample draw (same rng consumption),
-    fingerprints gathered per *session* and labels from the evasion
-    column — no record object is built."""
+    returned as the sampled rows' columns plus labels from the evasion
+    column — no record or fingerprint object is built."""
 
     n_rows = columns.n_rows
     if n_rows > max_samples:
-        chosen = rng.choice(n_rows, size=max_samples, replace=False)
-        chosen = chosen.astype(np.int64)
+        chosen = rng.choice(n_rows, size=max_samples, replace=False).astype(np.int64)
     else:
         chosen = np.arange(n_rows, dtype=np.int64)
-    session_fingerprints = columns.session_fingerprints
-    fingerprints = [
-        session_fingerprints[code]
-        for code in np.asarray(columns.session_codes)[chosen].tolist()
-    ]
     labels = columns.evaded_rows(detector)[chosen].astype(float)
-    return fingerprints, labels
+    return columns.take(chosen), labels
 
 
 def table2(

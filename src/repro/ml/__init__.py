@@ -13,7 +13,7 @@ from repro.ml.explain import (
     rank_importances,
     top_features,
 )
-from repro.ml.forest import GradientBoostingClassifier, RandomForestClassifier
+from repro.ml.forest import RandomForestClassifier
 from repro.ml.metrics import ConfusionMatrix, accuracy_score, confusion_matrix, train_test_split
 from repro.ml.tree import DecisionTree
 
@@ -24,7 +24,6 @@ __all__ = [
     "DecisionTree",
     "FeatureImportance",
     "FingerprintEncoder",
-    "GradientBoostingClassifier",
     "RandomForestClassifier",
     "accuracy_score",
     "confusion_matrix",

@@ -10,12 +10,13 @@ feature names matching the labels the paper prints in Table 2
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.fingerprint.attributes import Attribute
-from repro.fingerprint.fingerprint import Fingerprint
+from repro.fingerprint.fingerprint import Fingerprint, grouping_value
+from repro.honeysite.storage import RecordColumns
 
 #: Display names for attributes, matching the paper's tables.
 DISPLAY_NAMES: Dict[Attribute, str] = {
@@ -178,10 +179,44 @@ class FingerprintEncoder:
                 )
         return matrix
 
-    def fit_transform(self, fingerprints: Sequence[Fingerprint]) -> np.ndarray:
-        """Fit the code books and encode in one pass."""
+    def fit_transform(self, data: Union[Sequence[Fingerprint], RecordColumns]) -> np.ndarray:
+        """Fit the code books and encode in one pass.
 
-        return self.fit(fingerprints).transform(fingerprints)
+        *data* is a fingerprint sequence or a :class:`RecordColumns` (one
+        matrix row per record row).  On columns no fingerprint is decoded:
+        each distinct raw value of an attribute is grouped and encoded
+        once, then gathered to the rows.  Both inputs give the same matrix
+        and code books for the same rows.
+        """
+
+        if isinstance(data, RecordColumns):
+            return self._fit_transform_columns(data)
+        return self.fit(data).transform(data)
+
+    def _fit_transform_columns(self, columns: RecordColumns) -> np.ndarray:
+        if not columns.n_rows:
+            raise ValueError("cannot fit the encoder on an empty corpus")
+        self._category_codes = {}
+        matrix = np.empty((columns.n_rows, len(self.attributes)), dtype=float)
+        for position, attribute in enumerate(self.attributes):
+            rows, raw_values = columns.attribute_rows(attribute)
+            keys = [grouping_value(attribute, value) for value in raw_values]
+            if attribute not in _NUMERIC_ATTRIBUTES and attribute not in _BOOLEAN_ATTRIBUTES:
+                # The code book in first-seen row order, as fit() builds it;
+                # raw values that group alike share the first one's code.
+                present, first_row = np.unique(rows, return_index=True)
+                seen: Dict[object, int] = {}
+                for raw in present[np.argsort(first_row)].tolist():
+                    if raw >= 0 and keys[raw] is not None:
+                        seen.setdefault(keys[raw], len(seen))
+                self._category_codes[attribute] = seen
+            # The last slot encodes a missing attribute: rows code it as -1.
+            table = np.empty(len(keys) + 1, dtype=float)
+            table[:-1] = [self._encode_value(attribute, key) for key in keys]
+            table[-1] = -1.0
+            matrix[:, position] = table[rows]
+        self._fitted = True
+        return matrix
 
     def categories_of(self, attribute: Attribute) -> Dict[object, int]:
         """The learned category → code mapping for *attribute*."""

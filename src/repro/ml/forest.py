@@ -1,8 +1,8 @@
-"""Random forest and gradient-boosting ensembles.
+"""Random-forest ensemble.
 
 The paper trains "random forest classifiers using XGBoost"; this module
-provides both ensemble flavours on top of :class:`repro.ml.tree.DecisionTree`
-so the Section 5.2 analysis can be reproduced with either.
+bags :class:`repro.ml.tree.DecisionTree` learners into that ensemble for
+the Section 5.2 analysis.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.ml.tree import DecisionTree
+from repro.ml.tree import DecisionTree, as_feature_matrix
 
 
 class RandomForestClassifier:
@@ -67,7 +67,6 @@ class RandomForestClassifier:
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=max_features,
                 max_bins=self.max_bins,
-                task="classification",
                 random_state=np.random.default_rng(rng.integers(0, 2 ** 32)),
             )
             tree.fit(features[bootstrap], labels[bootstrap])
@@ -82,7 +81,7 @@ class RandomForestClassifier:
         """Mean class-1 probability across trees."""
 
         self._check_fitted()
-        features = np.asarray(features, dtype=float)
+        features = as_feature_matrix(features, self.n_features_)
         probabilities = np.zeros(features.shape[0], dtype=float)
         for tree in self.trees_:
             probabilities += tree.predict_proba(features)
@@ -95,102 +94,6 @@ class RandomForestClassifier:
 
     def feature_importances(self) -> np.ndarray:
         """Mean normalised split-gain importance across trees."""
-
-        self._check_fitted()
-        importances = np.zeros(self.n_features_, dtype=float)
-        for tree in self.trees_:
-            importances += tree.feature_importances()
-        importances /= len(self.trees_)
-        total = importances.sum()
-        if total > 0:
-            importances /= total
-        return importances
-
-
-class GradientBoostingClassifier:
-    """Binary gradient boosting with regression trees (XGBoost-style)."""
-
-    def __init__(
-        self,
-        *,
-        n_estimators: int = 50,
-        learning_rate: float = 0.2,
-        max_depth: int = 5,
-        min_samples_leaf: int = 5,
-        max_bins: int = 32,
-        random_state: int = 0,
-    ):
-        if n_estimators < 1:
-            raise ValueError("n_estimators must be at least 1")
-        if not 0.0 < learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
-        self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.max_bins = max_bins
-        self.random_state = random_state
-        self.trees_: List[DecisionTree] = []
-        self.base_score_: float = 0.0
-        self.n_features_: int = 0
-
-    @staticmethod
-    def _sigmoid(values: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-np.clip(values, -30.0, 30.0)))
-
-    def fit(self, features: np.ndarray, labels: np.ndarray) -> "GradientBoostingClassifier":
-        """Fit with logistic loss on binary labels."""
-
-        features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels, dtype=float)
-        if features.shape[0] != labels.shape[0]:
-            raise ValueError("features and labels must have the same number of rows")
-        self.n_features_ = features.shape[1]
-        positive_rate = float(np.clip(labels.mean(), 1e-6, 1.0 - 1e-6))
-        self.base_score_ = math.log(positive_rate / (1.0 - positive_rate))
-        rng = np.random.default_rng(self.random_state)
-        raw = np.full(features.shape[0], self.base_score_, dtype=float)
-        self.trees_ = []
-        for _ in range(self.n_estimators):
-            residual = labels - self._sigmoid(raw)
-            tree = DecisionTree(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                max_bins=self.max_bins,
-                task="regression",
-                random_state=np.random.default_rng(rng.integers(0, 2 ** 32)),
-            )
-            tree.fit(features, residual)
-            raw += self.learning_rate * tree.predict_value(features)
-            self.trees_.append(tree)
-        return self
-
-    def _check_fitted(self) -> None:
-        if not self.trees_:
-            raise RuntimeError("model has not been fitted")
-
-    def decision_function(self, features: np.ndarray) -> np.ndarray:
-        """Raw additive score before the sigmoid link."""
-
-        self._check_fitted()
-        features = np.asarray(features, dtype=float)
-        raw = np.full(features.shape[0], self.base_score_, dtype=float)
-        for tree in self.trees_:
-            raw += self.learning_rate * tree.predict_value(features)
-        return raw
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Class-1 probability."""
-
-        return self._sigmoid(self.decision_function(features))
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Predicted binary labels."""
-
-        return (self.predict_proba(features) >= 0.5).astype(int)
-
-    def feature_importances(self) -> np.ndarray:
-        """Mean normalised split-gain importance across boosting rounds."""
 
         self._check_fitted()
         importances = np.zeros(self.n_features_, dtype=float)

@@ -7,33 +7,18 @@ learner on numpy.  Splits are found on binned features (the same trick
 XGBoost's ``hist`` method uses), which keeps training on hundreds of
 thousands of rows fast while preserving the quantities the paper consumes:
 accuracy and per-feature split gains.
+
+A fitted tree is a set of parallel node arrays, so prediction moves every
+row down one level per vector step instead of walking rows one by one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 _EPS = 1e-12
-
-
-@dataclass
-class _Node:
-    """One node of a fitted tree (internal representation)."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    value: float = 0.0
-    n_samples: int = 0
-    gain: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
 
 
 def _bin_edges(column: np.ndarray, max_bins: int) -> np.ndarray:
@@ -49,8 +34,25 @@ def _bin_edges(column: np.ndarray, max_bins: int) -> np.ndarray:
     return edges
 
 
+def as_feature_matrix(features: np.ndarray, n_features: int) -> np.ndarray:
+    """*features* as an ``(n, n_features)`` float matrix; a 1-D input is one row.
+
+    Raises ``ValueError`` when the width is not the *n_features* the model
+    was fitted on.
+    """
+
+    features = np.asarray(features, dtype=float)
+    if features.ndim == 1:
+        features = features.reshape(1, -1)
+    if features.ndim != 2 or features.shape[1] != n_features:
+        raise ValueError(
+            f"expected {n_features} feature columns, got input of shape {features.shape}"
+        )
+    return features
+
+
 class DecisionTree:
-    """CART tree supporting gini classification and MSE regression.
+    """Gini CART tree for binary classification.
 
     Parameters
     ----------
@@ -65,10 +67,11 @@ class DecisionTree:
         forests pass ``sqrt(n_features)``.
     max_bins:
         Maximum number of candidate thresholds per feature.
-    task:
-        ``"classification"`` (gini, binary labels) or ``"regression"``
-        (mean-squared error, continuous targets — used by gradient
-        boosting).
+
+    The fitted tree is held in parallel arrays indexed by node id (root 0,
+    pre-order): ``feature_`` (``-1`` marks a leaf), ``threshold_``,
+    ``left_``, ``right_``, ``value_`` (class-1 share of the node's weight),
+    ``n_samples_`` and ``gain_``.
     """
 
     def __init__(
@@ -79,11 +82,8 @@ class DecisionTree:
         min_samples_leaf: int = 1,
         max_features: Optional[int] = None,
         max_bins: int = 32,
-        task: str = "classification",
         random_state: Optional[np.random.Generator] = None,
     ):
-        if task not in ("classification", "regression"):
-            raise ValueError("task must be 'classification' or 'regression'")
         if max_depth < 1:
             raise ValueError("max_depth must be at least 1")
         self.max_depth = max_depth
@@ -91,15 +91,20 @@ class DecisionTree:
         self.min_samples_leaf = max(1, min_samples_leaf)
         self.max_features = max_features
         self.max_bins = max_bins
-        self.task = task
         self._rng = random_state if random_state is not None else np.random.default_rng(0)
-        self._nodes: List[_Node] = []
         self.n_features_: int = 0
+        self.feature_ = np.empty(0, dtype=np.int64)
+        self.threshold_ = np.empty(0, dtype=float)
+        self.left_ = np.empty(0, dtype=np.int64)
+        self.right_ = np.empty(0, dtype=np.int64)
+        self.value_ = np.empty(0, dtype=float)
+        self.n_samples_ = np.empty(0, dtype=np.int64)
+        self.gain_ = np.empty(0, dtype=float)
 
     # -- fitting ------------------------------------------------------------
 
     def fit(self, features: np.ndarray, targets: np.ndarray, sample_weight: Optional[np.ndarray] = None) -> "DecisionTree":
-        """Fit the tree on *features* (n × d) and *targets* (n,)."""
+        """Fit the tree on *features* (n × d) and binary *targets* (n,)."""
 
         features = np.asarray(features, dtype=float)
         targets = np.asarray(targets, dtype=float)
@@ -114,24 +119,34 @@ class DecisionTree:
         else:
             sample_weight = np.asarray(sample_weight, dtype=float)
         self.n_features_ = features.shape[1]
-        self._nodes = []
-        self._grow(features, targets, sample_weight, np.arange(features.shape[0]), depth=0)
+        # One [feature, threshold, left, right, value, n_samples, gain] row
+        # per node while growing; transposed into the node arrays after.
+        nodes: List[list] = []
+        self._grow(features, targets, sample_weight, np.arange(features.shape[0]), 0, nodes)
+        feature, threshold, left, right, value, n_samples, gain = zip(*nodes)
+        self.feature_ = np.array(feature, dtype=np.int64)
+        self.threshold_ = np.array(threshold, dtype=float)
+        self.left_ = np.array(left, dtype=np.int64)
+        self.right_ = np.array(right, dtype=np.int64)
+        self.value_ = np.array(value, dtype=float)
+        self.n_samples_ = np.array(n_samples, dtype=np.int64)
+        self.gain_ = np.array(gain, dtype=float)
         return self
 
-    def _leaf_value(self, targets: np.ndarray, weights: np.ndarray) -> float:
+    @staticmethod
+    def _leaf_value(targets: np.ndarray, weights: np.ndarray) -> float:
         total = weights.sum()
         if total <= 0:
             return 0.0
         return float(np.dot(targets, weights) / total)
 
-    def _impurity(self, targets: np.ndarray, weights: np.ndarray) -> float:
+    @staticmethod
+    def _impurity(targets: np.ndarray, weights: np.ndarray) -> float:
         total = weights.sum()
         if total <= 0:
             return 0.0
         mean = np.dot(targets, weights) / total
-        if self.task == "classification":
-            return float(2.0 * mean * (1.0 - mean))
-        return float(np.dot(weights, (targets - mean) ** 2) / total)
+        return float(2.0 * mean * (1.0 - mean))
 
     def _grow(
         self,
@@ -140,12 +155,13 @@ class DecisionTree:
         weights: np.ndarray,
         index: np.ndarray,
         depth: int,
+        nodes: List[list],
     ) -> int:
-        node_id = len(self._nodes)
+        node_id = len(nodes)
         node_targets = targets[index]
         node_weights = weights[index]
-        node = _Node(value=self._leaf_value(node_targets, node_weights), n_samples=index.size)
-        self._nodes.append(node)
+        node = [-1, 0.0, -1, -1, self._leaf_value(node_targets, node_weights), index.size, 0.0]
+        nodes.append(node)
 
         if depth >= self.max_depth or index.size < self.min_samples_split:
             return node_id
@@ -164,11 +180,9 @@ class DecisionTree:
         if left_index.size < self.min_samples_leaf or right_index.size < self.min_samples_leaf:
             return node_id
 
-        node.feature = feature
-        node.threshold = threshold
-        node.gain = gain
-        node.left = self._grow(features, targets, weights, left_index, depth + 1)
-        node.right = self._grow(features, targets, weights, right_index, depth + 1)
+        node[0], node[1], node[6] = feature, threshold, gain
+        node[2] = self._grow(features, targets, weights, left_index, depth + 1, nodes)
+        node[3] = self._grow(features, targets, weights, right_index, depth + 1, nodes)
         return node_id
 
     def _best_split(
@@ -204,7 +218,6 @@ class DecisionTree:
             sorted_weights = node_weights[order]
             cum_weight = np.cumsum(sorted_weights)
             cum_weighted_target = np.cumsum(sorted_targets * sorted_weights)
-            cum_weighted_sq = np.cumsum((sorted_targets ** 2) * sorted_weights)
             positions = np.searchsorted(sorted_column, thresholds, side="right")
             valid = (positions >= self.min_samples_leaf) & (
                 positions <= index.size - self.min_samples_leaf
@@ -220,18 +233,8 @@ class DecisionTree:
             with np.errstate(divide="ignore", invalid="ignore"):
                 left_mean = np.where(left_weight > 0, left_sum / left_weight, 0.0)
                 right_mean = np.where(right_weight > 0, right_sum / right_weight, 0.0)
-                if self.task == "classification":
-                    left_impurity = 2.0 * left_mean * (1.0 - left_mean)
-                    right_impurity = 2.0 * right_mean * (1.0 - right_mean)
-                else:
-                    left_sq = cum_weighted_sq[positions - 1]
-                    right_sq = cum_weighted_sq[-1] - left_sq
-                    left_impurity = np.where(
-                        left_weight > 0, left_sq / left_weight - left_mean ** 2, 0.0
-                    )
-                    right_impurity = np.where(
-                        right_weight > 0, right_sq / right_weight - right_mean ** 2, 0.0
-                    )
+                left_impurity = 2.0 * left_mean * (1.0 - left_mean)
+                right_impurity = 2.0 * right_mean * (1.0 - right_mean)
             weighted_child = (
                 left_weight * left_impurity + right_weight * right_impurity
             ) / total_weight
@@ -245,70 +248,70 @@ class DecisionTree:
     # -- prediction --------------------------------------------------------
 
     def _check_fitted(self) -> None:
-        if not self._nodes:
+        if not self.value_.size:
             raise RuntimeError("tree has not been fitted")
 
     def predict_value(self, features: np.ndarray) -> np.ndarray:
-        """Raw leaf values (class-1 probability or regression output)."""
+        """Leaf value (class-1 probability) per row.
+
+        All rows descend together: each step moves every row that still
+        sits on an internal node to its child, so a fit of depth ``d``
+        costs ``d`` vector steps however many rows there are.
+        """
 
         self._check_fitted()
-        features = np.asarray(features, dtype=float)
-        if features.ndim == 1:
-            features = features.reshape(1, -1)
-        output = np.empty(features.shape[0], dtype=float)
-        for row in range(features.shape[0]):
-            node = self._nodes[0]
-            while not node.is_leaf:
-                if features[row, node.feature] <= node.threshold:
-                    node = self._nodes[node.left]
-                else:
-                    node = self._nodes[node.right]
-            output[row] = node.value
-        return output
+        features = as_feature_matrix(features, self.n_features_)
+        node = np.zeros(features.shape[0], dtype=np.int64)
+        active = np.nonzero(self.feature_[node] >= 0)[0]
+        while active.size:
+            at = node[active]
+            went_left = features[active, self.feature_[at]] <= self.threshold_[at]
+            at = np.where(went_left, self.left_[at], self.right_[at])
+            node[active] = at
+            active = active[self.feature_[at] >= 0]
+        return self.value_[node]
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Class-1 probability per row (classification trees only)."""
+        """Class-1 probability per row."""
 
-        if self.task != "classification":
-            raise RuntimeError("predict_proba is only defined for classification trees")
         return self.predict_value(features)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """Predicted class labels (classification) or values (regression)."""
+        """Predicted class labels."""
 
-        values = self.predict_value(features)
-        if self.task == "classification":
-            return (values >= 0.5).astype(int)
-        return values
+        return (self.predict_value(features) >= 0.5).astype(int)
 
     # -- introspection --------------------------------------------------------
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return int(self.value_.size)
 
     @property
     def depth(self) -> int:
         """Actual depth of the fitted tree."""
 
         self._check_fitted()
-
-        def _depth(node_id: int) -> int:
-            node = self._nodes[node_id]
-            if node.is_leaf:
-                return 0
-            return 1 + max(_depth(node.left), _depth(node.right))
-
-        return _depth(0)
+        depth = 0
+        level = np.zeros(1, dtype=np.int64)
+        while True:
+            level = level[self.feature_[level] >= 0]
+            if not level.size:
+                return depth
+            depth += 1
+            level = np.concatenate([self.left_[level], self.right_[level]])
 
     def feature_importances(self) -> np.ndarray:
         """Total split gain per feature, normalised to sum to one."""
 
         self._check_fitted()
-        importances = np.zeros(self.n_features_, dtype=float)
-        for node in self._nodes:
-            if not node.is_leaf:
-                importances[node.feature] += node.gain * node.n_samples
+        internal = self.feature_ >= 0
+        # bincount adds in node order, the same float sums as a node loop.
+        importances = np.bincount(
+            self.feature_[internal],
+            weights=self.gain_[internal] * self.n_samples_[internal],
+            minlength=self.n_features_,
+        )
         total = importances.sum()
         if total > 0:
             importances /= total
@@ -318,11 +321,12 @@ class DecisionTree:
         """Return the (feature, threshold, went_left) path for one row."""
 
         self._check_fitted()
-        row = np.asarray(row, dtype=float).ravel()
+        row = as_feature_matrix(np.ravel(row), self.n_features_)[0]
         path: List[Tuple[int, float, bool]] = []
-        node = self._nodes[0]
-        while not node.is_leaf:
-            went_left = row[node.feature] <= node.threshold
-            path.append((node.feature, node.threshold, bool(went_left)))
-            node = self._nodes[node.left] if went_left else self._nodes[node.right]
+        node = 0
+        while self.feature_[node] >= 0:
+            feature, threshold = int(self.feature_[node]), float(self.threshold_[node])
+            went_left = bool(row[feature] <= threshold)
+            path.append((feature, threshold, went_left))
+            node = int(self.left_[node] if went_left else self.right_[node])
         return path

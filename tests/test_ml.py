@@ -7,7 +7,7 @@ from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.fingerprint import Fingerprint
 from repro.ml.encoding import FingerprintEncoder, display_name
 from repro.ml.explain import gain_importance, permutation_importance, rank_importances, top_features
-from repro.ml.forest import GradientBoostingClassifier, RandomForestClassifier
+from repro.ml.forest import RandomForestClassifier
 from repro.ml.metrics import ConfusionMatrix, accuracy_score, confusion_matrix, train_test_split
 from repro.ml.tree import DecisionTree
 
@@ -103,18 +103,7 @@ def test_tree_pure_node_stops_splitting():
     assert np.all(tree.predict(features) == 0)
 
 
-def test_tree_regression_mode():
-    rng = np.random.default_rng(0)
-    features = rng.random((300, 1))
-    targets = 3.0 * features[:, 0]
-    tree = DecisionTree(max_depth=6, task="regression").fit(features, targets)
-    predictions = tree.predict(features)
-    assert np.mean((predictions - targets) ** 2) < 0.05
-
-
 def test_tree_validation_errors():
-    with pytest.raises(ValueError):
-        DecisionTree(task="clustering")
     with pytest.raises(ValueError):
         DecisionTree(max_depth=0)
     tree = DecisionTree()
@@ -129,6 +118,155 @@ def test_tree_decision_path():
     tree = DecisionTree(max_depth=3).fit(features, labels)
     path = tree.decision_path(features[0])
     assert path and all(len(step) == 3 for step in path)
+
+
+# -- flat-array trees against a per-row reference walk ----------------------------
+
+
+def _reference_leaf(tree, row):
+    """Walk one row down the node arrays, one node at a time."""
+
+    node = 0
+    while tree.feature_[node] >= 0:
+        if row[tree.feature_[node]] <= tree.threshold_[node]:
+            node = tree.left_[node]
+        else:
+            node = tree.right_[node]
+    return node
+
+
+def _reference_proba(tree, features):
+    rows = np.asarray(features, dtype=float).reshape(-1, tree.n_features_)
+    return np.array([tree.value_[_reference_leaf(tree, row)] for row in rows], dtype=float)
+
+
+def _reference_forest_proba(forest, features):
+    total = np.zeros(np.asarray(features).reshape(-1, forest.n_features_).shape[0])
+    for tree in forest.trees_:
+        total += _reference_proba(tree, features)
+    return total / len(forest.trees_)
+
+
+def _reference_importances(tree):
+    importances = np.zeros(tree.n_features_, dtype=float)
+    for node in range(tree.node_count):
+        if tree.feature_[node] >= 0:
+            importances[tree.feature_[node]] += float(tree.gain_[node]) * int(tree.n_samples_[node])
+    total = importances.sum()
+    return importances / total if total > 0 else importances
+
+
+def _reference_depth(tree, node=0):
+    if tree.feature_[node] < 0:
+        return 0
+    left, right = tree.left_[node], tree.right_[node]
+    return 1 + max(_reference_depth(tree, left), _reference_depth(tree, right))
+
+
+def _tie_rows(tree, base_row):
+    """One row per internal node whose split feature sits exactly on the threshold."""
+
+    rows = []
+    for node in np.nonzero(tree.feature_ >= 0)[0]:
+        row = np.array(base_row, dtype=float)
+        row[tree.feature_[node]] = tree.threshold_[node]
+        rows.append(row)
+    return np.array(rows).reshape(-1, tree.n_features_)
+
+
+def _random_problem(seed):
+    rng = np.random.default_rng(seed)
+    n_rows, n_features = int(rng.integers(40, 400)), int(rng.integers(1, 7))
+    if seed % 2:
+        # Few distinct values per column: many equal values around each split.
+        features = rng.integers(0, 5, size=(n_rows, n_features)).astype(float)
+    else:
+        features = rng.normal(size=(n_rows, n_features))
+    labels = (rng.random(n_rows) < 0.35).astype(float)
+    return features, labels, rng
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_flat_tree_matches_reference_walk(seed):
+    features, labels, rng = _random_problem(seed)
+    tree = DecisionTree(max_depth=int(rng.integers(1, 10)), random_state=rng).fit(features, labels)
+    query = np.vstack(
+        [features, rng.normal(size=(25, features.shape[1])), _tie_rows(tree, features[0])]
+    )
+    proba = tree.predict_proba(query)
+    assert proba.tobytes() == _reference_proba(tree, query).tobytes()
+    assert np.array_equal(tree.predict(query), (proba >= 0.5).astype(int))
+    assert tree.feature_importances().tobytes() == _reference_importances(tree).tobytes()
+    assert tree.depth == _reference_depth(tree) <= tree.max_depth
+    for row in query[:: max(1, len(query) // 10)]:
+        path = tree.decision_path(row)
+        assert len(path) <= tree.depth
+        node = 0
+        for feature, threshold, went_left in path:
+            assert (feature, threshold) == (tree.feature_[node], tree.threshold_[node])
+            node = tree.left_[node] if went_left else tree.right_[node]
+        assert node == _reference_leaf(tree, row)
+
+
+def test_flat_tree_threshold_ties_go_left():
+    features = np.array([[0.0], [1.0], [2.0], [3.0]])
+    tree = DecisionTree(max_depth=1).fit(features, np.array([0.0, 0.0, 1.0, 1.0]))
+    assert tree.node_count == 3 and tree.threshold_[0] == 1.5
+    tie = np.array([[1.5]])
+    assert tree.predict(tie)[0] == 0
+    assert tree.decision_path(tie[0]) == [(0, 1.5, True)]
+    assert tree.predict_proba(tie).tobytes() == _reference_proba(tree, tie).tobytes()
+
+
+def test_flat_tree_single_leaf():
+    features = np.random.default_rng(3).normal(size=(20, 3))
+    tree = DecisionTree(max_depth=4).fit(features, np.ones(20))
+    assert tree.node_count == 1 and tree.depth == 0
+    assert np.array_equal(tree.predict_proba(features), np.ones(20))
+    assert np.array_equal(tree.feature_importances(), np.zeros(3))
+    assert tree.decision_path(features[0]) == []
+
+
+def test_flat_tree_one_dimensional_and_empty_inputs():
+    features, labels = _separable_dataset(200)
+    tree = DecisionTree(max_depth=4).fit(features, labels)
+    single = tree.predict_proba(features[7])
+    assert single.shape == (1,)
+    assert single.tobytes() == _reference_proba(tree, features[7:8]).tobytes()
+    empty = tree.predict_proba(np.zeros((0, 2)))
+    assert empty.shape == (0,) and empty.dtype == float
+    assert tree.predict(np.zeros((0, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_wrong_input_width_is_rejected(width):
+    features, labels = _separable_dataset(200)
+    tree = DecisionTree(max_depth=3).fit(features, labels)
+    forest = RandomForestClassifier(n_estimators=3, max_depth=3).fit(features, labels)
+    wrong = np.zeros((4, width))
+    for call in (
+        tree.predict,
+        tree.predict_proba,
+        tree.predict_value,
+        forest.predict,
+        forest.predict_proba,
+    ):
+        with pytest.raises(ValueError, match="feature columns"):
+            call(wrong)
+    with pytest.raises(ValueError, match="feature columns"):
+        tree.decision_path(wrong[0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_forest_proba_matches_reference_walk(seed):
+    features, labels, rng = _random_problem(seed)
+    forest = RandomForestClassifier(n_estimators=6, max_depth=8, random_state=seed)
+    forest.fit(features, labels)
+    query = np.vstack([features, rng.normal(size=(25, features.shape[1]))])
+    proba = forest.predict_proba(query)
+    assert proba.tobytes() == _reference_forest_proba(forest, query).tobytes()
+    assert np.array_equal(forest.predict(query), (proba >= 0.5).astype(int))
+    assert forest.predict_proba(query[0]).tobytes() == proba[:1].tobytes()
 
 
 # -- ensembles --------------------------------------------------------------------
@@ -154,21 +292,6 @@ def test_random_forest_unfitted_raises():
         RandomForestClassifier().predict(np.zeros((1, 2)))
     with pytest.raises(ValueError):
         RandomForestClassifier(n_estimators=0)
-
-
-def test_gradient_boosting_accuracy():
-    features, labels = _separable_dataset(600)
-    model = GradientBoostingClassifier(n_estimators=15, max_depth=3, random_state=1).fit(features, labels)
-    assert accuracy_score(labels, model.predict(features)) > 0.95
-    importances = model.feature_importances()
-    assert importances[0] > importances[1]
-
-
-def test_gradient_boosting_validation():
-    with pytest.raises(ValueError):
-        GradientBoostingClassifier(learning_rate=0.0)
-    with pytest.raises(RuntimeError):
-        GradientBoostingClassifier().predict_proba(np.zeros((1, 2)))
 
 
 # -- explainability ----------------------------------------------------------------------

@@ -10,10 +10,12 @@ columnar engine materialises zero record objects while doing so.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.analysis.attributes as attributes_module
 from repro.analysis.attributes import (
     appendix_c_combination,
     table2,
@@ -41,6 +43,7 @@ from repro.analysis.figures import (
 from repro.analysis.ip_analysis import analyze_asn_blocklist, analyze_ip_blocklist
 from repro.analysis.report import Report, generate_report, report_section_keys
 from repro.fingerprint.attributes import Attribute
+from repro.fingerprint.fingerprint import grouping_value
 from repro.honeysite.storage import (
     LazyRequestStore,
     RecordColumns,
@@ -48,6 +51,9 @@ from repro.honeysite.storage import (
     RequestStore,
     materialized_record_count,
 )
+from repro.ml.encoding import FingerprintEncoder
+
+GOLDEN_TABLE2 = Path(__file__).parent / "golden" / "table2.json"
 
 TINY = dict(
     seed=29,
@@ -89,15 +95,17 @@ def empty_lazy_store() -> LazyRequestStore:
     return LazyRequestStore(RecordColumnsBuilder().columns().renumbered())
 
 
-def rebuilt_store(columns: RecordColumns, *, strip=()) -> LazyRequestStore:
+def rebuilt_store(columns: RecordColumns, *, strip=(), rewrite=None) -> LazyRequestStore:
     """A lazy store over *columns* re-encoded through the object-dictionary
     constructor, optionally with *strip* attributes removed from every
-    session fingerprint."""
+    session fingerprint and ``rewrite(session, fingerprint)`` applied."""
 
     sessions = columns.sessions
     fingerprints = list(columns.session_fingerprints)
     if strip:
         fingerprints = [fingerprint.without(*strip) for fingerprint in fingerprints]
+    if rewrite is not None:
+        fingerprints = [rewrite(session, fp) for session, fp in enumerate(fingerprints)]
     return LazyRequestStore(
         RecordColumns(
             timestamps=columns.timestamps,
@@ -217,14 +225,15 @@ def test_classifier_subsample_parity_both_rng_branches(lazy_store, object_store)
     # identically on the two engines.
     for max_samples in (300, 10 ** 6):
         columnar = train_evasion_classifier(
-            lazy_store, "DataDome", max_samples=max_samples, seed=3
+            lazy_store, "DataDome", max_samples=max_samples, seed=3, permutation=True
         )
         reference = train_evasion_classifier(
-            object_store, "DataDome", max_samples=max_samples, seed=3
+            object_store, "DataDome", max_samples=max_samples, seed=3, permutation=True
         )
         assert columnar.train_accuracy == reference.train_accuracy
         assert columnar.test_accuracy == reference.test_accuracy
         assert columnar.importances == reference.importances
+        assert columnar.permutation is not None
         assert columnar.permutation == reference.permutation
 
 
@@ -297,3 +306,93 @@ def test_report_digests_stable_on_memory_mapped_archive(tiny_corpus, tmp_path, m
 
 def test_table2_identical_across_engines(lazy_store, object_store):
     assert table2(lazy_store, max_samples=300) == table2(object_store, max_samples=300)
+
+
+# -- Table 2: golden pin, opt-in permutation importance, code-column features --
+
+
+@pytest.fixture(scope="module")
+def golden_table2():
+    return json.loads(GOLDEN_TABLE2.read_text())
+
+
+def test_table2_matches_golden_on_both_engines(golden_table2, lazy_store, object_store):
+    # A tree change that moves both engines together still moves these.
+    assert golden_table2["corpus"] == TINY
+    for store in (lazy_store, object_store):
+        for detector, pinned in golden_table2["detectors"].items():
+            result = train_evasion_classifier(
+                store,
+                detector,
+                max_samples=golden_table2["max_samples"],
+                seed=golden_table2["seed"],
+            )
+            assert result.top_attributes(5) == pinned["top5"], detector
+            assert [item.importance for item in result.importances[:5]] == pinned["top5_gain"]
+            assert result.train_accuracy == pinned["train_accuracy"], detector
+            assert result.test_accuracy == pinned["test_accuracy"], detector
+
+
+def test_table2_never_computes_permutation_importance(lazy_store, object_store, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("table2 computed permutation importance")
+
+    monkeypatch.setattr(attributes_module, "permutation_importance", forbidden)
+    for store in (lazy_store, object_store):
+        assert set(table2(store, max_samples=300)) == {"DataDome", "BotD"}
+        assert train_evasion_classifier(store, "BotD", max_samples=300).permutation is None
+
+
+def decoded_fingerprints(columns: RecordColumns) -> list:
+    fingerprints = columns.session_fingerprints
+    return [fingerprints[code] for code in np.asarray(columns.session_codes).tolist()]
+
+
+def collided_store(lazy_store: LazyRequestStore) -> LazyRequestStore:
+    """Half the sessions spell their plugin list as one joined string and a
+    third lose their timezone: ``("A", "B")`` and ``("A, B",)`` group to
+    the same value, as do ``()`` and ``("(none)",)``."""
+
+    def rewrite(session, fingerprint):
+        if session % 3 == 0:
+            fingerprint = fingerprint.without(Attribute.TIMEZONE)
+        plugins = fingerprint.get(Attribute.PLUGINS)
+        if plugins is None or session % 2:
+            return fingerprint
+        return fingerprint.replace(plugins=(", ".join(plugins) or "(none)",))
+
+    return rebuilt_store(lazy_store.columns, rewrite=rewrite)
+
+
+@pytest.mark.parametrize("case", ("regular", "sampled", "missing_attributes", "collisions"))
+def test_code_column_features_match_decoded_fingerprints(lazy_store, case):
+    if case == "collisions":
+        columns = collided_store(lazy_store).columns
+        _, raw_plugins = columns.attribute_rows(Attribute.PLUGINS)
+        grouped = {grouping_value(Attribute.PLUGINS, value) for value in raw_plugins}
+        assert len(grouped) < len(set(raw_plugins))
+    elif case == "sampled":
+        rows = np.random.default_rng(0).choice(len(lazy_store), size=300, replace=False)
+        columns = lazy_store.columns.take(rows)
+    else:
+        store = lazy_store if case == "regular" else edge_store(lazy_store, case)
+        columns = store.columns
+    fingerprints = decoded_fingerprints(columns)
+    from_columns, from_objects = FingerprintEncoder(), FingerprintEncoder()
+    matrix = from_columns.fit_transform(columns)
+    expected = from_objects.fit_transform(fingerprints)
+    assert matrix.tobytes() == expected.tobytes()
+    for attribute in from_objects.attributes:
+        assert list(from_columns.categories_of(attribute).items()) == list(
+            from_objects.categories_of(attribute).items()
+        ), attribute
+    assert from_columns.transform(fingerprints).tobytes() == matrix.tobytes()
+    if case == "collisions":
+        plugin_rows, _ = columns.attribute_rows(Attribute.PLUGINS)
+        spellings = np.unique(plugin_rows[plugin_rows >= 0]).size
+        assert len(from_columns.categories_of(Attribute.PLUGINS)) < spellings
+
+
+def test_code_column_features_reject_empty_columns():
+    with pytest.raises(ValueError):
+        FingerprintEncoder().fit_transform(empty_lazy_store().columns)
