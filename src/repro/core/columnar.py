@@ -73,6 +73,24 @@ def _factorize(items: Sequence[object]) -> Tuple[np.ndarray, List[object], Dict[
     return codes, values, index
 
 
+def intern_values(
+    items: Sequence[object], index: Dict[object, int], values: List[object]
+) -> np.ndarray:
+    """Codes of *items* in a growing vocabulary: *index* and its decode list *values*.
+
+    Unseen items are appended in first-occurrence order, exactly as
+    interning them one at a time would; the dedup, the index update and
+    the lookups all run as C-level dict operations.  An item the index
+    maps to ``-1`` (a pre-seeded sentinel) codes as ``-1`` and is never
+    appended.
+    """
+
+    unseen = [item for item in dict.fromkeys(items) if item not in index]
+    index.update(zip(unseen, range(len(values), len(values) + len(unseen))))
+    values.extend(unseen)
+    return np.fromiter(map(index.__getitem__, items), dtype=np.int64, count=len(items))
+
+
 def _extract_column(
     fingerprints: Sequence[Fingerprint], attribute: Attribute
 ) -> Tuple[np.ndarray, List[object], Dict[object, int]]:

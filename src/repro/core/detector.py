@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.columnar import ColumnarTable, partition_rows_by_device
 from repro.core.rules import FilterList, InconsistencyRule
 from repro.core.spatial import SpatialInconsistencyMiner
@@ -404,29 +406,33 @@ class FPInconsistent:
         """Fill filter-list misses with the generalised Location check.
 
         The knowledge base is consulted once per distinct (IP country,
-        timezone) code pair rather than once per request; the synthesized
-        rules are value-identical to the reference path's.
+        timezone) code pair among the unmatched rows, found with one
+        ``np.unique``; each pair's rule object is shared by its rows and is
+        value-identical to the reference path's.
         """
 
         for attribute in (Attribute.IP_COUNTRY, Attribute.TIMEZONE):
             table.require_attribute(attribute, "Location predicate attribute")
         country_codes = table.codes_of(Attribute.IP_COUNTRY)
         timezone_codes = table.codes_of(Attribute.TIMEZONE)
+        unmatched = np.array([rule is None for rule in spatial_rules], dtype=bool)
+        rows = np.flatnonzero(unmatched & (country_codes >= 0) & (timezone_codes >= 0))
+        if not rows.size:
+            return
         country_values = table.values_of(Attribute.IP_COUNTRY)
         timezone_values = table.values_of(Attribute.TIMEZONE)
-        combo_rules: Dict[Tuple[int, int], Optional[InconsistencyRule]] = {}
-        for row, rule in enumerate(spatial_rules):
-            if rule is not None:
-                continue
-            country_code = country_codes[row]
-            timezone_code = timezone_codes[row]
-            if country_code < 0 or timezone_code < 0:
-                continue
-            combo = (int(country_code), int(timezone_code))
-            if combo not in combo_rules:
-                combo_rules[combo] = self._location_rule(
-                    country_values[combo[0]], timezone_values[combo[1]]
-                )
+        n_timezones = len(timezone_values)
+        combos, inverse = np.unique(
+            country_codes[rows].astype(np.int64) * n_timezones + timezone_codes[rows],
+            return_inverse=True,
+        )
+        combo_rules = [
+            self._location_rule(country_values[country], timezone_values[timezone])
+            for country, timezone in zip(
+                (combos // n_timezones).tolist(), (combos % n_timezones).tolist()
+            )
+        ]
+        for row, combo in zip(rows.tolist(), inverse.tolist()):
             spatial_rules[row] = combo_rules[combo]
 
     def _classify_table_sharded(

@@ -20,11 +20,14 @@ inconsistent".
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.columnar import intern_values
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.fingerprint import Fingerprint
 from repro.honeysite.storage import RequestStore
@@ -50,6 +53,108 @@ DEFAULT_COOKIE_TOLERANCE = 1
 DEFAULT_IP_TOLERANCE = 2
 
 
+class _SeenColumn:
+    """Seen-state of one (key kind, attribute) pair, indexed by state key id.
+
+    ``first[key]`` is the first value id observed for *key* (``-1`` while
+    the key is untracked).  Almost every key keeps one value forever, so
+    only keys that grew past it get an ``overflow`` entry: every value id
+    they hold, first one included, in observation order.  ``stamp[key]``
+    is the state epoch of the key's last change.
+    """
+
+    __slots__ = ("first", "stamp", "overflow")
+
+    def __init__(self):
+        self.first = np.full(0, -1, dtype=np.int32)
+        self.stamp = np.zeros(0, dtype=np.int32)
+        self.overflow: Dict[int, List[int]] = {}
+
+    def reserve(self, n_keys: int) -> None:
+        size = self.first.size
+        if n_keys > size:
+            grown = max(n_keys, 2 * size)
+            self.first = np.concatenate([self.first, np.full(grown - size, -1, dtype=np.int32)])
+            self.stamp = np.concatenate([self.stamp, np.zeros(grown - size, dtype=np.int32)])
+
+    def value_ids(self, key: int) -> List[int]:
+        held = self.overflow.get(key)
+        if held is not None:
+            return held
+        first = int(self.first[key])
+        return [first] if first >= 0 else []
+
+    def observe(self, keys: np.ndarray, values: np.ndarray, tolerance: int, epoch: int):
+        """Stream time-ordered ``(key, value)`` ids; returns the flagged ones.
+
+        Every row whose value is its key's first value, and every first
+        sighting of a key, is settled in one vectorized pass.  Only the
+        rows left — a known key showing another value — walk Python, in
+        order.  Returns ``(position, previous value ids, new value id)``
+        per flagged position.
+        """
+
+        first = self.first
+        current = first[keys]
+        fresh = np.flatnonzero(current < 0)
+        if fresh.size:
+            new_keys, at = np.unique(keys[fresh], return_index=True)
+            first[new_keys] = values[fresh[at]]
+            self.stamp[new_keys] = epoch
+            current = first[keys]
+        rare = np.flatnonzero(values != current)
+        hits = []
+        overflow = self.overflow
+        for position, key, value in zip(
+            rare.tolist(), keys[rare].tolist(), values[rare].tolist()
+        ):
+            held = overflow.get(key)
+            if held is None:
+                held = overflow[key] = [int(first[key])]
+            elif value in held:
+                continue
+            if len(held) >= tolerance:
+                hits.append((position, tuple(held), value))
+            held.append(value)
+            self.stamp[key] = epoch
+        return hits
+
+
+class _Vocabulary:
+    """Items by state id, for one key kind or attribute.
+
+    The first decode list a slot meets is adopted as is: ids are its
+    codes, so nothing is interned, and it may keep growing.  A second
+    decode list turns the vocabulary into an owned copy with an index,
+    into which every later list interns its items.  Either way equal items
+    share one id, because a decode list holds each item once.
+    """
+
+    __slots__ = ("items", "index", "drop_falsy")
+
+    def __init__(self, decode: List, drop_falsy: bool):
+        self.items = decode
+        self.index: Optional[Dict] = None
+        #: keys only: a falsy key ("" cookie) maps to -1 and tracks nothing
+        self.drop_falsy = drop_falsy
+
+    def ids(self, decode: List, start: int) -> np.ndarray:
+        """State ids of ``decode[start:]``."""
+
+        tail = decode[start:]
+        if decode is self.items:
+            ids = np.arange(start, len(decode), dtype=np.int64)
+            if self.drop_falsy and "" in tail:
+                ids[tail.index("")] = -1
+            return ids
+        if self.index is None:
+            self.items = list(self.items)
+            self.index = dict(zip(self.items, range(len(self.items))))
+            if self.drop_falsy:
+                self.index[""] = -1
+        return intern_values(tail, self.index, self.items)
+
+
 class TemporalStreamState:
     """Per-device seen-state carried across micro-batches.
 
@@ -61,25 +166,166 @@ class TemporalStreamState:
     device identifiers (cookie / address *strings*), never table-local
     value codes, so state survives vocabulary growth and is meaningful
     across any sequence of tables.
+
+    The state maps keys and values to its own ids (see
+    :class:`_Vocabulary`) and holds, per (key kind, attribute), a
+    first-value array indexed by key id plus a small overflow map for the
+    keys that grew past one value (see :class:`_SeenColumn`).  Table codes
+    reach those ids through remap arrays cached per decode list, which
+    only ever grow, so scoring a batch is a gather plus Python work for
+    the rare rows that can flag.
+
+    Every change is stamped with the current ``epoch``, so a checkpointer
+    finds what changed since its last save with one comparison per column
+    (:meth:`close_epoch`, :meth:`changes_since`).
     """
 
-    __slots__ = ("seen",)
+    __slots__ = ("_vocabularies", "_remaps", "_columns", "epoch")
 
     def __init__(self):
-        #: (key_kind, key, attribute) -> observed values, insertion-ordered
-        #: (a dict-as-ordered-set, exactly like the detector's ``_seen``).
-        self.seen: Dict[Tuple[str, str, Attribute], Dict[object, None]] = {}
+        #: ("key", kind) / ("value", attribute) -> its vocabulary
+        self._vocabularies: Dict[Tuple, _Vocabulary] = {}
+        #: same slots -> (decode list, its codes remapped to ids)
+        self._remaps: Dict[Tuple, Tuple[List, np.ndarray]] = {}
+        self._columns: Dict[Tuple[str, Attribute], _SeenColumn] = {}
+        #: the stamp the next change receives (see :meth:`close_epoch`)
+        self.epoch = 1
 
     @property
     def tracked_devices(self) -> int:
         """Number of distinct (device key, attribute) entries tracked."""
 
-        return len(self.seen)
+        return sum(
+            int(np.count_nonzero(column.first >= 0)) for column in self._columns.values()
+        )
 
     def observed_values(self) -> int:
         """Total distinct values recorded across all tracked entries."""
 
-        return sum(len(values) for values in self.seen.values())
+        return self.tracked_devices + sum(
+            len(held) - 1
+            for column in self._columns.values()
+            for held in column.overflow.values()
+        )
+
+    def entries(self) -> Dict[Tuple[str, str, Attribute], Tuple[object, ...]]:
+        """The whole seen-state as ``(kind, key, attribute) -> values``.
+
+        Values are listed in observation order.  A decoded copy for
+        inspection and tests; scoring never builds it.
+        """
+
+        entries = {}
+        for kind, attribute, keys, counts, values in self.changes_since(0):
+            key_strings, items = self.keys_of(kind), self.values_of(attribute)
+            ends = np.cumsum(counts).tolist()
+            for key, end, count in zip(keys.tolist(), ends, counts.tolist()):
+                entries[(kind, key_strings[key], attribute)] = tuple(
+                    items[value] for value in values[end - count : end].tolist()
+                )
+        return entries
+
+    # -- vocabularies ------------------------------------------------------------
+
+    def _remap(self, slot: Tuple, decode: List) -> np.ndarray:
+        """Decode-list codes -> state ids, extended as *decode* grows.
+
+        Decode lists only ever grow (codes never change meaning), so the
+        cached remap of a list stays valid for the prefix it covers.
+        """
+
+        cached = self._remaps.get(slot)
+        if cached is not None and cached[0] is decode:
+            remap = cached[1]
+            if remap.size == len(decode):
+                return remap
+        else:
+            remap = np.empty(0, dtype=np.int64)
+        vocabulary = self._vocabularies.get(slot)
+        if vocabulary is None:
+            vocabulary = self._vocabularies[slot] = _Vocabulary(decode, slot[0] == "key")
+        remap = np.concatenate([remap, vocabulary.ids(decode, remap.size)])
+        self._remaps[slot] = (decode, remap)
+        return remap
+
+    def key_remap(self, kind: str, decode: List[str]) -> np.ndarray:
+        """State key ids of a key decode list; falsy keys map to ``-1``."""
+
+        return self._remap(("key", kind), decode)
+
+    def value_remap(self, attribute: Attribute, decode: List) -> np.ndarray:
+        """State value ids of an attribute decode list."""
+
+        return self._remap(("value", attribute), decode)
+
+    def keys_of(self, kind: str) -> List[str]:
+        """Key strings by state key id."""
+
+        vocabulary = self._vocabularies.get(("key", kind))
+        return [] if vocabulary is None else vocabulary.items
+
+    def values_of(self, attribute: Attribute) -> List[object]:
+        """Attribute values by state value id."""
+
+        vocabulary = self._vocabularies.get(("value", attribute))
+        return [] if vocabulary is None else vocabulary.items
+
+    def column(self, kind: str, attribute: Attribute) -> _SeenColumn:
+        """The (kind, attribute) column, sized for every interned key."""
+
+        column = self._columns.get((kind, attribute))
+        if column is None:
+            column = self._columns[(kind, attribute)] = _SeenColumn()
+        column.reserve(len(self.keys_of(kind)))
+        return column
+
+    # -- change tracking ---------------------------------------------------------
+
+    def close_epoch(self) -> int:
+        """End the current epoch and return it; later changes stamp higher."""
+
+        closed = self.epoch
+        self.epoch += 1
+        return closed
+
+    def changes_since(self, epoch: int):
+        """Entries changed after *epoch*, one group per (kind, attribute).
+
+        Yields ``(kind, attribute, keys, counts, values)``: ascending key
+        ids, each key's value count, and every value id of each key
+        concatenated in observation order.
+        """
+
+        for (kind, attribute), column in self._columns.items():
+            keys = np.flatnonzero(column.stamp > epoch)
+            if keys.size:
+                held = [column.value_ids(key) for key in keys.tolist()]
+                counts = np.fromiter(map(len, held), dtype=np.int64, count=keys.size)
+                values = np.fromiter(
+                    chain.from_iterable(held), dtype=np.int64, count=int(counts.sum())
+                )
+                yield kind, attribute, keys, counts, values
+
+    def merge(
+        self,
+        kind: str,
+        attribute: Attribute,
+        key_decode: List[str],
+        key_codes: np.ndarray,
+        value_decode: List,
+        counts: np.ndarray,
+        value_codes: np.ndarray,
+    ) -> None:
+        """Union entries given as codes against decode lists (a checkpoint fold).
+
+        Entry *i* holds ``counts[i]`` consecutive values in observation
+        order.  Streaming them with no tolerance is an order-preserving
+        union, so re-merging a known prefix is harmless.
+        """
+
+        keys = np.repeat(self.key_remap(kind, key_decode)[key_codes], counts)
+        values = self.value_remap(attribute, value_decode)[value_codes]
+        self.column(kind, attribute).observe(keys, values, sys.maxsize, self.epoch)
 
 
 @dataclass(frozen=True)
@@ -243,118 +489,19 @@ class TemporalInconsistencyDetector:
 
         The streaming semantics are exactly :meth:`evaluate_store`'s —
         same stable time ordering, same per-key state — but the stream runs
-        over the table's integer code columns: per-device state keys on
-        (device code, attribute) and records value *codes*, decoding to the
-        underlying values only when a flag actually fires.  No fingerprint
-        object is touched (and none needs to cross a process boundary when
-        shards classify in parallel).  Like :meth:`evaluate_store` this is
-        self-contained: detector state is reset first, and the streaming
-        ``observe`` state is left cleared afterwards.
+        over the table's integer code columns through a fresh
+        :class:`TemporalStreamState`, decoding to the underlying values
+        only when a flag actually fires.  No fingerprint object is touched
+        (and none needs to cross a process boundary when shards classify
+        in parallel).  Like :meth:`evaluate_store` this is self-contained:
+        detector state is reset first, and the streaming ``observe`` state
+        is left cleared afterwards.
         """
 
         if table.timestamps is None or table.cookie_codes is None or table.ip_codes is None:
             raise ValueError("temporal evaluation requires a table built with from_store")
         self.reset()
-
-        time_order = np.argsort(table.timestamps, kind="stable")
-        time_rank = np.empty(table.n_rows, dtype=np.int64)
-        time_rank[time_order] = np.arange(table.n_rows)
-
-        # row -> flag, one map per (key kind, attribute) in the order
-        # :meth:`observe` raises flags (cookie attributes, then IP ones).
-        flag_maps: List[Dict[int, TemporalFlag]] = []
-        for kind, key_codes, key_values, attributes, tolerance in (
-            ("cookie", table.cookie_codes, table.cookie_values,
-             self._cookie_attributes, self._cookie_tolerance),
-            ("ip", table.ip_codes, table.ip_values,
-             self._ip_attributes, self._ip_tolerance),
-        ):
-            # A key decoding to a falsy string ("" cookie) tracks nothing,
-            # exactly like the falsy-key guard in :meth:`observe`.
-            key_ok = np.array([bool(value) for value in key_values], dtype=bool)
-            key_valid = key_codes >= 0
-            if key_ok.size:
-                key_valid = key_valid & key_ok[np.where(key_valid, key_codes, 0)]
-            # else: every key is missing (e.g. anonymous traffic with no
-            # cookies at all) and key_valid is already all-False.
-            for attribute in attributes:
-                table.require_attribute(attribute, "tracked attribute")
-                codes = table.codes_of(attribute)
-                values = table.values_of(attribute)
-                valid = key_valid & (codes >= 0)
-                flag_maps.append(
-                    self._stream_one_column(
-                        kind, key_codes, key_values, attribute, codes, values,
-                        valid, tolerance, time_rank,
-                    )
-                )
-
-        # Per-row assembly: iterating the maps in (key kind, attribute)
-        # order appends each row's flags in exactly the order
-        # :meth:`observe` would return them.
-        per_row: Dict[int, List[TemporalFlag]] = {}
-        for flag_map in flag_maps:
-            for row, flag in flag_map.items():
-                per_row.setdefault(row, []).append(flag)
-        request_ids = table.request_ids
-        return {
-            int(request_ids[row]): per_row[row]
-            for row in sorted(per_row, key=lambda row: time_rank[row])
-        }
-
-    @staticmethod
-    def _stream_one_column(
-        kind: str,
-        key_codes: np.ndarray,
-        key_values: List[str],
-        attribute: Attribute,
-        codes: np.ndarray,
-        values: List[object],
-        valid: np.ndarray,
-        tolerance: int,
-        time_rank: np.ndarray,
-    ) -> Dict[int, "TemporalFlag"]:
-        """Stream one (key kind, attribute) column; returns row -> flag.
-
-        State is independent per (key, attribute), so a key whose column
-        never exceeds ``tolerance`` distinct value codes can neither flag
-        nor influence any other key — those rows are filtered out
-        vectorized, and only the remaining "interesting" keys stream
-        through the per-row Python loop in timestamp order.
-        """
-
-        rows = np.nonzero(valid)[0]
-        if rows.size == 0:
-            return {}
-        n_values = len(values)
-        combined = key_codes[rows].astype(np.int64) * n_values + codes[rows]
-        distinct = np.bincount(
-            np.unique(combined) // n_values, minlength=len(key_values)
-        )
-        interesting = distinct > tolerance
-        rows = rows[interesting[key_codes[rows]]]
-        if rows.size == 0:
-            return {}
-        rows = rows[np.argsort(time_rank[rows], kind="stable")]
-
-        flags: Dict[int, TemporalFlag] = {}
-        state: Dict[int, Dict[int, None]] = {}
-        for row in rows:
-            key_code = int(key_codes[row])
-            value_code = int(codes[row])
-            seen = state.setdefault(key_code, {})
-            if value_code in seen:
-                continue
-            if len(seen) >= tolerance:
-                flags[int(row)] = TemporalFlag(
-                    key_kind=kind,
-                    key=key_values[key_code],
-                    attribute=attribute,
-                    previous_values=tuple(values[code] for code in seen),
-                    new_value=values[value_code],
-                )
-            seen[value_code] = None
-        return flags
+        return self._stream_table(table, TemporalStreamState())
 
     # -- incremental (streaming) API ---------------------------------------------
 
@@ -386,64 +533,58 @@ class TemporalInconsistencyDetector:
 
         if table.timestamps is None or table.cookie_codes is None or table.ip_codes is None:
             raise ValueError("temporal observation requires a table built with from_store")
+        return self._stream_table(table, state)
+
+    def _stream_table(
+        self, table, state: TemporalStreamState
+    ) -> Dict[int, List[TemporalFlag]]:
+        """Stream *table* through *state* in timestamp order."""
 
         time_order = np.argsort(table.timestamps, kind="stable")
         time_rank = np.empty(table.n_rows, dtype=np.int64)
         time_rank[time_order] = np.arange(table.n_rows)
 
-        # One map per (key kind, attribute) in the order :meth:`observe`
-        # raises flags; state is independent per (key, attribute), so
-        # streaming column-wise is equivalent to row-wise observation.
-        flag_maps: List[Dict[int, TemporalFlag]] = []
-        seen_map = state.seen
+        # Columns stream in the order :meth:`observe` raises flags (cookie
+        # attributes, then IP ones), so appending per row keeps that order;
+        # state is independent per (key, attribute), so streaming
+        # column-wise is equivalent to row-wise observation.
+        per_row: Dict[int, List[TemporalFlag]] = {}
+        epoch = state.epoch
         for kind, key_codes, key_values, attributes, tolerance in (
             ("cookie", table.cookie_codes, table.cookie_values,
              self._cookie_attributes, self._cookie_tolerance),
             ("ip", table.ip_codes, table.ip_values,
              self._ip_attributes, self._ip_tolerance),
         ):
-            key_valid = key_codes >= 0
+            # Falsy keys ("" cookie) map to -1 and track nothing, exactly
+            # like the falsy-key guard in :meth:`observe`.
+            row_keys = np.full(table.n_rows, -1, dtype=np.int64)
+            present = key_codes >= 0
+            if present.any():
+                row_keys[present] = state.key_remap(kind, key_values)[key_codes[present]]
+            keyed = time_order[row_keys[time_order] >= 0]
+            key_strings = state.keys_of(kind)
             for attribute in attributes:
                 table.require_attribute(attribute, "tracked attribute")
                 codes = table.codes_of(attribute)
-                values = table.values_of(attribute)
-                rows = np.nonzero(key_valid & (codes >= 0))[0]
-                flags: Dict[int, TemporalFlag] = {}
-                if rows.size:
-                    rows = rows[np.argsort(time_rank[rows], kind="stable")]
-                    row_keys = key_codes[rows].tolist()
-                    row_values = codes[rows].tolist()
-                    for row, key_code, value_code in zip(
-                        rows.tolist(), row_keys, row_values
-                    ):
-                        key = key_values[key_code]
-                        if not key:
-                            # Falsy keys ("" cookie) track nothing, exactly
-                            # like the falsy-key guard in :meth:`observe`.
-                            continue
-                        value = values[value_code]
-                        state_key = (kind, key, attribute)
-                        seen = seen_map.get(state_key)
-                        if seen is None:
-                            seen = {}
-                            seen_map[state_key] = seen
-                        if value in seen:
-                            continue
-                        if len(seen) >= tolerance:
-                            flags[row] = TemporalFlag(
-                                key_kind=kind,
-                                key=key,
-                                attribute=attribute,
-                                previous_values=tuple(seen),
-                                new_value=value,
-                            )
-                        seen[value] = None
-                flag_maps.append(flags)
+                rows = keyed[codes[keyed] >= 0]
+                if not rows.size:
+                    continue
+                keys = row_keys[rows]
+                value_ids = state.value_remap(attribute, table.values_of(attribute))[codes[rows]]
+                hits = state.column(kind, attribute).observe(keys, value_ids, tolerance, epoch)
+                values = state.values_of(attribute)
+                for position, previous, new in hits:
+                    per_row.setdefault(int(rows[position]), []).append(
+                        TemporalFlag(
+                            key_kind=kind,
+                            key=key_strings[keys[position]],
+                            attribute=attribute,
+                            previous_values=tuple(values[code] for code in previous),
+                            new_value=values[new],
+                        )
+                    )
 
-        per_row: Dict[int, List[TemporalFlag]] = {}
-        for flag_map in flag_maps:
-            for row, flag in flag_map.items():
-                per_row.setdefault(row, []).append(flag)
         request_ids = table.request_ids
         return {
             int(request_ids[row]): per_row[row]

@@ -41,6 +41,16 @@ window, not with the stream position: the checkpointer keeps a
 high-water mark per growing structure and writes only what lies past it.
 A resume folds the segments in order.
 
+The temporal seen-state is written as one entry per (kind, key,
+attribute) that gained a value since the previous save, each with its
+full value list in observation order; folding is an order-preserving
+union, so a later segment re-listing a known prefix is harmless.  The
+live state (:class:`~repro.core.temporal.TemporalStreamState`) stamps
+each change with its epoch as it happens, and the mark is the last epoch
+a published save covers — so a save finds its entries with one array
+comparison per column, and the segment columns are the same whatever
+layout the state had when it wrote them.
+
 Checkpointing is **best-effort by design**: :meth:`StreamCheckpointer.save`
 never raises into the scoring loop for an I/O failure.  A failed save is
 counted and logged, the high-water marks stay put, and the next due
@@ -58,8 +68,8 @@ import os
 import tempfile
 import time
 import zipfile
-from itertools import chain, islice
-from operator import attrgetter, itemgetter
+from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -263,96 +273,44 @@ def _rule_key(rule: InconsistencyRule) -> Tuple:
     return (rule, type(rule.value_a), type(rule.value_b))
 
 
-class _SeenMark:
-    """High-water mark of the classifier's temporal seen-state.
+def _encode_seen(state: TemporalStreamState, since: int, attributes, value_indexes, key_indexes):
+    """Columns of the seen-state entries changed after epoch *since*.
 
-    Holds the keys and value dicts already written, in dict order, and
-    each one's value count at that save.  Keys are only ever appended to
-    a seen-state, so the entries past the mark are the new keys.
+    Each entry is one (kind, key, attribute) with its full value list;
+    keys and values become codes against the ingest vocabulary, and
+    entries are grouped by attribute.  The state stamps every change as
+    it happens, so finding them is one comparison per column.
     """
 
-    __slots__ = ("seen", "keys", "values", "lengths")
-
-    def __init__(self, seen: Dict):
-        self.seen = seen
-        self.keys: List[Tuple] = []
-        self.values: List[Dict] = []
-        self.lengths = np.empty(0, dtype=np.int64)
-
-    def delta(self, seen: Dict):
-        """``(keys, values, commit)`` for the entries new or grown since the mark.
-
-        ``commit()`` returns the mark to keep after a published save.
-        For a seen-state the mark has not covered yet, every entry counts
-        as new.
-        """
-
-        known = len(self.keys)
-        if self.seen is seen and known:
-            lengths = np.fromiter(map(len, self.values), dtype=np.int64, count=known)
-            grown = np.flatnonzero(lengths != self.lengths).tolist()
-            new_keys = list(islice(seen, known, None))
-            new_values = list(islice(seen.values(), known, None))
-
-            def commit() -> "_SeenMark":
-                self.lengths = lengths
-                return self.extend(new_keys, new_values)
-
-            return (
-                [self.keys[offset] for offset in grown] + new_keys,
-                [self.values[offset] for offset in grown] + new_values,
-                commit,
-            )
-        keys, values = list(seen), list(seen.values())
-        return keys, values, lambda: _SeenMark(seen).extend(keys, values)
-
-    def extend(self, keys: List, values: List) -> "_SeenMark":
-        self.keys += keys
-        self.values += values
-        self.lengths = np.concatenate(
-            [self.lengths, np.fromiter(map(len, values), dtype=np.int64, count=len(values))]
-        )
-        return self
-
-
-def _encode_seen(entries, entry_values, attributes, value_indexes, key_indexes):
-    """Columns of seen-state entries, grouped by attribute.
-
-    Each entry is a ``(kind, key, attribute)`` state key with its value
-    dict; keys and values become codes against the vocabulary one kind
-    or attribute at a time, so the per-entry work stays in C-level maps.
-    """
-
-    position = {id(attribute): index for index, attribute in enumerate(attributes)}
-    count = len(entries)
-    kinds, keys, entry_attributes = (list(map(itemgetter(i), entries)) for i in range(3))
-    kind_codes = np.fromiter(map(_KIND_CODES.__getitem__, kinds), dtype=np.int64, count=count)
-    attribute_codes = np.fromiter(
-        map(position.__getitem__, map(id, entry_attributes)), dtype=np.int64, count=count
+    position = {attribute: index for index, attribute in enumerate(attributes)}
+    groups = sorted(
+        state.changes_since(since), key=lambda group: (position[group[1]], _KIND_CODES[group[0]])
     )
-    key_codes = np.empty(count, dtype=np.int64)
-    key_strings = np.array(keys, dtype=object)
-    for kind, index in enumerate(key_indexes):
-        rows = np.flatnonzero(kind_codes == kind)
-        key_codes[rows] = np.fromiter(
-            map(index.__getitem__, key_strings[rows]), dtype=np.int64, count=rows.size
-        )
-    order = np.argsort(attribute_codes, kind="stable")
-    value_codes = []
-    for code in np.unique(attribute_codes).tolist():
-        group = order[attribute_codes[order] == code].tolist()
-        value_codes += map(
-            value_indexes[attributes[code]].__getitem__,
-            chain.from_iterable([entry_values[offset] for offset in group]),
-        )
-    columns = {
-        "kind": kind_codes[order],
-        "key": key_codes[order],
-        "attribute": attribute_codes[order],
-        "count": np.fromiter(map(len, entry_values), dtype=np.int64, count=count)[order],
-        "values": value_codes,
+    columns: Dict[str, List[np.ndarray]] = {
+        name: [] for name in ("kind", "key", "attribute", "count", "values")
     }
-    return {f"seen_{name}": _pack_ints(column) for name, column in columns.items()}
+    for kind, attribute, keys, counts, values in groups:
+        kind_code = _KIND_CODES[kind]
+        key_strings, key_index = state.keys_of(kind), key_indexes[kind_code]
+        value_index = value_indexes[attribute]
+        translate = np.fromiter(
+            map(value_index.__getitem__, state.values_of(attribute)), dtype=np.int64
+        )
+        columns["kind"].append(np.full(keys.size, kind_code, dtype=np.int64))
+        columns["key"].append(
+            np.fromiter(
+                (key_index[key_strings[key]] for key in keys.tolist()),
+                dtype=np.int64,
+                count=keys.size,
+            )
+        )
+        columns["attribute"].append(np.full(keys.size, position[attribute], dtype=np.int64))
+        columns["count"].append(counts)
+        columns["values"].append(translate[values])
+    return {
+        f"seen_{name}": _pack_ints(np.concatenate(parts) if parts else np.empty(0, dtype=np.int64))
+        for name, parts in columns.items()
+    }
 
 
 # -- the checkpointer ----------------------------------------------------------
@@ -394,7 +352,8 @@ class StreamCheckpointer:
         self._vocab_marks: List[int] = []
         self._rule_ids: Dict[Tuple, int] = {}
         self._verdict_mark = 0
-        self._seen_mark: Optional[_SeenMark] = None
+        #: (temporal state, last epoch the published segments cover)
+        self._seen_mark: Optional[Tuple[TemporalStreamState, int]] = None
         for gauge in (_LAST_SAVE_BYTES, _MAX_SAVE_BYTES, _SEGMENTS, _AGE_BATCHES):
             gauge.set(0)
 
@@ -545,10 +504,12 @@ class StreamCheckpointer:
         # last save, with its full value list (folding is a set union, so
         # re-writing a known prefix is harmless).
         classifier = state["classifier"]
-        seen = classifier.temporal_state.seen
-        entries, entry_values, commit_seen = (self._seen_mark or _SeenMark(seen)).delta(seen)
+        temporal_state = classifier.temporal_state
+        mark = self._seen_mark
+        since = mark[1] if mark is not None and mark[0] is temporal_state else 0
+        closed = temporal_state.close_epoch()
         segment_arrays.update(
-            _encode_seen(entries, entry_values, attributes, value_indexes, key_indexes)
+            _encode_seen(temporal_state, since, attributes, value_indexes, key_indexes)
         )
 
         classifier_meta = {
@@ -593,7 +554,7 @@ class StreamCheckpointer:
             self._vocab_marks = vocab_marks
             rule_ids.update(new_rules)
             self._verdict_mark = len(verdicts)
-            self._seen_mark = commit_seen()
+            self._seen_mark = (temporal_state, closed)
 
         return segment_meta, segment_arrays, snapshot_meta, snapshot_arrays, commit
 
@@ -628,14 +589,13 @@ class StreamCheckpointer:
         rules: List[InconsistencyRule] = []
         verdicts: Dict[int, InconsistencyVerdict] = {}
         temporal_state = TemporalStreamState()
-        seen = temporal_state.seen
         for entry in meta["segments"]:
             segment_meta, segment = self._read_segment(entry)
             for values, new in zip(vocabulary, segment_meta["vocabulary"]):
                 values.extend(new)
             rules.extend(InconsistencyRule.from_dict(rule) for rule in segment_meta["rules"])
             self._fold_verdicts(segment, attributes, vocabulary, key_values, rules, verdicts)
-            self._fold_seen(segment, attributes, vocabulary, key_values, seen)
+            self._fold_seen(segment, attributes, vocabulary, key_values, temporal_state)
 
         classifier_meta = meta["classifier"]
         classifier = {
@@ -663,7 +623,7 @@ class StreamCheckpointer:
         for index, rule in enumerate(rules):
             self._rule_ids.setdefault(_rule_key(rule), index)
         self._verdict_mark = len(verdicts)
-        self._seen_mark = _SeenMark(seen).extend(list(seen), list(seen.values()))
+        self._seen_mark = (temporal_state, temporal_state.close_epoch())
         _SEGMENTS.set(len(self._segments))
 
         return {
@@ -732,18 +692,28 @@ class StreamCheckpointer:
             )
 
     @staticmethod
-    def _fold_seen(segment, attributes, vocabulary, key_values, seen) -> None:
-        codes = _unpack_ints(segment["seen_values"]).tolist()
-        cursor = 0
-        for kind, key, attribute, count in zip(
-            *(
-                _unpack_ints(segment[f"seen_{name}"]).tolist()
-                for name in ("kind", "key", "attribute", "count")
+    def _fold_seen(segment, attributes, vocabulary, key_values, state) -> None:
+        kinds, keys, entry_attributes, counts = (
+            _unpack_ints(segment[f"seen_{name}"])
+            for name in ("kind", "key", "attribute", "count")
+        )
+        values = _unpack_ints(segment["seen_values"])
+        starts = np.cumsum(counts) - counts
+        groups = kinds * len(attributes) + entry_attributes
+        for group in np.unique(groups).tolist():
+            kind, attribute = divmod(group, len(attributes))
+            entries = np.flatnonzero(groups == group)
+            entry_counts = counts[entries]
+            # Gather each entry's value run: start offset repeated over
+            # its count, plus the position within the run.
+            runs = np.repeat(starts[entries] - (np.cumsum(entry_counts) - entry_counts),
+                             entry_counts) + np.arange(int(entry_counts.sum()))
+            state.merge(
+                _KINDS[kind],
+                attributes[attribute],
+                key_values[kind],
+                keys[entries],
+                vocabulary[attribute],
+                entry_counts,
+                values[runs],
             )
-        ):
-            values = vocabulary[attribute]
-            state_key = (_KINDS[kind], key_values[kind][key], attributes[attribute])
-            entry = seen.setdefault(state_key, {})
-            for code in codes[cursor : cursor + count]:
-                entry[values[code]] = None
-            cursor += count

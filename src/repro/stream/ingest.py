@@ -23,9 +23,12 @@ Two ingestion paths mirror the two physical record representations:
   :class:`RecordedRequest` at a time), the path a live endpoint would use;
 * :meth:`StreamIngestor.ingest_rows` — a row slice of a
   :class:`~repro.honeysite.storage.RecordColumns`, the replay path: no
-  record object is materialised, and per-session encodings are memoized so
-  a session's grouping transformation runs once per session, not once per
-  request.
+  record object is materialised.  Each column is one gather through a
+  remap table from the archive's codes to stream codes, so the grouping
+  transformation runs once per distinct raw value of the whole replay.
+
+Both paths assign new codes in row first-occurrence order, so the same
+rows in the same order yield the same vocabulary either way.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.columnar import ColumnarTable, default_table_attributes
+from repro.core.columnar import ColumnarTable, default_table_attributes, intern_values
 from repro.fingerprint.attributes import Attribute
-from repro.fingerprint.fingerprint import Fingerprint, grouping_value
+from repro.fingerprint.fingerprint import grouping_value
 from repro.honeysite.storage import RecordColumns, RecordedRequest
 
 _ROWS_INGESTED = obs.counter(
@@ -87,12 +90,13 @@ class StreamIngestor:
         self.ip_values: List[str] = []
         self._rows_ingested = 0
         self._batches_emitted = 0
-        # Memos of the column-slice path, scoped to one RecordColumns
-        # instance (codes are meaningless across instances).
-        self._memo_columns: Optional[RecordColumns] = None
-        self._session_rows: Dict[int, np.ndarray] = {}
-        self._session_ips: Dict[int, int] = {}
-        self._cookie_map: Dict[int, int] = {}
+        # Remap tables of the column-slice path, scoped to one RecordColumns
+        # instance (archive codes are meaningless across instances).
+        self._remap_columns: Optional[RecordColumns] = None
+        self._raw_columns: List[Tuple[np.ndarray, List[object]]] = []
+        self._value_remaps: List[np.ndarray] = []
+        self._ip_remap = np.empty(0, dtype=np.int32)
+        self._cookie_remap = np.empty(0, dtype=np.int32)
 
     # -- introspection ---------------------------------------------------------
 
@@ -120,8 +124,8 @@ class StreamIngestor:
         ingest, and must be treated as read-only — the checkpointer reads
         the entries past its high-water marks and encodes values as codes
         through the indexes.  The raw-value memo and the column-slice
-        session memos are pure caches — :meth:`restore_state` rebuilds the
-        indexes and lets the memos refill lazily, so a restored ingestor
+        remap tables are pure caches — :meth:`restore_state` rebuilds the
+        indexes and lets the caches refill lazily, so a restored ingestor
         encodes every future batch exactly as the original would have.
         """
 
@@ -169,10 +173,7 @@ class StreamIngestor:
         self._ip_index = {value: code for code, value in enumerate(self.ip_values)}
         self._rows_ingested = int(state["rows_ingested"])
         self._batches_emitted = int(state["batches_emitted"])
-        self._memo_columns = None
-        self._session_rows = {}
-        self._session_ips = {}
-        self._cookie_map = {}
+        self._remap_columns = None
 
     # -- encoding helpers ------------------------------------------------------
 
@@ -191,14 +192,6 @@ class StreamIngestor:
             raw_codes[raw] = code
         return code
 
-    def _encode_fingerprint(self, fingerprint: Fingerprint) -> np.ndarray:
-        row = np.empty(len(self.attributes), dtype=np.int32)
-        get = fingerprint._values.get
-        for position, attribute in enumerate(self.attributes):
-            raw = get(attribute)
-            row[position] = -1 if raw is None else self._encode_value(attribute, raw)
-        return row
-
     @staticmethod
     def _intern(value: Optional[str], index: Dict[str, int], values: List[str]) -> int:
         if value is None:
@@ -212,7 +205,7 @@ class StreamIngestor:
 
     def _emit(
         self,
-        matrix: np.ndarray,
+        codes: Dict[Attribute, np.ndarray],
         *,
         request_ids: np.ndarray,
         timestamps: np.ndarray,
@@ -221,10 +214,7 @@ class StreamIngestor:
     ) -> ColumnarTable:
         n_rows = int(timestamps.size)
         table = ColumnarTable(
-            codes={
-                attribute: np.ascontiguousarray(matrix[:, position])
-                for position, attribute in enumerate(self.attributes)
-            },
+            codes=codes,
             values=self._values,
             indexes=self._indexes,
             n_rows=n_rows,
@@ -256,45 +246,53 @@ class StreamIngestor:
         """
 
         records = list(records)
-        n = len(records)
-        matrix = np.empty((n, len(self.attributes)), dtype=np.int32)
-        request_ids = np.empty(n, dtype=np.int64)
-        timestamps = np.empty(n, dtype=np.float64)
-        cookie_codes = np.empty(n, dtype=np.int32)
-        ip_codes = np.empty(n, dtype=np.int32)
-        for position, record in enumerate(records):
-            request = record.request
-            matrix[position] = self._encode_fingerprint(request.fingerprint)
-            request_ids[position] = request.request_id
-            timestamps[position] = record.timestamp
-            cookie_codes[position] = self._intern(
-                record.cookie, self._cookie_index, self.cookie_values
-            )
-            ip_codes[position] = self._intern(
-                request.ip_address, self._ip_index, self.ip_values
-            )
+        fingerprints = [record.request.fingerprint._values for record in records]
+        encode, cookies, ips = self._encode_value, self._cookie_index, self._ip_index
         return self._emit(
-            matrix,
-            request_ids=request_ids,
-            timestamps=timestamps,
-            cookie_codes=cookie_codes,
-            ip_codes=ip_codes,
+            {
+                attribute: np.array(
+                    [
+                        -1 if (raw := values.get(attribute)) is None else encode(attribute, raw)
+                        for values in fingerprints
+                    ],
+                    dtype=np.int32,
+                )
+                for attribute in self.attributes
+            },
+            request_ids=np.array(
+                [record.request.request_id for record in records], dtype=np.int64
+            ),
+            timestamps=np.array([record.timestamp for record in records], dtype=np.float64),
+            cookie_codes=np.array(
+                [self._intern(record.cookie, cookies, self.cookie_values) for record in records],
+                dtype=np.int32,
+            ),
+            ip_codes=np.array(
+                [
+                    self._intern(record.request.ip_address, ips, self.ip_values)
+                    for record in records
+                ],
+                dtype=np.int32,
+            ),
         )
 
     def ingest_rows(self, columns: RecordColumns, rows) -> ColumnarTable:
         """Encode a row slice of *columns* without materialising records.
 
-        Per-session encodings (attribute code row, source-address code) and
-        per-cookie translations are memoized for the lifetime of *columns*,
-        so replaying a corpus costs one fingerprint encoding per *session*.
+        Every column is a gather through a remap table from archive codes
+        to stream codes: per attribute from the raw-value codes of
+        ``sessions.attribute_value_codes``, plus session → source address
+        and archive cookie → cookie.  The tables live as long as
+        *columns*; a batch calls :func:`grouping_value` only for raw
+        values the stream has never seen, and assigns new codes in row
+        first-occurrence order, exactly as :meth:`ingest_records` does.
         The columns must be renumbered (request ids present) — a corpus
         store always is.
 
-        The code arrays here are only indexed, never mutated, and the
-        compat views (``session_fingerprints`` et al.) decode one session
-        at a time on demand — so a read-only memory-mapped corpus (a warm
-        ``REPRO_CORPUS_MMAP`` cache hit) streams through unchanged, paging
-        in exactly the rows each micro-batch touches.
+        The archive arrays here are only indexed, never mutated, so a
+        read-only memory-mapped corpus (a warm ``REPRO_CORPUS_MMAP`` cache
+        hit) streams through unchanged, paging in exactly the rows each
+        micro-batch touches.
         """
 
         if columns.request_ids is None:
@@ -302,46 +300,78 @@ class StreamIngestor:
                 "streaming ingestion needs renumbered record columns "
                 "(RecordColumns.renumbered assigns request ids)"
             )
-        if columns is not self._memo_columns:
-            self._memo_columns = columns
-            self._session_rows = {}
-            self._session_ips = {}
-            self._cookie_map = {}
+        if columns is not self._remap_columns:
+            self._adopt_columns(columns)
 
         rows = np.asarray(rows, dtype=np.int64)
-        session_codes = columns.session_codes[rows]
-        unique_sessions, inverse = np.unique(session_codes, return_inverse=True)
-        session_matrix = np.empty((unique_sessions.size, len(self.attributes)), dtype=np.int32)
-        session_ip_codes = np.empty(unique_sessions.size, dtype=np.int32)
-        for position, session in enumerate(unique_sessions.tolist()):
-            row = self._session_rows.get(session)
-            if row is None:
-                row = self._encode_fingerprint(columns.session_fingerprints[session])
-                self._session_rows[session] = row
-                self._session_ips[session] = self._intern(
-                    columns.session_ips[session], self._ip_index, self.ip_values
-                )
-            session_matrix[position] = row
-            session_ip_codes[position] = self._session_ips[session]
-
-        served = columns.served_codes[rows]
-        unique_cookies = np.unique(served)
-        cookie_map = self._cookie_map
-        for local in unique_cookies.tolist():
-            if local not in cookie_map:
-                cookie_map[local] = self._intern(
-                    columns.cookie_values[local], self._cookie_index, self.cookie_values
-                )
-        translate = np.empty(int(unique_cookies.max()) + 1 if unique_cookies.size else 0,
-                             dtype=np.int32)
-        for local in unique_cookies.tolist():
-            translate[local] = cookie_map[local]
-
+        sessions = columns.session_codes[rows]
+        codes = {}
+        for attribute, (session_raw, raw_values), remap in zip(
+            self.attributes, self._raw_columns, self._value_remaps
+        ):
+            codes[attribute] = _gather(
+                remap,
+                session_raw[sessions],
+                lambda new, attribute=attribute, raw_values=raw_values: [
+                    self._encode_value(attribute, raw_values[raw]) for raw in new
+                ],
+            )
+        session_ips, cookie_values = columns.session_ips, columns.cookie_values
         return self._emit(
-            session_matrix[inverse] if rows.size else
-            np.empty((0, len(self.attributes)), dtype=np.int32),
+            codes,
             request_ids=columns.request_ids[rows],
             timestamps=columns.timestamps[rows],
-            cookie_codes=translate[served] if rows.size else np.empty(0, dtype=np.int32),
-            ip_codes=session_ip_codes[inverse] if rows.size else np.empty(0, dtype=np.int32),
+            cookie_codes=_gather(
+                self._cookie_remap,
+                columns.served_codes[rows],
+                lambda new: intern_values(
+                    [cookie_values[raw] for raw in new], self._cookie_index, self.cookie_values
+                ),
+            ),
+            ip_codes=_gather(
+                self._ip_remap,
+                sessions,
+                lambda new: intern_values(
+                    [session_ips[raw] for raw in new], self._ip_index, self.ip_values
+                ),
+            ),
         )
+
+    def _adopt_columns(self, columns: RecordColumns) -> None:
+        """Start empty remap tables for a new :class:`RecordColumns`."""
+
+        self._remap_columns = columns
+        self._raw_columns = [
+            columns.sessions.attribute_value_codes(attribute.value)
+            for attribute in self.attributes
+        ]
+        # One extra slot, left at -1, so a missing attribute (raw code -1)
+        # gathers -1.
+        self._value_remaps = []
+        for _session_raw, raw_values in self._raw_columns:
+            remap = np.full(len(raw_values) + 1, _UNMAPPED, dtype=np.int32)
+            remap[-1] = -1
+            self._value_remaps.append(remap)
+        self._ip_remap = np.full(columns.n_sessions, _UNMAPPED, dtype=np.int32)
+        self._cookie_remap = np.full(len(columns.cookie_values), _UNMAPPED, dtype=np.int32)
+
+
+#: Remap-table slot of an archive code the stream has not encoded yet.
+_UNMAPPED = -2
+
+
+def _gather(remap: np.ndarray, raw: np.ndarray, encode) -> np.ndarray:
+    """``remap[raw]``, first filling the never-seen codes.
+
+    *encode* maps the never-seen archive codes, in row first-occurrence
+    order, to their stream codes.
+    """
+
+    codes = remap[raw]
+    pending = np.flatnonzero(codes == _UNMAPPED)
+    if pending.size:
+        new, first = np.unique(raw[pending], return_index=True)
+        new = new[np.argsort(first)]
+        remap[new] = encode(new.tolist())
+        codes = remap[raw]
+    return codes

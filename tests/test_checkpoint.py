@@ -19,6 +19,7 @@ import json
 import logging
 import pickle
 import re
+import tarfile
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,8 @@ from repro.stream.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 TINY = dict(
     seed=29,
@@ -275,6 +278,79 @@ def test_stream_resume_with_refresh_at_several_kill_points(tmp_path, corpus, fit
         resume=True,
     )
     assert resumed.resumed_from_batch == kill_at - kill_at % 2
+    assert resumed.refreshes == full.refreshes
+    assert verdicts_digest(resumed.verdicts) == verdicts_digest(full.verdicts)
+
+
+def _refreshing_driver(detector):
+    refresher = FilterListRefresher(detector.miner, interval_batches=2, window_rows=700)
+    return ReplayDriver(detector, batch_size=128, refresher=refresher)
+
+
+def test_chained_kill_and_resume_with_refresh(tmp_path, corpus, fitted):
+    # kill -> resume and kill again -> resume: the second run folds the
+    # first run's segments, appends its own deltas to the same sequence,
+    # and the last run folds both.
+    detector, _table, _verdicts = fitted
+    full = _refreshing_driver(detector).replay(corpus.bot_store)
+
+    directory = tmp_path / "ck"
+    runs = []
+    for max_batches in (3, 4, None):
+        runs.append(
+            _refreshing_driver(detector).replay(
+                corpus.bot_store,
+                checkpointer=StreamCheckpointer(directory, every_batches=2),
+                resume=bool(runs),
+                max_batches=max_batches,
+            )
+        )
+    assert [run.resumed_from_batch for run in runs] == [None, 2, 6]
+    assert [run.checkpoints_saved for run in runs[:2]] == [1, 2]
+    assert len(_segments(directory)) > 3
+    assert runs[-1].refreshes == full.refreshes
+    assert verdicts_digest(runs[-1].verdicts) == verdicts_digest(full.verdicts)
+
+
+def test_dict_state_checkpoint_resumes_byte_identically(tmp_path, corpus, fitted):
+    """A v3 checkpoint written by the earlier dict-of-dicts seen-state encoder.
+
+    The fixture is this module's corpus replayed by ``_refreshing_driver``
+    with saves every 2 batches and killed after batch 7 (three segments,
+    the later ones rewriting grown keys), by the encoder that kept the
+    temporal state as one ordered dict per (kind, key, attribute).
+    """
+
+    detector, _table, _verdicts = fitted
+    legacy = tmp_path / "legacy"
+    with tarfile.open(FIXTURES / "stream_checkpoint_v3_dict_state.tar.gz") as archive:
+        if hasattr(tarfile, "data_filter"):
+            archive.extractall(legacy, filter="data")
+        else:  # pragma: no cover - Python without extraction filters
+            archive.extractall(legacy)
+    assert len(_segments(legacy)) == 3
+
+    # The folded seen-state equals what today's encoder writes at the same point.
+    current = tmp_path / "current"
+    _refreshing_driver(detector).replay(
+        corpus.bot_store,
+        checkpointer=StreamCheckpointer(current, every_batches=2),
+        max_batches=7,
+    )
+    folded, written = (
+        StreamCheckpointer(directory).load()["classifier"]["temporal_state"]
+        for directory in (legacy, current)
+    )
+    assert folded.entries() == written.entries()
+    assert folded.observed_values() == written.observed_values() > folded.tracked_devices
+
+    full = _refreshing_driver(detector).replay(corpus.bot_store)
+    resumed = _refreshing_driver(detector).replay(
+        corpus.bot_store,
+        checkpointer=StreamCheckpointer(legacy, every_batches=2),
+        resume=True,
+    )
+    assert resumed.resumed_from_batch == 6
     assert resumed.refreshes == full.refreshes
     assert verdicts_digest(resumed.verdicts) == verdicts_digest(full.verdicts)
 

@@ -27,6 +27,7 @@ from repro.core.spatial import SpatialInconsistencyMiner
 from repro.core.temporal import TemporalFlag, TemporalInconsistencyDetector
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.categories import AttributeCategory
+from repro.fingerprint.fingerprint import Fingerprint
 from repro.honeysite.storage import LazyRequestStore, RecordColumnsBuilder, RequestStore
 from repro.stream import (
     FilterListRefresher,
@@ -170,28 +171,34 @@ def test_single_batch_ingest_matches_from_store_extraction(corpus, fitted):
 
 
 def test_ingest_records_matches_ingest_rows(corpus, fitted):
+    # Store order follows session order, which would hide a code order
+    # keyed on sessions; a replay's time order does not.
     detector, _table, _verdicts = fitted
     store = corpus.bot_store
     attributes = detector.table_attributes()
     records = list(store)
-
-    from_rows = StreamIngestor(attributes=attributes)
-    from_records = StreamIngestor(attributes=attributes)
-    for start in range(0, len(store), 400):
-        rows = np.arange(start, min(start + 400, len(store)), dtype=np.int64)
-        row_batch = from_rows.ingest_rows(store.columns, rows)
-        record_batch = from_records.ingest_records(records[start : start + 400])
+    for arrival in (
+        np.arange(len(store), dtype=np.int64),
+        np.argsort(store.columns.timestamps, kind="stable"),
+    ):
+        from_rows = StreamIngestor(attributes=attributes)
+        from_records = StreamIngestor(attributes=attributes)
+        for start in range(0, len(store), 400):
+            rows = arrival[start : start + 400]
+            row_batch = from_rows.ingest_rows(store.columns, rows)
+            record_batch = from_records.ingest_records([records[row] for row in rows.tolist()])
+            for attribute in attributes:
+                assert np.array_equal(
+                    row_batch.codes_of(attribute), record_batch.codes_of(attribute)
+                )
+            assert np.array_equal(row_batch.cookie_codes, record_batch.cookie_codes)
+            assert np.array_equal(row_batch.ip_codes, record_batch.ip_codes)
+            assert np.array_equal(row_batch.request_ids, record_batch.request_ids)
+        # Same codes in every batch, and the same vocabularies in code order.
         for attribute in attributes:
-            assert np.array_equal(
-                row_batch.codes_of(attribute), record_batch.codes_of(attribute)
-            )
-        assert np.array_equal(row_batch.cookie_codes, record_batch.cookie_codes)
-        assert np.array_equal(row_batch.ip_codes, record_batch.ip_codes)
-        assert np.array_equal(row_batch.request_ids, record_batch.request_ids)
-    for attribute in attributes:
-        assert from_rows.vocabulary_sizes()[attribute] == from_records.vocabulary_sizes()[
-            attribute
-        ]
+            assert row_batch.values_of(attribute) == record_batch.values_of(attribute)
+        assert row_batch.cookie_values == record_batch.cookie_values
+        assert row_batch.ip_values == record_batch.ip_values
 
 
 def test_vocabulary_only_grows_and_codes_stay_stable(corpus, fitted):
@@ -244,6 +251,123 @@ def test_incremental_temporal_matches_batch_evaluation(fitted, slice_size):
     assert merged == full
     assert state.tracked_devices > 0
     assert state.observed_values() >= state.tracked_devices
+
+
+def test_stream_state_counts_match_the_dict_state_on_a_replay(corpus, fitted):
+    detector, _table, _verdicts = fitted
+    store = corpus.bot_store
+    reference = TemporalInconsistencyDetector()
+    reference.evaluate_store(store)  # leaves its per-request dict state behind
+    expected = {key: tuple(values) for key, values in reference._seen.items()}
+
+    temporal = TemporalInconsistencyDetector()
+    state = temporal.new_stream_state()
+    ingestor = StreamIngestor(attributes=detector.table_attributes())
+    arrival = np.argsort(store.columns.timestamps, kind="stable")
+    for start in range(0, len(store), 256):
+        batch = ingestor.ingest_rows(store.columns, arrival[start : start + 256])
+        temporal.observe_table(batch, state)
+    assert state.tracked_devices == len(expected)
+    assert state.observed_values() == sum(len(values) for values in expected.values())
+    assert state.entries() == expected
+
+
+def _per_request_flags(table):
+    """Flags of the per-request reference: ``observe`` over decoded rows in time order."""
+
+    reference = TemporalInconsistencyDetector()
+    flagged = {}
+    for row in np.argsort(table.timestamps, kind="stable").tolist():
+        fingerprint = Fingerprint(
+            {
+                attribute: table.value_at(attribute, row)
+                for attribute in reference.tracked_attributes
+                if table.value_at(attribute, row) is not None
+            }
+        )
+        flags = reference.observe(
+            fingerprint, cookie=table.cookie_at(row), ip_address=table.ip_at(row)
+        )
+        if flags:
+            flagged[int(table.request_ids[row])] = flags
+    return flagged
+
+
+def test_falsy_cookie_in_the_middle_of_a_decode_list_tracks_nothing(fitted):
+    _detector, table, _verdicts = fitted
+    order = np.argsort(table.timestamps, kind="stable")
+    sample = table.take(order[:90])
+    sample.cookie_values = ["cookie-a", "", "cookie-b"]
+    sample.cookie_codes = (np.arange(sample.n_rows) % 3).astype(np.int32)
+    full = _per_request_flags(sample)
+    assert TemporalInconsistencyDetector().evaluate_table(sample) == full
+
+    # The second half arrives with its own decode list, "" elsewhere in it.
+    first, second = sample.take(np.arange(45)), sample.take(np.arange(45, 90))
+    second.cookie_values = ["cookie-b", "cookie-a", ""]
+    second.cookie_codes = np.array([1, 2, 0], dtype=np.int32)[second.cookie_codes]
+    temporal = TemporalInconsistencyDetector()
+    state = temporal.new_stream_state()
+    merged = temporal.observe_table(first, state)
+    merged.update(temporal.observe_table(second, state))
+    assert merged == full
+    cookie_flags = [flag for flags in merged.values() for flag in flags
+                    if flag.key_kind == "cookie"]
+    assert cookie_flags  # the truthy keys do flag ...
+    assert all(flag.key != "" for flag in cookie_flags)  # ... the "" key never
+    assert all(key[1] != "" for key in state.entries())
+
+
+def test_independent_tables_share_one_state(corpus, fitted):
+    detector, _table, _verdicts = fitted
+    records = sorted(corpus.bot_store, key=lambda record: record.timestamp)
+    half = len(records) // 2
+    attributes = detector.table_attributes()
+    first = ColumnarTable.from_store(RequestStore(records[:half]), attributes=attributes)
+    second = ColumnarTable.from_store(RequestStore(records[half:]), attributes=attributes)
+    whole = ColumnarTable.from_store(RequestStore(records), attributes=attributes)
+    # Each extraction owns its own decode lists, in its own code order.
+    assert first.cookie_values is not second.cookie_values
+    assert first.values_of(Attribute.PLATFORM) is not second.values_of(Attribute.PLATFORM)
+
+    temporal = TemporalInconsistencyDetector()
+    state = temporal.new_stream_state()
+    merged = temporal.observe_table(first, state)
+    merged.update(temporal.observe_table(second, state))
+    full = TemporalInconsistencyDetector().evaluate_table(whole)
+    assert merged == full
+    # Some flags in the second table rest on state the first one left.
+    earlier = set(first.cookie_values) | set(first.ip_values)
+    later = set(second.request_ids.tolist())
+    assert any(
+        flag.key in earlier for request_id in later & set(merged) for flag in merged[request_id]
+    )
+
+
+def test_ip_key_growing_past_its_tolerance_lists_values_in_order(fitted):
+    _detector, table, _verdicts = fitted
+    timezones = table.values_of(Attribute.TIMEZONE)
+    assert len(timezones) >= 4
+    sample = table.take(np.arange(6, dtype=np.int64))
+    sample.timestamps = np.arange(6, dtype=np.float64)
+    sample.cookie_codes = np.full(6, -1, dtype=np.int32)
+    sample.ip_values = ["10.0.0.1"]
+    sample.ip_codes = np.zeros(6, dtype=np.int32)
+    sample.codes_of(Attribute.TIMEZONE)[:] = [0, 1, 0, 2, 1, 3]
+
+    temporal = TemporalInconsistencyDetector()
+    state = temporal.new_stream_state()
+    merged = temporal.observe_table(sample.take(np.arange(3)), state)
+    merged.update(temporal.observe_table(sample.take(np.arange(3, 6)), state))
+    ids = sample.request_ids.tolist()
+    assert merged == {
+        ids[3]: [TemporalFlag("ip", "10.0.0.1", Attribute.TIMEZONE,
+                              (timezones[0], timezones[1]), timezones[2])],
+        ids[5]: [TemporalFlag("ip", "10.0.0.1", Attribute.TIMEZONE,
+                              (timezones[0], timezones[1], timezones[2]), timezones[3])],
+    }
+    assert merged == _per_request_flags(sample)
+    assert state.tracked_devices == 1 and state.observed_values() == 4
 
 
 def test_observe_table_requires_metadata(fitted):
