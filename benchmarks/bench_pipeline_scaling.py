@@ -15,10 +15,9 @@ rule count (full verdict equivalence is pinned by
 ``tests/test_columnar.py``).
 
 The ≥3× columnar-vs-legacy claim holds at scale 0.05; at smaller scales
-the constant extraction cost dominates, so the hard assertion is gated the
-same way as ``bench_corpus_scaling``: opt in via
-``REPRO_BENCH_REQUIRE_SPEEDUP`` (and the sharded claim additionally needs
-real cores).
+the constant extraction cost dominates, so the hard assertion is opt-in
+via ``REPRO_BENCH_REQUIRE_SPEEDUP`` (and the sharded claim additionally
+needs real cores).
 """
 
 import json
@@ -27,7 +26,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.analysis.corpus import build_corpus_serial, default_scale
+from repro.analysis.corpus import default_scale
+from repro.analysis.engine import CorpusEngine
 from repro.core.pipeline import FPInconsistentPipeline
 
 #: Required columnar-vs-legacy speedup when the assertion is armed.
@@ -37,8 +37,7 @@ TARGET_SPEEDUP = 3.0
 #: is not meaningful.
 MIN_SCALE_FOR_TARGET = 0.05
 
-#: Environment variable turning the speedup target into a hard failure
-#: (shared with bench_corpus_scaling).
+#: Environment variable turning the speedup target into a hard failure.
 REQUIRE_SPEEDUP_ENV_VAR = "REPRO_BENCH_REQUIRE_SPEEDUP"
 
 SHARDED_WORKERS = 4
@@ -75,21 +74,13 @@ def _measure(
 ):
     """Build a fresh corpus and time one full pipeline evaluation on it.
 
-    ``use_tables=True`` builds the corpus with the vectorized generation
-    engine and hands its pre-extracted columnar tables to the pipeline —
-    the warm-cache path, where extraction is skipped entirely.
+    ``use_tables=True`` hands the corpus's pre-extracted columnar tables to
+    the pipeline — the warm-cache path, where extraction is skipped
+    entirely; otherwise the pipeline extracts them itself.
     """
 
-    if use_tables:
-        from repro.analysis.engine import CorpusEngine
-
-        corpus = CorpusEngine(
-            seed=7, scale=scale, include_real_users=True, generation="vectorized"
-        ).build(workers=1)
-        tables = corpus.columnar_tables
-    else:
-        corpus = build_corpus_serial(seed=7, scale=scale, include_real_users=True)
-        tables = {}
+    corpus = CorpusEngine(seed=7, scale=scale, include_real_users=True).build(workers=1)
+    tables = corpus.columnar_tables if use_tables else {}
     pipeline = FPInconsistentPipeline(engine=engine, workers=workers, executor=executor)
     started = time.perf_counter()
     result = pipeline.run(
@@ -101,9 +92,8 @@ def _measure(
     seconds = time.perf_counter() - started
     if use_tables:
         assert result.table_sources == {"bots": "reused", "real_users": "reused"}
-        # The engine-built corpus legitimately differs from the serial one
-        # (sub-sharded generation), so its rule count is validated against
-        # a fresh extraction of the *same* corpus, not the serial baseline.
+        # The reused tables must mine what a fresh extraction of the same
+        # corpus mines.
         fresh = pipeline.run(corpus.bot_store, real_user_store=corpus.real_user_store)
         assert fresh.table_sources == {"bots": "extracted", "real_users": "extracted"}
         assert len(fresh.filter_list) == len(result.filter_list)
@@ -155,9 +145,9 @@ def bench_pipeline_scaling():
             f"{run['requests_per_second']} req/s ({speedup}x vs legacy)"
         )
 
-    # All engines evaluating the same (serial) corpus must mine the same
-    # rule set (the full equivalence — byte-identical lists and verdicts —
-    # is pinned in tests/test_columnar.py and tests/test_vectorized.py).
+    # All engines evaluating the same corpus must mine the same rule set
+    # (the full equivalence — byte-identical lists and verdicts — is pinned
+    # in tests/test_columnar.py and tests/test_vectorized.py).
     # The pretabled run validates against its own corpus inside _measure.
     assert legacy["rules"] == columnar["rules"] == sharded["rules"]
 

@@ -6,10 +6,9 @@ i.e. ~25k bot requests; set ``REPRO_SCALE=1.0`` to regenerate the paper's
 full 507,080-request campaign).  Each benchmark regenerates one table or
 figure of the paper and prints it alongside the paper's reference numbers.
 
-The corpus comes from the sharded engine via the on-disk cache when the
-``REPRO_CORPUS_CACHE`` / ``REPRO_WORKERS`` knobs are set (as in CI, where
-the warm run must hit the cache); with neither set it falls back to the
-legacy serial build.
+The corpus comes from the sharded engine, the same one ``repro corpus``
+builds; ``REPRO_WORKERS`` sets its fan-out and ``REPRO_CORPUS_CACHE`` an
+on-disk cache (as in CI, where the warm run must hit the cache).
 """
 
 from __future__ import annotations
@@ -28,9 +27,8 @@ def pytest_configure(config):
 def corpus():
     """The measurement corpus shared by every benchmark.
 
-    ``build_corpus`` engages the sharded engine and the on-disk cache when
-    ``REPRO_WORKERS`` / ``REPRO_CORPUS_CACHE`` are set (as in CI) and
-    falls back to the legacy serial build otherwise.
+    ``build_corpus`` runs the sharded engine, through the on-disk cache
+    when ``REPRO_CORPUS_CACHE`` is set (as in CI).
     """
 
     return build_corpus(

@@ -7,31 +7,21 @@ seed, scale, inclusion flags, request budgets, campaign length and the
 on-disk format version — so an unchanged configuration is a cache hit and
 any change (different seed, different scale, bumped format) is a rebuild.
 
-Layout, one directory per key under the cache root.  A corpus built by
-the columnar shard transport (the vectorized default) persists as **one**
-columnar archive — record columns and every pre-extracted fingerprint
-table in a single file::
+Layout, one directory per key under the cache root: the corpus persists
+as **one** columnar archive — record columns and every pre-extracted
+fingerprint table in a single file::
 
     <root>/<key>/meta.json              corpus metadata + URL map + geo assignments
     <root>/<key>/store_columnar.npz     record columns + embedded fingerprint tables
 
-A legacy-generation corpus (object store, no emitted tables) keeps the
-version-2 layout, which also remains fully readable for old entries::
-
-    <root>/<key>/meta.json
-    <root>/<key>/store.jsonl.gz         the request store (versioned gzip JSONL)
-    <root>/<key>/columnar_<subset>.npz  extracted ColumnarTable sidecars (optional)
-
-Loading a columnar archive attaches a
+Loading the archive attaches a
 :class:`~repro.honeysite.storage.LazyRequestStore`.  Since format v4 the
 archive is pure code arrays over scalar decode lists (no serialised
 objects) and is written uncompressed, so a warm hit memory-maps the
 columns read-only (``REPRO_CORPUS_MMAP``, default on) instead of reading
 them into RAM — and skips columnar extraction entirely (the embedded
-tables are exactly what extraction would produce).  Version-2 (JSONL) and
-version-3 (object-meta ``.npz``) archives stay readable.
-In the legacy layout a missing, corrupt or incompatible sidecar silently
-degrades to re-extraction; the corpus entry itself still hits.
+tables are exactly what extraction would produce).  An archive of any
+other format version is rejected, so the cache evicts and rebuilds it.
 
 Writes go through a temporary directory renamed into place, so a crashed
 build never leaves a half-written entry behind.
@@ -45,7 +35,7 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -151,20 +141,48 @@ def corpus_cache_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
 
-#: Store subsets whose extracted tables are persisted alongside the JSONL
-#: in the legacy (version-2) archive layout.
-SIDECAR_SUBSETS = ("bots", "real_users")
-
 #: Filename of the unified columnar archive (record columns + tables).
 COLUMNAR_STORE_FILENAME = "store_columnar.npz"
 
 
-def _sidecar_path(directory: Path, subset: str) -> Path:
-    return directory / f"columnar_{subset}.npz"
-
-
 def _columnar_store_path(directory: Path) -> Path:
     return directory / COLUMNAR_STORE_FILENAME
+
+
+def _archive_payload(
+    store: LazyRequestStore, tables: Dict[str, ColumnarTable]
+) -> Tuple[Dict[str, np.ndarray], Dict]:
+    """The archive's ``(arrays, meta)``: record columns plus every table."""
+
+    arrays, store_meta = store.columns.to_payload()
+    tables_meta = []
+    for position, (subset, table) in enumerate(sorted(tables.items())):
+        prefix = f"t{position}_"
+        table_arrays, table_meta = table.to_arrays(prefix)
+        arrays.update(table_arrays)
+        tables_meta.append({"subset": subset, "prefix": prefix, "meta": table_meta})
+    meta = {"version": CORPUS_FORMAT_VERSION, "store": store_meta, "tables": tables_meta}
+    return arrays, meta
+
+
+def corpus_digest(corpus: Corpus) -> str:
+    """SHA-256 over exactly what the corpus archive stores.
+
+    Hashes the canonical JSON meta, then every array by name, dtype, shape
+    and bytes, so two corpora share a digest iff their archives would hold
+    the same content.  Reads only the columns — no record objects are
+    materialised — and a cache hit digests like the build it came from.
+    """
+
+    arrays, meta = _archive_payload(corpus.store, corpus.columnar_tables)
+    digest = hashlib.sha256(
+        json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    )
+    for name in sorted(arrays):
+        array = np.ascontiguousarray(arrays[name])
+        digest.update(f"{name}:{array.dtype.str}:{array.shape}".encode("utf-8"))
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def _save_columnar_store(store: LazyRequestStore, tables: Dict[str, ColumnarTable], path: Path) -> None:
@@ -183,14 +201,7 @@ def _save_columnar_store(store: LazyRequestStore, tables: Dict[str, ColumnarTabl
     fsync and rename so the tamper test can model exactly that crash.
     """
 
-    arrays, store_meta = store.columns.to_payload()
-    tables_meta = []
-    for position, (subset, table) in enumerate(sorted(tables.items())):
-        prefix = f"t{position}_"
-        table_arrays, table_meta = table.to_arrays(prefix)
-        arrays.update(table_arrays)
-        tables_meta.append({"subset": subset, "prefix": prefix, "meta": table_meta})
-    meta = {"version": CORPUS_FORMAT_VERSION, "store": store_meta, "tables": tables_meta}
+    arrays, meta = _archive_payload(store, tables)
     arrays = {"meta": np.array(json.dumps(meta)), **arrays}
     savez = np.savez_compressed if compress_enabled() else np.savez
     fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
@@ -208,37 +219,13 @@ def _save_columnar_store(store: LazyRequestStore, tables: Dict[str, ColumnarTabl
 
 
 def save_corpus(corpus: Corpus, directory) -> Path:
-    """Write *corpus* (store + metadata + fingerprint tables) into *directory*.
+    """Write *corpus* (columnar archive + metadata) into *directory*."""
 
-    A columnar-backed store persists as one ``store_columnar.npz`` archive;
-    an object store keeps the JSONL + sidecar layout.  Either way, files of
-    the *other* layout left behind by a previous save into the same
-    directory are removed — a stale store must never be loadable against a
-    different corpus.
-    """
-
+    if not isinstance(corpus.store, LazyRequestStore):
+        raise TypeError("only a columnar-backed corpus (LazyRequestStore) can be saved")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    columnar = isinstance(corpus.store, LazyRequestStore)
-    if columnar:
-        _save_columnar_store(
-            corpus.store, corpus.columnar_tables, _columnar_store_path(directory)
-        )
-        stale = [directory / "store.jsonl.gz"]
-        stale += [path for path in directory.glob("columnar_*.npz")]
-    else:
-        corpus.store.save_jsonl(directory / "store.jsonl.gz")
-        for subset in SIDECAR_SUBSETS:
-            table = corpus.columnar_tables.get(subset)
-            path = _sidecar_path(directory, subset)
-            if table is not None:
-                table.save_npz(path)
-            elif path.exists():
-                path.unlink()
-        stale = [_columnar_store_path(directory)]
-    for path in stale:
-        if path.exists():
-            path.unlink()
+    _save_columnar_store(corpus.store, corpus.columnar_tables, _columnar_store_path(directory))
     meta = {
         "format_version": CORPUS_FORMAT_VERSION,
         "seed": corpus.seed,
@@ -273,10 +260,10 @@ def _decode_columnar(data, path: Path):
 
     meta = json.loads(str(data["meta"][()]))
     version = int(meta.get("version", 0))
-    if version > CORPUS_FORMAT_VERSION:
+    if version != CORPUS_FORMAT_VERSION:
         raise StoreFormatError(
             f"columnar store {path} has format version {version}; "
-            f"this build reads up to {CORPUS_FORMAT_VERSION}"
+            f"this build reads only {CORPUS_FORMAT_VERSION}"
         )
     columns = RecordColumns.from_payload(data, meta["store"])
     tables: Dict[str, ColumnarTable] = {}
@@ -368,18 +355,19 @@ def load_corpus(directory) -> Corpus:
     carries the original source → path map and the geo database re-adopts
     every /16 assignment, so downstream analyses (IP intelligence, Table 6
     locations, DataDome re-evaluation) behave exactly as on the freshly
-    built corpus.  Columnar archives restore a lazy store; version-2
-    archives (JSONL + optional sidecars) load exactly as before.
+    built corpus.  The archive restores a lazy store with its embedded
+    tables.  Any format version other than :data:`CORPUS_FORMAT_VERSION`
+    raises :class:`StoreFormatError` — older layouts are not read.
     """
 
     directory = Path(directory)
     with (directory / "meta.json").open("r", encoding="utf-8") as handle:
         meta = json.load(handle)
     version = int(meta.get("format_version", 0))
-    if version > CORPUS_FORMAT_VERSION:
+    if version != CORPUS_FORMAT_VERSION:
         raise StoreFormatError(
             f"corpus archive {directory} has format version {version}; "
-            f"this build reads up to {CORPUS_FORMAT_VERSION}"
+            f"this build reads only {CORPUS_FORMAT_VERSION}"
         )
 
     space = IpAddressSpace()
@@ -399,12 +387,7 @@ def load_corpus(directory) -> Corpus:
     site = HoneySite(geo=GeoDatabase(space), rng=np.random.default_rng(0))
     for source, path in meta.get("sources", {}).items():
         site.urls.adopt(source, path)
-    columnar_path = _columnar_store_path(directory)
-    tables: Optional[Dict[str, ColumnarTable]] = None
-    if columnar_path.is_file():
-        site.store, tables = _load_columnar_store(columnar_path)
-    else:
-        site.store.extend(RequestStore.load_jsonl(directory / "store.jsonl.gz"))
+    site.store, tables = _load_columnar_store(_columnar_store_path(directory))
 
     corpus = Corpus(
         site=site,
@@ -420,43 +403,8 @@ def load_corpus(directory) -> Corpus:
             for name, count in meta.get("privacy_requests", {}).items()
         },
     )
-    if tables is not None:
-        _attach_tables(corpus, tables)
-    else:
-        _load_sidecars(corpus, directory)
+    _attach_tables(corpus, tables)
     return corpus
-
-
-def _load_sidecars(corpus: Corpus, directory: Path) -> None:
-    """Attach any valid ``columnar_*.npz`` sidecars to *corpus*.
-
-    Sidecars are strictly optional: archives written before they existed,
-    legacy-generation builds and corrupt/truncated files all degrade to an
-    absent table (the pipeline re-extracts).  A loaded table must agree
-    with its store subset's request ids *and timestamps* or it is
-    discarded — request ids are renumbered 1..N and therefore collide
-    across same-configuration corpora of different seeds, while the
-    timestamp stream is seed-dependent, so the pair binds a sidecar to the
-    corpus content it was extracted from.
-    """
-
-    for subset in SIDECAR_SUBSETS:
-        path = _sidecar_path(directory, subset)
-        if not path.is_file():
-            continue
-        try:
-            table = ColumnarTable.load_npz(path)
-        except Exception:
-            continue
-        store = corpus.bot_store if subset == "bots" else corpus.real_user_store
-        if not table.matches_store(store):
-            continue
-        expected_timestamps = np.fromiter(
-            (record.timestamp for record in store), dtype=np.float64, count=len(store)
-        )
-        if not np.array_equal(table.timestamps, expected_timestamps):
-            continue
-        corpus.columnar_tables[subset] = table
 
 
 class CorpusCache:
@@ -469,18 +417,13 @@ class CorpusCache:
         return self.root / key
 
     def has(self, key: str) -> bool:
-        entry = self.path_for(key)
-        if not (entry / "meta.json").is_file():
-            return False
-        return (
-            _columnar_store_path(entry).is_file() or (entry / "store.jsonl.gz").is_file()
-        )
+        return (self.path_for(key) / "meta.json").is_file()
 
     def load(self, key: str) -> Optional[Corpus]:
         """Load the corpus stored under *key*, or ``None`` on miss.
 
-        A corrupt or format-incompatible entry counts as a miss and is
-        evicted so the caller rebuilds it.
+        A corrupt entry, or one written in any other format version, counts
+        as a miss and is evicted so the caller rebuilds it.
         """
 
         if not self.has(key):

@@ -1,9 +1,11 @@
 """Corpus construction.
 
-One honey-site corpus backs every analysis, table and figure.  This module
-builds it: all 20 bot services (Table 1 volumes), the real-user share
-(Section 7.4) and, optionally, the privacy-technology experiment
-(Section 7.5), all driven by a single seed so results are reproducible.
+One honey-site corpus backs every analysis, table and figure: all 20 bot
+services (Table 1 volumes), the real-user share (Section 7.4) and,
+optionally, the privacy-technology experiment (Section 7.5), all driven by
+a single seed so results are reproducible.  This module defines the
+:class:`Corpus` and the :func:`build_corpus` facade; the sharded engine
+(:mod:`repro.analysis.engine`) does the building.
 
 The full-scale corpus is 507,080 bot requests; benchmarks default to a
 scaled-down corpus (controlled by the ``REPRO_SCALE`` environment
@@ -17,15 +19,11 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
-from repro.bots.marketplace import build_marketplace
 from repro.bots.service import BotServiceProfile
-from repro.bots.traffic import BotTrafficGenerator
 from repro.honeysite.site import HoneySite
 from repro.honeysite.storage import RequestStore
-from repro.users.privacy import PrivacyTechnology, PrivacyTrafficGenerator
-from repro.users.realuser import REAL_USER_SOURCE, RealUserTrafficGenerator
+from repro.users.privacy import PrivacyTechnology
+from repro.users.realuser import REAL_USER_SOURCE
 
 #: Environment variable overriding the default corpus scale.
 SCALE_ENV_VAR = "REPRO_SCALE"
@@ -62,11 +60,10 @@ class Corpus:
     real_user_requests: int = 0
     privacy_requests: Dict[PrivacyTechnology, int] = field(default_factory=dict)
     #: pre-extracted columnar fingerprint tables keyed by store subset
-    #: ("bots", "real_users"), emitted by the vectorized generation engine
-    #: (or restored from the corpus cache's ``columnar.npz`` sidecar);
+    #: ("bots", "real_users", "privacy:<technology>"), emitted during
+    #: generation (or restored from the corpus cache's archive);
     #: identical to extracting the matching store, so the detection
-    #: pipeline can skip extraction outright.  Empty when the corpus was
-    #: built by the legacy engine or loaded from a sidecar-less archive.
+    #: pipeline can skip extraction outright.
     columnar_tables: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -111,9 +108,8 @@ def build_corpus(
     workers: Optional[int] = None,
     executor: Optional[str] = None,
     cache=None,
-    generation: str = "vectorized",
 ) -> Corpus:
-    """Build the full measurement corpus.
+    """Build the full measurement corpus (or load it from the cache).
 
     Parameters
     ----------
@@ -126,43 +122,17 @@ def build_corpus(
     include_real_users / include_privacy:
         Whether to also generate the Section 7.4 and 7.5 traffic.
     workers / executor / cache:
-        Parallelism and caching knobs.  When *workers* is given (or the
-        ``REPRO_WORKERS`` environment variable is set), or a cache is
-        configured (*cache* argument or ``REPRO_CORPUS_CACHE``), generation
-        is delegated to the sharded engine
-        (:mod:`repro.analysis.engine`): per-source shards with spawned
-        seeds, fanned out over a ``"process"`` or ``"thread"`` executor,
-        byte-identical for any worker count.  Otherwise this runs the
-        legacy single-stream serial path, which reproduces the historical
-        corpora bit for bit.
+        Parallelism and caching knobs of the sharded engine
+        (:func:`repro.analysis.engine.build_or_load_corpus`): *workers*
+        defaults to ``REPRO_WORKERS`` or 1, *cache* to
+        ``REPRO_CORPUS_CACHE`` (``False`` disables caching).  The corpus
+        is byte-identical for any worker count and executor kind, and
+        equals what ``repro corpus`` builds for the same configuration.
     """
 
-    from repro.analysis import engine as _engine
-    from repro.analysis.cache import default_cache_dir
+    from repro.analysis.engine import build_or_load_corpus
 
-    if workers is None:
-        workers = _engine.default_workers()
-    # cache=False means "no caching", not "engage the engine": only an
-    # actual cache (argument or environment) or a worker request switches
-    # away from the legacy serial path.
-    cache_requested = cache is not None and cache is not False
-    if workers is not None or cache_requested or (cache is None and default_cache_dir() is not None):
-        corpus, _status = _engine.build_or_load_corpus(
-            seed=seed,
-            scale=scale,
-            include_real_users=include_real_users,
-            include_privacy=include_privacy,
-            real_user_requests=real_user_requests,
-            privacy_requests_each=privacy_requests_each,
-            campaign_days=campaign_days,
-            workers=workers,
-            executor=executor,
-            cache=cache,
-            generation=generation,
-        )
-        return corpus
-
-    return build_corpus_serial(
+    corpus, _status = build_or_load_corpus(
         seed=seed,
         scale=scale,
         include_real_users=include_real_users,
@@ -170,54 +140,8 @@ def build_corpus(
         real_user_requests=real_user_requests,
         privacy_requests_each=privacy_requests_each,
         campaign_days=campaign_days,
+        workers=workers,
+        executor=executor,
+        cache=cache,
     )
-
-
-def build_corpus_serial(
-    *,
-    seed: int = 7,
-    scale: Optional[float] = None,
-    include_real_users: bool = True,
-    include_privacy: bool = False,
-    real_user_requests: int = 2206,
-    privacy_requests_each: int = 60,
-    campaign_days: int = 90,
-) -> Corpus:
-    """The legacy single-process, single-stream corpus build.
-
-    Every generator's stream is drawn sequentially from one master ``rng``,
-    exactly as the original reproduction did, so historical corpora stay
-    bit-reproducible.  The scaling benchmark uses this as its serial
-    baseline; new code should go through :func:`build_corpus`.
-    """
-
-    if scale is None:
-        scale = default_scale()
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-
-    rng = np.random.default_rng(seed)
-    site = HoneySite(rng=np.random.default_rng(rng.integers(0, 2 ** 32)))
-    profiles = build_marketplace()
-    corpus = Corpus(site=site, scale=scale, seed=seed, bot_profiles=profiles)
-
-    bot_generator = BotTrafficGenerator(site, rng=np.random.default_rng(rng.integers(0, 2 ** 32)))
-    corpus.service_volumes = bot_generator.run_marketplace(
-        profiles, scale=scale, campaign_days=campaign_days
-    )
-
-    if include_real_users:
-        user_generator = RealUserTrafficGenerator(
-            site, rng=np.random.default_rng(rng.integers(0, 2 ** 32))
-        )
-        corpus.real_user_requests = user_generator.run(num_requests=real_user_requests)
-
-    if include_privacy:
-        privacy_generator = PrivacyTrafficGenerator(
-            site, rng=np.random.default_rng(rng.integers(0, 2 ** 32))
-        )
-        corpus.privacy_requests = privacy_generator.run_all(
-            num_requests_each=privacy_requests_each
-        )
-
     return corpus

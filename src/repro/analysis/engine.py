@@ -1,9 +1,6 @@
 """Sharded, parallel corpus engine.
 
-The legacy :func:`repro.analysis.corpus.build_corpus` path generates every
-bot service, the real-user share and each privacy technology serially in
-one process, drawing all randomness from one sequentially consumed master
-stream.  This module replaces that with a **sharded** design:
+Every corpus is built here, along one **sharded** design:
 
 * every traffic source (each of the 20 bot services, the real-user share,
   each privacy technology) is one :class:`ShardSpec`;
@@ -21,15 +18,14 @@ stream.  This module replaces that with a **sharded** design:
   adopting each shard's URL mapping and prefix assignments into the final
   site.
 
-Shard results travel **columnar**: a vectorized-generation worker returns
-a :class:`~repro.honeysite.storage.RecordColumns` payload (per-row arrays
+Shard results travel **columnar**: a worker returns a
+:class:`~repro.honeysite.storage.RecordColumns` payload (per-row arrays
 over session-deduplicated fingerprint/header/decision dictionaries) plus
-the :class:`~repro.core.columnar.TablePayload` attribute codes, instead of
-a pickled list of record objects.  The coordinator concatenates payloads,
+the :class:`~repro.core.columnar.TablePayload` attribute codes, never a
+pickled list of record objects.  The coordinator concatenates payloads,
 renumbers request ids and wraps the result in a
 :class:`~repro.honeysite.storage.LazyRequestStore` — record objects
 materialise lazily, and only for consumers that genuinely iterate them.
-The legacy generation engine still ships record lists.
 
 Identical output for a given seed regardless of worker count is the
 engine's core contract; ``tests/test_engine.py`` pins it.
@@ -63,15 +59,12 @@ from repro.honeysite.storage import (
     LazyRequestStore,
     RecordColumns,
     RecordColumnsBuilder,
-    RecordedRequest,
 )
 from repro.honeysite.urls import generate_url_token
 from repro.users.privacy import PrivacyTechnology, PrivacyTrafficGenerator
 from repro.users.realuser import REAL_USER_SOURCE, RealUserTrafficGenerator
 
-#: Environment variable selecting the worker count (unset → serial legacy
-#: path in :func:`repro.analysis.corpus.build_corpus`, or 1 inside the
-#: engine itself).
+#: Environment variable selecting the shard worker count (unset → 1).
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 
 #: Environment variable selecting the executor kind ("process" or "thread").
@@ -98,13 +91,6 @@ TIMEOUT_ENV_VAR = "REPRO_SHARD_TIMEOUT"
 BACKOFF_BASE_SECONDS = 0.05
 BACKOFF_CAP_SECONDS = 2.0
 
-#: Generation engines: ``"vectorized"`` (batched draws, session-cached
-#: materialisation, direct columnar emission — the default) and
-#: ``"legacy"`` (the object-at-a-time reference).  Both produce
-#: byte-identical corpora for any seed, scale, worker count and executor;
-#: ``tests/test_vectorized.py`` pins it.
-GENERATIONS = ("vectorized", "legacy")
-
 #: A bot service whose scaled volume exceeds this many requests is split
 #: into sub-shards of roughly this size, so the largest service no longer
 #: bounds parallel speedup.  Deliberately independent of the worker count:
@@ -127,22 +113,16 @@ SUBSHARD_TARGET_RECORDS = 2048
 #: configuration) — raising this again requires another format bump.
 MAX_TOTAL_SHARDS = 96
 
-#: Fan-out clamp for the **legacy** (record-object) shard transport: every
-#: worker must have at least this many records of planned work, because
-#: unpickling per-record objects in the coordinator costs about as much as
-#: generating them — the PR-2 bench measured 0.41–0.91x at low scales.
-MIN_RECORDS_PER_WORKER = 100_000
-
-#: Fan-out clamp for the **columnar** shard transport (vectorized
-#: generation).  Since format v4 a shard payload is pure numpy arrays over
-#: scalar decode lists — zero pickled objects, measured at ~271 bytes per
-#: record at the reference tiny config against ~353 for the v3 payload
-#: (which still pickled one fingerprint object per session).  Transfer and
-#: coordinator-side decode are both effectively memcpy now, so the floor
-#: is set by executor startup alone: a forked worker costs ~0.2 s before
-#: its first record, which the vectorized engine amortises over a few
-#: thousand records.  Below this floor the clamp falls back toward serial
-#: exactly as before.
+#: Fan-out clamp for the columnar shard transport: every worker must have
+#: at least this many records of planned work.  Since format v4 a shard
+#: payload is pure numpy arrays over scalar decode lists — zero pickled
+#: objects, measured at ~271 bytes per record at the reference tiny config
+#: against ~353 for the v3 payload (which still pickled one fingerprint
+#: object per session).  Transfer and coordinator-side decode are both
+#: effectively memcpy, so the floor is set by executor startup alone: a
+#: forked worker costs ~0.2 s before its first record, which the
+#: vectorized generators amortise over a few thousand records.  Below this
+#: floor the clamp falls back toward one inline worker.
 MIN_RECORDS_PER_WORKER_COLUMNAR = 4_000
 
 #: CI regression ceiling on measured columnar transfer cost, in pickled
@@ -192,11 +172,6 @@ _CACHE_LOOKUPS = obs.counter(
     always=True,
 )
 
-
-def validate_generation(generation: str) -> str:
-    if generation not in GENERATIONS:
-        raise ValueError(f"generation must be one of {GENERATIONS}, got {generation!r}")
-    return generation
 
 #: Privacy technologies generated by default (Section 7.5's five).
 PRIVACY_TECHNOLOGIES: Tuple[PrivacyTechnology, ...] = (
@@ -432,7 +407,6 @@ class ShardSpec:
     #: request volume this shard generates when it is one slice of a split
     #: service (``None`` → the profile's full scaled volume)
     request_budget: Optional[int] = None
-    generation: str = "vectorized"
     #: measure the pickled payload size in the worker (set by the
     #: coordinator only when payloads will actually cross a process
     #: boundary — the stat then costs the pool, not the coordinator)
@@ -441,23 +415,17 @@ class ShardSpec:
 
 @dataclass
 class ShardResult:
-    """Everything one shard produced, ready to merge.
-
-    Vectorized-generation shards fill :attr:`columns` (the compact
-    columnar payload) and leave :attr:`records` empty; legacy-generation
-    shards ship record objects.  :meth:`store` gives a uniform view.
-    """
+    """Everything one shard produced, ready to merge."""
 
     index: int
     source: str
     kind: str
     recorded: int
-    records: List[RecordedRequest] = field(default_factory=list)
+    #: the compact columnar record payload
+    columns: RecordColumns
+    #: columnar fingerprint codes emitted alongside the records
+    table: TablePayload
     assignments: List[PrefixAssignment] = field(default_factory=list)
-    #: columnar fingerprint codes emitted during vectorized generation
-    table: Optional[TablePayload] = None
-    #: columnar record payload (vectorized generation only)
-    columns: Optional[RecordColumns] = None
     #: pickled size of (columns, table), measured in the worker when the
     #: spec requested it (``ShardSpec.measure_payload``)
     payload_bytes: Optional[int] = None
@@ -466,38 +434,26 @@ class ShardResult:
     #: timeline covers every process
     spans: List[SpanRecord] = field(default_factory=list)
 
-    def store(self):
-        """The shard's records as a request store (shard-local ids 1..n).
+    def store(self) -> LazyRequestStore:
+        """The shard's records as a lazy store (shard-local ids 1..n).
 
-        Materialises lazily for columnar shards; mainly a debugging and
-        test convenience — the coordinator merges payloads directly.
+        Mainly a debugging and test convenience — the coordinator merges
+        payloads directly.
         """
 
-        from repro.honeysite.storage import RequestStore
-
-        if self.columns is not None:
-            return LazyRequestStore(self.columns.renumbered())
-        return RequestStore(self.records)
+        return LazyRequestStore(self.columns.renumbered())
 
 
-def run_shard(spec: ShardSpec) -> ShardResult:
-    """Generate one shard in isolation (the worker entry point).
+def shard_site(spec: ShardSpec) -> Tuple[HoneySite, np.random.SeedSequence]:
+    """The private honey site a shard generates into, plus its generator seed.
 
-    Builds a private honey site over a partitioned slice of the address
-    space, adopts the pre-minted URL path and runs the matching traffic
-    generator.  Module-level so :class:`concurrent.futures` process pools
-    can pickle it.
+    The site sits over the shard's partitioned slice of the address space
+    and has adopted the pre-minted URL path.  Both child sequences derive
+    statelessly (equivalent to ``spec.seed.spawn(2)`` but without mutating
+    the spec's SeedSequence), so running a shard is a pure function of its
+    spec.
     """
 
-    # Spans are recorded by hand rather than through the worker's global
-    # tracer: pool processes are reused across shards, so slicing this
-    # shard's spans out of a shared tracer would race the thread executor.
-    span_ts = time.time()
-    span_started = time.perf_counter()
-
-    # Derive the two child sequences statelessly (equivalent to
-    # ``spec.seed.spawn(2)`` but without mutating the spec's SeedSequence,
-    # so running a shard is a pure function of its spec).
     site_seed = np.random.SeedSequence(
         entropy=spec.seed.entropy, spawn_key=spec.seed.spawn_key + (0,)
     )
@@ -507,69 +463,65 @@ def run_shard(spec: ShardSpec) -> ShardResult:
     space = IpAddressSpace(partition=(spec.index, spec.total))
     site = HoneySite(geo=GeoDatabase(space), rng=np.random.default_rng(site_seed))
     site.urls.adopt(spec.source, spec.url_path)
-    vectorized = validate_generation(spec.generation) == "vectorized"
-    emitter: Optional[TableEmitter] = None
-    builder: Optional[RecordColumnsBuilder] = None
-    recorder: Optional[SessionRecorder] = None
-    if vectorized:
-        # Columnar transport: the recorder sinks rows into a payload
-        # builder instead of constructing record objects, and the emitter
-        # collects the per-request attribute code rows alongside.
-        emitter = TableEmitter()
-        builder = RecordColumnsBuilder()
-        recorder = SessionRecorder(site, sink=builder)
+    return site, generator_seed
+
+
+def run_shard(spec: ShardSpec) -> ShardResult:
+    """Generate one shard in isolation (the worker entry point).
+
+    Runs the matching vectorized traffic generator into the shard's
+    private site (:func:`shard_site`).  Module-level so
+    :class:`concurrent.futures` process pools can pickle it.
+    """
+
+    # Spans are recorded by hand rather than through the worker's global
+    # tracer: pool processes are reused across shards, so slicing this
+    # shard's spans out of a shared tracer would race the thread executor.
+    span_ts = time.time()
+    span_started = time.perf_counter()
+
+    site, generator_seed = shard_site(spec)
+    # The recorder sinks rows into a payload builder instead of
+    # constructing record objects, and the emitter collects the
+    # per-request attribute code rows alongside.
+    emitter = TableEmitter()
+    builder = RecordColumnsBuilder()
+    recorder = SessionRecorder(site, sink=builder)
 
     if spec.kind == "bots":
         if spec.profile is None:
             raise ValueError("bot shard requires a profile")
-        generator = BotTrafficGenerator(site, rng=generator_seed)
-        if vectorized:
-            recorded = generator.run_service_vectorized(
-                spec.profile,
-                scale=spec.scale,
-                campaign_days=spec.campaign_days,
-                total_requests=spec.request_budget,
-                recorder=recorder,
-                emitter=emitter,
-            )
-        else:
-            recorded = generator.run_service(
-                spec.profile,
-                scale=spec.scale,
-                campaign_days=spec.campaign_days,
-                total_requests=spec.request_budget,
-            )
+        recorded = BotTrafficGenerator(site, rng=generator_seed).run_service_vectorized(
+            spec.profile,
+            scale=spec.scale,
+            campaign_days=spec.campaign_days,
+            total_requests=spec.request_budget,
+            recorder=recorder,
+            emitter=emitter,
+        )
     elif spec.kind == "real_users":
-        generator = RealUserTrafficGenerator(site, rng=generator_seed)
-        if vectorized:
-            recorded = generator.run_vectorized(
-                num_requests=spec.num_requests,
-                source=spec.source,
-                recorder=recorder,
-                emitter=emitter,
-            )
-        else:
-            recorded = generator.run(num_requests=spec.num_requests, source=spec.source)
+        recorded = RealUserTrafficGenerator(site, rng=generator_seed).run_vectorized(
+            num_requests=spec.num_requests,
+            source=spec.source,
+            recorder=recorder,
+            emitter=emitter,
+        )
     elif spec.kind == "privacy":
         if spec.technology is None:
             raise ValueError("privacy shard requires a technology")
-        generator = PrivacyTrafficGenerator(site, rng=generator_seed)
-        if vectorized:
-            recorded = generator.run_technology_vectorized(
-                spec.technology,
-                num_requests=spec.num_requests,
-                recorder=recorder,
-                emitter=emitter,
-            )
-        else:
-            recorded = generator.run_technology(spec.technology, num_requests=spec.num_requests)
+        recorded = PrivacyTrafficGenerator(site, rng=generator_seed).run_technology_vectorized(
+            spec.technology,
+            num_requests=spec.num_requests,
+            recorder=recorder,
+            emitter=emitter,
+        )
     else:
         raise ValueError(f"unknown shard kind {spec.kind!r}")
 
-    table = emitter.payload() if emitter is not None else None
-    columns = builder.columns() if builder is not None else None
+    table = emitter.payload()
+    columns = builder.columns()
     payload_bytes: Optional[int] = None
-    if spec.measure_payload and columns is not None:
+    if spec.measure_payload:
         payload_bytes = len(pickle.dumps((columns, table), pickle.HIGHEST_PROTOCOL))
     spans: List[SpanRecord] = []
     if obs.telemetry_enabled():
@@ -596,10 +548,9 @@ def run_shard(spec: ShardSpec) -> ShardResult:
         source=spec.source,
         kind=spec.kind,
         recorded=recorded,
-        records=list(site.store),
-        assignments=space.assignments,
-        table=table,
         columns=columns,
+        table=table,
+        assignments=site.geo.space.assignments,
         payload_bytes=payload_bytes,
         spans=spans,
     )
@@ -620,7 +571,6 @@ class CorpusEngine:
         campaign_days: int = 90,
         profiles: Optional[Sequence[BotServiceProfile]] = None,
         technologies: Sequence[PrivacyTechnology] = PRIVACY_TECHNOLOGIES,
-        generation: str = "vectorized",
         subshard_target: int = SUBSHARD_TARGET_RECORDS,
         min_records_per_worker: Optional[int] = None,
     ):
@@ -637,16 +587,13 @@ class CorpusEngine:
             profiles if profiles is not None else build_marketplace()
         )
         self.technologies: Tuple[PrivacyTechnology, ...] = tuple(technologies)
-        self.generation = validate_generation(generation)
         self.subshard_target = int(subshard_target)
         if self.subshard_target < 1:
             raise ValueError("subshard_target must be positive")
         if min_records_per_worker is not None and int(min_records_per_worker) < 1:
             raise ValueError("min_records_per_worker must be positive")
         #: per-worker planned-records floor for the fan-out clamp; ``None``
-        #: derives it from the generation engine's transfer cost
-        #: (:data:`MIN_RECORDS_PER_WORKER_COLUMNAR` for the columnar
-        #: transport, :data:`MIN_RECORDS_PER_WORKER` for record objects)
+        #: means :data:`MIN_RECORDS_PER_WORKER_COLUMNAR`
         self.min_records_per_worker = (
             None if min_records_per_worker is None else int(min_records_per_worker)
         )
@@ -776,7 +723,6 @@ class CorpusEngine:
                         else 0
                     ),
                     request_budget=budget,
-                    generation=self.generation,
                 )
             )
         return specs
@@ -808,19 +754,16 @@ class CorpusEngine:
         return sorted(results, key=lambda result: result.index)
 
     def records_per_worker_floor(self) -> int:
-        """The clamp threshold in effect, derived from the transfer cost.
+        """The clamp threshold in effect.
 
-        The columnar shard transport made result transfer cheap, so
-        vectorized generation amortises a worker over far fewer records
-        than the record-object transport does; an explicit
-        ``min_records_per_worker`` constructor value overrides both.
+        :data:`MIN_RECORDS_PER_WORKER_COLUMNAR`, derived from the columnar
+        transport's transfer cost, unless the constructor's
+        ``min_records_per_worker`` overrides it.
         """
 
         if self.min_records_per_worker is not None:
             return self.min_records_per_worker
-        if self.generation == "vectorized":
-            return MIN_RECORDS_PER_WORKER_COLUMNAR
-        return MIN_RECORDS_PER_WORKER
+        return MIN_RECORDS_PER_WORKER_COLUMNAR
 
     def effective_workers(self, requested: int, specs: Sequence[ShardSpec]) -> int:
         """Clamp *requested* workers so shard overhead cannot dominate.
@@ -840,10 +783,10 @@ class CorpusEngine:
     def build(self, *, workers: Optional[int] = None, executor: Optional[str] = None) -> Corpus:
         """Build the corpus, fanning shards out over *workers*.
 
-        The merged corpus is byte-identical for any worker count, either
-        executor kind and either generation engine; those knobs only change
-        wall-clock time.  The fan-out actually used is clamped through
-        :meth:`effective_workers` and recorded in :attr:`last_plan`.
+        The merged corpus is byte-identical for any worker count and either
+        executor kind; those knobs only change wall-clock time.  The
+        fan-out actually used is clamped through :meth:`effective_workers`
+        and recorded in :attr:`last_plan`.
         """
 
         if workers is None:
@@ -855,8 +798,6 @@ class CorpusEngine:
         effective = self.effective_workers(workers, specs)
         subshard_sources = sorted({spec.source for spec in specs if spec.request_budget is not None})
         self.last_plan = {
-            "generation": self.generation,
-            "transport": "columnar" if self.generation == "vectorized" else "records",
             "shards": len(specs),
             "planned_records": int(sum(_shard_weight(spec) for spec in specs)),
             "requested_workers": int(workers),
@@ -870,21 +811,16 @@ class CorpusEngine:
         _url_seed, site_seed = master.spawn(2)
         site = HoneySite(rng=np.random.default_rng(site_seed))
 
-        if self.generation == "vectorized":
-            # Measure every columnar payload's pickled size inside the
-            # worker, whatever the executor: a serial or thread build ships
-            # nothing across a process boundary, but the size is still the
-            # transport cost a process build *would* pay, and the scaling
-            # bench needs it recorded for single-worker runs too.  Workers
-            # measure their own payloads so the coordinator never
-            # re-serialises what a process pool already shipped.
-            specs = [replace(spec, measure_payload=True) for spec in specs]
+        # Measure every payload's pickled size inside the worker, whatever
+        # the executor: a serial or thread build ships nothing across a
+        # process boundary, but the size is still the transport cost a
+        # process build *would* pay, and the payload-bytes gate needs it
+        # recorded for single-worker runs too.  Workers measure their own
+        # payloads so the coordinator never re-serialises what a process
+        # pool already shipped.
+        specs = [replace(spec, measure_payload=True) for spec in specs]
         with obs.tracer().span(
-            "corpus.generate",
-            shards=len(specs),
-            workers=effective,
-            executor=executor,
-            generation=self.generation,
+            "corpus.generate", shards=len(specs), workers=effective, executor=executor
         ):
             results = self._execute(specs, effective, executor)
 
@@ -906,35 +842,9 @@ class CorpusEngine:
                 technology = PrivacyTechnology(result.source.split(":", 1)[1])
                 corpus.privacy_requests[technology] = result.recorded
 
-        with obs.tracer().span(
-            "corpus.merge", transport=self.last_plan["transport"]
-        ):
-            if all(result.columns is not None for result in results):
-                self._merge_columnar(corpus, results)
-            else:
-                self._merge_records(site, results)
+        with obs.tracer().span("corpus.merge"):
+            self._merge_columnar(corpus, results)
         return corpus
-
-    def _merge_records(self, site: HoneySite, results: Sequence[ShardResult]) -> None:
-        """Object-transport merge (legacy generation engine).
-
-        Renumbers request ids in merged order: ``WebRequest`` draws ids
-        from a process-global counter, so shard-local ids depend on what
-        else ran in the worker process.  Sequential renumbering restores
-        the serial-path invariant (ids are 1..N in store order)
-        independent of executor and worker count.  The coordinator owns
-        every shard record exclusively — worker sites are discarded
-        (inline/thread) or the records arrived as pickled copies (process
-        pool) — so renumbering mutates in place instead of copying two
-        frozen dataclasses per record.
-        """
-
-        next_request_id = 1
-        for result in results:
-            for record in result.records:
-                record.request.__dict__["request_id"] = next_request_id
-                site.store.add(record)
-                next_request_id += 1
 
     def _merge_columnar(self, corpus: Corpus, results: Sequence[ShardResult]) -> None:
         """Columnar-transport merge: concatenate payloads, renumber ids,
@@ -949,9 +859,9 @@ class CorpusEngine:
         merged.request_ids = np.arange(1, merged.n_rows + 1, dtype=np.int64)
         corpus.site.store = LazyRequestStore(merged)
         # Transfer volume as measured inside the workers.  Recorded for
-        # every columnar build — serial and thread runs included — so the
-        # scaling bench can track per-record transport cost; None only if
-        # some shard skipped measurement.
+        # every build — serial and thread runs included — so the
+        # payload-bytes gate can track per-record transport cost; None only
+        # if some shard skipped measurement.
         measured = [result.payload_bytes for result in results]
         self.last_plan["payload_bytes"] = (
             sum(measured) if all(size is not None for size in measured) else None
@@ -961,9 +871,8 @@ class CorpusEngine:
 
         # Per-subset table assembly: a subset's rows are the merged rows of
         # its shards, in shard order (bots: every bot shard; privacy: one
-        # shard per technology).  Only complete subsets assemble (every
-        # shard must have emitted its attribute codes), so a table is
-        # either exactly what extraction would produce or absent.
+        # shard per technology), so each table is exactly what extraction
+        # would produce.
         offsets: Dict[int, int] = {}
         offset = 0
         for result in results:
@@ -975,8 +884,6 @@ class CorpusEngine:
             subsets.setdefault(key, []).append(result)
         for key, group in subsets.items():
             payloads = [result.table for result in group]
-            if not payloads or any(payload is None for payload in payloads):
-                continue
             rows = np.concatenate(
                 [
                     np.arange(
@@ -1009,34 +916,6 @@ def _shard_weight(spec: ShardSpec) -> int:
     return spec.num_requests
 
 
-def build_corpus_sharded(
-    *,
-    seed: int = 7,
-    scale: Optional[float] = None,
-    include_real_users: bool = True,
-    include_privacy: bool = False,
-    real_user_requests: int = 2206,
-    privacy_requests_each: int = 60,
-    campaign_days: int = 90,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
-    generation: str = "vectorized",
-) -> Corpus:
-    """Build a corpus with the sharded engine (functional facade)."""
-
-    engine = CorpusEngine(
-        seed=seed,
-        scale=scale,
-        include_real_users=include_real_users,
-        include_privacy=include_privacy,
-        real_user_requests=real_user_requests,
-        privacy_requests_each=privacy_requests_each,
-        campaign_days=campaign_days,
-        generation=generation,
-    )
-    return engine.build(workers=workers, executor=executor)
-
-
 def build_or_load_corpus(
     *,
     seed: int = 7,
@@ -1049,7 +928,6 @@ def build_or_load_corpus(
     workers: Optional[int] = None,
     executor: Optional[str] = None,
     cache=None,
-    generation: str = "vectorized",
 ) -> Tuple[Corpus, str]:
     """Build a sharded corpus, or reuse a cached one.
 
@@ -1057,9 +935,7 @@ def build_or_load_corpus(
     :class:`~repro.analysis.cache.CorpusCache`; ``None`` reads
     ``REPRO_CORPUS_CACHE``, ``False`` disables caching outright.  Returns
     ``(corpus, status)`` with status one of ``"hit"``, ``"miss"`` (built
-    and stored) or ``"uncached"`` (no cache configured).  The generation
-    engine is absent from the cache key on purpose: both engines produce
-    byte-identical corpora, so they share cache entries.
+    and stored) or ``"uncached"`` (no cache configured).
     """
 
     from repro.analysis.cache import CorpusCache, corpus_cache_key, default_cache_dir
@@ -1072,7 +948,6 @@ def build_or_load_corpus(
         real_user_requests=real_user_requests,
         privacy_requests_each=privacy_requests_each,
         campaign_days=campaign_days,
-        generation=generation,
     )
     if cache is None:
         cache = default_cache_dir()

@@ -18,25 +18,12 @@ Section 6.3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bots.service import BotDEvasionFlavor, BotServiceProfile
 from repro.bots.strategies import (
-    apply_consistent_device_spoof,
-    apply_device_spoof,
-    apply_forced_colors,
-    apply_low_concurrency,
-    apply_memory_rotation,
-    apply_platform_rotation,
-    apply_plugin_injection,
-    apply_server_concurrency,
-    apply_timezone,
-    apply_touch_spoof,
-    apply_webdriver_leak,
-    base_bot_fingerprint,
     base_bot_values,
     consistent_device_spoof_changes,
     device_spoof_changes,
@@ -48,12 +35,9 @@ from repro.bots.strategies import (
     touch_spoof_changes,
 )
 from repro.fingerprint.attributes import Attribute
-from repro.fingerprint.fingerprint import Fingerprint
 from repro.geo.timezones import ADVERTISED_REGIONS, COUNTRY_TIMEZONES
 from repro.honeysite.site import HoneySite, SessionMaterial, SessionRecorder
 from repro.honeysite.storage import SECONDS_PER_DAY
-from repro.network.headers import build_headers
-from repro.network.request import WebRequest
 from repro.seeding import derive_rng
 
 #: Country mix used when a service makes no geographic promise.  Weighted
@@ -87,8 +71,8 @@ _COUNTRY_MIX_WEIGHTS /= _COUNTRY_MIX_WEIGHTS.sum()
 
 #: Normalised cumulative country-mix weights, replicating the
 #: normalisation ``Generator.choice`` applies internally so the vectorized
-#: planner's ``searchsorted`` draw is bit-identical to the legacy
-#: ``rng.choice(..., p=_COUNTRY_MIX_WEIGHTS)`` call.
+#: planner's ``searchsorted`` draw is bit-identical to the reference
+#: generator's ``rng.choice(..., p=_COUNTRY_MIX_WEIGHTS)`` call.
 _COUNTRY_MIX_CDF: np.ndarray = _COUNTRY_MIX_WEIGHTS.cumsum()
 _COUNTRY_MIX_CDF /= _COUNTRY_MIX_CDF[-1]
 
@@ -97,16 +81,6 @@ _COUNTRY_MIX_CDF /= _COUNTRY_MIX_CDF[-1]
 _SORTED_REGION_COUNTRIES: Dict[str, Tuple[str, ...]] = {
     region: tuple(sorted(countries)) for region, countries in ADVERTISED_REGIONS.items()
 }
-
-
-@dataclass
-class _Worker:
-    """One automation worker of a bot service and its current session."""
-
-    worker_id: int
-    cookie: Optional[str] = None
-    fingerprint: Optional[Fingerprint] = None
-    ip_address: Optional[str] = None
 
 
 class BotTrafficGenerator:
@@ -142,158 +116,6 @@ class BotTrafficGenerator:
         weights /= weights.sum()
         return rng.multinomial(total, weights)
 
-    # -- session construction ------------------------------------------------------
-
-    def _choose_country(
-        self, profile: BotServiceProfile, rng: np.random.Generator
-    ) -> str:
-        """Pick the country the session's proxy address will sit in."""
-
-        if profile.advertised_region is not None:
-            region_countries = sorted(ADVERTISED_REGIONS[profile.advertised_region])
-            if rng.random() < profile.ip_region_match_rate:
-                return region_countries[int(rng.integers(len(region_countries)))]
-        return _COUNTRY_MIX_NAMES[int(rng.choice(len(_COUNTRY_MIX_NAMES), p=_COUNTRY_MIX_WEIGHTS))]
-
-    def _choose_timezone(
-        self, profile: BotServiceProfile, ip_country: str, rng: np.random.Generator
-    ) -> str:
-        """Pick the browser timezone the session reports."""
-
-        if profile.advertised_region is not None:
-            if rng.random() < profile.timezone_region_match_rate:
-                region_countries = sorted(ADVERTISED_REGIONS[profile.advertised_region])
-                country = region_countries[int(rng.integers(len(region_countries)))]
-                zones = COUNTRY_TIMEZONES.get(country, (_BASE_TIMEZONE,))
-                return zones[int(rng.integers(len(zones)))]
-            return _BASE_TIMEZONE
-        # No geographic promise: half the sessions leave the server's zone
-        # in place, the rest align the zone with the proxy's country.
-        if rng.random() < 0.5:
-            zones = COUNTRY_TIMEZONES.get(ip_country, (_BASE_TIMEZONE,))
-            return zones[int(rng.integers(len(zones)))]
-        return _BASE_TIMEZONE
-
-    def _build_fingerprint(
-        self, profile: BotServiceProfile, rng: np.random.Generator
-    ) -> Tuple[Fingerprint, bool]:
-        """Build one altered fingerprint; returns it plus ``use_datacenter``."""
-
-        fingerprint = base_bot_fingerprint(rng)
-
-        # DataDome branch: adopt (or not) the configuration that its model
-        # does not flag — a consumer-grade core count (Figure 5).
-        evade_datadome = rng.random() < profile.datadome_evasion_target
-        if evade_datadome:
-            fingerprint = apply_low_concurrency(fingerprint, rng)
-            use_datacenter = rng.random() < profile.datacenter_fraction
-        else:
-            use_datacenter = True
-            if rng.random() < profile.forced_colors_rate:
-                # Detected regardless of core count: forced-colors mode is a
-                # give-away (Section 5.3.2), so some detected requests still
-                # report few cores, matching the CDF of Figure 5.
-                fingerprint = apply_low_concurrency(fingerprint, rng)
-                fingerprint = apply_forced_colors(fingerprint)
-            else:
-                fingerprint = apply_server_concurrency(fingerprint, rng)
-
-        # BotD branch: hit one of its blind spots (plugins / touch).
-        if rng.random() < profile.botd_evasion_target:
-            flavor = profile.botd_flavor
-            if flavor is BotDEvasionFlavor.MIXED:
-                flavor = (
-                    BotDEvasionFlavor.PLUGINS if rng.random() < 0.7 else BotDEvasionFlavor.TOUCH
-                )
-            if flavor is BotDEvasionFlavor.PLUGINS:
-                fingerprint = apply_plugin_injection(fingerprint, rng)
-            else:
-                fingerprint = apply_touch_spoof(fingerprint, rng, consistency=profile.consistency)
-
-        # Impersonate a popular consumer device (Figures 6 and 7).  Curated
-        # profiles spoof consistently; the rest leave correlated attributes
-        # only partially repaired (Section 6.1).
-        if rng.random() < profile.device_spoof_rate:
-            if rng.random() < profile.full_consistency:
-                fingerprint = apply_consistent_device_spoof(fingerprint, rng)
-            else:
-                fingerprint = apply_device_spoof(fingerprint, rng, consistency=profile.consistency)
-
-        # Attribute rotation across sessions (Figures 9 and 10).
-        if rng.random() < profile.platform_rotation_rate:
-            fingerprint = apply_platform_rotation(fingerprint, rng)
-        if rng.random() < profile.memory_rotation_rate:
-            fingerprint = apply_memory_rotation(fingerprint, rng)
-        if rng.random() < profile.webdriver_leak_rate:
-            fingerprint = apply_webdriver_leak(fingerprint)
-
-        return fingerprint, use_datacenter
-
-    def _reset_session(
-        self, worker: _Worker, profile: BotServiceProfile, rng: np.random.Generator
-    ) -> None:
-        """Re-roll a worker's configuration (new session)."""
-
-        fingerprint, use_datacenter = self._build_fingerprint(profile, rng)
-        country = self._choose_country(profile, rng)
-        timezone = self._choose_timezone(profile, country, rng)
-        fingerprint = apply_timezone(fingerprint, timezone)
-        worker.fingerprint = fingerprint
-        worker.ip_address = self._site.geo.allocate_address(
-            rng, country=country, datacenter=use_datacenter
-        )
-        if worker.cookie is not None and rng.random() > profile.cookie_retention:
-            worker.cookie = None
-
-    # -- public API ------------------------------------------------------------
-
-    def run_service(
-        self,
-        profile: BotServiceProfile,
-        *,
-        scale: float = 1.0,
-        campaign_days: int = DEFAULT_CAMPAIGN_DAYS,
-        renewal_days: Sequence[int] = DEFAULT_RENEWAL_DAYS,
-        total_requests: Optional[int] = None,
-    ) -> int:
-        """Generate and submit the whole campaign of *profile*.
-
-        *total_requests* overrides the profile's scaled volume (the corpus
-        engine's sub-shards each generate one slice of a big service).
-        Returns the number of requests recorded by the honey site.
-        """
-
-        rng = np.random.default_rng(self._rng.integers(0, 2 ** 32))
-        url_path = self._site.register_source(profile.name)
-        total = profile.scaled_requests(scale) if total_requests is None else int(total_requests)
-        volumes = self._daily_volumes(
-            total, campaign_days, renewal_days, profile.requests_per_day_jitter, rng
-        )
-        workers = [_Worker(worker_id=index) for index in range(profile.num_workers)]
-
-        recorded = 0
-        for day, day_volume in enumerate(volumes):
-            if day_volume == 0:
-                continue
-            offsets = np.sort(rng.random(int(day_volume))) * SECONDS_PER_DAY
-            for offset in offsets:
-                worker = workers[int(rng.integers(len(workers)))]
-                if worker.fingerprint is None or rng.random() < profile.session_reset_rate:
-                    self._reset_session(worker, profile, rng)
-                request = WebRequest(
-                    url_path=url_path,
-                    timestamp=day * SECONDS_PER_DAY + float(offset),
-                    ip_address=worker.ip_address,
-                    fingerprint=worker.fingerprint,
-                    cookie=worker.cookie,
-                    headers=build_headers(worker.fingerprint),
-                )
-                record = self._site.handle(request)
-                if record is not None:
-                    worker.cookie = record.cookie
-                    recorded += 1
-        return recorded
-
     # -- vectorized engine --------------------------------------------------------
 
     def run_service_vectorized(
@@ -307,10 +129,16 @@ class BotTrafficGenerator:
         recorder: Optional[SessionRecorder] = None,
         emitter=None,
     ) -> int:
-        """Vectorized, byte-identical counterpart of :meth:`run_service`.
+        """Generate and record the whole campaign of *profile*.
+
+        Byte-identical to the request-by-request reference ``run_service``
+        (``tests/reference/generation.py``).  *total_requests* overrides
+        the profile's scaled volume (the corpus engine's sub-shards each
+        generate one slice of a big service); returns the number of
+        requests recorded.
 
         The campaign's randomness is drawn from the exact stream positions
-        the legacy loop consumes — batched where the legacy path already
+        the reference loop consumes — batched where the reference already
         batches (daily volumes, intra-day offsets) and through cheap
         stream-identical draws where requests interleave with session
         resets on one generator (worker picks and reset checks cannot be
@@ -379,10 +207,10 @@ class BotTrafficGenerator:
         *,
         has_cookie: bool,
     ) -> Tuple[SessionMaterial, bool]:
-        """Vectorized :meth:`_reset_session`: same draws, dict-based assembly.
+        """Re-roll a worker's session: the reference draws, dict-based assembly.
 
         Returns the materialised session plus whether the retained cookie
-        was cleared (the legacy path draws the retention check only when a
+        was cleared (the reference draws the retention check only when a
         cookie is actually held, which is equivalent to the worker having
         recorded at least one request).
         """
@@ -400,7 +228,8 @@ class BotTrafficGenerator:
     def _plan_fingerprint(
         self, profile: BotServiceProfile, rng: np.random.Generator
     ) -> Tuple[Dict[Attribute, object], bool]:
-        """Dict-based mirror of :meth:`_build_fingerprint` (same stream)."""
+        """Build one altered fingerprint as a canonical attribute dict, plus
+        ``use_datacenter`` (the reference ``_build_fingerprint`` stream)."""
 
         values = base_bot_values(rng)
 
@@ -444,7 +273,7 @@ class BotTrafficGenerator:
         return values, use_datacenter
 
     def _plan_country(self, profile: BotServiceProfile, rng: np.random.Generator) -> str:
-        """Stream-identical, allocation-free :meth:`_choose_country`."""
+        """Pick the country the session's proxy address will sit in."""
 
         if profile.advertised_region is not None:
             region_countries = _SORTED_REGION_COUNTRIES[profile.advertised_region]
@@ -455,7 +284,7 @@ class BotTrafficGenerator:
     def _plan_timezone(
         self, profile: BotServiceProfile, ip_country: str, rng: np.random.Generator
     ) -> str:
-        """Stream-identical, allocation-free :meth:`_choose_timezone`."""
+        """Pick the browser timezone the session reports."""
 
         if profile.advertised_region is not None:
             if rng.random() < profile.timezone_region_match_rate:
@@ -469,23 +298,6 @@ class BotTrafficGenerator:
             return zones[int(rng.integers(len(zones)))]
         return _BASE_TIMEZONE
 
-    def run_marketplace(
-        self,
-        profiles: Sequence[BotServiceProfile],
-        *,
-        scale: float = 1.0,
-        campaign_days: int = DEFAULT_CAMPAIGN_DAYS,
-    ) -> Dict[str, int]:
-        """Run every service in *profiles*; returns per-service volumes."""
-
-        volumes: Dict[str, int] = {}
-        for profile in profiles:
-            volumes[profile.name] = self.run_service(
-                profile, scale=scale, campaign_days=campaign_days
-            )
-        return volumes
-
-
 _ATTRIBUTE_BY_KEY: Dict[str, Attribute] = {attribute.value: attribute for attribute in Attribute}
 
 
@@ -493,8 +305,8 @@ def _apply_changes(values: Dict[Attribute, object], changes: Dict[str, object]) 
     """Apply a strategy changes dict exactly like ``Fingerprint.replace``.
 
     Same key order — existing keys keep their dict position, new keys
-    append — so the final dict is indistinguishable from the legacy
-    replace() chain's result.  Coercion is skipped: the strategy changes
+    append — so the final dict is indistinguishable from the reference
+    generator's replace() chain.  Coercion is skipped: the strategy changes
     functions emit canonical values by construction (explicit ``int`` /
     ``float`` / ``str`` conversions and integer tuples), which replace()'s
     coercion maps to themselves; ``tests/test_vectorized.py`` pins the

@@ -1,12 +1,11 @@
 """The ``repro`` command line interface.
 
-Five subcommands cover the reproduction workflow end to end::
+Four subcommands cover the reproduction workflow end to end::
 
     repro corpus    build (or load from cache) a measurement corpus
     repro pipeline  build a corpus and run the FP-Inconsistent evaluation
     repro report    regenerate every paper table and figure from a corpus
     repro stream    replay a corpus through the online streaming detector
-    repro bench     measure serial vs. sharded corpus-build throughput
 
 Installed as a console script by ``setup.py``; also runnable without
 installing via ``PYTHONPATH=src python -m repro ...``.
@@ -15,64 +14,45 @@ installing via ``PYTHONPATH=src python -m repro ...``.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro import obs
-from repro.analysis.cache import CACHE_ENV_VAR
-from repro.analysis.corpus import Corpus, build_corpus_serial, default_scale
+from repro.analysis.cache import CACHE_ENV_VAR, corpus_digest
+from repro.analysis.corpus import Corpus, default_scale
 from repro.analysis.engine import (
     EXECUTOR_ENV_VAR,
-    GENERATIONS,
     WORKERS_ENV_VAR,
-    CorpusEngine,
     build_or_load_corpus,
     default_executor,
     default_workers,
 )
 
 
-def _add_execution_knobs(parser: argparse.ArgumentParser, *, lists: bool = False) -> None:
+def _add_execution_knobs(parser: argparse.ArgumentParser) -> None:
     """The seed/scale/workers/executor knob set every subcommand shares.
 
-    ``corpus``/``pipeline``/``stream`` take one scale and one worker count;
-    ``bench`` (*lists*) sweeps comma-separated value lists instead.  One
-    definition keeps defaults, env-variable fallbacks and help text
+    One definition keeps defaults, env-variable fallbacks and help text
     identical everywhere.
     """
 
     group = parser.add_argument_group("execution")
     group.add_argument("--seed", type=int, default=7, help="master seed (default 7)")
-    if lists:
-        group.add_argument(
-            "--scales",
-            type=_parse_float_list,
-            default=[0.01, 0.05],
-            help="comma-separated corpus scales (default 0.01,0.05)",
-        )
-        group.add_argument(
-            "--workers-list",
-            type=_parse_int_list,
-            default=[1, 4],
-            help="comma-separated worker counts (default 1,4)",
-        )
-    else:
-        group.add_argument(
-            "--scale",
-            type=float,
-            default=None,
-            help="fraction of the paper's volumes (default: REPRO_SCALE or 0.05; 1.0 = 507,080 requests)",
-        )
-        group.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help=f"shard worker count (default: {WORKERS_ENV_VAR} or 1)",
-        )
+    group.add_argument(
+        "--scale",
+        type=float,
+        default=None,
+        help="fraction of the paper's volumes (default: REPRO_SCALE or 0.05; 1.0 = 507,080 requests)",
+    )
+    group.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help=f"shard worker count (default: {WORKERS_ENV_VAR} or 1)",
+    )
     group.add_argument(
         "--executor",
         choices=("process", "thread"),
@@ -127,33 +107,26 @@ def _attach_telemetry(document: dict) -> None:
         document["telemetry"] = obs.metrics_snapshot()
 
 
-_ABSENT = object()
-
-
 def _validate_execution_knobs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Reject bad execution knobs up front with a usage error.
 
     Covers the command-line flags and the environment fallbacks they
     default to (``REPRO_WORKERS`` / ``REPRO_EXECUTOR`` / ``REPRO_SCALE``),
     so a typo'd knob fails before minutes of corpus generation start.
-    Knobs a subcommand does not define are skipped, so one validator
-    serves the single-value and list-sweep (``bench``) forms alike.
     """
 
-    if getattr(args, "seed", _ABSENT) is not _ABSENT and args.seed < 0:
+    if args.seed < 0:
         parser.error(f"--seed must be non-negative, got {args.seed}")
-    workers = getattr(args, "workers", _ABSENT)
-    if workers is not _ABSENT and workers is not None and workers < 1:
-        parser.error(f"--workers must be >= 1, got {workers}")
-    scale = getattr(args, "scale", _ABSENT)
-    if scale is not _ABSENT and scale is not None and scale <= 0:
-        parser.error(f"--scale must be positive, got {scale}")
+    if args.workers is not None and args.workers < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")
+    if args.scale is not None and args.scale <= 0:
+        parser.error(f"--scale must be positive, got {args.scale}")
     try:
-        if workers is None:
+        if args.workers is None:
             default_workers()
-        if getattr(args, "executor", _ABSENT) is None:
+        if args.executor is None:
             default_executor()
-        if scale is None:
+        if args.scale is None:
             default_scale()
     except ValueError as exc:
         parser.error(str(exc))
@@ -163,13 +136,6 @@ def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
     _add_execution_knobs(parser)
     _add_telemetry_arguments(parser)
     group = parser.add_argument_group("corpus")
-    group.add_argument(
-        "--generation",
-        choices=GENERATIONS,
-        default="vectorized",
-        help="generation engine: vectorized batch sampling (default) or the "
-        "object-at-a-time legacy reference; corpora are byte-identical",
-    )
     group.add_argument(
         "--cache",
         default=None,
@@ -311,7 +277,6 @@ def _build_from_args(args: argparse.Namespace) -> Corpus:
         workers=args.workers,
         executor=args.executor,
         cache=cache,
-        generation=args.generation,
     )
     elapsed = time.perf_counter() - started
     label = {"hit": "cache hit", "miss": "cache miss (stored)", "uncached": "uncached build"}[status]
@@ -326,6 +291,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         "seed": corpus.seed,
         "scale": corpus.scale,
         "records": len(corpus.store),
+        "digest": corpus_digest(corpus),
         "bot_requests": sum(corpus.service_volumes.values()),
         "real_user_requests": corpus.real_user_requests,
         "privacy_requests": {
@@ -337,9 +303,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         + (1 if corpus.real_user_requests else 0)
         + len(corpus.privacy_requests),
     }
-    if args.out:
-        corpus.store.save_jsonl(args.out)
-        summary["saved_to"] = str(args.out)
     _attach_telemetry(summary)
     json.dump(summary, sys.stdout, indent=1, sort_keys=True)
     print()
@@ -638,143 +601,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_float_list(raw: str) -> List[float]:
-    values = [float(part) for part in raw.split(",") if part.strip()]
-    if not values:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
-    if any(value <= 0 for value in values):
-        raise argparse.ArgumentTypeError(f"scales must be positive, got {raw!r}")
-    return values
-
-
-def _parse_int_list(raw: str) -> List[int]:
-    values = [int(part) for part in raw.split(",") if part.strip()]
-    if not values:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of integers")
-    if any(value < 1 for value in values):
-        raise argparse.ArgumentTypeError(f"worker counts must be >= 1, got {raw!r}")
-    return values
-
-
-def run_scaling_benchmark(
-    *,
-    scales: List[float],
-    worker_counts: List[int],
-    seed: int = 7,
-    executor: Optional[str] = None,
-    generations: Sequence[str] = ("vectorized", "legacy"),
-) -> dict:
-    """Measure serial-vs-engine corpus build throughput.
-
-    For every scale, times the legacy serial path
-    (:func:`~repro.analysis.corpus.build_corpus_serial`) as the baseline,
-    then the sharded engine per generation engine and worker count,
-    recording requests/second, the speedup over serial, the execution plan
-    the engine actually chose (sub-sharded services, effective workers
-    after the min-records-per-worker clamp, shard payload bytes for the
-    columnar transport) and the cost of materialising record objects out
-    of a columnar-backed store (``materialize_seconds`` — the price the
-    lazy store defers, and what consumers that stay columnar never pay).
-    Returns the result document written to ``BENCH_corpus_scaling.json``.
-    """
-
-    document = {
-        "benchmark": "corpus_scaling",
-        "seed": seed,
-        "cpu_count": os.cpu_count(),
-        "executor": executor or default_executor(),
-        "scales": [],
-    }
-    for scale in scales:
-        started = time.perf_counter()
-        serial = build_corpus_serial(seed=seed, scale=scale, include_real_users=True)
-        serial_seconds = time.perf_counter() - started
-        entry = {
-            "scale": scale,
-            "records": len(serial.store),
-            "serial_seconds": round(serial_seconds, 3),
-            "serial_rps": round(len(serial.store) / serial_seconds, 1),
-            "engine": [],
-        }
-        # Drop finished corpora before every engine run: a process-pool
-        # fork inherits the coordinator's whole heap, so leftover corpora
-        # would bill earlier runs' memory to the run being timed.
-        del serial
-        gc.collect()
-        for generation in generations:
-            for workers in worker_counts:
-                engine = CorpusEngine(
-                    seed=seed, scale=scale, include_real_users=True, generation=generation
-                )
-                started = time.perf_counter()
-                corpus = engine.build(workers=workers, executor=executor)
-                seconds = time.perf_counter() - started
-                started = time.perf_counter()
-                corpus.store.records  # force object materialisation
-                materialize_seconds = time.perf_counter() - started
-                n_records = len(corpus.store)
-                del corpus
-                gc.collect()
-                entry["engine"].append(
-                    {
-                        "generation": generation,
-                        "workers": workers,
-                        "seconds": round(seconds, 3),
-                        "rps": round(n_records / seconds, 1),
-                        "speedup_vs_serial": round(serial_seconds / seconds, 2),
-                        "payload_bytes": engine.last_plan.get("payload_bytes"),
-                        "materialize_seconds": round(materialize_seconds, 3),
-                        "plan": engine.last_plan,
-                    }
-                )
-        document["scales"].append(entry)
-        print(
-            f"scale {scale}: serial {serial_seconds:.2f}s; "
-            + "; ".join(
-                f"{run['generation'][:3]}/{run['workers']}w "
-                f"(eff {run['plan']['effective_workers']}) "
-                f"{run['seconds']:.2f}s ({run['speedup_vs_serial']}x)"
-                for run in entry["engine"]
-            ),
-            file=sys.stderr,
-        )
-    return document
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    _validate_execution_knobs(args.parser, args)
-    document = run_scaling_benchmark(
-        scales=args.scales,
-        worker_counts=args.workers_list,
-        seed=args.seed,
-        executor=args.executor,
-    )
-    _attach_telemetry(document)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    print(f"bench: wrote {args.output}", file=sys.stderr)
-
-    if args.check_speedup is not None:
-        # Gate on the vectorized engine only: legacy-generation runs are
-        # recorded for comparison but must not satisfy the speedup check.
-        best = max(
-            run["speedup_vs_serial"]
-            for entry in document["scales"]
-            for run in entry["engine"]
-            if run["generation"] == "vectorized"
-        )
-        if best < args.check_speedup:
-            print(
-                f"bench: FAIL — best speedup {best}x is below the "
-                f"required {args.check_speedup}x",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"bench: best speedup {best}x >= {args.check_speedup}x", file=sys.stderr)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -786,9 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
         "corpus", help="build (or load from cache) a measurement corpus"
     )
     _add_corpus_arguments(corpus_parser)
-    corpus_parser.add_argument(
-        "--out", default=None, metavar="PATH", help="also save the store as JSONL (.gz supported)"
-    )
     corpus_parser.set_defaults(func=_cmd_corpus, parser=corpus_parser)
 
     pipeline_parser = subparsers.add_parser(
@@ -905,22 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_checkpoint_arguments(stream_group)
     stream_parser.set_defaults(func=_cmd_stream, parser=stream_parser)
 
-    bench_parser = subparsers.add_parser(
-        "bench", help="measure serial vs. sharded corpus-build throughput"
-    )
-    _add_execution_knobs(bench_parser, lists=True)
-    _add_telemetry_arguments(bench_parser)
-    bench_parser.add_argument(
-        "--output", default="BENCH_corpus_scaling.json", help="result file (JSON)"
-    )
-    bench_parser.add_argument(
-        "--check-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit non-zero unless some engine run is at least X times faster than serial",
-    )
-    bench_parser.set_defaults(func=_cmd_bench, parser=bench_parser)
     return parser
 
 

@@ -23,7 +23,6 @@ dict insertion order in the legacy code break identically here
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,12 +30,6 @@ import numpy as np
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.categories import CATEGORY_ATTRIBUTES
 from repro.fingerprint.fingerprint import Fingerprint, grouping_value
-
-
-#: Version of the persisted columnar-table (``.npz``) format.  Bump on any
-#: change to the archive layout; readers reject newer versions and callers
-#: fall back to re-extraction.
-TABLE_FORMAT_VERSION = 1
 
 
 def default_table_attributes() -> Tuple[Attribute, ...]:
@@ -401,35 +394,6 @@ class ColumnarTable:
         ):
             raise ValueError(f"{label} has ragged metadata")
         return table
-
-    def save_npz(self, path) -> None:
-        """Persist the table (codes, decode lists, request metadata) as
-        a compressed ``.npz`` archive."""
-
-        arrays, meta = self.to_arrays()
-        meta = {"version": TABLE_FORMAT_VERSION, **meta}
-        arrays = {"meta": np.array(json.dumps(meta)), **arrays}
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-
-    @classmethod
-    def load_npz(cls, path) -> "ColumnarTable":
-        """Load a table persisted by :meth:`save_npz`.
-
-        Raises :class:`ValueError` (or an ``OSError`` / JSON error) on a
-        corrupt, truncated or newer-format archive — callers treat any
-        failure as a cache miss and re-extract.
-        """
-
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"][()]))
-            version = int(meta.get("version", 0))
-            if version > TABLE_FORMAT_VERSION:
-                raise ValueError(
-                    f"columnar archive {path} has format version {version}; "
-                    f"this build reads up to {TABLE_FORMAT_VERSION}"
-                )
-            return cls.from_arrays(data, meta, label=f"columnar archive {path}")
 
     def with_columns(self, codes: Dict[Attribute, np.ndarray]) -> "ColumnarTable":
         """A new table over *codes* decoding through this table's dictionaries.

@@ -61,7 +61,7 @@ class PipelineResult:
     real_user_tnr: Optional[float] = None
     generalization: Optional[Dict[str, GeneralizationResult]] = None
     #: how each columnar table was obtained: "reused" (pre-extracted table
-    #: accepted — e.g. the corpus cache's npz sidecar) or "extracted"
+    #: accepted — e.g. one embedded in the corpus archive) or "extracted"
     table_sources: Dict[str, str] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -151,8 +151,8 @@ class FPInconsistentPipeline:
             Per-call override of the constructor's shard fan-out.
         bot_table / real_user_table:
             Pre-extracted :class:`~repro.core.columnar.ColumnarTable` of
-            the corresponding store (the vectorized corpus engine emits
-            them; the corpus cache persists them as ``.npz`` sidecars).  A
+            the corresponding store (the corpus engine emits them; the
+            corpus cache embeds them in its columnar archive).  A
             table is used only when it carries every attribute this
             detector reads — otherwise the store is extracted as usual —
             so results never depend on where the table came from.

@@ -1,15 +1,14 @@
 """The honey site.
 
 Ties the pieces of Section 4 together: versioned URLs provide ground-truth
-attribution, a first-party cookie identifies devices across requests, the
-fingerprint collector validates submissions, and both anti-bot services are
-consulted for every attributed request.  Requests whose URL path is unknown
-are dropped (never recorded), exactly as the paper's design dictates.
+attribution, a first-party cookie identifies devices across requests, and
+both anti-bot services are consulted for every attributed request.  Only
+registered sources are recorded, exactly as the paper's design dictates:
+generators submit through a source's versioned URL path.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -21,7 +20,6 @@ from repro.geo.asn import TOR_EXIT_ASNS
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.fingerprint import Fingerprint
 from repro.geo.geolite import GeoDatabase
-from repro.honeysite.collector import FingerprintCollector
 from repro.honeysite.storage import RecordedRequest, RequestStore
 from repro.honeysite.urls import UrlRegistry
 from repro.network.cookies import CookieIssuer
@@ -56,11 +54,9 @@ class HoneySite:
         self.geo = geo if geo is not None else GeoDatabase()
         self.urls = UrlRegistry(np.random.default_rng(self._rng.integers(0, 2 ** 32)))
         self.cookies = CookieIssuer(np.random.default_rng(self._rng.integers(0, 2 ** 32)))
-        self.collector = FingerprintCollector()
         self.store = RequestStore()
         self.datadome = datadome if datadome is not None else DataDomeModel(self.geo)
         self.botd = botd if botd is not None else BotDModel(self.geo)
-        self._dropped = 0
 
     # -- source management ----------------------------------------------------
 
@@ -69,67 +65,18 @@ class HoneySite:
 
         return self.urls.register(source)
 
-    @property
-    def dropped_requests(self) -> int:
-        """Requests received on unknown paths (real users / stray crawlers)."""
-
-        return self._dropped
-
-    # -- request handling -------------------------------------------------------
-
-    def handle(self, request: WebRequest) -> Optional[RecordedRequest]:
-        """Process one incoming request.
-
-        Returns the stored :class:`RecordedRequest`, or ``None`` when the
-        request's URL path carries no known version string (such requests
-        are dropped without recording, per Section 4.1).  The cookie the
-        server set (new or echoed) is available on the returned record so
-        the client model can persist it.
-        """
-
-        source = self.urls.source_of(request.url_path)
-        if source is None:
-            self._dropped += 1
-            return None
-
-        collected = self.collector.collect(request.fingerprint)
-        cookie = self.cookies.ensure(request.cookie)
-        datadome_decision = self.datadome.evaluate(request)
-        botd_decision = self.botd.evaluate(request)
-
-        # Enrich the stored fingerprint with the server-side IP intelligence
-        # (country, region, ASN) the analyses of Sections 5.1 and 6.2 use.
-        geo_record = self.geo.lookup(request.ip_address)
-        stored_request = request
-        if geo_record is not None:
-            enriched = collected.fingerprint.replace(
-                ip_country=geo_record.country,
-                ip_region=geo_record.region,
-                asn=geo_record.asn,
-            )
-            stored_request = replace(request, fingerprint=enriched)
-
-        record = RecordedRequest(
-            request=stored_request,
-            source=source,
-            cookie=cookie,
-            datadome=datadome_decision,
-            botd=botd_decision,
-        )
-        self.store.add(record)
-        return record
-
 
 class SessionMaterial:
     """Everything about one client session that is constant per request.
 
     A traffic-generator session keeps one (fingerprint, source address)
     configuration across a stretch of requests; every per-request quantity
-    :meth:`HoneySite.handle` derives from that configuration — the enriched
-    fingerprint, the synthesised headers, both detector decisions — is
-    therefore computed once here and shared by all of the session's
-    records.  Sharing the objects is output-invisible: records serialise by
-    value, and the legacy per-request path produces equal values.
+    the site derives from that configuration — the enriched fingerprint,
+    the synthesised headers, both detector decisions — is therefore
+    computed once here and shared by all of the session's records.
+    Sharing the objects is output-invisible: records serialise by value,
+    and the request-by-request reference path
+    (``tests/reference/generation.py``) produces equal values.
     """
 
     __slots__ = (
@@ -174,7 +121,7 @@ class SessionMaterial:
 
 
 class SessionRecorder:
-    """Bulk, session-cached counterpart of :meth:`HoneySite.handle`.
+    """Session-cached request recording for the vectorized generators.
 
     The vectorized traffic generators plan sessions and timestamps first,
     then materialise records through this recorder: session-constant work
@@ -185,8 +132,9 @@ class SessionRecorder:
     models read, because thousands of sessions share a handful of signal
     combinations.
 
-    Byte-for-byte equivalence with :meth:`HoneySite.handle` for every
-    emitted record is the contract (``tests/test_vectorized.py`` pins it).
+    Byte-for-byte equivalence with the request-by-request reference
+    (``handle`` in ``tests/reference/generation.py``) for every emitted
+    record is the contract (``tests/test_vectorized.py`` pins it).
 
     *sink* optionally redirects emission into a
     :class:`~repro.honeysite.storage.RecordColumnsBuilder`: instead of
@@ -218,7 +166,7 @@ class SessionRecorder:
 
         *values* must already be coerced (the vectorized bot planner builds
         it from the coerced template plus strategy changes) and in the
-        attribute order the legacy constructor would produce — serialised
+        attribute order the ``Fingerprint`` constructor would produce — serialised
         fingerprints preserve insertion order.
         """
 
@@ -234,7 +182,7 @@ class SessionRecorder:
             self._geo_facts[prefix] = geo_record
         if geo_record is not None:
             stored_values: Dict[Attribute, Any] = dict(values)
-            # Appended in the exact keyword order HoneySite.handle's
+            # Appended in the exact keyword order the reference path's
             # enrichment replace() uses, so serialised key order matches.
             stored_values[Attribute.IP_COUNTRY] = str(geo_record.country)
             stored_values[Attribute.IP_REGION] = str(geo_record.region)

@@ -10,8 +10,7 @@ surface every analysis in Sections 5–7 runs against.
 Records exist in two physical representations:
 
 * **object form** — a list of :class:`RecordedRequest` instances, the
-  representation the legacy generators produce and every per-record
-  analysis consumes;
+  representation every per-record analysis consumes;
 * **columnar form** (:class:`RecordColumns`) — per-row arrays (timestamps,
   cookie codes, source codes, session codes) over session-deduplicated
   dictionaries (fingerprints, headers, detector decisions), the compact
@@ -27,11 +26,7 @@ objects when a consumer genuinely iterates them.
 
 from __future__ import annotations
 
-import gzip
-import io
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (
     Any,
     Callable,
@@ -59,23 +54,15 @@ SECONDS_PER_DAY = 86_400.0
 #: any change to the serialised record layout — or to the generated corpus
 #: content itself — so the content-addressed cache rebuilds stale entries
 #: rather than mis-parsing (or silently serving outdated) archives.
-#: Version 2: sub-sharded generation of large services changed default
-#: corpora, and archives gained the ``columnar_*.npz`` sidecars.
-#: Version 3: corpora built by the columnar shard transport persist as one
-#: ``store_columnar.npz`` archive (record columns + embedded fingerprint
-#: tables); version-2 JSONL archives remain readable.
 #: Version 4: session fingerprints, headers and detector decisions are
 #: encoded as attribute-code arrays over per-attribute decode lists
 #: (:class:`SessionArrays`), making shard payloads and the persisted
-#: archive pure numpy arrays + scalar metadata — no pickled objects and,
-#: saved uncompressed, memory-mappable.  The shard ceiling raise
-#: (``analysis.engine.MAX_TOTAL_SHARDS``) rides the same bump.  Version-2
-#: and version-3 archives remain readable.
+#: ``store_columnar.npz`` archive pure numpy arrays + scalar metadata — no
+#: pickled objects and, saved uncompressed, memory-mappable.  The shard
+#: ceiling raise (``analysis.engine.MAX_TOTAL_SHARDS``) rides the same
+#: bump.  Archives of any other version are rejected (the cache evicts
+#: and rebuilds them).
 CORPUS_FORMAT_VERSION = 4
-
-#: Marker identifying the header line of a versioned store file.
-_STORE_HEADER_MARKER = "repro-request-store"
-
 
 class StoreFormatError(ValueError):
     """Raised when a persisted store cannot be read back."""
@@ -96,39 +83,6 @@ def split_rows(n: int, fraction: float, rng) -> Tuple:
     indices = rng.permutation(n)
     cut = int(round(n * fraction))
     return indices[:cut], indices[cut:]
-
-
-class _OwningTextWrapper(io.TextIOWrapper):
-    """A ``TextIOWrapper`` that also closes the raw file under its buffer
-    (``GzipFile`` never closes a ``fileobj`` it was handed)."""
-
-    def __init__(self, buffer, raw, **kwargs):
-        super().__init__(buffer, **kwargs)
-        self._raw_file = raw
-
-    def close(self):
-        try:
-            super().close()
-        finally:
-            self._raw_file.close()
-
-
-def _open_text(path: Path, mode: str):
-    """Open *path* for text I/O, transparently gzipped for ``.gz`` files.
-
-    Writes pin the gzip header's mtime to 0 and omit the FNAME field
-    (``filename=""``), so saving the same store twice — under any archive
-    name, at any time — produces byte-identical files (the determinism
-    check diffs them).
-    """
-
-    if path.suffix == ".gz":
-        if "w" in mode:
-            raw = path.open("wb")
-            handle = gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0)
-            return _OwningTextWrapper(handle, raw, encoding="utf-8")
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return path.open(mode, encoding="utf-8")
 
 
 @dataclass(frozen=True)
@@ -171,7 +125,7 @@ class RecordedRequest:
         return self.request.fingerprint.get(attribute, default)
 
     def to_dict(self) -> Dict:
-        """Serialise for the JSONL persistence layer."""
+        """Plain JSON-able form of the record, keys in a fixed order."""
 
         return {
             "request": self.request.to_dict(),
@@ -188,28 +142,6 @@ class RecordedRequest:
                 "signals": list(self.botd.signals),
             },
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "RecordedRequest":
-        """Reconstruct a record serialised by :meth:`to_dict`."""
-
-        return cls(
-            request=WebRequest.from_dict(data["request"]),
-            source=str(data["source"]),
-            cookie=str(data["cookie"]),
-            datadome=Decision(
-                detector="DataDome",
-                is_bot=bool(data["datadome"]["is_bot"]),
-                score=float(data["datadome"]["score"]),
-                signals=tuple(data["datadome"].get("signals", ())),
-            ),
-            botd=Decision(
-                detector="BotD",
-                is_bot=bool(data["botd"]["is_bot"]),
-                score=float(data["botd"]["score"]),
-                signals=tuple(data["botd"].get("signals", ())),
-            ),
-        )
 
 
 def _code_dtype(pool_size: int) -> np.dtype:
@@ -421,7 +353,7 @@ class SessionArrays:
         session_datadome: np.ndarray,
         session_botd: np.ndarray,
     ) -> "SessionArrays":
-        """Encode the legacy object dictionaries into code arrays.
+        """Encode per-session object dictionaries into code arrays.
 
         Value side tables deduplicate by ``(type, value)`` — never by bare
         value — because ``1``, ``1.0`` and ``True`` hash and compare equal
@@ -909,8 +841,8 @@ class RecordColumns:
         self.sources = sources
         self.url_paths = url_paths
         if sessions is None:
-            # Object-dictionary construction path (builders, tests, the
-            # v2/v3 readers): encode into the array block up front.
+            # Object-dictionary construction path (the payload builder):
+            # encode into the array block up front.
             sessions = SessionArrays.from_objects(
                 fingerprints=session_fingerprints if session_fingerprints is not None else [],
                 headers=headers if headers is not None else [],
@@ -1174,11 +1106,9 @@ class RecordColumns:
     def from_payload(cls, arrays: Mapping[str, Any], meta: Mapping[str, Any]) -> "RecordColumns":
         """Rebuild record columns persisted by :meth:`to_payload`.
 
-        Dispatches on the meta layout: a ``session_fingerprints`` key marks
-        the version-3 object layout (decoded through the legacy constructor
-        path), otherwise the arrays are adopted directly — matching dtypes
-        make every ``asarray`` a zero-copy view, so a memory-mapped archive
-        stays on disk.  Raises :class:`StoreFormatError` on any internal
+        The arrays are adopted directly — matching dtypes make every
+        ``asarray`` a zero-copy view, so a memory-mapped archive stays on
+        disk.  Raises :class:`StoreFormatError` on any internal
         inconsistency (ragged arrays, out-of-range codes) so a truncated or
         corrupt archive reads as a cache miss, never as a silently wrong
         corpus.
@@ -1198,65 +1128,40 @@ class RecordColumns:
             sources=[str(value) for value in meta["sources"]],
             url_paths=[str(value) for value in meta["url_paths"]],
         )
-        if "session_fingerprints" in meta:
-            columns = cls(
-                **shared,
-                session_fingerprints=[
-                    Fingerprint.from_dict(entry) for entry in meta["session_fingerprints"]
-                ],
-                session_headers=_typed("session_headers", np.int32),
-                session_datadome=_typed("session_datadome", np.int32),
-                session_botd=_typed("session_botd", np.int32),
-                session_ips=[str(value) for value in meta["session_ips"]],
-                headers=[
-                    {str(key): str(value) for key, value in entry.items()}
-                    for entry in meta["headers"]
-                ],
-                decisions=[
-                    Decision(
-                        detector=str(entry["detector"]),
-                        is_bot=bool(entry["is_bot"]),
-                        score=float(entry["score"]),
-                        signals=tuple(entry.get("signals", ())),
-                    )
-                    for entry in meta["decisions"]
-                ],
-            )
-        else:
-            # Code and offset arrays adopt whatever (minimal) dtype the
-            # encoder packed them to — an as-is ``asarray`` is a zero-copy
-            # view, which keeps a memory-mapped archive on disk.
-            sessions = SessionArrays(
-                fp_attr_codes=np.asarray(arrays["fp_attr_codes"]),
-                fp_value_codes=np.asarray(arrays["fp_value_codes"]),
-                fp_offsets=np.asarray(arrays["fp_offsets"]),
-                fp_attribute_names=[str(name) for name in meta["fp_attribute_names"]],
-                fp_values=[
-                    [tuple(value) if isinstance(value, list) else value for value in values]
-                    for values in meta["fp_values"]
-                ],
-                header_key_codes=np.asarray(arrays["header_key_codes"]),
-                header_value_codes=np.asarray(arrays["header_value_codes"]),
-                header_offsets=np.asarray(arrays["header_offsets"]),
-                header_keys=[str(key) for key in meta["header_keys"]],
-                header_values=[str(value) for value in meta["header_values"]],
-                session_headers=np.asarray(arrays["session_headers"]),
-                session_datadome=np.asarray(arrays["session_datadome"]),
-                session_botd=np.asarray(arrays["session_botd"]),
-                session_ips=[str(value) for value in meta["session_ips"]],
-                decision_detectors=np.asarray(arrays["decision_detectors"]),
-                decision_is_bot=_typed("decision_is_bot", bool),
-                decision_scores=_typed("decision_scores", np.float64),
-                decision_signal_codes=np.asarray(arrays["decision_signal_codes"]),
-                decision_signal_offsets=np.asarray(arrays["decision_signal_offsets"]),
-                decision_detector_names=[
-                    str(name) for name in meta["decision_detector_names"]
-                ],
-                decision_signal_values=[
-                    str(value) for value in meta["decision_signal_values"]
-                ],
-            )
-            columns = cls(**shared, sessions=sessions)
+        # Code and offset arrays adopt whatever (minimal) dtype the
+        # encoder packed them to — an as-is ``asarray`` is a zero-copy
+        # view, which keeps a memory-mapped archive on disk.
+        sessions = SessionArrays(
+            fp_attr_codes=np.asarray(arrays["fp_attr_codes"]),
+            fp_value_codes=np.asarray(arrays["fp_value_codes"]),
+            fp_offsets=np.asarray(arrays["fp_offsets"]),
+            fp_attribute_names=[str(name) for name in meta["fp_attribute_names"]],
+            fp_values=[
+                [tuple(value) if isinstance(value, list) else value for value in values]
+                for values in meta["fp_values"]
+            ],
+            header_key_codes=np.asarray(arrays["header_key_codes"]),
+            header_value_codes=np.asarray(arrays["header_value_codes"]),
+            header_offsets=np.asarray(arrays["header_offsets"]),
+            header_keys=[str(key) for key in meta["header_keys"]],
+            header_values=[str(value) for value in meta["header_values"]],
+            session_headers=np.asarray(arrays["session_headers"]),
+            session_datadome=np.asarray(arrays["session_datadome"]),
+            session_botd=np.asarray(arrays["session_botd"]),
+            session_ips=[str(value) for value in meta["session_ips"]],
+            decision_detectors=np.asarray(arrays["decision_detectors"]),
+            decision_is_bot=_typed("decision_is_bot", bool),
+            decision_scores=_typed("decision_scores", np.float64),
+            decision_signal_codes=np.asarray(arrays["decision_signal_codes"]),
+            decision_signal_offsets=np.asarray(arrays["decision_signal_offsets"]),
+            decision_detector_names=[
+                str(name) for name in meta["decision_detector_names"]
+            ],
+            decision_signal_values=[
+                str(value) for value in meta["decision_signal_values"]
+            ],
+        )
+        columns = cls(**shared, sessions=sessions)
         columns.validate()
         return columns
 
@@ -1436,7 +1341,7 @@ class RecordColumnsBuilder:
 
 class RequestStore:
     """In-memory store of recorded requests with the query helpers the
-    analyses need, plus JSONL persistence."""
+    analyses need."""
 
     def __init__(self, records: Optional[Iterable[RecordedRequest]] = None):
         self._records: List[RecordedRequest] = list(records) if records is not None else []
@@ -1656,66 +1561,6 @@ class RequestStore:
             RequestStore(self._records[int(i)] for i in first),
             RequestStore(self._records[int(i)] for i in second),
         )
-
-    # -- persistence -------------------------------------------------------------------
-
-    def save_jsonl(self, path) -> None:
-        """Write the store to *path* as one JSON object per line.
-
-        Paths ending in ``.gz`` are gzip-compressed.  The first line is a
-        version header so readers can reject archives written by an
-        incompatible format revision.
-        """
-
-        path = Path(path)
-        with _open_text(path, "w") as handle:
-            handle.write(
-                json.dumps(
-                    {
-                        "format": _STORE_HEADER_MARKER,
-                        "version": CORPUS_FORMAT_VERSION,
-                        "count": len(self._records),
-                    }
-                )
-                + "\n"
-            )
-            for record in self._records:
-                handle.write(json.dumps(record.to_dict()) + "\n")
-
-    @classmethod
-    def load_jsonl(cls, path) -> "RequestStore":
-        """Load a store written by :meth:`save_jsonl`.
-
-        Accepts gzip-compressed files (``.gz`` suffix) and tolerates legacy
-        header-less files; a header from a newer format version raises
-        :class:`StoreFormatError`.
-        """
-
-        path = Path(path)
-        records = []
-        expected: Optional[int] = None
-        with _open_text(path, "r") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                data = json.loads(line)
-                if data.get("format") == _STORE_HEADER_MARKER:
-                    version = int(data.get("version", 0))
-                    if version > CORPUS_FORMAT_VERSION:
-                        raise StoreFormatError(
-                            f"store {path} has format version {version}; "
-                            f"this build reads up to {CORPUS_FORMAT_VERSION}"
-                        )
-                    expected = data.get("count")
-                    continue
-                records.append(RecordedRequest.from_dict(data))
-        if expected is not None and expected != len(records):
-            raise StoreFormatError(
-                f"store {path} is truncated: header promises {expected} records, "
-                f"found {len(records)}"
-            )
-        return cls(records)
 
 
 #: Process-wide total of record objects built out of lazy stores.  The

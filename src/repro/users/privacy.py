@@ -22,7 +22,7 @@ alterations the technology actually performs:
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,9 +35,6 @@ from repro.geo.asn import TOR_EXIT_ASNS
 from repro.geo.ipaddr import regions_of_country
 from repro.honeysite.site import HoneySite, SessionRecorder
 from repro.honeysite.storage import SECONDS_PER_DAY
-from repro.network.cookies import ClientCookieStore
-from repro.network.headers import build_headers
-from repro.network.request import WebRequest
 from repro.seeding import derive_rng
 
 
@@ -188,69 +185,6 @@ class PrivacyTrafficGenerator:
         region = regions[int(rng.integers(len(regions)))]
         return self._site.geo.space.allocate(asn, region, rng)
 
-    def run_technology(
-        self,
-        technology: PrivacyTechnology,
-        *,
-        num_requests: int = 60,
-        campaign_days: int = 5,
-    ) -> int:
-        """Send *num_requests* requests using *technology*.
-
-        Requests rotate over the four experiment devices; each device keeps
-        its cookies (as the paper notes, Brave retains cookies, which is
-        what surfaces its temporal inconsistencies).
-        """
-
-        if num_requests < 1:
-            raise ValueError("num_requests must be positive")
-        rng = np.random.default_rng(self._rng.integers(0, 2 ** 32))
-        url_path = self._site.register_source(self.source_label(technology))
-        profiles = self._device_profiles()
-        cookie_stores = {
-            profile.name: ClientCookieStore(
-                retention=1.0, rng=np.random.default_rng(rng.integers(0, 2 ** 32))
-            )
-            for profile in profiles
-        }
-        home_ips = {
-            profile.name: self._site.geo.allocate_address(
-                rng, country=self._home_country, datacenter=False
-            )
-            for profile in profiles
-        }
-
-        recorded = 0
-        timestamps = np.sort(rng.random(num_requests)) * campaign_days * SECONDS_PER_DAY
-        for index, timestamp in enumerate(timestamps):
-            profile = profiles[index % len(profiles)]
-            fingerprint = profile.fingerprint(timezone=self._home_timezone)
-            ip_address = home_ips[profile.name]
-
-            if technology is PrivacyTechnology.BRAVE:
-                fingerprint = apply_brave(fingerprint, rng)
-            elif technology is PrivacyTechnology.TOR:
-                fingerprint = apply_tor(fingerprint)
-                ip_address = self._tor_exit_address(rng)
-            elif technology is PrivacyTechnology.FINGERPRINT_SPOOFER:
-                fingerprint = apply_fingerprint_spoofer(fingerprint, rng)
-            # Safari / uBlock Origin / AdBlock Plus: no fingerprint changes.
-
-            cookies = cookie_stores[profile.name]
-            request = WebRequest(
-                url_path=url_path,
-                timestamp=float(timestamp),
-                ip_address=ip_address,
-                fingerprint=fingerprint,
-                cookie=cookies.outgoing(),
-                headers=build_headers(fingerprint),
-            )
-            record = self._site.handle(request)
-            if record is not None:
-                cookies.receive(record.cookie)
-                recorded += 1
-        return recorded
-
     def run_technology_vectorized(
         self,
         technology: PrivacyTechnology,
@@ -260,7 +194,13 @@ class PrivacyTrafficGenerator:
         recorder: Optional[SessionRecorder] = None,
         emitter=None,
     ) -> int:
-        """Vectorized, byte-identical counterpart of :meth:`run_technology`.
+        """Send and record *num_requests* requests using *technology*.
+
+        Requests rotate over the four experiment devices; each device keeps
+        its cookies (as the paper notes, Brave retains cookies, which is
+        what surfaces its temporal inconsistencies).  Byte-identical to the
+        request-by-request reference ``run_technology``
+        (``tests/reference/generation.py``).
 
         The four experiment devices keep stable fingerprints and addresses,
         so for the non-farbling technologies (Safari, uBlock Origin,
@@ -282,7 +222,7 @@ class PrivacyTrafficGenerator:
         url_path = self._site.register_source(self.source_label(technology))
         profiles = self._device_profiles()
         for _profile in profiles:
-            # The legacy path seeds one private cookie-store generator per
+            # The reference seeds one private cookie-store generator per
             # device from the main stream; consume the identical draw.
             rng.integers(0, 2 ** 32)
         home_ips = {
@@ -346,22 +286,3 @@ class PrivacyTrafficGenerator:
                 emitter.append(material.codes)
             recorded += 1
         return recorded
-
-    def run_all(
-        self,
-        *,
-        technologies: Sequence[PrivacyTechnology] = (
-            PrivacyTechnology.SAFARI,
-            PrivacyTechnology.BRAVE,
-            PrivacyTechnology.TOR,
-            PrivacyTechnology.UBLOCK_ORIGIN,
-            PrivacyTechnology.ADBLOCK_PLUS,
-        ),
-        num_requests_each: int = 60,
-    ) -> Dict[PrivacyTechnology, int]:
-        """Run every technology; returns recorded request counts."""
-
-        return {
-            technology: self.run_technology(technology, num_requests=num_requests_each)
-            for technology in technologies
-        }

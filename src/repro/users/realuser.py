@@ -27,8 +27,6 @@ from repro.fingerprint.useragent import build_user_agent
 from repro.honeysite.site import HoneySite, SessionRecorder
 from repro.honeysite.storage import SECONDS_PER_DAY
 from repro.network.cookies import ClientCookieStore
-from repro.network.headers import build_headers
-from repro.network.request import WebRequest
 from repro.seeding import derive_rng
 
 #: Default source label under which real-user traffic is recorded.
@@ -104,43 +102,6 @@ class RealUserTrafficGenerator:
             ua_spoofer=ua_spoofer,
         )
 
-    def run(
-        self,
-        *,
-        num_requests: int = 2206,
-        num_users: int = 350,
-        campaign_days: int = 30,
-        source: str = REAL_USER_SOURCE,
-    ) -> int:
-        """Generate *num_requests* real-user requests.
-
-        Returns the number of requests recorded by the honey site.
-        """
-
-        if num_requests < 1 or num_users < 1:
-            raise ValueError("num_requests and num_users must be positive")
-        rng = np.random.default_rng(self._rng.integers(0, 2 ** 32))
-        url_path = self._site.register_source(source)
-        users = [self._make_user(rng) for _ in range(num_users)]
-
-        recorded = 0
-        timestamps = np.sort(rng.random(num_requests)) * campaign_days * SECONDS_PER_DAY
-        for timestamp in timestamps:
-            user = users[int(rng.integers(len(users)))]
-            request = WebRequest(
-                url_path=url_path,
-                timestamp=float(timestamp),
-                ip_address=user.ip_address,
-                fingerprint=user.fingerprint,
-                cookie=user.cookies.outgoing(),
-                headers=build_headers(user.fingerprint),
-            )
-            record = self._site.handle(request)
-            if record is not None:
-                user.cookies.receive(record.cookie)
-                recorded += 1
-        return recorded
-
     def run_vectorized(
         self,
         *,
@@ -151,13 +112,17 @@ class RealUserTrafficGenerator:
         recorder: Optional[SessionRecorder] = None,
         emitter=None,
     ) -> int:
-        """Vectorized, byte-identical counterpart of :meth:`run`.
+        """Generate and record *num_requests* real-user requests.
+
+        Byte-identical to the request-by-request reference ``run``
+        (``tests/reference/generation.py``); returns the number of
+        requests recorded.
 
         Users keep one configuration for the whole campaign, so every
         per-request quantity is materialised once per user; the user picks
         — the only per-request draws on the generator stream — are taken as
         one batched ``integers`` call, which consumes the bit stream
-        exactly like the legacy loop's scalar draws.  The per-user private
+        exactly like the reference loop's scalar draws.  The per-user private
         cookie streams (retention 1.0) never influence any output and are
         skipped: a user presents no cookie on the first visit and the
         retained server cookie afterwards.

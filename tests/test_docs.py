@@ -21,7 +21,7 @@ from check_doc_links import check_file, iter_markdown_files  # noqa: E402
 def test_readme_exists_with_required_sections():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     for needle in ("repro corpus", "repro pipeline", "repro stream", "--refresh-days",
-                   "repro report", "repro bench", "REPRO_SCALE", "REPRO_WORKERS"):
+                   "repro report", "REPRO_SCALE", "REPRO_WORKERS"):
         assert needle in readme, f"README.md is missing {needle!r}"
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gzip
 import json
 
 import pytest
@@ -10,19 +9,19 @@ import pytest
 from repro.analysis.cache import (
     CorpusCache,
     corpus_cache_key,
+    corpus_digest,
     load_corpus,
     save_corpus,
 )
-from repro.analysis.corpus import build_corpus, build_corpus_serial
+from repro.analysis.corpus import build_corpus
 from repro.analysis.engine import (
     CorpusEngine,
-    build_corpus_sharded,
     build_or_load_corpus,
     run_shard,
 )
 from repro.fingerprint.attributes import Attribute
 from repro.geo.ipaddr import GeoRegion, IpAddressSpace, PrefixAssignment
-from repro.honeysite.storage import CORPUS_FORMAT_VERSION, RequestStore, StoreFormatError
+from repro.honeysite.storage import CORPUS_FORMAT_VERSION, LazyRequestStore, StoreFormatError
 from repro.users.privacy import PrivacyTechnology
 
 TINY = dict(
@@ -45,24 +44,24 @@ def store_bytes(corpus) -> bytes:
 
 @pytest.fixture(scope="module")
 def tiny_engine_corpus():
-    return build_corpus_sharded(**TINY, workers=1)
+    return CorpusEngine(**TINY).build(workers=1)
 
 
 # -- determinism ----------------------------------------------------------------
 
 
 def test_same_seed_identical_for_one_and_four_workers(tiny_engine_corpus):
-    parallel = build_corpus_sharded(**TINY, workers=4, executor="process")
+    parallel = CorpusEngine(**TINY).build(workers=4, executor="process")
     assert store_bytes(tiny_engine_corpus) == store_bytes(parallel)
 
 
 def test_thread_executor_matches_process_and_serial(tiny_engine_corpus):
-    threaded = build_corpus_sharded(**TINY, workers=3, executor="thread")
+    threaded = CorpusEngine(**TINY).build(workers=3, executor="thread")
     assert store_bytes(tiny_engine_corpus) == store_bytes(threaded)
 
 
 def test_different_seed_differs(tiny_engine_corpus):
-    other = build_corpus_sharded(**{**TINY, "seed": 30}, workers=1)
+    other = CorpusEngine(**{**TINY, "seed": 30}).build(workers=1)
     assert store_bytes(tiny_engine_corpus) != store_bytes(other)
 
 
@@ -106,7 +105,7 @@ def test_run_shard_is_self_contained():
     second = run_shard(spec)
     assert first.recorded == second.recorded
     # Columnar transport: the shard ships a payload, not record objects.
-    assert not first.records and first.columns is not None
+    assert isinstance(first.store(), LazyRequestStore)
     first_store, second_store = first.store(), second.store()
     assert len(first_store) == first.recorded
     assert [r.request.ip_address for r in first_store] == [
@@ -114,36 +113,31 @@ def test_run_shard_is_self_contained():
     ]
 
 
-def test_cache_false_does_not_engage_engine(monkeypatch):
-    # cache=False means "no caching", not "switch generation paths": with
-    # no engine knob set it must return the same stream as the default.
+def test_build_corpus_is_the_engine_corpus(monkeypatch, tmp_path):
+    # The library facade builds exactly what ``repro corpus`` builds: a
+    # lazy columnar store whose ids do not depend on process history.
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_CORPUS_CACHE", raising=False)
-    default = build_corpus(seed=37, scale=0.002, include_real_users=False)
+    config = dict(seed=31, scale=0.003, include_real_users=False)
+    first = build_corpus(**config)
+    second = build_corpus(**config)
+    assert isinstance(first.store, LazyRequestStore)
+    assert (first.store.request_id_array() == second.store.request_id_array()).all()
+    engine, _status = build_or_load_corpus(**config, workers=2, cache=tmp_path)
+    assert corpus_digest(first) == corpus_digest(second) == corpus_digest(engine)
+
+
+def test_cache_false_equals_cached_build(monkeypatch, tmp_path):
+    # cache=False only skips the cache; the corpus is the one a cached
+    # build stores and serves.
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    monkeypatch.setenv("REPRO_CORPUS_CACHE", str(tmp_path))
+    cached = build_corpus(seed=37, scale=0.002, include_real_users=False)
     no_cache = build_corpus(seed=37, scale=0.002, include_real_users=False, cache=False)
-    assert [r.request.ip_address for r in default.store] == [
-        r.request.ip_address for r in no_cache.store
-    ]
-
-
-def test_legacy_serial_path_unchanged_by_facade(monkeypatch):
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_CORPUS_CACHE", raising=False)
-    legacy = build_corpus_serial(seed=31, scale=0.003, include_real_users=False)
-    facade = build_corpus(seed=31, scale=0.003, include_real_users=False)
-
-    def without_ids(corpus):
-        # The legacy path numbers requests from a process-global counter, so
-        # absolute ids depend on what ran earlier in the process; compare
-        # everything else.
-        records = []
-        for record in corpus.store:
-            data = record.to_dict()
-            data["request"].pop("request_id")
-            records.append(data)
-        return records
-
-    assert without_ids(legacy) == without_ids(facade)
+    warm = build_corpus(seed=37, scale=0.002, include_real_users=False)
+    assert len(CorpusCache(tmp_path).keys()) == 1
+    assert corpus_digest(no_cache) == corpus_digest(cached) == corpus_digest(warm)
+    assert store_bytes(no_cache) == store_bytes(cached)
 
 
 # -- partitioned address space -------------------------------------------------
@@ -186,42 +180,21 @@ def test_adopt_rejects_conflicting_prefix():
 # -- persistence ---------------------------------------------------------------
 
 
-def test_store_roundtrip_gzip_with_decision_fidelity(tiny_engine_corpus, tmp_path):
-    path = tmp_path / "store.jsonl.gz"
-    tiny_engine_corpus.store.save_jsonl(path)
-    with gzip.open(path, "rt", encoding="utf-8") as handle:
-        header = json.loads(handle.readline())
-    assert header["version"] == CORPUS_FORMAT_VERSION
-    assert header["count"] == len(tiny_engine_corpus.store)
-
-    loaded = RequestStore.load_jsonl(path)
-    assert len(loaded) == len(tiny_engine_corpus.store)
-    for original, restored in zip(tiny_engine_corpus.store, loaded):
-        assert original.to_dict() == restored.to_dict()
-        assert restored.datadome.detector == "DataDome"
-        assert restored.botd.detector == "BotD"
-        assert restored.datadome.is_bot == original.datadome.is_bot
-        assert restored.datadome.signals == original.datadome.signals
-        assert restored.request.fingerprint == original.request.fingerprint
-
-
-def test_load_rejects_newer_format(tmp_path):
-    path = tmp_path / "future.jsonl"
-    path.write_text(
-        json.dumps({"format": "repro-request-store", "version": CORPUS_FORMAT_VERSION + 1})
-        + "\n"
-    )
+def test_load_rejects_newer_format(tiny_engine_corpus, tmp_path):
+    directory = save_corpus(tiny_engine_corpus, tmp_path / "archive")
+    meta = json.loads((directory / "meta.json").read_text())
+    meta["format_version"] = CORPUS_FORMAT_VERSION + 1
+    (directory / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(StoreFormatError):
-        RequestStore.load_jsonl(path)
+        load_corpus(directory)
 
 
 def test_load_rejects_truncated_store(tiny_engine_corpus, tmp_path):
-    path = tmp_path / "store.jsonl"
-    tiny_engine_corpus.store.save_jsonl(path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")
+    directory = save_corpus(tiny_engine_corpus, tmp_path / "archive")
+    archive = directory / "store_columnar.npz"
+    archive.write_bytes(archive.read_bytes()[: archive.stat().st_size // 2])
     with pytest.raises(StoreFormatError):
-        RequestStore.load_jsonl(path)
+        load_corpus(directory)
 
 
 def test_corpus_archive_roundtrip(tiny_engine_corpus, tmp_path):
@@ -237,6 +210,23 @@ def test_corpus_archive_roundtrip(tiny_engine_corpus, tmp_path):
     record = restored.store[0]
     assert restored.site.geo.lookup(record.request.ip_address) is not None
     assert restored.site.urls.source_of(record.request.url_path) == record.source
+    # decisions keep their detector identity and signals through the archive
+    for original, loaded in zip(tiny_engine_corpus.store, restored.store):
+        assert loaded.datadome == original.datadome
+        assert loaded.botd == original.botd
+    assert corpus_digest(restored) == corpus_digest(tiny_engine_corpus)
+
+
+def test_save_rejects_object_store(tiny_engine_corpus, tmp_path):
+    from repro.analysis.corpus import Corpus
+    from repro.honeysite.site import HoneySite
+    from repro.honeysite.storage import RequestStore
+
+    site = HoneySite()
+    site.store = RequestStore(list(tiny_engine_corpus.store)[:3])
+    corpus = Corpus(site=site, scale=0.004, seed=29, bot_profiles=())
+    with pytest.raises(TypeError):
+        save_corpus(corpus, tmp_path / "archive")
 
 
 # -- cache ---------------------------------------------------------------------

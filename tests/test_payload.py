@@ -1,27 +1,35 @@
 """Tests for the columnar shard transport and the lazy request store.
 
-Covers the PR-4 contract surface: payload round-trips are byte-identical
-to the object path (records ↔ payload ↔ records), version-2 archives stay
-readable, the lazy store answers splits and subsets exactly like an
-object store, the fan-out clamp derives from the transport's transfer
-cost, and the widened synthetic address space fails loudly instead of
-silently colliding.
+Covers the transport contract surface: payload round-trips are
+byte-identical to the object-at-a-time reference (records ↔ payload ↔
+records), archives of any older format are evicted and rebuilt, the lazy
+store answers splits and subsets exactly like an object store, the
+fan-out clamp derives from the transport's transfer cost, and the widened
+synthetic address space fails loudly instead of silently colliding.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.analysis.cache import load_corpus, save_corpus
+from reference.generation import reference_shard_store
+from repro.analysis.cache import (
+    CorpusCache,
+    corpus_cache_key,
+    corpus_digest,
+    load_corpus,
+    save_corpus,
+)
 from repro.analysis.engine import (
-    MIN_RECORDS_PER_WORKER,
     MIN_RECORDS_PER_WORKER_COLUMNAR,
     PAYLOAD_BYTES_PER_RECORD_CEILING,
     CorpusEngine,
+    build_or_load_corpus,
     run_shard,
 )
 from repro.geo.asn import ASN_REGISTRY, AsnKind
@@ -38,6 +46,8 @@ from repro.honeysite.storage import (
     StoreFormatError,
     split_rows,
 )
+
+GOLDEN_CORPUS = Path(__file__).parent / "golden" / "corpus.json"
 
 TINY = dict(
     seed=29,
@@ -67,37 +77,38 @@ def columnar_corpus():
 
 
 @pytest.fixture(scope="module")
-def object_corpus():
-    """The object-transport reference (legacy generation engine)."""
-
-    return CorpusEngine(**TINY, generation="legacy").build(workers=1)
+def golden():
+    return json.loads(GOLDEN_CORPUS.read_text())
 
 
 # -- records ↔ payload ↔ records byte identity -----------------------------------
 
 
-def test_columnar_transport_is_byte_identical_to_object_transport(
-    columnar_corpus, object_corpus
-):
+def test_columnar_transport_is_byte_identical_to_object_transport(columnar_corpus):
+    # The object-at-a-time reference shards, concatenated in plan order and
+    # renumbered 1..N, are what the merged lazy store must materialise.
+    reference = [
+        record
+        for spec in CorpusEngine(**TINY).plan()
+        for record in record_dicts(reference_shard_store(spec), drop_ids=True)
+    ]
+    for request_id, data in enumerate(reference, start=1):
+        data["request"]["request_id"] = request_id
     assert isinstance(columnar_corpus.store, LazyRequestStore)
-    assert not isinstance(object_corpus.store, LazyRequestStore)
     assert not columnar_corpus.store.materialized
-    assert record_dicts(columnar_corpus.store) == record_dicts(object_corpus.store)
+    assert record_dicts(columnar_corpus.store) == reference
     assert columnar_corpus.store.materialized
 
 
 def test_shard_payload_materialises_to_the_object_shard(columnar_corpus):
     spec = CorpusEngine(**TINY).plan()[3]
     columnar = run_shard(spec)
-    legacy_spec = CorpusEngine(**TINY, generation="legacy").plan()[3]
-    legacy = run_shard(legacy_spec)
-    assert columnar.columns is not None and not columnar.records
-    assert legacy.columns is None and legacy.records
+    assert isinstance(columnar.columns, RecordColumns)
     # Shard-local request ids come from a process-global counter on the
-    # object path and a renumbered 1..n sequence on the columnar path —
+    # reference path and a renumbered 1..n sequence on the columnar path —
     # everything else must match bit for bit.
     assert record_dicts(columnar.store(), drop_ids=True) == record_dicts(
-        legacy.store(), drop_ids=True
+        reference_shard_store(spec), drop_ids=True
     )
 
 
@@ -296,47 +307,58 @@ def test_figure_series_on_empty_lazy_store():
     assert new_fingerprints_over_time(store) == ()
 
 
-# -- archive compatibility --------------------------------------------------------
+# -- archive format versions --------------------------------------------------------
 
 
 def write_v2_archive(corpus, directory):
-    """Persist *corpus* as a faithful format-version-2 archive.
+    """Persist *corpus* as a format-version-2 entry.
 
-    Forces the JSONL + sidecar layout by swapping in an object store, then
-    rewrites the version fields to 2 — byte-wise what a PR-3 build wrote.
+    Version 2 stored the records as versioned gzip JSONL beside
+    ``columnar_<subset>.npz`` table sidecars, under a ``meta.json`` whose
+    ``format_version`` is 2.
     """
 
-    site = corpus.site
-    original = site.store
-    site.store = RequestStore(list(original))
-    try:
-        save_corpus(corpus, directory)
-    finally:
-        site.store = original
+    save_corpus(corpus, directory)
+    (directory / "store_columnar.npz").unlink()
     meta_path = directory / "meta.json"
     meta = json.loads(meta_path.read_text())
     meta["format_version"] = 2
     meta_path.write_text(json.dumps(meta, indent=1, sort_keys=True))
-    store_path = directory / "store.jsonl.gz"
-    with gzip.open(store_path, "rt", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    header = json.loads(lines[0])
-    header["version"] = 2
-    lines[0] = json.dumps(header)
-    with gzip.open(store_path, "wt", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    with gzip.open(directory / "store.jsonl.gz", "wt", encoding="utf-8") as handle:
+        header = {"format": "repro-request-store", "version": 2, "count": len(corpus.store)}
+        handle.write(json.dumps(header) + "\n")
+        for record in corpus.store:
+            handle.write(json.dumps(record.to_dict()) + "\n")
+    for subset in ("bots", "real_users"):
+        arrays, table_meta = corpus.columnar_tables[subset].to_arrays()
+        table_meta = {"version": 1, **table_meta}
+        np.savez_compressed(
+            directory / f"columnar_{subset}.npz", meta=np.array(json.dumps(table_meta)), **arrays
+        )
 
 
-def test_v2_archive_read_compat(tmp_path, columnar_corpus):
-    archive = tmp_path / "v2"
-    write_v2_archive(columnar_corpus, archive)
-    assert (archive / "store.jsonl.gz").is_file()
-    assert not (archive / "store_columnar.npz").exists()
-    restored = load_corpus(archive)
-    assert record_dicts(restored.store) == record_dicts(columnar_corpus.store)
-    # version-2 archives carried sidecars for the bots/real_users subsets
-    assert set(restored.columnar_tables) == {"bots", "real_users"}
-    assert restored.service_volumes == columnar_corpus.service_volumes
+def assert_old_entry_evicts_and_rebuilds(write_archive, corpus, golden, root):
+    """An old-format entry under the live key is a miss, is evicted, and
+    the rebuild stores (then serves) the golden corpus."""
+
+    cache = CorpusCache(root)
+    key = corpus_cache_key(**TINY, campaign_days=90)
+    write_archive(corpus, cache.path_for(key))
+    with pytest.raises(StoreFormatError):
+        load_corpus(cache.path_for(key))
+    assert cache.has(key)
+    assert cache.load(key) is None
+    assert not cache.path_for(key).exists()  # evicted, not left to linger
+    rebuilt, status = build_or_load_corpus(**TINY, workers=1, cache=cache)
+    assert status == "miss"
+    assert corpus_digest(rebuilt) == golden["corpus_digest"][str(TINY["seed"])]
+    warm, warm_status = build_or_load_corpus(**TINY, workers=1, cache=cache)
+    assert warm_status == "hit"
+    assert corpus_digest(warm) == corpus_digest(rebuilt)
+
+
+def test_v2_archive_is_evicted_and_rebuilt(tmp_path, columnar_corpus, golden):
+    assert_old_entry_evicts_and_rebuilds(write_v2_archive, columnar_corpus, golden, tmp_path)
 
 
 def test_tampered_embedded_table_evicts_the_archive(tmp_path, columnar_corpus):
@@ -443,14 +465,8 @@ def write_v3_archive(corpus, directory):
     meta_path.write_text(json.dumps(document, indent=1, sort_keys=True))
 
 
-def test_v3_archive_read_compat(tmp_path, columnar_corpus):
-    archive = tmp_path / "v3"
-    write_v3_archive(columnar_corpus, archive)
-    restored = load_corpus(archive)
-    assert isinstance(restored.store, LazyRequestStore)
-    assert record_dicts(restored.store) == record_dicts(columnar_corpus.store)
-    assert set(restored.columnar_tables) == set(columnar_corpus.columnar_tables)
-    assert restored.service_volumes == columnar_corpus.service_volumes
+def test_v3_archive_is_evicted_and_rebuilt(tmp_path, columnar_corpus, golden):
+    assert_old_entry_evicts_and_rebuilds(write_v3_archive, columnar_corpus, golden, tmp_path)
 
 
 # -- fan-out clamp ----------------------------------------------------------------
@@ -458,10 +474,7 @@ def test_v3_archive_read_compat(tmp_path, columnar_corpus):
 
 def test_clamp_derives_from_transport_cost():
     vectorized = CorpusEngine(seed=7, scale=0.05)
-    legacy = CorpusEngine(seed=7, scale=0.05, generation="legacy")
     assert vectorized.records_per_worker_floor() == MIN_RECORDS_PER_WORKER_COLUMNAR
-    assert legacy.records_per_worker_floor() == MIN_RECORDS_PER_WORKER
-    assert MIN_RECORDS_PER_WORKER_COLUMNAR < MIN_RECORDS_PER_WORKER
 
     specs = vectorized.plan()
     planned = sum(
@@ -472,20 +485,19 @@ def test_clamp_derives_from_transport_cost():
         else spec.num_requests
         for spec in specs
     )
-    # The columnar transport makes scale-0.05 defaults choose fan-out...
+    # The columnar transport's floor makes scale-0.05 defaults fan out,
+    # while the tiny configuration stays on one inline worker.
     expected = min(8, planned // MIN_RECORDS_PER_WORKER_COLUMNAR, len(specs))
     assert expected > 1
     assert vectorized.effective_workers(8, specs) == expected
-    # ...while the object transport still clamps the same plan to serial.
-    assert planned < MIN_RECORDS_PER_WORKER
-    assert legacy.effective_workers(8, legacy.plan()) == 1
+    tiny = CorpusEngine(**TINY)
+    assert tiny.effective_workers(8, tiny.plan()) == 1
 
 
 def test_clamp_override_and_plan_reporting():
     engine = CorpusEngine(**TINY, min_records_per_worker=1)
     assert engine.records_per_worker_floor() == 1
     corpus = engine.build(workers=3, executor="thread")
-    assert engine.last_plan["transport"] == "columnar"
     assert engine.last_plan["effective_workers"] == 3
     assert engine.last_plan["min_records_per_worker"] == 1
     # Transfer volume is measured for every columnar build — thread pools

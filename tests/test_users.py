@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.engine import PRIVACY_TECHNOLOGIES
 from repro.fingerprint.attributes import Attribute
 from repro.honeysite.site import HoneySite
 from repro.users.privacy import (
@@ -22,7 +23,7 @@ def site():
 
 def test_real_user_traffic_recorded_and_undetected(site):
     generator = RealUserTrafficGenerator(site, rng=np.random.default_rng(1), ua_spoofer_rate=0.0)
-    recorded = generator.run(num_requests=200, num_users=40)
+    recorded = generator.run_vectorized(num_requests=200, num_users=40)
     store = site.store.by_source(REAL_USER_SOURCE)
     assert recorded == 200 and len(store) == 200
     # Real, consistent devices from residential space are never flagged.
@@ -32,7 +33,7 @@ def test_real_user_traffic_recorded_and_undetected(site):
 
 def test_real_user_cookies_are_retained(site):
     generator = RealUserTrafficGenerator(site, rng=np.random.default_rng(1), ua_spoofer_rate=0.0)
-    generator.run(num_requests=300, num_users=30)
+    generator.run_vectorized(num_requests=300, num_users=30)
     store = site.store.by_source(REAL_USER_SOURCE)
     assert store.unique_cookies() <= 30
 
@@ -42,12 +43,12 @@ def test_real_user_spoofer_rate_validation(site):
         RealUserTrafficGenerator(site, ua_spoofer_rate=2.0)
     generator = RealUserTrafficGenerator(site)
     with pytest.raises(ValueError):
-        generator.run(num_requests=0)
+        generator.run_vectorized(num_requests=0)
 
 
 def test_real_user_spoofers_change_only_user_agent(site):
     generator = RealUserTrafficGenerator(site, rng=np.random.default_rng(2), ua_spoofer_rate=1.0)
-    generator.run(num_requests=50, num_users=10)
+    generator.run_vectorized(num_requests=50, num_users=10)
     store = site.store.by_source(REAL_USER_SOURCE)
     # Spoofed UAs are present but platform values stay those of real devices.
     devices = set(store.unique_values(Attribute.UA_DEVICE))
@@ -87,21 +88,19 @@ def test_apply_fingerprint_spoofer_rewrites_ua_only(rng, catalog):
 
 def test_privacy_generator_runs_each_technology(site):
     generator = PrivacyTrafficGenerator(site, rng=np.random.default_rng(3))
-    counts = generator.run_all(num_requests_each=20)
-    assert set(counts) == {
-        PrivacyTechnology.SAFARI,
-        PrivacyTechnology.BRAVE,
-        PrivacyTechnology.TOR,
-        PrivacyTechnology.UBLOCK_ORIGIN,
-        PrivacyTechnology.ADBLOCK_PLUS,
+    counts = {
+        technology: generator.run_technology_vectorized(technology, num_requests=20)
+        for technology in PRIVACY_TECHNOLOGIES
     }
     assert all(count == 20 for count in counts.values())
+    for technology in PRIVACY_TECHNOLOGIES:
+        assert len(site.store.by_source(generator.source_label(technology))) == 20
 
 
 def test_privacy_safari_and_blockers_not_detected(site):
     generator = PrivacyTrafficGenerator(site, rng=np.random.default_rng(3))
     for technology in (PrivacyTechnology.SAFARI, PrivacyTechnology.UBLOCK_ORIGIN, PrivacyTechnology.ADBLOCK_PLUS):
-        generator.run_technology(technology, num_requests=20)
+        generator.run_technology_vectorized(technology, num_requests=20)
         store = site.store.by_source(generator.source_label(technology))
         assert store.detection_rate("DataDome") == 0.0
         assert store.detection_rate("BotD") == 0.0
@@ -109,7 +108,7 @@ def test_privacy_safari_and_blockers_not_detected(site):
 
 def test_privacy_tor_uses_exit_relays(site):
     generator = PrivacyTrafficGenerator(site, rng=np.random.default_rng(3))
-    generator.run_technology(PrivacyTechnology.TOR, num_requests=20)
+    generator.run_technology_vectorized(PrivacyTechnology.TOR, num_requests=20)
     store = site.store.by_source(generator.source_label(PrivacyTechnology.TOR))
     # Appendix G: DataDome flags Tor traffic, BotD does not.
     assert store.detection_rate("DataDome") == 1.0
@@ -118,7 +117,7 @@ def test_privacy_tor_uses_exit_relays(site):
 
 def test_privacy_brave_not_flagged_by_detectors(site):
     generator = PrivacyTrafficGenerator(site, rng=np.random.default_rng(3))
-    generator.run_technology(PrivacyTechnology.BRAVE, num_requests=20)
+    generator.run_technology_vectorized(PrivacyTechnology.BRAVE, num_requests=20)
     store = site.store.by_source(generator.source_label(PrivacyTechnology.BRAVE))
     assert store.detection_rate("BotD") == 0.0
 
@@ -126,4 +125,4 @@ def test_privacy_brave_not_flagged_by_detectors(site):
 def test_privacy_generator_validation(site):
     generator = PrivacyTrafficGenerator(site)
     with pytest.raises(ValueError):
-        generator.run_technology(PrivacyTechnology.BRAVE, num_requests=0)
+        generator.run_technology_vectorized(PrivacyTechnology.BRAVE, num_requests=0)

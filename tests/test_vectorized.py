@@ -1,9 +1,10 @@
 """Tests for the vectorized corpus generation engine.
 
-The engine's contract is byte-for-byte equality with the legacy
-object-at-a-time generators for any seed, scale, worker count and
-executor — plus columnar tables identical to extraction, a persistent
-``.npz`` sidecar, deterministic sub-sharding and the min-records-per-worker
+The engine's contract is byte-for-byte equality with the object-at-a-time
+reference generators (``tests/reference/generation.py``) for every shard
+of any seed and shard plan, worker-count and executor invariance — plus
+columnar tables identical to extraction, tables that persist inside the
+corpus archive, deterministic sub-sharding and the min-records-per-worker
 fan-out clamp.
 """
 
@@ -14,11 +15,18 @@ import json
 import numpy as np
 import pytest
 
+from reference.generation import (
+    ReferencePrivacyTrafficGenerator,
+    ReferenceRealUserTrafficGenerator,
+    record_dicts,
+    reference_shard_store,
+)
 from repro.analysis.cache import CorpusCache, save_corpus, load_corpus
 from repro.analysis.engine import (
-    MIN_RECORDS_PER_WORKER,
+    MIN_RECORDS_PER_WORKER_COLUMNAR,
     CorpusEngine,
     build_or_load_corpus,
+    run_shard,
 )
 from repro.bots.strategies import _pick, _pick_weighted
 from repro.core.columnar import ColumnarTable, partition_rows_by_device
@@ -47,13 +55,17 @@ def store_bytes(corpus) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def legacy_corpus():
-    return CorpusEngine(**TINY, generation="legacy").build(workers=1)
-
-
-@pytest.fixture(scope="module")
 def vectorized_corpus():
-    return CorpusEngine(**TINY, generation="vectorized").build(workers=1)
+    return CorpusEngine(**TINY).build(workers=1)
+
+
+def assert_shards_match_reference(engine: CorpusEngine) -> None:
+    """Every planned shard equals its reference run byte for byte."""
+
+    for spec in engine.plan():
+        assert record_dicts(run_shard(spec).store()) == record_dicts(
+            reference_shard_store(spec)
+        ), spec.source
 
 
 # -- stream-identical cheap draws ------------------------------------------------
@@ -83,31 +95,24 @@ def test_pick_weighted_matches_generator_choice():
 # -- byte equality ----------------------------------------------------------------
 
 
-def test_vectorized_matches_legacy_byte_for_byte(legacy_corpus, vectorized_corpus):
-    assert store_bytes(vectorized_corpus) == store_bytes(legacy_corpus)
+def test_vectorized_matches_legacy_byte_for_byte():
+    assert_shards_match_reference(CorpusEngine(**TINY))
 
 
 @pytest.mark.parametrize("seed", [7, 101])
 def test_vectorized_matches_legacy_across_seeds(seed):
-    config = {**TINY, "seed": seed, "include_privacy": False}
-    legacy = CorpusEngine(**config, generation="legacy").build(workers=1)
-    vectorized = CorpusEngine(**config, generation="vectorized").build(workers=1)
-    assert store_bytes(vectorized) == store_bytes(legacy)
+    assert_shards_match_reference(CorpusEngine(**{**TINY, "seed": seed}))
 
 
 def test_vectorized_matches_legacy_with_subshards():
-    config = {**TINY, "scale": 0.008, "include_privacy": False}
-    legacy = CorpusEngine(**config, generation="legacy", subshard_target=300)
-    vectorized = CorpusEngine(**config, generation="vectorized", subshard_target=300)
-    left = legacy.build(workers=1)
-    right = vectorized.build(workers=1)
-    assert legacy.last_plan["subsharded_sources"]  # the split actually engaged
-    assert store_bytes(left) == store_bytes(right)
+    engine = CorpusEngine(**{**TINY, "scale": 0.008, "include_privacy": False}, subshard_target=300)
+    assert any(spec.request_budget is not None for spec in engine.plan())  # the split engaged
+    assert_shards_match_reference(engine)
 
 
 @pytest.mark.parametrize("workers,executor", [(4, "process"), (3, "thread")])
 def test_vectorized_worker_and_executor_invariance(vectorized_corpus, workers, executor):
-    parallel = CorpusEngine(**TINY, generation="vectorized").build(
+    parallel = CorpusEngine(**TINY, min_records_per_worker=1).build(
         workers=workers, executor=executor
     )
     assert store_bytes(parallel) == store_bytes(vectorized_corpus)
@@ -119,27 +124,19 @@ def test_vectorized_real_users_and_privacy_match_legacy():
             HoneySite(geo=GeoDatabase(IpAddressSpace()), rng=np.random.default_rng(seed))
             for _ in range(4)
         ]
-        RealUserTrafficGenerator(sites[0], rng=seed).run(num_requests=150, num_users=40)
+        ReferenceRealUserTrafficGenerator(sites[0], rng=seed).run(num_requests=150, num_users=40)
         RealUserTrafficGenerator(sites[1], rng=seed).run_vectorized(
             num_requests=150, num_users=40
         )
-        PrivacyTrafficGenerator(sites[2], rng=seed).run_technology(
+        ReferencePrivacyTrafficGenerator(sites[2], rng=seed).run_technology(
             PrivacyTechnology.BRAVE, num_requests=24
         )
         PrivacyTrafficGenerator(sites[3], rng=seed).run_technology_vectorized(
             PrivacyTechnology.BRAVE, num_requests=24
         )
 
-        def dump(site):
-            out = []
-            for record in site.store:
-                data = record.to_dict()
-                data["request"].pop("request_id")
-                out.append(json.dumps(data))
-            return out
-
-        assert dump(sites[0]) == dump(sites[1])
-        assert dump(sites[2]) == dump(sites[3])
+        assert record_dicts(sites[0].store) == record_dicts(sites[1].store)
+        assert record_dicts(sites[2].store) == record_dicts(sites[3].store)
 
 
 # -- columnar emission -----------------------------------------------------------
@@ -180,43 +177,23 @@ def test_emitted_tables_identical_to_extraction(vectorized_corpus):
         )
 
 
-def test_legacy_generation_emits_no_tables(legacy_corpus):
-    assert legacy_corpus.columnar_tables == {}
-
-
-# -- npz sidecar ------------------------------------------------------------------
+# -- tables in the corpus archive ----------------------------------------------------
 
 
 def test_table_npz_roundtrip(tmp_path, vectorized_corpus):
+    # Tables persist as prefixed members of the corpus archive's ``.npz``.
     path = tmp_path / "bots.npz"
     table = vectorized_corpus.columnar_tables["bots"]
-    table.save_npz(path)
-    assert_tables_equal(ColumnarTable.load_npz(path), table)
-
-
-def save_v2_layout(corpus, directory):
-    """Write *corpus* in the legacy JSONL + sidecar archive layout.
-
-    Temporarily swaps the (lazy) store for an object store so
-    ``save_corpus`` takes the version-2 branch; the ``_load_sidecars``
-    read-compat path keeps being exercised through archives produced here.
-    """
-
-    from repro.honeysite.storage import RequestStore
-
-    site = corpus.site
-    original = site.store
-    site.store = RequestStore(list(original))
-    try:
-        save_corpus(corpus, directory)
-    finally:
-        site.store = original
+    arrays, meta = table.to_arrays("t0_")
+    np.savez(path, **arrays)
+    with np.load(path, allow_pickle=False) as data:
+        restored = ColumnarTable.from_arrays(data, json.loads(json.dumps(meta)), prefix="t0_")
+    assert_tables_equal(restored, table)
 
 
 def test_columnar_archive_roundtrip(tmp_path, vectorized_corpus):
     save_corpus(vectorized_corpus, tmp_path / "archive")
     assert (tmp_path / "archive" / "store_columnar.npz").is_file()
-    assert not (tmp_path / "archive" / "store.jsonl.gz").exists()
     restored = load_corpus(tmp_path / "archive")
     assert set(restored.columnar_tables) == set(vectorized_corpus.columnar_tables)
     assert_tables_equal(
@@ -234,60 +211,6 @@ def test_corrupt_columnar_archive_is_a_cache_miss(tmp_path, vectorized_corpus):
         load_corpus(tmp_path / "archive")
 
 
-def test_corrupt_sidecar_degrades_to_extraction(tmp_path, vectorized_corpus):
-    # Version-2 layout: a broken sidecar drops only its subset.
-    save_v2_layout(vectorized_corpus, tmp_path / "archive")
-    (tmp_path / "archive" / "columnar_bots.npz").write_bytes(b"definitely not npz")
-    restored = load_corpus(tmp_path / "archive")
-    assert "bots" not in restored.columnar_tables
-    assert "real_users" in restored.columnar_tables
-    assert len(restored.store) == len(vectorized_corpus.store)
-
-
-def test_missing_sidecar_is_not_an_error(tmp_path, vectorized_corpus):
-    save_v2_layout(vectorized_corpus, tmp_path / "archive")
-    (tmp_path / "archive" / "columnar_bots.npz").unlink()
-    (tmp_path / "archive" / "columnar_real_users.npz").unlink()
-    restored = load_corpus(tmp_path / "archive")
-    assert restored.columnar_tables == {}
-    assert store_bytes(restored) == store_bytes(vectorized_corpus)
-
-
-def test_stale_sidecar_is_discarded(tmp_path, vectorized_corpus):
-    save_v2_layout(vectorized_corpus, tmp_path / "archive")
-    table = vectorized_corpus.columnar_tables["bots"]
-    shifted = table.take(np.arange(table.n_rows, dtype=np.int64))
-    shifted.request_ids = shifted.request_ids + 1000  # no longer matches the store
-    shifted.save_npz(tmp_path / "archive" / "columnar_bots.npz")
-    restored = load_corpus(tmp_path / "archive")
-    assert "bots" not in restored.columnar_tables
-
-
-def test_sidecar_from_same_config_different_seed_is_discarded(tmp_path, vectorized_corpus):
-    # Request ids are renumbered 1..N and collide across same-configuration
-    # corpora of different seeds; the timestamp stream does not.
-    save_v2_layout(vectorized_corpus, tmp_path / "archive")
-    table = vectorized_corpus.columnar_tables["bots"]
-    foreign = table.take(np.arange(table.n_rows, dtype=np.int64))
-    foreign.request_ids = table.request_ids  # identical id vector...
-    foreign.timestamps = table.timestamps + 0.25  # ...but another corpus's clock
-    foreign.save_npz(tmp_path / "archive" / "columnar_bots.npz")
-    restored = load_corpus(tmp_path / "archive")
-    assert "bots" not in restored.columnar_tables
-
-
-def test_resaving_without_tables_removes_columnar_store(tmp_path, vectorized_corpus, legacy_corpus):
-    save_corpus(vectorized_corpus, tmp_path / "archive")
-    assert (tmp_path / "archive" / "store_columnar.npz").is_file()
-    # A legacy-generation corpus has an object store and no tables; saving
-    # it over the same directory must not leave the previous corpus's
-    # columnar archive (or sidecars) behind.
-    save_corpus(legacy_corpus, tmp_path / "archive")
-    assert not (tmp_path / "archive" / "store_columnar.npz").exists()
-    assert not (tmp_path / "archive" / "columnar_bots.npz").exists()
-    assert (tmp_path / "archive" / "store.jsonl.gz").is_file()
-
-
 def test_load_npz_rejects_negative_codes(tmp_path, vectorized_corpus):
     from repro.fingerprint.attributes import Attribute
 
@@ -295,9 +218,11 @@ def test_load_npz_rejects_negative_codes(tmp_path, vectorized_corpus):
     corrupt = table.take(np.arange(table.n_rows, dtype=np.int64))
     corrupt._codes[Attribute.PLATFORM] = corrupt._codes[Attribute.PLATFORM].copy()
     corrupt._codes[Attribute.PLATFORM][0] = -7
-    corrupt.save_npz(tmp_path / "corrupt.npz")
-    with pytest.raises(ValueError):
-        ColumnarTable.load_npz(tmp_path / "corrupt.npz")
+    arrays, meta = corrupt.to_arrays("t0_")
+    np.savez(tmp_path / "corrupt.npz", **arrays)
+    with np.load(tmp_path / "corrupt.npz", allow_pickle=False) as data:
+        with pytest.raises(ValueError):
+            ColumnarTable.from_arrays(data, meta, prefix="t0_")
 
 
 def test_accepts_table_rejects_mismatched_store(vectorized_corpus):
@@ -380,7 +305,7 @@ def test_effective_workers_clamps_low_scales():
         else spec.num_requests
         for spec in specs
     )
-    assert planned < MIN_RECORDS_PER_WORKER  # tiny corpus: one worker of work
+    assert planned < MIN_RECORDS_PER_WORKER_COLUMNAR  # tiny corpus: one worker of work
     assert engine.effective_workers(8, specs) == 1
     engine.build(workers=8)
     assert engine.last_plan["requested_workers"] == 8
