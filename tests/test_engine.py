@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.analysis.cache import (
+    COMPRESS_ENV_VAR,
     CorpusCache,
     corpus_cache_key,
     corpus_digest,
@@ -210,11 +211,27 @@ def test_corpus_archive_roundtrip(tiny_engine_corpus, tmp_path):
     record = restored.store[0]
     assert restored.site.geo.lookup(record.request.ip_address) is not None
     assert restored.site.urls.source_of(record.request.url_path) == record.source
-    # decisions keep their detector identity and signals through the archive
-    for original, loaded in zip(tiny_engine_corpus.store, restored.store):
-        assert loaded.datadome == original.datadome
-        assert loaded.botd == original.botd
     assert corpus_digest(restored) == corpus_digest(tiny_engine_corpus)
+
+
+def test_store_roundtrip_gzip_with_decision_fidelity(tiny_engine_corpus, tmp_path, monkeypatch):
+    """The compressed archive keeps every record, and each decision's detector and signals."""
+
+    monkeypatch.setenv(COMPRESS_ENV_VAR, "1")
+    directory = save_corpus(tiny_engine_corpus, tmp_path / "archive")
+    meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
+    assert meta["format_version"] == CORPUS_FORMAT_VERSION
+
+    loaded = load_corpus(directory).store
+    assert len(loaded) == len(tiny_engine_corpus.store)
+    for original, restored in zip(tiny_engine_corpus.store, loaded):
+        assert original.to_dict() == restored.to_dict()
+        assert restored.datadome.detector == "DataDome"
+        assert restored.botd.detector == "BotD"
+        assert restored.datadome == original.datadome
+        assert restored.botd == original.botd
+        assert restored.datadome.signals == original.datadome.signals
+        assert restored.request.fingerprint == original.request.fingerprint
 
 
 def test_save_rejects_object_store(tiny_engine_corpus, tmp_path):
