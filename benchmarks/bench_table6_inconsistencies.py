@@ -1,12 +1,12 @@
 """Table 6 — example spatial inconsistencies mined per attribute group."""
 
-from repro.core.spatial import SpatialInconsistencyMiner
+from repro.core.detector import FPInconsistent
 from repro.reporting.tables import format_table
 
 
 def bench_table6_mined_rules(benchmark, bot_store):
-    miner = SpatialInconsistencyMiner()
-    filter_list = benchmark.pedantic(miner.mine_store, args=(bot_store,), rounds=1, iterations=1)
+    detector = benchmark.pedantic(FPInconsistent().fit, args=(bot_store,), rounds=1, iterations=1)
+    filter_list = detector.filter_list
     print()
     rows = []
     for category, rules in filter_list.by_category().items():

@@ -8,13 +8,13 @@ paper quotes, and ranks the fingerprint attributes that drive evasion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.fingerprint import Fingerprint
-from repro.honeysite.storage import LazyRequestStore, RecordColumns, RequestStore
+from repro.honeysite.storage import LazyRequestStore, RecordColumns
 from repro.ml.encoding import FingerprintEncoder
 from repro.ml.explain import FeatureImportance, gain_importance, permutation_importance, top_features
 from repro.ml.forest import RandomForestClassifier
@@ -40,7 +40,7 @@ class EvasionClassifierResult:
 
 
 def train_evasion_classifier(
-    store: RequestStore,
+    store: LazyRequestStore,
     detector: str,
     *,
     test_fraction: float = 0.1,
@@ -56,8 +56,7 @@ def train_evasion_classifier(
     max_samples:
         Upper bound on the number of requests used.  A larger store is
         subsampled uniformly at random without replacement (one
-        ``rng.choice`` draw seeded by *seed*), not stratified by label;
-        the draw is the same on both store engines.
+        ``rng.choice`` draw seeded by *seed*), not stratified by label.
     permutation:
         Also compute held-out permutation importances (``n_features × 3``
         extra predict passes).  Table 2 ranks by gain importance alone, so
@@ -67,13 +66,38 @@ def train_evasion_classifier(
     if len(store) < 20:
         raise ValueError("need at least 20 requests to train a classifier")
     rng = np.random.default_rng(seed)
+    rows, labels = _training_rows(store.columns, detector, max_samples, rng)
+    return _fit_evasion_classifier(
+        detector,
+        rows,
+        labels,
+        rng,
+        seed=seed,
+        encoder=encoder,
+        test_fraction=test_fraction,
+        permutation=permutation,
+    )
+
+
+def _fit_evasion_classifier(
+    detector: str,
+    rows: Union[RecordColumns, Sequence[Fingerprint]],
+    labels: np.ndarray,
+    rng,
+    *,
+    seed: int,
+    encoder: Optional[FingerprintEncoder] = None,
+    test_fraction: float = 0.1,
+    permutation: bool = False,
+) -> EvasionClassifierResult:
+    """Encode the sampled *rows*, split, fit the forest, rank the features.
+
+    *rng* continues the generator that drew the sample, so the train/test
+    split depends only on the sample, not on how its rows are represented.
+    """
+
     encoder = encoder if encoder is not None else FingerprintEncoder()
-    if isinstance(store, LazyRequestStore):
-        rows, labels = _training_rows_from_columns(store.columns, detector, max_samples, rng)
-        features = encoder.fit_transform(rows)
-    else:
-        fingerprints, labels = _training_rows_from_records(store, detector, max_samples, rng)
-        features = encoder.fit_transform(fingerprints)
+    features = encoder.fit_transform(rows)
     train_x, test_x, train_y, test_y = train_test_split(
         features, labels, test_fraction=test_fraction, rng=rng
     )
@@ -98,28 +122,12 @@ def train_evasion_classifier(
     )
 
 
-def _training_rows_from_records(
-    store: RequestStore, detector: str, max_samples: int, rng
-) -> Tuple[List[Fingerprint], np.ndarray]:
-    """Object-path reference: subsample records, read fingerprint + label."""
-
-    records = list(store)
-    if len(records) > max_samples:
-        indices = rng.choice(len(records), size=max_samples, replace=False)
-        records = [records[int(index)] for index in indices]
-    fingerprints = [record.request.fingerprint for record in records]
-    labels = np.array(
-        [1 if record.evaded(detector) else 0 for record in records], dtype=float
-    )
-    return fingerprints, labels
-
-
-def _training_rows_from_columns(
+def _training_rows(
     columns: RecordColumns, detector: str, max_samples: int, rng
 ) -> Tuple[RecordColumns, np.ndarray]:
-    """Columnar path: identical subsample draw (same rng consumption),
-    returned as the sampled rows' columns plus labels from the evasion
-    column — no record or fingerprint object is built."""
+    """The subsample draw, returned as the sampled rows' columns plus
+    labels from the evasion column — no record or fingerprint object is
+    built."""
 
     n_rows = columns.n_rows
     if n_rows > max_samples:
@@ -131,7 +139,7 @@ def _training_rows_from_columns(
 
 
 def table2(
-    store: RequestStore, *, top_k: int = 5, max_samples: int = 40_000, seed: int = 0
+    store: LazyRequestStore, *, top_k: int = 5, max_samples: int = 40_000, seed: int = 0
 ) -> Dict[str, List[str]]:
     """Table 2: the top-k attributes helping evade DataDome and BotD."""
 
@@ -153,47 +161,15 @@ class CombinationRuleResult:
     overall_datadome_evasion: float
 
 
-def appendix_c_combination(store: RequestStore) -> CombinationRuleResult:
+def appendix_c_combination(store: LazyRequestStore) -> CombinationRuleResult:
     """Evaluate the Appendix C combination rule on the corpus.
 
     The paper's decision-tree analysis found that requests with a screen
     frame below 20, no Chrome PDF Viewer plugin, more than 256 MB of
     memory, fewer than 14 cores and a monospace width above 131.5 were able
-    to evade DataDome.
+    to evade DataDome.  Each conjunct is one per-distinct-value predicate
+    gathered to a row mask.
     """
-
-    if isinstance(store, LazyRequestStore):
-        return _appendix_c_from_columns(store)
-
-    def matches(record) -> bool:
-        frame = record.attribute(Attribute.SCREEN_FRAME)
-        plugins = record.attribute(Attribute.PLUGINS) or ()
-        memory = record.attribute(Attribute.DEVICE_MEMORY)
-        cores = record.attribute(Attribute.HARDWARE_CONCURRENCY)
-        monospace = record.attribute(Attribute.MONOSPACE_WIDTH)
-        return (
-            frame is not None
-            and frame < 20
-            and "Chrome PDF Viewer" not in plugins
-            and memory is not None
-            and memory > 0.25
-            and cores is not None
-            and cores < 14
-            and monospace is not None
-            and monospace > 131.5
-        )
-
-    matching = store.filter(matches)
-    return CombinationRuleResult(
-        matching_requests=len(matching),
-        matching_datadome_evasion=matching.evasion_rate("DataDome"),
-        overall_datadome_evasion=store.evasion_rate("DataDome"),
-    )
-
-
-def _appendix_c_from_columns(store: LazyRequestStore) -> CombinationRuleResult:
-    """Columnar implementation of :func:`appendix_c_combination`: each
-    conjunct is one per-distinct-value predicate gathered to a row mask."""
 
     columns = store.columns
     matches = np.ones(columns.n_rows, dtype=bool)

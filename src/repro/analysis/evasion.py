@@ -2,8 +2,8 @@
 
 Like the figure analyses, every function answers a columnar-backed store
 (:class:`~repro.honeysite.storage.LazyRequestStore`) from its code arrays
-without materialising a record object; the object-at-a-time path is the
-retained reference oracle.
+without materialising a record object; the record-iterating oracle they
+are pinned against lives in ``tests/reference/analysis.py``.
 """
 
 from __future__ import annotations
@@ -27,16 +27,15 @@ class ServiceEvasionRow:
     botd_evasion_rate: float
 
 
-def table1_rows(store: RequestStore, *, services: Optional[Sequence[str]] = None) -> Tuple[ServiceEvasionRow, ...]:
+def table1_rows(
+    store: LazyRequestStore, *, services: Optional[Sequence[str]] = None
+) -> Tuple[ServiceEvasionRow, ...]:
     """Per-service request volumes and evasion rates (Table 1).
 
     Rows are ordered by descending request count, like the paper.
     """
 
-    if isinstance(store, LazyRequestStore):
-        totals, datadome_evaded, botd_evaded = _table1_counts_from_columns(store)
-    else:
-        totals, datadome_evaded, botd_evaded = _table1_counts_from_records(store)
+    totals, datadome_evaded, botd_evaded = _table1_counts(store)
     if services is None:
         services = store.sources()
     rows = []
@@ -56,30 +55,11 @@ def table1_rows(store: RequestStore, *, services: Optional[Sequence[str]] = None
     return tuple(rows)
 
 
-def _table1_counts_from_records(
-    store: RequestStore,
-) -> Tuple[Dict[str, int], Dict[str, int], Dict[str, int]]:
-    """Object-path reference: one pass over the store instead of one
-    filtered re-scan per service — identical integer counts, so the rates
-    are bit-identical too."""
-
-    totals: Dict[str, int] = {}
-    datadome_evaded: Dict[str, int] = {}
-    botd_evaded: Dict[str, int] = {}
-    for record in store:
-        source = record.source
-        totals[source] = totals.get(source, 0) + 1
-        if record.datadome.evaded:
-            datadome_evaded[source] = datadome_evaded.get(source, 0) + 1
-        if record.botd.evaded:
-            botd_evaded[source] = botd_evaded.get(source, 0) + 1
-    return totals, datadome_evaded, botd_evaded
-
-
-def _table1_counts_from_columns(
+def _table1_counts(
     store: LazyRequestStore,
 ) -> Tuple[Dict[str, int], Dict[str, int], Dict[str, int]]:
-    """Columnar implementation: three bincounts over the source-code column."""
+    """Per-source request and evasion counts: three bincounts over the
+    source-code column."""
 
     columns = store.columns
     codes = columns.source_codes
@@ -153,33 +133,28 @@ class CohortComparison:
     bottom_low_cores: float
 
 
-def _attribute_fraction(store: RequestStore, attribute: Attribute, value_predicate) -> float:
+def _attribute_fraction(store: LazyRequestStore, attribute: Attribute, value_predicate) -> float:
     """Fraction of requests whose *attribute* value satisfies the predicate.
 
-    A columnar-backed store evaluates the predicate once per distinct
-    decoded value (plus once for ``None``, covering rows missing the
-    attribute) and counts rows with a gather — integer counts, so the
-    fraction is bit-identical to the record-iterating reference path.
+    The predicate runs once per distinct decoded value (plus once for
+    ``None``, covering rows missing the attribute) and rows are counted
+    with a gather — integer counts, so the fraction is bit-identical to a
+    per-record loop's.
     """
 
     if len(store) == 0:
         return 0.0
-    if isinstance(store, LazyRequestStore):
-        rows, values = store.columns.attribute_rows(attribute)
-        flags = np.fromiter(
-            (bool(value_predicate(value)) for value in values),
-            dtype=bool,
-            count=len(values),
-        )
-        valid = rows >= 0
-        matches = int(np.count_nonzero(flags[rows[valid]]))
-        if value_predicate(None):
-            matches += int(np.count_nonzero(~valid))
-        return matches / len(store)
-    return (
-        sum(1 for record in store if value_predicate(record.attribute(attribute)))
-        / len(store)
+    rows, values = store.columns.attribute_rows(attribute)
+    flags = np.fromiter(
+        (bool(value_predicate(value)) for value in values),
+        dtype=bool,
+        count=len(values),
     )
+    valid = rows >= 0
+    matches = int(np.count_nonzero(flags[rows[valid]]))
+    if value_predicate(None):
+        matches += int(np.count_nonzero(~valid))
+    return matches / len(store)
 
 
 def _has_plugins_value(value) -> bool:
@@ -198,13 +173,11 @@ def _low_cores_value(value) -> bool:
     return value is not None and int(value) < 8
 
 
-def cohort_comparison(store: RequestStore, detector: str, *, count: int = 3) -> CohortComparison:
+def cohort_comparison(store: LazyRequestStore, detector: str, *, count: int = 3) -> CohortComparison:
     """Compare the top/bottom evasion cohorts against *detector* (Section 5.3)."""
 
     rows = table1_rows(store)
     top, bottom = top_and_bottom_services(rows, detector, count=count)
-    # by_sources keeps a columnar store columnar; for an object store it is
-    # the same membership filter as before.
     top_store = store.by_sources(top)
     bottom_store = store.by_sources(bottom)
     return CohortComparison(
@@ -237,7 +210,7 @@ class DualEvaderSummary:
     touch_support_fraction: float
 
 
-def dual_evader_summary(store: RequestStore, *, threshold: float = 0.8) -> DualEvaderSummary:
+def dual_evader_summary(store: LazyRequestStore, *, threshold: float = 0.8) -> DualEvaderSummary:
     """Characterise the services evading both DataDome and BotD."""
 
     rows = table1_rows(store)

@@ -4,12 +4,12 @@ Each function returns the data series behind one figure of the paper, in a
 plain structure (labels + values) that the reporting module can render as a
 text chart or CSV.
 
-Every figure follows the same engine split: a columnar-backed store
-(:class:`~repro.honeysite.storage.LazyRequestStore`) is answered straight
-from its :class:`~repro.honeysite.storage.RecordColumns` arrays with zero
-record objects materialised, while the object-at-a-time implementation is
-retained as the reference oracle (``tests/test_report.py`` pins
-value-identity between the two).
+Every figure answers a columnar-backed store
+(:class:`~repro.honeysite.storage.LazyRequestStore`) straight from its
+:class:`~repro.honeysite.storage.RecordColumns` arrays with zero record
+objects materialised.  The record-iterating oracle each one is pinned
+against (value-identical, ``tests/test_report.py``) lives in
+``tests/reference/analysis.py``.
 """
 
 from __future__ import annotations
@@ -25,12 +25,7 @@ from repro.devices.profiles import CHROMIUM_PDF_PLUGINS
 from repro.devices.screens import is_real_iphone_resolution
 from repro.fingerprint.attributes import Attribute, parse_resolution
 from repro.fingerprint.fingerprint import _json_default, grouping_value
-from repro.honeysite.storage import (
-    SECONDS_PER_DAY,
-    LazyRequestStore,
-    RecordColumns,
-    RequestStore,
-)
+from repro.honeysite.storage import SECONDS_PER_DAY, LazyRequestStore, RecordColumns
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +41,8 @@ def _first_occurrence_rows(
     ``row_codes`` may contain ``-1`` (attribute missing) and several input
     codes may share one key; both the missing rows and the rows whose key
     is ``None`` map to ``-1``.  Output codes count up in the order their
-    key first appears in row order — exactly the insertion order of the
-    dict the object path accumulates, which the figures' stable sorts
-    tie-break on.
+    key first appears in row order — exactly the insertion order of a dict
+    accumulated row by row, which the figures' stable sorts tie-break on.
     """
 
     n_keys = len(keys)
@@ -80,8 +74,8 @@ def _grouping_rows(
     """Per-row codes over *grouping* values, in row first-occurrence order.
 
     The decode list holds the distinct non-``None`` grouping values in the
-    order they first appear in row order — the key order of the object
-    path's ``unique_values`` histogram with its ``None`` bucket dropped.
+    order they first appear in row order — the key order of a grouping-value
+    histogram accumulated row by row, with its ``None`` bucket dropped.
     ``grouping_value`` runs once per distinct raw value, not once per row.
     """
 
@@ -113,69 +107,35 @@ class PluginEvasionPoint:
 
 
 def figure4_plugin_evasion(
-    store: RequestStore, *, plugins: Sequence[str] = CHROMIUM_PDF_PLUGINS
+    store: LazyRequestStore, *, plugins: Sequence[str] = CHROMIUM_PDF_PLUGINS
 ) -> Tuple[PluginEvasionPoint, ...]:
-    """P(evading BotD | plugin present) for each common PDF plugin."""
+    """P(evading BotD | plugin present) for each common PDF plugin.
 
-    if isinstance(store, LazyRequestStore):
-        points = _figure4_from_columns(store.columns, plugins)
-    else:
-        points = _figure4_from_records(store, plugins)
-    points.sort(key=lambda point: point.evasion_probability, reverse=True)
-    return tuple(points)
+    Plugin membership is decided once per distinct plugin tuple; row
+    totals come from two bincounts.
+    """
 
-
-def _figure4_points(plugins, requests, evaded) -> List[PluginEvasionPoint]:
-    return [
-        PluginEvasionPoint(
-            plugin=plugin,
-            requests=requests[plugin],
-            evasion_probability=(
-                evaded[plugin] / requests[plugin] if requests[plugin] else 0.0
-            ),
-        )
-        for plugin in plugins
-    ]
-
-
-def _figure4_from_records(store: RequestStore, plugins: Sequence[str]) -> List[PluginEvasionPoint]:
-    """Object-path reference: one counting pass instead of one filtered
-    re-scan per plugin — identical integer counts, bit-identical rates."""
-
-    requests = {plugin: 0 for plugin in plugins}
-    evaded = {plugin: 0 for plugin in plugins}
-    for record in store:
-        present = record.attribute(Attribute.PLUGINS) or ()
-        if not present:
-            continue
-        record_evaded = record.evaded("BotD")
-        for plugin in plugins:
-            if plugin in present:
-                requests[plugin] += 1
-                if record_evaded:
-                    evaded[plugin] += 1
-    return _figure4_points(plugins, requests, evaded)
-
-
-def _figure4_from_columns(
-    columns: RecordColumns, plugins: Sequence[str]
-) -> List[PluginEvasionPoint]:
-    """Columnar implementation: plugin membership is decided once per
-    distinct plugin tuple, row totals come from two bincounts."""
-
+    columns = store.columns
     rows, values = columns.attribute_rows(Attribute.PLUGINS)
     valid = rows >= 0
     counts = np.bincount(rows[valid], minlength=len(values))
     evaded_counts = np.bincount(
         rows[valid & columns.evaded_rows("BotD")], minlength=len(values)
     )
-    requests = {}
-    evaded = {}
+    points = []
     for plugin in plugins:
         member = _value_flags(values, lambda value, p=plugin: p in (value or ()))
-        requests[plugin] = int(counts[member].sum())
-        evaded[plugin] = int(evaded_counts[member].sum())
-    return _figure4_points(plugins, requests, evaded)
+        requests = int(counts[member].sum())
+        evaded = int(evaded_counts[member].sum())
+        points.append(
+            PluginEvasionPoint(
+                plugin=plugin,
+                requests=requests,
+                evasion_probability=evaded / requests if requests else 0.0,
+            )
+        )
+    points.sort(key=lambda point: point.evasion_probability, reverse=True)
+    return tuple(points)
 
 
 # ---------------------------------------------------------------------------
@@ -201,27 +161,9 @@ class CoreCountCdf:
         return fraction
 
 
-def _core_cdf(store: RequestStore, label: str) -> CoreCountCdf:
-    values = [
-        int(record.attribute(Attribute.HARDWARE_CONCURRENCY))
-        for record in store
-        if record.attribute(Attribute.HARDWARE_CONCURRENCY) is not None
-    ]
-    if not values:
-        return CoreCountCdf(label=label, core_counts=(), cumulative_probability=())
-    array = np.sort(np.array(values))
-    unique, counts = np.unique(array, return_counts=True)
-    cumulative = np.cumsum(counts) / array.size
-    return CoreCountCdf(
-        label=label,
-        core_counts=tuple(int(value) for value in unique),
-        cumulative_probability=tuple(float(value) for value in cumulative),
-    )
-
-
-def _core_cdf_from_columns(columns: RecordColumns, label: str) -> CoreCountCdf:
-    """Columnar counterpart of :func:`_core_cdf` (decode once per distinct
-    core count, sort the gathered ``int64`` column)."""
+def _core_cdf(columns: RecordColumns, label: str) -> CoreCountCdf:
+    """One CDF curve: decode once per distinct core count, sort the
+    gathered ``int64`` column."""
 
     rows, values = columns.attribute_rows(Attribute.HARDWARE_CONCURRENCY)
     present = _value_flags(values, lambda value: value is not None)
@@ -245,22 +187,18 @@ def _core_cdf_from_columns(columns: RecordColumns, label: str) -> CoreCountCdf:
 
 
 def figure5_core_cdfs(
-    store: RequestStore,
+    store: LazyRequestStore,
     high_evasion_services: Sequence[str],
     low_evasion_services: Sequence[str],
 ) -> Tuple[CoreCountCdf, CoreCountCdf]:
     """The two CDF curves of Figure 5 (high- and low-evasion cohorts)."""
 
-    if isinstance(store, LazyRequestStore):
-        high = store.by_sources(tuple(high_evasion_services))
-        low = store.by_sources(tuple(low_evasion_services))
-        return (
-            _core_cdf_from_columns(high.columns, "High evasion rate"),
-            _core_cdf_from_columns(low.columns, "Low evasion rate"),
-        )
-    high = store.filter(lambda record: record.source in tuple(high_evasion_services))
-    low = store.filter(lambda record: record.source in tuple(low_evasion_services))
-    return (_core_cdf(high, "High evasion rate"), _core_cdf(low, "Low evasion rate"))
+    high = store.by_sources(tuple(high_evasion_services))
+    low = store.by_sources(tuple(low_evasion_services))
+    return (
+        _core_cdf(high.columns, "High evasion rate"),
+        _core_cdf(low.columns, "Low evasion rate"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -278,51 +216,13 @@ class DeviceEvasionPoint:
 
 
 def figure6_device_evasion(
-    store: RequestStore, *, detector: str = "DataDome", top: int = 4, min_requests: int = 50
+    store: LazyRequestStore, *, detector: str = "DataDome", top: int = 4, min_requests: int = 50
 ) -> Tuple[DeviceEvasionPoint, ...]:
     """The UA device families with the highest probability of evading
-    *detector* (Figure 6 uses DataDome and the top 4)."""
+    *detector* (Figure 6 uses DataDome and the top 4), counted over the
+    grouped UA-device code column."""
 
-    if isinstance(store, LazyRequestStore):
-        points = _figure6_from_columns(
-            store.columns, detector=detector, min_requests=min_requests
-        )
-    else:
-        points = _figure6_from_records(
-            store, detector=detector, min_requests=min_requests
-        )
-    points.sort(key=lambda point: point.evasion_probability, reverse=True)
-    return tuple(points[:top])
-
-
-def _figure6_from_records(
-    store: RequestStore, *, detector: str, min_requests: int
-) -> List[DeviceEvasionPoint]:
-    """Object-path reference implementation of :func:`figure6_device_evasion`."""
-
-    histogram = store.unique_values(Attribute.UA_DEVICE)
-    points = []
-    for device, count in histogram.items():
-        if device is None or count < min_requests:
-            continue
-        subset = store.filter(
-            lambda record, d=device: record.request.fingerprint.value_for_grouping(Attribute.UA_DEVICE) == d
-        )
-        points.append(
-            DeviceEvasionPoint(
-                device=str(device),
-                requests=count,
-                evasion_probability=subset.evasion_rate(detector),
-            )
-        )
-    return points
-
-
-def _figure6_from_columns(
-    columns: RecordColumns, *, detector: str, min_requests: int
-) -> List[DeviceEvasionPoint]:
-    """Columnar implementation over the grouped UA-device code column."""
-
+    columns = store.columns
     rows, devices = _grouping_rows(columns, Attribute.UA_DEVICE)
     valid = rows >= 0
     counts = np.bincount(rows[valid], minlength=len(devices))
@@ -341,7 +241,8 @@ def _figure6_from_columns(
                 evasion_probability=int(evaded_counts[code]) / count,
             )
         )
-    return points
+    points.sort(key=lambda point: point.evasion_probability, reverse=True)
+    return tuple(points[:top])
 
 
 # ---------------------------------------------------------------------------
@@ -375,25 +276,15 @@ class IphoneResolutionAnalysis:
 
 
 def figure7_iphone_resolutions(
-    store: RequestStore, *, detector: str = "DataDome", top: int = 10, min_requests: int = 10
+    store: LazyRequestStore, *, detector: str = "DataDome", top: int = 10, min_requests: int = 10
 ) -> IphoneResolutionAnalysis:
-    """Resolution spread of requests claiming to be iPhones (Section 6.1)."""
+    """Resolution spread of requests claiming to be iPhones (Section 6.1).
 
-    if isinstance(store, LazyRequestStore):
-        return _figure7_from_columns(
-            store.columns, detector=detector, top=top, min_requests=min_requests
-        )
-    return _figure7_from_records(
-        store, detector=detector, top=top, min_requests=min_requests
-    )
+    The iPhone subset is a row slice; both resolution histograms are
+    bincounts over the grouped code column.
+    """
 
-
-def _figure7_from_columns(
-    columns: RecordColumns, *, detector: str, top: int, min_requests: int
-) -> IphoneResolutionAnalysis:
-    """Columnar implementation: the iPhone subset is a row slice, both
-    resolution histograms are bincounts over the grouped code column."""
-
+    columns = store.columns
     device_rows, devices = _grouping_rows(columns, Attribute.UA_DEVICE)
     try:
         iphone_code = devices.index("iPhone")
@@ -428,45 +319,6 @@ def _figure7_from_columns(
     )
 
 
-def _figure7_from_records(
-    store: RequestStore, *, detector: str, top: int, min_requests: int
-) -> IphoneResolutionAnalysis:
-    """Object-path reference implementation of :func:`figure7_iphone_resolutions`."""
-
-    iphone_store = store.filter(
-        lambda record: record.request.fingerprint.value_for_grouping(Attribute.UA_DEVICE) == "iPhone"
-    )
-    histogram = iphone_store.unique_values(Attribute.SCREEN_RESOLUTION)
-    histogram.pop(None, None)
-    evading_histogram = iphone_store.evading(detector).unique_values(Attribute.SCREEN_RESOLUTION)
-    evading_histogram.pop(None, None)
-
-    points = []
-    for resolution, count in histogram.items():
-        if count < min_requests:
-            continue
-        subset = iphone_store.filter(
-            lambda record, r=resolution: record.request.fingerprint.value_for_grouping(
-                Attribute.SCREEN_RESOLUTION
-            )
-            == r
-        )
-        points.append(
-            ResolutionEvasionPoint(
-                resolution=str(resolution),
-                requests=count,
-                evasion_probability=subset.evasion_rate(detector),
-                exists_on_real_iphone=is_real_iphone_resolution(parse_resolution(resolution)),
-            )
-        )
-    points.sort(key=lambda point: (point.evasion_probability, point.requests), reverse=True)
-    return IphoneResolutionAnalysis(
-        unique_resolutions=len(histogram),
-        unique_resolutions_among_evading=len(evading_histogram),
-        top_points=tuple(points[:top]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Figure 8 / Section 6.2 — location inferred from timezone vs IP address
 # ---------------------------------------------------------------------------
@@ -484,7 +336,8 @@ class GeoMismatchSummary:
 
 
 def _timezone_matches_value(value, region, matcher) -> bool:
-    """The object path's per-record timezone check, on one decoded value."""
+    """Whether one decoded timezone value lies in *region* (unknown zones
+    and missing values do not)."""
 
     if not value:
         return False
@@ -495,77 +348,49 @@ def _timezone_matches_value(value, region, matcher) -> bool:
 
 
 def section62_geo_match(
-    store: RequestStore,
+    store: LazyRequestStore,
     services_with_regions: Dict[str, str],
 ) -> Tuple[GeoMismatchSummary, ...]:
     """Match rates of the advertised region via IP vs via browser timezone."""
 
     from repro.geo.timezones import country_matches_region, timezone_matches_region
 
-    if isinstance(store, LazyRequestStore):
-        summaries = []
-        for service, region in services_with_regions.items():
-            service_store = store.by_source(service)
-            requests = len(service_store)
-            if requests == 0:
-                continue
-            columns = service_store.columns
-            country_rows, countries = columns.attribute_rows(Attribute.IP_COUNTRY)
-            country_ok = _value_flags(
-                countries,
-                lambda value: bool(value) and country_matches_region(str(value), region),
-            )
-            country_valid = country_rows >= 0
-            ip_matches = int(np.count_nonzero(country_ok[country_rows[country_valid]]))
-            tz_rows, timezones = columns.attribute_rows(Attribute.TIMEZONE)
-            tz_ok = _value_flags(
-                timezones,
-                lambda value: _timezone_matches_value(value, region, timezone_matches_region),
-            )
-            tz_valid = tz_rows >= 0
-            timezone_matches = int(np.count_nonzero(tz_ok[tz_rows[tz_valid]]))
-            summaries.append(
-                GeoMismatchSummary(
-                    service=service,
-                    advertised_region=region,
-                    requests=requests,
-                    ip_match_rate=ip_matches / requests,
-                    timezone_match_rate=timezone_matches / requests,
-                )
-            )
-        return tuple(summaries)
-
     summaries = []
     for service, region in services_with_regions.items():
         service_store = store.by_source(service)
-        if len(service_store) == 0:
+        requests = len(service_store)
+        if requests == 0:
             continue
-        ip_matches = 0
-        timezone_matches = 0
-        for record in service_store:
-            country = record.attribute(Attribute.IP_COUNTRY)
-            if country and country_matches_region(str(country), region):
-                ip_matches += 1
-            timezone = record.attribute(Attribute.TIMEZONE)
-            if timezone:
-                try:
-                    if timezone_matches_region(str(timezone), region):
-                        timezone_matches += 1
-                except KeyError:
-                    pass
+        columns = service_store.columns
+        country_rows, countries = columns.attribute_rows(Attribute.IP_COUNTRY)
+        country_ok = _value_flags(
+            countries,
+            lambda value: bool(value) and country_matches_region(str(value), region),
+        )
+        country_valid = country_rows >= 0
+        ip_matches = int(np.count_nonzero(country_ok[country_rows[country_valid]]))
+        tz_rows, timezones = columns.attribute_rows(Attribute.TIMEZONE)
+        tz_ok = _value_flags(
+            timezones,
+            lambda value: _timezone_matches_value(value, region, timezone_matches_region),
+        )
+        tz_valid = tz_rows >= 0
+        timezone_matches = int(np.count_nonzero(tz_ok[tz_rows[tz_valid]]))
         summaries.append(
             GeoMismatchSummary(
                 service=service,
                 advertised_region=region,
-                requests=len(service_store),
-                ip_match_rate=ip_matches / len(service_store),
-                timezone_match_rate=timezone_matches / len(service_store),
+                requests=requests,
+                ip_match_rate=ip_matches / requests,
+                timezone_match_rate=timezone_matches / requests,
             )
         )
     return tuple(summaries)
 
 
-def figure8_location_histograms(store: RequestStore) -> Tuple[Dict[str, int], Dict[str, int]]:
+def figure8_location_histograms(
+    store: LazyRequestStore,
+) -> Tuple[Dict[str, int], Dict[str, int]]:
     """The two Figure 8 heatmaps flattened to per-country request counts.
 
     Returns ``(by_timezone_country, by_ip_country)``.
@@ -573,36 +398,19 @@ def figure8_location_histograms(store: RequestStore) -> Tuple[Dict[str, int], Di
 
     from repro.geo.timezones import country_of_timezone
 
-    if isinstance(store, LazyRequestStore):
-        columns = store.columns
+    columns = store.columns
 
-        def histogram(attribute: Attribute, key_of) -> Dict[str, int]:
-            raw_rows, raw_values = columns.attribute_rows(attribute)
-            codes, keys = _first_occurrence_rows(
-                raw_rows, [key_of(value) for value in raw_values]
-            )
-            counts = np.bincount(codes[codes >= 0], minlength=len(keys))
-            return {str(key): int(count) for key, count in zip(keys, counts)}
+    def histogram(attribute: Attribute, key_of) -> Dict[str, int]:
+        raw_rows, raw_values = columns.attribute_rows(attribute)
+        codes, keys = _first_occurrence_rows(raw_rows, [key_of(value) for value in raw_values])
+        counts = np.bincount(codes[codes >= 0], minlength=len(keys))
+        return {str(key): int(count) for key, count in zip(keys, counts)}
 
-        by_timezone = histogram(
-            Attribute.TIMEZONE,
-            lambda value: (country_of_timezone(str(value)) or "Unknown") if value else None,
-        )
-        by_ip = histogram(
-            Attribute.IP_COUNTRY, lambda value: str(value) if value else None
-        )
-        return by_timezone, by_ip
-
-    by_timezone: Dict[str, int] = {}
-    by_ip: Dict[str, int] = {}
-    for record in store:
-        timezone = record.attribute(Attribute.TIMEZONE)
-        if timezone:
-            country = country_of_timezone(str(timezone)) or "Unknown"
-            by_timezone[country] = by_timezone.get(country, 0) + 1
-        ip_country = record.attribute(Attribute.IP_COUNTRY)
-        if ip_country:
-            by_ip[str(ip_country)] = by_ip.get(str(ip_country), 0) + 1
+    by_timezone = histogram(
+        Attribute.TIMEZONE,
+        lambda value: (country_of_timezone(str(value)) or "Unknown") if value else None,
+    )
+    by_ip = histogram(Attribute.IP_COUNTRY, lambda value: str(value) if value else None)
     return by_timezone, by_ip
 
 
@@ -622,35 +430,6 @@ class DailySeries:
     unique_fingerprints: Tuple[int, ...]
 
 
-def figure9_daily_series(store: RequestStore) -> DailySeries:
-    """Per-day request / unique-IP / unique-cookie / unique-fingerprint counts.
-
-    A columnar-backed store computes straight from its
-    :class:`~repro.honeysite.storage.RecordColumns` arrays — no record
-    object is materialised, and fingerprints hash once per *session*
-    instead of once per request; the object path below is the reference
-    oracle (``tests/test_analysis_integration.py`` pins equality).
-    """
-
-    if isinstance(store, LazyRequestStore):
-        return _figure9_from_columns(store.columns)
-    return _figure9_from_records(store)
-
-
-def _figure9_from_records(store: RequestStore) -> DailySeries:
-    """Object-path reference implementation of :func:`figure9_daily_series`."""
-
-    series = store.daily_series()
-    days = tuple(sorted(series))
-    return DailySeries(
-        days=days,
-        requests=tuple(series[day]["requests"] for day in days),
-        unique_ips=tuple(series[day]["unique_ips"] for day in days),
-        unique_cookies=tuple(series[day]["unique_cookies"] for day in days),
-        unique_fingerprints=tuple(series[day]["unique_fingerprints"] for day in days),
-    )
-
-
 #: Transport-level attributes :meth:`Fingerprint.stable_hash` excludes.
 _TRANSPORT_ATTRIBUTES = (
     Attribute.IP_ADDRESS,
@@ -664,8 +443,8 @@ def _canonical_fingerprint_rows(columns: RecordColumns) -> np.ndarray:
     """Per-row fingerprint codes, canonicalised by stable hash.
 
     One hash per *session*; sessions whose browser-side attributes hash
-    identically collapse onto one code, exactly like the object path's
-    set-of-hashes semantics.  (Cookie and address columns go through
+    identically collapse onto one code, exactly like a set of
+    :meth:`~repro.fingerprint.fingerprint.Fingerprint.stable_hash` values.  (Cookie and address columns go through
     :meth:`RecordColumns.cookie_columns` / :meth:`~RecordColumns.ip_columns`
     instead — only the hash case needs a bespoke canonicalisation.)
 
@@ -737,9 +516,15 @@ def _row_days(columns: RecordColumns) -> np.ndarray:
     return (columns.timestamps // SECONDS_PER_DAY).astype(np.int64)
 
 
-def _figure9_from_columns(columns: RecordColumns) -> DailySeries:
-    """Columnar implementation over per-row code arrays (object-free)."""
+def figure9_daily_series(store: LazyRequestStore) -> DailySeries:
+    """Per-day request / unique-IP / unique-cookie / unique-fingerprint counts.
 
+    Computed straight from the store's per-row code arrays — no record
+    object is materialised, and fingerprints hash once per *session*
+    instead of once per request.
+    """
+
+    columns = store.columns
     if columns.n_rows == 0:
         return DailySeries(days=(), requests=(), unique_ips=(), unique_cookies=(),
                            unique_fingerprints=())
@@ -769,35 +554,14 @@ def _figure9_from_columns(columns: RecordColumns) -> DailySeries:
     )
 
 
-def new_fingerprints_over_time(store: RequestStore) -> Tuple[int, ...]:
+def new_fingerprints_over_time(store: LazyRequestStore) -> Tuple[int, ...]:
     """Per-day count of never-before-seen fingerprints (Section 6.3).
 
-    Like :func:`figure9_daily_series`, a columnar-backed store answers
-    from its arrays (one hash per session, vectorized first-occurrence
-    scan); the object path is the reference oracle.
+    Like :func:`figure9_daily_series` this answers from the store's arrays
+    (one hash per session, vectorized first-occurrence scan).
     """
 
-    if isinstance(store, LazyRequestStore):
-        return _new_fingerprints_from_columns(store.columns)
-    return _new_fingerprints_from_records(store)
-
-
-def _new_fingerprints_from_records(store: RequestStore) -> Tuple[int, ...]:
-    """Object-path reference implementation of :func:`new_fingerprints_over_time`."""
-
-    seen = set()
-    per_day: Dict[int, int] = {}
-    for record in store.sorted_by_time():
-        digest = record.request.fingerprint.stable_hash()
-        if digest not in seen:
-            seen.add(digest)
-            per_day[record.day] = per_day.get(record.day, 0) + 1
-    return tuple(per_day.get(day, 0) for day in sorted(set(record.day for record in store)))
-
-
-def _new_fingerprints_from_columns(columns: RecordColumns) -> Tuple[int, ...]:
-    """Columnar implementation over per-row code arrays (object-free)."""
-
+    columns = store.columns
     if columns.n_rows == 0:
         return ()
     days = _row_days(columns)
@@ -832,19 +596,15 @@ class CookiePlatformSpread:
         return len(self.platform_percentages)
 
 
-def figure10_platform_spread(store: RequestStore) -> Optional[CookiePlatformSpread]:
-    """Platform values reported by the device with the busiest cookie."""
+def figure10_platform_spread(store: LazyRequestStore) -> Optional[CookiePlatformSpread]:
+    """Platform values reported by the device with the busiest cookie.
 
-    if isinstance(store, LazyRequestStore):
-        return _figure10_from_columns(store.columns)
-    return _figure10_from_records(store)
+    The busiest cookie comes from a bincount and a first-max argmax (ties
+    go to the cookie seen first); the platform spread from one more
+    bincount over its row slice.
+    """
 
-
-def _figure10_from_columns(columns: RecordColumns) -> Optional[CookiePlatformSpread]:
-    """Columnar implementation: busiest cookie via bincount + first-max
-    argmax (the ``max()``-over-insertion-order semantics of the object
-    path), platform spread via one more bincount over its row slice."""
-
+    columns = store.columns
     if not columns.n_rows:
         return None
     cookie_rows, cookies = columns.cookie_columns()
@@ -868,32 +628,5 @@ def _figure10_from_columns(columns: RecordColumns) -> Optional[CookiePlatformSpr
         requests=int(cookie_counts[busiest]),
         platform_percentages={
             platforms[code]: 100.0 * int(counts[code]) / total for code in order
-        },
-    )
-
-
-def _figure10_from_records(store: RequestStore) -> Optional[CookiePlatformSpread]:
-    """Object-path reference implementation of :func:`figure10_platform_spread`."""
-
-    groups = store.group_by_cookie()
-    if not groups:
-        return None
-    cookie, records = max(groups.items(), key=lambda item: len(item[1]))
-    histogram: Dict[str, int] = {}
-    for record in records:
-        platform = record.attribute(Attribute.PLATFORM)
-        if platform is None:
-            continue
-        histogram[str(platform)] = histogram.get(str(platform), 0) + 1
-    total = sum(histogram.values())
-    if total == 0:
-        return None
-    return CookiePlatformSpread(
-        cookie=cookie,
-        requests=len(records),
-        platform_percentages={
-            platform: 100.0 * count / total for platform, count in sorted(
-                histogram.items(), key=lambda item: item[1], reverse=True
-            )
         },
     )

@@ -3,7 +3,7 @@
 Columnar-backed stores are answered from their first-occurrence IP code
 column: the block-list lookup runs once per *distinct* address and the
 evasion counts come from boolean gathers — zero record objects.  The
-record-iterating path is the retained reference oracle.
+record-iterating oracle lives in ``tests/reference/analysis.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.geo.asn import AsnBlocklist, IpBlocklist
 from repro.geo.geolite import GeoDatabase, build_ip_blocklist
-from repro.honeysite.storage import LazyRequestStore, RequestStore
+from repro.honeysite.storage import LazyRequestStore
 
 
 def _blocked_analysis(store: LazyRequestStore, is_blocked):
@@ -49,7 +49,7 @@ class AsnBlocklistAnalysis:
 
 
 def analyze_asn_blocklist(
-    store: RequestStore,
+    store: LazyRequestStore,
     geo: GeoDatabase,
     *,
     blocklist: Optional[AsnBlocklist] = None,
@@ -61,27 +61,15 @@ def analyze_asn_blocklist(
     """
 
     blocklist = blocklist if blocklist is not None else AsnBlocklist()
-    if isinstance(store, LazyRequestStore):
-        total, flagged, datadome, botd = _blocked_analysis(
-            store, lambda address: blocklist.is_blocked(geo.asn_of(address))
-        )
-        return AsnBlocklistAnalysis(
-            total_requests=total,
-            flagged_requests=flagged,
-            flagged_fraction=flagged / total if total else 0.0,
-            flagged_datadome_evasion=(datadome / flagged) if flagged else 0.0,
-            flagged_botd_evasion=(botd / flagged) if flagged else 0.0,
-        )
-    flagged = store.filter(
-        lambda record: blocklist.is_blocked(geo.asn_of(record.request.ip_address))
+    total, flagged, datadome, botd = _blocked_analysis(
+        store, lambda address: blocklist.is_blocked(geo.asn_of(address))
     )
-    total = len(store)
     return AsnBlocklistAnalysis(
         total_requests=total,
-        flagged_requests=len(flagged),
-        flagged_fraction=len(flagged) / total if total else 0.0,
-        flagged_datadome_evasion=flagged.evasion_rate("DataDome"),
-        flagged_botd_evasion=flagged.evasion_rate("BotD"),
+        flagged_requests=flagged,
+        flagged_fraction=flagged / total if total else 0.0,
+        flagged_datadome_evasion=(datadome / flagged) if flagged else 0.0,
+        flagged_botd_evasion=(botd / flagged) if flagged else 0.0,
     )
 
 
@@ -97,7 +85,7 @@ class IpBlocklistAnalysis:
 
 
 def analyze_ip_blocklist(
-    store: RequestStore,
+    store: LazyRequestStore,
     *,
     blocklist: Optional[IpBlocklist] = None,
     coverage: float = 0.1586,
@@ -112,31 +100,15 @@ def analyze_ip_blocklist(
     """
 
     if blocklist is None:
-        if isinstance(store, LazyRequestStore):
-            # The distinct-address set off the IP code column; the builder
-            # sorts it, so the sampled list is identical to the object
-            # path's set-comprehension draw.
-            addresses = set(store.columns.ip_columns()[1])
-        else:
-            addresses = {record.request.ip_address for record in store}
+        # The distinct-address set off the IP code column; the builder
+        # sorts it, so the draw does not depend on code order.
+        addresses = set(store.columns.ip_columns()[1])
         blocklist = build_ip_blocklist(addresses, np.random.default_rng(seed), coverage)
-    if isinstance(store, LazyRequestStore):
-        total, covered, datadome, botd = _blocked_analysis(
-            store, blocklist.is_blocked
-        )
-        return IpBlocklistAnalysis(
-            total_requests=total,
-            covered_requests=covered,
-            coverage=covered / total if total else 0.0,
-            covered_datadome_evasion=(datadome / covered) if covered else 0.0,
-            covered_botd_evasion=(botd / covered) if covered else 0.0,
-        )
-    covered = store.filter(lambda record: blocklist.is_blocked(record.request.ip_address))
-    total = len(store)
+    total, covered, datadome, botd = _blocked_analysis(store, blocklist.is_blocked)
     return IpBlocklistAnalysis(
         total_requests=total,
-        covered_requests=len(covered),
-        coverage=len(covered) / total if total else 0.0,
-        covered_datadome_evasion=covered.evasion_rate("DataDome"),
-        covered_botd_evasion=covered.evasion_rate("BotD"),
+        covered_requests=covered,
+        coverage=covered / total if total else 0.0,
+        covered_datadome_evasion=(datadome / covered) if covered else 0.0,
+        covered_botd_evasion=(botd / covered) if covered else 0.0,
     )

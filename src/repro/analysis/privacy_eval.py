@@ -45,7 +45,6 @@ def evaluate_privacy_technologies(
     stores: Dict[PrivacyTechnology, RequestStore],
     detector: FPInconsistent,
     *,
-    engine: str = "columnar",
     workers: int = 1,
     executor=None,
     tables: Optional[Dict[PrivacyTechnology, ColumnarTable]] = None,
@@ -55,8 +54,8 @@ def evaluate_privacy_technologies(
     The paper's findings: Safari, uBlock Origin and AdBlock Plus trigger
     nothing; Brave triggers only temporal inconsistencies (it retains
     cookies while randomising attributes); Tor triggers spatial location
-    inconsistencies on every request.  *engine* / *workers* / *executor*
-    select the detection engine per store, as in
+    inconsistencies on every request.  *workers* / *executor* shard the
+    classification of each store, as in
     :meth:`FPInconsistent.classify_store`.
 
     *tables* optionally maps technologies to pre-extracted
@@ -71,16 +70,10 @@ def evaluate_privacy_technologies(
         if len(store) == 0:
             continue
         table = None if tables is None else tables.get(technology)
-        if (
-            engine == "columnar"
-            and table is not None
-            and detector.accepts_table(table, store)
-        ):
+        if table is not None and detector.accepts_table(table, store):
             verdicts = detector.classify_table(table, workers=workers, executor=executor)
         else:
-            verdicts = detector.classify_store(
-                store, engine=engine, workers=workers, executor=executor
-            )
+            verdicts = detector.classify_store(store, workers=workers, executor=executor)
         total = len(store)
         spatial = temporal = combined = 0
         for verdict in verdicts.values():

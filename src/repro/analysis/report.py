@@ -4,20 +4,15 @@ Regenerates every table and figure of the paper from a built (or cached)
 corpus in a single pass, timing each section and rendering the results
 through :mod:`repro.reporting.tables` / :mod:`repro.reporting.figures`.
 
-Two engines produce value-identical output:
-
-- ``"columnar"`` — every analysis answers the corpus's
-  :class:`~repro.honeysite.storage.LazyRequestStore` straight from its
-  :class:`~repro.honeysite.storage.RecordColumns` arrays.  No record
-  object is materialised; the report asserts this via the global
-  :func:`~repro.honeysite.storage.materialized_record_count` counter.
-- ``"object"`` — the same analyses over a fully materialised
-  :class:`~repro.honeysite.storage.RequestStore`, exercising the retained
-  record-at-a-time reference paths.
+Every analysis answers the corpus's
+:class:`~repro.honeysite.storage.LazyRequestStore` straight from its
+:class:`~repro.honeysite.storage.RecordColumns` arrays.  No record object
+is materialised; the report counts them via the global
+:func:`~repro.honeysite.storage.materialized_record_count` counter.
 
 Per-section SHA-256 digests over the canonical JSON of each section's
-data make the equivalence checkable from the command line (and in CI):
-``repro report --json`` emits them for both engines.
+data (``repro report --json``) make the output checkable from the command
+line; ``tests/golden/corpus.json`` pins all fourteen.
 """
 
 from __future__ import annotations
@@ -50,18 +45,9 @@ from repro.analysis.figures import (
     section62_geo_match,
 )
 from repro.analysis.ip_analysis import analyze_asn_blocklist, analyze_ip_blocklist
-from repro.honeysite.storage import (
-    LazyRequestStore,
-    RequestStore,
-    materialized_record_count,
-)
+from repro.honeysite.storage import LazyRequestStore, materialized_record_count
 from repro.reporting.figures import ascii_bar_chart, cdf_table
 from repro.reporting.tables import format_percent, format_table
-
-#: Report engine selectors, mirroring the detection pipeline's naming:
-#: ``"columnar"`` answers from the array views, ``"object"`` from
-#: materialised record objects (the reference oracle).
-REPORT_ENGINES = ("columnar", "object")
 
 
 @dataclass(frozen=True)
@@ -77,7 +63,7 @@ class ReportSection:
 
     @property
     def digest(self) -> str:
-        """Engine-independent content address of the section data."""
+        """Content address of the section data."""
 
         canonical = json.dumps(self.data, sort_keys=True, default=str)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
@@ -87,12 +73,11 @@ class ReportSection:
 class Report:
     """Every paper table/figure regenerated from one corpus."""
 
-    engine: str
     scale: float
     seed: int
     sections: Tuple[ReportSection, ...]
     total_seconds: float
-    #: record objects materialised while generating (0 on the columnar path)
+    #: record objects materialised while generating (0 for a columnar corpus)
     materialized_records: int
     #: corpus cache content-address, when the corpus came through the cache
     cache_key: Optional[str] = None
@@ -113,7 +98,6 @@ class Report:
         """The ``--json`` document: timings, digests and section data."""
 
         return {
-            "engine": self.engine,
             "scale": self.scale,
             "seed": self.seed,
             "cache_key": self.cache_key,
@@ -144,7 +128,7 @@ def _rate_bar(points, label_of, value_of) -> str:
     )
 
 
-def _section_table1(corpus: Corpus, store: RequestStore):
+def _section_table1(corpus: Corpus, store: LazyRequestStore):
     rows = table1_rows(store)
     overall = overall_detection_rates(store)
     data = {"rows": [_asdict(row) for row in rows], "overall_detection": overall}
@@ -167,7 +151,7 @@ def _section_table1(corpus: Corpus, store: RequestStore):
     return data, body
 
 
-def _section_cohorts(corpus: Corpus, store: RequestStore):
+def _section_cohorts(corpus: Corpus, store: LazyRequestStore):
     comparisons = {
         detector: cohort_comparison(store, detector)
         for detector in ("DataDome", "BotD")
@@ -212,7 +196,7 @@ def _section_cohorts(corpus: Corpus, store: RequestStore):
 
 
 def _section_table2(ml_samples: int, ml_seed: int):
-    def build(corpus: Corpus, store: RequestStore):
+    def build(corpus: Corpus, store: LazyRequestStore):
         columns = table2(store, max_samples=ml_samples, seed=ml_seed)
         depth = max((len(names) for names in columns.values()), default=0)
         rows = [
@@ -225,7 +209,7 @@ def _section_table2(ml_samples: int, ml_seed: int):
     return build
 
 
-def _section_appendix_c(corpus: Corpus, store: RequestStore):
+def _section_appendix_c(corpus: Corpus, store: LazyRequestStore):
     result = appendix_c_combination(store)
     data = _asdict(result)
     body = (
@@ -236,14 +220,14 @@ def _section_appendix_c(corpus: Corpus, store: RequestStore):
     return data, body
 
 
-def _section_figure4(corpus: Corpus, store: RequestStore):
+def _section_figure4(corpus: Corpus, store: LazyRequestStore):
     points = figure4_plugin_evasion(store)
     data = [_asdict(point) for point in points]
     body = _rate_bar(points, lambda p: p.plugin, lambda p: p.evasion_probability)
     return data, body
 
 
-def _section_figure5(corpus: Corpus, store: RequestStore):
+def _section_figure5(corpus: Corpus, store: LazyRequestStore):
     rows = table1_rows(store)
     top, bottom = top_and_bottom_services(rows, "DataDome")
     high, low = figure5_core_cdfs(store, top, bottom)
@@ -262,14 +246,14 @@ def _section_figure5(corpus: Corpus, store: RequestStore):
     return data, body
 
 
-def _section_figure6(corpus: Corpus, store: RequestStore):
+def _section_figure6(corpus: Corpus, store: LazyRequestStore):
     points = figure6_device_evasion(store)
     data = [_asdict(point) for point in points]
     body = _rate_bar(points, lambda p: p.device, lambda p: p.evasion_probability)
     return data, body
 
 
-def _section_figure7(corpus: Corpus, store: RequestStore):
+def _section_figure7(corpus: Corpus, store: LazyRequestStore):
     analysis = figure7_iphone_resolutions(store)
     data = _asdict(analysis)
     body = format_table(
@@ -293,7 +277,7 @@ def _section_figure7(corpus: Corpus, store: RequestStore):
     return data, body
 
 
-def _section_figure8(corpus: Corpus, store: RequestStore):
+def _section_figure8(corpus: Corpus, store: LazyRequestStore):
     by_timezone, by_ip = figure8_location_histograms(store)
     data = {"by_timezone_country": by_timezone, "by_ip_country": by_ip}
     top_tz = dict(sorted(by_timezone.items(), key=lambda kv: kv[1], reverse=True)[:10])
@@ -303,7 +287,7 @@ def _section_figure8(corpus: Corpus, store: RequestStore):
     return data, body
 
 
-def _section_geo_match(corpus: Corpus, store: RequestStore):
+def _section_geo_match(corpus: Corpus, store: LazyRequestStore):
     regions = {
         profile.name: profile.advertised_region
         for profile in corpus.bot_profiles
@@ -327,7 +311,7 @@ def _section_geo_match(corpus: Corpus, store: RequestStore):
     return data, body
 
 
-def _section_figure9(corpus: Corpus, store: RequestStore):
+def _section_figure9(corpus: Corpus, store: LazyRequestStore):
     series = figure9_daily_series(store)
     new_fingerprints = new_fingerprints_over_time(store)
     data = {"series": _asdict(series), "new_fingerprints": list(new_fingerprints)}
@@ -347,7 +331,7 @@ def _section_figure9(corpus: Corpus, store: RequestStore):
     return data, body
 
 
-def _section_figure10(corpus: Corpus, store: RequestStore):
+def _section_figure10(corpus: Corpus, store: LazyRequestStore):
     spread = figure10_platform_spread(store)
     if spread is None:
         return None, "(no cookies recorded)"
@@ -360,7 +344,7 @@ def _section_figure10(corpus: Corpus, store: RequestStore):
     return data, body
 
 
-def _section_blocklists(corpus: Corpus, store: RequestStore):
+def _section_blocklists(corpus: Corpus, store: LazyRequestStore):
     asn = analyze_asn_blocklist(store, corpus.site.geo)
     ip = analyze_ip_blocklist(store)
     data = {"asn": _asdict(asn), "ip": _asdict(ip)}
@@ -386,66 +370,51 @@ def _section_blocklists(corpus: Corpus, store: RequestStore):
     return data, body
 
 
-def _section_privacy(engine: str):
-    def build(corpus: Corpus, store: RequestStore):
-        from repro.analysis.privacy_eval import (
-            corpus_privacy_tables,
-            evaluate_privacy_technologies,
-        )
-        from repro.core.detector import FPInconsistent
-        from repro.users.privacy import PrivacyTechnology
+def _section_privacy(corpus: Corpus, store: LazyRequestStore):
+    from repro.analysis.privacy_eval import (
+        corpus_privacy_tables,
+        evaluate_privacy_technologies,
+    )
+    from repro.core.detector import FPInconsistent
+    from repro.users.privacy import PrivacyTechnology
 
-        stores = {}
-        for technology in PrivacyTechnology:
-            privacy_store = corpus.privacy_store(technology)
-            if len(privacy_store) == 0:
-                continue
-            if engine == "object" and isinstance(privacy_store, LazyRequestStore):
-                privacy_store = RequestStore(list(privacy_store))
+    stores = {}
+    for technology in PrivacyTechnology:
+        privacy_store = corpus.privacy_store(technology)
+        if len(privacy_store) > 0:
             stores[technology] = privacy_store
-        if not stores:
-            return None, "(no privacy-technology traffic in this corpus)"
+    if not stores:
+        return None, "(no privacy-technology traffic in this corpus)"
 
-        # Fit identically under both engines (the mined rules are a pure
-        # function of the bot table), then classify per engine.
-        detector = FPInconsistent()
-        table, _source = detector.resolve_table(
-            corpus.bot_store, corpus.columnar_tables.get("bots")
-        )
-        detector.fit_table(table)
-        results = evaluate_privacy_technologies(
-            stores,
-            detector,
-            engine="columnar" if engine == "columnar" else "legacy",
-            tables=corpus_privacy_tables(corpus) if engine == "columnar" else None,
-        )
-        data = [
-            {**_asdict(result), "technology": result.technology.value}
+    detector = FPInconsistent()
+    table, _source = detector.resolve_table(corpus.bot_store, corpus.columnar_tables.get("bots"))
+    detector.fit_table(table)
+    results = evaluate_privacy_technologies(
+        stores, detector, tables=corpus_privacy_tables(corpus)
+    )
+    data = [
+        {**_asdict(result), "technology": result.technology.value}
+        for result in results
+    ]
+    body = format_table(
+        ["Technology", "Requests", "DataDome", "BotD", "FP-Inconsistent", "Spatial", "Temporal"],
+        [
+            (
+                result.technology.value,
+                result.requests,
+                format_percent(result.datadome_detection_rate),
+                format_percent(result.botd_detection_rate),
+                format_percent(result.fp_inconsistent_rate),
+                format_percent(result.fp_spatial_rate),
+                format_percent(result.fp_temporal_rate),
+            )
             for result in results
-        ]
-        body = format_table(
-            ["Technology", "Requests", "DataDome", "BotD", "FP-Inconsistent", "Spatial", "Temporal"],
-            [
-                (
-                    result.technology.value,
-                    result.requests,
-                    format_percent(result.datadome_detection_rate),
-                    format_percent(result.botd_detection_rate),
-                    format_percent(result.fp_inconsistent_rate),
-                    format_percent(result.fp_spatial_rate),
-                    format_percent(result.fp_temporal_rate),
-                )
-                for result in results
-            ],
-        )
-        return data, body
-
-    return build
+        ],
+    )
+    return data, body
 
 
-def _section_builders(
-    engine: str, ml_samples: int, ml_seed: int
-) -> List[Tuple[str, str, str, Callable]]:
+def _section_builders(ml_samples: int, ml_seed: int) -> List[Tuple[str, str, str, Callable]]:
     """(key, title, paper_ref, builder) for every report section, in
     paper order."""
 
@@ -463,37 +432,33 @@ def _section_builders(
         ("figure9", "Figure 9 · Daily series", "§6.3", _section_figure9),
         ("figure10", "Figure 10 · Cookie platform spread", "§6.3", _section_figure10),
         ("appendix_c", "Appendix C · Combination rule", "App. C", _section_appendix_c),
-        ("privacy", "Privacy technologies", "§7.5", _section_privacy(engine)),
+        ("privacy", "Privacy technologies", "§7.5", _section_privacy),
     ]
 
 
 def report_section_keys() -> Tuple[str, ...]:
     """Every section key ``generate_report`` knows, in report order."""
 
-    return tuple(entry[0] for entry in _section_builders("columnar", 0, 0))
+    return tuple(entry[0] for entry in _section_builders(0, 0))
 
 
 def generate_report(
     corpus: Corpus,
     *,
-    engine: str = "columnar",
     ml_samples: int = 4000,
     ml_seed: int = 0,
     sections: Optional[Sequence[str]] = None,
     cache_key: Optional[str] = None,
 ) -> Report:
-    """Regenerate every paper table/figure from *corpus* under *engine*.
+    """Regenerate every paper table/figure from *corpus*.
 
     ``sections`` optionally restricts generation to a subset of
     :func:`report_section_keys`.  The returned report carries per-section
     wall-clock seconds, content digests, and the number of record objects
-    materialised while generating (zero on the columnar engine when the
-    corpus is columnar-backed).
+    materialised while generating (zero for a columnar-backed corpus).
     """
 
-    if engine not in REPORT_ENGINES:
-        raise ValueError(f"engine must be one of {REPORT_ENGINES}, got {engine!r}")
-    builders = _section_builders(engine, ml_samples, ml_seed)
+    builders = _section_builders(ml_samples, ml_seed)
     known = {key for key, _, _, _ in builders}
     if sections is not None:
         unknown = sorted(set(sections) - known)
@@ -507,12 +472,7 @@ def generate_report(
     counter_before = materialized_record_count()
     tracer = obs.tracer()
     store = corpus.bot_store
-    with tracer.span(
-        "report.generate", engine=engine, sections=len(builders)
-    ) as report_span:
-        if engine == "object" and isinstance(store, LazyRequestStore):
-            store = RequestStore(list(store))
-
+    with tracer.span("report.generate", sections=len(builders)) as report_span:
         built: List[ReportSection] = []
         for key, title, paper_ref, builder in builders:
             # The span is the section timer: ``Span.duration`` is always
@@ -530,13 +490,11 @@ def generate_report(
                 )
             )
     total_seconds = report_span.duration
-    # Counter delta across the whole run, including the object engine's
-    # up-front materialisation (a lazy store that was already forced
-    # earlier in the process reports 0 — the records were billed to
+    # Counter delta across the whole run (a lazy store that was already
+    # forced earlier in the process reports 0 — the records were billed to
     # whoever forced them first).
     materialized = materialized_record_count() - counter_before
     return Report(
-        engine=engine,
         scale=corpus.scale,
         seed=corpus.seed,
         sections=tuple(built),

@@ -315,9 +315,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     _validate_corpus_args(args.parser, args)
     corpus = _build_from_args(args)
     started = time.perf_counter()
-    pipeline = FPInconsistentPipeline(
-        engine=args.engine, workers=args.workers, executor=args.executor
-    )
+    pipeline = FPInconsistentPipeline(workers=args.workers, executor=args.executor)
     result = pipeline.run(
         corpus.bot_store,
         real_user_store=corpus.real_user_store if not args.no_real_users else None,
@@ -327,8 +325,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     )
     elapsed = time.perf_counter() - started
     print(
-        f"pipeline: evaluated in {elapsed:.2f}s ({args.engine} engine, "
-        f"{args.workers or default_workers() or 1} worker(s))",
+        f"pipeline: evaluated in {elapsed:.2f}s "
+        f"({args.workers or default_workers() or 1} worker(s))",
         file=sys.stderr,
     )
     if result.table_sources.get("bots") == "reused":
@@ -338,7 +336,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         )
 
     summary = {
-        "engine": args.engine,
         "rules": len(result.filter_list),
         "table_sources": dict(result.table_sources),
         "evasion_reduction": {
@@ -418,7 +415,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     report = generate_report(
         corpus,
-        engine=args.engine,
         ml_samples=args.ml_samples,
         sections=sections,
         cache_key=cache_key,
@@ -426,8 +422,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print(report.render())
     print(
         f"report: {len(report.sections)} section(s) in {report.total_seconds:.2f}s "
-        f"({args.engine} engine, {report.materialized_records} record object(s) "
-        "materialised)",
+        f"({report.materialized_records} record object(s) materialised)",
         file=sys.stderr,
     )
     for section in report.sections:
@@ -445,7 +440,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.check_materialization and report.materialized_records:
         print(
             f"report: FAIL — {report.materialized_records} record object(s) "
-            f"materialised on the {args.engine} engine",
+            "materialised",
             file=sys.stderr,
         )
         return 1
@@ -624,13 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the Section 7.3 80/20 train/test check",
     )
     pipeline_parser.add_argument(
-        "--engine",
-        choices=("columnar", "legacy"),
-        default="columnar",
-        help="detection engine: vectorized columnar (default) or the "
-        "object-at-a-time legacy reference; results are identical",
-    )
-    pipeline_parser.add_argument(
         "--json",
         default=None,
         metavar="PATH",
@@ -643,13 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_corpus_arguments(report_parser)
     report_group = report_parser.add_argument_group("report")
-    report_group.add_argument(
-        "--engine",
-        choices=("columnar", "object"),
-        default="columnar",
-        help="analysis engine: zero-materialisation columnar (default) or the "
-        "record-at-a-time object reference; output is value-identical",
-    )
     report_group.add_argument(
         "--sections",
         default=None,

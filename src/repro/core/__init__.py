@@ -1,7 +1,7 @@
 """FP-Inconsistent: spatial/temporal inconsistency mining and detection."""
 
 from repro.core.columnar import ColumnarTable, partition_rows_by_device
-from repro.core.detector import ENGINES, FPInconsistent, InconsistencyVerdict, validate_engine
+from repro.core.detector import FPInconsistent, InconsistencyVerdict
 from repro.core.evaluation import (
     DetectionRates,
     GeneralizationResult,
@@ -36,7 +36,6 @@ __all__ = [
     "DEFAULT_IP_ATTRIBUTES",
     "DetectionRates",
     "DeviceKnowledgeBase",
-    "ENGINES",
     "FPInconsistent",
     "FPInconsistentPipeline",
     "FilterList",
@@ -58,5 +57,4 @@ __all__ = [
     "ordered_pair_tasks",
     "partition_rows_by_device",
     "true_negative_rate",
-    "validate_engine",
 ]

@@ -1,8 +1,8 @@
 """Columnar fingerprint table: the detection stack's vectorized substrate.
 
-The legacy detection paths walk Python objects once per (attribute pair,
-request): the spatial miner re-extracts every grouping value for every pair
-it examines and the filter list re-reads attributes per rule.  This module
+Detection over Python objects walks them once per (attribute pair,
+request): a miner re-extracts every grouping value for every pair it
+examines and a filter list re-reads attributes per rule.  This module
 extracts each :class:`~repro.honeysite.storage.RequestStore` exactly once
 into per-attribute **code columns** (a factorize representation: an
 ``int32`` array of value codes per attribute, ``-1`` for missing, plus the
@@ -15,10 +15,11 @@ code → value decode list), after which
 * the pipeline shards rows over the worker pool without pickling a single
   fingerprint — a shard is just slices of these arrays.
 
-Equivalence with the object-at-a-time reference paths is exact, not
-approximate: codes are assigned in first-occurrence order so ties broken by
-dict insertion order in the legacy code break identically here
-(``tests/test_columnar.py`` pins this).
+Equivalence with the object-at-a-time reference in
+``tests/reference/detection.py`` is exact, not approximate: codes are
+assigned in first-occurrence order so ties broken by dict insertion order
+in the reference break identically here (``tests/test_columnar.py`` pins
+this).
 """
 
 from __future__ import annotations

@@ -28,18 +28,6 @@ from repro.fingerprint.categories import AttributeCategory
 from repro.fingerprint.fingerprint import Fingerprint
 from repro.honeysite.storage import RequestStore
 
-#: Detection engine selectors: ``"columnar"`` (vectorized, default) and
-#: ``"legacy"`` (the object-at-a-time reference).  Both produce identical
-#: filter lists and verdicts; ``tests/test_columnar.py`` pins it.
-ENGINES = ("columnar", "legacy")
-
-
-def validate_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    return engine
-
-
 @dataclass(frozen=True)
 class InconsistencyVerdict:
     """Classification of one request by FP-Inconsistent."""
@@ -118,21 +106,20 @@ class FPInconsistent:
         return self._location_predicate
 
     def isolated_clone(self) -> "FPInconsistent":
-        """A detector sharing this one's read-only parts with fresh temporal state.
+        """A detector sharing this one's read-only parts.
 
-        The filter list, miner and knowledge base are only ever read during
-        classification, so they are shared by reference; the temporal
-        detector is configuration *plus* per-device state, so the clone
-        gets an empty copy.  Every concurrent consumer — classification
-        shards and the streaming :class:`~repro.stream.OnlineClassifier` —
-        classifies through one of these so
-        that the fitted detector a caller hands in is never mutated and no
-        temporal state leaks between streams.
+        The filter list, miner, knowledge base and temporal configuration
+        are only ever read during classification, so they are shared by
+        reference (temporal seen-state lives in a per-call
+        :class:`~repro.core.temporal.TemporalStreamState`, never in the
+        detector).  The streaming :class:`~repro.stream.OnlineClassifier`
+        classifies through one of these so that hot-swapping its filter
+        list never touches the fitted detector a caller handed in.
         """
 
         return FPInconsistent(
             filter_list=self._filter_list,
-            temporal=self._temporal.clone(),
+            temporal=self._temporal,
             miner=self._miner,
             location_predicate=self._location_predicate,
         )
@@ -143,25 +130,16 @@ class FPInconsistent:
         self,
         store: RequestStore,
         *,
-        engine: str = "columnar",
         workers: int = 1,
         executor: Optional[str] = None,
     ) -> "FPInconsistent":
         """Mine the spatial filter list from a bot-labelled request store.
 
-        ``engine="columnar"`` extracts the store into a
-        :class:`~repro.core.columnar.ColumnarTable` and mines vectorized
-        (optionally sharded over *workers*); ``engine="legacy"`` runs the
-        object-at-a-time reference.  Both produce the same filter list.
+        Extracts the store into a :class:`~repro.core.columnar.ColumnarTable`
+        and mines it vectorized, optionally sharded over *workers*.
         """
 
-        validate_engine(engine)
-        if engine == "legacy":
-            self._filter_list = self._miner.mine_store(store)
-        else:
-            table = self.extract_table(store)
-            self.fit_table(table, workers=workers, executor=executor)
-        return self
+        return self.fit_table(self.extract_table(store), workers=workers, executor=executor)
 
     def fit_table(
         self,
@@ -284,46 +262,25 @@ class FPInconsistent:
         *,
         use_spatial: bool = True,
         use_temporal: bool = True,
-        engine: str = "columnar",
         workers: int = 1,
         executor: Optional[str] = None,
     ) -> Dict[int, InconsistencyVerdict]:
         """Classify every request in *store*.
 
+        Extracts the store once and classifies the table
+        (:meth:`classify_table`), optionally sharded over *workers*.
         Temporal state is evaluated in timestamp order over the given store
         only (it does not leak across calls).  Returns a verdict per
-        ``request_id``.  ``engine="columnar"`` (default) extracts the store
-        once and classifies vectorized, optionally sharded over *workers*;
-        ``engine="legacy"`` is the per-request reference path.  Verdicts
-        are identical either way.
+        ``request_id``.
         """
 
-        validate_engine(engine)
-        if engine == "columnar":
-            table = self.extract_table(store)
-            return self.classify_table(
-                table,
-                use_spatial=use_spatial,
-                use_temporal=use_temporal,
-                workers=workers,
-                executor=executor,
-            )
-
-        temporal_flags: Dict[int, List[TemporalFlag]] = {}
-        if use_temporal:
-            temporal_flags = self._temporal.evaluate_store(store)
-
-        verdicts: Dict[int, InconsistencyVerdict] = {}
-        for record in store:
-            spatial_rule = None
-            if use_spatial:
-                spatial_rule = self.check_fingerprint(record.request.fingerprint)
-            verdicts[record.request.request_id] = InconsistencyVerdict(
-                request_id=record.request.request_id,
-                spatial_rule=spatial_rule,
-                temporal_flags=tuple(temporal_flags.get(record.request.request_id, ())),
-            )
-        return verdicts
+        return self.classify_table(
+            self.extract_table(store),
+            use_spatial=use_spatial,
+            use_temporal=use_temporal,
+            workers=workers,
+            executor=executor,
+        )
 
     def classify_table(
         self,
@@ -346,7 +303,7 @@ class FPInconsistent:
         on those identifiers — are identical to a single-shard evaluation.
 
         *temporal_state* switches temporal detection from the
-        self-contained batch evaluation (state reset, whole table replayed)
+        self-contained batch evaluation (fresh state, whole table replayed)
         to the **incremental** streaming mode: the given
         :class:`~repro.core.temporal.TemporalStreamState` is updated in
         place and carried across calls, so the streaming subsystem scores
@@ -408,7 +365,7 @@ class FPInconsistent:
         The knowledge base is consulted once per distinct (IP country,
         timezone) code pair among the unmatched rows, found with one
         ``np.unique``; each pair's rule object is shared by its rows and is
-        value-identical to the reference path's.
+        value-identical to :meth:`check_fingerprint`'s.
         """
 
         for attribute in (Attribute.IP_COUNTRY, Attribute.TIMEZONE):
@@ -465,22 +422,6 @@ class FPInconsistent:
         # like a single-shard classification.
         return {int(request_id): merged[int(request_id)] for request_id in table.request_ids}
 
-    def inconsistent_fraction(
-        self,
-        store: RequestStore,
-        *,
-        use_spatial: bool = True,
-        use_temporal: bool = True,
-    ) -> float:
-        """Fraction of requests in *store* classified as inconsistent."""
-
-        if len(store) == 0:
-            return 0.0
-        verdicts = self.classify_store(
-            store, use_spatial=use_spatial, use_temporal=use_temporal
-        )
-        return sum(1 for verdict in verdicts.values() if verdict.is_inconsistent) / len(store)
-
 
 @dataclass(frozen=True)
 class _ClassificationShard:
@@ -495,14 +436,11 @@ class _ClassificationShard:
 def _classify_shard(shard: _ClassificationShard) -> Dict[int, InconsistencyVerdict]:
     """Worker entry point: classify one shard single-threaded.
 
-    The temporal detector is stateful (per-device value sets), so each
-    shard classifies through a fresh clone: with a thread executor every
-    shard would otherwise mutate the one shared ``_seen`` table.  The
-    filter list, miner and knowledge base are only read.
+    The detector is only read (temporal seen-state is per call), so thread
+    shards share it safely.
     """
 
-    isolated = shard.detector.isolated_clone()
-    return isolated.classify_table(
+    return shard.detector.classify_table(
         shard.table,
         use_spatial=shard.use_spatial,
         use_temporal=shard.use_temporal,

@@ -67,15 +67,14 @@ class _StoreColumns:
     temporally — once per (service, detector, rule-setting) combination.
     Extracting them once into numpy arrays turns every table cell into a
     masked count.  All rates stay integer-count ratios, so the floats are
-    bit-identical to the per-record loops'.
+    bit-identical to per-record loops'.
     """
 
     def __init__(self, store: RequestStore, verdicts: Dict[int, InconsistencyVerdict]):
         # Every column routes through the store's columnar accessors
         # (request_id_array / evaded_rows / source_rows): a lazy
         # columnar-backed store answers them from its arrays without
-        # materialising a single record object, an object store walks its
-        # records exactly as this constructor used to.
+        # materialising a single record object.
         self.n = len(store)
         spatial_ids, temporal_ids = _verdict_id_sets(verdicts)
         request_ids = store.request_id_array().tolist()
@@ -116,34 +115,6 @@ def _verdict_id_sets(verdicts: Dict[int, InconsistencyVerdict]):
         if verdict.temporally_inconsistent:
             temporal.add(request_id)
     return spatial, temporal
-
-
-def _improved_detection_rate(
-    store: RequestStore,
-    verdicts: Dict[int, InconsistencyVerdict],
-    detector: str,
-    *,
-    use_spatial: bool,
-    use_temporal: bool,
-    id_sets=None,
-) -> float:
-    """Detection rate when the service's decision is OR-ed with the rules."""
-
-    if len(store) == 0:
-        return 0.0
-    spatial_ids, temporal_ids = id_sets if id_sets is not None else _verdict_id_sets(verdicts)
-    detected = 0
-    for record in store:
-        if not record.evaded(detector):
-            detected += 1
-            continue
-        request_id = record.request.request_id
-        hit = (use_spatial and request_id in spatial_ids) or (
-            use_temporal and request_id in temporal_ids
-        )
-        if hit:
-            detected += 1
-    return detected / len(store)
 
 
 def _detection_rates_from_columns(columns: _StoreColumns, detector: str) -> DetectionRates:
@@ -259,7 +230,6 @@ def evaluate_generalization(
     train_fraction: float = 0.8,
     seed: int = 0,
     detector_factory=None,
-    engine: str = "columnar",
     workers: int = 1,
     executor=None,
     table=None,
@@ -268,54 +238,37 @@ def evaluate_generalization(
 
     Returns per-detector train/test combined detection rates.  The paper
     reports a drop of 0.23 (DataDome) and 0.42 (BotD) percentage points.
-    *engine*, *workers* and *executor* select the detection engine exactly
-    as in :meth:`FPInconsistent.fit` / :meth:`FPInconsistent.classify_store`.
+    *workers* and *executor* shard mining and classification as in
+    :meth:`FPInconsistent.fit_table` / :meth:`FPInconsistent.classify_table`.
 
-    On the columnar engine the split happens through
-    :meth:`~repro.core.columnar.ColumnarTable.take` over one extraction of
-    the whole store — or over *table*, when the caller (the pipeline)
-    already holds it — instead of re-extracting the train and test stores
-    from scratch; results are identical either way.
+    One permutation split (:func:`~repro.honeysite.storage.split_rows`)
+    slices both the store (:meth:`~repro.honeysite.storage.RequestStore.take`,
+    which a lazy store answers without materialising a record) and one
+    extraction of the whole store — or *table*, when the caller (the
+    pipeline) already holds it — so both views agree row for row.
     """
 
     rng = np.random.default_rng(seed)
     fpi = detector_factory() if detector_factory is not None else FPInconsistent()
-    if engine == "columnar":
-        train_rows, test_rows = split_rows(len(store), train_fraction, rng)
-        records = store.records
-        train_store = RequestStore(records[int(i)] for i in train_rows)
-        test_store = RequestStore(records[int(i)] for i in test_rows)
-        if table is None or not fpi.accepts_table(table, store):
-            table = fpi.extract_table(store)
-        train_table = table.take(train_rows)
-        test_table = table.take(test_rows)
-        fpi.fit_table(train_table, workers=workers, executor=executor)
-        train_verdicts = fpi.classify_table(
-            train_table, workers=workers, executor=executor
-        )
-        test_verdicts = fpi.classify_table(test_table, workers=workers, executor=executor)
-    else:
-        train_store, test_store = store.split(train_fraction, rng)
-        fpi.fit(train_store, engine=engine, workers=workers, executor=executor)
-        train_verdicts = fpi.classify_store(
-            train_store, engine=engine, workers=workers, executor=executor
-        )
-        test_verdicts = fpi.classify_store(
-            test_store, engine=engine, workers=workers, executor=executor
-        )
-    results = {}
-    train_id_sets = _verdict_id_sets(train_verdicts)
-    test_id_sets = _verdict_id_sets(test_verdicts)
-    for name in DETECTOR_NAMES:
-        results[name] = GeneralizationResult(
+    train_rows, test_rows = split_rows(len(store), train_fraction, rng)
+    if table is None or not fpi.accepts_table(table, store):
+        table = fpi.extract_table(store)
+    train_table = table.take(train_rows)
+    test_table = table.take(test_rows)
+    fpi.fit_table(train_table, workers=workers, executor=executor)
+    train = _StoreColumns(
+        store.take(train_rows),
+        fpi.classify_table(train_table, workers=workers, executor=executor),
+    )
+    test = _StoreColumns(
+        store.take(test_rows),
+        fpi.classify_table(test_table, workers=workers, executor=executor),
+    )
+    return {
+        name: GeneralizationResult(
             detector=name,
-            train_detection_rate=_improved_detection_rate(
-                train_store, train_verdicts, name,
-                use_spatial=True, use_temporal=True, id_sets=train_id_sets,
-            ),
-            test_detection_rate=_improved_detection_rate(
-                test_store, test_verdicts, name,
-                use_spatial=True, use_temporal=True, id_sets=test_id_sets,
-            ),
+            train_detection_rate=_detection_rates_from_columns(train, name).with_combined,
+            test_detection_rate=_detection_rates_from_columns(test, name).with_combined,
         )
-    return results
+        for name in DETECTOR_NAMES
+    }

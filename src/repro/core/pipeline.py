@@ -5,18 +5,15 @@ numbers of Tables 3 and 4, the real-user true-negative rate of Section 7.4
 and the generalisation check of Section 7.3 from one call.  The benchmarks
 and the quickstart example are thin wrappers around this module.
 
-Two interchangeable engines back the evaluation:
-
-* ``"columnar"`` (default) extracts each request store once into a
-  :class:`~repro.core.columnar.ColumnarTable`, mines pair statistics
-  vectorized, matches the filter list through its compiled code index and
-  can shard both mining (by attribute pair) and classification (by
-  device-closed row groups) over the
-  :func:`repro.analysis.engine.map_shards` worker pool;
-* ``"legacy"`` is the object-at-a-time reference implementation.
-
-Both produce identical filter lists and verdicts for any worker count and
-either executor kind — only wall-clock time differs.
+Each request store is extracted once into a
+:class:`~repro.core.columnar.ColumnarTable` (or a pre-extracted table is
+reused); pair statistics are mined vectorized, the filter list matches
+through its compiled code index, and both mining (by attribute pair) and
+classification (by device-closed row groups) can shard over the
+:func:`repro.analysis.engine.map_shards` worker pool.  Filter lists and
+verdicts are identical for any worker count and either executor kind —
+only wall-clock time differs.  The object-at-a-time reference the engine
+is pinned against lives in ``tests/reference/detection.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro import obs
-from repro.core.detector import FPInconsistent, InconsistencyVerdict, validate_engine
+from repro.core.detector import FPInconsistent, InconsistencyVerdict
 from repro.core.evaluation import (
     DetectionRates,
     GeneralizationResult,
@@ -82,13 +79,10 @@ class FPInconsistentPipeline:
     ----------
     miner_config / temporal:
         Forwarded to the underlying :class:`FPInconsistent` detector.
-    engine:
-        ``"columnar"`` (vectorized, default) or ``"legacy"`` (reference).
     workers / executor:
-        Shard fan-out for the columnar engine; ``None`` reads the
+        Shard fan-out of mining and classification; ``None`` reads the
         ``REPRO_WORKERS`` / ``REPRO_EXECUTOR`` environment knobs (the same
-        ones the corpus engine honours), falling back to 1 worker.  The
-        legacy engine ignores both.
+        ones the corpus engine honours), falling back to 1 worker.
     """
 
     def __init__(
@@ -96,13 +90,11 @@ class FPInconsistentPipeline:
         *,
         miner_config: Optional[SpatialMinerConfig] = None,
         temporal: Optional[TemporalInconsistencyDetector] = None,
-        engine: str = "columnar",
         workers: Optional[int] = None,
         executor: Optional[str] = None,
     ):
         self._miner_config = miner_config
         self._temporal = temporal
-        self._engine = validate_engine(engine)
         self._workers = workers
         self._executor = executor
 
@@ -158,34 +150,23 @@ class FPInconsistentPipeline:
             so results never depend on where the table came from.
         """
 
-        engine = self._engine
         workers = self._resolve_workers(workers)
         executor = executor if executor is not None else self._executor
 
         detector = self._build_detector()
         tracer = obs.tracer()
         table_sources: Dict[str, str] = {}
-        if engine == "legacy":
-            with tracer.span("pipeline.mine", engine=engine):
-                detector.fit(bot_store, engine="legacy")
-            with tracer.span("pipeline.classify", engine=engine, subset="bots"):
-                verdicts = detector.classify_store(bot_store, engine="legacy")
-            table = None
-        else:
-            # resolve_table extracts through the detector (not bare
-            # ColumnarTable.from_store): it appends the tracked temporal
-            # attributes, so a custom temporal configuration keeps the
-            # columnar/legacy verdicts identical.
-            with tracer.span("pipeline.extract", subset="bots") as span:
-                table, table_sources["bots"] = detector.resolve_table(bot_store, bot_table)
-                span.set(source=table_sources["bots"], rows=table.n_rows)
-            with tracer.span("pipeline.mine", engine=engine, workers=workers) as span:
-                detector.fit_table(table, workers=workers, executor=executor)
-                span.set(rules=len(detector.filter_list))
-            with tracer.span(
-                "pipeline.classify", engine=engine, subset="bots", workers=workers
-            ):
-                verdicts = detector.classify_table(table, workers=workers, executor=executor)
+        # resolve_table extracts through the detector (not bare
+        # ColumnarTable.from_store): it appends the tracked temporal
+        # attributes, so a custom temporal configuration keeps its flags.
+        with tracer.span("pipeline.extract", subset="bots") as span:
+            table, table_sources["bots"] = detector.resolve_table(bot_store, bot_table)
+            span.set(source=table_sources["bots"], rows=table.n_rows)
+        with tracer.span("pipeline.mine", workers=workers) as span:
+            detector.fit_table(table, workers=workers, executor=executor)
+            span.set(rules=len(detector.filter_list))
+        with tracer.span("pipeline.classify", subset="bots", workers=workers):
+            verdicts = detector.classify_table(table, workers=workers, executor=executor)
         _RULES_MINED.set(len(detector.filter_list))
         _VERDICTS.inc(len(verdicts), subset="bots")
 
@@ -200,18 +181,13 @@ class FPInconsistentPipeline:
             )
 
         if real_user_store is not None and len(real_user_store) > 0:
-            with tracer.span("pipeline.classify", engine=engine, subset="real_users"):
-                if engine == "columnar":
-                    user_table, table_sources["real_users"] = detector.resolve_table(
-                        real_user_store, real_user_table
-                    )
-                    user_verdicts = detector.classify_table(
-                        user_table, workers=workers, executor=executor
-                    )
-                else:
-                    user_verdicts = detector.classify_store(
-                        real_user_store, engine=engine, workers=workers, executor=executor
-                    )
+            with tracer.span("pipeline.classify", subset="real_users"):
+                user_table, table_sources["real_users"] = detector.resolve_table(
+                    real_user_store, real_user_table
+                )
+                user_verdicts = detector.classify_table(
+                    user_table, workers=workers, executor=executor
+                )
             _VERDICTS.inc(len(user_verdicts), subset="real_users")
             result.real_user_tnr = true_negative_rate(real_user_store, user_verdicts)
 
@@ -221,7 +197,6 @@ class FPInconsistentPipeline:
                     bot_store,
                     seed=generalization_seed,
                     detector_factory=self._build_detector,
-                    engine=engine,
                     workers=workers,
                     executor=executor,
                     table=table,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from repro.core.knowledge import DeviceKnowledgeBase
 from repro.core.rules import FilterList, InconsistencyRule
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.categories import AttributeCategory, category_pairs
-from repro.fingerprint.fingerprint import Fingerprint
 
 
 @dataclass(frozen=True)
@@ -99,8 +98,8 @@ class PairStatistics:
         """Number of requests carrying ``attribute_a == value_a``.
 
         Supports are summed once and cached: the mining loop queries every
-        ranked value, and recomputing the sum per query made the reference
-        miner O(values²) per pair.
+        ranked value, and recomputing the sum per query made mining
+        O(values²) per pair.
         """
 
         return self._supports.get(value_a, 0)
@@ -125,52 +124,16 @@ class SpatialInconsistencyMiner:
     def knowledge(self) -> DeviceKnowledgeBase:
         return self._knowledge
 
-    # -- statistics ------------------------------------------------------------
-
-    def pair_statistics(
-        self,
-        fingerprints: Sequence[Fingerprint],
-        category: AttributeCategory,
-        attribute_a: Attribute,
-        attribute_b: Attribute,
-    ) -> PairStatistics:
-        """Co-occurrence counts of one attribute pair over *fingerprints*."""
-
-        combinations: Dict[object, Dict[object, int]] = {}
-        for fingerprint in fingerprints:
-            value_a = fingerprint.value_for_grouping(attribute_a)
-            value_b = fingerprint.value_for_grouping(attribute_b)
-            if value_a is None or value_b is None:
-                continue
-            bucket = combinations.setdefault(value_a, {})
-            bucket[value_b] = bucket.get(value_b, 0) + 1
-        return PairStatistics(
-            category=category,
-            attribute_a=attribute_a,
-            attribute_b=attribute_b,
-            combinations=combinations,
-        )
-
     # -- mining -----------------------------------------------------------------
-
-    def mine_pair(
-        self,
-        fingerprints: Sequence[Fingerprint],
-        category: AttributeCategory,
-        attribute_a: Attribute,
-        attribute_b: Attribute,
-    ) -> List[InconsistencyRule]:
-        """Mine rules for a single attribute pair."""
-
-        statistics = self.pair_statistics(fingerprints, category, attribute_a, attribute_b)
-        return self.select_rules(statistics)
 
     def select_rules(self, statistics: PairStatistics) -> List[InconsistencyRule]:
         """Steps 2–3 of Algorithm 1 over pre-computed pair statistics.
 
-        Shared by the reference and the columnar miners: once the
-        co-occurrence structure is identical, rule selection (ranking,
-        inflation pre-filter, knowledge-base judgement) is identical too.
+        Shared by :meth:`mine_table` and the object-at-a-time reference
+        miner the tests pin it against (``tests/reference/detection.py``):
+        once the co-occurrence structure is identical, rule selection
+        (ranking, inflation pre-filter, knowledge-base judgement) is
+        identical too.
         """
 
         category = statistics.category
@@ -217,28 +180,6 @@ class SpatialInconsistencyMiner:
                         )
                     )
         return rules
-
-    def mine(self, fingerprints: Sequence[Fingerprint]) -> FilterList:
-        """Mine a full filter list over every category's attribute pairs.
-
-        This is the object-at-a-time reference implementation: one pass
-        over *fingerprints* per attribute-pair orientation.  The columnar
-        engine (:meth:`mine_table`) reproduces its output exactly.
-        """
-
-        filter_list = FilterList()
-        for category, attribute_a, attribute_b in ordered_pair_tasks():
-            for rule in self.mine_pair(fingerprints, category, attribute_a, attribute_b):
-                filter_list.add(rule)
-        return filter_list
-
-    def mine_store(self, store) -> FilterList:
-        """Mine from a :class:`~repro.honeysite.RequestStore` of bot traffic."""
-
-        fingerprints = [record.request.fingerprint for record in store]
-        return self.mine(fingerprints)
-
-    # -- columnar mining --------------------------------------------------------
 
     def mine_table(
         self,
@@ -304,8 +245,9 @@ def ordered_pair_tasks() -> List[Tuple[AttributeCategory, Attribute, Attribute]]
 
     Algorithm 1 sorts one side of the pair; mining the swapped orientation
     as well catches pairs where the *second* attribute's values are the
-    inflated ones.  Both miners and the sharded merge iterate this exact
-    sequence, which is what makes their outputs identical.
+    inflated ones.  Serial and sharded mining (and the test reference
+    miner) iterate this exact sequence, which is what makes their outputs
+    identical.
     """
 
     tasks: List[Tuple[AttributeCategory, Attribute, Attribute]] = []
@@ -322,12 +264,12 @@ def columnar_pair_statistics(
     attribute_a: Attribute,
     attribute_b: Attribute,
 ) -> PairStatistics:
-    """Vectorized equivalent of :meth:`SpatialInconsistencyMiner.pair_statistics`.
+    """Step 1 of Algorithm 1: co-occurrence counts of one attribute pair.
 
     One ``numpy.unique`` pass yields every (value_a, value_b) count.  The
     result dicts are rebuilt in first-occurrence order — the insertion
-    order the per-fingerprint loop produces — so downstream tie-breaking
-    (stable sorts over dict order) behaves identically.
+    order a per-fingerprint counting loop produces — so downstream
+    tie-breaking (stable sorts over dict order) matches it exactly.
     """
 
     codes_a = table.codes_of(attribute_a)

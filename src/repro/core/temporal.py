@@ -23,14 +23,12 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.columnar import intern_values
 from repro.fingerprint.attributes import Attribute
-from repro.fingerprint.fingerprint import Fingerprint
-from repro.honeysite.storage import RequestStore
 
 #: Immutable attributes tracked per cookie by default (Section 7.2 names
 #: hardware concurrency, device memory and the platform example of §6.3).
@@ -346,7 +344,13 @@ class TemporalFlag:
 
 
 class TemporalInconsistencyDetector:
-    """Streaming detector of temporal inconsistencies."""
+    """Streaming detector of temporal inconsistencies.
+
+    The detector is configuration only (tracked attributes and
+    tolerances): seen-state lives in a :class:`TemporalStreamState`, fresh
+    per :meth:`evaluate_table` call or carried by the caller across
+    :meth:`observe_table` calls, so one detector is safe to share.
+    """
 
     def __init__(
         self,
@@ -362,13 +366,6 @@ class TemporalInconsistencyDetector:
         self._ip_attributes = tuple(ip_attributes)
         self._cookie_tolerance = cookie_tolerance
         self._ip_tolerance = ip_tolerance
-        #: (key_kind, key, attribute) -> observed values, insertion-ordered.
-        #: A dict-as-ordered-set rather than a set so that
-        #: ``TemporalFlag.previous_values`` lists values in observation
-        #: order — deterministic across interpreter runs and worker
-        #: processes, where string hash randomisation would otherwise
-        #: shuffle set iteration order.
-        self._seen: Dict[Tuple[str, str, Attribute], Dict[object, None]] = {}
 
     @property
     def tracked_attributes(self) -> Tuple[Attribute, ...]:
@@ -376,131 +373,24 @@ class TemporalInconsistencyDetector:
 
         return self._cookie_attributes + self._ip_attributes
 
-    def clone(self) -> "TemporalInconsistencyDetector":
-        """A detector with the same configuration and fresh (empty) state.
-
-        Classification shards each stream their own device-closed row
-        group; with a thread executor they would otherwise share — and
-        corrupt — one ``_seen`` table.
-        """
-
-        return TemporalInconsistencyDetector(
-            cookie_attributes=self._cookie_attributes,
-            ip_attributes=self._ip_attributes,
-            cookie_tolerance=self._cookie_tolerance,
-            ip_tolerance=self._ip_tolerance,
-        )
-
-    def reset(self) -> None:
-        """Forget all per-device state."""
-
-        self._seen.clear()
-
-    # -- streaming API -----------------------------------------------------------
-
-    def _observe_one(
-        self,
-        key_kind: str,
-        key: str,
-        attribute: Attribute,
-        value: object,
-        tolerance: int,
-    ) -> Optional[TemporalFlag]:
-        if value is None or not key:
-            return None
-        seen = self._seen.setdefault((key_kind, key, attribute), {})
-        if value in seen:
-            return None
-        flag: Optional[TemporalFlag] = None
-        if len(seen) >= tolerance:
-            flag = TemporalFlag(
-                key_kind=key_kind,
-                key=key,
-                attribute=attribute,
-                previous_values=tuple(seen),
-                new_value=value,
-            )
-        seen[value] = None
-        return flag
-
-    def observe(
-        self,
-        fingerprint: Fingerprint,
-        *,
-        cookie: Optional[str],
-        ip_address: Optional[str],
-    ) -> List[TemporalFlag]:
-        """Process one request; returns the flags it raised (possibly empty).
-
-        The observation is recorded regardless of whether it was flagged,
-        so a later request re-using an already-flagged value is *not*
-        flagged again (only increases are flagged).
-        """
-
-        flags: List[TemporalFlag] = []
-        if cookie:
-            for attribute in self._cookie_attributes:
-                flag = self._observe_one(
-                    "cookie",
-                    cookie,
-                    attribute,
-                    fingerprint.value_for_grouping(attribute),
-                    self._cookie_tolerance,
-                )
-                if flag is not None:
-                    flags.append(flag)
-        if ip_address:
-            for attribute in self._ip_attributes:
-                flag = self._observe_one(
-                    "ip",
-                    ip_address,
-                    attribute,
-                    fingerprint.value_for_grouping(attribute),
-                    self._ip_tolerance,
-                )
-                if flag is not None:
-                    flags.append(flag)
-        return flags
-
     # -- batch API ------------------------------------------------------------------
-
-    def evaluate_store(self, store: RequestStore) -> Dict[int, List[TemporalFlag]]:
-        """Evaluate a whole store in timestamp order.
-
-        Returns a mapping from ``request_id`` to the flags raised by that
-        request (requests that raised none are omitted).  Detector state is
-        reset first so the evaluation is self-contained.
-        """
-
-        self.reset()
-        flagged: Dict[int, List[TemporalFlag]] = {}
-        for record in store.sorted_by_time():
-            flags = self.observe(
-                record.request.fingerprint,
-                cookie=record.cookie,
-                ip_address=record.request.ip_address,
-            )
-            if flags:
-                flagged[record.request.request_id] = flags
-        return flagged
 
     def evaluate_table(self, table) -> Dict[int, List[TemporalFlag]]:
         """Evaluate a columnar table in timestamp order.
 
-        The streaming semantics are exactly :meth:`evaluate_store`'s —
-        same stable time ordering, same per-key state — but the stream runs
-        over the table's integer code columns through a fresh
-        :class:`TemporalStreamState`, decoding to the underlying values
-        only when a flag actually fires.  No fingerprint object is touched
-        (and none needs to cross a process boundary when shards classify
-        in parallel).  Like :meth:`evaluate_store` this is self-contained:
-        detector state is reset first, and the streaming ``observe`` state
-        is left cleared afterwards.
+        Requests stream in stable timestamp order; a request is flagged
+        when it grows its device key's distinct values of a tracked
+        attribute past the tolerance.  The stream runs over the table's
+        integer code columns through a fresh :class:`TemporalStreamState`,
+        decoding to the underlying values only when a flag actually fires,
+        so no fingerprint object is touched (and none needs to cross a
+        process boundary when shards classify in parallel).  The
+        evaluation is self-contained: nothing carries over between calls.
+        Returns ``request_id`` → flags for the flagged requests.
         """
 
         if table.timestamps is None or table.cookie_codes is None or table.ip_codes is None:
             raise ValueError("temporal evaluation requires a table built with from_store")
-        self.reset()
         return self._stream_table(table, TemporalStreamState())
 
     # -- incremental (streaming) API ---------------------------------------------
@@ -544,9 +434,9 @@ class TemporalInconsistencyDetector:
         time_rank = np.empty(table.n_rows, dtype=np.int64)
         time_rank[time_order] = np.arange(table.n_rows)
 
-        # Columns stream in the order :meth:`observe` raises flags (cookie
-        # attributes, then IP ones), so appending per row keeps that order;
-        # state is independent per (key, attribute), so streaming
+        # Columns stream in the order a per-request check raises flags
+        # (cookie attributes, then IP ones), so appending per row keeps that
+        # order; state is independent per (key, attribute), so streaming
         # column-wise is equivalent to row-wise observation.
         per_row: Dict[int, List[TemporalFlag]] = {}
         epoch = state.epoch
@@ -556,8 +446,7 @@ class TemporalInconsistencyDetector:
             ("ip", table.ip_codes, table.ip_values,
              self._ip_attributes, self._ip_tolerance),
         ):
-            # Falsy keys ("" cookie) map to -1 and track nothing, exactly
-            # like the falsy-key guard in :meth:`observe`.
+            # Falsy keys ("" cookie) map to -1 and track nothing.
             row_keys = np.full(table.n_rows, -1, dtype=np.int64)
             present = key_codes >= 0
             if present.any():
@@ -590,8 +479,3 @@ class TemporalInconsistencyDetector:
             int(request_ids[row]): per_row[row]
             for row in sorted(per_row, key=lambda row: time_rank[row])
         }
-
-    def flagged_request_ids(self, store: RequestStore) -> Set[int]:
-        """The request ids flagged when evaluating *store*."""
-
-        return set(self.evaluate_store(store))

@@ -1422,10 +1422,10 @@ class RequestStore:
 
         return self.filter(lambda record: record.evaded(detector))
 
-    def detected_by(self, detector: str) -> "RequestStore":
-        """Records flagged by *detector*."""
+    def take(self, rows) -> "RequestStore":
+        """New store of the records at positions *rows*, in that order."""
 
-        return self.filter(lambda record: not record.evaded(detector))
+        return RequestStore(self._records[int(row)] for row in rows)
 
     # -- aggregate statistics -------------------------------------------------------
 
@@ -1470,15 +1470,6 @@ class RequestStore:
             return 0.0
         return 1.0 - self.evasion_rate(detector)
 
-    def unique_values(self, attribute: Attribute) -> Dict[object, int]:
-        """Histogram of grouping values of *attribute* across the store."""
-
-        histogram: Dict[object, int] = {}
-        for record in self._records:
-            value = record.request.fingerprint.value_for_grouping(attribute)
-            histogram[value] = histogram.get(value, 0) + 1
-        return histogram
-
     def unique_ips(self) -> int:
         """Number of distinct source IP addresses."""
 
@@ -1493,49 +1484,6 @@ class RequestStore:
         """Number of distinct fingerprint hashes."""
 
         return len({record.request.fingerprint.stable_hash() for record in self._records})
-
-    def daily_series(self) -> Dict[int, Dict[str, int]]:
-        """Per-day counts backing Figure 9.
-
-        Returns ``{day: {"requests", "unique_ips", "unique_cookies",
-        "unique_fingerprints"}}`` keyed by day index.
-        """
-
-        per_day: Dict[int, List[RecordedRequest]] = {}
-        for record in self._records:
-            per_day.setdefault(record.day, []).append(record)
-        series: Dict[int, Dict[str, int]] = {}
-        for day, records in sorted(per_day.items()):
-            series[day] = {
-                "requests": len(records),
-                "unique_ips": len({r.request.ip_address for r in records}),
-                "unique_cookies": len({r.cookie for r in records}),
-                "unique_fingerprints": len(
-                    {r.request.fingerprint.stable_hash() for r in records}
-                ),
-            }
-        return series
-
-    def group_by_cookie(self) -> Dict[str, List[RecordedRequest]]:
-        """Records grouped by first-party cookie value."""
-
-        groups: Dict[str, List[RecordedRequest]] = {}
-        for record in self._records:
-            groups.setdefault(record.cookie, []).append(record)
-        return groups
-
-    def group_by_ip(self) -> Dict[str, List[RecordedRequest]]:
-        """Records grouped by source IP address."""
-
-        groups: Dict[str, List[RecordedRequest]] = {}
-        for record in self._records:
-            groups.setdefault(record.request.ip_address, []).append(record)
-        return groups
-
-    def sorted_by_time(self) -> "RequestStore":
-        """New store with records ordered by timestamp."""
-
-        return RequestStore(sorted(self._records, key=lambda record: record.timestamp))
 
     def columnar(self, attributes=None):
         """Extract the store into a columnar fingerprint table.
@@ -1556,11 +1504,8 @@ class RequestStore:
     ) -> Tuple["RequestStore", "RequestStore"]:
         """Random split into two stores of sizes ``fraction`` / ``1-fraction``."""
 
-        first, second = split_rows(len(self._records), fraction, rng)
-        return (
-            RequestStore(self._records[int(i)] for i in first),
-            RequestStore(self._records[int(i)] for i in second),
-        )
+        first, second = split_rows(len(self), fraction, rng)
+        return self.take(first), self.take(second)
 
 
 #: Process-wide total of record objects built out of lazy stores.  The
@@ -1724,8 +1669,8 @@ class LazyRequestStore(RequestStore):
             return 0.0
         return 1.0 - self.evasion_rate(detector)
 
-    def _take(self, rows: np.ndarray) -> "LazyRequestStore":
-        return LazyRequestStore(self._columns.take(rows))
+    def take(self, rows) -> "LazyRequestStore":
+        return LazyRequestStore(self._columns.take(np.asarray(rows, dtype=np.int64)))
 
     def by_sources(self, sources: Iterable[str]) -> "LazyRequestStore":
         names = frozenset(sources)
@@ -1739,20 +1684,13 @@ class LazyRequestStore(RequestStore):
             rows = np.empty(0, dtype=np.int64)
         else:
             rows = np.nonzero(wanted[columns.source_codes])[0]
-        return self._take(rows)
+        return self.take(rows)
 
     def by_source(self, source: str) -> "LazyRequestStore":
         return self.by_sources((source,))
 
     def evading(self, detector: str) -> "LazyRequestStore":
-        return self._take(np.nonzero(self._columns.evaded_rows(detector))[0])
-
-    def detected_by(self, detector: str) -> "LazyRequestStore":
-        return self._take(np.nonzero(~self._columns.evaded_rows(detector))[0])
-
-    def split(self, fraction: float, rng) -> Tuple["LazyRequestStore", "LazyRequestStore"]:
-        first, second = split_rows(len(self), fraction, rng)
-        return self._take(first), self._take(second)
+        return self.take(np.nonzero(self._columns.evaded_rows(detector))[0])
 
     def sources(self) -> Tuple[str, ...]:
         columns = self._columns

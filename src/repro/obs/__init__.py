@@ -21,8 +21,7 @@ variable ``REPRO_TELEMETRY`` is set to anything but ``0``/``false``/
 process-pool workers inherit it), or programmatically via
 :func:`set_telemetry`.  Instrumentation never perturbs results: every
 byte-identity oracle holds with telemetry on, and the stream-replay
-overhead budget is measured and gated by
-``benchmarks/bench_stream_scaling.py``.
+overhead is gated as an on/off throughput ratio in ``tests/test_obs.py``.
 
 A few counters are *always on* regardless of the switch: they back
 pre-existing public accessors (``materialized_record_count()``,

@@ -24,8 +24,7 @@ arrive, in five pieces:
   segments plus one small snapshot, no pickle), so an interrupted replay
   resumes byte-identically (``docs/robustness.md``).
 
-``repro stream`` on the command line and
-``benchmarks/bench_stream_scaling.py`` drive this package; the
+``repro stream`` on the command line drives this package; the
 architecture is documented in ``docs/streaming.md``.
 """
 

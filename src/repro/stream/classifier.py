@@ -38,9 +38,9 @@ class OnlineClassifier:
     """Scores micro-batches with persistent cross-batch temporal state."""
 
     def __init__(self, detector: FPInconsistent):
-        # A private clone: the temporal detector is configuration plus
-        # state, and the stream must neither inherit nor leak state; the
-        # filter list reference is swappable without touching the source.
+        # A private clone, so the filter list reference is swappable
+        # without touching the source; the stream's temporal seen-state is
+        # its own ``TemporalStreamState``.
         self._detector = detector.isolated_clone()
         self._state = self._detector.temporal_detector.new_stream_state()
         self._rows_scored = 0

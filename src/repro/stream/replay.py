@@ -231,7 +231,7 @@ class ReplayResult:
         """The reported batch-latency quantiles (p50/p95/p99), in ms.
 
         One definition shared by the CLI summaries (human-readable and
-        ``--json``) and the scaling benches.
+        ``--json``).
         """
 
         return {

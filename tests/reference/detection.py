@@ -1,0 +1,263 @@
+"""Object-at-a-time reference detection: Algorithm 1 and the temporal checks.
+
+``repro.core`` mines and classifies over columnar code tables.  The code
+here is the paper-faithful, request-by-request form of the same
+algorithms, kept as the oracle the columnar engine is pinned against
+(``tests/test_columnar.py``, ``tests/test_stream.py``, ``tests/test_core.py``):
+
+* :func:`pair_statistics` / :func:`mine` — Algorithm 1 over fingerprint
+  objects, one pass per attribute-pair orientation; rule selection is the
+  shared :meth:`~repro.core.spatial.SpatialInconsistencyMiner.select_rules`;
+* :class:`ObjectTemporalDetector` — the per-request temporal checker with
+  its dict-of-ordered-sets state;
+* :func:`fit`, :func:`classify_store` and :func:`evaluate_generalization`
+  — the detector and the Section 7.3 check built from those two.
+
+Every function takes object stores or fingerprints and must reproduce the
+columnar engine's filter lists, verdicts and rates exactly.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
+
+from repro.core.detector import FPInconsistent, InconsistencyVerdict
+from repro.core.evaluation import DETECTOR_NAMES, GeneralizationResult
+from repro.core.rules import FilterList, InconsistencyRule
+from repro.core.spatial import PairStatistics, SpatialInconsistencyMiner, ordered_pair_tasks
+from repro.core.temporal import TemporalFlag, TemporalInconsistencyDetector
+from repro.fingerprint.attributes import Attribute
+from repro.fingerprint.categories import AttributeCategory
+from repro.fingerprint.fingerprint import Fingerprint
+from repro.honeysite.storage import RequestStore
+
+# -- Algorithm 1 ------------------------------------------------------------------
+
+
+def pair_statistics(
+    fingerprints: Sequence[Fingerprint],
+    category: AttributeCategory,
+    attribute_a: Attribute,
+    attribute_b: Attribute,
+) -> PairStatistics:
+    """Co-occurrence counts of one attribute pair over *fingerprints*."""
+
+    combinations: Dict[object, Dict[object, int]] = {}
+    for fingerprint in fingerprints:
+        value_a = fingerprint.value_for_grouping(attribute_a)
+        value_b = fingerprint.value_for_grouping(attribute_b)
+        if value_a is None or value_b is None:
+            continue
+        bucket = combinations.setdefault(value_a, {})
+        bucket[value_b] = bucket.get(value_b, 0) + 1
+    return PairStatistics(
+        category=category,
+        attribute_a=attribute_a,
+        attribute_b=attribute_b,
+        combinations=combinations,
+    )
+
+
+def mine_pair(
+    miner: SpatialInconsistencyMiner,
+    fingerprints: Sequence[Fingerprint],
+    category: AttributeCategory,
+    attribute_a: Attribute,
+    attribute_b: Attribute,
+) -> List[InconsistencyRule]:
+    """Rules of a single attribute pair."""
+
+    return miner.select_rules(pair_statistics(fingerprints, category, attribute_a, attribute_b))
+
+
+def mine(miner: SpatialInconsistencyMiner, fingerprints: Sequence[Fingerprint]) -> FilterList:
+    """A full filter list: every category's pairs, one pass per orientation."""
+
+    filter_list = FilterList()
+    for category, attribute_a, attribute_b in ordered_pair_tasks():
+        for rule in mine_pair(miner, fingerprints, category, attribute_a, attribute_b):
+            filter_list.add(rule)
+    return filter_list
+
+
+def mine_store(miner: SpatialInconsistencyMiner, store: RequestStore) -> FilterList:
+    """Mine from a store of bot traffic."""
+
+    return mine(miner, [record.request.fingerprint for record in store])
+
+
+# -- temporal checks ----------------------------------------------------------------
+
+
+class ObjectTemporalDetector(TemporalInconsistencyDetector):
+    """The per-request temporal checker.
+
+    Same configuration as its base class; state is a dict from
+    ``(key kind, key, attribute)`` to the values seen, kept as an
+    insertion-ordered dict so ``TemporalFlag.previous_values`` lists values
+    in observation order.
+    """
+
+    def __init__(self, **config):
+        super().__init__(**config)
+        self._seen: Dict[Tuple[str, str, Attribute], Dict[object, None]] = {}
+
+    @classmethod
+    def like(cls, detector: TemporalInconsistencyDetector) -> "ObjectTemporalDetector":
+        """A checker with *detector*'s configuration and empty state."""
+
+        return cls(
+            cookie_attributes=detector._cookie_attributes,
+            ip_attributes=detector._ip_attributes,
+            cookie_tolerance=detector._cookie_tolerance,
+            ip_tolerance=detector._ip_tolerance,
+        )
+
+    def reset(self) -> None:
+        """Forget all per-device state."""
+
+        self._seen.clear()
+
+    def _observe_one(
+        self, key_kind: str, key: str, attribute: Attribute, value: object, tolerance: int
+    ) -> Optional[TemporalFlag]:
+        if value is None or not key:
+            return None
+        seen = self._seen.setdefault((key_kind, key, attribute), {})
+        if value in seen:
+            return None
+        flag: Optional[TemporalFlag] = None
+        if len(seen) >= tolerance:
+            flag = TemporalFlag(
+                key_kind=key_kind,
+                key=key,
+                attribute=attribute,
+                previous_values=tuple(seen),
+                new_value=value,
+            )
+        seen[value] = None
+        return flag
+
+    def observe(
+        self, fingerprint: Fingerprint, *, cookie: Optional[str], ip_address: Optional[str]
+    ) -> List[TemporalFlag]:
+        """Process one request; returns the flags it raised (possibly empty).
+
+        The observation is recorded whether or not it was flagged, so a
+        later request re-using an already-flagged value is *not* flagged
+        again (only increases are flagged).
+        """
+
+        flags: List[TemporalFlag] = []
+        for key_kind, key, attributes, tolerance in (
+            ("cookie", cookie, self._cookie_attributes, self._cookie_tolerance),
+            ("ip", ip_address, self._ip_attributes, self._ip_tolerance),
+        ):
+            if not key:
+                continue
+            for attribute in attributes:
+                flag = self._observe_one(
+                    key_kind, key, attribute, fingerprint.value_for_grouping(attribute), tolerance
+                )
+                if flag is not None:
+                    flags.append(flag)
+        return flags
+
+    def evaluate_store(self, store: RequestStore) -> Dict[int, List[TemporalFlag]]:
+        """A whole store in stable timestamp order, from empty state.
+
+        Returns ``request_id`` → flags for the requests that raised any.
+        """
+
+        self.reset()
+        flagged: Dict[int, List[TemporalFlag]] = {}
+        for record in sorted(store, key=lambda record: record.timestamp):
+            flags = self.observe(
+                record.request.fingerprint,
+                cookie=record.cookie,
+                ip_address=record.request.ip_address,
+            )
+            if flags:
+                flagged[record.request.request_id] = flags
+        return flagged
+
+    def flagged_request_ids(self, store: RequestStore) -> Set[int]:
+        return set(self.evaluate_store(store))
+
+
+# -- the detector and the Section 7.3 check --------------------------------------------
+
+
+def fit(detector: FPInconsistent, store: RequestStore) -> FPInconsistent:
+    """Mine *detector*'s filter list from *store* with the reference miner."""
+
+    detector.filter_list = mine_store(detector.miner, store)
+    return detector
+
+
+def classify_store(
+    detector: FPInconsistent,
+    store: RequestStore,
+    *,
+    use_spatial: bool = True,
+    use_temporal: bool = True,
+) -> Dict[int, InconsistencyVerdict]:
+    """A verdict per request: :meth:`FPInconsistent.check_fingerprint` per
+    fingerprint plus the per-request temporal checker over the store."""
+
+    temporal_flags: Dict[int, List[TemporalFlag]] = {}
+    if use_temporal:
+        temporal_flags = ObjectTemporalDetector.like(detector.temporal_detector).evaluate_store(
+            store
+        )
+    verdicts: Dict[int, InconsistencyVerdict] = {}
+    for record in store:
+        request_id = record.request.request_id
+        verdicts[request_id] = InconsistencyVerdict(
+            request_id=request_id,
+            spatial_rule=(
+                detector.check_fingerprint(record.request.fingerprint) if use_spatial else None
+            ),
+            temporal_flags=tuple(temporal_flags.get(request_id, ())),
+        )
+    return verdicts
+
+
+def improved_detection_rate(
+    store: RequestStore, verdicts: Dict[int, InconsistencyVerdict], detector: str
+) -> float:
+    """Detection rate when the service's decision is OR-ed with the rules."""
+
+    if len(store) == 0:
+        return 0.0
+    detected = sum(
+        1
+        for record in store
+        if not record.evaded(detector) or verdicts[record.request.request_id].is_inconsistent
+    )
+    return detected / len(store)
+
+
+def evaluate_generalization(
+    store: RequestStore,
+    *,
+    train_fraction: float = 0.8,
+    seed: int = 0,
+    detector_factory=FPInconsistent,
+) -> Dict[str, GeneralizationResult]:
+    """Mine on a random ``train_fraction`` of *store*, evaluate on the rest."""
+
+    train_store, test_store = store.split(train_fraction, np.random.default_rng(seed))
+    detector = fit(detector_factory(), train_store)
+    train_verdicts = classify_store(detector, train_store)
+    test_verdicts = classify_store(detector, test_store)
+    return {
+        name: GeneralizationResult(
+            detector=name,
+            train_detection_rate=improved_detection_rate(train_store, train_verdicts, name),
+            test_detection_rate=improved_detection_rate(test_store, test_verdicts, name),
+        )
+        for name in DETECTOR_NAMES
+    }

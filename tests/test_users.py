@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference.analysis import unique_values
 
 from repro.analysis.engine import PRIVACY_TECHNOLOGIES
 from repro.fingerprint.attributes import Attribute
@@ -51,9 +52,9 @@ def test_real_user_spoofers_change_only_user_agent(site):
     generator.run_vectorized(num_requests=50, num_users=10)
     store = site.store.by_source(REAL_USER_SOURCE)
     # Spoofed UAs are present but platform values stay those of real devices.
-    devices = set(store.unique_values(Attribute.UA_DEVICE))
+    devices = set(unique_values(store, Attribute.UA_DEVICE))
     assert devices  # non-empty
-    platforms = set(store.unique_values(Attribute.PLATFORM))
+    platforms = set(unique_values(store, Attribute.PLATFORM))
     assert platforms <= {"iPhone", "iPad", "MacIntel", "Win32", "Linux x86_64", "Linux armv7l", "Linux armv8l"}
 
 

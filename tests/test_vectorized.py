@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+from reference.detection import evaluate_generalization as reference_generalization
 from reference.generation import (
     ReferencePrivacyTrafficGenerator,
     ReferenceRealUserTrafficGenerator,
@@ -35,6 +36,7 @@ from repro.core.pipeline import FPInconsistentPipeline
 from repro.geo.geolite import GeoDatabase
 from repro.geo.ipaddr import IpAddressSpace
 from repro.honeysite.site import HoneySite
+from repro.honeysite.storage import LazyRequestStore, RequestStore, materialized_record_count
 from repro.users.privacy import PrivacyTechnology, PrivacyTrafficGenerator
 from repro.users.realuser import RealUserTrafficGenerator
 
@@ -399,11 +401,22 @@ def test_partitioner_handles_missing_keys():
 
 
 def test_generalization_take_split_matches_legacy(vectorized_corpus):
-    columnar = evaluate_generalization(vectorized_corpus.bot_store, seed=5, engine="columnar")
-    legacy = evaluate_generalization(vectorized_corpus.bot_store, seed=5, engine="legacy")
+    columnar = evaluate_generalization(vectorized_corpus.bot_store, seed=5)
+    legacy = reference_generalization(RequestStore(list(vectorized_corpus.bot_store)), seed=5)
     for name in columnar:
         assert columnar[name].train_detection_rate == legacy[name].train_detection_rate
         assert columnar[name].test_detection_rate == legacy[name].test_detection_rate
+
+
+def test_generalization_materialises_no_records(vectorized_corpus):
+    store = vectorized_corpus.bot_store
+    assert isinstance(store, LazyRequestStore)
+    table = vectorized_corpus.columnar_tables["bots"]
+    before = materialized_record_count()
+    results = evaluate_generalization(store, seed=0, table=table)
+    assert materialized_record_count() == before
+    assert not store.materialized
+    assert results == evaluate_generalization(store, seed=0)  # same as extracting
 
 
 def test_pipeline_reuses_emitted_tables(vectorized_corpus):
