@@ -75,23 +75,16 @@ def evaluate_privacy_technologies(
         else:
             verdicts = detector.classify_store(store, workers=workers, executor=executor)
         total = len(store)
-        spatial = temporal = combined = 0
-        for verdict in verdicts.values():
-            if verdict.spatially_inconsistent:
-                spatial += 1
-            if verdict.temporally_inconsistent:
-                temporal += 1
-            if verdict.is_inconsistent:
-                combined += 1
+        counts = verdicts.counts()
         results.append(
             PrivacyTechnologyResult(
                 technology=technology,
                 requests=total,
                 datadome_detection_rate=store.detection_rate("DataDome"),
                 botd_detection_rate=store.detection_rate("BotD"),
-                fp_inconsistent_rate=combined / total,
-                fp_spatial_rate=spatial / total,
-                fp_temporal_rate=temporal / total,
+                fp_inconsistent_rate=counts["inconsistent"] / total,
+                fp_spatial_rate=counts["spatial"] / total,
+                fp_temporal_rate=counts["temporal"] / total,
             )
         )
     return tuple(results)

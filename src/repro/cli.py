@@ -585,6 +585,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         document["seconds"] = round(result.seconds, 3)
         document["batch_seconds"] = [round(value, 6) for value in result.batch_seconds]
         document["verdicts_digest"] = digest
+        document["rule_hits"] = result.rule_hits()
         _attach_telemetry(document)
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=1, sort_keys=True)

@@ -1,7 +1,7 @@
 """FP-Inconsistent: spatial/temporal inconsistency mining and detection."""
 
 from repro.core.columnar import ColumnarTable, partition_rows_by_device
-from repro.core.detector import FPInconsistent, InconsistencyVerdict
+from repro.core.detector import FPInconsistent, SpatialMatchState, Verdicts
 from repro.core.evaluation import (
     DetectionRates,
     GeneralizationResult,
@@ -14,7 +14,7 @@ from repro.core.evaluation import (
 )
 from repro.core.knowledge import DeviceKnowledgeBase
 from repro.core.pipeline import FPInconsistentPipeline, PipelineResult
-from repro.core.rules import CompiledFilterList, FilterList, InconsistencyRule
+from repro.core.rules import FilterList, FilterListMatcher, InconsistencyRule, RuleTable
 from repro.core.spatial import (
     PairStatistics,
     SpatialInconsistencyMiner,
@@ -31,7 +31,6 @@ from repro.core.temporal import (
 
 __all__ = [
     "ColumnarTable",
-    "CompiledFilterList",
     "DEFAULT_COOKIE_ATTRIBUTES",
     "DEFAULT_IP_ATTRIBUTES",
     "DetectionRates",
@@ -39,16 +38,19 @@ __all__ = [
     "FPInconsistent",
     "FPInconsistentPipeline",
     "FilterList",
+    "FilterListMatcher",
     "GeneralizationResult",
     "InconsistencyRule",
-    "InconsistencyVerdict",
     "PairStatistics",
     "PipelineResult",
+    "RuleTable",
     "ServiceImprovement",
     "SpatialInconsistencyMiner",
+    "SpatialMatchState",
     "SpatialMinerConfig",
     "TemporalFlag",
     "TemporalInconsistencyDetector",
+    "Verdicts",
     "columnar_pair_statistics",
     "detection_rates",
     "evaluate_generalization",

@@ -10,8 +10,8 @@ code → value decode list), after which
 
 * the miner computes all pair co-occurrence statistics with one
   ``numpy.unique`` pass per pair (:meth:`SpatialInconsistencyMiner.mine_table`),
-* the filter list classifies the whole table with one vectorized lookup per
-  attribute pair (:meth:`FilterList.compile`), and
+* the filter list, compiled once (:meth:`FilterList.matcher`), classifies
+  the whole table with one vectorized key lookup, and
 * the pipeline shards rows over the worker pool without pickling a single
   fingerprint — a shard is just slices of these arrays.
 
@@ -48,7 +48,7 @@ def default_table_attributes() -> Tuple[Attribute, ...]:
     return tuple(ordered)
 
 
-def _factorize(items: Sequence[object]) -> Tuple[np.ndarray, List[object], Dict[object, int]]:
+def _factorize(items: Sequence[object]) -> Tuple[np.ndarray, List[object]]:
     """Encode *items* as codes in first-occurrence order (``None`` → ``-1``)."""
 
     codes = np.empty(len(items), dtype=np.int32)
@@ -64,7 +64,7 @@ def _factorize(items: Sequence[object]) -> Tuple[np.ndarray, List[object], Dict[
             index[item] = code
             values.append(item)
         codes[position] = code
-    return codes, values, index
+    return codes, values
 
 
 def intern_values(
@@ -87,7 +87,7 @@ def intern_values(
 
 def _extract_column(
     fingerprints: Sequence[Fingerprint], attribute: Attribute
-) -> Tuple[np.ndarray, List[object], Dict[object, int]]:
+) -> Tuple[np.ndarray, List[object]]:
     """Factorized grouping-value column of one attribute.
 
     Raw attribute values repeat massively across a corpus, so the grouping
@@ -121,7 +121,7 @@ def _extract_column(
                 values.append(grouped)
             raw_codes[raw] = code
         codes[position] = code
-    return codes, values, index
+    return codes, values
 
 
 class ColumnarTable:
@@ -138,7 +138,6 @@ class ColumnarTable:
         *,
         codes: Dict[Attribute, np.ndarray],
         values: Dict[Attribute, List[object]],
-        indexes: Dict[Attribute, Dict[object, int]],
         n_rows: int,
         request_ids: Optional[np.ndarray] = None,
         timestamps: Optional[np.ndarray] = None,
@@ -149,7 +148,6 @@ class ColumnarTable:
     ):
         self._codes = codes
         self._values = values
-        self._indexes = indexes
         self._n_rows = n_rows
         self.request_ids = request_ids
         self.timestamps = timestamps
@@ -171,12 +169,9 @@ class ColumnarTable:
         attributes = tuple(attributes) if attributes is not None else default_table_attributes()
         codes: Dict[Attribute, np.ndarray] = {}
         values: Dict[Attribute, List[object]] = {}
-        indexes: Dict[Attribute, Dict[object, int]] = {}
         for attribute in attributes:
-            codes[attribute], values[attribute], indexes[attribute] = _extract_column(
-                fingerprints, attribute
-            )
-        return cls(codes=codes, values=values, indexes=indexes, n_rows=len(fingerprints))
+            codes[attribute], values[attribute] = _extract_column(fingerprints, attribute)
+        return cls(codes=codes, values=values, n_rows=len(fingerprints))
 
     @classmethod
     def from_store(
@@ -204,9 +199,9 @@ class ColumnarTable:
             [record.request.request_id for record in records], dtype=np.int64
         )
         table.timestamps = np.array([record.timestamp for record in records], dtype=np.float64)
-        cookie_codes, cookie_values, _ = _factorize([record.cookie for record in records])
+        cookie_codes, cookie_values = _factorize([record.cookie for record in records])
         table.cookie_codes, table.cookie_values = cookie_codes, cookie_values
-        ip_codes, ip_values, _ = _factorize([record.request.ip_address for record in records])
+        ip_codes, ip_values = _factorize([record.request.ip_address for record in records])
         table.ip_codes, table.ip_values = ip_codes, ip_values
         return table
 
@@ -250,17 +245,6 @@ class ColumnarTable:
         """Decode list of *attribute* (code → grouping value)."""
 
         return self._values[attribute]
-
-    def code_of(self, attribute: Attribute, value: object) -> Optional[int]:
-        """Code of *value* in *attribute*'s column (``None`` when absent)."""
-
-        index = self._indexes.get(attribute)
-        if index is None:
-            return None
-        try:
-            return index.get(value)
-        except TypeError:  # unhashable values never occur in a column
-            return None
 
     def value_at(self, attribute: Attribute, row: int):
         """The grouping value of *attribute* at *row* (``None`` if missing)."""
@@ -307,7 +291,6 @@ class ColumnarTable:
         return ColumnarTable(
             codes={attribute: self._codes[attribute] for attribute in attributes},
             values={attribute: self._values[attribute] for attribute in attributes},
-            indexes={attribute: self._indexes[attribute] for attribute in attributes},
             n_rows=self._n_rows,
         )
 
@@ -360,7 +343,6 @@ class ColumnarTable:
             raise ValueError(f"{label} is inconsistent")
         codes: Dict[Attribute, np.ndarray] = {}
         values: Dict[Attribute, List[object]] = {}
-        indexes: Dict[Attribute, Dict[object, int]] = {}
         n_rows: Optional[int] = None
         for position, attribute in enumerate(attributes):
             column = np.asarray(data[f"{prefix}codes_{position}"], dtype=np.int32)
@@ -375,13 +357,12 @@ class ColumnarTable:
                 raise ValueError(f"{label} has ragged columns")
             codes[attribute] = column
             values[attribute] = decoded
-            indexes[attribute] = {value: code for code, value in enumerate(decoded)}
         request_ids = np.asarray(data[f"{prefix}request_ids"], dtype=np.int64)
         if n_rows is None:
             n_rows = int(request_ids.size)
         if request_ids.size != n_rows:
             raise ValueError(f"{label} has ragged metadata")
-        table = cls(codes=codes, values=values, indexes=indexes, n_rows=n_rows)
+        table = cls(codes=codes, values=values, n_rows=n_rows)
         table.request_ids = request_ids
         table.timestamps = np.asarray(data[f"{prefix}timestamps"], dtype=np.float64)
         table.cookie_codes = np.asarray(data[f"{prefix}cookie_codes"], dtype=np.int32)
@@ -420,7 +401,6 @@ class ColumnarTable:
         return ColumnarTable(
             codes=codes,
             values={attribute: self._values[attribute] for attribute in codes},
-            indexes={attribute: self._indexes[attribute] for attribute in codes},
             n_rows=0 if n_rows is None else n_rows,
         )
 
@@ -431,7 +411,6 @@ class ColumnarTable:
         return ColumnarTable(
             codes={attribute: column[rows] for attribute, column in self._codes.items()},
             values=self._values,
-            indexes=self._indexes,
             n_rows=int(rows.size),
             request_ids=None if self.request_ids is None else self.request_ids[rows],
             timestamps=None if self.timestamps is None else self.timestamps[rows],
@@ -586,7 +565,6 @@ def assemble_table(
 
     codes: Dict[Attribute, np.ndarray] = {}
     values: Dict[Attribute, List[object]] = {}
-    indexes: Dict[Attribute, Dict[object, int]] = {}
     for position, attribute in enumerate(attributes):
         global_values: List[object] = []
         global_index: Dict[object, int] = {}
@@ -610,7 +588,6 @@ def assemble_table(
             np.concatenate(remapped) if remapped else np.empty(0, dtype=np.int32)
         )
         values[attribute] = global_values
-        indexes[attribute] = global_index
 
     n_rows = int(codes[attributes[0]].size) if attributes else 0
 
@@ -625,7 +602,7 @@ def assemble_table(
             column, column_values = coded
             column = np.asarray(column, dtype=np.int32)
         else:
-            column, column_values, _ = _factorize(list(decoded))
+            column, column_values = _factorize(list(decoded))
         if column.size != n_rows:
             raise ValueError(
                 f"table payloads cover {n_rows} rows but the {label} column "
@@ -633,9 +610,7 @@ def assemble_table(
             )
         return column, list(column_values)
 
-    table = ColumnarTable(
-        codes=codes, values=values, indexes=indexes, n_rows=n_rows
-    )
+    table = ColumnarTable(codes=codes, values=values, n_rows=n_rows)
     table.request_ids = np.asarray(request_ids, dtype=np.int64)
     table.timestamps = np.asarray(timestamps, dtype=np.float64)
     if table.request_ids.size != n_rows or table.timestamps.size != n_rows:

@@ -15,12 +15,12 @@ runs server-side keyed on the first-party cookie and source address.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.columnar import ColumnarTable, partition_rows_by_device
-from repro.core.rules import FilterList, InconsistencyRule
+from repro.core.rules import FilterList, FilterListMatcher, InconsistencyRule, RuleTable, rule_key
 from repro.core.spatial import SpatialInconsistencyMiner
 from repro.core.temporal import TemporalFlag, TemporalInconsistencyDetector
 from repro.fingerprint.attributes import Attribute
@@ -28,27 +28,166 @@ from repro.fingerprint.categories import AttributeCategory
 from repro.fingerprint.fingerprint import Fingerprint
 from repro.honeysite.storage import RequestStore
 
-@dataclass(frozen=True)
-class InconsistencyVerdict:
-    """Classification of one request by FP-Inconsistent."""
+class Verdicts:
+    """FP-Inconsistent's decisions over a set of requests, as columns.
 
-    request_id: int
-    spatial_rule: Optional[InconsistencyRule]
-    temporal_flags: Tuple[TemporalFlag, ...] = ()
+    Row *i* is request ``request_ids[i]``; ``rule_index[i]`` is the
+    position of its spatial rule in ``rules`` (an append-only
+    :class:`~repro.core.rules.RuleTable`), ``-1`` when no rule matched.
+    Temporal flags are sparse: ``flags`` maps the rows that raised any to
+    their :class:`~repro.core.temporal.TemporalFlag` tuple.  Equality is
+    per request id and independent of row order and rule-table layout.
+    """
 
-    @property
-    def spatially_inconsistent(self) -> bool:
-        return self.spatial_rule is not None
+    __slots__ = ("request_ids", "rule_index", "rules", "flags")
 
-    @property
-    def temporally_inconsistent(self) -> bool:
-        return bool(self.temporal_flags)
+    def __init__(
+        self,
+        request_ids: np.ndarray,
+        rule_index: np.ndarray,
+        rules: RuleTable,
+        flags: Optional[Dict[int, Tuple[TemporalFlag, ...]]] = None,
+    ):
+        self.request_ids = request_ids
+        self.rule_index = rule_index
+        self.rules = rules
+        self.flags = {} if flags is None else flags
 
-    @property
-    def is_inconsistent(self) -> bool:
-        """Combined decision (spatial OR temporal)."""
+    @classmethod
+    def concat(cls, chunks: Sequence["Verdicts"]) -> "Verdicts":
+        """One column set of *chunks* in order; rule tables are merged when
+        the chunks do not already share one."""
 
-        return self.spatially_inconsistent or self.temporally_inconsistent
+        if not chunks:
+            return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), RuleTable())
+        rules = chunks[0].rules
+        if any(chunk.rules is not rules for chunk in chunks):
+            rules = RuleTable()
+        columns, flags, offset = [], {}, 0
+        for chunk in chunks:
+            column = chunk.rule_index
+            if chunk.rules is not rules:
+                column = rules.indices(chunk.rules.rules)[column]
+            columns.append(column)
+            flags.update((row + offset, row_flags) for row, row_flags in chunk.flags.items())
+            offset += len(chunk)
+        request_ids = np.concatenate([chunk.request_ids for chunk in chunks])
+        return cls(request_ids, np.concatenate(columns), rules, flags)
+
+    def __len__(self) -> int:
+        return int(self.request_ids.size)
+
+    def take(self, rows: np.ndarray) -> "Verdicts":
+        """The verdicts of *rows* (distinct positions), in that order."""
+
+        rows = np.asarray(rows, dtype=np.int64)
+        position = np.full(len(self), -1, dtype=np.int64)
+        position[rows] = np.arange(rows.size)
+        flags = {int(position[row]): row_flags for row, row_flags in self.flags.items()}
+        flags.pop(-1, None)
+        return Verdicts(self.request_ids[rows], self.rule_index[rows], self.rules, flags)
+
+    def spatial(self) -> np.ndarray:
+        """Per row: matched a spatial rule."""
+
+        return self.rule_index >= 0
+
+    def temporal(self) -> np.ndarray:
+        """Per row: raised a temporal flag."""
+
+        mask = np.zeros(len(self), dtype=bool)
+        mask[list(self.flags)] = True
+        return mask
+
+    def counts(self) -> Dict[str, int]:
+        """Tallies: spatial / temporal / combined (either) inconsistency."""
+
+        spatial, temporal = self.spatial(), self.temporal()
+        return {
+            "spatial": int(np.count_nonzero(spatial)),
+            "temporal": len(self.flags),
+            "inconsistent": int(np.count_nonzero(spatial | temporal)),
+        }
+
+    def masks_for(self, request_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(spatial, temporal)`` per entry of *request_ids*; an id without
+        a verdict is neither."""
+
+        flagged = np.fromiter(self.flags, dtype=np.int64, count=len(self.flags))
+        return (
+            np.isin(request_ids, self.request_ids[self.spatial()]),
+            np.isin(request_ids, self.request_ids[flagged]),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Verdicts):
+            return NotImplemented
+        keys: Dict[Tuple, int] = {}
+
+        def canonical(verdicts: "Verdicts") -> Tuple[List, List, Dict]:
+            order = np.argsort(verdicts.request_ids, kind="stable")
+            rules = [keys.setdefault(rule_key(rule), len(keys)) for rule in verdicts.rules.rules]
+            return (
+                verdicts.request_ids[order].tolist(),
+                np.array(rules + [-1])[verdicts.rule_index[order]].tolist(),
+                {int(verdicts.request_ids[row]): flags for row, flags in verdicts.flags.items()},
+            )
+
+        return canonical(self) == canonical(other)
+
+
+class SpatialMatchState:
+    """Spatial scoring state that outlives one table.
+
+    The online classifier keeps one for the life of its stream; a batch
+    classification makes a fresh one per call.  It holds the rule table
+    the verdict columns index, the deployed matcher's rule positions
+    translated into that table (redone only when the deployed list or its
+    version changes), and the generalised Location predicate's outcome
+    per (country, timezone) code pair: ``-2`` unknown, ``-1``
+    consistent, else a rule-table index.  The memo belongs to one pair of
+    decode lists, which only ever grow; other lists start a new memo.
+    """
+
+    __slots__ = ("rules", "_deployed", "_location")
+
+    def __init__(self):
+        self.rules = RuleTable()
+        #: (matcher, its rule positions as rule-table indices + [-1])
+        self._deployed: Optional[Tuple[FilterListMatcher, np.ndarray]] = None
+        #: (country decode list, timezone decode list, memo)
+        self._location: Optional[Tuple[List, List, np.ndarray]] = None
+
+    def match(self, filter_list: FilterList, table: ColumnarTable) -> np.ndarray:
+        """Rule-table index of each row's filter-list match (``-1``: none)."""
+
+        matcher = filter_list.matcher()
+        if self._deployed is None or self._deployed[0] is not matcher:
+            self._deployed = (matcher, self.rules.indices(matcher.rules))
+        return self._deployed[1][matcher.first_match_rows(table)]
+
+    def location_memo(self, countries: List, timezones: List) -> np.ndarray:
+        """The memo for these decode lists, grown to cover every code."""
+
+        cached = self._location
+        if cached is not None and cached[0] is countries and cached[1] is timezones:
+            memo = cached[2]
+        else:
+            memo = np.full((0, 0), _UNKNOWN, dtype=np.int64)
+        rows, columns = memo.shape
+        if rows < len(countries) or columns < len(timezones):
+            known, memo = memo, np.full(
+                (max(len(countries), 2 * rows), max(len(timezones), 2 * columns)),
+                _UNKNOWN,
+                dtype=np.int64,
+            )
+            memo[:rows, :columns] = known
+        self._location = (countries, timezones, memo)
+        return memo
+
+
+#: Location memo entry of a (country, timezone) pair not evaluated yet.
+_UNKNOWN = -2
 
 
 class FPInconsistent:
@@ -82,9 +221,10 @@ class FPInconsistent:
         """Hot-swap the deployed rule set.
 
         The streaming subsystem's refresher re-mines periodically and
-        swaps the list between batches; matching is stateless (the list is
-        recompiled against every batch), so a swap takes effect exactly at
-        the next batch boundary.
+        swaps the list between batches.  Each list is compiled once
+        (:meth:`FilterList.matcher`, recompiled after an :meth:`FilterList.add`)
+        and every table is matched against the list deployed when it is
+        scored, so a swap takes effect exactly at the next batch boundary.
         """
 
         if not isinstance(filter_list, FilterList):
@@ -256,6 +396,11 @@ class FPInconsistent:
 
     # -- store classification ----------------------------------------------------------
 
+    def new_spatial_state(self) -> SpatialMatchState:
+        """Fresh cross-table spatial state for :meth:`classify_table`."""
+
+        return SpatialMatchState()
+
     def classify_store(
         self,
         store: RequestStore,
@@ -264,14 +409,13 @@ class FPInconsistent:
         use_temporal: bool = True,
         workers: int = 1,
         executor: Optional[str] = None,
-    ) -> Dict[int, InconsistencyVerdict]:
+    ) -> Verdicts:
         """Classify every request in *store*.
 
         Extracts the store once and classifies the table
         (:meth:`classify_table`), optionally sharded over *workers*.
         Temporal state is evaluated in timestamp order over the given store
-        only (it does not leak across calls).  Returns a verdict per
-        ``request_id``.
+        only (it does not leak across calls).
         """
 
         return self.classify_table(
@@ -291,23 +435,26 @@ class FPInconsistent:
         workers: int = 1,
         executor: Optional[str] = None,
         temporal_state=None,
-    ) -> Dict[int, InconsistencyVerdict]:
-        """Classify every row of a columnar table (vectorized engine).
+        spatial_state: Optional[SpatialMatchState] = None,
+    ) -> Verdicts:
+        """Classify every row of a columnar table; verdicts in row order.
 
-        The filter list is compiled to the table's value codes and matched
-        with one vectorized lookup per attribute pair; the Location
-        predicate is evaluated once per distinct (country, timezone)
-        combination.  With ``workers > 1`` rows shard over the worker pool
-        in device-closed groups (every cookie's and every source address's
-        rows stay on one shard), so temporal flags — whose state is keyed
-        on those identifiers — are identical to a single-shard evaluation.
+        The deployed filter list's compiled matcher
+        (:meth:`FilterList.matcher`) scores every row in one vectorized
+        pass; the Location predicate is evaluated once per distinct
+        (country, timezone) code pair.  With ``workers > 1`` rows shard
+        over the worker pool in device-closed groups (every cookie's and
+        every source address's rows stay on one shard), so temporal flags
+        — whose state is keyed on those identifiers — are identical to a
+        single-shard evaluation.
 
-        *temporal_state* switches temporal detection from the
-        self-contained batch evaluation (fresh state, whole table replayed)
-        to the **incremental** streaming mode: the given
+        *temporal_state* and *spatial_state* switch to the **incremental**
+        streaming mode: the given
         :class:`~repro.core.temporal.TemporalStreamState` is updated in
-        place and carried across calls, so the streaming subsystem scores
-        one micro-batch per call without re-reading history.  Incremental
+        place and carried across calls, and the given
+        :class:`SpatialMatchState` keeps its rule table, translations and
+        Location memo, so the streaming subsystem scores one micro-batch
+        per call without re-reading history or recompiling.  Incremental
         calls are single-shard by contract (the stream is one arrival
         order; ``workers`` must stay 1).
         """
@@ -334,37 +481,35 @@ class FPInconsistent:
                 executor=executor,
             )
 
-        temporal_flags: Dict[int, List[TemporalFlag]] = {}
+        flags: Dict[int, Tuple[TemporalFlag, ...]] = {}
         if use_temporal:
             if temporal_state is not None:
-                temporal_flags = self._temporal.observe_table(table, temporal_state)
+                by_request = self._temporal.observe_table(table, temporal_state)
             else:
-                temporal_flags = self._temporal.evaluate_table(table)
+                by_request = self._temporal.evaluate_table(table)
+            if by_request:
+                order = np.argsort(table.request_ids, kind="stable")
+                flagged = np.fromiter(by_request, dtype=np.int64, count=len(by_request))
+                rows = order[np.searchsorted(table.request_ids[order], flagged)]
+                flags = dict(zip(rows.tolist(), map(tuple, by_request.values())))
 
-        spatial_rules: List[Optional[InconsistencyRule]] = [None] * table.n_rows
+        state = spatial_state if spatial_state is not None else self.new_spatial_state()
         if use_spatial:
-            spatial_rules = self._filter_list.compile(table).first_match_rows()
+            rules = state.match(self._filter_list, table)
             if self._location_predicate:
-                self._apply_location_predicate(table, spatial_rules)
-
-        verdicts: Dict[int, InconsistencyVerdict] = {}
-        for row in range(table.n_rows):
-            request_id = int(table.request_ids[row])
-            verdicts[request_id] = InconsistencyVerdict(
-                request_id=request_id,
-                spatial_rule=spatial_rules[row],
-                temporal_flags=tuple(temporal_flags.get(request_id, ())),
-            )
-        return verdicts
+                self._apply_location_predicate(table, rules, state)
+        else:
+            rules = np.full(table.n_rows, -1, dtype=np.int64)
+        return Verdicts(table.request_ids, rules, state.rules, flags)
 
     def _apply_location_predicate(
-        self, table: ColumnarTable, spatial_rules: List[Optional[InconsistencyRule]]
+        self, table: ColumnarTable, rules: np.ndarray, state: SpatialMatchState
     ) -> None:
-        """Fill filter-list misses with the generalised Location check.
+        """Fill filter-list misses (``-1`` in *rules*) with the generalised
+        Location check.
 
-        The knowledge base is consulted once per distinct (IP country,
-        timezone) code pair among the unmatched rows, found with one
-        ``np.unique``; each pair's rule object is shared by its rows and is
+        The knowledge base is consulted once per (IP country, timezone)
+        code pair for the life of *state* (its memo); each pair's rule is
         value-identical to :meth:`check_fingerprint`'s.
         """
 
@@ -372,25 +517,23 @@ class FPInconsistent:
             table.require_attribute(attribute, "Location predicate attribute")
         country_codes = table.codes_of(Attribute.IP_COUNTRY)
         timezone_codes = table.codes_of(Attribute.TIMEZONE)
-        unmatched = np.array([rule is None for rule in spatial_rules], dtype=bool)
-        rows = np.flatnonzero(unmatched & (country_codes >= 0) & (timezone_codes >= 0))
+        rows = np.flatnonzero((rules < 0) & (country_codes >= 0) & (timezone_codes >= 0))
         if not rows.size:
             return
         country_values = table.values_of(Attribute.IP_COUNTRY)
         timezone_values = table.values_of(Attribute.TIMEZONE)
-        n_timezones = len(timezone_values)
-        combos, inverse = np.unique(
-            country_codes[rows].astype(np.int64) * n_timezones + timezone_codes[rows],
-            return_inverse=True,
-        )
-        combo_rules = [
-            self._location_rule(country_values[country], timezone_values[timezone])
-            for country, timezone in zip(
-                (combos // n_timezones).tolist(), (combos % n_timezones).tolist()
-            )
-        ]
-        for row, combo in zip(rows.tolist(), inverse.tolist()):
-            spatial_rules[row] = combo_rules[combo]
+        memo = state.location_memo(country_values, timezone_values)
+        countries, timezones = country_codes[rows], timezone_codes[rows]
+        found = memo[countries, timezones]
+        unknown = np.flatnonzero(found == _UNKNOWN)
+        if unknown.size:
+            n_timezones = len(timezone_values)
+            pairs = np.unique(countries[unknown].astype(np.int64) * n_timezones + timezones[unknown])
+            for country, timezone in zip(*(part.tolist() for part in np.divmod(pairs, n_timezones))):
+                rule = self._location_rule(country_values[country], timezone_values[timezone])
+                memo[country, timezone] = -1 if rule is None else state.rules.add(rule)
+            found = memo[countries, timezones]
+        rules[rows] = found
 
     def _classify_table_sharded(
         self,
@@ -400,7 +543,7 @@ class FPInconsistent:
         use_temporal: bool,
         workers: int,
         executor: Optional[str],
-    ) -> Dict[int, InconsistencyVerdict]:
+    ) -> Verdicts:
         from repro.analysis.engine import map_shards
 
         partitions = partition_rows_by_device(table, workers)
@@ -413,14 +556,13 @@ class FPInconsistent:
             )
             for rows in partitions
         ]
-        merged: Dict[int, InconsistencyVerdict] = {}
-        for verdicts in map_shards(
-            _classify_shard, shards, workers=workers, executor=executor, label="classify"
-        ):
-            merged.update(verdicts)
-        # Re-emit in table row order so the verdict dict is ordered exactly
-        # like a single-shard classification.
-        return {int(request_id): merged[int(request_id)] for request_id in table.request_ids}
+        merged = Verdicts.concat(
+            list(map_shards(_classify_shard, shards, workers=workers, executor=executor, label="classify"))
+        )
+        # Back to table row order, exactly like a single-shard classification.
+        in_merged = np.empty(table.n_rows, dtype=np.int64)
+        in_merged[np.concatenate(partitions)] = np.arange(table.n_rows)
+        return merged.take(in_merged)
 
 
 @dataclass(frozen=True)
@@ -433,7 +575,7 @@ class _ClassificationShard:
     use_temporal: bool
 
 
-def _classify_shard(shard: _ClassificationShard) -> Dict[int, InconsistencyVerdict]:
+def _classify_shard(shard: _ClassificationShard) -> Verdicts:
     """Worker entry point: classify one shard single-threaded.
 
     The detector is only read (temporal seen-state is per call), so thread

@@ -17,7 +17,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.detector import FPInconsistent, InconsistencyVerdict
+from repro.core.detector import FPInconsistent, Verdicts
 from repro.honeysite.storage import RequestStore, split_rows
 
 DETECTOR_NAMES: Tuple[str, str] = ("DataDome", "BotD")
@@ -65,25 +65,18 @@ class _StoreColumns:
     The evaluation tables re-derive the same three facts per request —
     which services it evaded and whether the rules flagged it spatially or
     temporally — once per (service, detector, rule-setting) combination.
-    Extracting them once into numpy arrays turns every table cell into a
-    masked count.  All rates stay integer-count ratios, so the floats are
+    Aligning them once with the store's rows (the verdict columns are
+    matched by request id) turns every table cell into a masked count.  All rates stay integer-count ratios, so the floats are
     bit-identical to per-record loops'.
     """
 
-    def __init__(self, store: RequestStore, verdicts: Dict[int, InconsistencyVerdict]):
+    def __init__(self, store: RequestStore, verdicts: Verdicts):
         # Every column routes through the store's columnar accessors
         # (request_id_array / evaded_rows / source_rows): a lazy
         # columnar-backed store answers them from its arrays without
         # materialising a single record object.
         self.n = len(store)
-        spatial_ids, temporal_ids = _verdict_id_sets(verdicts)
-        request_ids = store.request_id_array().tolist()
-        self.spatial = np.fromiter(
-            (request_id in spatial_ids for request_id in request_ids), bool, self.n
-        )
-        self.temporal = np.fromiter(
-            (request_id in temporal_ids for request_id in request_ids), bool, self.n
-        )
+        self.spatial, self.temporal = verdicts.masks_for(store.request_id_array())
         self.evaded = {name: store.evaded_rows(name) for name in DETECTOR_NAMES}
         self.source_codes, _source_names, self.source_index = store.source_rows()
 
@@ -96,25 +89,6 @@ class _StoreColumns:
                 np.count_nonzero(mask & evaded & hits)
             )
         return int(np.count_nonzero(~evaded)) + int(np.count_nonzero(evaded & hits))
-
-
-def _verdict_id_sets(verdicts: Dict[int, InconsistencyVerdict]):
-    """Request-id sets of spatially / temporally inconsistent verdicts.
-
-    Computed once per evaluation: the Table 3 and Table 4 loops consult the
-    same verdict dict for every (service, detector, rule-setting)
-    combination, and set membership is cheaper than re-walking verdict
-    attribute chains per request per combination.
-    """
-
-    spatial = set()
-    temporal = set()
-    for request_id, verdict in verdicts.items():
-        if verdict.spatially_inconsistent:
-            spatial.add(request_id)
-        if verdict.temporally_inconsistent:
-            temporal.add(request_id)
-    return spatial, temporal
 
 
 def _detection_rates_from_columns(columns: _StoreColumns, detector: str) -> DetectionRates:
@@ -136,7 +110,7 @@ def _detection_rates_from_columns(columns: _StoreColumns, detector: str) -> Dete
 
 def detection_rates(
     store: RequestStore,
-    verdicts: Dict[int, InconsistencyVerdict],
+    verdicts: Verdicts,
     detector: str,
 ) -> DetectionRates:
     """Compute one Table 4 column group for *detector*."""
@@ -146,7 +120,7 @@ def detection_rates(
 
 def evaluate_table4(
     store: RequestStore,
-    verdicts: Dict[int, InconsistencyVerdict],
+    verdicts: Verdicts,
     *,
     _columns: Optional[_StoreColumns] = None,
 ) -> Dict[str, DetectionRates]:
@@ -158,7 +132,7 @@ def evaluate_table4(
 
 def evaluate_table3(
     store: RequestStore,
-    verdicts: Dict[int, InconsistencyVerdict],
+    verdicts: Verdicts,
     *,
     services: Optional[Sequence[str]] = None,
     _columns: Optional[_StoreColumns] = None,
@@ -194,19 +168,13 @@ def evaluate_table3(
     return tuple(rows)
 
 
-def true_negative_rate(
-    store: RequestStore, verdicts: Dict[int, InconsistencyVerdict]
-) -> float:
+def true_negative_rate(store: RequestStore, verdicts: Verdicts) -> float:
     """Fraction of (human) requests in *store* not flagged by the rules."""
 
     if len(store) == 0:
         return 1.0
-    flagged = 0
-    for request_id in store.request_id_array().tolist():
-        verdict = verdicts.get(request_id)
-        if verdict and verdict.is_inconsistent:
-            flagged += 1
-    return 1.0 - flagged / len(store)
+    spatial, temporal = verdicts.masks_for(store.request_id_array())
+    return 1.0 - int(np.count_nonzero(spatial | temporal)) / len(store)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro import obs
-from repro.core.detector import FPInconsistent, InconsistencyVerdict
+from repro.core.detector import FPInconsistent, Verdicts
 from repro.core.evaluation import (
     DetectionRates,
     GeneralizationResult,
@@ -52,7 +52,7 @@ class PipelineResult:
     """Everything the Section 7 evaluation produces."""
 
     filter_list: FilterList
-    verdicts: Dict[int, InconsistencyVerdict]
+    verdicts: Verdicts
     table4: Dict[str, DetectionRates]
     table3: Tuple[ServiceImprovement, ...]
     real_user_tnr: Optional[float] = None

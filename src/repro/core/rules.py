@@ -16,6 +16,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.columnar import ColumnarTable
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.categories import AttributeCategory
 from repro.fingerprint.fingerprint import Fingerprint
@@ -96,9 +97,11 @@ class FilterList:
     def __init__(self, rules: Optional[Iterable[InconsistencyRule]] = None):
         self._rules: List[InconsistencyRule] = []
         self._by_key: Dict[Tuple[str, str, str, str], InconsistencyRule] = {}
-        #: attribute_a -> value_a -> rules, used to make matching O(#attributes)
-        #: instead of O(#rules) per fingerprint.
+        #: attribute_a -> value_a -> rules; its iteration order is the
+        #: matching priority (see :class:`FilterListMatcher`).
         self._index: Dict[Attribute, Dict[object, List[InconsistencyRule]]] = {}
+        self._version = 0
+        self._matcher: Optional[FilterListMatcher] = None
         if rules:
             for rule in rules:
                 self.add(rule)
@@ -126,6 +129,7 @@ class FilterList:
         self._rules.append(rule)
         self._by_key[rule.key] = rule
         self._index.setdefault(rule.attribute_a, {}).setdefault(rule.value_a, []).append(rule)
+        self._version += 1
         return True
 
     def merge(self, other: "FilterList") -> "FilterList":
@@ -138,21 +142,32 @@ class FilterList:
 
     # -- matching --------------------------------------------------------------------
 
+    @property
+    def version(self) -> int:
+        """Bumped by every :meth:`add`; a compiled matcher records the
+        version it was built from, so a grown list is recompiled."""
+
+        return self._version
+
+    def matcher(self) -> "FilterListMatcher":
+        """The list compiled for vectorized matching, rebuilt after :meth:`add`."""
+
+        matcher = self._matcher
+        if matcher is None or matcher.version != self._version:
+            matcher = self._matcher = FilterListMatcher(self)
+        return matcher
+
     def first_match(self, fingerprint: Fingerprint) -> Optional[InconsistencyRule]:
         """The first rule *fingerprint* violates, or ``None``.
 
-        Matching is indexed by the first attribute's value, so only rules
-        whose ``value_a`` the fingerprint actually exhibits are examined.
+        Runs the compiled matcher over a one-row table, so a single
+        fingerprint and a whole stream are matched by the same code.
         """
 
-        for attribute, by_value in self._index.items():
-            observed = fingerprint.value_for_grouping(attribute)
-            if observed is None:
-                continue
-            for rule in by_value.get(observed, ()):  # pragma: no branch
-                if fingerprint.value_for_grouping(rule.attribute_b) == rule.value_b:
-                    return rule
-        return None
+        matcher = self.matcher()
+        table = ColumnarTable.from_fingerprints([fingerprint], matcher.attributes)
+        rank = int(matcher.first_match_rows(table)[0])
+        return None if rank < 0 else matcher.rules[rank]
 
     def matches(self, fingerprint: Fingerprint) -> bool:
         """Whether *fingerprint* violates any rule."""
@@ -164,44 +179,12 @@ class FilterList:
 
         return tuple(rule for rule in self._rules if rule.matches(fingerprint))
 
-    def compile(self, table) -> "CompiledFilterList":
-        """Compile the list against a columnar *table* for vectorized matching.
-
-        Every rule's value pair is translated to the table's value codes
-        and grouped per attribute pair, so classifying the whole table is
-        one vectorized lookup per attribute pair
-        (:meth:`CompiledFilterList.first_match_rows`) instead of per-rule
-        Python matching per request.  Rules whose values never occur in the
-        table compile away entirely.  Matching semantics — including which
-        rule wins when several match one request — are identical to
-        :meth:`first_match`; priorities mirror its iteration order.
-        """
-
-        for rule in self._rules:
-            for attribute in (rule.attribute_a, rule.attribute_b):
-                # An absent column would make the rule silently unmatchable.
-                table.require_attribute(attribute, "rule attribute")
-
-        max_bucket = 1
-        for by_value in self._index.values():
-            for rules in by_value.values():
-                max_bucket = max(max_bucket, len(rules))
-
-        entries: List[Tuple[Attribute, Attribute, int, int, int, InconsistencyRule]] = []
-        for attribute_position, (attribute, by_value) in enumerate(self._index.items()):
-            for value_a, rules in by_value.items():
-                code_a = table.code_of(attribute, value_a)
-                if code_a is None:
-                    continue
-                for bucket_position, rule in enumerate(rules):
-                    code_b = table.code_of(rule.attribute_b, rule.value_b)
-                    if code_b is None:
-                        continue
-                    priority = attribute_position * max_bucket + bucket_position
-                    entries.append(
-                        (attribute, rule.attribute_b, code_a, code_b, priority, rule)
-                    )
-        return CompiledFilterList(entries, table)
+    def __getstate__(self) -> Dict:
+        # The compiled matcher is a cache (with per-table translations);
+        # shards rebuild it rather than receive it pickled.
+        state = dict(self.__dict__)
+        state["_matcher"] = None
+        return state
 
     # -- views -----------------------------------------------------------------------
 
@@ -252,60 +235,164 @@ class FilterList:
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
-class CompiledFilterList:
-    """A filter list compiled against one columnar table's value codes.
+def rule_key(rule: InconsistencyRule) -> Tuple:
+    """Type-aware identity of *rule*.
 
-    Rules are grouped by the attribute pair they constrain; per group the
-    impossible (code_a, code_b) pairs live in a sorted key array, so
-    matching a whole table is one fused key computation plus a
-    ``searchsorted`` per group.  Each compiled rule carries the priority of
-    its position in :meth:`FilterList.first_match`'s iteration order; the
-    lowest-priority hit per row reproduces the reference match exactly.
+    Value types ride along: ``1``, ``1.0`` and ``True`` compare equal but
+    serialise differently, and a rule table must keep them apart.
     """
 
-    _NO_MATCH = np.iinfo(np.int64).max
+    return (rule, type(rule.value_a), type(rule.value_b))
 
-    def __init__(self, entries, table):
-        self._table = table
-        self._rules: List[InconsistencyRule] = [entry[5] for entry in entries]
-        #: (attribute_a, attribute_b) -> (sorted key array, priorities, rule indices)
-        self._groups: Dict[Tuple[Attribute, Attribute], Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        grouped: Dict[Tuple[Attribute, Attribute], List[Tuple[int, int, int]]] = {}
-        for rule_index, (attribute_a, attribute_b, code_a, code_b, priority, _rule) in enumerate(
-            entries
-        ):
-            n_b = len(table.values_of(attribute_b))
-            key = code_a * n_b + code_b
-            grouped.setdefault((attribute_a, attribute_b), []).append(
-                (key, priority, rule_index)
-            )
-        for pair, items in grouped.items():
-            items.sort()
-            self._groups[pair] = (
-                np.array([item[0] for item in items], dtype=np.int64),
-                np.array([item[1] for item in items], dtype=np.int64),
-                np.array([item[2] for item in items], dtype=np.int64),
-            )
+
+class RuleTable:
+    """An append-only table of distinct rules, deduplicated by :func:`rule_key`.
+
+    Verdict columns hold indices into one of these, so a rule is stored
+    (and serialised) once however many requests it decided.
+    """
+
+    __slots__ = ("rules", "_ids")
+
+    def __init__(self, rules: Iterable[InconsistencyRule] = ()):
+        self.rules: List[InconsistencyRule] = []
+        self._ids: Dict[Tuple, int] = {}
+        for rule in rules:
+            self.add(rule)
 
     def __len__(self) -> int:
-        return len(self._rules)
+        return len(self.rules)
 
-    def first_match_rows(self) -> List[Optional[InconsistencyRule]]:
-        """The winning rule per table row (``None`` where no rule matches)."""
+    def add(self, rule: InconsistencyRule) -> int:
+        """Index of *rule*, appending it when new."""
 
-        table = self._table
-        n = table.n_rows
-        best_priority = np.full(n, self._NO_MATCH, dtype=np.int64)
-        best_rule = np.full(n, -1, dtype=np.int64)
-        for (attribute_a, attribute_b), (keys, priorities, rule_indices) in self._groups.items():
-            codes_a = table.codes_of(attribute_a)
-            codes_b = table.codes_of(attribute_b)
-            n_b = len(table.values_of(attribute_b))
-            row_keys = codes_a.astype(np.int64) * n_b + codes_b
-            positions = np.clip(np.searchsorted(keys, row_keys), 0, keys.size - 1)
-            hits = (codes_a >= 0) & (codes_b >= 0) & (keys[positions] == row_keys)
-            row_priorities = np.where(hits, priorities[positions], self._NO_MATCH)
-            better = row_priorities < best_priority
-            best_priority = np.where(better, row_priorities, best_priority)
-            best_rule = np.where(better, rule_indices[positions], best_rule)
-        return [self._rules[index] if index >= 0 else None for index in best_rule]
+        key = rule_key(rule)
+        index = self._ids.get(key)
+        if index is None:
+            index = self._ids[key] = len(self.rules)
+            self.rules.append(rule)
+        return index
+
+    def indices(self, rules: Iterable[InconsistencyRule]) -> np.ndarray:
+        """Indices of *rules* plus a trailing ``-1``, so indexing the result
+        with a rule column maps "no rule" (``-1``) to itself."""
+
+        return np.array([*map(self.add, rules), -1], dtype=np.int64)
+
+
+class FilterListMatcher:
+    """A filter list compiled once, in its own rule-value space.
+
+    Each attribute a rule constrains gets ids for the values the list's
+    rules use; a rule becomes the key ``base + value_id_a * n_b +
+    value_id_b`` of its attribute pair's group (``n_b`` is the number of
+    rule values of attribute *b*), so nothing compiled depends on a table.
+    A table reaches the keys through one translation array per attribute
+    (table code → rule-value id, ``-1`` for values no rule uses), cached
+    per decode list and extended only by the codes added since the last
+    call: decode lists only ever grow (the stream vocabulary is
+    append-only), so a stream translates each distinct value once.
+
+    Matching a table is one key matrix over every group and one
+    ``searchsorted`` into the sorted rule keys.  When several rules match
+    a row, the winner is the first in the list's index order (first
+    attribute, then position in its value bucket) — :attr:`rules` lists
+    the rules in that order, and matching returns positions in it.
+    """
+
+    def __init__(self, filter_list: FilterList):
+        self.version = filter_list.version
+        ranked = [
+            (attribute_position, bucket_position, rule)
+            for attribute_position, by_value in enumerate(filter_list._index.values())
+            for bucket in by_value.values()
+            for bucket_position, rule in enumerate(bucket)
+        ]
+        ranked.sort(key=lambda entry: entry[:2])
+        self.rules: Tuple[InconsistencyRule, ...] = tuple(entry[2] for entry in ranked)
+
+        value_ids: Dict[Attribute, Dict[object, int]] = {}
+        for rule in self.rules:
+            for attribute, value in (
+                (rule.attribute_a, rule.value_a),
+                (rule.attribute_b, rule.value_b),
+            ):
+                ids = value_ids.setdefault(attribute, {})
+                ids.setdefault(value, len(ids))
+        self._value_ids = value_ids
+        self.attributes: Tuple[Attribute, ...] = tuple(value_ids)
+        slot = {attribute: position for position, attribute in enumerate(self.attributes)}
+        groups: Dict[Tuple[Attribute, Attribute], int] = {}
+        for rule in self.rules:
+            groups.setdefault((rule.attribute_a, rule.attribute_b), len(groups))
+        pairs = list(groups)
+        n_b = np.array([len(value_ids[b]) for _a, b in pairs], dtype=np.int64)
+        sizes = np.array([len(value_ids[a]) for a, _b in pairs], dtype=np.int64) * n_b
+        base = np.cumsum(sizes) - sizes
+        self._group_a = np.array([slot[a] for a, _b in pairs], dtype=np.int64)
+        self._group_b = np.array([slot[b] for _a, b in pairs], dtype=np.int64)
+        self._base = base[:, None]
+        self._n_b = n_b[:, None]
+
+        def column(values) -> np.ndarray:
+            return np.fromiter(values, dtype=np.int64, count=len(self.rules))
+
+        group = column(groups[(rule.attribute_a, rule.attribute_b)] for rule in self.rules)
+        keys = (
+            base[group]
+            + column(value_ids[rule.attribute_a][rule.value_a] for rule in self.rules) * n_b[group]
+            + column(value_ids[rule.attribute_b][rule.value_b] for rule in self.rules)
+        )
+        # Stable sort: among rules sharing a key (values equal across
+        # types), the first-ranked one wins, as in the index walk.
+        order = np.argsort(keys, kind="stable")
+        keep = np.ones(order.size, dtype=bool)
+        keep[1:] = keys[order][1:] != keys[order][:-1]
+        self._keys = keys[order][keep]
+        self._ranks = order[keep]
+        #: attribute -> (decode list, translation + trailing -1 slot)
+        self._translations: Dict[Attribute, Tuple[List, np.ndarray]] = {}
+
+    def _translation(self, table, attribute: Attribute) -> np.ndarray:
+        """Table code → rule-value id for *attribute*; code ``-1`` maps to ``-1``."""
+
+        decode = table.values_of(attribute)
+        cached = self._translations.get(attribute)
+        if cached is not None and cached[0] is decode:
+            translation = cached[1]
+            if translation.size == len(decode) + 1:
+                return translation
+            head = translation[:-1]
+        else:
+            head = np.empty(0, dtype=np.int64)
+        ids = self._value_ids[attribute]
+        tail = decode[head.size :]
+        fresh = np.fromiter((ids.get(value, -1) for value in tail), dtype=np.int64, count=len(tail))
+        translation = np.concatenate([head, fresh, _MISSING])
+        self._translations[attribute] = (decode, translation)
+        return translation
+
+    def first_match_rows(self, table) -> np.ndarray:
+        """Position in :attr:`rules` of each row's winning rule (``-1``: none)."""
+
+        for attribute in self.attributes:
+            # An absent column would make its rules silently unmatchable.
+            table.require_attribute(attribute, "rule attribute")
+        if not self.rules:
+            return np.full(table.n_rows, -1, dtype=np.int64)
+        ids = np.empty((len(self.attributes), table.n_rows), dtype=np.int64)
+        for position, attribute in enumerate(self.attributes):
+            ids[position] = self._translation(table, attribute)[table.codes_of(attribute)]
+        ids_a, ids_b = ids[self._group_a], ids[self._group_b]
+        row_keys = self._base + ids_a * self._n_b + ids_b
+        row_keys[(ids_a < 0) | (ids_b < 0)] = -1
+        positions = np.searchsorted(self._keys, row_keys)
+        np.minimum(positions, self._keys.size - 1, out=positions)
+        no_match = len(self.rules)
+        ranks = np.where(self._keys[positions] == row_keys, self._ranks[positions], no_match)
+        best = ranks.min(axis=0)
+        best[best == no_match] = -1
+        return best
+
+
+_MISSING = np.array([-1], dtype=np.int64)

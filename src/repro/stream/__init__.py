@@ -8,9 +8,9 @@ arrive, in five pieces:
 * :class:`~repro.stream.ingest.StreamIngestor` — encodes arriving
   micro-batches (record objects or ``RecordColumns`` row slices) against a
   growing attribute-code vocabulary, emitting ``core.columnar`` tables;
-* :class:`~repro.stream.classifier.OnlineClassifier` — vectorized compiled
-  filter-list matching per batch plus **incremental** temporal detection
-  (cross-batch :class:`~repro.core.temporal.TemporalStreamState`);
+* :class:`~repro.stream.classifier.OnlineClassifier` — vectorized matching
+  with a filter list compiled once plus **incremental** spatial and
+  temporal state carried across batches, emitting verdict columns;
 * :class:`~repro.stream.refresh.FilterListRefresher` — periodic re-mining
   over a sliding window of ingested rows, hot-swapped at batch boundaries;
 * :class:`~repro.stream.replay.ReplayDriver` — the one online engine:
@@ -40,7 +40,6 @@ from repro.stream.replay import (
     ReplayResult,
     StreamHealth,
     verdicts_digest,
-    verdicts_to_jsonable,
 )
 
 __all__ = [
@@ -56,5 +55,4 @@ __all__ = [
     "StreamIngestor",
     "WORKER_ATTEMPTS",
     "verdicts_digest",
-    "verdicts_to_jsonable",
 ]

@@ -68,16 +68,14 @@ import os
 import tempfile
 import time
 import zipfile
-from itertools import islice
-from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import faults, obs
-from repro.core.detector import InconsistencyVerdict
-from repro.core.rules import FilterList, InconsistencyRule
+from repro.core.detector import Verdicts
+from repro.core.rules import FilterList, InconsistencyRule, RuleTable, rule_key
 from repro.core.temporal import TemporalFlag, TemporalStreamState
 from repro.fingerprint.attributes import Attribute
 
@@ -267,12 +265,6 @@ def _unpack_ints(packed: np.ndarray, dtype=np.int64) -> np.ndarray:
     return packed.astype(dtype) - 1
 
 
-def _rule_key(rule: InconsistencyRule) -> Tuple:
-    # Value types ride along: 1, 1.0 and True compare equal but
-    # serialise differently, and the rule table must keep them apart.
-    return (rule, type(rule.value_a), type(rule.value_b))
-
-
 def _encode_seen(state: TemporalStreamState, since: int, attributes, value_indexes, key_indexes):
     """Columns of the seen-state entries changed after epoch *since*.
 
@@ -328,13 +320,13 @@ class StreamCheckpointer:
     * ``refresher``: :meth:`FilterListRefresher.export_state` or ``None``;
     * ``refreshes``: the hot-swap history (JSON-able dicts);
     * ``health``: the JSON-able :class:`StreamHealth` report;
-    * ``verdicts``: the emitted verdicts, an insertion-ordered dict that
-      only grows.
+    * ``verdicts``: the emitted verdicts, a list of
+      :class:`~repro.core.detector.Verdicts` chunks that only grows.
 
     :meth:`load` returns the same keys with restored values: ``ingest``
     and ``refresher`` in their ``restore_state`` shapes, ``classifier``
     as :meth:`OnlineClassifier.restore` keyword arguments and
-    ``verdicts`` as a fresh dict.
+    ``verdicts`` as one :class:`~repro.core.detector.Verdicts` chunk.
     """
 
     def __init__(self, directory, *, every_batches: int = DEFAULT_EVERY_BATCHES):
@@ -351,6 +343,7 @@ class StreamCheckpointer:
         self._last_good_batch = 0
         self._vocab_marks: List[int] = []
         self._rule_ids: Dict[Tuple, int] = {}
+        #: verdict chunks the published segments hold
         self._verdict_mark = 0
         #: (temporal state, last epoch the published segments cover)
         self._seen_mark: Optional[Tuple[TemporalStreamState, int]] = None
@@ -455,47 +448,51 @@ class StreamCheckpointer:
         new_rules: Dict[Tuple, int] = {}
 
         def rule_index(rule: InconsistencyRule) -> int:
-            key = _rule_key(rule)
+            key = rule_key(rule)
             index = rule_ids.get(key)
             if index is None:
                 index = new_rules.setdefault(key, len(rule_ids) + len(new_rules))
             return index
 
-        # Verdicts: the dict only grows, in emission order.
-        verdicts = state["verdicts"]
-        fresh = list(islice(verdicts.values(), self._verdict_mark, None))
-        rules = list(map(attrgetter("spatial_rule"), fresh))
-        rule_codes = {
-            rule_id: -1 if rule is None else rule_index(rule)
-            for rule_id, rule in dict(zip(map(id, rules), rules)).items()
-        }
+        # Verdicts: the chunk list only grows; the new chunks' columns are
+        # written as they are, the rules they use translated into the
+        # table (slot -1 of a translation keeps "no rule" at -1).
+        chunks = state["verdicts"]
+        fresh = chunks[self._verdict_mark :]
+        translations: Dict[int, np.ndarray] = {}
+        for chunk in fresh:
+            translation = translations.get(id(chunk.rules))
+            if translation is None:
+                translation = np.full(len(chunk.rules) + 1, -1, dtype=np.int64)
+                translations[id(chunk.rules)] = translation
+            for rule in np.unique(chunk.rule_index).tolist():
+                if rule >= 0 and translation[rule] < 0:
+                    translation[rule] = rule_index(chunk.rules.rules[rule])
         segment_arrays["verdict_ids"] = _pack_ints(
-            np.fromiter(
-                islice(verdicts, self._verdict_mark, None), dtype=np.int64, count=len(fresh)
-            )
+            np.concatenate([np.empty(0, dtype=np.int64)] + [chunk.request_ids for chunk in fresh])
         )
         segment_arrays["verdict_rules"] = _pack_ints(
-            np.fromiter(
-                map(rule_codes.__getitem__, map(id, rules)), dtype=np.int64, count=len(rules)
+            np.concatenate(
+                [np.empty(0, dtype=np.int64)]
+                + [translations[id(chunk.rules)][chunk.rule_index] for chunk in fresh]
             )
         )
-        flag_tuples = list(map(attrgetter("temporal_flags"), fresh))
-        flagged = np.flatnonzero(
-            np.fromiter(map(len, flag_tuples), dtype=np.int64, count=len(flag_tuples))
-        ).tolist()
-        flags = [(row, flag) for row in flagged for flag in flag_tuples[row]]
         flag_columns = {name: [] for name in ("row", "kind", "key", "attribute", "new", "n_prev")}
         previous: List[int] = []
-        for row, flag in flags:
-            kind = _KIND_CODES[flag.key_kind]
-            index = value_indexes[flag.attribute]
-            flag_columns["row"].append(row)
-            flag_columns["kind"].append(kind)
-            flag_columns["key"].append(key_indexes[kind][flag.key])
-            flag_columns["attribute"].append(position[flag.attribute])
-            flag_columns["new"].append(index[flag.new_value])
-            flag_columns["n_prev"].append(len(flag.previous_values))
-            previous.extend(index[value] for value in flag.previous_values)
+        offset = 0
+        for chunk in fresh:
+            for row, row_flags in chunk.flags.items():
+                for flag in row_flags:
+                    kind = _KIND_CODES[flag.key_kind]
+                    index = value_indexes[flag.attribute]
+                    flag_columns["row"].append(offset + row)
+                    flag_columns["kind"].append(kind)
+                    flag_columns["key"].append(key_indexes[kind][flag.key])
+                    flag_columns["attribute"].append(position[flag.attribute])
+                    flag_columns["new"].append(index[flag.new_value])
+                    flag_columns["n_prev"].append(len(flag.previous_values))
+                    previous.extend(index[value] for value in flag.previous_values)
+            offset += len(chunk)
         for name, column in flag_columns.items():
             segment_arrays[f"flag_{name}"] = _pack_ints(column)
         segment_arrays["flag_prev"] = _pack_ints(previous)
@@ -553,7 +550,7 @@ class StreamCheckpointer:
         def commit() -> None:
             self._vocab_marks = vocab_marks
             rule_ids.update(new_rules)
-            self._verdict_mark = len(verdicts)
+            self._verdict_mark = len(chunks)
             self._seen_mark = (temporal_state, closed)
 
         return segment_meta, segment_arrays, snapshot_meta, snapshot_arrays, commit
@@ -587,15 +584,29 @@ class StreamCheckpointer:
         vocabulary: List[List] = [[] for _ in range(len(attributes) + 2)]
         key_values = (vocabulary[-2], vocabulary[-1])
         rules: List[InconsistencyRule] = []
-        verdicts: Dict[int, InconsistencyVerdict] = {}
+        ids: List[np.ndarray] = []
+        rule_codes: List[np.ndarray] = []
+        flags: Dict[int, Tuple[TemporalFlag, ...]] = {}
         temporal_state = TemporalStreamState()
         for entry in meta["segments"]:
             segment_meta, segment = self._read_segment(entry)
             for values, new in zip(vocabulary, segment_meta["vocabulary"]):
                 values.extend(new)
             rules.extend(InconsistencyRule.from_dict(rule) for rule in segment_meta["rules"])
-            self._fold_verdicts(segment, attributes, vocabulary, key_values, rules, verdicts)
+            offset = sum(column.size for column in ids)
+            ids.append(_unpack_ints(segment["verdict_ids"]))
+            rule_codes.append(_unpack_ints(segment["verdict_rules"]))
+            flags.update(
+                self._fold_flags(segment, offset, attributes, vocabulary, key_values)
+            )
             self._fold_seen(segment, attributes, vocabulary, key_values, temporal_state)
+        table = RuleTable()
+        verdicts = Verdicts(
+            np.concatenate([np.empty(0, dtype=np.int64)] + ids),
+            table.indices(rules)[np.concatenate([np.empty(0, dtype=np.int64)] + rule_codes)],
+            table,
+            flags,
+        )
 
         classifier_meta = meta["classifier"]
         classifier = {
@@ -621,8 +632,8 @@ class StreamCheckpointer:
         self._vocab_marks = [len(values) for values in vocabulary]
         self._rule_ids = {}
         for index, rule in enumerate(rules):
-            self._rule_ids.setdefault(_rule_key(rule), index)
-        self._verdict_mark = len(verdicts)
+            self._rule_ids.setdefault(rule_key(rule), index)
+        self._verdict_mark = 1
         self._seen_mark = (temporal_state, temporal_state.close_epoch())
         _SEGMENTS.set(len(self._segments))
 
@@ -659,7 +670,9 @@ class StreamCheckpointer:
         return _unpack_npz(payload, f"checkpoint segment {path}")
 
     @staticmethod
-    def _fold_verdicts(segment, attributes, vocabulary, key_values, rules, verdicts) -> None:
+    def _fold_flags(segment, offset, attributes, vocabulary, key_values):
+        """A segment's temporal flags by row, rows shifted by *offset*."""
+
         flags: Dict[int, List[TemporalFlag]] = {}
         previous = _unpack_ints(segment["flag_prev"]).tolist()
         cursor = 0
@@ -670,7 +683,7 @@ class StreamCheckpointer:
             )
         ):
             values = vocabulary[attribute]
-            flags.setdefault(row, []).append(
+            flags.setdefault(offset + row, []).append(
                 TemporalFlag(
                     key_kind=_KINDS[kind],
                     key=key_values[kind][key],
@@ -682,14 +695,7 @@ class StreamCheckpointer:
                 )
             )
             cursor += n_prev
-        ids = _unpack_ints(segment["verdict_ids"]).tolist()
-        rule_codes = _unpack_ints(segment["verdict_rules"]).tolist()
-        for row, (request_id, rule) in enumerate(zip(ids, rule_codes)):
-            verdicts[request_id] = InconsistencyVerdict(
-                request_id=request_id,
-                spatial_rule=None if rule < 0 else rules[rule],
-                temporal_flags=tuple(flags.get(row, ())),
-            )
+        return {row: tuple(row_flags) for row, row_flags in flags.items()}
 
     @staticmethod
     def _fold_seen(segment, attributes, vocabulary, key_values, state) -> None:

@@ -3,9 +3,14 @@
 The :class:`OnlineClassifier` is the serving-side counterpart of
 :meth:`FPInconsistent.classify_table`: the same vectorized spatial match
 (compiled filter list + generalised Location predicate) per batch, but
-temporal detection runs **incrementally** — per-visitor seen-state lives in
-a :class:`~repro.core.temporal.TemporalStreamState` carried across batches
-instead of being replayed from the whole history on every call.
+all state runs **incrementally** — per-visitor temporal seen-state lives
+in a :class:`~repro.core.temporal.TemporalStreamState`, and the spatial
+side in a :class:`~repro.core.detector.SpatialMatchState`, both carried
+across batches.  The deployed list is compiled once
+(:meth:`FilterList.matcher`); a batch only extends the per-attribute
+code translations by the vocabulary added since the previous batch, and
+the Location predicate is memoised per (country, timezone) code pair for
+the life of the classifier.
 
 Scoring a stream of batches in arrival order therefore produces verdicts
 identical to one batch classification of the concatenated table (pinned by
@@ -18,11 +23,9 @@ caller hands in is never mutated — hot-swapping a refreshed filter list
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro import obs
 from repro.core.columnar import ColumnarTable
-from repro.core.detector import FPInconsistent, InconsistencyVerdict
+from repro.core.detector import FPInconsistent, Verdicts
 from repro.core.rules import FilterList
 
 _ROWS_SCORED = obs.counter(
@@ -43,6 +46,7 @@ class OnlineClassifier:
         # its own ``TemporalStreamState``.
         self._detector = detector.isolated_clone()
         self._state = self._detector.temporal_detector.new_stream_state()
+        self._spatial = self._detector.new_spatial_state()
         self._rows_scored = 0
         self._swaps = 0
 
@@ -70,17 +74,18 @@ class OnlineClassifier:
 
     # -- scoring ---------------------------------------------------------------
 
-    def classify_batch(self, batch: ColumnarTable) -> Dict[int, InconsistencyVerdict]:
-        """Score one micro-batch; returns a verdict per ``request_id``.
+    def classify_batch(self, batch: ColumnarTable) -> Verdicts:
+        """Score one micro-batch; returns its verdict columns in row order.
 
-        The filter list is recompiled against the batch (the compiled
-        index keys on vocabulary sizes, which grow between batches), the
-        Location predicate fills misses, and the temporal detector updates
-        the stream's seen-state in place.
+        The deployed list's compiled matcher scores the batch after
+        extending its code translations by the batch's new vocabulary, the
+        memoised Location predicate fills misses, and the temporal detector
+        updates the stream's seen-state in place.  Rule indices point into
+        this classifier's rule table, shared by every batch it scores.
         """
 
         verdicts = self._detector.classify_table(
-            batch, workers=1, temporal_state=self._state
+            batch, workers=1, temporal_state=self._state, spatial_state=self._spatial
         )
         self._rows_scored += batch.n_rows
         _ROWS_SCORED.inc(batch.n_rows)
@@ -89,7 +94,8 @@ class OnlineClassifier:
     def swap_filter_list(self, filter_list: FilterList) -> None:
         """Deploy a refreshed rule set, effective from the next batch.
 
-        Matching is stateless (recompiled per batch) and temporal state is
+        The new list is compiled once, on the first batch it scores; the
+        rule table and Location memo carry over, and temporal state is
         rule-independent, so the swap is deterministic at the batch
         boundary: every row of batch *k* is scored by exactly one list.
         """

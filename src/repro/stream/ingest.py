@@ -11,9 +11,10 @@ against it, emitting a :class:`ColumnarTable` whose decode lists are live
 views of the shared vocabulary.
 
 Because codes are append-only, everything the batch engine already does
-with a table works unchanged on a batch: the filter list compiles against
-it, the temporal detector streams it, and the refresher can mine a window
-of concatenated batch columns.  Ingesting an entire store in one batch
+with a table works unchanged on a batch: the compiled filter list matches
+it (extending its code translations by the new vocabulary only), the
+temporal detector streams it, and the refresher can mine a window of
+concatenated batch columns.  Ingesting an entire store in one batch
 produces exactly the table :meth:`ColumnarTable.from_store` would — the
 stream tests pin it.
 
@@ -60,10 +61,11 @@ class StreamIngestor:
 
     The emitted batches share the ingestor's decode lists *by reference*:
     they keep growing as later batches arrive, but existing codes never
-    change meaning, so a batch stays decodable forever.  Consumers that
-    compile against a batch (the filter-list index keys on vocabulary
-    sizes) must do so per batch — which is exactly what the online
-    classifier does.
+    change meaning, so a batch stays decodable forever.  Consumers cache
+    per-code translations against these lists and extend them by the new
+    tail only — the compiled filter-list matcher, the Location-predicate
+    memo and the temporal state's remaps all rely on codes being
+    append-only.
     """
 
     def __init__(self, attributes: Optional[Iterable[Attribute]] = None):
@@ -216,7 +218,6 @@ class StreamIngestor:
         table = ColumnarTable(
             codes=codes,
             values=self._values,
-            indexes=self._indexes,
             n_rows=n_rows,
             request_ids=request_ids,
             timestamps=timestamps,

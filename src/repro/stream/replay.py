@@ -34,7 +34,8 @@ import numpy as np
 
 from repro import faults, obs
 from repro.core.columnar import ColumnarTable
-from repro.core.detector import FPInconsistent, InconsistencyVerdict
+from repro.core.detector import FPInconsistent, Verdicts
+from repro.fingerprint.attributes import Attribute
 from repro.honeysite.storage import LazyRequestStore, RequestStore
 from repro.stream.checkpoint import CheckpointError, StreamCheckpointer
 from repro.stream.classifier import OnlineClassifier
@@ -183,7 +184,9 @@ class ArrivalStream:
 class ReplayResult:
     """Everything one replay produced."""
 
-    verdicts: Dict[int, InconsistencyVerdict]
+    #: every verdict of the stream so far (resumed ones included), in
+    #: arrival order
+    verdicts: Verdicts
     #: rows that received a verdict in this invocation (a resumed run
     #: excludes the rows its checkpoint already covered; dead-lettered
     #: rows are not counted)
@@ -242,10 +245,34 @@ class ReplayResult:
     def counts(self) -> Dict[str, int]:
         """Verdict tallies: spatial / temporal / combined inconsistency."""
 
-        spatial = sum(1 for v in self.verdicts.values() if v.spatially_inconsistent)
-        temporal = sum(1 for v in self.verdicts.values() if v.temporally_inconsistent)
-        combined = sum(1 for v in self.verdicts.values() if v.is_inconsistent)
-        return {"spatial": spatial, "temporal": temporal, "inconsistent": combined}
+        return self.verdicts.counts()
+
+    def rule_hits(self) -> Dict[str, int]:
+        """Spatial verdicts per rule (``InconsistencyRule.describe()``).
+
+        One ``np.bincount`` over the rule column.  Rules with equal
+        descriptions (a rule re-mined with another support) share an
+        entry, every generalised Location-predicate rule counts in the
+        ``"location_predicate"`` bucket, and rules without hits are left
+        out, so the values sum to ``counts()["spatial"]``.
+        """
+
+        column = self.verdicts.rule_index
+        rules = self.verdicts.rules.rules
+        counts = np.bincount(column[column >= 0], minlength=len(rules)).tolist()
+        hits: Dict[str, int] = {}
+        for rule, count in zip(rules, counts):
+            if count:
+                # Predicate rules carry support 0, mined ones a positive
+                # support (also after a checkpoint round trip).
+                generalised = (
+                    rule.support == 0
+                    and rule.attribute_a is Attribute.IP_COUNTRY
+                    and rule.attribute_b is Attribute.TIMEZONE
+                )
+                name = "location_predicate" if generalised else rule.describe()
+                hits[name] = hits.get(name, 0) + count
+        return hits
 
 
 class ReplayDriver:
@@ -303,7 +330,8 @@ class ReplayDriver:
         arrivals = ArrivalStream(store)
         total = arrivals.total
 
-        verdicts: Dict[int, InconsistencyVerdict] = {}
+        # Per-batch verdict chunks, concatenated once after the loop.
+        chunks: List[Verdicts] = []
         batch_seconds: List[float] = []
         refreshes: List[Dict] = []
         health = StreamHealth()
@@ -324,7 +352,7 @@ class ReplayDriver:
                 classifier.restore(**state["classifier"])
                 if self._refresher is not None and state.get("refresher") is not None:
                     self._refresher.restore_state(state["refresher"])
-                verdicts = state["verdicts"]
+                chunks = [state["verdicts"]]
                 refreshes = [dict(entry) for entry in state["refreshes"]]
                 health = StreamHealth.from_dict(state["health"])
                 start_row = int(state["cursor_rows"])
@@ -349,7 +377,7 @@ class ReplayDriver:
             index = batches_done
             classifier, scored = self._classify_supervised(classifier, batch, index, health)
             if scored is not None:
-                verdicts.update(scored)
+                chunks.append(scored)
                 rows_this_run += batch.n_rows
             elapsed = time.perf_counter() - batch_started
             batch_seconds.append(elapsed)
@@ -405,9 +433,10 @@ class ReplayDriver:
                         ),
                         "refreshes": refreshes,
                         "health": health.to_dict(),
-                        "verdicts": verdicts,
+                        "verdicts": chunks,
                     }
                 )
+        verdicts = Verdicts.concat(chunks)
         seconds = time.perf_counter() - started
         return ReplayResult(
             verdicts=verdicts,
@@ -483,31 +512,6 @@ class ReplayDriver:
 # -- verdict serialisation ------------------------------------------------------
 
 
-def verdicts_to_jsonable(verdicts: Dict[int, InconsistencyVerdict]) -> List[Dict]:
-    """Canonical JSON-able form of a verdict mapping, sorted by request id.
-
-    The byte-identity oracle between the streaming and batch engines runs
-    over this serialisation (CI's stream-replay smoke and the CLI's
-    ``--verify-batch`` both use it), so it captures everything a verdict
-    carries: the winning spatial rule and every temporal flag with its
-    full evidence.
-    """
-
-    document = []
-    for request_id in sorted(verdicts):
-        verdict = verdicts[request_id]
-        document.append(
-            {
-                "request_id": int(request_id),
-                "spatial_rule": (
-                    None if verdict.spatial_rule is None else verdict.spatial_rule.to_dict()
-                ),
-                "temporal_flags": _flags_to_jsonable(verdict.temporal_flags),
-            }
-        )
-    return document
-
-
 def _flags_to_jsonable(flags) -> List[Dict]:
     return [
         {
@@ -525,34 +529,33 @@ def _canonical(document) -> str:
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
-def verdicts_digest(verdicts: Dict[int, InconsistencyVerdict]) -> str:
+def verdicts_digest(verdicts: Verdicts) -> str:
     """SHA-256 over the canonical verdict serialisation.
 
-    Byte-identical to hashing ``json.dumps(verdicts_to_jsonable(verdicts),
-    sort_keys=True, separators=(",", ":"))``, but assembled from
-    fragments: each rule is serialised once (memoized by identity, while
-    *verdicts* holds it; ``None`` is ``null``), a verdict without flags
-    takes the fixed ``[]`` fragment, and only the rare flagged verdicts
-    go through ``json.dumps`` one at a time.  Sorted keys put
-    ``request_id``, ``spatial_rule`` and ``temporal_flags`` in that order.
+    The canonical form is a JSON list sorted by request id, one object per
+    verdict with sorted keys: ``request_id``, ``spatial_rule`` (the rule's
+    ``to_dict()`` or ``null``) and ``temporal_flags`` (every flag with its
+    full evidence), dumped with ``sort_keys=True`` and compact separators.
+    The byte-identity oracle between the streaming and batch engines runs
+    over it (CI's stream-replay smoke and the CLI's ``--verify-batch``).
+    It is assembled from fragments: each rule-table entry is serialised
+    once, unflagged rows take the fixed ``[]`` fragment, and only the
+    sparse flagged rows go through ``json.dumps``.
     """
 
-    rules: Dict[int, str] = {}
-    parts = []
-    for request_id in sorted(verdicts):
-        verdict = verdicts[request_id]
-        rule = verdict.spatial_rule
-        rule_json = rules.get(id(rule))
-        if rule_json is None:
-            rule_json = rules[id(rule)] = "null" if rule is None else _canonical(rule.to_dict())
-        flags = (
-            _canonical(_flags_to_jsonable(verdict.temporal_flags))
-            if verdict.temporal_flags
-            else "[]"
+    order = np.argsort(verdicts.request_ids, kind="stable")
+    middles = [
+        f',"spatial_rule":{_canonical(rule.to_dict())},"temporal_flags":'
+        for rule in verdicts.rules.rules
+    ] + [',"spatial_rule":null,"temporal_flags":']
+    flags = {row: _canonical(_flags_to_jsonable(row_flags)) for row, row_flags in verdicts.flags.items()}
+    parts = [
+        f'{{"request_id":{request_id}{middles[rule]}{flags.get(row, "[]")}}}'
+        for request_id, rule, row in zip(
+            verdicts.request_ids[order].tolist(),
+            verdicts.rule_index[order].tolist(),
+            order.tolist(),
         )
-        parts.append(
-            f'{{"request_id":{int(request_id)},"spatial_rule":{rule_json},'
-            f'"temporal_flags":{flags}}}'
-        )
+    ]
     payload = "[" + ",".join(parts) + "]"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

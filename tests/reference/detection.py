@@ -10,8 +10,16 @@ algorithms, kept as the oracle the columnar engine is pinned against
   shared :meth:`~repro.core.spatial.SpatialInconsistencyMiner.select_rules`;
 * :class:`ObjectTemporalDetector` — the per-request temporal checker with
   its dict-of-ordered-sets state;
+* :func:`first_match` — the filter list's index walk per fingerprint,
+  and :func:`compile_per_table` / :class:`CompiledFilterList`, the per-table compile
+  the incremental matcher replaced, kept to pin it row for row;
+* :class:`InconsistencyVerdict` — one verdict object per request, with
+  :func:`verdict_objects` / :func:`verdicts_from_objects` converting to
+  and from the engine's :class:`~repro.core.detector.Verdicts` columns,
+  and :func:`verdicts_to_jsonable`, the canonical serialisation
+  :func:`repro.stream.verdicts_digest` is pinned to;
 * :func:`fit`, :func:`classify_store` and :func:`evaluate_generalization`
-  — the detector and the Section 7.3 check built from those two.
+  — the detector and the Section 7.3 check built from those.
 
 Every function takes object stores or fingerprints and must reproduce the
 columnar engine's filter lists, verdicts and rates exactly.
@@ -19,13 +27,14 @@ columnar engine's filter lists, verdicts and rates exactly.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.detector import FPInconsistent, InconsistencyVerdict
+from repro.core.detector import FPInconsistent, Verdicts
 from repro.core.evaluation import DETECTOR_NAMES, GeneralizationResult
-from repro.core.rules import FilterList, InconsistencyRule
+from repro.core.rules import FilterList, InconsistencyRule, RuleTable
 from repro.core.spatial import PairStatistics, SpatialInconsistencyMiner, ordered_pair_tasks
 from repro.core.temporal import TemporalFlag, TemporalInconsistencyDetector
 from repro.fingerprint.attributes import Attribute
@@ -86,6 +95,189 @@ def mine_store(miner: SpatialInconsistencyMiner, store: RequestStore) -> FilterL
     """Mine from a store of bot traffic."""
 
     return mine(miner, [record.request.fingerprint for record in store])
+
+
+# -- filter-list matching ------------------------------------------------------------
+
+
+def first_match(filter_list: FilterList, fingerprint: Fingerprint) -> Optional[InconsistencyRule]:
+    """The first rule *fingerprint* violates, walking the list's index:
+    attributes in index order, then the rules of the observed value's
+    bucket in insertion order."""
+
+    for attribute, by_value in filter_list._index.items():
+        observed = fingerprint.value_for_grouping(attribute)
+        if observed is None:
+            continue
+        for rule in by_value.get(observed, ()):
+            if fingerprint.value_for_grouping(rule.attribute_b) == rule.value_b:
+                return rule
+    return None
+
+
+def compile_per_table(filter_list: FilterList, table) -> "CompiledFilterList":
+    """The list compiled against one table's value codes (per table).
+
+    Every rule's value pair is translated to the table's codes and
+    grouped per attribute pair; rules whose values never occur in the
+    table compile away.  Priorities mirror :func:`first_match`'s order.
+    """
+
+    for rule in filter_list:
+        for attribute in (rule.attribute_a, rule.attribute_b):
+            table.require_attribute(attribute, "rule attribute")
+    table_codes: Dict[Attribute, Dict[object, int]] = {}
+
+    def code_of(attribute: Attribute, value: object) -> Optional[int]:
+        if attribute not in table_codes:
+            decode = table.values_of(attribute)
+            table_codes[attribute] = dict(zip(decode, range(len(decode))))
+        return table_codes[attribute].get(value)
+
+    max_bucket = 1
+    for by_value in filter_list._index.values():
+        for rules in by_value.values():
+            max_bucket = max(max_bucket, len(rules))
+    entries = []
+    for attribute_position, (attribute, by_value) in enumerate(filter_list._index.items()):
+        for value_a, rules in by_value.items():
+            code_a = code_of(attribute, value_a)
+            if code_a is None:
+                continue
+            for bucket_position, rule in enumerate(rules):
+                code_b = code_of(rule.attribute_b, rule.value_b)
+                if code_b is None:
+                    continue
+                priority = attribute_position * max_bucket + bucket_position
+                entries.append((attribute, rule.attribute_b, code_a, code_b, priority, rule))
+    return CompiledFilterList(entries, table)
+
+
+class CompiledFilterList:
+    """A filter list compiled against one table: per attribute pair, a
+    sorted array of impossible ``code_a * n_b + code_b`` keys; the
+    lowest-priority hit per row is the :func:`first_match` winner."""
+
+    _NO_MATCH = np.iinfo(np.int64).max
+
+    def __init__(self, entries, table):
+        self._table = table
+        self._rules = [entry[5] for entry in entries]
+        grouped: Dict[Tuple[Attribute, Attribute], List[Tuple[int, int, int]]] = {}
+        for rule_index, (attribute_a, attribute_b, code_a, code_b, priority, _rule) in enumerate(
+            entries
+        ):
+            n_b = len(table.values_of(attribute_b))
+            grouped.setdefault((attribute_a, attribute_b), []).append(
+                (code_a * n_b + code_b, priority, rule_index)
+            )
+        self._groups = {}
+        for pair, items in grouped.items():
+            items.sort()
+            self._groups[pair] = tuple(
+                np.array([item[field] for item in items], dtype=np.int64) for field in range(3)
+            )
+
+    def first_match_rows(self) -> List[Optional[InconsistencyRule]]:
+        """The winning rule per table row (``None`` where no rule matches)."""
+
+        table = self._table
+        best_priority = np.full(table.n_rows, self._NO_MATCH, dtype=np.int64)
+        best_rule = np.full(table.n_rows, -1, dtype=np.int64)
+        for (attribute_a, attribute_b), (keys, priorities, rule_indices) in self._groups.items():
+            codes_a = table.codes_of(attribute_a)
+            codes_b = table.codes_of(attribute_b)
+            row_keys = codes_a.astype(np.int64) * len(table.values_of(attribute_b)) + codes_b
+            positions = np.clip(np.searchsorted(keys, row_keys), 0, keys.size - 1)
+            hits = (codes_a >= 0) & (codes_b >= 0) & (keys[positions] == row_keys)
+            row_priorities = np.where(hits, priorities[positions], self._NO_MATCH)
+            better = row_priorities < best_priority
+            best_priority = np.where(better, row_priorities, best_priority)
+            best_rule = np.where(better, rule_indices[positions], best_rule)
+        return [self._rules[index] if index >= 0 else None for index in best_rule]
+
+
+# -- verdict objects ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class InconsistencyVerdict:
+    """Classification of one request by FP-Inconsistent."""
+
+    request_id: int
+    spatial_rule: Optional[InconsistencyRule]
+    temporal_flags: Tuple[TemporalFlag, ...] = ()
+
+    @property
+    def spatially_inconsistent(self) -> bool:
+        return self.spatial_rule is not None
+
+    @property
+    def temporally_inconsistent(self) -> bool:
+        return bool(self.temporal_flags)
+
+    @property
+    def is_inconsistent(self) -> bool:
+        return self.spatially_inconsistent or self.temporally_inconsistent
+
+
+def verdict_objects(verdicts: Verdicts) -> Dict[int, InconsistencyVerdict]:
+    """One verdict object per row of *verdicts*, keyed by request id."""
+
+    rules = verdicts.rules.rules
+    return {
+        int(request_id): InconsistencyVerdict(
+            request_id=int(request_id),
+            spatial_rule=None if rule < 0 else rules[rule],
+            temporal_flags=verdicts.flags.get(row, ()),
+        )
+        for row, (request_id, rule) in enumerate(
+            zip(verdicts.request_ids.tolist(), verdicts.rule_index.tolist())
+        )
+    }
+
+
+def verdicts_from_objects(objects: Dict[int, InconsistencyVerdict]) -> Verdicts:
+    """The column form of a verdict-object mapping, rows in its order."""
+
+    table = RuleTable()
+    return Verdicts(
+        np.array([verdict.request_id for verdict in objects.values()], dtype=np.int64),
+        np.array(
+            [
+                -1 if verdict.spatial_rule is None else table.add(verdict.spatial_rule)
+                for verdict in objects.values()
+            ],
+            dtype=np.int64,
+        ),
+        table,
+        {
+            row: tuple(verdict.temporal_flags)
+            for row, verdict in enumerate(objects.values())
+            if verdict.temporal_flags
+        },
+    )
+
+
+def verdicts_to_jsonable(verdicts: Verdicts) -> List[Dict]:
+    """Canonical JSON-able form of *verdicts*, sorted by request id: the
+    winning spatial rule and every temporal flag with its full evidence."""
+
+    from repro.stream.replay import _flags_to_jsonable
+
+    objects = verdict_objects(verdicts)
+    return [
+        {
+            "request_id": request_id,
+            "spatial_rule": (
+                None
+                if objects[request_id].spatial_rule is None
+                else objects[request_id].spatial_rule.to_dict()
+            ),
+            "temporal_flags": _flags_to_jsonable(objects[request_id].temporal_flags),
+        }
+        for request_id in sorted(objects)
+    ]
 
 
 # -- temporal checks ----------------------------------------------------------------

@@ -118,8 +118,8 @@ def test_classification_equivalence_on_random_stores(seed):
     reference.fit(detector, store)
     legacy = reference.classify_store(detector, store)
     columnar = detector.classify_store(store)
-    assert list(legacy) == list(columnar)
-    assert legacy == columnar
+    assert list(legacy) == columnar.request_ids.tolist()
+    assert legacy == reference.verdict_objects(columnar)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 5])
@@ -130,6 +130,8 @@ def test_sharded_classification_equivalence(workers):
     serial = detector.classify_store(store, workers=1)
     sharded = detector.classify_store(store, workers=workers, executor="thread")
     assert serial == sharded
+    assert reference.verdict_objects(serial) == reference.verdict_objects(sharded)
+    assert serial.request_ids.tolist() == sharded.request_ids.tolist()
 
 
 def test_sharded_mining_equivalence():
@@ -152,6 +154,7 @@ def test_process_executor_equivalence():
     serial = detector.classify_store(store, workers=1)
     process = detector.classify_store(store, workers=2, executor="process")
     assert serial == process
+    assert reference.verdict_objects(serial) == reference.verdict_objects(process)
     mined = SpatialInconsistencyMiner(config=MINER_CONFIG).mine_table(
         store.columnar(), workers=2, executor="process"
     )
@@ -183,7 +186,7 @@ def test_anonymous_traffic_equivalence():
     detector.fit(no_cookies)
     legacy = reference.classify_store(detector, no_cookies)
     columnar = detector.classify_store(no_cookies)
-    assert legacy == columnar
+    assert legacy == reference.verdict_objects(columnar)
 
 
 def test_custom_temporal_attributes_stay_equivalent():
@@ -201,7 +204,9 @@ def test_custom_temporal_attributes_stay_equivalent():
         store,
     )
     columnar = FPInconsistentPipeline(miner_config=MINER_CONFIG, temporal=temporal).run(store)
-    assert reference.classify_store(detector, store) == columnar.verdicts
+    assert reference.classify_store(detector, store) == reference.verdict_objects(
+        columnar.verdicts
+    )
     assert detector.filter_list.to_json() == columnar.filter_list.to_json()
 
 
@@ -224,7 +229,7 @@ def test_missing_columns_fail_loudly():
         value_b="1920x1080",
     )
     with pytest.raises(ValueError, match="rule attribute"):
-        FilterList([rule]).compile(narrow)
+        FilterList([rule]).matcher().first_match_rows(narrow)
 
     detector = FPInconsistent(filter_list=FilterList())
     with pytest.raises(ValueError, match="Location predicate"):
@@ -235,7 +240,7 @@ def test_pipeline_engine_equivalence_on_corpus(small_corpus):
     bot = RequestStore(list(small_corpus.bot_store))
     real = RequestStore(list(small_corpus.real_user_store))
     detector = reference.fit(FPInconsistent(), bot)
-    verdicts = reference.classify_store(detector, bot)
+    verdicts = reference.verdicts_from_objects(reference.classify_store(detector, bot))
     columnar = FPInconsistentPipeline(workers=2, executor="thread").run(
         small_corpus.bot_store,
         real_user_store=small_corpus.real_user_store,
@@ -245,7 +250,8 @@ def test_pipeline_engine_equivalence_on_corpus(small_corpus):
     assert verdicts == columnar.verdicts
     assert evaluate_table3(bot, verdicts) == columnar.table3
     assert evaluate_table4(bot, verdicts) == columnar.table4
-    assert true_negative_rate(real, reference.classify_store(detector, real)) == (
+    real_verdicts = reference.verdicts_from_objects(reference.classify_store(detector, real))
+    assert true_negative_rate(real, real_verdicts) == (
         columnar.real_user_tnr
     )
     assert reference.evaluate_generalization(bot) == columnar.generalization
@@ -275,9 +281,12 @@ def test_table_round_trip_and_codes():
         assert table.ip_at(record_index) == record.request.ip_address
     device_values = table.values_of(Attribute.UA_DEVICE)
     assert len(device_values) == len(set(device_values))
-    for code, value in enumerate(device_values):
-        assert table.code_of(Attribute.UA_DEVICE, value) == code
-    assert table.code_of(Attribute.UA_DEVICE, "Nokia 3310") is None
+    codes = table.codes_of(Attribute.UA_DEVICE)
+    for record_index, record in enumerate(store):
+        device = record.request.fingerprint.value_for_grouping(Attribute.UA_DEVICE)
+        expected = -1 if device is None else device_values.index(device)
+        assert codes[record_index] == expected
+    assert "Nokia 3310" not in device_values
 
 
 def test_table_take_slices_metadata():
@@ -311,8 +320,9 @@ def test_partition_is_device_closed():
 
 
 def test_compiled_filter_list_tie_break_matches_reference():
-    """When several rules match one fingerprint, the compiled index must
-    pick the same winner as ``FilterList.first_match``."""
+    """When several rules match one fingerprint, the compiled matcher must
+    pick the same winner as the reference index walk and the reference
+    per-table compile."""
 
     rules = [
         InconsistencyRule(
@@ -358,8 +368,13 @@ def test_compiled_filter_list_tie_break_matches_reference():
         Fingerprint({Attribute.UA_DEVICE: "Windows PC"}),
     ]
     table = ColumnarTable.from_fingerprints(fingerprints)
-    compiled = filter_list.compile(table)
-    vectorized = compiled.first_match_rows()
-    reference = [filter_list.first_match(fingerprint) for fingerprint in fingerprints]
-    assert vectorized == reference
+    matcher = filter_list.matcher()
+    vectorized = [
+        None if rank < 0 else matcher.rules[rank]
+        for rank in matcher.first_match_rows(table).tolist()
+    ]
+    walked = [reference.first_match(filter_list, fingerprint) for fingerprint in fingerprints]
+    assert vectorized == walked
+    assert vectorized == reference.compile_per_table(filter_list, table).first_match_rows()
+    assert [filter_list.first_match(fingerprint) for fingerprint in fingerprints] == walked
     assert vectorized[0] is not None and vectorized[2] is None

@@ -557,7 +557,7 @@ def test_first_occurrence_recode_matches_factorize():
     values = ["b", "a", "b", "c", "unused"]
     rows = np.array([3, 0, 2, 1, 0, 3, 2], dtype=np.int64)
     codes, recoded = _first_occurrence_recode(rows, values)
-    expected_codes, expected_values, _ = _factorize([values[code] for code in rows])
+    expected_codes, expected_values = _factorize([values[code] for code in rows])
     assert np.array_equal(codes, expected_codes)
     assert recoded == expected_values
     empty_codes, empty_values = _first_occurrence_recode(np.empty(0, np.int64), [])

@@ -17,11 +17,18 @@ import json
 
 import numpy as np
 import pytest
-from reference.detection import ObjectTemporalDetector
+from reference.detection import (
+    InconsistencyVerdict,
+    ObjectTemporalDetector,
+    compile_per_table,
+    verdict_objects,
+    verdicts_from_objects,
+    verdicts_to_jsonable,
+)
 
 from repro.analysis.engine import CorpusEngine
 from repro.core.columnar import ColumnarTable
-from repro.core.detector import FPInconsistent, InconsistencyVerdict
+from repro.core.detector import FPInconsistent
 from repro.core.pipeline import FPInconsistentPipeline
 from repro.core.rules import FilterList, InconsistencyRule
 from repro.core.spatial import SpatialInconsistencyMiner
@@ -36,7 +43,6 @@ from repro.stream import (
     ReplayDriver,
     StreamIngestor,
     verdicts_digest,
-    verdicts_to_jsonable,
 )
 
 TINY = dict(
@@ -78,6 +84,7 @@ def test_replay_matches_batch_pipeline_across_batch_sizes(corpus, fitted, batch_
     assert result.rows == len(store)
     assert result.batches == -(-len(store) // batch_size)
     assert result.verdicts == batch_verdicts
+    assert verdict_objects(result.verdicts) == verdict_objects(batch_verdicts)
     # ... and byte-identical once serialised (what the CI smoke asserts).
     assert verdicts_digest(result.verdicts) == verdicts_digest(batch_verdicts)
     assert not store.materialized  # the columnar replay path touches no record
@@ -104,10 +111,11 @@ def test_replay_reproduces_pipeline_verdicts(corpus):
 def test_verdict_serialisation_is_canonical(fitted):
     _detector, _table, batch_verdicts = fitted
     document = verdicts_to_jsonable(batch_verdicts)
-    assert [entry["request_id"] for entry in document] == sorted(batch_verdicts)
+    assert [entry["request_id"] for entry in document] == sorted(
+        batch_verdicts.request_ids.tolist()
+    )
     json.dumps(document)  # strictly JSON-able
-    trimmed = dict(batch_verdicts)
-    trimmed.pop(next(iter(trimmed)))
+    trimmed = batch_verdicts.take(np.arange(1, len(batch_verdicts)))
     assert verdicts_digest(trimmed) != verdicts_digest(batch_verdicts)
 
 
@@ -118,10 +126,10 @@ def _reference_digest(verdicts):
 
 def test_verdicts_digest_matches_the_canonical_serialisation(fitted):
     _detector, _table, verdicts = fitted
-    assert any(verdict.temporal_flags for verdict in verdicts.values())
-    assert any(verdict.spatial_rule for verdict in verdicts.values())
+    assert verdicts.flags and verdicts.spatial().any()
     assert verdicts_digest(verdicts) == _reference_digest(verdicts)
-    assert verdicts_digest({}) == _reference_digest({})
+    empty = verdicts_from_objects({})
+    assert verdicts_digest(empty) == _reference_digest(empty)
 
     rule = InconsistencyRule(
         category=AttributeCategory.LOCATION,
@@ -138,12 +146,16 @@ def test_verdicts_digest_matches_the_canonical_serialisation(fitted):
         previous_values=("Win32", True),
         new_value="Linux ✓",
     )
-    unusual = {
-        9: InconsistencyVerdict(request_id=9, spatial_rule=rule, temporal_flags=(flag,)),
-        3: InconsistencyVerdict(request_id=3, spatial_rule=None, temporal_flags=(flag, flag)),
-        5: InconsistencyVerdict(request_id=5, spatial_rule=rule),
-        1: InconsistencyVerdict(request_id=1, spatial_rule=None),
-    }
+    unusual = verdicts_from_objects(
+        {
+            9: InconsistencyVerdict(request_id=9, spatial_rule=rule, temporal_flags=(flag,)),
+            3: InconsistencyVerdict(
+                request_id=3, spatial_rule=None, temporal_flags=(flag, flag)
+            ),
+            5: InconsistencyVerdict(request_id=5, spatial_rule=rule),
+            1: InconsistencyVerdict(request_id=1, spatial_rule=None),
+        }
+    )
     assert verdicts_digest(unusual) == _reference_digest(unusual)
 
 
@@ -407,6 +419,104 @@ def test_filter_list_setter_rejects_non_lists(fitted):
         detector.filter_list = ["not", "a", "list"]
 
 
+def test_online_classifier_shares_one_rule_table_across_batches(fitted):
+    detector, table, _verdicts = fitted
+    classifier = OnlineClassifier(detector)
+    first = classifier.classify_batch(table.take(np.arange(0, 300, dtype=np.int64)))
+    second = classifier.classify_batch(table.take(np.arange(300, 600, dtype=np.int64)))
+    assert first.rules is second.rules
+    assert detector.filter_list.matcher() is detector.filter_list.matcher()
+
+
+# -- the incremental matcher -----------------------------------------------------
+
+
+def _late_rule(store, order, attributes, first_batch):
+    """A rule on one row's (screen resolution, device) values, where the
+    resolution first appears after the first *first_batch* rows."""
+
+    ingestor = StreamIngestor(attributes=attributes)
+    ingestor.ingest_rows(store.columns, order[:first_batch])
+    known = ingestor.vocabulary_sizes()[Attribute.SCREEN_RESOLUTION]
+    later = ingestor.ingest_rows(store.columns, order[first_batch:])
+    codes = later.codes_of(Attribute.SCREEN_RESOLUTION)
+    devices = later.codes_of(Attribute.UA_DEVICE)
+    row = int(np.flatnonzero((codes >= known) & (devices >= 0))[0])
+    return InconsistencyRule(
+        category=AttributeCategory.SCREEN,
+        attribute_a=Attribute.SCREEN_RESOLUTION,
+        value_a=later.value_at(Attribute.SCREEN_RESOLUTION, row),
+        attribute_b=Attribute.UA_DEVICE,
+        value_b=later.value_at(Attribute.UA_DEVICE, row),
+        support=1,
+    )
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 37])
+def test_incremental_matcher_matches_the_per_batch_compile(corpus, fitted, batch_size):
+    """The compiled-once matcher, fed a growing vocabulary batch by batch,
+    picks the rule the per-batch reference compile picks on every row —
+    across a hot swap, an empty list, and a rule whose values only enter
+    the vocabulary after batch 0."""
+
+    detector, _table, _verdicts = fitted
+    store = corpus.bot_store
+    attributes = detector.table_attributes()
+    order = np.argsort(store.columns.timestamps, kind="stable")[:600]
+    late = _late_rule(store, order, attributes, batch_size)
+    mined = list(detector.filter_list)
+    # The late rule leads its list, so it wins every row it matches.
+    schedule = [FilterList([late] + mined), FilterList(mined[::2]), FilterList()]
+    starts = range(0, order.size, batch_size)
+    ingestor = StreamIngestor(attributes=attributes)
+    state = detector.new_spatial_state()
+    late_hits = 0
+    for index, start in enumerate(starts):
+        filter_list = schedule[3 * index // len(starts)]
+        batch = ingestor.ingest_rows(store.columns, order[start : start + batch_size])
+        matched = [
+            None if rule < 0 else state.rules.rules[rule]
+            for rule in state.match(filter_list, batch).tolist()
+        ]
+        assert matched == compile_per_table(filter_list, batch).first_match_rows(), index
+        late_hits += sum(rule is late for rule in matched)
+    assert late_hits > 0
+
+
+def test_rule_added_to_the_deployed_list_applies_from_the_next_batch(corpus, fitted):
+    detector, table, _verdicts = fitted
+    deployed = FilterList()
+    classifier = OnlineClassifier(
+        FPInconsistent(
+            filter_list=deployed,
+            temporal=detector.temporal_detector,
+            location_predicate=False,
+        )
+    )
+    first, second = table.take(np.arange(0, 50)), table.take(np.arange(50, 100))
+    assert not classifier.classify_batch(first).spatial().any()
+    rule = InconsistencyRule(
+        category=AttributeCategory.SCREEN,
+        attribute_a=Attribute.SCREEN_RESOLUTION,
+        value_a=second.value_at(Attribute.SCREEN_RESOLUTION, 0),
+        attribute_b=Attribute.UA_DEVICE,
+        value_b=second.value_at(Attribute.UA_DEVICE, 0),
+        support=1,
+    )
+    assert classifier.filter_list is deployed and deployed.add(rule)
+    scored = classifier.classify_batch(second)
+    assert scored.rules.rules[scored.rule_index[0]] == rule
+
+
+def test_rule_hits_sum_to_the_spatial_count(corpus, fitted):
+    detector, _table, _verdicts = fitted
+    result = ReplayDriver(detector, batch_size=256).replay(corpus.bot_store)
+    hits = result.rule_hits()
+    assert sum(hits.values()) == result.counts()["spatial"] > 0
+    assert hits.get("location_predicate", 0) > 0
+    assert all(count > 0 for count in hits.values())
+
+
 # -- filter-list refresh ---------------------------------------------------------
 
 
@@ -560,7 +670,7 @@ def test_replay_of_an_empty_store(fitted):
     empty = LazyRequestStore(RecordColumnsBuilder().columns().renumbered())
     result = ReplayDriver(detector, batch_size=64).replay(empty)
     assert result.rows == 0 and result.batches == 0
-    assert result.verdicts == {}
+    assert len(result.verdicts) == 0
     assert result.rows_per_second == 0.0
     assert result.latency_quantile(0.5) == 0.0
     assert result.counts() == {"spatial": 0, "temporal": 0, "inconsistent": 0}

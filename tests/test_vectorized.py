@@ -437,11 +437,8 @@ def test_pipeline_reuses_emitted_tables(vectorized_corpus):
         rule.to_dict() for rule in fresh.filter_list
     ]
     assert reused.real_user_tnr == fresh.real_user_tnr
-    assert sorted(reused.verdicts) == sorted(fresh.verdicts)
-    for request_id, verdict in reused.verdicts.items():
-        other = fresh.verdicts[request_id]
-        assert verdict.spatial_rule == other.spatial_rule
-        assert verdict.temporal_flags == other.temporal_flags
+    assert sorted(reused.verdicts.request_ids) == sorted(fresh.verdicts.request_ids)
+    assert reused.verdicts == fresh.verdicts
 
 
 def test_incompatible_table_falls_back_to_extraction(vectorized_corpus):
