@@ -282,8 +282,8 @@ def map_shards(
 ) -> list:
     """Map *fn* over *payloads* on the shard worker pool, preserving order.
 
-    The generic fan-out primitive shared by the corpus engine, the columnar
-    miner and the sharded classifier: ``workers <= 1`` (or a single
+    The generic fan-out primitive shared by the corpus engine and the
+    sharded classifier: ``workers <= 1`` (or a single
     payload) runs inline; otherwise a process or thread pool executes the
     payloads and results come back in input order.  *fn* must be a
     module-level callable and payloads picklable when the process executor

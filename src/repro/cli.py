@@ -51,7 +51,10 @@ def _add_execution_knobs(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help=f"shard worker count (default: {WORKERS_ENV_VAR} or 1)",
+        help=(
+            "shard worker count for corpus generation and classification "
+            f"(default: {WORKERS_ENV_VAR} or 1)"
+        ),
     )
     group.add_argument(
         "--executor",
@@ -480,16 +483,15 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     checkpointer = _checkpointer_from_args(parser, args)
 
     corpus = _build_from_args(args)
-    workers = args.workers or default_workers() or 1
     bot_store = corpus.bot_store
     # The initial filter list is mined exactly as the batch pipeline would,
     # reusing the corpus's pre-extracted bot table when it is acceptable.
     detector = FPInconsistent()
-    with obs.tracer().span("stream.mine_filter_list", workers=workers) as span:
+    with obs.tracer().span("stream.mine_filter_list") as span:
         table, table_source = detector.resolve_table(
             bot_store, corpus.columnar_tables.get("bots")
         )
-        detector.fit_table(table, workers=workers, executor=args.executor)
+        detector.fit_table(table)
         span.set(rules=len(detector.filter_list), table=table_source)
     print(
         f"stream: filter list mined in {span.duration:.2f}s "
@@ -504,8 +506,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             interval_batches=args.refresh_every or None,
             interval_days=args.refresh_days or None,
             window_rows=args.window,
-            workers=workers,
-            executor=args.executor,
         )
     driver = ReplayDriver(detector, batch_size=batch_size, refresher=refresher)
     bytes_before = obs.metric_value(_CHECKPOINT_BYTES)

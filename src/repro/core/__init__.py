@@ -19,8 +19,6 @@ from repro.core.spatial import (
     PairStatistics,
     SpatialInconsistencyMiner,
     SpatialMinerConfig,
-    columnar_pair_statistics,
-    ordered_pair_tasks,
 )
 from repro.core.temporal import (
     DEFAULT_COOKIE_ATTRIBUTES,
@@ -51,12 +49,10 @@ __all__ = [
     "TemporalFlag",
     "TemporalInconsistencyDetector",
     "Verdicts",
-    "columnar_pair_statistics",
     "detection_rates",
     "evaluate_generalization",
     "evaluate_table3",
     "evaluate_table4",
-    "ordered_pair_tasks",
     "partition_rows_by_device",
     "true_negative_rate",
 ]

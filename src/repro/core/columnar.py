@@ -8,8 +8,9 @@ into per-attribute **code columns** (a factorize representation: an
 ``int32`` array of value codes per attribute, ``-1`` for missing, plus the
 code → value decode list), after which
 
-* the miner computes all pair co-occurrence statistics with one
-  ``numpy.unique`` pass per pair (:meth:`SpatialInconsistencyMiner.mine_table`),
+* the miner counts each attribute pair's co-occurrences with one
+  ``numpy.bincount`` over a dense code grid, read in both orientations
+  (:meth:`SpatialInconsistencyMiner.mine_table`),
 * the filter list, compiled once (:meth:`FilterList.matcher`), classifies
   the whole table with one vectorized key lookup, and
 * the pipeline shards rows over the worker pool without pickling a single
@@ -278,21 +279,6 @@ class ColumnarTable:
         return self.ip_values[code] if code >= 0 else None
 
     # -- slicing ---------------------------------------------------------------
-
-    def select(self, attributes: Iterable[Attribute]) -> "ColumnarTable":
-        """Column-subset view sharing the underlying arrays.
-
-        Mining shards use this so a process-pool payload carries only the
-        columns its attribute pairs actually touch (request metadata is
-        dropped too — mining never reads it).
-        """
-
-        attributes = tuple(attributes)
-        return ColumnarTable(
-            codes={attribute: self._codes[attribute] for attribute in attributes},
-            values={attribute: self._values[attribute] for attribute in attributes},
-            n_rows=self._n_rows,
-        )
 
     # -- persistence -----------------------------------------------------------
 

@@ -266,31 +266,19 @@ class FPInconsistent:
 
     # -- fitting -----------------------------------------------------------------
 
-    def fit(
-        self,
-        store: RequestStore,
-        *,
-        workers: int = 1,
-        executor: Optional[str] = None,
-    ) -> "FPInconsistent":
+    def fit(self, store: RequestStore) -> "FPInconsistent":
         """Mine the spatial filter list from a bot-labelled request store.
 
         Extracts the store into a :class:`~repro.core.columnar.ColumnarTable`
-        and mines it vectorized, optionally sharded over *workers*.
+        and mines it vectorized.
         """
 
-        return self.fit_table(self.extract_table(store), workers=workers, executor=executor)
+        return self.fit_table(self.extract_table(store))
 
-    def fit_table(
-        self,
-        table: ColumnarTable,
-        *,
-        workers: int = 1,
-        executor: Optional[str] = None,
-    ) -> "FPInconsistent":
+    def fit_table(self, table: ColumnarTable) -> "FPInconsistent":
         """Mine the spatial filter list from an already-extracted table."""
 
-        self._filter_list = self._miner.mine_table(table, workers=workers, executor=executor)
+        self._filter_list = self._miner.mine_table(table)
         return self
 
     def table_attributes(self) -> Tuple[Attribute, ...]:

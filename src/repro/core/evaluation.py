@@ -206,8 +206,8 @@ def evaluate_generalization(
 
     Returns per-detector train/test combined detection rates.  The paper
     reports a drop of 0.23 (DataDome) and 0.42 (BotD) percentage points.
-    *workers* and *executor* shard mining and classification as in
-    :meth:`FPInconsistent.fit_table` / :meth:`FPInconsistent.classify_table`.
+    *workers* and *executor* shard classification as in
+    :meth:`FPInconsistent.classify_table`.
 
     One permutation split (:func:`~repro.honeysite.storage.split_rows`)
     slices both the store (:meth:`~repro.honeysite.storage.RequestStore.take`,
@@ -223,7 +223,7 @@ def evaluate_generalization(
         table = fpi.extract_table(store)
     train_table = table.take(train_rows)
     test_table = table.take(test_rows)
-    fpi.fit_table(train_table, workers=workers, executor=executor)
+    fpi.fit_table(train_table)
     train = _StoreColumns(
         store.take(train_rows),
         fpi.classify_table(train_table, workers=workers, executor=executor),

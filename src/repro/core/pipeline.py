@@ -7,12 +7,12 @@ and the quickstart example are thin wrappers around this module.
 
 Each request store is extracted once into a
 :class:`~repro.core.columnar.ColumnarTable` (or a pre-extracted table is
-reused); pair statistics are mined vectorized, the filter list matches
-through its compiled code index, and both mining (by attribute pair) and
-classification (by device-closed row groups) can shard over the
-:func:`repro.analysis.engine.map_shards` worker pool.  Filter lists and
-verdicts are identical for any worker count and either executor kind —
-only wall-clock time differs.  The object-at-a-time reference the engine
+reused); pair statistics are mined serially from one dense count grid
+per attribute pair, the filter list matches through its compiled code
+index, and classification (by device-closed row groups) can shard over
+the :func:`repro.analysis.engine.map_shards` worker pool.  Filter lists
+and verdicts are identical for any worker count and either executor kind
+— only wall-clock time differs.  The object-at-a-time reference the engine
 is pinned against lives in ``tests/reference/detection.py``.
 """
 
@@ -80,7 +80,7 @@ class FPInconsistentPipeline:
     miner_config / temporal:
         Forwarded to the underlying :class:`FPInconsistent` detector.
     workers / executor:
-        Shard fan-out of mining and classification; ``None`` reads the
+        Shard fan-out of classification; ``None`` reads the
         ``REPRO_WORKERS`` / ``REPRO_EXECUTOR`` environment knobs (the same
         ones the corpus engine honours), falling back to 1 worker.
     """
@@ -162,8 +162,8 @@ class FPInconsistentPipeline:
         with tracer.span("pipeline.extract", subset="bots") as span:
             table, table_sources["bots"] = detector.resolve_table(bot_store, bot_table)
             span.set(source=table_sources["bots"], rows=table.n_rows)
-        with tracer.span("pipeline.mine", workers=workers) as span:
-            detector.fit_table(table, workers=workers, executor=executor)
+        with tracer.span("pipeline.mine") as span:
+            detector.fit_table(table)
             span.set(rules=len(detector.filter_list))
         with tracer.span("pipeline.classify", subset="bots", workers=workers):
             verdicts = detector.classify_table(table, workers=workers, executor=executor)

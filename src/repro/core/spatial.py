@@ -31,7 +31,7 @@ from repro.core.columnar import ColumnarTable
 from repro.core.knowledge import DeviceKnowledgeBase
 from repro.core.rules import FilterList, InconsistencyRule
 from repro.fingerprint.attributes import Attribute
-from repro.fingerprint.categories import AttributeCategory, category_pairs
+from repro.fingerprint.categories import AttributeCategory, all_candidate_pairs
 
 
 @dataclass(frozen=True)
@@ -181,139 +181,71 @@ class SpatialInconsistencyMiner:
                     )
         return rules
 
-    def mine_table(
-        self,
-        table: ColumnarTable,
-        *,
-        workers: int = 1,
-        executor: Optional[str] = None,
-    ) -> FilterList:
-        """Mine a filter list from a columnar table (vectorized engine).
+    def mine_table(self, table: ColumnarTable) -> FilterList:
+        """Mine a filter list from a columnar table.
 
-        Co-occurrence statistics come from a single ``numpy.unique`` pass
-        per attribute pair instead of one fingerprint walk per pair.  With
-        ``workers > 1`` the pair tasks fan out over the shard worker pool
-        in contiguous chunks; results merge in canonical pair order, so the
-        filter list is identical for any worker count and either executor.
+        Each unordered attribute pair is counted once, on a dense code
+        grid (:func:`_grid_pair_statistics`), which yields the statistics
+        of both orientations.  Algorithm 1 sorts one side of the pair;
+        mining the swapped orientation as well catches pairs where the
+        *second* attribute's values are the inflated ones.  Rules are
+        selected pair by pair in :func:`all_candidate_pairs` order, the
+        given orientation before the swapped one.
         """
 
-        tasks = ordered_pair_tasks()
-        workers = 1 if workers is None else int(workers)
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if workers > 1 and len(tasks) > 1:
-            from repro.analysis.engine import map_shards
-
-            chunk_size = -(-len(tasks) // workers)  # ceil division
-            shards = []
-            for start in range(0, len(tasks), chunk_size):
-                chunk = tuple(tasks[start : start + chunk_size])
-                touched: Dict[Attribute, None] = {}
-                for _category, attribute_a, attribute_b in chunk:
-                    touched.setdefault(attribute_a, None)
-                    touched.setdefault(attribute_b, None)
-                shards.append(
-                    _MiningShard(
-                        pairs=chunk,
-                        # Only the columns this chunk mines cross the
-                        # process boundary, not the whole table.
-                        table=table.select(touched),
-                        config=self._config,
-                        knowledge=self._knowledge,
-                    )
-                )
-            rule_lists = map_shards(
-                _mine_shard, shards, workers=workers, executor=executor, label="mine"
-            )
-            filter_list = FilterList()
-            for rules_per_pair in rule_lists:
-                for rules in rules_per_pair:
-                    for rule in rules:
-                        filter_list.add(rule)
-            return filter_list
-
         filter_list = FilterList()
-        for category, attribute_a, attribute_b in tasks:
-            statistics = columnar_pair_statistics(table, category, attribute_a, attribute_b)
-            for rule in self.select_rules(statistics):
-                filter_list.add(rule)
+        for category, attribute_a, attribute_b in all_candidate_pairs():
+            for statistics in _grid_pair_statistics(table, category, attribute_a, attribute_b):
+                for rule in self.select_rules(statistics):
+                    filter_list.add(rule)
         return filter_list
 
 
-def ordered_pair_tasks() -> List[Tuple[AttributeCategory, Attribute, Attribute]]:
-    """Every attribute-pair orientation in canonical mining order.
-
-    Algorithm 1 sorts one side of the pair; mining the swapped orientation
-    as well catches pairs where the *second* attribute's values are the
-    inflated ones.  Serial and sharded mining (and the test reference
-    miner) iterate this exact sequence, which is what makes their outputs
-    identical.
-    """
-
-    tasks: List[Tuple[AttributeCategory, Attribute, Attribute]] = []
-    for category in AttributeCategory:
-        for attribute_a, attribute_b in category_pairs(category):
-            tasks.append((category, attribute_a, attribute_b))
-            tasks.append((category, attribute_b, attribute_a))
-    return tasks
-
-
-def columnar_pair_statistics(
+def _grid_pair_statistics(
     table: ColumnarTable,
     category: AttributeCategory,
     attribute_a: Attribute,
     attribute_b: Attribute,
-) -> PairStatistics:
-    """Step 1 of Algorithm 1: co-occurrence counts of one attribute pair.
+) -> Tuple[PairStatistics, PairStatistics]:
+    """Step 1 of Algorithm 1 for both orientations of one attribute pair.
 
-    One ``numpy.unique`` pass yields every (value_a, value_b) count.  The
-    result dicts are rebuilt in first-occurrence order — the insertion
-    order a per-fingerprint counting loop produces — so downstream
-    tie-breaking (stable sorts over dict order) matches it exactly.
+    Codes shift up by one so that "missing" (``-1``) becomes code 0; one
+    ``numpy.bincount`` over the ``(n_a + 1) x (n_b + 1)`` code grid then
+    counts every value pair, and ``numpy.minimum.at`` records each cell's
+    first row.  No sort of the rows is needed.  Cells with a missing side
+    are dropped, and the observed cells are visited in first-row order —
+    the insertion order a per-fingerprint counting loop produces — so
+    downstream tie-breaking (stable sorts over dict order) matches it
+    exactly.  The swapped orientation is the transposed grid: the same
+    cells in the same first-row order, with the two values' roles
+    exchanged.
     """
 
-    codes_a = table.codes_of(attribute_a)
-    codes_b = table.codes_of(attribute_b)
-    mask = (codes_a >= 0) & (codes_b >= 0)
-    rows = np.nonzero(mask)[0]
-    combinations: Dict[object, Dict[object, int]] = {}
-    if rows.size:
-        n_b = len(table.values_of(attribute_b))
-        keys = codes_a[rows].astype(np.int64) * n_b + codes_b[rows]
-        unique_keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        first_row = np.full(unique_keys.size, table.n_rows, dtype=np.int64)
-        np.minimum.at(first_row, inverse, rows)
-        values_a = table.values_of(attribute_a)
-        values_b = table.values_of(attribute_b)
-        for position in np.argsort(first_row, kind="stable"):
-            key = int(unique_keys[position])
-            value_a = values_a[key // n_b]
-            value_b = values_b[key % n_b]
-            combinations.setdefault(value_a, {})[value_b] = int(counts[position])
-    return PairStatistics(
-        category=category,
-        attribute_a=attribute_a,
-        attribute_b=attribute_b,
-        combinations=combinations,
+    values_a = table.values_of(attribute_a)
+    values_b = table.values_of(attribute_b)
+    width = len(values_b) + 1
+    cells = (len(values_a) + 1) * width
+    keys = (table.codes_of(attribute_a).astype(np.int64) + 1) * width
+    keys += table.codes_of(attribute_b)
+    keys += 1
+    counts = np.bincount(keys, minlength=cells)
+    first_row = np.full(cells, table.n_rows, dtype=np.int64)
+    np.minimum.at(first_row, keys, np.arange(table.n_rows))
+    grid = counts.reshape(-1, width)
+    grid[0, :] = 0
+    grid[:, 0] = 0
+    observed = np.flatnonzero(counts)
+    observed = observed[np.argsort(first_row[observed])]
+
+    forward: Dict[object, Dict[object, int]] = {}
+    swapped: Dict[object, Dict[object, int]] = {}
+    for cell, count in zip(observed.tolist(), counts[observed].tolist()):
+        row, column = divmod(cell, width)
+        value_a = values_a[row - 1]
+        value_b = values_b[column - 1]
+        forward.setdefault(value_a, {})[value_b] = count
+        swapped.setdefault(value_b, {})[value_a] = count
+    return (
+        PairStatistics(category, attribute_a, attribute_b, forward),
+        PairStatistics(category, attribute_b, attribute_a, swapped),
     )
-
-
-@dataclass(frozen=True)
-class _MiningShard:
-    """One worker's chunk of pair-mining tasks (picklable for process pools)."""
-
-    pairs: Tuple[Tuple[AttributeCategory, Attribute, Attribute], ...]
-    table: ColumnarTable
-    config: Optional[SpatialMinerConfig]
-    knowledge: Optional[DeviceKnowledgeBase]
-
-
-def _mine_shard(shard: _MiningShard) -> List[List[InconsistencyRule]]:
-    """Worker entry point: mine every pair of one chunk, preserving order."""
-
-    miner = SpatialInconsistencyMiner(knowledge=shard.knowledge, config=shard.config)
-    results: List[List[InconsistencyRule]] = []
-    for category, attribute_a, attribute_b in shard.pairs:
-        statistics = columnar_pair_statistics(shard.table, category, attribute_a, attribute_b)
-        results.append(miner.select_rules(statistics))
-    return results

@@ -7,7 +7,7 @@ every observed batch (just the attribute code columns — the decode lists
 are the ingestor's live vocabulary, shared by reference) and periodically
 re-mines a fresh :class:`~repro.core.rules.FilterList` over that window
 with the exact batch miner (:meth:`SpatialInconsistencyMiner.mine_table`),
-optionally fanned out over the shard worker pool.
+serially: one dense count grid per attribute pair.
 
 Two refresh schedules are supported, selected by exactly one constructor
 knob:
@@ -21,8 +21,7 @@ knob:
 
 Mining over window columns encoded in the stream's global vocabulary is
 equivalent to mining a fresh extraction of the same rows: co-occurrence
-counts are code-numbering-independent, and
-:func:`~repro.core.spatial.columnar_pair_statistics` rebuilds its value
+counts are code-numbering-independent, and the miner rebuilds its value
 dictionaries in window-row first-occurrence order either way
 (``tests/test_stream.py`` pins the equivalence).
 
@@ -66,8 +65,7 @@ class FilterListRefresher:
 
     Exactly one of ``interval_batches`` (refresh every N batches) and
     ``interval_days`` (refresh every N days of stream time) must be given;
-    ``window_rows`` bounds the sliding re-mining window, and ``workers`` /
-    ``executor`` fan the mining itself out over the shard worker pool.
+    ``window_rows`` bounds the sliding re-mining window.
     """
 
     def __init__(
@@ -77,8 +75,6 @@ class FilterListRefresher:
         interval_batches: Optional[int] = None,
         interval_days: Optional[float] = None,
         window_rows: int,
-        workers: int = 1,
-        executor: Optional[str] = None,
     ):
         if (interval_batches is None) == (interval_days is None):
             raise ValueError(
@@ -91,14 +87,10 @@ class FilterListRefresher:
             raise ValueError(f"interval_days must be positive, got {interval_days}")
         if window_rows < 1:
             raise ValueError(f"window_rows must be >= 1, got {window_rows}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self._miner = miner if miner is not None else SpatialInconsistencyMiner()
         self.interval_batches = None if interval_batches is None else int(interval_batches)
         self.interval_days = None if interval_days is None else float(interval_days)
         self.window_rows = int(window_rows)
-        self._workers = int(workers)
-        self._executor = executor
         #: retained per-batch code columns, oldest first
         self._recent: List[Dict] = []
         self._rows_in_window = 0
@@ -270,12 +262,8 @@ class FilterListRefresher:
     def mine(self, table: ColumnarTable) -> FilterList:
         """Mine a filter list over *table* with this refresher's miner knobs."""
 
-        with obs.tracer().span(
-            "stream.refresh_mine", rows=table.n_rows, workers=self._workers
-        ):
-            filter_list = self._miner.mine_table(
-                table, workers=self._workers, executor=self._executor
-            )
+        with obs.tracer().span("stream.refresh_mine", rows=table.n_rows):
+            filter_list = self._miner.mine_table(table)
         _REFRESH_MINES.inc()
         return filter_list
 

@@ -35,6 +35,7 @@ import numpy as np
 from repro import faults, obs
 from repro.core.columnar import ColumnarTable
 from repro.core.detector import FPInconsistent, Verdicts
+from repro.core.rules import FilterList, rule_key
 from repro.fingerprint.attributes import Attribute
 from repro.honeysite.storage import LazyRequestStore, RequestStore
 from repro.stream.checkpoint import CheckpointError, StreamCheckpointer
@@ -86,6 +87,22 @@ _REFRESH_FAILURES = obs.counter(
     "Failed filter-list re-mines.",
     always=True,
 )
+
+#: Filter-list churn per hot swap: rules of the refreshed list that the
+#: deployed one lacked (``added``), rules it drops (``removed``) and rules
+#: both share (``kept``), compared by :func:`~repro.core.rules.rule_key`.
+_REFRESH_RULES = obs.counter(
+    "repro_stream_refresh_rules_total",
+    "Rules added, removed or kept by filter-list hot swaps, by change.",
+)
+
+
+def _count_rule_changes(deployed: FilterList, refreshed: FilterList) -> None:
+    before = {rule_key(rule) for rule in deployed}
+    after = {rule_key(rule) for rule in refreshed}
+    _REFRESH_RULES.inc(len(after - before), change="added")
+    _REFRESH_RULES.inc(len(before - after), change="removed")
+    _REFRESH_RULES.inc(len(before & after), change="kept")
 
 
 @dataclass
@@ -412,6 +429,8 @@ class ReplayDriver:
                         time.perf_counter() - refresh_started, stage="refresh"
                     )
                 if refreshed is not None:
+                    if telemetry_on:
+                        _count_rule_changes(classifier.filter_list, refreshed)
                     classifier.swap_filter_list(refreshed)
                     entry = {"batch": batches_done, "rules": len(refreshed)}
                     if self._refresher.stream_day is not None:

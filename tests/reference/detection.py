@@ -35,10 +35,10 @@ import numpy as np
 from repro.core.detector import FPInconsistent, Verdicts
 from repro.core.evaluation import DETECTOR_NAMES, GeneralizationResult
 from repro.core.rules import FilterList, InconsistencyRule, RuleTable
-from repro.core.spatial import PairStatistics, SpatialInconsistencyMiner, ordered_pair_tasks
+from repro.core.spatial import PairStatistics, SpatialInconsistencyMiner
 from repro.core.temporal import TemporalFlag, TemporalInconsistencyDetector
 from repro.fingerprint.attributes import Attribute
-from repro.fingerprint.categories import AttributeCategory
+from repro.fingerprint.categories import AttributeCategory, all_candidate_pairs
 from repro.fingerprint.fingerprint import Fingerprint
 from repro.honeysite.storage import RequestStore
 
@@ -82,12 +82,14 @@ def mine_pair(
 
 
 def mine(miner: SpatialInconsistencyMiner, fingerprints: Sequence[Fingerprint]) -> FilterList:
-    """A full filter list: every category's pairs, one pass per orientation."""
+    """A full filter list: every category's pairs, one pass per orientation
+    (the given one, then the swapped one)."""
 
     filter_list = FilterList()
-    for category, attribute_a, attribute_b in ordered_pair_tasks():
-        for rule in mine_pair(miner, fingerprints, category, attribute_a, attribute_b):
-            filter_list.add(rule)
+    for category, left, right in all_candidate_pairs():
+        for attribute_a, attribute_b in ((left, right), (right, left)):
+            for rule in mine_pair(miner, fingerprints, category, attribute_a, attribute_b):
+                filter_list.add(rule)
     return filter_list
 
 

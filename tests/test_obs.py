@@ -18,8 +18,11 @@ from repro import obs
 from repro.analysis.engine import CorpusEngine
 from repro.cli import main as cli_main
 from repro.core.detector import FPInconsistent
+from repro.core.rules import FilterList, InconsistencyRule
+from repro.fingerprint.attributes import Attribute
+from repro.fingerprint.categories import AttributeCategory
 from repro.honeysite.storage import materialized_record_count
-from repro.stream import ReplayDriver, StreamHealth, verdicts_digest
+from repro.stream import FilterListRefresher, ReplayDriver, StreamHealth, verdicts_digest
 
 TINY = dict(
     seed=29,
@@ -409,6 +412,46 @@ def test_stream_health_writes_through_to_registry():
     restored = StreamHealth.from_dict(health.to_dict())
     assert restored == health
     assert (failures.value(), rebuilds.value(), dead.value(), refresh.value()) == after
+
+
+class _ScriptedRefresher(FilterListRefresher):
+    """Refreshes every 2 batches, deploying the given lists in turn."""
+
+    def __init__(self, lists):
+        super().__init__(interval_batches=2, window_rows=10_000)
+        self._lists = iter(lists)
+
+    def refresh(self) -> FilterList:
+        return next(self._lists)
+
+
+def test_hot_swaps_count_rule_churn_in_the_registry(overhead_replay):
+    detector, bot_store = overhead_replay
+    deployed = list(detector.filter_list)
+    assert len(deployed) > 3
+    invented = InconsistencyRule(
+        category=AttributeCategory.SCREEN,
+        attribute_a=Attribute.UA_DEVICE,
+        value_a="Nokia 3310",
+        attribute_b=Attribute.SCREEN_RESOLUTION,
+        value_b=(1, 1),
+    )
+    first = FilterList(deployed[:-3] + [invented])  # +1, -3 vs the fitted list
+    second = FilterList(deployed[:-3])  # -1 vs the first swap
+    rules = obs.registry().get("repro_stream_refresh_rules_total")
+    before = {change: rules.value(change=change) for change in ("added", "removed", "kept")}
+
+    obs.set_telemetry(True)
+    result = ReplayDriver(
+        detector, batch_size=256, refresher=_ScriptedRefresher([first, second])
+    ).replay(bot_store, max_batches=4)
+
+    assert [entry["batch"] for entry in result.refreshes] == [2, 4]
+    assert all(set(entry) == {"batch", "rules"} for entry in result.refreshes)
+    kept = len(deployed) - 3
+    assert {
+        change: rules.value(change=change) - before[change] for change in before
+    } == {"added": 1, "removed": 4, "kept": 2 * kept}
 
 
 def test_shard_fault_stats_mirror_into_registry():

@@ -1,12 +1,19 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
-from hypothesis import given, strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from reference import detection as reference
 from reference.detection import ObjectTemporalDetector
+from test_columnar import _random_store
 
+from repro.core.columnar import ColumnarTable
 from repro.core.rules import FilterList, InconsistencyRule
+from repro.core.spatial import SpatialInconsistencyMiner, SpatialMinerConfig
 from repro.fingerprint.attributes import Attribute, format_resolution, parse_resolution
 from repro.fingerprint.categories import AttributeCategory
 from repro.fingerprint.fingerprint import Fingerprint, fingerprint_distance
+from repro.honeysite.storage import RequestStore
 from repro.ml.metrics import accuracy_score, confusion_matrix
 from repro.network.headers import accept_language_for, parse_accept_language
 from repro.reporting.tables import format_percent, format_table
@@ -107,6 +114,62 @@ def test_filter_list_json_round_trip(rules):
     filter_list = FilterList(rules)
     loaded = FilterList.from_json(filter_list.to_json())
     assert {rule.key for rule in loaded} == {rule.key for rule in filter_list}
+
+
+# -- Algorithm 1: the grid miner against the object reference ------------------------
+
+_miner_configs = st.builds(
+    SpatialMinerConfig,
+    min_support=st.integers(1, 4),
+    min_value_support=st.integers(1, 8),
+    # 0 disables the inflation pre-filter; > 0 consults the knowledge base.
+    inflation_factor=st.sampled_from([0.0, 0.5, 1.5, 3.0]),
+    max_values_per_pair=st.integers(1, 4),
+)
+
+
+def _assert_mines_like_reference(config, table, fingerprints):
+    mined = SpatialInconsistencyMiner(config=config).mine_table(table)
+    expected = reference.mine(SpatialInconsistencyMiner(config=config), fingerprints)
+    assert mined.to_json() == expected.to_json()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), size=st.integers(10, 160), config=_miner_configs)
+def test_grid_miner_matches_reference(seed, size, config):
+    store = _random_store(seed, size=size)
+    _assert_mines_like_reference(
+        config, store.columnar(), [record.request.fingerprint for record in store]
+    )
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_grid_miner_on_empty_and_one_row_tables(rows):
+    store = RequestStore(list(_random_store(3, size=10))[:rows])
+    config = SpatialMinerConfig(min_support=1, min_value_support=1, inflation_factor=0)
+    _assert_mines_like_reference(
+        config, store.columnar(), [record.request.fingerprint for record in store]
+    )
+
+
+def test_grid_miner_on_attributes_without_values():
+    """Every row missing an attribute — with an empty vocabulary, or with a
+    vocabulary but all codes ``-1`` — mines like a store without it."""
+
+    store = _random_store(5, size=120)
+    config = SpatialMinerConfig(min_support=1, min_value_support=1, inflation_factor=0)
+    stripped = [
+        record.request.fingerprint.without(Attribute.UA_DEVICE) for record in store
+    ]
+    _assert_mines_like_reference(
+        config, ColumnarTable.from_fingerprints(stripped), stripped
+    )
+    table = store.columnar()
+    assert table.values_of(Attribute.UA_DEVICE)
+    columns = {attribute: table.codes_of(attribute) for attribute in table.attributes}
+    columns[Attribute.UA_DEVICE] = np.full(table.n_rows, -1, dtype=np.int32)
+    all_missing = table.with_columns(columns)
+    _assert_mines_like_reference(config, all_missing, stripped)
 
 
 # -- temporal detector invariants --------------------------------------------------------------

@@ -444,7 +444,8 @@ def test_pipeline_reuses_emitted_tables(vectorized_corpus):
 def test_incompatible_table_falls_back_to_extraction(vectorized_corpus):
     from repro.fingerprint.attributes import Attribute
 
-    crippled = vectorized_corpus.columnar_tables["bots"].select([Attribute.PLATFORM])
+    bots = vectorized_corpus.columnar_tables["bots"]
+    crippled = bots.with_columns({Attribute.PLATFORM: bots.codes_of(Attribute.PLATFORM)})
     pipeline = FPInconsistentPipeline()
     result = pipeline.run(vectorized_corpus.bot_store, bot_table=crippled)
     assert result.table_sources == {"bots": "extracted"}
