@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.fingerprint import Fingerprint
-from repro.honeysite.storage import LazyRequestStore, RecordColumns
+from repro.honeysite.storage import RecordColumns, RequestStore
 from repro.ml.encoding import FingerprintEncoder
 from repro.ml.explain import FeatureImportance, gain_importance, permutation_importance, top_features
 from repro.ml.forest import RandomForestClassifier
@@ -40,7 +40,7 @@ class EvasionClassifierResult:
 
 
 def train_evasion_classifier(
-    store: LazyRequestStore,
+    store: RequestStore,
     detector: str,
     *,
     test_fraction: float = 0.1,
@@ -139,7 +139,7 @@ def _training_rows(
 
 
 def table2(
-    store: LazyRequestStore, *, top_k: int = 5, max_samples: int = 40_000, seed: int = 0
+    store: RequestStore, *, top_k: int = 5, max_samples: int = 40_000, seed: int = 0
 ) -> Dict[str, List[str]]:
     """Table 2: the top-k attributes helping evade DataDome and BotD."""
 
@@ -161,7 +161,7 @@ class CombinationRuleResult:
     overall_datadome_evasion: float
 
 
-def appendix_c_combination(store: LazyRequestStore) -> CombinationRuleResult:
+def appendix_c_combination(store: RequestStore) -> CombinationRuleResult:
     """Evaluate the Appendix C combination rule on the corpus.
 
     The paper's decision-tree analysis found that requests with a screen

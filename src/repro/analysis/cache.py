@@ -15,7 +15,7 @@ fingerprint table in a single file::
     <root>/<key>/store_columnar.npz     record columns + embedded fingerprint tables
 
 Loading the archive attaches a
-:class:`~repro.honeysite.storage.LazyRequestStore`.  Since format v4 the
+:class:`~repro.honeysite.storage.RequestStore`.  Since format v4 the
 archive is pure code arrays over scalar decode lists (no serialised
 objects) and is written uncompressed, so a warm hit memory-maps the
 columns read-only (``REPRO_CORPUS_MMAP``, default on) instead of reading
@@ -49,7 +49,6 @@ from repro.geo.ipaddr import GeoRegion, IpAddressSpace, PrefixAssignment
 from repro.honeysite.site import HoneySite
 from repro.honeysite.storage import (
     CORPUS_FORMAT_VERSION,
-    LazyRequestStore,
     RecordColumns,
     RequestStore,
     StoreFormatError,
@@ -150,7 +149,7 @@ def _columnar_store_path(directory: Path) -> Path:
 
 
 def _archive_payload(
-    store: LazyRequestStore, tables: Dict[str, ColumnarTable]
+    store: RequestStore, tables: Dict[str, ColumnarTable]
 ) -> Tuple[Dict[str, np.ndarray], Dict]:
     """The archive's ``(arrays, meta)``: record columns plus every table."""
 
@@ -170,8 +169,8 @@ def corpus_digest(corpus: Corpus) -> str:
 
     Hashes the canonical JSON meta, then every array by name, dtype, shape
     and bytes, so two corpora share a digest iff their archives would hold
-    the same content.  Reads only the columns — no record objects are
-    materialised — and a cache hit digests like the build it came from.
+    the same content.  Reads only the columns, and a cache hit digests
+    like the build it came from.
     """
 
     arrays, meta = _archive_payload(corpus.store, corpus.columnar_tables)
@@ -185,7 +184,7 @@ def corpus_digest(corpus: Corpus) -> str:
     return digest.hexdigest()
 
 
-def _save_columnar_store(store: LazyRequestStore, tables: Dict[str, ColumnarTable], path: Path) -> None:
+def _save_columnar_store(store: RequestStore, tables: Dict[str, ColumnarTable], path: Path) -> None:
     """Persist record columns and every fingerprint table as one archive.
 
     Saved uncompressed by default: a stored (non-deflated) ``.npz`` keeps
@@ -221,8 +220,6 @@ def _save_columnar_store(store: LazyRequestStore, tables: Dict[str, ColumnarTabl
 def save_corpus(corpus: Corpus, directory) -> Path:
     """Write *corpus* (columnar archive + metadata) into *directory*."""
 
-    if not isinstance(corpus.store, LazyRequestStore):
-        raise TypeError("only a columnar-backed corpus (LazyRequestStore) can be saved")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     _save_columnar_store(corpus.store, corpus.columnar_tables, _columnar_store_path(directory))
@@ -274,13 +271,13 @@ def _decode_columnar(data, path: Path):
             prefix=str(entry["prefix"]),
             label=f"columnar store {path}",
         )
-    return LazyRequestStore(columns), tables
+    return RequestStore(columns), tables
 
 
 def _load_columnar_store(path: Path):
     """Load a :func:`_save_columnar_store` archive.
 
-    Returns ``(LazyRequestStore, {subset: ColumnarTable})``.  With mmap
+    Returns ``(RequestStore, {subset: ColumnarTable})``.  With mmap
     enabled (the default) the member arrays of an uncompressed archive are
     handed to ``np.memmap`` read-only — ``from_payload``/``from_arrays``
     adopt them zero-copy, so code columns stream from disk as they are
@@ -355,7 +352,7 @@ def load_corpus(directory) -> Corpus:
     carries the original source → path map and the geo database re-adopts
     every /16 assignment, so downstream analyses (IP intelligence, Table 6
     locations, DataDome re-evaluation) behave exactly as on the freshly
-    built corpus.  The archive restores a lazy store with its embedded
+    built corpus.  The archive restores the store with its embedded
     tables.  Any format version other than :data:`CORPUS_FORMAT_VERSION`
     raises :class:`StoreFormatError` — older layouts are not read.
     """

@@ -76,9 +76,8 @@ class Corpus:
     def bot_store(self) -> RequestStore:
         """Requests attributed to the 20 bot services.
 
-        Routed through :meth:`~repro.honeysite.storage.RequestStore.by_sources`
-        so a columnar-backed store answers from its source codes without
-        materialising record objects.
+        A :meth:`~repro.honeysite.storage.RequestStore.by_sources` row
+        slice, answered from the store's source codes.
         """
 
         bot_names = {profile.name for profile in self.bot_profiles}

@@ -24,8 +24,8 @@ over session-deduplicated fingerprint/header/decision dictionaries) plus
 the :class:`~repro.core.columnar.TablePayload` attribute codes, never a
 pickled list of record objects.  The coordinator concatenates payloads,
 renumbers request ids and wraps the result in a
-:class:`~repro.honeysite.storage.LazyRequestStore` — record objects
-materialise lazily, and only for consumers that genuinely iterate them.
+:class:`~repro.honeysite.storage.RequestStore`, which answers every query
+from those arrays.
 
 Identical output for a given seed regardless of worker count is the
 engine's core contract; ``tests/test_engine.py`` pins it.
@@ -55,11 +55,7 @@ from repro.core.columnar import TableEmitter, TablePayload, assemble_table
 from repro.geo.geolite import GeoDatabase
 from repro.geo.ipaddr import IpAddressSpace, PrefixAssignment
 from repro.honeysite.site import HoneySite, SessionRecorder
-from repro.honeysite.storage import (
-    LazyRequestStore,
-    RecordColumns,
-    RecordColumnsBuilder,
-)
+from repro.honeysite.storage import RecordColumns, RecordColumnsBuilder, RequestStore
 from repro.honeysite.urls import generate_url_token
 from repro.users.privacy import PrivacyTechnology, PrivacyTrafficGenerator
 from repro.users.realuser import REAL_USER_SOURCE, RealUserTrafficGenerator
@@ -434,14 +430,14 @@ class ShardResult:
     #: timeline covers every process
     spans: List[SpanRecord] = field(default_factory=list)
 
-    def store(self) -> LazyRequestStore:
-        """The shard's records as a lazy store (shard-local ids 1..n).
+    def store(self) -> RequestStore:
+        """The shard's records as a store (shard-local ids 1..n).
 
         Mainly a debugging and test convenience — the coordinator merges
         payloads directly.
         """
 
-        return LazyRequestStore(self.columns.renumbered())
+        return RequestStore(self.columns.renumbered())
 
 
 def shard_site(spec: ShardSpec) -> Tuple[HoneySite, np.random.SeedSequence]:
@@ -848,8 +844,7 @@ class CorpusEngine:
 
     def _merge_columnar(self, corpus: Corpus, results: Sequence[ShardResult]) -> None:
         """Columnar-transport merge: concatenate payloads, renumber ids,
-        attach a lazy store, and assemble the per-subset fingerprint tables
-        — all without materialising a single record object.
+        attach the store, and assemble the per-subset fingerprint tables.
         """
 
         merged = RecordColumns.concat([result.columns for result in results])
@@ -857,7 +852,7 @@ class CorpusEngine:
         # merged-order id sequence directly is safe (no aliasing with any
         # shard payload).
         merged.request_ids = np.arange(1, merged.n_rows + 1, dtype=np.int64)
-        corpus.site.store = LazyRequestStore(merged)
+        corpus.site.store = RequestStore(merged)
         # Transfer volume as measured inside the workers.  Recorded for
         # every build — serial and thread runs included — so the
         # payload-bytes gate can track per-record transport cost; None only

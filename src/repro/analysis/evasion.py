@@ -1,9 +1,9 @@
 """Evasion-rate analyses (Table 1, Sections 5.3.1–5.3.3).
 
-Like the figure analyses, every function answers a columnar-backed store
-(:class:`~repro.honeysite.storage.LazyRequestStore`) from its code arrays
-without materialising a record object; the record-iterating oracle they
-are pinned against lives in ``tests/reference/analysis.py``.
+Like the figure analyses, every function answers a
+:class:`~repro.honeysite.storage.RequestStore` from its code arrays; the
+record-iterating oracle they are pinned against lives in
+``tests/reference/analysis.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.fingerprint.attributes import Attribute
-from repro.honeysite.storage import LazyRequestStore, RequestStore
+from repro.honeysite.storage import RequestStore
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class ServiceEvasionRow:
 
 
 def table1_rows(
-    store: LazyRequestStore, *, services: Optional[Sequence[str]] = None
+    store: RequestStore, *, services: Optional[Sequence[str]] = None
 ) -> Tuple[ServiceEvasionRow, ...]:
     """Per-service request volumes and evasion rates (Table 1).
 
@@ -56,7 +56,7 @@ def table1_rows(
 
 
 def _table1_counts(
-    store: LazyRequestStore,
+    store: RequestStore,
 ) -> Tuple[Dict[str, int], Dict[str, int], Dict[str, int]]:
     """Per-source request and evasion counts: three bincounts over the
     source-code column."""
@@ -133,7 +133,7 @@ class CohortComparison:
     bottom_low_cores: float
 
 
-def _attribute_fraction(store: LazyRequestStore, attribute: Attribute, value_predicate) -> float:
+def _attribute_fraction(store: RequestStore, attribute: Attribute, value_predicate) -> float:
     """Fraction of requests whose *attribute* value satisfies the predicate.
 
     The predicate runs once per distinct decoded value (plus once for
@@ -173,7 +173,7 @@ def _low_cores_value(value) -> bool:
     return value is not None and int(value) < 8
 
 
-def cohort_comparison(store: LazyRequestStore, detector: str, *, count: int = 3) -> CohortComparison:
+def cohort_comparison(store: RequestStore, detector: str, *, count: int = 3) -> CohortComparison:
     """Compare the top/bottom evasion cohorts against *detector* (Section 5.3)."""
 
     rows = table1_rows(store)
@@ -210,7 +210,7 @@ class DualEvaderSummary:
     touch_support_fraction: float
 
 
-def dual_evader_summary(store: LazyRequestStore, *, threshold: float = 0.8) -> DualEvaderSummary:
+def dual_evader_summary(store: RequestStore, *, threshold: float = 0.8) -> DualEvaderSummary:
     """Characterise the services evading both DataDome and BotD."""
 
     rows = table1_rows(store)

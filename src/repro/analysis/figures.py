@@ -4,10 +4,9 @@ Each function returns the data series behind one figure of the paper, in a
 plain structure (labels + values) that the reporting module can render as a
 text chart or CSV.
 
-Every figure answers a columnar-backed store
-(:class:`~repro.honeysite.storage.LazyRequestStore`) straight from its
-:class:`~repro.honeysite.storage.RecordColumns` arrays with zero record
-objects materialised.  The record-iterating oracle each one is pinned
+Every figure answers a :class:`~repro.honeysite.storage.RequestStore`
+straight from its :class:`~repro.honeysite.storage.RecordColumns` arrays.
+The record-iterating oracle each one is pinned
 against (value-identical, ``tests/test_report.py``) lives in
 ``tests/reference/analysis.py``.
 """
@@ -25,7 +24,7 @@ from repro.devices.profiles import CHROMIUM_PDF_PLUGINS
 from repro.devices.screens import is_real_iphone_resolution
 from repro.fingerprint.attributes import Attribute, parse_resolution
 from repro.fingerprint.fingerprint import _json_default, grouping_value
-from repro.honeysite.storage import SECONDS_PER_DAY, LazyRequestStore, RecordColumns
+from repro.honeysite.storage import SECONDS_PER_DAY, RequestStore, RecordColumns
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +106,7 @@ class PluginEvasionPoint:
 
 
 def figure4_plugin_evasion(
-    store: LazyRequestStore, *, plugins: Sequence[str] = CHROMIUM_PDF_PLUGINS
+    store: RequestStore, *, plugins: Sequence[str] = CHROMIUM_PDF_PLUGINS
 ) -> Tuple[PluginEvasionPoint, ...]:
     """P(evading BotD | plugin present) for each common PDF plugin.
 
@@ -187,7 +186,7 @@ def _core_cdf(columns: RecordColumns, label: str) -> CoreCountCdf:
 
 
 def figure5_core_cdfs(
-    store: LazyRequestStore,
+    store: RequestStore,
     high_evasion_services: Sequence[str],
     low_evasion_services: Sequence[str],
 ) -> Tuple[CoreCountCdf, CoreCountCdf]:
@@ -216,7 +215,7 @@ class DeviceEvasionPoint:
 
 
 def figure6_device_evasion(
-    store: LazyRequestStore, *, detector: str = "DataDome", top: int = 4, min_requests: int = 50
+    store: RequestStore, *, detector: str = "DataDome", top: int = 4, min_requests: int = 50
 ) -> Tuple[DeviceEvasionPoint, ...]:
     """The UA device families with the highest probability of evading
     *detector* (Figure 6 uses DataDome and the top 4), counted over the
@@ -276,7 +275,7 @@ class IphoneResolutionAnalysis:
 
 
 def figure7_iphone_resolutions(
-    store: LazyRequestStore, *, detector: str = "DataDome", top: int = 10, min_requests: int = 10
+    store: RequestStore, *, detector: str = "DataDome", top: int = 10, min_requests: int = 10
 ) -> IphoneResolutionAnalysis:
     """Resolution spread of requests claiming to be iPhones (Section 6.1).
 
@@ -348,7 +347,7 @@ def _timezone_matches_value(value, region, matcher) -> bool:
 
 
 def section62_geo_match(
-    store: LazyRequestStore,
+    store: RequestStore,
     services_with_regions: Dict[str, str],
 ) -> Tuple[GeoMismatchSummary, ...]:
     """Match rates of the advertised region via IP vs via browser timezone."""
@@ -389,7 +388,7 @@ def section62_geo_match(
 
 
 def figure8_location_histograms(
-    store: LazyRequestStore,
+    store: RequestStore,
 ) -> Tuple[Dict[str, int], Dict[str, int]]:
     """The two Figure 8 heatmaps flattened to per-country request counts.
 
@@ -516,12 +515,11 @@ def _row_days(columns: RecordColumns) -> np.ndarray:
     return (columns.timestamps // SECONDS_PER_DAY).astype(np.int64)
 
 
-def figure9_daily_series(store: LazyRequestStore) -> DailySeries:
+def figure9_daily_series(store: RequestStore) -> DailySeries:
     """Per-day request / unique-IP / unique-cookie / unique-fingerprint counts.
 
-    Computed straight from the store's per-row code arrays — no record
-    object is materialised, and fingerprints hash once per *session*
-    instead of once per request.
+    Computed straight from the store's per-row code arrays; fingerprints
+    hash once per *session* instead of once per request.
     """
 
     columns = store.columns
@@ -554,7 +552,7 @@ def figure9_daily_series(store: LazyRequestStore) -> DailySeries:
     )
 
 
-def new_fingerprints_over_time(store: LazyRequestStore) -> Tuple[int, ...]:
+def new_fingerprints_over_time(store: RequestStore) -> Tuple[int, ...]:
     """Per-day count of never-before-seen fingerprints (Section 6.3).
 
     Like :func:`figure9_daily_series` this answers from the store's arrays
@@ -596,7 +594,7 @@ class CookiePlatformSpread:
         return len(self.platform_percentages)
 
 
-def figure10_platform_spread(store: LazyRequestStore) -> Optional[CookiePlatformSpread]:
+def figure10_platform_spread(store: RequestStore) -> Optional[CookiePlatformSpread]:
     """Platform values reported by the device with the busiest cookie.
 
     The busiest cookie comes from a bincount and a first-max argmax (ties

@@ -1,8 +1,8 @@
 """IP address and ASN block-list analysis (Section 5.1).
 
-Columnar-backed stores are answered from their first-occurrence IP code
-column: the block-list lookup runs once per *distinct* address and the
-evasion counts come from boolean gathers — zero record objects.  The
+Stores are answered from their first-occurrence IP code column: the
+block-list lookup runs once per *distinct* address and the evasion counts
+come from boolean gathers.  The
 record-iterating oracle lives in ``tests/reference/analysis.py``.
 """
 
@@ -15,10 +15,10 @@ import numpy as np
 
 from repro.geo.asn import AsnBlocklist, IpBlocklist
 from repro.geo.geolite import GeoDatabase, build_ip_blocklist
-from repro.honeysite.storage import LazyRequestStore
+from repro.honeysite.storage import RequestStore
 
 
-def _blocked_analysis(store: LazyRequestStore, is_blocked):
+def _blocked_analysis(store: RequestStore, is_blocked):
     """(total, blocked, blocked DataDome evaded, blocked BotD evaded) row
     counts with *is_blocked* evaluated once per distinct address."""
 
@@ -49,7 +49,7 @@ class AsnBlocklistAnalysis:
 
 
 def analyze_asn_blocklist(
-    store: LazyRequestStore,
+    store: RequestStore,
     geo: GeoDatabase,
     *,
     blocklist: Optional[AsnBlocklist] = None,
@@ -85,7 +85,7 @@ class IpBlocklistAnalysis:
 
 
 def analyze_ip_blocklist(
-    store: LazyRequestStore,
+    store: RequestStore,
     *,
     blocklist: Optional[IpBlocklist] = None,
     coverage: float = 0.1586,

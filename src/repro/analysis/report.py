@@ -5,10 +5,10 @@ corpus in a single pass, timing each section and rendering the results
 through :mod:`repro.reporting.tables` / :mod:`repro.reporting.figures`.
 
 Every analysis answers the corpus's
-:class:`~repro.honeysite.storage.LazyRequestStore` straight from its
-:class:`~repro.honeysite.storage.RecordColumns` arrays.  No record object
-is materialised; the report counts them via the global
-:func:`~repro.honeysite.storage.materialized_record_count` counter.
+:class:`~repro.honeysite.storage.RequestStore` straight from its
+:class:`~repro.honeysite.storage.RecordColumns` arrays; the store has no
+record objects, and the report's
+:func:`~repro.honeysite.storage.materialized_record_count` delta reads 0.
 
 Per-section SHA-256 digests over the canonical JSON of each section's
 data (``repro report --json``) make the output checkable from the command
@@ -45,7 +45,7 @@ from repro.analysis.figures import (
     section62_geo_match,
 )
 from repro.analysis.ip_analysis import analyze_asn_blocklist, analyze_ip_blocklist
-from repro.honeysite.storage import LazyRequestStore, materialized_record_count
+from repro.honeysite.storage import RequestStore, materialized_record_count
 from repro.reporting.figures import ascii_bar_chart, cdf_table
 from repro.reporting.tables import format_percent, format_table
 
@@ -128,7 +128,7 @@ def _rate_bar(points, label_of, value_of) -> str:
     )
 
 
-def _section_table1(corpus: Corpus, store: LazyRequestStore):
+def _section_table1(corpus: Corpus, store: RequestStore):
     rows = table1_rows(store)
     overall = overall_detection_rates(store)
     data = {"rows": [_asdict(row) for row in rows], "overall_detection": overall}
@@ -151,7 +151,7 @@ def _section_table1(corpus: Corpus, store: LazyRequestStore):
     return data, body
 
 
-def _section_cohorts(corpus: Corpus, store: LazyRequestStore):
+def _section_cohorts(corpus: Corpus, store: RequestStore):
     comparisons = {
         detector: cohort_comparison(store, detector)
         for detector in ("DataDome", "BotD")
@@ -196,7 +196,7 @@ def _section_cohorts(corpus: Corpus, store: LazyRequestStore):
 
 
 def _section_table2(ml_samples: int, ml_seed: int):
-    def build(corpus: Corpus, store: LazyRequestStore):
+    def build(corpus: Corpus, store: RequestStore):
         columns = table2(store, max_samples=ml_samples, seed=ml_seed)
         depth = max((len(names) for names in columns.values()), default=0)
         rows = [
@@ -209,7 +209,7 @@ def _section_table2(ml_samples: int, ml_seed: int):
     return build
 
 
-def _section_appendix_c(corpus: Corpus, store: LazyRequestStore):
+def _section_appendix_c(corpus: Corpus, store: RequestStore):
     result = appendix_c_combination(store)
     data = _asdict(result)
     body = (
@@ -220,14 +220,14 @@ def _section_appendix_c(corpus: Corpus, store: LazyRequestStore):
     return data, body
 
 
-def _section_figure4(corpus: Corpus, store: LazyRequestStore):
+def _section_figure4(corpus: Corpus, store: RequestStore):
     points = figure4_plugin_evasion(store)
     data = [_asdict(point) for point in points]
     body = _rate_bar(points, lambda p: p.plugin, lambda p: p.evasion_probability)
     return data, body
 
 
-def _section_figure5(corpus: Corpus, store: LazyRequestStore):
+def _section_figure5(corpus: Corpus, store: RequestStore):
     rows = table1_rows(store)
     top, bottom = top_and_bottom_services(rows, "DataDome")
     high, low = figure5_core_cdfs(store, top, bottom)
@@ -246,14 +246,14 @@ def _section_figure5(corpus: Corpus, store: LazyRequestStore):
     return data, body
 
 
-def _section_figure6(corpus: Corpus, store: LazyRequestStore):
+def _section_figure6(corpus: Corpus, store: RequestStore):
     points = figure6_device_evasion(store)
     data = [_asdict(point) for point in points]
     body = _rate_bar(points, lambda p: p.device, lambda p: p.evasion_probability)
     return data, body
 
 
-def _section_figure7(corpus: Corpus, store: LazyRequestStore):
+def _section_figure7(corpus: Corpus, store: RequestStore):
     analysis = figure7_iphone_resolutions(store)
     data = _asdict(analysis)
     body = format_table(
@@ -277,7 +277,7 @@ def _section_figure7(corpus: Corpus, store: LazyRequestStore):
     return data, body
 
 
-def _section_figure8(corpus: Corpus, store: LazyRequestStore):
+def _section_figure8(corpus: Corpus, store: RequestStore):
     by_timezone, by_ip = figure8_location_histograms(store)
     data = {"by_timezone_country": by_timezone, "by_ip_country": by_ip}
     top_tz = dict(sorted(by_timezone.items(), key=lambda kv: kv[1], reverse=True)[:10])
@@ -287,7 +287,7 @@ def _section_figure8(corpus: Corpus, store: LazyRequestStore):
     return data, body
 
 
-def _section_geo_match(corpus: Corpus, store: LazyRequestStore):
+def _section_geo_match(corpus: Corpus, store: RequestStore):
     regions = {
         profile.name: profile.advertised_region
         for profile in corpus.bot_profiles
@@ -311,7 +311,7 @@ def _section_geo_match(corpus: Corpus, store: LazyRequestStore):
     return data, body
 
 
-def _section_figure9(corpus: Corpus, store: LazyRequestStore):
+def _section_figure9(corpus: Corpus, store: RequestStore):
     series = figure9_daily_series(store)
     new_fingerprints = new_fingerprints_over_time(store)
     data = {"series": _asdict(series), "new_fingerprints": list(new_fingerprints)}
@@ -331,7 +331,7 @@ def _section_figure9(corpus: Corpus, store: LazyRequestStore):
     return data, body
 
 
-def _section_figure10(corpus: Corpus, store: LazyRequestStore):
+def _section_figure10(corpus: Corpus, store: RequestStore):
     spread = figure10_platform_spread(store)
     if spread is None:
         return None, "(no cookies recorded)"
@@ -344,7 +344,7 @@ def _section_figure10(corpus: Corpus, store: LazyRequestStore):
     return data, body
 
 
-def _section_blocklists(corpus: Corpus, store: LazyRequestStore):
+def _section_blocklists(corpus: Corpus, store: RequestStore):
     asn = analyze_asn_blocklist(store, corpus.site.geo)
     ip = analyze_ip_blocklist(store)
     data = {"asn": _asdict(asn), "ip": _asdict(ip)}
@@ -370,7 +370,7 @@ def _section_blocklists(corpus: Corpus, store: LazyRequestStore):
     return data, body
 
 
-def _section_privacy(corpus: Corpus, store: LazyRequestStore):
+def _section_privacy(corpus: Corpus, store: RequestStore):
     from repro.analysis.privacy_eval import (
         corpus_privacy_tables,
         evaluate_privacy_technologies,
@@ -490,9 +490,7 @@ def generate_report(
                 )
             )
     total_seconds = report_span.duration
-    # Counter delta across the whole run (a lazy store that was already
-    # forced earlier in the process reports 0 — the records were billed to
-    # whoever forced them first).
+    # Counter delta across the whole run.
     materialized = materialized_record_count() - counter_before
     return Report(
         scale=corpus.scale,

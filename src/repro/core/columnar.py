@@ -3,10 +3,11 @@
 Detection over Python objects walks them once per (attribute pair,
 request): a miner re-extracts every grouping value for every pair it
 examines and a filter list re-reads attributes per rule.  This module
-extracts each :class:`~repro.honeysite.storage.RequestStore` exactly once
-into per-attribute **code columns** (a factorize representation: an
-``int32`` array of value codes per attribute, ``-1`` for missing, plus the
-code → value decode list), after which
+extracts the record columns of each
+:class:`~repro.honeysite.storage.RequestStore` exactly once
+(:class:`TableEncoder`) into per-attribute **code columns** (a factorize
+representation: an ``int32`` array of value codes per attribute, ``-1``
+for missing, plus the code → value decode list), after which
 
 * the miner counts each attribute pair's co-occurrences with one
   ``numpy.bincount`` over a dense code grid, read in both orientations
@@ -47,25 +48,6 @@ def default_table_attributes() -> Tuple[Attribute, ...]:
     for attribute in DEFAULT_COOKIE_ATTRIBUTES + DEFAULT_IP_ATTRIBUTES:
         ordered.setdefault(attribute, None)
     return tuple(ordered)
-
-
-def _factorize(items: Sequence[object]) -> Tuple[np.ndarray, List[object]]:
-    """Encode *items* as codes in first-occurrence order (``None`` → ``-1``)."""
-
-    codes = np.empty(len(items), dtype=np.int32)
-    values: List[object] = []
-    index: Dict[object, int] = {}
-    for position, item in enumerate(items):
-        if item is None:
-            codes[position] = -1
-            continue
-        code = index.get(item)
-        if code is None:
-            code = len(values)
-            index[item] = code
-            values.append(item)
-        codes[position] = code
-    return codes, values
 
 
 def intern_values(
@@ -174,38 +156,6 @@ class ColumnarTable:
             codes[attribute], values[attribute] = _extract_column(fingerprints, attribute)
         return cls(codes=codes, values=values, n_rows=len(fingerprints))
 
-    @classmethod
-    def from_store(
-        cls,
-        store,
-        attributes: Optional[Iterable[Attribute]] = None,
-        extra_attributes: Iterable[Attribute] = (),
-    ) -> "ColumnarTable":
-        """Extract a :class:`~repro.honeysite.storage.RequestStore` once.
-
-        *extra_attributes* extends the default attribute set (used when a
-        loaded filter list references attributes outside Table 7).
-        """
-
-        if attributes is None:
-            attributes = default_table_attributes()
-        ordered: Dict[Attribute, None] = {attribute: None for attribute in attributes}
-        for attribute in extra_attributes:
-            ordered.setdefault(attribute, None)
-
-        records = list(store)
-        fingerprints = [record.request.fingerprint for record in records]
-        table = cls.from_fingerprints(fingerprints, tuple(ordered))
-        table.request_ids = np.array(
-            [record.request.request_id for record in records], dtype=np.int64
-        )
-        table.timestamps = np.array([record.timestamp for record in records], dtype=np.float64)
-        cookie_codes, cookie_values = _factorize([record.cookie for record in records])
-        table.cookie_codes, table.cookie_values = cookie_codes, cookie_values
-        ip_codes, ip_values = _factorize([record.request.ip_address for record in records])
-        table.ip_codes, table.ip_values = ip_codes, ip_values
-        return table
-
     # -- introspection ---------------------------------------------------------
 
     @property
@@ -259,9 +209,7 @@ class ColumnarTable:
         The one binding rule shared by every consumer of pre-extracted
         tables (detector, cache, archive loader): row count plus
         request-id equality.  Request ids are renumbered 1..N in store
-        order, so an id match binds the table to the exact row sequence;
-        ``store.request_id_array`` answers from the columns of a lazy
-        store, so the check never materialises records.
+        order, so an id match binds the table to the exact row sequence.
         """
 
         if self.request_ids is None:
@@ -286,15 +234,15 @@ class ColumnarTable:
         """Split the table into (numeric arrays, JSON-able meta) for ``.npz``
         persistence, with every array key *prefix*-ed.
 
-        Only tables built with :meth:`from_store` (request metadata
-        present) can be persisted — that is what the corpus cache stores.
+        Only tables with request metadata (ids, timestamps, cookies,
+        addresses) can be persisted — that is what the corpus cache stores.
         Decode lists ride along in the meta document; grouping values are
         JSON scalars (strings, ints, floats, bools) by construction, and
         JSON round-trips them exactly.  Inverse of :meth:`from_arrays`.
         """
 
         if self.request_ids is None or self.cookie_codes is None or self.ip_codes is None:
-            raise ValueError("only tables built with from_store can be persisted")
+            raise ValueError("only tables with request metadata can be persisted")
         attributes = list(self._codes)
         meta = {
             "attributes": [attribute.value for attribute in attributes],
@@ -407,6 +355,187 @@ class ColumnarTable:
         )
 
 
+class TableEncoder:
+    """The one table extractor: record columns in, :class:`ColumnarTable` out.
+
+    Owns a per-attribute code vocabulary (grouping value → code, assigned
+    in row first-occurrence order, append-only) plus the cookie and
+    address vocabularies, and encodes row slices of a
+    :class:`~repro.honeysite.storage.RecordColumns` against it.  Each
+    column is one gather through a remap table from the archive's codes
+    to vocabulary codes: per attribute from the raw-value codes of
+    ``sessions.attribute_value_codes``, plus session → source address and
+    archive cookie → served cookie.  The remap tables live as long as one
+    ``RecordColumns`` instance, so the grouping transformation runs once
+    per distinct raw value, and only for raw values the vocabulary has
+    never seen.
+
+    Emitted tables share the decode lists *by reference*.  A batch
+    extraction (:meth:`repro.core.detector.FPInconsistent.extract_table`)
+    uses a fresh encoder per store; the stream ingestor keeps one for the
+    whole stream, so later batches extend the lists earlier batches
+    decode through, and existing codes never change meaning.
+    """
+
+    def __init__(self, attributes: Optional[Iterable[Attribute]] = None):
+        self.attributes: Tuple[Attribute, ...] = (
+            tuple(attributes) if attributes is not None else default_table_attributes()
+        )
+        #: grouping value → code, and the matching decode lists
+        self.indexes: Dict[Attribute, Dict[object, int]] = {
+            attribute: {} for attribute in self.attributes
+        }
+        self.values: Dict[Attribute, List[object]] = {
+            attribute: [] for attribute in self.attributes
+        }
+        self.cookie_index: Dict[str, int] = {}
+        self.cookie_values: List[str] = []
+        self.ip_index: Dict[str, int] = {}
+        self.ip_values: List[str] = []
+        #: raw value → code per attribute (a cache over ``indexes``)
+        self._raw_codes: Dict[Attribute, Dict[object, int]] = {
+            attribute: {} for attribute in self.attributes
+        }
+        # Remap tables, scoped to one RecordColumns instance (archive codes
+        # are meaningless across instances).
+        self._columns = None
+        self._raw_columns: List[Tuple[np.ndarray, List[object]]] = []
+        self._value_remaps: List[np.ndarray] = []
+        self._ip_remap = np.empty(0, dtype=np.int32)
+        self._cookie_remap = np.empty(0, dtype=np.int32)
+
+    def restore(self, values: Dict[Attribute, List[object]], cookie_values, ip_values) -> None:
+        """Adopt decode lists (in code order); every cache starts empty.
+
+        The lists are replaced in place, because emitted tables hold them
+        by reference, and the value → code indexes are rebuilt from them.
+        """
+
+        for attribute in self.attributes:
+            restored = list(values[attribute])
+            self.values[attribute][:] = restored
+            self.indexes[attribute].clear()
+            self.indexes[attribute].update(
+                {value: code for code, value in enumerate(restored)}
+            )
+            self._raw_codes[attribute].clear()
+        self.cookie_values[:] = list(cookie_values)
+        self.cookie_index.clear()
+        self.cookie_index.update({value: code for code, value in enumerate(self.cookie_values)})
+        self.ip_values[:] = list(ip_values)
+        self.ip_index.clear()
+        self.ip_index.update({value: code for code, value in enumerate(self.ip_values)})
+        self._columns = None
+
+    def encode(self, columns, rows) -> ColumnarTable:
+        """The table of *columns*' rows at positions *rows*, in that order.
+
+        The columns must be renumbered (request ids present); a store's
+        columns always are.  The archive arrays are only indexed, never
+        written, so a read-only memory-mapped corpus encodes unchanged and
+        pages in exactly the rows asked for.
+        """
+
+        if columns.request_ids is None:
+            raise ValueError(
+                "table extraction needs renumbered record columns "
+                "(RecordColumns.renumbered assigns request ids)"
+            )
+        if columns is not self._columns:
+            self._adopt(columns)
+        rows = np.asarray(rows, dtype=np.int64)
+        sessions = columns.session_codes[rows]
+        codes = {}
+        for attribute, (session_raw, raw_values), remap in zip(
+            self.attributes, self._raw_columns, self._value_remaps
+        ):
+            codes[attribute] = _gather(
+                remap,
+                session_raw[sessions],
+                lambda new, attribute=attribute, raw_values=raw_values: [
+                    self._encode_value(attribute, raw_values[raw]) for raw in new
+                ],
+            )
+        session_ips, cookie_values = columns.session_ips, columns.cookie_values
+        return ColumnarTable(
+            codes=codes,
+            values=self.values,
+            n_rows=int(rows.size),
+            request_ids=columns.request_ids[rows],
+            timestamps=columns.timestamps[rows],
+            cookie_codes=_gather(
+                self._cookie_remap,
+                columns.served_codes[rows],
+                lambda new: intern_values(
+                    [cookie_values[raw] for raw in new], self.cookie_index, self.cookie_values
+                ),
+            ),
+            cookie_values=self.cookie_values,
+            ip_codes=_gather(
+                self._ip_remap,
+                sessions,
+                lambda new: intern_values(
+                    [session_ips[raw] for raw in new], self.ip_index, self.ip_values
+                ),
+            ),
+            ip_values=self.ip_values,
+        )
+
+    def _encode_value(self, attribute: Attribute, raw: object) -> int:
+        raw_codes = self._raw_codes[attribute]
+        code = raw_codes.get(raw)
+        if code is None:
+            grouped = grouping_value(attribute, raw)
+            index = self.indexes[attribute]
+            code = index.get(grouped)
+            if code is None:
+                values = self.values[attribute]
+                code = len(values)
+                index[grouped] = code
+                values.append(grouped)
+            raw_codes[raw] = code
+        return code
+
+    def _adopt(self, columns) -> None:
+        """Start empty remap tables for a new ``RecordColumns``."""
+
+        self._columns = columns
+        self._raw_columns = [
+            columns.sessions.attribute_value_codes(attribute.value)
+            for attribute in self.attributes
+        ]
+        # One extra slot, left at -1, so a missing attribute (raw code -1)
+        # gathers -1.
+        self._value_remaps = []
+        for _session_raw, raw_values in self._raw_columns:
+            remap = np.full(len(raw_values) + 1, _UNMAPPED, dtype=np.int32)
+            remap[-1] = -1
+            self._value_remaps.append(remap)
+        self._ip_remap = np.full(columns.n_sessions, _UNMAPPED, dtype=np.int32)
+        self._cookie_remap = np.full(len(columns.cookie_values), _UNMAPPED, dtype=np.int32)
+
+
+#: Remap-table slot of an archive code not encoded yet.
+_UNMAPPED = -2
+
+
+def _gather(remap: np.ndarray, raw: np.ndarray, encode) -> np.ndarray:
+    """``remap[raw]``, first filling the never-seen codes.
+
+    *encode* maps the never-seen archive codes, in row first-occurrence
+    order, to their vocabulary codes.
+    """
+
+    codes = remap[raw]
+    pending = np.flatnonzero(codes == _UNMAPPED)
+    if pending.size:
+        new, first = np.unique(raw[pending], return_index=True)
+        new = new[np.argsort(first)]
+        remap[new] = encode(new.tolist())
+        codes = remap[raw]
+    return codes
+
+
 class TablePayload:
     """Per-shard fingerprint columns produced during vectorized generation.
 
@@ -443,8 +572,8 @@ class TableEmitter:
     part — grouping transformation plus dictionary lookups) and is called
     once per session; ``append`` records the session's code row once per
     request.  Codes come out in row first-occurrence order — exactly the
-    order :meth:`ColumnarTable.from_store` would assign, because a session's
-    codes are first computed at its first emitted row.
+    order :class:`TableEncoder` would assign over the emitted rows, because
+    a session's codes are first computed at its first emitted row.
     """
 
     def __init__(self, attributes: Optional[Iterable[Attribute]] = None):
@@ -454,7 +583,7 @@ class TableEmitter:
         self._indexes: Tuple[Dict[object, int], ...] = tuple({} for _ in self.attributes)
         self._values: Tuple[List[object], ...] = tuple([] for _ in self.attributes)
         #: raw value → code per attribute, so the grouping transformation
-        #: runs once per distinct raw value (as in ``from_store``), not
+        #: runs once per distinct raw value (as in :class:`TableEncoder`), not
         #: once per session
         self._raw_codes: Tuple[Dict[object, int], ...] = tuple({} for _ in self.attributes)
         self._rows: List[np.ndarray] = []
@@ -518,22 +647,19 @@ def assemble_table(
     *,
     request_ids,
     timestamps,
-    cookies: Optional[Sequence[str]] = None,
-    ips: Optional[Sequence[str]] = None,
-    cookie_columns: Optional[Tuple[np.ndarray, List[str]]] = None,
-    ip_columns: Optional[Tuple[np.ndarray, List[str]]] = None,
+    cookie_columns: Tuple[np.ndarray, List[str]],
+    ip_columns: Tuple[np.ndarray, List[str]],
 ) -> ColumnarTable:
     """Merge shard payloads (in shard order) into one :class:`ColumnarTable`.
 
-    The cookie/address metadata comes in either as plain value sequences
-    (*cookies* / *ips*, factorized here) or — the columnar shard
-    transport's path — as already first-occurrence-coded ``(codes,
-    values)`` pairs (*cookie_columns* / *ip_columns*,
-    :meth:`~repro.honeysite.storage.RecordColumns.cookie_columns`), which
-    skips decoding one string per row.  Local attribute codes are remapped
-    into one global code space assigned in merged-row first-occurrence
-    order, so the result is byte-identical to
-    ``ColumnarTable.from_store`` over the corresponding records.
+    The cookie/address metadata comes in as already first-occurrence-coded
+    ``(codes, values)`` pairs
+    (:meth:`~repro.honeysite.storage.RecordColumns.cookie_columns` /
+    :meth:`~repro.honeysite.storage.RecordColumns.ip_columns`), so no
+    string is decoded per row.  Local attribute codes are remapped into
+    one global code space assigned in merged-row first-occurrence order,
+    so the result is byte-identical to :class:`TableEncoder` over the
+    merged record columns.
 
     Since corpus format v4 this is the *only* decoding the merge performs:
     the shard payloads carrying these table codes are pure arrays end to
@@ -577,18 +703,9 @@ def assemble_table(
 
     n_rows = int(codes[attributes[0]].size) if attributes else 0
 
-    def _metadata(
-        decoded: Optional[Sequence[str]],
-        coded: Optional[Tuple[np.ndarray, List[str]]],
-        label: str,
-    ) -> Tuple[np.ndarray, List[str]]:
-        if (decoded is None) == (coded is None):
-            raise ValueError(f"supply exactly one of {label} values or columns")
-        if coded is not None:
-            column, column_values = coded
-            column = np.asarray(column, dtype=np.int32)
-        else:
-            column, column_values = _factorize(list(decoded))
+    def _metadata(coded: Tuple[np.ndarray, List[str]], label: str) -> Tuple[np.ndarray, List[str]]:
+        column, column_values = coded
+        column = np.asarray(column, dtype=np.int32)
         if column.size != n_rows:
             raise ValueError(
                 f"table payloads cover {n_rows} rows but the {label} column "
@@ -603,8 +720,8 @@ def assemble_table(
         raise ValueError(
             f"table payloads cover {n_rows} rows but id/timestamp columns disagree"
         )
-    table.cookie_codes, table.cookie_values = _metadata(cookies, cookie_columns, "cookie")
-    table.ip_codes, table.ip_values = _metadata(ips, ip_columns, "address")
+    table.cookie_codes, table.cookie_values = _metadata(cookie_columns, "cookie")
+    table.ip_codes, table.ip_values = _metadata(ip_columns, "address")
     return table
 
 
@@ -633,7 +750,7 @@ def device_components(table: ColumnarTable) -> np.ndarray:
     """
 
     if table.cookie_codes is None or table.ip_codes is None:
-        raise ValueError("device partitioning requires a table built with from_store")
+        raise ValueError("device partitioning requires a table with request metadata")
     n = table.n_rows
     cookie_codes = table.cookie_codes
     ip_codes = table.ip_codes
@@ -699,7 +816,7 @@ def partition_rows_by_device(table: ColumnarTable, shards: int) -> List[np.ndarr
     """
 
     if table.cookie_codes is None or table.ip_codes is None:
-        raise ValueError("partitioning requires a table built with from_store")
+        raise ValueError("partitioning requires a table with request metadata")
     shards = max(1, int(shards))
     n = table.n_rows
     if shards == 1 or n == 0:

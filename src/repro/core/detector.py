@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.columnar import ColumnarTable, partition_rows_by_device
+from repro.core.columnar import ColumnarTable, TableEncoder, partition_rows_by_device
 from repro.core.rules import FilterList, FilterListMatcher, InconsistencyRule, RuleTable, rule_key
 from repro.core.spatial import SpatialInconsistencyMiner
 from repro.core.temporal import TemporalFlag, TemporalInconsistencyDetector
@@ -323,9 +323,14 @@ class FPInconsistent:
         return True
 
     def extract_table(self, store: RequestStore) -> ColumnarTable:
-        """Extract *store* into the columnar layout this detector needs."""
+        """Extract *store* into the columnar layout this detector needs.
 
-        return ColumnarTable.from_store(store, attributes=self.table_attributes())
+        One :class:`~repro.core.columnar.TableEncoder` gather over the
+        store's record columns, rows in store order.
+        """
+
+        rows = np.arange(len(store), dtype=np.int64)
+        return TableEncoder(self.table_attributes()).encode(store.columns, rows)
 
     def resolve_table(
         self, store: RequestStore, candidate: Optional[ColumnarTable] = None
@@ -449,8 +454,8 @@ class FPInconsistent:
 
         if table.request_ids is None:
             raise ValueError(
-                "classify_table requires a table built with "
-                "ColumnarTable.from_store (request metadata is missing)"
+                "classify_table requires a table with request metadata "
+                "(extract it with FPInconsistent.extract_table)"
             )
         workers = 1 if workers is None else int(workers)
         if workers < 1:

@@ -72,9 +72,7 @@ class _StoreColumns:
 
     def __init__(self, store: RequestStore, verdicts: Verdicts):
         # Every column routes through the store's columnar accessors
-        # (request_id_array / evaded_rows / source_rows): a lazy
-        # columnar-backed store answers them from its arrays without
-        # materialising a single record object.
+        # (request_id_array / evaded_rows / source_rows).
         self.n = len(store)
         self.spatial, self.temporal = verdicts.masks_for(store.request_id_array())
         self.evaded = {name: store.evaded_rows(name) for name in DETECTOR_NAMES}
@@ -210,10 +208,9 @@ def evaluate_generalization(
     :meth:`FPInconsistent.classify_table`.
 
     One permutation split (:func:`~repro.honeysite.storage.split_rows`)
-    slices both the store (:meth:`~repro.honeysite.storage.RequestStore.take`,
-    which a lazy store answers without materialising a record) and one
-    extraction of the whole store — or *table*, when the caller (the
-    pipeline) already holds it — so both views agree row for row.
+    slices both the store (:meth:`~repro.honeysite.storage.RequestStore.take`)
+    and one extraction of the whole store — or *table*, when the caller
+    (the pipeline) already holds it — so both views agree row for row.
     """
 
     rng = np.random.default_rng(seed)

@@ -156,9 +156,9 @@ class FPInconsistentPipeline:
         detector = self._build_detector()
         tracer = obs.tracer()
         table_sources: Dict[str, str] = {}
-        # resolve_table extracts through the detector (not bare
-        # ColumnarTable.from_store): it appends the tracked temporal
-        # attributes, so a custom temporal configuration keeps its flags.
+        # resolve_table extracts with the detector's attribute set: it
+        # appends the tracked temporal attributes, so a custom temporal
+        # configuration keeps its flags.
         with tracer.span("pipeline.extract", subset="bots") as span:
             table, table_sources["bots"] = detector.resolve_table(bot_store, bot_table)
             span.set(source=table_sources["bots"], rows=table.n_rows)

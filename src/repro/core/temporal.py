@@ -390,7 +390,7 @@ class TemporalInconsistencyDetector:
         """
 
         if table.timestamps is None or table.cookie_codes is None or table.ip_codes is None:
-            raise ValueError("temporal evaluation requires a table built with from_store")
+            raise ValueError("temporal evaluation requires a table with request metadata")
         return self._stream_table(table, TemporalStreamState())
 
     # -- incremental (streaming) API ---------------------------------------------
@@ -422,7 +422,7 @@ class TemporalInconsistencyDetector:
         """
 
         if table.timestamps is None or table.cookie_codes is None or table.ip_codes is None:
-            raise ValueError("temporal observation requires a table built with from_store")
+            raise ValueError("temporal observation requires a table with request metadata")
         return self._stream_table(table, state)
 
     def _stream_table(

@@ -7,7 +7,7 @@ from repro.honeysite.collector import (
     REQUIRED_ATTRIBUTES,
 )
 from repro.honeysite.site import HoneySite
-from repro.honeysite.storage import RecordedRequest, RequestStore, SECONDS_PER_DAY
+from repro.honeysite.storage import RequestStore, SECONDS_PER_DAY
 from repro.honeysite.urls import UrlRegistry, generate_url_token
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "FingerprintCollector",
     "HoneySite",
     "REQUIRED_ATTRIBUTES",
-    "RecordedRequest",
     "RequestStore",
     "SECONDS_PER_DAY",
     "UrlRegistry",

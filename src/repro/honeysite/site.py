@@ -20,11 +20,11 @@ from repro.geo.asn import TOR_EXIT_ASNS
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.fingerprint import Fingerprint
 from repro.geo.geolite import GeoDatabase
-from repro.honeysite.storage import RecordedRequest, RequestStore
+from repro.honeysite.storage import RecordColumnsBuilder, RequestStore
 from repro.honeysite.urls import UrlRegistry
 from repro.network.cookies import CookieIssuer
 from repro.network.headers import build_headers
-from repro.network.request import WebRequest, _next_request_id
+from repro.network.request import WebRequest
 
 
 class HoneySite:
@@ -54,7 +54,9 @@ class HoneySite:
         self.geo = geo if geo is not None else GeoDatabase()
         self.urls = UrlRegistry(np.random.default_rng(self._rng.integers(0, 2 ** 32)))
         self.cookies = CookieIssuer(np.random.default_rng(self._rng.integers(0, 2 ** 32)))
-        self.store = RequestStore()
+        #: rows recorded by session recorders created without a sink
+        self.recorded = RecordColumnsBuilder()
+        self._store: Optional[RequestStore] = None
         self.datadome = datadome if datadome is not None else DataDomeModel(self.geo)
         self.botd = botd if botd is not None else BotDModel(self.geo)
 
@@ -65,6 +67,23 @@ class HoneySite:
 
         return self.urls.register(source)
 
+    @property
+    def store(self) -> RequestStore:
+        """The site's request store.
+
+        A corpus attaches its merged store here; until one is attached,
+        the store holds the rows recorded into :attr:`recorded` so far,
+        with request ids 1..N in recording order.
+        """
+
+        if self._store is None:
+            return RequestStore(self.recorded.columns().renumbered())
+        return self._store
+
+    @store.setter
+    def store(self, store: RequestStore) -> None:
+        self._store = store
+
 
 class SessionMaterial:
     """Everything about one client session that is constant per request.
@@ -73,9 +92,9 @@ class SessionMaterial:
     configuration across a stretch of requests; every per-request quantity
     the site derives from that configuration — the enriched fingerprint,
     the synthesised headers, both detector decisions — is therefore
-    computed once here and shared by all of the session's records.
-    Sharing the objects is output-invisible: records serialise by value,
-    and the request-by-request reference path
+    computed once here and shared by all of the session's rows.
+    Sharing the objects is output-invisible: the columnar sink encodes
+    them by value, and the request-by-request reference path
     (``tests/reference/generation.py``) produces equal values.
     """
 
@@ -87,8 +106,6 @@ class SessionMaterial:
         "botd",
         "ip_address",
         "codes",
-        "request_proto",
-        "record_proto",
         "payload_code",
     )
 
@@ -111,11 +128,7 @@ class SessionMaterial:
         self.ip_address = ip_address
         #: per-attribute table codes, filled lazily by a table emitter
         self.codes: Optional[np.ndarray] = None
-        #: per-session field prototypes for the two record objects, filled
-        #: lazily on the session's first emit
-        self.request_proto: Optional[Dict[str, Any]] = None
-        self.record_proto: Optional[Dict[str, Any]] = None
-        #: session index assigned by a columnar payload sink
+        #: session index assigned by the recorder's columnar sink
         #: (:class:`~repro.honeysite.storage.RecordColumnsBuilder`)
         self.payload_code: Optional[int] = None
 
@@ -124,32 +137,24 @@ class SessionRecorder:
     """Session-cached request recording for the vectorized generators.
 
     The vectorized traffic generators plan sessions and timestamps first,
-    then materialise records through this recorder: session-constant work
+    then record requests through this recorder: session-constant work
     runs once per session (:meth:`materialize` / :meth:`materialize_values`)
-    and :meth:`emit` only issues the cookie, builds the two per-request
-    record objects and appends to the store.  Detector decisions are
-    additionally memoized across sessions on the exact signal surface the
-    models read, because thousands of sessions share a handful of signal
-    combinations.
+    and :meth:`emit` only issues the cookie and appends one row of codes
+    to the *sink*, a :class:`~repro.honeysite.storage.RecordColumnsBuilder`
+    (the site's own :attr:`HoneySite.recorded` when none is given).  The
+    builder's columns are what shard workers ship back to the corpus
+    coordinator.  Detector decisions are additionally memoized across
+    sessions on the exact signal surface the models read, because
+    thousands of sessions share a handful of signal combinations.
 
     Byte-for-byte equivalence with the request-by-request reference
     (``handle`` in ``tests/reference/generation.py``) for every emitted
-    record is the contract (``tests/test_vectorized.py`` pins it).
-
-    *sink* optionally redirects emission into a
-    :class:`~repro.honeysite.storage.RecordColumnsBuilder`: instead of
-    constructing the two frozen record objects per request and appending
-    them to the site's store, :meth:`emit` appends one row of codes to the
-    builder (cookie issuance still runs — it consumes the site's cookie
-    stream).  The builder's columns are what shard workers ship back to
-    the corpus coordinator; materialising them through
-    :class:`~repro.honeysite.storage.LazyRequestStore` reproduces the
-    object path byte for byte.
+    row is the contract (``tests/test_vectorized.py`` pins it).
     """
 
-    def __init__(self, site: HoneySite, *, sink=None):
+    def __init__(self, site: HoneySite, *, sink: Optional[RecordColumnsBuilder] = None):
         self._site = site
-        self._sink = sink
+        self._sink = sink if sink is not None else site.recorded
         self._decisions: Dict[Tuple, Tuple[Decision, Decision]] = {}
         self._headers: Dict[Tuple, Mapping[str, str]] = {}
         #: /16-prefix string → GeoRecord (or None): every address of a
@@ -191,7 +196,7 @@ class SessionRecorder:
             stored_values = dict(values)
         fingerprint = Fingerprint._from_coerced(stored_values)
         # Headers depend only on the User-Agent and the language list; the
-        # shared dict is never mutated and records serialise it by value.
+        # shared dict is never mutated and the sink encodes it by value.
         headers_key = (
             stored_values.get(Attribute.USER_AGENT),
             stored_values.get(Attribute.LANGUAGES),
@@ -268,53 +273,13 @@ class SessionRecorder:
     ) -> str:
         """Record one request of a session; returns the served cookie."""
 
-        site = self._site
-        cookie = site.cookies.ensure(presented_cookie)
-        sink = self._sink
-        if sink is not None:
-            sink.append(
-                material,
-                url_path=url_path,
-                source=source,
-                timestamp=timestamp,
-                presented=presented_cookie,
-                served=cookie,
-            )
-            return cookie
-        # Construct both frozen records directly from per-session field
-        # prototypes: the generator guarantees the invariants __post_init__
-        # would re-check (the url path is a registered "/..."-path,
-        # timestamps are non-negative by construction), and the dataclass
-        # __init__ of a frozen class pays one guarded object.__setattr__
-        # per field per request.
-        request_proto = material.request_proto
-        if request_proto is None:
-            request_proto = material.request_proto = {
-                "url_path": url_path,
-                "timestamp": 0.0,
-                "ip_address": material.ip_address,
-                "fingerprint": material.fingerprint,
-                "cookie": None,
-                "headers": material.headers,
-                "request_id": 0,
-            }
-            material.record_proto = {
-                "request": None,
-                "source": source,
-                "cookie": "",
-                "datadome": material.datadome,
-                "botd": material.botd,
-            }
-        fields = dict(request_proto)
-        fields["timestamp"] = timestamp
-        fields["cookie"] = presented_cookie
-        fields["request_id"] = _next_request_id()
-        request = WebRequest.__new__(WebRequest)
-        object.__setattr__(request, "__dict__", fields)
-        fields = dict(material.record_proto)
-        fields["request"] = request
-        fields["cookie"] = cookie
-        record = RecordedRequest.__new__(RecordedRequest)
-        object.__setattr__(record, "__dict__", fields)
-        site.store.add(record)
+        cookie = self._site.cookies.ensure(presented_cookie)
+        self._sink.append(
+            material,
+            url_path=url_path,
+            source=source,
+            timestamp=timestamp,
+            presented=presented_cookie,
+            served=cookie,
+        )
         return cookie

@@ -1,44 +1,25 @@
-"""Recorded requests and the request store.
+"""The request store.
 
-Every request the honey site attributes to a known source is stored as a
-:class:`RecordedRequest`: the raw request, the source label, the cookie
-value after issuance and the decisions of both anti-bot services (mirroring
-Figure 3 — "decisions from DataDome and BotD are stored in the database
-alongside other request data").  The :class:`RequestStore` is the query
-surface every analysis in Sections 5–7 runs against.
+Every request the honey site attributes to a known source is stored with
+its source label, the cookie value after issuance and the decisions of
+both anti-bot services (mirroring Figure 3 — "decisions from DataDome and
+BotD are stored in the database alongside other request data").  The
+:class:`RequestStore` is the query surface every analysis in Sections 5–7
+runs against.
 
-Records exist in two physical representations:
-
-* **object form** — a list of :class:`RecordedRequest` instances, the
-  representation every per-record analysis consumes;
-* **columnar form** (:class:`RecordColumns`) — per-row arrays (timestamps,
-  cookie codes, source codes, session codes) over session-deduplicated
-  dictionaries (fingerprints, headers, detector decisions), the compact
-  layout shard workers ship back to the corpus coordinator and the corpus
-  cache persists.
-
-:class:`LazyRequestStore` bridges the two: it is a drop-in
-:class:`RequestStore` over a :class:`RecordColumns` that answers the
-columnar pipeline's queries (lengths, splits, source subsets, request-id /
-evasion columns) straight from the arrays and only materialises record
-objects when a consumer genuinely iterates them.
+Records have one representation, :class:`RecordColumns`: per-row arrays
+(timestamps, cookie codes, source codes, session codes) over
+session-deduplicated code blocks (:class:`SessionArrays`: fingerprints,
+headers, detector decisions).  It is the layout shard workers ship back
+to the corpus coordinator, the one the corpus cache persists, and the one
+every consumer reads — lengths, splits, source subsets, evasion columns
+and detection tables (:class:`~repro.core.columnar.TableEncoder`) all come
+straight from the arrays.  No record object is ever built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +27,6 @@ from repro import obs
 from repro.antibot.base import Decision
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.fingerprint import Fingerprint
-from repro.network.request import WebRequest
 
 SECONDS_PER_DAY = 86_400.0
 
@@ -85,65 +65,6 @@ def split_rows(n: int, fraction: float, rng) -> Tuple:
     return indices[:cut], indices[cut:]
 
 
-@dataclass(frozen=True)
-class RecordedRequest:
-    """One attributed request with both detector decisions."""
-
-    request: WebRequest
-    source: str
-    cookie: str
-    datadome: Decision
-    botd: Decision
-
-    @property
-    def timestamp(self) -> float:
-        return self.request.timestamp
-
-    @property
-    def day(self) -> int:
-        """Day index (0-based) within the measurement campaign."""
-
-        return int(self.request.timestamp // SECONDS_PER_DAY)
-
-    def decision_for(self, detector: str) -> Decision:
-        """Decision of *detector* ("DataDome" or "BotD")."""
-
-        if detector == "DataDome":
-            return self.datadome
-        if detector == "BotD":
-            return self.botd
-        raise KeyError(f"unknown detector {detector!r}")
-
-    def evaded(self, detector: str) -> bool:
-        """Whether the request evaded *detector*."""
-
-        return self.decision_for(detector).evaded
-
-    def attribute(self, attribute: Attribute, default=None):
-        """Convenience accessor for a fingerprint attribute."""
-
-        return self.request.fingerprint.get(attribute, default)
-
-    def to_dict(self) -> Dict:
-        """Plain JSON-able form of the record, keys in a fixed order."""
-
-        return {
-            "request": self.request.to_dict(),
-            "source": self.source,
-            "cookie": self.cookie,
-            "datadome": {
-                "is_bot": self.datadome.is_bot,
-                "score": self.datadome.score,
-                "signals": list(self.datadome.signals),
-            },
-            "botd": {
-                "is_bot": self.botd.is_bot,
-                "score": self.botd.score,
-                "signals": list(self.botd.signals),
-            },
-        }
-
-
 def _code_dtype(pool_size: int) -> np.dtype:
     """Smallest unsigned dtype that can index a decode list of *pool_size*."""
 
@@ -160,38 +81,6 @@ def _packed(codes, pool_size: int) -> np.ndarray:
     """
 
     return np.asarray(codes, dtype=_code_dtype(pool_size))
-
-
-class _LazyDecodeList(Sequence):
-    """A read-only sequence decoding its items on first access.
-
-    The compatibility view :class:`SessionArrays` presents over its code
-    arrays: indexing or iterating decodes (and memoizes) one object per
-    position, so consumers that touch a handful of sessions never pay for
-    the rest — and repeated reads return the *same* object, preserving the
-    sharing semantics of the former object dictionaries.
-    """
-
-    __slots__ = ("_cache", "_decode")
-
-    def __init__(self, count: int, decode: Callable[[int], Any]):
-        self._cache: List[Any] = [None] * count
-        self._decode = decode
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def __getitem__(self, index: int) -> Any:
-        item = self._cache[index]
-        if item is None:
-            if index < 0:
-                index += len(self._cache)
-            item = self._cache[index] = self._decode(index)
-        return item
-
-    def __iter__(self) -> Iterator[Any]:
-        for index in range(len(self._cache)):
-            yield self[index]
 
 
 class SessionArrays:
@@ -220,10 +109,7 @@ class SessionArrays:
     ``session_datadome``, ``session_botd``) and the per-session address
     list live here too.  The result: pickling a shard payload serialises
     numpy arrays and lists of primitive scalars — zero reconstructed
-    objects — and the persisted archive can be memory-mapped.  Decoded
-    object views (:attr:`fingerprints`, :attr:`header_maps`,
-    :attr:`decision_objects`) materialise lazily per index and are
-    excluded from pickling.
+    objects — and the persisted archive can be memory-mapped.
     """
 
     _ARRAY_FIELDS = (
@@ -251,13 +137,7 @@ class SessionArrays:
         "decision_detector_names",
         "decision_signal_values",
     )
-    _CACHE_FIELDS = (
-        "_fingerprints",
-        "_header_maps",
-        "_decision_objects",
-        "_attributes",
-        "_attribute_columns",
-    )
+    _CACHE_FIELDS = ("_attributes", "_attribute_columns")
 
     __slots__ = _ARRAY_FIELDS + _LIST_FIELDS + _CACHE_FIELDS
 
@@ -269,9 +149,6 @@ class SessionArrays:
         self._reset_caches()
 
     def _reset_caches(self) -> None:
-        self._fingerprints = None
-        self._header_maps = None
-        self._decision_objects = None
         self._attributes = None
         self._attribute_columns = None
 
@@ -466,70 +343,24 @@ class SessionArrays:
             decision_signal_values=decision_signal_values,
         )
 
-    # -- decoded object views ----------------------------------------------
+    # -- decoding ----------------------------------------------------------
 
-    @property
-    def fingerprints(self) -> Sequence[Fingerprint]:
-        """Per-session fingerprints, decoded lazily per index."""
+    def fingerprint(self, index: int) -> Fingerprint:
+        """The fingerprint of session *index*, decoded from its code row."""
 
-        if self._fingerprints is None:
-            if self._attributes is None:
-                self._attributes = [Attribute(name) for name in self.fp_attribute_names]
-            attributes = self._attributes
-            values, attr_codes = self.fp_values, self.fp_attr_codes
-            value_codes, offsets = self.fp_value_codes, self.fp_offsets
-
-            def decode(index: int) -> Fingerprint:
-                data: Dict[Attribute, Any] = {}
-                for position in range(int(offsets[index]), int(offsets[index + 1])):
-                    acode = attr_codes[position]
-                    data[attributes[acode]] = values[acode][value_codes[position]]
-                return Fingerprint._from_coerced(data)
-
-            self._fingerprints = _LazyDecodeList(self.n_sessions, decode)
-        return self._fingerprints
-
-    @property
-    def header_maps(self) -> Sequence[Mapping[str, str]]:
-        """Deduplicated header dictionaries, decoded lazily per index."""
-
-        if self._header_maps is None:
-            keys, pool = self.header_keys, self.header_values
-            key_codes, value_codes = self.header_key_codes, self.header_value_codes
-            offsets = self.header_offsets
-
-            def decode(index: int) -> Dict[str, str]:
-                return {
-                    keys[key_codes[position]]: pool[value_codes[position]]
-                    for position in range(int(offsets[index]), int(offsets[index + 1]))
-                }
-
-            self._header_maps = _LazyDecodeList(self.n_headers, decode)
-        return self._header_maps
-
-    @property
-    def decision_objects(self) -> Sequence[Decision]:
-        """Deduplicated detector decisions, decoded lazily per index."""
-
-        if self._decision_objects is None:
-            names, signals = self.decision_detector_names, self.decision_signal_values
-            detectors, is_bot = self.decision_detectors, self.decision_is_bot
-            scores, signal_codes = self.decision_scores, self.decision_signal_codes
-            offsets = self.decision_signal_offsets
-
-            def decode(index: int) -> Decision:
-                return Decision(
-                    detector=names[detectors[index]],
-                    is_bot=bool(is_bot[index]),
-                    score=float(scores[index]),
-                    signals=tuple(
-                        signals[signal_codes[position]]
-                        for position in range(int(offsets[index]), int(offsets[index + 1]))
-                    ),
+        if self._attributes is None:
+            self._attributes = [Attribute(name) for name in self.fp_attribute_names]
+        attributes, values = self._attributes, self.fp_values
+        start, stop = int(self.fp_offsets[index]), int(self.fp_offsets[index + 1])
+        return Fingerprint._from_coerced(
+            {
+                attributes[acode]: values[acode][vcode]
+                for acode, vcode in zip(
+                    self.fp_attr_codes[start:stop].tolist(),
+                    self.fp_value_codes[start:stop].tolist(),
                 )
-
-            self._decision_objects = _LazyDecodeList(self.n_decisions, decode)
-        return self._decision_objects
+            }
+        )
 
     # -- merging -----------------------------------------------------------
 
@@ -790,11 +621,6 @@ class RecordColumns:
 
     ``request_ids`` may be ``None`` on a freshly built shard payload; the
     coordinator assigns merged-order ids through :meth:`renumbered`.
-    Record objects never live here: :class:`LazyRequestStore` rebuilds
-    them on demand, byte-identical to what the object-at-a-time path
-    produces.  The former object-dictionary attributes
-    (``session_fingerprints``, ``headers``, ``decisions``) remain readable
-    as lazily decoded views.
     """
 
     __slots__ = (
@@ -872,35 +698,9 @@ class RecordColumns:
     def n_sessions(self) -> int:
         return self.sessions.n_sessions
 
-    # -- compatibility views over the session block -----------------------
-
-    @property
-    def session_fingerprints(self) -> Sequence[Fingerprint]:
-        return self.sessions.fingerprints
-
-    @property
-    def headers(self) -> Sequence[Mapping[str, str]]:
-        return self.sessions.header_maps
-
-    @property
-    def decisions(self) -> Sequence[Decision]:
-        return self.sessions.decision_objects
-
     @property
     def session_ips(self) -> List[str]:
         return self.sessions.session_ips
-
-    @property
-    def session_headers(self) -> np.ndarray:
-        return self.sessions.session_headers
-
-    @property
-    def session_datadome(self) -> np.ndarray:
-        return self.sessions.session_datadome
-
-    @property
-    def session_botd(self) -> np.ndarray:
-        return self.sessions.session_botd
 
     def renumbered(self, start: int = 1) -> "RecordColumns":
         """Copy with sequential request ids ``start..start+n-1``.
@@ -993,22 +793,10 @@ class RecordColumns:
 
     # -- decoded row views ------------------------------------------------------
 
-    def row_cookies(self) -> List[str]:
-        """Served cookie value per row (what ``record.cookie`` holds)."""
-
-        values = self.cookie_values
-        return [values[code] for code in self.served_codes.tolist()]
-
-    def row_ips(self) -> List[str]:
-        """Source address per row (``record.request.ip_address``)."""
-
-        ips = self.session_ips
-        return [ips[code] for code in self.session_codes.tolist()]
-
     def cookie_columns(self) -> Tuple[np.ndarray, List[str]]:
         """Served-cookie column re-coded in row first-occurrence order —
-        exactly what factorizing :meth:`row_cookies` would produce, without
-        decoding a string per row."""
+        exactly what factorizing the per-row cookie strings would produce,
+        without decoding a string per row."""
 
         return _first_occurrence_recode(self.served_codes, self.cookie_values)
 
@@ -1230,9 +1018,8 @@ def _first_occurrence_recode(
 class RecordColumnsBuilder:
     """Shard-side accumulator filling a :class:`RecordColumns`.
 
-    A :class:`~repro.honeysite.site.SessionRecorder` whose ``sink`` is a
-    builder appends one row per emitted request here instead of
-    constructing record objects; session-constant objects register once
+    A :class:`~repro.honeysite.site.SessionRecorder` appends one row per
+    emitted request here; session-constant objects register once
     (the builder's dictionaries pin every registered object, so identity
     keys can never alias a collected object).
     """
@@ -1339,340 +1126,81 @@ class RecordColumnsBuilder:
         )
 
 
-class RequestStore:
-    """In-memory store of recorded requests with the query helpers the
-    analyses need."""
-
-    def __init__(self, records: Optional[Iterable[RecordedRequest]] = None):
-        self._records: List[RecordedRequest] = list(records) if records is not None else []
-
-    # -- collection protocol ---------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[RecordedRequest]:
-        return iter(self._records)
-
-    def __getitem__(self, index: int) -> RecordedRequest:
-        return self._records[index]
-
-    def add(self, record: RecordedRequest) -> None:
-        """Append one record."""
-
-        self._records.append(record)
-
-    def extend(self, records: Iterable[RecordedRequest]) -> None:
-        """Append many records."""
-
-        self._records.extend(records)
-
-    @property
-    def records(self) -> Tuple[RecordedRequest, ...]:
-        return tuple(self._records)
-
-    # -- filtering ---------------------------------------------------------------
-
-    def filter(self, predicate: Callable[[RecordedRequest], bool]) -> "RequestStore":
-        """New store containing the records satisfying *predicate*."""
-
-        return RequestStore(record for record in self._records if predicate(record))
-
-    def by_source(self, source: str) -> "RequestStore":
-        """Records attributed to *source*."""
-
-        return self.filter(lambda record: record.source == source)
-
-    def by_sources(self, sources: Iterable[str]) -> "RequestStore":
-        """Records attributed to any source in *sources*.
-
-        :class:`LazyRequestStore` answers this from its source-code column
-        without materialising a single record, which is why the corpus
-        subsets (:attr:`~repro.analysis.corpus.Corpus.bot_store` et al.)
-        route through it instead of :meth:`filter`.
-        """
-
-        names = frozenset(sources)
-        return self.filter(lambda record: record.source in names)
-
-    def request_id_array(self) -> np.ndarray:
-        """Request ids in store order as an ``int64`` array.
-
-        Consumers that only need ids (table/store binding checks, verdict
-        joins) should prefer this over iterating records: the lazy store
-        serves it straight from its columns.
-        """
-
-        return np.fromiter(
-            (record.request.request_id for record in self._records),
-            dtype=np.int64,
-            count=len(self._records),
-        )
-
-    def sources(self) -> Tuple[str, ...]:
-        """Source labels present, ordered by descending request count."""
-
-        counts: Dict[str, int] = {}
-        for record in self._records:
-            counts[record.source] = counts.get(record.source, 0) + 1
-        return tuple(sorted(counts, key=lambda source: counts[source], reverse=True))
-
-    def evading(self, detector: str) -> "RequestStore":
-        """Records that evaded *detector*."""
-
-        return self.filter(lambda record: record.evaded(detector))
-
-    def take(self, rows) -> "RequestStore":
-        """New store of the records at positions *rows*, in that order."""
-
-        return RequestStore(self._records[int(row)] for row in rows)
-
-    # -- aggregate statistics -------------------------------------------------------
-
-    def evasion_rate(self, detector: str) -> float:
-        """Fraction of records that evaded *detector* (0 when empty)."""
-
-        if not self._records:
-            return 0.0
-        return sum(1 for record in self._records if record.evaded(detector)) / len(self._records)
-
-    def evaded_rows(self, detector: str) -> np.ndarray:
-        """Boolean per-row evasion column of *detector* in store order.
-
-        The vectorized evaluation tables consume this; the lazy store
-        computes it from its decision dictionary without materialising."""
-
-        return np.fromiter(
-            (record.evaded(detector) for record in self._records),
-            dtype=bool,
-            count=len(self._records),
-        )
-
-    def source_rows(self) -> Tuple[np.ndarray, List[str], Dict[str, int]]:
-        """``(codes, names, name → code)`` of the per-row source column."""
-
-        codes = np.empty(len(self._records), dtype=np.int32)
-        names: List[str] = []
-        index: Dict[str, int] = {}
-        for position, record in enumerate(self._records):
-            code = index.get(record.source)
-            if code is None:
-                code = len(names)
-                index[record.source] = code
-                names.append(record.source)
-            codes[position] = code
-        return codes, names, index
-
-    def detection_rate(self, detector: str) -> float:
-        """Fraction of records flagged by *detector* (0 when empty)."""
-
-        if not self._records:
-            return 0.0
-        return 1.0 - self.evasion_rate(detector)
-
-    def unique_ips(self) -> int:
-        """Number of distinct source IP addresses."""
-
-        return len({record.request.ip_address for record in self._records})
-
-    def unique_cookies(self) -> int:
-        """Number of distinct first-party cookie values."""
-
-        return len({record.cookie for record in self._records})
-
-    def unique_fingerprints(self) -> int:
-        """Number of distinct fingerprint hashes."""
-
-        return len({record.request.fingerprint.stable_hash() for record in self._records})
-
-    def columnar(self, attributes=None):
-        """Extract the store into a columnar fingerprint table.
-
-        Returns a :class:`repro.core.columnar.ColumnarTable`: per-attribute
-        code arrays plus request metadata, the layout the vectorized
-        detection engine consumes.  *attributes* optionally restricts or
-        reorders the extracted attribute set.
-        """
-
-        # Imported lazily: repro.core depends on this module.
-        from repro.core.columnar import ColumnarTable
-
-        return ColumnarTable.from_store(self, attributes=attributes)
-
-    def split(
-        self, fraction: float, rng
-    ) -> Tuple["RequestStore", "RequestStore"]:
-        """Random split into two stores of sizes ``fraction`` / ``1-fraction``."""
-
-        first, second = split_rows(len(self), fraction, rng)
-        return self.take(first), self.take(second)
-
-
-#: Process-wide total of record objects built out of lazy stores.  The
-#: registry counter is the single source of truth (always on, so the
-#: materialisation contract stays checkable in untraced runs);
-#: :func:`materialized_record_count` remains the back-compat read.
+#: Process-wide total of record objects built out of request stores.  The
+#: store has no record objects, so nothing increments it and it reads 0 by
+#: construction; ``repro report --check-materialization`` and its JSON key
+#: still read it through :func:`materialized_record_count`.
 _MATERIALIZED_RECORDS = obs.counter(
     "repro_records_materialized_total",
-    "Record objects materialised out of lazy columnar stores.",
+    "Record objects materialised out of request stores.",
     always=True,
 )
 
 
 def materialized_record_count() -> int:
-    """Total record objects materialised out of :class:`LazyRequestStore`
-    instances since process start.
+    """Total record objects materialised out of stores since process start.
 
-    Fully columnar consumers (the figure/table ports, ``repro report``)
-    snapshot this before and after a run and assert a delta of zero —
-    the observable form of the "no record objects" contract.  Reads the
-    ``repro_records_materialized_total`` counter of the
-    :mod:`repro.obs` registry.
+    Reads the ``repro_records_materialized_total`` counter of the
+    :mod:`repro.obs` registry; ``repro report`` reports the delta over a
+    run, which is 0 because a :class:`RequestStore` cannot build records.
     """
 
     return int(_MATERIALIZED_RECORDS.value())
 
 
-class LazyRequestStore(RequestStore):
-    """A :class:`RequestStore` backed by :class:`RecordColumns`.
+class RequestStore:
+    """The request store: an immutable view over :class:`RecordColumns`.
 
-    Columnar consumers — lengths, source subsets, splits, the vectorized
-    evaluation columns — are answered straight from the arrays; record
-    objects are materialised (once, lazily, byte-identical to the
-    object-at-a-time path) only when a consumer actually iterates them.
-    The store is immutable: the corpus coordinator builds it after the
-    merge, and mutating it would desynchronise objects and columns.
+    Every query — lengths, source subsets, splits, evasion columns,
+    distinct counts — is answered from the arrays, and subsets are row
+    slices sharing the session block.  The corpus coordinator builds the
+    store after the shard merge; detection tables come from its columns
+    through :meth:`~repro.core.detector.FPInconsistent.extract_table`.
     """
 
     def __init__(self, columns: RecordColumns):
         if columns.request_ids is None:
             raise ValueError(
-                "a lazy store needs renumbered columns (RecordColumns.renumbered)"
+                "a store needs renumbered columns (RecordColumns.renumbered)"
             )
         self._columns = columns
-        self._cache: Optional[List[RecordedRequest]] = None
 
     @property
     def columns(self) -> RecordColumns:
         return self._columns
 
-    # Base-class methods read ``self._records``; route them through lazy
-    # materialisation so every inherited query keeps working unchanged.
-    @property
-    def _records(self) -> List[RecordedRequest]:
-        if self._cache is None:
-            self._cache = self._materialize()
-        return self._cache
-
-    @property
-    def materialized(self) -> bool:
-        """Whether record objects have been built (observability/tests)."""
-
-        return self._cache is not None
-
-    def _materialize(self) -> List[RecordedRequest]:
-        columns = self._columns
-        sources = columns.sources
-        url_paths = columns.url_paths
-        cookie_values = columns.cookie_values
-        fingerprints = columns.session_fingerprints
-        headers_list = columns.headers
-        decisions = columns.decisions
-        session_headers = columns.session_headers.tolist()
-        session_datadome = columns.session_datadome.tolist()
-        session_botd = columns.session_botd.tolist()
-        session_ips = columns.session_ips
-        records: List[RecordedRequest] = []
-        append = records.append
-        # Construct both frozen records through ``__new__`` + ``__dict__``
-        # (as SessionRecorder.emit does): the columns were produced by
-        # generators that already guaranteed the __post_init__ invariants,
-        # and the guarded per-field ``object.__setattr__`` of a frozen
-        # dataclass dominates bulk materialisation cost.
-        for timestamp, session, presented, served, source_code, request_id in zip(
-            columns.timestamps.tolist(),
-            columns.session_codes.tolist(),
-            columns.presented_codes.tolist(),
-            columns.served_codes.tolist(),
-            columns.source_codes.tolist(),
-            columns.request_ids.tolist(),
-        ):
-            request = WebRequest.__new__(WebRequest)
-            object.__setattr__(
-                request,
-                "__dict__",
-                {
-                    "url_path": url_paths[source_code],
-                    "timestamp": timestamp,
-                    "ip_address": session_ips[session],
-                    "fingerprint": fingerprints[session],
-                    "cookie": cookie_values[presented] if presented >= 0 else None,
-                    "headers": headers_list[session_headers[session]],
-                    "request_id": request_id,
-                },
-            )
-            record = RecordedRequest.__new__(RecordedRequest)
-            object.__setattr__(
-                record,
-                "__dict__",
-                {
-                    "request": request,
-                    "source": sources[source_code],
-                    "cookie": cookie_values[served],
-                    "datadome": decisions[session_datadome[session]],
-                    "botd": decisions[session_botd[session]],
-                },
-            )
-            append(record)
-        _MATERIALIZED_RECORDS.inc(len(records))
-        return records
-
-    # -- immutability ----------------------------------------------------------
-
-    def add(self, record: RecordedRequest) -> None:
-        raise TypeError(
-            "LazyRequestStore is immutable; copy it into a RequestStore "
-            "(RequestStore(store)) to mutate"
-        )
-
-    def extend(self, records: Iterable[RecordedRequest]) -> None:
-        raise TypeError(
-            "LazyRequestStore is immutable; copy it into a RequestStore "
-            "(RequestStore(store)) to mutate"
-        )
-
-    # -- columnar fast paths ---------------------------------------------------
-
     def __len__(self) -> int:
         return self._columns.n_rows
 
+    # -- row columns -------------------------------------------------------------
+
     def request_id_array(self) -> np.ndarray:
+        """Request ids in store order as an ``int64`` array."""
+
         return self._columns.request_ids
 
     def evaded_rows(self, detector: str) -> np.ndarray:
+        """Boolean per-row evasion column of *detector* in store order."""
+
         return self._columns.evaded_rows(detector)
 
     def source_rows(self) -> Tuple[np.ndarray, List[str], Dict[str, int]]:
+        """``(codes, names, name → code)`` of the per-row source column."""
+
         columns = self._columns
         index = {name: code for code, name in enumerate(columns.sources)}
         return columns.source_codes, list(columns.sources), index
 
-    def evasion_rate(self, detector: str) -> float:
-        if not len(self):
-            return 0.0
-        return int(np.count_nonzero(self._columns.evaded_rows(detector))) / len(self)
+    # -- subsets -----------------------------------------------------------------
 
-    def detection_rate(self, detector: str) -> float:
-        # The base implementation's emptiness check touches ``_records``
-        # and would materialise; same arithmetic off the decision column.
-        if not len(self):
-            return 0.0
-        return 1.0 - self.evasion_rate(detector)
+    def take(self, rows) -> "RequestStore":
+        """New store of the rows at positions *rows*, in that order."""
 
-    def take(self, rows) -> "LazyRequestStore":
-        return LazyRequestStore(self._columns.take(np.asarray(rows, dtype=np.int64)))
+        return RequestStore(self._columns.take(np.asarray(rows, dtype=np.int64)))
 
-    def by_sources(self, sources: Iterable[str]) -> "LazyRequestStore":
+    def by_sources(self, sources: Iterable[str]) -> "RequestStore":
+        """Rows attributed to any source in *sources*."""
+
         names = frozenset(sources)
         columns = self._columns
         wanted = np.fromiter(
@@ -1686,34 +1214,67 @@ class LazyRequestStore(RequestStore):
             rows = np.nonzero(wanted[columns.source_codes])[0]
         return self.take(rows)
 
-    def by_source(self, source: str) -> "LazyRequestStore":
+    def by_source(self, source: str) -> "RequestStore":
+        """Rows attributed to *source*."""
+
         return self.by_sources((source,))
 
-    def evading(self, detector: str) -> "LazyRequestStore":
+    def evading(self, detector: str) -> "RequestStore":
+        """Rows that evaded *detector*."""
+
         return self.take(np.nonzero(self._columns.evaded_rows(detector))[0])
 
+    def split(self, fraction: float, rng) -> Tuple["RequestStore", "RequestStore"]:
+        """Random split into two stores of sizes ``fraction`` / ``1-fraction``."""
+
+        first, second = split_rows(len(self), fraction, rng)
+        return self.take(first), self.take(second)
+
+    # -- aggregate statistics ----------------------------------------------------
+
     def sources(self) -> Tuple[str, ...]:
+        """Source labels present, by descending request count (ties: first
+        occurrence)."""
+
         columns = self._columns
         codes = columns.source_codes
         counts = np.bincount(codes, minlength=len(columns.sources))
         first_row = np.full(counts.size, codes.size, dtype=np.int64)
         np.minimum.at(first_row, codes, np.arange(codes.size, dtype=np.int64))
         present = np.nonzero(counts)[0].tolist()
-        # First-occurrence order, then a stable sort by descending count —
-        # exactly the tie-breaking of the dict-insertion reference path.
         present.sort(key=lambda code: int(first_row[code]))
         present.sort(key=lambda code: int(counts[code]), reverse=True)
         return tuple(columns.sources[code] for code in present)
 
+    def evasion_rate(self, detector: str) -> float:
+        """Fraction of rows that evaded *detector* (0 when empty)."""
+
+        if not len(self):
+            return 0.0
+        return int(np.count_nonzero(self._columns.evaded_rows(detector))) / len(self)
+
+    def detection_rate(self, detector: str) -> float:
+        """Fraction of rows flagged by *detector* (0 when empty)."""
+
+        if not len(self):
+            return 0.0
+        return 1.0 - self.evasion_rate(detector)
+
     def unique_ips(self) -> int:
+        """Number of distinct source IP addresses."""
+
         columns = self._columns
         used = np.unique(columns.session_codes).tolist()
         return len({columns.session_ips[code] for code in used})
 
     def unique_cookies(self) -> int:
+        """Number of distinct first-party cookie values."""
+
         return int(np.unique(self._columns.served_codes).size)
 
     def unique_fingerprints(self) -> int:
-        columns = self._columns
-        used = np.unique(columns.session_codes).tolist()
-        return len({columns.session_fingerprints[code].stable_hash() for code in used})
+        """Number of distinct fingerprint hashes."""
+
+        sessions = self._columns.sessions
+        used = np.unique(self._columns.session_codes).tolist()
+        return len({sessions.fingerprint(code).stable_hash() for code in used})

@@ -190,7 +190,7 @@ class FilterListRefresher:
             if batch.timestamps is None:
                 raise ValueError(
                     "day-driven refresh needs batches with timestamps "
-                    "(tables built by the stream ingestor or from_store)"
+                    "(tables built by the stream ingestor or extract_table)"
                 )
             if batch.n_rows:
                 first = float(batch.timestamps.min())

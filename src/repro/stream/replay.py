@@ -1,7 +1,7 @@
 """Corpus replay through the streaming subsystem — the one online engine.
 
-The :class:`ReplayDriver` feeds any request store — object-backed or
-columnar/lazy — through the online pipeline in timestamp order:
+The :class:`ReplayDriver` feeds a request store's record columns through
+the online pipeline in timestamp order:
 micro-batches are encoded by a :class:`~repro.stream.ingest.StreamIngestor`,
 scored by an :class:`~repro.stream.classifier.OnlineClassifier`, and
 (optionally) observed by a
@@ -37,7 +37,7 @@ from repro.core.columnar import ColumnarTable
 from repro.core.detector import FPInconsistent, Verdicts
 from repro.core.rules import FilterList, rule_key
 from repro.fingerprint.attributes import Attribute
-from repro.honeysite.storage import LazyRequestStore, RequestStore
+from repro.honeysite.storage import RequestStore
 from repro.stream.checkpoint import CheckpointError, StreamCheckpointer
 from repro.stream.classifier import OnlineClassifier
 from repro.stream.ingest import StreamIngestor
@@ -167,9 +167,7 @@ class ArrivalStream:
     """A request store viewed in arrival (stable timestamp) order.
 
     Rows are sorted by timestamp (stable, so equal timestamps keep store
-    order) and sliced into micro-batches.  A :class:`LazyRequestStore` is
-    replayed straight from its record columns (no record object is
-    materialised); an object store feeds record micro-batches.
+    order) and sliced into micro-batches of the store's record columns.
 
     The columns may be read-only memmaps over the cached ``.npz`` archive
     (a warm ``REPRO_CORPUS_MMAP`` hit): the argsort and every batch take
@@ -178,23 +176,14 @@ class ArrivalStream:
     """
 
     def __init__(self, store: RequestStore):
-        if isinstance(store, LazyRequestStore):
-            self._columns = store.columns
-            self._order = np.argsort(self._columns.timestamps, kind="stable")
-            self._records = None
-            self.total = int(self._columns.n_rows)
-        else:
-            self._columns = None
-            self._order = None
-            self._records = sorted(store, key=lambda record: record.timestamp)
-            self.total = len(self._records)
+        self._columns = store.columns
+        self._order = np.argsort(self._columns.timestamps, kind="stable")
+        self.total = int(self._columns.n_rows)
 
     def ingest(self, ingestor: StreamIngestor, start: int, size: int) -> ColumnarTable:
         """Encode arrival rows ``[start, start + size)`` through *ingestor*."""
 
-        if self._records is None:
-            return ingestor.ingest_rows(self._columns, self._order[start : start + size])
-        return ingestor.ingest_records(self._records[start : start + size])
+        return ingestor.ingest_rows(self._columns, self._order[start : start + size])
 
 
 @dataclass
@@ -327,9 +316,7 @@ class ReplayDriver:
     ) -> ReplayResult:
         """Stream every record of *store* and collect the online verdicts.
 
-        A :class:`LazyRequestStore` replays straight from its record
-        columns (no record object is materialised); an object store feeds
-        record micro-batches.  Either path presents rows in stable
+        The store replays straight from its record columns, in stable
         timestamp order — the arrival order a live deployment would see.
 
         With a *checkpointer*, the online state (vocabulary, temporal

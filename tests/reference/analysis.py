@@ -1,13 +1,13 @@
 """Object-at-a-time reference analyses.
 
-``repro.analysis`` answers every paper table and figure from a
-columnar-backed store's code arrays without building a record object.
-The functions here are the record-iterating implementations of the same
-analyses, kept as the oracle the columnar ones are pinned against
-(``tests/test_report.py``, ``tests/test_payload.py``).  Each takes an
-object :class:`~repro.honeysite.storage.RequestStore` — e.g.
-``RequestStore(list(lazy_store))`` — and must return exactly what its
-``repro.analysis`` namesake returns for the lazy store.  The store helpers
+``repro.analysis`` answers every paper table and figure from a store's
+code arrays without building a record object.  The functions here are
+the record-iterating implementations of the same analyses, kept as the
+oracle the columnar ones are pinned against (``tests/test_report.py``,
+``tests/test_payload.py``).  Each takes an object
+:class:`reference.store.RequestStore` — e.g. ``object_store(store)`` — and
+must return exactly what its ``repro.analysis`` namesake returns for the
+columnar store.  The store helpers
 only these references use (``unique_values``, ``daily_series``, …) live
 here too.
 """
@@ -51,7 +51,8 @@ from repro.devices.screens import is_real_iphone_resolution
 from repro.fingerprint.attributes import Attribute, parse_resolution
 from repro.geo.asn import AsnBlocklist, IpBlocklist
 from repro.geo.geolite import GeoDatabase, build_ip_blocklist
-from repro.honeysite.storage import RecordedRequest, RequestStore
+
+from reference.store import RecordedRequest, RequestStore
 
 __all__ = [
     "analyze_asn_blocklist",

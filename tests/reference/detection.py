@@ -21,7 +21,8 @@ algorithms, kept as the oracle the columnar engine is pinned against
 * :func:`fit`, :func:`classify_store` and :func:`evaluate_generalization`
   — the detector and the Section 7.3 check built from those.
 
-Every function takes object stores or fingerprints and must reproduce the
+Every function takes stores (object or columnar; see
+:func:`reference.store.records`) or fingerprints and must reproduce the
 columnar engine's filter lists, verdicts and rates exactly.
 """
 
@@ -40,7 +41,8 @@ from repro.core.temporal import TemporalFlag, TemporalInconsistencyDetector
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.categories import AttributeCategory, all_candidate_pairs
 from repro.fingerprint.fingerprint import Fingerprint
-from repro.honeysite.storage import RequestStore
+
+from reference.store import RequestStore, records
 
 # -- Algorithm 1 ------------------------------------------------------------------
 
@@ -96,7 +98,7 @@ def mine(miner: SpatialInconsistencyMiner, fingerprints: Sequence[Fingerprint]) 
 def mine_store(miner: SpatialInconsistencyMiner, store: RequestStore) -> FilterList:
     """Mine from a store of bot traffic."""
 
-    return mine(miner, [record.request.fingerprint for record in store])
+    return mine(miner, [record.request.fingerprint for record in records(store)])
 
 
 # -- filter-list matching ------------------------------------------------------------
@@ -367,7 +369,7 @@ class ObjectTemporalDetector(TemporalInconsistencyDetector):
 
         self.reset()
         flagged: Dict[int, List[TemporalFlag]] = {}
-        for record in sorted(store, key=lambda record: record.timestamp):
+        for record in sorted(records(store), key=lambda record: record.timestamp):
             flags = self.observe(
                 record.request.fingerprint,
                 cookie=record.cookie,
@@ -407,7 +409,7 @@ def classify_store(
             store
         )
     verdicts: Dict[int, InconsistencyVerdict] = {}
-    for record in store:
+    for record in records(store):
         request_id = record.request.request_id
         verdicts[request_id] = InconsistencyVerdict(
             request_id=request_id,
@@ -428,7 +430,7 @@ def improved_detection_rate(
         return 0.0
     detected = sum(
         1
-        for record in store
+        for record in records(store)
         if not record.evaded(detector) or verdicts[record.request.request_id].is_inconsistent
     )
     return detected / len(store)

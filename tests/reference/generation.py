@@ -47,7 +47,7 @@ from repro.fingerprint.fingerprint import Fingerprint
 from repro.geo.timezones import ADVERTISED_REGIONS, COUNTRY_TIMEZONES
 from repro.honeysite.collector import FingerprintCollector
 from repro.honeysite.site import HoneySite
-from repro.honeysite.storage import SECONDS_PER_DAY, RecordedRequest, RequestStore
+from repro.honeysite.storage import SECONDS_PER_DAY
 from repro.network.cookies import ClientCookieStore
 from repro.network.headers import build_headers
 from repro.network.request import WebRequest
@@ -60,6 +60,8 @@ from repro.users.privacy import (
 )
 from repro.users.realuser import REAL_USER_SOURCE, RealUserTrafficGenerator
 
+from reference.store import RecordedRequest, RequestStore, records
+
 _COLLECTOR = FingerprintCollector()
 
 
@@ -70,7 +72,8 @@ def handle(site: HoneySite, request: WebRequest) -> Optional[RecordedRequest]:
     request's URL path carries no known version string (such requests
     are dropped without recording, per Section 4.1).  The cookie the
     server set (new or echoed) is available on the returned record so
-    the client model can persist it.
+    the client model can persist it.  Records land in an object store
+    attached to ``site.store`` on first use.
     """
 
     source = site.urls.source_of(request.url_path)
@@ -101,7 +104,10 @@ def handle(site: HoneySite, request: WebRequest) -> Optional[RecordedRequest]:
         datadome=datadome_decision,
         botd=botd_decision,
     )
-    site.store.add(record)
+    store = site.store
+    if not isinstance(store, RequestStore):
+        store = site.store = RequestStore()
+    store.add(record)
     return record
 
 
@@ -411,7 +417,7 @@ def record_dicts(store, *, renumber: bool = True) -> List[dict]:
     """
 
     out = []
-    for position, record in enumerate(store, start=1):
+    for position, record in enumerate(records(store), start=1):
         data = record.to_dict()
         if renumber:
             data["request"]["request_id"] = position

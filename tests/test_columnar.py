@@ -13,6 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from reference import detection as reference
+from reference.store import (
+    RecordedRequest,
+    RequestStore,
+    columnar_store,
+    from_store,
+    object_store,
+)
 
 from repro.antibot.base import Decision
 from repro.core.columnar import ColumnarTable, partition_rows_by_device
@@ -25,7 +32,6 @@ from repro.core.temporal import TemporalInconsistencyDetector
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.categories import AttributeCategory
 from repro.fingerprint.fingerprint import Fingerprint
-from repro.honeysite.storage import RecordedRequest, RequestStore
 from repro.network.request import WebRequest
 
 # -- synthetic seeded stores --------------------------------------------------------
@@ -47,7 +53,7 @@ _PLUGINS = [(), ("Chrome PDF Viewer",), None]
 
 
 def _random_store(seed: int, size: int = 400) -> RequestStore:
-    """A seeded store exercising missing values, ties and shared devices."""
+    """A seeded object store exercising missing values, ties and shared devices."""
 
     rng = np.random.default_rng(seed)
 
@@ -100,6 +106,12 @@ def _random_store(seed: int, size: int = 400) -> RequestStore:
     return RequestStore(records)
 
 
+def _extract(store: RequestStore) -> ColumnarTable:
+    """The product's table of an object store, through its columnar twin."""
+
+    return FPInconsistent().extract_table(columnar_store(store))
+
+
 MINER_CONFIG = SpatialMinerConfig(min_support=3, min_value_support=5, inflation_factor=0)
 
 
@@ -107,7 +119,7 @@ MINER_CONFIG = SpatialMinerConfig(min_support=3, min_value_support=5, inflation_
 def test_mining_equivalence_on_random_stores(seed):
     store = _random_store(seed)
     legacy = reference.mine_store(SpatialInconsistencyMiner(config=MINER_CONFIG), store)
-    columnar = SpatialInconsistencyMiner(config=MINER_CONFIG).mine_table(store.columnar())
+    columnar = SpatialInconsistencyMiner(config=MINER_CONFIG).mine_table(_extract(store))
     assert legacy.to_json() == columnar.to_json()
 
 
@@ -117,14 +129,14 @@ def test_classification_equivalence_on_random_stores(seed):
     detector = FPInconsistent(miner=SpatialInconsistencyMiner(config=MINER_CONFIG))
     reference.fit(detector, store)
     legacy = reference.classify_store(detector, store)
-    columnar = detector.classify_store(store)
+    columnar = detector.classify_store(columnar_store(store))
     assert list(legacy) == columnar.request_ids.tolist()
     assert legacy == reference.verdict_objects(columnar)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 5])
 def test_sharded_classification_equivalence(workers):
-    store = _random_store(3)
+    store = columnar_store(_random_store(3))
     detector = FPInconsistent(miner=SpatialInconsistencyMiner(config=MINER_CONFIG))
     detector.fit(store)
     serial = detector.classify_store(store, workers=1)
@@ -137,7 +149,7 @@ def test_sharded_classification_equivalence(workers):
 def test_process_executor_equivalence():
     """Process-pool classification must agree with the serial path."""
 
-    store = _random_store(11, size=150)
+    store = columnar_store(_random_store(11, size=150))
     detector = FPInconsistent(miner=SpatialInconsistencyMiner(config=MINER_CONFIG))
     detector.fit(store)
     serial = detector.classify_store(store, workers=1)
@@ -149,12 +161,14 @@ def test_process_executor_equivalence():
 def test_temporal_table_equivalence():
     store = _random_store(13)
     legacy = reference.ObjectTemporalDetector().evaluate_store(store)
-    assert legacy == TemporalInconsistencyDetector().evaluate_table(store.columnar())
+    assert legacy == TemporalInconsistencyDetector().evaluate_table(_extract(store))
 
 
 def test_anonymous_traffic_equivalence():
-    """Stores with no cookies (or no source addresses) at all must classify,
-    not crash on the empty key column (regression)."""
+    """Tables with no cookies (or no source addresses) at all must classify,
+    not crash on the empty key column (regression).  A store always has a
+    served cookie, so the cookie-less table comes from the reference
+    extraction."""
 
     base = _random_store(37, size=60)
     no_cookies = RequestStore(
@@ -168,9 +182,11 @@ def test_anonymous_traffic_equivalence():
         for record in base
     )
     detector = FPInconsistent(miner=SpatialInconsistencyMiner(config=MINER_CONFIG))
-    detector.fit(no_cookies)
+    table = from_store(no_cookies)
+    assert table.cookie_values == []
+    detector.fit_table(table)
     legacy = reference.classify_store(detector, no_cookies)
-    columnar = detector.classify_store(no_cookies)
+    columnar = detector.classify_table(table)
     assert legacy == reference.verdict_objects(columnar)
 
 
@@ -188,7 +204,9 @@ def test_custom_temporal_attributes_stay_equivalent():
         FPInconsistent(miner=SpatialInconsistencyMiner(config=MINER_CONFIG), temporal=temporal),
         store,
     )
-    columnar = FPInconsistentPipeline(miner_config=MINER_CONFIG, temporal=temporal).run(store)
+    columnar = FPInconsistentPipeline(miner_config=MINER_CONFIG, temporal=temporal).run(
+        columnar_store(store)
+    )
     assert reference.classify_store(detector, store) == reference.verdict_objects(
         columnar.verdicts
     )
@@ -200,7 +218,7 @@ def test_missing_columns_fail_loudly():
     not silently weaken detection."""
 
     store = _random_store(31, size=50)
-    narrow = ColumnarTable.from_store(store, attributes=[Attribute.UA_DEVICE])
+    narrow = from_store(store, attributes=[Attribute.UA_DEVICE])
 
     temporal = TemporalInconsistencyDetector()
     with pytest.raises(ValueError, match="tracked attribute"):
@@ -222,8 +240,8 @@ def test_missing_columns_fail_loudly():
 
 
 def test_pipeline_engine_equivalence_on_corpus(small_corpus):
-    bot = RequestStore(list(small_corpus.bot_store))
-    real = RequestStore(list(small_corpus.real_user_store))
+    bot = object_store(small_corpus.bot_store)
+    real = object_store(small_corpus.real_user_store)
     detector = reference.fit(FPInconsistent(), bot)
     verdicts = reference.verdicts_from_objects(reference.classify_store(detector, bot))
     columnar = FPInconsistentPipeline(workers=2, executor="thread").run(
@@ -247,7 +265,7 @@ def test_pipeline_rejects_unknown_engine():
     with pytest.raises(TypeError):
         FPInconsistentPipeline(engine="legacy")
     with pytest.raises(ValueError):
-        FPInconsistentPipeline(workers=0).run(_random_store(0, size=10))
+        FPInconsistentPipeline(workers=0).run(columnar_store(_random_store(0, size=10)))
 
 
 # -- columnar table internals ---------------------------------------------------------
@@ -255,7 +273,7 @@ def test_pipeline_rejects_unknown_engine():
 
 def test_table_round_trip_and_codes():
     store = _random_store(17, size=80)
-    table = store.columnar()
+    table = _extract(store)
     for record_index, record in enumerate(store):
         fingerprint = record.request.fingerprint
         for attribute in table.attributes:
@@ -275,7 +293,7 @@ def test_table_round_trip_and_codes():
 
 
 def test_table_take_slices_metadata():
-    table = _random_store(19, size=60).columnar()
+    table = _extract(_random_store(19, size=60))
     rows = np.array([3, 7, 21], dtype=np.int64)
     sliced = table.take(rows)
     assert sliced.n_rows == 3
@@ -288,7 +306,7 @@ def test_table_take_slices_metadata():
 
 
 def test_partition_is_device_closed():
-    table = _random_store(23).columnar()
+    table = _extract(_random_store(23))
     partitions = partition_rows_by_device(table, 4)
     all_rows = np.concatenate(partitions)
     assert sorted(all_rows.tolist()) == list(range(table.n_rows))

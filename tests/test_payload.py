@@ -1,9 +1,9 @@
-"""Tests for the columnar shard transport and the lazy request store.
+"""Tests for the columnar shard transport and the request store.
 
 Covers the transport contract surface: payload round-trips are
 byte-identical to the object-at-a-time reference (records ↔ payload ↔
-records), archives of any older format are evicted and rebuilt, the lazy
-store answers splits and subsets exactly like an object store, the
+records), archives of any older format are evicted and rebuilt, the
+store answers splits and subsets exactly like the reference object store, the
 fan-out clamp derives from the transport's transfer cost, and the widened
 synthetic address space fails loudly instead of silently colliding.
 """
@@ -18,6 +18,14 @@ import numpy as np
 import pytest
 
 from reference.generation import reference_shard_store
+from reference.store import (
+    decision_objects,
+    factorize,
+    header_maps,
+    object_store,
+    records,
+    session_fingerprints,
+)
 from repro.analysis.cache import (
     CorpusCache,
     corpus_cache_key,
@@ -40,8 +48,8 @@ from repro.geo.ipaddr import (
     IpAddressSpace,
 )
 from repro.honeysite.storage import (
-    LazyRequestStore,
     RecordColumns,
+    RecordColumnsBuilder,
     RequestStore,
     StoreFormatError,
     split_rows,
@@ -61,7 +69,7 @@ TINY = dict(
 
 def record_dicts(store, drop_ids: bool = False):
     out = []
-    for record in store:
+    for record in records(store):
         data = record.to_dict()
         if drop_ids:
             data["request"].pop("request_id")
@@ -86,7 +94,7 @@ def golden():
 
 def test_columnar_transport_is_byte_identical_to_object_transport(columnar_corpus):
     # The object-at-a-time reference shards, concatenated in plan order and
-    # renumbered 1..N, are what the merged lazy store must materialise.
+    # renumbered 1..N, are what the merged store's columns must encode.
     reference = [
         record
         for spec in CorpusEngine(**TINY).plan()
@@ -94,10 +102,8 @@ def test_columnar_transport_is_byte_identical_to_object_transport(columnar_corpu
     ]
     for request_id, data in enumerate(reference, start=1):
         data["request"]["request_id"] = request_id
-    assert isinstance(columnar_corpus.store, LazyRequestStore)
-    assert not columnar_corpus.store.materialized
+    assert isinstance(columnar_corpus.store, RequestStore)
     assert record_dicts(columnar_corpus.store) == reference
-    assert columnar_corpus.store.materialized
 
 
 def test_shard_payload_materialises_to_the_object_shard(columnar_corpus):
@@ -117,7 +123,7 @@ def test_record_columns_persistence_roundtrip(columnar_corpus):
     arrays, meta = columns.to_payload()
     meta = json.loads(json.dumps(meta))  # the JSON boundary the archive crosses
     rebuilt = RecordColumns.from_payload(arrays, meta)
-    assert record_dicts(LazyRequestStore(rebuilt)) == record_dicts(columnar_corpus.store)
+    assert record_dicts(RequestStore(rebuilt)) == record_dicts(columnar_corpus.store)
 
 
 def test_record_columns_validate_rejects_corruption(columnar_corpus):
@@ -142,26 +148,26 @@ def test_concat_rejects_conflicting_source_urls(columnar_corpus):
         RecordColumns.concat([columns, clone])
 
 
-# -- lazy store equivalence -------------------------------------------------------
+# -- store equivalence ------------------------------------------------------------
 
 
 def test_lazy_store_is_immutable(columnar_corpus):
-    with pytest.raises(TypeError):
-        columnar_corpus.store.add(columnar_corpus.store[0])
-    with pytest.raises(TypeError):
-        columnar_corpus.store.extend([])
-    # ...but copying into a plain store unlocks mutation
-    copy = RequestStore(columnar_corpus.store)
-    copy.add(columnar_corpus.store[0])
-    assert len(copy) == len(columnar_corpus.store) + 1
+    store = columnar_corpus.store
+    # No mutators and no record access: a store is a view over its columns.
+    for name in ("add", "extend", "filter", "records", "__iter__", "__getitem__"):
+        assert not hasattr(store, name), name
+    # Subsets are new stores over row slices; the parent is untouched.
+    head = store.take(np.arange(3))
+    assert len(head) == 3 and len(store) == store.columns.n_rows
+    assert head.columns.sessions is store.columns.sessions
 
 
 def test_lazy_split_matches_object_split(columnar_corpus):
     lazy = columnar_corpus.store
-    reference = RequestStore(list(lazy))
+    reference = object_store(lazy)
     lazy_a, lazy_b = lazy.split(0.8, np.random.default_rng(11))
     ref_a, ref_b = reference.split(0.8, np.random.default_rng(11))
-    assert isinstance(lazy_a, LazyRequestStore) and not lazy_a.materialized
+    assert isinstance(lazy_a, RequestStore)
     assert record_dicts(lazy_a) == record_dicts(ref_a)
     assert record_dicts(lazy_b) == record_dicts(ref_b)
     # and the split rows themselves agree with the shared helper
@@ -172,7 +178,7 @@ def test_lazy_split_matches_object_split(columnar_corpus):
 
 def test_lazy_subsets_and_columns_match_object_store(columnar_corpus):
     lazy = columnar_corpus.store
-    reference = RequestStore(list(lazy))
+    reference = object_store(lazy)
     assert lazy.sources() == reference.sources()
     for source in reference.sources()[:4]:
         assert record_dicts(lazy.by_source(source)) == record_dicts(
@@ -198,25 +204,22 @@ def test_lazy_subsets_and_columns_match_object_store(columnar_corpus):
 
 def test_subset_stores_answer_without_materialising(columnar_corpus):
     bots = columnar_corpus.bot_store
-    assert isinstance(bots, LazyRequestStore)
+    assert isinstance(bots, RequestStore)
     assert len(bots) == sum(columnar_corpus.service_volumes.values())
     assert bots.evasion_rate("DataDome") >= 0.0
-    assert not bots.materialized
 
 
-# -- lazy store edges -------------------------------------------------------------
+# -- store edges ------------------------------------------------------------------
 
 
-def empty_lazy_store() -> LazyRequestStore:
-    from repro.honeysite.storage import RecordColumnsBuilder
-
-    return LazyRequestStore(RecordColumnsBuilder().columns().renumbered())
+def empty_lazy_store() -> RequestStore:
+    return RequestStore(RecordColumnsBuilder().columns().renumbered())
 
 
 def test_empty_lazy_store_answers_every_query(columnar_corpus):
     store = empty_lazy_store()
     assert len(store) == 0
-    assert list(store) == []
+    assert records(store) == []
     assert store.sources() == ()
     assert store.unique_ips() == store.unique_cookies() == store.unique_fingerprints() == 0
     assert store.request_id_array().size == 0
@@ -235,8 +238,8 @@ def test_single_session_shard_store(columnar_corpus):
     busiest = int(np.argmax(np.bincount(columns.session_codes)))
     rows = np.nonzero(columns.session_codes == busiest)[0]
     assert rows.size > 1  # the busiest session spans several requests
-    single = LazyRequestStore(columns.take(rows).renumbered())
-    reference = RequestStore(list(single))
+    single = RequestStore(columns.take(rows).renumbered())
+    reference = object_store(single)
     assert single.unique_ips() == 1
     assert single.unique_fingerprints() == 1
     assert len(single.sources()) == 1
@@ -246,25 +249,22 @@ def test_single_session_shard_store(columnar_corpus):
 
 def test_iteration_is_stable_after_partial_array_level_consumption(columnar_corpus):
     store = columnar_corpus.bot_store
-    # Array-level consumption first: none of this may materialise records.
+    # Array-level consumption first.
     ids = store.request_id_array()
     evaded = store.evaded_rows("BotD")
     sources = store.sources()
     first, _second = store.split(0.8, np.random.default_rng(7))
-    assert not store.materialized and not first.materialized
-    # Iterating afterwards materialises once; repeated iteration returns
-    # the same objects and still agrees with every array-level answer.
-    records_a = list(store)
-    assert store.materialized
-    records_b = list(store)
-    assert all(a is b for a, b in zip(records_a, records_b))
+    # The reference records decoded afterwards (twice) agree with every
+    # array-level answer, which stays unchanged.
+    records_a = records(store)
+    records_b = records(store)
+    assert [a.to_dict() for a in records_a] == [b.to_dict() for b in records_b]
     assert [record.request.request_id for record in records_a] == ids.tolist()
     assert [record.evaded("BotD") for record in records_a] == evaded.tolist()
     assert store.sources() == sources
-    # A slice taken before materialisation materialises independently and
-    # matches the parent's rows.
+    # A slice taken earlier decodes to the parent's rows.
     split_ids = first.request_id_array()
-    assert [record.request.request_id for record in first] == split_ids.tolist()
+    assert [record.request.request_id for record in records(first)] == split_ids.tolist()
 
 
 # -- object-free figure series ----------------------------------------------------
@@ -275,13 +275,10 @@ def test_figure9_columnar_matches_object_oracle(columnar_corpus):
 
     from repro.analysis.figures import figure9_daily_series
 
-    # Fresh lazy views over the shared columns: earlier tests may already
-    # have materialised the corpus-wide store.
-    whole = LazyRequestStore(columnar_corpus.store.columns)
+    whole = columnar_corpus.store
     for store in (whole, columnar_corpus.bot_store):
         lazy_series = figure9_daily_series(store)
-        assert not store.materialized
-        assert lazy_series == reference_series(RequestStore(list(store)))
+        assert lazy_series == reference_series(object_store(store))
 
 
 def test_new_fingerprints_columnar_matches_object_oracle(columnar_corpus):
@@ -289,11 +286,10 @@ def test_new_fingerprints_columnar_matches_object_oracle(columnar_corpus):
 
     from repro.analysis.figures import new_fingerprints_over_time
 
-    whole = LazyRequestStore(columnar_corpus.store.columns)
+    whole = columnar_corpus.store
     for store in (whole, columnar_corpus.real_user_store):
         lazy_counts = new_fingerprints_over_time(store)
-        assert not store.materialized
-        assert lazy_counts == reference_counts(RequestStore(list(store)))
+        assert lazy_counts == reference_counts(object_store(store))
         assert sum(lazy_counts) <= len(store)
 
 
@@ -325,7 +321,7 @@ def write_v2_archive(corpus, directory):
     with gzip.open(directory / "store.jsonl.gz", "wt", encoding="utf-8") as handle:
         header = {"format": "repro-request-store", "version": 2, "count": len(corpus.store)}
         handle.write(json.dumps(header) + "\n")
-        for record in corpus.store:
+        for record in records(corpus.store):
             handle.write(json.dumps(record.to_dict()) + "\n")
     for subset in ("bots", "real_users"):
         arrays, table_meta = corpus.columnar_tables[subset].to_arrays()
@@ -431,19 +427,20 @@ def write_v3_archive(corpus, directory):
         "decision_signal_offsets",
     ):
         del arrays[name]
-    arrays["session_headers"] = np.asarray(columns.session_headers, dtype=np.int32)
-    arrays["session_datadome"] = np.asarray(columns.session_datadome, dtype=np.int32)
-    arrays["session_botd"] = np.asarray(columns.session_botd, dtype=np.int32)
+    sessions = columns.sessions
+    arrays["session_headers"] = np.asarray(sessions.session_headers, dtype=np.int32)
+    arrays["session_datadome"] = np.asarray(sessions.session_datadome, dtype=np.int32)
+    arrays["session_botd"] = np.asarray(sessions.session_botd, dtype=np.int32)
     meta["version"] = 3
     meta["store"] = {
         "cookie_values": list(columns.cookie_values),
         "sources": list(columns.sources),
         "url_paths": list(columns.url_paths),
         "session_fingerprints": [
-            fingerprint.to_dict() for fingerprint in columns.session_fingerprints
+            fingerprint.to_dict() for fingerprint in session_fingerprints(columns)
         ],
         "session_ips": list(columns.session_ips),
-        "headers": [dict(entry) for entry in columns.headers],
+        "headers": [dict(entry) for entry in header_maps(columns)],
         "decisions": [
             {
                 "detector": decision.detector,
@@ -451,7 +448,7 @@ def write_v3_archive(corpus, directory):
                 "score": decision.score,
                 "signals": list(decision.signals),
             }
-            for decision in columns.decisions
+            for decision in decision_objects(columns)
         ],
     }
     arrays["meta"] = np.array(json.dumps(meta))
@@ -549,7 +546,6 @@ def test_payload_bytes_per_record_below_committed_ceiling():
 
 
 def test_first_occurrence_recode_matches_factorize():
-    from repro.core.columnar import _factorize
     from repro.honeysite.storage import _first_occurrence_recode
 
     # values contain duplicates under distinct codes (sessions sharing an
@@ -557,7 +553,7 @@ def test_first_occurrence_recode_matches_factorize():
     values = ["b", "a", "b", "c", "unused"]
     rows = np.array([3, 0, 2, 1, 0, 3, 2], dtype=np.int64)
     codes, recoded = _first_occurrence_recode(rows, values)
-    expected_codes, expected_values = _factorize([values[code] for code in rows])
+    expected_codes, expected_values = factorize([values[code] for code in rows])
     assert np.array_equal(codes, expected_codes)
     assert recoded == expected_values
     empty_codes, empty_values = _first_occurrence_recode(np.empty(0, np.int64), [])

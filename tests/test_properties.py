@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from reference import detection as reference
 from reference.detection import ObjectTemporalDetector
-from test_columnar import _random_store
+from reference.store import RequestStore
+from test_columnar import _extract, _random_store
 
 from repro.core.columnar import ColumnarTable
 from repro.core.rules import FilterList, InconsistencyRule
@@ -13,7 +14,6 @@ from repro.core.spatial import SpatialInconsistencyMiner, SpatialMinerConfig
 from repro.fingerprint.attributes import Attribute, format_resolution, parse_resolution
 from repro.fingerprint.categories import AttributeCategory
 from repro.fingerprint.fingerprint import Fingerprint, fingerprint_distance
-from repro.honeysite.storage import RequestStore
 from repro.ml.metrics import accuracy_score, confusion_matrix
 from repro.network.headers import accept_language_for, parse_accept_language
 from repro.reporting.tables import format_percent, format_table
@@ -139,7 +139,7 @@ def _assert_mines_like_reference(config, table, fingerprints):
 def test_grid_miner_matches_reference(seed, size, config):
     store = _random_store(seed, size=size)
     _assert_mines_like_reference(
-        config, store.columnar(), [record.request.fingerprint for record in store]
+        config, _extract(store), [record.request.fingerprint for record in store]
     )
 
 
@@ -148,7 +148,7 @@ def test_grid_miner_on_empty_and_one_row_tables(rows):
     store = RequestStore(list(_random_store(3, size=10))[:rows])
     config = SpatialMinerConfig(min_support=1, min_value_support=1, inflation_factor=0)
     _assert_mines_like_reference(
-        config, store.columnar(), [record.request.fingerprint for record in store]
+        config, _extract(store), [record.request.fingerprint for record in store]
     )
 
 
@@ -164,7 +164,7 @@ def test_grid_miner_on_attributes_without_values():
     _assert_mines_like_reference(
         config, ColumnarTable.from_fingerprints(stripped), stripped
     )
-    table = store.columnar()
+    table = _extract(store)
     assert table.values_of(Attribute.UA_DEVICE)
     columns = {attribute: table.codes_of(attribute) for attribute in table.attributes}
     columns[Attribute.UA_DEVICE] = np.full(table.n_rows, -1, dtype=np.int32)

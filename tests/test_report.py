@@ -1,10 +1,10 @@
 """Tests for the reporting analyses (``repro report``).
 
-Every analysis answers a columnar-backed store bit-identically to its
-record-iterating oracle in ``tests/reference/analysis.py`` — on a regular
-corpus, on edge-case stores (empty, no evading rows, missing probed
-attributes, a single session) and on a memory-mapped archive — and
-materialises zero record objects while doing so.
+Every analysis answers a store bit-identically to its record-iterating
+oracle in ``tests/reference/analysis.py`` — on a regular corpus, on
+edge-case stores (empty, no evading rows, missing probed attributes, a
+single session) and on a memory-mapped archive — and the materialised
+record counter stays put while it does so.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from reference import analysis as reference
+from reference import store as reference_store
 
 import repro.analysis as columnar_api
 import repro.analysis.attributes as attributes_module
@@ -30,7 +31,6 @@ from repro.analysis.report import Report, generate_report
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.fingerprint import grouping_value
 from repro.honeysite.storage import (
-    LazyRequestStore,
     RecordColumns,
     RecordColumnsBuilder,
     RequestStore,
@@ -58,13 +58,13 @@ def tiny_corpus():
 @pytest.fixture(scope="module")
 def lazy_store(tiny_corpus):
     store = tiny_corpus.bot_store
-    assert isinstance(store, LazyRequestStore)
+    assert isinstance(store, RequestStore)
     return store
 
 
 @pytest.fixture(scope="module")
 def object_store(lazy_store):
-    return RequestStore(list(lazy_store))
+    return reference_store.object_store(lazy_store)
 
 
 @pytest.fixture(scope="module")
@@ -76,22 +76,22 @@ def regions(tiny_corpus):
     }
 
 
-def empty_lazy_store() -> LazyRequestStore:
-    return LazyRequestStore(RecordColumnsBuilder().columns().renumbered())
+def empty_lazy_store() -> RequestStore:
+    return RequestStore(RecordColumnsBuilder().columns().renumbered())
 
 
-def rebuilt_store(columns: RecordColumns, *, strip=(), rewrite=None) -> LazyRequestStore:
-    """A lazy store over *columns* re-encoded through the object-dictionary
+def rebuilt_store(columns: RecordColumns, *, strip=(), rewrite=None) -> RequestStore:
+    """A store over *columns* re-encoded through the object-dictionary
     constructor, optionally with *strip* attributes removed from every
     session fingerprint and ``rewrite(session, fingerprint)`` applied."""
 
     sessions = columns.sessions
-    fingerprints = list(columns.session_fingerprints)
+    fingerprints = reference_store.session_fingerprints(columns)
     if strip:
         fingerprints = [fingerprint.without(*strip) for fingerprint in fingerprints]
     if rewrite is not None:
         fingerprints = [rewrite(session, fp) for session, fp in enumerate(fingerprints)]
-    return LazyRequestStore(
+    return RequestStore(
         RecordColumns(
             timestamps=columns.timestamps,
             session_codes=columns.session_codes,
@@ -106,14 +106,14 @@ def rebuilt_store(columns: RecordColumns, *, strip=(), rewrite=None) -> LazyRequ
             session_datadome=sessions.session_datadome,
             session_botd=sessions.session_botd,
             session_ips=list(sessions.session_ips),
-            headers=list(columns.headers),
-            decisions=list(columns.decisions),
+            headers=reference_store.header_maps(columns),
+            decisions=reference_store.decision_objects(columns),
             request_ids=columns.request_ids,
         )
     )
 
 
-def edge_store(lazy_store: LazyRequestStore, case: str) -> LazyRequestStore:
+def edge_store(lazy_store: RequestStore, case: str) -> RequestStore:
     columns = lazy_store.columns
     if case == "empty":
         return empty_lazy_store()
@@ -122,7 +122,7 @@ def edge_store(lazy_store: LazyRequestStore, case: str) -> LazyRequestStore:
             ~columns.evaded_rows("DataDome") & ~columns.evaded_rows("BotD")
         )[0]
         assert rows.size  # the tiny corpus detects some requests outright
-        return LazyRequestStore(columns.take(rows).renumbered())
+        return RequestStore(columns.take(rows).renumbered())
     if case == "missing_attributes":
         return rebuilt_store(
             columns,
@@ -132,7 +132,7 @@ def edge_store(lazy_store: LazyRequestStore, case: str) -> LazyRequestStore:
         busiest = int(np.argmax(np.bincount(columns.session_codes)))
         rows = np.nonzero(columns.session_codes == busiest)[0]
         assert rows.size > 1
-        return LazyRequestStore(columns.take(rows).renumbered())
+        return RequestStore(columns.take(rows).renumbered())
     raise AssertionError(case)
 
 
@@ -183,7 +183,7 @@ def test_battery_matches_object_oracle_with_zero_materialisation(
 )
 def test_edge_case_stores_match_object_oracle(tiny_corpus, lazy_store, regions, case):
     lazy = edge_store(lazy_store, case)
-    objects = RequestStore(list(lazy))
+    objects = reference_store.object_store(lazy)
     geo = tiny_corpus.site.geo
     before = materialized_record_count()
     columnar = analysis_battery(columnar_api, lazy, geo, regions)
@@ -226,11 +226,11 @@ def test_classifier_subsample_parity_both_rng_branches(lazy_store, object_store)
 def test_classifier_rejects_tiny_stores_on_both_engines(lazy_store):
     single = edge_store(lazy_store, "single_session")
     if len(single) >= 20:
-        single = LazyRequestStore(single.columns.take(np.arange(5)).renumbered())
+        single = RequestStore(single.columns.take(np.arange(5)).renumbered())
     with pytest.raises(ValueError):
         train_evasion_classifier(single, "DataDome")
     with pytest.raises(ValueError):
-        reference.train_evasion_classifier(RequestStore(list(single)), "DataDome")
+        reference.train_evasion_classifier(reference_store.object_store(single), "DataDome")
 
 
 def test_report_section_subset_and_unknown_key(tiny_corpus):
@@ -268,7 +268,7 @@ def test_report_digests_stable_on_memory_mapped_archive(tiny_corpus, tmp_path, m
     save_corpus(tiny_corpus, tmp_path)
     monkeypatch.setenv(MMAP_ENV_VAR, "1")
     reloaded = load_corpus(tmp_path)
-    assert isinstance(reloaded.store, LazyRequestStore)
+    assert isinstance(reloaded.store, RequestStore)
     before = materialized_record_count()
     mapped = generate_report(
         reloaded, sections=["table1", "figure4", "figure9", "blocklists"]
@@ -321,11 +321,11 @@ def test_table2_never_computes_permutation_importance(lazy_store, object_store, 
 
 
 def decoded_fingerprints(columns: RecordColumns) -> list:
-    fingerprints = columns.session_fingerprints
+    fingerprints = reference_store.session_fingerprints(columns)
     return [fingerprints[code] for code in np.asarray(columns.session_codes).tolist()]
 
 
-def collided_store(lazy_store: LazyRequestStore) -> LazyRequestStore:
+def collided_store(lazy_store: RequestStore) -> RequestStore:
     """Half the sessions spell their plugin list as one joined string and a
     third lose their timezone: ``("A", "B")`` and ``("A, B",)`` group to
     the same value, as do ``()`` and ``("(none)",)``."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from reference.analysis import unique_values
+from reference.store import object_store
 
 from repro.analysis.engine import PRIVACY_TECHNOLOGIES
 from repro.fingerprint.attributes import Attribute
@@ -50,7 +51,7 @@ def test_real_user_spoofer_rate_validation(site):
 def test_real_user_spoofers_change_only_user_agent(site):
     generator = RealUserTrafficGenerator(site, rng=np.random.default_rng(2), ua_spoofer_rate=1.0)
     generator.run_vectorized(num_requests=50, num_users=10)
-    store = site.store.by_source(REAL_USER_SOURCE)
+    store = object_store(site.store.by_source(REAL_USER_SOURCE))
     # Spoofed UAs are present but platform values stay those of real devices.
     devices = set(unique_values(store, Attribute.UA_DEVICE))
     assert devices  # non-empty

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from reference.detection import evaluate_generalization as reference_generalization
+from reference.store import from_store, object_store, records
 from reference.generation import (
     ReferencePrivacyTrafficGenerator,
     ReferenceRealUserTrafficGenerator,
@@ -36,7 +37,7 @@ from repro.core.pipeline import FPInconsistentPipeline
 from repro.geo.geolite import GeoDatabase
 from repro.geo.ipaddr import IpAddressSpace
 from repro.honeysite.site import HoneySite
-from repro.honeysite.storage import LazyRequestStore, RequestStore, materialized_record_count
+from repro.honeysite.storage import RequestStore, materialized_record_count
 from repro.users.privacy import PrivacyTechnology, PrivacyTrafficGenerator
 from repro.users.realuser import RealUserTrafficGenerator
 
@@ -52,7 +53,7 @@ TINY = dict(
 
 def store_bytes(corpus) -> bytes:
     return "\n".join(
-        json.dumps(record.to_dict(), sort_keys=True) for record in corpus.store
+        json.dumps(record.to_dict(), sort_keys=True) for record in records(corpus.store)
     ).encode()
 
 
@@ -166,16 +167,16 @@ def test_emitted_tables_identical_to_extraction(vectorized_corpus):
     assert set(vectorized_corpus.columnar_tables) == expected
     assert_tables_equal(
         vectorized_corpus.columnar_tables["bots"],
-        ColumnarTable.from_store(vectorized_corpus.bot_store),
+        from_store(vectorized_corpus.bot_store),
     )
     assert_tables_equal(
         vectorized_corpus.columnar_tables["real_users"],
-        ColumnarTable.from_store(vectorized_corpus.real_user_store),
+        from_store(vectorized_corpus.real_user_store),
     )
     for technology in vectorized_corpus.privacy_requests:
         assert_tables_equal(
             vectorized_corpus.columnar_tables[f"privacy:{technology.value}"],
-            ColumnarTable.from_store(vectorized_corpus.privacy_store(technology)),
+            from_store(vectorized_corpus.privacy_store(technology)),
         )
 
 
@@ -200,7 +201,7 @@ def test_columnar_archive_roundtrip(tmp_path, vectorized_corpus):
     assert set(restored.columnar_tables) == set(vectorized_corpus.columnar_tables)
     assert_tables_equal(
         restored.columnar_tables["bots"],
-        ColumnarTable.from_store(restored.bot_store),
+        from_store(restored.bot_store),
     )
 
 
@@ -372,7 +373,7 @@ def reference_partition(table: ColumnarTable, shards: int):
 
 @pytest.mark.parametrize("shards", [2, 3, 5, 11])
 def test_partitioner_matches_reference(vectorized_corpus, shards):
-    table = vectorized_corpus.store.columnar()
+    table = from_store(vectorized_corpus.store)
     result = partition_rows_by_device(table, shards)
     expected = reference_partition(table, shards)
     assert len(result) == len(expected)
@@ -402,7 +403,7 @@ def test_partitioner_handles_missing_keys():
 
 def test_generalization_take_split_matches_legacy(vectorized_corpus):
     columnar = evaluate_generalization(vectorized_corpus.bot_store, seed=5)
-    legacy = reference_generalization(RequestStore(list(vectorized_corpus.bot_store)), seed=5)
+    legacy = reference_generalization(object_store(vectorized_corpus.bot_store), seed=5)
     for name in columnar:
         assert columnar[name].train_detection_rate == legacy[name].train_detection_rate
         assert columnar[name].test_detection_rate == legacy[name].test_detection_rate
@@ -410,12 +411,11 @@ def test_generalization_take_split_matches_legacy(vectorized_corpus):
 
 def test_generalization_materialises_no_records(vectorized_corpus):
     store = vectorized_corpus.bot_store
-    assert isinstance(store, LazyRequestStore)
+    assert isinstance(store, RequestStore)
     table = vectorized_corpus.columnar_tables["bots"]
     before = materialized_record_count()
     results = evaluate_generalization(store, seed=0, table=table)
     assert materialized_record_count() == before
-    assert not store.materialized
     assert results == evaluate_generalization(store, seed=0)  # same as extracting
 
 
