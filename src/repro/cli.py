@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.analysis.cache import CACHE_ENV_VAR, corpus_digest
@@ -209,22 +209,36 @@ def _add_checkpoint_arguments(group) -> None:
 #: The checkpoint instruments the ``--json`` ``checkpoints`` block reads.
 _CHECKPOINT_BYTES = "repro_stream_checkpoint_bytes_total"
 _CHECKPOINT_MAX_SAVE_BYTES = "repro_stream_checkpoint_max_save_bytes"
+_CHECKPOINT_SAVE_SECONDS = "repro_stream_checkpoint_save_seconds"
 
 
-def _checkpoint_summary(result, bytes_before: float) -> Dict:
+def _checkpoint_totals() -> Tuple[float, float]:
+    """Bytes published and seconds spent saving so far, from the registry."""
+
+    seconds = obs.registry().get(_CHECKPOINT_SAVE_SECONDS)
+    return (
+        obs.metric_value(_CHECKPOINT_BYTES),
+        0.0 if seconds is None else seconds.snapshot()["sum"],
+    )
+
+
+def _checkpoint_summary(result, totals_before: Tuple[float, float]) -> Dict:
     """The ``checkpoints`` block of a stream summary.
 
-    Byte figures come from the registry's checkpoint instruments: the
-    bytes counter's growth over this replay and the largest-save gauge,
-    which each checkpointer resets when it is built.
+    Byte and time figures come from the registry's checkpoint
+    instruments: the growth over this replay of the bytes counter and of
+    the save-seconds histogram's sum, and the largest-save gauge, which
+    each checkpointer resets when it is built.
     """
 
+    bytes_now, seconds_now = _checkpoint_totals()
     return {
         "saved": result.checkpoints_saved,
         "failures": result.checkpoint_failures,
         "resumed_from_batch": result.resumed_from_batch,
-        "bytes_written": int(obs.metric_value(_CHECKPOINT_BYTES) - bytes_before),
+        "bytes_written": int(bytes_now - totals_before[0]),
         "max_save_bytes": int(obs.metric_value(_CHECKPOINT_MAX_SAVE_BYTES)),
+        "save_seconds": seconds_now - totals_before[1],
     }
 
 
@@ -508,7 +522,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             window_rows=args.window,
         )
     driver = ReplayDriver(detector, batch_size=batch_size, refresher=refresher)
-    bytes_before = obs.metric_value(_CHECKPOINT_BYTES)
+    checkpoint_totals = _checkpoint_totals()
     result = driver.replay(
         bot_store,
         checkpointer=checkpointer,
@@ -540,14 +554,17 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if checkpointer is not None:
+        checkpoints = _checkpoint_summary(result, checkpoint_totals)
         resumed = (
             "fresh start"
             if result.resumed_from_batch is None
             else f"resumed from batch {result.resumed_from_batch}"
         )
+        share = checkpoints["save_seconds"] / result.seconds if result.seconds > 0 else 0.0
         print(
             f"stream: {resumed}, {result.checkpoints_saved} checkpoint(s) saved, "
-            f"{result.checkpoint_failures} failed",
+            f"{result.checkpoint_failures} failed, {checkpoints['save_seconds']:.3f}s "
+            f"saving ({share:.1%} of the replay)",
             file=sys.stderr,
         )
 
@@ -579,7 +596,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         "health": health.to_dict(),
     }
     if checkpointer is not None:
-        summary["checkpoints"] = _checkpoint_summary(result, bytes_before)
+        summary["checkpoints"] = checkpoints
     if args.json:
         document = dict(summary)
         document["seconds"] = round(result.seconds, 3)

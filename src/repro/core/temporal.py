@@ -75,13 +75,6 @@ class _SeenColumn:
             self.first = np.concatenate([self.first, np.full(grown - size, -1, dtype=np.int32)])
             self.stamp = np.concatenate([self.stamp, np.zeros(grown - size, dtype=np.int32)])
 
-    def value_ids(self, key: int) -> List[int]:
-        held = self.overflow.get(key)
-        if held is not None:
-            return held
-        first = int(self.first[key])
-        return [first] if first >= 0 else []
-
     def observe(self, keys: np.ndarray, values: np.ndarray, tolerance: int, epoch: int):
         """Stream time-ordered ``(key, value)`` ids; returns the flagged ones.
 
@@ -291,18 +284,41 @@ class TemporalStreamState:
 
         Yields ``(kind, attribute, keys, counts, values)``: ascending key
         ids, each key's value count, and every value id of each key
-        concatenated in observation order.
+        concatenated in observation order.  A key without overflow holds
+        its first value alone, so the group is gathered from ``first``;
+        only the changed overflow keys walk Python, and their value runs
+        are scattered into place.
         """
 
         for (kind, attribute), column in self._columns.items():
             keys = np.flatnonzero(column.stamp > epoch)
-            if keys.size:
-                held = [column.value_ids(key) for key in keys.tolist()]
-                counts = np.fromiter(map(len, held), dtype=np.int64, count=keys.size)
-                values = np.fromiter(
-                    chain.from_iterable(held), dtype=np.int64, count=int(counts.sum())
+            if not keys.size:
+                continue
+            counts = np.ones(keys.size, dtype=np.int64)
+            values = column.first[keys].astype(np.int64)
+            overflow = column.overflow
+            if overflow:
+                is_grown = np.zeros(column.first.size, dtype=bool)
+                is_grown[np.fromiter(overflow, dtype=np.int64, count=len(overflow))] = True
+                grown = np.flatnonzero(is_grown[keys])
+            else:
+                grown = keys[:0]
+            if grown.size:
+                held = [overflow[key] for key in keys[grown].tolist()]
+                grown_counts = np.fromiter(map(len, held), dtype=np.int64, count=grown.size)
+                counts[grown] = grown_counts
+                starts = np.cumsum(counts) - counts
+                firsts, values = values, np.empty(int(counts.sum()), dtype=np.int64)
+                values[starts] = firsts
+                # Each grown key's run (its first value included): the run
+                # start repeated over its count, plus the position within it.
+                runs = np.repeat(
+                    starts[grown] - (np.cumsum(grown_counts) - grown_counts), grown_counts
+                ) + np.arange(int(grown_counts.sum()))
+                values[runs] = np.fromiter(
+                    chain.from_iterable(held), dtype=np.int64, count=runs.size
                 )
-                yield kind, attribute, keys, counts, values
+            yield kind, attribute, keys, counts, values
 
     def merge(
         self,

@@ -14,20 +14,25 @@ A checkpoint is a directory of two kinds of file:
   append-only sequence, one per published save, each holding only what
   the structures that only ever grow gained since the previous save: new
   vocabulary entries, new temporal seen-state values (as codes against
-  the vocabulary), new rules, and the new verdicts as columns (request
-  id, rule index, temporal flags);
+  the vocabulary), new rules, the new verdicts as columns (request id,
+  rule index, temporal flags), and the refresh-window rows observed
+  since the previous save (at most the window) as one code matrix;
 * **the snapshot** (``stream_checkpoint``) — one small file, atomically
   replaced, that lists the valid segments with their sha256 and carries
   the bounded state: cursor and counters, the deployed filter list as
-  indices into the segments' rule table, the refresher window and
-  schedule clock, the hot-swap history and the replay's health report.
+  indices into the segments' rule table, the refresher's row counters
+  and schedule clock, the hot-swap history and the replay's health
+  report.  A resume takes the window as the last ``rows_in_window`` rows
+  of the segments' window matrices.
 
 Each segment is an ``.npz`` (numeric columns plus a JSON ``meta`` member);
 the snapshot is the same, behind a ``RPCK | version | sha256`` header.
 Loading uses ``np.load(..., allow_pickle=False)`` and ``json`` only —
-reading a checkpoint never executes code.  Older versions — 1 (a pickled
-state blob) and 2 (per-worker classifiers and router pins) — are refused
-unread, so a resume replays from the start.
+reading a checkpoint never executes code.  Version 3, whose snapshot
+held the whole window, is still read; the first save after such a
+resume writes the whole window into its segment.  Older versions — 1 (a
+pickled state blob) and 2 (per-worker classifiers and router pins) —
+are refused unread, so a resume replays from the start.
 
 Every file write is crash-safe: bytes land in a same-directory temporary
 file, are fsynced, atomically renamed into place and the directory is
@@ -36,10 +41,11 @@ last, so a crash between the two leaves an unlisted segment that loading
 ignores and the next save overwrites.  The ``checkpoint_write`` fault
 point fires on both writes, between fsync and rename.
 
-Per-save cost scales with the rows since the last save plus the bounded
-window, not with the stream position: the checkpointer keeps a
-high-water mark per growing structure and writes only what lies past it.
-A resume folds the segments in order.
+Per-save cost scales with the rows since the last save, not with the
+window or the stream position: the checkpointer keeps a high-water mark
+per growing structure (the refresher's monotone ``rows_observed`` count
+for the window) and writes only what lies past it.  A resume folds the
+segments in order.
 
 The temporal seen-state is written as one entry per (kind, key,
 attribute) that gained a value since the previous save, each with its
@@ -48,8 +54,10 @@ union, so a later segment re-listing a known prefix is harmless.  The
 live state (:class:`~repro.core.temporal.TemporalStreamState`) stamps
 each change with its epoch as it happens, and the mark is the last epoch
 a published save covers — so a save finds its entries with one array
-comparison per column, and the segment columns are the same whatever
-layout the state had when it wrote them.
+comparison per column and gathers their values from arrays, and the
+segment columns are the same whatever layout the state had when it
+wrote them.  Keys and values become ingest codes through translation
+arrays cached on the checkpointer, which only grow.
 
 Checkpointing is **best-effort by design**: :meth:`StreamCheckpointer.save`
 never raises into the scoring loop for an I/O failure.  A failed save is
@@ -68,6 +76,7 @@ import os
 import tempfile
 import time
 import zipfile
+from itertools import repeat
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -84,10 +93,14 @@ logger = logging.getLogger("repro.stream")
 #: Leading magic bytes of a snapshot file.
 CHECKPOINT_MAGIC = b"RPCK"
 
-#: Current checkpoint format version.  Older versions are refused unread
-#: (1 was a pickled state blob, 2 carried per-worker classifiers and
-#: router pins); newer versions refuse to load.
-CHECKPOINT_VERSION = 3
+#: Current checkpoint format version.  Version 3 (the whole refresh
+#: window in the snapshot) is still read; older versions are refused
+#: unread (1 was a pickled state blob, 2 carried per-worker classifiers
+#: and router pins); newer versions refuse to load.
+CHECKPOINT_VERSION = 4
+
+#: The oldest format version this build still reads.
+OLDEST_READABLE_VERSION = 3
 
 #: The published snapshot inside a checkpoint directory (atomic replace
 #: keeps exactly one valid snapshot at all times).
@@ -100,8 +113,8 @@ SEGMENT_FILENAME = "segment-{:06d}.npz"
 DEFAULT_EVERY_BATCHES = 16
 
 #: Committed ceiling on the bytes one save writes (segment + snapshot)
-#: per row scored since the previous save, when the refresh window is no
-#: larger than the rows between saves.  CI's fault smoke and
+#: per row scored since the previous save; window rows are written once,
+#: so it holds at any window size.  CI's fault smoke and
 #: ``tests/test_checkpoint.py`` gate on it.
 CHECKPOINT_BYTES_PER_ROW_CEILING = 160
 
@@ -221,9 +234,9 @@ def read_checkpoint(path) -> Tuple[Dict, Dict[str, np.ndarray]]:
     """Load and validate a snapshot written by :func:`write_checkpoint`.
 
     Returns ``(meta, arrays)``.  Raises :class:`CheckpointError` for
-    anything untrustworthy: a non-checkpoint file, an older format (the
-    payload is never decoded), a newer format, or a checksum mismatch
-    (torn or tampered).
+    anything untrustworthy: a non-checkpoint file, a format older than
+    :data:`OLDEST_READABLE_VERSION` (the payload is never decoded), a
+    newer format, or a checksum mismatch (torn or tampered).
     """
 
     path = Path(path)
@@ -234,7 +247,7 @@ def read_checkpoint(path) -> Tuple[Dict, Dict[str, np.ndarray]]:
     if len(blob) < _HEADER_SIZE or blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path} is not a stream checkpoint")
     version = int.from_bytes(blob[len(CHECKPOINT_MAGIC) : len(CHECKPOINT_MAGIC) + 4], "big")
-    if version < CHECKPOINT_VERSION:
+    if version < OLDEST_READABLE_VERSION:
         layout = "a pickled state blob" if version == 1 else "an older layout"
         raise CheckpointError(
             f"checkpoint {path} has format version {version} ({layout}), "
@@ -265,46 +278,6 @@ def _unpack_ints(packed: np.ndarray, dtype=np.int64) -> np.ndarray:
     return packed.astype(dtype) - 1
 
 
-def _encode_seen(state: TemporalStreamState, since: int, attributes, value_indexes, key_indexes):
-    """Columns of the seen-state entries changed after epoch *since*.
-
-    Each entry is one (kind, key, attribute) with its full value list;
-    keys and values become codes against the ingest vocabulary, and
-    entries are grouped by attribute.  The state stamps every change as
-    it happens, so finding them is one comparison per column.
-    """
-
-    position = {attribute: index for index, attribute in enumerate(attributes)}
-    groups = sorted(
-        state.changes_since(since), key=lambda group: (position[group[1]], _KIND_CODES[group[0]])
-    )
-    columns: Dict[str, List[np.ndarray]] = {
-        name: [] for name in ("kind", "key", "attribute", "count", "values")
-    }
-    for kind, attribute, keys, counts, values in groups:
-        kind_code = _KIND_CODES[kind]
-        key_strings, key_index = state.keys_of(kind), key_indexes[kind_code]
-        value_index = value_indexes[attribute]
-        translate = np.fromiter(
-            map(value_index.__getitem__, state.values_of(attribute)), dtype=np.int64
-        )
-        columns["kind"].append(np.full(keys.size, kind_code, dtype=np.int64))
-        columns["key"].append(
-            np.fromiter(
-                (key_index[key_strings[key]] for key in keys.tolist()),
-                dtype=np.int64,
-                count=keys.size,
-            )
-        )
-        columns["attribute"].append(np.full(keys.size, position[attribute], dtype=np.int64))
-        columns["count"].append(counts)
-        columns["values"].append(translate[values])
-    return {
-        f"seen_{name}": _pack_ints(np.concatenate(parts) if parts else np.empty(0, dtype=np.int64))
-        for name, parts in columns.items()
-    }
-
-
 # -- the checkpointer ----------------------------------------------------------
 
 
@@ -317,7 +290,8 @@ class StreamCheckpointer:
     * ``batch_size``, ``rows_total``, ``cursor_rows``, ``batches``: ints;
     * ``ingest``: :meth:`StreamIngestor.export_state` (live vocabulary);
     * ``classifier``: the :class:`OnlineClassifier`;
-    * ``refresher``: :meth:`FilterListRefresher.export_state` or ``None``;
+    * ``refresher``: the :class:`~repro.stream.refresh.FilterListRefresher`
+      or ``None``;
     * ``refreshes``: the hot-swap history (JSON-able dicts);
     * ``health``: the JSON-able :class:`StreamHealth` report;
     * ``verdicts``: the emitted verdicts, a list of
@@ -347,6 +321,12 @@ class StreamCheckpointer:
         self._verdict_mark = 0
         #: (temporal state, last epoch the published segments cover)
         self._seen_mark: Optional[Tuple[TemporalStreamState, int]] = None
+        #: (deployed filter list, its rule-table indices) at the last save
+        self._filter_list_mark: Optional[Tuple[FilterList, List[int]]] = None
+        #: refresher rows observed when the published segments were written
+        self._window_mark = 0
+        #: seen-state slot -> (state items, ingest index, state id -> code)
+        self._code_maps: Dict[Tuple, Tuple[List, Dict, np.ndarray]] = {}
         for gauge in (_LAST_SAVE_BYTES, _MAX_SAVE_BYTES, _SEGMENTS, _AGE_BATCHES):
             gauge.set(0)
 
@@ -368,6 +348,81 @@ class StreamCheckpointer:
 
     # -- saving ----------------------------------------------------------------
 
+    def _code_map(self, slot: Tuple, items: List, decode: List, index: Dict) -> np.ndarray:
+        """State ids of *slot* -> ingest codes, extended as *items* grows.
+
+        A state that adopted the ingest decode list itself has its codes
+        as ids.  Otherwise the map is cached: state items only ever grow
+        and ingest codes never change meaning, so it stays valid for the
+        prefix it covers, and it is rebuilt when *items* or *index* is
+        replaced (a resume, or a state vocabulary becoming an owned copy).
+        An item the ingest does not know maps to ``-1``.
+        """
+
+        if items is decode:
+            return np.arange(len(items))
+        cached = self._code_maps.get(slot)
+        if cached is not None and cached[0] is items and cached[1] is index:
+            codes = cached[2]
+            if codes.size == len(items):
+                return codes
+        else:
+            codes = np.empty(0, dtype=np.int64)
+        tail = items[codes.size :]
+        codes = np.concatenate(
+            [codes, np.fromiter(map(index.get, tail, repeat(-1)), np.int64, len(tail))]
+        )
+        self._code_maps[slot] = (items, index, codes)
+        return codes
+
+    def _encode_seen(
+        self, state: TemporalStreamState, since: int, attributes, ingest: Dict
+    ) -> Dict[str, np.ndarray]:
+        """Columns of the seen-state entries changed after epoch *since*.
+
+        Each entry is one (kind, key, attribute) with its full value list;
+        keys and values become codes against the vocabulary of *ingest*
+        (:meth:`StreamIngestor.export_state`) through :meth:`_code_map`
+        arrays, and entries are grouped by attribute.  The state stamps
+        every change as it happens, so finding them is one comparison per
+        column.
+        """
+
+        position = {attribute: index for index, attribute in enumerate(attributes)}
+        groups = sorted(
+            state.changes_since(since),
+            key=lambda group: (position[group[1]], _KIND_CODES[group[0]]),
+        )
+        columns: Dict[str, List[np.ndarray]] = {
+            name: [] for name in ("kind", "key", "attribute", "count", "values")
+        }
+        for kind, attribute, keys, counts, values in groups:
+            kind_code = _KIND_CODES[kind]
+            key_codes = self._code_map(
+                ("key", kind),
+                state.keys_of(kind),
+                ingest[f"{kind}_values"],
+                ingest[f"{kind}_index"],
+            )
+            value_codes = self._code_map(
+                ("value", attribute),
+                state.values_of(attribute),
+                ingest["values"][attribute],
+                ingest["indexes"][attribute],
+            )
+            columns["kind"].append(np.full(keys.size, kind_code, dtype=np.int64))
+            columns["key"].append(key_codes[keys])
+            columns["attribute"].append(np.full(keys.size, position[attribute], dtype=np.int64))
+            columns["count"].append(counts)
+            columns["values"].append(value_codes[values])
+        packed = {}
+        for name, parts in columns.items():
+            column = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+            if column.size and column.min() < 0:
+                raise CheckpointError(f"seen-state {name} outside the ingest vocabulary")
+            packed[f"seen_{name}"] = _pack_ints(column)
+        return packed
+
     def save(self, state: Dict) -> bool:
         """Best-effort incremental snapshot; returns whether it published.
 
@@ -384,9 +439,7 @@ class StreamCheckpointer:
         attempt = self.saves + self.failures
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            segment_meta, segment_arrays, snapshot_meta, snapshot_arrays, commit = (
-                self._encode(state)
-            )
+            segment_meta, segment_arrays, snapshot_meta, commit = self._encode(state)
             name = SEGMENT_FILENAME.format(len(self._segments))
             segment = _pack_npz(segment_meta, segment_arrays)
             _write_atomic(self.directory / name, segment, key=f"save{attempt}:segment")
@@ -397,9 +450,7 @@ class StreamCheckpointer:
                     "bytes": len(segment),
                 }
             ]
-            snapshot_bytes = write_checkpoint(
-                self.path, snapshot_meta, snapshot_arrays, key=f"save{attempt}"
-            )
+            snapshot_bytes = write_checkpoint(self.path, snapshot_meta, {}, key=f"save{attempt}")
         except (faults.InjectedFault, OSError) as exc:
             self.failures += 1
             logger.warning(
@@ -465,9 +516,9 @@ class StreamCheckpointer:
             if translation is None:
                 translation = np.full(len(chunk.rules) + 1, -1, dtype=np.int64)
                 translations[id(chunk.rules)] = translation
-            for rule in np.unique(chunk.rule_index).tolist():
-                if rule >= 0 and translation[rule] < 0:
-                    translation[rule] = rule_index(chunk.rules.rules[rule])
+            hit = np.flatnonzero(np.bincount(chunk.rule_index + 1)[1:])
+            for rule in hit[translation[hit] < 0].tolist():
+                translation[rule] = rule_index(chunk.rules.rules[rule])
         segment_arrays["verdict_ids"] = _pack_ints(
             np.concatenate([np.empty(0, dtype=np.int64)] + [chunk.request_ids for chunk in fresh])
         )
@@ -477,25 +528,37 @@ class StreamCheckpointer:
                 + [translations[id(chunk.rules)][chunk.rule_index] for chunk in fresh]
             )
         )
-        flag_columns = {name: [] for name in ("row", "kind", "key", "attribute", "new", "n_prev")}
-        previous: List[int] = []
-        offset = 0
-        for chunk in fresh:
-            for row, row_flags in chunk.flags.items():
-                for flag in row_flags:
-                    kind = _KIND_CODES[flag.key_kind]
-                    index = value_indexes[flag.attribute]
-                    flag_columns["row"].append(offset + row)
-                    flag_columns["kind"].append(kind)
-                    flag_columns["key"].append(key_indexes[kind][flag.key])
-                    flag_columns["attribute"].append(position[flag.attribute])
-                    flag_columns["new"].append(index[flag.new_value])
-                    flag_columns["n_prev"].append(len(flag.previous_values))
-                    previous.extend(index[value] for value in flag.previous_values)
-            offset += len(chunk)
-        for name, column in flag_columns.items():
-            segment_arrays[f"flag_{name}"] = _pack_ints(column)
-        segment_arrays["flag_prev"] = _pack_ints(previous)
+        # Temporal flags: one column per field, rows offset into the
+        # segment's verdicts, values as codes against the vocabulary.
+        offsets = np.cumsum([0] + [len(chunk) for chunk in fresh]).tolist()
+        flagged = [
+            (offset + row, flag)
+            for chunk, offset in zip(fresh, offsets)
+            for row, row_flags in chunk.flags.items()
+            for flag in row_flags
+        ]
+        flags = [flag for _, flag in flagged]
+        kinds = [_KIND_CODES[flag.key_kind] for flag in flags]
+        indexes = [value_indexes[flag.attribute] for flag in flags]
+        segment_arrays.update(
+            flag_row=_pack_ints([row for row, _ in flagged]),
+            flag_kind=_pack_ints(kinds),
+            flag_key=_pack_ints(
+                [key_indexes[kind][flag.key] for kind, flag in zip(kinds, flags)]
+            ),
+            flag_attribute=_pack_ints([position[flag.attribute] for flag in flags]),
+            flag_new=_pack_ints(
+                [index[flag.new_value] for index, flag in zip(indexes, flags)]
+            ),
+            flag_n_prev=_pack_ints([len(flag.previous_values) for flag in flags]),
+            flag_prev=_pack_ints(
+                [
+                    index[value]
+                    for index, flag in zip(indexes, flags)
+                    for value in flag.previous_values
+                ]
+            ),
+        )
 
         # Temporal seen-state: every key that is new or grew since the
         # last save, with its full value list (folding is a set union, so
@@ -506,11 +569,18 @@ class StreamCheckpointer:
         since = mark[1] if mark is not None and mark[0] is temporal_state else 0
         closed = temporal_state.close_epoch()
         segment_arrays.update(
-            _encode_seen(temporal_state, since, attributes, value_indexes, key_indexes)
+            self._encode_seen(temporal_state, since, attributes, ingest)
         )
 
+        # The deployed list changes only at a hot swap; its indices into
+        # the append-only rule table stay valid until then.
+        filter_list = classifier.filter_list
+        if self._filter_list_mark is not None and self._filter_list_mark[0] is filter_list:
+            filter_list_indices = self._filter_list_mark[1]
+        else:
+            filter_list_indices = [rule_index(rule) for rule in filter_list]
         classifier_meta = {
-            "filter_list": [rule_index(rule) for rule in classifier.filter_list],
+            "filter_list": filter_list_indices,
             "rows_scored": classifier.rows_scored,
             "swaps": classifier.swaps,
         }
@@ -532,28 +602,29 @@ class StreamCheckpointer:
             "health": state["health"],
             "refresher": None,
         }
-        snapshot_arrays: Dict[str, np.ndarray] = {}
+        # Refresh window: the rows observed since the last published save
+        # (at most the window) go into the segment; the snapshot keeps the
+        # counters that say how many trailing rows make up the window.
         refresher = state.get("refresher")
+        window_mark = self._window_mark
         if refresher is not None:
-            snapshot_meta["refresher"] = {
-                name: value for name, value in refresher.items() if name != "window"
-            }
-            window = refresher["window"]
-            snapshot_meta["refresher"]["window_attributes"] = [
-                attribute.value for attribute in window
-            ]
+            exported = refresher.export_state(window_mark)
+            window = exported.pop("window")
+            exported["window_attributes"] = [attribute.value for attribute in window]
+            snapshot_meta["refresher"] = exported
+            window_mark = exported["rows_observed"]
             if window:
-                snapshot_arrays["window"] = np.column_stack(
-                    [_pack_ints(column) for column in window.values()]
-                )
+                segment_arrays["window"] = _pack_ints(np.column_stack(list(window.values())))
 
         def commit() -> None:
             self._vocab_marks = vocab_marks
             rule_ids.update(new_rules)
             self._verdict_mark = len(chunks)
             self._seen_mark = (temporal_state, closed)
+            self._filter_list_mark = (filter_list, filter_list_indices)
+            self._window_mark = window_mark
 
-        return segment_meta, segment_arrays, snapshot_meta, snapshot_arrays, commit
+        return segment_meta, segment_arrays, snapshot_meta, commit
 
     # -- loading ---------------------------------------------------------------
 
@@ -588,6 +659,10 @@ class StreamCheckpointer:
         rule_codes: List[np.ndarray] = []
         flags: Dict[int, Tuple[TemporalFlag, ...]] = {}
         temporal_state = TemporalStreamState()
+        refresher = meta["refresher"]
+        window_rows = 0 if refresher is None else int(refresher["rows_in_window"])
+        #: trailing segment window deltas, trimmed to cover ``window_rows``
+        windows: List[np.ndarray] = []
         for entry in meta["segments"]:
             segment_meta, segment = self._read_segment(entry)
             for values, new in zip(vocabulary, segment_meta["vocabulary"]):
@@ -600,6 +675,10 @@ class StreamCheckpointer:
                 self._fold_flags(segment, offset, attributes, vocabulary, key_values)
             )
             self._fold_seen(segment, attributes, vocabulary, key_values, temporal_state)
+            if "window" in segment:
+                windows.append(segment["window"])
+                while len(windows) > 1 and sum(map(len, windows[1:])) >= window_rows:
+                    windows.pop(0)
         table = RuleTable()
         verdicts = Verdicts(
             np.concatenate([np.empty(0, dtype=np.int64)] + ids),
@@ -616,15 +695,33 @@ class StreamCheckpointer:
             "swaps": int(classifier_meta["swaps"]),
         }
 
-        refresher = meta["refresher"]
+        window_mark = 0
         if refresher is not None:
             refresher = dict(refresher)
             names = refresher.pop("window_attributes")
-            window = _unpack_ints(arrays["window"], np.int32) if names else None
-            refresher["window"] = {
-                Attribute(name): np.ascontiguousarray(window[:, column])
-                for column, name in enumerate(names)
-            }
+            if meta["version"] == 3:
+                # Version 3 kept the whole window in the snapshot and no
+                # row count: the next save writes the whole window again.
+                windows = [arrays["window"]] if names else []
+                refresher["rows_observed"] = window_rows
+            else:
+                window_mark = int(refresher["rows_observed"])
+            refresher["window"] = {}
+            if names:
+                window = np.concatenate(
+                    [np.empty((0, len(names)), dtype=np.int32)]
+                    + [_unpack_ints(part, np.int32) for part in windows]
+                )
+                if len(window) < window_rows:
+                    raise CheckpointError(
+                        f"checkpoint {self.path} holds {len(window)} of its "
+                        f"{window_rows} window rows"
+                    )
+                window = window[len(window) - window_rows :]
+                refresher["window"] = {
+                    Attribute(name): np.ascontiguousarray(window[:, column])
+                    for column, name in enumerate(names)
+                }
 
         # Adopt the marks of the folded state: the next save appends.
         self._segments = list(meta["segments"])
@@ -635,6 +732,8 @@ class StreamCheckpointer:
             self._rule_ids.setdefault(rule_key(rule), index)
         self._verdict_mark = 1
         self._seen_mark = (temporal_state, temporal_state.close_epoch())
+        self._filter_list_mark = None
+        self._window_mark = window_mark
         _SEGMENTS.set(len(self._segments))
 
         return {

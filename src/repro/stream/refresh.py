@@ -94,6 +94,8 @@ class FilterListRefresher:
         #: retained per-batch code columns, oldest first
         self._recent: List[Dict] = []
         self._rows_in_window = 0
+        #: rows ever appended to the window (monotone; marks checkpoints)
+        self._rows_observed = 0
         self._batches_seen = 0
         #: the latest observed batch: every batch shares the ingestor's
         #: live vocabulary, so any one of them can decode the window
@@ -109,6 +111,12 @@ class FilterListRefresher:
     @property
     def rows_in_window(self) -> int:
         return self._rows_in_window
+
+    @property
+    def rows_observed(self) -> int:
+        """Rows observed so far; the window holds the last ``rows_in_window``."""
+
+        return self._rows_observed
 
     @property
     def batches_seen(self) -> int:
@@ -128,27 +136,45 @@ class FilterListRefresher:
 
     # -- checkpointing ---------------------------------------------------------
 
-    def export_state(self) -> Dict:
-        """The refresher's durable state: the window, the schedule clock and
-        the failed-re-mine retry schedule.
+    def export_state(self, since_rows: int) -> Dict:
+        """The refresher's durable state: the window rows observed after
+        *since_rows*, the row counters, the schedule clock and the
+        failed-re-mine retry schedule.
 
-        ``window`` maps each attribute to the retained rows' codes, oldest
-        first — one fresh concatenation, so it stays valid while later
-        batches arrive.  The template batch is deliberately absent — it
-        only serves to decode the window against the live vocabulary, and
-        the first post-restore :meth:`observe_batch` re-establishes it
-        before any refresh can fire.
+        ``window`` maps each attribute to the codes of the retained rows
+        whose :attr:`rows_observed` position is past *since_rows*, oldest
+        first — at most the whole window (``since_rows=0``), and one fresh
+        concatenation, so it stays valid while later batches arrive.  A
+        checkpointer passes the count of its last published save and so
+        writes each window row once.  The template
+        batch is deliberately absent — it only serves to decode the window
+        against the live vocabulary, and the first post-restore
+        :meth:`observe_batch` re-establishes it before any refresh can
+        fire.
         """
 
+        need = min(self._rows_observed - since_rows, self._rows_in_window)
+        parts: List[Dict] = []
+        for part in reversed(self._recent):
+            if need <= 0:
+                break
+            rows = int(next(iter(part.values())).size)
+            if rows > need:
+                part = {attribute: column[rows - need :] for attribute, column in part.items()}
+            parts.append(part)
+            need -= rows
         window = {}
         if self._recent:
             window = {
-                attribute: np.concatenate([part[attribute] for part in self._recent])
-                for attribute in self._recent[0]
+                attribute: np.concatenate(
+                    [column[:0]] + [part[attribute] for part in reversed(parts)]
+                )
+                for attribute, column in self._recent[0].items()
             }
         return {
             "window": window,
             "rows_in_window": self._rows_in_window,
+            "rows_observed": self._rows_observed,
             "batches_seen": self._batches_seen,
             "latest_ts": self._latest_ts,
             "next_due_ts": self._next_due_ts,
@@ -158,7 +184,7 @@ class FilterListRefresher:
         }
 
     def restore_state(self, state: Dict) -> None:
-        """Adopt a window exported by :meth:`export_state`.
+        """Adopt a whole window exported by :meth:`export_state`.
 
         The window comes back as one retained part; trimming slices it
         exactly as it would the original per-batch parts.
@@ -167,6 +193,7 @@ class FilterListRefresher:
         window = dict(state["window"])
         self._recent = [window] if window else []
         self._rows_in_window = int(state["rows_in_window"])
+        self._rows_observed = int(state["rows_observed"])
         self._batches_seen = int(state["batches_seen"])
         self._latest_ts = state["latest_ts"]
         self._next_due_ts = state["next_due_ts"]
@@ -204,6 +231,7 @@ class FilterListRefresher:
                 {attribute: batch.codes_of(attribute) for attribute in batch.attributes}
             )
             self._rows_in_window += batch.n_rows
+            self._rows_observed += batch.n_rows
         overflow = self._rows_in_window - self.window_rows
         while overflow > 0:
             oldest = self._recent[0]

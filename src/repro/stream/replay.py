@@ -432,11 +432,7 @@ class ReplayDriver:
                         "batches": batches_done,
                         "ingest": ingestor.export_state(),
                         "classifier": classifier,
-                        "refresher": (
-                            self._refresher.export_state()
-                            if self._refresher is not None
-                            else None
-                        ),
+                        "refresher": self._refresher,
                         "refreshes": refreshes,
                         "health": health.to_dict(),
                         "verdicts": chunks,

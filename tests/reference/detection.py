@@ -9,7 +9,9 @@ algorithms, kept as the oracle the columnar engine is pinned against
   objects, one pass per attribute-pair orientation; rule selection is the
   shared :meth:`~repro.core.spatial.SpatialInconsistencyMiner.select_rules`;
 * :class:`ObjectTemporalDetector` — the per-request temporal checker with
-  its dict-of-ordered-sets state;
+  its dict-of-ordered-sets state; :func:`changes_since` and
+  :func:`encode_seen`, the per-key seen-state delta and its checkpoint
+  columns (``tests/test_properties.py``);
 * :func:`first_match` — the filter list's index walk per fingerprint,
   and :func:`compile_per_table` / :class:`CompiledFilterList`, the per-table compile
   the incremental matcher replaced, kept to pin it row for row;
@@ -29,6 +31,7 @@ columnar engine's filter lists, verdicts and rates exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -37,10 +40,15 @@ from repro.core.detector import FPInconsistent, Verdicts
 from repro.core.evaluation import DETECTOR_NAMES, GeneralizationResult
 from repro.core.rules import FilterList, InconsistencyRule, RuleTable
 from repro.core.spatial import PairStatistics, SpatialInconsistencyMiner
-from repro.core.temporal import TemporalFlag, TemporalInconsistencyDetector
+from repro.core.temporal import (
+    TemporalFlag,
+    TemporalInconsistencyDetector,
+    TemporalStreamState,
+)
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.categories import AttributeCategory, all_candidate_pairs
 from repro.fingerprint.fingerprint import Fingerprint
+from repro.stream.checkpoint import _pack_ints
 
 from reference.store import RequestStore, records
 
@@ -381,6 +389,57 @@ class ObjectTemporalDetector(TemporalInconsistencyDetector):
 
     def flagged_request_ids(self, store: RequestStore) -> Set[int]:
         return set(self.evaluate_store(store))
+
+
+def changes_since(state: TemporalStreamState, epoch: int):
+    """:meth:`TemporalStreamState.changes_since`, one key at a time.
+
+    The per-key walk the array gather replaced: each changed key's value
+    ids are its overflow list, or its first value alone.
+    """
+
+    for (kind, attribute), column in state._columns.items():
+        keys = np.flatnonzero(column.stamp > epoch)
+        if keys.size:
+            held = []
+            for key in keys.tolist():
+                first = int(column.first[key])
+                held.append(column.overflow.get(key, [first] if first >= 0 else []))
+            counts = np.fromiter(map(len, held), dtype=np.int64, count=keys.size)
+            values = np.fromiter(
+                chain.from_iterable(held), dtype=np.int64, count=int(counts.sum())
+            )
+            yield kind, attribute, keys, counts, values
+
+
+def encode_seen(
+    state: TemporalStreamState, since: int, attributes: Sequence[Attribute], ingest: Dict
+) -> Dict[str, np.ndarray]:
+    """The checkpoint's seen-state columns, translated key by key.
+
+    Every changed key and value is decoded to its item and looked up in
+    the ingest's index; the checkpointer's cached code maps must write
+    the same packed columns.
+    """
+
+    kind_codes = {"cookie": 0, "ip": 1}
+    position = {attribute: index for index, attribute in enumerate(attributes)}
+    groups = sorted(
+        changes_since(state, since),
+        key=lambda group: (position[group[1]], kind_codes[group[0]]),
+    )
+    columns: Dict[str, List] = {
+        name: [] for name in ("kind", "key", "attribute", "count", "values")
+    }
+    for kind, attribute, keys, counts, values in groups:
+        key_strings, key_index = state.keys_of(kind), ingest[f"{kind}_index"]
+        items, value_index = state.values_of(attribute), ingest["indexes"][attribute]
+        columns["kind"].extend([kind_codes[kind]] * keys.size)
+        columns["key"].extend(key_index[key_strings[key]] for key in keys.tolist())
+        columns["attribute"].extend([position[attribute]] * keys.size)
+        columns["count"].extend(counts.tolist())
+        columns["values"].extend(value_index[items[value]] for value in values.tolist())
+    return {f"seen_{name}": _pack_ints(column) for name, column in columns.items()}
 
 
 # -- the detector and the Section 7.3 check --------------------------------------------

@@ -91,7 +91,7 @@ def test_checkpoint_blob_roundtrips(tmp_path):
     blob = path.read_bytes()
     assert written == len(blob)
     assert blob[:4] == CHECKPOINT_MAGIC
-    assert int.from_bytes(blob[4:8], "big") == CHECKPOINT_VERSION == 3
+    assert int.from_bytes(blob[4:8], "big") == CHECKPOINT_VERSION == 4
     assert not list(tmp_path.glob(".*.tmp"))  # temp file consumed by the rename
 
 
@@ -185,9 +185,9 @@ def test_failed_save_keeps_the_previous_snapshot(monkeypatch, tmp_path, corpus, 
 def test_every_save_is_bounded_by_the_rows_it_covers(tmp_path, corpus, fitted):
     detector, _table, _verdicts = fitted
     batch_size, every = 128, 4
-    refresher = FilterListRefresher(
-        detector.miner, interval_batches=3, window_rows=batch_size * every
-    )
+    # Window rows are written once, so the bound holds with a window far
+    # larger than the rows between saves.
+    refresher = FilterListRefresher(detector.miner, interval_batches=3, window_rows=25_000)
     checkpointer = StreamCheckpointer(tmp_path / "ck", every_batches=every)
     saves = []
     original = checkpointer.save
@@ -322,12 +322,7 @@ def test_dict_state_checkpoint_resumes_byte_identically(tmp_path, corpus, fitted
     """
 
     detector, _table, _verdicts = fitted
-    legacy = tmp_path / "legacy"
-    with tarfile.open(FIXTURES / "stream_checkpoint_v3_dict_state.tar.gz") as archive:
-        if hasattr(tarfile, "data_filter"):
-            archive.extractall(legacy, filter="data")
-        else:  # pragma: no cover - Python without extraction filters
-            archive.extractall(legacy)
+    legacy = _extract_v3_fixture(tmp_path / "legacy")
     assert len(_segments(legacy)) == 3
 
     # The folded seen-state equals what today's encoder writes at the same point.
@@ -353,6 +348,85 @@ def test_dict_state_checkpoint_resumes_byte_identically(tmp_path, corpus, fitted
     assert resumed.resumed_from_batch == 6
     assert resumed.refreshes == full.refreshes
     assert verdicts_digest(resumed.verdicts) == verdicts_digest(full.verdicts)
+
+
+def _extract_v3_fixture(directory: Path) -> Path:
+    with tarfile.open(FIXTURES / "stream_checkpoint_v3_dict_state.tar.gz") as archive:
+        if hasattr(tarfile, "data_filter"):
+            archive.extractall(directory, filter="data")
+        else:  # pragma: no cover - Python without extraction filters
+            archive.extractall(directory)
+    return directory
+
+
+def test_v3_checkpoint_migrates_to_v4_across_a_chained_resume(tmp_path, corpus, fitted):
+    # v3 fixture -> resume, save under v4, kill -> resume again: the second
+    # resume folds v3 segments (window in none of them) and v4 ones.
+    detector, _table, _verdicts = fitted
+    full = _refreshing_driver(detector).replay(corpus.bot_store)
+    directory = _extract_v3_fixture(tmp_path / "ck")
+    assert read_checkpoint(directory / "stream_checkpoint")[0]["version"] == 3
+
+    first = _refreshing_driver(detector).replay(
+        corpus.bot_store,
+        checkpointer=StreamCheckpointer(directory, every_batches=2),
+        resume=True,
+        max_batches=3,
+    )
+    assert first.resumed_from_batch == 6 and first.checkpoints_saved == 1
+    meta, arrays = read_checkpoint(directory / "stream_checkpoint")
+    assert meta["version"] == CHECKPOINT_VERSION == 4 and "window" not in arrays
+    # The first v4 save writes the whole current window into its segment.
+    segment = np.load(directory / SEGMENT_FILENAME.format(3), allow_pickle=False)
+    assert segment["window"].shape == (700, len(meta["refresher"]["window_attributes"]))
+    assert meta["refresher"]["rows_in_window"] == 700
+
+    second = _refreshing_driver(detector).replay(
+        corpus.bot_store,
+        checkpointer=StreamCheckpointer(directory, every_batches=2),
+        resume=True,
+    )
+    assert second.resumed_from_batch == 8
+    assert second.refreshes == full.refreshes
+    assert verdicts_digest(second.verdicts) == verdicts_digest(full.verdicts)
+
+
+def test_window_folds_from_segment_deltas_across_a_failed_save(
+    monkeypatch, tmp_path, corpus, fitted
+):
+    detector, _table, _verdicts = fitted
+    refresher = FilterListRefresher(detector.miner, interval_batches=4, window_rows=700)
+    checkpointer = StreamCheckpointer(tmp_path / "ck", every_batches=1)
+    real_check = faults.check
+
+    def fail_sixth_save(point, key, **kwargs):
+        if point == "checkpoint_write" and key == "save5:segment":
+            raise faults.InjectedFault("injected fault at the sixth segment")
+        real_check(point, key, **kwargs)
+
+    monkeypatch.setattr(faults, "check", fail_sixth_save)
+    ReplayDriver(detector, batch_size=128, refresher=refresher).replay(
+        corpus.bot_store, checkpointer=checkpointer, max_batches=9
+    )
+    assert (checkpointer.saves, checkpointer.failures) == (8, 1)
+
+    # Each segment holds the rows since the previous published save, so
+    # the one after the failed save carries two batches.
+    meta, _ = read_checkpoint(checkpointer.path)
+    rows = [
+        np.load(tmp_path / "ck" / entry["name"], allow_pickle=False)["window"].shape[0]
+        for entry in meta["segments"]
+    ]
+    assert rows == [128, 128, 128, 128, 128, 256, 128, 128]
+    spanned = np.searchsorted(np.cumsum(rows[::-1]), refresher.rows_in_window) + 1
+    assert spanned >= 3
+
+    live = refresher.export_state(0)["window"]
+    folded = StreamCheckpointer(tmp_path / "ck").load()["refresher"]["window"]
+    assert list(folded) == list(live)
+    for attribute, column in live.items():
+        assert column.size == refresher.rows_in_window == 700
+        assert np.array_equal(folded[attribute], column), attribute
 
 
 def test_stream_resume_restores_refresher_state(tmp_path, corpus, fitted):
@@ -669,3 +743,31 @@ def test_cli_rows_count_only_scored_rows(capsys, tmp_path, command):
     checkpoints = document["checkpoints"]
     assert checkpoints["saved"] == 1
     assert 0 < checkpoints["max_save_bytes"] == checkpoints["bytes_written"]
+
+
+def test_cli_reports_checkpoint_save_seconds(capsys, tmp_path):
+    histogram = obs.registry().get("repro_stream_checkpoint_save_seconds")
+    before = histogram.snapshot()["sum"]
+    out_path = tmp_path / "out.json"
+    code = main(
+        [
+            "stream",
+            "--seed", "5",
+            "--scale", "0.004",
+            "--no-cache",
+            "--batch-size", "128",
+            "--refresh-every", "4",
+            "--checkpoint-dir", str(tmp_path / "ck"),
+            "--checkpoint-every", "2",
+            "--json", str(out_path),
+        ]
+    )
+    stderr = capsys.readouterr().err
+    assert code == 0
+    document = json.loads(out_path.read_text())
+    checkpoints = document["checkpoints"]
+    assert checkpoints["saved"] >= 2
+    # The histogram's growth over the replay, read from the registry.
+    assert checkpoints["save_seconds"] == histogram.snapshot()["sum"] - before
+    assert 0 < checkpoints["save_seconds"] < document["seconds"]
+    assert re.search(r"\d+\.\d{3}s saving \(\d+\.\d% of the replay\)", stderr), stderr

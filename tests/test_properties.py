@@ -11,12 +11,14 @@ from test_columnar import _extract, _random_store
 from repro.core.columnar import ColumnarTable
 from repro.core.rules import FilterList, InconsistencyRule
 from repro.core.spatial import SpatialInconsistencyMiner, SpatialMinerConfig
+from repro.core.temporal import TemporalStreamState
 from repro.fingerprint.attributes import Attribute, format_resolution, parse_resolution
 from repro.fingerprint.categories import AttributeCategory
 from repro.fingerprint.fingerprint import Fingerprint, fingerprint_distance
 from repro.ml.metrics import accuracy_score, confusion_matrix
 from repro.network.headers import accept_language_for, parse_accept_language
 from repro.reporting.tables import format_percent, format_table
+from repro.stream.checkpoint import StreamCheckpointer
 
 # -- strategies --------------------------------------------------------------------
 
@@ -193,6 +195,159 @@ def test_temporal_detector_never_flags_constant_stream(keys):
     fingerprint = Fingerprint({Attribute.PLATFORM: "Win32", Attribute.HARDWARE_CONCURRENCY: 8})
     for key in keys:
         assert detector.observe(fingerprint, cookie=key, ip_address=None) == []
+
+
+# -- temporal seen-state delta ------------------------------------------------------------------
+
+_SEEN_KEYS = ("", "k0", "k1", "k2", "k3", "k4", "k5")
+_SEEN_VALUES = ("v0", "v1", "v2", "v3")
+_SEEN_SLOTS = st.tuples(
+    st.sampled_from(("cookie", "ip")), st.sampled_from((Attribute.PLATFORM, Attribute.TIMEZONE))
+)
+_seen_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("observe"),
+            _SEEN_SLOTS,
+            st.integers(1, 3),
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(_SEEN_KEYS) - 1), st.integers(0, len(_SEEN_VALUES) - 1)
+                ),
+                min_size=1,
+                max_size=12,
+            ),
+        ),
+        st.tuples(
+            st.just("merge"),
+            _SEEN_SLOTS,
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(_SEEN_KEYS) - 1),
+                    st.lists(st.integers(0, len(_SEEN_VALUES) - 1), min_size=1, max_size=4),
+                ),
+                min_size=1,
+                max_size=5,
+            ),
+        ),
+        st.just(("close",)),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+class _Ingest:
+    """A growing ingest vocabulary: decode lists plus their live indexes."""
+
+    def __init__(self, attributes):
+        self.decode = {"cookie": [], "ip": [], **{attribute: [] for attribute in attributes}}
+        self.index = {slot: {} for slot in self.decode}
+
+    def codes(self, slot, items):
+        decode, index = self.decode[slot], self.index[slot]
+        for item in items:
+            if item not in index:
+                index[item] = len(decode)
+                decode.append(item)
+        return np.array([index[item] for item in items], dtype=np.int64)
+
+    def export(self, attributes):
+        return {
+            "cookie_values": self.decode["cookie"],
+            "cookie_index": self.index["cookie"],
+            "ip_values": self.decode["ip"],
+            "ip_index": self.index["ip"],
+            "values": {attribute: self.decode[attribute] for attribute in attributes},
+            "indexes": {attribute: self.index[attribute] for attribute in attributes},
+        }
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    ops=_seen_ops,
+    key_order=st.permutations(_SEEN_KEYS),
+    value_order=st.permutations(_SEEN_VALUES),
+    foreign_sizes=st.tuples(st.integers(2, len(_SEEN_KEYS)), st.integers(1, len(_SEEN_VALUES))),
+)
+def test_seen_state_delta_matches_the_per_key_walk(ops, key_order, value_order, foreign_sizes):
+    """The array-gathered delta and its checkpoint columns equal the per-key walk.
+
+    Observations go through a growing ingest vocabulary (which the state
+    adopts as its ids), merges through fixed, partial decode lists in
+    another order, as a checkpoint fold does; a slot that meets both
+    becomes an owned, interned copy that keeps growing.
+    """
+
+    attributes = (Attribute.PLATFORM, Attribute.TIMEZONE)
+    state = TemporalStreamState()
+    ingest = _Ingest(attributes)
+    foreign_keys = list(key_order[: foreign_sizes[0]])
+    foreign_values = list(value_order[: foreign_sizes[1]])
+    checkpointer = StreamCheckpointer("unused", every_batches=1)
+
+    def observe(kind, attribute, tolerance, pairs):
+        key_codes = ingest.codes(kind, [_SEEN_KEYS[key] for key, _ in pairs])
+        value_codes = ingest.codes(attribute, [_SEEN_VALUES[value] for _, value in pairs])
+        keys = state.key_remap(kind, ingest.decode[kind])[key_codes]
+        values = state.value_remap(attribute, ingest.decode[attribute])[value_codes]
+        keep = keys >= 0  # the "" key tracks nothing
+        state.column(kind, attribute).observe(keys[keep], values[keep], tolerance, state.epoch)
+
+    def merge(kind, attribute, entries):
+        # Codes index the foreign lists; a fold never holds the "" key.
+        entries = [
+            (key % len(foreign_keys), [value % len(foreign_values) for value in values])
+            for key, values in entries
+        ]
+        entries = [(key, values) for key, values in entries if foreign_keys[key]]
+        if entries:
+            state.merge(
+                kind,
+                attribute,
+                foreign_keys,
+                np.array([key for key, _ in entries]),
+                foreign_values,
+                np.array([len(values) for _, values in entries]),
+                np.array([value for _, values in entries for value in values]),
+            )
+
+    def check(since):
+        actual = list(state.changes_since(since))
+        expected = list(reference.changes_since(state, since))
+        assert len(actual) == len(expected)
+        for got, want in zip(actual, expected):
+            assert got[:2] == want[:2]
+            for got_array, want_array in zip(got[2:], want[2:]):
+                assert np.array_equal(got_array, want_array)
+        # A real ingest knows every key and value the state holds.
+        for kind in ("cookie", "ip"):
+            ingest.codes(kind, state.keys_of(kind))
+        for attribute in attributes:
+            ingest.codes(attribute, state.values_of(attribute))
+        exported = ingest.export(attributes)
+        columns = checkpointer._encode_seen(state, since, attributes, exported)
+        oracle = reference.encode_seen(state, since, attributes, exported)
+        assert columns.keys() == oracle.keys()
+        for name, column in columns.items():
+            assert column.dtype == oracle[name].dtype, name
+            assert np.array_equal(column, oracle[name]), name
+
+    for op in ops:
+        if op[0] == "observe":
+            observe(*op[1], *op[2:])
+        elif op[0] == "merge":
+            merge(*op[1], op[2])
+        else:
+            check(state.close_epoch() - 1)
+    # End on an owned, interned cookie vocabulary: the slot meets both the
+    # fold-style decode list and the ingest's.
+    merge("cookie", Attribute.PLATFORM, [(key, [0]) for key in range(len(_SEEN_KEYS))])
+    observe("cookie", Attribute.PLATFORM, 1, [(key, 1) for key in range(len(_SEEN_KEYS))])
+    owned = state.keys_of("cookie")
+    assert owned is not foreign_keys and owned is not ingest.decode["cookie"]
+    for since in range(state.epoch + 1):
+        check(since)
 
 
 # -- metrics invariants ------------------------------------------------------------------------
