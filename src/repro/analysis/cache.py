@@ -118,7 +118,7 @@ def corpus_cache_key(
 ) -> str:
     """Content-address for one corpus configuration.
 
-    Worker count and executor kind are deliberately absent: the sharded
+    The worker count is deliberately absent: the sharded
     engine produces identical corpora for any parallelism, so they must
     share one cache entry.
     """

@@ -105,7 +105,6 @@ def build_corpus(
     privacy_requests_each: int = 60,
     campaign_days: int = 90,
     workers: Optional[int] = None,
-    executor: Optional[str] = None,
     cache=None,
 ) -> Corpus:
     """Build the full measurement corpus (or load it from the cache).
@@ -120,12 +119,12 @@ def build_corpus(
         requests).
     include_real_users / include_privacy:
         Whether to also generate the Section 7.4 and 7.5 traffic.
-    workers / executor / cache:
+    workers / cache:
         Parallelism and caching knobs of the sharded engine
         (:func:`repro.analysis.engine.build_or_load_corpus`): *workers*
         defaults to ``REPRO_WORKERS`` or 1, *cache* to
         ``REPRO_CORPUS_CACHE`` (``False`` disables caching).  The corpus
-        is byte-identical for any worker count and executor kind, and
+        is byte-identical for any worker count, and
         equals what ``repro corpus`` builds for the same configuration.
     """
 
@@ -140,7 +139,6 @@ def build_corpus(
         privacy_requests_each=privacy_requests_each,
         campaign_days=campaign_days,
         workers=workers,
-        executor=executor,
         cache=cache,
     )
     return corpus

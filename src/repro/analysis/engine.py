@@ -6,15 +6,15 @@ Every corpus is built here, along one **sharded** design:
   each privacy technology) is one :class:`ShardSpec`;
 * every shard derives its randomness from its own
   ``numpy.random.SeedSequence`` spawned from the master seed, so its output
-  is a pure function of ``(seed, spec)`` — independent of worker count,
-  executor kind and scheduling order;
+  is a pure function of ``(seed, spec)`` — independent of worker count
+  and scheduling order;
 * every shard generates into its own miniature
   :class:`~repro.honeysite.site.HoneySite` whose
   :class:`~repro.geo.ipaddr.IpAddressSpace` is partitioned (shard *i* of
   *n* allocates /16 blocks ``i, i+n, i+2n, ...``), so merged shards never
   collide on address space;
 * the coordinator mints every source's URL token up front, fans shards out
-  over a thread or process pool, and merges results **in shard order**,
+  over a process pool, and merges results **in shard order**,
   adopting each shard's URL mapping and prefix assignments into the final
   site.
 
@@ -39,8 +39,9 @@ import os
 import pickle
 import threading
 import time
+import zlib
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,9 +63,6 @@ from repro.users.realuser import REAL_USER_SOURCE, RealUserTrafficGenerator
 
 #: Environment variable selecting the shard worker count (unset → 1).
 WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-#: Environment variable selecting the executor kind ("process" or "thread").
-EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 
 #: Environment variable bounding per-shard retry attempts after a worker
 #: failure (exception, killed process, timeout) before the shard falls
@@ -115,7 +113,7 @@ MAX_TOTAL_SHARDS = 96
 #: objects, measured at ~271 bytes per record at the reference tiny config
 #: against ~353 for the v3 payload (which still pickled one fingerprint
 #: object per session).  Transfer and coordinator-side decode are both
-#: effectively memcpy, so the floor is set by executor startup alone: a
+#: effectively memcpy, so the floor is set by pool startup alone: a
 #: forked worker costs ~0.2 s before its first record, which the
 #: vectorized generators amortise over a few thousand records.  Below this
 #: floor the clamp falls back toward one inline worker.
@@ -178,9 +176,6 @@ PRIVACY_TECHNOLOGIES: Tuple[PrivacyTechnology, ...] = (
     PrivacyTechnology.ADBLOCK_PLUS,
 )
 
-_EXECUTORS = ("process", "thread")
-
-
 def default_workers() -> Optional[int]:
     """Worker count requested through ``REPRO_WORKERS`` (``None`` if unset)."""
 
@@ -193,15 +188,6 @@ def default_workers() -> Optional[int]:
         raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from exc
     if value < 1:
         raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {value}")
-    return value
-
-
-def default_executor() -> str:
-    """Executor kind requested through ``REPRO_EXECUTOR`` (default process)."""
-
-    value = os.environ.get(EXECUTOR_ENV_VAR, "process").strip().lower()
-    if value not in _EXECUTORS:
-        raise ValueError(f"{EXECUTOR_ENV_VAR} must be one of {_EXECUTORS}, got {value!r}")
     return value
 
 
@@ -240,13 +226,14 @@ def retry_backoff_seconds(attempt: int, *, seed: int = 0, label: str = "shards")
 
     Exponential with a deterministic jitter in [0.5, 1.5) drawn from
     ``(seed, label, attempt)`` — a rerun of the same configuration backs
-    off identically, while concurrent fan-outs with different labels
-    decorrelate.
+    off identically, in any interpreter (the label enters through a CRC,
+    not the per-process salted ``hash``), while fan-outs with different
+    labels decorrelate.
     """
 
     base = min(BACKOFF_CAP_SECONDS, BACKOFF_BASE_SECONDS * (2 ** max(0, attempt)))
     jitter = np.random.default_rng(
-        np.random.SeedSequence((seed, hash(label) & 0xFFFFFFFF, attempt))
+        np.random.SeedSequence((seed, zlib.crc32(label.encode()), attempt))
     ).random()
     return base * (0.5 + jitter)
 
@@ -256,12 +243,12 @@ def _guarded_call(task):
 
     Module-level so process pools can pickle it.  The key carries the
     fan-out label, payload index and attempt number, so retried attempts
-    draw fresh fault decisions and every fan-out (corpus generation,
-    pair mining, classification shards) is injectable independently.
+    draw fresh fault decisions.  The call always runs in a pool process,
+    so a ``kill`` fault may end it.
     """
 
-    fn, payload, key, allow_kill = task
-    faults.check("shard_run", key, allow_kill=allow_kill)
+    fn, payload, key = task
+    faults.check("shard_run", key, allow_kill=True)
     return fn(payload)
 
 
@@ -270,20 +257,17 @@ def map_shards(
     payloads,
     *,
     workers: int,
-    executor: Optional[str] = None,
     retries: Optional[int] = None,
     retry_seed: int = 0,
     label: str = "shards",
     stats: Optional[Dict[str, int]] = None,
 ) -> list:
-    """Map *fn* over *payloads* on the shard worker pool, preserving order.
+    """Map *fn* over *payloads* on a process pool, preserving order.
 
-    The generic fan-out primitive shared by the corpus engine and the
-    sharded classifier: ``workers <= 1`` (or a single
-    payload) runs inline; otherwise a process or thread pool executes the
-    payloads and results come back in input order.  *fn* must be a
-    module-level callable and payloads picklable when the process executor
-    is used.
+    The corpus engine's fan-out: ``workers <= 1`` (or a single payload)
+    runs inline; otherwise a process pool executes the payloads and
+    results come back in input order.  *fn* must be a module-level
+    callable and payloads picklable.
 
     The pooled path is **fault tolerant**: a worker exception, a killed
     process (``BrokenProcessPool``) or a timed-out attempt
@@ -312,24 +296,14 @@ def map_shards(
 
     if workers <= 1 or len(payloads) <= 1:
         return _finalize([fn(payload) for payload in payloads])
-    if executor is None:
-        executor = default_executor()
-    if executor not in _EXECUTORS:
-        raise ValueError(f"executor must be one of {_EXECUTORS}, got {executor!r}")
     if retries is None:
         retries = default_shard_retries()
     timeout = default_shard_timeout()
-    pool_cls = (
-        concurrent.futures.ProcessPoolExecutor
-        if executor == "process"
-        else concurrent.futures.ThreadPoolExecutor
-    )
-    allow_kill = executor == "process"
     max_workers = min(workers, len(payloads))
 
     results: list = [None] * len(payloads)
     pending = list(range(len(payloads)))
-    pool = pool_cls(max_workers=max_workers)
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
     try:
         for attempt in range(retries + 1):
             track["attempt_rounds"] += 1
@@ -339,7 +313,7 @@ def map_shards(
                 futures = {
                     index: pool.submit(
                         _guarded_call,
-                        (fn, payloads[index], f"{label}:{index}:{attempt}", allow_kill),
+                        (fn, payloads[index], f"{label}:{index}:{attempt}"),
                     )
                     for index in pending
                 }
@@ -348,12 +322,10 @@ def map_shards(
                 for index in pending:
                     try:
                         results[index] = futures[index].result(timeout=timeout)
-                    except (BrokenProcessPool, concurrent.futures.BrokenExecutor):
-                        failed.append(index)
-                        broken = True
-                    except concurrent.futures.TimeoutError:
-                        # The attempt cannot be cancelled mid-run; abandon the
-                        # pool so the stuck worker never blocks a retry.
+                    except (BrokenProcessPool, concurrent.futures.TimeoutError):
+                        # A killed worker breaks the pool, and a timed-out
+                        # attempt cannot be cancelled mid-run: abandon the
+                        # pool so neither blocks a retry.
                         failed.append(index)
                         broken = True
                     except Exception:
@@ -365,7 +337,7 @@ def map_shards(
             pending = failed
             if broken:
                 pool.shutdown(wait=False, cancel_futures=True)
-                pool = pool_cls(max_workers=max_workers)
+                pool = concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
                 track["pool_rebuilds"] += 1
             if attempt < retries:
                 track["retried"] += len(failed)
@@ -403,10 +375,6 @@ class ShardSpec:
     #: request volume this shard generates when it is one slice of a split
     #: service (``None`` → the profile's full scaled volume)
     request_budget: Optional[int] = None
-    #: measure the pickled payload size in the worker (set by the
-    #: coordinator only when payloads will actually cross a process
-    #: boundary — the stat then costs the pool, not the coordinator)
-    measure_payload: bool = False
 
 
 @dataclass
@@ -422,9 +390,8 @@ class ShardResult:
     #: columnar fingerprint codes emitted alongside the records
     table: TablePayload
     assignments: List[PrefixAssignment] = field(default_factory=list)
-    #: pickled size of (columns, table), measured in the worker when the
-    #: spec requested it (``ShardSpec.measure_payload``)
-    payload_bytes: Optional[int] = None
+    #: pickled size of (columns, table), measured in the worker
+    payload_bytes: int = 0
     #: telemetry spans recorded inside the worker (empty while telemetry
     #: is disabled); the coordinator adopts them into its tracer so one
     #: timeline covers every process
@@ -471,8 +438,8 @@ def run_shard(spec: ShardSpec) -> ShardResult:
     """
 
     # Spans are recorded by hand rather than through the worker's global
-    # tracer: pool processes are reused across shards, so slicing this
-    # shard's spans out of a shared tracer would race the thread executor.
+    # tracer: pool processes are reused across shards, so the span must
+    # travel back in the result rather than stay in that process.
     span_ts = time.time()
     span_started = time.perf_counter()
 
@@ -516,9 +483,11 @@ def run_shard(spec: ShardSpec) -> ShardResult:
 
     table = emitter.payload()
     columns = builder.columns()
-    payload_bytes: Optional[int] = None
-    if spec.measure_payload:
-        payload_bytes = len(pickle.dumps((columns, table), pickle.HIGHEST_PROTOCOL))
+    # Measured here, whether or not this call runs in a pool process: a
+    # serial build ships nothing, but the size is still the transport cost
+    # a pooled build pays, and the payload-bytes gate reads it for every
+    # build.  The coordinator never re-serialises what a pool shipped.
+    payload_bytes = len(pickle.dumps((columns, table), pickle.HIGHEST_PROTOCOL))
     spans: List[SpanRecord] = []
     if obs.telemetry_enabled():
         attrs: Dict[str, object] = {
@@ -526,9 +495,8 @@ def run_shard(spec: ShardSpec) -> ShardResult:
             "source": spec.source,
             "kind": spec.kind,
             "recorded": recorded,
+            "payload_bytes": payload_bytes,
         }
-        if payload_bytes is not None:
-            attrs["payload_bytes"] = payload_bytes
         spans.append(
             SpanRecord(
                 name="corpus.shard",
@@ -725,9 +693,7 @@ class CorpusEngine:
 
     # -- execution ------------------------------------------------------------
 
-    def _execute(
-        self, specs: Sequence[ShardSpec], workers: int, executor: str
-    ) -> List[ShardResult]:
+    def _execute(self, specs: Sequence[ShardSpec], workers: int) -> List[ShardResult]:
         # Submit the heaviest shards first so a big service never lands
         # last on an otherwise idle pool; results are re-ordered below.
         ordered = sorted(specs, key=_shard_weight, reverse=True)
@@ -736,7 +702,6 @@ class CorpusEngine:
             run_shard,
             ordered,
             workers=workers,
-            executor=executor,
             retry_seed=self.seed,
             label="corpus",
             stats=stats,
@@ -766,8 +731,8 @@ class CorpusEngine:
 
         Every worker must have at least :meth:`records_per_worker_floor`
         records of planned work (and there is no point in more workers than
-        shards).  Returns at least 1; a result of 1 runs inline without any
-        executor.  This only changes wall-clock behaviour — corpus content
+        shards).  Returns at least 1; a result of 1 runs inline without a
+        pool.  This only changes wall-clock behaviour — corpus content
         is identical for every fan-out.
         """
 
@@ -776,19 +741,17 @@ class CorpusEngine:
         cap = max(1, total_records // self.records_per_worker_floor())
         return min(requested, cap, max(1, len(specs)))
 
-    def build(self, *, workers: Optional[int] = None, executor: Optional[str] = None) -> Corpus:
-        """Build the corpus, fanning shards out over *workers*.
+    def build(self, *, workers: Optional[int] = None) -> Corpus:
+        """Build the corpus, fanning shards out over *workers* processes.
 
-        The merged corpus is byte-identical for any worker count and either
-        executor kind; those knobs only change wall-clock time.  The
+        The merged corpus is byte-identical for any worker count; it only
+        changes wall-clock time.  The
         fan-out actually used is clamped through :meth:`effective_workers`
         and recorded in :attr:`last_plan`.
         """
 
         if workers is None:
             workers = default_workers() or 1
-        if executor is None:
-            executor = default_executor()
 
         specs = self.plan()
         effective = self.effective_workers(workers, specs)
@@ -801,24 +764,13 @@ class CorpusEngine:
             "min_records_per_worker": self.records_per_worker_floor(),
             "subshard_target": self.subshard_target,
             "subsharded_sources": subshard_sources,
-            "executor": executor,
         }
         master = np.random.SeedSequence(self.seed)
         _url_seed, site_seed = master.spawn(2)
         site = HoneySite(rng=np.random.default_rng(site_seed))
 
-        # Measure every payload's pickled size inside the worker, whatever
-        # the executor: a serial or thread build ships nothing across a
-        # process boundary, but the size is still the transport cost a
-        # process build *would* pay, and the payload-bytes gate needs it
-        # recorded for single-worker runs too.  Workers measure their own
-        # payloads so the coordinator never re-serialises what a process
-        # pool already shipped.
-        specs = [replace(spec, measure_payload=True) for spec in specs]
-        with obs.tracer().span(
-            "corpus.generate", shards=len(specs), workers=effective, executor=executor
-        ):
-            results = self._execute(specs, effective, executor)
+        with obs.tracer().span("corpus.generate", shards=len(specs), workers=effective):
+            results = self._execute(specs, effective)
 
         corpus = Corpus(
             site=site, scale=self.scale, seed=self.seed, bot_profiles=self.profiles
@@ -853,16 +805,11 @@ class CorpusEngine:
         # shard payload).
         merged.request_ids = np.arange(1, merged.n_rows + 1, dtype=np.int64)
         corpus.site.store = RequestStore(merged)
-        # Transfer volume as measured inside the workers.  Recorded for
-        # every build — serial and thread runs included — so the
-        # payload-bytes gate can track per-record transport cost; None only
-        # if some shard skipped measurement.
-        measured = [result.payload_bytes for result in results]
-        self.last_plan["payload_bytes"] = (
-            sum(measured) if all(size is not None for size in measured) else None
-        )
-        if self.last_plan["payload_bytes"] is not None:
-            _PAYLOAD_BYTES.inc(self.last_plan["payload_bytes"])
+        # Transfer volume as measured by each shard, serial builds included,
+        # so the payload-bytes gate tracks per-record transport cost.
+        payload_bytes = sum(result.payload_bytes for result in results)
+        self.last_plan["payload_bytes"] = payload_bytes
+        _PAYLOAD_BYTES.inc(payload_bytes)
 
         # Per-subset table assembly: a subset's rows are the merged rows of
         # its shards, in shard order (bots: every bot shard; privacy: one
@@ -921,7 +868,6 @@ def build_or_load_corpus(
     privacy_requests_each: int = 60,
     campaign_days: int = 90,
     workers: Optional[int] = None,
-    executor: Optional[str] = None,
     cache=None,
 ) -> Tuple[Corpus, str]:
     """Build a sharded corpus, or reuse a cached one.
@@ -952,7 +898,7 @@ def build_or_load_corpus(
         cache = CorpusCache(cache)
     if cache is None:
         _CACHE_LOOKUPS.inc(status="uncached")
-        return engine.build(workers=workers, executor=executor), "uncached"
+        return engine.build(workers=workers), "uncached"
 
     key = corpus_cache_key(
         seed=engine.seed,
@@ -968,7 +914,7 @@ def build_or_load_corpus(
         _CACHE_LOOKUPS.inc(status="hit")
         return cached, "hit"
     _CACHE_LOOKUPS.inc(status="miss")
-    corpus = engine.build(workers=workers, executor=executor)
+    corpus = engine.build(workers=workers)
     try:
         cache.store(key, corpus)
     except Exception as exc:

@@ -45,8 +45,6 @@ def evaluate_privacy_technologies(
     stores: Dict[PrivacyTechnology, RequestStore],
     detector: FPInconsistent,
     *,
-    workers: int = 1,
-    executor=None,
     tables: Optional[Dict[PrivacyTechnology, ColumnarTable]] = None,
 ) -> Tuple[PrivacyTechnologyResult, ...]:
     """Run the fitted FP-Inconsistent detector over each technology's traffic.
@@ -54,9 +52,7 @@ def evaluate_privacy_technologies(
     The paper's findings: Safari, uBlock Origin and AdBlock Plus trigger
     nothing; Brave triggers only temporal inconsistencies (it retains
     cookies while randomising attributes); Tor triggers spatial location
-    inconsistencies on every request.  *workers* / *executor* shard the
-    classification of each store, as in
-    :meth:`FPInconsistent.classify_store`.
+    inconsistencies on every request.
 
     *tables* optionally maps technologies to pre-extracted
     :class:`~repro.core.columnar.ColumnarTable` instances (see
@@ -71,9 +67,9 @@ def evaluate_privacy_technologies(
             continue
         table = None if tables is None else tables.get(technology)
         if table is not None and detector.accepts_table(table, store):
-            verdicts = detector.classify_table(table, workers=workers, executor=executor)
+            verdicts = detector.classify_table(table)
         else:
-            verdicts = detector.classify_store(store, workers=workers, executor=executor)
+            verdicts = detector.classify_store(store)
         total = len(store)
         counts = verdicts.counts()
         results.append(

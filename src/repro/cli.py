@@ -23,17 +23,11 @@ from typing import Dict, List, Optional, Tuple
 from repro import obs
 from repro.analysis.cache import CACHE_ENV_VAR, corpus_digest
 from repro.analysis.corpus import Corpus, default_scale
-from repro.analysis.engine import (
-    EXECUTOR_ENV_VAR,
-    WORKERS_ENV_VAR,
-    build_or_load_corpus,
-    default_executor,
-    default_workers,
-)
+from repro.analysis.engine import WORKERS_ENV_VAR, build_or_load_corpus, default_workers
 
 
 def _add_execution_knobs(parser: argparse.ArgumentParser) -> None:
-    """The seed/scale/workers/executor knob set every subcommand shares.
+    """The seed/scale/workers knob set every subcommand shares.
 
     One definition keeps defaults, env-variable fallbacks and help text
     identical everywhere.
@@ -52,15 +46,9 @@ def _add_execution_knobs(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help=(
-            "shard worker count for corpus generation and classification "
+            "shard worker count for corpus generation "
             f"(default: {WORKERS_ENV_VAR} or 1)"
         ),
-    )
-    group.add_argument(
-        "--executor",
-        choices=("process", "thread"),
-        default=None,
-        help=f"pool kind for workers > 1 (default: {EXECUTOR_ENV_VAR} or process)",
     )
 
 
@@ -114,7 +102,7 @@ def _validate_execution_knobs(parser: argparse.ArgumentParser, args: argparse.Na
     """Reject bad execution knobs up front with a usage error.
 
     Covers the command-line flags and the environment fallbacks they
-    default to (``REPRO_WORKERS`` / ``REPRO_EXECUTOR`` / ``REPRO_SCALE``),
+    default to (``REPRO_WORKERS`` / ``REPRO_SCALE``),
     so a typo'd knob fails before minutes of corpus generation start.
     """
 
@@ -127,8 +115,6 @@ def _validate_execution_knobs(parser: argparse.ArgumentParser, args: argparse.Na
     try:
         if args.workers is None:
             default_workers()
-        if args.executor is None:
-            default_executor()
         if args.scale is None:
             default_scale()
     except ValueError as exc:
@@ -292,7 +278,6 @@ def _build_from_args(args: argparse.Namespace) -> Corpus:
         privacy_requests_each=args.privacy_requests,
         campaign_days=args.campaign_days,
         workers=args.workers,
-        executor=args.executor,
         cache=cache,
     )
     elapsed = time.perf_counter() - started
@@ -332,7 +317,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     _validate_corpus_args(args.parser, args)
     corpus = _build_from_args(args)
     started = time.perf_counter()
-    pipeline = FPInconsistentPipeline(workers=args.workers, executor=args.executor)
+    pipeline = FPInconsistentPipeline()
     result = pipeline.run(
         corpus.bot_store,
         real_user_store=corpus.real_user_store if not args.no_real_users else None,
@@ -341,11 +326,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         real_user_table=corpus.columnar_tables.get("real_users"),
     )
     elapsed = time.perf_counter() - started
-    print(
-        f"pipeline: evaluated in {elapsed:.2f}s "
-        f"({args.workers or default_workers() or 1} worker(s))",
-        file=sys.stderr,
-    )
+    print(f"pipeline: evaluated in {elapsed:.2f}s", file=sys.stderr)
     if result.table_sources.get("bots") == "reused":
         print(
             "pipeline: columnar extraction skipped (pre-extracted tables reused)",
@@ -574,7 +555,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         verdicts_digest(result.verdicts) if args.verify_batch or args.json else None
     )
     if args.verify_batch:
-        batch_verdicts = detector.classify_table(table, workers=1)
+        batch_verdicts = detector.classify_table(table)
         if digest != verdicts_digest(batch_verdicts):
             print(
                 "stream: FAIL — streaming verdicts diverge from the batch pipeline",

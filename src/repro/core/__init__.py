@@ -1,6 +1,6 @@
 """FP-Inconsistent: spatial/temporal inconsistency mining and detection."""
 
-from repro.core.columnar import ColumnarTable, partition_rows_by_device
+from repro.core.columnar import ColumnarTable
 from repro.core.detector import FPInconsistent, SpatialMatchState, Verdicts
 from repro.core.evaluation import (
     DetectionRates,
@@ -53,6 +53,5 @@ __all__ = [
     "evaluate_generalization",
     "evaluate_table3",
     "evaluate_table4",
-    "partition_rows_by_device",
     "true_negative_rate",
 ]

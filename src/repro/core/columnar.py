@@ -14,8 +14,8 @@ for missing, plus the code → value decode list), after which
   (:meth:`SpatialInconsistencyMiner.mine_table`),
 * the filter list, compiled once (:meth:`FilterList.matcher`), classifies
   the whole table with one vectorized key lookup, and
-* the pipeline shards rows over the worker pool without pickling a single
-  fingerprint — a shard is just slices of these arrays.
+* a row subset (the generalisation split) is a slice of these arrays,
+  never a re-extraction.
 
 Equivalence with the object-at-a-time reference in
 ``tests/reference/detection.py`` is exact, not approximate: codes are
@@ -339,7 +339,7 @@ class ColumnarTable:
         )
 
     def take(self, rows: np.ndarray) -> "ColumnarTable":
-        """Row-sliced view sharing decode lists (cheap to pickle per shard)."""
+        """Row-sliced view sharing decode lists."""
 
         rows = np.asarray(rows, dtype=np.int64)
         return ColumnarTable(
@@ -723,122 +723,3 @@ def assemble_table(
     table.cookie_codes, table.cookie_values = _metadata(cookie_columns, "cookie")
     table.ip_codes, table.ip_values = _metadata(ip_columns, "address")
     return table
-
-
-def device_components(table: ColumnarTable) -> np.ndarray:
-    """Per-row labels of the table's device-closed connected components.
-
-    Temporal state is keyed on the first-party cookie and the source
-    address, so any row partition that must preserve temporal verdicts has
-    to keep every record of a cookie AND every record of an address
-    together.  This function computes exactly that closure: rows are
-    grouped into connected components over their (cookie, source address)
-    keys, and the returned ``int64`` array gives each row its component
-    label.  Rows share a label iff they are linked through any chain of
-    shared cookies/addresses; rows with neither key become singleton
-    components.  Labels are arbitrary but deterministic for a given table.
-
-    The sharded batch classifier (:func:`partition_rows_by_device`, which
-    packs components onto a fixed number of shards) routes through here.
-
-    The union-find runs over the table's ``int32`` cookie/address code
-    columns offset into disjoint integer ranges — cookies ``[0, C)``,
-    addresses ``[C, C+I)`` — and unions each *distinct* (cookie, address)
-    code pair once, instead of decoding strings and allocating tagged
-    tuples per row as the reference implementation did; its serial cost
-    used to bound sharded classification at campaign scale.
-    """
-
-    if table.cookie_codes is None or table.ip_codes is None:
-        raise ValueError("device partitioning requires a table with request metadata")
-    n = table.n_rows
-    cookie_codes = table.cookie_codes
-    ip_codes = table.ip_codes
-    n_cookies = len(table.cookie_values)
-    n_ips = len(table.ip_values)
-    # A key decoding to a falsy string ("" cookie) groups nothing, exactly
-    # like the reference implementation's `if cookie:` guard.
-    cookie_ok = np.fromiter(
-        (bool(value) for value in table.cookie_values), dtype=bool, count=n_cookies
-    )
-    ip_ok = np.fromiter((bool(value) for value in table.ip_values), dtype=bool, count=n_ips)
-    has_cookie = cookie_codes >= 0
-    if n_cookies:
-        has_cookie = has_cookie & cookie_ok[np.where(has_cookie, cookie_codes, 0)]
-    has_ip = ip_codes >= 0
-    if n_ips:
-        has_ip = has_ip & ip_ok[np.where(has_ip, ip_codes, 0)]
-
-    parent = np.arange(n_cookies + n_ips, dtype=np.int64)
-
-    def find(node: int) -> int:
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:  # path compression
-            parent[node], node = root, parent[node]
-        return root
-
-    both = has_cookie & has_ip
-    pair_keys = np.unique(
-        cookie_codes[both].astype(np.int64) * max(1, n_ips) + ip_codes[both]
-    )
-    for key in pair_keys:
-        cookie_root = find(int(key) // max(1, n_ips))
-        ip_root = find(n_cookies + int(key) % max(1, n_ips))
-        if cookie_root != ip_root:
-            parent[ip_root] = cookie_root
-
-    # Flatten the forest so every node points at its root, then label each
-    # row by its preferred key's root (cookie first, like the reference);
-    # keyless rows become singleton components past the node range.
-    while True:
-        flattened = parent[parent]
-        if np.array_equal(flattened, parent):
-            break
-        parent = flattened
-    labels = n_cookies + n_ips + np.arange(n, dtype=np.int64)
-    ip_rows = np.nonzero(has_ip)[0]
-    labels[ip_rows] = parent[n_cookies + ip_codes[ip_rows]]
-    cookie_rows = np.nonzero(has_cookie)[0]
-    labels[cookie_rows] = parent[cookie_codes[cookie_rows]]
-    return labels
-
-
-def partition_rows_by_device(table: ColumnarTable, shards: int) -> List[np.ndarray]:
-    """Partition rows into *shards* device-closed groups.
-
-    The components come from :func:`device_components`; this function only
-    packs them onto shards, greedily largest first (deterministic: ties
-    resolve to the lowest shard index).  The returned row-index arrays are
-    sorted, and their concatenation covers every row exactly once.  Fewer
-    than *shards* arrays come back when the table has fewer components.
-    """
-
-    if table.cookie_codes is None or table.ip_codes is None:
-        raise ValueError("partitioning requires a table with request metadata")
-    shards = max(1, int(shards))
-    n = table.n_rows
-    if shards == 1 or n == 0:
-        return [np.arange(n, dtype=np.int64)]
-    labels = device_components(table)
-
-    # Group rows by component label in row order (the stable sort keeps
-    # each group's rows ascending, as the reference produced).
-    order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    boundaries = np.nonzero(np.diff(sorted_labels))[0] + 1
-    components = np.split(order, boundaries)
-
-    # Greedy balanced packing, deterministic: components ordered by
-    # (size desc, first row asc), each placed on the lightest shard.
-    components.sort(key=lambda rows: (-rows.size, int(rows[0])))
-    buckets: List[List[np.ndarray]] = [[] for _ in range(min(shards, max(1, len(components))))]
-    loads = [0] * len(buckets)
-    for rows in components:
-        target = loads.index(min(loads))
-        buckets[target].append(rows)
-        loads[target] += int(rows.size)
-    return [
-        np.sort(np.concatenate(bucket)).astype(np.int64) for bucket in buckets if bucket
-    ]

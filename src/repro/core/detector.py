@@ -14,12 +14,11 @@ runs server-side keyed on the first-party cookie and source address.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.columnar import ColumnarTable, TableEncoder, partition_rows_by_device
+from repro.core.columnar import ColumnarTable, TableEncoder
 from repro.core.rules import FilterList, FilterListMatcher, InconsistencyRule, RuleTable, rule_key
 from repro.core.spatial import SpatialInconsistencyMiner
 from repro.core.temporal import TemporalFlag, TemporalInconsistencyDetector
@@ -76,16 +75,6 @@ class Verdicts:
 
     def __len__(self) -> int:
         return int(self.request_ids.size)
-
-    def take(self, rows: np.ndarray) -> "Verdicts":
-        """The verdicts of *rows* (distinct positions), in that order."""
-
-        rows = np.asarray(rows, dtype=np.int64)
-        position = np.full(len(self), -1, dtype=np.int64)
-        position[rows] = np.arange(rows.size)
-        flags = {int(position[row]): row_flags for row, row_flags in self.flags.items()}
-        flags.pop(-1, None)
-        return Verdicts(self.request_ids[rows], self.rule_index[rows], self.rules, flags)
 
     def spatial(self) -> np.ndarray:
         """Per row: matched a spatial rule."""
@@ -400,13 +389,11 @@ class FPInconsistent:
         *,
         use_spatial: bool = True,
         use_temporal: bool = True,
-        workers: int = 1,
-        executor: Optional[str] = None,
     ) -> Verdicts:
         """Classify every request in *store*.
 
         Extracts the store once and classifies the table
-        (:meth:`classify_table`), optionally sharded over *workers*.
+        (:meth:`classify_table`).
         Temporal state is evaluated in timestamp order over the given store
         only (it does not leak across calls).
         """
@@ -415,8 +402,6 @@ class FPInconsistent:
             self.extract_table(store),
             use_spatial=use_spatial,
             use_temporal=use_temporal,
-            workers=workers,
-            executor=executor,
         )
 
     def classify_table(
@@ -425,8 +410,6 @@ class FPInconsistent:
         *,
         use_spatial: bool = True,
         use_temporal: bool = True,
-        workers: int = 1,
-        executor: Optional[str] = None,
         temporal_state=None,
         spatial_state: Optional[SpatialMatchState] = None,
     ) -> Verdicts:
@@ -435,11 +418,7 @@ class FPInconsistent:
         The deployed filter list's compiled matcher
         (:meth:`FilterList.matcher`) scores every row in one vectorized
         pass; the Location predicate is evaluated once per distinct
-        (country, timezone) code pair.  With ``workers > 1`` rows shard
-        over the worker pool in device-closed groups (every cookie's and
-        every source address's rows stay on one shard), so temporal flags
-        — whose state is keyed on those identifiers — are identical to a
-        single-shard evaluation.
+        (country, timezone) code pair.
 
         *temporal_state* and *spatial_state* switch to the **incremental**
         streaming mode: the given
@@ -447,9 +426,7 @@ class FPInconsistent:
         place and carried across calls, and the given
         :class:`SpatialMatchState` keeps its rule table, translations and
         Location memo, so the streaming subsystem scores one micro-batch
-        per call without re-reading history or recompiling.  Incremental
-        calls are single-shard by contract (the stream is one arrival
-        order; ``workers`` must stay 1).
+        per call without re-reading history or recompiling.
         """
 
         if table.request_ids is None:
@@ -457,23 +434,6 @@ class FPInconsistent:
                 "classify_table requires a table with request metadata "
                 "(extract it with FPInconsistent.extract_table)"
             )
-        workers = 1 if workers is None else int(workers)
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if temporal_state is not None and workers > 1:
-            raise ValueError(
-                "incremental temporal state is inherently ordered; "
-                "classify_table(temporal_state=...) requires workers=1"
-            )
-        if workers > 1 and table.n_rows > 1:
-            return self._classify_table_sharded(
-                table,
-                use_spatial=use_spatial,
-                use_temporal=use_temporal,
-                workers=workers,
-                executor=executor,
-            )
-
         flags: Dict[int, Tuple[TemporalFlag, ...]] = {}
         if use_temporal:
             if temporal_state is not None:
@@ -527,57 +487,3 @@ class FPInconsistent:
                 memo[country, timezone] = -1 if rule is None else state.rules.add(rule)
             found = memo[countries, timezones]
         rules[rows] = found
-
-    def _classify_table_sharded(
-        self,
-        table: ColumnarTable,
-        *,
-        use_spatial: bool,
-        use_temporal: bool,
-        workers: int,
-        executor: Optional[str],
-    ) -> Verdicts:
-        from repro.analysis.engine import map_shards
-
-        partitions = partition_rows_by_device(table, workers)
-        shards = [
-            _ClassificationShard(
-                detector=self,
-                table=table.take(rows),
-                use_spatial=use_spatial,
-                use_temporal=use_temporal,
-            )
-            for rows in partitions
-        ]
-        merged = Verdicts.concat(
-            list(map_shards(_classify_shard, shards, workers=workers, executor=executor, label="classify"))
-        )
-        # Back to table row order, exactly like a single-shard classification.
-        in_merged = np.empty(table.n_rows, dtype=np.int64)
-        in_merged[np.concatenate(partitions)] = np.arange(table.n_rows)
-        return merged.take(in_merged)
-
-
-@dataclass(frozen=True)
-class _ClassificationShard:
-    """One worker's device-closed slice of a classification (picklable)."""
-
-    detector: FPInconsistent
-    table: ColumnarTable
-    use_spatial: bool
-    use_temporal: bool
-
-
-def _classify_shard(shard: _ClassificationShard) -> Verdicts:
-    """Worker entry point: classify one shard single-threaded.
-
-    The detector is only read (temporal seen-state is per call), so thread
-    shards share it safely.
-    """
-
-    return shard.detector.classify_table(
-        shard.table,
-        use_spatial=shard.use_spatial,
-        use_temporal=shard.use_temporal,
-        workers=1,
-    )

@@ -196,16 +196,12 @@ def evaluate_generalization(
     train_fraction: float = 0.8,
     seed: int = 0,
     detector_factory=None,
-    workers: int = 1,
-    executor=None,
     table=None,
 ) -> Dict[str, GeneralizationResult]:
     """Mine rules on ``train_fraction`` of the corpus, evaluate on the rest.
 
     Returns per-detector train/test combined detection rates.  The paper
     reports a drop of 0.23 (DataDome) and 0.42 (BotD) percentage points.
-    *workers* and *executor* shard classification as in
-    :meth:`FPInconsistent.classify_table`.
 
     One permutation split (:func:`~repro.honeysite.storage.split_rows`)
     slices both the store (:meth:`~repro.honeysite.storage.RequestStore.take`)
@@ -221,14 +217,8 @@ def evaluate_generalization(
     train_table = table.take(train_rows)
     test_table = table.take(test_rows)
     fpi.fit_table(train_table)
-    train = _StoreColumns(
-        store.take(train_rows),
-        fpi.classify_table(train_table, workers=workers, executor=executor),
-    )
-    test = _StoreColumns(
-        store.take(test_rows),
-        fpi.classify_table(test_table, workers=workers, executor=executor),
-    )
+    train = _StoreColumns(store.take(train_rows), fpi.classify_table(train_table))
+    test = _StoreColumns(store.take(test_rows), fpi.classify_table(test_table))
     return {
         name: GeneralizationResult(
             detector=name,

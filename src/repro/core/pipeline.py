@@ -8,12 +8,11 @@ and the quickstart example are thin wrappers around this module.
 Each request store is extracted once into a
 :class:`~repro.core.columnar.ColumnarTable` (or a pre-extracted table is
 reused); pair statistics are mined serially from one dense count grid
-per attribute pair, the filter list matches through its compiled code
-index, and classification (by device-closed row groups) can shard over
-the :func:`repro.analysis.engine.map_shards` worker pool.  Filter lists
-and verdicts are identical for any worker count and either executor kind
-— only wall-clock time differs.  The object-at-a-time reference the engine
-is pinned against lives in ``tests/reference/detection.py``.
+per attribute pair, and the filter list matches every row in one pass
+through its compiled code index.  Evaluation runs in-process: scoring is
+one lookup plus one temporal pass, too cheap to pay for a worker pool.
+The object-at-a-time reference the engine is pinned against lives in
+``tests/reference/detection.py``.
 """
 
 from __future__ import annotations
@@ -79,10 +78,6 @@ class FPInconsistentPipeline:
     ----------
     miner_config / temporal:
         Forwarded to the underlying :class:`FPInconsistent` detector.
-    workers / executor:
-        Shard fan-out of classification; ``None`` reads the
-        ``REPRO_WORKERS`` / ``REPRO_EXECUTOR`` environment knobs (the same
-        ones the corpus engine honours), falling back to 1 worker.
     """
 
     def __init__(
@@ -90,30 +85,14 @@ class FPInconsistentPipeline:
         *,
         miner_config: Optional[SpatialMinerConfig] = None,
         temporal: Optional[TemporalInconsistencyDetector] = None,
-        workers: Optional[int] = None,
-        executor: Optional[str] = None,
     ):
         self._miner_config = miner_config
         self._temporal = temporal
-        self._workers = workers
-        self._executor = executor
 
     def _build_detector(self) -> FPInconsistent:
         miner = SpatialInconsistencyMiner(config=self._miner_config)
         temporal = self._temporal if self._temporal is not None else TemporalInconsistencyDetector()
         return FPInconsistent(miner=miner, temporal=temporal)
-
-    def _resolve_workers(self, workers: Optional[int]) -> int:
-        if workers is None:
-            workers = self._workers
-        if workers is None:
-            from repro.analysis.engine import default_workers
-
-            workers = default_workers()
-        workers = 1 if workers is None else int(workers)
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        return workers
 
     def run(
         self,
@@ -122,8 +101,6 @@ class FPInconsistentPipeline:
         real_user_store: Optional[RequestStore] = None,
         check_generalization: bool = False,
         generalization_seed: int = 0,
-        workers: Optional[int] = None,
-        executor: Optional[str] = None,
         bot_table=None,
         real_user_table=None,
     ) -> PipelineResult:
@@ -139,8 +116,6 @@ class FPInconsistentPipeline:
         check_generalization:
             When ``True``, additionally performs the 80/20 train/test check
             of Section 7.3 (more expensive: rules are mined twice).
-        workers / executor:
-            Per-call override of the constructor's shard fan-out.
         bot_table / real_user_table:
             Pre-extracted :class:`~repro.core.columnar.ColumnarTable` of
             the corresponding store (the corpus engine emits them; the
@@ -149,9 +124,6 @@ class FPInconsistentPipeline:
             detector reads — otherwise the store is extracted as usual —
             so results never depend on where the table came from.
         """
-
-        workers = self._resolve_workers(workers)
-        executor = executor if executor is not None else self._executor
 
         detector = self._build_detector()
         tracer = obs.tracer()
@@ -165,8 +137,8 @@ class FPInconsistentPipeline:
         with tracer.span("pipeline.mine") as span:
             detector.fit_table(table)
             span.set(rules=len(detector.filter_list))
-        with tracer.span("pipeline.classify", subset="bots", workers=workers):
-            verdicts = detector.classify_table(table, workers=workers, executor=executor)
+        with tracer.span("pipeline.classify", subset="bots"):
+            verdicts = detector.classify_table(table)
         _RULES_MINED.set(len(detector.filter_list))
         _VERDICTS.inc(len(verdicts), subset="bots")
 
@@ -185,9 +157,7 @@ class FPInconsistentPipeline:
                 user_table, table_sources["real_users"] = detector.resolve_table(
                     real_user_store, real_user_table
                 )
-                user_verdicts = detector.classify_table(
-                    user_table, workers=workers, executor=executor
-                )
+                user_verdicts = detector.classify_table(user_table)
             _VERDICTS.inc(len(user_verdicts), subset="real_users")
             result.real_user_tnr = true_negative_rate(real_user_store, user_verdicts)
 
@@ -197,8 +167,6 @@ class FPInconsistentPipeline:
                     bot_store,
                     seed=generalization_seed,
                     detector_factory=self._build_detector,
-                    workers=workers,
-                    executor=executor,
                     table=table,
                 )
         return result

@@ -27,7 +27,7 @@ comes from ``REPRO_FAULTS_SEED`` (default 0) and the key from the call
 site, which includes the attempt number — so a retried operation draws a
 fresh decision, a re-run of the same configuration fails in exactly the
 same places, and the decision is identical no matter which worker
-process or thread evaluates it.
+process evaluates it.
 
 When ``REPRO_FAULTS`` is unset, :func:`check` is a single dictionary
 lookup returning immediately — the fault machinery costs nothing on the

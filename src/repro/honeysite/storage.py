@@ -707,7 +707,7 @@ class RecordColumns:
 
         The coordinator calls this after merging shards, restoring the
         serial-path invariant that ids are 1..N in store order regardless
-        of executor and worker count.
+        of worker count.
         """
 
         clone = self.take(np.arange(self.n_rows, dtype=np.int64))

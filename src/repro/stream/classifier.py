@@ -85,7 +85,7 @@ class OnlineClassifier:
         """
 
         verdicts = self._detector.classify_table(
-            batch, workers=1, temporal_state=self._state, spatial_state=self._spatial
+            batch, temporal_state=self._state, spatial_state=self._spatial
         )
         self._rows_scored += batch.n_rows
         _ROWS_SCORED.inc(batch.n_rows)

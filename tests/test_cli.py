@@ -25,7 +25,7 @@ def test_corpus_summary(capsys):
     assert summary["records"] == summary["bot_requests"] > 0
     # The content digest is the determinism check: equal for any fan-out.
     assert len(summary["digest"]) == 64
-    code, out, _err = run_cli(capsys, *argv, "--workers", "3", "--executor", "thread")
+    code, out, _err = run_cli(capsys, *argv, "--workers", "3")
     assert code == 0
     assert json.loads(out)["digest"] == summary["digest"]
 
@@ -53,7 +53,6 @@ def test_pipeline_summary(capsys):
         "--scale", "0.003",
         "--no-cache",
         "--workers", "2",
-        "--executor", "thread",
     )
     assert code == 0
     summary = json.loads(out)
@@ -76,7 +75,6 @@ def test_pipeline_json_document(capsys, tmp_path):
         "--scale", "0.003",
         "--no-cache",
         "--workers", "2",
-        "--executor", "thread",
         "--json", str(json_path),
     )
     assert code == 0
@@ -182,6 +180,7 @@ def test_stream_refresh_days_logs_stream_days(capsys):
         (("pipeline", "--generation", "vectorized"), "unrecognized arguments"),
         (("report", "--generation", "legacy"), "unrecognized arguments"),
         (("stream", "--generation", "legacy"), "unrecognized arguments"),
+        (("corpus", "--executor", "thread"), "unrecognized arguments"),
     ],
 )
 def test_bad_knobs_fail_fast(capsys, argv, message):
@@ -189,14 +188,6 @@ def test_bad_knobs_fail_fast(capsys, argv, message):
         main(list(argv))
     assert excinfo.value.code == 2
     assert message in capsys.readouterr().err
-
-
-def test_bad_executor_env_fails_cleanly(capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_EXECUTOR", "bogus")
-    with pytest.raises(SystemExit) as excinfo:
-        main(["corpus", "--scale", "0.002", "--no-cache"])
-    assert excinfo.value.code == 2
-    assert "REPRO_EXECUTOR" in capsys.readouterr().err
 
 
 def test_bad_workers_env_fails_cleanly(capsys, monkeypatch):

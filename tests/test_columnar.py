@@ -1,10 +1,9 @@
 """Columnar/reference equivalence: detection must agree exactly.
 
-The columnar engine (vectorized mining, compiled filter-list matching,
-sharded classification) is only correct if it reproduces the
-object-at-a-time reference (``tests/reference/detection.py``) byte for
-byte — identical filter lists and identical per-request verdicts for any
-worker count and either executor.  These tests pin that contract on
+The columnar engine (vectorized mining, compiled filter-list matching)
+is only correct if it reproduces the object-at-a-time reference
+(``tests/reference/detection.py``) byte for byte — identical filter lists
+and identical per-request verdicts.  These tests pin that contract on
 seeded random stores (property-style) and on the shared small corpus.
 """
 
@@ -22,7 +21,7 @@ from reference.store import (
 )
 
 from repro.antibot.base import Decision
-from repro.core.columnar import ColumnarTable, partition_rows_by_device
+from repro.core.columnar import ColumnarTable
 from repro.core.detector import FPInconsistent
 from repro.core.evaluation import evaluate_table3, evaluate_table4, true_negative_rate
 from repro.core.pipeline import FPInconsistentPipeline
@@ -134,30 +133,6 @@ def test_classification_equivalence_on_random_stores(seed):
     assert legacy == reference.verdict_objects(columnar)
 
 
-@pytest.mark.parametrize("workers", [2, 3, 5])
-def test_sharded_classification_equivalence(workers):
-    store = columnar_store(_random_store(3))
-    detector = FPInconsistent(miner=SpatialInconsistencyMiner(config=MINER_CONFIG))
-    detector.fit(store)
-    serial = detector.classify_store(store, workers=1)
-    sharded = detector.classify_store(store, workers=workers, executor="thread")
-    assert serial == sharded
-    assert reference.verdict_objects(serial) == reference.verdict_objects(sharded)
-    assert serial.request_ids.tolist() == sharded.request_ids.tolist()
-
-
-def test_process_executor_equivalence():
-    """Process-pool classification must agree with the serial path."""
-
-    store = columnar_store(_random_store(11, size=150))
-    detector = FPInconsistent(miner=SpatialInconsistencyMiner(config=MINER_CONFIG))
-    detector.fit(store)
-    serial = detector.classify_store(store, workers=1)
-    process = detector.classify_store(store, workers=2, executor="process")
-    assert serial == process
-    assert reference.verdict_objects(serial) == reference.verdict_objects(process)
-
-
 def test_temporal_table_equivalence():
     store = _random_store(13)
     legacy = reference.ObjectTemporalDetector().evaluate_store(store)
@@ -244,7 +219,7 @@ def test_pipeline_engine_equivalence_on_corpus(small_corpus):
     real = object_store(small_corpus.real_user_store)
     detector = reference.fit(FPInconsistent(), bot)
     verdicts = reference.verdicts_from_objects(reference.classify_store(detector, bot))
-    columnar = FPInconsistentPipeline(workers=2, executor="thread").run(
+    columnar = FPInconsistentPipeline().run(
         small_corpus.bot_store,
         real_user_store=small_corpus.real_user_store,
         check_generalization=True,
@@ -261,11 +236,14 @@ def test_pipeline_engine_equivalence_on_corpus(small_corpus):
 
 
 def test_pipeline_rejects_unknown_engine():
-    # One engine: the selector is gone, not merely defaulted.
+    # One engine, evaluated in-process: the engine selector and the
+    # classification fan-out are gone, not merely defaulted.
     with pytest.raises(TypeError):
         FPInconsistentPipeline(engine="legacy")
-    with pytest.raises(ValueError):
-        FPInconsistentPipeline(workers=0).run(columnar_store(_random_store(0, size=10)))
+    with pytest.raises(TypeError):
+        FPInconsistentPipeline(workers=2)
+    with pytest.raises(TypeError):
+        FPInconsistent().classify_store(columnar_store(_random_store(0, size=10)), workers=2)
 
 
 # -- columnar table internals ---------------------------------------------------------
@@ -303,23 +281,6 @@ def test_table_take_slices_metadata():
         )
         assert sliced.cookie_at(position) == table.cookie_at(int(row))
         assert int(sliced.request_ids[position]) == int(table.request_ids[int(row)])
-
-
-def test_partition_is_device_closed():
-    table = _extract(_random_store(23))
-    partitions = partition_rows_by_device(table, 4)
-    all_rows = np.concatenate(partitions)
-    assert sorted(all_rows.tolist()) == list(range(table.n_rows))
-    cookie_shard = {}
-    ip_shard = {}
-    for shard_index, rows in enumerate(partitions):
-        for row in rows:
-            cookie = table.cookie_at(int(row))
-            ip = table.ip_at(int(row))
-            if cookie:
-                assert cookie_shard.setdefault(cookie, shard_index) == shard_index
-            if ip:
-                assert ip_shard.setdefault(ip, shard_index) == shard_index
 
 
 def test_compiled_filter_list_tie_break_matches_reference():

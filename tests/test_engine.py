@@ -53,13 +53,8 @@ def tiny_engine_corpus():
 
 
 def test_same_seed_identical_for_one_and_four_workers(tiny_engine_corpus):
-    parallel = CorpusEngine(**TINY).build(workers=4, executor="process")
+    parallel = CorpusEngine(**TINY).build(workers=4)
     assert store_bytes(tiny_engine_corpus) == store_bytes(parallel)
-
-
-def test_thread_executor_matches_process_and_serial(tiny_engine_corpus):
-    threaded = CorpusEngine(**TINY).build(workers=3, executor="thread")
-    assert store_bytes(tiny_engine_corpus) == store_bytes(threaded)
 
 
 def test_different_seed_differs(tiny_engine_corpus):
@@ -239,7 +234,7 @@ def test_store_roundtrip_gzip_with_decision_fidelity(tiny_engine_corpus, tmp_pat
 
 
 def test_cache_miss_then_hit(tmp_path):
-    cold, cold_status = build_or_load_corpus(**TINY, workers=2, executor="thread", cache=tmp_path)
+    cold, cold_status = build_or_load_corpus(**TINY, workers=2, cache=tmp_path)
     warm, warm_status = build_or_load_corpus(**TINY, workers=1, cache=tmp_path)
     assert (cold_status, warm_status) == ("miss", "hit")
     assert store_bytes(cold) == store_bytes(warm)

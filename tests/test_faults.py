@@ -19,10 +19,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from reference.store import records
 
+import repro
 from repro import faults
 from repro.analysis.cache import CorpusCache
 from repro.analysis.engine import (
@@ -190,9 +195,7 @@ def _nap(seconds):
 def test_map_shards_retries_transient_worker_faults(monkeypatch):
     monkeypatch.setenv(faults.FAULTS_ENV_VAR, "shard_run:raise:0.5")
     stats = {}
-    results = map_shards(
-        _double, range(16), workers=4, executor="thread", retries=4, stats=stats
-    )
+    results = map_shards(_double, range(16), workers=4, retries=4, stats=stats)
     assert results == [value * 2 for value in range(16)]
     assert stats["failures"] > 0
     assert stats["retried"] > 0
@@ -202,9 +205,7 @@ def test_map_shards_retries_transient_worker_faults(monkeypatch):
 def test_map_shards_poisoned_shards_fall_back_to_serial(monkeypatch):
     monkeypatch.setenv(faults.FAULTS_ENV_VAR, "shard_run:raise:1")
     stats = {}
-    results = map_shards(
-        _double, range(8), workers=4, executor="thread", retries=1, stats=stats
-    )
+    results = map_shards(_double, range(8), workers=4, retries=1, stats=stats)
     # Every pooled attempt fails; the serial fallback (trusted, no fault
     # point) still completes every payload correctly.
     assert results == [value * 2 for value in range(8)]
@@ -215,9 +216,7 @@ def test_map_shards_poisoned_shards_fall_back_to_serial(monkeypatch):
 def test_map_shards_rebuilds_a_pool_after_a_killed_worker(monkeypatch):
     monkeypatch.setenv(faults.FAULTS_ENV_VAR, "shard_run:kill:0.4")
     stats = {}
-    results = map_shards(
-        _double, range(8), workers=2, executor="process", retries=3, stats=stats
-    )
+    results = map_shards(_double, range(8), workers=2, retries=3, stats=stats)
     assert results == [value * 2 for value in range(8)]
     assert stats["failures"] > 0
     assert stats["pool_rebuilds"] >= 1
@@ -226,9 +225,7 @@ def test_map_shards_rebuilds_a_pool_after_a_killed_worker(monkeypatch):
 def test_map_shards_timeout_abandons_the_stuck_pool(monkeypatch):
     monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "0.05")
     stats = {}
-    results = map_shards(
-        _nap, [0.4, 0.4], workers=2, executor="thread", retries=0, stats=stats
-    )
+    results = map_shards(_nap, [0.4, 0.4], workers=2, retries=0, stats=stats)
     assert results == [0.4, 0.4]  # serial fallback finished the work
     assert stats["pool_rebuilds"] >= 1
     assert stats["serial_fallbacks"] == 2
@@ -249,7 +246,27 @@ def test_retry_backoff_is_deterministic_exponential_and_jittered():
         base = min(BACKOFF_CAP_SECONDS, BACKOFF_BASE_SECONDS * 2**attempt)
         assert 0.5 * base <= delay < 1.5 * base
     assert retry_backoff_seconds(0, seed=8, label="corpus") != delays[0]
-    assert retry_backoff_seconds(0, seed=7, label="mine") != delays[0]
+    assert retry_backoff_seconds(0, seed=7, label="shards") != delays[0]
+
+
+def test_retry_backoff_is_identical_across_interpreters():
+    """The jitter must not depend on the interpreter's salted ``hash``:
+    processes started with different ``PYTHONHASHSEED`` back off alike."""
+
+    code = (
+        "from repro.analysis.engine import retry_backoff_seconds as b; "
+        "print([b(a, seed=7, label='corpus') for a in range(4)])"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+
+    def delays(hash_seed: str) -> str:
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+
+    here = [retry_backoff_seconds(attempt, seed=7, label="corpus") for attempt in range(4)]
+    assert delays("1") == delays("2") == f"{here}\n"
 
 
 # -- the corpus engine under shard faults ----------------------------------------
@@ -268,7 +285,7 @@ def test_corpus_is_byte_identical_under_shard_faults(
 ):
     monkeypatch.setenv(faults.FAULTS_ENV_VAR, plan)
     engine = CorpusEngine(**TINY, min_records_per_worker=1)
-    rebuilt = engine.build(workers=4, executor="process")
+    rebuilt = engine.build(workers=4)
     stats = engine.last_plan["faults"]
     assert stats["failures"] > 0, stats
     assert stats[recovered_by] > 0, stats

@@ -2,7 +2,7 @@
 
 ``tests/golden/corpus.json`` pins, at the TINY configuration, the
 :func:`~repro.analysis.cache.corpus_digest` for two seeds over every
-worker count and executor; per seed (``detection``) the mined filter
+worker count; per seed (``detection``) the mined filter
 list, the batch verdicts digest and the real-user true-negative rate; at
 seed 29 the Section 7.3 generalisation rates and all fourteen
 report-section digests.  Rates are pinned as exact float reprs.  The
@@ -52,15 +52,14 @@ def corpus(golden, corpora):
     return corpora[str(golden["corpus"]["seed"])]
 
 
-@pytest.mark.parametrize("executor", ["process", "thread"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("seed", [7, 29])
-def test_corpus_digest_matches_golden(golden, seed, workers, executor):
+def test_corpus_digest_matches_golden(golden, seed, workers):
     engine = CorpusEngine(
         **{**golden["corpus"], "seed": seed},
         min_records_per_worker=golden["min_records_per_worker"],
     )
-    built = engine.build(workers=workers, executor=executor)
+    built = engine.build(workers=workers)
     assert engine.last_plan["effective_workers"] == workers  # the fan-out is real
     assert corpus_digest(built) == golden["corpus_digest"][str(seed)]
 

@@ -1,7 +1,7 @@
 """Tests for the unified telemetry layer (:mod:`repro.obs`).
 
 Covers the registry and histogram semantics, span nesting, the shard-span
-merge across both executor kinds, exporter formats, the CLI exporter
+merge back from process-pool workers, exporter formats, the CLI exporter
 flags, the back-compat accessors that now read through the registry, and
 the load-bearing invariant of the whole layer: enabling telemetry never
 changes a single output byte.
@@ -252,29 +252,25 @@ def test_chrome_trace_format():
     json.dumps(document)  # must be JSON-clean
 
 
-# -- shard span merge across executors ---------------------------------------
+# -- shard span merge from pool processes --------------------------------------
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_shard_spans_merge_back_from_workers(executor):
+def test_shard_spans_merge_back_from_workers():
     # enable_telemetry() (not set_telemetry) so process workers inherit
     # the switch through the environment, as the CLI does.
     obs.enable_telemetry()
     trc = obs.tracer()
     trc.reset()
     engine = CorpusEngine(**TINY, min_records_per_worker=500)
-    engine.build(workers=2, executor=executor)
+    engine.build(workers=2)
     assert engine.last_plan["effective_workers"] == 2
     records = trc.records()
     shard_spans = [r for r in records if r.name == "corpus.shard"]
     assert len(shard_spans) == engine.last_plan["shards"]
     assert {r.attrs["source"] for r in shard_spans} >= {"real_users"}
-    if executor == "process":
-        assert {r.pid for r in shard_spans} - {os.getpid()}, (
-            "process-pool shard spans must carry the worker pids"
-        )
-    else:
-        assert {r.pid for r in shard_spans} == {os.getpid()}
+    assert {r.pid for r in shard_spans} - {os.getpid()}, (
+        "process-pool shard spans must carry the worker pids"
+    )
     names = {r.name for r in records}
     assert {"corpus.generate", "corpus.merge"} <= names
 
@@ -290,9 +286,9 @@ def _store_bytes(corpus) -> bytes:
 
 def test_corpus_build_is_byte_identical_with_telemetry_on():
     engine = CorpusEngine(**TINY)
-    baseline = engine.build(workers=2, executor="thread")
+    baseline = engine.build(workers=2)
     obs.set_telemetry(True)
-    traced = engine.build(workers=2, executor="thread")
+    traced = engine.build(workers=2)
     assert _store_bytes(baseline) == _store_bytes(traced)
 
 

@@ -492,12 +492,9 @@ def test_clamp_derives_from_transport_cost():
 def test_clamp_override_and_plan_reporting():
     engine = CorpusEngine(**TINY, min_records_per_worker=1)
     assert engine.records_per_worker_floor() == 1
-    corpus = engine.build(workers=3, executor="thread")
+    corpus = engine.build(workers=3)
     assert engine.last_plan["effective_workers"] == 3
     assert engine.last_plan["min_records_per_worker"] == 1
-    # Transfer volume is measured for every columnar build — thread pools
-    # ship nothing across a process boundary, but the plan still records
-    # what a process build would pay.
     assert engine.last_plan["payload_bytes"] > 0
     assert len(corpus.store) == engine.last_plan["planned_records"] == sum(
         corpus.service_volumes.values()
@@ -508,7 +505,7 @@ def test_clamp_override_and_plan_reporting():
 
 def test_payload_bytes_recorded_for_process_transfers():
     engine = CorpusEngine(**TINY, min_records_per_worker=1)
-    engine.build(workers=2, executor="process")
+    engine.build(workers=2)
     assert engine.last_plan["payload_bytes"] > 0
 
 

@@ -111,13 +111,13 @@ def test_replay_reproduces_pipeline_verdicts(corpus):
 
 
 def test_verdict_serialisation_is_canonical(fitted):
-    _detector, _table, batch_verdicts = fitted
+    detector, table, batch_verdicts = fitted
     document = verdicts_to_jsonable(batch_verdicts)
     assert [entry["request_id"] for entry in document] == sorted(
         batch_verdicts.request_ids.tolist()
     )
     json.dumps(document)  # strictly JSON-able
-    trimmed = batch_verdicts.take(np.arange(1, len(batch_verdicts)))
+    trimmed = detector.classify_table(table.take(np.arange(1, table.n_rows)))
     assert verdicts_digest(trimmed) != verdicts_digest(batch_verdicts)
 
 
@@ -393,13 +393,6 @@ def test_observe_table_requires_metadata(fitted):
     )
     with pytest.raises(ValueError, match="request metadata"):
         temporal.observe_table(bare, temporal.new_stream_state())
-
-
-def test_classify_table_rejects_sharded_incremental_state(fitted):
-    detector, table, _verdicts = fitted
-    state = detector.temporal_detector.new_stream_state()
-    with pytest.raises(ValueError, match="workers=1"):
-        detector.classify_table(table, workers=2, temporal_state=state)
 
 
 # -- online classifier -----------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The engine's contract is byte-for-byte equality with the object-at-a-time
 reference generators (``tests/reference/generation.py``) for every shard
-of any seed and shard plan, worker-count and executor invariance — plus
+of any seed and shard plan, worker-count invariance — plus
 columnar tables identical to extraction, tables that persist inside the
 corpus archive, deterministic sub-sharding and the min-records-per-worker
 fan-out clamp.
@@ -31,7 +31,7 @@ from repro.analysis.engine import (
     run_shard,
 )
 from repro.bots.strategies import _pick, _pick_weighted
-from repro.core.columnar import ColumnarTable, partition_rows_by_device
+from repro.core.columnar import ColumnarTable
 from repro.core.evaluation import evaluate_generalization
 from repro.core.pipeline import FPInconsistentPipeline
 from repro.geo.geolite import GeoDatabase
@@ -113,11 +113,10 @@ def test_vectorized_matches_legacy_with_subshards():
     assert_shards_match_reference(engine)
 
 
-@pytest.mark.parametrize("workers,executor", [(4, "process"), (3, "thread")])
-def test_vectorized_worker_and_executor_invariance(vectorized_corpus, workers, executor):
-    parallel = CorpusEngine(**TINY, min_records_per_worker=1).build(
-        workers=workers, executor=executor
-    )
+def test_vectorized_worker_invariance(vectorized_corpus):
+    engine = CorpusEngine(**TINY, min_records_per_worker=1)
+    parallel = engine.build(workers=4)
+    assert engine.last_plan["effective_workers"] == 4  # the process pool ran
     assert store_bytes(parallel) == store_bytes(vectorized_corpus)
 
 
@@ -321,81 +320,6 @@ def test_effective_workers_scales_with_volume():
     big = [spec for spec in specs for _ in range(4)]  # pretend 4x the shards
     assert engine.effective_workers(2, big) <= 2
     assert engine.effective_workers(1, specs) == 1
-
-
-# -- code-column partitioner ------------------------------------------------------
-
-
-def reference_partition(table: ColumnarTable, shards: int):
-    """The PR-2 tuple-and-string partitioner, kept as the test oracle."""
-
-    if shards == 1 or table.n_rows == 0:
-        return [np.arange(table.n_rows, dtype=np.int64)]
-    parent: dict = {}
-
-    def find(node):
-        root = node
-        while parent[root] is not root:
-            root = parent[root]
-        while parent[node] is not root:
-            parent[node], node = root, parent[node]
-        return root
-
-    row_nodes = []
-    for row in range(table.n_rows):
-        cookie, ip = table.cookie_at(row), table.ip_at(row)
-        nodes = []
-        if cookie:
-            nodes.append(("cookie", cookie))
-        if ip:
-            nodes.append(("ip", ip))
-        if not nodes:
-            nodes.append(("row", row))
-        for node in nodes:
-            parent.setdefault(node, node)
-        if len(nodes) == 2:
-            left, right = find(nodes[0]), find(nodes[1])
-            if left is not right:
-                parent[right] = left
-        row_nodes.append(nodes[0])
-    components: dict = {}
-    for row, node in enumerate(row_nodes):
-        components.setdefault(find(node), []).append(row)
-    ordered = sorted(components.values(), key=lambda rows: (-len(rows), rows[0]))
-    buckets = [[] for _ in range(min(shards, max(1, len(ordered))))]
-    loads = [0] * len(buckets)
-    for rows in ordered:
-        target = loads.index(min(loads))
-        buckets[target].extend(rows)
-        loads[target] += len(rows)
-    return [np.array(sorted(bucket), dtype=np.int64) for bucket in buckets if bucket]
-
-
-@pytest.mark.parametrize("shards", [2, 3, 5, 11])
-def test_partitioner_matches_reference(vectorized_corpus, shards):
-    table = from_store(vectorized_corpus.store)
-    result = partition_rows_by_device(table, shards)
-    expected = reference_partition(table, shards)
-    assert len(result) == len(expected)
-    for left, right in zip(result, expected):
-        assert np.array_equal(left, right)
-    merged = np.sort(np.concatenate(result))
-    assert np.array_equal(merged, np.arange(table.n_rows, dtype=np.int64))
-
-
-def test_partitioner_handles_missing_keys():
-    # Rows with no cookie and no address become singleton components.
-    base = ColumnarTable.from_fingerprints([])
-    base.cookie_codes = np.array([0, -1, 0, 1], dtype=np.int32)
-    base.cookie_values = ["c1", "c2"]
-    base.ip_codes = np.array([-1, -1, 0, 0], dtype=np.int32)
-    base.ip_values = ["10.0.0.1"]
-    base._n_rows = 4
-    base.request_ids = np.arange(4, dtype=np.int64)
-    base.timestamps = np.zeros(4)
-    result = partition_rows_by_device(base, 4)
-    expected = reference_partition(base, 4)
-    assert [list(rows) for rows in result] == [list(rows) for rows in expected]
 
 
 # -- generalisation over take() ---------------------------------------------------
