@@ -20,12 +20,12 @@ Every corpus is built here, along one **sharded** design:
 
 Shard results travel **columnar**: a worker returns a
 :class:`~repro.honeysite.storage.RecordColumns` payload (per-row arrays
-over session-deduplicated fingerprint/header/decision dictionaries) plus
-the :class:`~repro.core.columnar.TablePayload` attribute codes, never a
-pickled list of record objects.  The coordinator concatenates payloads,
-renumbers request ids and wraps the result in a
+over session-deduplicated fingerprint/header/decision dictionaries),
+never a pickled list of record objects.  The coordinator concatenates
+payloads, renumbers request ids, wraps the result in a
 :class:`~repro.honeysite.storage.RequestStore`, which answers every query
-from those arrays.
+from those arrays, and encodes each subset's fingerprint table once with
+:class:`~repro.core.columnar.TableEncoder`.
 
 Identical output for a given seed regardless of worker count is the
 engine's core contract; ``tests/test_engine.py`` pins it.
@@ -52,7 +52,7 @@ from repro.analysis.corpus import Corpus, default_scale
 from repro.bots.marketplace import build_marketplace
 from repro.bots.service import BotServiceProfile
 from repro.bots.traffic import BotTrafficGenerator
-from repro.core.columnar import TableEmitter, TablePayload, assemble_table
+from repro.core.columnar import TableEncoder
 from repro.geo.geolite import GeoDatabase
 from repro.geo.ipaddr import IpAddressSpace, PrefixAssignment
 from repro.honeysite.site import HoneySite, SessionRecorder
@@ -110,7 +110,7 @@ MAX_TOTAL_SHARDS = 96
 #: Fan-out clamp for the columnar shard transport: every worker must have
 #: at least this many records of planned work.  Since format v4 a shard
 #: payload is pure numpy arrays over scalar decode lists — zero pickled
-#: objects, measured at ~271 bytes per record at the reference tiny config
+#: objects, measured at ~162 bytes per record at the reference tiny config
 #: against ~353 for the v3 payload (which still pickled one fingerprint
 #: object per session).  Transfer and coordinator-side decode are both
 #: effectively memcpy, so the floor is set by pool startup alone: a
@@ -121,12 +121,13 @@ MIN_RECORDS_PER_WORKER_COLUMNAR = 4_000
 
 #: CI regression ceiling on measured columnar transfer cost, in pickled
 #: payload bytes per planned record (``last_plan["payload_bytes"] /
-#: last_plan["planned_records"]``).  The v4 encoding measures ~271 B/record
-#: at small scales and falls as decode lists amortise; the committed v3
-#: baseline was ~353.  The gate fails any change that silently reintroduces
-#: per-session objects (or otherwise bloats the payload) into the shard
-#: transport.
-PAYLOAD_BYTES_PER_RECORD_CEILING = 320
+#: last_plan["planned_records"]``).  The v4 record columns, the whole
+#: transport since the merge encodes the fingerprint tables, measure ~162
+#: B/record at the reference tiny config and ~102 at scale 0.01, falling as
+#: decode lists amortise; the committed v3 baseline was ~353.  The gate
+#: fails any change that silently reintroduces per-session objects (or
+#: otherwise bloats the payload) into the shard transport.
+PAYLOAD_BYTES_PER_RECORD_CEILING = 200
 
 
 #: The ``map_shards`` recovery-stat keys, in reporting order.  Each is
@@ -387,10 +388,8 @@ class ShardResult:
     recorded: int
     #: the compact columnar record payload
     columns: RecordColumns
-    #: columnar fingerprint codes emitted alongside the records
-    table: TablePayload
     assignments: List[PrefixAssignment] = field(default_factory=list)
-    #: pickled size of (columns, table), measured in the worker
+    #: pickled size of ``columns``, measured in the worker
     payload_bytes: int = 0
     #: telemetry spans recorded inside the worker (empty while telemetry
     #: is disabled); the coordinator adopts them into its tracer so one
@@ -445,9 +444,7 @@ def run_shard(spec: ShardSpec) -> ShardResult:
 
     site, generator_seed = shard_site(spec)
     # The recorder sinks rows into a payload builder instead of
-    # constructing record objects, and the emitter collects the
-    # per-request attribute code rows alongside.
-    emitter = TableEmitter()
+    # constructing record objects.
     builder = RecordColumnsBuilder()
     recorder = SessionRecorder(site, sink=builder)
 
@@ -460,14 +457,12 @@ def run_shard(spec: ShardSpec) -> ShardResult:
             campaign_days=spec.campaign_days,
             total_requests=spec.request_budget,
             recorder=recorder,
-            emitter=emitter,
         )
     elif spec.kind == "real_users":
         recorded = RealUserTrafficGenerator(site, rng=generator_seed).run_vectorized(
             num_requests=spec.num_requests,
             source=spec.source,
             recorder=recorder,
-            emitter=emitter,
         )
     elif spec.kind == "privacy":
         if spec.technology is None:
@@ -476,18 +471,16 @@ def run_shard(spec: ShardSpec) -> ShardResult:
             spec.technology,
             num_requests=spec.num_requests,
             recorder=recorder,
-            emitter=emitter,
         )
     else:
         raise ValueError(f"unknown shard kind {spec.kind!r}")
 
-    table = emitter.payload()
     columns = builder.columns()
     # Measured here, whether or not this call runs in a pool process: a
     # serial build ships nothing, but the size is still the transport cost
     # a pooled build pays, and the payload-bytes gate reads it for every
     # build.  The coordinator never re-serialises what a pool shipped.
-    payload_bytes = len(pickle.dumps((columns, table), pickle.HIGHEST_PROTOCOL))
+    payload_bytes = len(pickle.dumps(columns, pickle.HIGHEST_PROTOCOL))
     spans: List[SpanRecord] = []
     if obs.telemetry_enabled():
         attrs: Dict[str, object] = {
@@ -513,7 +506,6 @@ def run_shard(spec: ShardSpec) -> ShardResult:
         kind=spec.kind,
         recorded=recorded,
         columns=columns,
-        table=table,
         assignments=site.geo.space.assignments,
         payload_bytes=payload_bytes,
         spans=spans,
@@ -796,7 +788,7 @@ class CorpusEngine:
 
     def _merge_columnar(self, corpus: Corpus, results: Sequence[ShardResult]) -> None:
         """Columnar-transport merge: concatenate payloads, renumber ids,
-        attach the store, and assemble the per-subset fingerprint tables.
+        attach the store, and encode the per-subset fingerprint tables.
         """
 
         merged = RecordColumns.concat([result.columns for result in results])
@@ -811,41 +803,22 @@ class CorpusEngine:
         self.last_plan["payload_bytes"] = payload_bytes
         _PAYLOAD_BYTES.inc(payload_bytes)
 
-        # Per-subset table assembly: a subset's rows are the merged rows of
-        # its shards, in shard order (bots: every bot shard; privacy: one
-        # shard per technology), so each table is exactly what extraction
-        # would produce.
-        offsets: Dict[int, int] = {}
+        # Per-subset tables: a subset's rows are the merged rows of its
+        # shards, in shard order (bots: every bot shard; privacy: one shard
+        # per technology), and a fresh encoder per subset codes them in row
+        # first-occurrence order, so each table is exactly what extraction
+        # of that subset's store produces.
+        subsets: Dict[str, List[np.ndarray]] = {}
         offset = 0
         for result in results:
-            offsets[result.index] = offset
-            offset += result.columns.n_rows
-        subsets: Dict[str, List[ShardResult]] = {}
-        for result in results:
             key = result.kind if result.kind in ("bots", "real_users") else result.source
-            subsets.setdefault(key, []).append(result)
-        for key, group in subsets.items():
-            payloads = [result.table for result in group]
-            rows = np.concatenate(
-                [
-                    np.arange(
-                        offsets[result.index],
-                        offsets[result.index] + result.columns.n_rows,
-                        dtype=np.int64,
-                    )
-                    for result in group
-                ]
-            )
-            if not rows.size:
-                continue
-            part = merged.take(rows)
-            corpus.columnar_tables[key] = assemble_table(
-                payloads,
-                request_ids=part.request_ids,
-                timestamps=part.timestamps,
-                cookie_columns=part.cookie_columns(),
-                ip_columns=part.ip_columns(),
-            )
+            end = offset + result.columns.n_rows
+            subsets.setdefault(key, []).append(np.arange(offset, end, dtype=np.int64))
+            offset = end
+        for key, parts in subsets.items():
+            rows = np.concatenate(parts)
+            if rows.size:
+                corpus.columnar_tables[key] = TableEncoder().encode(merged, rows)
 
 
 def _shard_weight(spec: ShardSpec) -> int:

@@ -27,7 +27,7 @@ class PrivacyTechnologyResult:
 def corpus_privacy_tables(corpus) -> Dict[PrivacyTechnology, ColumnarTable]:
     """Pre-extracted privacy-technology tables a corpus carries.
 
-    The vectorized corpus engine emits one ``privacy:<technology>`` table
+    The corpus engine's merge encodes one ``privacy:<technology>`` table
     per generated technology (and the corpus cache persists them inside
     the columnar archive); feeding them to
     :func:`evaluate_privacy_technologies` skips per-store extraction.

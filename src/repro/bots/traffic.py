@@ -127,7 +127,6 @@ class BotTrafficGenerator:
         renewal_days: Sequence[int] = DEFAULT_RENEWAL_DAYS,
         total_requests: Optional[int] = None,
         recorder: Optional[SessionRecorder] = None,
-        emitter=None,
     ) -> int:
         """Generate and record the whole campaign of *profile*.
 
@@ -147,10 +146,6 @@ class BotTrafficGenerator:
         coerced dicts, and enrichment, headers and detector decisions are
         materialised once per session through a
         :class:`~repro.honeysite.site.SessionRecorder`.
-
-        *emitter* optionally receives the per-request columnar code rows
-        (a :class:`~repro.core.columnar.TableEmitter`), so the detection
-        stack can skip object-at-a-time extraction entirely.
         """
 
         rng = np.random.default_rng(self._rng.integers(0, 2 ** 32))
@@ -192,10 +187,6 @@ class BotTrafficGenerator:
                     timestamp=base_timestamp + float(offset),
                     presented_cookie=cookies[index],
                 )
-                if emitter is not None:
-                    if material.codes is None:
-                        material.codes = emitter.codes_for(material.values)
-                    emitter.append(material.codes)
                 recorded += 1
         return recorded
 

@@ -534,192 +534,3 @@ def _gather(remap: np.ndarray, raw: np.ndarray, encode) -> np.ndarray:
         remap[new] = encode(new.tolist())
         codes = remap[raw]
     return codes
-
-
-class TablePayload:
-    """Per-shard fingerprint columns produced during vectorized generation.
-
-    A shard's traffic generator assigns value codes in row first-occurrence
-    order while it emits records; the payload carries those local columns
-    plus their decode lists so the corpus engine can merge shards into one
-    :class:`ColumnarTable` without ever re-reading a fingerprint object.
-    Plain arrays + lists, picklable across process-pool boundaries.
-    """
-
-    __slots__ = ("attributes", "columns", "values")
-
-    def __init__(
-        self,
-        attributes: Tuple[Attribute, ...],
-        columns: Dict[Attribute, np.ndarray],
-        values: Dict[Attribute, List[object]],
-    ):
-        self.attributes = attributes
-        self.columns = columns
-        self.values = values
-
-    @property
-    def n_rows(self) -> int:
-        if not self.attributes:
-            return 0
-        return int(self.columns[self.attributes[0]].size)
-
-
-class TableEmitter:
-    """Accumulates per-row attribute codes while a generator emits records.
-
-    ``codes_for`` factorizes one session's attribute values (the expensive
-    part — grouping transformation plus dictionary lookups) and is called
-    once per session; ``append`` records the session's code row once per
-    request.  Codes come out in row first-occurrence order — exactly the
-    order :class:`TableEncoder` would assign over the emitted rows, because
-    a session's codes are first computed at its first emitted row.
-    """
-
-    def __init__(self, attributes: Optional[Iterable[Attribute]] = None):
-        self.attributes: Tuple[Attribute, ...] = (
-            tuple(attributes) if attributes is not None else default_table_attributes()
-        )
-        self._indexes: Tuple[Dict[object, int], ...] = tuple({} for _ in self.attributes)
-        self._values: Tuple[List[object], ...] = tuple([] for _ in self.attributes)
-        #: raw value → code per attribute, so the grouping transformation
-        #: runs once per distinct raw value (as in :class:`TableEncoder`), not
-        #: once per session
-        self._raw_codes: Tuple[Dict[object, int], ...] = tuple({} for _ in self.attributes)
-        self._rows: List[np.ndarray] = []
-
-    def codes_for(self, values: Dict) -> np.ndarray:
-        """The ``int32`` code row of one session's attribute values.
-
-        *values* maps :class:`Attribute` to canonical (coerced) values; the
-        grouping transformation is applied here, mirroring extraction.
-        """
-
-        row = np.empty(len(self.attributes), dtype=np.int32)
-        get = values.get
-        for position, attribute in enumerate(self.attributes):
-            raw = get(attribute)
-            if raw is None:
-                row[position] = -1
-                continue
-            raw_codes = self._raw_codes[position]
-            code = raw_codes.get(raw)
-            if code is None:
-                grouped = grouping_value(attribute, raw)
-                index = self._indexes[position]
-                code = index.get(grouped)
-                if code is None:
-                    code = len(self._values[position])
-                    index[grouped] = code
-                    self._values[position].append(grouped)
-                raw_codes[raw] = code
-            row[position] = code
-        return row
-
-    def append(self, row: np.ndarray) -> None:
-        """Record one request whose session factorized to *row*."""
-
-        self._rows.append(row)
-
-    def payload(self) -> TablePayload:
-        """Freeze the accumulated rows into a :class:`TablePayload`."""
-
-        if self._rows:
-            matrix = np.vstack(self._rows)
-        else:
-            matrix = np.empty((0, len(self.attributes)), dtype=np.int32)
-        columns = {
-            attribute: np.ascontiguousarray(matrix[:, position])
-            for position, attribute in enumerate(self.attributes)
-        }
-        return TablePayload(
-            attributes=self.attributes,
-            columns=columns,
-            values={
-                attribute: list(self._values[position])
-                for position, attribute in enumerate(self.attributes)
-            },
-        )
-
-
-def assemble_table(
-    payloads: Sequence[TablePayload],
-    *,
-    request_ids,
-    timestamps,
-    cookie_columns: Tuple[np.ndarray, List[str]],
-    ip_columns: Tuple[np.ndarray, List[str]],
-) -> ColumnarTable:
-    """Merge shard payloads (in shard order) into one :class:`ColumnarTable`.
-
-    The cookie/address metadata comes in as already first-occurrence-coded
-    ``(codes, values)`` pairs
-    (:meth:`~repro.honeysite.storage.RecordColumns.cookie_columns` /
-    :meth:`~repro.honeysite.storage.RecordColumns.ip_columns`), so no
-    string is decoded per row.  Local attribute codes are remapped into
-    one global code space assigned in merged-row first-occurrence order,
-    so the result is byte-identical to :class:`TableEncoder` over the
-    merged record columns.
-
-    Since corpus format v4 this is the *only* decoding the merge performs:
-    the shard payloads carrying these table codes are pure arrays end to
-    end (fingerprints, headers and decisions ride as attribute-code rows
-    in :class:`~repro.honeysite.storage.SessionArrays`), so no pickled
-    record, fingerprint or decision object crosses the worker boundary.
-    """
-
-    if not payloads:
-        raise ValueError("cannot merge zero table payloads")
-    attributes = payloads[0].attributes
-    for payload in payloads[1:]:
-        if payload.attributes != attributes:
-            raise ValueError("table payloads disagree on their attribute sets")
-
-    codes: Dict[Attribute, np.ndarray] = {}
-    values: Dict[Attribute, List[object]] = {}
-    for position, attribute in enumerate(attributes):
-        global_values: List[object] = []
-        global_index: Dict[object, int] = {}
-        remapped: List[np.ndarray] = []
-        for payload in payloads:
-            local_values = payload.values[attribute]
-            mapping = np.empty(len(local_values), dtype=np.int32)
-            for local_code, value in enumerate(local_values):
-                code = global_index.get(value)
-                if code is None:
-                    code = len(global_values)
-                    global_index[value] = code
-                    global_values.append(value)
-                mapping[local_code] = code
-            column = payload.columns[attribute]
-            out = column.copy()
-            valid = column >= 0
-            out[valid] = mapping[column[valid]]
-            remapped.append(out)
-        codes[attribute] = (
-            np.concatenate(remapped) if remapped else np.empty(0, dtype=np.int32)
-        )
-        values[attribute] = global_values
-
-    n_rows = int(codes[attributes[0]].size) if attributes else 0
-
-    def _metadata(coded: Tuple[np.ndarray, List[str]], label: str) -> Tuple[np.ndarray, List[str]]:
-        column, column_values = coded
-        column = np.asarray(column, dtype=np.int32)
-        if column.size != n_rows:
-            raise ValueError(
-                f"table payloads cover {n_rows} rows but the {label} column "
-                f"has {column.size}"
-            )
-        return column, list(column_values)
-
-    table = ColumnarTable(codes=codes, values=values, n_rows=n_rows)
-    table.request_ids = np.asarray(request_ids, dtype=np.int64)
-    table.timestamps = np.asarray(timestamps, dtype=np.float64)
-    if table.request_ids.size != n_rows or table.timestamps.size != n_rows:
-        raise ValueError(
-            f"table payloads cover {n_rows} rows but id/timestamp columns disagree"
-        )
-    table.cookie_codes, table.cookie_values = _metadata(cookie_columns, "cookie")
-    table.ip_codes, table.ip_values = _metadata(ip_columns, "address")
-    return table

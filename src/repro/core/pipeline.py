@@ -118,8 +118,8 @@ class FPInconsistentPipeline:
             of Section 7.3 (more expensive: rules are mined twice).
         bot_table / real_user_table:
             Pre-extracted :class:`~repro.core.columnar.ColumnarTable` of
-            the corresponding store (the corpus engine emits them; the
-            corpus cache embeds them in its columnar archive).  A
+            the corresponding store (the corpus engine's merge encodes
+            them; the corpus cache embeds them in its columnar archive).  A
             table is used only when it carries every attribute this
             detector reads — otherwise the store is extracted as usual —
             so results never depend on where the table came from.

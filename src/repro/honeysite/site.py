@@ -100,12 +100,10 @@ class SessionMaterial:
 
     __slots__ = (
         "fingerprint",
-        "values",
         "headers",
         "datadome",
         "botd",
         "ip_address",
-        "codes",
         "payload_code",
     )
 
@@ -113,21 +111,16 @@ class SessionMaterial:
         self,
         *,
         fingerprint: Fingerprint,
-        values: Mapping[Attribute, Any],
         headers: Mapping[str, str],
         datadome: Decision,
         botd: Decision,
         ip_address: str,
     ):
         self.fingerprint = fingerprint
-        #: canonical attribute values of the *stored* (enriched) fingerprint
-        self.values = values
         self.headers = headers
         self.datadome = datadome
         self.botd = botd
         self.ip_address = ip_address
-        #: per-attribute table codes, filled lazily by a table emitter
-        self.codes: Optional[np.ndarray] = None
         #: session index assigned by the recorder's columnar sink
         #: (:class:`~repro.honeysite.storage.RecordColumnsBuilder`)
         self.payload_code: Optional[int] = None
@@ -208,7 +201,6 @@ class SessionRecorder:
         datadome, botd = self._decisions_for(fingerprint, headers, ip_address, geo_record)
         return SessionMaterial(
             fingerprint=fingerprint,
-            values=stored_values,
             headers=headers,
             datadome=datadome,
             botd=botd,

@@ -192,7 +192,6 @@ class PrivacyTrafficGenerator:
         num_requests: int = 60,
         campaign_days: int = 5,
         recorder: Optional[SessionRecorder] = None,
-        emitter=None,
     ) -> int:
         """Send and record *num_requests* requests using *technology*.
 
@@ -209,11 +208,6 @@ class PrivacyTrafficGenerator:
         re-roll attributes per request and run the full per-request path.
         Per-device private cookie streams (retention 1.0) never influence
         output and are skipped, but their seeding draws are preserved.
-
-        *emitter* optionally receives the per-request columnar code rows
-        (a :class:`~repro.core.columnar.TableEmitter`), so the privacy
-        evaluation can consume pre-extracted tables instead of re-reading
-        fingerprint objects.
         """
 
         if num_requests < 1:
@@ -280,9 +274,5 @@ class PrivacyTrafficGenerator:
                 timestamp=float(timestamp),
                 presented_cookie=held_cookies[name],
             )
-            if emitter is not None:
-                if material.codes is None:
-                    material.codes = emitter.codes_for(material.values)
-                emitter.append(material.codes)
             recorded += 1
         return recorded

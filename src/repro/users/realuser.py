@@ -110,7 +110,6 @@ class RealUserTrafficGenerator:
         campaign_days: int = 30,
         source: str = REAL_USER_SOURCE,
         recorder: Optional[SessionRecorder] = None,
-        emitter=None,
     ) -> int:
         """Generate and record *num_requests* real-user requests.
 
@@ -157,9 +156,5 @@ class RealUserTrafficGenerator:
                 timestamp=float(timestamp),
                 presented_cookie=cookies[index],
             )
-            if emitter is not None:
-                if material.codes is None:
-                    material.codes = emitter.codes_for(material.values)
-                emitter.append(material.codes)
             recorded += 1
         return recorded

@@ -7,6 +7,8 @@ import json
 import pytest
 from reference.store import records
 
+import repro.analysis.engine as engine_module
+from repro import obs
 from repro.analysis.cache import (
     COMPRESS_ENV_VAR,
     CorpusCache,
@@ -53,7 +55,11 @@ def tiny_engine_corpus():
 
 
 def test_same_seed_identical_for_one_and_four_workers(tiny_engine_corpus):
-    parallel = CorpusEngine(**TINY).build(workers=4)
+    # A floor of one record per worker defeats the fan-out clamp, so the
+    # TINY build really crosses the process pool.
+    engine = CorpusEngine(**TINY, min_records_per_worker=1)
+    parallel = engine.build(workers=4)
+    assert engine.last_plan["effective_workers"] > 1, engine.last_plan
     assert store_bytes(tiny_engine_corpus) == store_bytes(parallel)
 
 
@@ -233,8 +239,16 @@ def test_store_roundtrip_gzip_with_decision_fidelity(tiny_engine_corpus, tmp_pat
 # -- cache ---------------------------------------------------------------------
 
 
-def test_cache_miss_then_hit(tmp_path):
+def test_cache_miss_then_hit(tmp_path, monkeypatch):
+    # build_or_load_corpus takes no floor, so lower the module default to
+    # make the cold TINY build fan out over the process pool.
+    monkeypatch.setattr(engine_module, "MIN_RECORDS_PER_WORKER_COLUMNAR", 1)
+    rounds_before = obs.registry().value("repro_shard_attempt_rounds_total", pool="corpus")
     cold, cold_status = build_or_load_corpus(**TINY, workers=2, cache=tmp_path)
+    assert (
+        obs.registry().value("repro_shard_attempt_rounds_total", pool="corpus")
+        > rounds_before
+    )
     warm, warm_status = build_or_load_corpus(**TINY, workers=1, cache=tmp_path)
     assert (cold_status, warm_status) == ("miss", "hit")
     assert store_bytes(cold) == store_bytes(warm)

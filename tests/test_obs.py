@@ -285,10 +285,14 @@ def _store_bytes(corpus) -> bytes:
 
 
 def test_corpus_build_is_byte_identical_with_telemetry_on():
-    engine = CorpusEngine(**TINY)
+    # A floor of one record per worker defeats the fan-out clamp, so both
+    # TINY builds really cross the process pool.
+    engine = CorpusEngine(**TINY, min_records_per_worker=1)
     baseline = engine.build(workers=2)
+    assert engine.last_plan["effective_workers"] > 1, engine.last_plan
     obs.set_telemetry(True)
     traced = engine.build(workers=2)
+    assert engine.last_plan["effective_workers"] > 1, engine.last_plan
     assert _store_bytes(baseline) == _store_bytes(traced)
 
 

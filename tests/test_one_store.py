@@ -27,8 +27,19 @@ from repro.stream import StreamIngestor
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-#: Names that only the object form of a record ever needed.
-RETIRED_NAMES = frozenset({"RecordedRequest", "from_store", "ingest_records", "_materialize"})
+#: Names that only the object form of a record ever needed, and the
+#: generation-time table emitter (a second extractor beside TableEncoder).
+RETIRED_NAMES = frozenset(
+    {
+        "RecordedRequest",
+        "from_store",
+        "ingest_records",
+        "_materialize",
+        "TableEmitter",
+        "TablePayload",
+        "assemble_table",
+    }
+)
 
 TINY = dict(
     seed=29,

@@ -517,15 +517,16 @@ def test_payload_bytes_recorded_for_serial_builds():
 
 
 def test_shard_payload_contains_no_pickled_objects():
-    """The v4 transport contract: pickling a shard result serialises numpy
-    arrays and scalar decode lists — never a fingerprint, decision or
-    request object (their defining modules must not appear in the blob)."""
+    """The v4 transport contract: pickling a shard result's columns (the
+    whole transport) serialises numpy arrays and scalar decode lists —
+    never a fingerprint, decision or request object (their defining
+    modules must not appear in the blob)."""
 
     import pickle
 
     spec = CorpusEngine(**TINY).plan()[0]
     result = run_shard(spec)
-    blob = pickle.dumps((result.columns, result.table), pickle.HIGHEST_PROTOCOL)
+    blob = pickle.dumps(result.columns, pickle.HIGHEST_PROTOCOL)
     for module in (b"fingerprint.fingerprint", b"antibot.base", b"network.request"):
         assert module not in blob, f"shard payload pickles objects from {module!r}"
 
