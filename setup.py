@@ -25,7 +25,7 @@ setup(
         "numpy>=1.24",
     ],
     extras_require={
-        "test": ["pytest>=8", "pytest-benchmark>=5"],
+        "test": ["pytest>=8"],
         "lint": ["ruff>=0.4"],
     },
     entry_points={

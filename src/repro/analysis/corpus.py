@@ -7,9 +7,9 @@ a single seed so results are reproducible.  This module defines the
 :class:`Corpus` and the :func:`build_corpus` facade; the sharded engine
 (:mod:`repro.analysis.engine`) does the building.
 
-The full-scale corpus is 507,080 bot requests; benchmarks default to a
+The full-scale corpus is 507,080 bot requests; the CLI defaults to a
 scaled-down corpus (controlled by the ``REPRO_SCALE`` environment
-variable, default 0.05 ≈ 25k requests) so the whole suite runs in minutes
+variable, default 0.05 ≈ 25k requests) so a full report runs in seconds
 on a laptop.  The scale only changes sampling noise, not behaviour.
 """
 
@@ -28,7 +28,7 @@ from repro.users.realuser import REAL_USER_SOURCE
 #: Environment variable overriding the default corpus scale.
 SCALE_ENV_VAR = "REPRO_SCALE"
 
-#: Default corpus scale used by benchmarks when the variable is unset.
+#: Default corpus scale when neither ``--scale`` nor the variable is set.
 DEFAULT_SCALE = 0.05
 
 

@@ -554,7 +554,7 @@ class CorpusEngine:
             None if min_records_per_worker is None else int(min_records_per_worker)
         )
         #: Execution summary of the most recent :meth:`build` call — the
-        #: shard plan and the fan-out actually used (benchmarks record it).
+        #: shard plan and the fan-out actually used (tests and CI read it).
         self.last_plan: Dict[str, object] = {}
 
     # -- planning -------------------------------------------------------------

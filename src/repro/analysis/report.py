@@ -12,7 +12,10 @@ record objects, and the report's
 
 Per-section SHA-256 digests over the canonical JSON of each section's
 data (``repro report --json``) make the output checkable from the command
-line; ``tests/golden/corpus.json`` pins all fourteen.
+line; ``tests/golden/corpus.json`` pins all fourteen.  Each section also
+returns the paper values it reproduces, outside its data;
+:meth:`Report.paper` sets them beside the paper's
+(:mod:`repro.analysis.paper`).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from repro.analysis.figures import (
     section62_geo_match,
 )
 from repro.analysis.ip_analysis import analyze_asn_blocklist, analyze_ip_blocklist
+from repro.analysis.paper import Measurement, paper_rows
 from repro.honeysite.storage import RequestStore, materialized_record_count
 from repro.reporting.figures import ascii_bar_chart, cdf_table
 from repro.reporting.tables import format_percent, format_table
@@ -60,6 +64,8 @@ class ReportSection:
     seconds: float
     body: str
     data: object
+    #: the paper values this section reproduces (not part of the digest)
+    measured: Dict[str, Measurement] = dataclasses.field(default_factory=dict)
 
     @property
     def digest(self) -> str:
@@ -85,13 +91,32 @@ class Report:
     def digests(self) -> Dict[str, str]:
         return {section.key: section.digest for section in self.sections}
 
+    def paper(self) -> List[dict]:
+        """One row per paper value the report's sections reproduce."""
+
+        measured = {}
+        for section in self.sections:
+            measured.update(section.measured)
+        return paper_rows(measured, self.scale)
+
     def render(self) -> str:
-        """The full plain-text report."""
+        """The full plain-text report, ending with the paper-value rows."""
 
         blocks = []
         for section in self.sections:
             header = f"{section.title} ({section.paper_ref})"
             blocks.append(f"{header}\n{'=' * len(header)}\n{section.body}")
+        rows = self.paper()
+        if rows:
+            header = f"Reproduced vs paper (scale {self.scale})"
+            body = format_table(
+                ["Key", "Section", "Reproduced", "Paper", "Delta"],
+                [
+                    (row["key"], row["section"], row["reproduced"], row["paper"], f"{row['delta']:+.4f}")
+                    for row in rows
+                ],
+            )
+            blocks.append(f"{header}\n{'=' * len(header)}\n{body}")
         return "\n\n".join(blocks)
 
     def to_document(self) -> dict:
@@ -103,6 +128,7 @@ class Report:
             "cache_key": self.cache_key,
             "total_seconds": round(self.total_seconds, 3),
             "materialized_records": self.materialized_records,
+            "paper": self.paper(),
             "sections": [
                 {
                     "key": section.key,
@@ -148,7 +174,13 @@ def _section_table1(corpus: Corpus, store: RequestStore):
         f"Overall {name} detection: {format_percent(rate)}"
         for name, rate in overall.items()
     )
-    return data, body
+    measured = {
+        f"table1.{name}.detection": Measurement(rate, len(store)) for name, rate in overall.items()
+    }
+    for row in rows:
+        for name, rate in (("DataDome", row.datadome_evasion_rate), ("BotD", row.botd_evasion_rate)):
+            measured[f"table1.{row.service}.{name}_evasion"] = Measurement(rate, row.num_requests)
+    return data, body, measured
 
 
 def _section_cohorts(corpus: Corpus, store: RequestStore):
@@ -192,19 +224,36 @@ def _section_cohorts(corpus: Corpus, store: RequestStore):
         f"DataDome {format_percent(dual.datadome_evasion_rate)}, "
         f"BotD {format_percent(dual.botd_evasion_rate)}"
     )
-    return data, body
+    measured = {
+        f"dual_evaders.{name}": Measurement(value, dual.num_requests)
+        for name, value in (
+            ("DataDome_evasion", dual.datadome_evasion_rate),
+            ("BotD_evasion", dual.botd_evasion_rate),
+            ("low_cores_share", dual.low_cores_fraction),
+            ("no_plugins_share", dual.no_plugins_fraction),
+            ("touch_support_share", dual.touch_support_fraction),
+        )
+    }
+    return data, body, measured
 
 
 def _section_table2(ml_samples: int, ml_seed: int):
     def build(corpus: Corpus, store: RequestStore):
-        columns = table2(store, max_samples=ml_samples, seed=ml_seed)
+        classifiers = table2(store, max_samples=ml_samples, seed=ml_seed)
+        columns = {name: result.top_attributes(5) for name, result in classifiers.items()}
+        # Accuracy is measured on the held-out tenth of the sampled rows.
+        held_out = max(1, min(len(store), ml_samples) // 10)
+        measured = {
+            f"table2.{name}.accuracy": Measurement(result.test_accuracy, held_out)
+            for name, result in classifiers.items()
+        }
         depth = max((len(names) for names in columns.values()), default=0)
         rows = [
             [rank + 1] + [columns[d][rank] if rank < len(columns[d]) else "" for d in columns]
             for rank in range(depth)
         ]
         body = format_table(["Rank", *columns.keys()], rows)
-        return columns, body
+        return columns, body, measured
 
     return build
 
@@ -217,14 +266,14 @@ def _section_appendix_c(corpus: Corpus, store: RequestStore):
         f"DataDome evasion among matches: {format_percent(result.matching_datadome_evasion)}\n"
         f"Overall DataDome evasion: {format_percent(result.overall_datadome_evasion)}"
     )
-    return data, body
+    return data, body, {}
 
 
 def _section_figure4(corpus: Corpus, store: RequestStore):
     points = figure4_plugin_evasion(store)
     data = [_asdict(point) for point in points]
     body = _rate_bar(points, lambda p: p.plugin, lambda p: p.evasion_probability)
-    return data, body
+    return data, body, {}
 
 
 def _section_figure5(corpus: Corpus, store: RequestStore):
@@ -243,14 +292,14 @@ def _section_figure5(corpus: Corpus, store: RequestStore):
         ],
         value_name="cores",
     )
-    return data, body
+    return data, body, {}
 
 
 def _section_figure6(corpus: Corpus, store: RequestStore):
     points = figure6_device_evasion(store)
     data = [_asdict(point) for point in points]
     body = _rate_bar(points, lambda p: p.device, lambda p: p.evasion_probability)
-    return data, body
+    return data, body, {}
 
 
 def _section_figure7(corpus: Corpus, store: RequestStore):
@@ -274,7 +323,7 @@ def _section_figure7(corpus: Corpus, store: RequestStore):
         f"{analysis.nonexistent_in_top} of the top {len(analysis.top_points)} "
         "do not exist on real iPhones"
     )
-    return data, body
+    return data, body, {}
 
 
 def _section_figure8(corpus: Corpus, store: RequestStore):
@@ -284,7 +333,7 @@ def _section_figure8(corpus: Corpus, store: RequestStore):
     top_ip = dict(sorted(by_ip.items(), key=lambda kv: kv[1], reverse=True)[:10])
     body = ascii_bar_chart(top_tz, value_format="{:.0f}", title="By timezone country (top 10)")
     body += "\n" + ascii_bar_chart(top_ip, value_format="{:.0f}", title="By IP country (top 10)")
-    return data, body
+    return data, body, {}
 
 
 def _section_geo_match(corpus: Corpus, store: RequestStore):
@@ -308,7 +357,12 @@ def _section_geo_match(corpus: Corpus, store: RequestStore):
             for summary in summaries
         ],
     )
-    return data, body
+    measured = {}
+    for summary in summaries:
+        key, requests = f"section62.{summary.advertised_region}", summary.requests
+        measured[f"{key}.ip_match"] = Measurement(summary.ip_match_rate, requests)
+        measured[f"{key}.timezone_match"] = Measurement(summary.timezone_match_rate, requests)
+    return data, body, measured
 
 
 def _section_figure9(corpus: Corpus, store: RequestStore):
@@ -328,20 +382,20 @@ def _section_figure9(corpus: Corpus, store: RequestStore):
         ),
     )
     body += f"\nNew fingerprints per day: {sum(new_fingerprints)} total over {len(new_fingerprints)} day(s)"
-    return data, body
+    return data, body, {}
 
 
 def _section_figure10(corpus: Corpus, store: RequestStore):
     spread = figure10_platform_spread(store)
     if spread is None:
-        return None, "(no cookies recorded)"
+        return None, "(no cookies recorded)", {}
     data = _asdict(spread)
     body = (
         f"Busiest cookie: {spread.cookie} ({spread.requests} requests, "
         f"{spread.distinct_platforms} platform(s))\n"
     )
     body += ascii_bar_chart(spread.platform_percentages, value_format="{:.2f}%")
-    return data, body
+    return data, body, {}
 
 
 def _section_blocklists(corpus: Corpus, store: RequestStore):
@@ -367,7 +421,19 @@ def _section_blocklists(corpus: Corpus, store: RequestStore):
             ),
         ],
     )
-    return data, body
+    measured = {
+        "blocklists.asn.flagged_share": Measurement(asn.flagged_fraction, asn.total_requests),
+        "blocklists.asn.DataDome_evasion": Measurement(
+            asn.flagged_datadome_evasion, asn.flagged_requests
+        ),
+        "blocklists.asn.BotD_evasion": Measurement(asn.flagged_botd_evasion, asn.flagged_requests),
+        "blocklists.ip.covered_share": Measurement(ip.coverage, ip.total_requests),
+        "blocklists.ip.DataDome_evasion": Measurement(
+            ip.covered_datadome_evasion, ip.covered_requests
+        ),
+        "blocklists.ip.BotD_evasion": Measurement(ip.covered_botd_evasion, ip.covered_requests),
+    }
+    return data, body, measured
 
 
 def _section_privacy(corpus: Corpus, store: RequestStore):
@@ -384,7 +450,7 @@ def _section_privacy(corpus: Corpus, store: RequestStore):
         if len(privacy_store) > 0:
             stores[technology] = privacy_store
     if not stores:
-        return None, "(no privacy-technology traffic in this corpus)"
+        return None, "(no privacy-technology traffic in this corpus)", {}
 
     detector = FPInconsistent()
     table, _source = detector.resolve_table(corpus.bot_store, corpus.columnar_tables.get("bots"))
@@ -411,12 +477,19 @@ def _section_privacy(corpus: Corpus, store: RequestStore):
             for result in results
         ],
     )
-    return data, body
+    measured = {}
+    for result in results:
+        name, requests = result.technology.value, result.requests
+        measured[f"privacy.{name}.spatial"] = Measurement(result.fp_spatial_rate, requests)
+        measured[f"privacy.{name}.flagged"] = Measurement(result.fp_inconsistent_rate, requests)
+    return data, body, measured
 
 
 def _section_builders(ml_samples: int, ml_seed: int) -> List[Tuple[str, str, str, Callable]]:
     """(key, title, paper_ref, builder) for every report section, in
-    paper order."""
+    paper order.  A builder returns the section's data, its rendered body
+    and the paper values it measures (keys of
+    :data:`~repro.analysis.paper.PAPER`)."""
 
     return [
         ("table1", "Table 1 · Per-service evasion", "§5.3", _section_table1),
@@ -478,7 +551,7 @@ def generate_report(
             # The span is the section timer: ``Span.duration`` is always
             # measured (recording into the tracer stays telemetry-gated).
             with tracer.span("report.section", key=key) as span:
-                data, body = builder(corpus, store)
+                data, body, measured = builder(corpus, store)
             built.append(
                 ReportSection(
                     key=key,
@@ -487,6 +560,7 @@ def generate_report(
                     seconds=span.duration,
                     body=body,
                     data=data,
+                    measured=measured,
                 )
             )
     total_seconds = report_span.duration

@@ -1,17 +1,5 @@
-"""Anti-bot detector models (DataDome-like and BotD-like)."""
+"""Anti-bot detector models (DataDome-like and BotD-like).
 
-from repro.antibot.base import BotDetector, Decision
-from repro.antibot.botd import BOTD_THRESHOLD, BotDModel
-from repro.antibot.datadome import DATADOME_THRESHOLD, DataDomeModel
-from repro.antibot.signals import API_ACCESS, apis_read_by
-
-__all__ = [
-    "API_ACCESS",
-    "BOTD_THRESHOLD",
-    "BotDModel",
-    "BotDetector",
-    "DATADOME_THRESHOLD",
-    "DataDomeModel",
-    "Decision",
-    "apis_read_by",
-]
+Callers import from the modules (base, botd, datadome, signals); the package
+re-exports nothing, so importing one module does not load the others.
+"""

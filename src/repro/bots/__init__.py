@@ -1,58 +1,5 @@
-"""Bot services: evasion strategies, calibrated profiles, traffic engine."""
+"""Bot services: evasion strategies, calibrated profiles, traffic engine.
 
-from repro.bots.marketplace import TOTAL_REQUESTS, build_marketplace, marketplace_by_name
-from repro.bots.service import BotDEvasionFlavor, BotServiceProfile
-from repro.bots.strategies import (
-    FAKE_RESOLUTION_POOL,
-    ROTATED_PLATFORMS,
-    SPOOF_TARGET_WEIGHTS,
-    apply_consistent_device_spoof,
-    apply_device_spoof,
-    apply_forced_colors,
-    apply_low_concurrency,
-    apply_memory_rotation,
-    apply_platform_rotation,
-    apply_plugin_injection,
-    apply_server_concurrency,
-    apply_timezone,
-    apply_touch_spoof,
-    apply_webdriver_leak,
-    base_bot_fingerprint,
-    choose_spoof_target,
-    random_resolution,
-)
-from repro.bots.traffic import (
-    BotTrafficGenerator,
-    DEFAULT_CAMPAIGN_DAYS,
-    DEFAULT_COUNTRY_MIX,
-    DEFAULT_RENEWAL_DAYS,
-)
-
-__all__ = [
-    "BotDEvasionFlavor",
-    "BotServiceProfile",
-    "BotTrafficGenerator",
-    "DEFAULT_CAMPAIGN_DAYS",
-    "DEFAULT_COUNTRY_MIX",
-    "DEFAULT_RENEWAL_DAYS",
-    "FAKE_RESOLUTION_POOL",
-    "ROTATED_PLATFORMS",
-    "SPOOF_TARGET_WEIGHTS",
-    "TOTAL_REQUESTS",
-    "apply_consistent_device_spoof",
-    "apply_device_spoof",
-    "apply_forced_colors",
-    "apply_low_concurrency",
-    "apply_memory_rotation",
-    "apply_platform_rotation",
-    "apply_plugin_injection",
-    "apply_server_concurrency",
-    "apply_timezone",
-    "apply_touch_spoof",
-    "apply_webdriver_leak",
-    "base_bot_fingerprint",
-    "build_marketplace",
-    "choose_spoof_target",
-    "marketplace_by_name",
-    "random_resolution",
-]
+Callers import from the modules (marketplace, service, strategies, traffic); the package
+re-exports nothing, so importing one module does not load the others.
+"""

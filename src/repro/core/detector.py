@@ -329,7 +329,7 @@ class FPInconsistent:
 
         Returns ``(table, source)`` with source ``"reused"`` or
         ``"extracted"`` — the one reuse-or-extract decision shared by the
-        batch pipeline, the stream CLI and the benchmarks, so the
+        batch pipeline, the stream CLI and the report, so the
         acceptance rules live in exactly one place
         (:meth:`accepts_table`).
         """

@@ -2,8 +2,8 @@
 
 Chains corpus → rule mining → classification → evaluation, producing the
 numbers of Tables 3 and 4, the real-user true-negative rate of Section 7.4
-and the generalisation check of Section 7.3 from one call.  The benchmarks
-and the quickstart example are thin wrappers around this module.
+and the generalisation check of Section 7.3 from one call.  ``repro
+pipeline`` and the quickstart example are thin wrappers around this module.
 
 Each request store is extracted once into a
 :class:`~repro.core.columnar.ColumnarTable` (or a pre-extracted table is

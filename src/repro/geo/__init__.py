@@ -1,75 +1,5 @@
-"""Synthetic IP / ASN / geolocation / timezone substrate."""
+"""Synthetic IP / ASN / geolocation / timezone substrate.
 
-from repro.geo.asn import (
-    ASN_REGISTRY,
-    AsnBlocklist,
-    AsnKind,
-    AsnRecord,
-    BLOCKED_ASNS,
-    IpBlocklist,
-    asn_record,
-    datacenter_asns,
-    is_datacenter_asn,
-    residential_asns,
-)
-from repro.geo.geolite import GeoDatabase, GeoRecord, build_ip_blocklist
-from repro.geo.ipaddr import (
-    GEO_REGIONS,
-    GeoRegion,
-    IpAddressSpace,
-    PrefixAssignment,
-    format_ipv4,
-    parse_ipv4,
-    regions_of_country,
-)
-from repro.geo.timezones import (
-    ADVERTISED_REGIONS,
-    COUNTRY_TIMEZONES,
-    TIMEZONES,
-    TimezoneInfo,
-    country_matches_region,
-    country_of_timezone,
-    offset_matches_region,
-    offsets_of_country,
-    offsets_of_region,
-    offsets_overlap,
-    timezone_info,
-    timezone_matches_region,
-    utc_offsets_of,
-)
-
-__all__ = [
-    "ADVERTISED_REGIONS",
-    "ASN_REGISTRY",
-    "AsnBlocklist",
-    "AsnKind",
-    "AsnRecord",
-    "BLOCKED_ASNS",
-    "COUNTRY_TIMEZONES",
-    "GEO_REGIONS",
-    "GeoDatabase",
-    "GeoRecord",
-    "GeoRegion",
-    "IpAddressSpace",
-    "IpBlocklist",
-    "PrefixAssignment",
-    "TIMEZONES",
-    "TimezoneInfo",
-    "asn_record",
-    "build_ip_blocklist",
-    "country_matches_region",
-    "country_of_timezone",
-    "datacenter_asns",
-    "format_ipv4",
-    "is_datacenter_asn",
-    "offset_matches_region",
-    "offsets_of_country",
-    "offsets_of_region",
-    "offsets_overlap",
-    "parse_ipv4",
-    "regions_of_country",
-    "residential_asns",
-    "timezone_info",
-    "timezone_matches_region",
-    "utc_offsets_of",
-]
+Callers import from the modules (asn, geolite, ipaddr, timezones); the package
+re-exports nothing, so importing one module does not load the others.
+"""

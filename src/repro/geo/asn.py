@@ -177,7 +177,7 @@ class IpBlocklist:
     """Partial IP-level block list (minFraud model).
 
     The paper reports that IP-level lists only cover 15.86% of the bot
-    requests; the traffic benchmarks construct this list by sampling a
+    requests; the report constructs this list by sampling a
     fraction of the bot IP pool, reproducing the partial-coverage property.
     """
 

@@ -126,12 +126,6 @@ class GeoDatabase:
         record = self.lookup(address)
         return record.asn if record else None
 
-    def timezone_of(self, address: str) -> Optional[str]:
-        """Primary IANA timezone at the location of *address*."""
-
-        record = self.lookup(address)
-        return record.timezone if record else None
-
     def is_consistent_with_timezone(self, address: str, browser_timezone: str) -> Optional[bool]:
         """Whether the browser timezone can coexist with the IP location.
 
@@ -167,7 +161,7 @@ def build_ip_blocklist(
     """Build a partial IP block list over *addresses*.
 
     The paper found minFraud covered 15.86% of the bot addresses; the
-    benchmarks call this with ``coverage≈0.16`` over the distinct bot IPs.
+    report calls this with ``coverage≈0.16`` over the distinct bot IPs.
     """
 
     if not 0.0 <= coverage <= 1.0:

@@ -22,12 +22,6 @@ class TimezoneInfo:
     offsets_minutes: Tuple[int, ...]
     country: str
 
-    @property
-    def canonical_offset(self) -> int:
-        """The standard-time offset (the first registered offset)."""
-
-        return self.offsets_minutes[0]
-
 
 _TZ = TimezoneInfo
 

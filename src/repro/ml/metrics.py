@@ -44,10 +44,6 @@ class ConfusionMatrix:
         return self.true_positive / denominator if denominator else 0.0
 
     @property
-    def true_positive_rate(self) -> float:
-        return self.recall
-
-    @property
     def false_positive_rate(self) -> float:
         denominator = self.false_positive + self.true_negative
         return self.false_positive / denominator if denominator else 0.0

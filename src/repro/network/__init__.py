@@ -1,15 +1,5 @@
-"""Web request, header and cookie models."""
+"""Web request, header and cookie models.
 
-from repro.network.cookies import COOKIE_NAME, ClientCookieStore, CookieIssuer
-from repro.network.headers import accept_language_for, build_headers, parse_accept_language
-from repro.network.request import WebRequest
-
-__all__ = [
-    "COOKIE_NAME",
-    "ClientCookieStore",
-    "CookieIssuer",
-    "WebRequest",
-    "accept_language_for",
-    "build_headers",
-    "parse_accept_language",
-]
+Callers import from the modules (cookies, headers, request); the package
+re-exports nothing, so importing one module does not load the others.
+"""

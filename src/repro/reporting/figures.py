@@ -1,7 +1,7 @@
 """Text rendering and CSV export of figure series.
 
-The benchmarks print each figure as an ASCII bar chart or series table and
-can export the underlying numbers as CSV for external plotting.
+The report prints each figure as an ASCII bar chart or series table, and
+these helpers can export the underlying numbers as CSV for external plotting.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Plain-text table rendering used by the benchmarks and examples."""
+"""Plain-text table rendering used by the report and the examples."""
 
 from __future__ import annotations
 

@@ -25,13 +25,3 @@ def derive_rng(seed) -> np.random.Generator:
         return seed
     return np.random.default_rng(seed)
 
-
-def spawn_children(seed, count: int) -> list:
-    """Spawn *count* independent child ``SeedSequence`` objects from *seed*.
-
-    *seed* may be an integer or an existing ``SeedSequence``.
-    """
-
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return seed.spawn(count)

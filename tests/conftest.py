@@ -7,11 +7,12 @@ the suite stays fast while still exercising the full pipeline.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.analysis.corpus import build_corpus
-from repro.core.pipeline import FPInconsistentPipeline
 from repro.devices.catalog import DeviceCatalog
 from repro.geo.geolite import GeoDatabase
 
@@ -32,25 +33,26 @@ def geo() -> GeoDatabase:
 
 
 @pytest.fixture(scope="session")
-def small_corpus():
-    """A ~4k-request corpus with bots, real users and privacy traffic."""
+def small_corpora():
+    """Seed -> a ~4k-request corpus with bots, real users and privacy
+    traffic, each seed built once per session."""
 
-    return build_corpus(
-        seed=11,
-        scale=0.008,
-        include_real_users=True,
-        include_privacy=True,
-        real_user_requests=600,
-        privacy_requests_each=40,
-    )
+    @functools.lru_cache(maxsize=None)
+    def build(seed: int):
+        return build_corpus(
+            seed=seed,
+            scale=0.008,
+            include_real_users=True,
+            include_privacy=True,
+            real_user_requests=600,
+            privacy_requests_each=40,
+        )
+
+    return build
 
 
 @pytest.fixture(scope="session")
-def pipeline_result(small_corpus):
-    """FP-Inconsistent mined and evaluated on the shared corpus."""
+def small_corpus(small_corpora):
+    """The shared seed-11 small corpus."""
 
-    pipeline = FPInconsistentPipeline()
-    return pipeline.run(
-        small_corpus.bot_store,
-        real_user_store=small_corpus.real_user_store,
-    )
+    return small_corpora(11)

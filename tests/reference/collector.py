@@ -2,10 +2,12 @@
 
 On the real honey site, the FingerprintJS library runs in the visitor's
 browser, gathers attribute values and posts them to the server (Figure 3).
-In the reproduction, traffic generators already hold a
-:class:`~repro.fingerprint.Fingerprint`; the collector's job is to validate
-that the submission carries the attribute surface the analyses rely on and
-to compute the visitor identifier used to count unique fingerprints.
+The object-at-a-time reference generators (:mod:`reference.generation`)
+pass every fingerprint through this collector, which validates that the
+submission carries the attribute surface the analyses rely on and
+computes the visitor identifier used to count unique fingerprints.  The
+vectorized generator in ``repro`` builds record columns directly and
+never calls it, so it lives with the tests.
 """
 
 from __future__ import annotations

@@ -45,7 +45,6 @@ from repro.bots.traffic import (
 )
 from repro.fingerprint.fingerprint import Fingerprint
 from repro.geo.timezones import ADVERTISED_REGIONS, COUNTRY_TIMEZONES
-from repro.honeysite.collector import FingerprintCollector
 from repro.honeysite.site import HoneySite
 from repro.honeysite.storage import SECONDS_PER_DAY
 from repro.network.cookies import ClientCookieStore
@@ -60,6 +59,7 @@ from repro.users.privacy import (
 )
 from repro.users.realuser import REAL_USER_SOURCE, RealUserTrafficGenerator
 
+from reference.collector import FingerprintCollector
 from reference.store import RecordedRequest, RequestStore, records
 
 _COLLECTOR = FingerprintCollector()

@@ -82,6 +82,10 @@ def test_pipeline_json_document(capsys, tmp_path):
     assert "engine" not in document
     assert len(document["filter_list"]) == document["rules"] > 0
     assert set(document["table4"]) == {"DataDome", "BotD"}
+    # Table 4, both evasion reductions and the real-user TNR, beside the paper's.
+    paper = {row["key"]: row for row in document["paper"]}
+    assert len(paper) == 11 and paper["real_users.tnr"]["paper"] == 0.9684
+    assert paper["table4.BotD.baseline"]["reproduced"] == document["table4"]["BotD"]["baseline"]
     assert json.loads(out)["saved_to"] == str(json_path)
 
 

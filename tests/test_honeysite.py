@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from reference.analysis import daily_series, group_by_cookie, sorted_by_time, unique_values
+from reference.collector import CollectionError, FingerprintCollector
 from reference.generation import handle
 from repro.bots.strategies import base_bot_fingerprint
 from repro.fingerprint.attributes import Attribute
-from repro.honeysite.collector import CollectionError, FingerprintCollector
 from repro.honeysite.site import HoneySite
 from repro.honeysite.storage import SECONDS_PER_DAY
 from repro.honeysite.urls import UrlRegistry, generate_url_token
