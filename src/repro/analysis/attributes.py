@@ -30,6 +30,8 @@ class EvasionClassifierResult:
     test_accuracy: float
     importances: List[FeatureImportance]
     feature_names: List[str]
+    #: rows the forest was scored on for ``test_accuracy``
+    test_rows: int
     #: held-out permutation importances; ``None`` unless requested
     permutation: Optional[List[FeatureImportance]] = None
 
@@ -112,6 +114,7 @@ def _fit_evasion_classifier(
         test_accuracy=accuracy_score(test_y, classifier.predict(test_x)),
         importances=gain_importance(classifier, feature_names),
         feature_names=feature_names,
+        test_rows=int(test_y.size),
         permutation=(
             permutation_importance(
                 classifier, test_x, test_y, feature_names, rng=np.random.default_rng(seed)

@@ -13,7 +13,6 @@ against (value-identical, ``tests/test_report.py``) lives in
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -438,76 +437,60 @@ _TRANSPORT_ATTRIBUTES = (
 )
 
 
-def _canonical_fingerprint_rows(columns: RecordColumns) -> np.ndarray:
-    """Per-row fingerprint codes, canonicalised by stable hash.
+def canonical_fingerprint_rows(columns: RecordColumns) -> np.ndarray:
+    """Per-row fingerprint codes: the first session with the same
+    :meth:`~repro.fingerprint.fingerprint.Fingerprint.stable_hash`.
 
-    One hash per *session*; sessions whose browser-side attributes hash
-    identically collapse onto one code, exactly like a set of
-    :meth:`~repro.fingerprint.fingerprint.Fingerprint.stable_hash` values.  (Cookie and address columns go through
-    :meth:`RecordColumns.cookie_columns` / :meth:`~RecordColumns.ip_columns`
-    instead — only the hash case needs a bespoke canonicalisation.)
-
-    :meth:`~repro.fingerprint.fingerprint.Fingerprint.stable_hash`
-    serialises the browser-side attributes with ``sort_keys=True``, so its
-    payload can be assembled from per-distinct-``(attribute, value)`` JSON
-    fragments joined in attribute-name order — one serialisation per
-    distinct pair and one SHA-256 per session, with no
-    :class:`~repro.fingerprint.fingerprint.Fingerprint` decoded at all.
+    The hash serialises the browser-side attributes with ``sort_keys``, so
+    two sessions hash alike when every attribute's value serialises to the
+    same JSON.  Each attribute's distinct values get one id per distinct
+    JSON fragment (a list and a tuple share one); the ids fill a
+    ``(session, attribute)`` matrix, ``-1`` where absent or transport-level,
+    and identical rows share a code.  That needs each attribute at most
+    once per session, which is checked.  The SHA-256 oracle is
+    ``canonical_fingerprint_rows`` in ``tests/reference/analysis.py``.
     """
 
     sessions = columns.sessions
-    n_sessions = columns.n_sessions
     names = sessions.fp_attribute_names
     excluded = {attribute.value for attribute in _TRANSPORT_ATTRIBUTES}
-    # One JSON fragment (the payload minus its braces) per distinct pair.
-    fragments: List[List[str]] = []
+    fragment_ids: List[int] = []  # flat, attribute by attribute
     for code, name in enumerate(names):
+        values = sessions.fp_values[code]
         if name in excluded:
-            fragments.append([])
+            fragment_ids.extend([0] * len(values))
             continue
-        fragments.append(
-            [
-                json.dumps(
-                    {name: value},
-                    sort_keys=True,
-                    default=_json_default,
-                    separators=(",", ":"),
-                )[1:-1]
-                for value in sessions.fp_values[code]
-            ]
+        ids: Dict[str, int] = {}
+        fragment_ids.extend(
+            ids.setdefault(
+                json.dumps(value, sort_keys=True, default=_json_default, separators=(",", ":")),
+                len(ids),
+            )
+            for value in values
         )
-
+    bases = np.zeros(len(names) + 1, dtype=np.int64)
+    np.cumsum([len(values) for values in sessions.fp_values], out=bases[1:])
     attr_codes = np.asarray(sessions.fp_attr_codes, dtype=np.int64)
     value_codes = np.asarray(sessions.fp_value_codes, dtype=np.int64)
     offsets = np.asarray(sessions.fp_offsets, dtype=np.int64)
-    owners = np.repeat(np.arange(n_sessions, dtype=np.int64), np.diff(offsets))
-    keep = np.fromiter(
-        (name not in excluded for name in names), dtype=bool, count=len(names)
-    )[attr_codes] if len(names) else np.zeros(0, dtype=bool)
-    # ``sort_keys`` orders by attribute name; rank codes the same way.
-    name_rank = np.empty(len(names), dtype=np.int64)
-    name_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    order = np.lexsort((name_rank[attr_codes[keep]], owners[keep]))
-    kept_attrs = attr_codes[keep][order]
-    kept_values = value_codes[keep][order]
-    bounds = np.searchsorted(owners[keep][order], np.arange(n_sessions + 1)).tolist()
+    owners = np.repeat(np.arange(columns.n_sessions, dtype=np.int64), np.diff(offsets))
+    pair_ids = np.array(fragment_ids, dtype=np.int32)[bases[attr_codes] + value_codes]
+    matrix = np.full((columns.n_sessions, len(names)), -1, dtype=np.int32)
+    matrix[owners, attr_codes] = pair_ids
+    if np.count_nonzero(matrix >= 0) != attr_codes.size or len(set(names)) != len(names):
+        raise ValueError("a session carries a fingerprint attribute more than once")
+    matrix[:, [code for code, name in enumerate(names) if name in excluded]] = -1
 
-    # One flat fragment pool, gathered per pair in a single fancy index.
-    bases = np.zeros(len(names) + 1, dtype=np.int64)
-    np.cumsum([len(table) for table in fragments], out=bases[1:])
-    pool = np.array(
-        [fragment for table in fragments for fragment in table] or [""], dtype=object
+    canonical: Dict[bytes, int] = {}
+    data, width = matrix.tobytes(), matrix.itemsize * len(names)
+    session_canon = np.fromiter(
+        (
+            canonical.setdefault(data[session * width : (session + 1) * width], session)
+            for session in range(columns.n_sessions)
+        ),
+        dtype=np.int64,
+        count=columns.n_sessions,
     )
-    pair_fragments = pool[bases[kept_attrs] + kept_values].tolist()
-
-    canonical: Dict[str, int] = {}
-    session_canon = np.empty(n_sessions, dtype=np.int64)
-    for session in range(n_sessions):
-        payload = (
-            "{" + ",".join(pair_fragments[bounds[session] : bounds[session + 1]]) + "}"
-        )
-        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        session_canon[session] = canonical.setdefault(digest, session)
     return session_canon[columns.session_codes]
 
 
@@ -515,27 +498,35 @@ def _row_days(columns: RecordColumns) -> np.ndarray:
     return (columns.timestamps // SECONDS_PER_DAY).astype(np.int64)
 
 
-def figure9_daily_series(store: RequestStore) -> DailySeries:
-    """Per-day request / unique-IP / unique-cookie / unique-fingerprint counts.
+def figure9_daily_series(
+    store: RequestStore, *, fingerprint_rows: Optional[np.ndarray] = None
+) -> DailySeries:
+    """Per-day request / unique-IP / unique-cookie / unique-fingerprint counts,
+    from the store's per-row code arrays.
 
-    Computed straight from the store's per-row code arrays; fingerprints
-    hash once per *session* instead of once per request.
+    *fingerprint_rows* is :func:`canonical_fingerprint_rows` of the store's
+    columns (computed when omitted), so a caller that also needs
+    :func:`new_fingerprints_over_time` canonicalises once for both.
     """
 
     columns = store.columns
     if columns.n_rows == 0:
         return DailySeries(days=(), requests=(), unique_ips=(), unique_cookies=(),
                            unique_fingerprints=())
+    if fingerprint_rows is None:
+        fingerprint_rows = canonical_fingerprint_rows(columns)
     unique_days, day_rank = np.unique(_row_days(columns), return_inverse=True)
     requests = np.bincount(day_rank, minlength=unique_days.size)
 
     def distinct_per_day(row_codes: np.ndarray, n_codes: int) -> np.ndarray:
-        keys = np.unique(day_rank.astype(np.int64) * n_codes + row_codes)
+        # The first key of each sorted run: NumPy 2's hash-based
+        # ``np.unique`` is ~20x slower on these int64 keys than one sort.
+        keys = np.sort(day_rank.astype(np.int64) * n_codes + row_codes)
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         return np.bincount(keys // n_codes, minlength=unique_days.size)
 
     ip_rows, ip_values = columns.ip_columns()
     cookie_rows, cookie_values = columns.cookie_columns()
-    fingerprint_rows = _canonical_fingerprint_rows(columns)
     return DailySeries(
         days=tuple(int(day) for day in unique_days),
         requests=tuple(int(count) for count in requests),
@@ -552,27 +543,27 @@ def figure9_daily_series(store: RequestStore) -> DailySeries:
     )
 
 
-def new_fingerprints_over_time(store: RequestStore) -> Tuple[int, ...]:
+def new_fingerprints_over_time(
+    store: RequestStore, *, fingerprint_rows: Optional[np.ndarray] = None
+) -> Tuple[int, ...]:
     """Per-day count of never-before-seen fingerprints (Section 6.3).
 
     Like :func:`figure9_daily_series` this answers from the store's arrays
-    (one hash per session, vectorized first-occurrence scan).
+    (vectorized first-occurrence scan) and takes the same optional
+    *fingerprint_rows*.
     """
 
     columns = store.columns
     if columns.n_rows == 0:
         return ()
-    days = _row_days(columns)
+    if fingerprint_rows is None:
+        fingerprint_rows = canonical_fingerprint_rows(columns)
+    unique_days, day_rank = np.unique(_row_days(columns), return_inverse=True)
     order = np.argsort(columns.timestamps, kind="stable")
-    fingerprint_rows = _canonical_fingerprint_rows(columns)[order]
     # First time-ordered occurrence of each distinct fingerprint, and the
     # day it landed on.
-    _unique, first_positions = np.unique(fingerprint_rows, return_index=True)
-    first_days = days[order][first_positions]
-    unique_days = np.unique(days)
-    per_day = np.bincount(
-        np.searchsorted(unique_days, first_days), minlength=unique_days.size
-    )
+    _unique, first_positions = np.unique(fingerprint_rows[order], return_index=True)
+    per_day = np.bincount(day_rank[order][first_positions], minlength=unique_days.size)
     return tuple(int(count) for count in per_day)
 
 

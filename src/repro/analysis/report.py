@@ -37,6 +37,7 @@ from repro.analysis.evasion import (
     top_and_bottom_services,
 )
 from repro.analysis.figures import (
+    canonical_fingerprint_rows,
     figure4_plugin_evasion,
     figure5_core_cdfs,
     figure6_device_evasion,
@@ -241,10 +242,8 @@ def _section_table2(ml_samples: int, ml_seed: int):
     def build(corpus: Corpus, store: RequestStore):
         classifiers = table2(store, max_samples=ml_samples, seed=ml_seed)
         columns = {name: result.top_attributes(5) for name, result in classifiers.items()}
-        # Accuracy is measured on the held-out tenth of the sampled rows.
-        held_out = max(1, min(len(store), ml_samples) // 10)
         measured = {
-            f"table2.{name}.accuracy": Measurement(result.test_accuracy, held_out)
+            f"table2.{name}.accuracy": Measurement(result.test_accuracy, result.test_rows)
             for name, result in classifiers.items()
         }
         depth = max((len(names) for names in columns.values()), default=0)
@@ -366,8 +365,9 @@ def _section_geo_match(corpus: Corpus, store: RequestStore):
 
 
 def _section_figure9(corpus: Corpus, store: RequestStore):
-    series = figure9_daily_series(store)
-    new_fingerprints = new_fingerprints_over_time(store)
+    fingerprint_rows = canonical_fingerprint_rows(store.columns)
+    series = figure9_daily_series(store, fingerprint_rows=fingerprint_rows)
+    new_fingerprints = new_fingerprints_over_time(store, fingerprint_rows=fingerprint_rows)
     data = {"series": _asdict(series), "new_fingerprints": list(new_fingerprints)}
     body = format_table(
         ["Day", "Requests", "Unique IPs", "Unique cookies", "Unique fingerprints"],

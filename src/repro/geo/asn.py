@@ -108,12 +108,6 @@ BLOCKED_ASNS: FrozenSet[int] = frozenset(
 )
 
 
-def asn_record(number: int) -> Optional[AsnRecord]:
-    """Return the registry record for ASN *number*, or ``None`` if unknown."""
-
-    return ASN_REGISTRY.get(number)
-
-
 def is_datacenter_asn(number: int) -> bool:
     """``True`` when *number* belongs to a cloud or hosting provider."""
 

@@ -22,8 +22,7 @@ from repro.geo.asn import (
     datacenter_asns,
     residential_asns,
 )
-from repro.geo.ipaddr import GeoRegion, IpAddressSpace, regions_of_country
-from repro.geo.timezones import offsets_of_country, utc_offsets_of
+from repro.geo.ipaddr import GeoRegion, IpAddressSpace, parse_ipv4_octets, regions_of_country
 
 
 @dataclass(frozen=True)
@@ -37,12 +36,6 @@ class GeoRecord:
     asn: int
     asn_name: str
     is_datacenter: bool
-
-    @property
-    def location_label(self) -> str:
-        """Label formatted the way Table 6 prints locations."""
-
-        return f"{self.country}/{self.region}"
 
 
 class GeoDatabase:
@@ -114,36 +107,22 @@ class GeoDatabase:
             is_datacenter=record.is_datacenter,
         )
 
-    def country_of(self, address: str) -> Optional[str]:
-        """Country of *address* or ``None`` when unknown."""
-
-        record = self.lookup(address)
-        return record.country if record else None
-
     def asn_of(self, address: str) -> Optional[int]:
         """ASN of *address* or ``None`` when unknown."""
 
         record = self.lookup(address)
         return record.asn if record else None
 
-    def is_consistent_with_timezone(self, address: str, browser_timezone: str) -> Optional[bool]:
-        """Whether the browser timezone can coexist with the IP location.
+    def asns_of(self, addresses: Sequence[str]) -> np.ndarray:
+        """ASN of each address, ``-1`` outside the space: :meth:`asn_of`
+        over many addresses, with the octets parsed in one vectorised pass
+        and each distinct /16 prefix looked up once."""
 
-        Uses the paper's conservative UTC-offset overlap test.  Returns
-        ``None`` when either side is unknown to the database.
-        """
-
-        record = self.lookup(address)
-        if record is None:
-            return None
-        try:
-            browser_offsets = set(utc_offsets_of(browser_timezone))
-        except KeyError:
-            return None
-        country_offsets = offsets_of_country(record.country)
-        if not country_offsets:
-            return None
-        return bool(browser_offsets & country_offsets)
+        octets = parse_ipv4_octets(addresses)
+        prefixes, rows = np.unique(octets[:, 0] * 256 + octets[:, 1], return_inverse=True)
+        owners = [self._space.prefix_assignment(p >> 8, p & 255) for p in prefixes.tolist()]
+        asns = [-1 if owner is None else owner.asn for owner in owners]
+        return np.array(asns, dtype=np.int64)[rows]
 
 
 def _regions_or_default(country: str) -> Tuple[GeoRegion, ...]:

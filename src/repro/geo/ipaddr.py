@@ -11,7 +11,7 @@ region, mirroring how GeoLite2 maps prefixes to locations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,6 +112,36 @@ def parse_ipv4(address: str) -> Tuple[int, int, int, int]:
             raise ValueError(f"invalid IPv4 address {address!r}")
         octets.append(value)
     return octets[0], octets[1], octets[2], octets[3]
+
+
+def parse_ipv4_octets(addresses: Sequence[str]) -> np.ndarray:
+    """:func:`parse_ipv4` over many addresses: an ``(n, 4)`` ``int64`` array.
+
+    Quads of ASCII digits and dots (at most 15 characters; a NUL fails)
+    are parsed together from one code-point matrix, a column at a time.
+    Anything else goes through :func:`parse_ipv4`, so the same inputs are
+    accepted and the same ``ValueError`` raised.
+    """
+
+    addresses = list(addresses)
+    text = np.array(addresses, dtype=np.str_)
+    digits = text.view(np.uint32).reshape(len(addresses), text.itemsize // 4) - np.int64(48)
+    lengths = np.fromiter(map(len, addresses), dtype=np.int64, count=len(addresses))
+    inside = np.arange(digits.shape[1]) < lengths[:, None]
+    digit, dot = inside & (digits >= 0) & (digits <= 9), digits == -2
+    field = np.cumsum(dot, axis=1)
+    plain = np.all(digit | dot | ~inside, axis=1) & (field[:, -1] == 3) & (lengths <= 15)
+    octets = np.zeros((len(addresses), 4), dtype=np.int64)
+    counts = np.zeros_like(octets)
+    for column in range(digits.shape[1]):
+        rows = np.nonzero(plain & digit[:, column])[0]
+        at = (rows, field[rows, column])
+        octets[at] = octets[at] * 10 + digits[rows, column]
+        counts[at] += 1
+    plain &= np.all((counts > 0) & (octets <= 255), axis=1)
+    for row in np.nonzero(~plain)[0].tolist():
+        octets[row] = parse_ipv4(addresses[row])
+    return octets
 
 
 class AddressSpaceExhausted(RuntimeError):
@@ -294,4 +324,9 @@ class IpAddressSpace:
         """Find the /16 assignment containing *address* (``None`` if outside)."""
 
         first, second, _third, _fourth = parse_ipv4(address)
+        return self.prefix_assignment(first, second)
+
+    def prefix_assignment(self, first: int, second: int) -> Optional[PrefixAssignment]:
+        """The assignment of the /16 ``first.second.0.0`` (``None`` if unassigned)."""
+
         return self._by_prefix.get((first, second))

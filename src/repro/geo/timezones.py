@@ -90,18 +90,6 @@ ADVERTISED_REGIONS: Dict[str, FrozenSet[str]] = {
 }
 
 
-def timezone_info(name: str) -> TimezoneInfo:
-    """Return the :class:`TimezoneInfo` for IANA zone *name*.
-
-    Raises
-    ------
-    KeyError
-        If the zone is not registered.
-    """
-
-    return TIMEZONES[name]
-
-
 def utc_offsets_of(timezone_name: str) -> Tuple[int, ...]:
     """UTC offsets (minutes east of UTC) zone *timezone_name* can take."""
 

@@ -2,7 +2,9 @@
 
 A small-scale corpus (including real users and the privacy experiment) is
 built once per session and reused by the analysis and integration tests so
-the suite stays fast while still exercising the full pipeline.
+the suite stays fast while still exercising the full pipeline.  So is each
+corpus's :class:`test_paper_claims.ClaimsRun`, whose pipeline, report and
+analyses both claim modules read.
 """
 
 from __future__ import annotations
@@ -56,3 +58,18 @@ def small_corpus(small_corpora):
     """The shared seed-11 small corpus."""
 
     return small_corpora(11)
+
+
+@pytest.fixture(scope="session")
+def claims_runs(small_corpora):
+    """Seed -> the ``ClaimsRun`` of ``small_corpora(seed)``, built once per
+    session, so the pipeline, report and analyses behind the claims run
+    once however many modules check them."""
+
+    from test_paper_claims import ClaimsRun
+
+    @functools.lru_cache(maxsize=None)
+    def build(seed: int):
+        return ClaimsRun(small_corpora(seed))
+
+    return build

@@ -14,6 +14,8 @@ here too.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,13 +46,16 @@ from repro.analysis.figures import (
     PluginEvasionPoint,
     ResolutionEvasionPoint,
     _timezone_matches_value,
+    _TRANSPORT_ATTRIBUTES,
 )
 from repro.analysis.ip_analysis import AsnBlocklistAnalysis, IpBlocklistAnalysis
 from repro.devices.profiles import CHROMIUM_PDF_PLUGINS
 from repro.devices.screens import is_real_iphone_resolution
 from repro.fingerprint.attributes import Attribute, parse_resolution
+from repro.fingerprint.fingerprint import _json_default
 from repro.geo.asn import AsnBlocklist, IpBlocklist
 from repro.geo.geolite import GeoDatabase, build_ip_blocklist
+from repro.honeysite.storage import RecordColumns
 
 from reference.store import RecordedRequest, RequestStore
 
@@ -58,6 +63,7 @@ __all__ = [
     "analyze_asn_blocklist",
     "analyze_ip_blocklist",
     "appendix_c_combination",
+    "canonical_fingerprint_rows",
     "cohort_comparison",
     "daily_series",
     "dual_evader_summary",
@@ -455,6 +461,74 @@ def figure8_location_histograms(store: RequestStore) -> Tuple[Dict[str, int], Di
         if ip_country:
             by_ip[str(ip_country)] = by_ip.get(str(ip_country), 0) + 1
     return by_timezone, by_ip
+
+
+def canonical_fingerprint_rows(columns: RecordColumns) -> np.ndarray:
+    """Per-row fingerprint codes canonicalised by one SHA-256 per session.
+
+    The oracle of :func:`repro.analysis.figures.canonical_fingerprint_rows`,
+    which takes the same :class:`~repro.honeysite.storage.RecordColumns`.
+    :meth:`~repro.fingerprint.fingerprint.Fingerprint.stable_hash`
+    serialises the browser-side attributes with ``sort_keys=True``, so its
+    payload is assembled from per-distinct-``(attribute, value)`` JSON
+    fragments joined in attribute-name order and hashed; a session's code
+    is the first session with the same digest.
+    """
+
+    sessions = columns.sessions
+    n_sessions = columns.n_sessions
+    names = sessions.fp_attribute_names
+    excluded = {attribute.value for attribute in _TRANSPORT_ATTRIBUTES}
+    # One JSON fragment (the payload minus its braces) per distinct pair.
+    fragments: List[List[str]] = []
+    for code, name in enumerate(names):
+        if name in excluded:
+            fragments.append([])
+            continue
+        fragments.append(
+            [
+                json.dumps(
+                    {name: value},
+                    sort_keys=True,
+                    default=_json_default,
+                    separators=(",", ":"),
+                )[1:-1]
+                for value in sessions.fp_values[code]
+            ]
+        )
+
+    attr_codes = np.asarray(sessions.fp_attr_codes, dtype=np.int64)
+    value_codes = np.asarray(sessions.fp_value_codes, dtype=np.int64)
+    offsets = np.asarray(sessions.fp_offsets, dtype=np.int64)
+    owners = np.repeat(np.arange(n_sessions, dtype=np.int64), np.diff(offsets))
+    keep = np.fromiter(
+        (name not in excluded for name in names), dtype=bool, count=len(names)
+    )[attr_codes] if len(names) else np.zeros(0, dtype=bool)
+    # ``sort_keys`` orders by attribute name; rank codes the same way.
+    name_rank = np.empty(len(names), dtype=np.int64)
+    name_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    order = np.lexsort((name_rank[attr_codes[keep]], owners[keep]))
+    kept_attrs = attr_codes[keep][order]
+    kept_values = value_codes[keep][order]
+    bounds = np.searchsorted(owners[keep][order], np.arange(n_sessions + 1)).tolist()
+
+    # One flat fragment pool, gathered per pair in a single fancy index.
+    bases = np.zeros(len(names) + 1, dtype=np.int64)
+    np.cumsum([len(table) for table in fragments], out=bases[1:])
+    pool = np.array(
+        [fragment for table in fragments for fragment in table] or [""], dtype=object
+    )
+    pair_fragments = pool[bases[kept_attrs] + kept_values].tolist()
+
+    canonical: Dict[str, int] = {}
+    session_canon = np.empty(n_sessions, dtype=np.int64)
+    for session in range(n_sessions):
+        payload = (
+            "{" + ",".join(pair_fragments[bounds[session] : bounds[session + 1]]) + "}"
+        )
+        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        session_canon[session] = canonical.setdefault(digest, session)
+    return session_canon[columns.session_codes]
 
 
 def figure9_daily_series(store: RequestStore) -> DailySeries:

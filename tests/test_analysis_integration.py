@@ -16,12 +16,12 @@ from repro.analysis.figures import (
 )
 from repro.reporting.figures import ascii_bar_chart, series_to_csv
 from repro.reporting.tables import format_percent, format_table
-from test_paper_claims import ClaimsRun, falsifications
+from test_paper_claims import falsifications
 
 
 @pytest.fixture(scope="module")
-def claims(small_corpus):
-    return ClaimsRun(small_corpus)
+def claims(claims_runs):
+    return claims_runs(11)
 
 
 def holds(claims, name):

@@ -1,5 +1,6 @@
 """Unit tests for the geo substrate (ASNs, IP space, lookups, timezones)."""
 
+import numpy as np
 import pytest
 
 from repro.geo.asn import (
@@ -14,7 +15,13 @@ from repro.geo.asn import (
     residential_asns,
 )
 from repro.geo.geolite import build_ip_blocklist
-from repro.geo.ipaddr import IpAddressSpace, format_ipv4, parse_ipv4, regions_of_country
+from repro.geo.ipaddr import (
+    IpAddressSpace,
+    format_ipv4,
+    parse_ipv4,
+    parse_ipv4_octets,
+    regions_of_country,
+)
 from repro.geo.timezones import (
     ADVERTISED_REGIONS,
     country_matches_region,
@@ -86,6 +93,47 @@ def test_ipv4_parse_rejects_garbage(bad):
         parse_ipv4(bad)
 
 
+MALFORMED = [
+    "1.2.3", "1.2.3.256", "a.b.c.d", "1.2.3.4.5", "1..2.3", "1.2.3.4\x00", "", "1.2.3.4567890123456",
+]
+
+
+@pytest.mark.parametrize("bad", MALFORMED)
+def test_ipv4_batch_parse_raises_like_parse_ipv4(bad):
+    with pytest.raises(ValueError):
+        parse_ipv4(bad)
+    with pytest.raises(ValueError):
+        parse_ipv4_octets(["10.0.0.1", bad])
+
+
+def test_ipv4_batch_parse_matches_parse_ipv4():
+    # Plain quads take the vectorised path; the odd spellings ``int``
+    # accepts (space, sign, leading zeros, non-ASCII digits) the fallback.
+    addresses = [
+        "0.0.0.0", "255.255.255.255", "100.7.42.9", "001.02.3.4", "0001.2.3.4",
+        " 1.2.3.4", "+1.2.3.4", "\u0661.2.3.4", "34.200.1.254",
+    ]
+    octets = parse_ipv4_octets(addresses)
+    assert octets.dtype == np.int64 and octets.shape == (len(addresses), 4)
+    assert [tuple(row) for row in octets.tolist()] == [parse_ipv4(a) for a in addresses]
+    assert parse_ipv4_octets([]).shape == (0, 4)
+
+
+def test_geo_database_asns_of_matches_asn_of(geo, rng):
+    addresses = [
+        geo.allocate_address(rng, country=country, datacenter=datacenter)
+        for country in ("France", "Canada", "Japan")
+        for datacenter in (False, True)
+        for _ in range(3)
+    ] + ["9.9.9.9", "250.1.2.3"]
+    expected = [geo.asn_of(address) for address in addresses]
+    assert expected[-2:] == [None, None]
+    assert geo.asns_of(addresses).tolist() == [-1 if asn is None else asn for asn in expected]
+    assert geo.asns_of([]).size == 0
+    with pytest.raises(ValueError):
+        geo.asns_of(addresses + ["1.2.3"])
+
+
 def test_regions_of_country():
     regions = regions_of_country("France")
     assert any(region.region == "Hauts-de-France" for region in regions)
@@ -138,7 +186,7 @@ def test_geo_database_residential_lookup(geo, rng):
     assert record.country == "France"
     assert not record.is_datacenter
     assert record.timezone == "Europe/Paris"
-    assert "/" in record.location_label
+    assert record.region in {region.region for region in regions_of_country("France")}
 
 
 def test_geo_database_datacenter_lookup(geo, rng):
@@ -157,7 +205,7 @@ def test_geo_database_datacenter_excludes_tor_exits(geo, rng):
 
 def test_geo_database_unknown_address(geo):
     assert geo.lookup("203.0.113.7") is None
-    assert geo.country_of("203.0.113.7") is None
+    assert geo.asn_of("203.0.113.7") is None
 
 
 def test_geo_database_region_pinning(geo, rng):
@@ -167,11 +215,28 @@ def test_geo_database_region_pinning(geo, rng):
     assert geo.lookup(address).region == "California"
 
 
+def consistent_with_timezone(geo, address, browser_timezone):
+    """Whether a browser timezone can coexist with the address's country,
+    by the paper's conservative UTC-offset overlap test (``None`` when
+    either side is unknown)."""
+
+    record = geo.lookup(address)
+    if record is None:
+        return None
+    try:
+        browser_offsets = set(utc_offsets_of(browser_timezone))
+    except KeyError:
+        return None
+    country_offsets = offsets_of_country(record.country)
+    return bool(browser_offsets & country_offsets) if country_offsets else None
+
+
 def test_geo_timezone_consistency_check(geo, rng):
     address = geo.allocate_address(rng, country="France", datacenter=False)
-    assert geo.is_consistent_with_timezone(address, "Europe/Paris") is True
-    assert geo.is_consistent_with_timezone(address, "America/Los_Angeles") is False
-    assert geo.is_consistent_with_timezone(address, "Mars/Olympus") is None
+    assert consistent_with_timezone(geo, address, "Europe/Paris") is True
+    assert consistent_with_timezone(geo, address, "America/Los_Angeles") is False
+    assert consistent_with_timezone(geo, address, "Mars/Olympus") is None
+    assert consistent_with_timezone(geo, "203.0.113.7", "Europe/Paris") is None
 
 
 def test_build_ip_blocklist_coverage(geo, rng):

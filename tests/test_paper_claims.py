@@ -442,8 +442,8 @@ def paper_values_within_tolerance(run, check):
 
 
 @pytest.fixture(scope="module", params=SEEDS, ids=lambda seed: f"seed{seed}")
-def run(request, small_corpora):
-    return ClaimsRun(small_corpora(request.param))
+def run(request, claims_runs):
+    return claims_runs(request.param)
 
 
 def test_paper_claims_hold(run):

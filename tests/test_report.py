@@ -9,6 +9,7 @@ record counter stays put while it does so.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -19,21 +20,30 @@ from reference import store as reference_store
 
 import repro.analysis as columnar_api
 import repro.analysis.attributes as attributes_module
+import repro.analysis.figures as figures_module
+import repro.analysis.report as report_module
 from repro.analysis.attributes import table2, train_evasion_classifier
 from repro.analysis.cache import MMAP_ENV_VAR, load_corpus, save_corpus
+from repro.analysis.corpus import build_corpus
 from repro.analysis.engine import CorpusEngine
 from repro.analysis.figures import (
+    canonical_fingerprint_rows,
     figure4_plugin_evasion,
     figure7_iphone_resolutions,
     figure8_location_histograms,
+    figure9_daily_series,
+    new_fingerprints_over_time,
 )
+from repro.analysis.ip_analysis import analyze_asn_blocklist, analyze_ip_blocklist
 from repro.analysis.report import Report, generate_report
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.fingerprint import grouping_value
+from repro.geo.asn import AsnBlocklist, IpBlocklist
 from repro.honeysite.storage import (
     RecordColumns,
     RecordColumnsBuilder,
     RequestStore,
+    SessionArrays,
     materialized_record_count,
 )
 from repro.ml.encoding import FingerprintEncoder
@@ -233,6 +243,14 @@ def test_classifier_rejects_tiny_stores_on_both_engines(lazy_store):
         reference.train_evasion_classifier(reference_store.object_store(single), "DataDome")
 
 
+def test_table2_accuracy_is_measured_over_the_held_out_rows(tiny_corpus):
+    # 35 sampled rows hold out round(3.5) = 4 of them, not 35 // 10 = 3.
+    result = train_evasion_classifier(tiny_corpus.bot_store, "DataDome", max_samples=35)
+    assert result.test_rows == 4
+    section = generate_report(tiny_corpus, sections=["table2"], ml_samples=35).sections[0]
+    assert {measurement.requests for measurement in section.measured.values()} == {4}
+
+
 def test_report_section_subset_and_unknown_key(tiny_corpus):
     report = generate_report(tiny_corpus, sections=["table1", "figure4"])
     assert [section.key for section in report.sections] == ["table1", "figure4"]
@@ -377,3 +395,165 @@ def test_code_column_features_match_decoded_fingerprints(lazy_store, case):
 def test_code_column_features_reject_empty_columns():
     with pytest.raises(ValueError):
         FingerprintEncoder().fit_transform(empty_lazy_store().columns)
+
+
+# -- Figure 9 canonicalisation ----------------------------------------------------
+
+
+def with_sessions(columns: RecordColumns, **changes) -> RequestStore:
+    """A store over *columns* with some :class:`SessionArrays` fields
+    replaced — codes edited directly, past the object encoder."""
+
+    state = columns.sessions.__getstate__()
+    state.update(changes)
+    return RequestStore(
+        RecordColumns(
+            timestamps=columns.timestamps,
+            session_codes=columns.session_codes,
+            presented_codes=columns.presented_codes,
+            served_codes=columns.served_codes,
+            source_codes=columns.source_codes,
+            cookie_values=columns.cookie_values,
+            sources=columns.sources,
+            url_paths=columns.url_paths,
+            sessions=SessionArrays(**state),
+            request_ids=columns.request_ids,
+        )
+    )
+
+
+@pytest.mark.parametrize("seed", (7, 11, 29))
+def test_canonical_fingerprint_rows_match_sha256_oracle(seed):
+    columns = build_corpus(seed=seed, scale=0.01, include_real_users=False).bot_store.columns
+    assert columns.n_sessions > 1000
+    codes = canonical_fingerprint_rows(columns)
+    assert np.array_equal(codes, reference.canonical_fingerprint_rows(columns))
+    assert np.unique(codes).size < columns.n_sessions  # some sessions do collapse
+
+
+@pytest.mark.parametrize(
+    "attribute, respell, merges",
+    (
+        (Attribute.PLUGINS, list, True),  # a list serialises like the tuple
+        (Attribute.HARDWARE_CONCURRENCY, float, False),  # 8.0 does not like 8
+    ),
+)
+def test_value_codes_that_serialise_alike_share_a_fingerprint(
+    lazy_store, attribute, respell, merges
+):
+    columns = lazy_store.columns
+    sessions = columns.sessions
+    attr = sessions.fp_attribute_names.index(attribute.value)
+    attr_codes = np.asarray(sessions.fp_attr_codes, dtype=np.int64)
+    value_codes = np.array(sessions.fp_value_codes, dtype=np.int64)
+    # The attribute's busiest value gets a second code with the respelled
+    # value, and every other pair that carries it moves to that code.
+    busiest = int(np.argmax(np.bincount(value_codes[attr_codes == attr])))
+    pairs = np.nonzero((attr_codes == attr) & (value_codes == busiest))[0]
+    assert pairs.size > 2
+    values = list(sessions.fp_values)
+    values[attr] = [*values[attr], respell(values[attr][busiest])]
+    value_codes[pairs[1::2]] = len(values[attr]) - 1
+    store = with_sessions(columns, fp_values=values, fp_value_codes=value_codes)
+    codes = canonical_fingerprint_rows(store.columns)
+    assert np.array_equal(codes, reference.canonical_fingerprint_rows(store.columns))
+    assert np.array_equal(codes, canonical_fingerprint_rows(columns)) == merges
+
+
+def test_sessions_lacking_attributes_canonicalise_like_the_oracle(lazy_store):
+    transport = {Attribute.IP_ADDRESS, Attribute.IP_COUNTRY, Attribute.IP_REGION, Attribute.ASN}
+
+    def rewrite(session, fingerprint):
+        if session % 4 == 0:  # nothing at all
+            return fingerprint.without(*fingerprint)
+        if session % 4 == 1:  # transport attributes only: hashes like nothing
+            return fingerprint.without(*(a for a in fingerprint if a not in transport))
+        if session % 4 == 2:
+            return fingerprint.without(Attribute.PLUGINS, Attribute.TIMEZONE)
+        return fingerprint
+
+    store = rebuilt_store(lazy_store.columns, rewrite=rewrite)
+    codes = canonical_fingerprint_rows(store.columns)
+    assert np.array_equal(codes, reference.canonical_fingerprint_rows(store.columns))
+    sessions = store.columns.session_codes
+    assert len(set(codes[sessions % 4 < 2].tolist())) == 1
+    objects = reference_store.object_store(store)
+    assert figure9_daily_series(store) == reference.figure9_daily_series(objects)
+    assert new_fingerprints_over_time(store) == reference.new_fingerprints_over_time(objects)
+
+
+def test_a_session_repeating_an_attribute_is_rejected(lazy_store):
+    columns = lazy_store.columns
+    sessions = columns.sessions
+    attr_codes = np.array(sessions.fp_attr_codes, dtype=np.int64)
+    value_codes = np.array(sessions.fp_value_codes, dtype=np.int64)
+    first = int(sessions.fp_offsets[0])
+    attr_codes[first + 1], value_codes[first + 1] = attr_codes[first], value_codes[first]
+    store = with_sessions(columns, fp_attr_codes=attr_codes, fp_value_codes=value_codes)
+    with pytest.raises(ValueError, match="more than once"):
+        canonical_fingerprint_rows(store.columns)
+
+
+def test_figure9_section_canonicalises_once(tiny_corpus, monkeypatch):
+    calls = []
+
+    def counted(columns):
+        calls.append(columns.n_rows)
+        return canonical_fingerprint_rows(columns)
+
+    monkeypatch.setattr(figures_module, "canonical_fingerprint_rows", counted)
+    monkeypatch.setattr(report_module, "canonical_fingerprint_rows", counted)
+    section = generate_report(tiny_corpus, sections=["figure9"]).sections[0]
+    assert calls == [len(tiny_corpus.bot_store)]
+    store = tiny_corpus.bot_store
+    assert section.data == {
+        "series": dataclasses.asdict(figure9_daily_series(store)),
+        "new_fingerprints": list(new_fingerprints_over_time(store)),
+    }
+
+
+# -- Section 5.1 block lists by /16 prefix ------------------------------------------
+
+
+def test_prefix_asns_match_per_address_lookup(tiny_corpus):
+    geo = tiny_corpus.site.geo
+    addresses = list(tiny_corpus.store.columns.session_ips)
+    expected = [geo.asn_of(address) for address in addresses]
+    assert geo.asns_of(addresses).tolist() == [-1 if asn is None else asn for asn in expected]
+
+
+def test_asn_blocklist_outside_space_and_custom_list_match_oracle(tiny_corpus, lazy_store):
+    geo = tiny_corpus.site.geo
+    columns = lazy_store.columns
+    ips = list(columns.session_ips)
+    ips[::5] = ["9.9.9.9"] * len(ips[::5])  # outside the allocated space
+    store = with_sessions(columns, session_ips=ips)
+    objects = reference_store.object_store(store)
+    asns = geo.asns_of(ips)
+    custom = AsnBlocklist([int(np.bincount(asns[asns >= 0]).argmax())])
+    results = {}
+    for name, blocklist in (("default", None), ("custom", custom)):
+        results[name] = analyze_asn_blocklist(store, geo, blocklist=blocklist)
+        assert results[name] == reference.analyze_asn_blocklist(objects, geo, blocklist=blocklist)
+    assert 0 < results["custom"].flagged_requests < results["custom"].total_requests
+    assert results["custom"] != results["default"]
+    outside = with_sessions(columns, session_ips=["9.9.9.9"] * columns.n_sessions)
+    assert analyze_asn_blocklist(outside, geo).flagged_requests == 0
+    # An injected IP list is used even when it is empty.
+    empty = analyze_ip_blocklist(store, blocklist=IpBlocklist())
+    assert empty.covered_requests == 0
+    assert empty == reference.analyze_ip_blocklist(objects, blocklist=IpBlocklist())
+
+
+@pytest.mark.parametrize("bad", ("1.2.3", "1.2.3.256", "a.b.c.d"))
+def test_asn_blocklist_rejects_malformed_addresses(tiny_corpus, lazy_store, bad):
+    columns = lazy_store.columns
+    ips = list(columns.session_ips)
+    ips[int(columns.session_codes[0])] = bad
+    store = with_sessions(columns, session_ips=ips)
+    with pytest.raises(ValueError):
+        analyze_asn_blocklist(store, tiny_corpus.site.geo)
+    with pytest.raises(ValueError):
+        reference.analyze_asn_blocklist(
+            reference_store.object_store(store), tiny_corpus.site.geo
+        )
