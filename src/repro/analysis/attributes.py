@@ -8,7 +8,7 @@ paper quotes, and ranks the fingerprint attributes that drive evasion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from repro.ml.encoding import FingerprintEncoder
 from repro.ml.explain import FeatureImportance, gain_importance, permutation_importance, top_features
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.metrics import accuracy_score, train_test_split
+from repro.ml.tree import RankCodes
 
 
 @dataclass
@@ -65,24 +66,45 @@ def train_evasion_classifier(
         this is off unless a caller asks for it.
     """
 
+    return _train_evasion_classifiers(
+        store,
+        (detector,),
+        test_fraction=test_fraction,
+        max_samples=max_samples,
+        seed=seed,
+        encoder=encoder,
+        permutation=permutation,
+    )[detector]
+
+
+def _train_evasion_classifiers(
+    store: RequestStore, detectors: Sequence[str], *, max_samples: int, seed: int, **options
+) -> Dict[str, EvasionClassifierResult]:
+    """One classifier per detector on one sample, encoding and split.
+
+    The subsample draw and the split depend on the row count and *seed*,
+    never on the labels, so each result equals a
+    :func:`train_evasion_classifier` call of its own.  The sampled rows
+    stay columns (labels come from the evasion columns); no record or
+    fingerprint object is built.
+    """
+
     if len(store) < 20:
         raise ValueError("need at least 20 requests to train a classifier")
     rng = np.random.default_rng(seed)
-    rows, labels = _training_rows(store.columns, detector, max_samples, rng)
-    return _fit_evasion_classifier(
-        detector,
-        rows,
-        labels,
-        rng,
-        seed=seed,
-        encoder=encoder,
-        test_fraction=test_fraction,
-        permutation=permutation,
+    columns = store.columns
+    if columns.n_rows > max_samples:
+        chosen = rng.choice(columns.n_rows, size=max_samples, replace=False).astype(np.int64)
+    else:
+        chosen = np.arange(columns.n_rows, dtype=np.int64)
+    labels = np.column_stack([columns.evaded_rows(name)[chosen] for name in detectors])
+    return _fit_evasion_classifiers(
+        detectors, columns.take(chosen), labels.astype(float), rng, seed=seed, **options
     )
 
 
-def _fit_evasion_classifier(
-    detector: str,
+def _fit_evasion_classifiers(
+    detectors: Sequence[str],
     rows: Union[RecordColumns, Sequence[Fingerprint]],
     labels: np.ndarray,
     rng,
@@ -91,11 +113,14 @@ def _fit_evasion_classifier(
     encoder: Optional[FingerprintEncoder] = None,
     test_fraction: float = 0.1,
     permutation: bool = False,
-) -> EvasionClassifierResult:
-    """Encode the sampled *rows*, split, fit the forest, rank the features.
+) -> Dict[str, EvasionClassifierResult]:
+    """Encode the sampled *rows*, split, fit one forest per detector (label
+    column of *labels*), rank the features.
 
     *rng* continues the generator that drew the sample, so the train/test
     split depends only on the sample, not on how its rows are represented.
+    The forests share one :class:`~repro.ml.tree.RankCodes` of the training
+    matrix.
     """
 
     encoder = encoder if encoder is not None else FingerprintEncoder()
@@ -103,42 +128,28 @@ def _fit_evasion_classifier(
     train_x, test_x, train_y, test_y = train_test_split(
         features, labels, test_fraction=test_fraction, rng=rng
     )
-
-    classifier = RandomForestClassifier(n_estimators=15, max_depth=10, random_state=seed)
-    classifier.fit(train_x, train_y)
-
+    ranks = RankCodes(train_x)
     feature_names = encoder.feature_names
-    return EvasionClassifierResult(
-        detector=detector,
-        train_accuracy=accuracy_score(train_y, classifier.predict(train_x)),
-        test_accuracy=accuracy_score(test_y, classifier.predict(test_x)),
-        importances=gain_importance(classifier, feature_names),
-        feature_names=feature_names,
-        test_rows=int(test_y.size),
-        permutation=(
-            permutation_importance(
-                classifier, test_x, test_y, feature_names, rng=np.random.default_rng(seed)
-            )
-            if permutation
-            else None
-        ),
-    )
-
-
-def _training_rows(
-    columns: RecordColumns, detector: str, max_samples: int, rng
-) -> Tuple[RecordColumns, np.ndarray]:
-    """The subsample draw, returned as the sampled rows' columns plus
-    labels from the evasion column — no record or fingerprint object is
-    built."""
-
-    n_rows = columns.n_rows
-    if n_rows > max_samples:
-        chosen = rng.choice(n_rows, size=max_samples, replace=False).astype(np.int64)
-    else:
-        chosen = np.arange(n_rows, dtype=np.int64)
-    labels = columns.evaded_rows(detector)[chosen].astype(float)
-    return columns.take(chosen), labels
+    results = {}
+    for detector, train_labels, test_labels in zip(detectors, train_y.T, test_y.T):
+        classifier = RandomForestClassifier(n_estimators=15, max_depth=10, random_state=seed)
+        classifier.fit(train_x, train_labels, ranks=ranks)
+        results[detector] = EvasionClassifierResult(
+            detector=detector,
+            train_accuracy=accuracy_score(train_labels, classifier.predict(train_x)),
+            test_accuracy=accuracy_score(test_labels, classifier.predict(test_x)),
+            importances=gain_importance(classifier, feature_names),
+            feature_names=feature_names,
+            test_rows=int(test_labels.size),
+            permutation=(
+                permutation_importance(
+                    classifier, test_x, test_labels, feature_names, rng=np.random.default_rng(seed)
+                )
+                if permutation
+                else None
+            ),
+        )
+    return results
 
 
 def table2(
@@ -148,12 +159,13 @@ def table2(
 
     Each result's :meth:`~EvasionClassifierResult.top_attributes` is the
     service's column; its ``test_accuracy`` is the accuracy §5.2 quotes.
+    Both forests train on one sample, encoding and split (see
+    :func:`_train_evasion_classifiers`).
     """
 
-    return {
-        detector: train_evasion_classifier(store, detector, max_samples=max_samples, seed=seed)
-        for detector in ("DataDome", "BotD")
-    }
+    return _train_evasion_classifiers(
+        store, ("DataDome", "BotD"), max_samples=max_samples, seed=seed
+    )
 
 
 @dataclass(frozen=True)

@@ -23,47 +23,18 @@ from repro.devices.profiles import CHROMIUM_PDF_PLUGINS
 from repro.devices.screens import is_real_iphone_resolution
 from repro.fingerprint.attributes import Attribute, parse_resolution
 from repro.fingerprint.fingerprint import _json_default, grouping_value
-from repro.honeysite.storage import SECONDS_PER_DAY, RequestStore, RecordColumns
+from repro.honeysite.storage import (
+    SECONDS_PER_DAY,
+    RecordColumns,
+    RequestStore,
+    canonical_codes,
+    first_occurrence_recode,
+)
 
 
 # ---------------------------------------------------------------------------
 # Shared columnar helpers
 # ---------------------------------------------------------------------------
-
-
-def _first_occurrence_rows(
-    row_codes: np.ndarray, keys: Sequence
-) -> Tuple[np.ndarray, List]:
-    """Re-code a row column by ``keys[code]`` in row first-occurrence order.
-
-    ``row_codes`` may contain ``-1`` (attribute missing) and several input
-    codes may share one key; both the missing rows and the rows whose key
-    is ``None`` map to ``-1``.  Output codes count up in the order their
-    key first appears in row order — exactly the insertion order of a dict
-    accumulated row by row, which the figures' stable sorts tie-break on.
-    """
-
-    n_keys = len(keys)
-    row_codes = np.asarray(row_codes, dtype=np.int64)
-    canonical: Dict[object, int] = {}
-    canon = np.empty(n_keys + 1, dtype=np.int64)
-    for code, key in enumerate(keys):
-        canon[code] = -1 if key is None else canonical.setdefault(key, code)
-    canon[n_keys] = -1  # the "attribute missing" bucket
-    canon_rows = canon[np.where(row_codes < 0, n_keys, row_codes)]
-    valid = canon_rows >= 0
-    out = np.full(row_codes.size, -1, dtype=np.int64)
-    if not valid.any():
-        return out, []
-    positions = np.nonzero(valid)[0]
-    first_row = np.full(n_keys, row_codes.size, dtype=np.int64)
-    np.minimum.at(first_row, canon_rows[valid], positions)
-    used = np.nonzero(first_row < row_codes.size)[0]
-    used = used[np.argsort(first_row[used], kind="stable")]
-    remap = np.full(n_keys, -1, dtype=np.int64)
-    remap[used] = np.arange(used.size, dtype=np.int64)
-    out[valid] = remap[canon_rows[valid]]
-    return out, [keys[int(code)] for code in used]
 
 
 def _grouping_rows(
@@ -79,7 +50,7 @@ def _grouping_rows(
 
     raw_rows, raw_values = columns.attribute_rows(attribute)
     keys = [grouping_value(attribute, value) for value in raw_values]
-    return _first_occurrence_rows(raw_rows, keys)
+    return first_occurrence_recode(raw_rows, keys)
 
 
 def _value_flags(values: Sequence, predicate) -> np.ndarray:
@@ -400,7 +371,7 @@ def figure8_location_histograms(
 
     def histogram(attribute: Attribute, key_of) -> Dict[str, int]:
         raw_rows, raw_values = columns.attribute_rows(attribute)
-        codes, keys = _first_occurrence_rows(raw_rows, [key_of(value) for value in raw_values])
+        codes, keys = first_occurrence_recode(raw_rows, [key_of(value) for value in raw_values])
         counts = np.bincount(codes[codes >= 0], minlength=len(keys))
         return {str(key): int(count) for key, count in zip(keys, counts)}
 
@@ -525,16 +496,18 @@ def figure9_daily_series(
         keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         return np.bincount(keys // n_codes, minlength=unique_days.size)
 
-    ip_rows, ip_values = columns.ip_columns()
-    cookie_rows, cookie_values = columns.cookie_columns()
+    # Any code that equal values share counts them; Figure 10 alone needs
+    # first-seen order.
+    ip_rows = canonical_codes(columns.session_ips)[columns.session_codes]
+    cookie_rows = canonical_codes(columns.cookie_values)[columns.served_codes]
     return DailySeries(
         days=tuple(int(day) for day in unique_days),
         requests=tuple(int(count) for count in requests),
         unique_ips=tuple(
-            int(count) for count in distinct_per_day(ip_rows, len(ip_values))
+            int(count) for count in distinct_per_day(ip_rows, len(columns.session_ips))
         ),
         unique_cookies=tuple(
-            int(count) for count in distinct_per_day(cookie_rows, len(cookie_values))
+            int(count) for count in distinct_per_day(cookie_rows, len(columns.cookie_values))
         ),
         unique_fingerprints=tuple(
             int(count)
@@ -596,12 +569,12 @@ def figure10_platform_spread(store: RequestStore) -> Optional[CookiePlatformSpre
     columns = store.columns
     if not columns.n_rows:
         return None
-    cookie_rows, cookies = columns.cookie_columns()
+    cookie_rows, cookies = first_occurrence_recode(columns.served_codes, columns.cookie_values)
     cookie_counts = np.bincount(cookie_rows, minlength=len(cookies))
     busiest = int(np.argmax(cookie_counts))
     subset = np.nonzero(cookie_rows == busiest)[0]
     platform_raw, platform_values = columns.attribute_rows(Attribute.PLATFORM)
-    codes, platforms = _first_occurrence_rows(
+    codes, platforms = first_occurrence_recode(
         platform_raw[subset],
         [None if value is None else str(value) for value in platform_values],
     )

@@ -793,18 +793,6 @@ class RecordColumns:
 
     # -- decoded row views ------------------------------------------------------
 
-    def cookie_columns(self) -> Tuple[np.ndarray, List[str]]:
-        """Served-cookie column re-coded in row first-occurrence order —
-        exactly what factorizing the per-row cookie strings would produce,
-        without decoding a string per row."""
-
-        return _first_occurrence_recode(self.served_codes, self.cookie_values)
-
-    def ip_columns(self) -> Tuple[np.ndarray, List[str]]:
-        """Source-address column re-coded in row first-occurrence order."""
-
-        return _first_occurrence_recode(self.session_codes, self.session_ips)
-
     def attribute_rows(self, attribute) -> Tuple[np.ndarray, List[Any]]:
         """Per-row raw-value codes of fingerprint *attribute*.
 
@@ -984,35 +972,48 @@ class RecordColumns:
             raise StoreFormatError("record columns contain out-of-range codes")
 
 
-def _first_occurrence_recode(
-    row_codes: np.ndarray, values: Sequence
-) -> Tuple[np.ndarray, List]:
-    """Re-code a (non-missing) row column into value codes assigned in row
-    first-occurrence order.
+def canonical_codes(keys: Sequence) -> np.ndarray:
+    """Per entry of *keys*, the index of the first entry equal to it
+    (``-1`` for ``None``).
 
-    Byte-identical to factorizing the decoded per-row values — equal
-    values under different input codes collapse onto one output code, and
-    output codes count up in the order their values first appear in row
-    order — but works on the ``int`` code column directly instead of
-    allocating one Python string per row.
+    Equal keys under different indexes share one code, so a row column
+    re-coded through these codes has as many distinct codes as distinct
+    keys, without decoding a key per row.
     """
 
-    n_values = len(values)
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    first[None] = -1
+    return np.fromiter(map(first.__getitem__, keys), dtype=np.int64, count=len(keys))
+
+
+def first_occurrence_recode(row_codes: np.ndarray, keys: Sequence) -> Tuple[np.ndarray, List]:
+    """Re-code a row column by ``keys[code]`` in row first-occurrence order.
+
+    ``row_codes`` may contain ``-1`` (value missing) and several input
+    codes may share one key; both the missing rows and the rows whose key
+    is ``None`` map to ``-1``.  Output codes count up in the order their
+    key first appears in row order — exactly factorizing the decoded
+    per-row keys (the insertion order of a dict accumulated row by row,
+    which the figures' stable sorts tie-break on), without decoding a key
+    per row.
+    """
+
+    n_keys = len(keys)
     row_codes = np.asarray(row_codes, dtype=np.int64)
-    if not row_codes.size:
-        return np.empty(0, dtype=np.int32), []
-    canonical: Dict[object, int] = {}
-    canon = np.empty(n_values, dtype=np.int64)
-    for code, value in enumerate(values):
-        canon[code] = canonical.setdefault(value, code)
-    canon_rows = canon[row_codes]
-    first_row = np.full(n_values, row_codes.size, dtype=np.int64)
-    np.minimum.at(first_row, canon_rows, np.arange(row_codes.size, dtype=np.int64))
+    canon_rows = np.append(canonical_codes(keys), -1)[row_codes]
+    valid = canon_rows >= 0
+    out = np.full(row_codes.size, -1, dtype=np.int64)
+    if not valid.any():
+        return out, []
+    positions = np.nonzero(valid)[0]
+    first_row = np.full(n_keys, row_codes.size, dtype=np.int64)
+    np.minimum.at(first_row, canon_rows[valid], positions)
     used = np.nonzero(first_row < row_codes.size)[0]
     used = used[np.argsort(first_row[used], kind="stable")]
-    remap = np.full(n_values, -1, dtype=np.int64)
+    remap = np.full(n_keys, -1, dtype=np.int64)
     remap[used] = np.arange(used.size, dtype=np.int64)
-    return remap[canon_rows].astype(np.int32), [values[int(code)] for code in used]
+    out[valid] = remap[canon_rows[valid]]
+    return out, [keys[int(code)] for code in used]
 
 
 class RecordColumnsBuilder:

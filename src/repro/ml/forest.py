@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.ml.tree import DecisionTree, as_feature_matrix
+from repro.ml.tree import DecisionTree, RankCodes, as_feature_matrix
 
 
 class RandomForestClassifier:
@@ -48,18 +48,22 @@ class RandomForestClassifier:
             return max(1, min(n_features, self.max_features))
         raise ValueError(f"unsupported max_features {self.max_features!r}")
 
-    def fit(self, features: np.ndarray, labels: np.ndarray) -> "RandomForestClassifier":
-        """Fit the forest on binary labels (0 = detected, 1 = evaded)."""
+    def fit(
+        self, features: np.ndarray, labels: np.ndarray, *, ranks: Optional[RankCodes] = None
+    ) -> "RandomForestClassifier":
+        """Fit the forest on binary labels (0 = detected, 1 = evaded).
 
-        features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels, dtype=float)
-        if features.shape[0] != labels.shape[0]:
-            raise ValueError("features and labels must have the same number of rows")
-        self.n_features_ = features.shape[1]
+        Every tree searches splits on one :class:`RankCodes` of *features*;
+        a caller fitting several forests on one matrix builds it once and
+        passes it as *ranks* (*features* is then not read).
+        """
+
+        ranks = ranks if ranks is not None else RankCodes(features)
+        self.n_features_ = ranks.n_features
         max_features = self._resolve_max_features(self.n_features_)
         rng = np.random.default_rng(self.random_state)
         self.trees_ = []
-        n_rows = features.shape[0]
+        n_rows = ranks.n_rows
         for _ in range(self.n_estimators):
             bootstrap = rng.integers(0, n_rows, size=n_rows)
             tree = DecisionTree(
@@ -69,7 +73,7 @@ class RandomForestClassifier:
                 max_bins=self.max_bins,
                 random_state=np.random.default_rng(rng.integers(0, 2 ** 32)),
             )
-            tree.fit(features[bootstrap], labels[bootstrap])
+            tree.fit_ranked(ranks, labels, bootstrap)
             self.trees_.append(tree)
         return self
 

@@ -23,7 +23,7 @@ import numpy as np
 from repro.analysis.attributes import (
     CombinationRuleResult,
     EvasionClassifierResult,
-    _fit_evasion_classifier,
+    _fit_evasion_classifiers,
 )
 from repro.analysis.evasion import (
     CohortComparison,
@@ -242,15 +242,15 @@ def train_evasion_classifier(
         records = [records[int(index)] for index in indices]
     fingerprints = [record.request.fingerprint for record in records]
     labels = np.array([1 if record.evaded(detector) else 0 for record in records], dtype=float)
-    return _fit_evasion_classifier(
-        detector,
+    return _fit_evasion_classifiers(
+        (detector,),
         fingerprints,
-        labels,
+        labels[:, None],
         rng,
         seed=seed,
         test_fraction=test_fraction,
         permutation=permutation,
-    )
+    )[detector]
 
 
 def table2(

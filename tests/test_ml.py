@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from reference import ml as reference_ml
+from reference.ml import ConfusionMatrix, confusion_matrix
 
+from repro.analysis.attributes import table2
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.fingerprint import Fingerprint
 from repro.ml.encoding import FingerprintEncoder, display_name
 from repro.ml.explain import gain_importance, permutation_importance, rank_importances, top_features
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.metrics import ConfusionMatrix, accuracy_score, confusion_matrix, train_test_split
+from repro.ml.metrics import accuracy_score, train_test_split
 from repro.ml.tree import DecisionTree
 
 
@@ -111,6 +114,30 @@ def test_tree_validation_errors():
         tree.fit(np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(RuntimeError):
         tree.predict(np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize(
+    "targets", [[0.0, 2.0, 1.0, 0.0], [0.0, 0.5, 1.0, 1.0], [0.0, np.nan, 1.0, 1.0]]
+)
+def test_tree_rejects_targets_outside_zero_one(targets):
+    features = np.arange(8.0).reshape(4, 2)
+    with pytest.raises(ValueError, match="targets must be 0 or 1"):
+        DecisionTree().fit(features, np.array(targets))
+    with pytest.raises(ValueError, match="targets must be 0 or 1"):
+        RandomForestClassifier(n_estimators=2).fit(features, np.array(targets))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+def test_tree_rejects_non_finite_features(bad):
+    # 1e308 is finite, but two of them sum past the float range, so a
+    # split midpoint between them would not be.
+    features = np.arange(8.0).reshape(4, 2)
+    features[2, 1] = bad
+    targets = np.array([0.0, 1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="features must be finite"):
+        DecisionTree().fit(features, targets)
+    with pytest.raises(ValueError, match="features must be finite"):
+        RandomForestClassifier(n_estimators=2).fit(features, targets)
 
 
 def test_tree_decision_path():
@@ -267,6 +294,26 @@ def test_forest_proba_matches_reference_walk(seed):
     assert proba.tobytes() == _reference_forest_proba(forest, query).tobytes()
     assert np.array_equal(forest.predict(query), (proba >= 0.5).astype(int))
     assert forest.predict_proba(query[0]).tobytes() == proba[:1].tobytes()
+
+
+def test_table2_forests_match_the_per_candidate_reference(small_corpora, monkeypatch):
+    # Both Table 2 forests, fitted on one shared RankCodes of the seed-11
+    # training matrix, grow every tree the per-candidate search grows.
+    fitted = []
+    fit = RandomForestClassifier.fit
+
+    def record(forest, features, labels, **options):
+        fitted.append((forest, np.array(features), np.array(labels)))
+        return fit(forest, features, labels, **options)
+
+    monkeypatch.setattr(RandomForestClassifier, "fit", record)
+    table2(small_corpora(11).bot_store)
+    assert len(fitted) == 2
+    for forest, features, labels in fitted:
+        expected = reference_ml.fit_forest(forest, features, labels)
+        assert len(forest.trees_) == len(expected) == forest.n_estimators
+        for tree, reference_tree in zip(forest.trees_, expected):
+            reference_ml.assert_same_nodes(tree, reference_tree)
 
 
 # -- ensembles --------------------------------------------------------------------

@@ -544,17 +544,17 @@ def test_payload_bytes_per_record_below_committed_ceiling():
 
 
 def test_first_occurrence_recode_matches_factorize():
-    from repro.honeysite.storage import _first_occurrence_recode
+    from repro.honeysite.storage import first_occurrence_recode
 
     # values contain duplicates under distinct codes (sessions sharing an
     # address) and an unused entry; rows visit them out of dictionary order
     values = ["b", "a", "b", "c", "unused"]
     rows = np.array([3, 0, 2, 1, 0, 3, 2], dtype=np.int64)
-    codes, recoded = _first_occurrence_recode(rows, values)
+    codes, recoded = first_occurrence_recode(rows, values)
     expected_codes, expected_values = factorize([values[code] for code in rows])
     assert np.array_equal(codes, expected_codes)
     assert recoded == expected_values
-    empty_codes, empty_values = _first_occurrence_recode(np.empty(0, np.int64), [])
+    empty_codes, empty_values = first_occurrence_recode(np.empty(0, np.int64), [])
     assert empty_codes.size == 0 and empty_values == []
 
 

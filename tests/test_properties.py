@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from reference import detection as reference
 from reference.detection import ObjectTemporalDetector
+from reference.ml import ReferenceTree, assert_same_nodes, confusion_matrix
 from reference.store import RequestStore
 from test_columnar import _extract, _random_store
 
@@ -15,7 +16,8 @@ from repro.core.temporal import TemporalStreamState
 from repro.fingerprint.attributes import Attribute, format_resolution, parse_resolution
 from repro.fingerprint.categories import AttributeCategory
 from repro.fingerprint.fingerprint import Fingerprint, fingerprint_distance
-from repro.ml.metrics import accuracy_score, confusion_matrix
+from repro.ml.metrics import accuracy_score
+from repro.ml.tree import DecisionTree
 from repro.network.headers import accept_language_for, parse_accept_language
 from repro.reporting.tables import format_percent, format_table
 from repro.stream.checkpoint import StreamCheckpointer
@@ -393,3 +395,63 @@ def test_format_table_has_row_per_entry(rows):
     table = format_table(["name", "count"], rows)
     # header + separator + one line per row
     assert len(table.splitlines()) == 2 + len(rows)
+
+
+# -- CART split search: rank codes against the per-candidate reference --------------
+
+
+def _tree_column(kind: str, rng: np.random.Generator, n_rows: int) -> np.ndarray:
+    if kind == "few_integers":
+        return rng.integers(-3, 4, n_rows).astype(float)
+    if kind == "normal":
+        return rng.normal(size=n_rows)
+    if kind == "quarter_normal":
+        return np.round(rng.normal(size=n_rows) * 4.0) / 4.0
+    if kind == "constant":
+        return np.full(n_rows, rng.normal())
+    if kind == "adjacent_doubles":
+        # Midpoints of neighbouring doubles can round onto the upper value.
+        return np.array([1.0, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51])[rng.integers(0, 3, n_rows)]
+    # Signed zeros among enough other values to reach the quantile branch.
+    values = np.concatenate(([-0.0, 0.0], np.arange(-6.0, 7.0)))
+    return values[rng.integers(0, values.size, n_rows)]
+
+
+_TREE_COLUMN_KINDS = (
+    "few_integers",
+    "normal",
+    "quarter_normal",
+    "constant",
+    "adjacent_doubles",
+    "signed_zeros",
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_rows=st.integers(2, 400),
+    kinds=st.lists(st.sampled_from(_TREE_COLUMN_KINDS), min_size=1, max_size=8),
+    positive_share=st.floats(0.0, 1.0),
+    max_depth=st.integers(1, 12),
+    min_samples_leaf=st.integers(1, 4),
+    max_features=st.one_of(st.none(), st.integers(1, 8)),
+    max_bins=st.sampled_from([4, 8, 32]),
+)
+def test_tree_matches_the_per_candidate_reference(
+    seed, n_rows, kinds, positive_share, max_depth, min_samples_leaf, max_features, max_bins
+):
+    """Every node array of a rank-coded fit equals the per-candidate search's, bit for bit."""
+
+    rng = np.random.default_rng(seed)
+    features = np.column_stack([_tree_column(kind, rng, n_rows) for kind in kinds])
+    targets = (rng.random(n_rows) < positive_share).astype(float)
+    params = dict(
+        max_depth=max_depth,
+        min_samples_leaf=min_samples_leaf,
+        max_features=None if max_features is None else min(max_features, len(kinds)),
+        max_bins=max_bins,
+    )
+    tree = DecisionTree(random_state=np.random.default_rng(seed), **params).fit(features, targets)
+    expected = ReferenceTree(random_state=np.random.default_rng(seed), **params)
+    assert_same_nodes(tree, expected.fit(features, targets))
