@@ -31,24 +31,21 @@ Traffic* (IMC 2025).  The public API is organised as:
     Table and figure-series rendering.
 """
 
-from repro.fingerprint import Fingerprint, AttributeCategory
-from repro.core import (
-    FPInconsistent,
-    InconsistencyRule,
-    FilterList,
-    SpatialInconsistencyMiner,
-    TemporalInconsistencyDetector,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Fingerprint",
-    "AttributeCategory",
-    "FPInconsistent",
-    "InconsistencyRule",
-    "FilterList",
-    "SpatialInconsistencyMiner",
-    "TemporalInconsistencyDetector",
-    "__version__",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "fingerprint": ("Fingerprint", "AttributeCategory"),
+        "core": (
+            "FPInconsistent",
+            "InconsistencyRule",
+            "FilterList",
+            "SpatialInconsistencyMiner",
+            "TemporalInconsistencyDetector",
+        ),
+    },
+)
+__all__.append("__version__")

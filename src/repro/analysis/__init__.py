@@ -1,129 +1,77 @@
-"""Measurement analyses backing every table and figure of the paper."""
+"""Measurement analyses backing every table and figure of the paper.
 
-from repro.analysis.attributes import (
-    CombinationRuleResult,
-    EvasionClassifierResult,
-    appendix_c_combination,
-    table2,
-    train_evasion_classifier,
-)
-from repro.analysis.cache import (
-    CACHE_ENV_VAR,
-    CorpusCache,
-    corpus_cache_key,
-    corpus_digest,
-    default_cache_dir,
-    load_corpus,
-    save_corpus,
-)
-from repro.analysis.corpus import (
-    Corpus,
-    DEFAULT_SCALE,
-    SCALE_ENV_VAR,
-    build_corpus,
-    default_scale,
-)
-from repro.analysis.engine import (
-    CorpusEngine,
-    ShardSpec,
-    WORKERS_ENV_VAR,
-    build_or_load_corpus,
-    default_workers,
-)
-from repro.analysis.evasion import (
-    CohortComparison,
-    DualEvaderSummary,
-    ServiceEvasionRow,
-    cohort_comparison,
-    dual_evader_summary,
-    overall_detection_rates,
-    table1_rows,
-    top_and_bottom_services,
-)
-from repro.analysis.figures import (
-    CookiePlatformSpread,
-    CoreCountCdf,
-    DailySeries,
-    DeviceEvasionPoint,
-    GeoMismatchSummary,
-    IphoneResolutionAnalysis,
-    PluginEvasionPoint,
-    ResolutionEvasionPoint,
-    figure4_plugin_evasion,
-    figure5_core_cdfs,
-    figure6_device_evasion,
-    figure7_iphone_resolutions,
-    figure8_location_histograms,
-    figure9_daily_series,
-    figure10_platform_spread,
-    new_fingerprints_over_time,
-    section62_geo_match,
-)
-from repro.analysis.ip_analysis import (
-    AsnBlocklistAnalysis,
-    IpBlocklistAnalysis,
-    analyze_asn_blocklist,
-    analyze_ip_blocklist,
-)
-from repro.analysis.privacy_eval import (
-    PrivacyTechnologyResult,
-    corpus_privacy_tables,
-    evaluate_privacy_technologies,
-)
+The public names below load their submodule on first access, so a command
+that only loads a cached corpus never imports the ML-backed analyses.
+"""
 
-__all__ = [
-    "AsnBlocklistAnalysis",
-    "CACHE_ENV_VAR",
-    "CohortComparison",
-    "CombinationRuleResult",
-    "CookiePlatformSpread",
-    "CoreCountCdf",
-    "Corpus",
-    "CorpusCache",
-    "CorpusEngine",
-    "DEFAULT_SCALE",
-    "ShardSpec",
-    "WORKERS_ENV_VAR",
-    "DailySeries",
-    "DeviceEvasionPoint",
-    "DualEvaderSummary",
-    "EvasionClassifierResult",
-    "GeoMismatchSummary",
-    "IpBlocklistAnalysis",
-    "IphoneResolutionAnalysis",
-    "PluginEvasionPoint",
-    "PrivacyTechnologyResult",
-    "ResolutionEvasionPoint",
-    "SCALE_ENV_VAR",
-    "ServiceEvasionRow",
-    "analyze_asn_blocklist",
-    "analyze_ip_blocklist",
-    "appendix_c_combination",
-    "build_corpus",
-    "build_or_load_corpus",
-    "cohort_comparison",
-    "corpus_cache_key",
-    "corpus_digest",
-    "default_cache_dir",
-    "default_scale",
-    "default_workers",
-    "dual_evader_summary",
-    "load_corpus",
-    "save_corpus",
-    "corpus_privacy_tables",
-    "evaluate_privacy_technologies",
-    "figure10_platform_spread",
-    "figure4_plugin_evasion",
-    "figure5_core_cdfs",
-    "figure6_device_evasion",
-    "figure7_iphone_resolutions",
-    "figure8_location_histograms",
-    "figure9_daily_series",
-    "new_fingerprints_over_time",
-    "overall_detection_rates",
-    "section62_geo_match",
-    "table1_rows",
-    "table2",
-    "top_and_bottom_services",
-    "train_evasion_classifier",
-]
+from repro._lazy import lazy_exports
+
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "attributes": (
+            "CombinationRuleResult",
+            "EvasionClassifierResult",
+            "appendix_c_combination",
+            "table2",
+            "train_evasion_classifier",
+        ),
+        "cache": (
+            "CACHE_ENV_VAR",
+            "CorpusCache",
+            "corpus_cache_key",
+            "corpus_digest",
+            "default_cache_dir",
+            "load_corpus",
+            "save_corpus",
+        ),
+        "corpus": ("Corpus", "DEFAULT_SCALE", "SCALE_ENV_VAR", "build_corpus", "default_scale"),
+        "engine": (
+            "CorpusEngine",
+            "ShardSpec",
+            "WORKERS_ENV_VAR",
+            "build_or_load_corpus",
+            "default_workers",
+        ),
+        "evasion": (
+            "CohortComparison",
+            "DualEvaderSummary",
+            "ServiceEvasionRow",
+            "cohort_comparison",
+            "dual_evader_summary",
+            "overall_detection_rates",
+            "table1_rows",
+            "top_and_bottom_services",
+        ),
+        "figures": (
+            "CookiePlatformSpread",
+            "CoreCountCdf",
+            "DailySeries",
+            "DeviceEvasionPoint",
+            "GeoMismatchSummary",
+            "IphoneResolutionAnalysis",
+            "PluginEvasionPoint",
+            "ResolutionEvasionPoint",
+            "figure4_plugin_evasion",
+            "figure5_core_cdfs",
+            "figure6_device_evasion",
+            "figure7_iphone_resolutions",
+            "figure8_location_histograms",
+            "figure9_daily_series",
+            "figure10_platform_spread",
+            "new_fingerprints_over_time",
+            "section62_geo_match",
+        ),
+        "ip_analysis": (
+            "AsnBlocklistAnalysis",
+            "IpBlocklistAnalysis",
+            "analyze_asn_blocklist",
+            "analyze_ip_blocklist",
+        ),
+        "privacy_eval": (
+            "PrivacyTechnologyResult",
+            "corpus_privacy_tables",
+            "evaluate_privacy_technologies",
+        ),
+    },
+)

@@ -189,9 +189,11 @@ def _save_columnar_store(store: RequestStore, tables: Dict[str, ColumnarTable], 
 
     Saved uncompressed by default: a stored (non-deflated) ``.npz`` keeps
     every array in one contiguous byte range of the file, which is what
-    lets :func:`repro.analysis.npzmap.load_npz_mapped` hand the columns to
-    ``np.memmap`` on a warm hit.  ``REPRO_CORPUS_COMPRESS`` opts back into
-    deflate at the cost of mappability.
+    lets :func:`repro.analysis.npzmap.load_npz_mapped` map the columns on
+    a warm hit.  ``REPRO_CORPUS_COMPRESS`` opts back into deflate at the
+    cost of mappability.  The ``meta`` member is the JSON text as a 1-D
+    ``uint8`` UTF-8 vector: a quarter of the size of a 0-d unicode scalar
+    (UTF-32), and decoded with one ``bytes.decode``.
 
     The write is crash-safe: bytes land in a same-directory temporary
     file, are fsynced, and only then replace *path* atomically — a process
@@ -201,7 +203,8 @@ def _save_columnar_store(store: RequestStore, tables: Dict[str, ColumnarTable], 
     """
 
     arrays, meta = _archive_payload(store, tables)
-    arrays = {"meta": np.array(json.dumps(meta)), **arrays}
+    text = json.dumps(meta).encode("utf-8")
+    arrays = {"meta": np.frombuffer(text, dtype=np.uint8), **arrays}
     savez = np.savez_compressed if compress_enabled() else np.savez
     fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     tmp = Path(tmp_name)
@@ -247,15 +250,21 @@ def save_corpus(corpus: Corpus, directory) -> Path:
             for assignment in corpus.site.geo.space.assignments
         ],
     }
-    with (directory / "meta.json").open("w", encoding="utf-8") as handle:
-        json.dump(meta, handle, indent=1, sort_keys=True)
+    (directory / "meta.json").write_text(
+        json.dumps(meta, sort_keys=True, separators=(",", ":")), encoding="utf-8"
+    )
     return directory
 
 
 def _decode_columnar(data, path: Path):
     """Decode a loaded archive mapping into ``(store, tables)``."""
 
-    meta = json.loads(str(data["meta"][()]))
+    encoded = data["meta"]
+    if encoded.dtype != np.uint8 or encoded.ndim != 1:
+        raise StoreFormatError(
+            f"columnar store {path} has a meta member of dtype {encoded.dtype}, not uint8"
+        )
+    meta = json.loads(encoded.tobytes().decode("utf-8"))
     version = int(meta.get("version", 0))
     if version != CORPUS_FORMAT_VERSION:
         raise StoreFormatError(
@@ -278,18 +287,18 @@ def _load_columnar_store(path: Path):
     """Load a :func:`_save_columnar_store` archive.
 
     Returns ``(RequestStore, {subset: ColumnarTable})``.  With mmap
-    enabled (the default) the member arrays of an uncompressed archive are
-    handed to ``np.memmap`` read-only — ``from_payload``/``from_arrays``
-    adopt them zero-copy, so code columns stream from disk as they are
-    touched and a corpus larger than RAM replays shard-by-shard.  A
-    compressed archive falls back to an in-RAM ``np.load`` (whose
-    ``mmap_mode="r"`` request is a no-op for ``.npz``) with identical
-    results.
+    enabled (the default) the archive is mapped once and its member arrays
+    are read-only views into that mapping (the ``meta`` member alone is
+    read into the heap) — ``from_payload``/``from_arrays`` adopt them
+    zero-copy, so code columns stream from disk as they are touched and a
+    corpus larger than RAM replays shard-by-shard.  A compressed archive
+    falls back to an in-RAM ``np.load`` (whose ``mmap_mode="r"`` request
+    is a no-op for ``.npz``) with identical results.
 
     Any failure — truncated file, ragged or out-of-range columns, a newer
-    format — maps to :class:`StoreFormatError`, so the cache treats the
-    entry as a miss and rebuilds instead of serving a silently wrong
-    corpus.
+    format, a ``meta`` member in the pre-``uint8`` encoding — maps to
+    :class:`StoreFormatError`, so the cache treats the entry as a miss and
+    rebuilds instead of serving a silently wrong corpus.
     """
 
     try:
@@ -381,7 +390,7 @@ def load_corpus(directory) -> Corpus:
                 ),
             )
         )
-    site = HoneySite(geo=GeoDatabase(space), rng=np.random.default_rng(0))
+    site = HoneySite(geo=GeoDatabase(space))
     for source, path in meta.get("sources", {}).items():
         site.urls.adopt(source, path)
     site.store, tables = _load_columnar_store(_columnar_store_path(directory))
@@ -415,6 +424,14 @@ class CorpusCache:
 
     def has(self, key: str) -> bool:
         return (self.path_for(key) / "meta.json").is_file()
+
+    def archive_bytes(self, key: str) -> int:
+        """Size of the columnar archive stored under *key* (0 when absent)."""
+
+        try:
+            return _columnar_store_path(self.path_for(key)).stat().st_size
+        except OSError:
+            return 0
 
     def load(self, key: str) -> Optional[Corpus]:
         """Load the corpus stored under *key*, or ``None`` on miss.

@@ -40,7 +40,6 @@ import pickle
 import threading
 import time
 import zlib
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -301,6 +300,8 @@ def map_shards(
         retries = default_shard_retries()
     timeout = default_shard_timeout()
     max_workers = min(workers, len(payloads))
+    # Loads multiprocessing; a warm cache hit never fans out, so pay here.
+    from concurrent.futures.process import BrokenProcessPool
 
     results: list = [None] * len(payloads)
     pending = list(range(len(payloads)))
@@ -869,33 +870,37 @@ def build_or_load_corpus(
         cache = None
     if cache is not None and not isinstance(cache, CorpusCache):
         cache = CorpusCache(cache)
-    if cache is None:
-        _CACHE_LOOKUPS.inc(status="uncached")
-        return engine.build(workers=workers), "uncached"
+    # One span for the whole lookup: a warm hit's archive load, or a
+    # miss's build and store.
+    with obs.tracer().span("corpus.load", status="uncached", archive_bytes=0) as span:
+        if cache is None:
+            _CACHE_LOOKUPS.inc(status="uncached")
+            return engine.build(workers=workers), "uncached"
 
-    key = corpus_cache_key(
-        seed=engine.seed,
-        scale=engine.scale,
-        include_real_users=engine.include_real_users,
-        include_privacy=engine.include_privacy,
-        real_user_requests=engine.real_user_requests,
-        privacy_requests_each=engine.privacy_requests_each,
-        campaign_days=engine.campaign_days,
-    )
-    cached = cache.load(key)
-    if cached is not None:
-        _CACHE_LOOKUPS.inc(status="hit")
-        return cached, "hit"
-    _CACHE_LOOKUPS.inc(status="miss")
-    corpus = engine.build(workers=workers)
-    try:
-        cache.store(key, corpus)
-    except Exception as exc:
-        # Caching is an optimisation: a failed archive write (full disk,
-        # permissions, an injected ``cache_write`` fault) must not take
-        # down the build that just succeeded.  The staged entry is cleaned
-        # up by ``store`` itself, so the cache never holds a torn archive.
-        logging.getLogger("repro.analysis").warning(
-            "corpus cache store failed (%s); continuing uncached", exc
+        key = corpus_cache_key(
+            seed=engine.seed,
+            scale=engine.scale,
+            include_real_users=engine.include_real_users,
+            include_privacy=engine.include_privacy,
+            real_user_requests=engine.real_user_requests,
+            privacy_requests_each=engine.privacy_requests_each,
+            campaign_days=engine.campaign_days,
         )
-    return corpus, "miss"
+        corpus = cache.load(key)
+        status = "hit" if corpus is not None else "miss"
+        _CACHE_LOOKUPS.inc(status=status)
+        if corpus is None:
+            corpus = engine.build(workers=workers)
+            try:
+                cache.store(key, corpus)
+            except Exception as exc:
+                # Caching is an optimisation: a failed archive write (full
+                # disk, permissions, an injected ``cache_write`` fault) must
+                # not take down the build that just succeeded.  The staged
+                # entry is cleaned up by ``store`` itself, so the cache never
+                # holds a torn archive.
+                logging.getLogger("repro.analysis").warning(
+                    "corpus cache store failed (%s); continuing uncached", exc
+                )
+        span.set(status=status, archive_bytes=cache.archive_bytes(key))
+        return corpus, status

@@ -5,10 +5,10 @@
 point of persisting a corpus larger than memory.  An ``.npz`` written by
 :func:`numpy.savez` is just a ZIP archive of *stored* (uncompressed)
 ``.npy`` members, so each member's array data occupies one contiguous
-byte range of the archive file.  :func:`load_npz_mapped` locates that
-range for every member and hands it to :class:`numpy.memmap`, so the
-archive's code columns stream from disk on demand and the OS page cache —
-not the Python heap — decides what stays resident.
+byte range of the archive file.  :func:`load_npz_mapped` maps the file
+once and hands out a read-only :func:`numpy.frombuffer` view at each
+member's range, so the archive's code columns stream from disk on demand
+and the OS page cache — not the Python heap — decides what stays resident.
 
 Compressed members (``np.savez_compressed``, or archives re-written by a
 tool that deflates) cannot be mapped; :class:`NotMappableError` tells the
@@ -19,8 +19,9 @@ the archive raises ``zipfile.BadZipFile`` / ``ValueError`` exactly like
 
 from __future__ import annotations
 
+import math
+import mmap
 import zipfile
-from pathlib import Path
 from typing import Dict
 
 import numpy as np
@@ -30,6 +31,12 @@ from numpy.lib import format as npy_format
 #: file name and extra field), per APPNOTE.TXT section 4.3.7.
 _LOCAL_HEADER_SIZE = 30
 _LOCAL_HEADER_SIGNATURE = b"PK\x03\x04"
+
+
+#: Members read into the heap instead of mapped: the JSON ``meta`` header
+#: is read once at load, and mapped pages stay resident while any column
+#: of the same mapping is alive.
+HEAP_MEMBERS = frozenset({"meta"})
 
 
 class NotMappableError(ValueError):
@@ -55,54 +62,54 @@ def _member_data_offset(handle, info: zipfile.ZipInfo) -> int:
 
 
 def load_npz_mapped(path) -> Dict[str, np.ndarray]:
-    """Load every array of an uncompressed ``.npz`` as a read-only memmap.
+    """Load every array of an uncompressed ``.npz`` as a read-only view.
 
     Returns ``{name: array}`` with the ``.npy`` suffixes stripped, like
-    indexing an :class:`numpy.lib.npyio.NpzFile`.  Zero-dimensional and
-    empty members are read eagerly (they are metadata-sized; ``np.memmap``
-    rejects zero-length maps).  Raises :class:`NotMappableError` when any
-    member is compressed, and never accepts pickled (object-dtype)
-    members.
+    indexing an :class:`numpy.lib.npyio.NpzFile`.  The file is opened and
+    mapped once; every member is a view into that one mapping, except
+    :data:`HEAP_MEMBERS` and zero-dimensional members, which are read into
+    memory, and empty members, which are allocated.  Raises
+    :class:`NotMappableError` when any member is compressed, ``ValueError``
+    when a member's data overruns its ZIP entry, and never accepts pickled
+    (object-dtype) members.
     """
 
-    path = Path(path)
     arrays: Dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(path) as archive:
-        for info in archive.infolist():
-            name = info.filename
-            if not name.endswith(".npy"):
-                continue
+    with open(path, "rb") as handle, zipfile.ZipFile(handle) as archive:
+        members = [info for info in archive.infolist() if info.filename.endswith(".npy")]
+        for info in members:
             if info.compress_type != zipfile.ZIP_STORED:
                 raise NotMappableError(
-                    f"npz member {name!r} in {path} is compressed; "
+                    f"npz member {info.filename!r} in {path} is compressed; "
                     "memory-mapping needs an uncompressed archive"
                 )
-            with archive.open(info) as member:
-                version = npy_format.read_magic(member)
-                if version == (1, 0):
-                    shape, fortran, dtype = npy_format.read_array_header_1_0(member)
-                elif version == (2, 0):
-                    shape, fortran, dtype = npy_format.read_array_header_2_0(member)
-                else:
-                    raise ValueError(f"unsupported .npy version {version} in {name!r}")
-                if dtype.hasobject:
-                    raise ValueError(f"npz member {name!r} requires pickled objects")
-                header_size = member.tell()
-            key = name[: -len(".npy")]
-            if 0 in shape:
-                arrays[key] = np.empty(shape, dtype=dtype, order="F" if fortran else "C")
-            elif shape == ():
-                with archive.open(info) as member:
-                    arrays[key] = npy_format.read_array(member, allow_pickle=False)
+        mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        for info in members:
+            name = info.filename
+            start = _member_data_offset(handle, info)
+            handle.seek(start)
+            version = npy_format.read_magic(handle)
+            if version == (1, 0):
+                shape, fortran, dtype = npy_format.read_array_header_1_0(handle)
+            elif version == (2, 0):
+                shape, fortran, dtype = npy_format.read_array_header_2_0(handle)
             else:
-                with open(path, "rb") as handle:
-                    data_offset = _member_data_offset(handle, info)
-                arrays[key] = np.memmap(
-                    path,
-                    dtype=dtype,
-                    mode="r",
-                    offset=data_offset + header_size,
-                    shape=shape,
-                    order="F" if fortran else "C",
-                )
+                raise ValueError(f"unsupported .npy version {version} in {name!r}")
+            if dtype.hasobject:
+                raise ValueError(f"npz member {name!r} requires pickled objects")
+            offset = handle.tell()
+            count = math.prod(shape)
+            if offset + count * dtype.itemsize > start + info.file_size:
+                raise ValueError(f"npz member {name!r} overruns its archive entry")
+            key = name[: -len(".npy")]
+            order = "F" if fortran else "C"
+            if count == 0:
+                arrays[key] = np.empty(shape, dtype=dtype, order=order)
+                continue
+            buffer = mapping
+            if key in HEAP_MEMBERS or shape == ():
+                handle.seek(offset)
+                buffer, offset = handle.read(count * dtype.itemsize), 0
+            view = np.frombuffer(buffer, dtype=dtype, count=count, offset=offset)
+            arrays[key] = view.reshape(shape, order=order)
     return arrays

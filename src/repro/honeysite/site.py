@@ -36,7 +36,10 @@ class HoneySite:
         IP-intelligence database shared with the DataDome model (and the
         downstream analyses).  A fresh one is created when omitted.
     rng:
-        Source of randomness for URL tokens and cookie values.
+        Source of randomness for URL tokens and cookie values.  Without
+        one (a site rebuilt around a stored corpus, which mints neither),
+        the URL registry and the cookie issuer each build their own
+        ``default_rng(0)`` on their first draw.
     datadome, botd:
         Detector overrides, mainly for tests; defaults build the standard
         models.
@@ -50,10 +53,12 @@ class HoneySite:
         datadome: Optional[BotDetector] = None,
         botd: Optional[BotDetector] = None,
     ):
-        self._rng = rng if rng is not None else np.random.default_rng(0)
         self.geo = geo if geo is not None else GeoDatabase()
-        self.urls = UrlRegistry(np.random.default_rng(self._rng.integers(0, 2 ** 32)))
-        self.cookies = CookieIssuer(np.random.default_rng(self._rng.integers(0, 2 ** 32)))
+        if rng is None:
+            self.urls, self.cookies = UrlRegistry(), CookieIssuer()
+        else:
+            self.urls = UrlRegistry(np.random.default_rng(rng.integers(0, 2 ** 32)))
+            self.cookies = CookieIssuer(np.random.default_rng(rng.integers(0, 2 ** 32)))
         #: rows recorded by session recorders created without a sink
         self.recorded = RecordColumnsBuilder()
         self._store: Optional[RequestStore] = None

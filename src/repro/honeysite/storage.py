@@ -237,7 +237,10 @@ class SessionArrays:
         in Python yet must decode back to their exact original type.
         """
 
-        fp_attr_index: Dict[str, int] = {}
+        # Keyed by the ``Attribute`` member and walking the fingerprint's
+        # own dict: the ``Mapping.items()`` view and the ``.value``
+        # descriptor cost a Python call per (attribute, value) pair.
+        fp_attr_index: Dict[Any, int] = {}
         fp_attribute_names: List[str] = []
         fp_value_indexes: List[Dict[Any, int]] = []
         fp_values: List[List[Any]] = []
@@ -245,13 +248,12 @@ class SessionArrays:
         value_codes: List[int] = []
         fp_offsets: List[int] = [0]
         for fingerprint in fingerprints:
-            for attribute, value in fingerprint.items():
-                name = attribute.value
-                acode = fp_attr_index.get(name)
+            for attribute, value in fingerprint._values.items():
+                acode = fp_attr_index.get(attribute)
                 if acode is None:
                     acode = len(fp_attribute_names)
-                    fp_attr_index[name] = acode
-                    fp_attribute_names.append(name)
+                    fp_attr_index[attribute] = acode
+                    fp_attribute_names.append(attribute.value)
                     fp_value_indexes.append({})
                     fp_values.append([])
                 value_index = fp_value_indexes[acode]

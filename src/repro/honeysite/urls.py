@@ -32,7 +32,7 @@ class UrlRegistry:
     """Mapping between traffic sources and their versioned URL paths."""
 
     def __init__(self, rng: Optional[np.random.Generator] = None):
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        self._rng = rng  # None: ``default_rng(0)``, built on the first draw
         self._path_by_source: Dict[str, str] = {}
         self._source_by_path: Dict[str, str] = {}
 
@@ -47,6 +47,8 @@ class UrlRegistry:
 
         if source in self._path_by_source:
             return self._path_by_source[source]
+        if self._rng is None:
+            self._rng = np.random.default_rng(0)
         while True:
             path = "/" + generate_url_token(self._rng)
             if path not in self._source_by_path:

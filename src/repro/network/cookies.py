@@ -22,7 +22,7 @@ class CookieIssuer:
     """Server-side issuer of first-party identifier cookies."""
 
     def __init__(self, rng: Optional[np.random.Generator] = None):
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        self._rng = rng  # None: ``default_rng(0)``, built on the first draw
         self._issued: set = set()
 
     @property
@@ -34,6 +34,8 @@ class CookieIssuer:
     def issue(self) -> str:
         """Issue a fresh, never-before-seen cookie value."""
 
+        if self._rng is None:
+            self._rng = np.random.default_rng(0)
         while True:
             value = format(int(self._rng.integers(0, 2 ** 63 - 1)), "d") + format(
                 int(self._rng.integers(0, 2 ** 33)), "d"

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,3 +204,49 @@ def test_bad_workers_env_fails_cleanly(capsys, monkeypatch):
         main(["corpus", "--scale", "0.002", "--no-cache"])
     assert excinfo.value.code == 2
     assert "REPRO_WORKERS" in capsys.readouterr().err
+
+
+#: Run in a fresh interpreter: import the CLI, run the ``pipeline`` and
+#: ``stream`` handlers on a warm TINY cache, and print which report-only
+#: layers were imported along the way (and whether the warm path built a
+#: random generator, which imports ``numpy.random``).
+_STARTUP_SCRIPT = """
+import json, sys
+from repro.cli import main
+for argv in (["pipeline"], ["stream", "--batch-size", "256"]):
+    assert main(argv + sys.argv[1:]) == 0
+unwanted = ("repro.ml", "repro.analysis.figures", "repro.analysis.evasion",
+            "repro.analysis.attributes", "numpy.random")
+loaded = sorted(name for name in sys.modules if name.startswith("repro.ml.") or name in unwanted)
+from repro import FPInconsistent
+from repro.analysis import build_corpus, corpus_digest
+print(json.dumps({"loaded": loaded, "names": [FPInconsistent.__name__, build_corpus.__name__,
+                                             corpus_digest.__name__]}))
+"""
+
+
+def test_pipeline_and_stream_never_import_the_report_layers(capsys, tmp_path):
+    """The package ``__init__``s re-export lazily, so the commands that do
+    not build the report pay neither for the ML stack nor for the figure,
+    evasion and attribute analyses; the public names still import."""
+
+    knobs = ["--seed", "29", "--scale", "0.004", "--cache", str(tmp_path / "cache")]
+    code, _out, err = run_cli(capsys, "corpus", *knobs)
+    assert code == 0 and "cache miss" in err
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {
+        name: value for name, value in os.environ.items() if not name.startswith("REPRO_")
+    }
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _STARTUP_SCRIPT, *knobs],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.count("cache hit") == 2
+    document = json.loads(done.stdout.strip().splitlines()[-1])
+    assert document["loaded"] == []
+    assert document["names"] == ["FPInconsistent", "build_corpus", "corpus_digest"]

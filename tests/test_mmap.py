@@ -10,6 +10,7 @@ replay), and the archive file itself is never written to.
 from __future__ import annotations
 
 import hashlib
+import mmap
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.analysis.cache import (
     save_corpus,
 )
 from repro.analysis.engine import CorpusEngine, build_or_load_corpus
+from repro.analysis.npzmap import load_npz_mapped
 from repro.core.detector import FPInconsistent
 from repro.honeysite.storage import RequestStore
 from repro.stream import ReplayDriver, verdicts_digest
@@ -160,3 +162,34 @@ def test_mapped_arrays_survive_process_pickling(archive, monkeypatch):
     clone = pickle.loads(pickle.dumps(columns, pickle.HIGHEST_PROTOCOL))
     assert np.array_equal(clone.timestamps, columns.timestamps)
     assert record_dicts(RequestStore(clone)) == record_dicts(corpus.store)
+
+
+def _buffer_owner(array):
+    """The object that owns *array*'s memory, past views and memoryviews."""
+
+    while isinstance(array, np.ndarray) and array.base is not None:
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
+
+
+def test_mapped_load_shares_one_mapping_and_reads_meta_into_the_heap(archive, monkeypatch):
+    """One ``mmap`` per load: every mapped member is a read-only view into
+    the same mapping, while the ``meta`` JSON is a ``uint8`` vector copied
+    into the heap (read once, so its pages never stay mapped)."""
+
+    directory, _corpus, saved_sha = archive
+    arrays = load_npz_mapped(directory / "store_columnar.npz")
+    meta = arrays.pop("meta")
+    assert meta.dtype == np.uint8 and meta.ndim == 1
+    assert not isinstance(_buffer_owner(meta), mmap.mmap)
+    assert all(not array.flags.writeable for array in arrays.values())
+    owners = {id(_buffer_owner(array)) for array in arrays.values() if array.ndim and array.size}
+    assert len(owners) == 1
+    assert isinstance(_buffer_owner(arrays["timestamps"]), mmap.mmap)
+
+    monkeypatch.setenv(MMAP_ENV_VAR, "1")
+    columns = load_corpus(directory).store.columns
+    served = [columns.timestamps, columns.session_codes, columns.sessions.fp_value_codes]
+    assert all(not column.flags.writeable for column in served)
+    assert len({id(_buffer_owner(column)) for column in served}) == 1
+    assert _archive_sha(directory) == saved_sha

@@ -521,7 +521,7 @@ def test_cli_stream_trace_and_metrics_exporters(capsys, tmp_path):
 
     trace = json.loads(trace_path.read_text())
     names = {e["name"] for e in trace["traceEvents"] if e["ph"] == "X"}
-    assert {"corpus.shard", "stream.mine_filter_list", "stream.batch"} <= names
+    assert {"corpus.load", "corpus.shard", "stream.mine_filter_list", "stream.batch"} <= names
 
     prom = metrics_path.read_text()
     assert "# TYPE repro_stream_batch_seconds histogram" in prom
@@ -534,3 +534,17 @@ def test_cli_stream_trace_and_metrics_exporters(capsys, tmp_path):
     plain = json.loads((tmp_path / "plain.json").read_text())
     assert "telemetry" not in plain
     assert document["verdicts_digest"] == plain["verdicts_digest"]
+
+    # A cache miss, then the warm hit: the ``corpus.load`` span says which
+    # and how large the archive is, and neither changes a verdict byte.
+    cached = [arg for arg in argv if arg != "--no-cache"] + ["--cache", str(tmp_path / "cache")]
+    loads = []
+    for run in ("miss", "hit"):
+        obs.tracer().reset()
+        run_json = tmp_path / f"{run}.json"
+        assert cli_main(cached + ["--json", str(run_json), "--trace", str(trace_path)]) == 0
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        loads += [e["args"] for e in events if e["ph"] == "X" and e["name"] == "corpus.load"]
+        assert json.loads(run_json.read_text())["verdicts_digest"] == plain["verdicts_digest"]
+    assert [load["status"] for load in loads] == ["miss", "hit"]
+    assert loads[0]["archive_bytes"] == loads[1]["archive_bytes"] > 0

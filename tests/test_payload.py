@@ -27,6 +27,7 @@ from reference.store import (
     session_fingerprints,
 )
 from repro.analysis.cache import (
+    MMAP_ENV_VAR,
     CorpusCache,
     corpus_cache_key,
     corpus_digest,
@@ -361,7 +362,7 @@ def test_tampered_embedded_table_evicts_the_archive(tmp_path, columnar_corpus):
     path = archive / "store_columnar.npz"
     with np.load(path, allow_pickle=False) as data:
         arrays = {name: data[name] for name in data.files}
-    meta = json.loads(str(arrays["meta"][()]))
+    meta = json.loads(arrays["meta"].tobytes().decode("utf-8"))
     prefix = meta["tables"][0]["prefix"]
     arrays[f"{prefix}request_ids"] = arrays[f"{prefix}request_ids"] + 1000
     with open(path, "wb") as handle:
@@ -412,7 +413,7 @@ def write_v3_archive(corpus, directory):
     path = directory / "store_columnar.npz"
     with np.load(path, allow_pickle=False) as data:
         arrays = {name: data[name] for name in data.files}
-    meta = json.loads(str(arrays["meta"][()]))
+    meta = json.loads(arrays["meta"].tobytes().decode("utf-8"))
     for name in (
         "fp_attr_codes",
         "fp_value_codes",
@@ -462,6 +463,33 @@ def write_v3_archive(corpus, directory):
 
 def test_v3_archive_is_evicted_and_rebuilt(tmp_path, columnar_corpus, golden):
     assert_old_entry_evicts_and_rebuilds(write_v3_archive, columnar_corpus, golden, tmp_path)
+
+
+def write_unicode_meta_archive(corpus, directory):
+    """Persist *corpus* as a version-4 archive whose ``meta`` member is the
+    0-d UTF-32 unicode scalar that builds wrote before the ``uint8`` vector;
+    every other member is unchanged and the archive stays uncompressed."""
+
+    save_corpus(corpus, directory)
+    path = directory / "store_columnar.npz"
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays["meta"] = np.array(arrays["meta"].tobytes().decode("utf-8"))
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+
+
+def test_unicode_meta_archive_is_evicted_and_rebuilt(
+    tmp_path, columnar_corpus, golden, monkeypatch
+):
+    """The version stays 4 (it is inside the digested meta), so the legacy
+    ``meta`` encoding itself must read as a miss, mapped or in RAM."""
+
+    for mapped in ("1", "0"):
+        monkeypatch.setenv(MMAP_ENV_VAR, mapped)
+        assert_old_entry_evicts_and_rebuilds(
+            write_unicode_meta_archive, columnar_corpus, golden, tmp_path / mapped
+        )
 
 
 # -- fan-out clamp ----------------------------------------------------------------
