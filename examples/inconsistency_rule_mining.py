@@ -11,7 +11,7 @@ Run:  python examples/inconsistency_rule_mining.py [scale]
 import sys
 
 from repro.analysis import build_corpus
-from repro.core import FPInconsistentPipeline
+from repro.core import FilterList, FPInconsistentPipeline
 from repro.reporting import format_percent, format_table
 
 
@@ -25,7 +25,9 @@ def main(scale: float = 0.02) -> None:
     )
 
     result.filter_list.save("fp_rules.json")
-    print(f"Mined {len(result.filter_list)} rules -> fp_rules.json\n")
+    # The shipped artefact is what an anti-bot service loads (Section 8.3).
+    shipped = FilterList.load("fp_rules.json")
+    print(f"Mined {len(shipped)} rules -> fp_rules.json\n")
 
     rates = result.table4
     print(

@@ -14,7 +14,7 @@ __all__, __getattr__ = lazy_exports(
             "EvasionClassifierResult",
             "appendix_c_combination",
             "table2",
-            "train_evasion_classifier",
+            "train_evasion_classifiers",
         ),
         "cache": (
             "CACHE_ENV_VAR",

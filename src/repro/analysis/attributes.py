@@ -8,12 +8,11 @@ paper quotes, and ranks the fingerprint attributes that drive evasion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.fingerprint.attributes import Attribute
-from repro.fingerprint.fingerprint import Fingerprint
 from repro.honeysite.storage import RecordColumns, RequestStore
 from repro.ml.encoding import FingerprintEncoder
 from repro.ml.explain import FeatureImportance, gain_importance, permutation_importance, top_features
@@ -42,51 +41,28 @@ class EvasionClassifierResult:
         return top_features(self.importances, count)
 
 
-def train_evasion_classifier(
+def train_evasion_classifiers(
     store: RequestStore,
-    detector: str,
+    detectors: Sequence[str],
     *,
-    test_fraction: float = 0.1,
     max_samples: int = 60_000,
     seed: int = 0,
-    encoder: Optional[FingerprintEncoder] = None,
-    permutation: bool = False,
-) -> EvasionClassifierResult:
-    """Train a detected-vs-evaded random forest for *detector* (Section 5.2.1).
-
-    Parameters
-    ----------
-    max_samples:
-        Upper bound on the number of requests used.  A larger store is
-        subsampled uniformly at random without replacement (one
-        ``rng.choice`` draw seeded by *seed*), not stratified by label.
-    permutation:
-        Also compute held-out permutation importances (``n_features × 3``
-        extra predict passes).  Table 2 ranks by gain importance alone, so
-        this is off unless a caller asks for it.
-    """
-
-    return _train_evasion_classifiers(
-        store,
-        (detector,),
-        test_fraction=test_fraction,
-        max_samples=max_samples,
-        seed=seed,
-        encoder=encoder,
-        permutation=permutation,
-    )[detector]
-
-
-def _train_evasion_classifiers(
-    store: RequestStore, detectors: Sequence[str], *, max_samples: int, seed: int, **options
+    **options,
 ) -> Dict[str, EvasionClassifierResult]:
-    """One classifier per detector on one sample, encoding and split.
+    """Detected-vs-evaded random forests (Section 5.2.1), one per detector,
+    trained on one sample, encoding and split.
 
-    The subsample draw and the split depend on the row count and *seed*,
-    never on the labels, so each result equals a
-    :func:`train_evasion_classifier` call of its own.  The sampled rows
-    stay columns (labels come from the evasion columns); no record or
-    fingerprint object is built.
+    A store larger than *max_samples* is subsampled uniformly at random
+    without replacement (one ``rng.choice`` draw seeded by *seed*), not
+    stratified by label.  The draw and the split depend on the row count
+    and *seed*, never on the labels, so each result equals a call for its
+    detector alone.  The sampled rows stay columns (labels come from the
+    evasion columns); no record or fingerprint object is built.
+
+    *options* go to the fit: ``test_fraction`` (default 0.1), ``encoder``
+    and ``permutation``, which also computes held-out permutation
+    importances (``n_features × 3`` extra predict passes).  Table 2 ranks
+    by gain importance alone, so that is off unless a caller asks for it.
     """
 
     if len(store) < 20:
@@ -105,7 +81,7 @@ def _train_evasion_classifiers(
 
 def _fit_evasion_classifiers(
     detectors: Sequence[str],
-    rows: Union[RecordColumns, Sequence[Fingerprint]],
+    rows: RecordColumns,
     labels: np.ndarray,
     rng,
     *,
@@ -114,8 +90,9 @@ def _fit_evasion_classifiers(
     test_fraction: float = 0.1,
     permutation: bool = False,
 ) -> Dict[str, EvasionClassifierResult]:
-    """Encode the sampled *rows*, split, fit one forest per detector (label
-    column of *labels*), rank the features.
+    """Encode the sampled *rows* with *encoder* (default
+    :class:`~repro.ml.encoding.FingerprintEncoder`), split, fit one forest
+    per detector (label column of *labels*), rank the features.
 
     *rng* continues the generator that drew the sample, so the train/test
     split depends only on the sample, not on how its rows are represented.
@@ -160,10 +137,10 @@ def table2(
     Each result's :meth:`~EvasionClassifierResult.top_attributes` is the
     service's column; its ``test_accuracy`` is the accuracy §5.2 quotes.
     Both forests train on one sample, encoding and split (see
-    :func:`_train_evasion_classifiers`).
+    :func:`train_evasion_classifiers`).
     """
 
-    return _train_evasion_classifiers(
+    return train_evasion_classifiers(
         store, ("DataDome", "BotD"), max_samples=max_samples, seed=seed
     )
 

@@ -445,7 +445,7 @@ class CorpusCache:
         try:
             return load_corpus(self.path_for(key))
         except (StoreFormatError, KeyError, ValueError, json.JSONDecodeError, OSError):
-            self.evict(key)
+            shutil.rmtree(self.path_for(key))
             return None
 
     def store(self, key: str, corpus: Corpus) -> Path:
@@ -463,25 +463,3 @@ class CorpusCache:
             shutil.rmtree(staging, ignore_errors=True)
             raise
         return final
-
-    def evict(self, key: str) -> None:
-        """Remove the entry stored under *key* (no-op when absent)."""
-
-        entry = self.path_for(key)
-        if entry.exists():
-            shutil.rmtree(entry)
-
-    def keys(self) -> Dict[str, Path]:
-        """Mapping of present cache keys to their directories.
-
-        Dot-prefixed entries are in-flight (or orphaned) staging
-        directories from :meth:`store`, never published keys; skip them.
-        """
-
-        if not self.root.is_dir():
-            return {}
-        return {
-            entry.name: entry
-            for entry in sorted(self.root.iterdir())
-            if not entry.name.startswith(".") and (entry / "meta.json").is_file()
-        }

@@ -397,15 +397,6 @@ class ShardResult:
     #: timeline covers every process
     spans: List[SpanRecord] = field(default_factory=list)
 
-    def store(self) -> RequestStore:
-        """The shard's records as a store (shard-local ids 1..n).
-
-        Mainly a debugging and test convenience — the coordinator merges
-        payloads directly.
-        """
-
-        return RequestStore(self.columns.renumbered())
-
 
 def shard_site(spec: ShardSpec) -> Tuple[HoneySite, np.random.SeedSequence]:
     """The private honey site a shard generates into, plus its generator seed.

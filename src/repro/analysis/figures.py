@@ -22,7 +22,7 @@ import numpy as np
 from repro.devices.profiles import CHROMIUM_PDF_PLUGINS
 from repro.devices.screens import is_real_iphone_resolution
 from repro.fingerprint.attributes import Attribute, parse_resolution
-from repro.fingerprint.fingerprint import _json_default, grouping_value
+from repro.fingerprint.fingerprint import grouping_value
 from repro.honeysite.storage import (
     SECONDS_PER_DAY,
     RecordColumns,
@@ -119,15 +119,6 @@ class CoreCountCdf:
     label: str
     core_counts: Tuple[int, ...]
     cumulative_probability: Tuple[float, ...]
-
-    def fraction_below(self, threshold: int) -> float:
-        """Fraction of requests reporting fewer than *threshold* cores."""
-
-        fraction = 0.0
-        for cores, cumulative in zip(self.core_counts, self.cumulative_probability):
-            if cores < threshold:
-                fraction = cumulative
-        return fraction
 
 
 def _core_cdf(columns: RecordColumns, label: str) -> CoreCountCdf:
@@ -399,7 +390,8 @@ class DailySeries:
     unique_fingerprints: Tuple[int, ...]
 
 
-#: Transport-level attributes :meth:`Fingerprint.stable_hash` excludes.
+#: Transport-level attributes a FingerprintJS ``visitorId`` leaves out (the
+#: ``stable_hash`` oracle in ``tests/reference/fingerprint.py`` drops the same).
 _TRANSPORT_ATTRIBUTES = (
     Attribute.IP_ADDRESS,
     Attribute.IP_COUNTRY,
@@ -410,7 +402,9 @@ _TRANSPORT_ATTRIBUTES = (
 
 def canonical_fingerprint_rows(columns: RecordColumns) -> np.ndarray:
     """Per-row fingerprint codes: the first session with the same
-    :meth:`~repro.fingerprint.fingerprint.Fingerprint.stable_hash`.
+    FingerprintJS-style ``visitorId`` (``stable_hash`` in
+    ``tests/reference/fingerprint.py``, the oracle these rows are checked
+    against).
 
     The hash serialises the browser-side attributes with ``sort_keys``, so
     two sessions hash alike when every attribute's value serialises to the
@@ -432,9 +426,10 @@ def canonical_fingerprint_rows(columns: RecordColumns) -> np.ndarray:
             fragment_ids.extend([0] * len(values))
             continue
         ids: Dict[str, int] = {}
+        # Tuples serialise as JSON arrays; any other non-JSON value as its str.
         fragment_ids.extend(
             ids.setdefault(
-                json.dumps(value, sort_keys=True, default=_json_default, separators=(",", ":")),
+                json.dumps(value, sort_keys=True, default=str, separators=(",", ":")),
                 len(ids),
             )
             for value in values

@@ -3,12 +3,12 @@
 ``repro pipeline --json`` and ``repro report --json`` print a ``paper`` row
 for each value the command reproduces (:func:`paper_rows`).  Known
 divergences are in :data:`DEVIATIONS`; ``tests/test_paper_claims.py``
-fails on any other difference beyond :func:`allowed_delta`.
+fails on any other difference beyond its ``allowed_delta`` (the key's
+tolerance plus three binomial standard errors).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Mapping, NamedTuple
 
 from repro.bots.marketplace import build_marketplace
@@ -129,16 +129,6 @@ DEVIATIONS: Dict[str, Deviation] = {
         0.3, "off-region sessions report America/New_York, whose offsets Canada shares (1.0)"
     ),
 }
-
-
-def allowed_delta(key: str, requests: int) -> float:
-    """The key's tolerance plus three binomial standard errors of the
-    paper's rate over *requests*: the largest ``|reproduced - paper|``
-    that is not an issue."""
-
-    paper = PAPER[key].value
-    tolerance = DEVIATIONS[key].tolerance if key in DEVIATIONS else TOLERANCE
-    return tolerance + 3.0 * math.sqrt(paper * (1.0 - paper) / max(requests, 1))
 
 
 def paper_rows(measured: Mapping[str, Measurement], scale: float) -> List[dict]:

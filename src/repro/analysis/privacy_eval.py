@@ -69,7 +69,7 @@ def evaluate_privacy_technologies(
         if table is not None and detector.accepts_table(table, store):
             verdicts = detector.classify_table(table)
         else:
-            verdicts = detector.classify_store(store)
+            verdicts = detector.classify_table(detector.extract_table(store))
         total = len(store)
         counts = verdicts.counts()
         results.append(

@@ -32,12 +32,6 @@ class Decision:
     score: float
     signals: Tuple[str, ...] = field(default_factory=tuple)
 
-    @property
-    def evaded(self) -> bool:
-        """Convenience alias: the request evaded when it was not flagged."""
-
-        return not self.is_bot
-
 
 class BotDetector(abc.ABC):
     """Interface of an anti-bot service evaluated on single requests.
@@ -53,15 +47,6 @@ class BotDetector(abc.ABC):
     def __init__(self, geo: Optional[GeoDatabase] = None):
         self._geo = geo
 
-    @property
-    def geo(self) -> Optional[GeoDatabase]:
-        return self._geo
-
     @abc.abstractmethod
     def evaluate(self, request: WebRequest) -> Decision:
         """Evaluate *request* and return a :class:`Decision`."""
-
-    def is_bot(self, request: WebRequest) -> bool:
-        """Shorthand for ``evaluate(request).is_bot``."""
-
-        return self.evaluate(request).is_bot

@@ -127,9 +127,3 @@ API_ACCESS: Dict[str, Dict[str, bool]] = {
     "addEventListener: pagehide": {"DataDome": True, "BotD": False},
     "Performance.now": {"DataDome": False, "BotD": True},
 }
-
-
-def apis_read_by(detector_name: str) -> Tuple[str, ...]:
-    """The APIs read by *detector_name* ("DataDome" or "BotD")."""
-
-    return tuple(api for api, readers in API_ACCESS.items() if readers.get(detector_name))

@@ -18,7 +18,7 @@ region) are set from the qualitative findings of Sections 5.3 and 6:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.bots.service import BotDEvasionFlavor, BotServiceProfile
 
@@ -170,9 +170,3 @@ def build_marketplace() -> Tuple[BotServiceProfile, ...]:
 
 #: Total request volume of the full-scale corpus (matches the paper).
 TOTAL_REQUESTS = sum(profile.num_requests for profile in build_marketplace())
-
-
-def marketplace_by_name() -> Dict[str, BotServiceProfile]:
-    """The marketplace keyed by service name."""
-
-    return {profile.name: profile for profile in build_marketplace()}

@@ -3,8 +3,10 @@
 Section 6 of the paper establishes that evasive bots do not operate real
 consumer devices; they run automation stacks (typically headless Chromium
 on cloud servers) and *alter* fingerprint attributes to mimic real users.
-Each strategy below performs one family of alteration observed in the
-measurement:
+Each ``*_changes`` function below returns the attribute changes of one
+family of alteration observed in the measurement (the traffic generator
+applies them to a session's values; the object-at-a-time ``apply_*``
+forms are in ``tests/reference/generation.py``):
 
 * spoofing a popular device's User-Agent (Figures 6, 7),
 * injecting PDF plugins or claiming touch support to hit BotD's blind
@@ -151,6 +153,9 @@ def base_bot_values(
 ) -> Dict[Attribute, object]:
     """Canonical attribute dict of an unmodified bot worker.
 
+    The template models headless Chromium running on a Linux cloud server
+    with the automation tell (`navigator.webdriver`) already patched out —
+    the starting point every commercial "undetectable traffic" stack uses.
     Consumes the stream exactly like the historical template construction
     (one core-count draw, one memory draw, in that order).
     """
@@ -164,43 +169,20 @@ def base_bot_values(
     return values
 
 
-def base_bot_fingerprint(rng: np.random.Generator, *, timezone: str = "America/Los_Angeles") -> Fingerprint:
-    """Fingerprint of an unmodified bot worker.
-
-    The template models headless Chromium running on a Linux cloud server
-    with the automation tell (`navigator.webdriver`) already patched out —
-    the starting point every commercial "undetectable traffic" stack uses.
-    """
-
-    return Fingerprint._from_coerced(base_bot_values(rng, timezone=timezone))
-
-
 def low_concurrency_changes(rng: np.random.Generator) -> Dict[str, object]:
-    """Changes of :func:`apply_low_concurrency` (DataDome blind spot)."""
+    """Report a consumer-grade CPU core count (DataDome blind spot, Figure 5)."""
 
     return {"hardware_concurrency": int(_pick(rng, (2, 4, 6)))}
 
 
-def apply_low_concurrency(fingerprint: Fingerprint, rng: np.random.Generator) -> Fingerprint:
-    """Report a consumer-grade CPU core count (DataDome blind spot)."""
-
-    return fingerprint.replace(**low_concurrency_changes(rng))
-
-
 def server_concurrency_changes(rng: np.random.Generator) -> Dict[str, object]:
-    """Changes of :func:`apply_server_concurrency`."""
+    """Report the worker's true server-grade CPU core count."""
 
     return {"hardware_concurrency": int(_pick(rng, (8, 12, 16, 24, 32)))}
 
 
-def apply_server_concurrency(fingerprint: Fingerprint, rng: np.random.Generator) -> Fingerprint:
-    """Report the worker's true server-grade CPU core count."""
-
-    return fingerprint.replace(**server_concurrency_changes(rng))
-
-
 def plugin_injection_changes(rng: np.random.Generator) -> Dict[str, object]:
-    """Changes of :func:`apply_plugin_injection` (Figure 4)."""
+    """Expose one or more PDF plugins (BotD blind spot, Figure 4)."""
 
     count = int(rng.integers(1, len(CHROMIUM_PDF_PLUGINS) + 1))
     order = rng.permutation(len(CHROMIUM_PDF_PLUGINS))[:count]
@@ -210,28 +192,9 @@ def plugin_injection_changes(rng: np.random.Generator) -> Dict[str, object]:
     return {"plugins": plugins, "pdf_viewer_enabled": True}
 
 
-def apply_plugin_injection(fingerprint: Fingerprint, rng: np.random.Generator) -> Fingerprint:
-    """Expose one or more PDF plugins (BotD blind spot, Figure 4)."""
-
-    return fingerprint.replace(**plugin_injection_changes(rng))
-
-
 def touch_spoof_changes(
     rng: np.random.Generator, *, consistency: float = 0.2
 ) -> Dict[str, object]:
-    """Changes of :func:`apply_touch_spoof` (Section 5.3.3)."""
-
-    changes: Dict[str, object] = {"touch_support": TOUCH_EVENTS}
-    if rng.random() < consistency:
-        changes["max_touch_points"] = 5
-    else:
-        changes["max_touch_points"] = int(_pick(rng, (0, 1, 2, 3, 9, 10)))
-    return changes
-
-
-def apply_touch_spoof(
-    fingerprint: Fingerprint, rng: np.random.Generator, *, consistency: float = 0.2
-) -> Fingerprint:
     """Claim touch-event support (BotD blind spot, Section 5.3.3).
 
     With probability ``consistency`` the bot also reports a plausible
@@ -240,7 +203,12 @@ def apply_touch_spoof(
     (device, Max Touch Points) inconsistencies of Table 6.
     """
 
-    return fingerprint.replace(**touch_spoof_changes(rng, consistency=consistency))
+    changes: Dict[str, object] = {"touch_support": TOUCH_EVENTS}
+    if rng.random() < consistency:
+        changes["max_touch_points"] = 5
+    else:
+        changes["max_touch_points"] = int(_pick(rng, (0, 1, 2, 3, 9, 10)))
+    return changes
 
 
 _SPOOF_TARGET_NAMES: Tuple[str, ...] = tuple(SPOOF_TARGET_WEIGHTS)
@@ -267,7 +235,13 @@ def device_spoof_changes(
     target: Optional[str] = None,
     consistency: float = 0.15,
 ) -> Dict[str, object]:
-    """Changes of :func:`apply_device_spoof` (Section 6.1)."""
+    """Impersonate a popular consumer device through the User-Agent (Section 6.1).
+
+    Only the User-Agent-derived attributes are rewritten reliably.  Every
+    correlated attribute (platform, vendor, screen resolution, touch
+    points) is fixed up only with probability ``consistency`` each,
+    reproducing the partially altered fingerprints of Section 6.1.
+    """
 
     target = target or choose_spoof_target(rng)
     changes: Dict[str, object] = {}
@@ -327,26 +301,6 @@ def device_spoof_changes(
     return changes
 
 
-def apply_device_spoof(
-    fingerprint: Fingerprint,
-    rng: np.random.Generator,
-    *,
-    target: Optional[str] = None,
-    consistency: float = 0.15,
-) -> Fingerprint:
-    """Impersonate a popular consumer device through the User-Agent.
-
-    Only the User-Agent-derived attributes are rewritten reliably.  Every
-    correlated attribute (platform, vendor, screen resolution, touch
-    points) is fixed up only with probability ``consistency`` each,
-    reproducing the partially altered fingerprints of Section 6.1.
-    """
-
-    return fingerprint.replace(
-        **device_spoof_changes(rng, target=target, consistency=consistency)
-    )
-
-
 def _maybe(changes: Dict[str, object], rng: np.random.Generator, probability: float, key: str, value) -> None:
     if rng.random() < probability:
         changes[key] = value
@@ -391,7 +345,15 @@ def random_resolution(rng: np.random.Generator) -> Tuple[int, int]:
 def consistent_device_spoof_changes(
     rng: np.random.Generator, *, has_touch: bool
 ) -> Dict[str, object]:
-    """Changes of :func:`apply_consistent_device_spoof`."""
+    """Impersonate a device *consistently* (a well-configured spoofing profile).
+
+    Some bot stacks ship curated emulation profiles whose correlated
+    attributes all agree; these spoofs introduce no spatial inconsistency.
+    The target family is chosen so the attributes that drive detector
+    calibration (plugins, touch support, hardware concurrency) stay
+    untouched: a fingerprint that claims touch support (*has_touch*)
+    becomes a phone, one that exposes plugins (or neither) a desktop.
+    """
 
     if has_touch:
         if rng.random() < 0.7:
@@ -457,65 +419,13 @@ def consistent_device_spoof_changes(
     return changes
 
 
-def apply_consistent_device_spoof(
-    fingerprint: Fingerprint, rng: np.random.Generator
-) -> Fingerprint:
-    """Impersonate a device *consistently* (a well-configured spoofing profile).
-
-    Some bot stacks ship curated emulation profiles whose correlated
-    attributes all agree; these spoofs introduce no spatial inconsistency.
-    The target family is chosen so the attributes that drive detector
-    calibration (plugins, touch support, hardware concurrency) stay
-    untouched: a fingerprint that currently claims touch support becomes a
-    phone, one that exposes plugins (or neither) becomes a desktop.
-    """
-
-    has_touch = str(fingerprint.get(Attribute.TOUCH_SUPPORT)) not in ("", "None")
-    return fingerprint.replace(**consistent_device_spoof_changes(rng, has_touch=has_touch))
-
-
 def platform_rotation_changes(rng: np.random.Generator) -> Dict[str, object]:
-    """Changes of :func:`apply_platform_rotation` (Figure 10)."""
+    """Report a platform value drawn from the rotation pool (Figure 10)."""
 
     return {"platform": ROTATED_PLATFORMS[int(rng.integers(len(ROTATED_PLATFORMS)))]}
 
 
-def apply_platform_rotation(fingerprint: Fingerprint, rng: np.random.Generator) -> Fingerprint:
-    """Report a platform value drawn from the rotation pool (Figure 10)."""
-
-    return fingerprint.replace(**platform_rotation_changes(rng))
-
-
-def apply_timezone(fingerprint: Fingerprint, timezone: str) -> Fingerprint:
-    """Set the browser timezone attribute."""
-
-    return fingerprint.replace(timezone=timezone)
-
-
-def apply_forced_colors(fingerprint: Fingerprint) -> Fingerprint:
-    """Leave the forced-colors accessibility mode active.
-
-    Automation frameworks configured for deterministic rendering sometimes
-    run with forced colors on; per Section 5.3.2 such values always lead to
-    detection by DataDome.
-    """
-
-    return fingerprint.replace(forced_colors=True)
-
-
-def apply_webdriver_leak(fingerprint: Fingerprint) -> Fingerprint:
-    """Fail to patch ``navigator.webdriver`` (a sloppy-bot tell)."""
-
-    return fingerprint.replace(webdriver=True)
-
-
 def memory_rotation_changes(rng: np.random.Generator) -> Dict[str, object]:
-    """Changes of :func:`apply_memory_rotation`."""
-
-    return {"device_memory": float(_pick(rng, (0.5, 1.0, 2.0, 4.0, 8.0)))}
-
-
-def apply_memory_rotation(fingerprint: Fingerprint, rng: np.random.Generator) -> Fingerprint:
     """Report a freshly drawn deviceMemory value (temporal inconsistency)."""
 
-    return fingerprint.replace(**memory_rotation_changes(rng))
+    return {"device_memory": float(_pick(rng, (0.5, 1.0, 2.0, 4.0, 8.0)))}

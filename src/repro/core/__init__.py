@@ -14,7 +14,6 @@ __all__, __getattr__ = lazy_exports(
             "DetectionRates",
             "GeneralizationResult",
             "ServiceImprovement",
-            "detection_rates",
             "evaluate_generalization",
             "evaluate_table3",
             "evaluate_table4",

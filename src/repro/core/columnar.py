@@ -162,9 +162,6 @@ class ColumnarTable:
     def n_rows(self) -> int:
         return self._n_rows
 
-    def __len__(self) -> int:
-        return self._n_rows
-
     @property
     def attributes(self) -> Tuple[Attribute, ...]:
         return tuple(self._codes)
@@ -197,12 +194,6 @@ class ColumnarTable:
 
         return self._values[attribute]
 
-    def value_at(self, attribute: Attribute, row: int):
-        """The grouping value of *attribute* at *row* (``None`` if missing)."""
-
-        code = self._codes[attribute][row]
-        return self._values[attribute][code] if code >= 0 else None
-
     def matches_store(self, store) -> bool:
         """Whether this table's rows verifiably correspond to *store*.
 
@@ -217,14 +208,6 @@ class ColumnarTable:
         if self.n_rows != len(store):
             return False
         return bool(np.array_equal(self.request_ids, store.request_id_array()))
-
-    def cookie_at(self, row: int) -> Optional[str]:
-        code = self.cookie_codes[row]
-        return self.cookie_values[code] if code >= 0 else None
-
-    def ip_at(self, row: int) -> Optional[str]:
-        code = self.ip_codes[row]
-        return self.ip_values[code] if code >= 0 else None
 
     # -- slicing ---------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.columnar import ColumnarTable, TableEncoder
-from repro.core.rules import FilterList, FilterListMatcher, InconsistencyRule, RuleTable, rule_key
+from repro.core.rules import FilterList, FilterListMatcher, InconsistencyRule, RuleTable
 from repro.core.spatial import SpatialInconsistencyMiner
 from repro.core.temporal import TemporalFlag, TemporalInconsistencyDetector
 from repro.fingerprint.attributes import Attribute
@@ -107,22 +107,6 @@ class Verdicts:
             np.isin(request_ids, self.request_ids[self.spatial()]),
             np.isin(request_ids, self.request_ids[flagged]),
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Verdicts):
-            return NotImplemented
-        keys: Dict[Tuple, int] = {}
-
-        def canonical(verdicts: "Verdicts") -> Tuple[List, List, Dict]:
-            order = np.argsort(verdicts.request_ids, kind="stable")
-            rules = [keys.setdefault(rule_key(rule), len(keys)) for rule in verdicts.rules.rules]
-            return (
-                verdicts.request_ids[order].tolist(),
-                np.array(rules + [-1])[verdicts.rule_index[order]].tolist(),
-                {int(verdicts.request_ids[row]): flags for row, flags in verdicts.flags.items()},
-            )
-
-        return canonical(self) == canonical(other)
 
 
 class SpatialMatchState:
@@ -227,12 +211,6 @@ class FPInconsistent:
     @property
     def miner(self) -> SpatialInconsistencyMiner:
         return self._miner
-
-    @property
-    def location_predicate(self) -> bool:
-        """Whether the generalised Location check backs filter-list misses."""
-
-        return self._location_predicate
 
     def isolated_clone(self) -> "FPInconsistent":
         """A detector sharing this one's read-only parts.
@@ -382,27 +360,6 @@ class FPInconsistent:
         """Fresh cross-table spatial state for :meth:`classify_table`."""
 
         return SpatialMatchState()
-
-    def classify_store(
-        self,
-        store: RequestStore,
-        *,
-        use_spatial: bool = True,
-        use_temporal: bool = True,
-    ) -> Verdicts:
-        """Classify every request in *store*.
-
-        Extracts the store once and classifies the table
-        (:meth:`classify_table`).
-        Temporal state is evaluated in timestamp order over the given store
-        only (it does not leak across calls).
-        """
-
-        return self.classify_table(
-            self.extract_table(store),
-            use_spatial=use_spatial,
-            use_temporal=use_temporal,
-        )
 
     def classify_table(
         self,

@@ -106,16 +106,6 @@ def _detection_rates_from_columns(columns: _StoreColumns, detector: str) -> Dete
     )
 
 
-def detection_rates(
-    store: RequestStore,
-    verdicts: Verdicts,
-    detector: str,
-) -> DetectionRates:
-    """Compute one Table 4 column group for *detector*."""
-
-    return _detection_rates_from_columns(_StoreColumns(store, verdicts), detector)
-
-
 def evaluate_table4(
     store: RequestStore,
     verdicts: Verdicts,

@@ -54,13 +54,6 @@ class InconsistencyRule:
         first, second = sorted((left, right))
         return (first[0], first[1], second[0], second[1])
 
-    def matches(self, fingerprint: Fingerprint) -> bool:
-        """Whether *fingerprint* exhibits this impossible value pair."""
-
-        observed_a = fingerprint.value_for_grouping(self.attribute_a)
-        observed_b = fingerprint.value_for_grouping(self.attribute_b)
-        return observed_a == self.value_a and observed_b == self.value_b
-
     def describe(self) -> str:
         """Human-readable one-liner in the Table 6 style."""
 
@@ -114,13 +107,6 @@ class FilterList:
     def __iter__(self) -> Iterator[InconsistencyRule]:
         return iter(self._rules)
 
-    def __contains__(self, rule: InconsistencyRule) -> bool:
-        return rule.key in self._by_key
-
-    @property
-    def rules(self) -> Tuple[InconsistencyRule, ...]:
-        return tuple(self._rules)
-
     def add(self, rule: InconsistencyRule) -> bool:
         """Add *rule*; returns ``False`` when an equivalent rule exists."""
 
@@ -131,14 +117,6 @@ class FilterList:
         self._index.setdefault(rule.attribute_a, {}).setdefault(rule.value_a, []).append(rule)
         self._version += 1
         return True
-
-    def merge(self, other: "FilterList") -> "FilterList":
-        """New filter list containing the union of rules."""
-
-        merged = FilterList(self._rules)
-        for rule in other:
-            merged.add(rule)
-        return merged
 
     # -- matching --------------------------------------------------------------------
 
@@ -168,42 +146,6 @@ class FilterList:
         table = ColumnarTable.from_fingerprints([fingerprint], matcher.attributes)
         rank = int(matcher.first_match_rows(table)[0])
         return None if rank < 0 else matcher.rules[rank]
-
-    def matches(self, fingerprint: Fingerprint) -> bool:
-        """Whether *fingerprint* violates any rule."""
-
-        return self.first_match(fingerprint) is not None
-
-    def all_matches(self, fingerprint: Fingerprint) -> Tuple[InconsistencyRule, ...]:
-        """Every rule *fingerprint* violates."""
-
-        return tuple(rule for rule in self._rules if rule.matches(fingerprint))
-
-    def __getstate__(self) -> Dict:
-        # The compiled matcher is a cache (with per-table translations);
-        # shards rebuild it rather than receive it pickled.
-        state = dict(self.__dict__)
-        state["_matcher"] = None
-        return state
-
-    # -- views -----------------------------------------------------------------------
-
-    def by_category(self) -> Dict[AttributeCategory, Tuple[InconsistencyRule, ...]]:
-        """Rules grouped by attribute category (Table 6 layout)."""
-
-        grouped: Dict[AttributeCategory, List[InconsistencyRule]] = {}
-        for rule in self._rules:
-            grouped.setdefault(rule.category, []).append(rule)
-        return {category: tuple(rules) for category, rules in grouped.items()}
-
-    def by_attribute_pair(self) -> Dict[Tuple[Attribute, Attribute], Tuple[InconsistencyRule, ...]]:
-        """Rules grouped by the attribute pair they constrain."""
-
-        grouped: Dict[Tuple[Attribute, Attribute], List[InconsistencyRule]] = {}
-        for rule in self._rules:
-            pair = tuple(sorted((rule.attribute_a, rule.attribute_b), key=lambda a: a.value))
-            grouped.setdefault(pair, []).append(rule)  # type: ignore[arg-type]
-        return {pair: tuple(rules) for pair, rules in grouped.items()}
 
     def top_rules(self, count: int = 10) -> Tuple[InconsistencyRule, ...]:
         """The *count* highest-support rules."""

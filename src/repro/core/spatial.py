@@ -117,10 +117,6 @@ class SpatialInconsistencyMiner:
         self._config = config if config is not None else SpatialMinerConfig()
 
     @property
-    def config(self) -> SpatialMinerConfig:
-        return self._config
-
-    @property
     def knowledge(self) -> DeviceKnowledgeBase:
         return self._knowledge
 

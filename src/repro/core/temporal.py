@@ -182,40 +182,6 @@ class TemporalStreamState:
         #: the stamp the next change receives (see :meth:`close_epoch`)
         self.epoch = 1
 
-    @property
-    def tracked_devices(self) -> int:
-        """Number of distinct (device key, attribute) entries tracked."""
-
-        return sum(
-            int(np.count_nonzero(column.first >= 0)) for column in self._columns.values()
-        )
-
-    def observed_values(self) -> int:
-        """Total distinct values recorded across all tracked entries."""
-
-        return self.tracked_devices + sum(
-            len(held) - 1
-            for column in self._columns.values()
-            for held in column.overflow.values()
-        )
-
-    def entries(self) -> Dict[Tuple[str, str, Attribute], Tuple[object, ...]]:
-        """The whole seen-state as ``(kind, key, attribute) -> values``.
-
-        Values are listed in observation order.  A decoded copy for
-        inspection and tests; scoring never builds it.
-        """
-
-        entries = {}
-        for kind, attribute, keys, counts, values in self.changes_since(0):
-            key_strings, items = self.keys_of(kind), self.values_of(attribute)
-            ends = np.cumsum(counts).tolist()
-            for key, end, count in zip(keys.tolist(), ends, counts.tolist()):
-                entries[(kind, key_strings[key], attribute)] = tuple(
-                    items[value] for value in values[end - count : end].tolist()
-                )
-        return entries
-
     # -- vocabularies ------------------------------------------------------------
 
     def _remap(self, slot: Tuple, decode: List) -> np.ndarray:
@@ -351,12 +317,6 @@ class TemporalFlag:
     attribute: Attribute
     previous_values: Tuple[object, ...]
     new_value: object
-
-    def describe(self) -> str:
-        return (
-            f"{self.key_kind}={self.key!r}: {self.attribute.value} changed to "
-            f"{self.new_value!r} after {list(self.previous_values)!r}"
-        )
 
 
 class TemporalInconsistencyDetector:

@@ -14,7 +14,6 @@ from repro.devices.screens import (
     IPAD_RESOLUTIONS,
     IPHONE_RESOLUTIONS,
     MAC_RESOLUTIONS,
-    is_real_ipad_resolution,
     is_real_iphone_resolution,
     is_real_resolution_for_device,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "TOUCH_EVENTS",
     "TOUCH_NONE",
     "build_default_catalog",
-    "is_real_ipad_resolution",
     "is_real_iphone_resolution",
     "is_real_resolution_for_device",
 ]

@@ -418,15 +418,8 @@ class DeviceCatalog:
         if len(self._by_name) != len(self._profiles):
             raise ValueError("device profile names must be unique")
 
-    def __len__(self) -> int:
-        return len(self._profiles)
-
     def __iter__(self):
         return iter(self._profiles)
-
-    @property
-    def profiles(self) -> Tuple[DeviceProfile, ...]:
-        return self._profiles
 
     def get(self, name: str) -> DeviceProfile:
         """Return the profile called *name*.
@@ -443,12 +436,6 @@ class DeviceCatalog:
         """Return every profile whose UA device family equals *ua_device*."""
 
         return tuple(p for p in self._profiles if p.ua_device == ua_device)
-
-    def mobile_profiles(self) -> Tuple[DeviceProfile, ...]:
-        return tuple(p for p in self._profiles if p.is_mobile)
-
-    def desktop_profiles(self) -> Tuple[DeviceProfile, ...]:
-        return tuple(p for p in self._profiles if not p.is_mobile)
 
     def sample(self, rng: np.random.Generator) -> DeviceProfile:
         """Sample a profile proportionally to its market-share weight."""

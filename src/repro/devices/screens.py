@@ -143,12 +143,6 @@ def is_real_iphone_resolution(resolution: Resolution) -> bool:
     return _normalise(resolution) in IPHONE_RESOLUTIONS
 
 
-def is_real_ipad_resolution(resolution: Resolution) -> bool:
-    """``True`` when *resolution* (either orientation) exists on a real iPad."""
-
-    return _normalise(resolution) in IPAD_RESOLUTIONS
-
-
 def is_real_resolution_for_device(ua_device: str, resolution: Resolution) -> Optional[bool]:
     """Whether *resolution* is plausible for the device family *ua_device*.
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 #: Environment variable holding the fault plan (unset → no injection).
 FAULTS_ENV_VAR = "REPRO_FAULTS"
@@ -98,7 +98,8 @@ class FaultPlan:
             if rule.point in by_point:
                 raise FaultPlanError(f"duplicate fault point {rule.point!r}")
             by_point[rule.point] = rule
-        self._rules = by_point
+        #: point -> its rule
+        self.rules: Dict[str, FaultRule] = by_point
         self.seed = int(seed)
 
     @classmethod
@@ -137,10 +138,6 @@ class FaultPlan:
             rules.append(FaultRule(point=point, mode=mode, probability=probability))
         return cls(tuple(rules), seed=seed)
 
-    @property
-    def rules(self) -> Tuple[FaultRule, ...]:
-        return tuple(self._rules.values())
-
     def decide(self, point: str, key: str) -> Optional[FaultRule]:
         """The rule that fires for this ``(point, key)``, or ``None``.
 
@@ -148,7 +145,7 @@ class FaultPlan:
         in any process.
         """
 
-        rule = self._rules.get(point)
+        rule = self.rules.get(point)
         if rule is None:
             return None
         if rule.probability >= 1.0 or _uniform(self.seed, point, key) < rule.probability:

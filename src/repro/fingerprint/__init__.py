@@ -1,4 +1,8 @@
-"""Browser fingerprint model: attributes, categories, parsing and hashing."""
+"""Browser fingerprint model: attributes, categories and User-Agent synthesis.
+
+The User-Agent parser and the fingerprint hash are test oracles in
+``tests/reference/fingerprint.py``.
+"""
 
 from repro.fingerprint.attributes import (
     ATTRIBUTE_SPECS,
@@ -6,28 +10,18 @@ from repro.fingerprint.attributes import (
     AttributeSpec,
     IMMUTABLE_ATTRIBUTES,
     ValueKind,
-    all_attributes,
     coerce_value,
     format_resolution,
-    is_immutable,
     parse_resolution,
-    spec_for,
 )
 from repro.fingerprint.categories import (
     AttributeCategory,
     CATEGORY_ATTRIBUTES,
     all_candidate_pairs,
-    attributes_in,
-    categories_of,
     category_pairs,
 )
-from repro.fingerprint.fingerprint import Fingerprint, fingerprint_distance
-from repro.fingerprint.useragent import (
-    ParsedUserAgent,
-    build_user_agent,
-    headless_user_agent,
-    parse_user_agent,
-)
+from repro.fingerprint.fingerprint import Fingerprint
+from repro.fingerprint.useragent import build_user_agent
 
 __all__ = [
     "ATTRIBUTE_SPECS",
@@ -37,20 +31,11 @@ __all__ = [
     "CATEGORY_ATTRIBUTES",
     "Fingerprint",
     "IMMUTABLE_ATTRIBUTES",
-    "ParsedUserAgent",
     "ValueKind",
-    "all_attributes",
     "all_candidate_pairs",
-    "attributes_in",
     "build_user_agent",
-    "categories_of",
     "category_pairs",
     "coerce_value",
-    "fingerprint_distance",
     "format_resolution",
-    "headless_user_agent",
-    "is_immutable",
     "parse_resolution",
-    "parse_user_agent",
-    "spec_for",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 
 class Attribute(str, enum.Enum):
@@ -75,9 +75,6 @@ class Attribute(str, enum.Enum):
     IP_REGION = "ip_region"
     ASN = "asn"
     ACCEPT_LANGUAGE = "accept_language"
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
 
 
 class ValueKind(enum.Enum):
@@ -172,18 +169,6 @@ IMMUTABLE_ATTRIBUTES: Tuple[Attribute, ...] = tuple(
 )
 
 
-def spec_for(attribute: Attribute) -> AttributeSpec:
-    """Return the :class:`AttributeSpec` for *attribute*."""
-
-    return ATTRIBUTE_SPECS[attribute]
-
-
-def is_immutable(attribute: Attribute) -> bool:
-    """Return ``True`` when *attribute* cannot change for a real device."""
-
-    return ATTRIBUTE_SPECS[attribute].immutable
-
-
 def coerce_value(attribute: Attribute, value: Any) -> Any:
     """Coerce *value* to the canonical Python type for *attribute*.
 
@@ -246,9 +231,3 @@ def format_resolution(resolution: Optional[Tuple[int, int]]) -> Optional[str]:
     if resolution is None:
         return None
     return f"{resolution[0]}x{resolution[1]}"
-
-
-def all_attributes() -> Iterable[Attribute]:
-    """Iterate over every registered attribute."""
-
-    return iter(ATTRIBUTE_SPECS)

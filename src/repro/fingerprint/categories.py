@@ -23,9 +23,6 @@ class AttributeCategory(str, enum.Enum):
     BROWSER = "Browser"
     LOCATION = "Location"
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
-
 
 #: Table 7 — the attributes belonging to each category.  An attribute may
 #: belong to multiple categories (e.g. ``UA Device`` informs both screen and
@@ -65,12 +62,6 @@ CATEGORY_ATTRIBUTES: Dict[AttributeCategory, Tuple[Attribute, ...]] = {
 }
 
 
-def attributes_in(category: AttributeCategory) -> Tuple[Attribute, ...]:
-    """Return the attributes belonging to *category*."""
-
-    return CATEGORY_ATTRIBUTES[category]
-
-
 def category_pairs(category: AttributeCategory) -> Iterator[Tuple[Attribute, Attribute]]:
     """Yield every unordered attribute pair within *category*.
 
@@ -89,13 +80,3 @@ def all_candidate_pairs() -> List[Tuple[AttributeCategory, Attribute, Attribute]
         for left, right in category_pairs(category):
             pairs.append((category, left, right))
     return pairs
-
-
-def categories_of(attribute: Attribute) -> Tuple[AttributeCategory, ...]:
-    """Return every category that contains *attribute* (possibly empty)."""
-
-    return tuple(
-        category
-        for category, members in CATEGORY_ATTRIBUTES.items()
-        if attribute in members
-    )

@@ -1,24 +1,24 @@
-"""The :class:`Fingerprint` record and its hashing.
+"""The :class:`Fingerprint` record and its grouping values.
 
 A fingerprint is the set of attribute values collected for one request by
 the honey site's FingerprintJS-style collector plus the values derived from
 the transport layer (IP geolocation, ASN).  Fingerprints are immutable
 mappings from :class:`~repro.fingerprint.attributes.Attribute` to values;
-the bot strategies produce *altered* copies via :meth:`Fingerprint.replace`.
+the device catalogue and the privacy-technology models derive *altered*
+copies via :meth:`Fingerprint.replace`.  The FingerprintJS-style
+``visitorId`` of a fingerprint object (``stable_hash``) is a test oracle in
+``tests/reference/fingerprint.py``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from typing import Any, Dict, Iterator, Mapping, Optional
+from typing import Any, Dict, Iterator, Mapping
 
 from repro.fingerprint.attributes import (
     Attribute,
     coerce_value,
     format_resolution,
 )
-from repro.fingerprint.useragent import ParsedUserAgent, parse_user_agent
 
 
 class Fingerprint(Mapping[Attribute, Any]):
@@ -30,15 +30,10 @@ class Fingerprint(Mapping[Attribute, Any]):
         Mapping from :class:`Attribute` (or its string value) to the raw
         attribute value.  Values are coerced to their canonical types.
 
-    Notes
-    -----
-    * Missing attributes read as ``None``.
-    * ``Fingerprint`` is hashable: two fingerprints with the same attribute
-      values share the same :meth:`stable_hash`, mirroring how the paper
-      counts "unique fingerprints" in Figure 9.
+    Missing attributes read as ``None``.
     """
 
-    __slots__ = ("_values", "_hash", "_grouping")
+    __slots__ = ("_values", "_grouping")
 
     def __init__(self, values: Mapping[Any, Any]):
         coerced: Dict[Attribute, Any] = {}
@@ -49,14 +44,13 @@ class Fingerprint(Mapping[Attribute, Any]):
                 coerced_value = tuple(coerced_value)
             coerced[attribute] = coerced_value
         self._values: Dict[Attribute, Any] = coerced
-        self._hash: Optional[str] = None
         self._grouping: Dict[Attribute, Any] = {}
 
     @classmethod
     def _from_coerced(cls, values: Dict[Attribute, Any]) -> "Fingerprint":
         """Wrap a dict whose values are already canonical, skipping coercion.
 
-        Only for internal use by :meth:`replace` / :meth:`without`, whose
+        Only for :meth:`replace` and the honey site's enrichment, whose
         inputs come from an existing fingerprint (coercion is idempotent on
         canonical values, so re-running it is pure overhead — and it
         dominated corpus-generation profiles).
@@ -64,7 +58,6 @@ class Fingerprint(Mapping[Attribute, Any]):
 
         instance = cls.__new__(cls)
         instance._values = values
-        instance._hash = None
         instance._grouping = {}
         return instance
 
@@ -79,31 +72,10 @@ class Fingerprint(Mapping[Attribute, Any]):
     def __len__(self) -> int:
         return len(self._values)
 
-    def __contains__(self, key: object) -> bool:
-        return key in self._values
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Fingerprint):
-            return NotImplemented
-        return self._values == other._values
-
-    def __hash__(self) -> int:
-        return hash(self.stable_hash())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        device = self.get(Attribute.UA_DEVICE, "?")
-        return f"Fingerprint(device={device!r}, hash={self.stable_hash()[:12]})"
-
     # -- convenience accessors -------------------------------------------------
 
     def get(self, key: Attribute, default: Any = None) -> Any:
         return self._values.get(key, default)
-
-    @property
-    def parsed_user_agent(self) -> ParsedUserAgent:
-        """Parse the raw ``User-Agent`` carried by this fingerprint."""
-
-        return parse_user_agent(self.get(Attribute.USER_AGENT))
 
     def value_for_grouping(self, attribute: Attribute) -> Any:
         """Return a hashable, human-readable value used by grouping code.
@@ -143,60 +115,6 @@ class Fingerprint(Mapping[Attribute, Any]):
             updated[attribute] = coerced
         return Fingerprint._from_coerced(updated)
 
-    def without(self, *attributes: Attribute) -> "Fingerprint":
-        """Return a copy with *attributes* removed."""
-
-        remaining = {
-            key: value for key, value in self._values.items() if key not in attributes
-        }
-        return Fingerprint._from_coerced(remaining)
-
-    # -- serialisation ------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialise to a plain dictionary keyed by attribute name."""
-
-        result: Dict[str, Any] = {}
-        for attribute, value in self._values.items():
-            if isinstance(value, tuple):
-                value = list(value)
-            result[attribute.value] = value
-        return result
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Fingerprint":
-        """Reconstruct a fingerprint from :meth:`to_dict` output."""
-
-        return cls(data)
-
-    def stable_hash(self) -> str:
-        """A deterministic hex digest of the attribute values.
-
-        This plays the role of the FingerprintJS ``visitorId``: requests
-        whose collected attributes are identical hash to the same value.
-        Transport-level attributes (IP address, geolocation, ASN) are
-        excluded, matching FingerprintJS which only hashes browser-side
-        signals.
-        """
-
-        if self._hash is None:
-            browser_side = {
-                attribute.value: value
-                for attribute, value in self._values.items()
-                if attribute
-                not in (
-                    Attribute.IP_ADDRESS,
-                    Attribute.IP_COUNTRY,
-                    Attribute.IP_REGION,
-                    Attribute.ASN,
-                )
-            }
-            payload = json.dumps(
-                browser_side, sort_keys=True, default=_json_default, separators=(",", ":")
-            )
-            self._hash = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        return self._hash
-
 
 def grouping_value(attribute: Attribute, value: Any) -> Any:
     """The grouping form of one raw attribute *value*.
@@ -214,19 +132,3 @@ def grouping_value(attribute: Attribute, value: Any) -> Any:
         return ", ".join(str(item) for item in value) or "(none)"
     return value
 
-
-def _json_default(value: Any) -> Any:
-    if isinstance(value, tuple):
-        return list(value)
-    return str(value)
-
-
-def fingerprint_distance(left: Fingerprint, right: Fingerprint) -> int:
-    """Number of attributes whose values differ between two fingerprints.
-
-    Attributes missing from either side count as differing unless missing
-    from both.  Used by tests and by the analysis of fingerprint churn.
-    """
-
-    keys = set(left) | set(right)
-    return sum(1 for key in keys if left.get(key) != right.get(key))

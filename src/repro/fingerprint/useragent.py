@@ -1,133 +1,15 @@
-"""User-Agent synthesis and parsing.
+"""User-Agent synthesis.
 
 The paper derives three attributes from the ``User-Agent`` header —
 *UA Device*, *UA OS* and *UA Browser* — and uses them heavily in the
 spatial inconsistency analysis (e.g. an ``iPhone`` User-Agent paired with a
-``Win32`` platform).  Real parsers such as ``ua-parser`` are not available
-offline, so this module implements a compact parser covering the device
-families that appear in the paper's dataset (Table 6) plus a synthesiser
-used by the device catalogue and the bot strategies.
+``Win32`` platform).  The device catalogue and the vectorised traffic
+generators write those three attributes directly and synthesise a matching
+header string here; the parser that checks the round trip lives with the
+tests (``tests/reference/fingerprint.py``).
 """
 
 from __future__ import annotations
-
-import re
-from dataclasses import dataclass
-from typing import Optional
-
-
-@dataclass(frozen=True)
-class ParsedUserAgent:
-    """Device, operating system and browser family parsed from a User-Agent."""
-
-    device: str
-    os: str
-    browser: str
-
-    def as_tuple(self) -> tuple:
-        return (self.device, self.os, self.browser)
-
-
-_MODEL_PATTERN = re.compile(r"Android [\d.]+; ([^);]+)")
-_CRIOS_PATTERN = re.compile(r"CriOS/([\d.]+)")
-_CHROME_PATTERN = re.compile(r"Chrome/([\d.]+)")
-_FIREFOX_PATTERN = re.compile(r"Firefox/([\d.]+)")
-
-
-def parse_user_agent(user_agent: Optional[str]) -> ParsedUserAgent:
-    """Parse *user_agent* into coarse device / OS / browser families.
-
-    The granularity matches what the paper reports: device values such as
-    ``iPhone``, ``iPad``, ``Mac``, ``Windows PC`` or an Android model
-    string; OS values such as ``iOS``, ``Mac OS X``, ``Windows``,
-    ``Android``, ``Linux``; browser values such as ``Mobile Safari``,
-    ``Chrome``, ``Chrome Mobile``, ``Chrome Mobile iOS``, ``Firefox``,
-    ``Samsung Internet``, ``MiuiBrowser``.
-    """
-
-    if not user_agent:
-        return ParsedUserAgent(device="Other", os="Other", browser="Other")
-
-    ua = user_agent
-
-    device = _parse_device(ua)
-    os_family = _parse_os(ua)
-    browser = _parse_browser(ua, device)
-    return ParsedUserAgent(device=device, os=os_family, browser=browser)
-
-
-def _parse_device(ua: str) -> str:
-    if "iPhone" in ua:
-        return "iPhone"
-    if "iPad" in ua:
-        return "iPad"
-    if "Macintosh" in ua or "Mac OS X" in ua and "like Mac OS X" not in ua:
-        return "Mac"
-    if "Android" in ua:
-        match = _MODEL_PATTERN.search(ua)
-        if match:
-            model = match.group(1).strip()
-            # Strip build identifiers, e.g. "SM-A515F Build/RP1A" -> "SM-A515F".
-            model = model.split(" Build")[0].strip()
-            if model and model.lower() not in ("mobile", "tablet"):
-                return model
-        return "Android Device"
-    if "Windows" in ua:
-        return "Windows PC"
-    if "CrOS" in ua:
-        return "Chromebook"
-    if "Linux" in ua or "X11" in ua:
-        return "Linux PC"
-    return "Other"
-
-
-def _parse_os(ua: str) -> str:
-    if "iPhone" in ua or "iPad" in ua or "like Mac OS X" in ua:
-        return "iOS"
-    if "Macintosh" in ua or "Mac OS X" in ua:
-        return "Mac OS X"
-    if "Android" in ua:
-        return "Android"
-    if "Windows" in ua:
-        return "Windows"
-    if "CrOS" in ua:
-        return "Chrome OS"
-    if "Linux" in ua or "X11" in ua:
-        return "Linux"
-    return "Other"
-
-
-def _parse_browser(ua: str, device: str) -> str:
-    if "SamsungBrowser" in ua:
-        return "Samsung Internet"
-    if "MiuiBrowser" in ua:
-        return "MiuiBrowser"
-    if "Edg/" in ua or "EdgA/" in ua or "EdgiOS/" in ua:
-        return "Edge"
-    if "OPR/" in ua or "Opera" in ua:
-        return "Opera"
-    if "CriOS" in ua:
-        return "Chrome Mobile iOS"
-    if "FxiOS" in ua:
-        return "Firefox iOS"
-    if "Firefox/" in ua:
-        return "Firefox"
-    if "Chrome/" in ua:
-        if "Mobile" in ua:
-            return "Chrome Mobile"
-        return "Chrome"
-    if "Safari/" in ua:
-        if device in ("iPhone", "iPad") or "Mobile" in ua:
-            return "Mobile Safari"
-        return "Safari"
-    if "HeadlessChrome" in ua:
-        return "Headless Chrome"
-    return "Other"
-
-
-# ---------------------------------------------------------------------------
-# Synthesis
-# ---------------------------------------------------------------------------
 
 _CHROME_VERSION = "118.0.0.0"
 _SAFARI_WEBKIT = "605.1.15"
@@ -143,11 +25,10 @@ def build_user_agent(
 ) -> str:
     """Synthesise a plausible User-Agent string for the given families.
 
-    The synthesiser is the inverse of :func:`parse_user_agent` for the
-    device families used by the device catalogue and bot strategies; it is
-    intentionally conservative so that ``parse_user_agent(build_user_agent(
-    d, o, b)) == (d, o, b)`` for catalogue entries (a property the test
-    suite checks).
+    It is intentionally conservative: for the device families of the
+    device catalogue and the traffic generators, the reference parser
+    (``tests/reference/fingerprint.py``) reads ``(d, o, b)`` back out of
+    ``build_user_agent(d, o, b)``, a round trip the test suite checks.
     """
 
     if device == "iPhone":
@@ -241,11 +122,3 @@ def build_user_agent(
         f"AppleWebKit/537.36 (KHTML, like Gecko) Chrome/{_CHROME_VERSION} Safari/537.36"
     )
 
-
-def headless_user_agent() -> str:
-    """User-Agent advertised by an unmodified headless Chromium."""
-
-    return (
-        "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36 (KHTML, like Gecko) "
-        f"HeadlessChrome/{_CHROME_VERSION} Safari/537.36"
-    )

@@ -108,13 +108,6 @@ BLOCKED_ASNS: FrozenSet[int] = frozenset(
 )
 
 
-def is_datacenter_asn(number: int) -> bool:
-    """``True`` when *number* belongs to a cloud or hosting provider."""
-
-    record = ASN_REGISTRY.get(number)
-    return record.is_datacenter if record else False
-
-
 @lru_cache(maxsize=None)
 def residential_asns(country: Optional[str] = None) -> Tuple[int, ...]:
     """Residential / mobile ASNs, optionally filtered by *country*.
@@ -151,16 +144,6 @@ class AsnBlocklist:
     def __init__(self, blocked: Iterable[int] = BLOCKED_ASNS):
         self._blocked: FrozenSet[int] = frozenset(int(number) for number in blocked)
 
-    def __contains__(self, number: int) -> bool:
-        return int(number) in self._blocked
-
-    def __len__(self) -> int:
-        return len(self._blocked)
-
-    @property
-    def blocked(self) -> FrozenSet[int]:
-        return self._blocked
-
     def is_blocked(self, number: Optional[int]) -> bool:
         """Whether ASN *number* is on the list (``None`` → not blocked)."""
 
@@ -178,33 +161,7 @@ class IpBlocklist:
     def __init__(self, addresses: Iterable[str] = ()):
         self._blocked: Set[str] = {str(address) for address in addresses}
 
-    def __contains__(self, address: str) -> bool:
-        return str(address) in self._blocked
-
-    def __len__(self) -> int:
-        return len(self._blocked)
-
-    def add(self, address: str) -> None:
-        """Add *address* to the list."""
-
-        self._blocked.add(str(address))
-
-    def update(self, addresses: Iterable[str]) -> None:
-        """Add every address in *addresses*."""
-
-        for address in addresses:
-            self.add(address)
-
     def is_blocked(self, address: Optional[str]) -> bool:
         """Whether *address* is on the list (``None`` → not blocked)."""
 
         return address is not None and str(address) in self._blocked
-
-    def coverage(self, addresses: Iterable[str]) -> float:
-        """Fraction of *addresses* present on the list (0 when empty input)."""
-
-        addresses = list(addresses)
-        if not addresses:
-            return 0.0
-        hits = sum(1 for address in addresses if self.is_blocked(address))
-        return hits / len(addresses)

@@ -107,16 +107,10 @@ class GeoDatabase:
             is_datacenter=record.is_datacenter,
         )
 
-    def asn_of(self, address: str) -> Optional[int]:
-        """ASN of *address* or ``None`` when unknown."""
-
-        record = self.lookup(address)
-        return record.asn if record else None
-
     def asns_of(self, addresses: Sequence[str]) -> np.ndarray:
-        """ASN of each address, ``-1`` outside the space: :meth:`asn_of`
-        over many addresses, with the octets parsed in one vectorised pass
-        and each distinct /16 prefix looked up once."""
+        """ASN of each address, ``-1`` outside the space: the ``asn`` of
+        :meth:`lookup` over many addresses, with the octets parsed in one
+        vectorised pass and each distinct /16 prefix looked up once."""
 
         octets = parse_ipv4_octets(addresses)
         prefixes, rows = np.unique(octets[:, 0] * 256 + octets[:, 1], return_inverse=True)

@@ -82,10 +82,6 @@ class PrefixAssignment:
     asn: int
     region: GeoRegion
 
-    @property
-    def prefix(self) -> str:
-        return f"{self.first_octet}.{self.second_octet}.0.0/16"
-
 
 def format_ipv4(first: int, second: int, third: int, fourth: int) -> str:
     """Format four octets as a dotted-quad string."""
@@ -237,17 +233,8 @@ class IpAddressSpace:
         self._allocated: Dict[AsnKind, int] = {}
 
     @property
-    def partition(self) -> Tuple[int, int]:
-        return self._partition
-
-    @property
     def assignments(self) -> List[PrefixAssignment]:
         return list(self._by_prefix.values())
-
-    def kind_capacity(self, kind: AsnKind) -> int:
-        """Total /16 blocks the configured segments give *kind*."""
-
-        return sum(span * 256 for _base, span in self._kind_ranges[kind])
 
     def _block_octets(self, kind: AsnKind, global_index: int) -> Tuple[int, int]:
         remaining = int(global_index)
@@ -257,10 +244,11 @@ class IpAddressSpace:
                 return base + remaining // 256, remaining % 256
             remaining -= segment_blocks
         index, count = self._partition
+        capacity = sum(span * 256 for _base, span in self._kind_ranges[kind])
         raise AddressSpaceExhausted(
             f"synthetic address space for {kind.value!r} is exhausted: block "
             f"{global_index} requested but the configured segments "
-            f"{self._kind_ranges[kind]} hold only {self.kind_capacity(kind)} /16 "
+            f"{self._kind_ranges[kind]} hold only {capacity} /16 "
             f"blocks (partition {index}/{count}).  Widen the kind's segments via "
             f"IpAddressSpace(kind_ranges=...) or reduce the shard count / scale."
         )
@@ -308,7 +296,9 @@ class IpAddressSpace:
         key = (assignment.asn, assignment.region.country, assignment.region.region)
         prefix = (assignment.first_octet, assignment.second_octet)
         if self._by_prefix.get(prefix, assignment) != assignment:
-            raise ValueError(f"prefix {assignment.prefix} already assigned differently")
+            raise ValueError(
+                f"prefix {prefix[0]}.{prefix[1]}.0.0/16 already assigned differently"
+            )
         self._assignments.setdefault(key, assignment)
         self._by_prefix[prefix] = assignment
 

@@ -125,17 +125,6 @@ def offsets_of_country(country: str) -> FrozenSet[int]:
     return frozenset(offsets)
 
 
-def offset_matches_region(offset_minutes: int, region: str) -> bool:
-    """Conservative match used in Section 6.2.
-
-    A UTC offset is considered to "match" an advertised region when any
-    location inside that region can exhibit the offset (e.g. Europe/Berlin
-    overlaps France).
-    """
-
-    return offset_minutes in offsets_of_region(region)
-
-
 def timezone_matches_region(timezone_name: str, region: str) -> bool:
     """Whether any offset of *timezone_name* overlaps the region's offsets."""
 
@@ -148,9 +137,3 @@ def country_matches_region(country: str, region: str) -> bool:
 
     region_offsets = offsets_of_region(region)
     return any(offset in region_offsets for offset in offsets_of_country(country))
-
-
-def offsets_overlap(timezone_a: str, timezone_b: str) -> bool:
-    """Whether two IANA zones can ever share a UTC offset."""
-
-    return bool(set(utc_offsets_of(timezone_a)) & set(utc_offsets_of(timezone_b)))

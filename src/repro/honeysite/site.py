@@ -82,7 +82,9 @@ class HoneySite:
         """
 
         if self._store is None:
-            return RequestStore(self.recorded.columns().renumbered())
+            columns = self.recorded.columns()
+            columns.request_ids = np.arange(1, columns.n_rows + 1, dtype=np.int64)
+            return RequestStore(columns)
         return self._store
 
     @store.setter

@@ -99,7 +99,7 @@ class SessionArrays:
       value codes index that attribute's raw-value side table in
       ``fp_values``.  The pair stream preserves each session's attribute
       *order*, which the serialised form exposes (bot strategies insert
-      attributes in varying order via ``replace``/``without``).
+      attributes in varying order via ``replace``).
     * **headers** — the same flat layout over global key/value string
       pools (``header_keys`` / ``header_values``).
     * **decisions** — parallel scalar arrays (detector code, ``is_bot``,
@@ -137,7 +137,7 @@ class SessionArrays:
         "decision_detector_names",
         "decision_signal_values",
     )
-    _CACHE_FIELDS = ("_attributes", "_attribute_columns")
+    _CACHE_FIELDS = ("_attribute_columns",)
 
     __slots__ = _ARRAY_FIELDS + _LIST_FIELDS + _CACHE_FIELDS
 
@@ -149,7 +149,6 @@ class SessionArrays:
         self._reset_caches()
 
     def _reset_caches(self) -> None:
-        self._attributes = None
         self._attribute_columns = None
 
     # -- pickling (transport purity) ---------------------------------------
@@ -343,25 +342,6 @@ class SessionArrays:
             decision_signal_offsets=np.array(decision_signal_offsets, dtype=np.int32),
             decision_detector_names=decision_detector_names,
             decision_signal_values=decision_signal_values,
-        )
-
-    # -- decoding ----------------------------------------------------------
-
-    def fingerprint(self, index: int) -> Fingerprint:
-        """The fingerprint of session *index*, decoded from its code row."""
-
-        if self._attributes is None:
-            self._attributes = [Attribute(name) for name in self.fp_attribute_names]
-        attributes, values = self._attributes, self.fp_values
-        start, stop = int(self.fp_offsets[index]), int(self.fp_offsets[index + 1])
-        return Fingerprint._from_coerced(
-            {
-                attributes[acode]: values[acode][vcode]
-                for acode, vcode in zip(
-                    self.fp_attr_codes[start:stop].tolist(),
-                    self.fp_value_codes[start:stop].tolist(),
-                )
-            }
         )
 
     # -- merging -----------------------------------------------------------
@@ -622,7 +602,7 @@ class RecordColumns:
     (format v4; saved uncompressed it memory-maps).
 
     ``request_ids`` may be ``None`` on a freshly built shard payload; the
-    coordinator assigns merged-order ids through :meth:`renumbered`.
+    coordinator assigns merged-order ids 1..N after the merge.
     """
 
     __slots__ = (
@@ -703,18 +683,6 @@ class RecordColumns:
     @property
     def session_ips(self) -> List[str]:
         return self.sessions.session_ips
-
-    def renumbered(self, start: int = 1) -> "RecordColumns":
-        """Copy with sequential request ids ``start..start+n-1``.
-
-        The coordinator calls this after merging shards, restoring the
-        serial-path invariant that ids are 1..N in store order regardless
-        of worker count.
-        """
-
-        clone = self.take(np.arange(self.n_rows, dtype=np.int64))
-        clone.request_ids = np.arange(start, start + self.n_rows, dtype=np.int64)
-        return clone
 
     def take(self, rows: np.ndarray) -> "RecordColumns":
         """Row-sliced copy sharing the session/value dictionaries."""
@@ -1164,7 +1132,7 @@ class RequestStore:
     def __init__(self, columns: RecordColumns):
         if columns.request_ids is None:
             raise ValueError(
-                "a store needs renumbered columns (RecordColumns.renumbered)"
+                "a store needs renumbered columns (request ids 1..N)"
             )
         self._columns = columns
 
@@ -1222,17 +1190,6 @@ class RequestStore:
 
         return self.by_sources((source,))
 
-    def evading(self, detector: str) -> "RequestStore":
-        """Rows that evaded *detector*."""
-
-        return self.take(np.nonzero(self._columns.evaded_rows(detector))[0])
-
-    def split(self, fraction: float, rng) -> Tuple["RequestStore", "RequestStore"]:
-        """Random split into two stores of sizes ``fraction`` / ``1-fraction``."""
-
-        first, second = split_rows(len(self), fraction, rng)
-        return self.take(first), self.take(second)
-
     # -- aggregate statistics ----------------------------------------------------
 
     def sources(self) -> Tuple[str, ...]:
@@ -1274,10 +1231,3 @@ class RequestStore:
         """Number of distinct first-party cookie values."""
 
         return int(np.unique(self._columns.served_codes).size)
-
-    def unique_fingerprints(self) -> int:
-        """Number of distinct fingerprint hashes."""
-
-        sessions = self._columns.sessions
-        used = np.unique(self._columns.session_codes).tolist()
-        return len({sessions.fingerprint(code).stable_hash() for code in used})

@@ -36,9 +36,6 @@ class UrlRegistry:
         self._path_by_source: Dict[str, str] = {}
         self._source_by_path: Dict[str, str] = {}
 
-    def __len__(self) -> int:
-        return len(self._path_by_source)
-
     def register(self, source: str) -> str:
         """Register *source* and return its unique URL path.
 
@@ -85,11 +82,6 @@ class UrlRegistry:
         """The URL path registered for *source*, or ``None``."""
 
         return self._path_by_source.get(source)
-
-    def source_of(self, path: str) -> Optional[str]:
-        """The traffic source owning *path*, or ``None`` for unknown paths."""
-
-        return self._source_by_path.get(path)
 
     def sources(self):
         """Iterate over registered source names."""

@@ -10,12 +10,12 @@ feature names matching the labels the paper prints in Table 2
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.fingerprint.attributes import Attribute
-from repro.fingerprint.fingerprint import Fingerprint, grouping_value
+from repro.fingerprint.fingerprint import grouping_value
 from repro.honeysite.storage import RecordColumns
 
 #: Display names for attributes, matching the paper's tables.
@@ -132,10 +132,6 @@ class FingerprintEncoder:
 
         return [display_name(attribute) for attribute in self.attributes]
 
-    def _raw_value(self, fingerprint: Fingerprint, attribute: Attribute) -> object:
-        value = fingerprint.value_for_grouping(attribute)
-        return value
-
     def _encode_value(self, attribute: Attribute, value: object) -> float:
         if value is None:
             return -1.0
@@ -148,52 +144,16 @@ class FingerprintEncoder:
 
     # -- API -----------------------------------------------------------------
 
-    def fit(self, fingerprints: Sequence[Fingerprint]) -> "FingerprintEncoder":
-        """Learn category code books from *fingerprints*."""
+    def fit_transform(self, columns: RecordColumns) -> np.ndarray:
+        """Fit the code books and encode in one pass, one matrix row per
+        record row of *columns*.
 
-        if not fingerprints:
-            raise ValueError("cannot fit the encoder on an empty corpus")
-        self._category_codes = {}
-        for attribute in self.attributes:
-            if attribute in _NUMERIC_ATTRIBUTES or attribute in _BOOLEAN_ATTRIBUTES:
-                continue
-            seen: Dict[object, int] = {}
-            for fingerprint in fingerprints:
-                value = self._raw_value(fingerprint, attribute)
-                if value is not None and value not in seen:
-                    seen[value] = len(seen)
-            self._category_codes[attribute] = seen
-        self._fitted = True
-        return self
-
-    def transform(self, fingerprints: Sequence[Fingerprint]) -> np.ndarray:
-        """Encode *fingerprints* into an ``(n, n_features)`` float matrix."""
-
-        if not self._fitted:
-            raise RuntimeError("encoder has not been fitted")
-        matrix = np.empty((len(fingerprints), len(self.attributes)), dtype=float)
-        for row, fingerprint in enumerate(fingerprints):
-            for column, attribute in enumerate(self.attributes):
-                matrix[row, column] = self._encode_value(
-                    attribute, self._raw_value(fingerprint, attribute)
-                )
-        return matrix
-
-    def fit_transform(self, data: Union[Sequence[Fingerprint], RecordColumns]) -> np.ndarray:
-        """Fit the code books and encode in one pass.
-
-        *data* is a fingerprint sequence or a :class:`RecordColumns` (one
-        matrix row per record row).  On columns no fingerprint is decoded:
-        each distinct raw value of an attribute is grouped and encoded
-        once, then gathered to the rows.  Both inputs give the same matrix
-        and code books for the same rows.
+        No fingerprint is decoded: each distinct raw value of an attribute
+        is grouped and encoded once, then gathered to the rows.  The
+        fingerprint-object twin in ``tests/reference/ml.py`` gives the same
+        matrix and code books for the same rows.
         """
 
-        if isinstance(data, RecordColumns):
-            return self._fit_transform_columns(data)
-        return self.fit(data).transform(data)
-
-    def _fit_transform_columns(self, columns: RecordColumns) -> np.ndarray:
         if not columns.n_rows:
             raise ValueError("cannot fit the encoder on an empty corpus")
         self._category_codes = {}
@@ -202,8 +162,8 @@ class FingerprintEncoder:
             rows, raw_values = columns.attribute_rows(attribute)
             keys = [grouping_value(attribute, value) for value in raw_values]
             if attribute not in _NUMERIC_ATTRIBUTES and attribute not in _BOOLEAN_ATTRIBUTES:
-                # The code book in first-seen row order, as fit() builds it;
-                # raw values that group alike share the first one's code.
+                # The code book in first-seen row order; raw values that
+                # group alike share the first one's code.
                 present, first_row = np.unique(rows, return_index=True)
                 seen: Dict[object, int] = {}
                 for raw in present[np.argsort(first_row)].tolist():

@@ -154,12 +154,6 @@ class DecisionTree:
 
     # -- fitting ------------------------------------------------------------
 
-    def fit(self, features: np.ndarray, targets: np.ndarray) -> "DecisionTree":
-        """Fit the tree on finite *features* (n × d) and 0/1 *targets* (n,)."""
-
-        ranks = RankCodes(features)
-        return self.fit_ranked(ranks, targets, np.arange(ranks.n_rows))
-
     def fit_ranked(self, ranks: RankCodes, targets: np.ndarray, rows: np.ndarray) -> "DecisionTree":
         """Fit on the rows *rows* (repeats allowed, e.g. a bootstrap) of the
         matrix behind *ranks*, with one 0/1 target per matrix row.
@@ -341,31 +335,6 @@ class DecisionTree:
 
         return self.predict_value(features)
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Predicted class labels."""
-
-        return (self.predict_value(features) >= 0.5).astype(int)
-
-    # -- introspection --------------------------------------------------------
-
-    @property
-    def node_count(self) -> int:
-        return int(self.value_.size)
-
-    @property
-    def depth(self) -> int:
-        """Actual depth of the fitted tree."""
-
-        self._check_fitted()
-        depth = 0
-        level = np.zeros(1, dtype=np.int64)
-        while True:
-            level = level[self.feature_[level] >= 0]
-            if not level.size:
-                return depth
-            depth += 1
-            level = np.concatenate([self.left_[level], self.right_[level]])
-
     def feature_importances(self) -> np.ndarray:
         """Total split gain per feature, normalised to sum to one."""
 
@@ -381,17 +350,3 @@ class DecisionTree:
         if total > 0:
             importances /= total
         return importances
-
-    def decision_path(self, row: np.ndarray) -> List[Tuple[int, float, bool]]:
-        """Return the (feature, threshold, went_left) path for one row."""
-
-        self._check_fitted()
-        row = as_feature_matrix(np.ravel(row), self.n_features_)[0]
-        path: List[Tuple[int, float, bool]] = []
-        node = 0
-        while self.feature_[node] >= 0:
-            feature, threshold = int(self.feature_[node]), float(self.threshold_[node])
-            went_left = bool(row[feature] <= threshold)
-            path.append((feature, threshold, went_left))
-            node = int(self.left_[node] if went_left else self.right_[node])
-        return path

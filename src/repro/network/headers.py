@@ -50,14 +50,3 @@ def build_headers(fingerprint: Fingerprint, *, referer: Optional[str] = None) ->
     if referer:
         headers["Referer"] = referer
     return headers
-
-
-def parse_accept_language(value: str) -> tuple:
-    """Parse an ``Accept-Language`` header back into a language tuple."""
-
-    languages = []
-    for part in value.split(","):
-        token = part.split(";")[0].strip()
-        if token:
-            languages.append(token)
-    return tuple(languages)

@@ -11,8 +11,8 @@ depending on wall-clock time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Mapping, Optional
 
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.fingerprint import Fingerprint
@@ -71,40 +71,3 @@ class WebRequest:
             return header
         value = self.fingerprint.get(Attribute.USER_AGENT)
         return str(value) if value is not None else None
-
-    def attribute(self, attribute: Attribute, default: Any = None) -> Any:
-        """Convenience accessor for a fingerprint attribute."""
-
-        return self.fingerprint.get(attribute, default)
-
-    def with_cookie(self, cookie: Optional[str]) -> "WebRequest":
-        """Return a copy of the request with the cookie replaced."""
-
-        return replace(self, cookie=cookie)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialise the request (used by the persistent request store)."""
-
-        return {
-            "request_id": self.request_id,
-            "url_path": self.url_path,
-            "timestamp": self.timestamp,
-            "ip_address": self.ip_address,
-            "cookie": self.cookie,
-            "headers": dict(self.headers),
-            "fingerprint": self.fingerprint.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WebRequest":
-        """Reconstruct a request from :meth:`to_dict` output."""
-
-        return cls(
-            url_path=str(data["url_path"]),
-            timestamp=float(data["timestamp"]),
-            ip_address=str(data["ip_address"]),
-            cookie=data.get("cookie"),
-            headers=dict(data.get("headers", {})),
-            fingerprint=Fingerprint.from_dict(data["fingerprint"]),
-            request_id=int(data.get("request_id", _next_request_id())),
-        )

@@ -61,13 +61,6 @@ from repro.obs.export import (
 )
 
 
-def reset_all() -> None:
-    """Zero every metric and drop every recorded span (tests, benches)."""
-
-    registry().reset()
-    tracer().reset()
-
-
 __all__ = [
     "TELEMETRY_ENV_VAR",
     "Counter",
@@ -86,7 +79,6 @@ __all__ = [
     "metrics_snapshot",
     "prometheus_text",
     "registry",
-    "reset_all",
     "set_telemetry",
     "telemetry_enabled",
     "tracer",

@@ -82,7 +82,8 @@ def _label_key(labels: Dict[str, object]) -> LabelKey:
 
 
 class _Instrument:
-    """Shared bookkeeping: name, help text, the enabled gate, a lock."""
+    """Shared bookkeeping: name, help text, the enabled gate, a lock and
+    the per-label-set series."""
 
     kind = "untyped"
 
@@ -93,19 +94,22 @@ class _Instrument:
         #: while telemetry is disabled.
         self.always = bool(always)
         self._lock = threading.Lock()
+        self._values: Dict[LabelKey, object] = {}
 
     def _recording(self) -> bool:
         return self.always or telemetry_enabled()
+
+    def reset(self) -> None:
+        """Drop every series (tests start instruments from zero)."""
+
+        with self._lock:
+            self._values.clear()
 
 
 class Counter(_Instrument):
     """A monotonically increasing sum per label set."""
 
     kind = "counter"
-
-    def __init__(self, name: str, help: str = "", *, always: bool = False) -> None:
-        super().__init__(name, help, always=always)
-        self._values: Dict[LabelKey, float] = {}
 
     def inc(self, value: float = 1.0, **labels: object) -> None:
         if not self._recording():
@@ -120,20 +124,10 @@ class Counter(_Instrument):
         with self._lock:
             return self._values.get(_label_key(labels), 0.0)
 
-    def total(self) -> float:
-        """The sum across every label set."""
-
-        with self._lock:
-            return sum(self._values.values())
-
     def series(self) -> List[Dict]:
         with self._lock:
             items = sorted(self._values.items())
         return [{"labels": dict(key), "value": value} for key, value in items]
-
-    def reset(self) -> None:
-        with self._lock:
-            self._values.clear()
 
 
 class Gauge(_Instrument):
@@ -141,22 +135,11 @@ class Gauge(_Instrument):
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "", *, always: bool = False) -> None:
-        super().__init__(name, help, always=always)
-        self._values: Dict[LabelKey, float] = {}
-
     def set(self, value: float, **labels: object) -> None:
         if not self._recording():
             return
         with self._lock:
             self._values[_label_key(labels)] = float(value)
-
-    def add(self, value: float, **labels: object) -> None:
-        if not self._recording():
-            return
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + value
 
     def value(self, **labels: object) -> float:
         with self._lock:
@@ -166,10 +149,6 @@ class Gauge(_Instrument):
         with self._lock:
             items = sorted(self._values.items())
         return [{"labels": dict(key), "value": value} for key, value in items]
-
-    def reset(self) -> None:
-        with self._lock:
-            self._values.clear()
 
 
 #: Default histogram buckets: latency in seconds, 1 ms .. 10 s.
@@ -213,13 +192,12 @@ class Histogram(_Instrument):
         if not bounds:
             raise ValueError(f"histogram {name} needs at least one bucket bound")
         self.buckets = bounds
-        self._series: Dict[LabelKey, Dict] = {}
 
     def _slot(self, key: LabelKey) -> Dict:
-        slot = self._series.get(key)
+        slot = self._values.get(key)
         if slot is None:
             slot = {"counts": [0] * (len(self.buckets) + 1), "sum": 0.0, "count": 0}
-            self._series[key] = slot
+            self._values[key] = slot
         return slot
 
     def observe(self, value: float, **labels: object) -> None:
@@ -250,7 +228,7 @@ class Histogram(_Instrument):
 
     def series(self) -> List[Dict]:
         with self._lock:
-            items = sorted(self._series.items())
+            items = sorted(self._values.items())
             return [
                 {
                     "labels": dict(key),
@@ -260,10 +238,6 @@ class Histogram(_Instrument):
                 }
                 for key, slot in items
             ]
-
-    def reset(self) -> None:
-        with self._lock:
-            self._series.clear()
 
 
 class MetricsRegistry:
@@ -336,12 +310,6 @@ class MetricsRegistry:
                 entry["buckets"] = list(metric.buckets)
             document[metric.name] = entry
         return document
-
-    def reset(self) -> None:
-        """Zero every series; registrations (and helps) survive."""
-
-        for metric in self.metrics():
-            metric.reset()
 
 
 #: The process-global default registry all instrumentation records into.

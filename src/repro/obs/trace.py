@@ -40,18 +40,6 @@ class SpanRecord:
     parent: Optional[str] = None
     attrs: Dict[str, object] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "ts": self.ts,
-            "duration": self.duration,
-            "pid": self.pid,
-            "tid": self.tid,
-            "depth": self.depth,
-            "parent": self.parent,
-            "attrs": dict(self.attrs),
-        }
-
 
 class Span:
     """Context manager measuring one span; records on exit if enabled."""

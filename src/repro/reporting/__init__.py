@@ -1,6 +1,6 @@
-"""Text tables, ASCII charts and CSV export."""
+"""Text tables and ASCII charts."""
 
-from repro.reporting.figures import ascii_bar_chart, cdf_table, series_to_csv
+from repro.reporting.figures import ascii_bar_chart, cdf_table
 from repro.reporting.tables import format_percent, format_table
 
 __all__ = [
@@ -8,5 +8,4 @@ __all__ = [
     "cdf_table",
     "format_percent",
     "format_table",
-    "series_to_csv",
 ]

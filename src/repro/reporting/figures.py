@@ -1,14 +1,11 @@
-"""Text rendering and CSV export of figure series.
+"""Text rendering of figure series.
 
-The report prints each figure as an ASCII bar chart or series table, and
-these helpers can export the underlying numbers as CSV for external plotting.
+The report prints each figure as an ASCII bar chart or series table; the
+``--json`` documents carry the underlying numbers for external plotting.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from pathlib import Path
 from typing import Mapping, Optional, Sequence, Tuple
 
 
@@ -35,32 +32,6 @@ def ascii_bar_chart(
             f"{str(label).ljust(label_width)} | {bar.ljust(width)} {value_format.format(value)}"
         )
     return "\n".join(lines)
-
-
-def series_to_csv(
-    columns: Mapping[str, Sequence[object]],
-    path: Optional[object] = None,
-) -> str:
-    """Serialise parallel columns as CSV; optionally write to *path*.
-
-    All columns must have the same length.
-    """
-
-    if not columns:
-        raise ValueError("at least one column is required")
-    lengths = {len(values) for values in columns.values()}
-    if len(lengths) != 1:
-        raise ValueError("all columns must have the same length")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    names = list(columns)
-    writer.writerow(names)
-    for row_index in range(lengths.pop()):
-        writer.writerow([columns[name][row_index] for name in names])
-    text = buffer.getvalue()
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
 
 
 def cdf_table(

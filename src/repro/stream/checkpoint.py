@@ -28,10 +28,9 @@ A checkpoint is a directory of two kinds of file:
 Each segment is an ``.npz`` (numeric columns plus a JSON ``meta`` member);
 the snapshot is the same, behind a ``RPCK | version | sha256`` header.
 Loading uses ``np.load(..., allow_pickle=False)`` and ``json`` only —
-reading a checkpoint never executes code.  Version 3, whose snapshot
-held the whole window, is still read; the first save after such a
-resume writes the whole window into its segment.  Older versions — 1 (a
-pickled state blob) and 2 (per-worker classifiers and router pins) —
+reading a checkpoint never executes code.  Only the current format is
+read.  Older versions — 1 (a pickled state blob), 2 (per-worker
+classifiers and router pins) and 3 (the whole window in the snapshot) —
 are refused unread, so a resume replays from the start.
 
 Every file write is crash-safe: bytes land in a same-directory temporary
@@ -93,14 +92,11 @@ logger = logging.getLogger("repro.stream")
 #: Leading magic bytes of a snapshot file.
 CHECKPOINT_MAGIC = b"RPCK"
 
-#: Current checkpoint format version.  Version 3 (the whole refresh
-#: window in the snapshot) is still read; older versions are refused
-#: unread (1 was a pickled state blob, 2 carried per-worker classifiers
-#: and router pins); newer versions refuse to load.
+#: The checkpoint format version, the only one this build reads.  Older
+#: versions are refused unread (1 was a pickled state blob, 2 carried
+#: per-worker classifiers and router pins, 3 kept the whole refresh window
+#: in the snapshot); newer versions refuse to load.
 CHECKPOINT_VERSION = 4
-
-#: The oldest format version this build still reads.
-OLDEST_READABLE_VERSION = 3
 
 #: The published snapshot inside a checkpoint directory (atomic replace
 #: keeps exactly one valid snapshot at all times).
@@ -235,8 +231,8 @@ def read_checkpoint(path) -> Tuple[Dict, Dict[str, np.ndarray]]:
 
     Returns ``(meta, arrays)``.  Raises :class:`CheckpointError` for
     anything untrustworthy: a non-checkpoint file, a format older than
-    :data:`OLDEST_READABLE_VERSION` (the payload is never decoded), a
-    newer format, or a checksum mismatch (torn or tampered).
+    :data:`CHECKPOINT_VERSION` (the payload is never decoded), a newer
+    format, or a checksum mismatch (torn or tampered).
     """
 
     path = Path(path)
@@ -247,7 +243,7 @@ def read_checkpoint(path) -> Tuple[Dict, Dict[str, np.ndarray]]:
     if len(blob) < _HEADER_SIZE or blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path} is not a stream checkpoint")
     version = int.from_bytes(blob[len(CHECKPOINT_MAGIC) : len(CHECKPOINT_MAGIC) + 4], "big")
-    if version < OLDEST_READABLE_VERSION:
+    if version < CHECKPOINT_VERSION:
         layout = "a pickled state blob" if version == 1 else "an older layout"
         raise CheckpointError(
             f"checkpoint {path} has format version {version} ({layout}), "
@@ -640,15 +636,15 @@ class StreamCheckpointer:
 
         if not self.path.exists():
             return None
-        meta, arrays = read_checkpoint(self.path)
+        meta, _arrays = read_checkpoint(self.path)
         try:
-            return self._fold(meta, arrays)
+            return self._fold(meta)
         except CheckpointError:
             raise
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise CheckpointError(f"checkpoint {self.path} is malformed: {exc!r}") from exc
 
-    def _fold(self, meta: Dict, arrays: Dict[str, np.ndarray]) -> Dict:
+    def _fold(self, meta: Dict) -> Dict:
         """Fold the listed segments into a restorable state; adopt its marks."""
 
         attributes = tuple(Attribute(value) for value in meta["attributes"])
@@ -699,13 +695,7 @@ class StreamCheckpointer:
         if refresher is not None:
             refresher = dict(refresher)
             names = refresher.pop("window_attributes")
-            if meta["version"] == 3:
-                # Version 3 kept the whole window in the snapshot and no
-                # row count: the next save writes the whole window again.
-                windows = [arrays["window"]] if names else []
-                refresher["rows_observed"] = window_rows
-            else:
-                window_mark = int(refresher["rows_observed"])
+            window_mark = int(refresher["rows_observed"])
             refresher["window"] = {}
             if names:
                 window = np.concatenate(

@@ -63,18 +63,11 @@ class StreamIngestor:
     def __init__(self, attributes: Optional[Iterable[Attribute]] = None):
         self._encoder = TableEncoder(attributes)
         self.attributes = self._encoder.attributes
-        self._rows_ingested = 0
-        self._batches_emitted = 0
+        #: rows encoded and micro-batches emitted so far
+        self.rows_ingested = 0
+        self.batches_emitted = 0
 
     # -- introspection ---------------------------------------------------------
-
-    @property
-    def rows_ingested(self) -> int:
-        return self._rows_ingested
-
-    @property
-    def batches_emitted(self) -> int:
-        return self._batches_emitted
 
     def vocabulary_sizes(self) -> Dict[Attribute, int]:
         """Current decode-list length per attribute (monotonically growing)."""
@@ -106,8 +99,8 @@ class StreamIngestor:
             "cookie_index": encoder.cookie_index,
             "ip_values": encoder.ip_values,
             "ip_index": encoder.ip_index,
-            "rows_ingested": self._rows_ingested,
-            "batches_emitted": self._batches_emitted,
+            "rows_ingested": self.rows_ingested,
+            "batches_emitted": self.batches_emitted,
         }
 
     def restore_state(self, state: Dict) -> None:
@@ -125,8 +118,8 @@ class StreamIngestor:
                 "checkpointed attribute set does not match this ingestor's attributes"
             )
         self._encoder.restore(state["values"], state["cookie_values"], state["ip_values"])
-        self._rows_ingested = int(state["rows_ingested"])
-        self._batches_emitted = int(state["batches_emitted"])
+        self.rows_ingested = int(state["rows_ingested"])
+        self.batches_emitted = int(state["batches_emitted"])
 
     # -- ingestion -------------------------------------------------------------
 
@@ -141,8 +134,8 @@ class StreamIngestor:
         """
 
         table = self._encoder.encode(columns, rows)
-        self._rows_ingested += table.n_rows
-        self._batches_emitted += 1
+        self.rows_ingested += table.n_rows
+        self.batches_emitted += 1
         _ROWS_INGESTED.inc(table.n_rows)
         _BATCHES_EMITTED.inc()
         # Decode lists only grow, so summing lengths here keeps the gauge

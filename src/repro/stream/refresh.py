@@ -93,10 +93,12 @@ class FilterListRefresher:
         self.window_rows = int(window_rows)
         #: retained per-batch code columns, oldest first
         self._recent: List[Dict] = []
-        self._rows_in_window = 0
+        #: rows the window holds now
+        self.rows_in_window = 0
         #: rows ever appended to the window (monotone; marks checkpoints)
-        self._rows_observed = 0
-        self._batches_seen = 0
+        self.rows_observed = 0
+        #: batches observed so far (the batch-driven schedule's clock)
+        self.batches_seen = 0
         #: the latest observed batch: every batch shares the ingestor's
         #: live vocabulary, so any one of them can decode the window
         self._template: Optional[ColumnarTable] = None
@@ -107,20 +109,6 @@ class FilterListRefresher:
         self._attempts = 0
         self._retry_at: Optional[int] = None
         self._backoff = REFRESH_BACKOFF_BASE_BATCHES
-
-    @property
-    def rows_in_window(self) -> int:
-        return self._rows_in_window
-
-    @property
-    def rows_observed(self) -> int:
-        """Rows observed so far; the window holds the last ``rows_in_window``."""
-
-        return self._rows_observed
-
-    @property
-    def batches_seen(self) -> int:
-        return self._batches_seen
 
     @property
     def stream_day(self) -> Optional[int]:
@@ -153,7 +141,7 @@ class FilterListRefresher:
         fire.
         """
 
-        need = min(self._rows_observed - since_rows, self._rows_in_window)
+        need = min(self.rows_observed - since_rows, self.rows_in_window)
         parts: List[Dict] = []
         for part in reversed(self._recent):
             if need <= 0:
@@ -173,9 +161,9 @@ class FilterListRefresher:
             }
         return {
             "window": window,
-            "rows_in_window": self._rows_in_window,
-            "rows_observed": self._rows_observed,
-            "batches_seen": self._batches_seen,
+            "rows_in_window": self.rows_in_window,
+            "rows_observed": self.rows_observed,
+            "batches_seen": self.batches_seen,
             "latest_ts": self._latest_ts,
             "next_due_ts": self._next_due_ts,
             "attempts": self._attempts,
@@ -192,9 +180,9 @@ class FilterListRefresher:
 
         window = dict(state["window"])
         self._recent = [window] if window else []
-        self._rows_in_window = int(state["rows_in_window"])
-        self._rows_observed = int(state["rows_observed"])
-        self._batches_seen = int(state["batches_seen"])
+        self.rows_in_window = int(state["rows_in_window"])
+        self.rows_observed = int(state["rows_observed"])
+        self.batches_seen = int(state["batches_seen"])
         self._latest_ts = state["latest_ts"]
         self._next_due_ts = state["next_due_ts"]
         self._attempts = int(state["attempts"])
@@ -230,24 +218,24 @@ class FilterListRefresher:
             self._recent.append(
                 {attribute: batch.codes_of(attribute) for attribute in batch.attributes}
             )
-            self._rows_in_window += batch.n_rows
-            self._rows_observed += batch.n_rows
-        overflow = self._rows_in_window - self.window_rows
+            self.rows_in_window += batch.n_rows
+            self.rows_observed += batch.n_rows
+        overflow = self.rows_in_window - self.window_rows
         while overflow > 0:
             oldest = self._recent[0]
             oldest_rows = int(next(iter(oldest.values())).size)
             if overflow >= oldest_rows:
                 self._recent.pop(0)
-                self._rows_in_window -= oldest_rows
+                self.rows_in_window -= oldest_rows
                 overflow -= oldest_rows
             else:
                 self._recent[0] = {
                     attribute: column[overflow:] for attribute, column in oldest.items()
                 }
-                self._rows_in_window -= overflow
+                self.rows_in_window -= overflow
                 overflow = 0
-        self._batches_seen += 1
-        _WINDOW_ROWS.set(self._rows_in_window)
+        self.batches_seen += 1
+        _WINDOW_ROWS.set(self.rows_in_window)
 
     def window_table(self) -> ColumnarTable:
         """The current window as one mineable columnar table.
@@ -278,7 +266,7 @@ class FilterListRefresher:
 
         if self.interval_batches is not None:
             return bool(
-                self._batches_seen and self._batches_seen % self.interval_batches == 0
+                self.batches_seen and self.batches_seen % self.interval_batches == 0
             )
         if self._latest_ts is None or self._next_due_ts is None:
             return False
@@ -316,7 +304,7 @@ class FilterListRefresher:
         """
 
         due = self.poll_due()
-        if not due and (self._retry_at is None or self._batches_seen < self._retry_at):
+        if not due and (self._retry_at is None or self.batches_seen < self._retry_at):
             return None
         self._retry_at = None
         key = f"d{self.stream_day}:r{self._attempts}"
@@ -325,7 +313,7 @@ class FilterListRefresher:
             faults.check("refresh_mine", key)
             filter_list = self.refresh()
         except Exception:
-            self._retry_at = self._batches_seen + self._backoff
+            self._retry_at = self.batches_seen + self._backoff
             self._backoff = min(self._backoff * 2, REFRESH_BACKOFF_CAP_BATCHES)
             raise
         self._backoff = REFRESH_BACKOFF_BASE_BATCHES

@@ -5,7 +5,6 @@ from repro.users.privacy import (
     PrivacyTechnology,
     PrivacyTrafficGenerator,
     apply_brave,
-    apply_fingerprint_spoofer,
     apply_tor,
 )
 from repro.users.realuser import REAL_USER_SOURCE, RealUserTrafficGenerator
@@ -17,6 +16,5 @@ __all__ = [
     "REAL_USER_SOURCE",
     "RealUserTrafficGenerator",
     "apply_brave",
-    "apply_fingerprint_spoofer",
     "apply_tor",
 ]

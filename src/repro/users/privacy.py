@@ -15,8 +15,9 @@ alterations the technology actually performs:
   browser timezone no longer matches the IP location.
 * **Safari, uBlock Origin and AdBlock Plus** block trackers but do not
   alter fingerprint attributes.
-* **Fingerprint Spoofer** (a Chrome extension mentioned in the paper)
-  rewrites the User-Agent without touching correlated attributes.
+
+The User-Agent spoofing extension the paper also mentions is modelled on
+the real-user side (``RealUserTrafficGenerator(ua_spoofer_rate=...)``).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class PrivacyTechnology(str, enum.Enum):
     TOR = "Tor"
     UBLOCK_ORIGIN = "uBlock Origin"
     ADBLOCK_PLUS = "AdBlock Plus"
-    FINGERPRINT_SPOOFER = "Fingerprint Spoofer"
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
@@ -117,19 +117,6 @@ def apply_tor(fingerprint: Fingerprint) -> Fingerprint:
         touch_support="None",
         timezone="UTC",
         languages=("en-US", "en"),
-    )
-
-
-def apply_fingerprint_spoofer(fingerprint: Fingerprint, rng: np.random.Generator) -> Fingerprint:
-    """Rewrite the User-Agent only, as the Chrome extension does."""
-
-    targets = (("iPhone", "iOS", "Mobile Safari"), ("Mac", "Mac OS X", "Safari"))
-    device, os_family, browser = targets[int(rng.integers(len(targets)))]
-    return fingerprint.replace(
-        user_agent=build_user_agent(device, os_family, browser),
-        ua_device=device,
-        ua_os=os_family,
-        ua_browser=browser,
     )
 
 
@@ -204,8 +191,8 @@ class PrivacyTrafficGenerator:
         The four experiment devices keep stable fingerprints and addresses,
         so for the non-farbling technologies (Safari, uBlock Origin,
         AdBlock Plus — and Tor's standardised fingerprint) the session
-        material is built once per device; Brave and the spoofer extension
-        re-roll attributes per request and run the full per-request path.
+        material is built once per device; Brave re-rolls attributes per
+        request and runs the full per-request path.
         Per-device private cookie streams (retention 1.0) never influence
         output and are skipped, but their seeding draws are preserved.
         """
@@ -239,10 +226,7 @@ class PrivacyTrafficGenerator:
                 name: apply_tor(fingerprint)
                 for name, fingerprint in base_fingerprints.items()
             }
-        elif technology not in (
-            PrivacyTechnology.BRAVE,
-            PrivacyTechnology.FINGERPRINT_SPOOFER,
-        ):
+        elif technology is not PrivacyTechnology.BRAVE:
             static_materials = {
                 profile.name: recorder.materialize(
                     base_fingerprints[profile.name], home_ips[profile.name]
@@ -262,9 +246,6 @@ class PrivacyTrafficGenerator:
             elif technology is PrivacyTechnology.TOR:
                 ip_address = self._tor_exit_address(rng)
                 material = recorder.materialize(tor_fingerprints[name], ip_address)
-            elif technology is PrivacyTechnology.FINGERPRINT_SPOOFER:
-                fingerprint = apply_fingerprint_spoofer(base_fingerprints[name], rng)
-                material = recorder.materialize(fingerprint, home_ips[name])
             else:
                 material = static_materials[name]
             held_cookies[name] = recorder.emit(

@@ -26,7 +26,6 @@ from repro.fingerprint.fingerprint import Fingerprint
 from repro.fingerprint.useragent import build_user_agent
 from repro.honeysite.site import HoneySite, SessionRecorder
 from repro.honeysite.storage import SECONDS_PER_DAY
-from repro.network.cookies import ClientCookieStore
 from repro.seeding import derive_rng
 
 #: Default source label under which real-user traffic is recorded.
@@ -46,7 +45,6 @@ _SPOOFER_TARGETS: Tuple[Tuple[str, str, str], ...] = (
 class _User:
     profile: DeviceProfile
     fingerprint: Fingerprint
-    cookies: ClientCookieStore
     ip_address: str
     ua_spoofer: bool
 
@@ -94,10 +92,14 @@ class RealUserTrafficGenerator:
                 ua_os=target_os,
                 ua_browser=target_browser,
             )
+        # The seed of the user's private cookie stream.  A user retains every
+        # cookie (retention 1.0), so the stream never decides an output and
+        # no cookie store is built; the draw stays because every real-user
+        # value drawn after it depends on the stream position.
+        rng.integers(0, 2 ** 32)
         return _User(
             profile=profile,
             fingerprint=fingerprint,
-            cookies=ClientCookieStore(retention=1.0, rng=np.random.default_rng(rng.integers(0, 2 ** 32))),
             ip_address=ip_address,
             ua_spoofer=ua_spoofer,
         )

@@ -52,11 +52,12 @@ from repro.analysis.ip_analysis import AsnBlocklistAnalysis, IpBlocklistAnalysis
 from repro.devices.profiles import CHROMIUM_PDF_PLUGINS
 from repro.devices.screens import is_real_iphone_resolution
 from repro.fingerprint.attributes import Attribute, parse_resolution
-from repro.fingerprint.fingerprint import _json_default
 from repro.geo.asn import AsnBlocklist, IpBlocklist
 from repro.geo.geolite import GeoDatabase, build_ip_blocklist
 from repro.honeysite.storage import RecordColumns
 
+from reference.fingerprint import json_default, stable_hash
+from reference.ml import FingerprintObjectEncoder
 from reference.store import RecordedRequest, RequestStore
 
 __all__ = [
@@ -128,7 +129,7 @@ def daily_series(store: RequestStore) -> Dict[int, Dict[str, int]]:
             "requests": len(records),
             "unique_ips": len({r.request.ip_address for r in records}),
             "unique_cookies": len({r.cookie for r in records}),
-            "unique_fingerprints": len({r.request.fingerprint.stable_hash() for r in records}),
+            "unique_fingerprints": len({stable_hash(r.request.fingerprint) for r in records}),
         }
         for day, records in sorted(per_day.items())
     }
@@ -148,9 +149,9 @@ def table1_rows(
     for record in store:
         source = record.source
         totals[source] = totals.get(source, 0) + 1
-        if record.datadome.evaded:
+        if not record.datadome.is_bot:
             datadome_evaded[source] = datadome_evaded.get(source, 0) + 1
-        if record.botd.evaded:
+        if not record.botd.is_bot:
             botd_evaded[source] = botd_evaded.get(source, 0) + 1
     if services is None:
         services = store.sources()
@@ -248,6 +249,7 @@ def train_evasion_classifier(
         labels[:, None],
         rng,
         seed=seed,
+        encoder=FingerprintObjectEncoder(),
         test_fraction=test_fraction,
         permutation=permutation,
     )[detector]
@@ -468,8 +470,7 @@ def canonical_fingerprint_rows(columns: RecordColumns) -> np.ndarray:
 
     The oracle of :func:`repro.analysis.figures.canonical_fingerprint_rows`,
     which takes the same :class:`~repro.honeysite.storage.RecordColumns`.
-    :meth:`~repro.fingerprint.fingerprint.Fingerprint.stable_hash`
-    serialises the browser-side attributes with ``sort_keys=True``, so its
+    :func:`reference.fingerprint.stable_hash` serialises the browser-side attributes with ``sort_keys=True``, so its
     payload is assembled from per-distinct-``(attribute, value)`` JSON
     fragments joined in attribute-name order and hashed; a session's code
     is the first session with the same digest.
@@ -490,7 +491,7 @@ def canonical_fingerprint_rows(columns: RecordColumns) -> np.ndarray:
                 json.dumps(
                     {name: value},
                     sort_keys=True,
-                    default=_json_default,
+                    default=json_default,
                     separators=(",", ":"),
                 )[1:-1]
                 for value in sessions.fp_values[code]
@@ -547,7 +548,7 @@ def new_fingerprints_over_time(store: RequestStore) -> Tuple[int, ...]:
     seen = set()
     per_day: Dict[int, int] = {}
     for record in sorted_by_time(store):
-        digest = record.request.fingerprint.stable_hash()
+        digest = stable_hash(record.request.fingerprint)
         if digest not in seen:
             seen.add(digest)
             per_day[record.day] = per_day.get(record.day, 0) + 1
@@ -583,12 +584,20 @@ def figure10_platform_spread(store: RequestStore) -> Optional[CookiePlatformSpre
 # ---------------------------------------------------------------------------
 
 
+def asn_of(geo: GeoDatabase, address: str) -> Optional[int]:
+    """ASN of one *address*, ``None`` when unknown: the scalar twin of
+    :meth:`~repro.geo.geolite.GeoDatabase.asns_of`."""
+
+    record = geo.lookup(address)
+    return record.asn if record else None
+
+
 def analyze_asn_blocklist(
     store: RequestStore, geo: GeoDatabase, *, blocklist: Optional[AsnBlocklist] = None
 ) -> AsnBlocklistAnalysis:
     blocklist = blocklist if blocklist is not None else AsnBlocklist()
     flagged = store.filter(
-        lambda record: blocklist.is_blocked(geo.asn_of(record.request.ip_address))
+        lambda record: blocklist.is_blocked(asn_of(geo, record.request.ip_address))
     )
     total = len(store)
     return AsnBlocklistAnalysis(

@@ -18,6 +18,8 @@ from typing import Mapping, Tuple
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.fingerprint import Fingerprint
 
+from reference.fingerprint import stable_hash
+
 #: Attributes every well-formed submission must carry.  A real browser
 #: always exposes these; their absence indicates a crippled client.
 REQUIRED_ATTRIBUTES: Tuple[Attribute, ...] = (
@@ -84,6 +86,6 @@ class FingerprintCollector:
             raise CollectionError(f"submission is missing required attributes: {names}")
         return CollectedFingerprint(
             fingerprint=fingerprint,
-            visitor_id=fingerprint.stable_hash(),
+            visitor_id=stable_hash(fingerprint),
             missing_attributes=missing,
         )

@@ -21,7 +21,12 @@ algorithms, kept as the oracle the columnar engine is pinned against
   and :func:`verdicts_to_jsonable`, the canonical serialisation
   :func:`repro.stream.verdicts_digest` is pinned to;
 * :func:`fit`, :func:`classify_store` and :func:`evaluate_generalization`
-  — the detector and the Section 7.3 check built from those.
+  — the detector and the Section 7.3 check built from those;
+* readers of product state only tests need: :func:`rule_matches` /
+  :func:`all_matches`, :func:`verdicts_equal`, :func:`value_at` /
+  :func:`cookie_at` / :func:`ip_at` on a table, and
+  :func:`state_entries` (with :func:`tracked_devices` /
+  :func:`observed_values`) on a temporal seen-state.
 
 Every function takes stores (object or columnar; see
 :func:`reference.store.records`) or fingerprints and must reproduce the
@@ -38,7 +43,7 @@ import numpy as np
 
 from repro.core.detector import FPInconsistent, Verdicts
 from repro.core.evaluation import DETECTOR_NAMES, GeneralizationResult
-from repro.core.rules import FilterList, InconsistencyRule, RuleTable
+from repro.core.rules import FilterList, InconsistencyRule, RuleTable, rule_key
 from repro.core.spatial import PairStatistics, SpatialInconsistencyMiner
 from repro.core.temporal import (
     TemporalFlag,
@@ -516,3 +521,84 @@ def evaluate_generalization(
         )
         for name in DETECTOR_NAMES
     }
+
+
+# -- reading product state -----------------------------------------------------------
+
+
+def rule_matches(rule: InconsistencyRule, fingerprint: Fingerprint) -> bool:
+    """Whether *fingerprint* exhibits *rule*'s impossible value pair."""
+
+    return (
+        fingerprint.value_for_grouping(rule.attribute_a) == rule.value_a
+        and fingerprint.value_for_grouping(rule.attribute_b) == rule.value_b
+    )
+
+
+def all_matches(filter_list: FilterList, fingerprint: Fingerprint) -> Tuple[InconsistencyRule, ...]:
+    """Every rule of *filter_list* that *fingerprint* violates, in list order."""
+
+    return tuple(rule for rule in filter_list if rule_matches(rule, fingerprint))
+
+
+def verdicts_equal(left: Verdicts, right: Verdicts) -> bool:
+    """Whether two verdict sets flag the same requests the same way: the
+    same rule (by :func:`~repro.core.rules.rule_key`) and the same temporal
+    flags per request id, whatever the row order or rule-table layout."""
+
+    keys: Dict[Tuple, int] = {}
+
+    def canonical(verdicts: Verdicts) -> Tuple[List, List, Dict]:
+        order = np.argsort(verdicts.request_ids, kind="stable")
+        rules = [keys.setdefault(rule_key(rule), len(keys)) for rule in verdicts.rules.rules]
+        return (
+            verdicts.request_ids[order].tolist(),
+            np.array(rules + [-1])[verdicts.rule_index[order]].tolist(),
+            {int(verdicts.request_ids[row]): flags for row, flags in verdicts.flags.items()},
+        )
+
+    return canonical(left) == canonical(right)
+
+
+def value_at(table, attribute: Attribute, row: int):
+    """The grouping value of *attribute* at *row* of a table (``None`` if missing)."""
+
+    code = table.codes_of(attribute)[row]
+    return table.values_of(attribute)[code] if code >= 0 else None
+
+
+def cookie_at(table, row: int) -> Optional[str]:
+    code = table.cookie_codes[row]
+    return table.cookie_values[code] if code >= 0 else None
+
+
+def ip_at(table, row: int) -> Optional[str]:
+    code = table.ip_codes[row]
+    return table.ip_values[code] if code >= 0 else None
+
+
+def state_entries(state: TemporalStreamState) -> Dict[Tuple[str, str, Attribute], Tuple[object, ...]]:
+    """A temporal seen-state decoded as ``(kind, key, attribute) -> values``,
+    values in observation order."""
+
+    entries = {}
+    for kind, attribute, keys, counts, values in state.changes_since(0):
+        key_strings, items = state.keys_of(kind), state.values_of(attribute)
+        ends = np.cumsum(counts).tolist()
+        for key, end, count in zip(keys.tolist(), ends, counts.tolist()):
+            entries[(kind, key_strings[key], attribute)] = tuple(
+                items[value] for value in values[end - count : end].tolist()
+            )
+    return entries
+
+
+def tracked_devices(state: TemporalStreamState) -> int:
+    """Distinct (device key, attribute) entries a seen-state tracks."""
+
+    return len(state_entries(state))
+
+
+def observed_values(state: TemporalStreamState) -> int:
+    """Distinct values recorded across a seen-state's entries."""
+
+    return sum(len(values) for values in state_entries(state).values())

@@ -9,7 +9,12 @@ implementations: every request is a :class:`WebRequest` submitted to
 a time.  They consume the random streams exactly like the vectorized
 generators, so for any shard spec they produce the same records byte for
 byte; :func:`reference_shard_store` runs one shard this way, and the
-equivalence tests compare it with ``run_shard(spec).store()``.
+equivalence tests compare it with ``shard_store(run_shard(spec))``.
+
+The object forms of the bot strategies (``apply_*``, applying
+``repro.bots.strategies``' change dicts to a fingerprint), the client
+cookie retention model and the honey site's URL attribution
+(:func:`source_of`) live here too: only these generators use them.
 """
 
 from __future__ import annotations
@@ -20,21 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.engine import ShardSpec, shard_site
+from repro.bots import strategies
 from repro.bots.service import BotDEvasionFlavor, BotServiceProfile
-from repro.bots.strategies import (
-    apply_consistent_device_spoof,
-    apply_device_spoof,
-    apply_forced_colors,
-    apply_low_concurrency,
-    apply_memory_rotation,
-    apply_platform_rotation,
-    apply_plugin_injection,
-    apply_server_concurrency,
-    apply_timezone,
-    apply_touch_spoof,
-    apply_webdriver_leak,
-    base_bot_fingerprint,
-)
 from repro.bots.traffic import (
     _BASE_TIMEZONE,
     _COUNTRY_MIX_NAMES,
@@ -43,18 +35,17 @@ from repro.bots.traffic import (
     DEFAULT_RENEWAL_DAYS,
     BotTrafficGenerator,
 )
+from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.fingerprint import Fingerprint
 from repro.geo.timezones import ADVERTISED_REGIONS, COUNTRY_TIMEZONES
 from repro.honeysite.site import HoneySite
 from repro.honeysite.storage import SECONDS_PER_DAY
-from repro.network.cookies import ClientCookieStore
 from repro.network.headers import build_headers
 from repro.network.request import WebRequest
 from repro.users.privacy import (
     PrivacyTechnology,
     PrivacyTrafficGenerator,
     apply_brave,
-    apply_fingerprint_spoofer,
     apply_tor,
 )
 from repro.users.realuser import REAL_USER_SOURCE, RealUserTrafficGenerator
@@ -63,6 +54,120 @@ from reference.collector import FingerprintCollector
 from reference.store import RecordedRequest, RequestStore, records
 
 _COLLECTOR = FingerprintCollector()
+
+
+# -- the object-at-a-time strategies ------------------------------------------
+#
+# ``repro.bots.strategies`` returns each alteration as a dict of attribute
+# changes, which the vectorised generator applies to a session's values.
+# The forms below apply the same changes to a Fingerprint object, drawing
+# the stream identically.
+
+
+def base_bot_fingerprint(rng: np.random.Generator, *, timezone: str = "America/Los_Angeles") -> Fingerprint:
+    """Fingerprint of an unmodified bot worker (``strategies.base_bot_values``)."""
+
+    return Fingerprint._from_coerced(strategies.base_bot_values(rng, timezone=timezone))
+
+
+def apply_low_concurrency(fingerprint: Fingerprint, rng: np.random.Generator) -> Fingerprint:
+    return fingerprint.replace(**strategies.low_concurrency_changes(rng))
+
+
+def apply_server_concurrency(fingerprint: Fingerprint, rng: np.random.Generator) -> Fingerprint:
+    return fingerprint.replace(**strategies.server_concurrency_changes(rng))
+
+
+def apply_plugin_injection(fingerprint: Fingerprint, rng: np.random.Generator) -> Fingerprint:
+    return fingerprint.replace(**strategies.plugin_injection_changes(rng))
+
+
+def apply_touch_spoof(
+    fingerprint: Fingerprint, rng: np.random.Generator, *, consistency: float = 0.2
+) -> Fingerprint:
+    return fingerprint.replace(**strategies.touch_spoof_changes(rng, consistency=consistency))
+
+
+def apply_device_spoof(
+    fingerprint: Fingerprint,
+    rng: np.random.Generator,
+    *,
+    target: Optional[str] = None,
+    consistency: float = 0.15,
+) -> Fingerprint:
+    return fingerprint.replace(
+        **strategies.device_spoof_changes(rng, target=target, consistency=consistency)
+    )
+
+
+def apply_consistent_device_spoof(fingerprint: Fingerprint, rng: np.random.Generator) -> Fingerprint:
+    has_touch = str(fingerprint.get(Attribute.TOUCH_SUPPORT)) not in ("", "None")
+    return fingerprint.replace(
+        **strategies.consistent_device_spoof_changes(rng, has_touch=has_touch)
+    )
+
+
+def apply_platform_rotation(fingerprint: Fingerprint, rng: np.random.Generator) -> Fingerprint:
+    return fingerprint.replace(**strategies.platform_rotation_changes(rng))
+
+
+def apply_memory_rotation(fingerprint: Fingerprint, rng: np.random.Generator) -> Fingerprint:
+    return fingerprint.replace(**strategies.memory_rotation_changes(rng))
+
+
+def apply_timezone(fingerprint: Fingerprint, timezone: str) -> Fingerprint:
+    return fingerprint.replace(timezone=timezone)
+
+
+def apply_forced_colors(fingerprint: Fingerprint) -> Fingerprint:
+    """Forced colors left on: per Section 5.3.2 always detected by DataDome."""
+
+    return fingerprint.replace(forced_colors=True)
+
+
+def apply_webdriver_leak(fingerprint: Fingerprint) -> Fingerprint:
+    """``navigator.webdriver`` left unpatched (a sloppy-bot tell)."""
+
+    return fingerprint.replace(webdriver=True)
+
+
+class ClientCookieStore:
+    """Client-side cookie retention model.
+
+    Each client owns one store per honey-site origin.  ``retention`` is the
+    probability the client still holds the cookie on its next visit: 1.0
+    models a normal browser profile, 0.0 a bot that clears state between
+    visits.
+    """
+
+    def __init__(self, retention: float = 1.0, rng: Optional[np.random.Generator] = None):
+        if not 0.0 <= retention <= 1.0:
+            raise ValueError("retention must be within [0, 1]")
+        self._retention = retention
+        self._rng = rng if rng is not None else np.random.default_rng(0)
+        self.value: Optional[str] = None
+
+    def outgoing(self) -> Optional[str]:
+        """The cookie to attach to the next request; with probability
+        ``1 - retention`` the store is cleared first."""
+
+        if self.value is not None and self._rng.random() > self._retention:
+            self.value = None
+        return self.value
+
+    def receive(self, value: str) -> None:
+        """Store the cookie set by the server response."""
+
+        if not value:
+            raise ValueError("cannot store an empty cookie value")
+        self.value = value
+
+
+def source_of(urls, path: str) -> Optional[str]:
+    """The traffic source a URL registry maps *path* to (``None`` if unknown):
+    the honey site's attribution of a request by its URL."""
+
+    return next((source for source in urls.sources() if urls.path_of(source) == path), None)
 
 
 def handle(site: HoneySite, request: WebRequest) -> Optional[RecordedRequest]:
@@ -76,7 +181,7 @@ def handle(site: HoneySite, request: WebRequest) -> Optional[RecordedRequest]:
     attached to ``site.store`` on first use.
     """
 
-    source = site.urls.source_of(request.url_path)
+    source = source_of(site.urls, request.url_path)
     if source is None:
         return None
 
@@ -294,22 +399,25 @@ class ReferenceRealUserTrafficGenerator(RealUserTrafficGenerator):
         rng = np.random.default_rng(self._rng.integers(0, 2 ** 32))
         url_path = self._site.register_source(source)
         users = [self._make_user(rng) for _ in range(num_users)]
+        # Retention 1.0: the cookie stream never decides an output.
+        cookie_stores = [ClientCookieStore(retention=1.0) for _ in users]
 
         recorded = 0
         timestamps = np.sort(rng.random(num_requests)) * campaign_days * SECONDS_PER_DAY
         for timestamp in timestamps:
-            user = users[int(rng.integers(len(users)))]
+            index = int(rng.integers(len(users)))
+            user, cookies = users[index], cookie_stores[index]
             request = WebRequest(
                 url_path=url_path,
                 timestamp=float(timestamp),
                 ip_address=user.ip_address,
                 fingerprint=user.fingerprint,
-                cookie=user.cookies.outgoing(),
+                cookie=cookies.outgoing(),
                 headers=build_headers(user.fingerprint),
             )
             record = handle(self._site, request)
             if record is not None:
-                user.cookies.receive(record.cookie)
+                cookies.receive(record.cookie)
                 recorded += 1
         return recorded
 
@@ -361,8 +469,6 @@ class ReferencePrivacyTrafficGenerator(PrivacyTrafficGenerator):
             elif technology is PrivacyTechnology.TOR:
                 fingerprint = apply_tor(fingerprint)
                 ip_address = self._tor_exit_address(rng)
-            elif technology is PrivacyTechnology.FINGERPRINT_SPOOFER:
-                fingerprint = apply_fingerprint_spoofer(fingerprint, rng)
             # Safari / uBlock Origin / AdBlock Plus: no fingerprint changes.
 
             cookies = cookie_stores[profile.name]

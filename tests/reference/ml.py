@@ -1,4 +1,5 @@
-"""Reference ML code: the per-candidate split search and a confusion matrix.
+"""Reference ML code: the per-candidate split search, a confusion matrix and
+the object-at-a-time feature encoder.
 
 :class:`repro.ml.tree.DecisionTree` finds each node's split from per-forest
 rank codes: one ``np.bincount`` per node over the drawn candidates and one
@@ -12,18 +13,21 @@ every node array they produce must equal the product's bit for bit
 
 :class:`ConfusionMatrix` is the test suite's binary confusion matrix; the
 product's detector evaluation computes its rates in
-:mod:`repro.core.evaluation`.
+:mod:`repro.core.evaluation`.  :class:`FingerprintObjectEncoder` is the
+fingerprint-object twin of the product's columnar feature encoding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.fingerprint.fingerprint import Fingerprint
+from repro.ml.encoding import _BOOLEAN_ATTRIBUTES, _NUMERIC_ATTRIBUTES, FingerprintEncoder
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.tree import DecisionTree
+from repro.ml.tree import DecisionTree, RankCodes, as_feature_matrix
 
 _EPS = 1e-12
 
@@ -200,6 +204,35 @@ def fit_forest(
     return trees
 
 
+def fit_tree(tree: DecisionTree, features: np.ndarray, targets: np.ndarray) -> DecisionTree:
+    """Fit *tree* on every row of *features* (the forest fits bootstraps)."""
+
+    ranks = RankCodes(features)
+    return tree.fit_ranked(ranks, targets, np.arange(ranks.n_rows))
+
+
+def tree_predict(tree: DecisionTree, features: np.ndarray) -> np.ndarray:
+    """Class labels of a fitted tree."""
+
+    return (tree.predict_value(features) >= 0.5).astype(int)
+
+
+def decision_path(tree: DecisionTree, row: np.ndarray) -> List[Tuple[int, float, bool]]:
+    """The ``(feature, threshold, went_left)`` steps one row takes, read
+    node by node from the fitted arrays (the scalar twin of the product's
+    all-rows-at-once ``predict_value``)."""
+
+    row = as_feature_matrix(np.ravel(row), tree.n_features_)[0]
+    path: List[Tuple[int, float, bool]] = []
+    node = 0
+    while tree.feature_[node] >= 0:
+        feature, threshold = int(tree.feature_[node]), float(tree.threshold_[node])
+        went_left = bool(row[feature] <= threshold)
+        path.append((feature, threshold, went_left))
+        node = int(tree.left_[node] if went_left else tree.right_[node])
+    return path
+
+
 def assert_same_nodes(tree: DecisionTree, expected: DecisionTree) -> None:
     """Every node array of *tree* equals *expected*'s, dtype and bytes."""
 
@@ -269,3 +302,46 @@ def confusion_matrix(y_true: Sequence[int], y_pred: Sequence[int]) -> ConfusionM
         true_negative=int(np.sum((true == 0) & (pred == 0))),
         false_negative=int(np.sum((true == 1) & (pred == 0))),
     )
+
+
+class FingerprintObjectEncoder(FingerprintEncoder):
+    """:class:`~repro.ml.encoding.FingerprintEncoder` over fingerprint objects.
+
+    The product encodes record columns (each distinct raw value grouped
+    once); this twin walks fingerprint objects row by row, learning each
+    categorical code book in first-seen order.  For the same rows both
+    give the same matrix and code books.
+    """
+
+    def fit(self, fingerprints: Sequence[Fingerprint]) -> "FingerprintObjectEncoder":
+        """Learn the categorical code books, first-seen order."""
+
+        if not fingerprints:
+            raise ValueError("cannot fit the encoder on an empty corpus")
+        self._category_codes = {}
+        for attribute in self.attributes:
+            if attribute in _NUMERIC_ATTRIBUTES or attribute in _BOOLEAN_ATTRIBUTES:
+                continue
+            seen: Dict[object, int] = {}
+            for fingerprint in fingerprints:
+                value = fingerprint.value_for_grouping(attribute)
+                if value is not None and value not in seen:
+                    seen[value] = len(seen)
+            self._category_codes[attribute] = seen
+        self._fitted = True
+        return self
+
+    def transform(self, fingerprints: Sequence[Fingerprint]) -> np.ndarray:
+        """Encode *fingerprints* with the current code books (any
+        :class:`FingerprintEncoder` may be passed as ``self``)."""
+
+        matrix = np.empty((len(fingerprints), len(self.attributes)), dtype=float)
+        for row, fingerprint in enumerate(fingerprints):
+            for column, attribute in enumerate(self.attributes):
+                matrix[row, column] = self._encode_value(
+                    attribute, fingerprint.value_for_grouping(attribute)
+                )
+        return matrix
+
+    def fit_transform(self, fingerprints: Sequence[Fingerprint]) -> np.ndarray:
+        return self.fit(fingerprints).transform(fingerprints)

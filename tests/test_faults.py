@@ -25,6 +25,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from reference.detection import verdicts_equal
 from reference.store import records
 
 import repro
@@ -95,7 +96,7 @@ def test_plan_parses_multi_rule_spec():
         " shard_run:raise:0.1 , refresh_mine:raise:1, checkpoint_write:truncate:0.5 ,",
         seed=3,
     )
-    assert {rule.point for rule in plan.rules} == {
+    assert {rule.point for rule in plan.rules.values()} == {
         "shard_run",
         "refresh_mine",
         "checkpoint_write",
@@ -306,7 +307,7 @@ def test_stream_recovers_from_classify_faults_byte_identically(monkeypatch, corp
     assert health.classifier_rebuilds == health.classify_failures
     assert not health.dead_letters
     assert result.rows == len(corpus.bot_store)
-    assert result.verdicts == batch_verdicts
+    assert verdicts_equal(result.verdicts, batch_verdicts)
 
 
 def test_poisoned_row_group_is_dead_lettered_not_fatal(monkeypatch, corpus, fitted):

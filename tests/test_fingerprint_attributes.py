@@ -7,12 +7,9 @@ from repro.fingerprint.attributes import (
     Attribute,
     IMMUTABLE_ATTRIBUTES,
     ValueKind,
-    all_attributes,
     coerce_value,
     format_resolution,
-    is_immutable,
     parse_resolution,
-    spec_for,
 )
 
 
@@ -22,17 +19,17 @@ def test_every_attribute_has_a_spec():
 
 
 def test_spec_for_returns_matching_attribute():
-    spec = spec_for(Attribute.HARDWARE_CONCURRENCY)
+    spec = ATTRIBUTE_SPECS[Attribute.HARDWARE_CONCURRENCY]
     assert spec.attribute is Attribute.HARDWARE_CONCURRENCY
     assert spec.kind is ValueKind.INTEGER
 
 
 def test_platform_is_immutable():
-    assert is_immutable(Attribute.PLATFORM)
+    assert ATTRIBUTE_SPECS[Attribute.PLATFORM].immutable
 
 
 def test_user_agent_is_mutable():
-    assert not is_immutable(Attribute.USER_AGENT)
+    assert not ATTRIBUTE_SPECS[Attribute.USER_AGENT].immutable
 
 
 def test_immutable_attributes_subset_of_registry():
@@ -42,7 +39,7 @@ def test_immutable_attributes_subset_of_registry():
 
 
 def test_all_attributes_iterates_everything():
-    assert set(all_attributes()) == set(Attribute)
+    assert set(ATTRIBUTE_SPECS) == set(Attribute)
 
 
 def test_coerce_integer_from_string():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference.analysis import asn_of
 
 from repro.geo.asn import (
     ASN_REGISTRY,
@@ -11,7 +12,6 @@ from repro.geo.asn import (
     IpBlocklist,
     TOR_EXIT_ASNS,
     datacenter_asns,
-    is_datacenter_asn,
     residential_asns,
 )
 from repro.geo.geolite import build_ip_blocklist
@@ -26,10 +26,8 @@ from repro.geo.timezones import (
     ADVERTISED_REGIONS,
     country_matches_region,
     country_of_timezone,
-    offset_matches_region,
     offsets_of_country,
     offsets_of_region,
-    offsets_overlap,
     timezone_matches_region,
     utc_offsets_of,
 )
@@ -47,9 +45,9 @@ def test_blocked_asns_are_exactly_datacenter_asns():
 
 
 def test_is_datacenter_asn():
-    assert is_datacenter_asn(16509)      # AWS
-    assert not is_datacenter_asn(7922)   # Comcast
-    assert not is_datacenter_asn(999999)  # unknown
+    assert ASN_REGISTRY[16509].is_datacenter      # AWS
+    assert not ASN_REGISTRY[7922].is_datacenter   # Comcast
+    assert 999999 not in ASN_REGISTRY             # unknown
 
 
 def test_residential_and_datacenter_filters():
@@ -68,16 +66,15 @@ def test_asn_blocklist_membership():
     assert blocklist.is_blocked(16509)
     assert not blocklist.is_blocked(7922)
     assert not blocklist.is_blocked(None)
-    assert 16509 in blocklist
+    assert AsnBlocklist([7922]).is_blocked(7922)
 
 
 def test_ip_blocklist_coverage():
-    blocklist = IpBlocklist(["1.2.3.4"])
-    blocklist.add("5.6.7.8")
-    assert blocklist.is_blocked("1.2.3.4")
+    blocklist = IpBlocklist(["1.2.3.4", "5.6.7.8"])
+    assert blocklist.is_blocked("1.2.3.4") and blocklist.is_blocked("5.6.7.8")
     assert not blocklist.is_blocked("9.9.9.9")
-    assert blocklist.coverage(["1.2.3.4", "9.9.9.9"]) == pytest.approx(0.5)
-    assert IpBlocklist().coverage([]) == 0.0
+    assert not blocklist.is_blocked(None)
+    assert not IpBlocklist().is_blocked("1.2.3.4")
 
 
 # -- IPv4 helpers -----------------------------------------------------------
@@ -126,7 +123,7 @@ def test_geo_database_asns_of_matches_asn_of(geo, rng):
         for datacenter in (False, True)
         for _ in range(3)
     ] + ["9.9.9.9", "250.1.2.3"]
-    expected = [geo.asn_of(address) for address in addresses]
+    expected = [asn_of(geo, address) for address in addresses]
     assert expected[-2:] == [None, None]
     assert geo.asns_of(addresses).tolist() == [-1 if asn is None else asn for asn in expected]
     assert geo.asns_of([]).size == 0
@@ -200,12 +197,12 @@ def test_geo_database_datacenter_lookup(geo, rng):
 def test_geo_database_datacenter_excludes_tor_exits(geo, rng):
     for _ in range(60):
         address = geo.allocate_address(rng, country="United States of America", datacenter=True)
-        assert geo.asn_of(address) not in TOR_EXIT_ASNS
+        assert asn_of(geo, address) not in TOR_EXIT_ASNS
 
 
 def test_geo_database_unknown_address(geo):
     assert geo.lookup("203.0.113.7") is None
-    assert geo.asn_of("203.0.113.7") is None
+    assert asn_of(geo, "203.0.113.7") is None
 
 
 def test_geo_database_region_pinning(geo, rng):
@@ -245,7 +242,8 @@ def test_build_ip_blocklist_coverage(geo, rng):
         for _ in range(200)
     ]
     blocklist = build_ip_blocklist(addresses, rng, coverage=0.25)
-    observed = blocklist.coverage(set(addresses))
+    unique = set(addresses)
+    observed = sum(blocklist.is_blocked(address) for address in unique) / len(unique)
     assert 0.15 < observed < 0.35
 
 
@@ -278,8 +276,8 @@ def test_offset_matches_region_conservative_rule():
     # Europe/Berlin offsets overlap France (the paper's own example).
     assert timezone_matches_region("Europe/Berlin", "France")
     assert not timezone_matches_region("America/Los_Angeles", "France")
-    assert offset_matches_region(60, "Europe")
-    assert not offset_matches_region(-480, "Europe")
+    assert 60 in offsets_of_region("Europe")
+    assert -480 not in offsets_of_region("Europe")
 
 
 def test_country_matches_region():
@@ -288,8 +286,9 @@ def test_country_matches_region():
 
 
 def test_offsets_overlap():
-    assert offsets_overlap("Europe/Paris", "Europe/Berlin")
-    assert not offsets_overlap("Europe/Paris", "Asia/Shanghai")
+    paris = set(utc_offsets_of("Europe/Paris"))
+    assert paris & set(utc_offsets_of("Europe/Berlin"))
+    assert not paris & set(utc_offsets_of("Asia/Shanghai"))
 
 
 def test_advertised_regions_cover_study_targets():

@@ -5,8 +5,8 @@ import pytest
 
 from reference.analysis import daily_series, group_by_cookie, sorted_by_time, unique_values
 from reference.collector import CollectionError, FingerprintCollector
-from reference.generation import handle
-from repro.bots.strategies import base_bot_fingerprint
+from reference.fingerprint import stable_hash
+from reference.generation import base_bot_fingerprint, handle, source_of
 from repro.fingerprint.attributes import Attribute
 from repro.honeysite.site import HoneySite
 from repro.honeysite.storage import SECONDS_PER_DAY
@@ -40,10 +40,10 @@ def test_url_tokens_are_random_strings(rng):
 def test_url_registry_round_trip(rng):
     registry = UrlRegistry(rng)
     path = registry.register("S1")
-    assert registry.source_of(path) == "S1"
+    assert source_of(registry, path) == "S1"
     assert registry.path_of("S1") == path
     assert registry.register("S1") == path
-    assert registry.source_of("/unknown") is None
+    assert source_of(registry, "/unknown") is None
     assert set(registry.sources()) == {"S1"}
 
 
@@ -61,7 +61,7 @@ def test_collector_accepts_fingerprint_and_mapping(rng):
     fingerprint = base_bot_fingerprint(rng)
     collected = collector.collect(fingerprint)
     assert collected.complete
-    assert collected.visitor_id == fingerprint.stable_hash()
+    assert collected.visitor_id == stable_hash(fingerprint)
     from_mapping = collector.collect({"platform": "Win32"})
     assert not from_mapping.complete
     assert Attribute.USER_AGENT in from_mapping.missing_attributes

@@ -3,11 +3,19 @@
 import numpy as np
 import pytest
 from reference import ml as reference_ml
-from reference.ml import ConfusionMatrix, confusion_matrix
+from reference.ml import (
+    ConfusionMatrix,
+    FingerprintObjectEncoder,
+    confusion_matrix,
+    decision_path,
+    fit_tree,
+    tree_predict,
+)
 
 from repro.analysis.attributes import table2
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.fingerprint import Fingerprint
+from repro.honeysite.storage import RecordColumnsBuilder
 from repro.ml.encoding import FingerprintEncoder, display_name
 from repro.ml.explain import gain_importance, permutation_importance, rank_importances, top_features
 from repro.ml.forest import RandomForestClassifier
@@ -77,15 +85,15 @@ def test_train_test_split_shapes(rng):
 
 def test_tree_learns_separable_data():
     features, labels = _separable_dataset()
-    tree = DecisionTree(max_depth=3).fit(features, labels)
-    assert accuracy_score(labels, tree.predict(features)) > 0.95
-    assert tree.depth >= 1
-    assert tree.node_count >= 3
+    tree = fit_tree(DecisionTree(max_depth=3), features, labels)
+    assert accuracy_score(labels, tree_predict(tree, features)) > 0.95
+    assert _reference_depth(tree) >= 1
+    assert tree.value_.size >= 3
 
 
 def test_tree_feature_importance_identifies_signal():
     features, labels = _separable_dataset()
-    tree = DecisionTree(max_depth=3).fit(features, labels)
+    tree = fit_tree(DecisionTree(max_depth=3), features, labels)
     importances = tree.feature_importances()
     assert importances[0] > importances[1]
     assert importances.sum() == pytest.approx(1.0)
@@ -93,7 +101,7 @@ def test_tree_feature_importance_identifies_signal():
 
 def test_tree_predict_proba_bounds():
     features, labels = _separable_dataset()
-    tree = DecisionTree(max_depth=4).fit(features, labels)
+    tree = fit_tree(DecisionTree(max_depth=4), features, labels)
     proba = tree.predict_proba(features)
     assert np.all(proba >= 0.0) and np.all(proba <= 1.0)
 
@@ -101,9 +109,9 @@ def test_tree_predict_proba_bounds():
 def test_tree_pure_node_stops_splitting():
     features = np.zeros((30, 2))
     labels = np.zeros(30)
-    tree = DecisionTree(max_depth=5).fit(features, labels)
-    assert tree.node_count == 1
-    assert np.all(tree.predict(features) == 0)
+    tree = fit_tree(DecisionTree(max_depth=5), features, labels)
+    assert tree.value_.size == 1
+    assert np.all(tree_predict(tree, features) == 0)
 
 
 def test_tree_validation_errors():
@@ -111,9 +119,9 @@ def test_tree_validation_errors():
         DecisionTree(max_depth=0)
     tree = DecisionTree()
     with pytest.raises(ValueError):
-        tree.fit(np.zeros((0, 2)), np.zeros(0))
+        fit_tree(tree, np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(RuntimeError):
-        tree.predict(np.zeros((1, 2)))
+        tree_predict(tree, np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize(
@@ -122,7 +130,7 @@ def test_tree_validation_errors():
 def test_tree_rejects_targets_outside_zero_one(targets):
     features = np.arange(8.0).reshape(4, 2)
     with pytest.raises(ValueError, match="targets must be 0 or 1"):
-        DecisionTree().fit(features, np.array(targets))
+        fit_tree(DecisionTree(), features, np.array(targets))
     with pytest.raises(ValueError, match="targets must be 0 or 1"):
         RandomForestClassifier(n_estimators=2).fit(features, np.array(targets))
 
@@ -135,15 +143,15 @@ def test_tree_rejects_non_finite_features(bad):
     features[2, 1] = bad
     targets = np.array([0.0, 1.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="features must be finite"):
-        DecisionTree().fit(features, targets)
+        fit_tree(DecisionTree(), features, targets)
     with pytest.raises(ValueError, match="features must be finite"):
         RandomForestClassifier(n_estimators=2).fit(features, targets)
 
 
 def test_tree_decision_path():
     features, labels = _separable_dataset()
-    tree = DecisionTree(max_depth=3).fit(features, labels)
-    path = tree.decision_path(features[0])
+    tree = fit_tree(DecisionTree(max_depth=3), features, labels)
+    path = decision_path(tree, features[0])
     assert path and all(len(step) == 3 for step in path)
 
 
@@ -176,7 +184,7 @@ def _reference_forest_proba(forest, features):
 
 def _reference_importances(tree):
     importances = np.zeros(tree.n_features_, dtype=float)
-    for node in range(tree.node_count):
+    for node in range(tree.value_.size):
         if tree.feature_[node] >= 0:
             importances[tree.feature_[node]] += float(tree.gain_[node]) * int(tree.n_samples_[node])
     total = importances.sum()
@@ -216,18 +224,21 @@ def _random_problem(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_flat_tree_matches_reference_walk(seed):
     features, labels, rng = _random_problem(seed)
-    tree = DecisionTree(max_depth=int(rng.integers(1, 10)), random_state=rng).fit(features, labels)
+    tree = fit_tree(
+        DecisionTree(max_depth=int(rng.integers(1, 10)), random_state=rng), features, labels
+    )
     query = np.vstack(
         [features, rng.normal(size=(25, features.shape[1])), _tie_rows(tree, features[0])]
     )
     proba = tree.predict_proba(query)
     assert proba.tobytes() == _reference_proba(tree, query).tobytes()
-    assert np.array_equal(tree.predict(query), (proba >= 0.5).astype(int))
+    assert np.array_equal(tree_predict(tree, query), (proba >= 0.5).astype(int))
     assert tree.feature_importances().tobytes() == _reference_importances(tree).tobytes()
-    assert tree.depth == _reference_depth(tree) <= tree.max_depth
+    depth = _reference_depth(tree)
+    assert depth <= tree.max_depth
     for row in query[:: max(1, len(query) // 10)]:
-        path = tree.decision_path(row)
-        assert len(path) <= tree.depth
+        path = decision_path(tree, row)
+        assert len(path) <= depth
         node = 0
         for feature, threshold, went_left in path:
             assert (feature, threshold) == (tree.feature_[node], tree.threshold_[node])
@@ -237,42 +248,41 @@ def test_flat_tree_matches_reference_walk(seed):
 
 def test_flat_tree_threshold_ties_go_left():
     features = np.array([[0.0], [1.0], [2.0], [3.0]])
-    tree = DecisionTree(max_depth=1).fit(features, np.array([0.0, 0.0, 1.0, 1.0]))
-    assert tree.node_count == 3 and tree.threshold_[0] == 1.5
+    tree = fit_tree(DecisionTree(max_depth=1), features, np.array([0.0, 0.0, 1.0, 1.0]))
+    assert tree.value_.size == 3 and tree.threshold_[0] == 1.5
     tie = np.array([[1.5]])
-    assert tree.predict(tie)[0] == 0
-    assert tree.decision_path(tie[0]) == [(0, 1.5, True)]
+    assert tree_predict(tree, tie)[0] == 0
+    assert decision_path(tree, tie[0]) == [(0, 1.5, True)]
     assert tree.predict_proba(tie).tobytes() == _reference_proba(tree, tie).tobytes()
 
 
 def test_flat_tree_single_leaf():
     features = np.random.default_rng(3).normal(size=(20, 3))
-    tree = DecisionTree(max_depth=4).fit(features, np.ones(20))
-    assert tree.node_count == 1 and tree.depth == 0
+    tree = fit_tree(DecisionTree(max_depth=4), features, np.ones(20))
+    assert tree.value_.size == 1 and _reference_depth(tree) == 0
     assert np.array_equal(tree.predict_proba(features), np.ones(20))
     assert np.array_equal(tree.feature_importances(), np.zeros(3))
-    assert tree.decision_path(features[0]) == []
+    assert decision_path(tree, features[0]) == []
 
 
 def test_flat_tree_one_dimensional_and_empty_inputs():
     features, labels = _separable_dataset(200)
-    tree = DecisionTree(max_depth=4).fit(features, labels)
+    tree = fit_tree(DecisionTree(max_depth=4), features, labels)
     single = tree.predict_proba(features[7])
     assert single.shape == (1,)
     assert single.tobytes() == _reference_proba(tree, features[7:8]).tobytes()
     empty = tree.predict_proba(np.zeros((0, 2)))
     assert empty.shape == (0,) and empty.dtype == float
-    assert tree.predict(np.zeros((0, 2))).shape == (0,)
+    assert tree_predict(tree, np.zeros((0, 2))).shape == (0,)
 
 
 @pytest.mark.parametrize("width", [1, 3])
 def test_wrong_input_width_is_rejected(width):
     features, labels = _separable_dataset(200)
-    tree = DecisionTree(max_depth=3).fit(features, labels)
+    tree = fit_tree(DecisionTree(max_depth=3), features, labels)
     forest = RandomForestClassifier(n_estimators=3, max_depth=3).fit(features, labels)
     wrong = np.zeros((4, width))
     for call in (
-        tree.predict,
         tree.predict_proba,
         tree.predict_value,
         forest.predict,
@@ -281,7 +291,7 @@ def test_wrong_input_width_is_rejected(width):
         with pytest.raises(ValueError, match="feature columns"):
             call(wrong)
     with pytest.raises(ValueError, match="feature columns"):
-        tree.decision_path(wrong[0])
+        decision_path(tree, wrong[0])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -397,21 +407,21 @@ def _fingerprints():
 
 
 def test_encoder_shape_and_names():
-    encoder = FingerprintEncoder()
+    encoder = FingerprintObjectEncoder()
     matrix = encoder.fit_transform(_fingerprints())
     assert matrix.shape == (2, len(encoder.attributes))
     assert "Hardware Concurrency" in encoder.feature_names
 
 
 def test_encoder_numeric_and_boolean_passthrough():
-    encoder = FingerprintEncoder(attributes=(Attribute.HARDWARE_CONCURRENCY, Attribute.FORCED_COLORS))
+    encoder = FingerprintObjectEncoder(attributes=(Attribute.HARDWARE_CONCURRENCY, Attribute.FORCED_COLORS))
     matrix = encoder.fit_transform(_fingerprints())
     assert matrix[0, 0] == 4 and matrix[1, 0] == 16
     assert matrix[0, 1] == 0.0 and matrix[1, 1] == 1.0
 
 
 def test_encoder_categorical_codes_stable():
-    encoder = FingerprintEncoder(attributes=(Attribute.UA_DEVICE,))
+    encoder = FingerprintObjectEncoder(attributes=(Attribute.UA_DEVICE,))
     matrix = encoder.fit_transform(_fingerprints())
     assert matrix[0, 0] != matrix[1, 0]
     codes = encoder.categories_of(Attribute.UA_DEVICE)
@@ -419,7 +429,7 @@ def test_encoder_categorical_codes_stable():
 
 
 def test_encoder_unseen_category_is_minus_one():
-    encoder = FingerprintEncoder(attributes=(Attribute.UA_DEVICE,))
+    encoder = FingerprintObjectEncoder(attributes=(Attribute.UA_DEVICE,))
     encoder.fit(_fingerprints())
     unseen = Fingerprint({Attribute.UA_DEVICE: "Mac"})
     assert encoder.transform([unseen])[0, 0] == -1.0
@@ -428,9 +438,9 @@ def test_encoder_unseen_category_is_minus_one():
 def test_encoder_requires_fit():
     encoder = FingerprintEncoder()
     with pytest.raises(RuntimeError):
-        encoder.transform(_fingerprints())
+        encoder.categories_of(Attribute.UA_DEVICE)
     with pytest.raises(ValueError):
-        encoder.fit([])
+        encoder.fit_transform(RecordColumnsBuilder().columns())
 
 
 def test_display_name_known_and_fallback():

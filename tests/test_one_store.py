@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference.store import from_store
+from reference.store import from_store, renumbered
 
 from repro import obs
 from repro.analysis.engine import CorpusEngine
@@ -130,7 +130,7 @@ def test_extract_table_equals_the_reference_extraction(corpus, case):
         rows = np.random.default_rng(5).permutation(len(store))[: len(store) // 2]
         store = store.take(rows)
     elif case == "empty":
-        store = RequestStore(RecordColumnsBuilder().columns().renumbered())
+        store = RequestStore(renumbered(RecordColumnsBuilder().columns()))
     detector = FPInconsistent()
     table = detector.extract_table(store)
     assert table.n_rows == len(store)

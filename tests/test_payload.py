@@ -17,14 +17,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference.fingerprint import fingerprint_dict
 from reference.generation import reference_shard_store
 from reference.store import (
     decision_objects,
     factorize,
     header_maps,
+    evading,
     object_store,
     records,
+    renumbered,
     session_fingerprints,
+    shard_store,
+    split,
+    unique_fingerprints,
 )
 from repro.analysis.cache import (
     MMAP_ENV_VAR,
@@ -114,7 +120,7 @@ def test_shard_payload_materialises_to_the_object_shard(columnar_corpus):
     # Shard-local request ids come from a process-global counter on the
     # reference path and a renumbered 1..n sequence on the columnar path —
     # everything else must match bit for bit.
-    assert record_dicts(columnar.store(), drop_ids=True) == record_dicts(
+    assert record_dicts(shard_store(columnar), drop_ids=True) == record_dicts(
         reference_shard_store(spec), drop_ids=True
     )
 
@@ -166,7 +172,7 @@ def test_lazy_store_is_immutable(columnar_corpus):
 def test_lazy_split_matches_object_split(columnar_corpus):
     lazy = columnar_corpus.store
     reference = object_store(lazy)
-    lazy_a, lazy_b = lazy.split(0.8, np.random.default_rng(11))
+    lazy_a, lazy_b = split(lazy, 0.8, np.random.default_rng(11))
     ref_a, ref_b = reference.split(0.8, np.random.default_rng(11))
     assert isinstance(lazy_a, RequestStore)
     assert record_dicts(lazy_a) == record_dicts(ref_a)
@@ -190,7 +196,7 @@ def test_lazy_subsets_and_columns_match_object_store(columnar_corpus):
     for detector in ("DataDome", "BotD"):
         assert np.array_equal(lazy.evaded_rows(detector), reference.evaded_rows(detector))
         assert lazy.evasion_rate(detector) == reference.evasion_rate(detector)
-        assert record_dicts(lazy.evading(detector)) == record_dicts(
+        assert record_dicts(evading(lazy, detector)) == record_dicts(
             reference.evading(detector)
         )
     assert np.array_equal(lazy.request_id_array(), reference.request_id_array())
@@ -200,7 +206,7 @@ def test_lazy_subsets_and_columns_match_object_store(columnar_corpus):
     ]
     assert lazy.unique_ips() == reference.unique_ips()
     assert lazy.unique_cookies() == reference.unique_cookies()
-    assert lazy.unique_fingerprints() == reference.unique_fingerprints()
+    assert unique_fingerprints(lazy) == reference.unique_fingerprints()
 
 
 def test_subset_stores_answer_without_materialising(columnar_corpus):
@@ -214,7 +220,7 @@ def test_subset_stores_answer_without_materialising(columnar_corpus):
 
 
 def empty_lazy_store() -> RequestStore:
-    return RequestStore(RecordColumnsBuilder().columns().renumbered())
+    return RequestStore(renumbered(RecordColumnsBuilder().columns()))
 
 
 def test_empty_lazy_store_answers_every_query(columnar_corpus):
@@ -222,14 +228,14 @@ def test_empty_lazy_store_answers_every_query(columnar_corpus):
     assert len(store) == 0
     assert records(store) == []
     assert store.sources() == ()
-    assert store.unique_ips() == store.unique_cookies() == store.unique_fingerprints() == 0
+    assert store.unique_ips() == store.unique_cookies() == unique_fingerprints(store) == 0
     assert store.request_id_array().size == 0
     for detector in ("DataDome", "BotD"):
         assert store.evaded_rows(detector).size == 0
         assert store.evasion_rate(detector) == 0.0
-        assert len(store.evading(detector)) == 0
+        assert len(evading(store, detector)) == 0
     assert len(store.by_sources({"S1", "S2"})) == 0
-    first, second = store.split(0.8, np.random.default_rng(3))
+    first, second = split(store, 0.8, np.random.default_rng(3))
     assert len(first) == len(second) == 0
     assert len(store.take([])) == 0
 
@@ -239,10 +245,10 @@ def test_single_session_shard_store(columnar_corpus):
     busiest = int(np.argmax(np.bincount(columns.session_codes)))
     rows = np.nonzero(columns.session_codes == busiest)[0]
     assert rows.size > 1  # the busiest session spans several requests
-    single = RequestStore(columns.take(rows).renumbered())
+    single = RequestStore(renumbered(columns.take(rows)))
     reference = object_store(single)
     assert single.unique_ips() == 1
-    assert single.unique_fingerprints() == 1
+    assert unique_fingerprints(single) == 1
     assert len(single.sources()) == 1
     assert single.unique_cookies() == reference.unique_cookies()
     assert record_dicts(single) == record_dicts(reference)
@@ -254,7 +260,7 @@ def test_iteration_is_stable_after_partial_array_level_consumption(columnar_corp
     ids = store.request_id_array()
     evaded = store.evaded_rows("BotD")
     sources = store.sources()
-    first, _second = store.split(0.8, np.random.default_rng(7))
+    first, _second = split(store, 0.8, np.random.default_rng(7))
     # The reference records decoded afterwards (twice) agree with every
     # array-level answer, which stays unchanged.
     records_a = records(store)
@@ -438,7 +444,7 @@ def write_v3_archive(corpus, directory):
         "sources": list(columns.sources),
         "url_paths": list(columns.url_paths),
         "session_fingerprints": [
-            fingerprint.to_dict() for fingerprint in session_fingerprints(columns)
+            fingerprint_dict(fingerprint) for fingerprint in session_fingerprints(columns)
         ],
         "session_ips": list(columns.session_ips),
         "headers": [dict(entry) for entry in header_maps(columns)],
@@ -596,9 +602,9 @@ def test_default_segments_preserve_primary_bases():
     assert DEFAULT_KIND_OCTET_RANGES[AsnKind.MOBILE_CARRIER][0] == (110, 10)
     assert DEFAULT_KIND_OCTET_RANGES[AsnKind.CLOUD_PROVIDER][0] == (34, 11)
     assert DEFAULT_KIND_OCTET_RANGES[AsnKind.HOSTING_PROVIDER][0] == (45, 10)
-    space = IpAddressSpace()
     # capacity = sum of all configured segments
-    assert space.kind_capacity(AsnKind.CLOUD_PROVIDER) == (11 + 20) * 256
+    capacity = sum(span * 256 for _base, span in DEFAULT_KIND_OCTET_RANGES[AsnKind.CLOUD_PROVIDER])
+    assert capacity == (11 + 20) * 256
 
 
 def test_allocation_flows_into_extension_segment():

@@ -17,12 +17,14 @@ import numpy as np
 import pytest
 from reference import analysis as reference
 from reference import store as reference_store
+from reference.fingerprint import without
+from reference.ml import FingerprintObjectEncoder
 
 import repro.analysis as columnar_api
 import repro.analysis.attributes as attributes_module
 import repro.analysis.figures as figures_module
 import repro.analysis.report as report_module
-from repro.analysis.attributes import table2, train_evasion_classifier
+from repro.analysis.attributes import table2, train_evasion_classifiers
 from repro.analysis.cache import MMAP_ENV_VAR, load_corpus, save_corpus
 from repro.analysis.corpus import build_corpus
 from repro.analysis.engine import CorpusEngine
@@ -87,7 +89,7 @@ def regions(tiny_corpus):
 
 
 def empty_lazy_store() -> RequestStore:
-    return RequestStore(RecordColumnsBuilder().columns().renumbered())
+    return RequestStore(reference_store.renumbered(RecordColumnsBuilder().columns()))
 
 
 def rebuilt_store(columns: RecordColumns, *, strip=(), rewrite=None) -> RequestStore:
@@ -98,7 +100,7 @@ def rebuilt_store(columns: RecordColumns, *, strip=(), rewrite=None) -> RequestS
     sessions = columns.sessions
     fingerprints = reference_store.session_fingerprints(columns)
     if strip:
-        fingerprints = [fingerprint.without(*strip) for fingerprint in fingerprints]
+        fingerprints = [without(fingerprint, *strip) for fingerprint in fingerprints]
     if rewrite is not None:
         fingerprints = [rewrite(session, fp) for session, fp in enumerate(fingerprints)]
     return RequestStore(
@@ -132,7 +134,7 @@ def edge_store(lazy_store: RequestStore, case: str) -> RequestStore:
             ~columns.evaded_rows("DataDome") & ~columns.evaded_rows("BotD")
         )[0]
         assert rows.size  # the tiny corpus detects some requests outright
-        return RequestStore(columns.take(rows).renumbered())
+        return RequestStore(reference_store.renumbered(columns.take(rows)))
     if case == "missing_attributes":
         return rebuilt_store(
             columns,
@@ -142,7 +144,7 @@ def edge_store(lazy_store: RequestStore, case: str) -> RequestStore:
         busiest = int(np.argmax(np.bincount(columns.session_codes)))
         rows = np.nonzero(columns.session_codes == busiest)[0]
         assert rows.size > 1
-        return RequestStore(columns.take(rows).renumbered())
+        return RequestStore(reference_store.renumbered(columns.take(rows)))
     raise AssertionError(case)
 
 
@@ -215,6 +217,12 @@ def test_missing_attribute_figures_degrade_not_crash(lazy_store):
     assert by_ip  # IP country is probed from the address, not the fingerprint
 
 
+def train_evasion_classifier(store, detector, **options):
+    """The product's classifier for one detector."""
+
+    return train_evasion_classifiers(store, (detector,), **options)[detector]
+
+
 def test_classifier_subsample_parity_both_rng_branches(lazy_store, object_store):
     # max_samples below the store size exercises the rng.choice draw;
     # above it, the no-subsample branch. Both must consume the generator
@@ -236,7 +244,7 @@ def test_classifier_subsample_parity_both_rng_branches(lazy_store, object_store)
 def test_classifier_rejects_tiny_stores_on_both_engines(lazy_store):
     single = edge_store(lazy_store, "single_session")
     if len(single) >= 20:
-        single = RequestStore(single.columns.take(np.arange(5)).renumbered())
+        single = RequestStore(reference_store.renumbered(single.columns.take(np.arange(5))))
     with pytest.raises(ValueError):
         train_evasion_classifier(single, "DataDome")
     with pytest.raises(ValueError):
@@ -339,7 +347,9 @@ def test_table2_never_computes_permutation_importance(lazy_store, object_store, 
     monkeypatch.setattr(attributes_module, "permutation_importance", forbidden)
     for api, store in ((columnar_api, lazy_store), (reference, object_store)):
         assert set(api.table2(store, max_samples=300)) == {"DataDome", "BotD"}
-        assert api.train_evasion_classifier(store, "BotD", max_samples=300).permutation is None
+    trained = columnar_api.train_evasion_classifiers(lazy_store, ("BotD",), max_samples=300)
+    assert trained["BotD"].permutation is None
+    assert reference.train_evasion_classifier(object_store, "BotD", max_samples=300).permutation is None
 
 
 def decoded_fingerprints(columns: RecordColumns) -> list:
@@ -354,7 +364,7 @@ def collided_store(lazy_store: RequestStore) -> RequestStore:
 
     def rewrite(session, fingerprint):
         if session % 3 == 0:
-            fingerprint = fingerprint.without(Attribute.TIMEZONE)
+            fingerprint = without(fingerprint, Attribute.TIMEZONE)
         plugins = fingerprint.get(Attribute.PLUGINS)
         if plugins is None or session % 2:
             return fingerprint
@@ -377,7 +387,7 @@ def test_code_column_features_match_decoded_fingerprints(lazy_store, case):
         store = lazy_store if case == "regular" else edge_store(lazy_store, case)
         columns = store.columns
     fingerprints = decoded_fingerprints(columns)
-    from_columns, from_objects = FingerprintEncoder(), FingerprintEncoder()
+    from_columns, from_objects = FingerprintEncoder(), FingerprintObjectEncoder()
     matrix = from_columns.fit_transform(columns)
     expected = from_objects.fit_transform(fingerprints)
     assert matrix.tobytes() == expected.tobytes()
@@ -385,7 +395,8 @@ def test_code_column_features_match_decoded_fingerprints(lazy_store, case):
         assert list(from_columns.categories_of(attribute).items()) == list(
             from_objects.categories_of(attribute).items()
         ), attribute
-    assert from_columns.transform(fingerprints).tobytes() == matrix.tobytes()
+    # The column-fitted code books encode the decoded fingerprints alike.
+    assert FingerprintObjectEncoder.transform(from_columns, fingerprints).tobytes() == matrix.tobytes()
     if case == "collisions":
         plugin_rows, _ = columns.attribute_rows(Attribute.PLUGINS)
         spellings = np.unique(plugin_rows[plugin_rows >= 0]).size
@@ -465,11 +476,11 @@ def test_sessions_lacking_attributes_canonicalise_like_the_oracle(lazy_store):
 
     def rewrite(session, fingerprint):
         if session % 4 == 0:  # nothing at all
-            return fingerprint.without(*fingerprint)
+            return without(fingerprint, *fingerprint)
         if session % 4 == 1:  # transport attributes only: hashes like nothing
-            return fingerprint.without(*(a for a in fingerprint if a not in transport))
+            return without(fingerprint, *(a for a in fingerprint if a not in transport))
         if session % 4 == 2:
-            return fingerprint.without(Attribute.PLUGINS, Attribute.TIMEZONE)
+            return without(fingerprint, Attribute.PLUGINS, Attribute.TIMEZONE)
         return fingerprint
 
     store = rebuilt_store(lazy_store.columns, rewrite=rewrite)
@@ -518,7 +529,7 @@ def test_figure9_section_canonicalises_once(tiny_corpus, monkeypatch):
 def test_prefix_asns_match_per_address_lookup(tiny_corpus):
     geo = tiny_corpus.site.geo
     addresses = list(tiny_corpus.store.columns.session_ips)
-    expected = [geo.asn_of(address) for address in addresses]
+    expected = [reference.asn_of(geo, address) for address in addresses]
     assert geo.asns_of(addresses).tolist() == [-1 if asn is None else asn for asn in expected]
 
 

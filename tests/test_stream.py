@@ -22,10 +22,17 @@ from reference.detection import (
     ObjectTemporalDetector,
     compile_per_table,
     verdict_objects,
+    cookie_at,
+    ip_at,
+    observed_values,
+    state_entries,
+    tracked_devices,
+    value_at,
+    verdicts_equal,
     verdicts_from_objects,
     verdicts_to_jsonable,
 )
-from reference.store import RecordIngestor, columnar_store, from_store, records
+from reference.store import RecordIngestor, columnar_store, from_store, records, renumbered
 
 from repro.analysis.engine import CorpusEngine
 from repro.core.columnar import ColumnarTable
@@ -84,7 +91,7 @@ def test_replay_matches_batch_pipeline_across_batch_sizes(corpus, fitted, batch_
     result = ReplayDriver(detector, batch_size=batch_size).replay(store)
     assert result.rows == len(store)
     assert result.batches == -(-len(store) // batch_size)
-    assert result.verdicts == batch_verdicts
+    assert verdicts_equal(result.verdicts, batch_verdicts)
     assert verdict_objects(result.verdicts) == verdict_objects(batch_verdicts)
     # ... and byte-identical once serialised (what the CI smoke asserts).
     assert verdicts_digest(result.verdicts) == verdicts_digest(batch_verdicts)
@@ -96,7 +103,7 @@ def test_replay_object_store_matches_columnar_replay(corpus, fitted):
     detector, _table, batch_verdicts = fitted
     object_store = columnar_store(records(corpus.bot_store))
     result = ReplayDriver(detector, batch_size=313).replay(object_store)
-    assert result.verdicts == batch_verdicts
+    assert verdicts_equal(result.verdicts, batch_verdicts)
 
 
 def test_replay_reproduces_pipeline_verdicts(corpus):
@@ -104,7 +111,7 @@ def test_replay_reproduces_pipeline_verdicts(corpus):
     outcome = pipeline.run(corpus.bot_store, bot_table=corpus.columnar_tables.get("bots"))
     deployed = FPInconsistent(filter_list=outcome.filter_list)
     result = ReplayDriver(deployed, batch_size=256).replay(corpus.bot_store)
-    assert result.verdicts == outcome.verdicts
+    assert verdicts_equal(result.verdicts, outcome.verdicts)
     counts = result.counts()
     assert counts["spatial"] > 0 and counts["temporal"] > 0
     assert counts["inconsistent"] >= max(counts["spatial"], counts["temporal"])
@@ -264,8 +271,8 @@ def test_incremental_temporal_matches_batch_evaluation(fitted, slice_size):
             streaming.observe_table(table.take(order[start : start + slice_size]), state)
         )
     assert merged == full
-    assert state.tracked_devices > 0
-    assert state.observed_values() >= state.tracked_devices
+    assert tracked_devices(state) > 0
+    assert observed_values(state) >= tracked_devices(state)
 
 
 def test_stream_state_counts_match_the_dict_state_on_a_replay(corpus, fitted):
@@ -282,9 +289,9 @@ def test_stream_state_counts_match_the_dict_state_on_a_replay(corpus, fitted):
     for start in range(0, len(store), 256):
         batch = ingestor.ingest_rows(store.columns, arrival[start : start + 256])
         temporal.observe_table(batch, state)
-    assert state.tracked_devices == len(expected)
-    assert state.observed_values() == sum(len(values) for values in expected.values())
-    assert state.entries() == expected
+    assert tracked_devices(state) == len(expected)
+    assert observed_values(state) == sum(len(values) for values in expected.values())
+    assert state_entries(state) == expected
 
 
 def _per_request_flags(table):
@@ -295,13 +302,13 @@ def _per_request_flags(table):
     for row in np.argsort(table.timestamps, kind="stable").tolist():
         fingerprint = Fingerprint(
             {
-                attribute: table.value_at(attribute, row)
+                attribute: value_at(table, attribute, row)
                 for attribute in reference.tracked_attributes
-                if table.value_at(attribute, row) is not None
+                if value_at(table, attribute, row) is not None
             }
         )
         flags = reference.observe(
-            fingerprint, cookie=table.cookie_at(row), ip_address=table.ip_at(row)
+            fingerprint, cookie=cookie_at(table, row), ip_address=ip_at(table, row)
         )
         if flags:
             flagged[int(table.request_ids[row])] = flags
@@ -330,7 +337,7 @@ def test_falsy_cookie_in_the_middle_of_a_decode_list_tracks_nothing(fitted):
                     if flag.key_kind == "cookie"]
     assert cookie_flags  # the truthy keys do flag ...
     assert all(flag.key != "" for flag in cookie_flags)  # ... the "" key never
-    assert all(key[1] != "" for key in state.entries())
+    assert all(key[1] != "" for key in state_entries(state))
 
 
 def test_independent_tables_share_one_state(corpus, fitted):
@@ -382,7 +389,7 @@ def test_ip_key_growing_past_its_tolerance_lists_values_in_order(fitted):
                               (timezones[0], timezones[1], timezones[2]), timezones[3])],
     }
     assert merged == _per_request_flags(sample)
-    assert state.tracked_devices == 1 and state.observed_values() == 4
+    assert tracked_devices(state) == 1 and observed_values(state) == 4
 
 
 def test_observe_table_requires_metadata(fitted):
@@ -407,7 +414,7 @@ def test_online_classifier_isolates_the_fitted_detector(fitted):
     assert classifier.swaps == 1
     assert len(classifier.filter_list) == 0
     assert len(detector.filter_list) == rules_before  # source untouched
-    assert detector.classify_table(table) == verdicts  # no state leaked
+    assert verdicts_equal(detector.classify_table(table), verdicts)  # no state leaked
 
 
 def test_filter_list_setter_rejects_non_lists(fitted):
@@ -442,9 +449,9 @@ def _late_rule(store, order, attributes, first_batch):
     return InconsistencyRule(
         category=AttributeCategory.SCREEN,
         attribute_a=Attribute.SCREEN_RESOLUTION,
-        value_a=later.value_at(Attribute.SCREEN_RESOLUTION, row),
+        value_a=value_at(later, Attribute.SCREEN_RESOLUTION, row),
         attribute_b=Attribute.UA_DEVICE,
-        value_b=later.value_at(Attribute.UA_DEVICE, row),
+        value_b=value_at(later, Attribute.UA_DEVICE, row),
         support=1,
     )
 
@@ -495,9 +502,9 @@ def test_rule_added_to_the_deployed_list_applies_from_the_next_batch(corpus, fit
     rule = InconsistencyRule(
         category=AttributeCategory.SCREEN,
         attribute_a=Attribute.SCREEN_RESOLUTION,
-        value_a=second.value_at(Attribute.SCREEN_RESOLUTION, 0),
+        value_a=value_at(second, Attribute.SCREEN_RESOLUTION, 0),
         attribute_b=Attribute.UA_DEVICE,
-        value_b=second.value_at(Attribute.UA_DEVICE, 0),
+        value_b=value_at(second, Attribute.UA_DEVICE, 0),
         support=1,
     )
     assert classifier.filter_list is deployed and deployed.add(rule)
@@ -662,7 +669,7 @@ def test_refresher_validates_knobs():
 
 def test_replay_of_an_empty_store(fitted):
     detector, _table, _verdicts = fitted
-    empty = RequestStore(RecordColumnsBuilder().columns().renumbered())
+    empty = RequestStore(renumbered(RecordColumnsBuilder().columns()))
     result = ReplayDriver(detector, batch_size=64).replay(empty)
     assert result.rows == 0 and result.batches == 0
     assert len(result.verdicts) == 0

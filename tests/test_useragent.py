@@ -1,12 +1,12 @@
-"""Unit tests for User-Agent synthesis and parsing."""
+"""Unit tests for User-Agent synthesis, read back by the reference parser."""
 
 import pytest
+from reference.fingerprint import parse_user_agent
 
-from repro.fingerprint.useragent import (
-    build_user_agent,
-    headless_user_agent,
-    parse_user_agent,
-)
+from repro.antibot.signals import has_automation_user_agent
+from repro.fingerprint.fingerprint import Fingerprint
+from repro.fingerprint.useragent import build_user_agent
+from repro.network.request import WebRequest
 
 
 def test_parse_iphone_safari():
@@ -89,8 +89,22 @@ def test_parse_chrome_mobile_ios():
 
 
 def test_parse_headless_chrome_marker_present():
-    ua = headless_user_agent()
-    assert "HeadlessChrome" in ua
+    # An unmodified headless Chromium advertises itself; the detectors read it.
+    ua = (
+        "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36 (KHTML, like Gecko) "
+        "HeadlessChrome/118.0.0.0 Safari/537.36"
+    )
+    request = WebRequest(
+        url_path="/a", timestamp=0.0, ip_address="100.0.0.1", fingerprint=Fingerprint({}),
+        headers={"User-Agent": ua},
+    )
+    assert has_automation_user_agent(request)
+    assert not has_automation_user_agent(
+        WebRequest(
+            url_path="/a", timestamp=0.0, ip_address="100.0.0.1", fingerprint=Fingerprint({}),
+            headers={"User-Agent": build_user_agent("Linux PC", "Linux", "Chrome")},
+        )
+    )
 
 
 def test_parse_none_and_empty():

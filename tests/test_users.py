@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from reference.analysis import unique_values
+from reference.fingerprint import differing_attributes
 from reference.store import object_store
 
 from repro.analysis.engine import PRIVACY_TECHNOLOGIES
@@ -12,7 +13,6 @@ from repro.users.privacy import (
     PrivacyTechnology,
     PrivacyTrafficGenerator,
     apply_brave,
-    apply_fingerprint_spoofer,
     apply_tor,
 )
 from repro.users.realuser import REAL_USER_SOURCE, RealUserTrafficGenerator
@@ -81,11 +81,20 @@ def test_apply_tor_standardises_fingerprint(catalog):
     assert torified[Attribute.PLUGINS]  # Firefox ESR exposes PDF plugins
 
 
-def test_apply_fingerprint_spoofer_rewrites_ua_only(rng, catalog):
-    fingerprint = catalog.get("windows-desktop-chrome").fingerprint()
-    spoofed = apply_fingerprint_spoofer(fingerprint, rng)
-    assert spoofed[Attribute.UA_DEVICE] in ("iPhone", "Mac")
-    assert spoofed[Attribute.PLATFORM] == fingerprint[Attribute.PLATFORM]
+def test_apply_fingerprint_spoofer_rewrites_ua_only(site, catalog):
+    # The User-Agent spoofing extension is modelled on the real-user side:
+    # the same user drawn with and without it differs in the UA family only.
+    users = [
+        RealUserTrafficGenerator(site, catalog=catalog, ua_spoofer_rate=rate)._make_user(
+            np.random.default_rng(3)
+        )
+        for rate in (0.0, 1.0)
+    ]
+    plain, spoofed = (user.fingerprint for user in users)
+    assert users[1].ua_spoofer and not users[0].ua_spoofer
+    ua_family = {Attribute.USER_AGENT, Attribute.UA_DEVICE, Attribute.UA_OS, Attribute.UA_BROWSER}
+    assert differing_attributes(plain, spoofed) <= ua_family
+    assert spoofed[Attribute.PLATFORM] == plain[Attribute.PLATFORM]
 
 
 def test_privacy_generator_runs_each_technology(site):

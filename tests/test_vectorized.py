@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 
 from reference.detection import evaluate_generalization as reference_generalization
-from reference.store import from_store, object_store, records
+from reference.detection import verdicts_equal
 from reference.generation import (
     ReferencePrivacyTrafficGenerator,
     ReferenceRealUserTrafficGenerator,
     record_dicts,
     reference_shard_store,
 )
+from reference.store import from_store, object_store, records, shard_store
 from repro.analysis.cache import CorpusCache, save_corpus, load_corpus
 from repro.analysis.engine import (
     MIN_RECORDS_PER_WORKER_COLUMNAR,
@@ -66,7 +67,7 @@ def assert_shards_match_reference(engine: CorpusEngine) -> None:
     """Every planned shard equals its reference run byte for byte."""
 
     for spec in engine.plan():
-        assert record_dicts(run_shard(spec).store()) == record_dicts(
+        assert record_dicts(shard_store(run_shard(spec))) == record_dicts(
             reference_shard_store(spec)
         ), spec.source
 
@@ -362,7 +363,7 @@ def test_pipeline_reuses_emitted_tables(vectorized_corpus):
     ]
     assert reused.real_user_tnr == fresh.real_user_tnr
     assert sorted(reused.verdicts.request_ids) == sorted(fresh.verdicts.request_ids)
-    assert reused.verdicts == fresh.verdicts
+    assert verdicts_equal(reused.verdicts, fresh.verdicts)
 
 
 def test_incompatible_table_falls_back_to_extraction(vectorized_corpus):
