@@ -96,9 +96,6 @@ PAPER_VALUES = (
 
 PAPER: Dict[str, PaperValue] = {entry.key: entry for entry in PAPER_VALUES}
 
-#: How far a reproduced value may sit from the paper's, beyond sampling noise.
-TOLERANCE = 0.05
-
 # Reasons quote the reproduction at scale 0.1, seed 7.
 DEVIATIONS: Dict[str, Deviation] = {
     "table4.DataDome.evasion_reduction": Deviation(

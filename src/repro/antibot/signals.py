@@ -1,14 +1,13 @@
-"""Shared detection signals and the Table 5 API inventory.
+"""Shared detection signals.
 
 The signal helpers answer simple questions about a request ("is the
 User-Agent an automation UA?", "does the fingerprint expose any plugin?")
-and are shared by both detector models.  ``API_ACCESS`` reproduces Table 5:
-which browser APIs each service's client-side script reads.
+and are shared by both detector models.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.fingerprint import Fingerprint
@@ -89,41 +88,3 @@ def missing_languages(fingerprint: Fingerprint) -> bool:
 
     languages = fingerprint.get(Attribute.LANGUAGES)
     return not languages
-
-
-#: Table 5 — browser APIs read by each service's client-side script.
-API_ACCESS: Dict[str, Dict[str, bool]] = {
-    "window.screen.colorDepth": {"DataDome": True, "BotD": False},
-    "HTMLCanvasElement.getContext": {"DataDome": True, "BotD": False},
-    "window.navigator.webdriver": {"DataDome": True, "BotD": True},
-    "window.navigator.vendor": {"DataDome": True, "BotD": True},
-    "window.navigator.userAgent": {"DataDome": True, "BotD": True},
-    "window.navigator.serviceWorker": {"DataDome": True, "BotD": False},
-    "window.navigator.productSub": {"DataDome": True, "BotD": True},
-    "window.navigator.plugins": {"DataDome": True, "BotD": True},
-    "window.navigator.platform": {"DataDome": True, "BotD": True},
-    "window.navigator.permissions": {"DataDome": True, "BotD": True},
-    "window.navigator.oscpu": {"DataDome": True, "BotD": False},
-    "window.navigator.mimeTypes": {"DataDome": True, "BotD": False},
-    "window.navigator.mediaDevices": {"DataDome": True, "BotD": False},
-    "window.navigator.maxTouchPoints": {"DataDome": True, "BotD": False},
-    "window.navigator.languages": {"DataDome": True, "BotD": True},
-    "window.navigator.language": {"DataDome": True, "BotD": True},
-    "window.navigator.hardwareConcurrency": {"DataDome": True, "BotD": False},
-    "window.navigator.buildID": {"DataDome": True, "BotD": False},
-    "window.navigator.appVersion": {"DataDome": True, "BotD": True},
-    "window.navigator.__proto__": {"DataDome": False, "BotD": True},
-    "window.sessionStorage": {"DataDome": True, "BotD": False},
-    "window.localStorage": {"DataDome": True, "BotD": False},
-    "window.document.cookie": {"DataDome": True, "BotD": False},
-    "MouseEvent.type": {"DataDome": True, "BotD": False},
-    "MouseEvent.timeStamp": {"DataDome": True, "BotD": False},
-    "MouseEvent.clientY": {"DataDome": True, "BotD": False},
-    "MouseEvent.clientX": {"DataDome": True, "BotD": False},
-    "addEventListener: mouseup": {"DataDome": True, "BotD": False},
-    "addEventListener: mousemove": {"DataDome": True, "BotD": False},
-    "addEventListener: mousedown": {"DataDome": True, "BotD": False},
-    "addEventListener: asyncChallengeFinished": {"DataDome": True, "BotD": False},
-    "addEventListener: pagehide": {"DataDome": True, "BotD": False},
-    "Performance.now": {"DataDome": False, "BotD": True},
-}

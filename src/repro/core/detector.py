@@ -438,7 +438,10 @@ class FPInconsistent:
         unknown = np.flatnonzero(found == _UNKNOWN)
         if unknown.size:
             n_timezones = len(timezone_values)
-            pairs = np.unique(countries[unknown].astype(np.int64) * n_timezones + timezones[unknown])
+            # Sorted and deduplicated by hand: a plain ``np.unique`` takes
+            # NumPy's hash path, whose first call imports ``numpy.ma``.
+            pairs = np.sort(countries[unknown].astype(np.int64) * n_timezones + timezones[unknown])
+            pairs = pairs[np.insert(pairs[1:] != pairs[:-1], 0, True)]
             for country, timezone in zip(*(part.tolist() for part in np.divmod(pairs, n_timezones))):
                 rule = self._location_rule(country_values[country], timezone_values[timezone])
                 memo[country, timezone] = -1 if rule is None else state.rules.add(rule)

@@ -16,11 +16,13 @@ never used to flag anything).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import functools
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.devices.catalog import DeviceCatalog
 from repro.devices.screens import is_real_resolution_for_device
 from repro.fingerprint.attributes import Attribute, parse_resolution
+from repro.fingerprint.fingerprint import Fingerprint
 from repro.geo.timezones import TIMEZONES, offsets_of_country, utc_offsets_of
 
 _APPLE_DEVICES = ("iPhone", "iPad", "Mac")
@@ -70,15 +72,13 @@ class DeviceKnowledgeBase:
 
     def __init__(self, catalog: Optional[DeviceCatalog] = None):
         self._catalog = catalog if catalog is not None else DeviceCatalog()
-        #: (attribute_a, value_a, attribute_b) -> expected distinct count.
-        #: ``expected_value_count`` scans the whole catalogue and builds a
-        #: fingerprint per profile; the miner asks about the same handful of
-        #: (attribute, value) combinations for every attribute pair, so the
-        #: scan is memoized (the catalogue is immutable after construction).
-        self._expected_cache: dict = {}
-        #: (profile name, resolution) -> consistent fingerprint, so repeated
-        #: catalogue scans stop re-coercing the same attribute dictionaries.
-        self._profile_fingerprints: dict = {}
+        #: (attribute_a, attribute_b) -> {value_a: the distinct attribute_b
+        #: values of the profiles carrying it}; built per pair on first use
+        #: (the catalogue is immutable after construction).
+        self._expected_index: Dict[Tuple[Attribute, Attribute], Dict[object, Set]] = {}
+        #: attribute -> per profile: its grouping value, and those of its
+        #: screen-resolution variants
+        self._grouping: Dict[Attribute, List[Tuple[object, List]]] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -346,46 +346,68 @@ class DeviceKnowledgeBase:
             options.update(profile.device_memory_options)
         return tuple(sorted(options))
 
-    def expected_value_count(self, attribute_a: Attribute, value_a: object, attribute_b: Attribute) -> Optional[int]:
+    def expected_value_count(
+        self, attribute_a: Attribute, value_a: object, attribute_b: Attribute
+    ) -> Optional[int]:
         """How many distinct values of *attribute_b* real devices matching
         ``attribute_a == value_a`` exhibit in the catalogue.
 
         Used by the spatial miner's configuration-count inflation test.
-        Returns ``None`` when the catalogue has no matching profile.
+        Returns ``None`` when the catalogue has no matching profile.  The
+        miner asks about every ranked value of every attribute pair, so
+        each pair's answers come from one index (:meth:`_pair_index`).
         """
 
-        key = (attribute_a, value_a, attribute_b)
+        index = self._expected_index.get((attribute_a, attribute_b))
+        if index is None:
+            index = self._expected_index[(attribute_a, attribute_b)] = self._pair_index(
+                attribute_a, attribute_b
+            )
         try:
-            return self._expected_cache[key]
-        except KeyError:
-            pass
-        except TypeError:  # unhashable value: fall through uncached
-            return self._expected_value_count(attribute_a, value_a, attribute_b)
-        result = self._expected_value_count(attribute_a, value_a, attribute_b)
-        self._expected_cache[key] = result
-        return result
+            values = index.get(value_a)
+        except TypeError:  # unhashable: compared with every indexed value
+            matched = [bucket for key, bucket in index.items() if key == value_a]
+            values = set().union(*matched) if matched else None
+        return None if values is None else len(values)
 
-    def _profile_fingerprint(self, profile, resolution=None):
-        key = (profile.name, resolution)
-        fingerprint = self._profile_fingerprints.get(key)
-        if fingerprint is None:
-            fingerprint = profile.fingerprint(screen_resolution=resolution)
-            self._profile_fingerprints[key] = fingerprint
-        return fingerprint
+    def _pair_index(self, attribute_a: Attribute, attribute_b: Attribute) -> Dict[object, Set]:
+        """Each *attribute_a* value a profile carries → the *attribute_b*
+        values of its screen-resolution variants, unioned over the
+        profiles sharing the value."""
 
-    def _expected_value_count(
-        self, attribute_a: Attribute, value_a: object, attribute_b: Attribute
-    ) -> Optional[int]:
-        matches = [
-            profile
+        index: Dict[object, Set] = {}
+        for (value_a, _variants_a), (_value_b, variants_b) in zip(
+            self._grouping_column(attribute_a), self._grouping_column(attribute_b)
+        ):
+            index.setdefault(value_a, set()).update(variants_b)
+        return index
+
+    def _grouping_column(self, attribute: Attribute) -> List[Tuple[object, List]]:
+        """Per profile, its *attribute* grouping value and its variants'."""
+
+        column = self._grouping.get(attribute)
+        if column is None:
+            column = self._grouping[attribute] = [
+                (
+                    fingerprint.value_for_grouping(attribute),
+                    [variant.value_for_grouping(attribute) for variant in variants],
+                )
+                for fingerprint, variants in self._profile_fingerprints
+            ]
+        return column
+
+    @functools.cached_property
+    def _profile_fingerprints(self) -> List[Tuple[Fingerprint, List[Fingerprint]]]:
+        """One catalogue pass: per profile, its fingerprint and one per
+        screen resolution."""
+
+        return [
+            (
+                profile.fingerprint(),
+                [
+                    profile.fingerprint(screen_resolution=resolution)
+                    for resolution in profile.screen_resolutions
+                ],
+            )
             for profile in self._catalog
-            if self._profile_fingerprint(profile).value_for_grouping(attribute_a) == value_a
         ]
-        if not matches:
-            return None
-        values = set()
-        for profile in matches:
-            for resolution in profile.screen_resolutions:
-                fingerprint = self._profile_fingerprint(profile, resolution)
-                values.add(fingerprint.value_for_grouping(attribute_b))
-        return len(values)

@@ -225,21 +225,23 @@ class RuleTable:
 class FilterListMatcher:
     """A filter list compiled once, in its own rule-value space.
 
-    Each attribute a rule constrains gets ids for the values the list's
-    rules use; a rule becomes the key ``base + value_id_a * n_b +
-    value_id_b`` of its attribute pair's group (``n_b`` is the number of
-    rule values of attribute *b*), so nothing compiled depends on a table.
-    A table reaches the keys through one translation array per attribute
-    (table code → rule-value id, ``-1`` for values no rule uses), cached
+    Each attribute a rule constrains gets ids ``0 .. n - 1`` for the
+    values the list's rules use, plus id ``n`` for every other value and
+    for a missing one.  An attribute pair's rules then live in a dense
+    ``(n_a + 1) x (n_b + 1)`` block of one rank table (``base + id_a *
+    (n_b + 1) + id_b``), whose slots hold the winning rule's position in
+    :attr:`rules`, or ``len(rules)`` where no rule applies; nothing
+    compiled depends on a table.  A table reaches the ids through one
+    translation array per attribute (table code → rule-value id), cached
     per decode list and extended only by the codes added since the last
     call: decode lists only ever grow (the stream vocabulary is
     append-only), so a stream translates each distinct value once.
 
-    Matching a table is one key matrix over every group and one
-    ``searchsorted`` into the sorted rule keys.  When several rules match
-    a row, the winner is the first in the list's index order (first
-    attribute, then position in its value bucket) — :attr:`rules` lists
-    the rules in that order, and matching returns positions in it.
+    Matching a table is one key matrix over every group, one gather from
+    the rank table and a column ``min``.  When several rules match a row,
+    the winner is the first in the list's index order (first attribute,
+    then position in its value bucket) — :attr:`rules` lists the rules in
+    that order, and matching returns positions in it.
     """
 
     def __init__(self, filter_list: FilterList):
@@ -268,35 +270,33 @@ class FilterListMatcher:
         for rule in self.rules:
             groups.setdefault((rule.attribute_a, rule.attribute_b), len(groups))
         pairs = list(groups)
-        n_b = np.array([len(value_ids[b]) for _a, b in pairs], dtype=np.int64)
-        sizes = np.array([len(value_ids[a]) for a, _b in pairs], dtype=np.int64) * n_b
-        base = np.cumsum(sizes) - sizes
-        self._group_a = np.array([slot[a] for a, _b in pairs], dtype=np.int64)
-        self._group_b = np.array([slot[b] for _a, b in pairs], dtype=np.int64)
+        width = np.array([len(value_ids[b]) + 1 for _a, b in pairs], dtype=np.int32)
+        sizes = np.array([len(value_ids[a]) + 1 for a, _b in pairs], dtype=np.int32) * width
+        base = np.cumsum(sizes, dtype=np.int32) - sizes
+        self._group_a = np.array([slot[a] for a, _b in pairs], dtype=np.intp)
+        self._group_b = np.array([slot[b] for _a, b in pairs], dtype=np.intp)
         self._base = base[:, None]
-        self._n_b = n_b[:, None]
+        self._width = width[:, None]
 
         def column(values) -> np.ndarray:
-            return np.fromiter(values, dtype=np.int64, count=len(self.rules))
+            return np.fromiter(values, dtype=np.int32, count=len(self.rules))
 
         group = column(groups[(rule.attribute_a, rule.attribute_b)] for rule in self.rules)
         keys = (
             base[group]
-            + column(value_ids[rule.attribute_a][rule.value_a] for rule in self.rules) * n_b[group]
+            + column(value_ids[rule.attribute_a][rule.value_a] for rule in self.rules) * width[group]
             + column(value_ids[rule.attribute_b][rule.value_b] for rule in self.rules)
         )
-        # Stable sort: among rules sharing a key (values equal across
-        # types), the first-ranked one wins, as in the index walk.
-        order = np.argsort(keys, kind="stable")
-        keep = np.ones(order.size, dtype=bool)
-        keep[1:] = keys[order][1:] != keys[order][:-1]
-        self._keys = keys[order][keep]
-        self._ranks = order[keep]
-        #: attribute -> (decode list, translation + trailing -1 slot)
+        # Rules sharing a key (values equal across types) keep the
+        # first-ranked one, as in the index walk.
+        self._rank_table = np.full(int(sizes.sum()), len(self.rules), dtype=np.int32)
+        np.minimum.at(self._rank_table, keys, np.arange(len(self.rules), dtype=np.int32))
+        #: attribute -> (decode list, translation + trailing slot for code -1)
         self._translations: Dict[Attribute, Tuple[List, np.ndarray]] = {}
 
     def _translation(self, table, attribute: Attribute) -> np.ndarray:
-        """Table code → rule-value id for *attribute*; code ``-1`` maps to ``-1``."""
+        """Table code → rule-value id for *attribute*; values no rule uses
+        and code ``-1`` map to the attribute's "no value" id."""
 
         decode = table.values_of(attribute)
         cached = self._translations.get(attribute)
@@ -306,11 +306,12 @@ class FilterListMatcher:
                 return translation
             head = translation[:-1]
         else:
-            head = np.empty(0, dtype=np.int64)
+            head = np.empty(0, dtype=np.int32)
         ids = self._value_ids[attribute]
+        none = len(ids)
         tail = decode[head.size :]
-        fresh = np.fromiter((ids.get(value, -1) for value in tail), dtype=np.int64, count=len(tail))
-        translation = np.concatenate([head, fresh, _MISSING])
+        fresh = np.fromiter((ids.get(value, none) for value in tail), np.int32, len(tail))
+        translation = np.concatenate([head, fresh, np.array([none], dtype=np.int32)])
         self._translations[attribute] = (decode, translation)
         return translation
 
@@ -321,20 +322,13 @@ class FilterListMatcher:
             # An absent column would make its rules silently unmatchable.
             table.require_attribute(attribute, "rule attribute")
         if not self.rules:
-            return np.full(table.n_rows, -1, dtype=np.int64)
-        ids = np.empty((len(self.attributes), table.n_rows), dtype=np.int64)
+            return np.full(table.n_rows, -1, dtype=np.int32)
+        ids = np.empty((len(self.attributes), table.n_rows), dtype=np.int32)
         for position, attribute in enumerate(self.attributes):
             ids[position] = self._translation(table, attribute)[table.codes_of(attribute)]
-        ids_a, ids_b = ids[self._group_a], ids[self._group_b]
-        row_keys = self._base + ids_a * self._n_b + ids_b
-        row_keys[(ids_a < 0) | (ids_b < 0)] = -1
-        positions = np.searchsorted(self._keys, row_keys)
-        np.minimum(positions, self._keys.size - 1, out=positions)
-        no_match = len(self.rules)
-        ranks = np.where(self._keys[positions] == row_keys, self._ranks[positions], no_match)
-        best = ranks.min(axis=0)
-        best[best == no_match] = -1
+        keys = ids[self._group_a] * self._width
+        keys += self._base
+        keys += ids[self._group_b]
+        best = self._rank_table[keys].min(axis=0)
+        best[best == len(self.rules)] = -1
         return best
-
-
-_MISSING = np.array([-1], dtype=np.int64)

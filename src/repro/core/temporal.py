@@ -51,6 +51,10 @@ DEFAULT_COOKIE_TOLERANCE = 1
 DEFAULT_IP_TOLERANCE = 2
 
 
+#: Resting value of :attr:`_SeenColumn.sighting`: after every row position.
+_UNSEEN = np.iinfo(np.int64).max
+
+
 class _SeenColumn:
     """Seen-state of one (key kind, attribute) pair, indexed by state key id.
 
@@ -58,56 +62,69 @@ class _SeenColumn:
     the key is untracked).  Almost every key keeps one value forever, so
     only keys that grew past it get an ``overflow`` entry: every value id
     they hold, first one included, in observation order.  ``stamp[key]``
-    is the state epoch of the key's last change.
+    is the state epoch of the key's last change.  ``sighting`` is scratch
+    for :meth:`observe`: every entry rests at :data:`_UNSEEN` between
+    calls.
     """
 
-    __slots__ = ("first", "stamp", "overflow")
+    __slots__ = ("first", "stamp", "sighting", "overflow")
 
     def __init__(self):
         self.first = np.full(0, -1, dtype=np.int32)
         self.stamp = np.zeros(0, dtype=np.int32)
+        self.sighting = np.full(0, _UNSEEN, dtype=np.int64)
         self.overflow: Dict[int, List[int]] = {}
 
     def reserve(self, n_keys: int) -> None:
         size = self.first.size
         if n_keys > size:
-            grown = max(n_keys, 2 * size)
-            self.first = np.concatenate([self.first, np.full(grown - size, -1, dtype=np.int32)])
-            self.stamp = np.concatenate([self.stamp, np.zeros(grown - size, dtype=np.int32)])
+            grown = max(n_keys, 2 * size) - size
+            self.first = np.concatenate([self.first, np.full(grown, -1, dtype=np.int32)])
+            self.stamp = np.concatenate([self.stamp, np.zeros(grown, dtype=np.int32)])
+            self.sighting = np.concatenate([self.sighting, np.full(grown, _UNSEEN, dtype=np.int64)])
 
     def observe(self, keys: np.ndarray, values: np.ndarray, tolerance: int, epoch: int):
         """Stream time-ordered ``(key, value)`` ids; returns the flagged ones.
 
         Every row whose value is its key's first value, and every first
-        sighting of a key, is settled in one vectorized pass.  Only the
-        rows left — a known key showing another value — walk Python, in
-        order.  Returns ``(position, previous value ids, new value id)``
-        per flagged position.
+        sighting of a key, is settled in one vectorized pass: the earliest
+        position of each untracked key is an ``np.minimum.at`` into
+        ``sighting``, touching only those rows.  Only the rows left — a
+        known key showing another value — walk Python, in order.  Returns
+        ``(position, previous value ids, new value id)`` per flagged
+        position.
         """
 
         first = self.first
         current = first[keys]
         fresh = np.flatnonzero(current < 0)
         if fresh.size:
-            new_keys, at = np.unique(keys[fresh], return_index=True)
-            first[new_keys] = values[fresh[at]]
+            fresh_keys = keys[fresh]
+            sighting = self.sighting
+            np.minimum.at(sighting, fresh_keys, fresh)
+            earliest = sighting[fresh_keys] == fresh
+            new_keys = fresh_keys[earliest]
+            first[new_keys] = values[fresh[earliest]]
             self.stamp[new_keys] = epoch
+            sighting[new_keys] = _UNSEEN
             current = first[keys]
         rare = np.flatnonzero(values != current)
         hits = []
+        changed = []
         overflow = self.overflow
-        for position, key, value in zip(
-            rare.tolist(), keys[rare].tolist(), values[rare].tolist()
+        for position, key, value, held_first in zip(
+            rare.tolist(), keys[rare].tolist(), values[rare].tolist(), current[rare].tolist()
         ):
             held = overflow.get(key)
             if held is None:
-                held = overflow[key] = [int(first[key])]
+                held = overflow[key] = [held_first]
             elif value in held:
                 continue
             if len(held) >= tolerance:
                 hits.append((position, tuple(held), value))
             held.append(value)
-            self.stamp[key] = epoch
+            changed.append(key)
+        self.stamp[changed] = epoch
         return hits
 
 
@@ -438,20 +455,22 @@ class TemporalInconsistencyDetector:
                 keys = row_keys[rows]
                 value_ids = state.value_remap(attribute, table.values_of(attribute))[codes[rows]]
                 hits = state.column(kind, attribute).observe(keys, value_ids, tolerance, epoch)
+                if not hits:
+                    continue
+                positions = [hit[0] for hit in hits]
                 values = state.values_of(attribute)
-                for position, previous, new in hits:
-                    per_row.setdefault(int(rows[position]), []).append(
+                for row, key, (_position, previous, new) in zip(
+                    rows[positions].tolist(), keys[positions].tolist(), hits
+                ):
+                    per_row.setdefault(row, []).append(
                         TemporalFlag(
-                            key_kind=kind,
-                            key=key_strings[keys[position]],
-                            attribute=attribute,
-                            previous_values=tuple(values[code] for code in previous),
-                            new_value=values[new],
+                            kind, key_strings[key], attribute,
+                            tuple([values[code] for code in previous]), values[new],
                         )
                     )
 
-        request_ids = table.request_ids
-        return {
-            int(request_ids[row]): per_row[row]
-            for row in sorted(per_row, key=lambda row: time_rank[row])
-        }
+        flagged = np.fromiter(per_row, dtype=np.int64, count=len(per_row))
+        flagged = flagged[np.argsort(time_rank[flagged])]
+        return dict(
+            zip(table.request_ids[flagged].tolist(), [per_row[row] for row in flagged.tolist()])
+        )

@@ -15,6 +15,12 @@ algorithms, kept as the oracle the columnar engine is pinned against
 * :func:`first_match` — the filter list's index walk per fingerprint,
   and :func:`compile_per_table` / :class:`CompiledFilterList`, the per-table compile
   the incremental matcher replaced, kept to pin it row for row;
+  :class:`SearchsortedMatcher`, the sorted-key form of the compiled
+  matcher that its dense rank table replaced;
+* :class:`UniqueSeenColumn` — the seen-state column that finds first
+  sightings with ``np.unique`` instead of a scatter-min;
+* :func:`expected_value_count_scan` — the knowledge base's catalogue scan
+  per query, which its per-pair index replaced;
 * :class:`InconsistencyVerdict` — one verdict object per request, with
   :func:`verdict_objects` / :func:`verdicts_from_objects` converting to
   and from the engine's :class:`~repro.core.detector.Verdicts` columns,
@@ -35,6 +41,7 @@ columnar engine's filter lists, verdicts and rates exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -43,12 +50,14 @@ import numpy as np
 
 from repro.core.detector import FPInconsistent, Verdicts
 from repro.core.evaluation import DETECTOR_NAMES, GeneralizationResult
+from repro.core.knowledge import DeviceKnowledgeBase
 from repro.core.rules import FilterList, InconsistencyRule, RuleTable, rule_key
 from repro.core.spatial import PairStatistics, SpatialInconsistencyMiner
 from repro.core.temporal import (
     TemporalFlag,
     TemporalInconsistencyDetector,
     TemporalStreamState,
+    _SeenColumn,
 )
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.categories import AttributeCategory, all_candidate_pairs
@@ -212,6 +221,79 @@ class CompiledFilterList:
             best_priority = np.where(better, row_priorities, best_priority)
             best_rule = np.where(better, rule_indices[positions], best_rule)
         return [self._rules[index] if index >= 0 else None for index in best_rule]
+
+
+class SearchsortedMatcher:
+    """The compiled matcher as sorted rule keys.
+
+    Rule values get ids per attribute, a rule the key ``base + id_a * n_b
+    + id_b`` of its attribute pair's group, and a table row's keys are
+    looked up with one ``searchsorted`` into the sorted, deduplicated rule
+    keys; the lowest rank among the hits wins.  Returns positions in
+    :attr:`rules`, the same list order as
+    :class:`~repro.core.rules.FilterListMatcher`.
+    """
+
+    def __init__(self, filter_list: FilterList):
+        self.rules = filter_list.matcher().rules
+        value_ids: Dict[Attribute, Dict[object, int]] = {}
+        for rule in self.rules:
+            for attribute, value in (
+                (rule.attribute_a, rule.value_a),
+                (rule.attribute_b, rule.value_b),
+            ):
+                ids = value_ids.setdefault(attribute, {})
+                ids.setdefault(value, len(ids))
+        self._value_ids = value_ids
+        self.attributes = tuple(value_ids)
+        slot = {attribute: position for position, attribute in enumerate(self.attributes)}
+        groups: Dict[Tuple[Attribute, Attribute], int] = {}
+        for rule in self.rules:
+            groups.setdefault((rule.attribute_a, rule.attribute_b), len(groups))
+        pairs = list(groups)
+        n_b = np.array([len(value_ids[b]) for _a, b in pairs], dtype=np.int64)
+        sizes = np.array([len(value_ids[a]) for a, _b in pairs], dtype=np.int64) * n_b
+        base = np.cumsum(sizes) - sizes
+        self._group_a = np.array([slot[a] for a, _b in pairs], dtype=np.int64)
+        self._group_b = np.array([slot[b] for _a, b in pairs], dtype=np.int64)
+        self._base = base[:, None]
+        self._n_b = n_b[:, None]
+        group = np.array([groups[(rule.attribute_a, rule.attribute_b)] for rule in self.rules],
+                         dtype=np.int64)
+        keys = (
+            base[group]
+            + np.array([value_ids[rule.attribute_a][rule.value_a] for rule in self.rules],
+                       dtype=np.int64) * n_b[group]
+            + np.array([value_ids[rule.attribute_b][rule.value_b] for rule in self.rules],
+                       dtype=np.int64)
+        )
+        order = np.argsort(keys, kind="stable")
+        keep = np.ones(order.size, dtype=bool)
+        keep[1:] = keys[order][1:] != keys[order][:-1]
+        self._keys = keys[order][keep]
+        self._ranks = order[keep]
+
+    def first_match_rows(self, table) -> np.ndarray:
+        if not self.rules:
+            return np.full(table.n_rows, -1, dtype=np.int64)
+        ids = np.empty((len(self.attributes), table.n_rows), dtype=np.int64)
+        for position, attribute in enumerate(self.attributes):
+            value_ids = self._value_ids[attribute]
+            translation = np.array(
+                [value_ids.get(value, -1) for value in table.values_of(attribute)] + [-1],
+                dtype=np.int64,
+            )
+            ids[position] = translation[table.codes_of(attribute)]
+        ids_a, ids_b = ids[self._group_a], ids[self._group_b]
+        row_keys = self._base + ids_a * self._n_b + ids_b
+        row_keys[(ids_a < 0) | (ids_b < 0)] = -1
+        positions = np.searchsorted(self._keys, row_keys)
+        np.minimum(positions, self._keys.size - 1, out=positions)
+        no_match = len(self.rules)
+        ranks = np.where(self._keys[positions] == row_keys, self._ranks[positions], no_match)
+        best = ranks.min(axis=0)
+        best[best == no_match] = -1
+        return best
 
 
 # -- verdict objects ----------------------------------------------------------------
@@ -396,6 +478,36 @@ class ObjectTemporalDetector(TemporalInconsistencyDetector):
         return set(self.evaluate_store(store))
 
 
+class UniqueSeenColumn(_SeenColumn):
+    """A seen-state column whose first sightings come from ``np.unique``:
+    each fresh key's earliest position is its first index in a sort."""
+
+    __slots__ = ()
+
+    def observe(self, keys: np.ndarray, values: np.ndarray, tolerance: int, epoch: int):
+        first = self.first
+        current = first[keys]
+        fresh = np.flatnonzero(current < 0)
+        if fresh.size:
+            new_keys, at = np.unique(keys[fresh], return_index=True)
+            first[new_keys] = values[fresh[at]]
+            self.stamp[new_keys] = epoch
+            current = first[keys]
+        rare = np.flatnonzero(values != current)
+        hits = []
+        for position, key, value in zip(rare.tolist(), keys[rare].tolist(), values[rare].tolist()):
+            held = self.overflow.get(key)
+            if held is None:
+                held = self.overflow[key] = [int(first[key])]
+            elif value in held:
+                continue
+            if len(held) >= tolerance:
+                hits.append((position, tuple(held), value))
+            held.append(value)
+            self.stamp[key] = epoch
+        return hits
+
+
 def changes_since(state: TemporalStreamState, epoch: int):
     """:meth:`TemporalStreamState.changes_since`, one key at a time.
 
@@ -445,6 +557,42 @@ def encode_seen(
         columns["count"].extend(counts.tolist())
         columns["values"].extend(value_index[items[value]] for value in values.tolist())
     return {f"seen_{name}": _pack_ints(column) for name, column in columns.items()}
+
+
+def expected_value_count_scan(
+    knowledge: DeviceKnowledgeBase, attribute_a: Attribute, value_a: object, attribute_b: Attribute
+) -> Optional[int]:
+    """:meth:`DeviceKnowledgeBase.expected_value_count` as one catalogue
+    scan per query: the profiles whose *attribute_a* grouping value equals
+    *value_a*, and the distinct *attribute_b* values of their
+    screen-resolution variants."""
+
+    matches = [
+        variants
+        for fingerprint, variants in _catalogue_fingerprints(knowledge._catalog)
+        if fingerprint.value_for_grouping(attribute_a) == value_a
+    ]
+    if not matches:
+        return None
+    return len(
+        {variant.value_for_grouping(attribute_b) for variants in matches for variant in variants}
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _catalogue_fingerprints(catalog) -> Tuple:
+    """Per profile: its fingerprint and one per screen resolution."""
+
+    return tuple(
+        (
+            profile.fingerprint(),
+            [
+                profile.fingerprint(screen_resolution=resolution)
+                for resolution in profile.screen_resolutions
+            ],
+        )
+        for profile in catalog
+    )
 
 
 # -- the detector and the Section 7.3 check --------------------------------------------

@@ -14,7 +14,6 @@ from reference.generation import (
     base_bot_fingerprint,
 )
 
-from repro.antibot.signals import API_ACCESS
 from repro.devices.catalog import DeviceCatalog
 from repro.geo.geolite import GeoDatabase
 from repro.network.request import WebRequest
@@ -130,6 +129,43 @@ def test_decision_evaded_property(geo, rng):
 
 
 # -- Table 5 API inventory -------------------------------------------------------------
+
+#: Table 5 — browser APIs read by each service's client-side script.
+API_ACCESS = {
+    "window.screen.colorDepth": {"DataDome": True, "BotD": False},
+    "HTMLCanvasElement.getContext": {"DataDome": True, "BotD": False},
+    "window.navigator.webdriver": {"DataDome": True, "BotD": True},
+    "window.navigator.vendor": {"DataDome": True, "BotD": True},
+    "window.navigator.userAgent": {"DataDome": True, "BotD": True},
+    "window.navigator.serviceWorker": {"DataDome": True, "BotD": False},
+    "window.navigator.productSub": {"DataDome": True, "BotD": True},
+    "window.navigator.plugins": {"DataDome": True, "BotD": True},
+    "window.navigator.platform": {"DataDome": True, "BotD": True},
+    "window.navigator.permissions": {"DataDome": True, "BotD": True},
+    "window.navigator.oscpu": {"DataDome": True, "BotD": False},
+    "window.navigator.mimeTypes": {"DataDome": True, "BotD": False},
+    "window.navigator.mediaDevices": {"DataDome": True, "BotD": False},
+    "window.navigator.maxTouchPoints": {"DataDome": True, "BotD": False},
+    "window.navigator.languages": {"DataDome": True, "BotD": True},
+    "window.navigator.language": {"DataDome": True, "BotD": True},
+    "window.navigator.hardwareConcurrency": {"DataDome": True, "BotD": False},
+    "window.navigator.buildID": {"DataDome": True, "BotD": False},
+    "window.navigator.appVersion": {"DataDome": True, "BotD": True},
+    "window.navigator.__proto__": {"DataDome": False, "BotD": True},
+    "window.sessionStorage": {"DataDome": True, "BotD": False},
+    "window.localStorage": {"DataDome": True, "BotD": False},
+    "window.document.cookie": {"DataDome": True, "BotD": False},
+    "MouseEvent.type": {"DataDome": True, "BotD": False},
+    "MouseEvent.timeStamp": {"DataDome": True, "BotD": False},
+    "MouseEvent.clientY": {"DataDome": True, "BotD": False},
+    "MouseEvent.clientX": {"DataDome": True, "BotD": False},
+    "addEventListener: mouseup": {"DataDome": True, "BotD": False},
+    "addEventListener: mousemove": {"DataDome": True, "BotD": False},
+    "addEventListener: mousedown": {"DataDome": True, "BotD": False},
+    "addEventListener: asyncChallengeFinished": {"DataDome": True, "BotD": False},
+    "addEventListener: pagehide": {"DataDome": True, "BotD": False},
+    "Performance.now": {"DataDome": False, "BotD": True},
+}
 
 
 def _apis_read_by(detector: str):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -209,30 +211,36 @@ def test_bad_workers_env_fails_cleanly(capsys, monkeypatch):
 #: Run in a fresh interpreter: import the CLI, run the ``pipeline`` and
 #: ``stream`` handlers on a warm TINY cache, and print which report-only
 #: layers were imported along the way (and whether the warm path built a
-#: random generator, which imports ``numpy.random``).
+#: random generator, which imports ``numpy.random``), and after which
+#: command ``numpy.ma`` was loaded.
 _STARTUP_SCRIPT = """
 import json, sys
 from repro.cli import main
+masked = []
 for argv in (["pipeline"], ["stream", "--batch-size", "256"]):
     assert main(argv + sys.argv[1:]) == 0
+    if "numpy.ma" in sys.modules:
+        masked.append(argv[0])
 unwanted = ("repro.ml", "repro.analysis.figures", "repro.analysis.evasion",
             "repro.analysis.attributes", "numpy.random")
 loaded = sorted(name for name in sys.modules if name.startswith("repro.ml.") or name in unwanted)
 from repro import FPInconsistent
 from repro.analysis import build_corpus, corpus_digest
-print(json.dumps({"loaded": loaded, "names": [FPInconsistent.__name__, build_corpus.__name__,
-                                             corpus_digest.__name__]}))
+print(json.dumps({"loaded": loaded, "numpy.ma": masked,
+                  "names": [FPInconsistent.__name__, build_corpus.__name__,
+                            corpus_digest.__name__]}))
 """
 
 
-def test_pipeline_and_stream_never_import_the_report_layers(capsys, tmp_path):
-    """The package ``__init__``s re-export lazily, so the commands that do
-    not build the report pay neither for the ML stack nor for the figure,
-    evasion and attribute analyses; the public names still import."""
+@pytest.fixture(scope="module")
+def warm_commands(tmp_path_factory):
+    """The startup script's document, run once on a freshly built TINY cache."""
 
-    knobs = ["--seed", "29", "--scale", "0.004", "--cache", str(tmp_path / "cache")]
-    code, _out, err = run_cli(capsys, "corpus", *knobs)
-    assert code == 0 and "cache miss" in err
+    knobs = ["--seed", "29", "--scale", "0.004", "--cache", str(tmp_path_factory.mktemp("cache"))]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["corpus", *knobs]) == 0
+    assert "cache miss" in err.getvalue()
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {
         name: value for name, value in os.environ.items() if not name.startswith("REPRO_")
@@ -247,6 +255,20 @@ def test_pipeline_and_stream_never_import_the_report_layers(capsys, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr.count("cache hit") == 2
-    document = json.loads(done.stdout.strip().splitlines()[-1])
-    assert document["loaded"] == []
-    assert document["names"] == ["FPInconsistent", "build_corpus", "corpus_digest"]
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_pipeline_and_stream_never_import_the_report_layers(warm_commands):
+    """The package ``__init__``s re-export lazily, so the commands that do
+    not build the report pay neither for the ML stack nor for the figure,
+    evasion and attribute analyses; the public names still import."""
+
+    assert warm_commands["loaded"] == []
+    assert warm_commands["names"] == ["FPInconsistent", "build_corpus", "corpus_digest"]
+
+
+def test_pipeline_and_stream_never_import_numpy_ma(warm_commands):
+    """A plain ``np.unique`` on NumPy 2.x imports ``numpy.ma`` on first use,
+    10-15 ms inside a timed evaluation; neither command may trigger it."""
+
+    assert warm_commands["numpy.ma"] == []

@@ -1,7 +1,14 @@
 """Unit tests for FP-Inconsistent: knowledge base, rules, miners, detector."""
 
 import pytest
-from reference.detection import ObjectTemporalDetector, all_matches, mine, pair_statistics, rule_matches
+from reference.detection import (
+    ObjectTemporalDetector,
+    all_matches,
+    expected_value_count_scan,
+    mine,
+    pair_statistics,
+    rule_matches,
+)
 
 from repro.core.detector import FPInconsistent
 from repro.core.knowledge import DeviceKnowledgeBase
@@ -10,7 +17,7 @@ from repro.core.spatial import SpatialInconsistencyMiner, SpatialMinerConfig
 from repro.core.temporal import TemporalInconsistencyDetector
 from repro.devices.catalog import DeviceCatalog
 from repro.fingerprint.attributes import Attribute
-from repro.fingerprint.categories import AttributeCategory
+from repro.fingerprint.categories import AttributeCategory, all_candidate_pairs
 from repro.fingerprint.fingerprint import Fingerprint
 
 
@@ -132,6 +139,39 @@ def test_kb_expected_value_count(kb):
     count = kb.expected_value_count(Attribute.UA_DEVICE, "iPhone", Attribute.SCREEN_RESOLUTION)
     assert count is not None and count >= 2
     assert kb.expected_value_count(Attribute.UA_DEVICE, "Nokia 3310", Attribute.SCREEN_RESOLUTION) is None
+
+
+class _UnhashableEqual:
+    """Unhashable, yet equal to one hashable value."""
+
+    __hash__ = None
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return other == self.value
+
+
+def test_kb_expected_value_count_index_matches_the_catalogue_scan():
+    """Every answer of the per-pair index equals a scan of the catalogue,
+    for both orientations of every mined pair and every value a profile
+    carries, plus an absent value and an unhashable one."""
+
+    kb = DeviceKnowledgeBase()
+    profiles = list(DeviceCatalog())
+    checked = 0
+    for _category, first, second in all_candidate_pairs():
+        for attribute_a, attribute_b in ((first, second), (second, first)):
+            values = {profile.fingerprint().value_for_grouping(attribute_a) for profile in profiles}
+            some = next(iter(values))
+            for value_a in [*values, None, "no such value", [some], _UnhashableEqual(some)]:
+                expected = expected_value_count_scan(kb, attribute_a, value_a, attribute_b)
+                assert kb.expected_value_count(attribute_a, value_a, attribute_b) == expected, (
+                    attribute_a, value_a, attribute_b,
+                )
+                checked += expected is not None
+    assert checked > 100
 
 
 # -- rules and filter lists ---------------------------------------------------------------

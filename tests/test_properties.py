@@ -1,8 +1,10 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from reference import detection as reference
 from reference.detection import ObjectTemporalDetector
 from reference.fingerprint import differing_attributes, fingerprint_dict, stable_hash, without
@@ -13,7 +15,7 @@ from test_columnar import _extract, _random_store
 from repro.core.columnar import ColumnarTable
 from repro.core.rules import FilterList, InconsistencyRule
 from repro.core.spatial import SpatialInconsistencyMiner, SpatialMinerConfig
-from repro.core.temporal import TemporalStreamState
+from repro.core.temporal import _UNSEEN, TemporalStreamState, _SeenColumn
 from repro.fingerprint.attributes import Attribute, format_resolution, parse_resolution
 from repro.fingerprint.categories import AttributeCategory
 from repro.fingerprint.fingerprint import Fingerprint
@@ -123,6 +125,166 @@ def test_filter_list_json_round_trip(rules):
     filter_list = FilterList(rules)
     loaded = FilterList.from_json(filter_list.to_json())
     assert {rule.key for rule in loaded} == {rule.key for rule in filter_list}
+
+
+# -- compiled matcher: the dense rank table against the sorted-key oracle -------------
+
+_MATCH_ATTRIBUTES = (
+    Attribute.UA_DEVICE,
+    Attribute.PLATFORM,
+    Attribute.HARDWARE_CONCURRENCY,
+    Attribute.WEBDRIVER,
+)
+#: ``0``/``0.0``/``False`` and ``1``/``1.0``/``True`` compare equal across
+#: types; ``"1"`` does not.
+_MATCH_VALUES = ("iPhone", "1", 0, 0.0, False, 1, 1.0, True)
+
+_match_rules = st.builds(
+    lambda category, attributes, value_a, value_b, support: InconsistencyRule(
+        category, attributes[0], value_a, attributes[1], value_b, support
+    ),
+    st.sampled_from(list(AttributeCategory)),
+    st.permutations(_MATCH_ATTRIBUTES),
+    st.sampled_from(_MATCH_VALUES),
+    st.sampled_from(_MATCH_VALUES),
+    st.integers(0, 100),
+)
+
+
+def _retyped(value):
+    """An equal value of the next type in ``0, False, 0.0`` or ``1, True,
+    1.0``; any other value unchanged."""
+
+    for group in ((0, False, 0.0), (1, True, 1.0)):
+        types = [type(item) for item in group]
+        if type(value) in types and value == group[0]:
+            return group[(types.index(type(value)) + 1) % len(group)]
+    return value
+
+
+#: Rule lists where some rules have a twin whose second value is equal
+#: but of another type: the twins share a rank-table slot.
+_match_rule_lists = st.lists(st.tuples(_match_rules, st.booleans()), max_size=16).map(
+    lambda drawn: [
+        kept
+        for rule, twinned in drawn
+        for kept in ([rule, replace(rule, value_b=_retyped(rule.value_b))] if twinned else [rule])
+    ]
+)
+
+
+def _match_table(seed: int, n_rows: int) -> ColumnarTable:
+    """A table over :data:`_MATCH_ATTRIBUTES`: decode lists hold each value
+    once (as an interning ingest builds them), and ``-1`` codes are missing
+    values."""
+
+    rng = np.random.default_rng(seed)
+    codes, values = {}, {}
+    for attribute in _MATCH_ATTRIBUTES:
+        drawn = rng.integers(0, len(_MATCH_VALUES), int(rng.integers(0, 8)))
+        decode = list(dict.fromkeys(_MATCH_VALUES[index] for index in drawn.tolist()))
+        codes[attribute] = rng.integers(-1, len(decode), n_rows).astype(np.int32)
+        values[attribute] = decode
+    return ColumnarTable(codes=codes, values=values, n_rows=n_rows)
+
+
+def _assert_matches_like_oracle(filter_list, table):
+    expected = reference.SearchsortedMatcher(filter_list).first_match_rows(table)
+    assert filter_list.matcher().first_match_rows(table).tolist() == expected.tolist()
+
+
+# No explain phase: on a failure it spends minutes varying the rule lists.
+@settings(max_examples=80, deadline=None, phases=[phase for phase in Phase if phase != Phase.explain])
+@given(
+    rules=_match_rule_lists,
+    seed=st.integers(0, 2**16),
+    n_rows=st.integers(0, 30),
+    known=st.integers(0, 7),
+)
+def test_dense_matcher_matches_the_searchsorted_oracle(rules, seed, n_rows, known):
+    """Same winner per row, also while decode lists grow under one matcher:
+    the table is matched first with only its first *known* values decoded
+    (later codes missing), then again after the lists grew in place."""
+
+    filter_list = FilterList(rules)
+    table = _match_table(seed, n_rows)
+    prefix = {attribute: table.values_of(attribute)[:known] for attribute in _MATCH_ATTRIBUTES}
+    early = ColumnarTable(
+        codes={
+            attribute: np.where(table.codes_of(attribute) < known, table.codes_of(attribute), -1)
+            for attribute in _MATCH_ATTRIBUTES
+        },
+        values=prefix,
+        n_rows=table.n_rows,
+    )
+    _assert_matches_like_oracle(filter_list, early)
+    for attribute, decode in prefix.items():
+        decode.extend(table.values_of(attribute)[known:])
+    _assert_matches_like_oracle(
+        filter_list, ColumnarTable(codes=table._codes, values=prefix, n_rows=table.n_rows)
+    )
+
+
+def test_dense_matcher_with_an_empty_list():
+    table = ColumnarTable(
+        codes={Attribute.UA_DEVICE: np.array([0, -1], dtype=np.int32)},
+        values={Attribute.UA_DEVICE: ["iPhone"]},
+        n_rows=2,
+    )
+    assert FilterList().matcher().first_match_rows(table).tolist() == [-1, -1]
+    _assert_matches_like_oracle(FilterList(), table)
+
+
+@pytest.fixture(scope="module")
+def mined_corpus():
+    """One random store's table and the rules mined from it, shared by
+    every example."""
+
+    table = _extract(_random_store(11, size=300))
+    config = SpatialMinerConfig(min_support=1, min_value_support=1, inflation_factor=0)
+    return table, list(SpatialInconsistencyMiner(config=config).mine_table(table))
+
+
+@settings(max_examples=30, deadline=None)
+@given(picks=st.lists(st.integers(0, 10**6), max_size=60))
+def test_dense_matcher_matches_the_oracle_on_mined_rules(mined_corpus, picks):
+    table, rules = mined_corpus
+    assert rules
+    _assert_matches_like_oracle(FilterList(rules[pick % len(rules)] for pick in picks), table)
+
+
+# -- first sightings: the scatter-min against np.unique ------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    stream=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3)), max_size=60),
+    tolerance=st.integers(1, 3),
+    cuts=st.lists(st.integers(0, 60), max_size=4),
+)
+def test_seen_column_observe_matches_the_unique_oracle(stream, tolerance, cuts):
+    """Same flags and the same state, fed whole and fed in pieces (one
+    epoch per piece); the pieces flag what the whole stream flags."""
+
+    keys = np.array([key for key, _ in stream], dtype=np.int64)
+    values = np.array([value for _, value in stream], dtype=np.int64)
+    bounds = [0, *sorted(min(cut, len(stream)) for cut in cuts), len(stream)]
+    flagged = []
+    for pieces in ([(0, len(stream))], list(zip(bounds, bounds[1:]))):
+        column, oracle = _SeenColumn(), reference.UniqueSeenColumn()
+        hits = []
+        for epoch, (start, stop) in enumerate(pieces, start=1):
+            for seen in (column, oracle):
+                seen.reserve(8)
+            got = column.observe(keys[start:stop], values[start:stop], tolerance, epoch)
+            assert got == oracle.observe(keys[start:stop], values[start:stop], tolerance, epoch)
+            hits += [(start + position, held, value) for position, held, value in got]
+        assert column.first.tolist() == oracle.first.tolist()
+        assert column.stamp.tolist() == oracle.stamp.tolist()
+        assert column.overflow == oracle.overflow
+        assert (column.sighting == _UNSEEN).all()
+        flagged.append(hits)
+    assert flagged[0] == flagged[1]
 
 
 # -- Algorithm 1: the grid miner against the object reference ------------------------
