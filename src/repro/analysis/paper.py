@@ -123,7 +123,9 @@ DEVIATIONS: Dict[str, Deviation] = {
         0.15, "both dual evaders (S14, S20) spoof touch on 89 % of requests (paper 78.36 %)"
     ),
     "section62.Canada.timezone_match": Deviation(
-        0.3, "off-region sessions report America/New_York, whose offsets Canada shares (1.0)"
+        0.3,
+        "off-region sessions report America/Los_Angeles, whose offsets Canada shares"
+        " through America/Vancouver (1.0)",
     ),
 }
 

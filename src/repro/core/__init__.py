@@ -26,7 +26,7 @@ __all__, __getattr__ = lazy_exports(
         "temporal": (
             "DEFAULT_COOKIE_ATTRIBUTES",
             "DEFAULT_IP_ATTRIBUTES",
-            "TemporalFlag",
+            "TemporalFlags",
             "TemporalInconsistencyDetector",
         ),
     },

@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.columnar import ColumnarTable, TableEncoder
 from repro.core.rules import FilterList, FilterListMatcher, InconsistencyRule, RuleTable
 from repro.core.spatial import SpatialInconsistencyMiner
-from repro.core.temporal import TemporalFlag, TemporalInconsistencyDetector
+from repro.core.temporal import TemporalFlags, TemporalInconsistencyDetector
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.categories import AttributeCategory
 from repro.fingerprint.fingerprint import Fingerprint
@@ -33,9 +33,9 @@ class Verdicts:
     Row *i* is request ``request_ids[i]``; ``rule_index[i]`` is the
     position of its spatial rule in ``rules`` (an append-only
     :class:`~repro.core.rules.RuleTable`), ``-1`` when no rule matched.
-    Temporal flags are sparse: ``flags`` maps the rows that raised any to
-    their :class:`~repro.core.temporal.TemporalFlag` tuple.  Equality is
-    per request id and independent of row order and rule-table layout.
+    Temporal flags are sparse columns (a
+    :class:`~repro.core.temporal.TemporalFlags`) whose ``row`` indexes
+    these rows.
     """
 
     __slots__ = ("request_ids", "rule_index", "rules", "flags")
@@ -45,12 +45,12 @@ class Verdicts:
         request_ids: np.ndarray,
         rule_index: np.ndarray,
         rules: RuleTable,
-        flags: Optional[Dict[int, Tuple[TemporalFlag, ...]]] = None,
+        flags: Optional[TemporalFlags] = None,
     ):
         self.request_ids = request_ids
         self.rule_index = rule_index
         self.rules = rules
-        self.flags = {} if flags is None else flags
+        self.flags = TemporalFlags() if flags is None else flags
 
     @classmethod
     def concat(cls, chunks: Sequence["Verdicts"]) -> "Verdicts":
@@ -62,16 +62,19 @@ class Verdicts:
         rules = chunks[0].rules
         if any(chunk.rules is not rules for chunk in chunks):
             rules = RuleTable()
-        columns, flags, offset = [], {}, 0
+        columns = []
         for chunk in chunks:
             column = chunk.rule_index
             if chunk.rules is not rules:
                 column = rules.indices(chunk.rules.rules)[column]
             columns.append(column)
-            flags.update((row + offset, row_flags) for row, row_flags in chunk.flags.items())
-            offset += len(chunk)
-        request_ids = np.concatenate([chunk.request_ids for chunk in chunks])
-        return cls(request_ids, np.concatenate(columns), rules, flags)
+        offsets = np.cumsum([0] + [len(chunk) for chunk in chunks[:-1]]).tolist()
+        return cls(
+            np.concatenate([chunk.request_ids for chunk in chunks]),
+            np.concatenate(columns),
+            rules,
+            TemporalFlags.concat([chunk.flags for chunk in chunks], offsets),
+        )
 
     def __len__(self) -> int:
         return int(self.request_ids.size)
@@ -85,7 +88,7 @@ class Verdicts:
         """Per row: raised a temporal flag."""
 
         mask = np.zeros(len(self), dtype=bool)
-        mask[list(self.flags)] = True
+        mask[self.flags.row] = True
         return mask
 
     def counts(self) -> Dict[str, int]:
@@ -94,7 +97,7 @@ class Verdicts:
         spatial, temporal = self.spatial(), self.temporal()
         return {
             "spatial": int(np.count_nonzero(spatial)),
-            "temporal": len(self.flags),
+            "temporal": int(np.count_nonzero(temporal)),
             "inconsistent": int(np.count_nonzero(spatial | temporal)),
         }
 
@@ -102,10 +105,9 @@ class Verdicts:
         """``(spatial, temporal)`` per entry of *request_ids*; an id without
         a verdict is neither."""
 
-        flagged = np.fromiter(self.flags, dtype=np.int64, count=len(self.flags))
         return (
             np.isin(request_ids, self.request_ids[self.spatial()]),
-            np.isin(request_ids, self.request_ids[flagged]),
+            np.isin(request_ids, self.request_ids[self.flags.row]),
         )
 
 
@@ -391,17 +393,12 @@ class FPInconsistent:
                 "classify_table requires a table with request metadata "
                 "(extract it with FPInconsistent.extract_table)"
             )
-        flags: Dict[int, Tuple[TemporalFlag, ...]] = {}
+        flags = None
         if use_temporal:
             if temporal_state is not None:
-                by_request = self._temporal.observe_table(table, temporal_state)
+                flags = self._temporal.observe_table(table, temporal_state)
             else:
-                by_request = self._temporal.evaluate_table(table)
-            if by_request:
-                order = np.argsort(table.request_ids, kind="stable")
-                flagged = np.fromiter(by_request, dtype=np.int64, count=len(by_request))
-                rows = order[np.searchsorted(table.request_ids[order], flagged)]
-                flags = dict(zip(rows.tolist(), map(tuple, by_request.values())))
+                flags = self._temporal.evaluate_table(table)
 
         state = spatial_state if spatial_state is not None else self.new_spatial_state()
         if use_spatial:

@@ -21,7 +21,6 @@ inconsistent".
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -53,6 +52,15 @@ DEFAULT_IP_TOLERANCE = 2
 
 #: Resting value of :attr:`_SeenColumn.sighting`: after every row position.
 _UNSEEN = np.iinfo(np.int64).max
+
+
+def run_positions(counts: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """Positions of the entries of *runs*, in order, in a flat array of
+    consecutive runs of ``counts[i]`` entries each."""
+
+    taken = counts[runs]
+    starts = (np.cumsum(counts) - counts)[runs]
+    return np.repeat(starts - (np.cumsum(taken) - taken), taken) + np.arange(int(taken.sum()))
 
 
 class _SeenColumn:
@@ -166,25 +174,15 @@ class _Vocabulary:
 class TemporalStreamState:
     """Per-device seen-state carried across micro-batches.
 
-    The streaming subsystem (:mod:`repro.stream`) scores traffic batch by
-    batch; temporal detection is the one stateful part, so its state lives
-    in an explicit object handed back to
-    :meth:`TemporalInconsistencyDetector.observe_table` on every batch
-    instead of being rebuilt from the whole history.  Keys are the decoded
-    device identifiers (cookie / address *strings*), never table-local
-    value codes, so state survives vocabulary growth and is meaningful
-    across any sequence of tables.
-
-    The state maps keys and values to its own ids (see
-    :class:`_Vocabulary`) and holds, per (key kind, attribute), a
-    first-value array indexed by key id plus a small overflow map for the
-    keys that grew past one value (see :class:`_SeenColumn`).  Table codes
-    reach those ids through remap arrays cached per decode list, which
-    only ever grow, so scoring a batch is a gather plus Python work for
-    the rare rows that can flag.
-
-    Every change is stamped with the current ``epoch``, so a checkpointer
-    finds what changed since its last save with one comparison per column
+    Temporal detection is the one stateful part of scoring, so its state
+    is an explicit object handed to
+    :meth:`TemporalInconsistencyDetector.observe_table` on every batch.
+    Keys and values get the state's own ids (:class:`_Vocabulary`), which
+    table codes reach through remap arrays cached per decode list, so state
+    survives vocabulary growth and spans any sequence of tables.  Per (key
+    kind, attribute) a :class:`_SeenColumn` holds each key's values.  Every
+    change is stamped with the current ``epoch``, so a checkpointer finds
+    what changed since its last save with one comparison per column
     (:meth:`close_epoch`, :meth:`changes_since`).
     """
 
@@ -201,11 +199,13 @@ class TemporalStreamState:
 
     # -- vocabularies ------------------------------------------------------------
 
-    def _remap(self, slot: Tuple, decode: List) -> np.ndarray:
-        """Decode-list codes -> state ids, extended as *decode* grows.
+    def remap(self, slot: Tuple, decode: List) -> np.ndarray:
+        """Codes of *decode* -> state ids of *slot* (``("key", kind)`` or
+        ``("value", attribute)``), extended as *decode* grows.
 
         Decode lists only ever grow (codes never change meaning), so the
-        cached remap of a list stays valid for the prefix it covers.
+        cached remap of a list stays valid for the prefix it covers.  Falsy
+        keys (the "" cookie) map to ``-1``.
         """
 
         cached = self._remaps.get(slot)
@@ -222,26 +222,10 @@ class TemporalStreamState:
         self._remaps[slot] = (decode, remap)
         return remap
 
-    def key_remap(self, kind: str, decode: List[str]) -> np.ndarray:
-        """State key ids of a key decode list; falsy keys map to ``-1``."""
+    def items(self, slot: Tuple) -> List:
+        """The keys or values of *slot* by state id."""
 
-        return self._remap(("key", kind), decode)
-
-    def value_remap(self, attribute: Attribute, decode: List) -> np.ndarray:
-        """State value ids of an attribute decode list."""
-
-        return self._remap(("value", attribute), decode)
-
-    def keys_of(self, kind: str) -> List[str]:
-        """Key strings by state key id."""
-
-        vocabulary = self._vocabularies.get(("key", kind))
-        return [] if vocabulary is None else vocabulary.items
-
-    def values_of(self, attribute: Attribute) -> List[object]:
-        """Attribute values by state value id."""
-
-        vocabulary = self._vocabularies.get(("value", attribute))
+        vocabulary = self._vocabularies.get(slot)
         return [] if vocabulary is None else vocabulary.items
 
     def column(self, kind: str, attribute: Attribute) -> _SeenColumn:
@@ -250,7 +234,7 @@ class TemporalStreamState:
         column = self._columns.get((kind, attribute))
         if column is None:
             column = self._columns[(kind, attribute)] = _SeenColumn()
-        column.reserve(len(self.keys_of(kind)))
+        column.reserve(len(self.items(("key", kind))))
         return column
 
     # -- change tracking ---------------------------------------------------------
@@ -293,11 +277,8 @@ class TemporalStreamState:
                 starts = np.cumsum(counts) - counts
                 firsts, values = values, np.empty(int(counts.sum()), dtype=np.int64)
                 values[starts] = firsts
-                # Each grown key's run (its first value included): the run
-                # start repeated over its count, plus the position within it.
-                runs = np.repeat(
-                    starts[grown] - (np.cumsum(grown_counts) - grown_counts), grown_counts
-                ) + np.arange(int(grown_counts.sum()))
+                # Each grown key's run, its first value included.
+                runs = run_positions(counts, grown)
                 values[runs] = np.fromiter(
                     chain.from_iterable(held), dtype=np.int64, count=runs.size
                 )
@@ -320,20 +301,79 @@ class TemporalStreamState:
         union, so re-merging a known prefix is harmless.
         """
 
-        keys = np.repeat(self.key_remap(kind, key_decode)[key_codes], counts)
-        values = self.value_remap(attribute, value_decode)[value_codes]
+        keys = np.repeat(self.remap(("key", kind), key_decode)[key_codes], counts)
+        values = self.remap(("value", attribute), value_decode)[value_codes]
         self.column(kind, attribute).observe(keys, values, sys.maxsize, self.epoch)
 
 
-@dataclass(frozen=True)
-class TemporalFlag:
-    """Why one request was considered temporally inconsistent."""
+#: Every attribute and every device key kind, in one fixed order: flag
+#: columns name attributes and kinds by position.
+ATTRIBUTES: Tuple[Attribute, ...] = tuple(Attribute)
+KEY_KINDS = ("cookie", "ip")
 
-    key_kind: str          # "cookie" or "ip"
-    key: str
-    attribute: Attribute
-    previous_values: Tuple[object, ...]
-    new_value: object
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_IDS.flags.writeable = False
+
+
+class TemporalFlags:
+    """Temporal flags as columns, one entry per flag.
+
+    Entry *i* is raised by row ``row[i]``: device key ``key[i]`` of kind
+    ``KEY_KINDS[kind[i]]`` showed value ``new[i]`` of attribute
+    ``ATTRIBUTES[attribute[i]]`` after the ``n_prev[i]`` values of its run
+    in ``prev``.  Keys and values are ids into ``keys[kind]`` and
+    ``values[attribute]``: the decode lists of the state that raised the
+    flags, which only ever grow.  A row's flags keep the order its checks
+    raised them in (cookie attributes, then IP ones).
+    """
+
+    __slots__ = ("row", "kind", "key", "attribute", "new", "n_prev", "prev", "keys", "values")
+
+    def __init__(self, row=_NO_IDS, kind=_NO_IDS, key=_NO_IDS, attribute=_NO_IDS, new=_NO_IDS,
+                 n_prev=_NO_IDS, prev=_NO_IDS, keys=None, values=None):
+        self.row, self.kind, self.key, self.attribute = row, kind, key, attribute
+        self.new, self.n_prev, self.prev = new, n_prev, prev
+        self.keys: Dict[int, List[str]] = {} if keys is None else keys
+        self.values: Dict[int, List] = {} if values is None else values
+
+    @classmethod
+    def concat(cls, parts: Sequence["TemporalFlags"], offsets: Sequence[int]) -> "TemporalFlags":
+        """*parts* in order, each one's rows shifted by its offset.
+
+        Parts raised by one state share its decode lists and keep their
+        ids.  A part that decodes a kind or an attribute through another
+        list (another state raised it) has that list appended to the merged
+        one, once per distinct list, and its ids shifted to where it starts.
+        """
+
+        kept = [(part, offset) for part, offset in zip(parts, offsets) if part.row.size]
+        if not kept:
+            return cls()
+        merged = {"keys": {}, "values": {}}
+        starts: Dict[Tuple, int] = {}  # (field, slot, id(list)) -> its merged start
+        columns = []
+        for part, offset in kept:
+            shifts = {"keys": np.zeros(len(KEY_KINDS), np.int64),
+                      "values": np.zeros(len(ATTRIBUTES), np.int64)}
+            for field, shift in shifts.items():
+                for slot, items in getattr(part, field).items():
+                    held = merged[field].setdefault(slot, items)
+                    source = (field, slot, id(items))
+                    if source not in starts:
+                        starts[source] = 0 if held is items else len(held)
+                        if held is not items:
+                            merged[field][slot] = held + items
+                    shift[slot] = starts[source]
+            key, new, prev = part.key, part.new, part.prev
+            if shifts["keys"].any():
+                key = key + shifts["keys"][part.kind]
+            if shifts["values"].any():
+                new = new + shifts["values"][part.attribute]
+                prev = prev + shifts["values"][np.repeat(part.attribute, part.n_prev)]
+            columns.append(
+                (part.row + offset, part.kind, key, part.attribute, new, part.n_prev, prev)
+            )
+        return cls(*map(np.concatenate, zip(*columns)), **merged)
 
 
 class TemporalInconsistencyDetector:
@@ -368,22 +408,12 @@ class TemporalInconsistencyDetector:
 
     # -- batch API ------------------------------------------------------------------
 
-    def evaluate_table(self, table) -> Dict[int, List[TemporalFlag]]:
-        """Evaluate a columnar table in timestamp order.
-
-        Requests stream in stable timestamp order; a request is flagged
+    def evaluate_table(self, table) -> TemporalFlags:
+        """Flags of a columnar table streamed in stable timestamp order
+        through a fresh :class:`TemporalStreamState`: a request is flagged
         when it grows its device key's distinct values of a tracked
-        attribute past the tolerance.  The stream runs over the table's
-        integer code columns through a fresh :class:`TemporalStreamState`,
-        decoding to the underlying values only when a flag actually fires,
-        so no fingerprint object is touched (and none needs to cross a
-        process boundary when shards classify in parallel).  The
-        evaluation is self-contained: nothing carries over between calls.
-        Returns ``request_id`` → flags for the flagged requests.
-        """
+        attribute past the tolerance.  Rows of the result index *table*."""
 
-        if table.timestamps is None or table.cookie_codes is None or table.ip_codes is None:
-            raise ValueError("temporal evaluation requires a table with request metadata")
         return self._stream_table(table, TemporalStreamState())
 
     # -- incremental (streaming) API ---------------------------------------------
@@ -393,59 +423,45 @@ class TemporalInconsistencyDetector:
 
         return TemporalStreamState()
 
-    def observe_table(
-        self, table, state: TemporalStreamState
-    ) -> Dict[int, List[TemporalFlag]]:
+    def observe_table(self, table, state: TemporalStreamState) -> TemporalFlags:
         """Stream one columnar table (a micro-batch) through *state*.
 
-        The incremental counterpart of :meth:`evaluate_table`: per-device
-        seen-state lives in the caller-held *state* and carries across
-        calls instead of being reset, so feeding a table's row slices
-        through consecutive calls in timestamp order raises exactly the
-        flags a single :meth:`evaluate_table` over the whole table would.
-        State keys on the *decoded* device identifiers and attribute
-        values, never on table-local codes, so any sequence of tables —
-        including the growing-vocabulary batches the stream ingestor
-        emits — shares one coherent state.
-
-        Rows are processed in timestamp order within the batch; ordering
-        across batches is the caller's contract (the replay driver feeds
-        batches in global timestamp order).  Returns ``request_id`` →
-        flags for the rows this batch flagged.
+        The incremental :meth:`evaluate_table`: seen-state lives in the
+        caller-held *state*, keyed on decoded identifiers and values, so
+        consecutive calls over a table's row slices in timestamp order raise
+        exactly the flags one call over the whole table would, whatever
+        decode lists the slices carry.  Ordering across batches is the
+        caller's contract.
         """
 
-        if table.timestamps is None or table.cookie_codes is None or table.ip_codes is None:
-            raise ValueError("temporal observation requires a table with request metadata")
         return self._stream_table(table, state)
 
-    def _stream_table(
-        self, table, state: TemporalStreamState
-    ) -> Dict[int, List[TemporalFlag]]:
+    def _stream_table(self, table, state: TemporalStreamState) -> TemporalFlags:
         """Stream *table* through *state* in timestamp order."""
 
+        if table.timestamps is None or table.cookie_codes is None or table.ip_codes is None:
+            raise ValueError("temporal detection requires a table with request metadata")
         time_order = np.argsort(table.timestamps, kind="stable")
         time_rank = np.empty(table.n_rows, dtype=np.int64)
         time_rank[time_order] = np.arange(table.n_rows)
 
-        # Columns stream in the order a per-request check raises flags
-        # (cookie attributes, then IP ones), so appending per row keeps that
-        # order; state is independent per (key, attribute), so streaming
-        # column-wise is equivalent to row-wise observation.
-        per_row: Dict[int, List[TemporalFlag]] = {}
+        # State is independent per (key, attribute), so streaming column by
+        # column equals row-wise observation; columns run in a per-request
+        # check's order, and a stable sort by arrival restores it per row.
+        found, keys_decode, values_decode = [], {}, {}
         epoch = state.epoch
-        for kind, key_codes, key_values, attributes, tolerance in (
+        for kind_id, (kind, key_codes, key_values, attributes, tolerance) in enumerate((
             ("cookie", table.cookie_codes, table.cookie_values,
              self._cookie_attributes, self._cookie_tolerance),
             ("ip", table.ip_codes, table.ip_values,
              self._ip_attributes, self._ip_tolerance),
-        ):
+        )):
             # Falsy keys ("" cookie) map to -1 and track nothing.
             row_keys = np.full(table.n_rows, -1, dtype=np.int64)
             present = key_codes >= 0
             if present.any():
-                row_keys[present] = state.key_remap(kind, key_values)[key_codes[present]]
+                row_keys[present] = state.remap(("key", kind), key_values)[key_codes[present]]
             keyed = time_order[row_keys[time_order] >= 0]
-            key_strings = state.keys_of(kind)
             for attribute in attributes:
                 table.require_attribute(attribute, "tracked attribute")
                 codes = table.codes_of(attribute)
@@ -453,24 +469,34 @@ class TemporalInconsistencyDetector:
                 if not rows.size:
                     continue
                 keys = row_keys[rows]
-                value_ids = state.value_remap(attribute, table.values_of(attribute))[codes[rows]]
-                hits = state.column(kind, attribute).observe(keys, value_ids, tolerance, epoch)
-                if not hits:
-                    continue
-                positions = [hit[0] for hit in hits]
-                values = state.values_of(attribute)
-                for row, key, (_position, previous, new) in zip(
-                    rows[positions].tolist(), keys[positions].tolist(), hits
-                ):
-                    per_row.setdefault(row, []).append(
-                        TemporalFlag(
-                            kind, key_strings[key], attribute,
-                            tuple([values[code] for code in previous]), values[new],
-                        )
-                    )
+                ids = state.remap(("value", attribute), table.values_of(attribute))[codes[rows]]
+                hits = state.column(kind, attribute).observe(keys, ids, tolerance, epoch)
+                if hits:
+                    positions = [hit[0] for hit in hits]
+                    attribute_id = ATTRIBUTES.index(attribute)
+                    found.append((rows[positions], keys[positions], kind_id, attribute_id, hits))
+                    keys_decode[kind_id] = state.items(("key", kind))
+                    values_decode[attribute_id] = state.items(("value", attribute))
+        if not found:
+            return TemporalFlags()
 
-        flagged = np.fromiter(per_row, dtype=np.int64, count=len(per_row))
-        flagged = flagged[np.argsort(time_rank[flagged])]
-        return dict(
-            zip(table.request_ids[flagged].tolist(), [per_row[row] for row in flagged.tolist()])
+        hits = [hit for *_, pass_hits in found for hit in pass_hits]
+        sizes = [len(pass_hits) for *_, pass_hits in found]
+        row = np.concatenate([entry[0] for entry in found])
+        order = np.argsort(time_rank[row], kind="stable")
+        n_prev = np.array([len(hit[1]) for hit in hits], dtype=np.int64)
+        prev = np.fromiter(chain.from_iterable(hit[1] for hit in hits), np.int64)
+        columns = (
+            row,
+            np.repeat([entry[2] for entry in found], sizes),
+            np.concatenate([entry[1] for entry in found]),
+            np.repeat([entry[3] for entry in found], sizes),
+            np.array([hit[2] for hit in hits], dtype=np.int64),
+            n_prev,
+        )
+        return TemporalFlags(
+            *(column[order] for column in columns),
+            prev[run_positions(n_prev, order)],
+            keys_decode,
+            values_decode,
         )

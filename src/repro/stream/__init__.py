@@ -1,28 +1,14 @@
 """Streaming detection subsystem: online FP-Inconsistent scoring.
 
-Every other layer of the reproduction is batch-only — verdicts exist once
-a whole corpus has been assembled and mined.  This package turns the
-detection stack into a *servable* engine that scores requests as they
-arrive, in five pieces:
-
-* :class:`~repro.stream.ingest.StreamIngestor` — encodes arriving
-  micro-batches (record objects or ``RecordColumns`` row slices) against a
-  growing attribute-code vocabulary, emitting ``core.columnar`` tables;
-* :class:`~repro.stream.classifier.OnlineClassifier` — vectorized matching
-  with a filter list compiled once plus **incremental** spatial and
-  temporal state carried across batches, emitting verdict columns;
-* :class:`~repro.stream.refresh.FilterListRefresher` — periodic re-mining
-  over a sliding window of ingested rows, hot-swapped at batch boundaries;
-* :class:`~repro.stream.replay.ReplayDriver` — the one online engine:
-  replays any cached corpus through the stream in timestamp order, with
-  supervised scoring and refresh recorded in a
-  :class:`~repro.stream.replay.StreamHealth` report; with a frozen filter
-  list the verdicts are identical to the batch pipeline's (the
-  subsystem's oracle);
-* :class:`~repro.stream.checkpoint.StreamCheckpointer` — periodic
-  incremental, crash-safe saves of the online state (append-only delta
-  segments plus one small snapshot, no pickle), so an interrupted replay
-  resumes byte-identically (``docs/robustness.md``).
+The batch layers score a corpus once it is assembled; this package scores
+requests as they arrive.  :class:`StreamIngestor` encodes micro-batches
+against a growing vocabulary, :class:`OnlineClassifier` scores them with
+incremental spatial and temporal state, :class:`FilterListRefresher`
+re-mines the list over a sliding window and hot-swaps it,
+:class:`ReplayDriver` (the one online engine) replays a cached corpus
+through them with supervised scoring, and :class:`StreamCheckpointer`
+saves the online state so an interrupted replay resumes byte-identically.
+With a frozen filter list the verdicts equal the batch pipeline's.
 
 ``repro stream`` on the command line drives this package; the
 architecture is documented in ``docs/streaming.md``.
@@ -39,6 +25,7 @@ from repro.stream.replay import (
     ReplayDriver,
     ReplayResult,
     StreamHealth,
+    same_verdicts,
     verdicts_digest,
 )
 
@@ -54,5 +41,6 @@ __all__ = [
     "StreamHealth",
     "StreamIngestor",
     "WORKER_ATTEMPTS",
+    "same_verdicts",
     "verdicts_digest",
 ]

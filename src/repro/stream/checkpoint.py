@@ -3,66 +3,29 @@
 A killed ``repro stream`` process would otherwise lose the whole online
 state — ingest vocabulary, per-visitor temporal seen-state, the deployed
 filter list, the emitted verdicts and the stream cursor — and have to
-replay from row zero.  This module persists that state
-periodically so a restarted replay continues from the last published save
-and produces verdicts byte-identical to an uninterrupted run
-(``tests/test_checkpoint.py`` pins it).
+replay from row zero.  This module persists that state periodically so a
+restarted replay continues from the last published save and produces
+verdicts byte-identical to an uninterrupted run
+(``tests/test_checkpoint.py`` pins it).  ``docs/robustness.md`` describes
+the format in full.
 
-A checkpoint is a directory of two kinds of file:
+A checkpoint is a directory of append-only **segments**
+(``segment-000000.npz``, …), one per published save, each holding only
+what the growing structures gained since the previous save, plus one small
+**snapshot** (``stream_checkpoint``), atomically replaced, that lists the
+valid segments with their sha256 and carries the bounded state.  Each file
+is an ``.npz`` (numeric columns plus a JSON ``meta`` member); the snapshot
+sits behind a ``RPCK | version | sha256`` header.  Loading uses
+``np.load(..., allow_pickle=False)`` and ``json`` only, so reading a
+checkpoint never executes code.  Only the current format is read; older
+versions are refused unread, so a resume replays from the start.
 
-* **segments** (``segment-000000.npz``, ``segment-000001.npz``, …) — an
-  append-only sequence, one per published save, each holding only what
-  the structures that only ever grow gained since the previous save: new
-  vocabulary entries, new temporal seen-state values (as codes against
-  the vocabulary), new rules, the new verdicts as columns (request id,
-  rule index, temporal flags), and the refresh-window rows observed
-  since the previous save (at most the window) as one code matrix;
-* **the snapshot** (``stream_checkpoint``) — one small file, atomically
-  replaced, that lists the valid segments with their sha256 and carries
-  the bounded state: cursor and counters, the deployed filter list as
-  indices into the segments' rule table, the refresher's row counters
-  and schedule clock, the hot-swap history and the replay's health
-  report.  A resume takes the window as the last ``rows_in_window`` rows
-  of the segments' window matrices.
-
-Each segment is an ``.npz`` (numeric columns plus a JSON ``meta`` member);
-the snapshot is the same, behind a ``RPCK | version | sha256`` header.
-Loading uses ``np.load(..., allow_pickle=False)`` and ``json`` only —
-reading a checkpoint never executes code.  Only the current format is
-read.  Older versions — 1 (a pickled state blob), 2 (per-worker
-classifiers and router pins) and 3 (the whole window in the snapshot) —
-are refused unread, so a resume replays from the start.
-
-Every file write is crash-safe: bytes land in a same-directory temporary
-file, are fsynced, atomically renamed into place and the directory is
-fsynced.  A save appends its segment first and publishes the snapshot
-last, so a crash between the two leaves an unlisted segment that loading
-ignores and the next save overwrites.  The ``checkpoint_write`` fault
-point fires on both writes, between fsync and rename.
-
-Per-save cost scales with the rows since the last save, not with the
-window or the stream position: the checkpointer keeps a high-water mark
-per growing structure (the refresher's monotone ``rows_observed`` count
-for the window) and writes only what lies past it.  A resume folds the
-segments in order.
-
-The temporal seen-state is written as one entry per (kind, key,
-attribute) that gained a value since the previous save, each with its
-full value list in observation order; folding is an order-preserving
-union, so a later segment re-listing a known prefix is harmless.  The
-live state (:class:`~repro.core.temporal.TemporalStreamState`) stamps
-each change with its epoch as it happens, and the mark is the last epoch
-a published save covers — so a save finds its entries with one array
-comparison per column and gathers their values from arrays, and the
-segment columns are the same whatever layout the state had when it
-wrote them.  Keys and values become ingest codes through translation
-arrays cached on the checkpointer, which only grow.
-
-Checkpointing is **best-effort by design**: :meth:`StreamCheckpointer.save`
-never raises into the scoring loop for an I/O failure.  A failed save is
-counted and logged, the high-water marks stay put, and the next due
-boundary writes the accumulated delta — losing a save costs recovery
-granularity, never correctness.
+Every write is crash-safe (temp file, fsync, rename, directory fsync), and
+a save appends its segment before it publishes the snapshot.  Per-save
+cost scales with the rows since the last save: the checkpointer keeps a
+high-water mark per growing structure and writes only what lies past it.
+Saving is best-effort: :meth:`StreamCheckpointer.save` never raises an
+I/O failure into the scoring loop.
 """
 
 from __future__ import annotations
@@ -84,7 +47,13 @@ import numpy as np
 from repro import faults, obs
 from repro.core.detector import Verdicts
 from repro.core.rules import FilterList, InconsistencyRule, RuleTable, rule_key
-from repro.core.temporal import TemporalFlag, TemporalStreamState
+from repro.core.temporal import (
+    ATTRIBUTES,
+    KEY_KINDS,
+    TemporalFlags,
+    TemporalStreamState,
+    run_positions,
+)
 from repro.fingerprint.attributes import Attribute
 
 logger = logging.getLogger("repro.stream")
@@ -116,9 +85,11 @@ CHECKPOINT_BYTES_PER_ROW_CEILING = 160
 
 _HEADER_SIZE = len(CHECKPOINT_MAGIC) + 4 + 32
 
-#: Temporal key kinds, in the code order segments store them.
-_KINDS = ("cookie", "ip")
-_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+#: Temporal key kinds by the code segments store them under.
+_KIND_CODES = {kind: code for code, kind in enumerate(KEY_KINDS)}
+
+#: The temporal flag columns a segment stores, each as ``flag_<name>``.
+_FLAG_COLUMNS = ("row", "kind", "key", "attribute", "new", "n_prev", "prev")
 
 _BYTES = obs.counter(
     "repro_stream_checkpoint_bytes_total",
@@ -274,6 +245,16 @@ def _unpack_ints(packed: np.ndarray, dtype=np.int64) -> np.ndarray:
     return packed.astype(dtype) - 1
 
 
+def _packed(prefix: str, columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Code *columns* as ``<prefix>_<name>`` members; a code outside the
+    ingest vocabulary (``-1``) is an error."""
+
+    for name, column in columns.items():
+        if column.size and column.min() < 0:
+            raise CheckpointError(f"{prefix} {name} outside the ingest vocabulary")
+    return {f"{prefix}_{name}": _pack_ints(column) for name, column in columns.items()}
+
+
 # -- the checkpointer ----------------------------------------------------------
 
 
@@ -344,17 +325,21 @@ class StreamCheckpointer:
 
     # -- saving ----------------------------------------------------------------
 
-    def _code_map(self, slot: Tuple, items: List, decode: List, index: Dict) -> np.ndarray:
-        """State ids of *slot* -> ingest codes, extended as *items* grows.
+    def _code_map(self, slot: Tuple, items: List, ingest: Dict) -> np.ndarray:
+        """State ids of *slot* (decoded by *items*) -> *ingest* codes.
 
-        A state that adopted the ingest decode list itself has its codes
-        as ids.  Otherwise the map is cached: state items only ever grow
-        and ingest codes never change meaning, so it stays valid for the
-        prefix it covers, and it is rebuilt when *items* or *index* is
-        replaced (a resume, or a state vocabulary becoming an owned copy).
-        An item the ingest does not know maps to ``-1``.
+        A state that adopted the ingest decode list has its codes as ids.
+        Otherwise the map is cached and extended as *items* grows (state
+        items only grow, ingest codes never change meaning), and rebuilt
+        when *items* or the ingest index is replaced.  An item the ingest
+        does not know maps to ``-1``.
         """
 
+        field, name = slot
+        if field == "key":
+            decode, index = ingest[f"{name}_values"], ingest[f"{name}_index"]
+        else:
+            decode, index = ingest["values"][name], ingest["indexes"][name]
         if items is decode:
             return np.arange(len(items))
         cached = self._code_maps.get(slot)
@@ -371,6 +356,35 @@ class StreamCheckpointer:
         self._code_maps[slot] = (items, index, codes)
         return codes
 
+    def _encode_flags(self, flags: TemporalFlags, attributes, ingest: Dict) -> Dict:
+        """Flag columns with keys and values as vocabulary codes (one gather
+        per key kind and attribute through the seen-state's cached
+        :meth:`_code_map` arrays) and attributes as positions in *attributes*."""
+
+        key, new, prev = (
+            np.full(ids.size, -1, np.int64) for ids in (flags.key, flags.new, flags.prev)
+        )
+        for kind, items in flags.keys.items():
+            rows = flags.kind == kind
+            key[rows] = self._code_map(("key", KEY_KINDS[kind]), items, ingest)[flags.key[rows]]
+        prev_attribute = np.repeat(flags.attribute, flags.n_prev)
+        for attribute, items in flags.values.items():
+            codes = self._code_map(("value", ATTRIBUTES[attribute]), items, ingest)
+            for ids, coded, entries in (
+                (flags.new, new, flags.attribute == attribute),
+                (flags.prev, prev, prev_attribute == attribute),
+            ):
+                coded[entries] = codes[ids[entries]]
+        position = np.full(len(ATTRIBUTES), -1, dtype=np.int64)
+        position[[ATTRIBUTES.index(attribute) for attribute in attributes]] = np.arange(
+            len(attributes)
+        )
+        return _packed("flag", {
+            "row": flags.row, "kind": flags.kind, "key": key,
+            "attribute": position[flags.attribute], "new": new, "n_prev": flags.n_prev,
+            "prev": prev,
+        })
+
     def _encode_seen(
         self, state: TemporalStreamState, since: int, attributes, ingest: Dict
     ) -> Dict[str, np.ndarray]:
@@ -385,39 +399,21 @@ class StreamCheckpointer:
         """
 
         position = {attribute: index for index, attribute in enumerate(attributes)}
-        groups = sorted(
+        columns = {
+            name: [np.empty(0, dtype=np.int64)]
+            for name in ("kind", "key", "attribute", "count", "values")
+        }
+        for kind, attribute, keys, counts, values in sorted(
             state.changes_since(since),
             key=lambda group: (position[group[1]], _KIND_CODES[group[0]]),
-        )
-        columns: Dict[str, List[np.ndarray]] = {
-            name: [] for name in ("kind", "key", "attribute", "count", "values")
-        }
-        for kind, attribute, keys, counts, values in groups:
-            kind_code = _KIND_CODES[kind]
-            key_codes = self._code_map(
-                ("key", kind),
-                state.keys_of(kind),
-                ingest[f"{kind}_values"],
-                ingest[f"{kind}_index"],
-            )
-            value_codes = self._code_map(
-                ("value", attribute),
-                state.values_of(attribute),
-                ingest["values"][attribute],
-                ingest["indexes"][attribute],
-            )
-            columns["kind"].append(np.full(keys.size, kind_code, dtype=np.int64))
-            columns["key"].append(key_codes[keys])
+        ):
+            columns["kind"].append(np.full(keys.size, _KIND_CODES[kind], dtype=np.int64))
+            pair = (("key", kind), ("value", attribute))
+            columns["key"].append(self._code_map(pair[0], state.items(pair[0]), ingest)[keys])
             columns["attribute"].append(np.full(keys.size, position[attribute], dtype=np.int64))
             columns["count"].append(counts)
-            columns["values"].append(value_codes[values])
-        packed = {}
-        for name, parts in columns.items():
-            column = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            if column.size and column.min() < 0:
-                raise CheckpointError(f"seen-state {name} outside the ingest vocabulary")
-            packed[f"seen_{name}"] = _pack_ints(column)
-        return packed
+            columns["values"].append(self._code_map(pair[1], state.items(pair[1]), ingest)[values])
+        return _packed("seen", {name: np.concatenate(parts) for name, parts in columns.items()})
 
     def save(self, state: Dict) -> bool:
         """Best-effort incremental snapshot; returns whether it published.
@@ -475,9 +471,6 @@ class StreamCheckpointer:
 
         ingest = state["ingest"]
         attributes = tuple(ingest["attributes"])
-        position = {attribute: index for index, attribute in enumerate(attributes)}
-        value_indexes = ingest["indexes"]
-        key_indexes = (ingest["cookie_index"], ingest["ip_index"])
         segment_meta: Dict = {}
         segment_arrays: Dict[str, np.ndarray] = {}
 
@@ -515,46 +508,17 @@ class StreamCheckpointer:
             hit = np.flatnonzero(np.bincount(chunk.rule_index + 1)[1:])
             for rule in hit[translation[hit] < 0].tolist():
                 translation[rule] = rule_index(chunk.rules.rules[rule])
-        segment_arrays["verdict_ids"] = _pack_ints(
-            np.concatenate([np.empty(0, dtype=np.int64)] + [chunk.request_ids for chunk in fresh])
-        )
+        merged = Verdicts.concat(fresh)
+        segment_arrays["verdict_ids"] = _pack_ints(merged.request_ids)
         segment_arrays["verdict_rules"] = _pack_ints(
             np.concatenate(
                 [np.empty(0, dtype=np.int64)]
                 + [translations[id(chunk.rules)][chunk.rule_index] for chunk in fresh]
             )
         )
-        # Temporal flags: one column per field, rows offset into the
-        # segment's verdicts, values as codes against the vocabulary.
-        offsets = np.cumsum([0] + [len(chunk) for chunk in fresh]).tolist()
-        flagged = [
-            (offset + row, flag)
-            for chunk, offset in zip(fresh, offsets)
-            for row, row_flags in chunk.flags.items()
-            for flag in row_flags
-        ]
-        flags = [flag for _, flag in flagged]
-        kinds = [_KIND_CODES[flag.key_kind] for flag in flags]
-        indexes = [value_indexes[flag.attribute] for flag in flags]
-        segment_arrays.update(
-            flag_row=_pack_ints([row for row, _ in flagged]),
-            flag_kind=_pack_ints(kinds),
-            flag_key=_pack_ints(
-                [key_indexes[kind][flag.key] for kind, flag in zip(kinds, flags)]
-            ),
-            flag_attribute=_pack_ints([position[flag.attribute] for flag in flags]),
-            flag_new=_pack_ints(
-                [index[flag.new_value] for index, flag in zip(indexes, flags)]
-            ),
-            flag_n_prev=_pack_ints([len(flag.previous_values) for flag in flags]),
-            flag_prev=_pack_ints(
-                [
-                    index[value]
-                    for index, flag in zip(indexes, flags)
-                    for value in flag.previous_values
-                ]
-            ),
-        )
+        # Temporal flags: the new chunks' columns, rows offset into the
+        # segment's verdicts.
+        segment_arrays.update(self._encode_flags(merged.flags, attributes, ingest))
 
         # Temporal seen-state: every key that is new or grew since the
         # last save, with its full value list (folding is a set union, so
@@ -651,9 +615,8 @@ class StreamCheckpointer:
         vocabulary: List[List] = [[] for _ in range(len(attributes) + 2)]
         key_values = (vocabulary[-2], vocabulary[-1])
         rules: List[InconsistencyRule] = []
-        ids: List[np.ndarray] = []
-        rule_codes: List[np.ndarray] = []
-        flags: Dict[int, Tuple[TemporalFlag, ...]] = {}
+        #: one verdict chunk per segment, rule codes indexing ``rules``
+        chunks: List[Verdicts] = []
         temporal_state = TemporalStreamState()
         refresher = meta["refresher"]
         window_rows = 0 if refresher is None else int(refresher["rows_in_window"])
@@ -664,24 +627,21 @@ class StreamCheckpointer:
             for values, new in zip(vocabulary, segment_meta["vocabulary"]):
                 values.extend(new)
             rules.extend(InconsistencyRule.from_dict(rule) for rule in segment_meta["rules"])
-            offset = sum(column.size for column in ids)
-            ids.append(_unpack_ints(segment["verdict_ids"]))
-            rule_codes.append(_unpack_ints(segment["verdict_rules"]))
-            flags.update(
-                self._fold_flags(segment, offset, attributes, vocabulary, key_values)
+            chunks.append(
+                Verdicts(
+                    _unpack_ints(segment["verdict_ids"]),
+                    _unpack_ints(segment["verdict_rules"]),
+                    chunks[0].rules if chunks else RuleTable(),
+                    self._fold_flags(segment, attributes, vocabulary, key_values),
+                )
             )
             self._fold_seen(segment, attributes, vocabulary, key_values, temporal_state)
             if "window" in segment:
                 windows.append(segment["window"])
                 while len(windows) > 1 and sum(map(len, windows[1:])) >= window_rows:
                     windows.pop(0)
-        table = RuleTable()
-        verdicts = Verdicts(
-            np.concatenate([np.empty(0, dtype=np.int64)] + ids),
-            table.indices(rules)[np.concatenate([np.empty(0, dtype=np.int64)] + rule_codes)],
-            table,
-            flags,
-        )
+        verdicts = Verdicts.concat(chunks)
+        verdicts.rule_index = verdicts.rules.indices(rules)[verdicts.rule_index]
 
         classifier_meta = meta["classifier"]
         classifier = {
@@ -759,32 +719,24 @@ class StreamCheckpointer:
         return _unpack_npz(payload, f"checkpoint segment {path}")
 
     @staticmethod
-    def _fold_flags(segment, offset, attributes, vocabulary, key_values):
-        """A segment's temporal flags by row, rows shifted by *offset*."""
+    def _fold_flags(segment, attributes, vocabulary, key_values) -> TemporalFlags:
+        """A segment's flag columns as a :class:`TemporalFlags`.
 
-        flags: Dict[int, List[TemporalFlag]] = {}
-        previous = _unpack_ints(segment["flag_prev"]).tolist()
-        cursor = 0
-        for row, kind, key, attribute, new, n_prev in zip(
-            *(
-                _unpack_ints(segment[f"flag_{name}"]).tolist()
-                for name in ("row", "kind", "key", "attribute", "new", "n_prev")
-            )
-        ):
-            values = vocabulary[attribute]
-            flags.setdefault(offset + row, []).append(
-                TemporalFlag(
-                    key_kind=_KINDS[kind],
-                    key=key_values[kind][key],
-                    attribute=attributes[attribute],
-                    previous_values=tuple(
-                        values[code] for code in previous[cursor : cursor + n_prev]
-                    ),
-                    new_value=values[new],
-                )
-            )
-            cursor += n_prev
-        return {row: tuple(row_flags) for row, row_flags in flags.items()}
+        Keys and values are codes against the folded vocabulary, whose
+        decode lists the restored state and ingest adopt as they are, so
+        the codes serve as the flags' ids; attribute positions become
+        :data:`~repro.core.temporal.ATTRIBUTES` ids.
+        """
+
+        columns = {name: _unpack_ints(segment[f"flag_{name}"]) for name in _FLAG_COLUMNS}
+        ids = np.array([ATTRIBUTES.index(attribute) for attribute in attributes], dtype=np.int64)
+        positions = np.flatnonzero(np.bincount(columns["attribute"], minlength=len(attributes)))
+        columns["attribute"] = ids[columns["attribute"]]
+        return TemporalFlags(
+            **columns,
+            keys={kind: key_values[kind] for kind in set(columns["kind"].tolist())},
+            values={int(ids[position]): vocabulary[position] for position in positions.tolist()},
+        )
 
     @staticmethod
     def _fold_seen(segment, attributes, vocabulary, key_values, state) -> None:
@@ -793,22 +745,16 @@ class StreamCheckpointer:
             for name in ("kind", "key", "attribute", "count")
         )
         values = _unpack_ints(segment["seen_values"])
-        starts = np.cumsum(counts) - counts
         groups = kinds * len(attributes) + entry_attributes
         for group in np.unique(groups).tolist():
             kind, attribute = divmod(group, len(attributes))
             entries = np.flatnonzero(groups == group)
-            entry_counts = counts[entries]
-            # Gather each entry's value run: start offset repeated over
-            # its count, plus the position within the run.
-            runs = np.repeat(starts[entries] - (np.cumsum(entry_counts) - entry_counts),
-                             entry_counts) + np.arange(int(entry_counts.sum()))
             state.merge(
-                _KINDS[kind],
+                KEY_KINDS[kind],
                 attributes[attribute],
                 key_values[kind],
                 keys[entries],
                 vocabulary[attribute],
-                entry_counts,
-                values[runs],
+                counts[entries],
+                values[run_positions(counts, entries)],
             )

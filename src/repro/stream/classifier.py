@@ -2,23 +2,14 @@
 
 The :class:`OnlineClassifier` is the serving-side counterpart of
 :meth:`FPInconsistent.classify_table`: the same vectorized spatial match
-(compiled filter list + generalised Location predicate) per batch, but
-all state runs **incrementally** — per-visitor temporal seen-state lives
-in a :class:`~repro.core.temporal.TemporalStreamState`, and the spatial
-side in a :class:`~repro.core.detector.SpatialMatchState`, both carried
-across batches.  The deployed list is compiled once
-(:meth:`FilterList.matcher`); a batch only extends the per-attribute
-code translations by the vocabulary added since the previous batch, and
-the Location predicate is memoised per (country, timezone) code pair for
-the life of the classifier.
-
-Scoring a stream of batches in arrival order therefore produces verdicts
-identical to one batch classification of the concatenated table (pinned by
-``tests/test_stream.py``), while each call touches only the arriving rows.
-
-The classifier isolates its own detector clone, so the fitted detector a
-caller hands in is never mutated — hot-swapping a refreshed filter list
-(:meth:`OnlineClassifier.swap_filter_list`) affects only this stream.
+per batch, with the temporal seen-state
+(:class:`~repro.core.temporal.TemporalStreamState`) and the spatial state
+(:class:`~repro.core.detector.SpatialMatchState`) carried across batches,
+so scoring a stream of batches in arrival order gives the verdicts of one
+batch classification of the concatenated table (``tests/test_stream.py``)
+while each call touches only the arriving rows.  It classifies through its
+own detector clone, so hot-swapping a refreshed list never touches the
+fitted detector a caller handed in.
 """
 
 from __future__ import annotations

@@ -1,30 +1,16 @@
 """Incremental encoding of arriving traffic into columnar micro-batches.
 
-The batch detection engine extracts a whole store into one
-:class:`~repro.core.columnar.ColumnarTable` up front.  A live deployment
-never has "the whole store": requests arrive in micro-batches, and every
-batch may carry attribute values the vocabulary has never seen.  The
-:class:`StreamIngestor` closes that gap — it owns a **growing** per-attribute
-code vocabulary (value → ``int32`` code, assigned in stream
-first-occurrence order, never remapped) and encodes each incoming batch
-against it, emitting a :class:`ColumnarTable` whose decode lists are live
-views of the shared vocabulary.
-
-Because codes are append-only, everything the batch engine already does
-with a table works unchanged on a batch: the compiled filter list matches
-it (extending its code translations by the new vocabulary only), the
-temporal detector streams it, and the refresher can mine a window of
-concatenated batch columns.
-
-A batch is a row slice of a
-:class:`~repro.honeysite.storage.RecordColumns`.  The encoding itself is
-the batch extractor's, :class:`~repro.core.columnar.TableEncoder`, kept
-for the life of the stream: each column is one gather through a remap
-table from the archive's codes to stream codes, so the grouping
-transformation runs once per distinct raw value of the whole replay, and
-ingesting a whole store in one batch yields exactly the table
-:meth:`~repro.core.detector.FPInconsistent.extract_table` builds.  The
-stream counters live here, so a batch extraction never counts as ingest.
+A live deployment never has "the whole store": requests arrive in
+micro-batches that may carry values the vocabulary has never seen.  The
+:class:`StreamIngestor` owns a **growing** per-attribute vocabulary (codes
+in stream first-occurrence order, never remapped) and encodes each batch,
+a row slice of a :class:`~repro.honeysite.storage.RecordColumns`, with the
+batch extractor's :class:`~repro.core.columnar.TableEncoder`.  Codes are
+append-only, so the matcher, the temporal detector and the refresher work
+on a batch unchanged, and ingesting a whole store in one batch yields
+exactly :meth:`~repro.core.detector.FPInconsistent.extract_table`'s table.
+The stream counters live here, so a batch extraction never counts as
+ingest.
 """
 
 from __future__ import annotations

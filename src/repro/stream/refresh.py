@@ -1,37 +1,16 @@
 """Periodic filter-list refresh over a sliding window of ingested rows.
 
-A deployed filter list ages: bot services rotate configurations, so the
-rule set mined from last month's traffic slowly loses coverage.  The
-:class:`FilterListRefresher` keeps the most recent ``window_rows`` rows of
-every observed batch (just the attribute code columns — the decode lists
-are the ingestor's live vocabulary, shared by reference) and periodically
-re-mines a fresh :class:`~repro.core.rules.FilterList` over that window
-with the exact batch miner (:meth:`SpatialInconsistencyMiner.mine_table`),
-serially: one dense count grid per attribute pair.
-
-Two refresh schedules are supported, selected by exactly one constructor
-knob:
-
-* ``interval_batches`` — every N observed batches, the original replay
-  cadence (``repro stream --refresh-every``);
-* ``interval_days`` — every N days of **stream time** (batch timestamps
-  are seconds since campaign start), which models filter-list staleness
-  faithfully: a deployment re-mines on wall-clock cadence, not on a
-  traffic-volume-dependent batch count (``repro stream --refresh-days``).
-
-Mining over window columns encoded in the stream's global vocabulary is
-equivalent to mining a fresh extraction of the same rows: co-occurrence
-counts are code-numbering-independent, and the miner rebuilds its value
-dictionaries in window-row first-occurrence order either way
-(``tests/test_stream.py`` pins the equivalence).
-
-The :class:`~repro.stream.replay.ReplayDriver` calls
-:meth:`FilterListRefresher.maybe_refresh` after each observed batch.  A
-re-mine that raises is rescheduled: the next attempt comes
-:data:`REFRESH_BACKOFF_BASE_BATCHES` batches later, the delay doubling
-per consecutive failure up to :data:`REFRESH_BACKOFF_CAP_BATCHES`, while
-the stream keeps scoring with the deployed list.  The retry schedule is
-part of the refresher's checkpointed state.
+A deployed filter list ages as bot services rotate configurations.  The
+:class:`FilterListRefresher` keeps the code columns of the last
+``window_rows`` observed rows (the decode lists are the ingestor's live
+vocabulary) and re-mines them with the batch miner, serially, on one of
+two schedules: every N batches (``interval_batches``, ``repro stream
+--refresh-every``) or every N days of stream time (``interval_days``,
+``--refresh-days``).  Mining the window's columns equals mining a fresh
+extraction of the same rows (``tests/test_stream.py``).  A re-mine that
+raises is retried :data:`REFRESH_BACKOFF_BASE_BATCHES` batches later, the
+delay doubling up to :data:`REFRESH_BACKOFF_CAP_BATCHES`, while the stream
+keeps the deployed list; ``docs/streaming.md`` has the details.
 """
 
 from __future__ import annotations

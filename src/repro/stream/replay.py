@@ -1,24 +1,17 @@
 """Corpus replay through the streaming subsystem — the one online engine.
 
 The :class:`ReplayDriver` feeds a request store's record columns through
-the online pipeline in timestamp order:
-micro-batches are encoded by a :class:`~repro.stream.ingest.StreamIngestor`,
-scored by an :class:`~repro.stream.classifier.OnlineClassifier`, and
-(optionally) observed by a
-:class:`~repro.stream.refresh.FilterListRefresher` that hot-swaps a
-re-mined filter list at batch boundaries.
-
-The driver's core oracle, pinned by ``tests/test_stream.py`` and the CI
-stream-replay smoke: a full replay with a **frozen** filter list produces
-verdicts identical — byte-identical once serialised — to one batch
+the online pipeline in timestamp order: a
+:class:`~repro.stream.ingest.StreamIngestor` encodes each micro-batch, an
+:class:`~repro.stream.classifier.OnlineClassifier` scores it, and an
+optional :class:`~repro.stream.refresh.FilterListRefresher` hot-swaps a
+re-mined filter list at batch boundaries.  With a **frozen** filter list
+the replay's verdicts serialise byte for byte like one batch
 :meth:`FPInconsistent.classify_table` over the whole store, for any batch
-size.  That is what makes the streaming subsystem a servable engine rather
-than an approximation: going online costs nothing in detection quality.
-
-Scoring is supervised: a batch whose classification raises is retried on
-a rebuilt classifier (state carried over) up to :data:`WORKER_ATTEMPTS`
-times, then dead-lettered; a re-mine that raises keeps the deployed list.
-Every recovery action is recorded in the replay's :class:`StreamHealth`.
+size (:func:`same_verdicts` checks it, :func:`verdicts_digest` publishes
+it).  Scoring is supervised: a batch whose classification raises is
+retried on a rebuilt classifier up to :data:`WORKER_ATTEMPTS` times, then
+dead-lettered, and every recovery is recorded in :class:`StreamHealth`.
 """
 
 from __future__ import annotations
@@ -36,6 +29,7 @@ from repro import faults, obs
 from repro.core.columnar import ColumnarTable
 from repro.core.detector import FPInconsistent, Verdicts
 from repro.core.rules import FilterList, rule_key
+from repro.core.temporal import ATTRIBUTES, KEY_KINDS
 from repro.fingerprint.attributes import Attribute
 from repro.honeysite.storage import RequestStore
 from repro.stream.checkpoint import CheckpointError, StreamCheckpointer
@@ -248,11 +242,6 @@ class ReplayResult:
             for quantile in (0.5, 0.95, 0.99)
         }
 
-    def counts(self) -> Dict[str, int]:
-        """Verdict tallies: spatial / temporal / combined inconsistency."""
-
-        return self.verdicts.counts()
-
     def rule_hits(self) -> Dict[str, int]:
         """Spatial verdicts per rule (``InconsistencyRule.describe()``).
 
@@ -260,7 +249,7 @@ class ReplayResult:
         descriptions (a rule re-mined with another support) share an
         entry, every generalised Location-predicate rule counts in the
         ``"location_predicate"`` bucket, and rules without hits are left
-        out, so the values sum to ``counts()["spatial"]``.
+        out, so the values sum to ``verdicts.counts()["spatial"]``.
         """
 
         column = self.verdicts.rule_index
@@ -514,21 +503,92 @@ class ReplayDriver:
 # -- verdict serialisation ------------------------------------------------------
 
 
-def _flags_to_jsonable(flags) -> List[Dict]:
-    return [
-        {
-            "key_kind": flag.key_kind,
-            "key": flag.key,
-            "attribute": flag.attribute.value,
-            "previous_values": list(flag.previous_values),
-            "new_value": flag.new_value,
-        }
-        for flag in flags
-    ]
+#: The canonical JSON encoder (``json.dumps`` with these settings).
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: A flag's canonical JSON up to its key, by attribute id, and between its
+#: key and its new value, by kind id (keys in sorted order).
+_FLAG_HEADS = tuple(f'{{"attribute":{_CANONICAL.encode(a.value)},"key":' for a in ATTRIBUTES)
+_FLAG_KINDS = tuple(f',"key_kind":{_CANONICAL.encode(k)},"new_value":' for k in KEY_KINDS)
+
+#: Text between a row's request id and the next row's (see
+#: :func:`verdicts_digest`).
+_NEXT_ROW = ',{"request_id":'
 
 
-def _canonical(document) -> str:
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+def _decoded(decode: Dict[int, List], slots: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Canonical JSON of ``decode[slot][id]`` per entry, as an object array;
+    each distinct (slot, id) is encoded once."""
+
+    texts = np.empty(ids.size, dtype=object)
+    for slot, items in decode.items():
+        entries = np.flatnonzero(slots == slot)
+        used = np.zeros(len(items), dtype=bool)
+        used[ids[entries]] = True
+        lookup = np.empty(len(items), dtype=object)
+        distinct = np.flatnonzero(used)
+        lookup[distinct] = [_CANONICAL.encode(items[item]) for item in distinct.tolist()]
+        texts[entries] = lookup[ids[entries]]
+    return texts
+
+
+def _joined(texts: np.ndarray, counts: np.ndarray) -> List[str]:
+    """Consecutive runs of *texts*, ``counts[i]`` for run *i*, each joined
+    by commas."""
+
+    joined = np.full(counts.size, "", dtype=object)
+    filled = np.flatnonzero(counts)
+    if filled.size:
+        starts = (np.cumsum(counts) - counts)[filled]
+        pieces = "," + texts
+        pieces[starts] = texts[starts]
+        joined[filled] = np.add.reduceat(pieces, starts)
+    return joined.tolist()
+
+
+def _serialised(verdicts: Verdicts):
+    """The canonical serialisation of *verdicts* as columns, rows in
+    request-id order: the request ids; each used rule's canonical JSON
+    (``None`` for an unused one, then ``"null"`` for no rule) and each
+    row's index into them; and each flag's row position and canonical
+    JSON, a row's flags in their column order.  Every used rule and every
+    distinct flag key and value is encoded once."""
+
+    order = np.argsort(verdicts.request_ids, kind="stable")
+    rules = verdicts.rules.rules
+    used = np.bincount(verdicts.rule_index + 1, minlength=len(rules) + 1)[1:].tolist()
+    rule_texts = [
+        _CANONICAL.encode(rule.to_dict()) if hits else None for rule, hits in zip(rules, used)
+    ] + ["null"]
+    position = np.empty(len(verdicts), dtype=np.int64)
+    position[order] = np.arange(len(verdicts))
+    flags = verdicts.flags
+    positions = position[flags.row]
+    by_row = np.argsort(positions, kind="stable")
+    previous = _joined(
+        _decoded(flags.values, np.repeat(flags.attribute, flags.n_prev), flags.prev),
+        flags.n_prev,
+    )
+    flag_texts = np.array(
+        [
+            f'{_FLAG_HEADS[attribute]}{key}{_FLAG_KINDS[kind]}{new},"previous_values":[{prev}]}}'
+            for attribute, kind, key, new, prev in zip(
+                flags.attribute.tolist(),
+                flags.kind.tolist(),
+                _decoded(flags.keys, flags.kind, flags.key).tolist(),
+                _decoded(flags.values, flags.attribute, flags.new).tolist(),
+                previous,
+            )
+        ],
+        dtype=object,
+    )
+    return (
+        verdicts.request_ids[order],
+        rule_texts,
+        verdicts.rule_index[order],
+        positions[by_row],
+        flag_texts[by_row],
+    )
 
 
 def verdicts_digest(verdicts: Verdicts) -> str:
@@ -537,27 +597,54 @@ def verdicts_digest(verdicts: Verdicts) -> str:
     The canonical form is a JSON list sorted by request id, one object per
     verdict with sorted keys: ``request_id``, ``spatial_rule`` (the rule's
     ``to_dict()`` or ``null``) and ``temporal_flags`` (every flag with its
-    full evidence), dumped with ``sort_keys=True`` and compact separators.
-    The byte-identity oracle between the streaming and batch engines runs
-    over it (CI's stream-replay smoke and the CLI's ``--verify-batch``).
-    It is assembled from fragments: each rule-table entry is serialised
-    once, unflagged rows take the fixed ``[]`` fragment, and only the
-    sparse flagged rows go through ``json.dumps``.
+    full evidence), dumped with ``sort_keys=True`` and compact separators,
+    here assembled from :func:`_serialised`: an unflagged row's text after
+    its request id is fixed by its rule, so the rows take one formatting
+    pass.
     """
 
-    order = np.argsort(verdicts.request_ids, kind="stable")
+    ids, rule_texts, rules, positions, flag_texts = _serialised(verdicts)
+    if not ids.size:
+        return hashlib.sha256(b"[]").hexdigest()
     middles = [
-        f',"spatial_rule":{_canonical(rule.to_dict())},"temporal_flags":'
-        for rule in verdicts.rules.rules
-    ] + [',"spatial_rule":null,"temporal_flags":']
-    flags = {row: _canonical(_flags_to_jsonable(row_flags)) for row, row_flags in verdicts.flags.items()}
-    parts = [
-        f'{{"request_id":{request_id}{middles[rule]}{flags.get(row, "[]")}}}'
-        for request_id, rule, row in zip(
-            verdicts.request_ids[order].tolist(),
-            verdicts.rule_index[order].tolist(),
-            order.tolist(),
-        )
+        None if text is None else f',"spatial_rule":{text},"temporal_flags":'
+        for text in rule_texts
     ]
-    payload = "[" + ",".join(parts) + "]"
+    # Each row's text after its request id, through the next row's opening.
+    tails = np.array(
+        [None if middle is None else f"{middle}[]}}{_NEXT_ROW}" for middle in middles],
+        dtype=object,
+    )[rules]
+    if positions.size:
+        starts = np.flatnonzero(np.diff(positions, prepend=-1))
+        rows = positions[starts]
+        tails[rows] = [
+            f"{middles[rule]}[{row_flags}]}}{_NEXT_ROW}"
+            for rule, row_flags in zip(
+                rules[rows].tolist(), _joined(flag_texts, np.diff(starts, append=positions.size))
+            )
+        ]
+    tails[-1] = tails[-1][: -len(_NEXT_ROW)] + "]"
+    arguments = [None] * (2 * ids.size)
+    arguments[0::2] = ids.tolist()
+    arguments[1::2] = tails.tolist()
+    payload = '[{"request_id":' + ("%d%s" * ids.size) % tuple(arguments)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def same_verdicts(left: Verdicts, right: Verdicts) -> bool:
+    """Whether two verdict sets have the same canonical serialisation.
+
+    Compares the columns of :func:`_serialised` (request ids, each row's
+    rule as canonical JSON, each flag's row and canonical JSON) instead of
+    hashing both documents.  Keys and values are compared as JSON text,
+    never with ``==``, under which ``1``, ``1.0`` and ``True`` would pass
+    for one another; so this holds exactly when :func:`verdicts_digest` of
+    the two would match.
+    """
+
+    columns = [
+        (ids, np.array(rule_texts, dtype=object)[rules], positions, flag_texts)
+        for ids, rule_texts, rules, positions, flag_texts in map(_serialised, (left, right))
+    ]
+    return all(np.array_equal(*pair) for pair in zip(*columns))

@@ -21,11 +21,16 @@ algorithms, kept as the oracle the columnar engine is pinned against
   sightings with ``np.unique`` instead of a scatter-min;
 * :func:`expected_value_count_scan` — the knowledge base's catalogue scan
   per query, which its per-pair index replaced;
+* :class:`TemporalFlag` — one flag object, with :func:`flag_objects` /
+  :func:`flags_by_request` / :func:`flags_from_objects` converting to and
+  from the engine's :class:`~repro.core.temporal.TemporalFlags` columns;
 * :class:`InconsistencyVerdict` — one verdict object per request, with
   :func:`verdict_objects` / :func:`verdicts_from_objects` converting to
   and from the engine's :class:`~repro.core.detector.Verdicts` columns,
-  and :func:`verdicts_to_jsonable`, the canonical serialisation
-  :func:`repro.stream.verdicts_digest` is pinned to;
+  and :func:`verdicts_to_jsonable` / :func:`reference_digest`, the
+  canonical serialisation (flags included, serialised here) that
+  :func:`repro.stream.verdicts_digest` and :func:`repro.stream.same_verdicts`
+  are pinned to;
 * :func:`fit`, :func:`classify_store` and :func:`evaluate_generalization`
   — the detector and the Section 7.3 check built from those;
 * readers of product state only tests need: :func:`rule_matches` /
@@ -42,6 +47,8 @@ columnar engine's filter lists, verdicts and rates exactly.
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -54,7 +61,9 @@ from repro.core.knowledge import DeviceKnowledgeBase
 from repro.core.rules import FilterList, InconsistencyRule, RuleTable, rule_key
 from repro.core.spatial import PairStatistics, SpatialInconsistencyMiner
 from repro.core.temporal import (
-    TemporalFlag,
+    ATTRIBUTES,
+    KEY_KINDS,
+    TemporalFlags,
     TemporalInconsistencyDetector,
     TemporalStreamState,
     _SeenColumn,
@@ -300,6 +309,101 @@ class SearchsortedMatcher:
 
 
 @dataclass(frozen=True)
+class TemporalFlag:
+    """Why one request was considered temporally inconsistent."""
+
+    key_kind: str          # "cookie" or "ip"
+    key: str
+    attribute: Attribute
+    previous_values: Tuple[object, ...]
+    new_value: object
+
+
+def flag_objects(flags: TemporalFlags) -> Dict[int, Tuple[TemporalFlag, ...]]:
+    """Flag columns decoded to one :class:`TemporalFlag` tuple per row, rows
+    in column order and each row's flags in its order."""
+
+    per_row: Dict[int, List[TemporalFlag]] = {}
+    ends = np.cumsum(flags.n_prev).tolist()
+    for row, kind, key, attribute, new, count, end in zip(
+        flags.row.tolist(), flags.kind.tolist(), flags.key.tolist(),
+        flags.attribute.tolist(), flags.new.tolist(), flags.n_prev.tolist(), ends,
+    ):
+        values = flags.values[attribute]
+        per_row.setdefault(row, []).append(
+            TemporalFlag(
+                key_kind=KEY_KINDS[kind],
+                key=flags.keys[kind][key],
+                attribute=ATTRIBUTES[attribute],
+                previous_values=tuple(
+                    values[value] for value in flags.prev[end - count : end].tolist()
+                ),
+                new_value=values[new],
+            )
+        )
+    return {row: tuple(row_flags) for row, row_flags in per_row.items()}
+
+
+def flags_by_request(
+    request_ids: np.ndarray, flags: TemporalFlags
+) -> Dict[int, List[TemporalFlag]]:
+    """Flag columns of a table as ``request_id`` -> flags (the shape of
+    :meth:`ObjectTemporalDetector.evaluate_store`)."""
+
+    return {
+        int(request_ids[row]): list(row_flags) for row, row_flags in flag_objects(flags).items()
+    }
+
+
+def flags_from_objects(per_row: Dict[int, Sequence[TemporalFlag]]) -> TemporalFlags:
+    """Flag columns of ``row`` -> flags, in that order, each key and value
+    given its own decode entry (so equal values of other types stay apart)."""
+
+    columns = {name: [] for name in ("row", "kind", "key", "attribute", "new", "n_prev", "prev")}
+    keys: Dict[int, List] = {}
+    values: Dict[int, List] = {}
+
+    def decode_id(decode: Dict[int, List], slot: int, item) -> int:
+        items = decode.setdefault(slot, [])
+        items.append(item)
+        return len(items) - 1
+
+    for row, row_flags in per_row.items():
+        for flag in row_flags:
+            kind = KEY_KINDS.index(flag.key_kind)
+            attribute = ATTRIBUTES.index(flag.attribute)
+            columns["row"].append(row)
+            columns["kind"].append(kind)
+            columns["key"].append(decode_id(keys, kind, flag.key))
+            columns["attribute"].append(attribute)
+            columns["n_prev"].append(len(flag.previous_values))
+            columns["prev"].extend(
+                decode_id(values, attribute, value) for value in flag.previous_values
+            )
+            columns["new"].append(decode_id(values, attribute, flag.new_value))
+    return TemporalFlags(
+        **{name: np.array(column, dtype=np.int64) for name, column in columns.items()},
+        keys=keys,
+        values=values,
+    )
+
+
+def flags_to_jsonable(flags: Sequence[TemporalFlag]) -> List[Dict]:
+    """One row's flags in their canonical JSON-able form."""
+
+    return [
+        {
+            "key_kind": flag.key_kind,
+            "key": flag.key,
+            "attribute": flag.attribute.value,
+            "previous_values": list(flag.previous_values),
+            "new_value": flag.new_value,
+        }
+        for flag in flags
+    ]
+
+
+@dataclass(frozen=True)
 class InconsistencyVerdict:
     """Classification of one request by FP-Inconsistent."""
 
@@ -324,11 +428,12 @@ def verdict_objects(verdicts: Verdicts) -> Dict[int, InconsistencyVerdict]:
     """One verdict object per row of *verdicts*, keyed by request id."""
 
     rules = verdicts.rules.rules
+    flags = flag_objects(verdicts.flags)
     return {
         int(request_id): InconsistencyVerdict(
             request_id=int(request_id),
             spatial_rule=None if rule < 0 else rules[rule],
-            temporal_flags=verdicts.flags.get(row, ()),
+            temporal_flags=flags.get(row, ()),
         )
         for row, (request_id, rule) in enumerate(
             zip(verdicts.request_ids.tolist(), verdicts.rule_index.tolist())
@@ -350,19 +455,19 @@ def verdicts_from_objects(objects: Dict[int, InconsistencyVerdict]) -> Verdicts:
             dtype=np.int64,
         ),
         table,
-        {
-            row: tuple(verdict.temporal_flags)
-            for row, verdict in enumerate(objects.values())
-            if verdict.temporal_flags
-        },
+        flags_from_objects(
+            {
+                row: verdict.temporal_flags
+                for row, verdict in enumerate(objects.values())
+                if verdict.temporal_flags
+            }
+        ),
     )
 
 
 def verdicts_to_jsonable(verdicts: Verdicts) -> List[Dict]:
     """Canonical JSON-able form of *verdicts*, sorted by request id: the
     winning spatial rule and every temporal flag with its full evidence."""
-
-    from repro.stream.replay import _flags_to_jsonable
 
     objects = verdict_objects(verdicts)
     return [
@@ -373,10 +478,18 @@ def verdicts_to_jsonable(verdicts: Verdicts) -> List[Dict]:
                 if objects[request_id].spatial_rule is None
                 else objects[request_id].spatial_rule.to_dict()
             ),
-            "temporal_flags": _flags_to_jsonable(objects[request_id].temporal_flags),
+            "temporal_flags": flags_to_jsonable(objects[request_id].temporal_flags),
         }
         for request_id in sorted(objects)
     ]
+
+
+def reference_digest(verdicts: Verdicts) -> str:
+    """SHA-256 of :func:`verdicts_to_jsonable` dumped canonically: the
+    digest :func:`repro.stream.verdicts_digest` must reproduce."""
+
+    payload = json.dumps(verdicts_to_jsonable(verdicts), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 # -- temporal checks ----------------------------------------------------------------
@@ -549,8 +662,8 @@ def encode_seen(
         name: [] for name in ("kind", "key", "attribute", "count", "values")
     }
     for kind, attribute, keys, counts, values in groups:
-        key_strings, key_index = state.keys_of(kind), ingest[f"{kind}_index"]
-        items, value_index = state.values_of(attribute), ingest["indexes"][attribute]
+        key_strings, key_index = state.items(("key", kind)), ingest[f"{kind}_index"]
+        items, value_index = state.items(("value", attribute)), ingest["indexes"][attribute]
         columns["kind"].extend([kind_codes[kind]] * keys.size)
         columns["key"].extend(key_index[key_strings[key]] for key in keys.tolist())
         columns["attribute"].extend([position[attribute]] * keys.size)
@@ -702,7 +815,7 @@ def verdicts_equal(left: Verdicts, right: Verdicts) -> bool:
         return (
             verdicts.request_ids[order].tolist(),
             np.array(rules + [-1])[verdicts.rule_index[order]].tolist(),
-            {int(verdicts.request_ids[row]): flags for row, flags in verdicts.flags.items()},
+            flags_by_request(verdicts.request_ids, verdicts.flags),
         )
 
     return canonical(left) == canonical(right)
@@ -731,7 +844,7 @@ def state_entries(state: TemporalStreamState) -> Dict[Tuple[str, str, Attribute]
 
     entries = {}
     for kind, attribute, keys, counts, values in state.changes_since(0):
-        key_strings, items = state.keys_of(kind), state.values_of(attribute)
+        key_strings, items = state.items(("key", kind)), state.items(("value", attribute))
         ends = np.cumsum(counts).tolist()
         for key, end, count in zip(keys.tolist(), ends, counts.tolist()):
             entries[(kind, key_strings[key], attribute)] = tuple(

@@ -313,8 +313,8 @@ def test_chained_kill_and_resume_with_refresh(tmp_path, corpus, fitted):
     assert verdicts_digest(runs[-1].verdicts) == verdicts_digest(full.verdicts)
 
 
-def _extract_v3_fixture(directory: Path) -> Path:
-    with tarfile.open(FIXTURES / "stream_checkpoint_v3_dict_state.tar.gz") as archive:
+def _extract_fixture(name: str, directory: Path) -> Path:
+    with tarfile.open(FIXTURES / name) as archive:
         if hasattr(tarfile, "data_filter"):
             archive.extractall(directory, filter="data")
         else:  # pragma: no cover - Python without extraction filters
@@ -590,7 +590,7 @@ def test_v3_checkpoint_is_evicted_unread(caplog, monkeypatch, tmp_path, corpus, 
     the earlier dict-of-dicts seen-state encoder) is refused unread."""
 
     detector, _table, _verdicts = fitted
-    directory = _extract_v3_fixture(tmp_path / "ck")
+    directory = _extract_fixture("stream_checkpoint_v3_dict_state.tar.gz", tmp_path / "ck")
     blob = (directory / "stream_checkpoint").read_bytes()
     assert int.from_bytes(blob[len(CHECKPOINT_MAGIC) : len(CHECKPOINT_MAGIC) + 4], "big") == 3
 
@@ -606,6 +606,39 @@ def test_v3_checkpoint_is_evicted_unread(caplog, monkeypatch, tmp_path, corpus, 
         )
     assert "format version 3" in caplog.text
     assert resumed.resumed_from_batch is None
+    assert verdicts_digest(resumed.verdicts) == verdicts_digest(
+        _refreshing_driver(detector).replay(corpus.bot_store).verdicts
+    )
+
+
+def test_v4_checkpoint_with_object_built_flags_resumes_byte_identically(tmp_path, corpus, fitted):
+    """A version-4 directory written when temporal flags were objects (a
+    committed fixture: the refreshing driver, killed after 5 batches) has
+    the bytes the column encoder writes for the same state, and resumes to
+    the uninterrupted digest."""
+
+    detector, _table, _verdicts = fitted
+    directory = _extract_fixture("stream_checkpoint_v4_object_flags.tar.gz", tmp_path / "ck")
+    fresh = tmp_path / "fresh"
+    _refreshing_driver(detector).replay(
+        corpus.bot_store,
+        checkpointer=StreamCheckpointer(fresh, every_batches=2),
+        max_batches=5,
+    )
+    names = sorted(path.name for path in directory.iterdir())
+    assert names == sorted(path.name for path in fresh.iterdir())
+    assert len(names) == 3  # two segments and the snapshot
+    for name in names:
+        assert (directory / name).read_bytes() == (fresh / name).read_bytes(), name
+    with np.load(_segments(directory)[-1]) as segment:
+        assert segment["flag_row"].size > 0
+
+    resumed = _refreshing_driver(detector).replay(
+        corpus.bot_store,
+        checkpointer=StreamCheckpointer(directory, every_batches=2),
+        resume=True,
+    )
+    assert resumed.resumed_from_batch == 4
     assert verdicts_digest(resumed.verdicts) == verdicts_digest(
         _refreshing_driver(detector).replay(corpus.bot_store).verdicts
     )

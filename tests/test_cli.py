@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -129,6 +130,75 @@ def test_stream_replays_and_verifies_against_batch(capsys, tmp_path):
     document = json.loads(out_path.read_text())
     assert len(document["batch_seconds"]) == summary["batches"]
     assert len(document["verdicts_digest"]) == 64
+
+
+@pytest.fixture(scope="module")
+def stream_cache(tmp_path_factory):
+    """One cached corpus for the oracle's failure-path runs."""
+
+    directory = tmp_path_factory.mktemp("stream-cache")
+    assert main(["corpus", "--seed", "5", "--scale", "0.003", "--cache", str(directory)]) == 0
+    return directory
+
+
+def _retype_a_flag(verdicts, value) -> None:
+    """Point the new value of one flag at *value*: the first flag of the
+    lowest flagged request id, so both sides pick the same one."""
+
+    flags = verdicts.flags
+    flag = int(np.argmin(verdicts.request_ids[flags.row]))
+    attribute = int(flags.attribute[flag])
+    flags.values = {**flags.values, attribute: [*flags.values[attribute], value]}
+    flags.new = flags.new.copy()
+    flags.new[flag] = len(flags.values[attribute]) - 1
+
+
+def _drop_a_rule_hit(verdicts, _value) -> None:
+    verdicts.rule_index = verdicts.rule_index.copy()
+    verdicts.rule_index[np.flatnonzero(verdicts.rule_index >= 0)[0]] = -1
+
+
+@pytest.mark.parametrize(
+    "alter, streamed, batch, code",
+    [
+        (_retype_a_flag, True, 1, 1),
+        (_retype_a_flag, 1, 1, 0),
+        (_drop_a_rule_hit, None, None, 1),
+    ],
+    ids=["flag-True-vs-1", "flag-1-vs-1", "rule-hit-dropped"],
+)
+def test_stream_verify_batch_fails_on_diverging_columns(
+    capsys, monkeypatch, stream_cache, alter, streamed, batch, code
+):
+    """``--verify-batch`` exits 1 when one streamed flag value differs only
+    in type (``True`` against ``1``) or one rule hit is gone, and passes when
+    both sides carry the same value."""
+
+    from repro.core.detector import FPInconsistent
+    from repro.stream import ReplayDriver
+
+    replay, classify = ReplayDriver.replay, FPInconsistent.classify_table
+
+    def altered_replay(self, *args, **kwargs):
+        result = replay(self, *args, **kwargs)
+        alter(result.verdicts, streamed)
+        return result
+
+    def altered_classify(self, table, **kwargs):
+        verdicts = classify(self, table, **kwargs)
+        if alter is _retype_a_flag and kwargs.get("temporal_state") is None:
+            alter(verdicts, batch)  # the batch side of the oracle
+        return verdicts
+
+    monkeypatch.setattr(ReplayDriver, "replay", altered_replay)
+    monkeypatch.setattr(FPInconsistent, "classify_table", altered_classify)
+    status, _out, err = run_cli(
+        capsys, "stream", "--seed", "5", "--scale", "0.003", "--cache", str(stream_cache),
+        "--batch-size", "200", "--verify-batch",
+    )
+    assert status == code
+    assert ("streaming verdicts diverge" in err) == (code == 1)
+    assert ("verdicts byte-identical to batch pipeline" in err) == (code == 0)
 
 
 def test_stream_refresh_hot_swaps(capsys):

@@ -139,7 +139,10 @@ def test_classification_equivalence_on_random_stores(seed):
 def test_temporal_table_equivalence():
     store = _random_store(13)
     legacy = reference.ObjectTemporalDetector().evaluate_store(store)
-    assert legacy == TemporalInconsistencyDetector().evaluate_table(_extract(store))
+    table = _extract(store)
+    assert legacy == reference.flags_by_request(
+        table.request_ids, TemporalInconsistencyDetector().evaluate_table(table)
+    )
 
 
 def test_anonymous_traffic_equivalence():

@@ -4,16 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 from reference import detection as reference
-from reference.detection import ObjectTemporalDetector
+from reference.detection import ObjectTemporalDetector, TemporalFlag
 from reference.fingerprint import differing_attributes, fingerprint_dict, stable_hash, without
 from reference.ml import ReferenceTree, assert_same_nodes, confusion_matrix, fit_tree
 from reference.store import RequestStore
 from test_columnar import _extract, _random_store
 
 from repro.core.columnar import ColumnarTable
-from repro.core.rules import FilterList, InconsistencyRule
+from repro.core.detector import Verdicts
+from repro.core.rules import FilterList, InconsistencyRule, RuleTable
 from repro.core.spatial import SpatialInconsistencyMiner, SpatialMinerConfig
 from repro.core.temporal import _UNSEEN, TemporalStreamState, _SeenColumn
 from repro.fingerprint.attributes import Attribute, format_resolution, parse_resolution
@@ -23,7 +24,20 @@ from repro.ml.metrics import accuracy_score
 from repro.ml.tree import DecisionTree
 from repro.network.headers import accept_language_for
 from repro.reporting.tables import format_percent, format_table
+from repro.stream import same_verdicts, verdicts_digest
 from repro.stream.checkpoint import StreamCheckpointer
+
+#: The one settings profile of every property here.  It has no explain
+#: phase, which on a failing example can spend minutes varying the inputs
+#: after the shrink has already found the smallest one.
+PROFILE = settings(phases=[phase for phase in Phase if phase != Phase.explain])
+
+
+def test_every_property_runs_under_the_profile():
+    properties = [test for test in globals().values() if hasattr(test, "hypothesis")]
+    assert len(properties) > 20
+    for test in properties:
+        assert Phase.explain not in test._hypothesis_internal_use_settings.phases, test.__name__
 
 # -- strategies --------------------------------------------------------------------
 
@@ -59,6 +73,7 @@ def fingerprint_distance(left, right) -> int:
 # -- Fingerprint invariants -----------------------------------------------------------
 
 
+@settings(PROFILE)
 @given(_fingerprints)
 def test_fingerprint_round_trip(fingerprint):
     rebuilt = Fingerprint(fingerprint_dict(fingerprint))
@@ -66,16 +81,19 @@ def test_fingerprint_round_trip(fingerprint):
     assert stable_hash(rebuilt) == stable_hash(fingerprint)
 
 
+@settings(PROFILE)
 @given(_fingerprints)
 def test_fingerprint_distance_to_self_is_zero(fingerprint):
     assert fingerprint_distance(fingerprint, fingerprint) == 0
 
 
+@settings(PROFILE)
 @given(_fingerprints, _fingerprints)
 def test_fingerprint_distance_is_symmetric(left, right):
     assert fingerprint_distance(left, right) == fingerprint_distance(right, left)
 
 
+@settings(PROFILE)
 @given(_fingerprints, st.integers(1, 64))
 def test_fingerprint_replace_changes_one_attribute(fingerprint, cores):
     altered = fingerprint.replace(hardware_concurrency=cores)
@@ -83,6 +101,7 @@ def test_fingerprint_replace_changes_one_attribute(fingerprint, cores):
     assert fingerprint_distance(fingerprint, altered) <= 1
 
 
+@settings(PROFILE)
 @given(_resolutions)
 def test_resolution_format_parse_round_trip(resolution):
     assert parse_resolution(format_resolution(resolution)) == resolution
@@ -102,12 +121,14 @@ _rules = st.builds(
 )
 
 
+@settings(PROFILE)
 @given(st.lists(_rules, max_size=30))
 def test_filter_list_deduplicates_by_key(rules):
     filter_list = FilterList(rules)
     assert len(filter_list) == len({rule.key for rule in rules})
 
 
+@settings(PROFILE)
 @given(st.lists(_rules, max_size=20), _fingerprints)
 def test_filter_list_matches_agrees_with_any_rule(rules, fingerprint):
     filter_list = FilterList(rules)
@@ -115,11 +136,13 @@ def test_filter_list_matches_agrees_with_any_rule(rules, fingerprint):
     assert (filter_list.first_match(fingerprint) is not None) == expected
 
 
+@settings(PROFILE)
 @given(_rules)
 def test_rule_serialisation_round_trip(rule):
     assert InconsistencyRule.from_dict(rule.to_dict()) == rule
 
 
+@settings(PROFILE)
 @given(st.lists(_rules, max_size=20))
 def test_filter_list_json_round_trip(rules):
     filter_list = FilterList(rules)
@@ -193,8 +216,7 @@ def _assert_matches_like_oracle(filter_list, table):
     assert filter_list.matcher().first_match_rows(table).tolist() == expected.tolist()
 
 
-# No explain phase: on a failure it spends minutes varying the rule lists.
-@settings(max_examples=80, deadline=None, phases=[phase for phase in Phase if phase != Phase.explain])
+@settings(PROFILE, max_examples=80, deadline=None)
 @given(
     rules=_match_rule_lists,
     seed=st.integers(0, 2**16),
@@ -245,7 +267,7 @@ def mined_corpus():
     return table, list(SpatialInconsistencyMiner(config=config).mine_table(table))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(PROFILE, max_examples=30, deadline=None)
 @given(picks=st.lists(st.integers(0, 10**6), max_size=60))
 def test_dense_matcher_matches_the_oracle_on_mined_rules(mined_corpus, picks):
     table, rules = mined_corpus
@@ -256,7 +278,7 @@ def test_dense_matcher_matches_the_oracle_on_mined_rules(mined_corpus, picks):
 # -- first sightings: the scatter-min against np.unique ------------------------------------
 
 
-@settings(max_examples=80, deadline=None)
+@settings(PROFILE, max_examples=80, deadline=None)
 @given(
     stream=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3)), max_size=60),
     tolerance=st.integers(1, 3),
@@ -305,7 +327,7 @@ def _assert_mines_like_reference(config, table, fingerprints):
     assert mined.to_json() == expected.to_json()
 
 
-@settings(max_examples=25, deadline=None)
+@settings(PROFILE, max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**16), size=st.integers(10, 160), config=_miner_configs)
 def test_grid_miner_matches_reference(seed, size, config):
     store = _random_store(seed, size=size)
@@ -346,6 +368,7 @@ def test_grid_miner_on_attributes_without_values():
 # -- temporal detector invariants --------------------------------------------------------------
 
 
+@settings(PROFILE)
 @given(st.lists(st.sampled_from(["Win32", "MacIntel", "Linux x86_64"]), min_size=1, max_size=20))
 def test_temporal_detector_flags_at_most_changes(platforms):
     detector = ObjectTemporalDetector()
@@ -358,6 +381,7 @@ def test_temporal_detector_flags_at_most_changes(platforms):
     assert flags == max(0, distinct - 1)
 
 
+@settings(PROFILE)
 @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=30))
 def test_temporal_detector_never_flags_constant_stream(keys):
     detector = ObjectTemporalDetector()
@@ -432,7 +456,7 @@ class _Ingest:
         }
 
 
-@settings(max_examples=50, deadline=None)
+@settings(PROFILE, max_examples=50, deadline=None)
 @given(
     ops=_seen_ops,
     key_order=st.permutations(_SEEN_KEYS),
@@ -458,8 +482,8 @@ def test_seen_state_delta_matches_the_per_key_walk(ops, key_order, value_order, 
     def observe(kind, attribute, tolerance, pairs):
         key_codes = ingest.codes(kind, [_SEEN_KEYS[key] for key, _ in pairs])
         value_codes = ingest.codes(attribute, [_SEEN_VALUES[value] for _, value in pairs])
-        keys = state.key_remap(kind, ingest.decode[kind])[key_codes]
-        values = state.value_remap(attribute, ingest.decode[attribute])[value_codes]
+        keys = state.remap(("key", kind), ingest.decode[kind])[key_codes]
+        values = state.remap(("value", attribute), ingest.decode[attribute])[value_codes]
         keep = keys >= 0  # the "" key tracks nothing
         state.column(kind, attribute).observe(keys[keep], values[keep], tolerance, state.epoch)
 
@@ -491,9 +515,9 @@ def test_seen_state_delta_matches_the_per_key_walk(ops, key_order, value_order, 
                 assert np.array_equal(got_array, want_array)
         # A real ingest knows every key and value the state holds.
         for kind in ("cookie", "ip"):
-            ingest.codes(kind, state.keys_of(kind))
+            ingest.codes(kind, state.items(("key", kind)))
         for attribute in attributes:
-            ingest.codes(attribute, state.values_of(attribute))
+            ingest.codes(attribute, state.items(("value", attribute)))
         exported = ingest.export(attributes)
         columns = checkpointer._encode_seen(state, since, attributes, exported)
         oracle = reference.encode_seen(state, since, attributes, exported)
@@ -513,7 +537,7 @@ def test_seen_state_delta_matches_the_per_key_walk(ops, key_order, value_order, 
     # fold-style decode list and the ingest's.
     merge("cookie", Attribute.PLATFORM, [(key, [0]) for key in range(len(_SEEN_KEYS))])
     observe("cookie", Attribute.PLATFORM, 1, [(key, 1) for key in range(len(_SEEN_KEYS))])
-    owned = state.keys_of("cookie")
+    owned = state.items(("key", "cookie"))
     assert owned is not foreign_keys and owned is not ingest.decode["cookie"]
     for since in range(state.epoch + 1):
         check(since)
@@ -522,11 +546,13 @@ def test_seen_state_delta_matches_the_per_key_walk(ops, key_order, value_order, 
 # -- metrics invariants ------------------------------------------------------------------------
 
 
+@settings(PROFILE)
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=200))
 def test_accuracy_of_perfect_prediction_is_one(labels):
     assert accuracy_score(labels, labels) == 1.0
 
 
+@settings(PROFILE)
 @given(
     st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=200)
 )
@@ -543,12 +569,14 @@ def test_confusion_matrix_totals_and_accuracy(pairs):
 # -- header / reporting invariants ----------------------------------------------------------------
 
 
+@settings(PROFILE)
 @given(st.lists(st.sampled_from(["en-US", "en", "fr-FR", "de-DE", "es-MX"]), min_size=1, max_size=5, unique=True))
 def test_accept_language_round_trip(languages):
     header = accept_language_for(tuple(languages))
     assert tuple(part.split(";")[0] for part in header.split(",")) == tuple(languages)
 
 
+@settings(PROFILE)
 @given(st.floats(0.0, 1.0))
 def test_format_percent_bounds(value):
     text = format_percent(value)
@@ -556,6 +584,7 @@ def test_format_percent_bounds(value):
     assert 0.0 <= float(text[:-1]) <= 100.0
 
 
+@settings(PROFILE)
 @given(
     st.lists(st.tuples(st.text(max_size=8), st.integers(0, 10 ** 6)), min_size=1, max_size=10)
 )
@@ -595,7 +624,7 @@ _TREE_COLUMN_KINDS = (
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(PROFILE, max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
     n_rows=st.integers(2, 400),
@@ -625,3 +654,140 @@ def test_tree_matches_the_per_candidate_reference(
     )
     expected = ReferenceTree(random_state=np.random.default_rng(seed), **params)
     assert_same_nodes(tree, expected.fit(features, targets))
+
+
+# -- verdict digest and oracle: columns against the reference serialisation ----------
+
+#: Flag and rule values: ``1``/``1.0``/``True`` and ``0``/``False`` compare
+#: equal across types but serialise apart; the strings need JSON escaping.
+_DIGEST_VALUES = (
+    1, 1.0, True, 0, False, "1", 'say "hi"', "Zürich ✓", "back\\slash", None, (1, "a"),
+)
+_DIGEST_KEYS = ("cookie-1", 'k"1', "ключ", "10.0.0.1")
+_DIGEST_ATTRIBUTES = (Attribute.PLATFORM, Attribute.HARDWARE_CONCURRENCY, Attribute.TIMEZONE)
+
+_digest_rules = st.builds(
+    InconsistencyRule,
+    category=st.just(AttributeCategory.LOCATION),
+    attribute_a=st.just(Attribute.TIMEZONE),
+    value_a=st.sampled_from(_DIGEST_VALUES),
+    attribute_b=st.sampled_from(_DIGEST_ATTRIBUTES),
+    value_b=st.sampled_from(_DIGEST_VALUES),
+    support=st.integers(0, 3),
+)
+
+_digest_flags = st.builds(
+    TemporalFlag,
+    key_kind=st.sampled_from(("cookie", "ip")),
+    key=st.sampled_from(_DIGEST_KEYS),
+    attribute=st.sampled_from(_DIGEST_ATTRIBUTES),
+    previous_values=st.lists(st.sampled_from(_DIGEST_VALUES), max_size=3).map(tuple),
+    new_value=st.sampled_from(_DIGEST_VALUES),
+)
+
+#: Verdicts as plain rows: ``[request_id, rule or None, [flags]]``, unique ids.
+_plain_verdicts = st.lists(
+    st.tuples(
+        st.integers(0, 10**6), st.none() | _digest_rules, st.lists(_digest_flags, max_size=3)
+    ),
+    max_size=10,
+    unique_by=lambda row: row[0],
+).map(lambda rows: [list(row) for row in rows])
+
+
+def _verdict_columns(rows, seed: int) -> Verdicts:
+    """Verdict columns of plain *rows* in a layout drawn from *seed*: rows
+    shuffled and cut into chunks, each with its own rule table (rules in
+    shuffled order) and its own decode lists, then concatenated."""
+
+    rng = np.random.default_rng(seed)
+    rows = [rows[index] for index in rng.permutation(len(rows)).tolist()]
+    cuts = sorted(rng.integers(0, len(rows) + 1, 2).tolist())
+    chunks = []
+    for start, stop in zip([0, *cuts], [*cuts, len(rows)]):
+        part = rows[start:stop]
+        table = RuleTable()
+        rules = [rule for _, rule, _ in part if rule is not None]
+        for index in rng.permutation(len(rules)).tolist():
+            table.add(rules[index])
+        chunks.append(
+            Verdicts(
+                np.array([request_id for request_id, _, _ in part], dtype=np.int64),
+                np.array([-1 if rule is None else table.add(rule) for _, rule, _ in part],
+                         dtype=np.int64),
+                table,
+                reference.flags_from_objects(
+                    {row: flags for row, (_, _, flags) in enumerate(part) if flags}
+                ),
+            )
+        )
+    return Verdicts.concat(chunks)
+
+
+def _nested_retyped(value):
+    """:func:`_retyped`, applied inside tuples too: ``(1, "a")`` and
+    ``(True, "a")`` are equal, and equal rules by :func:`rule_key`."""
+
+    return tuple(map(_retyped, value)) if isinstance(value, tuple) else _retyped(value)
+
+
+def _mutate(rows, how: str, pick: int):
+    """*rows* with one change (*how*) at the entry *pick* selects."""
+
+    rows = [[request_id, rule, list(flags)] for request_id, rule, flags in rows]
+    flagged = [(row, index) for row in rows for index in range(len(row[2]))]
+    ruled = [row for row in rows if row[1] is not None]
+    if how == "retype_value" and flagged:
+        row, index = flagged[pick % len(flagged)]
+        row[2][index] = replace(row[2][index], new_value=_nested_retyped(row[2][index].new_value))
+    elif how == "retype_previous" and flagged:
+        row, index = flagged[pick % len(flagged)]
+        flag = row[2][index]
+        row[2][index] = replace(
+            flag, previous_values=tuple(map(_nested_retyped, flag.previous_values))
+        )
+    elif how == "drop_flag" and flagged:
+        row, index = flagged[pick % len(flagged)]
+        del row[2][index]
+    elif how == "swap_flags" and flagged:
+        row, _ = flagged[pick % len(flagged)]
+        row[2].reverse()
+    elif how == "drop_rule" and ruled:
+        ruled[pick % len(ruled)][1] = None
+    elif how == "retype_rule" and ruled:
+        row = ruled[pick % len(ruled)]
+        row[1] = replace(row[1], value_a=_nested_retyped(row[1].value_a))
+    elif how == "change_id" and rows:
+        rows[pick % len(rows)][0] = max(row[0] for row in rows) + 1
+    return rows
+
+
+@settings(PROFILE, max_examples=150, deadline=None)
+@given(
+    rows=_plain_verdicts,
+    seeds=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+    how=st.sampled_from(
+        ["none", "retype_value", "retype_previous", "drop_flag", "swap_flags",
+         "drop_rule", "retype_rule", "change_id"]
+    ),
+    pick=st.integers(0, 100),
+)
+@example(  # a flag value 1 against True
+    rows=[[5, None, [TemporalFlag("cookie", "c", Attribute.PLATFORM, (0,), 1)]]],
+    seeds=(0, 1), how="retype_value", pick=0,
+)
+@example(  # equal rules by rule_key that serialise apart
+    rows=[[5, InconsistencyRule(AttributeCategory.LOCATION, Attribute.TIMEZONE, (1, "a"),
+                                Attribute.PLATFORM, "x", 1), []]],
+    seeds=(0, 1), how="retype_rule", pick=0,
+)
+def test_verdict_digest_and_oracle_match_the_reference(rows, seeds, how, pick):
+    """The column digest is the SHA-256 of the reference serialisation, and
+    the column oracle accepts a pair exactly when their reference digests
+    match, whatever the row order, rule-table order or decode lists."""
+
+    left = _verdict_columns(rows, seeds[0])
+    right = _verdict_columns(_mutate(rows, how, pick), seeds[1])
+    digests = [reference.reference_digest(side) for side in (left, right)]
+    assert [verdicts_digest(side) for side in (left, right)] == digests
+    assert same_verdicts(left, right) == same_verdicts(right, left) == (digests[0] == digests[1])

@@ -12,7 +12,6 @@ of the same rows.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 import numpy as np
@@ -20,7 +19,10 @@ import pytest
 from reference.detection import (
     InconsistencyVerdict,
     ObjectTemporalDetector,
+    TemporalFlag,
     compile_per_table,
+    flags_by_request,
+    reference_digest,
     verdict_objects,
     cookie_at,
     ip_at,
@@ -40,7 +42,7 @@ from repro.core.detector import FPInconsistent
 from repro.core.pipeline import FPInconsistentPipeline
 from repro.core.rules import FilterList, InconsistencyRule
 from repro.core.spatial import SpatialInconsistencyMiner
-from repro.core.temporal import TemporalFlag, TemporalInconsistencyDetector
+from repro.core.temporal import TemporalInconsistencyDetector
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.categories import AttributeCategory
 from repro.fingerprint.fingerprint import Fingerprint
@@ -112,7 +114,7 @@ def test_replay_reproduces_pipeline_verdicts(corpus):
     deployed = FPInconsistent(filter_list=outcome.filter_list)
     result = ReplayDriver(deployed, batch_size=256).replay(corpus.bot_store)
     assert verdicts_equal(result.verdicts, outcome.verdicts)
-    counts = result.counts()
+    counts = result.verdicts.counts()
     assert counts["spatial"] > 0 and counts["temporal"] > 0
     assert counts["inconsistent"] >= max(counts["spatial"], counts["temporal"])
 
@@ -128,17 +130,12 @@ def test_verdict_serialisation_is_canonical(fitted):
     assert verdicts_digest(trimmed) != verdicts_digest(batch_verdicts)
 
 
-def _reference_digest(verdicts):
-    payload = json.dumps(verdicts_to_jsonable(verdicts), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def test_verdicts_digest_matches_the_canonical_serialisation(fitted):
     _detector, _table, verdicts = fitted
-    assert verdicts.flags and verdicts.spatial().any()
-    assert verdicts_digest(verdicts) == _reference_digest(verdicts)
+    assert verdicts.flags.row.size and verdicts.spatial().any()
+    assert verdicts_digest(verdicts) == reference_digest(verdicts)
     empty = verdicts_from_objects({})
-    assert verdicts_digest(empty) == _reference_digest(empty)
+    assert verdicts_digest(empty) == reference_digest(empty)
 
     rule = InconsistencyRule(
         category=AttributeCategory.LOCATION,
@@ -165,7 +162,7 @@ def test_verdicts_digest_matches_the_canonical_serialisation(fitted):
             1: InconsistencyVerdict(request_id=1, spatial_rule=None),
         }
     )
-    assert verdicts_digest(unusual) == _reference_digest(unusual)
+    assert verdicts_digest(unusual) == reference_digest(unusual)
 
 
 # -- ingestion -------------------------------------------------------------------
@@ -260,16 +257,15 @@ def test_ingest_rows_requires_renumbered_columns(corpus):
 def test_incremental_temporal_matches_batch_evaluation(fitted, slice_size):
     _detector, table, _verdicts = fitted
     temporal = TemporalInconsistencyDetector()
-    full = temporal.evaluate_table(table)
+    full = flags_by_request(table.request_ids, temporal.evaluate_table(table))
 
     streaming = TemporalInconsistencyDetector()
     state = streaming.new_stream_state()
     order = np.argsort(table.timestamps, kind="stable")
     merged = {}
     for start in range(0, table.n_rows, slice_size):
-        merged.update(
-            streaming.observe_table(table.take(order[start : start + slice_size]), state)
-        )
+        piece = table.take(order[start : start + slice_size])
+        merged.update(flags_by_request(piece.request_ids, streaming.observe_table(piece, state)))
     assert merged == full
     assert tracked_devices(state) > 0
     assert observed_values(state) >= tracked_devices(state)
@@ -292,6 +288,17 @@ def test_stream_state_counts_match_the_dict_state_on_a_replay(corpus, fitted):
     assert tracked_devices(state) == len(expected)
     assert observed_values(state) == sum(len(values) for values in expected.values())
     assert state_entries(state) == expected
+
+
+def _observed(temporal, table, state=None):
+    """``request_id`` -> flags of one table, through *state* or a fresh one."""
+
+    flags = (
+        temporal.evaluate_table(table)
+        if state is None
+        else temporal.observe_table(table, state)
+    )
+    return flags_by_request(table.request_ids, flags)
 
 
 def _per_request_flags(table):
@@ -322,7 +329,7 @@ def test_falsy_cookie_in_the_middle_of_a_decode_list_tracks_nothing(fitted):
     sample.cookie_values = ["cookie-a", "", "cookie-b"]
     sample.cookie_codes = (np.arange(sample.n_rows) % 3).astype(np.int32)
     full = _per_request_flags(sample)
-    assert TemporalInconsistencyDetector().evaluate_table(sample) == full
+    assert _observed(TemporalInconsistencyDetector(), sample) == full
 
     # The second half arrives with its own decode list, "" elsewhere in it.
     first, second = sample.take(np.arange(45)), sample.take(np.arange(45, 90))
@@ -330,8 +337,8 @@ def test_falsy_cookie_in_the_middle_of_a_decode_list_tracks_nothing(fitted):
     second.cookie_codes = np.array([1, 2, 0], dtype=np.int32)[second.cookie_codes]
     temporal = TemporalInconsistencyDetector()
     state = temporal.new_stream_state()
-    merged = temporal.observe_table(first, state)
-    merged.update(temporal.observe_table(second, state))
+    merged = _observed(temporal, first, state)
+    merged.update(_observed(temporal, second, state))
     assert merged == full
     cookie_flags = [flag for flags in merged.values() for flag in flags
                     if flag.key_kind == "cookie"]
@@ -354,9 +361,9 @@ def test_independent_tables_share_one_state(corpus, fitted):
 
     temporal = TemporalInconsistencyDetector()
     state = temporal.new_stream_state()
-    merged = temporal.observe_table(first, state)
-    merged.update(temporal.observe_table(second, state))
-    full = TemporalInconsistencyDetector().evaluate_table(whole)
+    merged = _observed(temporal, first, state)
+    merged.update(_observed(temporal, second, state))
+    full = _observed(TemporalInconsistencyDetector(), whole)
     assert merged == full
     # Some flags in the second table rest on state the first one left.
     earlier = set(first.cookie_values) | set(first.ip_values)
@@ -379,8 +386,8 @@ def test_ip_key_growing_past_its_tolerance_lists_values_in_order(fitted):
 
     temporal = TemporalInconsistencyDetector()
     state = temporal.new_stream_state()
-    merged = temporal.observe_table(sample.take(np.arange(3)), state)
-    merged.update(temporal.observe_table(sample.take(np.arange(3, 6)), state))
+    merged = _observed(temporal, sample.take(np.arange(3)), state)
+    merged.update(_observed(temporal, sample.take(np.arange(3, 6)), state))
     ids = sample.request_ids.tolist()
     assert merged == {
         ids[3]: [TemporalFlag("ip", "10.0.0.1", Attribute.TIMEZONE,
@@ -516,7 +523,7 @@ def test_rule_hits_sum_to_the_spatial_count(corpus, fitted):
     detector, _table, _verdicts = fitted
     result = ReplayDriver(detector, batch_size=256).replay(corpus.bot_store)
     hits = result.rule_hits()
-    assert sum(hits.values()) == result.counts()["spatial"] > 0
+    assert sum(hits.values()) == result.verdicts.counts()["spatial"] > 0
     assert hits.get("location_predicate", 0) > 0
     assert all(count > 0 for count in hits.values())
 
@@ -675,7 +682,7 @@ def test_replay_of_an_empty_store(fitted):
     assert len(result.verdicts) == 0
     assert result.rows_per_second == 0.0
     assert result.latency_quantile(0.5) == 0.0
-    assert result.counts() == {"spatial": 0, "temporal": 0, "inconsistent": 0}
+    assert result.verdicts.counts() == {"spatial": 0, "temporal": 0, "inconsistent": 0}
 
 
 def test_replay_driver_validates_batch_size(fitted):
