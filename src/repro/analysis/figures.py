@@ -27,7 +27,6 @@ from repro.honeysite.storage import (
     SECONDS_PER_DAY,
     RecordColumns,
     RequestStore,
-    canonical_codes,
     first_occurrence_recode,
 )
 
@@ -493,8 +492,8 @@ def figure9_daily_series(
 
     # Any code that equal values share counts them; Figure 10 alone needs
     # first-seen order.
-    ip_rows = canonical_codes(columns.session_ips)[columns.session_codes]
-    cookie_rows = canonical_codes(columns.cookie_values)[columns.served_codes]
+    ip_rows = columns.sessions.canonical_ips()[columns.session_codes]
+    cookie_rows = columns.canonical_cookies()[columns.served_codes]
     return DailySeries(
         days=tuple(int(day) for day in unique_days),
         requests=tuple(int(count) for count in requests),

@@ -26,6 +26,7 @@ this).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,24 +49,6 @@ def default_table_attributes() -> Tuple[Attribute, ...]:
     for attribute in DEFAULT_COOKIE_ATTRIBUTES + DEFAULT_IP_ATTRIBUTES:
         ordered.setdefault(attribute, None)
     return tuple(ordered)
-
-
-def intern_values(
-    items: Sequence[object], index: Dict[object, int], values: List[object]
-) -> np.ndarray:
-    """Codes of *items* in a growing vocabulary: *index* and its decode list *values*.
-
-    Unseen items are appended in first-occurrence order, exactly as
-    interning them one at a time would; the dedup, the index update and
-    the lookups all run as C-level dict operations.  An item the index
-    maps to ``-1`` (a pre-seeded sentinel) codes as ``-1`` and is never
-    appended.
-    """
-
-    unseen = [item for item in dict.fromkeys(items) if item not in index]
-    index.update(zip(unseen, range(len(values), len(values) + len(unseen))))
-    values.extend(unseen)
-    return np.fromiter(map(index.__getitem__, items), dtype=np.int64, count=len(items))
 
 
 def _extract_column(
@@ -344,14 +327,22 @@ class TableEncoder:
     Owns a per-attribute code vocabulary (grouping value → code, assigned
     in row first-occurrence order, append-only) plus the cookie and
     address vocabularies, and encodes row slices of a
-    :class:`~repro.honeysite.storage.RecordColumns` against it.  Each
-    column is one gather through a remap table from the archive's codes
-    to vocabulary codes: per attribute from the raw-value codes of
-    ``sessions.attribute_value_codes``, plus session → source address and
-    archive cookie → served cookie.  The remap tables live as long as one
-    ``RecordColumns`` instance, so the grouping transformation runs once
-    per distinct raw value, and only for raw values the vocabulary has
-    never seen.
+    :class:`~repro.honeysite.storage.RecordColumns` against it.  A batch
+    is three gathers through remap tables from archive codes to
+    vocabulary codes: every attribute at once from the session block's
+    stacked matrix
+    (:meth:`~repro.honeysite.storage.SessionArrays.stacked_value_codes`),
+    the source address from the session's canonical address code, and
+    the served cookie from its canonical cookie code.  The remap tables
+    live as long as one ``RecordColumns`` instance, so the grouping
+    transformation runs once per distinct raw value.
+
+    Canonical codes of distinct strings are distinct, so a cookie or
+    address code the remap has not seen is a string the vocabulary lacks:
+    it is appended unhashed.  Adopting a ``RecordColumns`` first maps the
+    archive strings the vocabulary already holds (from a restore or an
+    earlier ``RecordColumns``), and the cookie and address indexes catch
+    up with their decode lists only when read (:meth:`sync_indexes`).
 
     Emitted tables share the decode lists *by reference*.  A batch
     extraction (:meth:`repro.core.detector.FPInconsistent.extract_table`)
@@ -371,6 +362,7 @@ class TableEncoder:
         self.values: Dict[Attribute, List[object]] = {
             attribute: [] for attribute in self.attributes
         }
+        #: string → code, behind their decode lists until synced
         self.cookie_index: Dict[str, int] = {}
         self.cookie_values: List[str] = []
         self.ip_index: Dict[str, int] = {}
@@ -382,32 +374,42 @@ class TableEncoder:
         # Remap tables, scoped to one RecordColumns instance (archive codes
         # are meaningless across instances).
         self._columns = None
-        self._raw_columns: List[Tuple[np.ndarray, List[object]]] = []
-        self._value_remaps: List[np.ndarray] = []
+        #: per attribute, its row of the stacked matrix (-1: no session has it)
+        self._rows: List[int] = []
+        self._value_remap = np.empty(0, dtype=np.int32)
         self._ip_remap = np.empty(0, dtype=np.int32)
         self._cookie_remap = np.empty(0, dtype=np.int32)
 
-    def restore(self, values: Dict[Attribute, List[object]], cookie_values, ip_values) -> None:
-        """Adopt decode lists (in code order); every cache starts empty.
+    def sync_indexes(self) -> None:
+        """Bring the cookie and address indexes up to their decode lists."""
 
-        The lists are replaced in place, because emitted tables hold them
-        by reference, and the value → code indexes are rebuilt from them.
+        for index, values in (
+            (self.cookie_index, self.cookie_values), (self.ip_index, self.ip_values)
+        ):
+            if len(index) < len(values):
+                index.update(zip(values[len(index) :], range(len(index), len(values))))
+
+    def restore(self, state: Dict) -> None:
+        """Adopt a vocabulary: *state*'s decode lists, in code order
+        (``values`` per attribute, ``cookie_values``, ``ip_values``).
+
+        A checkpoint's folded lists become the encoder's own, uncopied, so
+        whatever else holds them (a restored temporal state, folded flags)
+        decodes through the very lists later batches extend.  A live
+        export (it carries its owner's ``indexes``) is copied, because its
+        owner keeps extending it.  Indexes are rebuilt; every cache starts
+        empty.
         """
 
-        for attribute in self.attributes:
-            restored = list(values[attribute])
-            self.values[attribute][:] = restored
-            self.indexes[attribute].clear()
-            self.indexes[attribute].update(
-                {value: code for code, value in enumerate(restored)}
-            )
-            self._raw_codes[attribute].clear()
-        self.cookie_values[:] = list(cookie_values)
-        self.cookie_index.clear()
-        self.cookie_index.update({value: code for code, value in enumerate(self.cookie_values)})
-        self.ip_values[:] = list(ip_values)
-        self.ip_index.clear()
-        self.ip_index.update({value: code for code, value in enumerate(self.ip_values)})
+        own = list if "indexes" in state else (lambda items: items)
+        self.values = {attribute: own(state["values"][attribute]) for attribute in self.attributes}
+        self.indexes = {
+            attribute: dict(zip(values, range(len(values))))
+            for attribute, values in self.values.items()
+        }
+        self.cookie_values, self.cookie_index = own(state["cookie_values"]), {}
+        self.ip_values, self.ip_index = own(state["ip_values"]), {}
+        self._raw_codes = {attribute: {} for attribute in self.attributes}
         self._columns = None
 
     def encode(self, columns, rows) -> ColumnarTable:
@@ -428,41 +430,46 @@ class TableEncoder:
             self._adopt(columns)
         rows = np.asarray(rows, dtype=np.int64)
         sessions = columns.session_codes[rows]
-        codes = {}
-        for attribute, (session_raw, raw_values), remap in zip(
-            self.attributes, self._raw_columns, self._value_remaps
-        ):
-            codes[attribute] = _gather(
-                remap,
-                session_raw[sessions],
-                lambda new, attribute=attribute, raw_values=raw_values: [
-                    self._encode_value(attribute, raw_values[raw]) for raw in new
-                ],
-            )
-        session_ips, cookie_values = columns.session_ips, columns.cookie_values
+        matrix, offsets = columns.sessions.stacked_value_codes()
+        stacked = _gather(
+            self._value_remap,
+            np.take(matrix, sessions, axis=1),
+            lambda new: self._encode_values(columns.sessions.fp_values, offsets, new),
+        )
+        missing = np.full(rows.size, -1, dtype=np.int32)
         return ColumnarTable(
-            codes=codes,
+            codes={
+                attribute: missing if row < 0 else stacked[row]
+                for attribute, row in zip(self.attributes, self._rows)
+            },
             values=self.values,
             n_rows=int(rows.size),
             request_ids=columns.request_ids[rows],
             timestamps=columns.timestamps[rows],
             cookie_codes=_gather(
                 self._cookie_remap,
-                columns.served_codes[rows],
-                lambda new: intern_values(
-                    [cookie_values[raw] for raw in new], self.cookie_index, self.cookie_values
-                ),
+                columns.canonical_cookies()[columns.served_codes[rows]],
+                lambda new: _appended(self.cookie_values, columns.cookie_values, new),
             ),
             cookie_values=self.cookie_values,
             ip_codes=_gather(
                 self._ip_remap,
-                sessions,
-                lambda new: intern_values(
-                    [session_ips[raw] for raw in new], self.ip_index, self.ip_values
-                ),
+                columns.sessions.canonical_ips()[sessions],
+                lambda new: _appended(self.ip_values, columns.session_ips, new),
             ),
             ip_values=self.ip_values,
         )
+
+    def _encode_values(self, fp_values, offsets: np.ndarray, new: List[int]) -> List[int]:
+        """Vocabulary codes of never-seen stacked codes (each one raw value
+        of one attribute), interned in the order given."""
+
+        owners = (np.searchsorted(offsets, new, side="right") - 1).tolist()
+        attributes = dict(zip(self._rows, self.attributes))
+        return [
+            self._encode_value(attributes[row], fp_values[row][code - offsets[row]])
+            for row, code in zip(owners, new)
+        ]
 
     def _encode_value(self, attribute: Attribute, raw: object) -> int:
         raw_codes = self._raw_codes[attribute]
@@ -480,40 +487,61 @@ class TableEncoder:
         return code
 
     def _adopt(self, columns) -> None:
-        """Start empty remap tables for a new ``RecordColumns``."""
+        """Start remap tables for a new ``RecordColumns``."""
 
         self._columns = columns
-        self._raw_columns = [
-            columns.sessions.attribute_value_codes(attribute.value)
+        names = columns.sessions.fp_attribute_names
+        self._rows = [
+            names.index(attribute.value) if attribute.value in names else -1
             for attribute in self.attributes
         ]
-        # One extra slot, left at -1, so a missing attribute (raw code -1)
-        # gathers -1.
-        self._value_remaps = []
-        for _session_raw, raw_values in self._raw_columns:
-            remap = np.full(len(raw_values) + 1, _UNMAPPED, dtype=np.int32)
-            remap[-1] = -1
-            self._value_remaps.append(remap)
-        self._ip_remap = np.full(columns.n_sessions, _UNMAPPED, dtype=np.int32)
-        self._cookie_remap = np.full(len(columns.cookie_values), _UNMAPPED, dtype=np.int32)
+        _matrix, offsets = columns.sessions.stacked_value_codes()
+        # Every "lacks the attribute" code gathers -1, and so does every
+        # code of an attribute this encoder does not extract.
+        self._value_remap = np.full(int(offsets[-1]), -1, dtype=np.int32)
+        for row in self._rows:
+            if row >= 0:
+                self._value_remap[offsets[row] : offsets[row + 1] - 1] = _UNMAPPED
+        self.sync_indexes()
+        self._cookie_remap = _known(columns.cookie_values, self.cookie_index)
+        self._ip_remap = _known(columns.session_ips, self.ip_index)
 
 
 #: Remap-table slot of an archive code not encoded yet.
 _UNMAPPED = -2
 
 
+def _known(archive: List[str], index: Dict[str, int]) -> np.ndarray:
+    """A remap table over *archive* strings holding the codes *index* has."""
+
+    if not index:
+        return np.full(len(archive), _UNMAPPED, dtype=np.int32)
+    return np.fromiter(map(index.get, archive, repeat(_UNMAPPED)), np.int32, len(archive))
+
+
+def _appended(values: List[str], archive: List[str], new: List[int]) -> range:
+    """Codes of ``archive[code]`` for each of *new*, strings *values*
+    lacks, once appended to *values*."""
+
+    start = len(values)
+    values.extend(map(archive.__getitem__, new))
+    return range(start, len(values))
+
+
 def _gather(remap: np.ndarray, raw: np.ndarray, encode) -> np.ndarray:
     """``remap[raw]``, first filling the never-seen codes.
 
-    *encode* maps the never-seen archive codes, in row first-occurrence
-    order, to their vocabulary codes.
+    *encode* maps the never-seen archive codes, in first-occurrence order
+    over *raw* read in C order (row after row of a matrix), to their
+    vocabulary codes.
     """
 
     codes = remap[raw]
     pending = np.flatnonzero(codes == _UNMAPPED)
     if pending.size:
-        new, first = np.unique(raw[pending], return_index=True)
+        flat = raw.reshape(-1)[pending]
+        new, first = np.unique(flat, return_index=True)
         new = new[np.argsort(first)]
         remap[new] = encode(new.tolist())
-        codes = remap[raw]
+        codes.reshape(-1)[pending] = remap[flat]
     return codes

@@ -21,12 +21,11 @@ inconsistent".
 from __future__ import annotations
 
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.columnar import intern_values
 from repro.fingerprint.attributes import Attribute
 
 #: Immutable attributes tracked per cookie by default (Section 7.2 names
@@ -50,7 +49,7 @@ DEFAULT_COOKIE_TOLERANCE = 1
 DEFAULT_IP_TOLERANCE = 2
 
 
-#: Resting value of :attr:`_SeenColumn.sighting`: after every row position.
+#: Resting value of :attr:`_SeenKind.sighting`: after every row position.
 _UNSEEN = np.iinfo(np.int64).max
 
 
@@ -63,77 +62,128 @@ def run_positions(counts: np.ndarray, runs: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(taken) - taken), taken) + np.arange(int(taken.sum()))
 
 
-class _SeenColumn:
-    """Seen-state of one (key kind, attribute) pair, indexed by state key id.
+def _grown(array: np.ndarray, shape: Tuple[int, int], fill) -> np.ndarray:
+    grown = np.full(shape, fill, dtype=array.dtype)
+    grown[: array.shape[0], : array.shape[1]] = array
+    return grown
 
-    ``first[key]`` is the first value id observed for *key* (``-1`` while
-    the key is untracked).  Almost every key keeps one value forever, so
-    only keys that grew past it get an ``overflow`` entry: every value id
-    they hold, first one included, in observation order.  ``stamp[key]``
-    is the state epoch of the key's last change.  ``sighting`` is scratch
-    for :meth:`observe`: every entry rests at :data:`_UNSEEN` between
-    calls.
+
+class _SeenKind:
+    """Seen-state of one key kind: a row per attribute, a column per key id.
+
+    ``first[row, key]`` is the first value id observed for *key* (``-1``
+    while the key is untracked) and ``second[row, key]`` the second one
+    (``-1`` while it holds one value).  Almost every key keeps one or two
+    values forever, so only keys that grew past two get an entry in their
+    row's ``overflow``: every value id they hold, the first two included,
+    in observation order.  ``stamp[row, key]`` is the state epoch of the
+    entry's last change.  ``sighting`` is scratch for :meth:`observe`:
+    every entry rests at :data:`_UNSEEN` between calls.
     """
 
-    __slots__ = ("first", "stamp", "sighting", "overflow")
+    __slots__ = ("rows", "first", "second", "stamp", "sighting", "overflow")
 
     def __init__(self):
-        self.first = np.full(0, -1, dtype=np.int32)
-        self.stamp = np.zeros(0, dtype=np.int32)
-        self.sighting = np.full(0, _UNSEEN, dtype=np.int64)
-        self.overflow: Dict[int, List[int]] = {}
+        #: attribute -> its row, in the order attributes were first tracked
+        self.rows: Dict[Attribute, int] = {}
+        self.first = np.full((0, 0), -1, dtype=np.int32)
+        self.second = np.full((0, 0), -1, dtype=np.int32)
+        self.stamp = np.zeros((0, 0), dtype=np.int32)
+        self.sighting = np.full((0, 0), _UNSEEN, dtype=np.int64)
+        self.overflow: List[Dict[int, List[int]]] = []
 
-    def reserve(self, n_keys: int) -> None:
-        size = self.first.size
-        if n_keys > size:
-            grown = max(n_keys, 2 * size) - size
-            self.first = np.concatenate([self.first, np.full(grown, -1, dtype=np.int32)])
-            self.stamp = np.concatenate([self.stamp, np.zeros(grown, dtype=np.int32)])
-            self.sighting = np.concatenate([self.sighting, np.full(grown, _UNSEEN, dtype=np.int64)])
+    def reserve(self, attributes: Sequence[Attribute], n_keys: int) -> np.ndarray:
+        """The rows of *attributes*, added as needed, with room for *n_keys* keys."""
 
-    def observe(self, keys: np.ndarray, values: np.ndarray, tolerance: int, epoch: int):
-        """Stream time-ordered ``(key, value)`` ids; returns the flagged ones.
+        for attribute in attributes:
+            if attribute not in self.rows:
+                self.rows[attribute] = len(self.rows)
+                self.overflow.append({})
+        size = self.first.shape[1]
+        shape = (len(self.rows), max(n_keys, 2 * size) if n_keys > size else size)
+        if shape != self.first.shape:
+            self.first = _grown(self.first, shape, -1)
+            self.second = _grown(self.second, shape, -1)
+            self.stamp = _grown(self.stamp, shape, 0)
+            self.sighting = _grown(self.sighting, shape, _UNSEEN)
+        return np.array([self.rows[attribute] for attribute in attributes], dtype=np.int64)
 
-        Every row whose value is its key's first value, and every first
-        sighting of a key, is settled in one vectorized pass: the earliest
-        position of each untracked key is an ``np.minimum.at`` into
-        ``sighting``, touching only those rows.  Only the rows left — a
-        known key showing another value — walk Python, in order.  Returns
-        ``(position, previous value ids, new value id)`` per flagged
-        position.
+    def _earliest(self, slots: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """Of ascending *positions*, the first of each entry in *slots*:
+        one ``np.minimum.at`` into ``sighting``, which touches only those
+        entries and is reset after use."""
+
+        sighting = self.sighting.reshape(-1)
+        np.minimum.at(sighting, slots, positions)
+        earliest = positions[sighting[slots] == positions]
+        sighting[slots] = _UNSEEN
+        return earliest
+
+    def observe(self, rows: np.ndarray, keys: np.ndarray, values: np.ndarray,
+                tolerance: int, epoch: int):
+        """Stream time-ordered key ids and their value ids; returns the flags.
+
+        ``values[i, j]`` is the value id of attribute row ``rows[i]`` that
+        position *j* (key ``keys[j]``) shows, ``-1`` for none.  Every first
+        sighting of an entry, and every first change of one that holds one
+        value, is settled for all the rows at once (its earliest position
+        is an ``np.minimum.at``), and every position showing an entry's
+        first or second value is settled by comparison.  Only the
+        positions left — a third value or later — walk Python, in order.
+
+        Returns the flags as columns: flat positions ``i * len(keys) + j``
+        (ascending), each flag's count of previous value ids, those ids
+        concatenated, and each new value id.
         """
 
-        first = self.first
-        current = first[keys]
-        fresh = np.flatnonzero(current < 0)
+        width = self.first.shape[1]
+        slots = (rows[:, None] * width + keys).reshape(-1)
+        values = values.reshape(-1)
+        carried = values >= 0
+        first, second = self.first.reshape(-1), self.second.reshape(-1)
+        stamp = self.stamp.reshape(-1)
+        current = first[slots]
+        fresh = np.flatnonzero(carried & (current < 0))
         if fresh.size:
-            fresh_keys = keys[fresh]
-            sighting = self.sighting
-            np.minimum.at(sighting, fresh_keys, fresh)
-            earliest = sighting[fresh_keys] == fresh
-            new_keys = fresh_keys[earliest]
-            first[new_keys] = values[fresh[earliest]]
-            self.stamp[new_keys] = epoch
-            sighting[new_keys] = _UNSEEN
-            current = first[keys]
-        rare = np.flatnonzero(values != current)
-        hits = []
-        changed = []
-        overflow = self.overflow
-        for position, key, value, held_first in zip(
-            rare.tolist(), keys[rare].tolist(), values[rare].tolist(), current[rare].tolist()
+            sighted = self._earliest(slots[fresh], fresh)
+            first[slots[sighted]] = values[sighted]
+            stamp[slots[sighted]] = epoch
+            current[fresh] = first[slots[fresh]]
+        rare = np.flatnonzero(carried & (values != current))
+        alone = rare[second[slots[rare]] < 0]
+        changed = self._earliest(slots[alone], alone) if alone.size else alone
+        second[slots[changed]] = values[changed]
+        stamp[slots[changed]] = epoch
+        # An entry's first change is a flag when one value is all it may hold.
+        flagged = changed if tolerance <= 1 else changed[:0]
+        later = rare[values[rare] != second[slots[rare]]]
+        positions, counts, previous, new, grew = [], [], [], [], []
+        overflows = self.overflow
+        later_rows, later_keys = np.divmod(slots[later], width)
+        for position, row, key, value, held_first, held_second in zip(
+            later.tolist(), later_rows.tolist(), later_keys.tolist(), values[later].tolist(),
+            current[later].tolist(), second[slots[later]].tolist(),
         ):
+            overflow = overflows[row]
             held = overflow.get(key)
             if held is None:
-                held = overflow[key] = [held_first]
+                held = overflow[key] = [held_first, held_second]
             elif value in held:
                 continue
             if len(held) >= tolerance:
-                hits.append((position, tuple(held), value))
+                positions.append(position)
+                counts.append(len(held))
+                previous += held
+                new.append(value)
             held.append(value)
-            changed.append(key)
-        self.stamp[changed] = epoch
-        return hits
+            grew.append(row * width + key)
+        stamp[grew] = epoch
+        positions = np.concatenate([flagged, np.array(positions, dtype=np.int64)])
+        counts = np.concatenate([np.ones(flagged.size, np.int64), np.array(counts, np.int64)])
+        previous = np.concatenate([current[flagged], np.array(previous, dtype=np.int64)])
+        new = np.concatenate([values[flagged], np.array(new, dtype=np.int64)])
+        order = np.argsort(positions, kind="stable")
+        return positions[order], counts[order], previous[run_positions(counts, order)], new[order]
 
 
 class _Vocabulary:
@@ -168,7 +218,15 @@ class _Vocabulary:
             self.index = dict(zip(self.items, range(len(self.items))))
             if self.drop_falsy:
                 self.index[""] = -1
-        return intern_values(tail, self.index, self.items)
+        # A decode list holds each item once: intern the unseen ones in order.
+        ids = np.fromiter(map(self.index.get, tail, repeat(-2)), dtype=np.int64, count=len(tail))
+        unseen = np.flatnonzero(ids == -2)
+        if unseen.size:
+            new = [tail[position] for position in unseen.tolist()]
+            ids[unseen] = np.arange(len(self.items), len(self.items) + len(new))
+            self.index.update(zip(new, ids[unseen].tolist()))
+            self.items.extend(new)
+        return ids
 
 
 class TemporalStreamState:
@@ -179,21 +237,21 @@ class TemporalStreamState:
     :meth:`TemporalInconsistencyDetector.observe_table` on every batch.
     Keys and values get the state's own ids (:class:`_Vocabulary`), which
     table codes reach through remap arrays cached per decode list, so state
-    survives vocabulary growth and spans any sequence of tables.  Per (key
-    kind, attribute) a :class:`_SeenColumn` holds each key's values.  Every
-    change is stamped with the current ``epoch``, so a checkpointer finds
-    what changed since its last save with one comparison per column
-    (:meth:`close_epoch`, :meth:`changes_since`).
+    survives vocabulary growth and spans any sequence of tables.  Per key
+    kind a :class:`_SeenKind` holds each key's values, one row per
+    attribute.  Every change is stamped with the current ``epoch``, so a
+    checkpointer finds what changed since its last save with one
+    comparison per row (:meth:`close_epoch`, :meth:`changes_since`).
     """
 
-    __slots__ = ("_vocabularies", "_remaps", "_columns", "epoch")
+    __slots__ = ("_vocabularies", "_remaps", "_kinds", "epoch")
 
     def __init__(self):
         #: ("key", kind) / ("value", attribute) -> its vocabulary
         self._vocabularies: Dict[Tuple, _Vocabulary] = {}
         #: same slots -> (decode list, its codes remapped to ids)
         self._remaps: Dict[Tuple, Tuple[List, np.ndarray]] = {}
-        self._columns: Dict[Tuple[str, Attribute], _SeenColumn] = {}
+        self._kinds: Dict[str, _SeenKind] = {}
         #: the stamp the next change receives (see :meth:`close_epoch`)
         self.epoch = 1
 
@@ -228,14 +286,14 @@ class TemporalStreamState:
         vocabulary = self._vocabularies.get(slot)
         return [] if vocabulary is None else vocabulary.items
 
-    def column(self, kind: str, attribute: Attribute) -> _SeenColumn:
-        """The (kind, attribute) column, sized for every interned key."""
+    def seen(self, kind: str, attributes: Sequence[Attribute]) -> Tuple[_SeenKind, np.ndarray]:
+        """The *kind* seen-state, sized for every interned key, and the rows
+        of *attributes* in it."""
 
-        column = self._columns.get((kind, attribute))
-        if column is None:
-            column = self._columns[(kind, attribute)] = _SeenColumn()
-        column.reserve(len(self.items(("key", kind))))
-        return column
+        seen = self._kinds.get(kind)
+        if seen is None:
+            seen = self._kinds[kind] = _SeenKind()
+        return seen, seen.reserve(attributes, len(self.items(("key", kind))))
 
     # -- change tracking ---------------------------------------------------------
 
@@ -252,37 +310,37 @@ class TemporalStreamState:
         Yields ``(kind, attribute, keys, counts, values)``: ascending key
         ids, each key's value count, and every value id of each key
         concatenated in observation order.  A key without overflow holds
-        its first value alone, so the group is gathered from ``first``;
-        only the changed overflow keys walk Python, and their value runs
-        are scattered into place.
+        its first value, and its second where it has one, so the group is
+        gathered from ``first`` and ``second``; only the changed overflow
+        keys walk Python, and their value runs are scattered into place.
         """
 
-        for (kind, attribute), column in self._columns.items():
-            keys = np.flatnonzero(column.stamp > epoch)
-            if not keys.size:
-                continue
-            counts = np.ones(keys.size, dtype=np.int64)
-            values = column.first[keys].astype(np.int64)
-            overflow = column.overflow
-            if overflow:
-                is_grown = np.zeros(column.first.size, dtype=bool)
-                is_grown[np.fromiter(overflow, dtype=np.int64, count=len(overflow))] = True
-                grown = np.flatnonzero(is_grown[keys])
-            else:
-                grown = keys[:0]
-            if grown.size:
-                held = [overflow[key] for key in keys[grown].tolist()]
-                grown_counts = np.fromiter(map(len, held), dtype=np.int64, count=grown.size)
-                counts[grown] = grown_counts
+        for kind, seen in self._kinds.items():
+            for attribute, row in seen.rows.items():
+                keys = np.flatnonzero(seen.stamp[row] > epoch)
+                if not keys.size:
+                    continue
+                seconds = seen.second[row, keys].astype(np.int64)
+                counts = 1 + (seconds >= 0)
+                overflow = seen.overflow[row]
+                held = []
+                if overflow:
+                    is_grown = np.zeros(seen.first.shape[1], dtype=bool)
+                    is_grown[np.fromiter(overflow, dtype=np.int64, count=len(overflow))] = True
+                    grown = np.flatnonzero(is_grown[keys])
+                    held = [overflow[key] for key in keys[grown].tolist()]
+                    counts[grown] = np.fromiter(map(len, held), dtype=np.int64, count=grown.size)
                 starts = np.cumsum(counts) - counts
-                firsts, values = values, np.empty(int(counts.sum()), dtype=np.int64)
-                values[starts] = firsts
-                # Each grown key's run, its first value included.
-                runs = run_positions(counts, grown)
-                values[runs] = np.fromiter(
-                    chain.from_iterable(held), dtype=np.int64, count=runs.size
-                )
-            yield kind, attribute, keys, counts, values
+                values = np.empty(int(counts.sum()), dtype=np.int64)
+                values[starts] = seen.first[row, keys]
+                values[starts[seconds >= 0] + 1] = seconds[seconds >= 0]
+                if held:
+                    # Each grown key's run, its first two values included.
+                    runs = run_positions(counts, grown)
+                    values[runs] = np.fromiter(
+                        chain.from_iterable(held), dtype=np.int64, count=runs.size
+                    )
+                yield kind, attribute, keys, counts, values
 
     def merge(
         self,
@@ -303,8 +361,14 @@ class TemporalStreamState:
 
         keys = np.repeat(self.remap(("key", kind), key_decode)[key_codes], counts)
         values = self.remap(("value", attribute), value_decode)[value_codes]
-        self.column(kind, attribute).observe(keys, values, sys.maxsize, self.epoch)
+        seen, rows = self.seen(kind, (attribute,))
+        seen.observe(rows, keys, values[None, :], sys.maxsize, self.epoch)
 
+
+#: Positions per seen-state pass: a whole table's kind is observed in
+#: pieces of this many rows, whose working arrays (every attribute of the
+#: kind at once) stay in cache; a stream batch is one piece.
+_PASS_ROWS = 4096
 
 #: Every attribute and every device key kind, in one fixed order: flag
 #: columns name attributes and kinds by position.
@@ -445,9 +509,10 @@ class TemporalInconsistencyDetector:
         time_rank = np.empty(table.n_rows, dtype=np.int64)
         time_rank[time_order] = np.arange(table.n_rows)
 
-        # State is independent per (key, attribute), so streaming column by
-        # column equals row-wise observation; columns run in a per-request
-        # check's order, and a stable sort by arrival restores it per row.
+        # State is independent per (key, attribute), so one pass per key
+        # kind over all its attributes equals row-wise observation; a pass
+        # yields its flags attribute by attribute in a per-request check's
+        # order, and a stable sort by arrival restores that order per row.
         found, keys_decode, values_decode = [], {}, {}
         epoch = state.epoch
         for kind_id, (kind, key_codes, key_values, attributes, tolerance) in enumerate((
@@ -456,46 +521,50 @@ class TemporalInconsistencyDetector:
             ("ip", table.ip_codes, table.ip_values,
              self._ip_attributes, self._ip_tolerance),
         )):
+            for attribute in attributes:
+                table.require_attribute(attribute, "tracked attribute")
             # Falsy keys ("" cookie) map to -1 and track nothing.
             row_keys = np.full(table.n_rows, -1, dtype=np.int64)
             present = key_codes >= 0
             if present.any():
                 row_keys[present] = state.remap(("key", kind), key_values)[key_codes[present]]
             keyed = time_order[row_keys[time_order] >= 0]
-            for attribute in attributes:
-                table.require_attribute(attribute, "tracked attribute")
-                codes = table.codes_of(attribute)
-                rows = keyed[codes[keyed] >= 0]
-                if not rows.size:
+            if not keyed.size or not attributes:
+                continue
+            keys = row_keys[keyed]
+            # Value ids per attribute; a missing value (code -1) reads the
+            # appended -1.
+            values = np.empty((len(attributes), keyed.size), dtype=np.int64)
+            for row, attribute in enumerate(attributes):
+                remap = np.append(state.remap(("value", attribute), table.values_of(attribute)), -1)
+                values[row] = remap[table.codes_of(attribute)[keyed]]
+            seen, rows = state.seen(kind, attributes)
+            attribute_ids = np.array([ATTRIBUTES.index(attribute) for attribute in attributes])
+            for start in range(0, keyed.size, _PASS_ROWS):
+                stop = min(start + _PASS_ROWS, keyed.size)
+                flat, counts, previous, new = seen.observe(
+                    rows, keys[start:stop], values[:, start:stop], tolerance, epoch
+                )
+                if not flat.size:
                     continue
-                keys = row_keys[rows]
-                ids = state.remap(("value", attribute), table.values_of(attribute))[codes[rows]]
-                hits = state.column(kind, attribute).observe(keys, ids, tolerance, epoch)
-                if hits:
-                    positions = [hit[0] for hit in hits]
-                    attribute_id = ATTRIBUTES.index(attribute)
-                    found.append((rows[positions], keys[positions], kind_id, attribute_id, hits))
-                    keys_decode[kind_id] = state.items(("key", kind))
-                    values_decode[attribute_id] = state.items(("value", attribute))
+                which, positions = np.divmod(flat, stop - start)
+                positions += start
+                found.append((keyed[positions], np.full(flat.size, kind_id), keys[positions],
+                              attribute_ids[which], new, counts, previous))
+                keys_decode[kind_id] = state.items(("key", kind))
+                for index in set(which.tolist()):
+                    values_decode[int(attribute_ids[index])] = state.items(
+                        ("value", attributes[index])
+                    )
         if not found:
             return TemporalFlags()
 
-        hits = [hit for *_, pass_hits in found for hit in pass_hits]
-        sizes = [len(pass_hits) for *_, pass_hits in found]
-        row = np.concatenate([entry[0] for entry in found])
-        order = np.argsort(time_rank[row], kind="stable")
-        n_prev = np.array([len(hit[1]) for hit in hits], dtype=np.int64)
-        prev = np.fromiter(chain.from_iterable(hit[1] for hit in hits), np.int64)
-        columns = (
-            row,
-            np.repeat([entry[2] for entry in found], sizes),
-            np.concatenate([entry[1] for entry in found]),
-            np.repeat([entry[3] for entry in found], sizes),
-            np.array([hit[2] for hit in hits], dtype=np.int64),
-            n_prev,
+        row, kind, key, attribute, new, n_prev, prev = (
+            np.concatenate([entry[field] for entry in found]) for field in range(7)
         )
+        order = np.argsort(time_rank[row], kind="stable")
         return TemporalFlags(
-            *(column[order] for column in columns),
+            *(column[order] for column in (row, kind, key, attribute, new, n_prev)),
             prev[run_positions(n_prev, order)],
             keys_decode,
             values_decode,

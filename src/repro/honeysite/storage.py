@@ -137,7 +137,7 @@ class SessionArrays:
         "decision_detector_names",
         "decision_signal_values",
     )
-    _CACHE_FIELDS = ("_attribute_columns",)
+    _CACHE_FIELDS = ("_stacked_codes", "_canonical_ips")
 
     __slots__ = _ARRAY_FIELDS + _LIST_FIELDS + _CACHE_FIELDS
 
@@ -149,7 +149,8 @@ class SessionArrays:
         self._reset_caches()
 
     def _reset_caches(self) -> None:
-        self._attribute_columns = None
+        self._stacked_codes = None
+        self._canonical_ips = None
 
     # -- pickling (transport purity) ---------------------------------------
 
@@ -180,40 +181,64 @@ class SessionArrays:
 
     # -- columnar attribute access -----------------------------------------
 
+    def stacked_value_codes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every session's value code of every fingerprint attribute, in one
+        ``(attributes × sessions)`` matrix over one code space.
+
+        Returns ``(matrix, offsets)``: attribute *a* owns the codes
+        ``offsets[a]`` to ``offsets[a + 1] - 1``, one per entry of its
+        raw-value side table ``fp_values[a]`` and a last one for "the
+        session lacks *a*", and ``matrix[a, session]`` is the session's
+        code.  One scatter over the pair stream, memoized, so every encoder
+        over this session block (and :meth:`attribute_value_codes`) shares
+        it.
+        """
+
+        if self._stacked_codes is None:
+            sizes = np.array([len(values) + 1 for values in self.fp_values], dtype=np.int64)
+            offsets = np.concatenate([[0], np.cumsum(sizes)])
+            dtype = np.int16 if offsets[-1] <= np.iinfo(np.int16).max else np.int32
+            # Local codes first (a lacking session keeps its attribute's
+            # last code), then each row is shifted into the shared space.
+            matrix = np.empty((sizes.size, self.n_sessions), dtype=dtype)
+            matrix[:] = (sizes - 1)[:, None]
+            # A fingerprint is a dict, so each session holds at most one
+            # pair per attribute.
+            owners = np.repeat(
+                np.arange(self.n_sessions, dtype=np.int64), np.diff(self.fp_offsets)
+            )
+            attributes = np.asarray(self.fp_attr_codes, dtype=np.int64)
+            matrix.reshape(-1)[attributes * self.n_sessions + owners] = self.fp_value_codes
+            matrix += offsets[:-1, None].astype(dtype)
+            self._stacked_codes = (matrix, offsets)
+        return self._stacked_codes
+
+    def canonical_ips(self) -> np.ndarray:
+        """:func:`canonical_codes` of ``session_ips``, memoized: each
+        session's index of the first session with its address."""
+
+        if self._canonical_ips is None:
+            self._canonical_ips = canonical_codes(self.session_ips)
+        return self._canonical_ips
+
     def attribute_value_codes(self, name: str) -> Tuple[np.ndarray, List[Any]]:
         """Per-session value codes of fingerprint attribute *name*.
 
         Returns ``(codes, values)``: ``codes[session]`` indexes *values*
         (the attribute's raw-value side table) or is ``-1`` when the
-        session's fingerprint does not carry the attribute.  One
-        vectorized scan of the pair stream per attribute, memoized — the
-        columnar figure/table paths gather these through
-        ``RecordColumns.session_codes`` instead of decoding fingerprints.
+        session's fingerprint does not carry the attribute.  One row of
+        :meth:`stacked_value_codes` — the columnar figure/table paths
+        gather these through ``RecordColumns.session_codes`` instead of
+        decoding fingerprints.
         """
 
-        if self._attribute_columns is None:
-            self._attribute_columns = {}
-        cached = self._attribute_columns.get(name)
-        if cached is not None:
-            return cached
-        codes = np.full(self.n_sessions, -1, dtype=np.int64)
-        values: List[Any] = []
-        try:
-            acode = self.fp_attribute_names.index(name)
-        except ValueError:
-            pass
-        else:
-            values = self.fp_values[acode]
-            pairs = np.nonzero(np.asarray(self.fp_attr_codes) == acode)[0]
-            # A fingerprint is a dict, so each session holds at most one
-            # pair per attribute; the owning session of pair p is the
-            # offset interval it falls into.
-            owners = (
-                np.searchsorted(np.asarray(self.fp_offsets), pairs, side="right") - 1
-            )
-            codes[owners] = np.asarray(self.fp_value_codes)[pairs]
-        self._attribute_columns[name] = (codes, values)
-        return codes, values
+        if name not in self.fp_attribute_names:
+            return np.full(self.n_sessions, -1, dtype=np.int64), []
+        acode = self.fp_attribute_names.index(name)
+        matrix, offsets = self.stacked_value_codes()
+        codes = matrix[acode] - offsets[acode]
+        codes[codes == len(self.fp_values[acode])] = -1
+        return codes, self.fp_values[acode]
 
     # -- encoding ----------------------------------------------------------
 
@@ -616,6 +641,7 @@ class RecordColumns:
         "sources",
         "url_paths",
         "sessions",
+        "_canonical_cookies",
     )
 
     def __init__(
@@ -671,6 +697,16 @@ class RecordColumns:
                 ),
             )
         self.sessions = sessions
+
+    def canonical_cookies(self) -> np.ndarray:
+        """:func:`canonical_codes` of ``cookie_values``, memoized: each
+        cookie code's first code with its string."""
+
+        # The slot stays unset until then, so shard payloads never carry it.
+        codes = getattr(self, "_canonical_cookies", None)
+        if codes is None:
+            codes = self._canonical_cookies = canonical_codes(self.cookie_values)
+        return codes
 
     @property
     def n_rows(self) -> int:
@@ -948,12 +984,21 @@ def canonical_codes(keys: Sequence) -> np.ndarray:
 
     Equal keys under different indexes share one code, so a row column
     re-coded through these codes has as many distinct codes as distinct
-    keys, without decoding a key per row.
+    keys, without decoding a key per row.  Each key is hashed once; only
+    the repeats are looked up again.
     """
 
     first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    codes = np.arange(len(keys), dtype=np.int64)
+    is_first = np.zeros(len(keys), dtype=bool)
+    is_first[np.fromiter(first.values(), dtype=np.int64, count=len(first))] = True
+    missing = first.get(None)
     first[None] = -1
-    return np.fromiter(map(first.__getitem__, keys), dtype=np.int64, count=len(keys))
+    repeats = np.flatnonzero(~is_first)
+    codes[repeats] = [first[keys[position]] for position in repeats.tolist()]
+    if missing is not None:
+        codes[missing] = -1
+    return codes
 
 
 def first_occurrence_recode(row_codes: np.ndarray, keys: Sequence) -> Tuple[np.ndarray, List]:

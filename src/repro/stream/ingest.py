@@ -67,16 +67,17 @@ class StreamIngestor:
 
         Only the vocabulary (decode lists, in code order) and the row
         counters are durable.  Nothing is copied: the lists and the
-        value → code indexes are the ingestor's own, valid until the next
-        ingest, and must be treated as read-only — the checkpointer reads
-        the entries past its high-water marks and encodes values as codes
-        through the indexes.  The raw-value memo and the remap tables are
-        pure caches — :meth:`restore_state` rebuilds the indexes and lets
-        the caches refill lazily, so a restored ingestor encodes every
-        future batch exactly as the original would have.
+        value → code indexes are the ingestor's own and must be treated as
+        read-only — the checkpointer reads the entries past its high-water
+        marks and encodes values as codes through the indexes.  The
+        raw-value memo and the remap tables are pure caches —
+        :meth:`restore_state` adopts the vocabulary and lets the caches
+        refill lazily, so a restored ingestor encodes every future batch
+        exactly as the original would have.
         """
 
         encoder = self._encoder
+        encoder.sync_indexes()
         return {
             "attributes": self.attributes,
             "values": encoder.values,
@@ -90,20 +91,22 @@ class StreamIngestor:
         }
 
     def restore_state(self, state: Dict) -> None:
-        """Adopt a vocabulary exported by :meth:`export_state`.
+        """Adopt a vocabulary exported by :meth:`export_state` or folded
+        from a checkpoint.
 
-        Decode lists are mutated in place (emitted batches hold them by
-        reference) and the value → code indexes are rebuilt from code
-        order; every cache resets empty.  Only the decode lists and
-        counters are read, so a checkpoint's folded vocabulary restores
-        as well as another ingestor's export.
+        A checkpoint's folded decode lists become this ingestor's own,
+        uncopied, so the restored temporal state and the restored flags,
+        which decode through the same lists, never meet a second list for
+        a slot.  A live export (it carries its owner's indexes) is copied,
+        because its owner keeps extending it.  Indexes are rebuilt from
+        code order and every cache resets empty.
         """
 
         if tuple(state["attributes"]) != self.attributes:
             raise ValueError(
                 "checkpointed attribute set does not match this ingestor's attributes"
             )
-        self._encoder.restore(state["values"], state["cookie_values"], state["ip_values"])
+        self._encoder.restore(state)
         self.rows_ingested = int(state["rows_ingested"])
         self.batches_emitted = int(state["batches_emitted"])
 

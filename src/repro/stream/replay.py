@@ -603,7 +603,10 @@ def verdicts_digest(verdicts: Verdicts) -> str:
     pass.
     """
 
-    ids, rule_texts, rules, positions, flag_texts = _serialised(verdicts)
+    serialised, verdicts.serialised = verdicts.serialised, None
+    if serialised is None:
+        serialised = _serialised(verdicts)
+    ids, rule_texts, rules, positions, flag_texts = serialised
     if not ids.size:
         return hashlib.sha256(b"[]").hexdigest()
     middles = [
@@ -640,11 +643,14 @@ def same_verdicts(left: Verdicts, right: Verdicts) -> bool:
     hashing both documents.  Keys and values are compared as JSON text,
     never with ``==``, under which ``1``, ``1.0`` and ``True`` would pass
     for one another; so this holds exactly when :func:`verdicts_digest` of
-    the two would match.
+    the two would match.  *left* keeps its serialisation for the next
+    :func:`verdicts_digest` of it (``repro stream --verify-batch --json``
+    compares the streamed side, then hashes it).
     """
 
+    left.serialised = _serialised(left)
     columns = [
         (ids, np.array(rule_texts, dtype=object)[rules], positions, flag_texts)
-        for ids, rule_texts, rules, positions, flag_texts in map(_serialised, (left, right))
+        for ids, rule_texts, rules, positions, flag_texts in (left.serialised, _serialised(right))
     ]
     return all(np.array_equal(*pair) for pair in zip(*columns))

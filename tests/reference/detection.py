@@ -17,8 +17,14 @@ algorithms, kept as the oracle the columnar engine is pinned against
   the incremental matcher replaced, kept to pin it row for row;
   :class:`SearchsortedMatcher`, the sorted-key form of the compiled
   matcher that its dense rank table replaced;
-* :class:`UniqueSeenColumn` — the seen-state column that finds first
-  sightings with ``np.unique`` instead of a scatter-min;
+* :class:`SeenColumn` — the seen-state of one (key kind, attribute)
+  pair observed one column at a time, which the per-kind pass replaced,
+  and :class:`UniqueSeenColumn`, the same column finding first sightings
+  with ``np.unique`` instead of a scatter-min;
+* :class:`PerAttributeTableEncoder` — the table encoder with one gather
+  per attribute (over :func:`attribute_value_codes_scan` columns) and
+  cookies and addresses interned by value, which the stacked gather over
+  canonical codes replaced;
 * :func:`expected_value_count_scan` — the knowledge base's catalogue scan
   per query, which its per-pair index replaced;
 * :class:`TemporalFlag` — one flag object, with :func:`flag_objects` /
@@ -66,11 +72,10 @@ from repro.core.temporal import (
     TemporalFlags,
     TemporalInconsistencyDetector,
     TemporalStreamState,
-    _SeenColumn,
 )
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.categories import AttributeCategory, all_candidate_pairs
-from repro.fingerprint.fingerprint import Fingerprint
+from repro.fingerprint.fingerprint import Fingerprint, grouping_value
 from repro.stream.checkpoint import _pack_ints
 
 from reference.store import RequestStore, records
@@ -591,7 +596,75 @@ class ObjectTemporalDetector(TemporalInconsistencyDetector):
         return set(self.evaluate_store(store))
 
 
-class UniqueSeenColumn(_SeenColumn):
+#: Resting value of :attr:`SeenColumn.sighting`: after every row position.
+_UNSEEN = np.iinfo(np.int64).max
+
+
+class SeenColumn:
+    """The seen-state of one (key kind, attribute) pair, indexed by key id,
+    observed one column at a time: the per-column pass that the per-kind
+    :class:`~repro.core.temporal._SeenKind` replaced, kept to pin it.
+
+    ``first[key]`` is the first value id observed for *key* (``-1`` while
+    the key is untracked); only keys that grew past it get an
+    ``overflow`` entry, every value id they hold in observation order.
+    ``stamp[key]`` is the state epoch of the key's last change.
+    """
+
+    __slots__ = ("first", "stamp", "sighting", "overflow")
+
+    def __init__(self):
+        self.first = np.full(0, -1, dtype=np.int32)
+        self.stamp = np.zeros(0, dtype=np.int32)
+        self.sighting = np.full(0, _UNSEEN, dtype=np.int64)
+        self.overflow: Dict[int, List[int]] = {}
+
+    def reserve(self, n_keys: int) -> None:
+        size = self.first.size
+        if n_keys > size:
+            grown = max(n_keys, 2 * size) - size
+            self.first = np.concatenate([self.first, np.full(grown, -1, dtype=np.int32)])
+            self.stamp = np.concatenate([self.stamp, np.zeros(grown, dtype=np.int32)])
+            self.sighting = np.concatenate([self.sighting, np.full(grown, _UNSEEN, dtype=np.int64)])
+
+    def observe(self, keys: np.ndarray, values: np.ndarray, tolerance: int, epoch: int):
+        """Stream time-ordered ``(key, value)`` ids; returns
+        ``(position, previous value ids, new value id)`` per flag."""
+
+        first = self.first
+        current = first[keys]
+        fresh = np.flatnonzero(current < 0)
+        if fresh.size:
+            fresh_keys = keys[fresh]
+            sighting = self.sighting
+            np.minimum.at(sighting, fresh_keys, fresh)
+            earliest = sighting[fresh_keys] == fresh
+            new_keys = fresh_keys[earliest]
+            first[new_keys] = values[fresh[earliest]]
+            self.stamp[new_keys] = epoch
+            sighting[new_keys] = _UNSEEN
+            current = first[keys]
+        rare = np.flatnonzero(values != current)
+        hits = []
+        changed = []
+        overflow = self.overflow
+        for position, key, value, held_first in zip(
+            rare.tolist(), keys[rare].tolist(), values[rare].tolist(), current[rare].tolist()
+        ):
+            held = overflow.get(key)
+            if held is None:
+                held = overflow[key] = [held_first]
+            elif value in held:
+                continue
+            if len(held) >= tolerance:
+                hits.append((position, tuple(held), value))
+            held.append(value)
+            changed.append(key)
+        self.stamp[changed] = epoch
+        return hits
+
+
+class UniqueSeenColumn(SeenColumn):
     """A seen-state column whose first sightings come from ``np.unique``:
     each fresh key's earliest position is its first index in a sort."""
 
@@ -621,6 +694,163 @@ class UniqueSeenColumn(_SeenColumn):
         return hits
 
 
+def attribute_value_codes_scan(sessions, name: str) -> Tuple[np.ndarray, List]:
+    """:meth:`SessionArrays.attribute_value_codes` as one scan of the pair
+    stream per attribute, the form the stacked matrix replaced."""
+
+    codes = np.full(sessions.n_sessions, -1, dtype=np.int64)
+    if name not in sessions.fp_attribute_names:
+        return codes, []
+    acode = sessions.fp_attribute_names.index(name)
+    pairs = np.nonzero(np.asarray(sessions.fp_attr_codes) == acode)[0]
+    owners = np.searchsorted(np.asarray(sessions.fp_offsets), pairs, side="right") - 1
+    codes[owners] = np.asarray(sessions.fp_value_codes)[pairs]
+    return codes, sessions.fp_values[acode]
+
+
+def _intern_by_value(items: Sequence, index: Dict, values: List) -> np.ndarray:
+    """Codes of *items* (repeats allowed) in a growing vocabulary, new
+    ones appended in first-occurrence order."""
+
+    unseen = [item for item in dict.fromkeys(items) if item not in index]
+    index.update(zip(unseen, range(len(values), len(values) + len(unseen))))
+    values.extend(unseen)
+    return np.fromiter(map(index.__getitem__, items), dtype=np.int64, count=len(items))
+
+
+def _gather(remap: np.ndarray, raw: np.ndarray, encode) -> np.ndarray:
+    """``remap[raw]``, first filling the never-seen codes (``-2``) through
+    *encode*, which gets them in first-occurrence order."""
+
+    codes = remap[raw]
+    pending = np.flatnonzero(codes == -2)
+    if pending.size:
+        new, first = np.unique(raw[pending], return_index=True)
+        new = new[np.argsort(first)]
+        remap[new] = encode(new.tolist())
+        codes = remap[raw]
+    return codes
+
+
+class PerAttributeTableEncoder:
+    """:class:`~repro.core.columnar.TableEncoder` gathering one attribute at
+    a time from per-attribute raw-value columns, and interning cookies and
+    addresses by value: the encoder the stacked gather and the canonical
+    cookie and address codes replaced, kept to pin them.  Same vocabulary
+    attributes; :meth:`restore` copies the decode lists it is given."""
+
+    def __init__(self, attributes: Sequence[Attribute]):
+        self.attributes = tuple(attributes)
+        self.indexes = {attribute: {} for attribute in self.attributes}
+        self.values = {attribute: [] for attribute in self.attributes}
+        self.cookie_index, self.cookie_values = {}, []
+        self.ip_index, self.ip_values = {}, []
+        self._raw_codes = {attribute: {} for attribute in self.attributes}
+        self._columns = None
+
+    def restore(self, state: Dict) -> None:
+        for attribute in self.attributes:
+            self.values[attribute] = list(state["values"][attribute])
+            self.indexes[attribute] = {
+                value: code for code, value in enumerate(self.values[attribute])
+            }
+            self._raw_codes[attribute] = {}
+        self.cookie_values = list(state["cookie_values"])
+        self.cookie_index = {value: code for code, value in enumerate(self.cookie_values)}
+        self.ip_values = list(state["ip_values"])
+        self.ip_index = {value: code for code, value in enumerate(self.ip_values)}
+        self._columns = None
+
+    def encode(self, columns, rows):
+        from repro.core.columnar import ColumnarTable
+
+        if columns is not self._columns:
+            self._columns = columns
+            self._raw_columns = [
+                attribute_value_codes_scan(columns.sessions, attribute.value)
+                for attribute in self.attributes
+            ]
+            self._value_remaps = []
+            for _session_raw, raw_values in self._raw_columns:
+                remap = np.full(len(raw_values) + 1, -2, dtype=np.int32)
+                remap[-1] = -1
+                self._value_remaps.append(remap)
+            self._ip_remap = np.full(columns.n_sessions, -2, dtype=np.int32)
+            self._cookie_remap = np.full(len(columns.cookie_values), -2, dtype=np.int32)
+        rows = np.asarray(rows, dtype=np.int64)
+        sessions = columns.session_codes[rows]
+        codes = {}
+        for attribute, (session_raw, raw_values), remap in zip(
+            self.attributes, self._raw_columns, self._value_remaps
+        ):
+            codes[attribute] = _gather(
+                remap,
+                session_raw[sessions],
+                lambda new, attribute=attribute, raw_values=raw_values: [
+                    self._encode_value(attribute, raw_values[raw]) for raw in new
+                ],
+            )
+        return ColumnarTable(
+            codes=codes,
+            values=self.values,
+            n_rows=int(rows.size),
+            request_ids=columns.request_ids[rows],
+            timestamps=columns.timestamps[rows],
+            cookie_codes=_gather(
+                self._cookie_remap,
+                columns.served_codes[rows],
+                lambda new: _intern_by_value(
+                    [columns.cookie_values[raw] for raw in new], self.cookie_index,
+                    self.cookie_values,
+                ),
+            ),
+            cookie_values=self.cookie_values,
+            ip_codes=_gather(
+                self._ip_remap,
+                sessions,
+                lambda new: _intern_by_value(
+                    [columns.session_ips[raw] for raw in new], self.ip_index, self.ip_values
+                ),
+            ),
+            ip_values=self.ip_values,
+        )
+
+    def _encode_value(self, attribute: Attribute, raw) -> int:
+        raw_codes = self._raw_codes[attribute]
+        code = raw_codes.get(raw)
+        if code is None:
+            grouped = grouping_value(attribute, raw)
+            index = self.indexes[attribute]
+            code = index.get(grouped)
+            if code is None:
+                code = len(self.values[attribute])
+                index[grouped] = code
+                self.values[attribute].append(grouped)
+            raw_codes[raw] = code
+        return code
+
+
+def held_values(seen, row: int, key: int) -> List[int]:
+    """The value ids entry (*row*, *key*) of a per-kind seen-state holds,
+    in observation order."""
+
+    held = seen.overflow[row].get(key)
+    if held is not None:
+        return list(held)
+    return [int(value) for value in (seen.first[row, key], seen.second[row, key]) if value >= 0]
+
+
+def seen_hits(flat, counts, previous, new) -> List[Tuple[int, Tuple[int, ...], int]]:
+    """A per-kind pass's flag columns as ``(position, previous value ids,
+    new value id)`` tuples, the per-column oracles' form."""
+
+    ends = np.cumsum(counts).tolist()
+    return [
+        (position, tuple(previous[end - count : end].tolist()), value)
+        for position, end, count, value in zip(flat.tolist(), ends, counts.tolist(), new.tolist())
+    ]
+
+
 def changes_since(state: TemporalStreamState, epoch: int):
     """:meth:`TemporalStreamState.changes_since`, one key at a time.
 
@@ -628,18 +858,18 @@ def changes_since(state: TemporalStreamState, epoch: int):
     ids are its overflow list, or its first value alone.
     """
 
-    for (kind, attribute), column in state._columns.items():
-        keys = np.flatnonzero(column.stamp > epoch)
-        if keys.size:
-            held = []
-            for key in keys.tolist():
-                first = int(column.first[key])
-                held.append(column.overflow.get(key, [first] if first >= 0 else []))
-            counts = np.fromiter(map(len, held), dtype=np.int64, count=keys.size)
-            values = np.fromiter(
-                chain.from_iterable(held), dtype=np.int64, count=int(counts.sum())
-            )
-            yield kind, attribute, keys, counts, values
+    for kind, seen in state._kinds.items():
+        for attribute, row in seen.rows.items():
+            keys = np.flatnonzero(seen.stamp[row] > epoch)
+            if keys.size:
+                held = []
+                for key in keys.tolist():
+                    held.append(held_values(seen, row, key))
+                counts = np.fromiter(map(len, held), dtype=np.int64, count=keys.size)
+                values = np.fromiter(
+                    chain.from_iterable(held), dtype=np.int64, count=int(counts.sum())
+                )
+                yield kind, attribute, keys, counts, values
 
 
 def encode_seen(

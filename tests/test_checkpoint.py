@@ -31,6 +31,7 @@ from repro import faults, obs
 from repro.analysis.engine import CorpusEngine
 from repro.cli import main
 from repro.core.detector import FPInconsistent
+from repro.core.temporal import TemporalFlags
 from repro.stream import (
     ArrivalStream,
     CheckpointError,
@@ -639,6 +640,43 @@ def test_v4_checkpoint_with_object_built_flags_resumes_byte_identically(tmp_path
         resume=True,
     )
     assert resumed.resumed_from_batch == 4
+    assert verdicts_digest(resumed.verdicts) == verdicts_digest(
+        _refreshing_driver(detector).replay(corpus.bot_store).verdicts
+    )
+
+
+def test_resumed_ingest_and_temporal_state_share_one_decode_list_per_slot(
+    monkeypatch, tmp_path, corpus, fitted
+):
+    """Resuming the v4 fixture hands the folded decode lists to the
+    ingestor as they are: the restored temporal state keeps every
+    vocabulary adopted (no interned copy) through the next batches, no
+    flag concatenation re-bases a slot onto a second list, and the digest
+    is the uninterrupted one."""
+
+    detector, _table, _verdicts = fitted
+    directory = _extract_fixture("stream_checkpoint_v4_object_flags.tar.gz", tmp_path / "ck")
+    concat, rebased = TemporalFlags.concat.__func__, []
+
+    def watched(cls, parts, offsets):
+        for field in ("keys", "values"):
+            lists = {}
+            for part in parts:
+                for slot, items in getattr(part, field).items():
+                    if lists.setdefault(slot, items) is not items:
+                        rebased.append((field, slot))
+        return concat(cls, parts, offsets)
+
+    monkeypatch.setattr(TemporalFlags, "concat", classmethod(watched))
+    checkpointer = StreamCheckpointer(directory, every_batches=2)
+    resumed = _refreshing_driver(detector).replay(
+        corpus.bot_store, checkpointer=checkpointer, resume=True
+    )
+    assert resumed.resumed_from_batch == 4
+    state = checkpointer._seen_mark[0]
+    assert state._vocabularies
+    assert all(vocabulary.index is None for vocabulary in state._vocabularies.values())
+    assert rebased == []
     assert verdicts_digest(resumed.verdicts) == verdicts_digest(
         _refreshing_driver(detector).replay(corpus.bot_store).verdicts
     )

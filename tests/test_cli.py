@@ -141,6 +141,34 @@ def stream_cache(tmp_path_factory):
     return directory
 
 
+def test_stream_verify_batch_json_serialises_each_side_once(
+    capsys, monkeypatch, stream_cache, tmp_path
+):
+    """``--verify-batch --json`` serialises the streamed verdicts once, for
+    the comparison and the digest together, and the batch side once; the
+    digest is the canonical serialisation's."""
+
+    from reference.detection import reference_digest
+
+    from repro.stream import replay
+
+    serialise, calls = replay._serialised, []
+
+    def counted(verdicts):
+        calls.append(verdicts)
+        return serialise(verdicts)
+
+    monkeypatch.setattr(replay, "_serialised", counted)
+    out = tmp_path / "stream.json"
+    status, _out, err = run_cli(
+        capsys, "stream", "--seed", "5", "--scale", "0.003", "--cache", str(stream_cache),
+        "--batch-size", "200", "--verify-batch", "--json", str(out),
+    )
+    assert status == 0, err
+    assert len(calls) == 2 and calls[0] is not calls[1]
+    assert json.loads(out.read_text())["verdicts_digest"] == reference_digest(calls[0])
+
+
 def _retype_a_flag(verdicts, value) -> None:
     """Point the new value of one flag at *value*: the first flag of the
     lowest flagged request id, so both sides pick the same one."""

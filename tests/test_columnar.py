@@ -30,6 +30,7 @@ from repro.core.evaluation import evaluate_table3, evaluate_table4, true_negativ
 from repro.core.pipeline import FPInconsistentPipeline
 from repro.core.rules import FilterList, InconsistencyRule
 from repro.core.spatial import SpatialInconsistencyMiner, SpatialMinerConfig
+from repro.core import temporal as temporal_module
 from repro.core.temporal import TemporalInconsistencyDetector
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.categories import AttributeCategory
@@ -136,10 +137,15 @@ def test_classification_equivalence_on_random_stores(seed):
     assert legacy == reference.verdict_objects(columnar)
 
 
-def test_temporal_table_equivalence():
+def test_temporal_table_equivalence(monkeypatch):
     store = _random_store(13)
     legacy = reference.ObjectTemporalDetector().evaluate_store(store)
     table = _extract(store)
+    assert legacy == reference.flags_by_request(
+        table.request_ids, TemporalInconsistencyDetector().evaluate_table(table)
+    )
+    # A table observed in many seen-state passes raises the same flags.
+    monkeypatch.setattr(temporal_module, "_PASS_ROWS", 7)
     assert legacy == reference.flags_by_request(
         table.request_ids, TemporalInconsistencyDetector().evaluate_table(table)
     )

@@ -218,9 +218,11 @@ def test_map_shards_rebuilds_a_pool_after_a_killed_worker(monkeypatch):
     monkeypatch.setenv(faults.FAULTS_ENV_VAR, "shard_run:kill:0.4")
     stats = {}
     results = map_shards(_double, range(8), workers=2, retries=3, stats=stats)
-    assert results == [value * 2 for value in range(8)]
-    assert stats["failures"] > 0
-    assert stats["pool_rebuilds"] >= 1
+    # The messages keep the cause of a rare failure under load.
+    context = f"stats={stats} results={results}"
+    assert results == [value * 2 for value in range(8)], context
+    assert stats["failures"] > 0, context
+    assert stats["pool_rebuilds"] >= 1, context
 
 
 def test_map_shards_timeout_abandons_the_stuck_pool(monkeypatch):

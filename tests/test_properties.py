@@ -9,17 +9,18 @@ from reference import detection as reference
 from reference.detection import ObjectTemporalDetector, TemporalFlag
 from reference.fingerprint import differing_attributes, fingerprint_dict, stable_hash, without
 from reference.ml import ReferenceTree, assert_same_nodes, confusion_matrix, fit_tree
-from reference.store import RequestStore
+from reference.store import RequestStore, columnar_store
 from test_columnar import _extract, _random_store
 
-from repro.core.columnar import ColumnarTable
-from repro.core.detector import Verdicts
+from repro.core.columnar import ColumnarTable, TableEncoder
+from repro.core.detector import FPInconsistent, Verdicts
 from repro.core.rules import FilterList, InconsistencyRule, RuleTable
 from repro.core.spatial import SpatialInconsistencyMiner, SpatialMinerConfig
-from repro.core.temporal import _UNSEEN, TemporalStreamState, _SeenColumn
+from repro.core.temporal import _UNSEEN, TemporalStreamState, _SeenKind
 from repro.fingerprint.attributes import Attribute, format_resolution, parse_resolution
 from repro.fingerprint.categories import AttributeCategory
 from repro.fingerprint.fingerprint import Fingerprint
+from repro.honeysite.storage import RecordColumns
 from repro.ml.metrics import accuracy_score
 from repro.ml.tree import DecisionTree
 from repro.network.headers import accept_language_for
@@ -280,33 +281,159 @@ def test_dense_matcher_matches_the_oracle_on_mined_rules(mined_corpus, picks):
 
 @settings(PROFILE, max_examples=80, deadline=None)
 @given(
-    stream=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3)), max_size=60),
+    stream=st.lists(
+        st.tuples(st.integers(0, 7), st.lists(st.integers(-1, 3), min_size=3, max_size=3)),
+        max_size=60,
+    ),
+    n_attributes=st.integers(1, 3),
     tolerance=st.integers(1, 3),
     cuts=st.lists(st.integers(0, 60), max_size=4),
 )
-def test_seen_column_observe_matches_the_unique_oracle(stream, tolerance, cuts):
-    """Same flags and the same state, fed whole and fed in pieces (one
-    epoch per piece); the pieces flag what the whole stream flags."""
+# A key that shows its third value again, after a piece boundary.
+@example(
+    stream=[(0, [value, -1, value]) for value in (0, 1, 2, 2, 1, 3)],
+    n_attributes=3, tolerance=1, cuts=[3],
+)
+def test_seen_column_observe_matches_the_unique_oracle(stream, n_attributes, tolerance, cuts):
+    """One per-kind pass over attributes that share their keys raises the
+    flags, and keeps the state, of one per-column oracle per attribute (the
+    scatter-min column and the ``np.unique`` one, fed only the rows that
+    carry the attribute: ``-1`` is a missing value), fed whole and fed in
+    pieces (one epoch per piece); the pieces flag what the whole stream
+    flags."""
 
+    attributes = (Attribute.PLATFORM, Attribute.DEVICE_MEMORY, Attribute.COLOR_DEPTH)[
+        :n_attributes
+    ]
     keys = np.array([key for key, _ in stream], dtype=np.int64)
-    values = np.array([value for _, value in stream], dtype=np.int64)
+    values = np.array(
+        [row[:n_attributes] for _, row in stream], dtype=np.int64
+    ).reshape(-1, n_attributes).T
     bounds = [0, *sorted(min(cut, len(stream)) for cut in cuts), len(stream)]
     flagged = []
     for pieces in ([(0, len(stream))], list(zip(bounds, bounds[1:]))):
-        column, oracle = _SeenColumn(), reference.UniqueSeenColumn()
+        seen = _SeenKind()
+        oracles = [
+            (reference.SeenColumn(), reference.UniqueSeenColumn()) for _ in attributes
+        ]
         hits = []
         for epoch, (start, stop) in enumerate(pieces, start=1):
-            for seen in (column, oracle):
-                seen.reserve(8)
-            got = column.observe(keys[start:stop], values[start:stop], tolerance, epoch)
-            assert got == oracle.observe(keys[start:stop], values[start:stop], tolerance, epoch)
-            hits += [(start + position, held, value) for position, held, value in got]
-        assert column.first.tolist() == oracle.first.tolist()
-        assert column.stamp.tolist() == oracle.stamp.tolist()
-        assert column.overflow == oracle.overflow
-        assert (column.sighting == _UNSEEN).all()
-        flagged.append(hits)
+            rows = seen.reserve(attributes, 8)
+            got = reference.seen_hits(
+                *seen.observe(rows, keys[start:stop], values[:, start:stop], tolerance, epoch)
+            )
+            expected = []
+            for index, pair in enumerate(oracles):
+                carried = np.flatnonzero(values[index, start:stop] >= 0)
+                column_hits = []
+                for oracle in pair:
+                    oracle.reserve(8)
+                    column_hits.append(oracle.observe(
+                        keys[start:stop][carried], values[index, start:stop][carried],
+                        tolerance, epoch,
+                    ))
+                assert column_hits[0] == column_hits[1]
+                expected += [
+                    (index * (stop - start) + int(carried[position]), held, value)
+                    for position, held, value in column_hits[0]
+                ]
+            assert got == expected
+            width = stop - start
+            hits += [
+                (position // width, start + position % width, held, value)
+                for position, held, value in got
+            ]
+        for index, attribute in enumerate(attributes):
+            row = seen.rows[attribute]
+            for oracle in oracles[index]:
+                assert seen.first[row].tolist() == oracle.first.tolist()
+                assert seen.stamp[row].tolist() == oracle.stamp.tolist()
+                assert {
+                    key: reference.held_values(seen, row, key) for key in oracle.overflow
+                } == oracle.overflow
+                assert (seen.second[row] >= 0).sum() == len(oracle.overflow)
+        assert (seen.sighting == _UNSEEN).all()
+        flagged.append(sorted(hits))
     assert flagged[0] == flagged[1]
+
+
+def _repeating_a_cookie(columns: RecordColumns) -> RecordColumns:
+    """*columns* with a second archive code for its first cookie string,
+    served on every other row that was served the first."""
+
+    cookie_values = [*columns.cookie_values, columns.cookie_values[0]]
+    served = columns.served_codes.copy()
+    served[np.flatnonzero(served == 0)[::2]] = len(cookie_values) - 1
+    return RecordColumns(
+        timestamps=columns.timestamps,
+        session_codes=columns.session_codes,
+        presented_codes=columns.presented_codes,
+        served_codes=served,
+        source_codes=columns.source_codes,
+        cookie_values=cookie_values,
+        sources=columns.sources,
+        url_paths=columns.url_paths,
+        sessions=columns.sessions,
+        request_ids=columns.request_ids,
+    )
+
+
+@settings(PROFILE, max_examples=25, deadline=None)
+@given(
+    seeds=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+    sizes=st.tuples(st.integers(10, 120), st.integers(10, 120)),
+    cuts=st.lists(st.integers(0, 240), max_size=5),
+    restore_at=st.integers(0, 6),
+)
+def test_stacked_ingest_matches_the_per_attribute_encoder(seeds, sizes, cuts, restore_at):
+    """The stacked encoder gives the per-attribute reference encoder's
+    codes and decode lists, batch for batch: over two stores whose
+    sessions repeat address strings, each with two archive cookie codes
+    for one string and sharing strings with the other, in random arrival
+    order and batch cuts, restored mid-stream from a folded vocabulary."""
+
+    stores = [
+        _repeating_a_cookie(columnar_store(_random_store(seed, size)).columns)
+        for seed, size in zip(seeds, sizes)
+    ]
+    order = [
+        (columns, np.random.default_rng(seed).permutation(columns.n_rows))
+        for columns, seed in zip(stores, seeds)
+    ]
+    total = sum(rows.size for _columns, rows in order)
+    bounds = [0, *sorted(min(cut, total) for cut in cuts), total]
+    batches = []
+    for start, stop in zip(bounds, bounds[1:]):
+        for offset, (columns, rows) in zip((0, order[0][1].size), order):
+            piece = rows[max(start - offset, 0) : max(stop - offset, 0)]
+            if piece.size:
+                batches.append((columns, piece))
+    attributes = FPInconsistent().table_attributes()
+    encoder, oracle = TableEncoder(attributes), reference.PerAttributeTableEncoder(attributes)
+    for number, (columns, rows) in enumerate(batches):
+        if number == restore_at:
+            folded = {
+                "values": {attribute: list(encoder.values[attribute]) for attribute in attributes},
+                "cookie_values": list(encoder.cookie_values),
+                "ip_values": list(encoder.ip_values),
+            }
+            encoder = TableEncoder(attributes)
+            encoder.restore(folded)
+            oracle.restore(folded)
+            assert encoder.cookie_values is folded["cookie_values"]
+        got, want = encoder.encode(columns, rows), oracle.encode(columns, rows)
+        for attribute in attributes:
+            assert np.array_equal(got.codes_of(attribute), want.codes_of(attribute)), attribute
+        assert np.array_equal(got.cookie_codes, want.cookie_codes)
+        assert np.array_equal(got.ip_codes, want.ip_codes)
+        assert got.values_of(Attribute.PLATFORM) == want.values_of(Attribute.PLATFORM)
+    assert encoder.values == oracle.values
+    assert encoder.cookie_values == oracle.cookie_values
+    assert encoder.ip_values == oracle.ip_values
+    encoder.sync_indexes()
+    assert encoder.cookie_index == oracle.cookie_index
+    assert encoder.ip_index == oracle.ip_index
+    assert encoder.indexes == oracle.indexes
 
 
 # -- Algorithm 1: the grid miner against the object reference ------------------------
@@ -485,7 +612,8 @@ def test_seen_state_delta_matches_the_per_key_walk(ops, key_order, value_order, 
         keys = state.remap(("key", kind), ingest.decode[kind])[key_codes]
         values = state.remap(("value", attribute), ingest.decode[attribute])[value_codes]
         keep = keys >= 0  # the "" key tracks nothing
-        state.column(kind, attribute).observe(keys[keep], values[keep], tolerance, state.epoch)
+        seen, rows = state.seen(kind, (attribute,))
+        seen.observe(rows, keys[keep], values[keep][None, :], tolerance, state.epoch)
 
     def merge(kind, attribute, entries):
         # Codes index the foreign lists; a fold never holds the "" key.
