@@ -342,7 +342,8 @@ class TableEncoder:
     it is appended unhashed.  Adopting a ``RecordColumns`` first maps the
     archive strings the vocabulary already holds (from a restore or an
     earlier ``RecordColumns``), and the cookie and address indexes catch
-    up with their decode lists only when read (:meth:`sync_indexes`).
+    up with their decode lists only when read (:meth:`sync_indexes`), so
+    a stream never hashes a cookie or address string it only appends.
 
     Emitted tables share the decode lists *by reference*.  A batch
     extraction (:meth:`repro.core.detector.FPInconsistent.extract_table`)
@@ -393,22 +394,19 @@ class TableEncoder:
         """Adopt a vocabulary: *state*'s decode lists, in code order
         (``values`` per attribute, ``cookie_values``, ``ip_values``).
 
-        A checkpoint's folded lists become the encoder's own, uncopied, so
-        whatever else holds them (a restored temporal state, folded flags)
-        decodes through the very lists later batches extend.  A live
-        export (it carries its owner's ``indexes``) is copied, because its
-        owner keeps extending it.  Indexes are rebuilt; every cache starts
-        empty.
+        The lists become the encoder's own, uncopied, so whatever else
+        holds them (a restored temporal state, folded flags) decodes
+        through the very lists later batches extend; nothing else may
+        extend them.  Indexes are rebuilt; every cache starts empty.
         """
 
-        own = list if "indexes" in state else (lambda items: items)
-        self.values = {attribute: own(state["values"][attribute]) for attribute in self.attributes}
+        self.values = {attribute: state["values"][attribute] for attribute in self.attributes}
         self.indexes = {
             attribute: dict(zip(values, range(len(values))))
             for attribute, values in self.values.items()
         }
-        self.cookie_values, self.cookie_index = own(state["cookie_values"]), {}
-        self.ip_values, self.ip_index = own(state["ip_values"]), {}
+        self.cookie_values, self.cookie_index = state["cookie_values"], {}
+        self.ip_values, self.ip_index = state["ip_values"], {}
         self._raw_codes = {attribute: {} for attribute in self.attributes}
         self._columns = None
 

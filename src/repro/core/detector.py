@@ -38,7 +38,7 @@ class Verdicts:
     these rows.
     """
 
-    __slots__ = ("request_ids", "rule_index", "rules", "flags", "serialised")
+    __slots__ = ("request_ids", "rule_index", "rules", "flags")
 
     def __init__(
         self,
@@ -51,10 +51,6 @@ class Verdicts:
         self.rule_index = rule_index
         self.rules = rules
         self.flags = TemporalFlags() if flags is None else flags
-        #: the canonical serialisation a verdict comparison made of these
-        #: columns, which the next digest of them takes instead of
-        #: serialising again (:func:`repro.stream.same_verdicts`)
-        self.serialised = None
 
     @classmethod
     def concat(cls, chunks: Sequence["Verdicts"]) -> "Verdicts":

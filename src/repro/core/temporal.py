@@ -72,22 +72,20 @@ class _SeenKind:
     """Seen-state of one key kind: a row per attribute, a column per key id.
 
     ``first[row, key]`` is the first value id observed for *key* (``-1``
-    while the key is untracked) and ``second[row, key]`` the second one
-    (``-1`` while it holds one value).  Almost every key keeps one or two
-    values forever, so only keys that grew past two get an entry in their
-    row's ``overflow``: every value id they hold, the first two included,
-    in observation order.  ``stamp[row, key]`` is the state epoch of the
+    while the key is untracked).  Almost every key keeps one value
+    forever, so only keys that grew past it get an entry in their row's
+    ``overflow``: every value id they hold, the first one included, in
+    observation order.  ``stamp[row, key]`` is the state epoch of the
     entry's last change.  ``sighting`` is scratch for :meth:`observe`:
     every entry rests at :data:`_UNSEEN` between calls.
     """
 
-    __slots__ = ("rows", "first", "second", "stamp", "sighting", "overflow")
+    __slots__ = ("rows", "first", "stamp", "sighting", "overflow")
 
     def __init__(self):
         #: attribute -> its row, in the order attributes were first tracked
         self.rows: Dict[Attribute, int] = {}
         self.first = np.full((0, 0), -1, dtype=np.int32)
-        self.second = np.full((0, 0), -1, dtype=np.int32)
         self.stamp = np.zeros((0, 0), dtype=np.int32)
         self.sighting = np.full((0, 0), _UNSEEN, dtype=np.int64)
         self.overflow: List[Dict[int, List[int]]] = []
@@ -103,21 +101,9 @@ class _SeenKind:
         shape = (len(self.rows), max(n_keys, 2 * size) if n_keys > size else size)
         if shape != self.first.shape:
             self.first = _grown(self.first, shape, -1)
-            self.second = _grown(self.second, shape, -1)
             self.stamp = _grown(self.stamp, shape, 0)
             self.sighting = _grown(self.sighting, shape, _UNSEEN)
         return np.array([self.rows[attribute] for attribute in attributes], dtype=np.int64)
-
-    def _earliest(self, slots: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """Of ascending *positions*, the first of each entry in *slots*:
-        one ``np.minimum.at`` into ``sighting``, which touches only those
-        entries and is reset after use."""
-
-        sighting = self.sighting.reshape(-1)
-        np.minimum.at(sighting, slots, positions)
-        earliest = positions[sighting[slots] == positions]
-        sighting[slots] = _UNSEEN
-        return earliest
 
     def observe(self, rows: np.ndarray, keys: np.ndarray, values: np.ndarray,
                 tolerance: int, epoch: int):
@@ -125,11 +111,11 @@ class _SeenKind:
 
         ``values[i, j]`` is the value id of attribute row ``rows[i]`` that
         position *j* (key ``keys[j]``) shows, ``-1`` for none.  Every first
-        sighting of an entry, and every first change of one that holds one
-        value, is settled for all the rows at once (its earliest position
-        is an ``np.minimum.at``), and every position showing an entry's
-        first or second value is settled by comparison.  Only the
-        positions left — a third value or later — walk Python, in order.
+        sighting of an entry is settled for all the rows at once: its
+        earliest position is one ``np.minimum.at`` into ``sighting``, which
+        touches only those entries.  Every position showing its entry's
+        first value is settled by comparison.  Only the positions left — a
+        known entry showing another value — walk Python, in order.
 
         Returns the flags as columns: flat positions ``i * len(keys) + j``
         (ascending), each flag's count of previous value ids, those ids
@@ -140,34 +126,30 @@ class _SeenKind:
         slots = (rows[:, None] * width + keys).reshape(-1)
         values = values.reshape(-1)
         carried = values >= 0
-        first, second = self.first.reshape(-1), self.second.reshape(-1)
-        stamp = self.stamp.reshape(-1)
+        first, stamp = self.first.reshape(-1), self.stamp.reshape(-1)
         current = first[slots]
         fresh = np.flatnonzero(carried & (current < 0))
         if fresh.size:
-            sighted = self._earliest(slots[fresh], fresh)
-            first[slots[sighted]] = values[sighted]
-            stamp[slots[sighted]] = epoch
-            current[fresh] = first[slots[fresh]]
+            fresh_slots = slots[fresh]
+            sighting = self.sighting.reshape(-1)
+            np.minimum.at(sighting, fresh_slots, fresh)
+            sighted = fresh_slots[sighting[fresh_slots] == fresh]
+            first[sighted] = values[sighting[sighted]]
+            stamp[sighted] = epoch
+            sighting[sighted] = _UNSEEN
+            current[fresh] = first[fresh_slots]
         rare = np.flatnonzero(carried & (values != current))
-        alone = rare[second[slots[rare]] < 0]
-        changed = self._earliest(slots[alone], alone) if alone.size else alone
-        second[slots[changed]] = values[changed]
-        stamp[slots[changed]] = epoch
-        # An entry's first change is a flag when one value is all it may hold.
-        flagged = changed if tolerance <= 1 else changed[:0]
-        later = rare[values[rare] != second[slots[rare]]]
         positions, counts, previous, new, grew = [], [], [], [], []
         overflows = self.overflow
-        later_rows, later_keys = np.divmod(slots[later], width)
-        for position, row, key, value, held_first, held_second in zip(
-            later.tolist(), later_rows.tolist(), later_keys.tolist(), values[later].tolist(),
-            current[later].tolist(), second[slots[later]].tolist(),
+        rare_rows, rare_keys = np.divmod(slots[rare], width)
+        for position, row, key, value, held_first in zip(
+            rare.tolist(), rare_rows.tolist(), rare_keys.tolist(), values[rare].tolist(),
+            current[rare].tolist(),
         ):
             overflow = overflows[row]
             held = overflow.get(key)
             if held is None:
-                held = overflow[key] = [held_first, held_second]
+                held = overflow[key] = [held_first]
             elif value in held:
                 continue
             if len(held) >= tolerance:
@@ -178,12 +160,9 @@ class _SeenKind:
             held.append(value)
             grew.append(row * width + key)
         stamp[grew] = epoch
-        positions = np.concatenate([flagged, np.array(positions, dtype=np.int64)])
-        counts = np.concatenate([np.ones(flagged.size, np.int64), np.array(counts, np.int64)])
-        previous = np.concatenate([current[flagged], np.array(previous, dtype=np.int64)])
-        new = np.concatenate([values[flagged], np.array(new, dtype=np.int64)])
-        order = np.argsort(positions, kind="stable")
-        return positions[order], counts[order], previous[run_positions(counts, order)], new[order]
+        return tuple(
+            np.array(column, dtype=np.int64) for column in (positions, counts, previous, new)
+        )
 
 
 class _Vocabulary:
@@ -310,9 +289,9 @@ class TemporalStreamState:
         Yields ``(kind, attribute, keys, counts, values)``: ascending key
         ids, each key's value count, and every value id of each key
         concatenated in observation order.  A key without overflow holds
-        its first value, and its second where it has one, so the group is
-        gathered from ``first`` and ``second``; only the changed overflow
-        keys walk Python, and their value runs are scattered into place.
+        its first value alone, so the group is gathered from ``first``;
+        only the changed overflow keys walk Python, and their value runs
+        are scattered into place.
         """
 
         for kind, seen in self._kinds.items():
@@ -320,22 +299,19 @@ class TemporalStreamState:
                 keys = np.flatnonzero(seen.stamp[row] > epoch)
                 if not keys.size:
                     continue
-                seconds = seen.second[row, keys].astype(np.int64)
-                counts = 1 + (seconds >= 0)
+                counts = np.ones(keys.size, dtype=np.int64)
+                values = seen.first[row, keys].astype(np.int64)
                 overflow = seen.overflow[row]
-                held = []
                 if overflow:
                     is_grown = np.zeros(seen.first.shape[1], dtype=bool)
                     is_grown[np.fromiter(overflow, dtype=np.int64, count=len(overflow))] = True
                     grown = np.flatnonzero(is_grown[keys])
                     held = [overflow[key] for key in keys[grown].tolist()]
                     counts[grown] = np.fromiter(map(len, held), dtype=np.int64, count=grown.size)
-                starts = np.cumsum(counts) - counts
-                values = np.empty(int(counts.sum()), dtype=np.int64)
-                values[starts] = seen.first[row, keys]
-                values[starts[seconds >= 0] + 1] = seconds[seconds >= 0]
-                if held:
-                    # Each grown key's run, its first two values included.
+                    starts = np.cumsum(counts) - counts
+                    firsts, values = values, np.empty(int(counts.sum()), dtype=np.int64)
+                    values[starts] = firsts
+                    # Each grown key's run, its first value included.
                     runs = run_positions(counts, grown)
                     values[runs] = np.fromiter(
                         chain.from_iterable(held), dtype=np.int64, count=runs.size

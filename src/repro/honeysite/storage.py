@@ -697,16 +697,22 @@ class RecordColumns:
                 ),
             )
         self.sessions = sessions
+        self._canonical_cookies = None
+
+    def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
+        """Slot values without the cache: a shard payload never carries it."""
+
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_canonical_cookies"] = None
+        return None, state
 
     def canonical_cookies(self) -> np.ndarray:
         """:func:`canonical_codes` of ``cookie_values``, memoized: each
         cookie code's first code with its string."""
 
-        # The slot stays unset until then, so shard payloads never carry it.
-        codes = getattr(self, "_canonical_cookies", None)
-        if codes is None:
-            codes = self._canonical_cookies = canonical_codes(self.cookie_values)
-        return codes
+        if self._canonical_cookies is None:
+            self._canonical_cookies = canonical_codes(self.cookie_values)
+        return self._canonical_cookies
 
     @property
     def n_rows(self) -> int:
@@ -984,21 +990,12 @@ def canonical_codes(keys: Sequence) -> np.ndarray:
 
     Equal keys under different indexes share one code, so a row column
     re-coded through these codes has as many distinct codes as distinct
-    keys, without decoding a key per row.  Each key is hashed once; only
-    the repeats are looked up again.
+    keys, without decoding a key per row.
     """
 
     first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    codes = np.arange(len(keys), dtype=np.int64)
-    is_first = np.zeros(len(keys), dtype=bool)
-    is_first[np.fromiter(first.values(), dtype=np.int64, count=len(first))] = True
-    missing = first.get(None)
     first[None] = -1
-    repeats = np.flatnonzero(~is_first)
-    codes[repeats] = [first[keys[position]] for position in repeats.tolist()]
-    if missing is not None:
-        codes[missing] = -1
-    return codes
+    return np.fromiter(map(first.__getitem__, keys), dtype=np.int64, count=len(keys))
 
 
 def first_occurrence_recode(row_codes: np.ndarray, keys: Sequence) -> Tuple[np.ndarray, List]:

@@ -94,12 +94,12 @@ class StreamIngestor:
         """Adopt a vocabulary exported by :meth:`export_state` or folded
         from a checkpoint.
 
-        A checkpoint's folded decode lists become this ingestor's own,
-        uncopied, so the restored temporal state and the restored flags,
-        which decode through the same lists, never meet a second list for
-        a slot.  A live export (it carries its owner's indexes) is copied,
-        because its owner keeps extending it.  Indexes are rebuilt from
-        code order and every cache resets empty.
+        The decode lists become this ingestor's own, uncopied, so the
+        restored temporal state and the restored flags, which decode
+        through the same lists, never meet a second list for a slot; pass
+        copies of a live export's lists, since its owner keeps extending
+        them.  Indexes are rebuilt from code order and every cache resets
+        empty.
         """
 
         if tuple(state["attributes"]) != self.attributes:

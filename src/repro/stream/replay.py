@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -591,6 +592,25 @@ def _serialised(verdicts: Verdicts):
     )
 
 
+#: The left side's columns and serialisation from the last
+#: :func:`same_verdicts`, taken by the next :func:`verdicts_digest`, which
+#: reuses the serialisation when it hashes those very column objects
+#: (``repro stream --verify-batch --json`` compares the streamed verdicts,
+#: then hashes them).  Verdict columns are replaced, never written in
+#: place, so a changed column is another object and is serialised afresh.
+_compared: List = [(), None]
+
+
+def _columns_of(verdicts: Verdicts) -> tuple:
+    """Every object a serialisation of *verdicts* reads."""
+
+    flags = verdicts.flags
+    return (
+        verdicts, verdicts.request_ids, verdicts.rule_index, verdicts.rules, flags,
+        *(getattr(flags, name) for name in flags.__slots__),
+    )
+
+
 def verdicts_digest(verdicts: Verdicts) -> str:
     """SHA-256 over the canonical verdict serialisation.
 
@@ -603,8 +623,9 @@ def verdicts_digest(verdicts: Verdicts) -> str:
     pass.
     """
 
-    serialised, verdicts.serialised = verdicts.serialised, None
-    if serialised is None:
+    held, serialised = _compared
+    _compared[:] = [(), None]
+    if not held or not all(map(operator.is_, held, _columns_of(verdicts))):
         serialised = _serialised(verdicts)
     ids, rule_texts, rules, positions, flag_texts = serialised
     if not ids.size:
@@ -643,14 +664,14 @@ def same_verdicts(left: Verdicts, right: Verdicts) -> bool:
     hashing both documents.  Keys and values are compared as JSON text,
     never with ``==``, under which ``1``, ``1.0`` and ``True`` would pass
     for one another; so this holds exactly when :func:`verdicts_digest` of
-    the two would match.  *left* keeps its serialisation for the next
-    :func:`verdicts_digest` of it (``repro stream --verify-batch --json``
-    compares the streamed side, then hashes it).
+    the two would match.  *left*'s serialisation is kept for the next
+    :func:`verdicts_digest` (see :data:`_compared`).
     """
 
-    left.serialised = _serialised(left)
+    serialised = _serialised(left)
+    _compared[:] = [_columns_of(left), serialised]
     columns = [
         (ids, np.array(rule_texts, dtype=object)[rules], positions, flag_texts)
-        for ids, rule_texts, rules, positions, flag_texts in (left.serialised, _serialised(right))
+        for ids, rule_texts, rules, positions, flag_texts in (serialised, _serialised(right))
     ]
     return all(np.array_equal(*pair) for pair in zip(*columns))

@@ -837,7 +837,8 @@ def held_values(seen, row: int, key: int) -> List[int]:
     held = seen.overflow[row].get(key)
     if held is not None:
         return list(held)
-    return [int(value) for value in (seen.first[row, key], seen.second[row, key]) if value >= 0]
+    first = int(seen.first[row, key])
+    return [first] if first >= 0 else []
 
 
 def seen_hits(flat, counts, previous, new) -> List[Tuple[int, Tuple[int, ...], int]]:

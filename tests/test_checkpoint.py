@@ -720,7 +720,14 @@ def test_ingestor_state_roundtrip_preserves_the_vocabulary(corpus, fitted):
     original = StreamIngestor(attributes=detector.table_attributes())
     arrivals.ingest(original, 0, 512)
     restored = StreamIngestor(attributes=detector.table_attributes())
-    restored.restore_state(original.export_state())
+    exported = original.export_state()
+    # The original keeps extending its lists: the restored ingestor gets copies.
+    restored.restore_state({
+        **exported,
+        "values": {attribute: list(values) for attribute, values in exported["values"].items()},
+        "cookie_values": list(exported["cookie_values"]),
+        "ip_values": list(exported["ip_values"]),
+    })
     assert restored.rows_ingested == original.rows_ingested
 
     next_original = arrivals.ingest(original, 512, 256)

@@ -565,6 +565,20 @@ def test_shard_payload_contains_no_pickled_objects():
         assert module not in blob, f"shard payload pickles objects from {module!r}"
 
 
+def test_shard_payload_leaves_the_canonical_code_memos_behind():
+    """Memoised canonical cookie and address codes are caches: a pickled
+    payload carries neither, and the unpickled columns recompute them."""
+
+    import pickle
+
+    columns = run_shard(CorpusEngine(**TINY).plan()[0]).columns
+    cookies, ips = columns.canonical_cookies(), columns.sessions.canonical_ips()
+    restored = pickle.loads(pickle.dumps(columns, pickle.HIGHEST_PROTOCOL))
+    assert restored._canonical_cookies is None and restored.sessions._canonical_ips is None
+    assert np.array_equal(restored.canonical_cookies(), cookies)
+    assert np.array_equal(restored.sessions.canonical_ips(), ips)
+
+
 def test_payload_bytes_per_record_below_committed_ceiling():
     """Regression gate backing the CI payload check: measured transfer cost
     must stay under the committed ceiling, itself below the ~353 B/record

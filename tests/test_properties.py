@@ -289,7 +289,8 @@ def test_dense_matcher_matches_the_oracle_on_mined_rules(mined_corpus, picks):
     tolerance=st.integers(1, 3),
     cuts=st.lists(st.integers(0, 60), max_size=4),
 )
-# A key that shows its third value again, after a piece boundary.
+# A key that shows a third value, then its second and third again after a
+# piece boundary.
 @example(
     stream=[(0, [value, -1, value]) for value in (0, 1, 2, 2, 1, 3)],
     n_attributes=3, tolerance=1, cuts=[3],
@@ -351,7 +352,6 @@ def test_seen_column_observe_matches_the_unique_oracle(stream, n_attributes, tol
                 assert {
                     key: reference.held_values(seen, row, key) for key in oracle.overflow
                 } == oracle.overflow
-                assert (seen.second[row] >= 0).sum() == len(oracle.overflow)
         assert (seen.sighting == _UNSEEN).all()
         flagged.append(sorted(hits))
     assert flagged[0] == flagged[1]

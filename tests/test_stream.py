@@ -52,6 +52,7 @@ from repro.stream import (
     OnlineClassifier,
     ReplayDriver,
     StreamIngestor,
+    same_verdicts,
     verdicts_digest,
 )
 
@@ -163,6 +164,26 @@ def test_verdicts_digest_matches_the_canonical_serialisation(fitted):
         }
     )
     assert verdicts_digest(unusual) == reference_digest(unusual)
+
+
+def test_a_digest_after_a_comparison_hashes_the_columns_as_they_are(fitted):
+    """The serialisation ``same_verdicts`` keeps for the next digest serves
+    only the very columns it read: a flag column replaced between the
+    comparison and the digest is hashed as it is now."""
+
+    detector, table, verdicts = fitted
+    streamed, batch = detector.classify_table(table), detector.classify_table(table)
+    assert same_verdicts(streamed, batch)
+    flags = streamed.flags
+    flag = int(np.argmin(streamed.request_ids[flags.row]))
+    attribute = int(flags.attribute[flag])
+    flags.values = {**flags.values, attribute: [*flags.values[attribute], "changed"]}
+    flags.new = flags.new.copy()
+    flags.new[flag] = len(flags.values[attribute]) - 1
+    assert verdicts_digest(streamed) == reference_digest(streamed) != reference_digest(verdicts)
+    # Unchanged columns hash as the comparison serialised them.
+    assert same_verdicts(batch, verdicts)
+    assert verdicts_digest(batch) == reference_digest(verdicts)
 
 
 # -- ingestion -------------------------------------------------------------------
