@@ -17,11 +17,12 @@ fingerprint table in a single file::
 Loading the archive attaches a
 :class:`~repro.honeysite.storage.RequestStore`.  Since format v4 the
 archive is pure code arrays over scalar decode lists (no serialised
-objects) and is written uncompressed, so a warm hit memory-maps the
-columns read-only (``REPRO_CORPUS_MMAP``, default on) instead of reading
-them into RAM — and skips columnar extraction entirely (the embedded
-tables are exactly what extraction would produce).  An archive of any
-other format version is rejected, so the cache evicts and rebuilds it.
+objects), always written uncompressed, and a warm hit always memory-maps
+the columns read-only instead of reading them into RAM — and skips
+columnar extraction entirely (the embedded tables are exactly what
+extraction would produce).  An archive of any other format version, or
+one holding a deflated member, is rejected, so the cache evicts and
+rebuilds it.
 
 Writes go through a temporary directory renamed into place, so a crashed
 build never leaves a half-written entry behind.
@@ -39,9 +40,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro import faults, obs
+from repro import faults
 from repro.analysis.corpus import Corpus
-from repro.analysis.npzmap import NotMappableError, load_npz_mapped
+from repro.analysis.npzmap import load_npz_mapped
 from repro.bots.marketplace import build_marketplace
 from repro.core.columnar import ColumnarTable
 from repro.geo.geolite import GeoDatabase
@@ -59,30 +60,6 @@ from repro.users.privacy import PrivacyTechnology
 #: caching is disabled.
 CACHE_ENV_VAR = "REPRO_CORPUS_CACHE"
 
-#: Environment variable toggling memory-mapped archive loading (default
-#: on).  Set to ``0``/``false``/``no``/``off`` to force cached columnar
-#: archives fully into RAM — the loaded corpus is byte-identical either
-#: way; mapping only changes *when* column bytes leave the disk.
-MMAP_ENV_VAR = "REPRO_CORPUS_MMAP"
-
-#: Environment variable toggling deflate compression of the columnar
-#: archive (default off).  Format v4 saves uncompressed so the archive is
-#: memory-mappable; opt back into compression to trade mappability (the
-#: loader falls back to an in-RAM load) for disk space.
-COMPRESS_ENV_VAR = "REPRO_CORPUS_COMPRESS"
-
-_FALSY = frozenset(("0", "false", "no", "off"))
-
-
-#: Always-on so warm-path behaviour (mmap vs in-RAM) is queryable even
-#: in untraced runs; lookups (hit/miss/uncached) are counted by the
-#: engine's ``build_or_load_corpus``.
-_CACHE_LOADS = obs.counter(
-    "repro_corpus_cache_loads_total",
-    "Columnar store archive loads by mode (mmap, ram).",
-    always=True,
-)
-
 
 def default_cache_dir() -> Optional[Path]:
     """Cache root requested through ``REPRO_CORPUS_CACHE`` (``None`` if unset)."""
@@ -91,18 +68,6 @@ def default_cache_dir() -> Optional[Path]:
     if not raw:
         return None
     return Path(raw).expanduser()
-
-
-def mmap_enabled() -> bool:
-    """Whether cached columnar archives should load memory-mapped."""
-
-    return os.environ.get(MMAP_ENV_VAR, "1").strip().lower() not in _FALSY
-
-
-def compress_enabled() -> bool:
-    """Whether the columnar archive should be written deflate-compressed."""
-
-    return os.environ.get(COMPRESS_ENV_VAR, "0").strip().lower() not in _FALSY
 
 
 def corpus_cache_key(
@@ -187,11 +152,10 @@ def corpus_digest(corpus: Corpus) -> str:
 def _save_columnar_store(store: RequestStore, tables: Dict[str, ColumnarTable], path: Path) -> None:
     """Persist record columns and every fingerprint table as one archive.
 
-    Saved uncompressed by default: a stored (non-deflated) ``.npz`` keeps
-    every array in one contiguous byte range of the file, which is what
-    lets :func:`repro.analysis.npzmap.load_npz_mapped` map the columns on
-    a warm hit.  ``REPRO_CORPUS_COMPRESS`` opts back into deflate at the
-    cost of mappability.  The ``meta`` member is the JSON text as a 1-D
+    Saved uncompressed: a stored (non-deflated) ``.npz`` keeps every
+    array in one contiguous byte range of the file, which is what lets
+    :func:`repro.analysis.npzmap.load_npz_mapped` map the columns on a
+    warm hit.  The ``meta`` member is the JSON text as a 1-D
     ``uint8`` UTF-8 vector: a quarter of the size of a 0-d unicode scalar
     (UTF-32), and decoded with one ``bytes.decode``.
 
@@ -205,12 +169,11 @@ def _save_columnar_store(store: RequestStore, tables: Dict[str, ColumnarTable], 
     arrays, meta = _archive_payload(store, tables)
     text = json.dumps(meta).encode("utf-8")
     arrays = {"meta": np.frombuffer(text, dtype=np.uint8), **arrays}
-    savez = np.savez_compressed if compress_enabled() else np.savez
     fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     tmp = Path(tmp_name)
     try:
         with os.fdopen(fd, "wb") as handle:
-            savez(handle, **arrays)
+            np.savez(handle, **arrays)
             handle.flush()
             os.fsync(handle.fileno())
         faults.check("cache_write", path.name, path=tmp)
@@ -286,33 +249,22 @@ def _decode_columnar(data, path: Path):
 def _load_columnar_store(path: Path):
     """Load a :func:`_save_columnar_store` archive.
 
-    Returns ``(RequestStore, {subset: ColumnarTable})``.  With mmap
-    enabled (the default) the archive is mapped once and its member arrays
-    are read-only views into that mapping (the ``meta`` member alone is
-    read into the heap) — ``from_payload``/``from_arrays`` adopt them
-    zero-copy, so code columns stream from disk as they are touched and a
-    corpus larger than RAM replays shard-by-shard.  A compressed archive
-    falls back to an in-RAM ``np.load`` (whose ``mmap_mode="r"`` request
-    is a no-op for ``.npz``) with identical results.
+    Returns ``(RequestStore, {subset: ColumnarTable})``.  The archive is
+    mapped once and its member arrays are read-only views into that
+    mapping (the ``meta`` member alone is read into the heap) —
+    ``from_payload``/``from_arrays`` adopt them zero-copy, so code columns
+    stream from disk as they are touched and a corpus larger than RAM
+    replays shard-by-shard.
 
-    Any failure — truncated file, ragged or out-of-range columns, a newer
-    format, a ``meta`` member in the pre-``uint8`` encoding — maps to
-    :class:`StoreFormatError`, so the cache treats the entry as a miss and
-    rebuilds instead of serving a silently wrong corpus.
+    Any failure — truncated file, a deflated member, ragged or
+    out-of-range columns, a newer format, a ``meta`` member in the
+    pre-``uint8`` encoding — maps to :class:`StoreFormatError`, so the
+    cache treats the entry as a miss and rebuilds instead of serving a
+    silently wrong corpus.
     """
 
     try:
-        if mmap_enabled():
-            try:
-                store = _decode_columnar(load_npz_mapped(path), path)
-                _CACHE_LOADS.inc(mode="mmap")
-                return store
-            except NotMappableError:
-                pass  # compressed archive: fall through to the in-RAM load
-        with np.load(path, mmap_mode="r", allow_pickle=False) as data:
-            store = _decode_columnar(data, path)
-        _CACHE_LOADS.inc(mode="ram")
-        return store
+        return _decode_columnar(load_npz_mapped(path), path)
     except StoreFormatError:
         raise
     except Exception as exc:
@@ -444,7 +396,7 @@ class CorpusCache:
             return None
         try:
             return load_corpus(self.path_for(key))
-        except (StoreFormatError, KeyError, ValueError, json.JSONDecodeError, OSError):
+        except (KeyError, ValueError, OSError):
             shutil.rmtree(self.path_for(key))
             return None
 

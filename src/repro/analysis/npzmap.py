@@ -11,10 +11,10 @@ member's range, so the archive's code columns stream from disk on demand
 and the OS page cache — not the Python heap — decides what stays resident.
 
 Compressed members (``np.savez_compressed``, or archives re-written by a
-tool that deflates) cannot be mapped; :class:`NotMappableError` tells the
-caller to fall back to an in-RAM load.  Anything structurally wrong with
-the archive raises ``zipfile.BadZipFile`` / ``ValueError`` exactly like
-``np.load`` would, so cache-eviction paths treat both loaders the same.
+tool that deflates) cannot be mapped and raise ``ValueError``, like a
+member whose data overruns its entry; a broken ZIP raises
+``zipfile.BadZipFile``.  The cache reads either as a corrupt entry, which
+it evicts and rebuilds rather than serving.
 """
 
 from __future__ import annotations
@@ -37,11 +37,6 @@ _LOCAL_HEADER_SIGNATURE = b"PK\x03\x04"
 #: is read once at load, and mapped pages stay resident while any column
 #: of the same mapping is alive.
 HEAP_MEMBERS = frozenset({"meta"})
-
-
-class NotMappableError(ValueError):
-    """The archive exists and is well-formed but cannot be memory-mapped
-    (compressed members); load it into RAM instead."""
 
 
 def _member_data_offset(handle, info: zipfile.ZipInfo) -> int:
@@ -68,10 +63,9 @@ def load_npz_mapped(path) -> Dict[str, np.ndarray]:
     indexing an :class:`numpy.lib.npyio.NpzFile`.  The file is opened and
     mapped once; every member is a view into that one mapping, except
     :data:`HEAP_MEMBERS` and zero-dimensional members, which are read into
-    memory, and empty members, which are allocated.  Raises
-    :class:`NotMappableError` when any member is compressed, ``ValueError``
-    when a member's data overruns its ZIP entry, and never accepts pickled
-    (object-dtype) members.
+    memory, and empty members, which are allocated.  Raises ``ValueError``
+    when any member is compressed or a member's data overruns its ZIP
+    entry, and never accepts pickled (object-dtype) members.
     """
 
     arrays: Dict[str, np.ndarray] = {}
@@ -79,7 +73,7 @@ def load_npz_mapped(path) -> Dict[str, np.ndarray]:
         members = [info for info in archive.infolist() if info.filename.endswith(".npy")]
         for info in members:
             if info.compress_type != zipfile.ZIP_STORED:
-                raise NotMappableError(
+                raise ValueError(
                     f"npz member {info.filename!r} in {path} is compressed; "
                     "memory-mapping needs an uncompressed archive"
                 )

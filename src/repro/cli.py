@@ -468,6 +468,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         FilterListRefresher,
         ReplayDriver,
         same_verdicts,
+        serialise_verdicts,
         verdicts_digest,
     )
 
@@ -566,10 +567,15 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
+    # What the digest reads: under --verify-batch --json, the streamed side's
+    # serialisation, made once for the comparison and the digest together.
+    streamed = result.verdicts
     if args.verify_batch:
         # The oracle compares verdict columns; the digest is only published.
         with obs.tracer().span("stream.verify"):
-            same = same_verdicts(result.verdicts, detector.classify_table(table))
+            if args.json:
+                streamed = serialise_verdicts(streamed)
+            same = same_verdicts(streamed, detector.classify_table(table))
         if not same:
             print(
                 "stream: FAIL — streaming verdicts diverge from the batch pipeline",
@@ -597,7 +603,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         document["seconds"] = round(result.seconds, 3)
         document["batch_seconds"] = [round(value, 6) for value in result.batch_seconds]
         with obs.tracer().span("stream.digest"):
-            document["verdicts_digest"] = verdicts_digest(result.verdicts)
+            document["verdicts_digest"] = verdicts_digest(streamed)
         document["rule_hits"] = result.rule_hits()
         _write_document("stream", args.json, document)
         summary["saved_to"] = str(args.json)

@@ -26,6 +26,7 @@ from repro.stream.replay import (
     ReplayResult,
     StreamHealth,
     same_verdicts,
+    serialise_verdicts,
     verdicts_digest,
 )
 
@@ -42,5 +43,6 @@ __all__ = [
     "StreamIngestor",
     "WORKER_ATTEMPTS",
     "same_verdicts",
+    "serialise_verdicts",
     "verdicts_digest",
 ]

@@ -19,10 +19,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import operator
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -164,10 +163,10 @@ class ArrivalStream:
     Rows are sorted by timestamp (stable, so equal timestamps keep store
     order) and sliced into micro-batches of the store's record columns.
 
-    The columns may be read-only memmaps over the cached ``.npz`` archive
-    (a warm ``REPRO_CORPUS_MMAP`` hit): the argsort and every batch take
-    copy only the slice being scored into fresh arrays, so the backing
-    archive is never written and never fully resident.
+    The columns may be read-only maps over the cached ``.npz`` archive
+    (every warm cache hit): the argsort and every batch take copy only
+    the slice being scored into fresh arrays, so the backing archive is
+    never written and never fully resident.
     """
 
     def __init__(self, store: RequestStore):
@@ -547,13 +546,23 @@ def _joined(texts: np.ndarray, counts: np.ndarray) -> List[str]:
     return joined.tolist()
 
 
-def _serialised(verdicts: Verdicts):
-    """The canonical serialisation of *verdicts* as columns, rows in
+class SerialisedVerdicts(NamedTuple):
+    """The canonical serialisation of a verdict set as columns, rows in
     request-id order: the request ids; each used rule's canonical JSON
     (``None`` for an unused one, then ``"null"`` for no rule) and each
     row's index into them; and each flag's row position and canonical
-    JSON, a row's flags in their column order.  Every used rule and every
-    distinct flag key and value is encoded once."""
+    JSON, a row's flags in their column order."""
+
+    ids: np.ndarray
+    rule_texts: List[Optional[str]]
+    rules: np.ndarray
+    positions: np.ndarray
+    flag_texts: np.ndarray
+
+
+def _serialised(verdicts: Verdicts) -> SerialisedVerdicts:
+    """The :class:`SerialisedVerdicts` of *verdicts*.  Every used rule and
+    every distinct flag key and value is encoded once."""
 
     order = np.argsort(verdicts.request_ids, kind="stable")
     rules = verdicts.rules.rules
@@ -583,7 +592,7 @@ def _serialised(verdicts: Verdicts):
         ],
         dtype=object,
     )
-    return (
+    return SerialisedVerdicts(
         verdicts.request_ids[order],
         rule_texts,
         verdicts.rule_index[order],
@@ -592,42 +601,34 @@ def _serialised(verdicts: Verdicts):
     )
 
 
-#: The left side's columns and serialisation from the last
-#: :func:`same_verdicts`, taken by the next :func:`verdicts_digest`, which
-#: reuses the serialisation when it hashes those very column objects
-#: (``repro stream --verify-batch --json`` compares the streamed verdicts,
-#: then hashes them).  Verdict columns are replaced, never written in
-#: place, so a changed column is another object and is serialised afresh.
-_compared: List = [(), None]
+def serialise_verdicts(verdicts: Verdicts | SerialisedVerdicts) -> SerialisedVerdicts:
+    """*verdicts* as :class:`SerialisedVerdicts`, returned as they are when
+    they already are.
+
+    :func:`same_verdicts` and :func:`verdicts_digest` take the result in
+    place of the verdicts, so a caller that both compares and hashes one
+    side (``repro stream --verify-batch --json``) serialises it once and
+    holds the serialisation only as long as it keeps the reference.
+    """
+
+    if isinstance(verdicts, SerialisedVerdicts):
+        return verdicts
+    return _serialised(verdicts)
 
 
-def _columns_of(verdicts: Verdicts) -> tuple:
-    """Every object a serialisation of *verdicts* reads."""
-
-    flags = verdicts.flags
-    return (
-        verdicts, verdicts.request_ids, verdicts.rule_index, verdicts.rules, flags,
-        *(getattr(flags, name) for name in flags.__slots__),
-    )
-
-
-def verdicts_digest(verdicts: Verdicts) -> str:
+def verdicts_digest(verdicts: Verdicts | SerialisedVerdicts) -> str:
     """SHA-256 over the canonical verdict serialisation.
 
     The canonical form is a JSON list sorted by request id, one object per
     verdict with sorted keys: ``request_id``, ``spatial_rule`` (the rule's
     ``to_dict()`` or ``null``) and ``temporal_flags`` (every flag with its
     full evidence), dumped with ``sort_keys=True`` and compact separators,
-    here assembled from :func:`_serialised`: an unflagged row's text after
-    its request id is fixed by its rule, so the rows take one formatting
-    pass.
+    here assembled from *verdicts*' :class:`SerialisedVerdicts` (which
+    may be passed instead): an unflagged row's text after its request id
+    is fixed by its rule, so the rows take one formatting pass.
     """
 
-    held, serialised = _compared
-    _compared[:] = [(), None]
-    if not held or not all(map(operator.is_, held, _columns_of(verdicts))):
-        serialised = _serialised(verdicts)
-    ids, rule_texts, rules, positions, flag_texts = serialised
+    ids, rule_texts, rules, positions, flag_texts = serialise_verdicts(verdicts)
     if not ids.size:
         return hashlib.sha256(b"[]").hexdigest()
     middles = [
@@ -656,22 +657,22 @@ def verdicts_digest(verdicts: Verdicts) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def same_verdicts(left: Verdicts, right: Verdicts) -> bool:
+def same_verdicts(
+    left: Verdicts | SerialisedVerdicts, right: Verdicts | SerialisedVerdicts
+) -> bool:
     """Whether two verdict sets have the same canonical serialisation.
 
-    Compares the columns of :func:`_serialised` (request ids, each row's
-    rule as canonical JSON, each flag's row and canonical JSON) instead of
-    hashing both documents.  Keys and values are compared as JSON text,
-    never with ``==``, under which ``1``, ``1.0`` and ``True`` would pass
-    for one another; so this holds exactly when :func:`verdicts_digest` of
-    the two would match.  *left*'s serialisation is kept for the next
-    :func:`verdicts_digest` (see :data:`_compared`).
+    Compares the columns of their :class:`SerialisedVerdicts` (either side
+    may be passed as one) instead of hashing both documents: request ids,
+    each row's rule as canonical JSON, each flag's row and canonical JSON.
+    Keys and values are compared as JSON text, never with ``==``, under
+    which ``1``, ``1.0`` and ``True`` would pass for one another; so this
+    holds exactly when :func:`verdicts_digest` of the two would match.
     """
 
-    serialised = _serialised(left)
-    _compared[:] = [_columns_of(left), serialised]
+    sides = map(serialise_verdicts, (left, right))
     columns = [
         (ids, np.array(rule_texts, dtype=object)[rules], positions, flag_texts)
-        for ids, rule_texts, rules, positions, flag_texts in (serialised, _serialised(right))
+        for ids, rule_texts, rules, positions, flag_texts in sides
     ]
     return all(np.array_equal(*pair) for pair in zip(*columns))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -146,7 +147,8 @@ def test_stream_verify_batch_json_serialises_each_side_once(
 ):
     """``--verify-batch --json`` serialises the streamed verdicts once, for
     the comparison and the digest together, and the batch side once; the
-    digest is the canonical serialisation's."""
+    digest is the canonical serialisation's, and no serialisation is left
+    behind when the command returns."""
 
     from reference.detection import reference_digest
 
@@ -167,6 +169,9 @@ def test_stream_verify_batch_json_serialises_each_side_once(
     assert status == 0, err
     assert len(calls) == 2 and calls[0] is not calls[1]
     assert json.loads(out.read_text())["verdicts_digest"] == reference_digest(calls[0])
+    # The command held its serialisations in locals only: none outlives it.
+    gc.collect()
+    assert not [held for held in gc.get_objects() if isinstance(held, replay.SerialisedVerdicts)]
 
 
 def _retype_a_flag(verdicts, value) -> None:

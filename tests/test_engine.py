@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import zipfile
 
 import pytest
 from reference.generation import source_of
@@ -11,7 +12,6 @@ from reference.store import records, shard_store
 import repro.analysis.engine as engine_module
 from repro import obs
 from repro.analysis.cache import (
-    COMPRESS_ENV_VAR,
     CorpusCache,
     corpus_cache_key,
     corpus_digest,
@@ -213,6 +213,10 @@ def test_load_rejects_truncated_store(tiny_engine_corpus, tmp_path):
 
 def test_corpus_archive_roundtrip(tiny_engine_corpus, tmp_path):
     save_corpus(tiny_engine_corpus, tmp_path / "archive")
+    # Every member is stored, never deflated: the one archive format is the mappable one.
+    with zipfile.ZipFile(tmp_path / "archive" / "store_columnar.npz") as archive:
+        members = archive.infolist()
+    assert members and all(info.compress_type == zipfile.ZIP_STORED for info in members)
     restored = load_corpus(tmp_path / "archive")
     assert store_bytes(restored) == store_bytes(tiny_engine_corpus)
     assert restored.seed == tiny_engine_corpus.seed
@@ -227,10 +231,9 @@ def test_corpus_archive_roundtrip(tiny_engine_corpus, tmp_path):
     assert corpus_digest(restored) == corpus_digest(tiny_engine_corpus)
 
 
-def test_store_roundtrip_gzip_with_decision_fidelity(tiny_engine_corpus, tmp_path, monkeypatch):
-    """The compressed archive keeps every record, and each decision's detector and signals."""
+def test_store_roundtrip_with_decision_fidelity(tiny_engine_corpus, tmp_path):
+    """The archive keeps every record, and each decision's detector and signals."""
 
-    monkeypatch.setenv(COMPRESS_ENV_VAR, "1")
     directory = save_corpus(tiny_engine_corpus, tmp_path / "archive")
     meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
     assert meta["format_version"] == CORPUS_FORMAT_VERSION

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference.archive import load_corpus_in_ram, read_archive
 from reference.fingerprint import fingerprint_dict
 from reference.generation import reference_shard_store
 from reference.store import (
@@ -33,7 +34,6 @@ from reference.store import (
     unique_fingerprints,
 )
 from repro.analysis.cache import (
-    MMAP_ENV_VAR,
     CorpusCache,
     corpus_cache_key,
     corpus_digest,
@@ -366,8 +366,7 @@ def test_tampered_embedded_table_evicts_the_archive(tmp_path, columnar_corpus):
     archive = tmp_path / "v4"
     save_corpus(columnar_corpus, archive)
     path = archive / "store_columnar.npz"
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {name: data[name] for name in data.files}
+    arrays = read_archive(path)
     meta = json.loads(arrays["meta"].tobytes().decode("utf-8"))
     prefix = meta["tables"][0]["prefix"]
     arrays[f"{prefix}request_ids"] = arrays[f"{prefix}request_ids"] + 1000
@@ -384,8 +383,7 @@ def test_tampered_v4_code_stream_evicts_the_archive(tmp_path, columnar_corpus):
     archive = tmp_path / "v4"
     save_corpus(columnar_corpus, archive)
     path = archive / "store_columnar.npz"
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {name: data[name] for name in data.files}
+    arrays = read_archive(path)
     tampered = arrays["fp_value_codes"].astype(np.int32)
     tampered[0] = 10**6
     arrays["fp_value_codes"] = tampered
@@ -417,8 +415,7 @@ def write_v3_archive(corpus, directory):
     save_corpus(corpus, directory)
     columns = corpus.store.columns
     path = directory / "store_columnar.npz"
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {name: data[name] for name in data.files}
+    arrays = read_archive(path)
     meta = json.loads(arrays["meta"].tobytes().decode("utf-8"))
     for name in (
         "fp_attr_codes",
@@ -478,24 +475,24 @@ def write_unicode_meta_archive(corpus, directory):
 
     save_corpus(corpus, directory)
     path = directory / "store_columnar.npz"
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {name: data[name] for name in data.files}
+    arrays = read_archive(path)
     arrays["meta"] = np.array(arrays["meta"].tobytes().decode("utf-8"))
     with open(path, "wb") as handle:
         np.savez(handle, **arrays)
 
 
-def test_unicode_meta_archive_is_evicted_and_rebuilt(
-    tmp_path, columnar_corpus, golden, monkeypatch
-):
+def test_unicode_meta_archive_is_evicted_and_rebuilt(tmp_path, columnar_corpus, golden):
     """The version stays 4 (it is inside the digested meta), so the legacy
-    ``meta`` encoding itself must read as a miss, mapped or in RAM."""
+    ``meta`` encoding itself must read as a miss.  The archive decode
+    rejects it whoever reads the bytes: the reference ``np.load`` reader
+    as well as the mapped load."""
 
-    for mapped in ("1", "0"):
-        monkeypatch.setenv(MMAP_ENV_VAR, mapped)
-        assert_old_entry_evicts_and_rebuilds(
-            write_unicode_meta_archive, columnar_corpus, golden, tmp_path / mapped
-        )
+    write_unicode_meta_archive(columnar_corpus, tmp_path / "reference")
+    with pytest.raises(StoreFormatError):
+        load_corpus_in_ram(tmp_path / "reference")
+    assert_old_entry_evicts_and_rebuilds(
+        write_unicode_meta_archive, columnar_corpus, golden, tmp_path / "cache"
+    )
 
 
 # -- fan-out clamp ----------------------------------------------------------------

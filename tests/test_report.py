@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from reference import analysis as reference
 from reference import store as reference_store
+from reference.archive import load_corpus_in_ram
 from reference.fingerprint import without
 from reference.ml import FingerprintObjectEncoder
 
@@ -25,7 +26,7 @@ import repro.analysis.attributes as attributes_module
 import repro.analysis.figures as figures_module
 import repro.analysis.report as report_module
 from repro.analysis.attributes import table2, train_evasion_classifiers
-from repro.analysis.cache import MMAP_ENV_VAR, load_corpus, save_corpus
+from repro.analysis.cache import load_corpus, save_corpus
 from repro.analysis.corpus import build_corpus
 from repro.analysis.engine import CorpusEngine
 from repro.analysis.figures import (
@@ -287,20 +288,18 @@ def test_report_render_and_json_document(tiny_corpus):
         assert len(section["digest"]) == 16
 
 
-def test_report_digests_stable_on_memory_mapped_archive(tiny_corpus, tmp_path, monkeypatch):
-    baseline = generate_report(
-        tiny_corpus, sections=["table1", "figure4", "figure9", "blocklists"]
-    )
+def test_report_digests_stable_on_memory_mapped_archive(tiny_corpus, tmp_path):
+    sections = ["table1", "figure4", "figure9", "blocklists"]
+    baseline = generate_report(tiny_corpus, sections=sections)
     save_corpus(tiny_corpus, tmp_path)
-    monkeypatch.setenv(MMAP_ENV_VAR, "1")
     reloaded = load_corpus(tmp_path)
     assert isinstance(reloaded.store, RequestStore)
+    assert not reloaded.store.columns.timestamps.flags.writeable
     before = materialized_record_count()
-    mapped = generate_report(
-        reloaded, sections=["table1", "figure4", "figure9", "blocklists"]
-    )
+    mapped = generate_report(reloaded, sections=sections)
     assert materialized_record_count() == before
-    assert mapped.digests() == baseline.digests()
+    in_ram = generate_report(load_corpus_in_ram(tmp_path), sections=sections)
+    assert mapped.digests() == in_ram.digests() == baseline.digests()
 
 
 def test_table2_identical_across_engines(lazy_store, object_store):

@@ -53,6 +53,7 @@ from repro.stream import (
     ReplayDriver,
     StreamIngestor,
     same_verdicts,
+    serialise_verdicts,
     verdicts_digest,
 )
 
@@ -167,9 +168,10 @@ def test_verdicts_digest_matches_the_canonical_serialisation(fitted):
 
 
 def test_a_digest_after_a_comparison_hashes_the_columns_as_they_are(fitted):
-    """The serialisation ``same_verdicts`` keeps for the next digest serves
-    only the very columns it read: a flag column replaced between the
-    comparison and the digest is hashed as it is now."""
+    """``same_verdicts`` keeps nothing for a later digest: a flag column
+    replaced between the comparison and the digest is hashed as it is now.
+    Only a serialisation the caller holds (``serialise_verdicts``) is
+    shared, and it hashes exactly like the verdicts it was made from."""
 
     detector, table, verdicts = fitted
     streamed, batch = detector.classify_table(table), detector.classify_table(table)
@@ -184,6 +186,10 @@ def test_a_digest_after_a_comparison_hashes_the_columns_as_they_are(fitted):
     # Unchanged columns hash as the comparison serialised them.
     assert same_verdicts(batch, verdicts)
     assert verdicts_digest(batch) == reference_digest(verdicts)
+    held = serialise_verdicts(batch)
+    assert serialise_verdicts(held) is held
+    assert same_verdicts(held, verdicts) and not same_verdicts(held, streamed)
+    assert verdicts_digest(held) == reference_digest(verdicts)
 
 
 # -- ingestion -------------------------------------------------------------------
