@@ -15,6 +15,7 @@ on a laptop.  The scale only changes sampling noise, not behaviour.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -42,8 +43,8 @@ def default_scale() -> float:
         value = float(raw)
     except ValueError as exc:
         raise ValueError(f"{SCALE_ENV_VAR} must be a number, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError(f"{SCALE_ENV_VAR} must be positive, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{SCALE_ENV_VAR} must be positive and finite, got {value}")
     return value
 
 

@@ -312,16 +312,20 @@ def map_shards(
             with obs.tracer().span(
                 "shards.round", pool=label, round=attempt, pending=len(pending)
             ):
-                futures = {
-                    index: pool.submit(
-                        _guarded_call,
-                        (fn, payloads[index], f"{label}:{index}:{attempt}"),
-                    )
-                    for index in pending
-                }
-                failed: List[int] = []
-                broken = False
+                futures = {}
                 for index in pending:
+                    try:
+                        futures[index] = pool.submit(
+                            _guarded_call,
+                            (fn, payloads[index], f"{label}:{index}:{attempt}"),
+                        )
+                    except BrokenProcessPool:
+                        # A payload killed its worker while the round was
+                        # being submitted: the rest fail this round.
+                        break
+                failed: List[int] = [index for index in pending if index not in futures]
+                broken = bool(failed)
+                for index in futures:
                     try:
                         results[index] = futures[index].result(timeout=timeout)
                     except (BrokenProcessPool, concurrent.futures.TimeoutError):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 import time
@@ -121,8 +122,8 @@ def _validate_execution_knobs(parser: argparse.ArgumentParser, args: argparse.Na
         parser.error(f"--seed must be non-negative, got {args.seed}")
     if args.workers is not None and args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
-    if args.scale is not None and args.scale <= 0:
-        parser.error(f"--scale must be positive, got {args.scale}")
+    if args.scale is not None and not (math.isfinite(args.scale) and args.scale > 0):
+        parser.error(f"--scale must be positive and finite, got {args.scale}")
     try:
         if args.workers is None:
             default_workers()
@@ -479,8 +480,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         parser.error(f"--batch-size must be >= 1, got {batch_size}")
     if args.refresh_every < 0:
         parser.error(f"--refresh-every cannot be negative, got {args.refresh_every}")
-    if args.refresh_days < 0:
-        parser.error(f"--refresh-days cannot be negative, got {args.refresh_days}")
+    if not (math.isfinite(args.refresh_days) and args.refresh_days >= 0):
+        parser.error(f"--refresh-days cannot be negative or non-finite, got {args.refresh_days}")
     if args.refresh_every and args.refresh_days:
         parser.error(
             "--refresh-every and --refresh-days are two refresh schedules; pick one"

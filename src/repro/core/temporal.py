@@ -21,8 +21,8 @@ inconsistent".
 from __future__ import annotations
 
 import sys
-from itertools import chain, repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -165,109 +165,60 @@ class _SeenKind:
         )
 
 
-class _Vocabulary:
-    """Items by state id, for one key kind or attribute.
-
-    The first decode list a slot meets is adopted as is: ids are its
-    codes, so nothing is interned, and it may keep growing.  A second
-    decode list turns the vocabulary into an owned copy with an index,
-    into which every later list interns its items.  Either way equal items
-    share one id, because a decode list holds each item once.
-    """
-
-    __slots__ = ("items", "index", "drop_falsy")
-
-    def __init__(self, decode: List, drop_falsy: bool):
-        self.items = decode
-        self.index: Optional[Dict] = None
-        #: keys only: a falsy key ("" cookie) maps to -1 and tracks nothing
-        self.drop_falsy = drop_falsy
-
-    def ids(self, decode: List, start: int) -> np.ndarray:
-        """State ids of ``decode[start:]``."""
-
-        tail = decode[start:]
-        if decode is self.items:
-            ids = np.arange(start, len(decode), dtype=np.int64)
-            if self.drop_falsy and "" in tail:
-                ids[tail.index("")] = -1
-            return ids
-        if self.index is None:
-            self.items = list(self.items)
-            self.index = dict(zip(self.items, range(len(self.items))))
-            if self.drop_falsy:
-                self.index[""] = -1
-        # A decode list holds each item once: intern the unseen ones in order.
-        ids = np.fromiter(map(self.index.get, tail, repeat(-2)), dtype=np.int64, count=len(tail))
-        unseen = np.flatnonzero(ids == -2)
-        if unseen.size:
-            new = [tail[position] for position in unseen.tolist()]
-            ids[unseen] = np.arange(len(self.items), len(self.items) + len(new))
-            self.index.update(zip(new, ids[unseen].tolist()))
-            self.items.extend(new)
-        return ids
-
-
 class TemporalStreamState:
     """Per-device seen-state carried across micro-batches.
 
     Temporal detection is the one stateful part of scoring, so its state
     is an explicit object handed to
     :meth:`TemporalInconsistencyDetector.observe_table` on every batch.
-    Keys and values get the state's own ids (:class:`_Vocabulary`), which
-    table codes reach through remap arrays cached per decode list, so state
-    survives vocabulary growth and spans any sequence of tables.  Per key
-    kind a :class:`_SeenKind` holds each key's values, one row per
-    attribute.  Every change is stamped with the current ``epoch``, so a
-    checkpointer finds what changed since its last save with one
-    comparison per row (:meth:`close_epoch`, :meth:`changes_since`).
+    Each slot (``("key", kind)`` / ``("value", attribute)``) is bound to
+    the first decode list it meets, and its ids are that list's codes: the
+    list may keep growing (codes never change meaning), but a second list
+    for a bound slot is refused.  Per key kind a :class:`_SeenKind` holds
+    each key's values, one row per attribute.  Every change is stamped
+    with the current ``epoch``, so a checkpointer finds what changed since
+    its last save with one comparison per row (:meth:`close_epoch`,
+    :meth:`changes_since`).
     """
 
-    __slots__ = ("_vocabularies", "_remaps", "_kinds", "epoch")
+    __slots__ = ("_bound", "_kinds", "epoch")
 
     def __init__(self):
-        #: ("key", kind) / ("value", attribute) -> its vocabulary
-        self._vocabularies: Dict[Tuple, _Vocabulary] = {}
-        #: same slots -> (decode list, its codes remapped to ids)
-        self._remaps: Dict[Tuple, Tuple[List, np.ndarray]] = {}
+        #: slot -> [its decode list, how much of it was scanned for "", the code of ""]
+        self._bound: Dict[Tuple, List] = {}
         self._kinds: Dict[str, _SeenKind] = {}
         #: the stamp the next change receives (see :meth:`close_epoch`)
         self.epoch = 1
 
-    # -- vocabularies ------------------------------------------------------------
+    # -- decode lists ------------------------------------------------------------
 
-    def remap(self, slot: Tuple, decode: List) -> np.ndarray:
-        """Codes of *decode* -> state ids of *slot* (``("key", kind)`` or
-        ``("value", attribute)``), extended as *decode* grows.
+    def bind(self, slot: Tuple, decode: List) -> int:
+        """Bind *slot* to *decode* (a no-op once bound to it) and return the
+        code of the falsy key ``""``, which tracks nothing (``-1``: none).
 
-        Decode lists only ever grow (codes never change meaning), so the
-        cached remap of a list stays valid for the prefix it covers.  Falsy
-        keys (the "" cookie) map to ``-1``.
+        Only the tail added since the last call is scanned for ``""``; a
+        decode list holds each item once, so a found code stays.
         """
 
-        cached = self._remaps.get(slot)
-        if cached is not None and cached[0] is decode:
-            remap = cached[1]
-            if remap.size == len(decode):
-                return remap
-        else:
-            remap = np.empty(0, dtype=np.int64)
-        vocabulary = self._vocabularies.get(slot)
-        if vocabulary is None:
-            vocabulary = self._vocabularies[slot] = _Vocabulary(decode, slot[0] == "key")
-        remap = np.concatenate([remap, vocabulary.ids(decode, remap.size)])
-        self._remaps[slot] = (decode, remap)
-        return remap
+        bound = self._bound.setdefault(slot, [decode, 0, -1])
+        if bound[0] is not decode:
+            raise ValueError(f"temporal state slot {slot} is bound to another decode list")
+        if slot[0] == "key" and bound[2] < 0 and bound[1] < len(decode):
+            try:
+                bound[2] = decode.index("", bound[1])
+            except ValueError:
+                bound[1] = len(decode)
+        return bound[2]
 
     def items(self, slot: Tuple) -> List:
-        """The keys or values of *slot* by state id."""
+        """The decode list bound to *slot* (its keys or values by id)."""
 
-        vocabulary = self._vocabularies.get(slot)
-        return [] if vocabulary is None else vocabulary.items
+        bound = self._bound.get(slot)
+        return [] if bound is None else bound[0]
 
     def seen(self, kind: str, attributes: Sequence[Attribute]) -> Tuple[_SeenKind, np.ndarray]:
-        """The *kind* seen-state, sized for every interned key, and the rows
-        of *attributes* in it."""
+        """The *kind* seen-state, sized for every key of its decode list,
+        and the rows of *attributes* in it."""
 
         seen = self._kinds.get(kind)
         if seen is None:
@@ -328,17 +279,19 @@ class TemporalStreamState:
         counts: np.ndarray,
         value_codes: np.ndarray,
     ) -> None:
-        """Union entries given as codes against decode lists (a checkpoint fold).
+        """Union entries given as codes against decode lists (a checkpoint fold),
+        binding the kind's key slot and the attribute's value slot to them.
 
         Entry *i* holds ``counts[i]`` consecutive values in observation
         order.  Streaming them with no tolerance is an order-preserving
         union, so re-merging a known prefix is harmless.
         """
 
-        keys = np.repeat(self.remap(("key", kind), key_decode)[key_codes], counts)
-        values = self.remap(("value", attribute), value_decode)[value_codes]
+        self.bind(("key", kind), key_decode)
+        self.bind(("value", attribute), value_decode)
         seen, rows = self.seen(kind, (attribute,))
-        seen.observe(rows, keys, values[None, :], sys.maxsize, self.epoch)
+        seen.observe(rows, np.repeat(key_codes, counts), value_codes[None, :], sys.maxsize,
+                     self.epoch)
 
 
 #: Positions per seen-state pass: a whole table's kind is observed in
@@ -380,39 +333,27 @@ class TemporalFlags:
     def concat(cls, parts: Sequence["TemporalFlags"], offsets: Sequence[int]) -> "TemporalFlags":
         """*parts* in order, each one's rows shifted by its offset.
 
-        Parts raised by one state share its decode lists and keep their
-        ids.  A part that decodes a kind or an attribute through another
-        list (another state raised it) has that list appended to the merged
-        one, once per distinct list, and its ids shifted to where it starts.
+        Ids are kept as they are, so every part must decode a kind or an
+        attribute through the same list (one state raised them all);
+        parts decoding a slot through different lists raise ``ValueError``.
         """
 
         kept = [(part, offset) for part, offset in zip(parts, offsets) if part.row.size]
         if not kept:
             return cls()
         merged = {"keys": {}, "values": {}}
-        starts: Dict[Tuple, int] = {}  # (field, slot, id(list)) -> its merged start
-        columns = []
-        for part, offset in kept:
-            shifts = {"keys": np.zeros(len(KEY_KINDS), np.int64),
-                      "values": np.zeros(len(ATTRIBUTES), np.int64)}
-            for field, shift in shifts.items():
+        for part, _offset in kept:
+            for field, lists in merged.items():
                 for slot, items in getattr(part, field).items():
-                    held = merged[field].setdefault(slot, items)
-                    source = (field, slot, id(items))
-                    if source not in starts:
-                        starts[source] = 0 if held is items else len(held)
-                        if held is not items:
-                            merged[field][slot] = held + items
-                    shift[slot] = starts[source]
-            key, new, prev = part.key, part.new, part.prev
-            if shifts["keys"].any():
-                key = key + shifts["keys"][part.kind]
-            if shifts["values"].any():
-                new = new + shifts["values"][part.attribute]
-                prev = prev + shifts["values"][np.repeat(part.attribute, part.n_prev)]
-            columns.append(
-                (part.row + offset, part.kind, key, part.attribute, new, part.n_prev, prev)
-            )
+                    if lists.setdefault(slot, items) is not items:
+                        raise ValueError(
+                            f"flag parts decode {field} slot {slot} through different lists"
+                        )
+        columns = [
+            (part.row + offset, part.kind, part.key, part.attribute, part.new, part.n_prev,
+             part.prev)
+            for part, offset in kept
+        ]
         return cls(*map(np.concatenate, zip(*columns)), **merged)
 
 
@@ -467,11 +408,12 @@ class TemporalInconsistencyDetector:
         """Stream one columnar table (a micro-batch) through *state*.
 
         The incremental :meth:`evaluate_table`: seen-state lives in the
-        caller-held *state*, keyed on decoded identifiers and values, so
-        consecutive calls over a table's row slices in timestamp order raise
-        exactly the flags one call over the whole table would, whatever
-        decode lists the slices carry.  Ordering across batches is the
-        caller's contract.
+        caller-held *state*, whose ids are the codes of the decode lists
+        the first table carried, so consecutive calls over a table's row
+        slices in timestamp order raise exactly the flags one call over the
+        whole table would.  Every table must decode through those lists
+        (they may have grown), else ``ValueError``; ordering across batches
+        is the caller's contract.
         """
 
         return self._stream_table(table, state)
@@ -485,35 +427,37 @@ class TemporalInconsistencyDetector:
         time_rank = np.empty(table.n_rows, dtype=np.int64)
         time_rank[time_order] = np.arange(table.n_rows)
 
+        kinds = (
+            ("cookie", table.cookie_codes, table.cookie_values,
+             self._cookie_attributes, self._cookie_tolerance),
+            ("ip", table.ip_codes, table.ip_values, self._ip_attributes, self._ip_tolerance),
+        )
+        # Ids are the table's codes: bind every slot before observing, so
+        # a refused table observes nothing.  A missing key (-1) and the
+        # falsy key ("" cookie) track nothing.
+        blanks = []
+        for kind, _codes, key_values, attributes, _tolerance in kinds:
+            for attribute in attributes:
+                table.require_attribute(attribute, "tracked attribute")
+                state.bind(("value", attribute), table.values_of(attribute))
+            blanks.append(state.bind(("key", kind), key_values))
         # State is independent per (key, attribute), so one pass per key
         # kind over all its attributes equals row-wise observation; a pass
         # yields its flags attribute by attribute in a per-request check's
         # order, and a stable sort by arrival restores that order per row.
         found, keys_decode, values_decode = [], {}, {}
         epoch = state.epoch
-        for kind_id, (kind, key_codes, key_values, attributes, tolerance) in enumerate((
-            ("cookie", table.cookie_codes, table.cookie_values,
-             self._cookie_attributes, self._cookie_tolerance),
-            ("ip", table.ip_codes, table.ip_values,
-             self._ip_attributes, self._ip_tolerance),
-        )):
-            for attribute in attributes:
-                table.require_attribute(attribute, "tracked attribute")
-            # Falsy keys ("" cookie) map to -1 and track nothing.
-            row_keys = np.full(table.n_rows, -1, dtype=np.int64)
-            present = key_codes >= 0
-            if present.any():
-                row_keys[present] = state.remap(("key", kind), key_values)[key_codes[present]]
-            keyed = time_order[row_keys[time_order] >= 0]
+        for kind_id, (kind, key_codes, key_values, attributes, tolerance) in enumerate(kinds):
+            blank = blanks[kind_id]
+            tracked = key_codes[time_order]
+            keyed = time_order[(tracked >= 0) & (tracked != blank)]
             if not keyed.size or not attributes:
                 continue
-            keys = row_keys[keyed]
-            # Value ids per attribute; a missing value (code -1) reads the
-            # appended -1.
+            keys = key_codes[keyed].astype(np.int64)
+            # Value codes per attribute, -1 for a missing value.
             values = np.empty((len(attributes), keyed.size), dtype=np.int64)
             for row, attribute in enumerate(attributes):
-                remap = np.append(state.remap(("value", attribute), table.values_of(attribute)), -1)
-                values[row] = remap[table.codes_of(attribute)[keyed]]
+                values[row] = table.codes_of(attribute)[keyed]
             seen, rows = state.seen(kind, attributes)
             attribute_ids = np.array([ATTRIBUTES.index(attribute) for attribute in attributes])
             for start in range(0, keyed.size, _PASS_ROWS):
@@ -527,11 +471,9 @@ class TemporalInconsistencyDetector:
                 positions += start
                 found.append((keyed[positions], np.full(flat.size, kind_id), keys[positions],
                               attribute_ids[which], new, counts, previous))
-                keys_decode[kind_id] = state.items(("key", kind))
+                keys_decode[kind_id] = key_values
                 for index in set(which.tolist()):
-                    values_decode[int(attribute_ids[index])] = state.items(
-                        ("value", attributes[index])
-                    )
+                    values_decode[int(attribute_ids[index])] = table.values_of(attributes[index])
         if not found:
             return TemporalFlags()
 

@@ -38,7 +38,6 @@ import os
 import tempfile
 import time
 import zipfile
-from itertools import repeat
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -246,13 +245,21 @@ def _unpack_ints(packed: np.ndarray, dtype=np.int64) -> np.ndarray:
 
 
 def _packed(prefix: str, columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Code *columns* as ``<prefix>_<name>`` members; a code outside the
-    ingest vocabulary (``-1``) is an error."""
+    """*columns* as packed ``<prefix>_<name>`` members."""
 
-    for name, column in columns.items():
-        if column.size and column.min() < 0:
-            raise CheckpointError(f"{prefix} {name} outside the ingest vocabulary")
     return {f"{prefix}_{name}": _pack_ints(column) for name, column in columns.items()}
+
+
+def _require_ingest_lists(ingest: Dict, slots) -> None:
+    """Refuse temporal ids that are not codes of *ingest*'s vocabulary:
+    each ``(slot, decode list)`` of *slots* must name the ingest's own list."""
+
+    for (field, name), items in slots:
+        decode = ingest[f"{name}_values"] if field == "key" else ingest["values"].get(name)
+        if items is not decode:
+            raise CheckpointError(
+                f"temporal {field} ids of {name} do not index the ingest's decode list"
+            )
 
 
 # -- the checkpointer ----------------------------------------------------------
@@ -302,8 +309,6 @@ class StreamCheckpointer:
         self._filter_list_mark: Optional[Tuple[FilterList, List[int]]] = None
         #: refresher rows observed when the published segments were written
         self._window_mark = 0
-        #: seen-state slot -> (state items, ingest index, state id -> code)
-        self._code_maps: Dict[Tuple, Tuple[List, Dict, np.ndarray]] = {}
         for gauge in (_LAST_SAVE_BYTES, _MAX_SAVE_BYTES, _SEGMENTS, _AGE_BATCHES):
             gauge.set(0)
 
@@ -325,77 +330,37 @@ class StreamCheckpointer:
 
     # -- saving ----------------------------------------------------------------
 
-    def _code_map(self, slot: Tuple, items: List, ingest: Dict) -> np.ndarray:
-        """State ids of *slot* (decoded by *items*) -> *ingest* codes.
+    @staticmethod
+    def _encode_flags(flags: TemporalFlags, attributes, ingest: Dict) -> Dict:
+        """Flag columns with keys and values as vocabulary codes (the ids
+        as they are) and attributes as positions in *attributes*."""
 
-        A state that adopted the ingest decode list has its codes as ids.
-        Otherwise the map is cached and extended as *items* grows (state
-        items only grow, ingest codes never change meaning), and rebuilt
-        when *items* or the ingest index is replaced.  An item the ingest
-        does not know maps to ``-1``.
-        """
-
-        field, name = slot
-        if field == "key":
-            decode, index = ingest[f"{name}_values"], ingest[f"{name}_index"]
-        else:
-            decode, index = ingest["values"][name], ingest["indexes"][name]
-        if items is decode:
-            return np.arange(len(items))
-        cached = self._code_maps.get(slot)
-        if cached is not None and cached[0] is items and cached[1] is index:
-            codes = cached[2]
-            if codes.size == len(items):
-                return codes
-        else:
-            codes = np.empty(0, dtype=np.int64)
-        tail = items[codes.size :]
-        codes = np.concatenate(
-            [codes, np.fromiter(map(index.get, tail, repeat(-1)), np.int64, len(tail))]
-        )
-        self._code_maps[slot] = (items, index, codes)
-        return codes
-
-    def _encode_flags(self, flags: TemporalFlags, attributes, ingest: Dict) -> Dict:
-        """Flag columns with keys and values as vocabulary codes (one gather
-        per key kind and attribute through the seen-state's cached
-        :meth:`_code_map` arrays) and attributes as positions in *attributes*."""
-
-        key, new, prev = (
-            np.full(ids.size, -1, np.int64) for ids in (flags.key, flags.new, flags.prev)
-        )
-        for kind, items in flags.keys.items():
-            rows = flags.kind == kind
-            key[rows] = self._code_map(("key", KEY_KINDS[kind]), items, ingest)[flags.key[rows]]
-        prev_attribute = np.repeat(flags.attribute, flags.n_prev)
-        for attribute, items in flags.values.items():
-            codes = self._code_map(("value", ATTRIBUTES[attribute]), items, ingest)
-            for ids, coded, entries in (
-                (flags.new, new, flags.attribute == attribute),
-                (flags.prev, prev, prev_attribute == attribute),
-            ):
-                coded[entries] = codes[ids[entries]]
+        _require_ingest_lists(ingest, [
+            *((("key", KEY_KINDS[kind]), items) for kind, items in flags.keys.items()),
+            *((("value", ATTRIBUTES[attribute]), items)
+              for attribute, items in flags.values.items()),
+        ])
         position = np.full(len(ATTRIBUTES), -1, dtype=np.int64)
         position[[ATTRIBUTES.index(attribute) for attribute in attributes]] = np.arange(
             len(attributes)
         )
         return _packed("flag", {
-            "row": flags.row, "kind": flags.kind, "key": key,
-            "attribute": position[flags.attribute], "new": new, "n_prev": flags.n_prev,
-            "prev": prev,
+            "row": flags.row, "kind": flags.kind, "key": flags.key,
+            "attribute": position[flags.attribute], "new": flags.new, "n_prev": flags.n_prev,
+            "prev": flags.prev,
         })
 
+    @staticmethod
     def _encode_seen(
-        self, state: TemporalStreamState, since: int, attributes, ingest: Dict
+        state: TemporalStreamState, since: int, attributes, ingest: Dict
     ) -> Dict[str, np.ndarray]:
         """Columns of the seen-state entries changed after epoch *since*.
 
         Each entry is one (kind, key, attribute) with its full value list;
-        keys and values become codes against the vocabulary of *ingest*
-        (:meth:`StreamIngestor.export_state`) through :meth:`_code_map`
-        arrays, and entries are grouped by attribute.  The state stamps
-        every change as it happens, so finding them is one comparison per
-        column.
+        keys and values are written as they are, codes against the
+        vocabulary of *ingest* (:meth:`StreamIngestor.export_state`), and
+        entries are grouped by attribute.  The state stamps every change
+        as it happens, so finding them is one comparison per column.
         """
 
         position = {attribute: index for index, attribute in enumerate(attributes)}
@@ -407,12 +372,13 @@ class StreamCheckpointer:
             state.changes_since(since),
             key=lambda group: (position[group[1]], _KIND_CODES[group[0]]),
         ):
+            slots = (("key", kind), ("value", attribute))
+            _require_ingest_lists(ingest, [(slot, state.items(slot)) for slot in slots])
             columns["kind"].append(np.full(keys.size, _KIND_CODES[kind], dtype=np.int64))
-            pair = (("key", kind), ("value", attribute))
-            columns["key"].append(self._code_map(pair[0], state.items(pair[0]), ingest)[keys])
+            columns["key"].append(keys)
             columns["attribute"].append(np.full(keys.size, position[attribute], dtype=np.int64))
             columns["count"].append(counts)
-            columns["values"].append(self._code_map(pair[1], state.items(pair[1]), ingest)[values])
+            columns["values"].append(values)
         return _packed("seen", {name: np.concatenate(parts) for name, parts in columns.items()})
 
     def save(self, state: Dict) -> bool:

@@ -41,9 +41,9 @@ class StreamIngestor:
     they keep growing as later batches arrive, but existing codes never
     change meaning, so a batch stays decodable forever.  Consumers cache
     per-code translations against these lists and extend them by the new
-    tail only — the compiled filter-list matcher, the Location-predicate
-    memo and the temporal state's remaps all rely on codes being
-    append-only.
+    tail only — the compiled filter-list matcher and the Location-predicate
+    memo — and the temporal state takes the codes as its ids; all rely on
+    codes being append-only.
     """
 
     def __init__(self, attributes: Optional[Iterable[Attribute]] = None):
@@ -66,26 +66,21 @@ class StreamIngestor:
         """The ingestor's durable state, as live references.
 
         Only the vocabulary (decode lists, in code order) and the row
-        counters are durable.  Nothing is copied: the lists and the
-        value → code indexes are the ingestor's own and must be treated as
-        read-only — the checkpointer reads the entries past its high-water
-        marks and encodes values as codes through the indexes.  The
-        raw-value memo and the remap tables are pure caches —
-        :meth:`restore_state` adopts the vocabulary and lets the caches
-        refill lazily, so a restored ingestor encodes every future batch
-        exactly as the original would have.
+        counters are durable.  Nothing is copied: the lists are the
+        ingestor's own and must be treated as read-only — the checkpointer
+        writes the entries past its high-water marks, and the temporal
+        state's ids are their codes.  The indexes, the raw-value memo and
+        the remap tables are derived — :meth:`restore_state` adopts the
+        vocabulary and rebuilds or refills them, so a restored ingestor
+        encodes every future batch exactly as the original would have.
         """
 
         encoder = self._encoder
-        encoder.sync_indexes()
         return {
             "attributes": self.attributes,
             "values": encoder.values,
-            "indexes": encoder.indexes,
             "cookie_values": encoder.cookie_values,
-            "cookie_index": encoder.cookie_index,
             "ip_values": encoder.ip_values,
-            "ip_index": encoder.ip_index,
             "rows_ingested": self.rows_ingested,
             "batches_emitted": self.batches_emitted,
         }
@@ -95,8 +90,8 @@ class StreamIngestor:
         from a checkpoint.
 
         The decode lists become this ingestor's own, uncopied, so the
-        restored temporal state and the restored flags, which decode
-        through the same lists, never meet a second list for a slot; pass
+        restored temporal state and the restored flags, bound to the same
+        lists, never meet a second list for a slot (which they refuse); pass
         copies of a live export's lists, since its owner keeps extending
         them.  Indexes are rebuilt from code order and every cache resets
         empty.

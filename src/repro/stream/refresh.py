@@ -15,6 +15,7 @@ keeps the deployed list; ``docs/streaming.md`` has the details.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -62,8 +63,8 @@ class FilterListRefresher:
             )
         if interval_batches is not None and interval_batches < 1:
             raise ValueError(f"interval_batches must be >= 1, got {interval_batches}")
-        if interval_days is not None and interval_days <= 0:
-            raise ValueError(f"interval_days must be positive, got {interval_days}")
+        if interval_days is not None and not (math.isfinite(interval_days) and interval_days > 0):
+            raise ValueError(f"interval_days must be positive and finite, got {interval_days}")
         if window_rows < 1:
             raise ValueError(f"window_rows must be >= 1, got {window_rows}")
         self._miner = miner if miner is not None else SpatialInconsistencyMiner()

@@ -360,13 +360,22 @@ def flags_by_request(
     }
 
 
-def flags_from_objects(per_row: Dict[int, Sequence[TemporalFlag]]) -> TemporalFlags:
+def flags_from_objects(
+    per_row: Dict[int, Sequence[TemporalFlag]],
+    keys: Optional[Dict[int, List]] = None,
+    values: Optional[Dict[int, List]] = None,
+) -> TemporalFlags:
     """Flag columns of ``row`` -> flags, in that order, each key and value
-    given its own decode entry (so equal values of other types stay apart)."""
+    given its own decode entry (so equal values of other types stay apart).
+
+    Entries are appended to the decode lists of *keys* (kind -> list) and
+    *values* (attribute -> list) when given, so flags built in several
+    calls can share one set of lists, as one state's flags do.
+    """
 
     columns = {name: [] for name in ("row", "kind", "key", "attribute", "new", "n_prev", "prev")}
-    keys: Dict[int, List] = {}
-    values: Dict[int, List] = {}
+    keys = {} if keys is None else keys
+    values = {} if values is None else values
 
     def decode_id(decode: Dict[int, List], slot: int, item) -> int:
         items = decode.setdefault(slot, [])
@@ -879,9 +888,12 @@ def encode_seen(
     """The checkpoint's seen-state columns, translated key by key.
 
     Every changed key and value is decoded to its item and looked up in
-    the ingest's index; the checkpointer's cached code maps must write
-    the same packed columns.
+    an index built from the ingest's decode list; the checkpointer, which
+    writes the state's ids as they are, must write the same packed columns.
     """
+
+    def index_of(decode: List) -> Dict:
+        return dict(zip(decode, range(len(decode))))
 
     kind_codes = {"cookie": 0, "ip": 1}
     position = {attribute: index for index, attribute in enumerate(attributes)}
@@ -893,8 +905,10 @@ def encode_seen(
         name: [] for name in ("kind", "key", "attribute", "count", "values")
     }
     for kind, attribute, keys, counts, values in groups:
-        key_strings, key_index = state.items(("key", kind)), ingest[f"{kind}_index"]
-        items, value_index = state.items(("value", attribute)), ingest["indexes"][attribute]
+        key_strings = state.items(("key", kind))
+        key_index = index_of(ingest[f"{kind}_values"])
+        items = state.items(("value", attribute))
+        value_index = index_of(ingest["values"][attribute])
         columns["kind"].extend([kind_codes[kind]] * keys.size)
         columns["key"].extend(key_index[key_strings[key]] for key in keys.tolist())
         columns["attribute"].extend([position[attribute]] * keys.size)

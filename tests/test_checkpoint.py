@@ -31,7 +31,7 @@ from repro import faults, obs
 from repro.analysis.engine import CorpusEngine
 from repro.cli import main
 from repro.core.detector import FPInconsistent
-from repro.core.temporal import TemporalFlags
+from repro.core.temporal import ATTRIBUTES, KEY_KINDS
 from repro.stream import (
     ArrivalStream,
     CheckpointError,
@@ -645,41 +645,81 @@ def test_v4_checkpoint_with_object_built_flags_resumes_byte_identically(tmp_path
     )
 
 
+def _saved_states(monkeypatch, checkpointer):
+    """The state dicts *checkpointer* is asked to save, as they are saved."""
+
+    saved, save = [], checkpointer.save
+    monkeypatch.setattr(checkpointer, "save", lambda state: saved.append(state) or save(state))
+    return saved
+
+
 def test_resumed_ingest_and_temporal_state_share_one_decode_list_per_slot(
     monkeypatch, tmp_path, corpus, fitted
 ):
     """Resuming the v4 fixture hands the folded decode lists to the
-    ingestor as they are: the restored temporal state keeps every
-    vocabulary adopted (no interned copy) through the next batches, no
-    flag concatenation re-bases a slot onto a second list, and the digest
-    is the uninterrupted one."""
+    ingestor as they are: the restored temporal state and the restored
+    flags decode through the ingestor's own lists, every later batch
+    extends them, and the digest is the uninterrupted one."""
 
     detector, _table, _verdicts = fitted
     directory = _extract_fixture("stream_checkpoint_v4_object_flags.tar.gz", tmp_path / "ck")
-    concat, rebased = TemporalFlags.concat.__func__, []
-
-    def watched(cls, parts, offsets):
-        for field in ("keys", "values"):
-            lists = {}
-            for part in parts:
-                for slot, items in getattr(part, field).items():
-                    if lists.setdefault(slot, items) is not items:
-                        rebased.append((field, slot))
-        return concat(cls, parts, offsets)
-
-    monkeypatch.setattr(TemporalFlags, "concat", classmethod(watched))
     checkpointer = StreamCheckpointer(directory, every_batches=2)
+    saved = _saved_states(monkeypatch, checkpointer)
     resumed = _refreshing_driver(detector).replay(
         corpus.bot_store, checkpointer=checkpointer, resume=True
     )
     assert resumed.resumed_from_batch == 4
-    state = checkpointer._seen_mark[0]
-    assert state._vocabularies
-    assert all(vocabulary.index is None for vocabulary in state._vocabularies.values())
-    assert rebased == []
+    ingest = saved[-1]["ingest"]
+    state = saved[-1]["classifier"].temporal_state
+    assert state is checkpointer._seen_mark[0]
+    for kind in KEY_KINDS:
+        assert state.items(("key", kind)) is ingest[f"{kind}_values"]
+    for attribute in detector.temporal_detector.tracked_attributes:
+        assert state.items(("value", attribute)) is ingest["values"][attribute]
+    flags = resumed.verdicts.flags
+    assert flags.keys and flags.values
+    for kind, items in flags.keys.items():
+        assert items is ingest[f"{KEY_KINDS[kind]}_values"]
+    for attribute, items in flags.values.items():
+        assert items is ingest["values"][ATTRIBUTES[attribute]]
     assert verdicts_digest(resumed.verdicts) == verdicts_digest(
         _refreshing_driver(detector).replay(corpus.bot_store).verdicts
     )
+
+
+def test_checkpointer_refuses_temporal_ids_of_another_decode_list(monkeypatch, tmp_path, corpus,
+                                                                   fitted):
+    """Temporal ids are codes of the decode lists the state is bound to, so
+    the checkpointer writes them as they are only when those lists are the
+    ingest's; a copy of any one of them is refused, never coded ``-1``."""
+
+    detector, _table, _verdicts = fitted
+    checkpointer = StreamCheckpointer(tmp_path / "ck", every_batches=2)
+    saved = _saved_states(monkeypatch, checkpointer)
+    result = _refreshing_driver(detector).replay(
+        corpus.bot_store, checkpointer=checkpointer, max_batches=4
+    )
+    ingest = saved[-1]["ingest"]
+    state = saved[-1]["classifier"].temporal_state
+    attributes = tuple(ingest["attributes"])
+    flags = result.verdicts.flags
+    assert flags.row.size
+    StreamCheckpointer._encode_flags(flags, attributes, ingest)
+    StreamCheckpointer._encode_seen(state, 0, attributes, ingest)
+
+    copies = [
+        {**ingest, f"{KEY_KINDS[kind]}_values": list(flags.keys[kind])} for kind in flags.keys
+    ] + [
+        {**ingest, "values": {**ingest["values"], ATTRIBUTES[attribute]: list(items)}}
+        for attribute, items in flags.values.items()
+    ]
+    for copied in copies:
+        for encode in (
+            lambda: StreamCheckpointer._encode_flags(flags, attributes, copied),
+            lambda: StreamCheckpointer._encode_seen(state, 0, attributes, copied),
+        ):
+            with pytest.raises(CheckpointError, match="ingest's decode list"):
+                encode()
 
 
 def test_mismatched_snapshot_is_a_configuration_error(tmp_path, corpus, fitted):

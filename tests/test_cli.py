@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.cli as cli_module
 from repro.cli import main
 
 
@@ -269,6 +270,10 @@ def test_stream_refresh_days_logs_stream_days(capsys):
     assert summary["health"]["refresh_failures"] == 0
 
 
+def _no_corpus_build(args):
+    raise AssertionError("a bad knob must fail before any corpus build")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -294,13 +299,29 @@ def test_stream_refresh_days_logs_stream_days(capsys):
         (("report", "--generation", "legacy"), "unrecognized arguments"),
         (("stream", "--generation", "legacy"), "unrecognized arguments"),
         (("corpus", "--executor", "thread"), "unrecognized arguments"),
+        (("stream", "--refresh-days", "nan"), "--refresh-days cannot be negative or non-finite"),
+        (("stream", "--refresh-days", "inf"), "--refresh-days cannot be negative or non-finite"),
+        (("corpus", "--scale", "nan"), "--scale must be positive and finite"),
+        (("corpus", "--scale", "inf"), "--scale must be positive and finite"),
+        (("stream", "--scale", "1e400"), "--scale must be positive and finite"),
     ],
 )
-def test_bad_knobs_fail_fast(capsys, argv, message):
+def test_bad_knobs_fail_fast(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli_module, "_build_from_args", _no_corpus_build)
     with pytest.raises(SystemExit) as excinfo:
         main(list(argv))
     assert excinfo.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "1e400", "-0.5"])
+def test_bad_scale_env_fails_before_any_corpus_build(capsys, monkeypatch, scale):
+    monkeypatch.setenv("REPRO_SCALE", scale)
+    monkeypatch.setattr(cli_module, "_build_from_args", _no_corpus_build)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["stream", "--no-cache"])
+    assert excinfo.value.code == 2
+    assert "REPRO_SCALE must be positive and finite" in capsys.readouterr().err
 
 
 def test_bad_workers_env_fails_cleanly(capsys, monkeypatch):

@@ -225,6 +225,37 @@ def test_map_shards_rebuilds_a_pool_after_a_killed_worker(monkeypatch):
     assert stats["pool_rebuilds"] >= 1, context
 
 
+def test_map_shards_rebuilds_a_pool_broken_while_a_round_is_submitted(monkeypatch):
+    """A worker killed by an early payload of a round can break the pool
+    before the round is submitted: the payloads left fail that round and
+    the rebuilt pool runs them."""
+
+    import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+
+    pools = []
+
+    class BreaksOnThirdSubmit(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.first, self.submits = not pools, 0
+            pools.append(self)
+
+        def submit(self, *args, **kwargs):
+            self.submits += 1
+            if self.first and self.submits == 3:
+                raise BrokenProcessPool("a worker died while the round was submitted")
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BreaksOnThirdSubmit)
+    stats = {}
+    results = map_shards(_double, range(8), workers=2, retries=3, stats=stats)
+    assert results == [value * 2 for value in range(8)]
+    assert stats["pool_rebuilds"] == 1 and stats["serial_fallbacks"] == 0, stats
+    assert stats["failures"] == 6 and stats["attempt_rounds"] == 2, stats
+    assert len(pools) == 2
+
+
 def test_map_shards_timeout_abandons_the_stuck_pool(monkeypatch):
     monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "0.05")
     stats = {}

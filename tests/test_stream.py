@@ -22,6 +22,7 @@ from reference.detection import (
     TemporalFlag,
     compile_per_table,
     flags_by_request,
+    flags_from_objects,
     reference_digest,
     verdict_objects,
     cookie_at,
@@ -38,11 +39,11 @@ from reference.store import RecordIngestor, columnar_store, from_store, records,
 
 from repro.analysis.engine import CorpusEngine
 from repro.core.columnar import ColumnarTable
-from repro.core.detector import FPInconsistent
+from repro.core.detector import FPInconsistent, Verdicts
 from repro.core.pipeline import FPInconsistentPipeline
-from repro.core.rules import FilterList, InconsistencyRule
+from repro.core.rules import FilterList, InconsistencyRule, RuleTable
 from repro.core.spatial import SpatialInconsistencyMiner
-from repro.core.temporal import TemporalInconsistencyDetector
+from repro.core.temporal import TemporalFlags, TemporalInconsistencyDetector
 from repro.fingerprint.attributes import Attribute
 from repro.fingerprint.categories import AttributeCategory
 from repro.fingerprint.fingerprint import Fingerprint
@@ -353,18 +354,22 @@ def test_falsy_cookie_in_the_middle_of_a_decode_list_tracks_nothing(fitted):
     _detector, table, _verdicts = fitted
     order = np.argsort(table.timestamps, kind="stable")
     sample = table.take(order[:90])
-    sample.cookie_values = ["cookie-a", "", "cookie-b"]
-    sample.cookie_codes = (np.arange(sample.n_rows) % 3).astype(np.int32)
+    # The first half carries two cookies, the second half "" and a third too.
+    sample.cookie_values = ["cookie-a", "cookie-b", "", "cookie-c"]
+    sample.cookie_codes = np.concatenate(
+        [np.arange(45) % 2, np.arange(45, 90) % 4]
+    ).astype(np.int32)
     full = _per_request_flags(sample)
     assert _observed(TemporalInconsistencyDetector(), sample) == full
 
-    # The second half arrives with its own decode list, "" elsewhere in it.
+    # The first half decodes through a list the second half extends: ""
+    # arrives in the grown tail, then sits in its middle.
     first, second = sample.take(np.arange(45)), sample.take(np.arange(45, 90))
-    second.cookie_values = ["cookie-b", "cookie-a", ""]
-    second.cookie_codes = np.array([1, 2, 0], dtype=np.int32)[second.cookie_codes]
+    first.cookie_values = second.cookie_values = decode = ["cookie-a", "cookie-b"]
     temporal = TemporalInconsistencyDetector()
     state = temporal.new_stream_state()
     merged = _observed(temporal, first, state)
+    decode += ["", "cookie-c"]
     merged.update(_observed(temporal, second, state))
     assert merged == full
     cookie_flags = [flag for flags in merged.values() for flag in flags
@@ -372,32 +377,55 @@ def test_falsy_cookie_in_the_middle_of_a_decode_list_tracks_nothing(fitted):
     assert cookie_flags  # the truthy keys do flag ...
     assert all(flag.key != "" for flag in cookie_flags)  # ... the "" key never
     assert all(key[1] != "" for key in state_entries(state))
+    assert state.items(("key", "cookie")) is decode
 
 
-def test_independent_tables_share_one_state(corpus, fitted):
+def test_a_state_refuses_a_second_decode_list_per_slot(corpus, fitted):
     detector, _table, _verdicts = fitted
     ordered = sorted(records(corpus.bot_store), key=lambda record: record.timestamp)
     half = len(ordered) // 2
     attributes = detector.table_attributes()
     first = from_store(ordered[:half], attributes=attributes)
     second = from_store(ordered[half:], attributes=attributes)
-    whole = from_store(ordered, attributes=attributes)
     # Each extraction owns its own decode lists, in its own code order.
     assert first.cookie_values is not second.cookie_values
     assert first.values_of(Attribute.PLATFORM) is not second.values_of(Attribute.PLATFORM)
 
     temporal = TemporalInconsistencyDetector()
     state = temporal.new_stream_state()
-    merged = _observed(temporal, first, state)
-    merged.update(_observed(temporal, second, state))
-    full = _observed(TemporalInconsistencyDetector(), whole)
-    assert merged == full
-    # Some flags in the second table rest on state the first one left.
-    earlier = set(first.cookie_values) | set(first.ip_values)
-    later = set(second.request_ids.tolist())
-    assert any(
-        flag.key in earlier for request_id in later & set(merged) for flag in merged[request_id]
-    )
+    temporal.observe_table(first, state)
+    entries = state_entries(state)
+    with pytest.raises(ValueError, match="another decode list"):
+        temporal.observe_table(second, state)
+    assert state_entries(state) == entries  # the refused table observed nothing
+
+    # A checkpoint-style merge is refused the same way, for a key or a value list.
+    platforms = first.values_of(Attribute.PLATFORM)
+    one = np.zeros(1, dtype=np.int64)
+    for key_decode, value_decode in (
+        (list(first.cookie_values), platforms), (first.cookie_values, list(platforms)),
+    ):
+        with pytest.raises(ValueError, match="another decode list"):
+            state.merge("cookie", Attribute.PLATFORM, key_decode, one, value_decode, one + 1, one)
+    assert state_entries(state) == entries
+
+
+def test_flag_parts_decoding_a_slot_through_different_lists_are_refused():
+    flag = TemporalFlag("cookie", "c", Attribute.PLATFORM, ("Win32",), "MacIntel")
+    keys, values = {}, {}
+    shared = [flags_from_objects({0: [flag]}, keys, values) for _ in range(2)]
+    joined = TemporalFlags.concat(shared, [0, 1])
+    assert joined.keys == {0: ["c", "c"]} and joined.keys[0] is keys[0]
+    assert flags_by_request(np.array([7, 8]), joined) == {7: [flag], 8: [flag]}
+
+    apart = [flags_from_objects({0: [flag]}) for _ in range(2)]
+    with pytest.raises(ValueError, match="different lists"):
+        TemporalFlags.concat(apart, [0, 1])
+    with pytest.raises(ValueError, match="different lists"):
+        Verdicts.concat([
+            Verdicts(np.array([row]), np.array([-1]), RuleTable(), flags)
+            for row, flags in enumerate(apart)
+        ])
 
 
 def test_ip_key_growing_past_its_tolerance_lists_values_in_order(fitted):
@@ -662,8 +690,9 @@ def test_refresher_requires_exactly_one_interval_knob():
         FilterListRefresher(window_rows=100)
     with pytest.raises(ValueError, match="exactly one"):
         FilterListRefresher(interval_batches=2, interval_days=1.0, window_rows=100)
-    with pytest.raises(ValueError, match="interval_days"):
-        FilterListRefresher(interval_days=0, window_rows=100)
+    for days in (0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="interval_days"):
+            FilterListRefresher(interval_days=days, window_rows=100)
 
 
 def test_day_refresher_needs_timestamps(fitted):
