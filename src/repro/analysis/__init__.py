@@ -17,21 +17,17 @@ __all__, __getattr__ = lazy_exports(
             "train_evasion_classifiers",
         ),
         "cache": (
-            "CACHE_ENV_VAR",
             "CorpusCache",
             "corpus_cache_key",
             "corpus_digest",
-            "default_cache_dir",
             "load_corpus",
             "save_corpus",
         ),
-        "corpus": ("Corpus", "DEFAULT_SCALE", "SCALE_ENV_VAR", "build_corpus", "default_scale"),
+        "corpus": ("Corpus", "build_corpus"),
         "engine": (
             "CorpusEngine",
             "ShardSpec",
-            "WORKERS_ENV_VAR",
             "build_or_load_corpus",
-            "default_workers",
         ),
         "evasion": (
             "CohortComparison",

@@ -56,20 +56,6 @@ from repro.honeysite.storage import (
 )
 from repro.users.privacy import PrivacyTechnology
 
-#: Environment variable pointing at the cache root directory.  Unset means
-#: caching is disabled.
-CACHE_ENV_VAR = "REPRO_CORPUS_CACHE"
-
-
-def default_cache_dir() -> Optional[Path]:
-    """Cache root requested through ``REPRO_CORPUS_CACHE`` (``None`` if unset)."""
-
-    raw = os.environ.get(CACHE_ENV_VAR)
-    if not raw:
-        return None
-    return Path(raw).expanduser()
-
-
 def corpus_cache_key(
     *,
     seed: int,

@@ -15,8 +15,6 @@ on a laptop.  The scale only changes sampling noise, not behaviour.
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -25,28 +23,6 @@ from repro.honeysite.site import HoneySite
 from repro.honeysite.storage import RequestStore
 from repro.users.privacy import PrivacyTechnology
 from repro.users.realuser import REAL_USER_SOURCE
-
-#: Environment variable overriding the default corpus scale.
-SCALE_ENV_VAR = "REPRO_SCALE"
-
-#: Default corpus scale when neither ``--scale`` nor the variable is set.
-DEFAULT_SCALE = 0.05
-
-
-def default_scale() -> float:
-    """The corpus scale requested through ``REPRO_SCALE`` (default 0.05)."""
-
-    raw = os.environ.get(SCALE_ENV_VAR)
-    if not raw:
-        return DEFAULT_SCALE
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"{SCALE_ENV_VAR} must be a number, got {raw!r}") from exc
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{SCALE_ENV_VAR} must be positive and finite, got {value}")
-    return value
-
 
 @dataclass
 class Corpus:

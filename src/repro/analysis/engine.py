@@ -45,9 +45,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import faults, obs
+from repro import faults, knobs, obs
 from repro.obs import SpanRecord
-from repro.analysis.corpus import Corpus, default_scale
+from repro.analysis.corpus import Corpus
 from repro.bots.marketplace import build_marketplace
 from repro.bots.service import BotServiceProfile
 from repro.bots.traffic import BotTrafficGenerator
@@ -59,23 +59,6 @@ from repro.honeysite.storage import RecordColumns, RecordColumnsBuilder, Request
 from repro.honeysite.urls import generate_url_token
 from repro.users.privacy import PrivacyTechnology, PrivacyTrafficGenerator
 from repro.users.realuser import REAL_USER_SOURCE, RealUserTrafficGenerator
-
-#: Environment variable selecting the shard worker count (unset → 1).
-WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-#: Environment variable bounding per-shard retry attempts after a worker
-#: failure (exception, killed process, timeout) before the shard falls
-#: back to in-process serial execution.
-RETRIES_ENV_VAR = "REPRO_SHARD_RETRIES"
-
-#: Default per-shard retry budget when ``REPRO_SHARD_RETRIES`` is unset.
-DEFAULT_SHARD_RETRIES = 2
-
-#: Environment variable setting a per-shard-attempt timeout in seconds
-#: (unset or 0 → no timeout).  A timed-out attempt counts as a failure:
-#: the pool is abandoned (the stuck worker cannot be cancelled) and the
-#: affected shards are retried on a fresh pool.
-TIMEOUT_ENV_VAR = "REPRO_SHARD_TIMEOUT"
 
 #: Exponential-backoff schedule between shard retry rounds: the sleep
 #: before retry round *k* is ``BACKOFF_BASE * 2**k``, capped, and scaled
@@ -176,51 +159,6 @@ PRIVACY_TECHNOLOGIES: Tuple[PrivacyTechnology, ...] = (
     PrivacyTechnology.ADBLOCK_PLUS,
 )
 
-def default_workers() -> Optional[int]:
-    """Worker count requested through ``REPRO_WORKERS`` (``None`` if unset)."""
-
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {value}")
-    return value
-
-
-def default_shard_retries() -> int:
-    """Retry budget requested through ``REPRO_SHARD_RETRIES`` (default 2)."""
-
-    raw = os.environ.get(RETRIES_ENV_VAR)
-    if not raw:
-        return DEFAULT_SHARD_RETRIES
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{RETRIES_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ValueError(f"{RETRIES_ENV_VAR} cannot be negative, got {value}")
-    return value
-
-
-def default_shard_timeout() -> Optional[float]:
-    """Per-attempt shard timeout from ``REPRO_SHARD_TIMEOUT`` (``None`` if unset)."""
-
-    raw = os.environ.get(TIMEOUT_ENV_VAR)
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"{TIMEOUT_ENV_VAR} must be a number, got {raw!r}") from exc
-    if value < 0:
-        raise ValueError(f"{TIMEOUT_ENV_VAR} cannot be negative, got {value}")
-    return value or None
-
-
 def retry_backoff_seconds(attempt: int, *, seed: int = 0, label: str = "shards") -> float:
     """The sleep before retry round *attempt* (0-based), jitter included.
 
@@ -283,6 +221,12 @@ def map_shards(
     """
 
     payloads = list(payloads)
+    # Resolved here, in the coordinator, before any pool starts: a bad
+    # setting raises instead of failing every pooled attempt.
+    if retries is None:
+        retries = knobs.SHARD_RETRIES.value()
+    timeout = knobs.SHARD_TIMEOUT.value() or None
+    faults.active_plan()
     track = dict.fromkeys(_SHARD_STAT_KEYS, 0)
 
     def _finalize(result_list: list) -> list:
@@ -296,9 +240,6 @@ def map_shards(
 
     if workers <= 1 or len(payloads) <= 1:
         return _finalize([fn(payload) for payload in payloads])
-    if retries is None:
-        retries = default_shard_retries()
-    timeout = default_shard_timeout()
     max_workers = min(workers, len(payloads))
     # Loads multiprocessing; a warm cache hit never fans out, so pay here.
     from concurrent.futures.process import BrokenProcessPool
@@ -527,7 +468,7 @@ class CorpusEngine:
         min_records_per_worker: Optional[int] = None,
     ):
         self.seed = int(seed)
-        self.scale = default_scale() if scale is None else float(scale)
+        self.scale = knobs.SCALE.value() if scale is None else float(scale)
         if self.scale <= 0:
             raise ValueError("scale must be positive")
         self.include_real_users = include_real_users
@@ -739,7 +680,7 @@ class CorpusEngine:
         """
 
         if workers is None:
-            workers = default_workers() or 1
+            workers = knobs.WORKERS.value()
 
         specs = self.plan()
         effective = self.effective_workers(workers, specs)
@@ -848,7 +789,7 @@ def build_or_load_corpus(
     and stored) or ``"uncached"`` (no cache configured).
     """
 
-    from repro.analysis.cache import CorpusCache, corpus_cache_key, default_cache_dir
+    from repro.analysis.cache import CorpusCache, corpus_cache_key
 
     engine = CorpusEngine(
         seed=seed,
@@ -860,7 +801,7 @@ def build_or_load_corpus(
         campaign_days=campaign_days,
     )
     if cache is None:
-        cache = default_cache_dir()
+        cache = knobs.CORPUS_CACHE.value()
     if cache is False:
         cache = None
     if cache is not None and not isinstance(cache, CorpusCache):

@@ -17,15 +17,14 @@ import argparse
 import gc
 import json
 import math
-import os
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro import obs
-from repro.analysis.cache import CACHE_ENV_VAR, corpus_digest
-from repro.analysis.corpus import Corpus, default_scale
-from repro.analysis.engine import WORKERS_ENV_VAR, build_or_load_corpus, default_workers
+from repro import knobs, obs
+from repro.analysis.cache import corpus_digest
+from repro.analysis.corpus import Corpus
+from repro.analysis.engine import build_or_load_corpus
 
 
 def _add_execution_knobs(parser: argparse.ArgumentParser) -> None:
@@ -37,21 +36,11 @@ def _add_execution_knobs(parser: argparse.ArgumentParser) -> None:
 
     group = parser.add_argument_group("execution")
     group.add_argument("--seed", type=int, default=7, help="master seed (default 7)")
-    group.add_argument(
-        "--scale",
-        type=float,
-        default=None,
-        help="fraction of the paper's volumes (default: REPRO_SCALE or 0.05; 1.0 = 507,080 requests)",
-    )
-    group.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "shard worker count for corpus generation "
-            f"(default: {WORKERS_ENV_VAR} or 1)"
-        ),
-    )
+    for flag, knob, meaning in (
+        ("--scale", knobs.SCALE, "fraction of the paper's volumes, 1.0 = 507,080 requests"),
+        ("--workers", knobs.WORKERS, "shard worker count for corpus generation"),
+    ):
+        group.add_argument(flag, help=f"{meaning} (default: {knob.name} or {knob.default})")
 
 
 def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
@@ -110,29 +99,6 @@ def _write_document(command: str, path: str, document: dict, **options) -> None:
     print(f"{command}: wrote {path}", file=sys.stderr)
 
 
-def _validate_execution_knobs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Reject bad execution knobs up front with a usage error.
-
-    Covers the command-line flags and the environment fallbacks they
-    default to (``REPRO_WORKERS`` / ``REPRO_SCALE``),
-    so a typo'd knob fails before minutes of corpus generation start.
-    """
-
-    if args.seed < 0:
-        parser.error(f"--seed must be non-negative, got {args.seed}")
-    if args.workers is not None and args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    if args.scale is not None and not (math.isfinite(args.scale) and args.scale > 0):
-        parser.error(f"--scale must be positive and finite, got {args.scale}")
-    try:
-        if args.workers is None:
-            default_workers()
-        if args.scale is None:
-            default_scale()
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
     _add_execution_knobs(parser)
     _add_telemetry_arguments(parser)
@@ -141,7 +107,7 @@ def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
         "--cache",
         default=None,
         metavar="DIR",
-        help=f"corpus cache directory (default: {CACHE_ENV_VAR}; see also --no-cache)",
+        help=f"corpus cache directory (default: {knobs.CORPUS_CACHE.name}; see also --no-cache)",
     )
     group.add_argument(
         "--no-cache",
@@ -261,25 +227,31 @@ def _checkpointer_from_args(parser: argparse.ArgumentParser, args: argparse.Name
     return StreamCheckpointer(args.checkpoint_dir, every_batches=args.checkpoint_every)
 
 
-def _validate_corpus_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Validate the shared execution knobs plus the corpus-only flags."""
+def _validate_corpus_args(args: argparse.Namespace) -> bool:
+    """Resolve every ``REPRO_*`` variable (``args.scale``, ``args.workers``
+    and ``args.cache`` too) and check the shared flags before any corpus
+    build: a bad value exits 2.  Returns whether REPRO_DEBUG is on."""
 
-    _validate_execution_knobs(parser, args)
+    parser = args.parser
+    try:
+        debug = knobs.resolve()[knobs.DEBUG.name]
+        args.scale = knobs.SCALE.value(args.scale, "--scale")
+        args.workers = knobs.WORKERS.value(args.workers, "--workers")
+        args.cache = not args.no_cache and knobs.CORPUS_CACHE.value(args.cache, "--cache")
+    except ValueError as exc:
+        parser.error(str(exc))
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
     if args.real_user_requests < 0:
         parser.error(f"--real-user-requests cannot be negative, got {args.real_user_requests}")
     if args.privacy_requests < 0:
         parser.error(f"--privacy-requests cannot be negative, got {args.privacy_requests}")
     if args.campaign_days < 1:
         parser.error(f"--campaign-days must be >= 1, got {args.campaign_days}")
+    return debug
 
 
 def _build_from_args(args: argparse.Namespace) -> Corpus:
-    if args.no_cache:
-        cache = False
-    elif args.cache:
-        cache = args.cache
-    else:
-        cache = None  # build_or_load_corpus falls back to REPRO_CORPUS_CACHE
     started = time.perf_counter()
     corpus, status = build_or_load_corpus(
         seed=args.seed,
@@ -290,7 +262,7 @@ def _build_from_args(args: argparse.Namespace) -> Corpus:
         privacy_requests_each=args.privacy_requests,
         campaign_days=args.campaign_days,
         workers=args.workers,
-        cache=cache,
+        cache=args.cache,
     )
     elapsed = time.perf_counter() - started
     # The loaded corpus and the imported modules live until exit.  Moving
@@ -303,7 +275,6 @@ def _build_from_args(args: argparse.Namespace) -> Corpus:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    _validate_corpus_args(args.parser, args)
     corpus = _build_from_args(args)
     summary = {
         "seed": corpus.seed,
@@ -331,7 +302,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     from repro.analysis.paper import paper_rows, pipeline_measurements
     from repro.core.pipeline import FPInconsistentPipeline
 
-    _validate_corpus_args(args.parser, args)
     corpus = _build_from_args(args)
     started = time.perf_counter()
     pipeline = FPInconsistentPipeline()
@@ -409,7 +379,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.report import generate_report, report_section_keys
 
     parser = args.parser
-    _validate_corpus_args(parser, args)
     if args.ml_samples < 20:
         parser.error(f"--ml-samples must be >= 20, got {args.ml_samples}")
     sections = None
@@ -425,7 +394,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     corpus = _build_from_args(args)
     cache_key = corpus_cache_key(
         seed=args.seed,
-        scale=args.scale if args.scale is not None else default_scale(),
+        scale=args.scale,
         include_real_users=not args.no_real_users,
         include_privacy=args.include_privacy,
         real_user_requests=args.real_user_requests,
@@ -474,7 +443,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     )
 
     parser = args.parser
-    _validate_corpus_args(parser, args)
     batch_size = DEFAULT_BATCH_SIZE if args.batch_size is None else args.batch_size
     if batch_size < 1:
         parser.error(f"--batch-size must be >= 1, got {batch_size}")
@@ -617,6 +585,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction toolkit: corpus generation, evaluation, paper report, stream.",
+        epilog="environment variables (empty = unset):\n"
+        + "\n".join(f"  {knob.name:<21}{knob.doc}" for knob in knobs.KNOBS),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -732,6 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    debug = _validate_corpus_args(args)
     if getattr(args, "trace", None) or getattr(args, "metrics_out", None):
         # Before dispatch, through the environment: process-pool shard
         # workers inherit the setting and ship their spans back.
@@ -739,10 +711,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         code = args.func(args)
     except (ValueError, OSError) as exc:
-        # Bad configuration (scale/seed/env values) or unwritable paths:
-        # report like a CLI, not with a traceback.  Set REPRO_DEBUG=1 to
-        # re-raise so genuine internal errors keep their stack.
-        if os.environ.get("REPRO_DEBUG"):
+        # Bad configuration or unwritable paths: report like a CLI, not
+        # with a traceback.  Set REPRO_DEBUG=1 to re-raise so genuine
+        # internal errors keep their stack.
+        if debug:
             raise
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2

@@ -41,11 +41,11 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-#: Environment variable holding the fault plan (unset → no injection).
-FAULTS_ENV_VAR = "REPRO_FAULTS"
+from repro import knobs
 
-#: Environment variable seeding the plan's deterministic draws (default 0).
-FAULTS_SEED_ENV_VAR = "REPRO_FAULTS_SEED"
+#: The variables holding the plan and seeding its draws (see :mod:`repro.knobs`).
+FAULTS_ENV_VAR = knobs.FAULTS.name
+FAULTS_SEED_ENV_VAR = knobs.FAULTS_SEED.name
 
 #: The registered fault points (see ``docs/robustness.md`` for the map of
 #: call sites and key schemes).
@@ -198,20 +198,18 @@ def active_plan() -> Optional[FaultPlan]:
     with the environment inherit the exact coordinator plan.
     """
 
-    raw = os.environ.get(FAULTS_ENV_VAR)
+    raw = knobs.FAULTS.raw()
     if not raw:
         return None
-    raw_seed = os.environ.get(FAULTS_SEED_ENV_VAR, "0")
+    raw_seed = knobs.FAULTS_SEED.raw()
     global _cache_key, _cache_plan
     if _cache_key != (raw, raw_seed):
         try:
-            seed = int(raw_seed or "0")
+            plan, seed = knobs.FAULTS.read(raw), knobs.FAULTS_SEED.read(raw_seed)
         except ValueError as exc:
-            raise FaultPlanError(
-                f"{FAULTS_SEED_ENV_VAR} must be an integer, got {raw_seed!r}"
-            ) from exc
-        _cache_plan = FaultPlan.parse(raw, seed=seed)
-        _cache_key = (raw, raw_seed)
+            raise FaultPlanError(str(exc)) from None
+        plan.seed = seed
+        _cache_plan, _cache_key = plan, (raw, raw_seed)
     return _cache_plan
 
 

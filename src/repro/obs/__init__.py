@@ -15,8 +15,8 @@ measures about itself.  It has two halves:
     coordinator adopts them so one timeline covers the whole build.
 
 Telemetry is **off by default**.  It turns on when the environment
-variable ``REPRO_TELEMETRY`` is set to anything but ``0``/``false``/
-``off``/``no``, when a ``repro`` subcommand receives ``--trace`` or
+variable ``REPRO_TELEMETRY`` is ``1``/``true``/``on``/``yes`` (see
+:mod:`repro.knobs`), when a ``repro`` subcommand receives ``--trace`` or
 ``--metrics-out`` (the CLI exports the environment variable so
 process-pool workers inherit it), or programmatically via
 :func:`set_telemetry`.  Instrumentation never perturbs results: every
@@ -37,7 +37,6 @@ See ``docs/observability.md`` for the metric catalogue.
 """
 
 from repro.obs.metrics import (
-    TELEMETRY_ENV_VAR,
     Counter,
     Gauge,
     Histogram,
@@ -62,7 +61,6 @@ from repro.obs.export import (
 
 
 __all__ = [
-    "TELEMETRY_ENV_VAR",
     "Counter",
     "Gauge",
     "Histogram",

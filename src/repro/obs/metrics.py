@@ -3,8 +3,8 @@
 Design rules, in the spirit of :mod:`repro.faults`:
 
 - **Zero dependencies, near-zero cost when off.**  Whether telemetry is
-  enabled is a single cached environment lookup; a disabled gated
-  instrument returns after one method call.
+  enabled is one environment lookup, parsed once per distinct value; a
+  disabled gated instrument returns after one method call.
 - **One source of truth.**  Pre-existing ad-hoc counters
   (``materialized_record_count()``, shard fault stats, stream health)
   are registered with ``always=True`` so they count in untraced runs
@@ -23,15 +23,11 @@ import os
 import threading
 from typing import Dict, Iterable, List, Optional, Tuple
 
-#: Environment variable that switches gated instruments (and the span
-#: tracer) on.  Anything but ""/"0"/"false"/"off"/"no" enables.
-TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
+from repro import knobs
 
-_FALSEY = frozenset({"", "0", "false", "off", "no"})
-
-#: Cached parse of the environment switch, keyed on the raw value so a
-#: changed environment (tests, CLI) is picked up on the next check.
-_ENV_STATE: Dict[str, object] = {"raw": object(), "on": False}
+#: Cached parse of ``REPRO_TELEMETRY`` (gated instruments and the tracer),
+#: keyed on the raw value so a changed environment is seen on the next check.
+_ENV_STATE: Dict[str, object] = {"raw": None, "on": False}
 
 #: Programmatic override: ``None`` defers to the environment.
 _OVERRIDE: Optional[bool] = None
@@ -42,10 +38,10 @@ def telemetry_enabled() -> bool:
 
     if _OVERRIDE is not None:
         return _OVERRIDE
-    raw = os.environ.get(TELEMETRY_ENV_VAR)
-    if raw is not _ENV_STATE["raw"]:
+    raw = knobs.TELEMETRY.raw()
+    if raw != _ENV_STATE["raw"]:
+        _ENV_STATE["on"] = knobs.TELEMETRY.read(raw)
         _ENV_STATE["raw"] = raw
-        _ENV_STATE["on"] = raw is not None and raw.strip().lower() not in _FALSEY
     return bool(_ENV_STATE["on"])
 
 
@@ -68,7 +64,7 @@ def enable_telemetry() -> None:
     record their spans for the coordinator to adopt.
     """
 
-    os.environ[TELEMETRY_ENV_VAR] = "1"
+    os.environ[knobs.TELEMETRY.name] = "1"
 
 
 #: Label sets are stored as sorted ``(name, value)`` tuples.

@@ -332,6 +332,79 @@ def test_bad_workers_env_fails_cleanly(capsys, monkeypatch):
     assert "REPRO_WORKERS" in capsys.readouterr().err
 
 
+#: One bad value per ``REPRO_*`` variable (``{file}`` is an existing
+#: regular file); a valid plan rides along where the seed is the bad one.
+BAD_ENVIRONMENT = [
+    ({"REPRO_SCALE": "abc"}, "REPRO_SCALE must be a number"),
+    ({"REPRO_WORKERS": "0"}, "REPRO_WORKERS must be >= 1"),
+    ({"REPRO_CORPUS_CACHE": "{file}"}, "REPRO_CORPUS_CACHE must name a directory"),
+    ({"REPRO_SHARD_RETRIES": "abc"}, "REPRO_SHARD_RETRIES must be an integer"),
+    ({"REPRO_SHARD_RETRIES": "-1"}, "REPRO_SHARD_RETRIES must be >= 0"),
+    ({"REPRO_SHARD_TIMEOUT": "nan"}, "REPRO_SHARD_TIMEOUT must be finite and >= 0"),
+    ({"REPRO_SHARD_TIMEOUT": "inf"}, "REPRO_SHARD_TIMEOUT must be finite and >= 0"),
+    ({"REPRO_SHARD_TIMEOUT": "-1"}, "REPRO_SHARD_TIMEOUT must be finite and >= 0"),
+    ({"REPRO_FAULTS": "bogus"}, "REPRO_FAULTS must be a fault plan"),
+    ({"REPRO_FAULTS": "shard_run:raise:0.1", "REPRO_FAULTS_SEED": "xyz"},
+     "REPRO_FAULTS_SEED must be an integer"),
+    ({"REPRO_TELEMETRY": "maybe"}, "REPRO_TELEMETRY must be one of"),
+    ({"REPRO_DEBUG": "maybe"}, "REPRO_DEBUG must be one of"),
+]
+
+
+@pytest.mark.parametrize("command", ["corpus", "pipeline", "report", "stream"])
+@pytest.mark.parametrize(
+    "environment, message",
+    BAD_ENVIRONMENT,
+    ids=["{}={}".format(*list(environment.items())[-1]) for environment, _ in BAD_ENVIRONMENT],
+)
+def test_bad_environment_fails_before_any_corpus_build(
+    capsys, monkeypatch, tmp_path, command, environment, message
+):
+    """Every variable is checked by every command, whatever the flags:
+    ``--workers 1 --no-cache`` reads neither the pool's knobs nor the cache."""
+
+    regular_file = tmp_path / "not-a-directory"
+    regular_file.write_text("")
+    for name, value in environment.items():
+        monkeypatch.setenv(name, value.format(file=regular_file))
+    monkeypatch.setattr(cli_module, "_build_from_args", _no_corpus_build)
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--workers", "1", "--no-cache"])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--workers", "abc", "--workers must be an integer"),
+    ("--cache", "{file}", "--cache must name a directory"),
+])
+def test_flags_are_checked_by_their_variable_s_parser(
+    capsys, monkeypatch, tmp_path, flag, value, message
+):
+    regular_file = tmp_path / "not-a-directory"
+    regular_file.write_text("")
+    monkeypatch.setattr(cli_module, "_build_from_args", _no_corpus_build)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["corpus", flag, value.format(file=regular_file)])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, raises", [("0", False), ("off", False), ("1", True)])
+def test_debug_switch_re_raises_only_when_on(capsys, monkeypatch, value, raises):
+    def failing_build(args):
+        raise ValueError("boom")
+
+    monkeypatch.setenv("REPRO_DEBUG", value)
+    monkeypatch.setattr(cli_module, "_build_from_args", failing_build)
+    if raises:
+        with pytest.raises(ValueError, match="boom"):
+            main(["corpus", "--no-cache"])
+    else:
+        assert main(["corpus", "--no-cache"]) == 2
+        assert "repro: error: boom" in capsys.readouterr().err
+
+
 #: Run in a fresh interpreter: import the CLI, run the ``pipeline`` and
 #: ``stream`` handlers on a warm TINY cache, and print which report-only
 #: layers were imported along the way (and whether the warm path built a

@@ -39,3 +39,27 @@ def test_core_docs_exist():
     for name in ("architecture.md", "corpus.md", "detection.md",
                  "streaming.md", "robustness.md", "observability.md"):
         assert (REPO_ROOT / "docs" / name).is_file(), f"docs/{name} missing"
+
+
+def _environment_table() -> dict:
+    """README's "Environment variables" table: variable -> default cell."""
+
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Environment variables", 1)[1].split("\n#", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`REPRO_"):
+            rows[cells[0].strip("`")] = cells[2]
+    return rows
+
+
+def test_readme_environment_table_matches_the_knob_table():
+    from repro import knobs
+
+    rows = _environment_table()
+    assert list(rows) == [knob.name for knob in knobs.KNOBS]
+    for knob in knobs.KNOBS:
+        unset = knob.default is None or knob.default is False
+        expected = "unset" if unset else f"`{knob.default}`"
+        assert rows[knob.name].startswith(expected), (knob.name, rows[knob.name])

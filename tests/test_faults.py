@@ -265,6 +265,33 @@ def test_map_shards_timeout_abandons_the_stuck_pool(monkeypatch):
     assert stats["serial_fallbacks"] == 2
 
 
+@pytest.mark.parametrize("timeout", ["nan", "inf", "-1"])
+def test_map_shards_refuses_a_non_finite_or_negative_timeout(monkeypatch, timeout):
+    # A nan timeout would time every pooled attempt out at once and push
+    # every shard through the serial fallback.
+    monkeypatch.setenv("REPRO_SHARD_TIMEOUT", timeout)
+    with pytest.raises(ValueError, match="REPRO_SHARD_TIMEOUT must be finite"):
+        map_shards(abs, [-1, -2, -3, -4], workers=2, retries=1)
+
+
+@pytest.mark.parametrize(
+    "environment, variable",
+    [
+        ({"REPRO_FAULTS": "bogus"}, "REPRO_FAULTS"),
+        ({"REPRO_FAULTS": "shard_run:raise:0.1", "REPRO_FAULTS_SEED": "xyz"}, "REPRO_FAULTS_SEED"),
+    ],
+)
+def test_map_shards_refuses_a_bad_fault_plan_before_it_submits(monkeypatch, environment, variable):
+    # Left to the workers, a bad plan would fail every pooled attempt and
+    # the corpus would quietly be built serially.
+    for name, value in environment.items():
+        monkeypatch.setenv(name, value)
+    stats = {}
+    with pytest.raises(faults.FaultPlanError, match=f"{variable} must"):
+        map_shards(abs, [-1, -2, -3, -4], workers=2, retries=1, stats=stats)
+    assert stats == {}
+
+
 def test_map_shards_inline_path_is_never_injected(monkeypatch):
     monkeypatch.setenv(faults.FAULTS_ENV_VAR, "shard_run:raise:1")
     stats = {}

@@ -16,7 +16,7 @@ import os
 import pytest
 from reference.store import records
 
-from repro import obs
+from repro import knobs, obs
 from repro.analysis.engine import CorpusEngine
 from repro.cli import main as cli_main
 from repro.core.detector import FPInconsistent
@@ -44,13 +44,13 @@ def _telemetry_isolation():
     suite, which assumes untraced runs).
     """
 
-    before = os.environ.get(obs.TELEMETRY_ENV_VAR)
+    before = os.environ.get(knobs.TELEMETRY.name)
     yield
     obs.set_telemetry(None)
     if before is None:
-        os.environ.pop(obs.TELEMETRY_ENV_VAR, None)
+        os.environ.pop(knobs.TELEMETRY.name, None)
     else:
-        os.environ[obs.TELEMETRY_ENV_VAR] = before
+        os.environ[knobs.TELEMETRY.name] = before
     obs.tracer().reset()
 
 

@@ -54,10 +54,6 @@ OBSERVER = "an accessor or reset a tier-1 test calls to observe product state"
 #: workflow builds its corpus on one worker (TINY is below the fan-out
 #: floor), so the pooled half of ``map_shards`` runs only in tests.
 ALLOWLIST = {
-    "analysis/engine.py::default_shard_retries": (
-        POOL_OR_FAULT, "tests/test_faults.py::test_map_shards_retries_transient_worker_faults"),
-    "analysis/engine.py::default_shard_timeout": (
-        POOL_OR_FAULT, "tests/test_faults.py::test_map_shards_timeout_abandons_the_stuck_pool"),
     "analysis/engine.py::retry_backoff_seconds": (
         POOL_OR_FAULT, "tests/test_faults.py::test_corpus_is_byte_identical_under_shard_faults"),
     # Runs inside the pool's worker processes.
